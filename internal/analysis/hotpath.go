@@ -109,6 +109,19 @@ var stemcacheHotTable = &hotTable{
 	cold:  map[string]bool{},
 }
 
+// coreHotTable covers the STEM engine. Hotness does not cross packages, so
+// stemcache's Cache.Get closure stops at the engine's door: the engine's
+// per-access entry points are rooted here, next to the simulator's Access
+// that calls the same ones.
+var coreHotTable = &hotTable{
+	roots: []string{
+		"Cache.Access",
+		"Engine.Tick", "Engine.GiverOf", "Engine.Hit", "Engine.Touch", "Engine.Miss",
+		"Engine.Victim", "Engine.Evict", "Engine.Fill", "Engine.Remove",
+	},
+	cold: map[string]bool{},
+}
+
 // hotfixHotTable scopes the analyzer's test fixture.
 var hotfixHotTable = &hotTable{
 	roots: []string{"Serve", "Cache.Get"},
@@ -128,6 +141,8 @@ func hotTableFor(path string) *hotTable {
 		return clientHotTable
 	case path == "internal/stemcache" || strings.HasSuffix(path, "/internal/stemcache"):
 		return stemcacheHotTable
+	case path == "internal/core" || strings.HasSuffix(path, "/internal/core"):
+		return coreHotTable
 	case path == "internal/hotfix" || strings.HasSuffix(path, "/internal/hotfix"):
 		return hotfixHotTable
 	}

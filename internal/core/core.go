@@ -22,6 +22,10 @@
 // received block follows the giver's currently winning policy (§4.6). A
 // taker whose MSB falls clear stops spilling. The pair dissolves once the
 // giver has evicted every cooperatively cached block (§4.7).
+//
+// All of that is Engine, which decides in set indices and way numbers and
+// stores nothing. Cache hosts it over a block-tag array (the simulator);
+// internal/stemcache hosts one per shard over key-value entries.
 package core
 
 import (
@@ -30,7 +34,6 @@ import (
 	"repro/internal/hashfn"
 	"repro/internal/obs"
 	"repro/internal/policy"
-	"repro/internal/selector"
 	"repro/internal/sim"
 )
 
@@ -89,15 +92,6 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// role of a set in an association.
-type role uint8
-
-const (
-	uncoupled role = iota
-	taker
-	giver
-)
-
 type line struct {
 	block uint64 // full block address (giver sets hold foreign blocks)
 	valid bool
@@ -105,55 +99,14 @@ type line struct {
 	cc    bool // the CC bit: cooperatively cached (foreign) block
 }
 
-type stemSet struct {
-	lines []line
-	pol   policy.Policy
-	mon   Monitor
-	// partner is the coupled set's index, or the set's own index when
-	// uncoupled (the paper's association-table convention).
-	partner int
-	role    role
-	foreign int // valid CC lines resident here (givers only)
-	// Observability bookkeeping; maintained only while an observer is
-	// attached.
-	klass     int8   // last reported spatial classification
-	coupledAt uint64 // tick at which the current association formed
-}
-
-// Spatial classification labels for class-change events.
-const (
-	classNeutral int8 = iota
-	classTaker
-	classGiver
-)
-
-func className(k int8) string {
-	switch k {
-	case classTaker:
-		return "taker"
-	case classGiver:
-		return "giver"
-	default:
-		return "neutral"
-	}
-}
-
-// Cache is a STEM-managed LLC implementing sim.Simulator.
+// Cache is a STEM-managed LLC implementing sim.Simulator: a tag array and
+// the outcome counters around one Engine, which makes every decision.
 type Cache struct {
 	geom  sim.Geometry
-	cfg   Config
-	cgeom CounterGeom
-	sets  []stemSet
+	eng   Engine
+	lines []line // Sets × Ways, set-major
 	hash  *hashfn.Hash
-	heap  *selector.Heap
-	rng   *sim.RNG // drives the 1/2^n spatial decrement
 	stats sim.Stats
-	// tick counts every access over the cache's lifetime (never reset); it
-	// timestamps mechanism events.
-	tick uint64
-	// observer receives mechanism events; nil (the default) restores the
-	// uninstrumented hot path.
-	observer obs.Observer
 }
 
 // New constructs a STEM cache. It panics on invalid geometry.
@@ -162,26 +115,12 @@ func New(geom sim.Geometry, cfg Config) *Cache {
 		// invariant: geometry comes from the experiment harness, which validates it before constructing schemes.
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	cfg.applyDefaults()
-	c := &Cache{
+	return &Cache{
 		geom:  geom,
-		cfg:   cfg,
-		cgeom: NewCounterGeom(cfg.CounterBits),
-		sets:  make([]stemSet, geom.Sets),
-		hash:  hashfn.New(cfg.SignatureBits, cfg.Seed^0x5717),
-		heap:  selector.New(cfg.SelectorSize),
-		rng:   sim.NewRNG(cfg.Seed ^ 0xdecaf),
+		eng:   NewEngine(cfg, geom.Sets, geom.Ways, 0),
+		lines: make([]line, geom.Sets*geom.Ways),
+		hash:  NewSigHash(cfg),
 	}
-	for i := range c.sets {
-		rng := sim.NewRNG(cfg.Seed ^ uint64(i)*0x9e3779b97f4a7c15)
-		c.sets[i] = stemSet{
-			lines:   make([]line, geom.Ways),
-			pol:     policy.New(cfg.InitialPolicy, geom.Ways, rng),
-			mon:     Monitor{Shadow: NewShadowSet(geom.Ways, cfg.InitialPolicy, rng)},
-			partner: i,
-		}
-	}
-	return c
 }
 
 // Name implements sim.Simulator.
@@ -190,363 +129,151 @@ func (c *Cache) Name() string { return "STEM" }
 // Geometry implements sim.Simulator.
 func (c *Cache) Geometry() sim.Geometry { return c.geom }
 
-// Stats implements sim.Simulator.
-func (c *Cache) Stats() sim.Stats { return c.stats }
+// Stats implements sim.Simulator: the outcome counters plus the engine's
+// mechanism counters.
+func (c *Cache) Stats() sim.Stats {
+	st, n := c.stats, c.eng.Counts()
+	st.ShadowHits, st.PolicySwaps = n.ShadowHits, n.PolicySwaps
+	st.Couplings, st.Decouplings = n.Couplings, n.Decouplings
+	st.Spills, st.Receives = n.Spills, n.Receives
+	return st
+}
 
 // ResetStats implements sim.Simulator.
-func (c *Cache) ResetStats() { c.stats = sim.Stats{} }
+func (c *Cache) ResetStats() {
+	c.stats = sim.Stats{}
+	c.eng.ResetCounts()
+}
 
 // PolicyKind exposes set idx's current replacement policy (tests,
 // reporting).
-func (c *Cache) PolicyKind(idx int) policy.Kind { return c.sets[idx].pol.Kind() }
+func (c *Cache) PolicyKind(idx int) policy.Kind { return c.eng.PolicyKind(idx) }
 
 // Partner exposes set idx's association; it equals idx when uncoupled.
-func (c *Cache) Partner(idx int) int { return c.sets[idx].partner }
+func (c *Cache) Partner(idx int) int { return c.eng.Partner(idx) }
 
 // Role exposes set idx's association role: "uncoupled", "taker" or "giver".
-func (c *Cache) Role(idx int) string {
-	switch c.sets[idx].role {
-	case taker:
-		return "taker"
-	case giver:
-		return "giver"
-	default:
-		return "uncoupled"
-	}
-}
+func (c *Cache) Role(idx int) string { return c.eng.Role(idx) }
 
 // Counters exposes set idx's (SC_S, SC_T) values (tests, reporting).
 func (c *Cache) Counters(idx int) (scS, scT int) {
-	return c.sets[idx].mon.ScS, c.sets[idx].mon.ScT
+	m := c.eng.Monitor(idx)
+	return m.ScS, m.ScT
 }
 
 // SetObserver implements obs.Instrumented: it attaches (or, with nil,
-// detaches) a mechanism-event sink. Attaching re-baselines every set's
-// spatial classification so only subsequent changes are reported.
-func (c *Cache) SetObserver(o obs.Observer) {
-	c.observer = o
-	if o == nil {
-		return
-	}
-	for i := range c.sets {
-		c.sets[i].klass = c.classOf(&c.sets[i])
-	}
-}
-
-// classOf derives the set's current spatial classification from SC_S.
-func (c *Cache) classOf(s *stemSet) int8 {
-	switch {
-	case s.mon.IsTaker(c.cgeom):
-		return classTaker
-	case s.mon.IsGiver(c.cgeom):
-		return classGiver
-	default:
-		return classNeutral
-	}
-}
-
-// noteClass emits a class-change event when set idx's classification moved
-// since the last report. Callers guard on c.observer != nil.
-func (c *Cache) noteClass(idx int) {
-	s := &c.sets[idx]
-	k := c.classOf(s)
-	if k == s.klass {
-		return
-	}
-	s.klass = k
-	c.observer.Event(obs.Event{
-		Type: obs.EvClassChange, Tick: c.tick, Set: idx,
-		ScS: s.mon.ScS, ScT: s.mon.ScT, Class: className(k),
-	})
-}
+// detaches) a mechanism-event sink.
+func (c *Cache) SetObserver(o obs.Observer) { c.eng.SetObserver(o) }
 
 // Introspect implements obs.Introspector: a live census of association
 // roles and per-set replacement policies.
 func (c *Cache) Introspect() obs.SchemeState {
-	st := obs.SchemeState{PolicySets: make(map[string]int, 2)}
-	for i := range c.sets {
-		s := &c.sets[i]
-		switch s.role {
-		case taker:
-			st.Takers++
-		case giver:
-			st.Givers++
-		}
-		st.PolicySets[s.pol.Kind().String()]++
+	n := c.eng.Census()
+	st := obs.SchemeState{
+		Takers: n.Takers, Givers: n.Givers, Coupled: n.Takers + n.Givers,
+		PolicySets: make(map[string]int, 2),
 	}
-	st.Coupled = st.Takers + st.Givers
+	if n.BIPSets > 0 {
+		st.PolicySets[policy.BIP.String()] = n.BIPSets
+	}
+	if lru := c.geom.Sets - n.BIPSets; lru > 0 {
+		st.PolicySets[policy.LRU.String()] = lru
+	}
 	return st
 }
 
+// set returns set idx's ways.
+func (c *Cache) set(idx int) []line {
+	return c.lines[idx*c.geom.Ways:][:c.geom.Ways]
+}
+
+// sigOf computes the m-bit shadow signature of a block's tag.
+func (c *Cache) sigOf(block uint64) uint32 { return c.hash.Sum(c.geom.Tag(block)) }
+
 // Access implements sim.Simulator.
 func (c *Cache) Access(a sim.Access) sim.Outcome {
-	c.tick++
+	c.eng.Tick()
 	idx := c.geom.Index(a.Block)
-	s := &c.sets[idx]
+	s := c.set(idx)
 
 	var out sim.Outcome
 	// 1. Local lookup.
-	if w := s.find(a.Block); w >= 0 {
+	if w := find(s, a.Block, false); w >= 0 {
 		out.Hit = true
-		s.pol.OnHit(w)
 		if a.Write {
-			s.lines[w].dirty = true
+			s[w].dirty = true
 		}
-		c.onLocalHit(idx)
+		c.eng.Hit(idx, w)
 		c.stats.Record(out)
 		return out
 	}
 
 	// 2. A coupled taker's blocks may be cooperatively cached in its giver.
-	if s.role == taker {
+	if g := c.eng.GiverOf(idx); g >= 0 {
 		out.Secondary = true
-		p := &c.sets[s.partner]
-		if w := p.findCC(a.Block); w >= 0 {
+		p := c.set(g)
+		if w := find(p, a.Block, true); w >= 0 {
 			out.Hit = true
 			out.SecondaryHit = true
-			p.pol.OnHit(w)
 			if a.Write {
-				p.lines[w].dirty = true
+				p[w].dirty = true
 			}
-			// Cooperative hits update neither set's counters: they are not
-			// local-capacity evidence for either working set (DESIGN.md §5).
+			c.eng.Touch(g, w)
 			c.stats.Record(out)
 			return out
 		}
 	}
 
 	// 3. True miss: consult the shadow set, then fill locally.
-	sg := sig(c.hash, c.geom.Tag(a.Block))
-	if s.mon.Shadow.LookupInvalidate(sg) {
-		swap := s.mon.OnShadowHit(c.cgeom)
-		c.stats.ShadowHits++
-		if c.observer != nil {
-			c.observer.Event(obs.Event{
-				Type: obs.EvShadowHit, Tick: c.tick, Set: idx,
-				ScS: s.mon.ScS, ScT: s.mon.ScT,
-			})
-			c.noteClass(idx)
-		}
-		if swap && !c.cfg.DisableSwap {
-			c.swapPolicies(idx)
-		}
-	}
-	c.reconsiderGiver(idx)
-
-	way := -1
-	for w := range s.lines {
-		if !s.lines[w].valid {
-			way = w
-			break
-		}
-	}
+	c.eng.Miss(idx, c.sigOf(a.Block))
+	way := freeWay(s)
 	if way < 0 {
-		// The set must evict. An uncoupled taker first requests a partner
-		// (paper §4.5: coupling is triggered by a taker's eviction).
-		if s.role == uncoupled && s.mon.IsTaker(c.cgeom) && !c.cfg.DisableCoupling {
-			c.tryCouple(idx)
-		}
-		way = s.pol.Victim()
-		victim := s.lines[way]
-		c.routeVictim(idx, victim, &out)
+		way = c.eng.Victim(idx)
+		c.vacate(idx, way, &out)
 	}
-	s.lines[way] = line{block: a.Block, valid: true, dirty: a.Write}
-	s.pol.OnInsert(way)
+	s[way] = line{block: a.Block, valid: true, dirty: a.Write}
+	c.eng.Fill(idx, way)
 	c.stats.Record(out)
 	return out
 }
 
-// onLocalHit applies the hit-side counter rules and the follow-on role
-// bookkeeping for set idx.
-func (c *Cache) onLocalHit(idx int) {
-	s := &c.sets[idx]
-	decS := c.rng.OneIn(1 << uint(c.cfg.SpatialShift))
-	s.mon.OnLLCHit(decS)
-	if decS {
-		if c.observer != nil {
-			c.noteClass(idx)
-		}
-		c.reconsiderGiver(idx)
-	}
-}
-
-// reconsiderGiver keeps the giver heap consistent with set idx's current
-// counter state: uncoupled sets with a clear MSB are posted (or re-keyed);
-// everything else is withdrawn.
-func (c *Cache) reconsiderGiver(idx int) {
-	if c.cfg.DisableCoupling {
-		return
-	}
-	s := &c.sets[idx]
-	if s.role == uncoupled && s.mon.IsGiver(c.cgeom) {
-		c.heap.Post(idx, s.mon.ScS)
-		return
-	}
-	c.heap.Remove(idx)
-}
-
-// swapPolicies exchanges the LLC set's policy with its shadow's opposite
-// (paper §4.4) and resets SC_T. Rankings are preserved on both sides.
-func (c *Cache) swapPolicies(idx int) {
-	s := &c.sets[idx]
-	next := policy.Opposite(s.pol.Kind())
-	policy.SwapKind(s.pol, next)
-	s.mon.Shadow.SwapPolicy(policy.Opposite(next))
-	s.mon.ScT = 0
-	c.stats.PolicySwaps++
-	if c.observer != nil {
-		c.observer.Event(obs.Event{
-			Type: obs.EvPolicySwap, Tick: c.tick, Set: idx,
-			ScS: s.mon.ScS, ScT: s.mon.ScT, Policy: next.String(),
-		})
-	}
-}
-
-// tryCouple pairs taker set idx with the least-saturated live giver.
-func (c *Cache) tryCouple(idx int) {
-	for tries := 0; tries < c.cfg.SelectorSize; tries++ {
-		cand, _, ok := c.heap.PopMin()
-		if !ok {
-			return
-		}
-		if cand == idx {
-			continue
-		}
-		g := &c.sets[cand]
-		// Heap entries can be stale; re-validate against the live monitor.
-		if g.role != uncoupled || !g.mon.IsGiver(c.cgeom) {
-			continue
-		}
-		s := &c.sets[idx]
-		s.partner, s.role = cand, taker
-		g.partner, g.role = idx, giver
-		c.heap.Remove(idx)
-		c.stats.Couplings++
-		if c.observer != nil {
-			s.coupledAt, g.coupledAt = c.tick, c.tick
-			c.observer.Event(obs.Event{
-				Type: obs.EvCouple, Tick: c.tick, Set: idx, Partner: cand,
-				ScS: s.mon.ScS, ScT: s.mon.ScT,
-			})
+// vacate moves the block in (idx, way) where the engine sends it: into the
+// coupled giver as a cooperatively cached block, or off chip with writeback
+// accounting.
+func (c *Cache) vacate(idx, way int, out *sim.Outcome) {
+	v := c.set(idx)[way]
+	g := c.eng.Evict(idx, c.sigOf(v.block), v.cc, false)
+	if g < 0 {
+		if v.dirty {
+			out.Writeback = true
 		}
 		return
 	}
-}
-
-// routeVictim decides what happens to a block evicted from set idx: foreign
-// blocks leave the chip and are credited to their owner's shadow set; local
-// victims of a spilling-eligible taker are cooperatively cached in the
-// giver; everything else leaves the chip into the local shadow set.
-func (c *Cache) routeVictim(idx int, v line, out *sim.Outcome) {
-	s := &c.sets[idx]
-	if v.cc {
-		// A giver evicted a cooperatively cached block: off-chip, credited
-		// to the owner set's shadow (it is the owner's working-set victim).
-		s.foreign--
-		c.evictOffChip(v, out)
-		if s.foreign == 0 && s.role == giver {
-			c.decouple(idx)
-		}
-		return
+	gs := c.set(g)
+	gw := freeWay(gs)
+	if gw < 0 {
+		gw = c.eng.Victim(g)
+		c.vacate(g, gw, out)
 	}
-	if s.role == taker && (c.cfg.UnconstrainedReceive || s.mon.ScS >= c.cgeom.MSB) {
-		// Spilling allowed only while the taker still demands capacity
-		// (§4.6/4.7: a role change stops spilling) ...
-		g := &c.sets[s.partner]
-		if c.cfg.UnconstrainedReceive || g.mon.IsGiver(c.cgeom) {
-			// ... and only while the giver can still receive (§4.6).
-			c.receive(s.partner, v, out)
-			return
-		}
-	}
-	c.evictOffChip(v, out)
-}
-
-// receive inserts taker victim v into giver set gidx as a cooperatively
-// cached block, at the position the giver's current policy dictates.
-func (c *Cache) receive(gidx int, v line, out *sim.Outcome) {
-	g := &c.sets[gidx]
 	v.cc = true
-	way := -1
-	for w := range g.lines {
-		if !g.lines[w].valid {
-			way = w
-			break
-		}
-	}
-	if way < 0 {
-		way = g.pol.Victim()
-		gv := g.lines[way]
-		if gv.cc {
-			g.foreign--
-		}
-		c.evictOffChip(gv, out)
-	}
-	g.lines[way] = v
-	g.pol.OnInsert(way)
-	g.foreign++
-	c.stats.Spills++
-	c.stats.Receives++
-	if c.observer != nil {
-		t := &c.sets[g.partner]
-		c.observer.Event(obs.Event{
-			Type: obs.EvSpill, Tick: c.tick, Set: g.partner, Partner: gidx,
-			ScS: t.mon.ScS, ScT: t.mon.ScT,
-		})
-		c.observer.Event(obs.Event{
-			Type: obs.EvReceive, Tick: c.tick, Set: gidx, Partner: g.partner,
-			ScS: g.mon.ScS, ScT: g.mon.ScT,
-		})
-	}
+	gs[gw] = v
+	c.eng.Fill(g, gw)
 }
 
-// evictOffChip handles a block truly leaving the LLC: writeback accounting
-// plus a signature insert into the *owner* set's shadow (for local victims
-// the owner is the evicting set; for CC victims it is the taker the block
-// belongs to).
-func (c *Cache) evictOffChip(v line, out *sim.Outcome) {
-	if v.dirty {
-		out.Writeback = true
-	}
-	owner := c.geom.Index(v.block)
-	c.sets[owner].mon.Shadow.Insert(sig(c.hash, c.geom.Tag(v.block)))
-}
-
-// decouple dissolves the association of giver set gidx with its taker
-// (paper §4.7), resetting both association-table entries to self.
-func (c *Cache) decouple(gidx int) {
-	g := &c.sets[gidx]
-	t := &c.sets[g.partner]
-	tIdx := g.partner
-	t.partner, t.role = tIdx, uncoupled
-	g.partner, g.role = gidx, uncoupled
-	c.stats.Decouplings++
-	if c.observer != nil {
-		c.observer.Event(obs.Event{
-			Type: obs.EvDecouple, Tick: c.tick, Set: gidx, Partner: tIdx,
-			ScS: g.mon.ScS, ScT: g.mon.ScT, Life: c.tick - g.coupledAt,
-		})
-	}
-	// Both ends may immediately qualify as givers again.
-	c.reconsiderGiver(gidx)
-	c.reconsiderGiver(tIdx)
-}
-
-// find returns the way of set s holding block as a local line, or -1.
-func (s *stemSet) find(block uint64) int {
-	for w := range s.lines {
-		if s.lines[w].valid && !s.lines[w].cc && s.lines[w].block == block {
+// find returns the way of s holding block with the given CC bit, or -1.
+func find(s []line, block uint64, cc bool) int {
+	for w := range s {
+		if s[w].valid && s[w].cc == cc && s[w].block == block {
 			return w
 		}
 	}
 	return -1
 }
 
-// findCC returns the way holding block as a cooperatively cached line, or
-// -1.
-func (s *stemSet) findCC(block uint64) int {
-	for w := range s.lines {
-		if s.lines[w].valid && s.lines[w].cc && s.lines[w].block == block {
+// freeWay returns the first invalid way of s, or -1 when the set is full.
+func freeWay(s []line) int {
+	for w := range s {
+		if !s[w].valid {
 			return w
 		}
 	}

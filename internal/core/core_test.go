@@ -108,7 +108,7 @@ func TestCouplingForms(t *testing.T) {
 	c := New(geom, Config{Seed: 1})
 	driveComplementary(c, 60)
 	if c.Role(0) != "taker" {
-		t.Fatalf("set 0 role = %s, want taker (SC_S=%d)", c.Role(0), c.sets[0].mon.ScS)
+		t.Fatalf("set 0 role = %s, want taker (SC_S=%d)", c.Role(0), c.eng.sets[0].mon.ScS)
 	}
 	p := c.Partner(0)
 	if p == 0 {
@@ -159,7 +159,7 @@ func TestReceivingConstraint(t *testing.T) {
 	// Blow up the giver's own working set so it starts shadow-hitting.
 	thrashSet(c, g, 2*geom.Ways, 30)
 	scS, _ := c.Counters(g)
-	if scS < c.cgeom.MSB {
+	if scS < c.eng.cgeom.MSB {
 		t.Skipf("giver never saturated (scS=%d)", scS)
 	}
 	spillsBefore := c.Stats().Spills
@@ -179,8 +179,8 @@ func TestDecoupleOnForeignDrain(t *testing.T) {
 	// Drive the giver's own working set hard enough to evict all foreign
 	// blocks, while the taker stays quiet.
 	thrashSet(c, g, 2*geom.Ways, 50)
-	if c.Role(g) == "giver" && c.sets[g].foreign > 0 {
-		t.Skipf("foreign blocks not drained (%d left)", c.sets[g].foreign)
+	if c.Role(g) == "giver" && c.eng.sets[g].foreign > 0 {
+		t.Skipf("foreign blocks not drained (%d left)", c.eng.sets[g].foreign)
 	}
 	if c.Stats().Decouplings == 0 {
 		t.Fatal("decoupling not counted after foreign drain")
@@ -221,10 +221,10 @@ func TestForeignCountConsistency(t *testing.T) {
 		if i%2000 != 0 {
 			continue
 		}
-		for si := range c.sets {
-			s := &c.sets[si]
+		for si := range c.eng.sets {
+			s := &c.eng.sets[si]
 			n := 0
-			for _, l := range s.lines {
+			for _, l := range c.set(si) {
 				if l.valid && l.cc {
 					n++
 				}
@@ -236,7 +236,7 @@ func TestForeignCountConsistency(t *testing.T) {
 				t.Fatalf("set %d uncoupled but partner=%d", si, s.partner)
 			}
 			if s.role != uncoupled {
-				p := &c.sets[s.partner]
+				p := &c.eng.sets[s.partner]
 				if p.partner != si {
 					t.Fatalf("set %d association asymmetric", si)
 				}
@@ -263,13 +263,13 @@ func TestShadowExclusivity(t *testing.T) {
 		if i%1000 != 0 {
 			continue
 		}
-		for si := range c.sets {
-			s := &c.sets[si]
-			for _, l := range s.lines {
+		for si := range c.eng.sets {
+			s := &c.eng.sets[si]
+			for _, l := range c.set(si) {
 				if !l.valid || l.cc {
 					continue
 				}
-				sg := sig(c.hash, c.geom.Tag(l.block))
+				sg := c.sigOf(l.block)
 				for w := range s.mon.Shadow.sigs {
 					if s.mon.Shadow.valid[w] && s.mon.Shadow.sigs[w] == sg {
 						t.Fatalf("set %d: resident block %#x has live shadow entry", si, l.block)
@@ -283,7 +283,7 @@ func TestShadowExclusivity(t *testing.T) {
 func TestShadowOccupancyBounded(t *testing.T) {
 	c := New(geom, Config{Seed: 1})
 	thrashSet(c, 0, 64, 20)
-	if occ := c.sets[0].mon.Shadow.Occupancy(); occ > geom.Ways {
+	if occ := c.eng.sets[0].mon.Shadow.Occupancy(); occ > geom.Ways {
 		t.Fatalf("shadow occupancy %d exceeds associativity", occ)
 	}
 }
@@ -294,7 +294,7 @@ func TestCountersStayInRange(t *testing.T) {
 	for i := 0; i < 60000; i++ {
 		c.Access(sim.Access{Block: uint64(rng.Intn(256))})
 		if i%500 == 0 {
-			for si := range c.sets {
+			for si := range c.eng.sets {
 				scS, scT := c.Counters(si)
 				if scS < 0 || scS > 15 || scT < 0 || scT > 15 {
 					t.Fatalf("set %d counters (%d,%d) out of 4-bit range", si, scS, scT)
@@ -320,8 +320,8 @@ func TestNoDuplicateResidency(t *testing.T) {
 			continue
 		}
 		seen := map[uint64]int{}
-		for si := range c.sets {
-			for _, l := range c.sets[si].lines {
+		for si := range c.eng.sets {
+			for _, l := range c.set(si) {
 				if l.valid {
 					seen[l.block]++
 					if seen[l.block] > 1 {
@@ -444,7 +444,7 @@ func TestUnconstrainedReceiveKeepsSpilling(t *testing.T) {
 	// Saturate the giver.
 	thrashSet(c, g, 2*geom.Ways, 30)
 	scS, _ := c.Counters(g)
-	if scS < c.cgeom.MSB {
+	if scS < c.eng.cgeom.MSB {
 		t.Skipf("giver not saturated (scS=%d)", scS)
 	}
 	spillsBefore := c.Stats().Spills

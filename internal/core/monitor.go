@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/hashfn"
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
@@ -148,6 +147,3 @@ func (m *Monitor) IsTaker(g CounterGeom) bool { return m.ScS == g.Max }
 // IsGiver reports whether the spatial counter's MSB is clear: the set hits
 // frequently within its local capacity and can contribute space.
 func (m *Monitor) IsGiver(g CounterGeom) bool { return m.ScS < g.MSB }
-
-// sig computes the m-bit signature of a block's tag for the shadow sets.
-func sig(h *hashfn.Hash, tag uint64) uint32 { return h.Sum(tag) }

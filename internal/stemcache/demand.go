@@ -57,41 +57,20 @@ func (d Demand) Saturation() float64 {
 // signal. Unlike Len it does not sweep expired entries: polling demand must
 // not change what the mechanisms will do next.
 func (c *Cache[K, V]) Demand() Demand {
-	d := Demand{Capacity: c.Capacity()}
+	d := Demand{Capacity: c.Capacity(), Sets: len(c.shards) * c.sets}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		t, g, cp, sum := c.scanRoles(sh)
-		d.TakerSets += t
-		d.GiverSets += g
-		d.CoupledSets += cp
-		d.ScSSum += sum
+		st, cen := sh.snapshot()
 		d.Live += sh.live
 		sh.mu.Unlock()
+		d.TakerSets += int(st.TakerSets)
+		d.GiverSets += int(st.GiverSets)
+		d.CoupledSets += int(st.CoupledSets)
+		d.ScSSum += cen.ScSSum
+		d.ScSMax += cen.ScSMax
 	}
-	d.Sets = len(c.shards) * c.sets
-	d.ScSMax = uint64(d.Sets) * uint64(c.cgeom.Max)
 	return d
-}
-
-// scanRoles counts set classifications of one shard (caller holds sh.mu):
-// takers and givers by live SCDM counter state, coupled sets by association
-// state, plus the shard's SC_S sum.
-func (c *Cache[K, V]) scanRoles(sh *shard[K, V]) (takers, givers, coupled int, scsSum uint64) {
-	for s := range sh.sets {
-		set := &sh.sets[s]
-		if set.mon.IsTaker(c.cgeom) {
-			takers++
-		}
-		if set.mon.IsGiver(c.cgeom) {
-			givers++
-		}
-		if set.role != uncoupled {
-			coupled++
-		}
-		scsSum += uint64(set.mon.ScS)
-	}
-	return takers, givers, coupled, scsSum
 }
 
 // AppendKeys appends every resident, unexpired key to dst and returns the
@@ -106,13 +85,9 @@ func (c *Cache[K, V]) AppendKeys(dst []K) []K {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		for s := range sh.sets {
-			set := &sh.sets[s]
-			for w := range set.entries {
-				e := &set.entries[w]
-				if e.valid && (e.exp == 0 || nowN <= e.exp) {
-					dst = append(dst, e.key)
-				}
+		for w := range sh.entries {
+			if e := &sh.entries[w]; e.valid && (e.exp == 0 || nowN <= e.exp) {
+				dst = append(dst, e.key)
 			}
 		}
 		sh.mu.Unlock()

@@ -31,8 +31,8 @@ func TestDemandFreshCache(t *testing.T) {
 	if d.Live != 0 || d.Capacity != c.Capacity() {
 		t.Errorf("Live = %d, Capacity = %d, want 0, %d", d.Live, d.Capacity, c.Capacity())
 	}
-	if d.ScSMax != uint64(wantSets)*uint64(c.cgeom.Max) {
-		t.Errorf("ScSMax = %d, want %d", d.ScSMax, uint64(wantSets)*uint64(c.cgeom.Max))
+	if d.ScSMax != uint64(wantSets)*uint64(c.shards[0].eng.Geom().Max) {
+		t.Errorf("ScSMax = %d, want %d", d.ScSMax, uint64(wantSets)*uint64(c.shards[0].eng.Geom().Max))
 	}
 }
 
@@ -40,10 +40,10 @@ func TestDemandFreshCache(t *testing.T) {
 // aggregate's taker/giver/coupled counts and counter sum.
 func TestDemandCountsRoles(t *testing.T) {
 	c := coupledCache(t) // 1 shard, set 0 taker coupled to set 2 (giver)
-	sh := &c.shards[0]
+	eng := &c.shards[0].eng
 	// Pin one extra uncoupled set just below saturation (neither taker nor
 	// giver: MSB set, not saturated).
-	sh.sets[1].mon.ScS = c.cgeom.MSB
+	eng.Monitor(1).ScS = eng.Geom().MSB
 
 	d := c.Demand()
 	if d.TakerSets != 1 {
@@ -57,7 +57,7 @@ func TestDemandCountsRoles(t *testing.T) {
 	if d.CoupledSets != 2 {
 		t.Errorf("CoupledSets = %d, want 2 (both ends of one pair)", d.CoupledSets)
 	}
-	if want := uint64(c.cgeom.Max) + uint64(c.cgeom.MSB); d.ScSSum != want {
+	if want := uint64(c.shards[0].eng.Geom().Max) + uint64(c.shards[0].eng.Geom().MSB); d.ScSSum != want {
 		t.Errorf("ScSSum = %d, want %d", d.ScSSum, want)
 	}
 	if d.Saturation() <= 0 || d.Saturation() >= 1 {

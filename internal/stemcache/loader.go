@@ -180,86 +180,17 @@ func (c *Cache[K, V]) LookupLoad(key K) (V, LoadState) {
 
 // lookupLoadT is LookupLoad in tenant tid's namespace.
 func (c *Cache[K, V]) lookupLoadT(tid int, key K) (V, LoadState) {
-	var zero V
 	h := c.thash(tid, key)
-	sh, shIdx := c.shardOf(h)
+	sh := c.shardOf(h)
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	nowN := c.now()
-	sh.tick++
-	sh.stats.Gets++
-	c.met.gets.Inc()
-	c.tGet(tid)
-
-	idx := c.setOf(h)
-	s := &sh.sets[idx]
-	if w, stale := c.findLocal(sh, idx, key, h, nowN); w >= 0 {
-		e := &s.entries[w]
-		switch {
-		case e.neg:
-			sh.stats.Misses++
-			sh.stats.NegativeHits++
-			c.met.misses.Inc()
-			c.met.negativeHits.Inc()
-			c.tMiss(tid)
-			return zero, LoadNegative
-		case stale:
-			sh.stats.Hits++
-			sh.stats.StaleServed++
-			c.met.hits.Inc()
-			c.met.staleServed.Inc()
-			c.tHit(tid)
-			s.pol.OnHit(w)
-			c.onLocalHit(sh, shIdx, idx)
-			return e.val, LoadStale
-		default:
-			sh.stats.Hits++
-			c.met.hits.Inc()
-			c.tHit(tid)
-			s.pol.OnHit(w)
-			c.onLocalHit(sh, shIdx, idx)
-			return e.val, LoadHit
-		}
+	e, st := c.read(sh, tid, key, h, c.now(), true)
+	if st == LoadHit || st == LoadStale {
+		return e.val, st
 	}
-	if s.role == taker {
-		p := &sh.sets[s.partner]
-		if w, stale := c.findCC(sh, shIdx, s.partner, key, h, nowN); w >= 0 {
-			e := &p.entries[w]
-			switch {
-			case e.neg:
-				sh.stats.Misses++
-				sh.stats.NegativeHits++
-				c.met.misses.Inc()
-				c.met.negativeHits.Inc()
-				c.tMiss(tid)
-				return zero, LoadNegative
-			case stale:
-				sh.stats.Hits++
-				sh.stats.SecondaryHits++
-				sh.stats.StaleServed++
-				c.met.hits.Inc()
-				c.met.secondaryHits.Inc()
-				c.met.staleServed.Inc()
-				c.tHit(tid)
-				p.pol.OnHit(w)
-				return e.val, LoadStale
-			default:
-				sh.stats.Hits++
-				sh.stats.SecondaryHits++
-				c.met.hits.Inc()
-				c.met.secondaryHits.Inc()
-				c.tHit(tid)
-				p.pol.OnHit(w)
-				return e.val, LoadHit
-			}
-		}
-	}
-	sh.stats.Misses++
-	c.met.misses.Inc()
-	c.tMiss(tid)
-	c.consultShadow(sh, shIdx, idx, h, tid)
-	return zero, LoadMiss
+	var zero V
+	return zero, st
 }
 
 // load runs the singleflight miss path: one goroutine per key becomes the
@@ -329,7 +260,7 @@ func (c *Cache[K, V]) setLoadedT(tid int, key K, value V) {
 	}
 	ttl = c.jitterTTL(ttl)
 	h := c.thash(tid, key)
-	sh, shIdx := c.shardOf(h)
+	sh := c.shardOf(h)
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -343,10 +274,8 @@ func (c *Cache[K, V]) setLoadedT(tid int, key K, value V) {
 			exp = nowN + int64(ttl)
 		}
 	}
-	sh.tick++
-	sh.stats.Puts++
-	c.met.puts.Inc()
-	c.store(sh, shIdx, tid, key, value, h, nowN, fresh, exp, false)
+	sh.eng.Tick()
+	c.store(sh, tid, key, value, h, nowN, fresh, exp, false)
 }
 
 // SetNegative installs a negative marker under key for NegativeTTL: until
@@ -364,15 +293,13 @@ func (c *Cache[K, V]) setNegativeT(tid int, key K) {
 	}
 	var zero V
 	h := c.thash(tid, key)
-	sh, shIdx := c.shardOf(h)
+	sh := c.shardOf(h)
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	nowN := c.now()
-	sh.tick++
-	sh.stats.Puts++
-	c.met.puts.Inc()
-	c.store(sh, shIdx, tid, key, zero, h, nowN, 0, nowN+int64(c.cfg.NegativeTTL), true)
+	sh.eng.Tick()
+	c.store(sh, tid, key, zero, h, nowN, 0, nowN+int64(c.cfg.NegativeTTL), true)
 }
 
 // jitterTTL shortens ttl by a uniform fraction in [0, TTLJitter), the

@@ -21,14 +21,13 @@ func identity(k int) uint64 { return uint64(k) }
 func coupledCache(t *testing.T) *Cache[int, int] {
 	t.Helper()
 	c := mustWithHasher[int, int](Config{Capacity: 64, Shards: 1, Ways: 4, Seed: 1}, identity)
-	sh := &c.shards[0]
-	sh.heap.Post(2, 0)
-	sh.sets[0].mon.ScS = c.cgeom.Max // taker: saturated spatial demand
-	sh.sets[2].mon.ScS = 0           // giver: clear MSB, may receive
-	c.tryCouple(sh, 0, 0)
-	if sh.sets[0].role != taker || sh.sets[0].partner != 2 {
-		t.Fatalf("setup: set 0 not coupled as taker (role %d partner %d)",
-			sh.sets[0].role, sh.sets[0].partner)
+	eng := &c.shards[0].eng
+	eng.Miss(2, 0)                      // giver: a miss with a clear MSB posts set 2 to the heap
+	eng.Monitor(0).ScS = eng.Geom().Max // taker: saturated spatial demand
+	eng.Victim(0)                       // a taker asked for a victim requests a partner
+	if eng.Role(0) != "taker" || eng.Partner(0) != 2 {
+		t.Fatalf("setup: set 0 not coupled as taker (role %s partner %d)",
+			eng.Role(0), eng.Partner(0))
 	}
 	return c
 }
@@ -41,13 +40,12 @@ func spillOne(t *testing.T, c *Cache[int, int], ttl time.Duration) int {
 	sets := c.sets
 	for i := 0; i < 5; i++ { // 5 keys into a 4-way set: one spill
 		c.SetWithTTL(i*sets, i, ttl)
-		sh.sets[0].mon.ScS = c.cgeom.Max // counter rules may decay it; re-pin
+		sh.eng.Monitor(0).ScS = sh.eng.Geom().Max // counter rules may decay it; re-pin
 	}
 	if got := c.Stats().Spills; got != 1 {
 		t.Fatalf("setup: Spills = %d, want 1", got)
 	}
-	for w := range sh.sets[2].entries {
-		e := &sh.sets[2].entries[w]
+	for _, e := range c.set(sh, 2) {
 		if e.valid && e.cc {
 			return e.key
 		}

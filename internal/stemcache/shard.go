@@ -4,28 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/policy"
-	"repro/internal/selector"
-	"repro/internal/sim"
-)
-
-// initialKind is the replacement policy every set starts with; the temporal
-// mechanism may swap it to BIP per set.
-const initialKind = policy.LRU
-
-func policyNew(cfg Config, rng *sim.RNG) policy.Policy {
-	return policy.New(initialKind, cfg.Ways, rng)
-}
-
-// role of a set in a spatial association (the software analogue of the
-// paper's association table).
-type role uint8
-
-const (
-	uncoupled role = iota
-	taker
-	giver
 )
 
 // entry is one resident key-value pair. A giver set may hold entries whose
@@ -53,60 +31,47 @@ type entry[K comparable, V any] struct {
 	ten uint16
 }
 
-// kvSet is one cache set: Ways entries, a replacement policy, and the
-// paper's per-set demand monitor (shadow signatures + SC_S/SC_T).
-type kvSet[K comparable, V any] struct {
-	entries []entry[K, V]
-	pol     policy.Policy
-	mon     core.Monitor
-	// partner is the coupled set's index within the shard, or the set's own
-	// index when uncoupled.
-	partner   int
-	role      role
-	foreign   int // valid cc entries resident here (givers only)
-	coupledAt uint64
+// shard is one lock-striped slice of the cache: its own mutex, STEM engine
+// (per-set policies and demand monitors, giver heap, RNG, mechanism counters)
+// and the entries the engine's decisions move around. All fields are guarded
+// by mu.
+type shard[K comparable, V any] struct {
+	mu      sync.Mutex
+	eng     core.Engine
+	entries []entry[K, V] // sets × Ways, set-major
+	live    int
+	stats   Stats // the engine keeps the mechanism counters; see snapshot
 }
 
-// shard is one lock-striped slice of the cache: its own mutex, sets, giver
-// heap, RNG and statistics. All fields are guarded by mu.
-type shard[K comparable, V any] struct {
-	mu    sync.Mutex
-	sets  []kvSet[K, V]
-	heap  *selector.Heap
-	rng   *sim.RNG
-	live  int
-	tick  uint64
-	stats Stats
+// set returns the ways of sh's set idx.
+func (c *Cache[K, V]) set(sh *shard[K, V], idx int) []entry[K, V] {
+	return sh.entries[idx*c.cfg.Ways:][:c.cfg.Ways]
 }
 
 // freeWay returns the first invalid way of s, or -1 when the set is full.
-func freeWay[K comparable, V any](s *kvSet[K, V]) int {
-	for w := range s.entries {
-		if !s.entries[w].valid {
+func freeWay[K comparable, V any](s []entry[K, V]) int {
+	for w := range s {
+		if !s[w].valid {
 			return w
 		}
 	}
 	return -1
 }
 
-// gid translates a shard-local set index to the global set id reported in
-// events.
-func (c *Cache[K, V]) gid(shIdx, idx int) int { return shIdx*c.sets + idx }
-
-// findLocal returns the way of set idx holding key as a local (non-cc)
-// entry, or -1, plus whether the entry is stale (past its freshness
-// deadline but not yet expired). A matching entry that has expired is
-// collected on the spot and reported as absent (lazy expiry). Residency,
-// staleness and death are all decided by the single nowN the caller read
-// under the shard lock, so a key read exactly at a deadline classifies the
-// same way for every operation serialized at that instant.
-func (c *Cache[K, V]) findLocal(sh *shard[K, V], idx int, key K, h uint64, nowN int64) (way int, stale bool) {
-	s := &sh.sets[idx]
-	for w := range s.entries {
-		e := &s.entries[w]
-		if e.valid && !e.cc && e.hash == h && e.key == key {
+// find returns the way of set idx holding key — as a local entry, or with cc
+// as a cooperatively cached one — or -1, plus whether the entry is stale
+// (past its freshness deadline but not yet expired). A matching entry that
+// has expired is collected on the spot and reported as absent (lazy expiry).
+// Residency, staleness and death are all decided by the single nowN the
+// caller read under the shard lock, so a key read exactly at a deadline
+// classifies the same way for every operation serialized at that instant.
+func (c *Cache[K, V]) find(sh *shard[K, V], idx int, cc bool, key K, h uint64, nowN int64) (way int, stale bool) {
+	s := c.set(sh, idx)
+	for w := range s {
+		e := &s[w]
+		if e.valid && e.cc == cc && e.hash == h && e.key == key {
 			if e.exp != 0 && nowN > e.exp {
-				c.expireLocal(sh, idx, w)
+				c.expire(sh, idx, w)
 				return -1, false
 			}
 			return w, e.fresh != 0 && nowN > e.fresh
@@ -115,258 +80,195 @@ func (c *Cache[K, V]) findLocal(sh *shard[K, V], idx int, key K, h uint64, nowN 
 	return -1, false
 }
 
-// findCC returns the way of giver set gidx holding key as a cooperatively
-// cached entry, or -1, collecting it if expired; stale as in findLocal.
-func (c *Cache[K, V]) findCC(sh *shard[K, V], shIdx, gidx int, key K, h uint64, nowN int64) (way int, stale bool) {
-	g := &sh.sets[gidx]
-	for w := range g.entries {
-		e := &g.entries[w]
-		if e.valid && e.cc && e.hash == h && e.key == key {
-			if e.exp != 0 && nowN > e.exp {
-				c.dropCC(sh, shIdx, gidx, w)
-				sh.stats.Expirations++
-				c.met.expired.Inc()
-				return -1, false
-			}
-			return w, e.fresh != 0 && nowN > e.fresh
+// lookup finds key's resident entry: in its home set idx, or — when idx is a
+// coupled taker — cooperatively cached in the giver (the secondary probe).
+// set is where the entry sits; way is -1 when the key is absent.
+func (c *Cache[K, V]) lookup(sh *shard[K, V], idx int, key K, h uint64, nowN int64) (set, way int, stale bool) {
+	if way, stale = c.find(sh, idx, false, key, h, nowN); way >= 0 {
+		return idx, way, stale
+	}
+	if g := sh.eng.GiverOf(idx); g >= 0 {
+		if way, stale = c.find(sh, g, true, key, h, nowN); way >= 0 {
+			return g, way, stale
 		}
 	}
-	return -1, false
+	return idx, -1, false
 }
 
-// expireLocal collects the expired local entry at (idx, w).
-func (c *Cache[K, V]) expireLocal(sh *shard[K, V], idx, w int) {
-	s := &sh.sets[idx]
-	owner := s.entries[w].ten
-	s.entries[w] = entry[K, V]{}
-	s.pol.OnInvalidate(w)
+// touch tells the engine a lookup for home set idx found (set, way). A local
+// find is local-capacity evidence for the demand counters; a cooperative one
+// is evidence for neither set of the pair and only moves the giver's policy.
+func (c *Cache[K, V]) touch(sh *shard[K, V], idx, set, way int) {
+	if set == idx {
+		sh.eng.Hit(idx, way)
+	} else {
+		sh.eng.Touch(set, way)
+	}
+}
+
+// read is the lookup every Get-like operation shares (caller holds sh.mu):
+// it counts the Get, finds the entry and classifies it. load selects the
+// load path's accounting — a stale entry is served (a hit, plus StaleServed)
+// and a negative marker is a NegativeHit — where a plain Get reports both as
+// misses and leaves the entry resident for the load path. Only LoadMiss, no
+// entry at all, is shadow-directory demand evidence. The entry is nil on
+// LoadMiss.
+func (c *Cache[K, V]) read(sh *shard[K, V], tid int, key K, h uint64, nowN int64, load bool) (*entry[K, V], LoadState) {
+	sh.eng.Tick()
+	sh.stats.Gets++
+	c.met.gets.Inc()
+	c.tGet(tid)
+
+	idx := c.setOf(h)
+	set, w, stale := c.lookup(sh, idx, key, h, nowN)
+	if w < 0 {
+		c.countMiss(sh, tid)
+		c.consultShadow(sh, idx, h, tid)
+		return nil, LoadMiss
+	}
+	e := &c.set(sh, set)[w]
+	switch {
+	case e.neg:
+		c.countMiss(sh, tid)
+		if load {
+			sh.stats.NegativeHits++
+			c.met.negativeHits.Inc()
+		}
+		return e, LoadNegative
+	case stale && !load:
+		c.countMiss(sh, tid)
+		return e, LoadStale
+	}
+	sh.stats.Hits++
+	c.met.hits.Inc()
+	c.tHit(tid)
+	if set != idx {
+		sh.stats.SecondaryHits++
+		c.met.secondaryHits.Inc()
+	}
+	c.touch(sh, idx, set, w)
+	if stale {
+		sh.stats.StaleServed++
+		c.met.staleServed.Inc()
+		return e, LoadStale
+	}
+	return e, LoadHit
+}
+
+// countMiss books one Get that found nothing servable.
+func (c *Cache[K, V]) countMiss(sh *shard[K, V], tid int) {
+	sh.stats.Misses++
+	c.met.misses.Inc()
+	c.tMiss(tid)
+}
+
+// consultShadow runs the miss path's demand update for set idx (see
+// core.Engine.Miss). tid is the tenant whose miss this is: a shadow hit is
+// that tenant's "one more entry would have hit" evidence, the signal the
+// cross-tenant arbiter aggregates.
+func (c *Cache[K, V]) consultShadow(sh *shard[K, V], idx int, h uint64, tid int) {
+	if sh.eng.Miss(idx, c.sigOf(h)) {
+		c.tShadow(tid)
+	}
+}
+
+// store is the shared write path (caller holds sh.mu and has ticked the
+// engine): overwrite a resident entry — local or cooperative, live or stale
+// — or run the miss path and insert. fresh/neg carry the read-through
+// semantics; a plain Set passes fresh 0 and neg false, resetting any loader
+// state the key had.
+func (c *Cache[K, V]) store(sh *shard[K, V], tid int, key K, value V, h uint64, nowN, fresh, exp int64, neg bool) {
+	sh.stats.Puts++
+	c.met.puts.Inc()
+	idx := c.setOf(h)
+	if set, w, _ := c.lookup(sh, idx, key, h, nowN); w >= 0 {
+		e := &c.set(sh, set)[w]
+		e.val, e.exp, e.fresh, e.neg = value, exp, fresh, neg
+		// An overwrite touches a resident entry, though it is not a Get hit
+		// for Stats.
+		c.touch(sh, idx, set, w)
+		return
+	}
+	// Miss: consult the shadow directory, then fill locally (the library
+	// analogue of the simulator's miss path).
+	c.consultShadow(sh, idx, h, tid)
+	c.insert(sh, idx, tid, entry[K, V]{key: key, val: value, hash: h, exp: exp, fresh: fresh, neg: neg, valid: true, ten: uint16(tid)})
+}
+
+// insert puts ent into set idx — the one place an entry enters the cache. An
+// at-target tenant recycles its own footprint even while the set has free
+// ways (quotaVictim); otherwise a free way is used, and only a full set asks
+// the engine for a victim, which the tenant rules may override (victimFor).
+func (c *Cache[K, V]) insert(sh *shard[K, V], idx, tid int, ent entry[K, V]) {
+	s := c.set(sh, idx)
+	way := c.quotaVictim(s, tid)
+	if way < 0 {
+		way = freeWay(s)
+	}
+	if way < 0 {
+		way = c.victimFor(s, sh.eng.Victim(idx), tid)
+	}
+	if s[way].valid {
+		c.vacate(sh, idx, way)
+	}
+	s[way] = ent
+	sh.eng.Fill(idx, way)
+	sh.live++
+	c.tLiveInc(tid)
+}
+
+// vacate moves the entry in (idx, w) where the engine sends it: into the
+// coupled giver as a cooperatively cached entry — unless its tenant has no
+// capacity grant left to spend (spillAllowed) — or out of the cache.
+func (c *Cache[K, V]) vacate(sh *shard[K, V], idx, w int) {
+	v := c.set(sh, idx)[w]
+	g := sh.eng.Evict(idx, c.sigOf(v.hash), v.cc, !c.spillAllowed(&v))
+	if g < 0 {
+		sh.live--
+		c.tLiveDec(v.ten)
+		sh.stats.Evictions++
+		c.met.evictions.Inc()
+		return
+	}
+	gs := c.set(sh, g)
+	gw := freeWay(gs)
+	if gw < 0 {
+		gw = sh.eng.Victim(g)
+		c.vacate(sh, g, gw)
+	}
+	v.cc = true
+	gs[gw] = v
+	sh.eng.Fill(g, gw)
+}
+
+// drop removes the entry at (idx, w) outside the eviction path — a delete or
+// an expiry; dropping a giver's last cooperatively cached entry dissolves
+// the association.
+func (c *Cache[K, V]) drop(sh *shard[K, V], idx, w int) {
+	e := &c.set(sh, idx)[w]
+	owner, cc := e.ten, e.cc
+	*e = entry[K, V]{}
+	sh.eng.Remove(idx, w, cc)
 	sh.live--
 	c.tLiveDec(owner)
+}
+
+// expire collects the expired entry at (idx, w).
+func (c *Cache[K, V]) expire(sh *shard[K, V], idx, w int) {
+	c.drop(sh, idx, w)
 	sh.stats.Expirations++
 	c.met.expired.Inc()
 }
 
-// dropCC removes the cooperatively cached entry at (gidx, w) — on deletion
-// or expiry — and dissolves the association if it was the giver's last one.
-func (c *Cache[K, V]) dropCC(sh *shard[K, V], shIdx, gidx, w int) {
-	g := &sh.sets[gidx]
-	owner := g.entries[w].ten
-	g.entries[w] = entry[K, V]{}
-	g.pol.OnInvalidate(w)
-	g.foreign--
-	sh.live--
-	c.tLiveDec(owner)
-	if g.foreign == 0 && g.role == giver {
-		c.decouple(sh, shIdx, gidx)
-	}
-}
-
-// consultShadow runs the miss path's demand update for set idx: a shadow
-// lookup for the missing key's signature, the SC_S/SC_T counter rules, a
-// policy swap when SC_T saturates, and giver-heap maintenance (paper
-// §4.3-4.4). tid is the tenant whose miss this is: a shadow hit is that
-// tenant's "one more entry would have hit" evidence, the signal the
-// cross-tenant arbiter aggregates.
-func (c *Cache[K, V]) consultShadow(sh *shard[K, V], shIdx, idx int, h uint64, tid int) {
-	s := &sh.sets[idx]
-	if s.mon.Shadow.LookupInvalidate(c.sigOf(h)) {
-		swap := s.mon.OnShadowHit(c.cgeom)
-		sh.stats.ShadowHits++
-		c.met.shadowHits.Inc()
-		c.tShadow(tid)
-		if c.observer != nil {
-			c.emit(obs.Event{
-				Type: obs.EvShadowHit, Tick: sh.tick, Set: c.gid(shIdx, idx),
-				ScS: s.mon.ScS, ScT: s.mon.ScT,
-			})
-		}
-		if swap && !c.cfg.DisableSwap {
-			c.swapPolicies(sh, shIdx, idx)
-		}
-	}
-	c.reconsiderGiver(sh, idx)
-}
-
-// onLocalHit applies the hit-side counter rules for set idx: SC_T always
-// decrements, SC_S with probability 1/2^n.
-func (c *Cache[K, V]) onLocalHit(sh *shard[K, V], shIdx, idx int) {
-	s := &sh.sets[idx]
-	decS := sh.rng.OneIn(1 << uint(c.cfg.SpatialShift))
-	s.mon.OnLLCHit(decS)
-	if decS {
-		c.reconsiderGiver(sh, idx)
-	}
-}
-
-// reconsiderGiver keeps the shard's giver heap consistent with set idx's
-// counter state: uncoupled sets with a clear MSB are posted (or re-keyed);
-// everything else is withdrawn.
-func (c *Cache[K, V]) reconsiderGiver(sh *shard[K, V], idx int) {
-	if c.cfg.DisableCoupling {
-		return
-	}
-	s := &sh.sets[idx]
-	if s.role == uncoupled && s.mon.IsGiver(c.cgeom) {
-		sh.heap.Post(idx, s.mon.ScS)
-		return
-	}
-	sh.heap.Remove(idx)
-}
-
-// swapPolicies exchanges set idx's policy with its shadow's opposite (paper
-// §4.4), preserving both rankings, and resets SC_T.
-func (c *Cache[K, V]) swapPolicies(sh *shard[K, V], shIdx, idx int) {
-	s := &sh.sets[idx]
-	next := policy.Opposite(s.pol.Kind())
-	policy.SwapKind(s.pol, next)
-	s.mon.Shadow.SwapPolicy(policy.Opposite(next))
-	s.mon.ScT = 0
-	sh.stats.PolicySwaps++
-	c.met.policySwaps.Inc()
-	if c.observer != nil {
-		c.emit(obs.Event{
-			Type: obs.EvPolicySwap, Tick: sh.tick, Set: c.gid(shIdx, idx),
-			ScS: s.mon.ScS, ScT: s.mon.ScT, Policy: next.String(),
-		})
-	}
-}
-
-// tryCouple pairs taker set idx with the shard's least-saturated live giver
-// (paper §4.5: coupling is triggered by a taker's eviction).
-func (c *Cache[K, V]) tryCouple(sh *shard[K, V], shIdx, idx int) {
-	for tries := 0; tries < c.cfg.SelectorSize; tries++ {
-		cand, _, ok := sh.heap.PopMin()
-		if !ok {
-			return
-		}
-		if cand == idx {
-			continue
-		}
-		g := &sh.sets[cand]
-		// Heap entries can be stale; re-validate against the live monitor.
-		if g.role != uncoupled || !g.mon.IsGiver(c.cgeom) {
-			continue
-		}
-		s := &sh.sets[idx]
-		s.partner, s.role = cand, taker
-		g.partner, g.role = idx, giver
-		s.coupledAt, g.coupledAt = sh.tick, sh.tick
-		sh.heap.Remove(idx)
-		sh.stats.Couplings++
-		c.met.couplings.Inc()
-		if c.observer != nil {
-			c.emit(obs.Event{
-				Type: obs.EvCouple, Tick: sh.tick,
-				Set: c.gid(shIdx, idx), Partner: c.gid(shIdx, cand),
-				ScS: s.mon.ScS, ScT: s.mon.ScT,
-			})
-		}
-		return
-	}
-}
-
-// routeVictim decides what happens to an entry evicted from set idx: a cc
-// entry leaves the cache (possibly dissolving the association); a local
-// victim of a spilling-eligible taker is cooperatively cached in the giver;
-// everything else leaves the cache with its signature recorded in the
-// owner's shadow directory.
-func (c *Cache[K, V]) routeVictim(sh *shard[K, V], shIdx, idx int, v entry[K, V]) {
-	s := &sh.sets[idx]
-	if v.cc {
-		s.foreign--
-		c.evict(sh, v)
-		if s.foreign == 0 && s.role == giver {
-			c.decouple(sh, shIdx, idx)
-		}
-		return
-	}
-	if s.role == taker && s.mon.ScS >= c.cgeom.MSB && c.spillAllowed(&v) {
-		// Spilling allowed only while the taker still demands capacity
-		// (§4.6/4.7), the giver can still receive (§4.6), and the victim's
-		// tenant has capacity grant left to spend (tenant.go).
-		g := &sh.sets[s.partner]
-		if g.mon.IsGiver(c.cgeom) {
-			c.receive(sh, shIdx, s.partner, v)
-			return
-		}
-	}
-	c.evict(sh, v)
-}
-
-// receive inserts taker victim v into giver set gidx as a cooperatively
-// cached entry, at the position the giver's current policy dictates.
-func (c *Cache[K, V]) receive(sh *shard[K, V], shIdx, gidx int, v entry[K, V]) {
-	g := &sh.sets[gidx]
-	v.cc = true
-	way := freeWay(g)
-	if way < 0 {
-		way = g.pol.Victim()
-		if way < 0 {
-			// invariant: a full set always has a victim — every policy's
-			// Victim returns a way once no free way exists.
-			panic("stemcache: full giver set but policy reports no victim")
-		}
-		gv := g.entries[way]
-		g.entries[way].valid = false
-		g.pol.OnInvalidate(way)
-		if gv.cc {
-			g.foreign--
-		}
-		c.evict(sh, gv)
-	}
-	g.entries[way] = v
-	g.pol.OnInsert(way)
-	g.foreign++
-	sh.stats.Spills++
-	sh.stats.Receives++
-	c.met.spills.Inc()
-	c.met.receives.Inc()
-	if c.observer != nil {
-		t := g.partner
-		ts := &sh.sets[t]
-		c.emit(obs.Event{
-			Type: obs.EvSpill, Tick: sh.tick,
-			Set: c.gid(shIdx, t), Partner: c.gid(shIdx, gidx),
-			ScS: ts.mon.ScS, ScT: ts.mon.ScT,
-		})
-		c.emit(obs.Event{
-			Type: obs.EvReceive, Tick: sh.tick,
-			Set: c.gid(shIdx, gidx), Partner: c.gid(shIdx, t),
-			ScS: g.mon.ScS, ScT: g.mon.ScT,
-		})
-	}
-}
-
-// evict handles an entry truly leaving the cache: the resident count drops
-// and the owner set's shadow directory records the signature, so a future
-// miss on the same key becomes demand evidence.
-func (c *Cache[K, V]) evict(sh *shard[K, V], v entry[K, V]) {
-	sh.live--
-	c.tLiveDec(v.ten)
-	sh.stats.Evictions++
-	c.met.evictions.Inc()
-	owner := c.setOf(v.hash)
-	sh.sets[owner].mon.Shadow.Insert(c.sigOf(v.hash))
-}
-
-// decouple dissolves the association of giver set gidx with its taker
-// (paper §4.7), resetting both association entries to self.
-func (c *Cache[K, V]) decouple(sh *shard[K, V], shIdx, gidx int) {
-	g := &sh.sets[gidx]
-	tIdx := g.partner
-	t := &sh.sets[tIdx]
-	t.partner, t.role = tIdx, uncoupled
-	g.partner, g.role = gidx, uncoupled
-	sh.stats.Decouplings++
-	c.met.decouplings.Inc()
-	if c.observer != nil {
-		c.emit(obs.Event{
-			Type: obs.EvDecouple, Tick: sh.tick,
-			Set: c.gid(shIdx, gidx), Partner: c.gid(shIdx, tIdx),
-			ScS: g.mon.ScS, ScT: g.mon.ScT, Life: sh.tick - g.coupledAt,
-		})
-	}
-	// Both ends may immediately qualify as givers again.
-	c.reconsiderGiver(sh, gidx)
-	c.reconsiderGiver(sh, tIdx)
+// snapshot returns sh's counters completed with what the engine keeps: the
+// mechanism counters and the instantaneous set-role gauges (caller holds
+// sh.mu).
+func (sh *shard[K, V]) snapshot() (Stats, core.Census) {
+	st, n, cen := sh.stats, sh.eng.Counts(), sh.eng.Census()
+	st.ShadowHits, st.PolicySwaps = n.ShadowHits, n.PolicySwaps
+	st.Couplings, st.Decouplings = n.Couplings, n.Decouplings
+	st.Spills, st.Receives = n.Spills, n.Receives
+	st.TakerSets, st.GiverSets = uint64(cen.TakerClass), uint64(cen.GiverClass)
+	st.CoupledSets = uint64(cen.Takers + cen.Givers)
+	return st, cen
 }

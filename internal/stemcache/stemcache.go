@@ -1,7 +1,8 @@
 // Package stemcache is a concurrent, sharded, generic in-memory key-value
 // cache whose eviction engine is STEM — the set-level spatiotemporal
-// capacity manager of Zhan, Jiang and Seth (MICRO 2010) — lifted from the
-// hardware simulator in internal/core into a software library.
+// capacity manager of Zhan, Jiang and Seth (MICRO 2010): each shard hosts
+// the same core.Engine the hardware simulator in internal/core runs on, over
+// key-value entries instead of block tags.
 //
 // The cache hashes every key to a 64-bit value and splits the bits three
 // ways: the low bits select a shard (each shard has its own mutex — lock
@@ -62,7 +63,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hashfn"
 	"repro/internal/obs"
-	"repro/internal/selector"
 	"repro/internal/sim"
 	"repro/internal/tenant"
 )
@@ -92,7 +92,8 @@ type Config struct {
 	// seeds and equal single-goroutine op sequences are identical.
 	Seed uint64
 
-	// STEM engine parameters, as in the paper's Table 3 (see core.Config).
+	// STEM engine parameters, as in the paper's Table 3; zero selects the
+	// default core.Config documents.
 
 	// CounterBits is k, the width of the SC_S/SC_T saturating counters.
 	// Default: 4.
@@ -160,7 +161,7 @@ type Config struct {
 	// with a live obs.Server.
 	Metrics *obs.Registry
 	// Observer, when non-nil, receives one obs.Event per mechanism action
-	// (shadow_hit, policy_swap, couple, decouple, spill, receive), exactly
+	// (shadow_hit, class_change, policy_swap, couple, decouple, spill, receive), exactly
 	// like the simulator's event trace. Events carry the global set id
 	// (shard × setsPerShard + set) and the emitting shard's op tick; calls
 	// are serialized across shards by an internal mutex.
@@ -219,20 +220,18 @@ func (c *Config) normalize() {
 	if c.Ways <= 0 {
 		c.Ways = 8
 	}
-	if c.CounterBits <= 0 {
-		c.CounterBits = 4
-	}
-	if c.SpatialShift <= 0 {
-		c.SpatialShift = 3
-	}
-	if c.SignatureBits <= 0 {
-		c.SignatureBits = 10
-	}
-	if c.SelectorSize <= 0 {
-		c.SelectorSize = 16
-	}
 	if c.RevalidateWorkers <= 0 {
 		c.RevalidateWorkers = 4
+	}
+}
+
+// engine maps the cache's STEM parameters onto the engine's Config, which
+// owns their defaults.
+func (c Config) engine() core.Config {
+	return core.Config{
+		CounterBits: c.CounterBits, SpatialShift: c.SpatialShift,
+		SignatureBits: c.SignatureBits, SelectorSize: c.SelectorSize,
+		Seed: c.Seed, DisableCoupling: c.DisableCoupling, DisableSwap: c.DisableSwap,
 	}
 }
 
@@ -255,8 +254,7 @@ type Cache[K comparable, V any] struct {
 	setBits   uint
 	sets      int // sets per shard
 
-	cgeom core.CounterGeom
-	sig   *hashfn.Hash // read-only after construction; safe concurrently
+	sig *hashfn.Hash // read-only after construction; safe concurrently
 
 	met      metrics
 	obsMu    sync.Mutex // serializes Observer calls across shards
@@ -342,8 +340,7 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 		shardBits: uint(log2(cfg.Shards)),
 		setBits:   uint(log2(sets)),
 		sets:      sets,
-		cgeom:     core.NewCounterGeom(cfg.CounterBits),
-		sig:       hashfn.New(cfg.SignatureBits, cfg.Seed^0x5717),
+		sig:       core.NewSigHash(cfg.engine()),
 		met:       newMetrics(cfg.Metrics),
 		observer:  cfg.Observer,
 		// The wall clock only decides TTL expiry, never eviction order, so
@@ -367,18 +364,16 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
-		sh.heap = selector.New(cfg.SelectorSize)
-		sh.rng = sim.NewRNG(cfg.Seed ^ 0xdecaf ^ uint64(i)*0x9e3779b97f4a7c15)
-		sh.sets = make([]kvSet[K, V], sets)
-		for s := range sh.sets {
-			rng := sim.NewRNG(cfg.Seed ^ uint64(i*sets+s)*0x9e3779b97f4a7c15)
-			sh.sets[s] = kvSet[K, V]{
-				entries: make([]entry[K, V], cfg.Ways),
-				pol:     policyNew(cfg, rng),
-				mon:     core.Monitor{Shadow: core.NewShadowSet(cfg.Ways, initialKind, rng)},
-				partner: s,
-			}
+		sh.eng = core.NewEngine(cfg.engine(), sets, cfg.Ways, i)
+		sh.eng.Meters = core.Meters{
+			ShadowHits: c.met.shadowHits, PolicySwaps: c.met.policySwaps,
+			Couplings: c.met.couplings, Decouplings: c.met.decouplings,
+			Spills: c.met.spills, Receives: c.met.receives,
 		}
+		if c.observer != nil {
+			sh.eng.SetObserver(obs.ObserverFunc(c.emit))
+		}
+		sh.entries = make([]entry[K, V], sets*cfg.Ways)
 	}
 	return c
 }
@@ -402,65 +397,18 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 
 // getT is Get in tenant tid's namespace (Get is getT of the default tenant).
 func (c *Cache[K, V]) getT(tid int, key K) (V, bool) {
-	var zero V
 	h := c.thash(tid, key)
-	sh, shIdx := c.shardOf(h)
+	sh := c.shardOf(h)
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	// The clock is read under the lock: the one nowN decides residency,
 	// staleness and expiry together, so operations serialized by the shard
 	// lock agree on an entry's state at its exact deadline.
-	nowN := c.now()
-	sh.tick++
-	sh.stats.Gets++
-	c.met.gets.Inc()
-	c.tGet(tid)
-
-	idx := c.setOf(h)
-	s := &sh.sets[idx]
-	if w, stale := c.findLocal(sh, idx, key, h, nowN); w >= 0 {
-		if e := &s.entries[w]; !stale && !e.neg {
-			sh.stats.Hits++
-			c.met.hits.Inc()
-			c.tHit(tid)
-			s.pol.OnHit(w)
-			c.onLocalHit(sh, shIdx, idx)
-			return e.val, true
-		}
-		// Stale or negative: a miss for plain Get, but the entry stays
-		// resident for the load path (GetOrLoad serves stale values and
-		// answers negative markers with ErrNotFound). The key is still
-		// resident, so this is not shadow-directory demand evidence.
-		sh.stats.Misses++
-		c.met.misses.Inc()
-		c.tMiss(tid)
-		return zero, false
+	if e, st := c.read(sh, tid, key, h, c.now(), false); st == LoadHit {
+		return e.val, true
 	}
-	if s.role == taker {
-		p := &sh.sets[s.partner]
-		if w, stale := c.findCC(sh, shIdx, s.partner, key, h, nowN); w >= 0 {
-			if e := &p.entries[w]; !stale && !e.neg {
-				sh.stats.Hits++
-				sh.stats.SecondaryHits++
-				c.met.hits.Inc()
-				c.met.secondaryHits.Inc()
-				c.tHit(tid)
-				p.pol.OnHit(w)
-				// Cooperative hits update neither set's counters: they are
-				// not local-capacity evidence for either working set.
-				return e.val, true
-			}
-			sh.stats.Misses++
-			c.met.misses.Inc()
-			c.tMiss(tid)
-			return zero, false
-		}
-	}
-	sh.stats.Misses++
-	c.met.misses.Inc()
-	c.tMiss(tid)
-	c.consultShadow(sh, shIdx, idx, h, tid)
+	var zero V
 	return zero, false
 }
 
@@ -482,7 +430,7 @@ func (c *Cache[K, V]) SetWithTTL(key K, value V, ttl time.Duration) {
 // setWithTTLT is SetWithTTL in tenant tid's namespace.
 func (c *Cache[K, V]) setWithTTLT(tid int, key K, value V, ttl time.Duration) {
 	h := c.thash(tid, key)
-	sh, shIdx := c.shardOf(h)
+	sh := c.shardOf(h)
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -491,71 +439,8 @@ func (c *Cache[K, V]) setWithTTLT(tid int, key K, value V, ttl time.Duration) {
 	if ttl > 0 {
 		exp = nowN + int64(ttl)
 	}
-	sh.tick++
-	sh.stats.Puts++
-	c.met.puts.Inc()
-	c.store(sh, shIdx, tid, key, value, h, nowN, 0, exp, false)
-}
-
-// store is the shared write path (caller holds sh.mu and has counted its
-// own op stats): overwrite a resident entry — local or cooperative, live or
-// stale — or run the miss path and insert, with the STEM engine picking the
-// victim. fresh/neg carry the read-through semantics; a plain Set passes
-// fresh 0 and neg false, resetting any loader state the key had.
-func (c *Cache[K, V]) store(sh *shard[K, V], shIdx, tid int, key K, value V, h uint64, nowN, fresh, exp int64, neg bool) {
-	idx := c.setOf(h)
-	s := &sh.sets[idx]
-	if w, _ := c.findLocal(sh, idx, key, h, nowN); w >= 0 {
-		e := &s.entries[w]
-		e.val, e.exp, e.fresh, e.neg = value, exp, fresh, neg
-		s.pol.OnHit(w)
-		// An overwrite touches a resident entry: local-capacity evidence
-		// for the demand counters, though not a Get hit for Stats.
-		c.onLocalHit(sh, shIdx, idx)
-		return
-	}
-	if s.role == taker {
-		p := &sh.sets[s.partner]
-		if w, _ := c.findCC(sh, shIdx, s.partner, key, h, nowN); w >= 0 {
-			e := &p.entries[w]
-			e.val, e.exp, e.fresh, e.neg = value, exp, fresh, neg
-			p.pol.OnHit(w)
-			return
-		}
-	}
-
-	// Miss: consult the shadow directory, then fill locally (the library
-	// analogue of the simulator's miss path).
-	c.consultShadow(sh, shIdx, idx, h, tid)
-
-	// An at-target tenant recycles its own footprint even while the set has
-	// free ways (quotaVictim); otherwise a free way is used, and only a full
-	// set runs the STEM victim path.
-	way := c.quotaVictim(s, tid)
-	if way >= 0 {
-		victim := s.entries[way]
-		s.entries[way].valid = false
-		s.pol.OnInvalidate(way)
-		c.routeVictim(sh, shIdx, idx, victim)
-	} else if way = freeWay(s); way < 0 {
-		if s.role == uncoupled && s.mon.IsTaker(c.cgeom) && !c.cfg.DisableCoupling {
-			c.tryCouple(sh, shIdx, idx)
-		}
-		way = c.victimFor(s, tid)
-		if way < 0 {
-			// invariant: a full set always has a victim — every policy's
-			// Victim returns a way once no free way exists.
-			panic("stemcache: full set but policy reports no victim")
-		}
-		victim := s.entries[way]
-		s.entries[way].valid = false
-		s.pol.OnInvalidate(way)
-		c.routeVictim(sh, shIdx, idx, victim)
-	}
-	s.entries[way] = entry[K, V]{key: key, val: value, hash: h, exp: exp, fresh: fresh, neg: neg, valid: true, ten: uint16(tid)}
-	s.pol.OnInsert(way)
-	sh.live++
-	c.tLiveInc(tid)
+	sh.eng.Tick()
+	c.store(sh, tid, key, value, h, nowN, 0, exp, false)
 }
 
 // GetOrSet returns the value resident under key, or stores value (with the
@@ -580,100 +465,21 @@ func (c *Cache[K, V]) GetOrSetWithTTL(key K, value V, ttl time.Duration) (actual
 // getOrSetWithTTLT is GetOrSetWithTTL in tenant tid's namespace.
 func (c *Cache[K, V]) getOrSetWithTTLT(tid int, key K, value V, ttl time.Duration) (actual V, loaded bool) {
 	h := c.thash(tid, key)
-	sh, shIdx := c.shardOf(h)
+	sh := c.shardOf(h)
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	nowN := c.now()
+	if e, st := c.read(sh, tid, key, h, nowN, false); st == LoadHit {
+		return e.val, true
+	}
+	// Absent, stale or a negative marker: the offered value wins, through
+	// the same write path a Set after the missed Get would take.
 	var exp int64
 	if ttl > 0 {
 		exp = nowN + int64(ttl)
 	}
-	sh.tick++
-	sh.stats.Gets++
-	c.met.gets.Inc()
-	c.tGet(tid)
-
-	idx := c.setOf(h)
-	s := &sh.sets[idx]
-	if w, stale := c.findLocal(sh, idx, key, h, nowN); w >= 0 {
-		e := &s.entries[w]
-		if !stale && !e.neg {
-			sh.stats.Hits++
-			c.met.hits.Inc()
-			c.tHit(tid)
-			s.pol.OnHit(w)
-			c.onLocalHit(sh, shIdx, idx)
-			return e.val, true
-		}
-		// Stale or negative residency loses to the offered value: count
-		// the miss and the put, and overwrite in place (no second copy of
-		// the key may enter the set).
-		sh.stats.Misses++
-		c.met.misses.Inc()
-		c.tMiss(tid)
-		sh.stats.Puts++
-		c.met.puts.Inc()
-		e.val, e.exp, e.fresh, e.neg = value, exp, 0, false
-		s.pol.OnInsert(w)
-		return value, false
-	}
-	if s.role == taker {
-		p := &sh.sets[s.partner]
-		if w, stale := c.findCC(sh, shIdx, s.partner, key, h, nowN); w >= 0 {
-			e := &p.entries[w]
-			if !stale && !e.neg {
-				sh.stats.Hits++
-				sh.stats.SecondaryHits++
-				c.met.hits.Inc()
-				c.met.secondaryHits.Inc()
-				c.tHit(tid)
-				p.pol.OnHit(w)
-				return e.val, true
-			}
-			sh.stats.Misses++
-			c.met.misses.Inc()
-			c.tMiss(tid)
-			sh.stats.Puts++
-			c.met.puts.Inc()
-			e.val, e.exp, e.fresh, e.neg = value, exp, 0, false
-			p.pol.OnInsert(w)
-			return value, false
-		}
-	}
-
-	sh.stats.Misses++
-	c.met.misses.Inc()
-	c.tMiss(tid)
-	sh.stats.Puts++
-	c.met.puts.Inc()
-	// Same insert discipline as store: quota recycle first, then free way,
-	// then the STEM victim path.
-	way := c.quotaVictim(s, tid)
-	if way >= 0 {
-		victim := s.entries[way]
-		s.entries[way].valid = false
-		s.pol.OnInvalidate(way)
-		c.routeVictim(sh, shIdx, idx, victim)
-	} else if way = freeWay(s); way < 0 {
-		if s.role == uncoupled && s.mon.IsTaker(c.cgeom) && !c.cfg.DisableCoupling {
-			c.tryCouple(sh, shIdx, idx)
-		}
-		way = c.victimFor(s, tid)
-		if way < 0 {
-			// invariant: a full set always has a victim — every policy's
-			// Victim returns a way once no free way exists.
-			panic("stemcache: full set but policy reports no victim")
-		}
-		victim := s.entries[way]
-		s.entries[way].valid = false
-		s.pol.OnInvalidate(way)
-		c.routeVictim(sh, shIdx, idx, victim)
-	}
-	s.entries[way] = entry[K, V]{key: key, val: value, hash: h, exp: exp, valid: true, ten: uint16(tid)}
-	s.pol.OnInsert(way)
-	sh.live++
-	c.tLiveInc(tid)
+	c.store(sh, tid, key, value, h, nowN, 0, exp, false)
 	return value, false
 }
 
@@ -689,33 +495,19 @@ func (c *Cache[K, V]) Delete(key K) bool {
 // deleteT is Delete in tenant tid's namespace.
 func (c *Cache[K, V]) deleteT(tid int, key K) bool {
 	h := c.thash(tid, key)
-	sh, shIdx := c.shardOf(h)
+	sh := c.shardOf(h)
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	nowN := c.now()
-	sh.tick++
-	idx := c.setOf(h)
-	s := &sh.sets[idx]
-	if w, _ := c.findLocal(sh, idx, key, h, nowN); w >= 0 {
-		owner := s.entries[w].ten
-		s.entries[w] = entry[K, V]{}
-		s.pol.OnInvalidate(w)
-		sh.live--
-		c.tLiveDec(owner)
-		sh.stats.Deletes++
-		c.met.deletes.Inc()
-		return true
+	sh.eng.Tick()
+	set, w, _ := c.lookup(sh, c.setOf(h), key, h, c.now())
+	if w < 0 {
+		return false
 	}
-	if s.role == taker {
-		if w, _ := c.findCC(sh, shIdx, s.partner, key, h, nowN); w >= 0 {
-			c.dropCC(sh, shIdx, s.partner, w)
-			sh.stats.Deletes++
-			c.met.deletes.Inc()
-			return true
-		}
-	}
-	return false
+	c.drop(sh, set, w)
+	sh.stats.Deletes++
+	c.met.deletes.Inc()
+	return true
 }
 
 // Len returns the number of unexpired resident entries. Entries whose TTL
@@ -730,7 +522,7 @@ func (c *Cache[K, V]) Len() int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		c.sweepExpired(sh, i, nowN)
+		c.sweepExpired(sh, nowN)
 		n += sh.live
 		sh.mu.Unlock()
 	}
@@ -740,21 +532,10 @@ func (c *Cache[K, V]) Len() int {
 // sweepExpired collects every expired entry of sh (caller holds sh.mu).
 // Cooperatively cached entries go through the cc path, which dissolves the
 // association when the giver drains.
-func (c *Cache[K, V]) sweepExpired(sh *shard[K, V], shIdx int, nowN int64) {
-	for idx := range sh.sets {
-		s := &sh.sets[idx]
-		for w := range s.entries {
-			e := &s.entries[w]
-			if !e.valid || e.exp == 0 || nowN <= e.exp {
-				continue
-			}
-			if e.cc {
-				c.dropCC(sh, shIdx, idx, w)
-				sh.stats.Expirations++
-				c.met.expired.Inc()
-			} else {
-				c.expireLocal(sh, idx, w)
-			}
+func (c *Cache[K, V]) sweepExpired(sh *shard[K, V], nowN int64) {
+	for i := range sh.entries {
+		if e := &sh.entries[i]; e.valid && e.exp != 0 && nowN > e.exp {
+			c.expire(sh, i/c.cfg.Ways, i%c.cfg.Ways)
 		}
 	}
 }
@@ -776,12 +557,9 @@ func (c *Cache[K, V]) Stats() Stats {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		out.add(sh.stats)
-		t, g, cp, _ := c.scanRoles(sh)
-		out.TakerSets += uint64(t)
-		out.GiverSets += uint64(g)
-		out.CoupledSets += uint64(cp)
+		st, _ := sh.snapshot()
 		sh.mu.Unlock()
+		out.add(st)
 	}
 	// Singleflight counters live outside the shards (a load belongs to the
 	// whole cache, not one shard's lock domain).
@@ -821,14 +599,10 @@ func (c *Cache[K, V]) Close() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		for s := range sh.sets {
-			set := &sh.sets[s]
-			for w := range set.entries {
-				set.entries[w] = entry[K, V]{}
-			}
-			set.pol.Reset()
-			set.role, set.partner, set.foreign = uncoupled, s, 0
+		for w := range sh.entries {
+			sh.entries[w] = entry[K, V]{}
 		}
+		sh.eng.Clear()
 		sh.live = 0
 		sh.mu.Unlock()
 	}
@@ -839,9 +613,8 @@ func (c *Cache[K, V]) Close() {
 	}
 }
 
-func (c *Cache[K, V]) shardOf(h uint64) (*shard[K, V], int) {
-	i := int(h & uint64(len(c.shards)-1))
-	return &c.shards[i], i
+func (c *Cache[K, V]) shardOf(h uint64) *shard[K, V] {
+	return &c.shards[h&uint64(len(c.shards)-1)]
 }
 
 func (c *Cache[K, V]) setOf(h uint64) int {
@@ -854,9 +627,10 @@ func (c *Cache[K, V]) sigOf(h uint64) uint32 {
 	return c.sig.Sum(h >> (c.shardBits + c.setBits))
 }
 
-// emit forwards a mechanism event (already carrying global set ids) to the
-// observer, serializing across shards. Callers guard on c.observer != nil;
-// the observer is immutable after construction, so the guard is race-free.
+// emit forwards a shard engine's mechanism event (already carrying global set
+// ids) to the observer, serializing across shards. Engines are handed the
+// observer only when one is configured, and it is immutable after
+// construction.
 func (c *Cache[K, V]) emit(e obs.Event) {
 	c.obsMu.Lock()
 	c.observer.Event(e)

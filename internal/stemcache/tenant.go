@@ -245,12 +245,12 @@ func (c *Cache[K, V]) tReserveProtected(vid int) bool {
 // on residency, not on churn: an at-target tenant keeps inserting, but each
 // insert into a set already holding one of its entries replaces that entry
 // instead of growing the footprint.
-func (c *Cache[K, V]) quotaVictim(s *kvSet[K, V], tid int) int {
+func (c *Cache[K, V]) quotaVictim(s []entry[K, V], tid int) int {
 	if c.ten == nil || c.ten.policy == TenantObserve || !c.tOverTarget(tid) {
 		return -1
 	}
-	for w := range s.entries {
-		if e := &s.entries[w]; e.valid && !e.cc && int(e.ten) == tid {
+	for w := range s {
+		if e := &s[w]; e.valid && !e.cc && int(e.ten) == tid {
 			return w
 		}
 	}
@@ -266,28 +266,28 @@ func (c *Cache[K, V]) spillAllowed(v *entry[K, V]) bool {
 }
 
 // victimFor picks the way to evict from full set s for an insert by tenant
-// tid. With no enforcement it is exactly the set policy's victim. With
+// tid, given way, the engine's choice. With no enforcement it is exactly
+// that. With
 // TenantStatic or TenantArbitrated enforcement, two overrides apply in
 // order: an over-target tenant recycles its own resident entries before
 // touching anyone else's, and a victim owned by a reserve-protected tenant
 // is passed over while the set holds any admissible alternative. Both
 // overrides stay inside the set — the STEM spill machinery still decides
 // where the victim goes.
-func (c *Cache[K, V]) victimFor(s *kvSet[K, V], tid int) int {
-	way := s.pol.Victim()
+func (c *Cache[K, V]) victimFor(s []entry[K, V], way, tid int) int {
 	if way < 0 || c.ten == nil || c.ten.policy == TenantObserve {
 		return way
 	}
-	if int(s.entries[way].ten) != tid && c.tOverTarget(tid) {
-		for w := range s.entries {
-			if e := &s.entries[w]; e.valid && int(e.ten) == tid {
+	if int(s[way].ten) != tid && c.tOverTarget(tid) {
+		for w := range s {
+			if e := &s[w]; e.valid && int(e.ten) == tid {
 				return w
 			}
 		}
 	}
-	if v := &s.entries[way]; int(v.ten) != tid && c.tReserveProtected(int(v.ten)) {
-		for w := range s.entries {
-			e := &s.entries[w]
+	if v := &s[way]; int(v.ten) != tid && c.tReserveProtected(int(v.ten)) {
+		for w := range s {
+			e := &s[w]
 			if e.valid && (int(e.ten) == tid || !c.tReserveProtected(int(e.ten))) {
 				return w
 			}
