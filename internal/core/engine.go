@@ -59,12 +59,6 @@ type Counts struct {
 	Receives    uint64 // entries accepted by giver sets (== Spills)
 }
 
-// Meters mirrors Counts into a live metrics registry as the events happen.
-// Nil counters (the zero value) are no-ops.
-type Meters struct {
-	ShadowHits, PolicySwaps, Couplings, Decouplings, Spills, Receives *obs.Counter
-}
-
 // Census is a walk over every set's control state: the one role count behind
 // the simulator's Introspect and the library's Demand and Stats gauges.
 type Census struct {
@@ -102,8 +96,6 @@ type Engine struct {
 	heap  *selector.Heap
 	rng   *sim.RNG // drives the 1/2^n spatial decrement
 	n     Counts
-	// Meters, when set by the host, mirror the counters into a registry.
-	Meters Meters
 	// tick counts host operations over the engine's lifetime (never reset);
 	// it timestamps mechanism events.
 	tick uint64
@@ -259,7 +251,6 @@ func (e *Engine) Miss(idx int, sig uint32) bool {
 	if hit {
 		swap := s.mon.OnShadowHit(e.cgeom)
 		e.n.ShadowHits++
-		e.Meters.ShadowHits.Inc()
 		if e.observer != nil {
 			e.emit(obs.EvShadowHit, idx, -1, obs.Event{})
 			e.noteClass(idx)
@@ -411,7 +402,6 @@ func (e *Engine) swapPolicies(idx int) {
 	s.mon.Shadow.SwapPolicy(policy.Opposite(next))
 	s.mon.ScT = 0
 	e.n.PolicySwaps++
-	e.Meters.PolicySwaps.Inc()
 	if e.observer != nil {
 		e.emit(obs.EvPolicySwap, idx, -1, obs.Event{Policy: next.String()})
 	}
@@ -438,7 +428,6 @@ func (e *Engine) tryCouple(idx int) {
 		s.coupledAt, g.coupledAt = e.tick, e.tick
 		e.heap.Remove(idx)
 		e.n.Couplings++
-		e.Meters.Couplings.Inc()
 		if e.observer != nil {
 			e.emit(obs.EvCouple, idx, cand, obs.Event{})
 		}
@@ -452,8 +441,6 @@ func (e *Engine) receive(tIdx, gIdx int) {
 	e.sets[gIdx].foreign++
 	e.n.Spills++
 	e.n.Receives++
-	e.Meters.Spills.Inc()
-	e.Meters.Receives.Inc()
 	if e.observer != nil {
 		e.emit(obs.EvSpill, tIdx, gIdx, obs.Event{})
 		e.emit(obs.EvReceive, gIdx, tIdx, obs.Event{})
@@ -469,7 +456,6 @@ func (e *Engine) decouple(gIdx int) {
 	t.partner, t.role = tIdx, uncoupled
 	g.partner, g.role = gIdx, uncoupled
 	e.n.Decouplings++
-	e.Meters.Decouplings.Inc()
 	if e.observer != nil {
 		e.emit(obs.EvDecouple, gIdx, tIdx, obs.Event{Life: e.tick - g.coupledAt})
 	}

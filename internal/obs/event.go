@@ -206,10 +206,10 @@ func (m multiObserver) Event(e Event) {
 
 // NewRegistryObserver returns an Observer that folds the event stream into
 // reg — one "events.<type>" counter per event type plus an
-// "events.couple_lifetime" log2 histogram of association lifetimes — and
+// "events.couple_lifetime" histogram of association lifetimes in ticks — and
 // then forwards to next (which may be nil).
 func NewRegistryObserver(reg *Registry, next Observer) Observer {
-	ro := &registryObserver{next: next, life: reg.Histogram("events.couple_lifetime")}
+	ro := &registryObserver{next: next, life: reg.Latency("events.couple_lifetime")}
 	for t := EvShadowHit; t <= evLast; t++ {
 		ro.counts[t] = reg.Counter("events." + t.String())
 	}
@@ -218,7 +218,7 @@ func NewRegistryObserver(reg *Registry, next Observer) Observer {
 
 type registryObserver struct {
 	counts [evLast + 1]*Counter
-	life   *Histogram
+	life   *LatencyHistogram
 	next   Observer
 }
 

@@ -17,8 +17,9 @@ const (
 	latNumBuckets = (65 - latSubBits) * latSubBuckets
 )
 
-// LatencyHistogram is a log-linear distribution of uint64 samples
-// (conventionally microseconds), built for request-latency measurement:
+// LatencyHistogram is a log-linear distribution of uint64 samples, the
+// registry's one histogram type — built for request latencies in
+// microseconds, and general enough for any count (coupling lifetimes in ticks):
 //
 //   - Atomics-backed: Observe is lock-free and safe to call from many
 //     goroutines while readers snapshot quantiles concurrently.

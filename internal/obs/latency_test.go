@@ -161,6 +161,31 @@ func TestLatencyConcurrentObserve(t *testing.T) {
 // snapshot summary, reset.
 func TestRegistryLatency(t *testing.T) {
 	reg := NewRegistry()
+	c := reg.Counter("hits")
+	c.Inc()
+	c.Add(4)
+	if got := reg.Counter("hits").Value(); got != 5 {
+		t.Fatalf("counter = %d, want 5", got)
+	}
+	g := reg.Gauge("mpki")
+	g.Set(12.25)
+	if got := reg.Gauge("mpki").Value(); got != 12.25 {
+		t.Fatalf("gauge = %v", got)
+	}
+	life := reg.Latency("life")
+	for _, v := range []uint64{0, 1, 1, 2, 3, 8, 1023} {
+		life.Observe(v)
+	}
+	if life.Count() != 7 || life.Sum() != 1038 {
+		t.Fatalf("count/sum = %d/%d", life.Count(), life.Sum())
+	}
+	// Values below 32 get a bucket each.
+	for i, want := range map[int]uint64{0: 1, 1: 2, 2: 1, 3: 1, 8: 1} {
+		if got := life.Bucket(i); got != want {
+			t.Fatalf("bucket %d = %d, want %d", i, got, want)
+		}
+	}
+
 	l := reg.Latency("x.lat_us")
 	if reg.Latency("x.lat_us") != l {
 		t.Fatal("Latency not idempotent")

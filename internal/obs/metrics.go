@@ -1,9 +1,9 @@
 // Package obs is the repository's observability layer: a lightweight
-// metrics registry (typed counters, gauges, log2-bucketed histograms and
-// log-linear latency histograms), a structured event trace for the STEM/SBC
-// coupling mechanisms, periodic run snapshots, and an HTTP endpoint that
-// exposes all of it live — as JSON and as Prometheus text exposition —
-// while a simulation or server runs.
+// metrics registry (typed counters, gauges and log-linear histograms, plus
+// counters and gauges derived when the registry is read), a structured event
+// trace for the STEM/SBC coupling mechanisms, periodic run snapshots, and an
+// HTTP endpoint that exposes all of it live — as JSON and as Prometheus text
+// exposition — while a simulation or server runs.
 //
 // The package is stdlib-only and built around two rules:
 //
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"net/http"
 	"sort"
 	"sync"
@@ -82,81 +81,6 @@ func (g *Gauge) Value() float64 {
 
 func (g *Gauge) reset() { g.bits.Store(0) }
 
-// Histogram is a log2-bucketed distribution of uint64 samples: bucket i
-// holds samples v with bits.Len64(v) == i, i.e. bucket 0 is exactly {0} and
-// bucket i≥1 covers [2^(i-1), 2^i). A nil *Histogram is a no-op sink.
-type Histogram struct {
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	buckets [65]atomic.Uint64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
-	if h == nil {
-		return
-	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[bits.Len64(v)].Add(1)
-}
-
-// Count returns the number of samples observed.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed samples.
-func (h *Histogram) Sum() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Bucket returns the count in log2 bucket i (0 ≤ i ≤ 64).
-func (h *Histogram) Bucket(i int) uint64 {
-	if h == nil || i < 0 || i >= len(h.buckets) {
-		return 0
-	}
-	return h.buckets[i].Load()
-}
-
-// BucketLabel names log2 bucket i as its inclusive value range.
-func BucketLabel(i int) string {
-	switch {
-	case i <= 0:
-		return "0"
-	case i == 1:
-		return "1"
-	default:
-		return fmt.Sprintf("%d-%d", uint64(1)<<(i-1), (uint64(1)<<i)-1)
-	}
-}
-
-func (h *Histogram) reset() {
-	h.count.Store(0)
-	h.sum.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-}
-
-// marshal renders the histogram as a JSON-friendly map with only the
-// non-empty buckets.
-func (h *Histogram) marshal() map[string]any {
-	bkt := map[string]uint64{}
-	for i := range h.buckets {
-		if n := h.buckets[i].Load(); n > 0 {
-			bkt[BucketLabel(i)] = n
-		}
-	}
-	return map[string]any{"count": h.count.Load(), "sum": h.sum.Load(), "buckets": bkt}
-}
-
 // Registry is a named collection of metrics. Metric constructors are
 // idempotent: asking twice for the same name returns the same cell, so
 // independent components can share totals. All methods are safe for
@@ -165,27 +89,42 @@ func (h *Histogram) marshal() map[string]any {
 // off".
 type Registry struct {
 	mu      sync.Mutex
-	metrics map[string]any // *Counter | *Gauge | *Histogram | *LatencyHistogram | func() float64
+	metrics map[string]any // *Counter | *Gauge | *LatencyHistogram | func() float64 | derivedCounter
+	sources []func(emit func(name string, v uint64))
 }
+
+// derivedCounter reserves the name of a counter nobody increments: its value
+// is summed, on every read of the registry, over what the CounterFuncs
+// sources emit under the name.
+type derivedCounter struct{}
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{metrics: map[string]any{}}
 }
 
+// registered returns the metric under name as a T; ok is false when the name
+// is still free. Caller holds r.mu.
+func registered[T any](r *Registry, name string) (t T, ok bool) {
+	m, ok := r.metrics[name]
+	if !ok {
+		return t, false
+	}
+	if t, ok = m.(T); !ok {
+		// invariant: a metric name maps to one metric type for the life of the registry; re-registering under another type is caller corruption.
+		panic(fmt.Sprintf("obs: metric %q already registered with a different type (%T)", name, m))
+	}
+	return t, true
+}
+
 func lookup[T any](r *Registry, name string, make func() T) T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		t, ok := m.(T)
-		if !ok {
-			// invariant: a metric name maps to one cell type for the life of the registry; re-registering under another type is caller corruption.
-			panic(fmt.Sprintf("obs: metric %q already registered with a different type (%T)", name, m))
-		}
-		return t
+	t, ok := registered[T](r, name)
+	if !ok {
+		t = make()
+		r.metrics[name] = t
 	}
-	t := make()
-	r.metrics[name] = t
 	return t
 }
 
@@ -206,17 +145,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return lookup(r, name, func() *Gauge { return &Gauge{} })
 }
 
-// Histogram returns the histogram registered under name, creating it on
-// first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return lookup(r, name, func() *Histogram { return &Histogram{} })
-}
-
-// Latency returns the log-linear latency histogram registered under name,
-// creating it on first use.
+// Latency returns the log-linear histogram registered under name, creating
+// it on first use.
 func (r *Registry) Latency(name string) *LatencyHistogram {
 	if r == nil {
 		return nil
@@ -232,7 +162,31 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	registered[func() float64](r, name)
 	r.metrics[name] = fn
+}
+
+// CounterFuncs registers counters derived on read, for a component that
+// already counts under a lock of its own: every Snapshot or WritePrometheus
+// calls read once, and read emits each counter's name and current value.
+// Nothing is written on the component's request path. read must emit the
+// same names every time; CounterFuncs calls it once to learn them. Several
+// components may emit the same name (servers sharing one registry); the
+// exported value is their sum. The registry keeps read, and what it closes
+// over, for its own lifetime.
+func (r *Registry) CounterFuncs(read func(emit func(name string, v uint64))) {
+	if r == nil {
+		return
+	}
+	var names []string
+	read(func(name string, _ uint64) { names = append(names, name) })
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, n := range names {
+		registered[derivedCounter](r, n)
+		r.metrics[n] = derivedCounter{}
+	}
+	r.sources = append(r.sources, read)
 }
 
 // Names returns all registered metric names, sorted.
@@ -250,9 +204,10 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Reset zeroes every counter, gauge and histogram (derived gauges are left
-// alone). It pairs with sim.Simulator.ResetStats: discard warm-up, keep the
-// metric cells and their registrations.
+// Reset zeroes every counter, gauge and histogram cell. Derived gauges and
+// counters are left alone: their values belong to the component that
+// registered them. It pairs with sim.Simulator.ResetStats: discard warm-up,
+// keep the metric cells and their registrations.
 func (r *Registry) Reset() {
 	if r == nil {
 		return
@@ -265,12 +220,44 @@ func (r *Registry) Reset() {
 			m.reset()
 		case *Gauge:
 			m.reset()
-		case *Histogram:
-			m.reset()
 		case *LatencyHistogram:
 			m.reset()
 		}
 	}
+}
+
+// read evaluates the registry: a uint64 per counter (derived ones summed
+// over their sources), a float64 per gauge, and histograms as they are. The
+// cells and sources are copied under the lock; the derived functions run
+// outside it, because they take their components' own locks.
+func (r *Registry) read() map[string]any {
+	r.mu.Lock()
+	out := make(map[string]any, len(r.metrics))
+	for n, m := range r.metrics {
+		out[n] = m
+	}
+	sources := r.sources
+	r.mu.Unlock()
+	for n, m := range out {
+		switch m := m.(type) {
+		case *Counter:
+			out[n] = m.Value()
+		case derivedCounter:
+			out[n] = uint64(0)
+		case *Gauge:
+			out[n] = m.Value()
+		case func() float64:
+			out[n] = m()
+		}
+	}
+	for _, src := range sources {
+		src(func(name string, v uint64) {
+			if sum, ok := out[name].(uint64); ok {
+				out[name] = sum + v
+			}
+		})
+	}
+	return out
 }
 
 // Snapshot returns a JSON-marshalable view of every metric. Map keys are
@@ -280,21 +267,10 @@ func (r *Registry) Snapshot() map[string]any {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]any, len(r.metrics))
-	for n, m := range r.metrics {
-		switch m := m.(type) {
-		case *Counter:
-			out[n] = m.Value()
-		case *Gauge:
-			out[n] = m.Value()
-		case *Histogram:
-			out[n] = m.marshal()
-		case *LatencyHistogram:
-			out[n] = m.marshal()
-		case func() float64:
-			out[n] = m()
+	out := r.read()
+	for n, m := range out {
+		if h, ok := m.(*LatencyHistogram); ok {
+			out[n] = h.marshal()
 		}
 	}
 	return out

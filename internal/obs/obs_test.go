@@ -27,82 +27,124 @@ func TestNilMetricSinksAreNoOps(t *testing.T) {
 	if g.Value() != 0 {
 		t.Fatal("nil gauge value")
 	}
-	var h *Histogram
-	h.Observe(7)
-	if h.Count() != 0 || h.Sum() != 0 || h.Bucket(3) != 0 {
-		t.Fatal("nil histogram not empty")
-	}
 	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("y") != nil || r.Histogram("z") != nil {
+	if r.Counter("x") != nil || r.Gauge("y") != nil || r.Latency("z") != nil {
 		t.Fatal("nil registry must hand out nil metrics")
 	}
 	r.GaugeFunc("f", func() float64 { return 1 })
+	r.CounterFuncs(func(emit func(string, uint64)) { t.Fatal("nil registry read a source") })
 	r.Reset()
 	if r.Snapshot() != nil || r.Names() != nil {
 		t.Fatal("nil registry snapshot")
 	}
 }
 
-func TestCounterGaugeHistogram(t *testing.T) {
+// TestRegistryTypeMismatchPanics holds the registry's invariant — a name maps
+// to one metric type for its whole life — on every registration path, the
+// derived ones included: a derived gauge or counter must not silently replace
+// a cell, nor a cell a derived metric.
+func TestRegistryTypeMismatchPanics(t *testing.T) {
+	gaugeFn := func() float64 { return 1 }
+	derive := func(r *Registry, names ...string) {
+		r.CounterFuncs(func(emit func(string, uint64)) {
+			for _, n := range names {
+				emit(n, 1)
+			}
+		})
+	}
+	cases := []struct {
+		name          string
+		first, second func(r *Registry)
+	}{
+		{"counter then gauge", func(r *Registry) { r.Counter("m") }, func(r *Registry) { r.Gauge("m") }},
+		{"counter then latency", func(r *Registry) { r.Counter("m") }, func(r *Registry) { r.Latency("m") }},
+		{"counter then GaugeFunc", func(r *Registry) { r.Counter("m") }, func(r *Registry) { r.GaugeFunc("m", gaugeFn) }},
+		{"counter then CounterFuncs", func(r *Registry) { r.Counter("m") }, func(r *Registry) { derive(r, "ok", "m") }},
+		{"GaugeFunc then CounterFuncs", func(r *Registry) { r.GaugeFunc("m", gaugeFn) }, func(r *Registry) { derive(r, "m") }},
+		{"CounterFuncs then GaugeFunc", func(r *Registry) { derive(r, "m") }, func(r *Registry) { r.GaugeFunc("m", gaugeFn) }},
+		{"CounterFuncs then counter", func(r *Registry) { derive(r, "m") }, func(r *Registry) { r.Counter("m") }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := NewRegistry()
+			c.first(r)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic on type mismatch")
+				}
+			}()
+			c.second(r)
+		})
+	}
+
+	// Same type twice is not a mismatch: a derived gauge is replaced, derived
+	// counters add up.
 	r := NewRegistry()
-	c := r.Counter("hits")
-	c.Inc()
-	c.Add(4)
-	if got := r.Counter("hits").Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	g := r.Gauge("mpki")
-	g.Set(12.25)
-	if got := g.Value(); got != 12.25 {
-		t.Fatalf("gauge = %v", got)
-	}
-	h := r.Histogram("life")
-	for _, v := range []uint64{0, 1, 1, 2, 3, 8, 1023} {
-		h.Observe(v)
-	}
-	if h.Count() != 7 || h.Sum() != 1038 {
-		t.Fatalf("count/sum = %d/%d", h.Count(), h.Sum())
-	}
-	// log2 buckets: 0→{0}, 1→{1,1}, 2→{2,3}, 4→{8}, 10→{1023}.
-	for i, want := range map[int]uint64{0: 1, 1: 2, 2: 2, 4: 1, 10: 1} {
-		if got := h.Bucket(i); got != want {
-			t.Fatalf("bucket %d = %d, want %d", i, got, want)
-		}
-	}
-	if BucketLabel(0) != "0" || BucketLabel(1) != "1" || BucketLabel(4) != "8-15" {
-		t.Fatalf("bucket labels: %q %q %q", BucketLabel(0), BucketLabel(1), BucketLabel(4))
+	r.GaugeFunc("g", func() float64 { return 1 })
+	r.GaugeFunc("g", func() float64 { return 2 })
+	derive(r, "c")
+	derive(r, "c")
+	if snap := r.Snapshot(); snap["g"] != 2.0 || snap["c"] != uint64(2) {
+		t.Fatalf("snapshot = %v", snap)
 	}
 }
 
-func TestRegistryTypeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on type mismatch")
-		}
-	}()
+// TestCounterFuncs: derived counters are read once per registry read, sum
+// across the sources that share a name, and come out of both views as
+// counters.
+func TestCounterFuncs(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("m")
-	r.Gauge("m")
+	reads := 0
+	requests := uint64(3)
+	r.CounterFuncs(func(emit func(string, uint64)) {
+		reads++
+		emit("srv.requests", requests)
+		emit("srv.errors", 10)
+	})
+	r.CounterFuncs(func(emit func(string, uint64)) { emit("srv.requests", 4) })
+	reads = 0 // registration reads a source once, to learn its names
+
+	snap := r.Snapshot()
+	if snap["srv.requests"] != uint64(7) || snap["srv.errors"] != uint64(10) {
+		t.Fatalf("snapshot = %v", snap)
+	}
+	if reads != 1 {
+		t.Fatalf("source read %d times for one snapshot, want 1", reads)
+	}
+	requests = 5 // the component counted two more; nothing was pushed
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"# TYPE srv_requests counter\nsrv_requests 9\n", "# TYPE srv_errors counter\nsrv_errors 10\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("exposition lacks %q:\n%s", want, buf.String())
+		}
+	}
+	if reads != 2 {
+		t.Fatalf("source read %d times for two reads, want 2", reads)
+	}
 }
 
 func TestRegistryResetAndSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(9)
 	r.Gauge("g").Set(2)
-	r.Histogram("h").Observe(100)
+	r.Latency("h").Observe(100)
 	r.GaugeFunc("derived", func() float64 { return 42 })
+	r.CounterFuncs(func(emit func(string, uint64)) { emit("summed", 7) })
 	snap := r.Snapshot()
-	if snap["c"] != uint64(9) || snap["g"] != 2.0 || snap["derived"] != 42.0 {
+	if snap["c"] != uint64(9) || snap["g"] != 2.0 || snap["derived"] != 42.0 || snap["summed"] != uint64(7) {
 		t.Fatalf("snapshot = %v", snap)
 	}
 	r.Reset()
-	if r.Counter("c").Value() != 0 || r.Gauge("g").Value() != 0 || r.Histogram("h").Count() != 0 {
+	if r.Counter("c").Value() != 0 || r.Gauge("g").Value() != 0 || r.Latency("h").Count() != 0 {
 		t.Fatal("Reset left state behind")
 	}
-	if got := r.Snapshot()["derived"]; got != 42.0 {
-		t.Fatalf("Reset must not clear derived gauges, got %v", got)
+	if snap := r.Snapshot(); snap["derived"] != 42.0 || snap["summed"] != uint64(7) {
+		t.Fatalf("Reset must not clear derived metrics, got %v", snap)
 	}
-	want := []string{"c", "derived", "g", "h"}
+	want := []string{"c", "derived", "g", "h", "summed"}
 	if got := r.Names(); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("Names = %v, want %v", got, want)
 	}
@@ -140,7 +182,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				r.Counter("n").Inc()
-				r.Histogram("h").Observe(uint64(i))
+				r.Latency("h").Observe(uint64(i))
 				_ = r.Snapshot()
 			}
 		}()
@@ -230,7 +272,7 @@ func TestMultiAndRegistryObserver(t *testing.T) {
 	if got := r.Counter("events.spill").Value(); got != 2 {
 		t.Fatalf("events.spill = %d", got)
 	}
-	if got := r.Histogram("events.couple_lifetime").Count(); got != 1 {
+	if got := r.Latency("events.couple_lifetime").Count(); got != 1 {
 		t.Fatalf("lifetime samples = %d", got)
 	}
 	if len(next.events) != 3 {

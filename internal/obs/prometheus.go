@@ -13,11 +13,11 @@ import (
 // Prometheus text-format exposition (version 0.0.4) of a Registry — the
 // scrape-friendly sibling of the JSON snapshot. Mapping:
 //
-//   - Counter     → `# TYPE n counter` + one sample
+//   - Counter, derived counter → `# TYPE n counter` + one sample
 //   - Gauge/func  → `# TYPE n gauge` + one sample
-//   - Histogram   → `# TYPE n histogram` + cumulative `n_bucket{le="..."}`
-//     series over the populated log2 buckets, `+Inf`, `n_sum`, `n_count`
-//   - LatencyHistogram → same shape over the populated log-linear buckets
+//   - LatencyHistogram → `# TYPE n histogram` + cumulative
+//     `n_bucket{le="..."}` series over the populated log-linear buckets,
+//     `+Inf`, `n_sum`, `n_count`
 //
 // Metric names are sanitized to the Prometheus grammar
 // ([a-zA-Z_:][a-zA-Z0-9_:]*): dots and any other illegal runes become
@@ -94,25 +94,6 @@ func writePromHistogram(w io.Writer, name string, buckets []promBucket, sum, cou
 	return err
 }
 
-// log2Buckets folds a log2 Histogram into cumulative (bound, count) pairs.
-// Bucket i of the log2 histogram covers [2^(i-1), 2^i), so its inclusive
-// upper bound is 2^i - 1 (bucket 0 is exactly {0}).
-func log2Buckets(h *Histogram) (buckets []promBucket, cum uint64) {
-	for i := 0; i < 65; i++ {
-		c := h.Bucket(i)
-		if c == 0 {
-			continue
-		}
-		cum += c
-		bound := uint64(math.MaxUint64)
-		if i < 64 {
-			bound = (uint64(1) << i) - 1
-		}
-		buckets = append(buckets, promBucket{bound: bound, cum: cum})
-	}
-	return buckets, cum
-}
-
 // latBuckets folds a LatencyHistogram into cumulative (bound, count) pairs.
 func latBuckets(h *LatencyHistogram) (buckets []promBucket, cum uint64) {
 	for i := 0; i < latNumBuckets; i++ {
@@ -133,37 +114,29 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
 	type family struct {
 		name   string
 		metric any
 	}
-	fams := make([]family, 0, len(r.metrics))
-	for n, m := range r.metrics {
+	metrics := r.read()
+	fams := make([]family, 0, len(metrics))
+	for n, m := range metrics {
 		fams = append(fams, family{name: promName(n), metric: m})
 	}
-	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
 	bw := bufio.NewWriter(w)
 	for _, f := range fams {
 		var err error
 		switch m := f.metric.(type) {
-		case *Counter:
+		case uint64:
 			if _, err = fmt.Fprintf(bw, "# TYPE %s counter\n", f.name); err == nil {
-				_, err = fmt.Fprintf(bw, "%s %d\n", f.name, m.Value())
+				_, err = fmt.Fprintf(bw, "%s %d\n", f.name, m)
 			}
-		case *Gauge:
+		case float64:
 			if _, err = fmt.Fprintf(bw, "# TYPE %s gauge\n", f.name); err == nil {
-				_, err = fmt.Fprintf(bw, "%s %s\n", f.name, promFloat(m.Value()))
+				_, err = fmt.Fprintf(bw, "%s %s\n", f.name, promFloat(m))
 			}
-		case func() float64:
-			if _, err = fmt.Fprintf(bw, "# TYPE %s gauge\n", f.name); err == nil {
-				_, err = fmt.Fprintf(bw, "%s %s\n", f.name, promFloat(m()))
-			}
-		case *Histogram:
-			buckets, _ := log2Buckets(m)
-			err = writePromHistogram(bw, f.name, buckets, m.Sum(), m.Count())
 		case *LatencyHistogram:
 			buckets, _ := latBuckets(m)
 			err = writePromHistogram(bw, f.name, buckets, m.Sum(), m.Count())

@@ -22,7 +22,12 @@ func promTestRegistry() *Registry {
 	reg.Counter("1starts.with.digit").Inc()
 	reg.Gauge("cache.fill").Set(0.75)
 	reg.GaugeFunc("pool.size", func() float64 { return 3 })
-	h := reg.Histogram("events.couple_lifetime")
+	reg.CounterFuncs(func(emit func(string, uint64)) {
+		emit("stemcache.hits", 9)
+		emit("stemcache.spills", 2)
+	})
+	reg.CounterFuncs(func(emit func(string, uint64)) { emit("stemcache.hits", 1) })
+	h := reg.Latency("events.couple_lifetime")
 	for _, v := range []uint64{0, 1, 5, 5, 100, 3000} {
 		h.Observe(v)
 	}

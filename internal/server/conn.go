@@ -144,7 +144,7 @@ func (c *conn) serve() {
 			}
 		}
 		if _, err := c.bw.Write(wbuf); err != nil {
-			c.srv.met.ioErrors.Inc()
+			c.srv.ioErrors.Add(1)
 			return
 		}
 		// Pipelining: only flush when the reader holds no queued frame, so
@@ -152,7 +152,7 @@ func (c *conn) serve() {
 		if c.br.Buffered() == 0 {
 			c.nc.SetWriteDeadline(wallClock().Add(c.srv.cfg.WriteTimeout))
 			if err := c.bw.Flush(); err != nil {
-				c.srv.met.ioErrors.Inc()
+				c.srv.ioErrors.Add(1)
 				return
 			}
 		}
@@ -177,7 +177,7 @@ func (c *conn) awaitFrame(idle *time.Duration) (ok, fatal bool) {
 			return false, false
 		}
 		if err != io.EOF {
-			c.srv.met.ioErrors.Inc()
+			c.srv.ioErrors.Add(1)
 		}
 		return false, true
 	}
@@ -190,7 +190,6 @@ func (c *conn) awaitFrame(idle *time.Duration) (ok, fatal bool) {
 func (c *conn) readFailed(err error) {
 	if errors.Is(err, wire.ErrFrame) {
 		c.srv.protoErrors.Add(1)
-		c.srv.met.protoErrors.Inc()
 		resp := wire.Response{Op: wire.OpPing, Status: wire.StatusErr, Value: []byte(err.Error())}
 		if b, aerr := wire.AppendResponse(nil, &resp, c.srv.lim); aerr == nil {
 			c.nc.SetWriteDeadline(wallClock().Add(c.srv.cfg.WriteTimeout))
@@ -199,7 +198,7 @@ func (c *conn) readFailed(err error) {
 		return
 	}
 	if err != io.EOF && !c.isDraining() {
-		c.srv.met.ioErrors.Inc()
+		c.srv.ioErrors.Add(1)
 	}
 }
 

@@ -106,7 +106,7 @@ func (s *Server) breakLease(key string, old *lease) (token uint64, ok bool) {
 	nl := &lease{token: s.nextToken(), done: make(chan struct{})}
 	s.leases[key] = nl
 	close(old.done)
-	s.met.leaseBreaks.Inc()
+	s.leaseBreaks.Add(1)
 	return nl.token, true
 }
 
@@ -128,7 +128,6 @@ func (s *Server) handleLoad(cache stemcache.TenantView[string, []byte], req *wir
 		return
 	}
 	s.loadReqs.Add(1)
-	s.met.loads.Inc()
 	lk := leaseKey(req)
 	waited := false
 	for {
@@ -138,11 +137,11 @@ func (s *Server) handleLoad(cache stemcache.TenantView[string, []byte], req *wir
 			resp.Value = v
 			return
 		case stemcache.LoadNegative:
-			s.met.negativeHits.Inc()
+			s.negativeHits.Add(1)
 			resp.Status = wire.StatusNotFound
 			return
 		case stemcache.LoadStale:
-			s.met.staleServed.Inc()
+			s.staleServed.Add(1)
 			resp.Status = wire.StatusStale
 			resp.Value = v
 			resp.Token = s.tryRefreshLease(lk)
@@ -159,7 +158,6 @@ func (s *Server) handleLoad(cache stemcache.TenantView[string, []byte], req *wir
 			// Counted once per request, however many rounds of parking it
 			// takes: this request's origin fetch was saved by another's.
 			s.loadDedups.Add(1)
-			s.met.loadDedup.Inc()
 			waited = true
 		}
 		select {

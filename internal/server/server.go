@@ -85,9 +85,11 @@ type Config struct {
 	DrainTimeout time.Duration
 	// Limits bounds accepted frames (see wire.Limits). Zero value: defaults.
 	Limits wire.Limits
-	// Metrics, when non-nil, receives server counters under "server.*" and
-	// per-opcode stage latency histograms under "server.lat.<op>.*_us"
-	// (decode, handle, write — see conn.serve for the stage boundaries).
+	// Metrics, when non-nil, exports the server's counters under "server.*"
+	// — derived: read from the server's own atomics when the registry is
+	// read — and receives per-opcode stage latency histograms under
+	// "server.lat.<op>.*_us" (decode, handle, write — see conn.serve for the
+	// stage boundaries).
 	Metrics *obs.Registry
 	// NodeID identifies this server within a cluster; it is echoed in
 	// DEMAND responses and the STATS document so a cluster client can tell
@@ -172,33 +174,28 @@ type Server struct {
 	leaseSeq atomic.Uint64 // token source; 0 is reserved for "no lease"
 	quit     chan struct{} // closed by Close; unblocks lease waiters
 
-	// Served-traffic counters (atomic: read by STATS while handlers run).
-	accepted    atomic.Uint64
-	requests    atomic.Uint64
-	protoErrors atomic.Uint64
-	loadReqs    atomic.Uint64 // OpLoad lookups (fills excluded)
-	loadDedups  atomic.Uint64 // OpLoad lookups that parked on another's lease
+	// Served-traffic counters, the one tally of each event: connection
+	// goroutines add, STATS and a metrics scrape load. No lock spans the
+	// connections, hence atomics.
+	accepted     atomic.Uint64
+	requests     atomic.Uint64
+	protoErrors  atomic.Uint64
+	ioErrors     atomic.Uint64
+	batchKeys    atomic.Uint64 // keys carried by MGET/MSET frames
+	loadReqs     atomic.Uint64 // OpLoad lookups (fills excluded)
+	loadDedups   atomic.Uint64 // OpLoad lookups that parked on another's lease
+	staleServed  atomic.Uint64
+	negativeHits atomic.Uint64
+	leaseBreaks  atomic.Uint64
 
-	met serverMetrics
+	// lat holds the per-opcode stage histograms, indexed by raw opcode byte;
+	// all-nil (no-op sinks) without a registry. Written once in New,
+	// read-only afterwards.
+	lat [256]stageLat
 	// timed makes every request pay its stage clock reads (metrics or
 	// slow-request tracing configured); untraced requests on an untimed
 	// server read the clock once, for the read deadline they need anyway.
 	timed bool
-}
-
-// serverMetrics are the obs counters; all-nil without a registry (every
-// cell is a nil-safe no-op sink, so the hot path never branches on
-// "metrics enabled").
-type serverMetrics struct {
-	accepted, requests, responses *obs.Counter
-	protoErrors, ioErrors         *obs.Counter
-	batchKeys                     *obs.Counter
-	loads, loadDedup              *obs.Counter
-	staleServed, negativeHits     *obs.Counter
-	leaseBreaks                   *obs.Counter
-	// lat holds the per-opcode stage histograms, indexed by raw opcode
-	// byte. Written once in New, read-only afterwards.
-	lat [256]stageLat
 }
 
 // stageLat times one opcode's request stages: decode (frame read + parse),
@@ -225,35 +222,39 @@ func New(cache *stemcache.Cache[string, []byte], cfg Config) (*Server, error) {
 		leases: map[string]*lease{},
 		quit:   make(chan struct{}),
 	}
-	if reg := cfg.Metrics; reg != nil {
-		s.met = serverMetrics{
-			accepted:    reg.Counter("server.conns_accepted"),
-			requests:    reg.Counter("server.requests"),
-			responses:   reg.Counter("server.responses"),
-			protoErrors: reg.Counter("server.proto_errors"),
-			ioErrors:    reg.Counter("server.io_errors"),
-			batchKeys:   reg.Counter("server.batch_keys"),
-			// Read-through counters: the served-traffic view of the load
-			// path (the cache's own "stemcache.*" counters see both wire
-			// and in-process traffic).
-			loads:        reg.Counter("server.loads"),
-			loadDedup:    reg.Counter("server.load_dedup"),
-			staleServed:  reg.Counter("server.stale_served"),
-			negativeHits: reg.Counter("server.negative_hits"),
-			leaseBreaks:  reg.Counter("server.lease_breaks"),
-		}
-		for op := wire.OpPing; op.Valid(); op++ {
-			name := "server.lat." + strings.ToLower(op.String())
-			s.met.lat[op] = stageLat{
-				decode: reg.Latency(name + ".decode_us"),
-				handle: reg.Latency(name + ".handle_us"),
-				write:  reg.Latency(name + ".write_us"),
-			}
-		}
-		reg.GaugeFunc("server.conns_active", func() float64 { return float64(s.ConnCount()) })
-	}
+	s.registerMetrics(cfg.Metrics)
 	s.timed = cfg.Metrics != nil || (cfg.SlowRequest > 0 && cfg.Events != nil)
 	return s, nil
+}
+
+// registerMetrics exports the server through reg: the traffic counters,
+// loaded from the server's own atomics when the registry is read (the
+// "server.loads"/"server.load_dedup" pair is the served-traffic view of the
+// load path; the cache's "stemcache.*" names see in-process traffic too), the
+// live-connection gauge, and the per-opcode stage histograms, which are real
+// cells. A nil reg registers nothing and leaves the histograms no-op sinks.
+func (s *Server) registerMetrics(reg *obs.Registry) {
+	reg.CounterFuncs(func(emit func(name string, v uint64)) {
+		emit("server.conns_accepted", s.accepted.Load())
+		emit("server.requests", s.requests.Load())
+		emit("server.proto_errors", s.protoErrors.Load())
+		emit("server.io_errors", s.ioErrors.Load())
+		emit("server.batch_keys", s.batchKeys.Load())
+		emit("server.loads", s.loadReqs.Load())
+		emit("server.load_dedup", s.loadDedups.Load())
+		emit("server.stale_served", s.staleServed.Load())
+		emit("server.negative_hits", s.negativeHits.Load())
+		emit("server.lease_breaks", s.leaseBreaks.Load())
+	})
+	reg.GaugeFunc("server.conns_active", func() float64 { return float64(s.ConnCount()) })
+	for op := wire.OpPing; op.Valid(); op++ {
+		name := "server.lat." + strings.ToLower(op.String())
+		s.lat[op] = stageLat{
+			decode: reg.Latency(name + ".decode_us"),
+			handle: reg.Latency(name + ".handle_us"),
+			write:  reg.Latency(name + ".write_us"),
+		}
+	}
 }
 
 // Start listens on addr ("host:port"; ":0" picks a free port) and serves in
@@ -352,7 +353,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			return
 		}
 		s.accepted.Add(1)
-		s.met.accepted.Inc()
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -531,7 +531,6 @@ func (s *Server) resolveTenant(req *wire.Request) stemcache.TenantView[string, [
 // It runs on the connection's goroutine; the cache does its own locking.
 func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 	s.requests.Add(1)
-	s.met.requests.Inc()
 	resp.Reset()
 	resp.Op, resp.ID, resp.Status = req.Op, req.ID, wire.StatusOK
 	cache := s.resolveTenant(req)
@@ -581,7 +580,7 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 			found = append(found, ok)
 		}
 		resp.Found, resp.Values = found, values
-		s.met.batchKeys.Add(uint64(len(req.Keys)))
+		s.batchKeys.Add(uint64(len(req.Keys)))
 	case wire.OpMSet:
 		for _, kv := range req.Pairs {
 			cache.Set(kv.Key, kv.Value)
@@ -589,7 +588,7 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 				h.Replicator.ReplicateSet(req.Namespace, kv.Key, kv.Value, 0)
 			}
 		}
-		s.met.batchKeys.Add(uint64(len(req.Pairs)))
+		s.batchKeys.Add(uint64(len(req.Pairs)))
 	case wire.OpReplicate:
 		// Apply directly and never fan out again — replication cannot
 		// cycle. The decoder copied the operands (retaining opcode), so
@@ -627,7 +626,6 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 	if req.Flags&wire.FlagDemand != 0 {
 		resp.Piggyback = s.demand()
 	}
-	s.met.responses.Inc()
 }
 
 // observeRequest folds one request's stage timings into the per-opcode
@@ -636,7 +634,7 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 // the configured threshold. Runs on the connection goroutine after the
 // response was written.
 func (s *Server) observeRequest(op wire.Op, namespace string, decode, handle, write time.Duration, tr *wire.TraceExt) {
-	m := s.met.lat[op]
+	m := s.lat[op]
 	m.decode.Observe(uint64(max(decode.Microseconds(), 0)))
 	m.handle.Observe(uint64(max(handle.Microseconds(), 0)))
 	m.write.Observe(uint64(max(write.Microseconds(), 0)))

@@ -171,8 +171,19 @@ func TestServeStats(t *testing.T) {
 	if cache.Len() != 50 {
 		t.Fatalf("server cache Len = %d, want 50", cache.Len())
 	}
-	if got := reg.Counter("server.requests").Value(); got != 101 {
-		t.Fatalf("obs server.requests = %d, want 101", got)
+	// The registry derives server.requests from the counter STATS reports.
+	metrics := reg.Snapshot()
+	if got := metrics["server.requests"]; got != uint64(101) || got != snap.Requests {
+		t.Fatalf("obs server.requests = %v, want 101 like STATS Requests (%d)", got, snap.Requests)
+	}
+	if got := metrics["server.conns_accepted"]; got != snap.ConnsAccepted {
+		t.Fatalf("obs server.conns_accepted = %v, STATS says %d", got, snap.ConnsAccepted)
+	}
+	for _, name := range []string{"server.proto_errors", "server.io_errors", "server.batch_keys", "server.loads",
+		"server.load_dedup", "server.stale_served", "server.negative_hits", "server.lease_breaks"} {
+		if got, ok := metrics[name].(uint64); !ok || got != 0 {
+			t.Errorf("obs %s = %v, want a counter at 0", name, metrics[name])
+		}
 	}
 }
 

@@ -1,15 +1,39 @@
 //go:build !race
 
 // The race detector instruments allocations, so the hard ==0 assertion
-// only holds in a plain build; CI runs this gate separately from the
-// -race suite.
+// only holds in a plain build: `go test ./...` runs this file, `go test -race`
+// does not, and CI runs the gate as its own non-race step.
 
 package stemcache
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-// TestHotPathZeroAllocs is the in-tree form of the CI allocation gate for
-// the shard-read path: Get on a warm string-keyed cache must not allocate.
+const benchReadKeys = 1 << 10
+
+// benchReadCache returns a cache warmed with benchReadKeys resident string
+// keys, plus the key list used to populate it.
+func benchReadCache(tb testing.TB) (*Cache[string, []byte], []string) {
+	tb.Helper()
+	c, err := New[string, []byte](benchConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	keys := make([]string, benchReadKeys)
+	val := make([]byte, 128)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("bench:key:%04d", i)
+		c.Set(keys[i], val)
+	}
+	return c, keys
+}
+
+// TestHotPathZeroAllocs is the allocation gate for the shard-read path, the
+// dynamic half of the claim the hotpath analyzer's Cache.Get root
+// (internal/analysis) makes statically: Get on a warm string-keyed cache must
+// not allocate.
 // Hits and shadow-registering misses are both measured — the miss path
 // feeds the demand counters and must stay allocation-free too.
 func TestHotPathZeroAllocs(t *testing.T) {

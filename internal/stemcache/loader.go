@@ -203,7 +203,6 @@ func (c *Cache[K, V]) load(ctx context.Context, tid int, key K, loader Loader[K,
 	if f, ok := c.flights[fk]; ok {
 		c.loadMu.Unlock()
 		c.loadDedup.Add(1)
-		c.met.loadDedup.Inc()
 		select {
 		case <-f.done:
 			return f.val, f.err
@@ -216,13 +215,12 @@ func (c *Cache[K, V]) load(ctx context.Context, tid int, key K, loader Loader[K,
 	c.loadMu.Unlock()
 
 	c.loads.Add(1)
-	c.met.loads.Inc()
 	t0 := c.now()
 	v, err := loader(ctx, key)
 	if d := c.now() - t0; d > 0 {
-		c.met.loaderLat.Observe(uint64(d) / uint64(time.Microsecond))
+		c.loaderLat.Observe(uint64(d) / uint64(time.Microsecond))
 	} else {
-		c.met.loaderLat.Observe(0)
+		c.loaderLat.Observe(0)
 	}
 	switch {
 	case err == nil:

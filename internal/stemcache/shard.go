@@ -31,16 +31,27 @@ type entry[K comparable, V any] struct {
 	ten uint16
 }
 
+// tally is one tenant's Get accounting inside one shard.
+type tally struct {
+	gets, hits, misses, shadowHits uint64
+}
+
 // shard is one lock-striped slice of the cache: its own mutex, STEM engine
 // (per-set policies and demand monitors, giver heap, RNG, mechanism counters)
 // and the entries the engine's decisions move around. All fields are guarded
-// by mu.
+// by mu, and the counters among them are the only ones a request writes:
+// every other view (Stats, TenantStats, the metrics registry) is summed from
+// them when somebody reads.
 type shard[K comparable, V any] struct {
 	mu      sync.Mutex
 	eng     core.Engine
 	entries []entry[K, V] // sets × Ways, set-major
 	live    int
-	stats   Stats // the engine keeps the mechanism counters; see snapshot
+	// tally is the Get accounting, one row per tenant id; an untenanted cache
+	// has the single row one, inline so that shards do not share its line.
+	tally []tally
+	one   [1]tally
+	stats Stats // every other counter; snapshot completes it from tally and the engine
 }
 
 // set returns the ways of sh's set idx.
@@ -115,51 +126,38 @@ func (c *Cache[K, V]) touch(sh *shard[K, V], idx, set, way int) {
 // LoadMiss.
 func (c *Cache[K, V]) read(sh *shard[K, V], tid int, key K, h uint64, nowN int64, load bool) (*entry[K, V], LoadState) {
 	sh.eng.Tick()
-	sh.stats.Gets++
-	c.met.gets.Inc()
-	c.tGet(tid)
+	t := &sh.tally[tid]
+	t.gets++
 
 	idx := c.setOf(h)
 	set, w, stale := c.lookup(sh, idx, key, h, nowN)
 	if w < 0 {
-		c.countMiss(sh, tid)
+		t.misses++
 		c.consultShadow(sh, idx, h, tid)
 		return nil, LoadMiss
 	}
 	e := &c.set(sh, set)[w]
 	switch {
 	case e.neg:
-		c.countMiss(sh, tid)
+		t.misses++
 		if load {
 			sh.stats.NegativeHits++
-			c.met.negativeHits.Inc()
 		}
 		return e, LoadNegative
 	case stale && !load:
-		c.countMiss(sh, tid)
+		t.misses++
 		return e, LoadStale
 	}
-	sh.stats.Hits++
-	c.met.hits.Inc()
-	c.tHit(tid)
+	t.hits++
 	if set != idx {
 		sh.stats.SecondaryHits++
-		c.met.secondaryHits.Inc()
 	}
 	c.touch(sh, idx, set, w)
 	if stale {
 		sh.stats.StaleServed++
-		c.met.staleServed.Inc()
 		return e, LoadStale
 	}
 	return e, LoadHit
-}
-
-// countMiss books one Get that found nothing servable.
-func (c *Cache[K, V]) countMiss(sh *shard[K, V], tid int) {
-	sh.stats.Misses++
-	c.met.misses.Inc()
-	c.tMiss(tid)
 }
 
 // consultShadow runs the miss path's demand update for set idx (see
@@ -168,7 +166,7 @@ func (c *Cache[K, V]) countMiss(sh *shard[K, V], tid int) {
 // cross-tenant arbiter aggregates.
 func (c *Cache[K, V]) consultShadow(sh *shard[K, V], idx int, h uint64, tid int) {
 	if sh.eng.Miss(idx, c.sigOf(h)) {
-		c.tShadow(tid)
+		sh.tally[tid].shadowHits++
 	}
 }
 
@@ -179,7 +177,6 @@ func (c *Cache[K, V]) consultShadow(sh *shard[K, V], idx int, h uint64, tid int)
 // state the key had.
 func (c *Cache[K, V]) store(sh *shard[K, V], tid int, key K, value V, h uint64, nowN, fresh, exp int64, neg bool) {
 	sh.stats.Puts++
-	c.met.puts.Inc()
 	idx := c.setOf(h)
 	if set, w, _ := c.lookup(sh, idx, key, h, nowN); w >= 0 {
 		e := &c.set(sh, set)[w]
@@ -227,7 +224,6 @@ func (c *Cache[K, V]) vacate(sh *shard[K, V], idx, w int) {
 		sh.live--
 		c.tLiveDec(v.ten)
 		sh.stats.Evictions++
-		c.met.evictions.Inc()
 		return
 	}
 	gs := c.set(sh, g)
@@ -257,14 +253,18 @@ func (c *Cache[K, V]) drop(sh *shard[K, V], idx, w int) {
 func (c *Cache[K, V]) expire(sh *shard[K, V], idx, w int) {
 	c.drop(sh, idx, w)
 	sh.stats.Expirations++
-	c.met.expired.Inc()
 }
 
-// snapshot returns sh's counters completed with what the engine keeps: the
-// mechanism counters and the instantaneous set-role gauges (caller holds
-// sh.mu).
+// snapshot returns sh's counters completed with the Get accounting summed
+// over the tenant rows and with what the engine keeps: the mechanism counters
+// and the instantaneous set-role gauges (caller holds sh.mu).
 func (sh *shard[K, V]) snapshot() (Stats, core.Census) {
 	st, n, cen := sh.stats, sh.eng.Counts(), sh.eng.Census()
+	for i := range sh.tally {
+		st.Gets += sh.tally[i].gets
+		st.Hits += sh.tally[i].hits
+		st.Misses += sh.tally[i].misses
+	}
 	st.ShadowHits, st.PolicySwaps = n.ShadowHits, n.PolicySwaps
 	st.Couplings, st.Decouplings = n.Couplings, n.Decouplings
 	st.Spills, st.Receives = n.Spills, n.Receives

@@ -110,42 +110,31 @@ func (s *Stats) add(o Stats) {
 	s.CoupledSets += o.CoupledSets
 }
 
-// metrics holds the obs.Registry counters the cache feeds. With no registry
-// configured every field is nil, and obs.Counter's nil-receiver methods
-// make each update a single branch — same convention as the simulators.
-type metrics struct {
-	gets, hits, misses, puts, deletes   *obs.Counter
-	evictions, expired                  *obs.Counter
-	secondaryHits, shadowHits           *obs.Counter
-	policySwaps, couplings, decouplings *obs.Counter
-	spills, receives                    *obs.Counter
-	loads, loadDedup                    *obs.Counter
-	staleServed, negativeHits           *obs.Counter
-	loaderLat                           *obs.LatencyHistogram
-}
-
-// newMetrics registers the cache's counters under "stemcache.*". A nil
-// registry yields all-nil (no-op) counters.
-func newMetrics(reg *obs.Registry) metrics {
-	return metrics{
-		gets:          reg.Counter("stemcache.gets"),
-		hits:          reg.Counter("stemcache.hits"),
-		misses:        reg.Counter("stemcache.misses"),
-		puts:          reg.Counter("stemcache.puts"),
-		deletes:       reg.Counter("stemcache.deletes"),
-		evictions:     reg.Counter("stemcache.evictions"),
-		expired:       reg.Counter("stemcache.expirations"),
-		secondaryHits: reg.Counter("stemcache.secondary_hits"),
-		shadowHits:    reg.Counter("stemcache.shadow_hits"),
-		policySwaps:   reg.Counter("stemcache.policy_swaps"),
-		couplings:     reg.Counter("stemcache.couplings"),
-		decouplings:   reg.Counter("stemcache.decouplings"),
-		spills:        reg.Counter("stemcache.spills"),
-		receives:      reg.Counter("stemcache.receives"),
-		loads:         reg.Counter("stemcache.loads"),
-		loadDedup:     reg.Counter("stemcache.load_dedup"),
-		staleServed:   reg.Counter("stemcache.stale_served"),
-		negativeHits:  reg.Counter("stemcache.negative_hits"),
-		loaderLat:     reg.Latency("stemcache.lat.loader_us"),
-	}
+// registerMetrics exports c through reg: every monotonic Stats field as a
+// counter — the one place a "stemcache.*" name is defined — read off one Stats
+// call per scrape, and the one real cell, the loader latency histogram (a
+// no-op sink when reg is nil).
+func (c *Cache[K, V]) registerMetrics(reg *obs.Registry) {
+	c.loaderLat = reg.Latency("stemcache.lat.loader_us")
+	reg.CounterFuncs(func(emit func(name string, v uint64)) {
+		st := c.Stats()
+		emit("stemcache.gets", st.Gets)
+		emit("stemcache.hits", st.Hits)
+		emit("stemcache.misses", st.Misses)
+		emit("stemcache.puts", st.Puts)
+		emit("stemcache.deletes", st.Deletes)
+		emit("stemcache.evictions", st.Evictions)
+		emit("stemcache.expirations", st.Expirations)
+		emit("stemcache.secondary_hits", st.SecondaryHits)
+		emit("stemcache.shadow_hits", st.ShadowHits)
+		emit("stemcache.policy_swaps", st.PolicySwaps)
+		emit("stemcache.couplings", st.Couplings)
+		emit("stemcache.decouplings", st.Decouplings)
+		emit("stemcache.spills", st.Spills)
+		emit("stemcache.receives", st.Receives)
+		emit("stemcache.loads", st.Loads)
+		emit("stemcache.load_dedup", st.LoadDedup)
+		emit("stemcache.stale_served", st.StaleServed)
+		emit("stemcache.negative_hits", st.NegativeHits)
+	})
 }

@@ -25,9 +25,11 @@
 //     the pair dissolves once the giver has evicted every spilled entry.
 //
 // All operations are safe for concurrent use. A single shard is a
-// single-writer state machine guarded by its mutex; the only cross-shard
-// state is the aggregate Stats view and the optional observability sinks,
-// which are atomic (obs.Registry) or serialized (obs.Observer).
+// single-writer state machine guarded by its mutex, and its counters are the
+// only ones a request writes: Stats, TenantStats and the metrics registry are
+// sums over the shards taken when somebody reads. What crosses shards is the
+// tenants' residency and targets (atomics), the singleflight table and the
+// optional Observer (serialized).
 //
 // Entries may carry a TTL. Expiry is lazy: an expired entry is collected by
 // whichever operation next touches it (and counts as a miss), never by a
@@ -156,9 +158,11 @@ type Config struct {
 	// builds.
 	DisableSwap bool
 
-	// Metrics, when non-nil, receives atomic counters under "stemcache.*"
-	// (hits, misses, evictions, spills, policy_swaps, ...). Safe to share
-	// with a live obs.Server.
+	// Metrics, when non-nil, exports every monotonic Stats field as a derived
+	// counter under "stemcache.*" (hits, misses, evictions, spills, ...):
+	// reading the registry calls Stats once, no operation writes to it. Only
+	// the loader latency histogram is a live cell. Safe to share with a live
+	// obs.Server.
 	Metrics *obs.Registry
 	// Observer, when non-nil, receives one obs.Event per mechanism action
 	// (shadow_hit, class_change, policy_swap, couple, decouple, spill, receive), exactly
@@ -256,7 +260,8 @@ type Cache[K comparable, V any] struct {
 
 	sig *hashfn.Hash // read-only after construction; safe concurrently
 
-	met      metrics
+	loaderLat *obs.LatencyHistogram // nil without Config.Metrics
+
 	obsMu    sync.Mutex // serializes Observer calls across shards
 	observer obs.Observer
 
@@ -284,8 +289,8 @@ type Cache[K comparable, V any] struct {
 
 	// Multi-tenant state (tenant.go): nil when no registry is configured.
 	// tenantMu guards the arbitration epoch baselines inside ten; its rank
-	// sits between loadMu and shard.mu, though ArbitrateTenants only reads
-	// atomics and never takes a shard lock while holding it.
+	// sits between loadMu and shard.mu, and ArbitrateTenants takes each shard
+	// lock in turn while holding it, to sum the tenants' tally rows.
 	tenantMu sync.Mutex
 	ten      *tenantState
 
@@ -341,7 +346,6 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 		setBits:   uint(log2(sets)),
 		sets:      sets,
 		sig:       core.NewSigHash(cfg.engine()),
-		met:       newMetrics(cfg.Metrics),
 		observer:  cfg.Observer,
 		// The wall clock only decides TTL expiry, never eviction order, so
 		// Stats stay seed-deterministic; tests swap c.now for a fake clock.
@@ -365,16 +369,16 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.eng = core.NewEngine(cfg.engine(), sets, cfg.Ways, i)
-		sh.eng.Meters = core.Meters{
-			ShadowHits: c.met.shadowHits, PolicySwaps: c.met.policySwaps,
-			Couplings: c.met.couplings, Decouplings: c.met.decouplings,
-			Spills: c.met.spills, Receives: c.met.receives,
-		}
 		if c.observer != nil {
 			sh.eng.SetObserver(obs.ObserverFunc(c.emit))
 		}
 		sh.entries = make([]entry[K, V], sets*cfg.Ways)
+		sh.tally = sh.one[:]
+		if c.ten != nil {
+			sh.tally = make([]tally, tenant.MaxTenants)
+		}
 	}
+	c.registerMetrics(cfg.Metrics)
 	return c
 }
 
@@ -506,7 +510,6 @@ func (c *Cache[K, V]) deleteT(tid int, key K) bool {
 	}
 	c.drop(sh, set, w)
 	sh.stats.Deletes++
-	c.met.deletes.Inc()
 	return true
 }
 

@@ -1,7 +1,12 @@
 package stemcache
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"io"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -239,28 +244,120 @@ func TestShardedLRUDisablesMechanisms(t *testing.T) {
 	}
 }
 
+// registryMatchesStats holds every "stemcache.*" counter name, through both
+// registry views, to the Stats field it is derived from.
+func registryMatchesStats[K comparable, V any](t *testing.T, reg *obs.Registry, c *Cache[K, V]) Stats {
+	t.Helper()
+	st := c.Stats()
+	want := map[string]uint64{
+		"stemcache.gets":           st.Gets,
+		"stemcache.hits":           st.Hits,
+		"stemcache.misses":         st.Misses,
+		"stemcache.puts":           st.Puts,
+		"stemcache.deletes":        st.Deletes,
+		"stemcache.evictions":      st.Evictions,
+		"stemcache.expirations":    st.Expirations,
+		"stemcache.secondary_hits": st.SecondaryHits,
+		"stemcache.shadow_hits":    st.ShadowHits,
+		"stemcache.policy_swaps":   st.PolicySwaps,
+		"stemcache.couplings":      st.Couplings,
+		"stemcache.decouplings":    st.Decouplings,
+		"stemcache.spills":         st.Spills,
+		"stemcache.receives":       st.Receives,
+		"stemcache.loads":          st.Loads,
+		"stemcache.load_dedup":     st.LoadDedup,
+		"stemcache.stale_served":   st.StaleServed,
+		"stemcache.negative_hits":  st.NegativeHits,
+	}
+	snap := reg.Snapshot()
+	var prom bytes.Buffer
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range want {
+		if got := snap[name]; got != v {
+			t.Errorf("registry %s = %v, stats say %d", name, got, v)
+		}
+		pn := strings.ReplaceAll(name, ".", "_")
+		if line := fmt.Sprintf("# TYPE %s counter\n%s %d\n", pn, pn, v); !strings.Contains(prom.String(), line) {
+			t.Errorf("exposition lacks %q", line)
+		}
+	}
+	if n := len(snap) - 1; n != len(want) { // the loader histogram is the one other name
+		t.Errorf("registry holds %d counters, want %d: %v", n, len(want), reg.Names())
+	}
+	return st
+}
+
 func TestMetricsRegistryWiring(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := mustNew[int, int](Config{Capacity: 256, Shards: 2, Ways: 4, Seed: 1, Metrics: reg})
-	for i := 0; i < 2000; i++ {
-		if _, ok := c.Get(i % 600); !ok {
-			c.Set(i%600, i)
+	c := mustNew[int, int](Config{Capacity: 256, Shards: 2, Ways: 4, Seed: 1, Metrics: reg, NegativeTTL: time.Minute})
+	for pass := 0; pass < 10; pass++ {
+		for k := 0; k < 1000; k++ {
+			if _, ok := c.Get(k); !ok {
+				c.Set(k, k)
+			}
 		}
 	}
-	st := c.Stats()
-	checks := map[string]uint64{
-		"stemcache.gets":        st.Gets,
-		"stemcache.hits":        st.Hits,
-		"stemcache.misses":      st.Misses,
-		"stemcache.puts":        st.Puts,
-		"stemcache.evictions":   st.Evictions,
-		"stemcache.shadow_hits": st.ShadowHits,
-		"stemcache.spills":      st.Spills,
-	}
-	for name, want := range checks {
-		if got := reg.Counter(name).Value(); got != want {
-			t.Errorf("registry %s = %d, stats say %d", name, got, want)
+	c.Delete(999)
+	absent := func(context.Context, int) (int, error) { return 0, ErrNotFound }
+	for i := 0; i < 2; i++ { // a load, then a hit on the cached absence
+		if _, err := c.GetOrLoad(context.Background(), -1, absent); err != ErrNotFound {
+			t.Fatal(err)
 		}
+	}
+	st := registryMatchesStats(t, reg, c)
+	if st.Hits == 0 || st.Evictions == 0 || st.ShadowHits == 0 || st.Spills == 0 || st.PolicySwaps == 0 ||
+		st.Deletes != 1 || st.Loads != 1 || st.NegativeHits != 1 {
+		t.Fatalf("workload left counters idle: %+v", st)
+	}
+}
+
+// TestMetricsScrapeUnderLoad scrapes while writers run: a scrape only takes
+// the locks Stats takes, and once the writers stop the registry and Stats
+// agree field for field.
+func TestMetricsScrapeUnderLoad(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := mustNew[int, int](Config{Capacity: 512, Shards: 4, Ways: 4, Seed: 2, Metrics: reg})
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		var last uint64
+		for {
+			gets := reg.Snapshot()["stemcache.gets"].(uint64)
+			if gets < last {
+				t.Errorf("stemcache.gets went backwards: %d after %d", gets, last)
+			}
+			last = gets
+			if err := reg.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20000; i++ {
+				k := (i*7 + g*13) % 3000
+				if _, ok := c.Get(k); !ok {
+					c.Set(k, i)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-scraped
+	if st := registryMatchesStats(t, reg, c); st.Gets != 80000 || st.Gets != st.Hits+st.Misses {
+		t.Fatalf("Gets = %d (Hits %d + Misses %d), want 80000", st.Gets, st.Hits, st.Misses)
 	}
 }
 

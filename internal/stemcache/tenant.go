@@ -64,17 +64,12 @@ func (p TenantPolicy) String() string {
 	}
 }
 
-// tenantCounters is one tenant's cumulative demand accounting. The fields
-// are atomics because they are written under many different shard locks.
-type tenantCounters struct {
-	gets, hits, misses, shadowHits atomic.Uint64
-}
-
 // tenantState is everything a tenant-enabled cache tracks beyond its shards.
-// The counter arrays are fixed at tenant.MaxTenants so no tenant operation
-// allocates; live, target and the counters are atomics readable from any
-// shard's lock domain, while the epoch baselines (last*) belong to
-// Cache.tenantMu.
+// The arrays are fixed at tenant.MaxTenants so no tenant operation allocates.
+// live and target are atomics because they are cross-shard state, not
+// statistics: an insert under any shard lock reads both (tOverTarget). The
+// request counters live in each shard's tally rows and are summed on read
+// (TenantStats). The epoch baselines (last*) belong to Cache.tenantMu.
 type tenantState struct {
 	reg    *tenant.Registry
 	policy TenantPolicy
@@ -82,7 +77,6 @@ type tenantState struct {
 	// namespace hashes exactly as an untenanted cache does.
 	salt [tenant.MaxTenants]uint64
 
-	stats  [tenant.MaxTenants]tenantCounters
 	live   [tenant.MaxTenants]atomic.Int64
 	target [tenant.MaxTenants]atomic.Int64
 
@@ -186,32 +180,8 @@ func (c *Cache[K, V]) thash(tid int, key K) uint64 {
 	return h
 }
 
-// Per-tenant accounting hooks. Each is a single nil check when the cache has
+// Per-tenant residency hooks. Each is a single nil check when the cache has
 // no registry, keeping the untenanted hot path unchanged.
-
-func (c *Cache[K, V]) tGet(tid int) {
-	if c.ten != nil {
-		c.ten.stats[tid].gets.Add(1)
-	}
-}
-
-func (c *Cache[K, V]) tHit(tid int) {
-	if c.ten != nil {
-		c.ten.stats[tid].hits.Add(1)
-	}
-}
-
-func (c *Cache[K, V]) tMiss(tid int) {
-	if c.ten != nil {
-		c.ten.stats[tid].misses.Add(1)
-	}
-}
-
-func (c *Cache[K, V]) tShadow(tid int) {
-	if c.ten != nil {
-		c.ten.stats[tid].shadowHits.Add(1)
-	}
-}
 
 func (c *Cache[K, V]) tLiveInc(tid int) {
 	if c.ten != nil {
@@ -321,25 +291,33 @@ func (s TenantStats) HitRate() float64 {
 }
 
 // TenantStats snapshots every registered tenant's accounting, in id order.
-// Nil when the cache has no registry.
+// The request counters are summed over the same shard rows Stats sums (one
+// shard lock at a time: consistent per shard, not globally), so over all
+// tenants they add up to Stats' Gets, Hits, Misses and ShadowHits. Nil when
+// the cache has no registry.
 func (c *Cache[K, V]) TenantStats() []TenantStats {
 	if c.ten == nil {
 		return nil
 	}
-	n := c.ten.reg.Len()
-	out := make([]TenantStats, n)
-	for i := 0; i < n; i++ {
-		st := &c.ten.stats[i]
+	out := make([]TenantStats, c.ten.reg.Len())
+	for i := range out {
 		out[i] = TenantStats{
-			ID:         i,
-			Name:       c.ten.reg.Name(i),
-			Gets:       st.gets.Load(),
-			Hits:       st.hits.Load(),
-			Misses:     st.misses.Load(),
-			ShadowHits: st.shadowHits.Load(),
-			Live:       int(c.ten.live[i].Load()),
-			Target:     int(c.ten.target[i].Load()),
+			ID:     i,
+			Name:   c.ten.reg.Name(i),
+			Live:   int(c.ten.live[i].Load()),
+			Target: int(c.ten.target[i].Load()),
 		}
+	}
+	for s := range c.shards {
+		sh := &c.shards[s]
+		sh.mu.Lock()
+		for i := range out {
+			out[i].Gets += sh.tally[i].gets
+			out[i].Hits += sh.tally[i].hits
+			out[i].Misses += sh.tally[i].misses
+			out[i].ShadowHits += sh.tally[i].shadowHits
+		}
+		sh.mu.Unlock()
 	}
 	return out
 }
@@ -373,19 +351,18 @@ func (c *Cache[K, V]) ArbitrateTenants() []tenant.Outcome {
 		c.ten.lastCount = n
 	}
 	ds := make([]tenant.Demand, n)
-	for i := 0; i < n; i++ {
-		st := &c.ten.stats[i]
-		g, sh, hits := st.gets.Load(), st.shadowHits.Load(), st.hits.Load()
+	// TenantStats takes each shard.mu in turn, under tenantMu; [:n] because a
+	// tenant may have registered since n was read (the registry only grows).
+	for i, ts := range c.TenantStats()[:n] {
 		ds[i] = tenant.Demand{
 			ID:         i,
-			Live:       int(c.ten.live[i].Load()),
-			Target:     int(c.ten.target[i].Load()),
-			Gets:       g - c.ten.lastGets[i],
-			Hits:       hits,
-			ShadowHits: sh - c.ten.lastShadow[i],
+			Live:       ts.Live,
+			Target:     ts.Target,
+			Gets:       ts.Gets - c.ten.lastGets[i],
+			ShadowHits: ts.ShadowHits - c.ten.lastShadow[i],
 			Cfg:        c.ten.reg.Config(i),
 		}
-		c.ten.lastGets[i], c.ten.lastShadow[i] = g, sh
+		c.ten.lastGets[i], c.ten.lastShadow[i] = ts.Gets, ts.ShadowHits
 	}
 	if c.ten.policy != TenantArbitrated {
 		return nil

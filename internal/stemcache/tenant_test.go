@@ -3,6 +3,7 @@ package stemcache
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -119,6 +120,54 @@ func TestTenantAccounting(t *testing.T) {
 	}
 	if live := c.TenantStats()[1].Live; live != 0 {
 		t.Fatalf("web live = %d after delete, want 0", live)
+	}
+}
+
+// TestTenantStatsSumToStats: the tenant view and the cache view are sums over
+// the same shard rows, so under concurrent load from three tenants — with
+// arbitration epochs and both views being read meanwhile — they still add up
+// exactly, and every tenant's Gets split into its Hits and Misses.
+func TestTenantStatsSumToStats(t *testing.T) {
+	c, reg := tenantCache(t, Config{Capacity: 512, Shards: 4, Ways: 4, Seed: 5}, TenantArbitrated,
+		tenant.Config{Name: "a"}, tenant.Config{Name: "b"})
+	views := []TenantView[string, int]{c.Tenant(tenant.DefaultID), c.Tenant(reg.Resolve("a")), c.Tenant(reg.Resolve("b"))}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			v := views[g%len(views)]
+			for i := 0; i < 10000; i++ {
+				k := fmt.Sprintf("k%d", (i*(g+3))%(400*(1+g%3)))
+				if _, ok := v.Get(k); !ok {
+					v.Set(k, i)
+				}
+				if i%1000 == 0 {
+					c.ArbitrateTenants()
+					c.TenantStats()
+					c.Stats()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	st := c.Stats()
+	var sum TenantStats
+	for _, ts := range c.TenantStats() {
+		if ts.Gets != 20000 || ts.Gets != ts.Hits+ts.Misses {
+			t.Errorf("tenant %q: Gets %d, Hits %d + Misses %d; want 20000 split exactly", ts.Name, ts.Gets, ts.Hits, ts.Misses)
+		}
+		sum.Gets += ts.Gets
+		sum.Hits += ts.Hits
+		sum.Misses += ts.Misses
+		sum.ShadowHits += ts.ShadowHits
+	}
+	if sum.Gets != st.Gets || sum.Hits != st.Hits || sum.Misses != st.Misses || sum.ShadowHits != st.ShadowHits {
+		t.Fatalf("tenants sum to %+v, cache stats say %+v", sum, st)
+	}
+	if st.Hits == 0 || st.ShadowHits == 0 {
+		t.Fatalf("workload left counters idle: %+v", st)
 	}
 }
 

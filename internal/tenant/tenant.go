@@ -254,8 +254,7 @@ func (c Class) String() string {
 }
 
 // Demand is one tenant's accounting snapshot feeding one arbitration epoch.
-// Gets, Hits and ShadowHits are epoch deltas; Live and Target are current
-// values.
+// Gets and ShadowHits are epoch deltas; Live and Target are current values.
 type Demand struct {
 	// ID is the tenant id the outcome applies to.
 	ID int
@@ -263,8 +262,8 @@ type Demand struct {
 	Live int
 	// Target is the tenant's current capacity target, in entries.
 	Target int
-	// Gets and Hits are the tenant's lookups and hits this epoch.
-	Gets, Hits uint64
+	// Gets is the tenant's lookups this epoch.
+	Gets uint64
 	// ShadowHits counts this epoch's misses whose key signature was still
 	// in a shadow directory — the "one more way would have hit" evidence
 	// stream (paper §4.3), aggregated over the tenant's keys.

@@ -1,8 +1,8 @@
 //go:build !race
 
 // The race detector instruments allocations, so the hard ==0 assertions
-// only hold in a plain build; CI runs this file's gate separately from the
-// -race suite.
+// only hold in a plain build: `go test ./...` runs this file, `go test -race`
+// does not, and CI runs the gate as its own non-race step.
 
 package wire
 
@@ -11,9 +11,73 @@ import (
 	"testing"
 )
 
-// TestHotPathZeroAllocs is the in-tree form of the CI allocation gate: the
-// reusing encode/decode paths for GET and MGET must not allocate in steady
-// state. Each case runs once first so one-time slice growth to steady-state
+// benchGetRequest is a representative single-key lookup frame.
+func benchGetRequest() *Request {
+	return &Request{Op: OpGet, ID: 7, Key: "bench:key:0123456789"}
+}
+
+// benchNamespacedGetRequest is the single-key lookup frame with a tenant
+// namespace prefix — the multi-tenant hot path the gate must keep at 0
+// allocs/op alongside the plain GET.
+func benchNamespacedGetRequest() *Request {
+	return &Request{Op: OpGet, ID: 7, Key: "bench:key:0123456789", Namespace: "bench-tenant"}
+}
+
+// benchGetResponse is a representative hit reply.
+func benchGetResponse() *Response {
+	return &Response{Op: OpGet, ID: 7, Status: StatusOK, Value: make([]byte, 128)}
+}
+
+// benchMGetRequest is a 16-key batch lookup frame.
+func benchMGetRequest() *Request {
+	req := &Request{Op: OpMGet, ID: 9}
+	for i := 0; i < 16; i++ {
+		req.Keys = append(req.Keys, fmt.Sprintf("bench:key:%04d", i))
+	}
+	return req
+}
+
+// benchMGetResponse answers 16 keys with every other one a hit.
+func benchMGetResponse() *Response {
+	resp := &Response{Op: OpMGet, ID: 9, Status: StatusOK}
+	for i := 0; i < 16; i++ {
+		hit := i%2 == 0
+		resp.Found = append(resp.Found, hit)
+		if hit {
+			resp.Values = append(resp.Values, make([]byte, 128))
+		} else {
+			resp.Values = append(resp.Values, nil)
+		}
+	}
+	return resp
+}
+
+// mustAppendRequest encodes req, failing the test on error.
+func mustAppendRequest(tb testing.TB, buf []byte, req *Request) []byte {
+	tb.Helper()
+	out, err := AppendRequest(buf, req, Limits{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// mustAppendResponse encodes resp, failing the test on error.
+func mustAppendResponse(tb testing.TB, buf []byte, resp *Response) []byte {
+	tb.Helper()
+	out, err := AppendResponse(buf, resp, Limits{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// TestHotPathZeroAllocs is the allocation gate, the dynamic half of the
+// zero-allocation contract whose static half is the hotpath analyzer
+// (internal/analysis): with a reused buffer and a reused Request/Response,
+// the encode/decode paths for GET and MGET must not allocate in steady state.
+// The copying DecodeRequest/DecodeResponse forms are deliberately not gated —
+// owning the bytes is their contract. Each case runs once first so one-time slice growth to steady-state
 // capacity is excluded — that is the contract the hotpath analyzer's
 // buffer-growth allows describe.
 func TestHotPathZeroAllocs(t *testing.T) {
@@ -24,6 +88,10 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	encodeCase := func(req *Request) func() {
 		var buf []byte
 		return func() { buf = mustAppendRequest(t, buf[:0], req) }
+	}
+	encodeRespCase := func(resp *Response) func() {
+		var buf []byte
+		return func() { buf = mustAppendResponse(t, buf[:0], resp) }
 	}
 	decodeReqCase := func(req *Request) func() {
 		frame := mustAppendRequest(t, nil, req)
@@ -52,9 +120,11 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		{"get-decode", decodeReqCase(benchGetRequest())},
 		{"namespaced-get-encode", encodeCase(benchNamespacedGetRequest())},
 		{"namespaced-get-decode", decodeReqCase(benchNamespacedGetRequest())},
+		{"get-resp-encode", encodeRespCase(benchGetResponse())},
 		{"get-resp-decode", decodeRespCase(benchGetResponse())},
 		{"mget-encode", encodeCase(benchMGetRequest())},
 		{"mget-decode", decodeReqCase(benchMGetRequest())},
+		{"mget-resp-encode", encodeRespCase(benchMGetResponse())},
 		{"mget-resp-decode", decodeRespCase(benchMGetResponse())},
 	}
 
