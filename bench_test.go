@@ -1,189 +1,17 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation. Each benchmark regenerates its table/figure at the
-// paper's cache configuration (2MB / 16-way / 2048 sets) and prints the
-// same rows/series the paper reports (once, on the first run); the
-// benchmark timing itself measures the cost of regenerating the artifact.
-//
-// Absolute numbers come from the synthetic analog suite, so they are not
-// expected to equal the paper's — the shape (who wins, by roughly what
-// factor, where the crossovers fall) is the reproduction target; see
-// EXPERIMENTS.md for the paper-vs-measured record.
-//
-// Run everything:  go test -bench=. -benchmem -timeout 3600s .
+// Engineering benchmark for the simulator: the raw per-access cost of each
+// scheme. The paper's tables and figures are printed by `paperrepro -only
+// <name>` and pinned by internal/experiments' golden and invariant tests; the
+// measured performance trajectory is `go -C bench run .`.
 package stem_test
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	stem "repro"
 )
 
-// benchRun is the shared full-geometry configuration: large enough for
-// steady state on a 2048-set LLC, small enough that the whole harness
-// completes in a few minutes on one core.
-var benchRun = stem.RunConfig{Warmup: 400_000, Measure: 1_200_000}
-
-// The Figure 7/8/9 benchmarks share one evaluation matrix.
-var (
-	mainOnce sync.Once
-	mainCmp  *stem.Comparison
-	mainErr  error
-)
-
-func mainComparison(b *testing.B) *stem.Comparison {
-	b.Helper()
-	mainOnce.Do(func() { mainCmp, mainErr = stem.MainComparison(benchRun) })
-	if mainErr != nil {
-		b.Fatal(mainErr)
-	}
-	return mainCmp
-}
-
-var printOnce sync.Map
-
-// printFigure emits a figure's rows exactly once per process.
-func printFigure(key, text string) {
-	if _, loaded := printOnce.LoadOrStore(key, true); !loaded {
-		fmt.Println(text)
-	}
-}
-
-// BenchmarkFig1CapacityDemand regenerates Figure 1: the distribution of
-// set-level capacity demands over sampling periods for the omnetpp and ammp
-// analogs (2048 sets, 50 000 accesses/period).
-func BenchmarkFig1CapacityDemand(b *testing.B) {
-	const periods = 200 // paper: 1000; scaled for single-core bench time
-	for i := 0; i < b.N; i++ {
-		omnet, err := stem.Figure1(stem.Fig1Config{Benchmark: "omnetpp", Periods: periods})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ammp, err := stem.Figure1(stem.Fig1Config{Benchmark: "ammp", Periods: periods})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("fig1", stem.Figure1Table(omnet, ammp).String())
-	}
-}
-
-// BenchmarkFig2Synthetic regenerates Figure 2: the deterministic two-set
-// examples, measured on the real scheme implementations alongside the
-// paper's analytical rates.
-func BenchmarkFig2Synthetic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := stem.Figure2(0)
-		text := "Figure 2: measured vs analytical steady-state miss rates\n" +
-			"ex      LRU(meas/paper)    DIP(meas/paper)    SBC(meas/paper)    STEM(meas)\n"
-		for _, r := range rows {
-			text += fmt.Sprintf("#%d     %.3f / %.3f      %.3f / %.3f      %.3f / %.3f      %.3f\n",
-				r.Example, r.LRU, r.ExpLRU, r.DIP, r.ExpDIP, r.SBC, r.ExpSBC, r.STEM)
-		}
-		printFigure("fig2", text)
-	}
-}
-
-// BenchmarkFig3Sweep regenerates Figure 3: MPKI vs associativity (1-32) for
-// the five baseline schemes on the omnetpp and ammp analogs.
-func BenchmarkFig3Sweep(b *testing.B) {
-	baselines := []string{"LRU", "DIP", "PELIFO", "VWAY", "SBC"}
-	for i := 0; i < b.N; i++ {
-		for _, bench := range []string{"omnetpp", "ammp"} {
-			tbl, err := stem.Sweep(stem.SweepConfig{
-				Benchmark: bench,
-				Schemes:   baselines,
-				Run:       stem.RunConfig{Warmup: 250_000, Measure: 750_000},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			printFigure("fig3-"+bench, "Figure 3 ("+bench+")\n"+tbl.String())
-		}
-	}
-}
-
-// BenchmarkTable2BaselineMPKI regenerates Table 2: the LRU MPKI of all 15
-// analogs against the paper's values.
-func BenchmarkTable2BaselineMPKI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		c := mainComparison(b)
-		printFigure("table2", c.Table2.String())
-	}
-}
-
-// BenchmarkFig7NormalizedMPKI regenerates Figure 7: MPKI of DIP, PeLIFO,
-// V-Way, SBC and STEM normalized to LRU across the 15-benchmark suite.
-func BenchmarkFig7NormalizedMPKI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		c := mainComparison(b)
-		printFigure("fig7", c.MPKI.String())
-		if g, ok := c.MPKI.Get("Geomean", "STEM"); ok {
-			b.ReportMetric(g, "geomean")
-		}
-	}
-}
-
-// BenchmarkFig8NormalizedAMAT regenerates Figure 8 (normalized AMAT).
-func BenchmarkFig8NormalizedAMAT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		c := mainComparison(b)
-		printFigure("fig8", c.AMAT.String())
-		if g, ok := c.AMAT.Get("Geomean", "STEM"); ok {
-			b.ReportMetric(g, "geomean")
-		}
-	}
-}
-
-// BenchmarkFig9NormalizedCPI regenerates Figure 9 (normalized CPI).
-func BenchmarkFig9NormalizedCPI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		c := mainComparison(b)
-		printFigure("fig9", c.CPI.String())
-		if g, ok := c.CPI.Get("Geomean", "STEM"); ok {
-			b.ReportMetric(g, "geomean")
-		}
-	}
-}
-
-// BenchmarkFig10Sensitivity regenerates Figure 10: the Figure 3 sweeps with
-// STEM included.
-func BenchmarkFig10Sensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, bench := range []string{"omnetpp", "ammp"} {
-			tbl, err := stem.Sweep(stem.SweepConfig{
-				Benchmark: bench,
-				Run:       stem.RunConfig{Warmup: 250_000, Measure: 750_000},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			printFigure("fig10-"+bench, "Figure 10 ("+bench+")\n"+tbl.String())
-		}
-	}
-}
-
-// BenchmarkTable3Overhead regenerates Table 3: the hardware storage
-// analysis (≈3.1% at the paper configuration).
-func BenchmarkTable3Overhead(b *testing.B) {
-	var frac float64
-	for i := 0; i < b.N; i++ {
-		r := stem.Table3()
-		frac = r.OverheadFraction
-		printFigure("table3", fmt.Sprintf(
-			"Table 3: STEM storage overhead\n"+
-				"  tag bits %d, rank bits %d\n"+
-				"  CC bits %d, shadow bits %d, counters %d, assoc table %d, heap %d\n"+
-				"  extra %d bits over baseline %d bits -> %.2f%% (paper: 3.1%%)",
-			r.TagBits, r.RankBits, r.CCBits, r.ShadowBits, r.CounterBits,
-			r.AssocTableBits, r.HeapBits, r.ExtraBits(),
-			r.BaselineDataBits+r.BaselineTagBits, 100*r.OverheadFraction))
-	}
-	b.ReportMetric(frac*100, "%overhead")
-}
-
 // BenchmarkAccessLatencies measures the raw per-access simulation cost of
-// each scheme (engineering benchmark, not a paper artifact).
+// each of the six schemes on the omnetpp analog at the paper's geometry.
 func BenchmarkAccessLatencies(b *testing.B) {
 	for _, name := range stem.Schemes() {
 		b.Run(name, func(b *testing.B) {
@@ -199,53 +27,5 @@ func BenchmarkAccessLatencies(b *testing.B) {
 				c.Access(stem.Access{Block: r.Block, Write: r.Write})
 			}
 		})
-	}
-}
-
-// BenchmarkAblationComponents measures the contribution of each STEM
-// mechanism (full vs spatial-only vs temporal-only vs SBC-style receive) —
-// the design-choice ablation DESIGN.md calls out; not a paper figure.
-func BenchmarkAblationComponents(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := stem.Ablate(stem.ComponentVariants(), nil,
-			stem.RunConfig{Warmup: 250_000, Measure: 750_000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("ablation-components", tbl.String())
-	}
-}
-
-// BenchmarkAblationParameters sweeps the Table 3 hardware parameters
-// (counter width k, spatial shift n, signature width m, heap size).
-func BenchmarkAblationParameters(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, p := range []string{"k", "n", "m", "heap"} {
-			vs, err := stem.ParameterVariants(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tbl, err := stem.Ablate(vs, []string{"omnetpp", "ammp"},
-				stem.RunConfig{Warmup: 200_000, Measure: 600_000})
-			if err != nil {
-				b.Fatal(err)
-			}
-			printFigure("ablation-"+p, tbl.String())
-		}
-	}
-}
-
-// BenchmarkExtensionRRIP runs the beyond-the-paper comparison against the
-// RRIP family (SRRIP/DRRIP, ISCA 2010).
-func BenchmarkExtensionRRIP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl, err := stem.ExtensionComparison(stem.RunConfig{Warmup: 300_000, Measure: 900_000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("extension-rrip", tbl.String())
-		if g, ok := tbl.Get("Geomean", "STEM"); ok {
-			b.ReportMetric(g, "geomean")
-		}
 	}
 }

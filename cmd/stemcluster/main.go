@@ -139,43 +139,15 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 		tracer = opts.Tracer
 	}
 
-	nodes := make([]*cluster.Node, cfg.nodes)
-	addrs := make([]string, cfg.nodes)
-	defer func() {
-		for _, n := range nodes {
-			if n != nil {
-				n.Close()
-			}
-		}
-	}()
-	for i := range nodes {
-		node, err := cluster.StartNode(i, cluster.NodeConfig{
-			Cache: stemcache.Config{
-				Capacity: cfg.capacity,
-				Shards:   cfg.shards,
-				Ways:     cfg.ways,
-				Seed:     cluster.NodeSeed(cfg.seed, i),
-			},
-		})
-		if err != nil {
-			return fmt.Errorf("starting node %d: %w", i, err)
-		}
-		nodes[i] = node
-		addrs[i] = node.Addr()
-	}
-
-	cl, err := cluster.NewClient(cluster.Config{
-		Addrs:   addrs,
-		VNodes:  cfg.vnodes,
-		Seed:    cfg.seed,
-		Metrics: reg,
-	})
+	rig, err := membership.StartRig(cfg.nodes,
+		cluster.NodeConfig{Cache: stemcache.Config{Capacity: cfg.capacity, Shards: cfg.shards, Ways: cfg.ways}},
+		cluster.Config{VNodes: cfg.vnodes, Seed: cfg.seed, Metrics: reg})
 	if err != nil {
 		return err
 	}
-	defer cl.Close()
+	defer rig.Close()
 
-	joined := strings.Join(addrs, ",")
+	joined := strings.Join(rig.Addrs(), ",")
 	if cfg.addrFile != "" {
 		if err := os.WriteFile(cfg.addrFile, []byte(joined+"\n"), 0o644); err != nil {
 			return err
@@ -189,7 +161,7 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 		mode += fmt.Sprintf(", membership rf=%d heartbeat=%s", cfg.replication, cfg.heartbeat)
 	}
 	fmt.Fprintf(os.Stderr, "stemcluster: %d nodes (%s), %d entries each, %s\n",
-		cfg.nodes, joined, nodes[0].Cache().Capacity(), mode)
+		cfg.nodes, joined, rig.Node(0).Cache().Capacity(), mode)
 	if maddr := tool.MetricsAddr(); maddr != "" {
 		fmt.Fprintf(os.Stderr, "stemcluster: metrics at http://%s/metrics\n", maddr)
 	}
@@ -197,9 +169,7 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 	// The membership tier: one agent per node (replica fan-out and
 	// read-repair hooks on its server), a manager holding the member table
 	// and replica placement, and the heartbeat failure detector.
-	lister := func(n int) ([]string, error) { return nodes[n].Keys(), nil }
 	var mgr *membership.Manager
-	var agents []*membership.Agent
 	if cfg.replication > 0 {
 		if cfg.heartbeat <= 0 {
 			return fmt.Errorf("need a positive -heartbeat with -replication")
@@ -207,26 +177,15 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 		if cfg.killAfter > 0 && (cfg.killNode < 0 || cfg.killNode >= cfg.nodes) {
 			return fmt.Errorf("-kill-node %d out of range [0, %d)", cfg.killNode, cfg.nodes)
 		}
-		for i, node := range nodes {
-			agents = append(agents, membership.NewAgent(i, cl.Ring(), node.Server(), cl.Template()))
-		}
-		defer func() {
-			for _, a := range agents {
-				a.Close()
-			}
-		}()
-		mgr, err = membership.New(cl, lister, addrs, membership.Config{
+		if err := rig.Bootstrap(membership.Config{
 			ReplicationFactor: cfg.replication,
 			SuspectAfter:      cfg.suspect,
 			Metrics:           reg,
 			Observer:          tracer,
-		})
-		if err != nil {
+		}); err != nil {
 			return err
 		}
-		if _, err := mgr.Bootstrap(); err != nil {
-			return err
-		}
+		mgr = rig.Manager()
 	}
 
 	// The supervisor loop: one goroutine owns every ring mutation —
@@ -236,7 +195,7 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 	loopDone := make(chan struct{})
 	var rb *cluster.Rebalancer
 	if !cfg.static {
-		rb, err = cluster.NewRebalancer(cl, lister, cluster.RebalancerConfig{
+		rb, err = cluster.NewRebalancer(rig.Client(), rig.Keys, cluster.RebalancerConfig{
 			MaxMovesPerEpoch: cfg.maxMoves,
 			TakerFrac:        cfg.takerFrac,
 			GiverFrac:        cfg.giverFrac,
@@ -291,31 +250,16 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 					}
 				case <-joinC:
 					joinC = nil
-					id := len(nodes)
-					node, err := cluster.StartNode(id, cluster.NodeConfig{
-						Cache: stemcache.Config{
-							Capacity: cfg.capacity,
-							Shards:   cfg.shards,
-							Ways:     cfg.ways,
-							Seed:     cluster.NodeSeed(cfg.seed, id),
-						},
-					})
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "stemcluster: join: %v\n", err)
-						continue
-					}
-					nodes = append(nodes, node)
-					agents = append(agents, membership.NewAgent(id, cl.Ring(), node.Server(), cl.Template()))
-					rep, err := mgr.Join(node.Addr())
+					rep, err := rig.Join()
 					if err != nil {
 						fmt.Fprintf(os.Stderr, "stemcluster: join: %v\n", err)
 						continue
 					}
 					fmt.Fprintf(os.Stderr, "stemcluster: view %d: node %d joined at %s, %d slots handed off\n",
-						rep.Epoch, rep.Node, node.Addr(), len(rep.Moves))
+						rep.Epoch, rep.Node, rig.Node(rep.Node).Addr(), len(rep.Moves))
 				case <-killC:
 					killC = nil
-					if err := nodes[cfg.killNode].Close(); err != nil {
+					if err := rig.Kill(cfg.killNode); err != nil {
 						fmt.Fprintf(os.Stderr, "stemcluster: kill node %d: %v\n", cfg.killNode, err)
 						continue
 					}

@@ -28,11 +28,15 @@
 //     addresses, e.g. the set stemcluster prints) through the consistent-hash
 //     routing client and reports aggregate plus per-node numbers. -seed and
 //     -vnodes must match the cluster's.
-//   - Without either: self-hosted comparisons. Plain, it runs the STEM vs
-//     sharded-LRU hit-rate comparison the paper is about. With -rate it
-//     instead runs the coordinated-omission experiment: one STEM server,
-//     a closed-loop pass then an open-loop pass at -rate, both reported
-//     side by side (the BENCH_latency.json document).
+//   - With -scenario NAME, stemload hosts its own servers and runs one of
+//     the experiments in the scenario table (scenario.go): compare, latency,
+//     herd, tenants, failover, scaleout. Each measures the numbers behind one
+//     of the serving tiers' claims and states the claims themselves — name,
+//     measured value, bound, holds — so the exit status of a scenario run is
+//     "every claim holds".
+//
+// Every mode writes the same report envelope (-json): bench, scenario,
+// config, result, claims.
 //
 // With -trace-every N, every N-th request carries a wire trace extension
 // and the report includes the server/network latency split measured from
@@ -40,14 +44,13 @@
 //
 // Usage:
 //
-//	stemload                              # self-hosted STEM vs LRU, mixed keys
-//	stemload -dist scan -ops 500000
-//	stemload -dist hotspot-shift          # migrating hot set (the cluster workload)
+//	stemload -scenario compare            # self-hosted STEM vs LRU, mixed keys
+//	stemload -scenario compare -dist scan -ops 500000
+//	stemload -scenario latency -rate 200000   # closed vs open loop, one server
+//	stemload -scenario herd -json -       # report on stdout
 //	stemload -addr :7070 -conns 16
 //	stemload -addr :7070 -rate 50000      # open loop at 50k ops/s
-//	stemload -rate 200000 -json BENCH_latency.json   # closed vs open, one server
 //	stemload -cluster 127.0.0.1:7070,127.0.0.1:7071,127.0.0.1:7072 -seed 21
-//	stemload -json BENCH_serving.json     # machine-readable trajectory point
 package main
 
 import (
@@ -65,7 +68,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/stemcache"
 	"repro/internal/workloads"
 )
 
@@ -75,90 +77,38 @@ var wallClock = time.Now //lint:allow(determinism) a load generator measures wal
 
 func main() {
 	var (
-		addr      = flag.String("addr", "", "server to drive; empty self-hosts a STEM vs sharded-LRU comparison")
+		addr      = flag.String("addr", "", "server to drive")
 		clusterEP = flag.String("cluster", "", "comma-separated node addresses; drives the ring through the cluster routing client")
-		vnodes    = flag.Int("vnodes", 0, "with -cluster: ring slots per node (0 = the cluster default)")
+		scenario  = flag.String("scenario", "", "self-hosted experiment to run: "+strings.Join(scenarioNames(), ", "))
+		vnodes    = flag.Int("vnodes", 0, "ring slots per node: with -cluster 0 = the cluster default; failover/scaleout default to 4")
 		dist      = flag.String("dist", "mixed", "key distribution: zipf, scan, mixed, or hotspot-shift")
 		ops       = flag.Int("ops", 400_000, "total operations per engine")
-		conns     = flag.Int("conns", 4, "concurrent closed-loop workers (one connection each)")
+		conns     = flag.Int("conns", 4, "concurrent workers (one connection each)")
 		capacity  = flag.Int("capacity", 1<<13, "cache capacity in entries (self-hosted servers; also scales the keyspace)")
 		valueSize = flag.Int("value-size", 128, "value payload bytes")
 		seed      = flag.Uint64("seed", 0x57E4, "key stream seed (worker w draws from seed+w)")
-		rate      = flag.Float64("rate", 0, "open-loop Poisson arrival rate, total ops/s (0 = closed loop)")
+		rate      = flag.Float64("rate", 0, "open-loop Poisson arrival rate, total ops/s (0 = closed loop; the latency scenario then saturates)")
 		traceEach = flag.Int("trace-every", 0, "trace every Nth request end to end (0 = off)")
-		jsonPath  = flag.String("json", "", `write results as JSON to this file ("-" for stdout)`)
-
-		herd        = flag.Bool("herd", false, "run the thundering-herd read-through scenario instead of the cache-aside load (self-hosted; see herd.go)")
-		herdWorkers = flag.Int("herd-workers", 64, "with -herd: concurrent clients stampeding each key")
-		herdRounds  = flag.Int("herd-rounds", 20, "with -herd: number of cold keys stampeded in turn")
-		originDelay = flag.Duration("origin-delay", 20*time.Millisecond, "with -herd: fake origin service time")
-
-		tenants   = flag.Bool("tenants", false, "run the multi-tenant capacity-arbitration scenario: three namespaces, one server per policy (self-hosted; see tenants.go)")
-		tenantOps = flag.Int("tenant-epoch-ops", 4096, "with -tenants: operations between arbitration epochs")
-
-		membershipRun = flag.Bool("membership", false, "run the kill-a-node and scale-out membership scenarios (self-hosted; see membership.go); with -json merges into an existing cluster bench document")
-		memNodes      = flag.Int("member-nodes", 3, "with -membership: starting cluster size")
-		replication   = flag.Int("replication", 2, "with -membership: copies per slot including the owner")
-		memKeys       = flag.Int("member-keys", 400, "with -membership: acked writes each scenario replays")
+		jsonPath  = flag.String("json", "", `write the report as JSON to this file ("-" for stdout)`)
 	)
 	flag.Parse()
 
-	if *membershipRun {
-		if *addr != "" || *clusterEP != "" || *herd || *tenants {
-			fmt.Fprintln(os.Stderr, "stemload: -membership is self-hosted; it excludes -addr, -cluster, -herd and -tenants")
-			os.Exit(1)
-		}
-		if err := runMembership(memLoadConfig{
-			Nodes: *memNodes, ReplicationFactor: *replication,
-			VNodes: *vnodes, Keys: *memKeys, Capacity: *capacity, Seed: *seed,
-		}, *jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "stemload:", err)
-			os.Exit(1)
-		}
-		return
+	sc, err := selectScenario(*addr, *clusterEP, *scenario)
+	if err == nil {
+		err = run(sc, loadConfig{
+			Dist: *dist, Ops: *ops, Conns: *conns, Capacity: *capacity,
+			ValueSize: *valueSize, Seed: *seed, VNodes: *vnodes,
+			Rate: *rate, TraceEvery: *traceEach,
+		}, *jsonPath)
 	}
-
-	if *tenants {
-		if *addr != "" || *clusterEP != "" || *herd {
-			fmt.Fprintln(os.Stderr, "stemload: -tenants is self-hosted; it excludes -addr, -cluster and -herd")
-			os.Exit(1)
-		}
-		if err := runTenants(tenantLoadConfig{
-			Ops: *ops, Capacity: *capacity, Seed: *seed,
-			ValueSize: *valueSize, EpochOps: *tenantOps,
-		}, *jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "stemload:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *herd {
-		if *addr != "" || *clusterEP != "" {
-			fmt.Fprintln(os.Stderr, "stemload: -herd is self-hosted; it excludes -addr and -cluster")
-			os.Exit(1)
-		}
-		if err := runHerd(herdConfig{
-			Workers: *herdWorkers, Rounds: *herdRounds, OriginDelay: *originDelay,
-			Capacity: *capacity, Seed: *seed,
-		}, *jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "stemload:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if err := run(*addr, *clusterEP, loadConfig{
-		Dist: *dist, Ops: *ops, Conns: *conns, Capacity: *capacity,
-		ValueSize: *valueSize, Seed: *seed, VNodes: *vnodes,
-		Rate: *rate, TraceEvery: *traceEach,
-	}, *jsonPath); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "stemload:", err)
 		os.Exit(1)
 	}
 }
 
-// loadConfig shapes one engine's load run.
+// loadConfig is the flag set as a value: it shapes the cache-aside load and
+// sizes every scenario.
 type loadConfig struct {
 	Dist      string `json:"dist"`
 	Ops       int    `json:"ops"`
@@ -166,7 +116,8 @@ type loadConfig struct {
 	Capacity  int    `json:"capacity"`
 	ValueSize int    `json:"value_size"`
 	Seed      uint64 `json:"seed"`
-	// VNodes applies to -cluster runs only (0 = the cluster default).
+	// VNodes is ring slots per node (0 = the cluster default with -cluster,
+	// memberVNodes in the failover and scaleout scenarios).
 	VNodes int `json:"vnodes,omitempty"`
 	// Rate > 0 selects the open loop: Poisson arrivals at Rate ops/s in
 	// aggregate, latency measured from the scheduled send time.
@@ -175,13 +126,14 @@ type loadConfig struct {
 	TraceEvery int `json:"trace_every,omitempty"`
 }
 
-// result is one engine's measured outcome — the BENCH_*.json trajectory
-// point schema.
+// result is one cache-aside load pass's measured outcome.
 type result struct {
 	Engine string `json:"engine"`
 	// Mode is the loop discipline that produced the numbers: "closed" or
 	// "open" (see the package comment for why their tails differ).
-	Mode          string  `json:"mode"`
+	Mode string `json:"mode"`
+	// Ops is the number of GETs the pass executed (exactly -ops).
+	Ops           int     `json:"ops"`
 	Seconds       float64 `json:"seconds"`
 	OpsPerSec     float64 `json:"ops_per_sec"`
 	LatP50Micros  float64 `json:"lat_p50_us"`
@@ -208,78 +160,59 @@ type result struct {
 	Nodes []server.StatsSnapshot `json:"nodes,omitempty"`
 }
 
-// report is the overall JSON document.
+// report is the one JSON envelope every mode writes.
 type report struct {
-	Bench   string     `json:"bench"`
-	Config  loadConfig `json:"config"`
-	Results []result   `json:"results"`
+	Bench string `json:"bench"`
+	// Scenario is the scenario table row that ran, or "addr" / "cluster" for
+	// an external target.
+	Scenario string     `json:"scenario"`
+	Config   loadConfig `json:"config"`
+	// Result is the scenario's own document (see each scenario's result
+	// type); Claims are the inequalities it pins, evaluated on this run.
+	Result any     `json:"result"`
+	Claims []claim `json:"claims"`
 }
 
-func run(addr, clusterEP string, cfg loadConfig, jsonPath string) error {
+// run executes one scenario, writes the report, and fails when a claim does
+// not hold — which is what makes `stemload -scenario X` a check and not just
+// a measurement.
+func run(sc scenario, cfg loadConfig, jsonPath string) error {
 	if cfg.Ops <= 0 || cfg.Conns <= 0 {
 		return fmt.Errorf("need positive -ops and -conns")
 	}
-	if addr != "" && clusterEP != "" {
-		return fmt.Errorf("-addr and -cluster are mutually exclusive")
+	res, claims, err := sc.run(cfg)
+	if err != nil {
+		return fmt.Errorf("%s: %w", sc.name, err)
 	}
-	var results []result
-	switch {
-	case clusterEP != "":
-		res, err := driveCluster(strings.Split(clusterEP, ","), cfg)
-		if err != nil {
-			return err
+	var broken []string
+	for _, c := range claims {
+		verdict := "holds"
+		if !c.Holds {
+			verdict = "FAILS"
+			broken = append(broken, c.Name)
 		}
-		results = append(results, res)
-	case addr != "":
-		res, err := drive("remote", addr, cfg)
-		if err != nil {
-			return err
-		}
-		results = append(results, res)
-	case cfg.Rate > 0:
-		// Self-hosted coordinated-omission experiment: one STEM server, a
-		// closed-loop pass to establish the self-limited baseline, then the
-		// open-loop pass at -rate over the same (now warm) server.
-		var err error
-		if results, err = latencyComparison(cfg); err != nil {
-			return err
-		}
-	default:
-		// Self-hosted comparison: identical geometry, identical key streams,
-		// driven sequentially so the engines never contend for the machine.
-		for _, eng := range []string{"stem", "lru"} {
-			res, err := selfHost(eng, cfg)
-			if err != nil {
-				return fmt.Errorf("%s: %w", eng, err)
-			}
-			results = append(results, res)
-		}
+		fmt.Printf("claim         %-40s %12.4f %s %-8g %s\n", c.Name, c.Measured, c.Op, c.Bound, verdict)
 	}
-
-	for _, r := range results {
-		printResult(r, cfg)
-	}
-	if len(results) == 2 && results[0].Engine == "stem" && results[1].Engine == "lru" {
-		d := results[0].ServerHitRate - results[1].ServerHitRate
-		fmt.Printf("STEM - LRU server hit rate: %+.4f\n", d)
-	}
-	if len(results) == 2 && results[0].Mode == "closed" && results[1].Mode == "open" {
-		fmt.Printf("open - closed p99: %+.1fus (open loop charges queueing delay the closed loop omits)\n",
-			results[1].LatP99Micros-results[0].LatP99Micros)
-	}
-
 	if jsonPath != "" {
-		doc := report{Bench: "stemload", Config: cfg, Results: results}
-		b, err := json.MarshalIndent(doc, "", "  ")
+		b, err := json.MarshalIndent(report{
+			Bench: "stemload", Scenario: sc.name, Config: cfg, Result: res, Claims: claims,
+		}, "", "  ")
 		if err != nil {
 			return err
 		}
 		b = append(b, '\n')
 		if jsonPath == "-" {
 			_, err = os.Stdout.Write(b)
+		} else {
+			err = os.WriteFile(jsonPath, b, 0o644)
+		}
+		if err != nil {
 			return err
 		}
-		return os.WriteFile(jsonPath, b, 0o644)
+	}
+	if len(broken) > 0 {
+		return fmt.Errorf("%s: %d of %d claims do not hold: %s",
+			sc.name, len(broken), len(claims), strings.Join(broken, ", "))
 	}
 	return nil
 }
@@ -289,7 +222,7 @@ func run(addr, clusterEP string, cfg loadConfig, jsonPath string) error {
 func printResult(r result, cfg loadConfig) {
 	fmt.Printf("engine        %s  (%s loop)\n", r.Engine, r.Mode)
 	fmt.Printf("ops           %d in %.2fs  (%.0f ops/s, %d workers, %s keys)\n",
-		cfg.Ops, r.Seconds, r.OpsPerSec, cfg.Conns, cfg.Dist)
+		r.Ops, r.Seconds, r.OpsPerSec, cfg.Conns, cfg.Dist)
 	fmt.Printf("latency       p50 %.1fus  p90 %.1fus  p99 %.1fus  p99.9 %.1fus  mean %.1fus  max %.1fus\n",
 		r.LatP50Micros, r.LatP90Micros, r.LatP99Micros, r.LatP999Micros, r.LatMeanMicros, r.LatMaxMicros)
 	if r.TraceSamples > 0 {
@@ -315,75 +248,6 @@ func printResult(r result, cfg loadConfig) {
 	fmt.Println()
 }
 
-// selfHost runs one engine in-process and drives it over loopback.
-func selfHost(engine string, cfg loadConfig) (result, error) {
-	srv, err := startEngine(engine, cfg)
-	if err != nil {
-		return result{}, err
-	}
-	defer srv.stop()
-	return drive(engine, srv.addr, cfg)
-}
-
-// latencyComparison is the coordinated-omission experiment: one STEM server
-// serves a closed-loop pass and then an open-loop pass at cfg.Rate. The
-// closed pass doubles as warm-up, so the open pass measures queueing against
-// a steady-state cache rather than a cold one.
-func latencyComparison(cfg loadConfig) ([]result, error) {
-	srv, err := startEngine("stem", cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer srv.stop()
-
-	closedCfg := cfg
-	closedCfg.Rate = 0
-	closed, err := drive("stem", srv.addr, closedCfg)
-	if err != nil {
-		return nil, fmt.Errorf("closed pass: %w", err)
-	}
-	open, err := drive("stem", srv.addr, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("open pass: %w", err)
-	}
-	return []result{closed, open}, nil
-}
-
-// hostedServer is one self-hosted engine: the loopback server plus the
-// teardown for it and its cache.
-type hostedServer struct {
-	addr string
-	stop func()
-}
-
-// startEngine builds the named engine's cache and serves it on loopback.
-func startEngine(engine string, cfg loadConfig) (hostedServer, error) {
-	ccfg := stemcache.Config{Capacity: cfg.Capacity, Seed: cfg.Seed}
-	var cache *stemcache.Cache[string, []byte]
-	var err error
-	if engine == "lru" {
-		cache, err = stemcache.NewShardedLRU[string, []byte](ccfg)
-	} else {
-		cache, err = stemcache.New[string, []byte](ccfg)
-	}
-	if err != nil {
-		return hostedServer{}, err
-	}
-	srv, err := server.New(cache, server.Config{})
-	if err != nil {
-		cache.Close()
-		return hostedServer{}, err
-	}
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		cache.Close()
-		return hostedServer{}, err
-	}
-	return hostedServer{
-		addr: srv.Addr(),
-		stop: func() { srv.Close(); cache.Close() },
-	}, nil
-}
-
 // kvStore is the client surface the worker loop needs — satisfied by both
 // the single-node client and the cluster routing client.
 type kvStore interface {
@@ -405,12 +269,9 @@ type passOutcome struct {
 // issue time (closed) or completion minus *scheduled* arrival time (open),
 // which is what makes the open loop coordinated-omission-safe.
 func runWorkers(cl kvStore, cfg loadConfig) (passOutcome, error) {
-	value := make([]byte, cfg.ValueSize)
-	for i := range value {
-		value[i] = byte('a' + i%26)
-	}
-
-	perWorker := cfg.Ops / cfg.Conns
+	value := missValue(cfg.ValueSize)
+	// Exactly cfg.Ops GETs run: the first Ops%Conns workers take one extra.
+	perWorker, extra := cfg.Ops/cfg.Conns, cfg.Ops%cfg.Conns
 	// Per-worker Poisson thinning: the aggregate rate splits evenly, and
 	// each worker draws its own exponential inter-arrival gaps from its own
 	// seeded stream, so a run is reproducible for a fixed seed.
@@ -439,7 +300,11 @@ func runWorkers(cl kvStore, cfg loadConfig) (passOutcome, error) {
 			if perRate > 0 {
 				rng = sim.NewRNG(cfg.Seed + uint64(w))
 			}
-			for i := 0; i < perWorker; i++ {
+			n := perWorker
+			if w < extra {
+				n++
+			}
+			for i := 0; i < n; i++ {
 				k := next()
 				issue := wallClock()
 				if rng != nil {
@@ -500,6 +365,7 @@ func buildResult(engine string, pass passOutcome, cfg loadConfig) result {
 	return result{
 		Engine:        engine,
 		Mode:          mode,
+		Ops:           pass.gets,
 		Seconds:       pass.seconds,
 		OpsPerSec:     float64(pass.gets) / pass.seconds,
 		LatP50Micros:  float64(h.Quantile(0.50)),
@@ -535,20 +401,37 @@ func drive(engine, addr string, cfg loadConfig) (result, error) {
 		return result{}, err
 	}
 
-	raw, err := cl.Stats()
+	snap, err := serverStats(cl)
 	if err != nil {
 		return result{}, err
 	}
-	var snap server.StatsSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return result{}, fmt.Errorf("STATS payload: %w", err)
-	}
-
 	res := buildResult(engine, pass, cfg)
 	res.ServerHitRate = snap.HitRate
 	res.Server = snap
 	attachTraceSplit(&res, treg)
 	return res, nil
+}
+
+// serverStats fetches and decodes a server's STATS document.
+func serverStats(cl *client.Client) (server.StatsSnapshot, error) {
+	var snap server.StatsSnapshot
+	raw, err := cl.Stats()
+	if err != nil {
+		return snap, err
+	}
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		return snap, fmt.Errorf("STATS payload: %w", err)
+	}
+	return snap, nil
+}
+
+// missValue is the n-byte value a cache-aside miss writes.
+func missValue(n int) []byte {
+	value := make([]byte, n)
+	for i := range value {
+		value[i] = byte('a' + i%26)
+	}
+	return value
 }
 
 // attachTraceSplit copies the traced server/network p99 split out of the

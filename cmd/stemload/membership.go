@@ -1,17 +1,16 @@
 package main
 
-// The membership scenarios (-membership): the cluster's node-lifecycle
-// claims measured end to end, as BENCH_cluster.json's `failover` and
-// `scaleout` extensions.
+// The membership scenarios (-scenario failover, -scenario scaleout): the
+// cluster's node-lifecycle claims measured end to end.
 //
 //   - failover (kill a node): a 3-node cluster with replication factor 2
 //     takes a full write load, loses one node mid-run, keeps acking writes
 //     through the replica-retry path while the failure detector converges,
 //     and then replays every acked key. The twin baseline run never loses a
 //     node. The claims: zero lost acknowledged writes, and a post-failover
-//     hit rate within 5 percentage points of the undisturbed run's —
-//     synchronous replica fan-out means promotion is a pure ownership flip,
-//     the data is already on the survivor.
+//     hit rate within 5 percentage points of the undisturbed run's (and at
+//     least 0.90 absolute) — synchronous replica fan-out means promotion is
+//     a pure ownership flip, the data is already on the survivor.
 //
 //   - scaleout (add a node): a loaded 3-node cluster admits a fourth. The
 //     claims: the handoff moves at most ⌈slots/nodes⌉ slots (bounded
@@ -20,15 +19,13 @@ package main
 //     hit rate recovers to at least the static 3-node baseline measured
 //     just before the join.
 //
-// Both scenarios are self-hosted (loopback nodes, in-process manager and
-// agents) and op-driven: the kill lands between write phases and failover
+// Both scenarios run on a membership.Rig (loopback nodes, in-process manager
+// and agents) and are op-driven: the kill lands between write phases and failover
 // is driven by explicit manager ticks, so a rerun with the same seed
 // replays the same lifecycle.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/client"
@@ -37,43 +34,19 @@ import (
 	"repro/internal/stemcache"
 )
 
-// memLoadConfig shapes one -membership run.
-type memLoadConfig struct {
-	// Nodes is the starting cluster size; scaleout joins one more.
-	Nodes int `json:"nodes"`
-	// ReplicationFactor is copies per slot including the owner.
-	ReplicationFactor int `json:"replication_factor"`
-	// VNodes is ring slots per starting node.
-	VNodes int `json:"vnodes"`
-	// Keys is the acked write count each scenario replays. Capacity
-	// oversizes the per-node caches relative to it so nothing evicts: a
-	// missing key measures replication, never cache pressure.
-	Keys     int    `json:"keys"`
-	Capacity int    `json:"capacity"`
-	Seed     uint64 `json:"seed"`
-}
-
-func (c memLoadConfig) withDefaults() memLoadConfig {
-	if c.Nodes <= 0 {
-		c.Nodes = 3
-	}
-	if c.ReplicationFactor <= 0 {
-		c.ReplicationFactor = 2
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 4
-	}
-	if c.Keys <= 0 {
-		c.Keys = 400
-	}
-	if c.Capacity <= 0 {
-		c.Capacity = 4096
-	}
-	if c.Seed == 0 {
-		c.Seed = 0x57E4
-	}
-	return c
-}
+// The rig's shape. Fixed: no caller ever ran another. -capacity oversizes
+// the per-node caches relative to memberKeys so nothing evicts: a missing
+// key measures replication, never cache pressure.
+const (
+	// memberNodes is the starting cluster size; scaleout joins one more.
+	memberNodes = 3
+	// memberReplication is copies per slot including the owner.
+	memberReplication = 2
+	// memberKeys is the acked write count each scenario replays.
+	memberKeys = 400
+	// memberVNodes is ring slots per starting node when -vnodes is 0.
+	memberVNodes = 4
+)
 
 // failoverResult is the kill-a-node scenario's measured outcome.
 type failoverResult struct {
@@ -108,115 +81,38 @@ type scaleoutResult struct {
 	Seconds       float64 `json:"seconds"`
 }
 
-// memRig is one self-hosted membership cluster: loopback nodes, one agent
-// per node, the routing client, and a bootstrapped manager.
-type memRig struct {
-	cfg    memLoadConfig
-	nodes  []*cluster.Node
-	agents []*membership.Agent
-	cl     *cluster.Client
-	mgr    *membership.Manager
-}
-
-// memRigTpl fails fast so a dead node surfaces as one transient error, not
-// a retry storm.
-func memRigTpl() client.Config {
-	return client.Config{
-		Retries:     -1,
-		DialTimeout: 500 * time.Millisecond,
-		OpTimeout:   2 * time.Second,
+// startMemberRig boots the scenarios' cluster: eviction-proof 8-way caches, a
+// fail-fast connection template (a dead node surfaces as one transient
+// error, not a retry storm), and the membership tier bootstrapped.
+func startMemberRig(cfg loadConfig) (*membership.Rig, error) {
+	vnodes := cfg.VNodes
+	if vnodes <= 0 {
+		vnodes = memberVNodes
 	}
-}
-
-func startMemRig(cfg memLoadConfig) (*memRig, error) {
-	rig := &memRig{cfg: cfg}
-	addrs := make([]string, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		if _, err := rig.startNode(i); err != nil {
-			rig.close()
-			return nil, err
-		}
-		addrs[i] = rig.nodes[i].Addr()
-	}
-	cl, err := cluster.NewClient(cluster.Config{
-		Addrs: addrs, VNodes: cfg.VNodes, Seed: cfg.Seed,
-		Client: memRigTpl(), DemandEvery: 16,
-	})
+	rig, err := membership.StartRig(memberNodes,
+		cluster.NodeConfig{Cache: stemcache.Config{Capacity: cfg.Capacity, Shards: 2, Ways: 8}},
+		cluster.Config{
+			VNodes: vnodes, Seed: cfg.Seed, DemandEvery: 16,
+			Client: client.Config{Retries: -1, DialTimeout: 500 * time.Millisecond, OpTimeout: 2 * time.Second},
+		})
 	if err != nil {
-		rig.close()
 		return nil, err
 	}
-	rig.cl = cl
-	for i, node := range rig.nodes {
-		rig.agents = append(rig.agents,
-			membership.NewAgent(i, cl.Ring(), node.Server(), memRigTpl()))
-	}
-	mgr, err := membership.New(cl, rig.lister, addrs, membership.Config{
-		ReplicationFactor: cfg.ReplicationFactor, SuspectAfter: 2,
-	})
-	if err != nil {
-		rig.close()
+	if err := rig.Bootstrap(membership.Config{ReplicationFactor: memberReplication, SuspectAfter: 2}); err != nil {
+		rig.Close()
 		return nil, err
 	}
-	if _, err := mgr.Bootstrap(); err != nil {
-		rig.close()
-		return nil, err
-	}
-	rig.mgr = mgr
 	return rig, nil
-}
-
-func (r *memRig) lister(n int) ([]string, error) { return r.nodes[n].Keys(), nil }
-
-// startNode boots node id with an eviction-proof cache (see
-// memLoadConfig.Keys) and appends it to the rig.
-func (r *memRig) startNode(id int) (*cluster.Node, error) {
-	node, err := cluster.StartNode(id, cluster.NodeConfig{
-		Cache: stemcache.Config{
-			Capacity: r.cfg.Capacity, Shards: 2, Ways: 8,
-			Seed: cluster.NodeSeed(r.cfg.Seed, id),
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	r.nodes = append(r.nodes, node)
-	return node, nil
-}
-
-// join starts one more node plus its agent and hands it to the manager.
-func (r *memRig) join() (membership.Report, error) {
-	id := len(r.nodes)
-	node, err := r.startNode(id)
-	if err != nil {
-		return membership.Report{}, err
-	}
-	r.agents = append(r.agents,
-		membership.NewAgent(id, r.cl.Ring(), node.Server(), memRigTpl()))
-	return r.mgr.Join(node.Addr())
-}
-
-func (r *memRig) close() {
-	for _, a := range r.agents {
-		a.Close()
-	}
-	if r.cl != nil {
-		r.cl.Close()
-	}
-	for _, n := range r.nodes {
-		n.Close()
-	}
 }
 
 func memLoadKey(i int) string { return fmt.Sprintf("mem-%05d", i) }
 func memLoadVal(i int) []byte { return []byte(fmt.Sprintf("val-%05d", i)) }
-func ceilDivInt(a, b int) int { return (a + b - 1) / b }
 
 // writeRange stores keys [lo, hi); every successful return is an ack the
 // cluster must not lose.
-func (r *memRig) writeRange(lo, hi int) (acked int, err error) {
+func writeRange(cl *cluster.Client, lo, hi int) (acked int, err error) {
 	for i := lo; i < hi; i++ {
-		if err := r.cl.Set(memLoadKey(i), memLoadVal(i)); err != nil {
+		if err := cl.Set(memLoadKey(i), memLoadVal(i)); err != nil {
 			return acked, fmt.Errorf("set %q: %w", memLoadKey(i), err)
 		}
 		acked++
@@ -226,9 +122,9 @@ func (r *memRig) writeRange(lo, hi int) (acked int, err error) {
 
 // readRange replays keys [lo, hi) and returns the found count; a wrong
 // value is an error, not a miss.
-func (r *memRig) readRange(lo, hi int) (found int, err error) {
+func readRange(cl *cluster.Client, lo, hi int) (found int, err error) {
 	for i := lo; i < hi; i++ {
-		v, ok, err := r.cl.Get(memLoadKey(i))
+		v, ok, err := cl.Get(memLoadKey(i))
 		if err != nil {
 			return found, fmt.Errorf("get %q: %w", memLoadKey(i), err)
 		}
@@ -244,152 +140,118 @@ func (r *memRig) readRange(lo, hi int) (found int, err error) {
 }
 
 // failoverScenario runs the twin kill/no-kill comparison.
-func failoverScenario(cfg memLoadConfig) (failoverResult, error) {
-	var res failoverResult
+func failoverScenario(cfg loadConfig) (any, []claim, error) {
 	start := wallClock()
 
 	// Baseline: same cluster, same writes, nobody dies.
-	base, err := startMemRig(cfg)
+	baseline, err := undisturbedHitRate(cfg)
 	if err != nil {
-		return res, err
+		return nil, nil, err
 	}
-	if _, err := base.writeRange(0, cfg.Keys); err != nil {
-		base.close()
-		return res, err
-	}
-	baseFound, err := base.readRange(0, cfg.Keys)
-	base.close()
-	if err != nil {
-		return res, err
-	}
-	res.BaselineHitRate = float64(baseFound) / float64(cfg.Keys)
+	res := failoverResult{BaselineHitRate: baseline}
 
 	// The kill run: lose node 1 after the initial writes, keep writing a
 	// quarter more against the dead owner (replica retry must ack them),
 	// tick the detector until it fires, then replay everything.
-	rig, err := startMemRig(cfg)
+	rig, err := startMemberRig(cfg)
 	if err != nil {
-		return res, err
+		return nil, nil, err
 	}
-	defer rig.close()
-	acked, err := rig.writeRange(0, cfg.Keys)
+	defer rig.Close()
+	acked, err := writeRange(rig.Client(), 0, memberKeys)
 	if err != nil {
-		return res, err
+		return nil, nil, err
 	}
-	if err := rig.nodes[1].Close(); err != nil {
-		return res, err
+	if err := rig.Kill(1); err != nil {
+		return nil, nil, err
 	}
-	more, err := rig.writeRange(cfg.Keys, cfg.Keys+cfg.Keys/4)
+	more, err := writeRange(rig.Client(), memberKeys, memberKeys+memberKeys/4)
 	if err != nil {
-		return res, err
+		return nil, nil, err
 	}
 	res.AckedWrites = acked + more
 	for i := 0; i < 4 && res.PromotedSlots == 0; i++ {
-		for _, rep := range rig.mgr.Tick() {
+		for _, rep := range rig.Manager().Tick() {
 			res.PromotedSlots += len(rep.Moves)
 		}
 	}
-	if res.PromotedSlots == 0 {
-		return res, fmt.Errorf("failure detector never promoted the dead node's slots")
-	}
-	found, err := rig.readRange(0, res.AckedWrites)
+	found, err := readRange(rig.Client(), 0, res.AckedWrites)
 	if err != nil {
-		return res, err
+		return nil, nil, err
 	}
 	res.LostWrites = res.AckedWrites - found
 	res.FailoverHitRate = float64(found) / float64(res.AckedWrites)
 	res.DeltaPP = (res.BaselineHitRate - res.FailoverHitRate) * 100
 	res.Seconds = wallClock().Sub(start).Seconds()
-	return res, nil
+
+	fmt.Printf("failover      %d acked writes, %d lost, %d slots promoted (%.2fs)\n",
+		res.AckedWrites, res.LostWrites, res.PromotedSlots, res.Seconds)
+	fmt.Printf("  hit rate    baseline %.4f  post-failover %.4f  delta %+.2fpp\n",
+		res.BaselineHitRate, res.FailoverHitRate, res.DeltaPP)
+	return res, []claim{
+		exactly("lost_acked_writes", float64(res.LostWrites), 0),
+		atLeast("promoted_slots", float64(res.PromotedSlots), 1),
+		atMost("hit_rate_delta_pp", res.DeltaPP, 5),
+		atLeast("failover_hit_rate", res.FailoverHitRate, 0.90),
+	}, nil
+}
+
+// undisturbedHitRate writes and replays memberKeys keys on a rig nothing
+// happens to.
+func undisturbedHitRate(cfg loadConfig) (float64, error) {
+	rig, err := startMemberRig(cfg)
+	if err != nil {
+		return 0, err
+	}
+	defer rig.Close()
+	if _, err := writeRange(rig.Client(), 0, memberKeys); err != nil {
+		return 0, err
+	}
+	found, err := readRange(rig.Client(), 0, memberKeys)
+	return float64(found) / memberKeys, err
 }
 
 // scaleoutScenario measures the static baseline, joins a node, and
 // measures again.
-func scaleoutScenario(cfg memLoadConfig) (scaleoutResult, error) {
+func scaleoutScenario(cfg loadConfig) (any, []claim, error) {
 	var res scaleoutResult
 	start := wallClock()
-	rig, err := startMemRig(cfg)
+	rig, err := startMemberRig(cfg)
 	if err != nil {
-		return res, err
+		return nil, nil, err
 	}
-	defer rig.close()
-	if _, err := rig.writeRange(0, cfg.Keys); err != nil {
-		return res, err
+	defer rig.Close()
+	if _, err := writeRange(rig.Client(), 0, memberKeys); err != nil {
+		return nil, nil, err
 	}
-	staticFound, err := rig.readRange(0, cfg.Keys)
+	staticFound, err := readRange(rig.Client(), 0, memberKeys)
 	if err != nil {
-		return res, err
+		return nil, nil, err
 	}
-	res.StaticHitRate = float64(staticFound) / float64(cfg.Keys)
+	res.StaticHitRate = float64(staticFound) / memberKeys
 
-	rep, err := rig.join()
+	rep, err := rig.Join()
 	if err != nil {
-		return res, err
+		return nil, nil, err
 	}
 	res.SlotsMoved = len(rep.Moves)
-	res.MoveBound = ceilDivInt(rig.cl.Ring().Slots(), cfg.Nodes+1)
-	if res.SlotsMoved > res.MoveBound {
-		return res, fmt.Errorf("join moved %d slots, bound %d", res.SlotsMoved, res.MoveBound)
-	}
-	scaledFound, err := rig.readRange(0, cfg.Keys)
+	slots, nodes := rig.Client().Ring().Slots(), memberNodes+1
+	res.MoveBound = (slots + nodes - 1) / nodes
+	scaledFound, err := readRange(rig.Client(), 0, memberKeys)
 	if err != nil {
-		return res, err
+		return nil, nil, err
 	}
-	res.ScaledHitRate = float64(scaledFound) / float64(cfg.Keys)
-	res.LostKeys = cfg.Keys - scaledFound
+	res.ScaledHitRate = float64(scaledFound) / memberKeys
+	res.LostKeys = memberKeys - scaledFound
 	res.Seconds = wallClock().Sub(start).Seconds()
-	return res, nil
-}
 
-// runMembership executes both scenarios and writes (or extends) the JSON
-// report: when jsonPath already holds a JSON object — the `stemload
-// -cluster` document — the scenarios are merged into it as `failover` and
-// `scaleout`, so BENCH_cluster.json accumulates the full cluster story.
-func runMembership(cfg memLoadConfig, jsonPath string) error {
-	cfg = cfg.withDefaults()
-	fo, err := failoverScenario(cfg)
-	if err != nil {
-		return fmt.Errorf("failover scenario: %w", err)
-	}
-	so, err := scaleoutScenario(cfg)
-	if err != nil {
-		return fmt.Errorf("scaleout scenario: %w", err)
-	}
-
-	fmt.Printf("failover      %d acked writes, %d lost, %d slots promoted (%.2fs)\n",
-		fo.AckedWrites, fo.LostWrites, fo.PromotedSlots, fo.Seconds)
-	fmt.Printf("  hit rate    baseline %.4f  post-failover %.4f  delta %+.2fpp (want <= 5)\n",
-		fo.BaselineHitRate, fo.FailoverHitRate, fo.DeltaPP)
 	fmt.Printf("scaleout      %d/%d slots moved, %d keys lost (%.2fs)\n",
-		so.SlotsMoved, so.MoveBound, so.LostKeys, so.Seconds)
-	fmt.Printf("  hit rate    static %.4f  scaled %.4f (want scaled >= static)\n",
-		so.StaticHitRate, so.ScaledHitRate)
-
-	if jsonPath == "" {
-		return nil
-	}
-	doc := map[string]any{}
-	if jsonPath != "-" {
-		if b, err := os.ReadFile(jsonPath); err == nil {
-			if err := json.Unmarshal(b, &doc); err != nil {
-				doc = map[string]any{}
-			}
-		}
-	}
-	if _, ok := doc["bench"]; !ok {
-		doc["bench"] = "stemload-membership"
-	}
-	doc["membership_config"] = cfg
-	doc["failover"] = fo
-	doc["scaleout"] = so
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if jsonPath == "-" {
-		_, err = os.Stdout.Write(b)
-		return err
-	}
-	return os.WriteFile(jsonPath, b, 0o644)
+		res.SlotsMoved, res.MoveBound, res.LostKeys, res.Seconds)
+	fmt.Printf("  hit rate    static %.4f  scaled %.4f\n", res.StaticHitRate, res.ScaledHitRate)
+	return res, []claim{
+		atLeast("slots_moved", float64(res.SlotsMoved), 1),
+		atMost("slots_moved_minus_bound", float64(res.SlotsMoved-res.MoveBound), 0),
+		exactly("lost_keys", float64(res.LostKeys), 0),
+		atLeast("scaled_minus_static_hit_rate", res.ScaledHitRate-res.StaticHitRate, 0),
+	}, nil
 }

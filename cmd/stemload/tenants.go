@@ -1,6 +1,6 @@
 package main
 
-// The multi-tenant capacity-arbitration scenario (-tenants): the STEM
+// The multi-tenant capacity-arbitration scenario (-scenario tenants): the STEM
 // giver/taker idea lifted to tenant granularity, measured end to end. Three
 // namespaces with deliberately mismatched demand share one self-hosted
 // server:
@@ -18,41 +18,30 @@ package main
 // (free-for-all) — with arbitration epochs driven by operation count so a
 // run is reproducible. Per policy the scenario reports aggregate server hit
 // rate, per-tenant hit rates, and Jain fairness over the active tenants; the
-// paper-shaped claim, pinned by the e2e test, is
+// paper-shaped claim is
 //
-//	aggregate(arbitrated) >= aggregate(static)   // slack goes to the taker
-//	jain(arbitrated)      >= jain(observe)       // the reserve holds
+//	aggregate(arbitrated) >= aggregate(static) + 0.02   // slack goes to the taker
+//	jain(arbitrated)      >= jain(observe) + 0.005      // the reserve holds
 //
 // i.e. arbitration beats the static partition on throughput without giving
-// up the fairness a free-for-all loses.
+// up the fairness a free-for-all loses. The margins sit well inside the
+// +0.05..0.065 hit-rate and +0.008..0.017 Jain deltas the scenario measures
+// across seeds and sizes.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/client"
-	"repro/internal/server"
+	"repro/internal/cluster"
 	"repro/internal/stemcache"
 	"repro/internal/tenant"
 	"repro/internal/workloads"
 )
 
-// tenantLoadConfig shapes one -tenants run.
-type tenantLoadConfig struct {
-	// Ops is the total operation count replayed against each policy's server.
-	Ops int `json:"ops"`
-	// Capacity and Seed shape each self-hosted server's cache; Capacity also
-	// scales the tenants' working sets and quiet's min-reserve.
-	Capacity int    `json:"capacity"`
-	Seed     uint64 `json:"seed"`
-	// ValueSize is the payload written on a cache-aside miss.
-	ValueSize int `json:"value_size"`
-	// EpochOps is the arbitration cadence: one ArbitrateTenants epoch per
-	// this many operations. Op-driven epochs keep the run deterministic —
-	// wall time never decides when capacity moves.
-	EpochOps int `json:"epoch_ops"`
-}
+// tenantEpochOps is the arbitration cadence: one ArbitrateTenants epoch per
+// this many operations. Op-driven epochs keep the run deterministic — wall
+// time never decides when capacity moves.
+const tenantEpochOps = 4096
 
 // tenantPolicyResult is one policy's measured outcome.
 type tenantPolicyResult struct {
@@ -68,17 +57,6 @@ type tenantPolicyResult struct {
 	// Tenants holds every tenant's accounting row from the server's STATS
 	// document, id order (row 0 is the idle default namespace).
 	Tenants []stemcache.TenantStats `json:"tenants"`
-}
-
-// tenantReport is the BENCH_tenant.json document.
-type tenantReport struct {
-	Bench   string               `json:"bench"`
-	Config  tenantLoadConfig     `json:"config"`
-	Results []tenantPolicyResult `json:"results"`
-	// The two deltas the e2e test pins: arbitration's aggregate hit rate
-	// over the static partition's, and its fairness over the free-for-all's.
-	HitRateVsStatic float64 `json:"arbitrated_minus_static_hit_rate"`
-	JainVsObserve   float64 `json:"arbitrated_minus_observe_jain"`
 }
 
 // tenantRegistry builds the scenario's tenant policy table. The default
@@ -102,7 +80,7 @@ func tenantRegistry(capacity int) (*tenant.Registry, error) {
 
 // tenantStreams is the scenario's workload: hot dominates traffic and wants
 // more than its share, scan sweeps uselessly, quiet barely speaks.
-func tenantStreams(cfg tenantLoadConfig) []workloads.TenantStream {
+func tenantStreams(cfg loadConfig) []workloads.TenantStream {
 	return []workloads.TenantStream{
 		{Name: "hot", Dist: "zipf", Capacity: cfg.Capacity / 2, Skew: 1.1, Weight: 8, Seed: cfg.Seed + 1},
 		{Name: "scan", Dist: "scan", Capacity: cfg.Capacity * 2, Weight: 4, Seed: cfg.Seed + 2},
@@ -110,13 +88,21 @@ func tenantStreams(cfg tenantLoadConfig) []workloads.TenantStream {
 	}
 }
 
-// runTenants executes the three-policy comparison and writes the report.
-func runTenants(cfg tenantLoadConfig, jsonPath string) error {
-	results, err := tenantScenario(cfg)
-	if err != nil {
-		return err
+// tenantScenario replays the identical workload (cfg.Ops operations) against
+// one fresh server per policy, sequentially so the policies never contend for
+// the machine.
+func tenantScenario(cfg loadConfig) (any, []claim, error) {
+	if cfg.Capacity < 64 {
+		return nil, nil, fmt.Errorf("-capacity %d is below the scenario's minimum 64", cfg.Capacity)
 	}
-	for _, r := range results {
+	var results []tenantPolicyResult
+	for _, p := range []stemcache.TenantPolicy{
+		stemcache.TenantArbitrated, stemcache.TenantStatic, stemcache.TenantObserve,
+	} {
+		r, err := tenantPolicyRun(p, cfg)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", p, err)
+		}
 		fmt.Printf("policy        %s\n", r.Policy)
 		fmt.Printf("aggregate     %.4f server hit rate  jain %.4f  (%.2fs)\n",
 			r.AggregateHitRate, r.Jain, r.Seconds)
@@ -128,87 +114,57 @@ func runTenants(cfg tenantLoadConfig, jsonPath string) error {
 				ts.Name, ts.HitRate(), ts.Gets, ts.ShadowHits, ts.Live, ts.Target)
 		}
 		fmt.Println()
+		results = append(results, r)
 	}
-	doc := tenantReport{Bench: "stemload-tenants", Config: cfg, Results: results}
-	for _, r := range results {
-		switch r.Policy {
-		case "arbitrated":
-			doc.HitRateVsStatic += r.AggregateHitRate
-			doc.JainVsObserve += r.Jain
-		case "static":
-			doc.HitRateVsStatic -= r.AggregateHitRate
-		case "observe":
-			doc.JainVsObserve -= r.Jain
-		}
-	}
-	fmt.Printf("arbitrated - static aggregate hit rate: %+.4f (want >= 0)\n", doc.HitRateVsStatic)
-	fmt.Printf("arbitrated - observe jain fairness:     %+.4f (want >= 0)\n", doc.JainVsObserve)
+	arb, static, observe := results[0], results[1], results[2]
 
-	if jsonPath != "" {
-		b, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
+	// The mechanism, not just the outcome: arbitration moved capacity (some
+	// target left the static split), targets still sum to the capacity
+	// (conservation), quiet kept its min-reserve, and every policy saw the
+	// identical stream (per-tenant get counts match).
+	targetSum, moved, quietTarget, diverged := 0, 0, 0, 0
+	for i, ts := range arb.Tenants {
+		targetSum += ts.Target
+		if ts.Target != static.Tenants[i].Target {
+			moved++
 		}
-		b = append(b, '\n')
-		if jsonPath == "-" {
-			_, err = os.Stdout.Write(b)
-			return err
+		if ts.Name == "quiet" {
+			quietTarget = ts.Target
 		}
-		return os.WriteFile(jsonPath, b, 0o644)
-	}
-	return nil
-}
-
-// tenantScenario replays the identical workload against one fresh server per
-// policy, sequentially so the policies never contend for the machine.
-func tenantScenario(cfg tenantLoadConfig) ([]tenantPolicyResult, error) {
-	if cfg.Ops <= 0 || cfg.EpochOps <= 0 {
-		return nil, fmt.Errorf("need positive -ops and -tenant-epoch-ops")
-	}
-	if cfg.Capacity < 64 {
-		return nil, fmt.Errorf("-capacity %d is below the scenario's minimum 64", cfg.Capacity)
-	}
-	policies := []stemcache.TenantPolicy{
-		stemcache.TenantArbitrated, stemcache.TenantStatic, stemcache.TenantObserve,
-	}
-	results := make([]tenantPolicyResult, 0, len(policies))
-	for _, p := range policies {
-		res, err := tenantPolicyRun(p, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
+		if ts.Gets != static.Tenants[i].Gets || ts.Gets != observe.Tenants[i].Gets {
+			diverged++
 		}
-		results = append(results, res)
 	}
-	return results, nil
+	return results, []claim{
+		atLeast("arbitrated_minus_static_hit_rate", arb.AggregateHitRate-static.AggregateHitRate, 0.02),
+		atLeast("arbitrated_minus_observe_jain", arb.Jain-observe.Jain, 0.005),
+		exactly("arbitrated_target_sum", float64(targetSum), float64(cfg.Capacity)),
+		atLeast("quiet_target", float64(quietTarget), float64(cfg.Capacity/16)),
+		atLeast("targets_moved_off_static_split", float64(moved), 1),
+		exactly("tenants_with_diverged_streams", float64(diverged), 0),
+	}, nil
 }
 
 // tenantPolicyRun drives the full workload against a fresh self-hosted
 // server under one capacity policy. One sequential driver and one client per
 // namespace: the interleaved stream already models concurrency of tenants,
 // and a single in-flight request keeps the replay exactly reproducible.
-func tenantPolicyRun(policy stemcache.TenantPolicy, cfg tenantLoadConfig) (tenantPolicyResult, error) {
+func tenantPolicyRun(policy stemcache.TenantPolicy, cfg loadConfig) (tenantPolicyResult, error) {
 	reg, err := tenantRegistry(cfg.Capacity)
 	if err != nil {
 		return tenantPolicyResult{}, err
 	}
-	cache, err := stemcache.New[string, []byte](stemcache.Config{
+	node, err := cluster.StartNode(0, cluster.NodeConfig{Cache: stemcache.Config{
 		Capacity:     cfg.Capacity,
 		Seed:         cfg.Seed,
 		Tenants:      reg,
 		TenantPolicy: policy,
-	})
+	}})
 	if err != nil {
 		return tenantPolicyResult{}, err
 	}
-	defer cache.Close()
-	srv, err := server.New(cache, server.Config{})
-	if err != nil {
-		return tenantPolicyResult{}, err
-	}
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		return tenantPolicyResult{}, err
-	}
-	defer srv.Close()
+	defer node.Close()
+	cache := node.Cache()
 
 	streams := tenantStreams(cfg)
 	next, err := workloads.NewTenantKeyStream(streams, cfg.Seed)
@@ -217,7 +173,7 @@ func tenantPolicyRun(policy stemcache.TenantPolicy, cfg tenantLoadConfig) (tenan
 	}
 	clients := make(map[string]*client.Client, len(streams))
 	for _, ts := range streams {
-		cl, err := client.New(client.Config{Addr: srv.Addr(), Namespace: ts.Name, PoolSize: 1})
+		cl, err := client.New(client.Config{Addr: node.Addr(), Namespace: ts.Name, PoolSize: 1})
 		if err != nil {
 			return tenantPolicyResult{}, err
 		}
@@ -230,10 +186,7 @@ func tenantPolicyRun(policy stemcache.TenantPolicy, cfg tenantLoadConfig) (tenan
 	// insert and arbitration starts from the same split it will then move.
 	cache.ArbitrateTenants()
 
-	value := make([]byte, cfg.ValueSize)
-	for i := range value {
-		value[i] = byte('a' + i%26)
-	}
+	value := missValue(cfg.ValueSize)
 	t0 := wallClock()
 	for i := 0; i < cfg.Ops; i++ {
 		ns, key := next()
@@ -247,19 +200,15 @@ func tenantPolicyRun(policy stemcache.TenantPolicy, cfg tenantLoadConfig) (tenan
 				return tenantPolicyResult{}, err
 			}
 		}
-		if (i+1)%cfg.EpochOps == 0 {
+		if (i+1)%tenantEpochOps == 0 {
 			cache.ArbitrateTenants()
 		}
 	}
 	seconds := wallClock().Sub(t0).Seconds()
 
-	raw, err := clients[streams[0].Name].Stats()
+	snap, err := serverStats(clients[streams[0].Name])
 	if err != nil {
 		return tenantPolicyResult{}, err
-	}
-	var snap server.StatsSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return tenantPolicyResult{}, fmt.Errorf("STATS payload: %w", err)
 	}
 	res := tenantPolicyResult{
 		Policy:           policy.String(),

@@ -24,6 +24,7 @@ import (
 
 	stem "repro"
 	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/tracefile"
 )
 
@@ -51,62 +52,29 @@ func main() {
 		os.Exit(1)
 	}
 
+	geom := stem.Geometry{Sets: *sets, Ways: *ways, LineSize: *line}
 	if *record != "" {
 		if *tracePath == "" {
 			fail(fmt.Errorf("-record needs -trace for the output path"))
 		}
-		b, err := stem.BenchmarkByName(*record)
-		if err != nil {
-			fail(err)
-		}
-		geom := stem.Geometry{Sets: *sets, Ways: *ways, LineSize: *line}
-		w, err := tracefile.Create(*tracePath, tracefile.Header{LineSize: uint32(*line)})
-		if err != nil {
-			fail(err)
-		}
-		if err := tracefile.Record(w, stem.NewGenerator(b.Workload, geom, *seed), *recordN); err != nil {
-			fail(err)
-		}
-		if err := w.Close(); err != nil {
+		if err := recordTrace(*tracePath, *record, *recordN, geom, *seed); err != nil {
 			fail(err)
 		}
 		fmt.Printf("recorded %d references of %s to %s\n", *recordN, *record, *tracePath)
 		return
 	}
 
-	var refs []stem.Ref
-	switch {
-	case *tracePath != "":
-		r, err := tracefile.Open(*tracePath)
-		if err != nil {
-			fail(err)
-		}
-		for {
-			ref, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				fail(err)
-			}
-			refs = append(refs, ref)
-		}
-		r.Close()
-	case *dinPath != "":
-		f, err := os.Open(*dinPath)
-		if err != nil {
-			fail(err)
-		}
-		refs, err = tracefile.ParseDin(f, *line)
-		f.Close()
-		if err != nil {
-			fail(err)
-		}
-	default:
-		fail(fmt.Errorf("need -trace, -din or -record (see -help)"))
+	refs, err := loadRefs(*tracePath, *dinPath, *line)
+	if err != nil {
+		fail(err)
 	}
 	if len(refs) < 100 {
 		fail(fmt.Errorf("trace too short: %d references", len(refs)))
+	}
+	warm := int(float64(len(refs)) * *warmFrac)
+	if warm < 1 || warm >= len(refs) {
+		fail(fmt.Errorf("-warm %v leaves %d warm-up and %d measured references; need at least one of each",
+			*warmFrac, warm, len(refs)-warm))
 	}
 
 	tool, err := obs.StartTool(obs.ToolConfig{
@@ -122,68 +90,80 @@ func main() {
 	if addr := tool.MetricsAddr(); addr != "" {
 		fmt.Fprintf(os.Stderr, "tracerun: metrics at http://%s/metrics\n", addr)
 	}
-	o := tool.Options()
-
-	geom := stem.Geometry{Sets: *sets, Ways: *ways, LineSize: *line}
-	warm := int(float64(len(refs)) * *warmFrac)
-	timing := stem.DefaultTiming()
-
-	// Shared across the sequential scheme replays: counters accumulate,
-	// snapshot gauges show the scheme currently replaying.
-	var reg *obs.Registry
-	if o.Enabled() {
-		reg = o.Registry
-	}
-	var (
-		accessesC = reg.Counter("run.accesses")
-		hitsC     = reg.Counter("run.hits")
-		missesC   = reg.Counter("run.misses")
-	)
 
 	fmt.Printf("trace: %d references (%d warm-up), %d sets x %d ways\n\n",
 		len(refs), warm, *sets, *ways)
 	fmt.Println("scheme     miss-rate     MPKI     AMAT      CPI")
 	for _, name := range strings.Split(*schemes, ",") {
 		name = strings.TrimSpace(name)
-		c, err := stem.NewScheme(name, geom, *seed)
+		res, err := replay(refs, name, geom, *seed, warm, tool.Options())
 		if err != nil {
 			fail(err)
 		}
-		acct := stem.NewAccount(timing)
-		for i, r := range refs {
-			out := c.Access(stem.Access{Block: r.Block, Write: r.Write})
-			if i == warm {
-				c.ResetStats()
-				acct = stem.NewAccount(timing)
-				// Attach the tracer only now so the event log reconciles
-				// with the measured (post-reset) stats.
-				if in, ok := c.(obs.Instrumented); ok && o.Enabled() && o.Tracer != nil {
-					in.SetObserver(o.Tracer)
-				}
-			}
-			if i >= warm {
-				acct.Record(r.Instrs, out)
-				accessesC.Inc()
-				if out.Hit {
-					hitsC.Inc()
-				} else {
-					missesC.Inc()
-				}
-				if o.Enabled() && o.SnapshotEvery > 0 {
-					if m := i - warm + 1; m%o.SnapshotEvery == 0 && i != len(refs)-1 {
-						o.Publish(obs.MakeSnapshot(c, uint64(m), acct.MPKI(), false))
-					}
-				}
-			}
-		}
-		if o.Enabled() {
-			o.Publish(obs.MakeSnapshot(c, uint64(len(refs)-warm), acct.MPKI(), true))
-		}
-		if in, ok := c.(obs.Instrumented); ok {
-			in.SetObserver(nil)
-		}
-		st := c.Stats()
 		fmt.Printf("%-8s   %9.4f  %7.3f  %7.2f  %7.3f\n",
-			name, st.MissRate(), acct.MPKI(), acct.AMAT(), acct.CPI())
+			name, res.MissRate, res.MPKI, res.AMAT, res.CPI)
 	}
+}
+
+// recordTrace captures n references of the named benchmark analog to path.
+func recordTrace(path, bench string, n int, geom stem.Geometry, seed uint64) error {
+	b, err := stem.BenchmarkByName(bench)
+	if err != nil {
+		return err
+	}
+	w, err := tracefile.Create(path, tracefile.Header{LineSize: uint32(geom.LineSize)})
+	if err != nil {
+		return err
+	}
+	if err := tracefile.Record(w, stem.NewGenerator(b.Workload, geom, seed), n); err != nil {
+		return err
+	}
+	return w.Close()
+}
+
+// loadRefs reads the whole input trace: the native format from tracePath,
+// else Dinero text from dinPath (addresses converted at lineSize).
+func loadRefs(tracePath, dinPath string, lineSize int) ([]stem.Ref, error) {
+	switch {
+	case tracePath != "":
+		r, err := tracefile.Open(tracePath)
+		if err != nil {
+			return nil, err
+		}
+		defer r.Close()
+		var refs []stem.Ref
+		for {
+			ref, err := r.Next()
+			if err == io.EOF {
+				return refs, nil
+			}
+			if err != nil {
+				return nil, err
+			}
+			refs = append(refs, ref)
+		}
+	case dinPath != "":
+		f, err := os.Open(dinPath)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return tracefile.ParseDin(f, lineSize)
+	}
+	return nil, fmt.Errorf("need -trace, -din or -record (see -help)")
+}
+
+// replay runs refs once through a fresh instance of the named scheme: the
+// first warm references unmeasured, the rest through the run harness — the
+// same warm-up / reset / trace-attach / snapshot sequence every other tool
+// uses, so the event log and the counters in o (shared across the sequential
+// scheme replays) reconcile with the reported stats.
+func replay(refs []stem.Ref, scheme string, geom stem.Geometry, seed uint64, warm int, o *obs.Options) (stem.RunResult, error) {
+	c, err := stem.NewScheme(scheme, geom, seed)
+	if err != nil {
+		return stem.RunResult{}, err
+	}
+	return stem.Run(c, trace.NewFixed(refs), stem.RunConfig{
+		Geom: geom, Warmup: warm, Measure: len(refs) - warm, Obs: o,
+	}), nil
 }

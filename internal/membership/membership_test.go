@@ -38,93 +38,21 @@ func memTpl() client.Config {
 	}
 }
 
-type memCluster struct {
-	nodes  []*cluster.Node
-	agents []*membership.Agent
-	addrs  []string
-	cl     *cluster.Client
-	mgr    *membership.Manager
-}
-
-func (mc *memCluster) lister(n int) ([]string, error) { return mc.nodes[n].Keys(), nil }
-
-// addNode starts one more node plus its agent (the join-path half of
-// startMemCluster; the manager learns of it via Join).
-func (mc *memCluster) addNode(t *testing.T, id int) string {
+// startMemCluster boots n nodes, the routing client, their agents, and a
+// bootstrapped manager with the given membership config.
+func startMemCluster(t *testing.T, n int, cfg membership.Config) *membership.Rig {
 	t.Helper()
-	node, err := cluster.StartNode(id, cluster.NodeConfig{
-		Cache: stemcache.Config{
-			Capacity: memCapacity, Shards: 2, Ways: memWays,
-			Seed: cluster.NodeSeed(memSeed, id),
-		},
-	})
+	rig, err := membership.StartRig(n,
+		cluster.NodeConfig{Cache: stemcache.Config{Capacity: memCapacity, Shards: 2, Ways: memWays}},
+		cluster.Config{VNodes: memVNodes, Seed: memSeed, Client: memTpl(), DemandEvery: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.nodes = append(mc.nodes, node)
-	mc.addrs = append(mc.addrs, node.Addr())
-	mc.agents = append(mc.agents, membership.NewAgent(id, mc.cl.Ring(), node.Server(), memTpl()))
-	return node.Addr()
-}
-
-// startMemCluster boots n nodes, their agents, the routing client, and a
-// bootstrapped manager with the given replication factor.
-func startMemCluster(t *testing.T, n int, cfg membership.Config) *memCluster {
-	t.Helper()
-	mc := &memCluster{}
-	nodes := make([]*cluster.Node, n)
-	addrs := make([]string, n)
-	for i := range nodes {
-		node, err := cluster.StartNode(i, cluster.NodeConfig{
-			Cache: stemcache.Config{
-				Capacity: memCapacity, Shards: 2, Ways: memWays,
-				Seed: cluster.NodeSeed(memSeed, i),
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-		addrs[i] = node.Addr()
-	}
-	t.Cleanup(func() {
-		for _, node := range nodes {
-			node.Close()
-		}
-		for _, node := range mc.nodes[n:] {
-			node.Close()
-		}
-	})
-
-	cl, err := cluster.NewClient(cluster.Config{
-		Addrs: addrs, VNodes: memVNodes, Seed: memSeed,
-		Client: memTpl(), DemandEvery: 16,
-	})
-	if err != nil {
+	t.Cleanup(rig.Close)
+	if err := rig.Bootstrap(cfg); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cl.Close() })
-
-	agents := make([]*membership.Agent, n)
-	for i := range agents {
-		agents[i] = membership.NewAgent(i, cl.Ring(), nodes[i].Server(), memTpl())
-	}
-	t.Cleanup(func() {
-		for _, a := range mc.agents {
-			a.Close()
-		}
-	})
-
-	mc.nodes, mc.agents, mc.addrs, mc.cl = nodes, agents, addrs, cl
-	mgr, err := membership.New(cl, mc.lister, addrs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mgr.Bootstrap(); err != nil {
-		t.Fatal(err)
-	}
-	mc.mgr = mgr
-	return mc
+	return rig
 }
 
 func memKey(i int) string  { return fmt.Sprintf("key-%04d", i) }
@@ -172,19 +100,19 @@ func TestFailoverKeepsAckedWrites(t *testing.T) {
 	}
 	mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 2})
 
-	writeKeys(t, mc.cl, 0, memKeys)
+	writeKeys(t, mc.Client(), 0, memKeys)
 
 	const kill = 1
-	if err := mc.nodes[kill].Close(); err != nil {
+	if err := mc.Kill(kill); err != nil {
 		t.Fatal(err)
 	}
 	// Mid-run writes against a dead owner: the client's replica retry must
 	// land them inside the slot's replica group, still acked.
-	writeKeys(t, mc.cl, memKeys, memKeys+100)
+	writeKeys(t, mc.Client(), memKeys, memKeys+100)
 
 	var failovers []membership.Report
 	for i := 0; i < 4 && len(failovers) == 0; i++ {
-		failovers = append(failovers, mc.mgr.Tick()...)
+		failovers = append(failovers, mc.Manager().Tick()...)
 	}
 	if len(failovers) != 1 || failovers[0].Node != kill {
 		t.Fatalf("expected one failover of node %d, got %+v", kill, failovers)
@@ -197,14 +125,14 @@ func TestFailoverKeepsAckedWrites(t *testing.T) {
 			t.Fatalf("failover promoted slot %d onto the dead node", mv.Slot)
 		}
 	}
-	ring := mc.cl.Ring()
+	ring := mc.Client().Ring()
 	for s := 0; s < ring.Slots(); s++ {
 		if ring.Owner(s) == kill {
 			t.Fatalf("slot %d still owned by the dead node after failover", s)
 		}
 	}
 
-	if got := readKeys(t, mc.cl, 0, memKeys+100); got != memKeys+100 {
+	if got := readKeys(t, mc.Client(), 0, memKeys+100); got != memKeys+100 {
 		t.Fatalf("lost %d of %d acked writes across failover", memKeys+100-got, memKeys+100)
 	}
 }
@@ -219,18 +147,18 @@ func TestFailoverHitRateWithinBound(t *testing.T) {
 	}
 	run := func(kill bool) float64 {
 		mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 2})
-		writeKeys(t, mc.cl, 0, memKeys)
+		writeKeys(t, mc.Client(), 0, memKeys)
 		if kill {
-			if err := mc.nodes[1].Close(); err != nil {
+			if err := mc.Kill(1); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 4; i++ {
-				if reps := mc.mgr.Tick(); len(reps) > 0 {
+				if reps := mc.Manager().Tick(); len(reps) > 0 {
 					break
 				}
 			}
 		}
-		return float64(readKeys(t, mc.cl, 0, memKeys)) / float64(memKeys)
+		return float64(readKeys(t, mc.Client(), 0, memKeys)) / float64(memKeys)
 	}
 	base := run(false)
 	failed := run(true)
@@ -251,16 +179,15 @@ func TestJoinBoundedMovementAndDeterminism(t *testing.T) {
 	}
 	run := func() (membership.Report, []uint64) {
 		mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
-		writeKeys(t, mc.cl, 0, memKeys)
+		writeKeys(t, mc.Client(), 0, memKeys)
 
-		before := mc.cl.Ring().Epochs()
-		addr := mc.addNode(t, memNodes)
-		rep, err := mc.mgr.Join(addr)
+		before := mc.Client().Ring().Epochs()
+		rep, err := mc.Join()
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		ring := mc.cl.Ring()
+		ring := mc.Client().Ring()
 		bound := ceilDiv(ring.Slots(), memNodes+1)
 		if len(rep.Moves) == 0 || len(rep.Moves) > bound {
 			t.Fatalf("join moved %d slots, want 1..%d", len(rep.Moves), bound)
@@ -285,7 +212,7 @@ func TestJoinBoundedMovementAndDeterminism(t *testing.T) {
 			}
 		}
 
-		if got := readKeys(t, mc.cl, 0, memKeys); got != memKeys {
+		if got := readKeys(t, mc.Client(), 0, memKeys); got != memKeys {
 			t.Fatalf("scale-out lost %d of %d keys", memKeys-got, memKeys)
 		}
 		return rep, after
@@ -309,12 +236,12 @@ func TestLeaveBoundedMovement(t *testing.T) {
 		t.Skip("membership e2e drives loopback round trips")
 	}
 	mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
-	writeKeys(t, mc.cl, 0, memKeys)
+	writeKeys(t, mc.Client(), 0, memKeys)
 
 	const leaving = 2
-	ring := mc.cl.Ring()
+	ring := mc.Client().Ring()
 	owned := len(ring.OwnedSlots(leaving))
-	rep, err := mc.mgr.Leave(leaving)
+	rep, err := mc.Manager().Leave(leaving)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,11 +252,11 @@ func TestLeaveBoundedMovement(t *testing.T) {
 	if n := len(ring.OwnedSlots(leaving)); n != 0 {
 		t.Fatalf("departed node still owns %d slots", n)
 	}
-	if got := readKeys(t, mc.cl, 0, memKeys); got != memKeys {
+	if got := readKeys(t, mc.Client(), 0, memKeys); got != memKeys {
 		t.Fatalf("leave lost %d of %d keys", memKeys-got, memKeys)
 	}
 	// A leave of a non-member must fail cleanly.
-	if _, err := mc.mgr.Leave(leaving); err == nil {
+	if _, err := mc.Manager().Leave(leaving); err == nil {
 		t.Fatal("second leave of the same node succeeded")
 	}
 }

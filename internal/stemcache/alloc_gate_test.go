@@ -17,7 +17,7 @@ const benchReadKeys = 1 << 10
 // keys, plus the key list used to populate it.
 func benchReadCache(tb testing.TB) (*Cache[string, []byte], []string) {
 	tb.Helper()
-	c, err := New[string, []byte](benchConfig())
+	c, err := New[string, []byte](Config{Capacity: 1 << 15, Shards: 16, Ways: 8, Seed: 42})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package workloads
 // Multi-tenant serving load: N independent seeded key streams — one per
 // namespace, each with its own distribution, working-set size and Zipf skew
 // — interleaved into one (namespace, key) stream by weighted draw. Built
-// for cmd/stemload's -tenants scenario: one driver goroutine replays an
+// for cmd/stemload's tenants scenario: one driver goroutine replays an
 // identical multi-tenant mix against several servers, so per-tenant hit
 // rates are exactly comparable across capacity-management policies.
 //
