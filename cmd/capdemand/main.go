@@ -28,10 +28,8 @@ func main() {
 		maxWays   = flag.Int("max-ways", 32, "associativity horizon (paper: 32)")
 		seed      = flag.Uint64("seed", 0x57E4, "workload seed")
 		csv       = flag.Bool("csv", false, "emit per-period CSV instead of the mean table")
-
-		metricsAddr = flag.String("metrics", "", `serve live metrics JSON on this address (e.g. ":6060")`)
-		pprofFlag   = flag.Bool("pprof", false, "with -metrics, also serve /debug/pprof")
 	)
+	toolCfg := obs.ToolFlags(flag.CommandLine, "capdemand", obs.ToolFlagSet{Pprof: true})
 	flag.Parse()
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "capdemand:", err)
@@ -43,14 +41,11 @@ func main() {
 		fail(err)
 	}
 
-	tool, err := obs.StartTool(obs.ToolConfig{MetricsAddr: *metricsAddr, Pprof: *pprofFlag})
+	tool, err := obs.StartTool(*toolCfg)
 	if err != nil {
 		fail(err)
 	}
 	defer tool.Close()
-	if addr := tool.MetricsAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "capdemand: metrics at http://%s/metrics\n", addr)
-	}
 	var reg *obs.Registry
 	if tool != nil {
 		reg = tool.Registry

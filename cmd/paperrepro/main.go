@@ -51,12 +51,10 @@ func main() {
 		seed    = flag.Uint64("seed", 0x57E4, "run seed")
 		csvDir  = flag.String("csvdir", "", "also write each table as CSV into this directory")
 		outPath = flag.String("o", "", "write the report to this file instead of stdout")
-
-		metricsAddr = flag.String("metrics", "", `serve live metrics JSON on this address (e.g. ":6060")`)
-		pprofFlag   = flag.Bool("pprof", false, "with -metrics, also serve /debug/pprof")
-		tracePath   = flag.String("trace", "", "write mechanism events as JSONL to this file")
-		snapEvery   = flag.Int("snapshot-every", 0, "accesses between run snapshots (0 = default, negative = off)")
 	)
+	toolCfg := obs.ToolFlags(flag.CommandLine, "paperrepro", obs.ToolFlagSet{
+		Pprof: true, Trace: "trace", TraceHelp: "write mechanism events as JSONL to this file", Snapshots: true,
+	})
 	flag.Parse()
 
 	fail := func(err error) {
@@ -77,19 +75,11 @@ func main() {
 	// The experiment matrices run their (benchmark, scheme) cells in
 	// parallel on one shared registry: counters aggregate across cells,
 	// snapshot gauges show whichever cell published last.
-	tool, err := obs.StartTool(obs.ToolConfig{
-		MetricsAddr:   *metricsAddr,
-		Pprof:         *pprofFlag,
-		TracePath:     *tracePath,
-		SnapshotEvery: *snapEvery,
-	})
+	tool, err := obs.StartTool(*toolCfg)
 	if err != nil {
 		fail(err)
 	}
 	defer tool.Close()
-	if addr := tool.MetricsAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "paperrepro: metrics at http://%s/metrics\n", addr)
-	}
 
 	writeCSV := func(name string, t *stem.Table) {
 		if *csvDir == "" {

@@ -67,10 +67,11 @@ func main() {
 		killAfter   = flag.Duration("kill-after", 0, "with -replication: close -kill-node after this delay, leaving failover to the detector (0 = never)")
 		killNode    = flag.Int("kill-node", 1, "with -kill-after: the node to kill")
 
-		addrFile    = flag.String("addr-file", "", "write the comma-separated node addresses to this file")
-		metricsAddr = flag.String("metrics", "", `serve live metrics JSON on this address (e.g. ":6060")`)
-		tracePath   = flag.String("trace", "", `write node-demand and migration events as JSONL to this file ("-" for stdout)`)
+		addrFile = flag.String("addr-file", "", "write the comma-separated node addresses to this file")
 	)
+	toolCfg := obs.ToolFlags(flag.CommandLine, "stemcluster", obs.ToolFlagSet{
+		Trace: "trace", TraceHelp: `write node-demand and migration events as JSONL to this file ("-" for stdout)`,
+	})
 	flag.Parse()
 
 	if err := run(runConfig{
@@ -80,7 +81,7 @@ func main() {
 		static: *static, addrFile: *addrFile,
 		replication: *replication, heartbeat: *heartbeat, suspect: *suspect,
 		joinAfter: *joinAfter, killAfter: *killAfter, killNode: *killNode,
-		metricsAddr: *metricsAddr, tracePath: *tracePath,
+		tool: *toolCfg,
 	}, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "stemcluster:", err)
 		os.Exit(1)
@@ -109,9 +110,8 @@ type runConfig struct {
 	killAfter   time.Duration
 	killNode    int
 
-	addrFile    string
-	metricsAddr string
-	tracePath   string
+	addrFile string
+	tool     obs.ToolConfig // -metrics, -trace
 }
 
 // run starts the nodes and the rebalancing loop, then blocks until a
@@ -123,11 +123,7 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 	if cfg.epoch <= 0 {
 		return fmt.Errorf("need a positive -epoch")
 	}
-	tool, err := obs.StartTool(obs.ToolConfig{
-		MetricsAddr:   cfg.metricsAddr,
-		TracePath:     cfg.tracePath,
-		SnapshotEvery: -1,
-	})
+	tool, err := obs.StartTool(cfg.tool)
 	if err != nil {
 		return err
 	}
@@ -162,9 +158,6 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 	}
 	fmt.Fprintf(os.Stderr, "stemcluster: %d nodes (%s), %d entries each, %s\n",
 		cfg.nodes, joined, rig.Node(0).Cache().Capacity(), mode)
-	if maddr := tool.MetricsAddr(); maddr != "" {
-		fmt.Fprintf(os.Stderr, "stemcluster: metrics at http://%s/metrics\n", maddr)
-	}
 
 	// The membership tier: one agent per node (replica fan-out and
 	// read-repair hooks on its server), a manager holding the member table

@@ -60,12 +60,12 @@ func main() {
 		idleTimeout  = flag.Duration("idle-timeout", 0, "idle connection close (0 = default 5m, negative = off)")
 		drainTimeout = flag.Duration("drain-timeout", 0, "graceful shutdown grace (0 = default 5s)")
 
-		metricsAddr = flag.String("metrics", "", `serve live metrics JSON on this address (e.g. ":6060")`)
-		pprofFlag   = flag.Bool("pprof", false, "with -metrics, also serve /debug/pprof")
-		tracePath   = flag.String("trace", "", `write mechanism events as JSONL to this file ("-" for stdout)`)
-		slowReq     = flag.Duration("slow-request", 0, "with -trace: emit a slow_request event for requests whose decode+handle exceeds this (0 = off)")
-		addrFile    = flag.String("addr-file", "", "write the bound listen address to this file once serving (for scripts using :0)")
+		slowReq  = flag.Duration("slow-request", 0, "with -trace: emit a slow_request event for requests whose decode+handle exceeds this (0 = off)")
+		addrFile = flag.String("addr-file", "", "write the bound listen address to this file once serving (for scripts using :0)")
 	)
+	toolCfg := obs.ToolFlags(flag.CommandLine, "stemd", obs.ToolFlagSet{
+		Pprof: true, Trace: "trace", TraceHelp: `write mechanism events as JSONL to this file ("-" for stdout)`,
+	})
 	flag.Parse()
 
 	if err := run(runConfig{
@@ -76,8 +76,7 @@ func main() {
 		nodeID: *nodeID, clusterSeed: *clusterSeed,
 		maxConns: *maxConns, readTimeout: *readTimeout, writeTimeout: *writeTimeout,
 		idleTimeout: *idleTimeout, drainTimeout: *drainTimeout,
-		metricsAddr: *metricsAddr, pprof: *pprofFlag, tracePath: *tracePath,
-		slowRequest: *slowReq, addrFile: *addrFile,
+		tool: *toolCfg, slowRequest: *slowReq, addrFile: *addrFile,
 	}, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "stemd:", err)
 		os.Exit(1)
@@ -109,9 +108,7 @@ type runConfig struct {
 	idleTimeout  time.Duration
 	drainTimeout time.Duration
 
-	metricsAddr string
-	pprof       bool
-	tracePath   string
+	tool        obs.ToolConfig // -metrics, -pprof, -trace
 	slowRequest time.Duration
 	addrFile    string
 }
@@ -119,12 +116,7 @@ type runConfig struct {
 // run builds the cache and server, then blocks until a termination signal
 // (or stop closing, for tests) and drains.
 func run(cfg runConfig, stop <-chan struct{}) error {
-	tool, err := obs.StartTool(obs.ToolConfig{
-		MetricsAddr:   cfg.metricsAddr,
-		Pprof:         cfg.pprof,
-		TracePath:     cfg.tracePath,
-		SnapshotEvery: -1, // snapshots are a simulator device; servers expose /metrics instead
-	})
+	tool, err := obs.StartTool(cfg.tool)
 	if err != nil {
 		return err
 	}
@@ -201,9 +193,6 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 	}
 	fmt.Fprintf(os.Stderr, "stemd: serving %s cache (%d entries) on %s\n",
 		engine, cache.Capacity(), srv.Addr())
-	if maddr := tool.MetricsAddr(); maddr != "" {
-		fmt.Fprintf(os.Stderr, "stemd: metrics at http://%s/metrics\n", maddr)
-	}
 
 	sigC := make(chan os.Signal, 1)
 	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)

@@ -28,7 +28,7 @@ func TestRunAddrFileAndSlowRequestTrace(t *testing.T) {
 			capacity:    1 << 10,
 			seed:        1,
 			nodeID:      -1,
-			tracePath:   traceFile,
+			tool:        obs.ToolConfig{TracePath: traceFile},
 			slowRequest: time.Nanosecond,
 			addrFile:    addrFile,
 		}, stop)

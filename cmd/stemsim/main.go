@@ -31,12 +31,10 @@ func main() {
 		measure = flag.Int("measure", 3_000_000, "measured accesses")
 		seed    = flag.Uint64("seed", 0x57E4, "run seed")
 		list    = flag.Bool("list", false, "list benchmarks and exit")
-
-		metricsAddr = flag.String("metrics", "", `serve live metrics JSON on this address (e.g. ":6060")`)
-		pprofFlag   = flag.Bool("pprof", false, "with -metrics, also serve /debug/pprof")
-		tracePath   = flag.String("trace", "", `write mechanism events as JSONL to this file ("-" for stdout)`)
-		snapEvery   = flag.Int("snapshot-every", 0, "accesses between run snapshots (0 = default, negative = off)")
 	)
+	toolCfg := obs.ToolFlags(flag.CommandLine, "stemsim", obs.ToolFlagSet{
+		Pprof: true, Trace: "trace", TraceHelp: `write mechanism events as JSONL to this file ("-" for stdout)`, Snapshots: true,
+	})
 	flag.Parse()
 
 	if *list {
@@ -52,20 +50,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	tool, err := obs.StartTool(obs.ToolConfig{
-		MetricsAddr:   *metricsAddr,
-		Pprof:         *pprofFlag,
-		TracePath:     *tracePath,
-		SnapshotEvery: *snapEvery,
-	})
+	tool, err := obs.StartTool(*toolCfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stemsim:", err)
 		os.Exit(1)
 	}
 	defer tool.Close()
-	if addr := tool.MetricsAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "stemsim: metrics at http://%s/metrics\n", addr)
-	}
 
 	cfg := stem.RunConfig{
 		Geom:    stem.Geometry{Sets: *sets, Ways: *ways, LineSize: *line},

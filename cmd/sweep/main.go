@@ -33,28 +33,18 @@ func main() {
 		seed    = flag.Uint64("seed", 0x57E4, "run seed")
 		csv     = flag.Bool("csv", false, "emit CSV instead of the aligned table")
 		outPath = flag.String("o", "", "write the table to this file instead of stdout")
-
-		metricsAddr = flag.String("metrics", "", `serve live metrics JSON on this address (e.g. ":6060")`)
-		pprofFlag   = flag.Bool("pprof", false, "with -metrics, also serve /debug/pprof")
-		tracePath   = flag.String("trace", "", "write mechanism events as JSONL to this file")
-		snapEvery   = flag.Int("snapshot-every", 0, "accesses between run snapshots (0 = default, negative = off)")
 	)
+	toolCfg := obs.ToolFlags(flag.CommandLine, "sweep", obs.ToolFlagSet{
+		Pprof: true, Trace: "trace", TraceHelp: "write mechanism events as JSONL to this file", Snapshots: true,
+	})
 	flag.Parse()
 
-	tool, err := obs.StartTool(obs.ToolConfig{
-		MetricsAddr:   *metricsAddr,
-		Pprof:         *pprofFlag,
-		TracePath:     *tracePath,
-		SnapshotEvery: *snapEvery,
-	})
+	tool, err := obs.StartTool(*toolCfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
 	defer tool.Close()
-	if addr := tool.MetricsAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "sweep: metrics at http://%s/metrics\n", addr)
-	}
 
 	cfg := stem.SweepConfig{
 		Benchmark: *bench,

@@ -40,12 +40,10 @@ func main() {
 		seed      = flag.Uint64("seed", 0x57E4, "scheme seed")
 		record    = flag.String("record", "", "record this benchmark analog instead of replaying")
 		recordN   = flag.Int("n", 5_000_000, "references to record with -record")
-
-		metricsAddr = flag.String("metrics", "", `serve live metrics JSON on this address (e.g. ":6060")`)
-		pprofFlag   = flag.Bool("pprof", false, "with -metrics, also serve /debug/pprof")
-		eventsPath  = flag.String("events", "", "write mechanism events as JSONL to this file (-trace is the input)")
-		snapEvery   = flag.Int("snapshot-every", 0, "accesses between run snapshots (0 = default, negative = off)")
 	)
+	toolCfg := obs.ToolFlags(flag.CommandLine, "tracerun", obs.ToolFlagSet{
+		Pprof: true, Trace: "events", TraceHelp: "write mechanism events as JSONL to this file (-trace is the input)", Snapshots: true,
+	})
 	flag.Parse()
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "tracerun:", err)
@@ -77,19 +75,11 @@ func main() {
 			*warmFrac, warm, len(refs)-warm))
 	}
 
-	tool, err := obs.StartTool(obs.ToolConfig{
-		MetricsAddr:   *metricsAddr,
-		Pprof:         *pprofFlag,
-		TracePath:     *eventsPath,
-		SnapshotEvery: *snapEvery,
-	})
+	tool, err := obs.StartTool(*toolCfg)
 	if err != nil {
 		fail(err)
 	}
 	defer tool.Close()
-	if addr := tool.MetricsAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "tracerun: metrics at http://%s/metrics\n", addr)
-	}
 
 	fmt.Printf("trace: %d references (%d warm-up), %d sets x %d ways\n\n",
 		len(refs), warm, *sets, *ways)

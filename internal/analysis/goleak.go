@@ -9,7 +9,8 @@ import (
 // `go` statement in a library package must be tied to a tracked waiter, so
 // no goroutine can outlive the component that launched it. The pattern the
 // repo standardized on (server handlers, client stale-refresh, stemcache's
-// revalidation pool, Multi's scatter) is a sync.WaitGroup bracket:
+// revalidation pool, the cluster client's batch fan-out) is a sync.WaitGroup
+// bracket:
 //
 //	wg.Add(1)
 //	go func() {

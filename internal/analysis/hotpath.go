@@ -59,9 +59,9 @@ type hotTable struct {
 }
 
 // wireHotTable covers the frame codec: the append-encode and reusing-decode
-// entry points both the server and client sit on. The stats snapshot
-// (cursor.demand), the sampled trace extensions, and the error constructor
-// are cold by design.
+// entry points both the server and client sit on. The sampled demand
+// prefix (cursor.demand), the sampled trace extensions, and the error
+// constructor are cold by design.
 var wireHotTable = &hotTable{
 	roots: []string{
 		"AppendRequest", "AppendResponse",
@@ -69,7 +69,7 @@ var wireHotTable = &hotTable{
 		"ReadRequestInto", "ReadResponseInto",
 	},
 	cold: map[string]bool{
-		"cursor.demand":      true, // DEMAND is the cluster's per-epoch stats op
+		"cursor.demand":      true, // demand rides sampled responses and heartbeats, not every op
 		"cursor.traceReq":    true, // sampled tracing extension, not per-op
 		"cursor.traceResp":   true,
 		"cursor.members":     true, // membership pushes ride lifecycle events, not requests
@@ -87,7 +87,7 @@ var serverHotTable = &hotTable{
 	cold: map[string]bool{
 		"Server.handleLoad":       true, // miss path: lease election allocates by design
 		"Server.statsJSON":        true, // operator stats snapshot
-		"Server.demand":           true, // per-epoch cluster stats op
+		"Server.demand":           true, // FlagDemand requests only: sampled, or a heartbeat
 		"Server.handleMembership": true, // membership pushes ride lifecycle events
 		"Server.repairGet":        true, // miss path of repair-marked slots only
 		"conn.readFailed":         true, // connection error rendering

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,7 +86,7 @@ type Config struct {
 	// DemandEvery makes every DemandEvery-th request carry wire.FlagDemand,
 	// asking the server to piggyback its NodeDemand snapshot on the
 	// response — push-based demand dissemination riding existing traffic
-	// instead of a DEMAND polling loop. 0 (default) disables.
+	// instead of a polling loop. 0 (default) disables.
 	DemandEvery int
 	// OnDemand, when non-nil, receives every piggybacked demand snapshot
 	// (from DemandEvery sampling or an explicit Heartbeat) synchronously on
@@ -135,6 +136,40 @@ type ServerError struct {
 // Error formats the failed op and the server's message.
 func (e *ServerError) Error() string {
 	return fmt.Sprintf("client: server error on %v: %s", e.Op, e.Msg)
+}
+
+// NodeError is one node's failure within an operation that spans several
+// servers (the cluster tier's fanned-out batches and replica retries).
+type NodeError struct {
+	// Node is the failed node's cluster id.
+	Node int
+	// Err is the underlying client error.
+	Err error
+}
+
+// Error formats the node id and the underlying error.
+func (e NodeError) Error() string {
+	return fmt.Sprintf("node %d: %v", e.Node, e.Err)
+}
+
+// Unwrap exposes the underlying error to errors.Is/As.
+func (e NodeError) Unwrap() error { return e.Err }
+
+// PartialError reports that an operation spanning several nodes succeeded
+// on some and failed on others. Results for the successful nodes are still
+// returned alongside it. Errs is ordered by node id for a batch, by attempt
+// (owner first) for a replica retry.
+type PartialError struct {
+	Errs []NodeError
+}
+
+// Error joins the per-node failures into one message.
+func (e *PartialError) Error() string {
+	parts := make([]string, len(e.Errs))
+	for i, ne := range e.Errs {
+		parts[i] = ne.Error()
+	}
+	return fmt.Sprintf("client: partial batch failure: %s", strings.Join(parts, "; "))
 }
 
 // Client is a pooled connection to one stemd server. Safe for concurrent
@@ -445,20 +480,6 @@ func (c *Client) MSet(pairs []wire.KV) error {
 	return err
 }
 
-// Demand fetches the server's node-level capacity-demand snapshot: the
-// aggregate of its cache's per-set SCDM monitors (taker/giver set counts,
-// SC_S saturation). The cluster rebalancer polls this each epoch.
-func (c *Client) Demand() (wire.NodeDemand, error) {
-	resp, err := c.one(&wire.Request{Op: wire.OpDemand})
-	if err != nil {
-		return wire.NodeDemand{}, err
-	}
-	if resp.Demand == nil {
-		return wire.NodeDemand{}, fmt.Errorf("%w: DEMAND OK response without snapshot", wire.ErrFrame)
-	}
-	return *resp.Demand, nil
-}
-
 // Stats fetches the server's statistics snapshot as raw JSON (the document
 // is described by server.StatsSnapshot).
 func (c *Client) Stats() ([]byte, error) {
@@ -497,21 +518,17 @@ func (c *Client) ReplicateDelete(namespace, key string) error {
 	return err
 }
 
-// PushMembership pushes a membership view to the server's agent. op must be
-// wire.OpJoin or wire.OpLeave — same schema, and the opcode records which
-// lifecycle event produced the view.
-func (c *Client) PushMembership(op wire.Op, epoch uint64, members []wire.Member, replicas []wire.ReplicaSet) error {
-	if op != wire.OpJoin && op != wire.OpLeave {
-		return fmt.Errorf("client: PushMembership with opcode %v", op)
-	}
-	_, err := c.one(&wire.Request{Op: op, Epoch: epoch, Members: members, Replicas: replicas})
+// PushMembership pushes a membership view to the server's agent (OpView).
+func (c *Client) PushMembership(epoch uint64, members []wire.Member, replicas []wire.ReplicaSet) error {
+	_, err := c.one(&wire.Request{Op: wire.OpView, Epoch: epoch, Members: members, Replicas: replicas})
 	return err
 }
 
 // Heartbeat pings the server with wire.FlagDemand set, returning the
 // piggybacked demand snapshot — one frame for liveness and demand gossip
 // both, which is how the failure detector keeps the demand cache warm on
-// otherwise idle nodes. The OnDemand callback (if any) also fires.
+// otherwise idle nodes, and the only explicit pull of a node's demand. The
+// OnDemand callback (if any) also fires.
 func (c *Client) Heartbeat() (wire.NodeDemand, error) {
 	resp, err := c.one(&wire.Request{Op: wire.OpPing, Flags: wire.FlagDemand})
 	if err != nil {

@@ -319,3 +319,66 @@ func TestBatchQueueAndReset(t *testing.T) {
 		t.Fatalf("Len after Reset = %d", b.Len())
 	}
 }
+
+// TestClientDemand pins the client's two demand paths, both riding
+// wire.FlagDemand: Heartbeat is a PING that must come back with the
+// piggybacked snapshot (a response without one is a protocol error), and
+// DemandEvery flags every n-th ordinary request; OnDemand sees every
+// snapshot either path brings back.
+func TestClientDemand(t *testing.T) {
+	want := wire.NodeDemand{NodeID: 3, Sets: 64, TakerSets: 8, GiverSets: 40,
+		CoupledSets: 6, ScSSum: 100, ScSMax: 64 * 127, Live: 50, Capacity: 256}
+	var mu sync.Mutex
+	flagged := map[wire.Op]int{}
+	mute := false
+	fs := newFakeServer(t, func(req *wire.Request) *wire.Response {
+		resp := &wire.Response{Op: req.Op, Status: wire.StatusOK}
+		mu.Lock()
+		defer mu.Unlock()
+		if req.Flags&wire.FlagDemand != 0 && !mute {
+			flagged[req.Op]++
+			d := want
+			resp.Piggyback = &d
+		}
+		return resp
+	})
+	count := func(op wire.Op) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return flagged[op]
+	}
+	var pushed []wire.NodeDemand
+	cl, err := New(Config{Addr: fs.ln.Addr().String(), DemandEvery: 4,
+		OnDemand: func(d wire.NodeDemand) { pushed = append(pushed, d) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	for i := 0; i < 8; i++ {
+		if err := cl.Set("k", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if count(wire.OpSet) != 2 || len(pushed) != 2 {
+		t.Fatalf("8 SETs at DemandEvery 4: %d flagged, %d pushed; want 2 and 2", count(wire.OpSet), len(pushed))
+	}
+
+	got, err := cl.Heartbeat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("Heartbeat = %+v, want %+v", got, want)
+	}
+	if count(wire.OpPing) != 1 || len(pushed) != 3 || pushed[2] != want {
+		t.Fatalf("heartbeat: %d flagged PINGs, pushed %+v", count(wire.OpPing), pushed)
+	}
+
+	mu.Lock()
+	mute = true
+	mu.Unlock()
+	if _, err := cl.Heartbeat(); !errors.Is(err, wire.ErrFrame) {
+		t.Fatalf("Heartbeat without a snapshot = %v, want a frame error", err)
+	}
+}

@@ -33,8 +33,9 @@ type Config struct {
 	Client client.Config
 	// DemandEvery, when > 0, asks every DemandEvery-th request per node to
 	// piggyback the node's demand snapshot on its response (wire.FlagDemand)
-	// and caches it — the push-based DEMAND dissemination the rebalancer
-	// and membership manager consume, with an explicit poll as fallback.
+	// and caches it — the push-based demand dissemination the rebalancer
+	// and membership manager consume, with the heartbeat as the explicit
+	// pull.
 	DemandEvery int
 	// Metrics, when non-nil, receives ring and routing gauges under
 	// "cluster.*".
@@ -43,10 +44,16 @@ type Config struct {
 
 // Client routes cache operations across a cluster through a consistent-hash
 // Ring: single operations go to the key's owner, MGET/MSET batches are
-// split per owner, sent concurrently, and merged back into request order
-// (via client.Multi). It also keeps the two signals the rebalancer feeds
-// on: per-slot operation counts (the load signal) and per-node in-flight
-// gates (so a migration can drain a node before copying keys).
+// split per owner, sent concurrently, and merged back into request order.
+// It also keeps the two signals the rebalancer feeds on: per-slot operation
+// counts (the load signal) and per-node in-flight gates (so a migration can
+// drain a node before copying keys).
+//
+// Batch failure semantics are partial by design: when some nodes answer and
+// others fail, the answered positions are returned (found=false / stored
+// nothing for the failed ones) together with a *client.PartialError naming
+// the failed nodes. A cluster cache treats a dead node as a miss, not as a
+// reason to fail the whole batch.
 //
 // With a replica source installed (SetReplicaSource, fed by the membership
 // manager), single-key operations that fail transiently on a slot's owner
@@ -55,23 +62,24 @@ type Config struct {
 //
 // Safe for concurrent use. The node set can grow (AddNode, for scale-out).
 type Client struct {
-	ring  *Ring
-	multi *client.Multi
+	ring *Ring
 
 	// slotOps[s] counts operations routed to slot s since the last
 	// TakeSlotLoads — the rebalancer's per-epoch load signal. The slot set
 	// is fixed, so this never grows.
 	slotOps []atomic.Uint64
-	// handles is the per-node state (gate + pushed-demand cache) behind an
-	// immutable snapshot so AddNode never blocks the data path. The handle
-	// objects themselves are shared across snapshots.
-	handles atomic.Pointer[[]*nodeHandle]
+	// nodes is the node table, indexed by node id: an immutable snapshot
+	// behind an atomic pointer, so every operation sees a consistent set
+	// and AddNode never blocks the data path. The handles themselves are
+	// shared across snapshots.
+	nodes atomic.Pointer[[]*nodeHandle]
 	// replicaSource, when set, maps a slot to its replica node ids (owner
 	// first). Installed by the membership manager.
 	replicaSource atomic.Pointer[func(slot int) []int]
 
-	// mu serializes AddNode (the only writer of handles).
-	mu sync.Mutex
+	// mu serializes AddNode and Close (the writers of nodes and closed).
+	mu     sync.Mutex
+	closed bool
 
 	tpl         client.Config
 	demandEvery int
@@ -79,9 +87,11 @@ type Client struct {
 	ops         *obs.Counter
 }
 
-// nodeHandle is one node's client-side state: the drain gate and the last
-// demand snapshot its responses piggybacked.
+// nodeHandle is everything the client keeps per node: the pooled
+// connection, the drain gate, and the last demand snapshot its responses
+// piggybacked.
 type nodeHandle struct {
+	cl     *client.Client
 	gate   gate
 	demand atomic.Pointer[wire.NodeDemand]
 }
@@ -93,7 +103,8 @@ type gate struct {
 	done    atomic.Uint64
 }
 
-// NewClient builds a routing client over cfg.Addrs.
+// NewClient builds a routing client over cfg.Addrs. No connection is
+// dialed until first use (client.New's contract).
 func NewClient(cfg Config) (*Client, error) {
 	if len(cfg.Addrs) == 0 {
 		return nil, errors.New("cluster: no node addresses")
@@ -112,39 +123,37 @@ func NewClient(cfg Config) (*Client, error) {
 		demandEvery: cfg.DemandEvery,
 		reg:         cfg.Metrics,
 	}
-	handles := make([]*nodeHandle, len(cfg.Addrs))
-	cfgs := make([]client.Config, len(cfg.Addrs))
+	nodes := make([]*nodeHandle, len(cfg.Addrs))
 	for i, addr := range cfg.Addrs {
-		handles[i] = &nodeHandle{}
-		cfgs[i] = cl.nodeConfig(addr, handles[i])
+		if nodes[i], err = cl.newHandle(addr); err != nil {
+			return nil, fmt.Errorf("node %d: %w", i, err)
+		}
 	}
-	cl.handles.Store(&handles)
-	multi, err := client.NewMulti(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	cl.multi = multi
+	cl.nodes.Store(&nodes)
 	if reg := cfg.Metrics; reg != nil {
 		cl.ops = reg.Counter("cluster.client_ops")
 		reg.GaugeFunc("cluster.ring_version", func() float64 { return float64(ring.Version()) })
-		for n := 0; n < len(cfg.Addrs); n++ {
+		for n := range nodes {
 			cl.registerNodeGauge(n)
 		}
 	}
 	return cl, nil
 }
 
-// nodeConfig derives one node's connection config from the template: the
-// address and, when demand push is on, the piggyback sampling plus the
-// OnDemand sink writing into the node's handle.
-func (c *Client) nodeConfig(addr string, h *nodeHandle) client.Config {
+// newHandle builds one node's handle: its connection config is the
+// template with the node's address and, when demand push is on, the
+// piggyback sampling plus the OnDemand sink writing into the handle.
+func (c *Client) newHandle(addr string) (*nodeHandle, error) {
+	h := &nodeHandle{}
 	nc := c.tpl
 	nc.Addr = addr
 	if c.demandEvery > 0 {
 		nc.DemandEvery = c.demandEvery
 		nc.OnDemand = func(d wire.NodeDemand) { h.demand.Store(&d) }
 	}
-	return nc
+	var err error
+	h.cl, err = client.New(nc)
+	return h, err
 }
 
 // registerNodeGauge publishes node n's owned-slot count.
@@ -154,27 +163,29 @@ func (c *Client) registerNodeGauge(n int) {
 	})
 }
 
-// AddNode appends a node to the client's set and the ring's node count
+// AddNode appends a node to the table and the ring's node count
 // (scale-out) and returns its id. The new node owns no slots until the
-// membership manager or rebalancer moves some to it.
+// membership manager or rebalancer moves some to it. Operations already in
+// flight keep their pre-AddNode table; new operations see the grown one.
 func (c *Client) AddNode(addr string) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h := &nodeHandle{}
-	id, err := c.multi.Add(c.nodeConfig(addr, h))
+	h, err := c.newHandle(addr)
 	if err != nil {
 		return 0, err
 	}
-	old := *c.handles.Load()
-	grown := make([]*nodeHandle, len(old)+1)
-	copy(grown, old)
-	grown[len(old)] = h
-	c.handles.Store(&grown)
-	// The ring grows last so a Lookup never routes to a node the multi
-	// cannot reach yet.
-	if rid := c.ring.AddNode(); rid != id {
-		return 0, fmt.Errorf("cluster: ring/multi node id drift: %d vs %d", rid, id)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		h.cl.Close()
+		return 0, client.ErrClosed
 	}
+	old := *c.nodes.Load()
+	grown := append(old[:len(old):len(old)], h)
+	c.nodes.Store(&grown)
+	// The ring grows after the table, and slots move to the newcomer only
+	// after that: a node id a Lookup returns is always in every table
+	// loaded afterwards. This method is the ring's only grower, so the
+	// ring's id is the table index.
+	id := c.ring.AddNode()
 	if c.reg != nil {
 		c.registerNodeGauge(id)
 	}
@@ -201,23 +212,38 @@ func (c *Client) Ring() *Ring { return c.ring }
 func (c *Client) Template() client.Config { return c.tpl }
 
 // Nodes returns the node count.
-func (c *Client) Nodes() int { return c.multi.Len() }
+func (c *Client) Nodes() int { return len(*c.nodes.Load()) }
 
-// Close releases every node's pooled connections.
-func (c *Client) Close() error { return c.multi.Close() }
+// handle returns node n's entry in the current table.
+func (c *Client) handle(n int) *nodeHandle { return (*c.nodes.Load())[n] }
 
-// route resolves key's owner, charges the slot's load counter, and opens
-// the node's gate. The caller must defer c.exit(node).
-func (c *Client) route(key string) (node, slot int) {
-	node, slot = c.ring.Lookup(key)
-	c.slotOps[slot].Add(1)
-	c.enter(node)
-	c.ops.Inc()
-	return node, slot
+// NodeClient returns node n's pooled connection, for callers that address
+// nodes directly, bypassing the ring: slot migration, the membership
+// manager's view pushes, the rebalancer's demand pull.
+func (c *Client) NodeClient(n int) *client.Client { return c.handle(n).cl }
+
+// Close releases every node's pooled connections. The first error wins.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	nodes := *c.nodes.Load()
+	c.mu.Unlock()
+	var first error
+	for _, h := range nodes {
+		if err := h.cl.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
-func (c *Client) enter(node int) { (*c.handles.Load())[node].gate.started.Add(1) }
-func (c *Client) exit(node int)  { (*c.handles.Load())[node].gate.done.Add(1) }
+// run executes op against node n inside the node's drain gate.
+func (c *Client) run(n int, op func(cl *client.Client) error) error {
+	h := c.handle(n)
+	h.gate.started.Add(1)
+	defer h.gate.done.Add(1)
+	return op(h.cl)
+}
 
 // replicasFor returns slot's replica nodes excluding owner, or nil when no
 // replica source is installed.
@@ -228,21 +254,23 @@ func (c *Client) replicasFor(slot, owner int) []int {
 	}
 	var out []int
 	for _, n := range (*srcp)(slot) {
-		if n != owner && n >= 0 && n < c.multi.Len() {
+		if n != owner && n >= 0 && n < c.Nodes() {
 			out = append(out, n)
 		}
 	}
 	return out
 }
 
-// single runs op against key's owner and, on a transient failure, retries
-// it against the slot's replicas in placement order. When the owner and
-// every replica fail, the combined failures surface as a
-// *client.PartialError; a non-transient owner error surfaces as itself.
+// single runs op against key's owner — charging the slot's load counter —
+// and, on a transient failure, retries it against the slot's replicas in
+// placement order. When the owner and every replica fail, the combined
+// failures surface as a *client.PartialError; a non-transient owner error
+// surfaces as itself.
 func (c *Client) single(key string, op func(cl *client.Client) error) error {
-	node, slot := c.route(key)
-	err := op(c.multi.Node(node))
-	c.exit(node)
+	node, slot := c.ring.Lookup(key)
+	c.slotOps[slot].Add(1)
+	c.ops.Inc()
+	err := c.run(node, op)
 	if err == nil || !client.IsTransient(err) {
 		return err
 	}
@@ -252,9 +280,7 @@ func (c *Client) single(key string, op func(cl *client.Client) error) error {
 	}
 	errs := []client.NodeError{{Node: node, Err: err}}
 	for _, rn := range reps {
-		c.enter(rn)
-		rerr := op(c.multi.Node(rn))
-		c.exit(rn)
+		rerr := c.run(rn, op)
 		if rerr == nil {
 			return nil
 		}
@@ -328,83 +354,110 @@ func (c *Client) GetOrLoad(ctx context.Context, key string, origin client.Origin
 	return value, nil
 }
 
-// routeBatch resolves owners for n keys via pick-by-index, charging slot
-// counters and opening the gates of every involved node. It returns the
-// per-index node table and the distinct involved nodes.
-func (c *Client) routeBatch(n int, keyAt func(int) string) (nodes []int, involved []int) {
-	nodes = make([]int, n)
-	var seen []bool
+// fanOut splits a batch of n items per owning node — keyAt(i) is item i's
+// key — and runs send once per involved node, concurrently, each inside its
+// node's drain gate, with the node's item indices in input order. Per-node
+// failures come back as a *client.PartialError ordered by node id; the
+// other nodes' sends have still happened.
+func (c *Client) fanOut(n int, keyAt func(i int) string, send func(cl *client.Client, idx []int) error) error {
+	var groups [][]int // node id → item indices
 	for i := 0; i < n; i++ {
 		node, slot := c.ring.Lookup(keyAt(i))
-		nodes[i] = node
 		c.slotOps[slot].Add(1)
-		if seen == nil {
-			seen = make([]bool, c.multi.Len())
+		if node >= len(groups) {
+			groups = append(groups, make([][]int, node+1-len(groups))...)
 		}
-		if !seen[node] {
-			seen[node] = true
-			involved = append(involved, node)
-		}
-	}
-	for _, node := range involved {
-		c.enter(node)
+		groups[node] = append(groups[node], i)
 	}
 	c.ops.Inc()
-	return nodes, involved
+	// Loaded after the lookups, so it covers every id they returned (see
+	// AddNode).
+	nodes := *c.nodes.Load()
+	errs := make([]error, len(groups))
+	var wg sync.WaitGroup
+	for node, idx := range groups {
+		if len(idx) == 0 {
+			continue
+		}
+		h := nodes[node]
+		h.gate.started.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer h.gate.done.Add(1)
+			errs[node] = send(h.cl, idx)
+		}()
+	}
+	wg.Wait()
+	var failed []client.NodeError
+	for node, err := range errs {
+		if err != nil {
+			failed = append(failed, client.NodeError{Node: node, Err: err})
+		}
+	}
+	if failed != nil {
+		return &client.PartialError{Errs: failed}
+	}
+	return nil
 }
 
 // MGet fetches keys across the cluster: the batch is split per owning
-// node, fanned out concurrently, and merged back into key order. Failure
-// semantics are client.Multi's: dead nodes' keys read as misses alongside
-// a *client.PartialError.
+// node, fanned out concurrently, and merged back into key order — values
+// and found are parallel to keys. Dead nodes' keys read as misses alongside
+// a *client.PartialError; values/found are still valid for the rest.
 func (c *Client) MGet(keys []string) (values [][]byte, found []bool, err error) {
 	if len(keys) == 0 {
 		return nil, nil, nil
 	}
-	nodes, involved := c.routeBatch(len(keys), func(i int) string { return keys[i] })
-	defer func() {
-		for _, node := range involved {
-			c.exit(node)
+	values = make([][]byte, len(keys))
+	found = make([]bool, len(keys))
+	err = c.fanOut(len(keys), func(i int) string { return keys[i] }, func(cl *client.Client, idx []int) error {
+		sub := make([]string, len(idx))
+		for j, i := range idx {
+			sub[j] = keys[i]
 		}
-	}()
-	return c.multi.MGet(keys, func(i int) int { return nodes[i] })
+		vs, fs, err := cl.MGet(sub)
+		if err != nil {
+			return err
+		}
+		for j, i := range idx {
+			values[i], found[i] = vs[j], fs[j]
+		}
+		return nil
+	})
+	return values, found, err
 }
 
-// MSet stores pairs across the cluster (split per owner, like MGet).
+// MSet stores pairs across the cluster (split per owner, like MGet). When
+// some nodes fail, the stores on the others have still happened.
 func (c *Client) MSet(pairs []wire.KV) error {
 	if len(pairs) == 0 {
 		return nil
 	}
-	nodes, involved := c.routeBatch(len(pairs), func(i int) string { return pairs[i].Key })
-	defer func() {
-		for _, node := range involved {
-			c.exit(node)
+	return c.fanOut(len(pairs), func(i int) string { return pairs[i].Key }, func(cl *client.Client, idx []int) error {
+		sub := make([]wire.KV, len(idx))
+		for j, i := range idx {
+			sub[j] = pairs[i]
 		}
-	}()
-	return c.multi.MSet(pairs, func(i int) int { return nodes[i] })
+		return cl.MSet(sub)
+	})
 }
 
 // Ping checks liveness of every node; the first failure wins.
 func (c *Client) Ping() error {
-	for n := 0; n < c.multi.Len(); n++ {
-		if err := c.multi.Node(n).Ping(); err != nil {
+	for n, h := range *c.nodes.Load() {
+		if err := h.cl.Ping(); err != nil {
 			return fmt.Errorf("node %d: %w", n, err)
 		}
 	}
 	return nil
 }
 
-// Demand polls node's capacity-demand snapshot (an explicit round trip;
-// see CachedDemand for the push-based path).
-func (c *Client) Demand(node int) (wire.NodeDemand, error) {
-	return c.multi.Node(node).Demand()
-}
-
 // CachedDemand returns node's last pushed demand snapshot (piggybacked on
 // a response or brought back by Heartbeat), or ok=false when none has
 // arrived yet.
 func (c *Client) CachedDemand(node int) (wire.NodeDemand, bool) {
-	d := (*c.handles.Load())[node].demand.Load()
+	d := c.handle(node).demand.Load()
 	if d == nil {
 		return wire.NodeDemand{}, false
 	}
@@ -415,26 +468,24 @@ func (c *Client) CachedDemand(node int) (wire.NodeDemand, bool) {
 // — the membership detector's probe, doubling as the demand-gossip
 // fallback for idle nodes that no request traffic reaches.
 func (c *Client) Heartbeat(node int) (wire.NodeDemand, error) {
-	c.enter(node)
-	defer c.exit(node)
-	d, err := c.multi.Node(node).Heartbeat()
+	h := c.handle(node)
+	h.gate.started.Add(1)
+	d, err := h.cl.Heartbeat()
+	h.gate.done.Add(1)
 	if err != nil {
 		return wire.NodeDemand{}, err
 	}
-	(*c.handles.Load())[node].demand.Store(&d)
+	h.demand.Store(&d)
 	return d, nil
 }
 
-// Stats fetches node's STATS document (raw JSON, see server.StatsSnapshot).
-func (c *Client) Stats(node int) ([]byte, error) {
-	return c.multi.Node(node).Stats()
-}
-
-// StatsAll fetches every node's STATS document, indexed by node.
+// StatsAll fetches every node's STATS document (raw JSON, see
+// server.StatsSnapshot), indexed by node.
 func (c *Client) StatsAll() ([][]byte, error) {
-	out := make([][]byte, c.multi.Len())
-	for n := range out {
-		b, err := c.multi.Node(n).Stats()
+	nodes := *c.nodes.Load()
+	out := make([][]byte, len(nodes))
+	for n, h := range nodes {
+		b, err := h.cl.Stats()
 		if err != nil {
 			return nil, fmt.Errorf("node %d: %w", n, err)
 		}
@@ -442,14 +493,6 @@ func (c *Client) StatsAll() ([][]byte, error) {
 	}
 	return out, nil
 }
-
-// node exposes a raw per-node client to the rebalancer's migration path
-// and the membership manager (which must address nodes directly, bypassing
-// the ring).
-func (c *Client) node(n int) *client.Client { return c.multi.Node(n) }
-
-// NodeClient is the exported form of node, for the membership manager.
-func (c *Client) NodeClient(n int) *client.Client { return c.multi.Node(n) }
 
 // TakeSlotLoads returns each slot's operation count since the previous
 // call, resetting the counters — one rebalancing epoch's load signal.
@@ -466,7 +509,7 @@ func (c *Client) TakeSlotLoads() []uint64 {
 // Operations started after the call are not waited for (the lost-write
 // window is documented at Client.MoveSlot).
 func (c *Client) DrainNode(node int) {
-	g := &(*c.handles.Load())[node].gate
+	g := &c.handle(node).gate
 	target := g.started.Load()
 	for g.done.Load() < target {
 		time.Sleep(200 * time.Microsecond)

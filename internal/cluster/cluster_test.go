@@ -94,14 +94,21 @@ func TestClientRoutesToRingOwner(t *testing.T) {
 		}
 	}
 
-	// Demand and stats reach each node and echo its id.
+	// Heartbeat and stats reach each node; the demand snapshot echoes the
+	// node's id and lands in the demand cache.
 	for i := range nodes {
-		d, err := cl.Demand(i)
+		if _, ok := cl.CachedDemand(i); ok {
+			t.Fatalf("node %d has a cached demand before any push", i)
+		}
+		d, err := cl.Heartbeat(i)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if int(d.NodeID) != i {
 			t.Fatalf("node %d demand echoes id %d", i, d.NodeID)
+		}
+		if cached, ok := cl.CachedDemand(i); !ok || cached != d {
+			t.Fatalf("node %d cached demand = (%+v, %v), want the heartbeat's %+v", i, cached, ok, d)
 		}
 	}
 	if raws, err := cl.StatsAll(); err != nil || len(raws) != 3 {

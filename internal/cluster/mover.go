@@ -34,7 +34,7 @@ func (c *Client) CopySlot(lister KeyLister, slot, from, to, chunkSize int) (keys
 	}
 	sort.Strings(keys)
 
-	src, dst := c.node(from), c.node(to)
+	src, dst := c.NodeClient(from), c.NodeClient(to)
 	for off := 0; off < len(keys); off += chunkSize {
 		chunk := keys[off:min(off+chunkSize, len(keys))]
 		values, found, err := src.MGet(chunk)
@@ -79,7 +79,7 @@ func (c *Client) MoveSlot(lister KeyLister, slot, from, to, chunkSize int) (Move
 	if err := c.ring.Move(slot, to); err != nil {
 		return mv, err
 	}
-	src := c.node(from)
+	src := c.NodeClient(from)
 	for _, k := range keys {
 		if _, err := src.Del(k); err != nil {
 			return mv, fmt.Errorf("cluster: clearing slot %d off node %d: %w", slot, from, err)

@@ -50,7 +50,7 @@ func (c RebalancerConfig) withDefaults() RebalancerConfig {
 }
 
 // Rebalancer applies STEM's taker/giver coupling at node granularity: each
-// Epoch it polls every node's demand snapshot (the aggregate of its per-set
+// Epoch it reads every node's demand snapshot (the aggregate of its per-set
 // SCDM monitors), classifies saturated nodes as takers and under-utilized
 // ones as givers, and migrates up to MaxMovesPerEpoch of the takers'
 // coldest loaded virtual-node slots to givers (freeing the taker's
@@ -127,14 +127,16 @@ func (rb *Rebalancer) Epoch() (EpochReport, error) {
 	report.Demands = make([]wire.NodeDemand, n)
 	for i := 0; i < n; i++ {
 		// Prefer the push-based snapshot (piggybacked on responses or a
-		// heartbeat); poll only nodes nothing has been pushed from yet.
-		if d, ok := rb.cl.CachedDemand(i); ok {
-			report.Demands[i] = d
-			continue
-		}
-		d, err := rb.cl.Demand(i)
-		if err != nil {
-			return report, fmt.Errorf("cluster: demand poll of node %d: %w", i, err)
+		// membership heartbeat); pull only from nodes nothing has been
+		// pushed from yet. The pull is the node connection's own heartbeat,
+		// which does not enter the cache unless push sampling is on — a
+		// cluster without push pulls a fresh snapshot every epoch.
+		d, ok := rb.cl.CachedDemand(i)
+		if !ok {
+			var err error
+			if d, err = rb.cl.NodeClient(i).Heartbeat(); err != nil {
+				return report, fmt.Errorf("cluster: demand pull from node %d: %w", i, err)
+			}
 		}
 		report.Demands[i] = d
 	}

@@ -50,8 +50,9 @@ type Ring struct {
 	nodes int
 	owner []int
 	// epochs[s] counts slot s's ownership flips — strictly monotone per
-	// slot, so a stale view of "who owns s" is detectable by epoch compare
-	// (membership failover and client retry both lean on this).
+	// slot, so a stale view of "who owns s" is detectable by epoch compare.
+	// Nothing routes by it yet: it is fault-detection state, read through
+	// Epochs.
 	epochs  []uint64
 	version uint64
 }
@@ -180,15 +181,8 @@ func (r *Ring) AddNode() int {
 	return r.nodes - 1
 }
 
-// SlotEpoch returns slot's ownership epoch (the number of times its owner
-// has changed). Strictly monotone per slot.
-func (r *Ring) SlotEpoch(slot int) uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.epochs[slot]
-}
-
-// Epochs returns a copy of the per-slot ownership-epoch table.
+// Epochs returns a copy of the per-slot ownership-epoch table: entry s is
+// the number of times slot s's owner has changed.
 func (r *Ring) Epochs() []uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

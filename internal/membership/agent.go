@@ -88,7 +88,7 @@ func (a *Agent) Close() error {
 }
 
 // Update applies one pushed membership view (server.MembershipHandler).
-func (a *Agent) Update(op wire.Op, epoch uint64, members []wire.Member, replicas []wire.ReplicaSet) error {
+func (a *Agent) Update(epoch uint64, members []wire.Member, replicas []wire.ReplicaSet) error {
 	a.mu.Lock()
 	if epoch <= a.epoch {
 		a.mu.Unlock()

@@ -129,12 +129,41 @@ func (m *Manager) ReplicasOf(slot int) []int {
 // Call once, after the nodes and their agents are up and before traffic:
 // writes before the agents hold a view are not fanned out.
 func (m *Manager) Bootstrap() (Report, error) {
-	return m.commit(wire.OpJoin, -1)
+	return m.commit(-1)
 }
 
-// alive reports whether node is a serving member. Caller holds m.mu.
-func (m *Manager) aliveLocked(node int) bool {
-	return node >= 0 && node < len(m.members) && m.members[node].State == wire.MemberAlive
+// aliveLocked returns the serving-member mask, indexed by node id. Caller
+// holds m.mu.
+func (m *Manager) aliveLocked() []bool {
+	alive := make([]bool, len(m.members))
+	for i := range m.members {
+		alive[i] = m.members[i].State == wire.MemberAlive
+	}
+	return alive
+}
+
+// slotCounts returns how many slots each of n nodes owns.
+func slotCounts(owners []int, n int) []int {
+	counts := make([]int, n)
+	for _, o := range owners {
+		counts[o]++
+	}
+	return counts
+}
+
+// pickLoaded returns the eligible node owning the most slots (most=true)
+// or the fewest, ties to the lowest id; -1 when no node is eligible.
+func pickLoaded(counts []int, eligible []bool, most bool) int {
+	best := -1
+	for n, ok := range eligible {
+		if !ok {
+			continue
+		}
+		if best < 0 || (most && counts[n] > counts[best]) || (!most && counts[n] < counts[best]) {
+			best = n
+		}
+	}
+	return best
 }
 
 // utilization estimates each node's live-capacity fraction from the demand
@@ -152,11 +181,7 @@ func (m *Manager) utilization(n int) []float64 {
 // place computes the replica table for the current ring and member state.
 // Caller holds m.mu.
 func (m *Manager) place() [][]int {
-	alive := make([]bool, len(m.members))
-	for i := range m.members {
-		alive[i] = m.members[i].State == wire.MemberAlive
-	}
-	return placeReplicas(m.cl.Ring().Owners(), alive, m.cfg.ReplicationFactor, m.utilization(len(m.members)), m.cfg.ReceiveCap)
+	return placeReplicas(m.cl.Ring().Owners(), m.aliveLocked(), m.cfg.ReplicationFactor, m.utilization(len(m.members)), m.cfg.ReceiveCap)
 }
 
 // Join adds the node at addr to the cluster: grow the client and ring,
@@ -171,59 +196,44 @@ func (m *Manager) Join(addr string) (Report, error) {
 	m.det.Grow(id + 1)
 	m.mu.Lock()
 	m.members = append(m.members, wire.Member{ID: uint32(id), State: wire.MemberAlive, Addr: addr})
+	donors := m.aliveLocked()
+	m.mu.Unlock()
 	aliveCount := 0
-	for i := range m.members {
-		if m.members[i].State == wire.MemberAlive {
+	for _, ok := range donors {
+		if ok {
 			aliveCount++
 		}
 	}
-	m.mu.Unlock()
+	donors[id] = false
 
 	// Plan the handoff against a local ownership book so the sequence is a
 	// pure function of the view: the donor with the most slots (ties to the
 	// lowest id) gives up its lowest-numbered slot, repeated until the
 	// newcomer holds ⌊slots/alive⌋ — never more than the ⌈slots/nodes⌉
 	// movement bound.
-	ring := m.cl.Ring()
-	owners := ring.Owners()
-	target := len(owners) / aliveCount
-	type planned struct{ slot, from int }
-	var plan []planned
-	for k := 0; k < target; k++ {
-		counts := make([]int, id+1)
-		for _, o := range owners {
-			counts[o]++
-		}
-		donor := -1
-		for n := 0; n < id; n++ {
-			if counts[n] > 0 && (donor < 0 || counts[n] > counts[donor]) {
-				donor = n
-			}
-		}
+	owners := m.cl.Ring().Owners()
+	counts := slotCounts(owners, len(donors))
+	report := Report{Node: id}
+	for k := len(owners) / aliveCount; k > 0; k-- {
+		donor := pickLoaded(counts, donors, true)
 		if donor < 0 || counts[donor] <= 1 {
 			break // never strip a node of its last slot
 		}
-		for s, o := range owners {
-			if o == donor {
-				plan = append(plan, planned{slot: s, from: donor})
-				owners[s] = id
-				break
-			}
+		slot := 0
+		for owners[slot] != donor {
+			slot++
 		}
-	}
-
-	var report Report
-	report.Node = id
-	for _, p := range plan {
-		mv, err := m.cl.MoveSlot(m.lister, p.slot, p.from, id, m.cfg.ChunkSize)
+		owners[slot] = id
+		counts[donor]--
+		mv, err := m.cl.MoveSlot(m.lister, slot, donor, id, m.cfg.ChunkSize)
 		if err != nil {
-			return report, fmt.Errorf("membership: join handoff of slot %d: %w", p.slot, err)
+			return report, fmt.Errorf("membership: join handoff of slot %d: %w", slot, err)
 		}
 		report.Moves = append(report.Moves, mv)
 	}
 
 	m.joins.Inc()
-	cr, err := m.commit(wire.OpJoin, -1)
+	cr, err := m.commit(-1)
 	report.Epoch, report.ReplicaKeys = cr.Epoch, cr.ReplicaKeys
 	m.observe(obs.Event{Type: obs.EvNodeJoin, Tick: report.Epoch, Set: id, Life: uint64(len(report.Moves))})
 	return report, err
@@ -235,40 +245,25 @@ func (m *Manager) Join(addr string) (Report, error) {
 // the view.
 func (m *Manager) Leave(node int) (Report, error) {
 	m.mu.Lock()
-	if !m.aliveLocked(node) {
+	if node < 0 || node >= len(m.members) || m.members[node].State != wire.MemberAlive {
 		m.mu.Unlock()
 		return Report{}, fmt.Errorf("membership: leave of non-member node %d", node)
 	}
 	m.members[node].State = wire.MemberLeft
-	recipients := make([]int, 0, len(m.members))
-	for i := range m.members {
-		if m.members[i].State == wire.MemberAlive {
-			recipients = append(recipients, i)
-		}
-	}
+	recipients := m.aliveLocked()
 	m.mu.Unlock()
-	if len(recipients) == 0 {
+
+	owners := m.cl.Ring().Owners()
+	counts := slotCounts(owners, len(recipients))
+	if pickLoaded(counts, recipients, false) < 0 {
 		return Report{}, fmt.Errorf("membership: node %d is the last member", node)
 	}
-
-	ring := m.cl.Ring()
-	owners := ring.Owners()
-	counts := make([]int, len(m.members))
-	for _, o := range owners {
-		counts[o]++
-	}
-	var report Report
-	report.Node = node
+	report := Report{Node: node}
 	for s, o := range owners {
 		if o != node {
 			continue
 		}
-		to := recipients[0]
-		for _, r := range recipients[1:] {
-			if counts[r] < counts[to] {
-				to = r
-			}
-		}
+		to := pickLoaded(counts, recipients, false)
 		mv, err := m.cl.MoveSlot(m.lister, s, node, to, m.cfg.ChunkSize)
 		if err != nil {
 			return report, fmt.Errorf("membership: leave handoff of slot %d: %w", s, err)
@@ -278,7 +273,7 @@ func (m *Manager) Leave(node int) (Report, error) {
 	}
 
 	m.leaves.Inc()
-	cr, err := m.commit(wire.OpLeave, -1)
+	cr, err := m.commit(-1)
 	report.Epoch, report.ReplicaKeys = cr.Epoch, cr.ReplicaKeys
 	m.observe(obs.Event{Type: obs.EvNodeLeave, Tick: report.Epoch, Set: node, Life: uint64(len(report.Moves))})
 	return report, err
@@ -290,16 +285,14 @@ func (m *Manager) Leave(node int) (Report, error) {
 // failover (usually none).
 func (m *Manager) Tick() []Report {
 	m.mu.Lock()
-	ids := make([]int, 0, len(m.members))
-	for i := range m.members {
-		if m.members[i].State == wire.MemberAlive {
-			ids = append(ids, i)
-		}
-	}
+	alive := m.aliveLocked()
 	m.mu.Unlock()
 
 	var reports []Report
-	for _, id := range ids {
+	for id, ok := range alive {
+		if !ok {
+			continue
+		}
 		_, err := m.cl.Heartbeat(id)
 		if m.det.Report(id, err == nil) {
 			reports = append(reports, m.failover(id))
@@ -318,24 +311,14 @@ func (m *Manager) failover(node int) Report {
 	m.mu.Lock()
 	m.members[node].State = wire.MemberDead
 	reps := m.replicas
-	alive := make([]bool, len(m.members))
-	for i := range m.members {
-		alive[i] = m.members[i].State == wire.MemberAlive
-	}
+	alive := m.aliveLocked()
 	m.mu.Unlock()
 	m.deaths.Inc()
 
 	ring := m.cl.Ring()
 	owners := ring.Owners()
-	counts := make([]int, len(alive))
-	for _, o := range owners {
-		if o >= 0 && o < len(counts) {
-			counts[o]++
-		}
-	}
-	var report Report
-	report.Node = node
-	var promotions []cluster.Move
+	counts := slotCounts(owners, len(alive))
+	report := Report{Node: node}
 	for s, o := range owners {
 		if o != node {
 			continue
@@ -350,11 +333,7 @@ func (m *Manager) failover(node int) Report {
 			}
 		}
 		if to < 0 {
-			for n := range alive {
-				if alive[n] && (to < 0 || counts[n] < counts[to]) {
-					to = n
-				}
-			}
+			to = pickLoaded(counts, alive, false)
 		}
 		if to < 0 {
 			continue // no members left; nothing to promote to
@@ -364,15 +343,14 @@ func (m *Manager) failover(node int) Report {
 			continue
 		}
 		counts[to]++
-		promotions = append(promotions, cluster.Move{Slot: s, From: node, To: to})
+		report.Moves = append(report.Moves, cluster.Move{Slot: s, From: node, To: to})
 		m.promotions.Inc()
 	}
-	report.Moves = promotions
 
-	cr, _ := m.commit(wire.OpLeave, node)
+	cr, _ := m.commit(node)
 	report.Epoch, report.ReplicaKeys = cr.Epoch, cr.ReplicaKeys
-	m.observe(obs.Event{Type: obs.EvNodeDead, Tick: report.Epoch, Set: node, Life: uint64(len(promotions))})
-	for _, p := range promotions {
+	m.observe(obs.Event{Type: obs.EvNodeDead, Tick: report.Epoch, Set: node, Life: uint64(len(report.Moves))})
+	for _, p := range report.Moves {
 		m.observe(obs.Event{Type: obs.EvReplicaPromote, Tick: report.Epoch, Set: p.Slot, ScS: p.From, Partner: p.To})
 	}
 	return report
@@ -382,7 +360,7 @@ func (m *Manager) failover(node int) Report {
 // bumps the view epoch, pushes the view to every serving agent, and
 // backfills slot data onto newly placed followers. deadNode (-1 when none)
 // lets failover's backfill skip copies whose source is gone.
-func (m *Manager) commit(op wire.Op, deadNode int) (Report, error) {
+func (m *Manager) commit(deadNode int) (Report, error) {
 	m.mu.Lock()
 	old := m.replicas
 	m.replicas = m.place()
@@ -393,7 +371,7 @@ func (m *Manager) commit(op wire.Op, deadNode int) (Report, error) {
 	copy(members, m.members)
 	m.mu.Unlock()
 
-	pushErr := m.pushAll(op, epoch, members, newRep)
+	pushErr := m.pushAll(epoch, members, newRep)
 
 	// Backfill: copy slot data onto followers that are new in this view.
 	// The source is the slot's current owner.
@@ -431,7 +409,7 @@ func (m *Manager) commit(op wire.Op, deadNode int) (Report, error) {
 // sends are attempted, the first failure is returned (a node that misses a
 // push catches up at the next transition; epoch ordering makes redelivery
 // harmless).
-func (m *Manager) pushAll(op wire.Op, epoch uint64, members []wire.Member, replicas [][]int) error {
+func (m *Manager) pushAll(epoch uint64, members []wire.Member, replicas [][]int) error {
 	view := make([]wire.ReplicaSet, len(replicas))
 	for s, set := range replicas {
 		rs := wire.ReplicaSet{Slot: uint32(s), Replicas: make([]uint32, len(set))}
@@ -445,7 +423,7 @@ func (m *Manager) pushAll(op wire.Op, epoch uint64, members []wire.Member, repli
 		if members[i].State != wire.MemberAlive {
 			continue
 		}
-		if err := m.cl.NodeClient(i).PushMembership(op, epoch, members, view); err != nil && first == nil {
+		if err := m.cl.NodeClient(i).PushMembership(epoch, members, view); err != nil && first == nil {
 			first = fmt.Errorf("membership: pushing view %d to node %d: %w", epoch, i, err)
 		}
 	}

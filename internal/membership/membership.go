@@ -10,7 +10,7 @@
 //     placement, executes join/leave migrations through the rebalancer's
 //     move machinery (cluster.Client.MoveSlot/CopySlot), runs the failure
 //     detector off its heartbeats, and pushes every new view to the data
-//     plane over the wire (OpJoin/OpLeave).
+//     plane over the wire (OpView).
 //   - Agent is the data plane, one per node: it receives pushed views,
 //     fans every applied write out to the slot's replicas (the
 //     server.Replicator hook, synchronous before the ack — which is what

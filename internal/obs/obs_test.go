@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -398,6 +399,39 @@ func TestStartTool(t *testing.T) {
 	}
 	if got := opts.Registry.Counter("events.couple").Value(); got != 1 {
 		t.Fatalf("events.couple = %d", got)
+	}
+}
+
+// TestToolFlags: the shared block registers -metrics always and the other
+// three only where the tool has them, under the tool's own event-log flag
+// name; a tool without -snapshot-every takes no periodic snapshots.
+func TestToolFlags(t *testing.T) {
+	fs := flag.NewFlagSet("full", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	cfg := ToolFlags(fs, "full", ToolFlagSet{Pprof: true, Trace: "events", TraceHelp: "event log", Snapshots: true})
+	if err := fs.Parse([]string{"-metrics", ":1", "-pprof", "-events", "e.jsonl", "-snapshot-every", "7"}); err != nil {
+		t.Fatal(err)
+	}
+	if want := (ToolConfig{MetricsAddr: ":1", Pprof: true, TracePath: "e.jsonl", SnapshotEvery: 7, announce: "full"}); *cfg != want {
+		t.Fatalf("parsed %+v, want %+v", *cfg, want)
+	}
+	if fs.Lookup("events").Usage != "event log" || fs.Lookup("trace") != nil {
+		t.Fatal("event-log flag not registered under the tool's name and help")
+	}
+
+	fs = flag.NewFlagSet("bare", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	cfg = ToolFlags(fs, "bare", ToolFlagSet{})
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := (ToolConfig{SnapshotEvery: -1, announce: "bare"}); *cfg != want {
+		t.Fatalf("defaults %+v, want %+v", *cfg, want)
+	}
+	for _, name := range []string{"pprof", "trace", "snapshot-every"} {
+		if fs.Lookup(name) != nil {
+			t.Errorf("-%s registered on a tool that does not have it", name)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -20,6 +21,43 @@ type ToolConfig struct {
 	// SnapshotEvery is the access interval between run snapshots; 0 takes
 	// the default (100 000), negative disables periodic snapshots.
 	SnapshotEvery int
+
+	// announce, set by ToolFlags, is the tool name StartTool reports the
+	// bound metrics address under on stderr.
+	announce string
+}
+
+// ToolFlagSet names the members of the shared flag block a tool has beyond
+// -metrics: not every tool has every sink.
+type ToolFlagSet struct {
+	// Pprof registers -pprof.
+	Pprof bool
+	// Trace names the event-log flag ("trace"; tracerun, whose -trace is
+	// its input, says "events") with TraceHelp as its usage line. Empty
+	// registers none.
+	Trace, TraceHelp string
+	// Snapshots registers -snapshot-every. A tool without it takes no
+	// periodic run snapshots (servers expose /metrics instead).
+	Snapshots bool
+}
+
+// ToolFlags registers the cmd tools' observability flag block on fs and
+// returns the ToolConfig the flags fill, to hand to StartTool once fs is
+// parsed. tool is the program's name, under which StartTool announces the
+// metrics address.
+func ToolFlags(fs *flag.FlagSet, tool string, has ToolFlagSet) *ToolConfig {
+	cfg := &ToolConfig{announce: tool, SnapshotEvery: -1}
+	fs.StringVar(&cfg.MetricsAddr, "metrics", "", `serve live metrics JSON on this address (e.g. ":6060")`)
+	if has.Pprof {
+		fs.BoolVar(&cfg.Pprof, "pprof", false, "with -metrics, also serve /debug/pprof")
+	}
+	if has.Trace != "" {
+		fs.StringVar(&cfg.TracePath, has.Trace, "", has.TraceHelp)
+	}
+	if has.Snapshots {
+		fs.IntVar(&cfg.SnapshotEvery, "snapshot-every", 0, "accesses between run snapshots (0 = default, negative = off)")
+	}
+	return cfg
 }
 
 // DefaultSnapshotEvery is the periodic snapshot interval the cmd tools use
@@ -88,6 +126,9 @@ func StartTool(cfg ToolConfig) (*Tool, error) {
 		sink = NewRegistryObserver(t.Registry, sink)
 	}
 	t.opts = &Options{Registry: t.Registry, Tracer: sink, SnapshotEvery: every}
+	if cfg.announce != "" && t.server != nil {
+		fmt.Fprintf(os.Stderr, "%s: metrics at http://%s/metrics\n", cfg.announce, t.server.Addr())
+	}
 	return t, nil
 }
 

@@ -6,28 +6,28 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
 )
 
-// pollInterval is how long one blocking wait for a frame's first byte lasts
-// before the handler re-checks drain state and idle budget.
-const pollInterval = 250 * time.Millisecond
-
 // conn is one served connection. All I/O happens on its handler goroutine;
-// mu guards only the drain/close flags, which Close's goroutine flips.
+// the drain and close flags are what Close's goroutine flips.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader
 	bw  *bufio.Writer
 
-	// mu guards the fields below. Rank: below Server.mu (the server locks
-	// conn.mu while holding nothing, or after releasing its own mu).
-	mu       sync.Mutex
-	draining bool
-	closed   bool
+	// draining is set by startDrain and read by the handler at every frame
+	// boundary (see awaitFrame for the ordering that makes one load enough).
+	draining atomic.Bool
+
+	// mu guards closed. Rank: below Server.mu (the server locks conn.mu
+	// while holding nothing, or after releasing its own mu).
+	mu     sync.Mutex
+	closed bool
 
 	// trace is the per-connection scratch for the response trace echo, so a
 	// traced request does not allocate a TraceExt per reply. Safe because
@@ -48,16 +48,8 @@ func newConn(s *Server, nc net.Conn) *conn {
 // read: the flag makes the read loop exit at the next frame boundary, and
 // the past read deadline wakes a read that is already blocked.
 func (c *conn) startDrain() {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
+	c.draining.Store(true)
 	c.nc.SetReadDeadline(aLongTimeAgo)
-}
-
-func (c *conn) isDraining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.draining
 }
 
 // forceClose cuts the connection; used when the drain grace expires.
@@ -81,20 +73,8 @@ func (c *conn) serve() {
 		wbuf []byte // response build buffer, reused across flushes
 		req  wire.Request
 		resp wire.Response
-		idle time.Duration // consecutive first-byte waits with no traffic
 	)
-	for {
-		if c.isDraining() {
-			return
-		}
-		ok, fatal := c.awaitFrame(&idle)
-		if fatal {
-			return
-		}
-		if !ok {
-			continue // poll tick: re-check drain/idle
-		}
-
+	for c.awaitFrame() {
 		// First byte present: the whole frame must land within ReadTimeout.
 		// t0 doubles as the decode stage's start — the clock read feeding
 		// the deadline is the one every request pays anyway.
@@ -106,7 +86,6 @@ func (c *conn) serve() {
 			c.readFailed(err)
 			return
 		}
-		idle = 0
 
 		// Stage clocks tick when the server is instrumented or the request
 		// itself asks for timing; otherwise the loop stays at one read per
@@ -162,26 +141,34 @@ func (c *conn) serve() {
 	}
 }
 
-// awaitFrame blocks up to one poll interval for a frame's first byte.
-// ok means a byte is buffered; fatal means the connection is done (EOF,
-// error, idle budget exhausted). Neither means a poll tick elapsed.
-func (c *conn) awaitFrame(idle *time.Duration) (ok, fatal bool) {
-	c.nc.SetReadDeadline(wallClock().Add(pollInterval))
+// awaitFrame blocks until a frame's first byte is buffered and reports
+// true, or reports false when the connection is done: drained, idle for
+// IdleTimeout, closed by the peer, or failed. An idle connection sits in the
+// one Peek — nothing wakes it but a byte, its idle deadline or a drain.
+//
+// The deadline is armed before the drain flag is read, and startDrain sets
+// the flag before it arms its own past deadline: either this load sees the
+// flag, or startDrain's deadline lands after the one armed here and wakes
+// the Peek. A drain can therefore never be overwritten and slept through.
+func (c *conn) awaitFrame() bool {
+	var deadline time.Time // zero: no idle limit
+	if it := c.srv.cfg.IdleTimeout; it > 0 {
+		deadline = wallClock().Add(it)
+	}
+	c.nc.SetReadDeadline(deadline)
+	if c.draining.Load() {
+		return false
+	}
 	if _, err := c.br.Peek(1); err != nil {
+		// A timeout is the idle deadline or the drain wake-up, EOF a clean
+		// hangup; anything else is an I/O failure.
 		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			*idle += pollInterval
-			if it := c.srv.cfg.IdleTimeout; it > 0 && *idle >= it {
-				return false, true
-			}
-			return false, false
-		}
-		if err != io.EOF {
+		if err != io.EOF && !(errors.As(err, &ne) && ne.Timeout()) {
 			c.srv.ioErrors.Add(1)
 		}
-		return false, true
+		return false
 	}
-	return true, false
+	return true
 }
 
 // readFailed classifies a mid-frame read error: a malformed frame earns a
@@ -197,7 +184,7 @@ func (c *conn) readFailed(err error) {
 		}
 		return
 	}
-	if err != io.EOF && !c.isDraining() {
+	if err != io.EOF && !c.draining.Load() {
 		c.srv.ioErrors.Add(1)
 	}
 }

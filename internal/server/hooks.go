@@ -28,13 +28,12 @@ type Replicator interface {
 	ReplicateDelete(namespace, key string)
 }
 
-// MembershipHandler receives OpJoin/OpLeave view pushes.
+// MembershipHandler receives OpView pushes.
 type MembershipHandler interface {
-	// Update applies one pushed membership view. op is OpJoin or OpLeave
-	// (which lifecycle event produced the view); epoch orders views, and
+	// Update applies one pushed membership view. epoch orders views, and
 	// an implementation must ignore epochs at or below the one it holds.
 	// The slices are owned by the callee.
-	Update(op wire.Op, epoch uint64, members []wire.Member, replicas []wire.ReplicaSet) error
+	Update(epoch uint64, members []wire.Member, replicas []wire.ReplicaSet) error
 }
 
 // Hooks are the cluster-integration points a membership agent installs on a
@@ -44,8 +43,8 @@ type Hooks struct {
 	// Replicator, when non-nil, receives applied writes for replica
 	// fan-out.
 	Replicator Replicator
-	// Membership, when non-nil, handles OpJoin/OpLeave pushes; without it
-	// they answer StatusErr.
+	// Membership, when non-nil, handles OpView pushes; without it they
+	// answer StatusErr.
 	Membership MembershipHandler
 	// ReadRepair, when non-nil, is consulted on a GET miss. If it returns
 	// ok, the value is installed in the cache and served — the membership
@@ -63,7 +62,7 @@ func (s *Server) SetHooks(h *Hooks) {
 	s.hooks.Store(h)
 }
 
-// handleMembership answers OpJoin/OpLeave by delegating the pushed view to
+// handleMembership answers OpView by delegating the pushed view to
 // the installed membership handler.
 func (s *Server) handleMembership(h *Hooks, req *wire.Request, resp *wire.Response) {
 	if h == nil || h.Membership == nil {
@@ -71,7 +70,7 @@ func (s *Server) handleMembership(h *Hooks, req *wire.Request, resp *wire.Respon
 		resp.Value = []byte("no membership agent")
 		return
 	}
-	if err := h.Membership.Update(req.Op, req.Epoch, req.Members, req.Replicas); err != nil {
+	if err := h.Membership.Update(req.Epoch, req.Members, req.Replicas); err != nil {
 		resp.Status = wire.StatusErr
 		resp.Value = []byte(err.Error())
 	}

@@ -17,10 +17,10 @@
 //   - A max-connections gate applies backpressure at accept time: when
 //     MaxConns handlers are live the accept loop blocks (the listen backlog
 //     queues or rejects newcomers) instead of accepting and degrading.
-//   - Connection deadlines bound reads and writes; an idle connection is
-//     closed after IdleTimeout. Deadlines only ever tick while the server
-//     waits for a frame's first byte, so a slow frame body gets
-//     ReadTimeout, never a mid-frame poll timeout.
+//   - Connection deadlines bound reads and writes; an idle connection
+//     blocks in one read until its first byte, IdleTimeout or a drain, and
+//     is closed at IdleTimeout. Once a frame's first byte arrived its body
+//     gets ReadTimeout.
 //   - Close drains gracefully: the listener closes, blocked reads are woken,
 //     requests already received finish and their responses are flushed, and
 //     only then do connections close. Close is idempotent and safe to call
@@ -92,7 +92,7 @@ type Config struct {
 	// stage boundaries).
 	Metrics *obs.Registry
 	// NodeID identifies this server within a cluster; it is echoed in
-	// DEMAND responses and the STATS document so a cluster client can tell
+	// demand snapshots and the STATS document so a cluster client can tell
 	// which node answered. 0 for a standalone server.
 	NodeID int
 	// LeaseWait bounds how long an OpLoad waits on another client's
@@ -493,11 +493,11 @@ func (s *Server) statsJSON() ([]byte, error) {
 	return json.Marshal(snap)
 }
 
-// demand is the DEMAND export hook: it rolls the cache's per-set SCDM state
-// up into the wire snapshot the cluster rebalancer polls. Reading demand
-// never sweeps or otherwise perturbs the cache (stemcache.Demand's
-// contract), so a rebalancer polling every epoch observes, it does not
-// steer.
+// demand rolls the cache's per-set SCDM state up into the wire snapshot a
+// FlagDemand response carries — what the cluster rebalancer classifies
+// nodes by. Reading demand never sweeps or otherwise perturbs the cache
+// (stemcache.Demand's contract), so a heartbeat every epoch observes, it
+// does not steer.
 func (s *Server) demand() *wire.NodeDemand {
 	d := s.cache.Demand()
 	return &wire.NodeDemand{
@@ -600,12 +600,10 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 		} else {
 			cache.Set(req.Key, req.Value)
 		}
-	case wire.OpJoin, wire.OpLeave:
+	case wire.OpView:
 		s.handleMembership(h, req, resp)
 	case wire.OpLoad:
 		s.handleLoad(cache, req, resp)
-	case wire.OpDemand:
-		resp.Demand = s.demand()
 	case wire.OpStats:
 		b, err := s.statsJSON()
 		if err != nil {

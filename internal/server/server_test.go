@@ -188,9 +188,9 @@ func TestServeStats(t *testing.T) {
 }
 
 // TestServeDemandAndRoleGauges drives the node-demand export end to end:
-// the DEMAND frame and the STATS document must both carry the cache's
-// taker/giver/coupled gauges, agree with each other, and echo the
-// configured node id.
+// the heartbeat's piggybacked snapshot and the STATS document must both
+// carry the cache's taker/giver/coupled gauges, agree with each other, and
+// echo the configured node id.
 func TestServeDemandAndRoleGauges(t *testing.T) {
 	srv, cache := startServer(t,
 		stemcache.Config{Capacity: 1 << 10, Seed: 1},
@@ -208,7 +208,7 @@ func TestServeDemandAndRoleGauges(t *testing.T) {
 		}
 	}
 
-	d, err := cl.Demand()
+	d, err := cl.Heartbeat()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestServeDemandAndRoleGauges(t *testing.T) {
 	if snap.Cache.TakerSets != uint64(d.TakerSets) ||
 		snap.Cache.GiverSets != uint64(d.GiverSets) ||
 		snap.Cache.CoupledSets != uint64(d.CoupledSets) {
-		t.Fatalf("STATS gauges (%d, %d, %d) disagree with DEMAND (%d, %d, %d)",
+		t.Fatalf("STATS gauges (%d, %d, %d) disagree with the heartbeat's (%d, %d, %d)",
 			snap.Cache.TakerSets, snap.Cache.GiverSets, snap.Cache.CoupledSets,
 			d.TakerSets, d.GiverSets, d.CoupledSets)
 	}
@@ -484,23 +484,85 @@ func TestMalformedFrameAnswersThenCloses(t *testing.T) {
 	}
 }
 
-// TestIdleTimeout closes a silent connection.
+// TestIdleTimeout: a silent connection is closed at IdleTimeout — not
+// before it, and not at some coarser tick after it — and a frame restarts
+// the idle budget.
 func TestIdleTimeout(t *testing.T) {
+	const idle = 40 * time.Millisecond
 	srv, _ := startServer(t, stemcache.Config{Capacity: 1 << 10, Seed: 1},
-		server.Config{IdleTimeout: time.Millisecond})
+		server.Config{IdleTimeout: idle})
 
 	nc, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	// The first poll tick (250ms) exceeds the 1ms idle budget; allow a few.
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second)) //lint:allow(determinism) test read deadline
+	// One frame halfway through the first idle budget: the close below must
+	// be measured from this frame, not from the dial.
+	time.Sleep(idle / 2)
+	ping, err := wire.AppendRequest(nil, &wire.Request{Op: wire.OpPing, ID: 1}, wire.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nc.Write(ping); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := wire.ReadResponse(nc, nil, wire.Limits{}); err != nil {
+		t.Fatalf("ping on a connection inside its idle budget: %v", err)
+	}
+	start := time.Now() //lint:allow(determinism) test measures the idle close
+
+	nc.SetReadDeadline(start.Add(5 * time.Second))
 	one := make([]byte, 1)
 	if _, err := nc.Read(one); err == nil {
 		t.Fatal("read returned data from an idle close")
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatal("idle connection was not closed")
+	}
+	// The upper bound leaves the scheduler ~100 ms of slack and still sits
+	// well under the 250 ms a polling loop would round up to.
+	if took := time.Since(start); took < idle*9/10 || took > idle+100*time.Millisecond { //lint:allow(determinism) test measures the idle close
+		t.Fatalf("idle connection closed after %v, want about %v", took, idle)
+	}
+}
+
+// TestDrainBetweenFrames races Close against a connection whose handler is
+// on its way back to waiting for the next frame — the window in which a
+// re-armed read deadline could overwrite the drain's wake-up. A drain that
+// is slept through leaves Close waiting out DrainTimeout and reporting it.
+func TestDrainBetweenFrames(t *testing.T) {
+	ping, err := wire.AppendRequest(nil, &wire.Request{Op: wire.OpPing, ID: 1}, wire.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := newCache(t, stemcache.Config{Capacity: 1 << 8, Seed: 1})
+	defer cache.Close()
+	for i := 0; i < 300; i++ {
+		srv, err := server.New(cache, server.Config{DrainTimeout: 2 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write(ping); err != nil {
+			t.Fatal(err)
+		}
+		// Odd rounds close while the request may still be in flight, even
+		// rounds right after its response: both sides of the frame boundary.
+		if i%2 == 0 {
+			if _, _, err := wire.ReadResponse(nc, nil, wire.Limits{}); err != nil {
+				t.Fatalf("round %d: %v", i, err)
+			}
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		nc.Close()
 	}
 }
 

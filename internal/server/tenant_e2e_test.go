@@ -193,11 +193,21 @@ func TestTenantSlowRequestCarriesNamespace(t *testing.T) {
 	if err := cl.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(events) == 0 {
-		t.Fatal("no slow-request events")
+	// The event is emitted after the response is written, so the client can
+	// be back before it lands.
+	deadline := time.Now().Add(5 * time.Second) //lint:allow(determinism) test poll deadline
+	for {
+		mu.Lock()
+		if len(events) > 0 {
+			break // mu stays held for the checks below
+		}
+		mu.Unlock()
+		if time.Now().After(deadline) { //lint:allow(determinism) test poll deadline
+			t.Fatal("no slow-request events")
+		}
+		time.Sleep(time.Millisecond)
 	}
+	defer mu.Unlock()
 	for _, e := range events {
 		if e.Type != obs.EvSlowRequest || e.Tenant != "web" {
 			t.Fatalf("event = %+v, want EvSlowRequest with tenant web", e)

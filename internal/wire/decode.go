@@ -75,7 +75,7 @@ func decodeRequest(req *Request, data []byte, lim Limits, zeroCopy bool) (int, e
 func parseRequestPayload(req *Request, c *cursor, lim Limits) error {
 	var err error
 	switch req.Op {
-	case OpPing, OpStats, OpDemand:
+	case OpPing, OpStats:
 		// Empty payload; done() rejects any extra bytes.
 	case OpGet, OpDel:
 		req.Key, err = c.key()
@@ -149,7 +149,7 @@ func parseRequestPayload(req *Request, c *cursor, lim Limits) error {
 			pairs = append(pairs, KV{Key: k, Value: v})
 		}
 		req.Pairs = pairs
-	case OpJoin, OpLeave:
+	case OpView:
 		// Membership views are retained by the node's agent; always copy.
 		c.zeroCopy = false
 		if req.Epoch, err = c.u64(); err != nil {
@@ -179,7 +179,7 @@ func parseRequestPayload(req *Request, c *cursor, lim Limits) error {
 	return err
 }
 
-// members reads the OpJoin/OpLeave member table. Each member costs at least
+// members reads the OpView member table. Each member costs at least
 // id + state + addr-length bytes, so the count is capacity-checked before
 // any allocation.
 func (c *cursor) members(lim Limits) ([]Member, error) {
@@ -212,7 +212,7 @@ func (c *cursor) members(lim Limits) ([]Member, error) {
 	return members, nil
 }
 
-// replicaSets reads the OpJoin/OpLeave replica-assignment table. The outer
+// replicaSets reads the OpView replica-assignment table. The outer
 // count and each slot's uint8 replica count are capacity-checked against
 // the bytes present before their allocations.
 func (c *cursor) replicaSets(lim Limits) ([]ReplicaSet, error) {
@@ -343,10 +343,6 @@ func parseResponsePayload(resp *Response, c *cursor, lim Limits) error {
 		case StatusLease:
 			resp.Token, err = c.u64()
 		}
-	case resp.Op == OpDemand:
-		if resp.Status == StatusOK {
-			resp.Demand, err = c.demand()
-		}
 	case resp.Op == OpMGet:
 		// Each entry costs at least its 1-byte presence flag.
 		var n int
@@ -379,13 +375,13 @@ func parseResponsePayload(resp *Response, c *cursor, lim Limits) error {
 	return err
 }
 
-// demand reads the fixed 52-byte demand block — the DEMAND payload, or the
-// piggybacked prefix of a respFlagDemand response (which is why it checks
-// remaining, not total, bytes). The size check up front turns every
-// truncation into one error instead of nine partial reads.
+// demand reads the fixed 52-byte demand prefix of a respFlagDemand response
+// (a prefix, which is why it checks remaining, not total, bytes). The size
+// check up front turns every truncation into one error instead of nine
+// partial reads.
 func (c *cursor) demand() (*NodeDemand, error) {
 	if c.remaining() < nodeDemandLen {
-		return nil, frameErrf("truncated DEMAND payload: want %d bytes, have %d", nodeDemandLen, c.remaining())
+		return nil, frameErrf("truncated demand prefix: want %d bytes, have %d", nodeDemandLen, c.remaining())
 	}
 	var d NodeDemand
 	var err error

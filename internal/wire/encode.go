@@ -40,7 +40,7 @@ func AppendRequest(buf []byte, req *Request, lim Limits) ([]byte, error) {
 
 	var err error
 	switch req.Op {
-	case OpPing, OpStats, OpDemand:
+	case OpPing, OpStats:
 		// Empty payload.
 	case OpGet, OpDel:
 		if err = checkKey(req.Key); err == nil {
@@ -101,7 +101,7 @@ func AppendRequest(buf []byte, req *Request, lim Limits) ([]byte, error) {
 				break
 			}
 		}
-	case OpJoin, OpLeave:
+	case OpView:
 		buf, err = appendMembership(buf, req, lim)
 	case OpReplicate:
 		if flags&FlagNegative != 0 {
@@ -169,7 +169,7 @@ func AppendResponse(buf []byte, resp *Response, lim Limits) ([]byte, error) {
 		// The message travels as a bare value regardless of opcode.
 		buf = appendValue(buf, resp.Value)
 	case resp.Op == OpPing || resp.Op == OpDel || resp.Op == OpMSet ||
-		resp.Op == OpJoin || resp.Op == OpLeave || resp.Op == OpReplicate:
+		resp.Op == OpView || resp.Op == OpReplicate:
 		// Empty payload; the status carries the whole answer.
 	case resp.Op == OpGet || resp.Op == OpSet || resp.Op == OpSetTTL || resp.Op == OpStats:
 		// A value travels only on the statuses that define one.
@@ -198,15 +198,6 @@ func AppendResponse(buf []byte, resp *Response, lim Limits) ([]byte, error) {
 			buf = appendValue(buf, resp.Value)
 		case StatusLease:
 			buf = appendU64(buf, resp.Token)
-		}
-	case resp.Op == OpDemand:
-		// The fixed binary snapshot travels only on StatusOK.
-		if resp.Status == StatusOK {
-			if resp.Demand == nil {
-				err = fmt.Errorf("wire: DEMAND OK response without a demand snapshot")
-				break
-			}
-			buf = appendDemand(buf, resp.Demand)
 		}
 	case resp.Op == OpMGet:
 		if len(resp.Values) != len(resp.Found) {
@@ -246,7 +237,7 @@ func AppendResponse(buf []byte, resp *Response, lim Limits) ([]byte, error) {
 	return buf, nil
 }
 
-// appendMembership appends the OpJoin/OpLeave payload: epoch, member
+// appendMembership appends the OpView payload: epoch, member
 // table, then per-slot replica assignments. Replica lists use a uint8 count
 // — a replication factor past 256 is not a configuration, it is a typo.
 func appendMembership(buf []byte, req *Request, lim Limits) ([]byte, error) {
@@ -295,7 +286,7 @@ func appendKV(buf []byte, k string, v []byte, lim Limits) ([]byte, error) {
 	return buf, nil
 }
 
-// appendDemand appends the fixed 52-byte DEMAND payload: the five uint32
+// appendDemand appends the fixed 52-byte demand prefix: the five uint32
 // fields in declaration order, then the four uint64 fields.
 func appendDemand(buf []byte, d *NodeDemand) []byte {
 	buf = appendU32(buf, d.NodeID)

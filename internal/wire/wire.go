@@ -6,7 +6,7 @@
 //
 //	offset size  field
 //	0      1     magic (0x53, 'S')
-//	1      1     version (currently 1)
+//	1      1     version (currently 2)
 //	2      1     opcode (requests) / echoed opcode (responses)
 //	3      1     flags (requests) / status (responses)
 //	4      4     request id, big endian (echoed verbatim in the response)
@@ -59,8 +59,10 @@ const (
 	Magic = 0x53
 	// Version is the protocol version this package speaks. A frame carrying
 	// any other version is rejected, so incompatible revisions fail fast at
-	// the first frame instead of desynchronizing mid-stream.
-	Version = 1
+	// the first frame instead of desynchronizing mid-stream. Version 2
+	// renumbered the opcodes: a version-1 peer's frames would parse and
+	// mis-dispatch, so they must fail here.
+	Version = 2
 	// HeaderLen is the fixed frame-header size in bytes.
 	HeaderLen = 12
 )
@@ -91,10 +93,6 @@ const (
 	OpMSet
 	// OpStats asks for the server's statistics snapshot (JSON payload).
 	OpStats
-	// OpDemand asks for the node's aggregate capacity-demand signal — the
-	// per-set SCDM state rolled up to node level (NodeDemand). Empty
-	// request payload; the response carries a fixed binary NodeDemand.
-	OpDemand
 	// OpLoad is the read-through lookup. A plain OpLoad carries one key and
 	// the server answers with the cache's load-path classification:
 	// StatusOK + value (fresh hit), StatusNotFound (cached negative),
@@ -106,18 +104,13 @@ const (
 	// and releasing the lease; the server answers StatusOK on success or
 	// StatusNotStored when the token no longer matches the live lease.
 	OpLoad
-	// OpJoin pushes a membership view to a node after a join: the payload
-	// carries the membership epoch, the full member table, and the replica
-	// assignments for the slots the receiver owns. The node's membership
-	// agent reconciles peers and replica fan-out targets from it. The
-	// response is status-only (StatusErr when the node has no agent).
-	OpJoin
-	// OpLeave is OpJoin's counterpart for shrink events: the same
-	// epoch + member table + replica assignment payload, pushed after a
-	// graceful leave or a failure-detector death. Two opcodes — one schema —
-	// keep packet captures self-describing about which lifecycle event
-	// produced the view.
-	OpLeave
+	// OpView pushes a membership view to a node after any lifecycle event
+	// (bootstrap, join, leave, failure-detector death): the payload carries
+	// the membership epoch, the full member table, and the replica
+	// assignments. The node's membership agent reconciles peers and replica
+	// fan-out targets from it. The response is status-only (StatusErr when
+	// the node has no agent).
+	OpView
 	// OpReplicate applies one replicated write on a replica node: the
 	// payload carries TTL + key + value (key only under FlagNegative, which
 	// replicates a delete). The receiver applies it to its cache directly
@@ -146,14 +139,10 @@ func (o Op) String() string {
 		return "MSET"
 	case OpStats:
 		return "STATS"
-	case OpDemand:
-		return "DEMAND"
 	case OpLoad:
 		return "LOAD"
-	case OpJoin:
-		return "JOIN"
-	case OpLeave:
-		return "LEAVE"
+	case OpView:
+		return "VIEW"
 	case OpReplicate:
 		return "REPLICATE"
 	default:
@@ -192,8 +181,9 @@ const (
 	// FlagDemand asks the server to piggyback its NodeDemand snapshot on
 	// the response (flagged by the status byte's bit 6, ahead of the opcode
 	// payload). It adds no request payload, so any opcode can carry it —
-	// this is how DEMAND dissemination rides existing response traffic
-	// instead of a polling sidecar, and how heartbeats double as gossip.
+	// this is how demand dissemination rides existing response traffic
+	// instead of a polling sidecar, and how heartbeats (PING with this flag)
+	// double as gossip. It is the only way a NodeDemand travels.
 	FlagDemand uint8 = 1 << 5
 )
 
@@ -397,7 +387,7 @@ func (s MemberState) String() string {
 	}
 }
 
-// Member is one row of the member table pushed by OpJoin/OpLeave: a node's
+// Member is one row of the member table pushed by OpView: a node's
 // cluster id, lifecycle state, and dialable address.
 type Member struct {
 	ID    uint32
@@ -405,7 +395,7 @@ type Member struct {
 	Addr  string
 }
 
-// ReplicaSet assigns a slot's replica nodes, pushed by OpJoin/OpLeave. The
+// ReplicaSet assigns a slot's replica nodes, pushed by OpView. The
 // owner is not listed — the ring answers ownership; Replicas are the extra
 // copies the owner fans writes out to.
 type ReplicaSet struct {
@@ -413,13 +403,13 @@ type ReplicaSet struct {
 	Replicas []uint32
 }
 
-// NodeDemand is the DEMAND response payload: one node's aggregate
-// capacity-demand signal, derived from its cache's per-set SCDM monitors
-// (stemcache.Demand). The cluster rebalancer reads these to classify whole
-// nodes as takers (starved: most sets' SC_S saturated) or givers (slack:
-// most sets' SC_S MSB clear), mirroring the paper's set-level roles one
-// level up. It travels as a fixed 52-byte big-endian payload so a demand
-// poll costs one small frame, not a JSON parse.
+// NodeDemand is the snapshot a FlagDemand response piggybacks: one node's
+// aggregate capacity-demand signal, derived from its cache's per-set SCDM
+// monitors (stemcache.Demand). The cluster rebalancer reads these to
+// classify whole nodes as takers (starved: most sets' SC_S saturated) or
+// givers (slack: most sets' SC_S MSB clear), mirroring the paper's set-level
+// roles one level up. It travels as a fixed 52-byte big-endian prefix so
+// carrying it costs a response 52 bytes, not a JSON parse.
 type NodeDemand struct {
 	// NodeID identifies the answering node within its cluster (the
 	// server's configured id; 0 when unconfigured).
@@ -442,8 +432,8 @@ type NodeDemand struct {
 	Capacity uint64
 }
 
-// nodeDemandLen is the fixed DEMAND response payload size: five uint32
-// fields plus four uint64 fields.
+// nodeDemandLen is the fixed demand prefix size: five uint32 fields plus
+// four uint64 fields.
 const nodeDemandLen = 5*4 + 4*8
 
 // TakerFrac returns the fraction of sets classified as takers, in [0, 1].
@@ -495,13 +485,13 @@ type Request struct {
 	// until the buffer is reused — so a receiver that retains it must copy
 	// (the server's tenant registry clones on registration).
 	Namespace string
-	// Epoch is the membership epoch of an OpJoin/OpLeave push. Epochs are
+	// Epoch is the membership epoch of an OpView push. Epochs are
 	// monotone per cluster, so an agent discards a view older than the one
 	// it holds (pushes can race).
 	Epoch uint64
-	// Members is the full member table of an OpJoin/OpLeave push.
+	// Members is the full member table of an OpView push.
 	Members []Member
-	// Replicas is the replica-assignment table of an OpJoin/OpLeave push,
+	// Replicas is the replica-assignment table of an OpView push,
 	// scoped to the slots the receiving node owns.
 	Replicas []ReplicaSet
 }
@@ -531,8 +521,6 @@ type Response struct {
 	Found []bool
 	// Values answers MGET (parallel to Found).
 	Values [][]byte
-	// Demand answers DEMAND (StatusOK only); nil otherwise.
-	Demand *NodeDemand
 	// Token carries the OpLoad lease token: the fetch lease on StatusLease,
 	// or the refresh lease on StatusStale (zero when another client holds
 	// it). Zero on every other status.

@@ -25,7 +25,7 @@ func requestFixtures() []*Request {
 		{Op: OpMGet, ID: 9, Keys: []string{"a", "", "long-key"}},
 		{Op: OpMGet, ID: 10, Keys: []string{}},
 		{Op: OpMSet, ID: 11, Pairs: []KV{{Key: "a", Value: []byte("1")}, {Key: "b", Value: nil}}},
-		{Op: OpDemand, ID: 12},
+		{Op: OpPing, ID: 12, Flags: FlagDemand},
 		{Op: OpGet, ID: 13, Key: "traced", Trace: &TraceExt{ID: 0xDEADBEEFCAFE, SendMicros: 123456789}},
 		{Op: OpSet, ID: 14, Flags: FlagNX, Key: "k", Value: []byte("v"), Trace: &TraceExt{ID: 1, SendMicros: 2}},
 		{Op: OpPing, ID: 15, Trace: &TraceExt{}},
@@ -39,7 +39,7 @@ func requestFixtures() []*Request {
 		{Op: OpGet, ID: 23, Key: "both", Namespace: "jobs", Trace: &TraceExt{ID: 5, SendMicros: 6}},
 		{Op: OpMGet, ID: 24, Keys: []string{"a", "b"}, Namespace: "batch"},
 		{Op: OpLoad, ID: 25, Key: "load-key", Namespace: "web"},
-		{Op: OpJoin, ID: 26, Epoch: 7,
+		{Op: OpView, ID: 26, Epoch: 7,
 			Members: []Member{
 				{ID: 0, State: MemberAlive, Addr: "127.0.0.1:4000"},
 				{ID: 1, State: MemberLeft, Addr: ""},
@@ -49,10 +49,10 @@ func requestFixtures() []*Request {
 				{Slot: 0, Replicas: []uint32{1, 2}},
 				{Slot: 63, Replicas: nil},
 			}},
-		{Op: OpLeave, ID: 27, Epoch: 1 << 40,
+		{Op: OpView, ID: 27, Epoch: 1 << 40,
 			Members:  []Member{{ID: 9, State: MemberDead, Addr: "h:1"}},
 			Replicas: []ReplicaSet{{Slot: 5, Replicas: []uint32{0}}}},
-		{Op: OpJoin, ID: 28}, // empty tables, epoch 0
+		{Op: OpView, ID: 28}, // empty tables, epoch 0
 		{Op: OpReplicate, ID: 29, Key: "rk", Value: []byte("rv"), TTL: 250 * time.Millisecond},
 		{Op: OpReplicate, ID: 30, Key: "rk2", Value: nil, TTL: 0},
 		{Op: OpReplicate, ID: 31, Flags: FlagNegative, Key: "gone"},
@@ -76,11 +76,11 @@ func responseFixtures() []*Response {
 			Found: []bool{true, false, true}, Values: [][]byte{[]byte("a"), nil, {}}},
 		{Op: OpStats, ID: 10, Status: StatusOK, Value: []byte(`{"gets":1}`)},
 		{Op: OpGet, ID: 11, Status: StatusErr, Value: []byte("boom")},
-		{Op: OpDemand, ID: 12, Status: StatusOK, Demand: &NodeDemand{
+		{Op: OpPing, ID: 12, Status: StatusOK, Piggyback: &NodeDemand{
 			NodeID: 2, Sets: 512, TakerSets: 96, GiverSets: 300, CoupledSets: 64,
 			ScSSum: 9000, ScSMax: 512 * 127, Live: 4000, Capacity: 4096,
 		}},
-		{Op: OpDemand, ID: 13, Status: StatusErr, Value: []byte("draining")},
+		{Op: OpPing, ID: 13, Status: StatusErr, Value: []byte("draining"), Piggyback: &NodeDemand{NodeID: 4}},
 		{Op: OpGet, ID: 14, Status: StatusOK, Value: []byte("v"),
 			Trace: &TraceExt{ID: 0xDEADBEEFCAFE, SendMicros: 123456789, QueueMicros: 12, HandleMicros: 345}},
 		{Op: OpGet, ID: 15, Status: StatusErr, Value: []byte("boom"),
@@ -97,8 +97,8 @@ func responseFixtures() []*Response {
 		{Op: OpLoad, ID: 24, Status: StatusErr, Value: []byte("draining")},
 		{Op: OpLoad, ID: 25, Status: StatusStale, Token: 9, Value: []byte("old"),
 			Trace: &TraceExt{ID: 2, SendMicros: 3, QueueMicros: 4, HandleMicros: 5}},
-		{Op: OpJoin, ID: 26, Status: StatusOK},
-		{Op: OpLeave, ID: 27, Status: StatusErr, Value: []byte("no membership agent")},
+		{Op: OpView, ID: 26, Status: StatusOK},
+		{Op: OpView, ID: 27, Status: StatusErr, Value: []byte("no membership agent")},
 		{Op: OpReplicate, ID: 28, Status: StatusOK},
 		{Op: OpGet, ID: 29, Status: StatusOK, Value: []byte("v"),
 			Piggyback: &NodeDemand{NodeID: 1, Sets: 64, TakerSets: 8, Live: 100, Capacity: 256}},
@@ -259,6 +259,7 @@ func TestDecodeRejects(t *testing.T) {
 		{"short header", ok[:HeaderLen-1], "short header"},
 		{"bad magic", mut(func(b []byte) { b[0] = 'X' }), "bad magic"},
 		{"bad version", mut(func(b []byte) { b[1] = 9 }), "unsupported version"},
+		{"previous version", mut(func(b []byte) { b[1] = Version - 1 }), "unsupported version"},
 		{"unknown opcode", mut(func(b []byte) { b[2] = 0xEE }), "unknown opcode"},
 		{"oversized length", mut(func(b []byte) { binary.BigEndian.PutUint32(b[8:12], 1<<31) }), "exceeds limit"},
 		{"truncated payload", ok[:len(ok)-1], "truncated frame"},
@@ -333,45 +334,45 @@ func TestSetTTLRoundTripsNanoseconds(t *testing.T) {
 	}
 }
 
-// TestDemandPayload pins the DEMAND response contract: fixed 52-byte OK
-// payload, no snapshot on non-OK statuses, truncation rejected, and an OK
-// encode without a snapshot refused at the sender.
+// TestDemandPayload pins the piggybacked-demand contract: the heartbeat's
+// answer (PING + FlagDemand) is a fixed 52-byte prefix on an otherwise empty
+// response, it rides a StatusErr response ahead of the message, a truncated
+// prefix is rejected, and a response without the status bit decodes none.
 func TestDemandPayload(t *testing.T) {
 	lim := DefaultLimits()
 	d := &NodeDemand{NodeID: 1, Sets: 128, TakerSets: 128, ScSSum: 127 * 128, ScSMax: 127 * 128}
-	buf, err := AppendResponse(nil, &Response{Op: OpDemand, ID: 5, Status: StatusOK, Demand: d}, lim)
+	buf, err := AppendResponse(nil, &Response{Op: OpPing, ID: 5, Status: StatusOK, Piggyback: d}, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(buf) - HeaderLen; got != nodeDemandLen {
-		t.Fatalf("DEMAND payload is %d bytes, want %d", got, nodeDemandLen)
+		t.Fatalf("heartbeat response payload is %d bytes, want %d", got, nodeDemandLen)
+	}
+	if buf[3] != uint8(StatusOK)|respFlagDemand {
+		t.Fatalf("status byte 0x%02x, want OK with the demand bit", buf[3])
 	}
 	resp, _, err := DecodeResponse(buf, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(resp.Demand, d) {
-		t.Fatalf("demand round trip: got %+v want %+v", resp.Demand, d)
+	if !reflect.DeepEqual(resp.Piggyback, d) {
+		t.Fatalf("demand round trip: got %+v want %+v", resp.Piggyback, d)
 	}
-	if resp.Demand.TakerFrac() != 1 || resp.Demand.Saturation() != 1 {
+	if resp.Piggyback.TakerFrac() != 1 || resp.Piggyback.Saturation() != 1 {
 		t.Errorf("TakerFrac = %v, Saturation = %v, want 1, 1",
-			resp.Demand.TakerFrac(), resp.Demand.Saturation())
+			resp.Piggyback.TakerFrac(), resp.Piggyback.Saturation())
 	}
 
-	// Truncated payload must be rejected as a frame error.
+	// Truncated prefix must be rejected as a frame error.
 	short := append([]byte(nil), buf[:len(buf)-1]...)
 	binary.BigEndian.PutUint32(short[8:12], uint32(nodeDemandLen-1))
 	if _, _, err := DecodeResponse(short, lim); !errors.Is(err, ErrFrame) {
-		t.Fatalf("truncated DEMAND accepted: %v", err)
+		t.Fatalf("truncated demand prefix accepted: %v", err)
 	}
 
-	// An OK response with no snapshot cannot be encoded.
-	if _, err := AppendResponse(nil, &Response{Op: OpDemand, Status: StatusOK}, lim); err == nil {
-		t.Fatal("DEMAND OK without snapshot encoded")
-	}
-
-	// A non-OK status carries no snapshot.
-	buf, err = AppendResponse(nil, &Response{Op: OpDemand, ID: 6, Status: StatusNotFound}, lim)
+	// A failed op still knows the node's demand: the prefix precedes the
+	// error message.
+	buf, err = AppendResponse(nil, &Response{Op: OpGet, ID: 6, Status: StatusErr, Value: []byte("boom"), Piggyback: d}, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,8 +380,21 @@ func TestDemandPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Demand != nil {
-		t.Fatalf("non-OK DEMAND decoded a snapshot: %+v", resp.Demand)
+	if resp.Status != StatusErr || string(resp.Value) != "boom" || !reflect.DeepEqual(resp.Piggyback, d) {
+		t.Fatalf("StatusErr + demand decoded as %+v", resp)
+	}
+
+	// Without the status bit no snapshot is decoded.
+	buf, err = AppendResponse(nil, &Response{Op: OpPing, ID: 7, Status: StatusOK}, lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, _, err = DecodeResponse(buf, lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Piggyback != nil {
+		t.Fatalf("unflagged response decoded a snapshot: %+v", resp.Piggyback)
 	}
 
 	// Zero denominators must not divide by zero.
