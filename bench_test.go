@@ -1,6 +1,6 @@
 // Engineering benchmark for the simulator: the raw per-access cost of each
-// scheme. The paper's tables and figures are printed by `paperrepro -only
-// <name>` and pinned by internal/experiments' golden and invariant tests; the
+// scheme. The paper's tables and figures are printed by `stemsim paper
+// -only <name>` and pinned by internal/experiments' golden and invariant tests; the
 // measured performance trajectory is `go -C bench run .`.
 package stem_test
 

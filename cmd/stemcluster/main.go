@@ -70,7 +70,7 @@ func main() {
 		addrFile = flag.String("addr-file", "", "write the comma-separated node addresses to this file")
 	)
 	toolCfg := obs.ToolFlags(flag.CommandLine, "stemcluster", obs.ToolFlagSet{
-		Trace: "trace", TraceHelp: `write node-demand and migration events as JSONL to this file ("-" for stdout)`,
+		Trace: true, TraceHelp: `write node-demand and migration events as JSONL to this file ("-" for stdout)`,
 	})
 	flag.Parse()
 

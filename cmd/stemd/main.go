@@ -64,7 +64,7 @@ func main() {
 		addrFile = flag.String("addr-file", "", "write the bound listen address to this file once serving (for scripts using :0)")
 	)
 	toolCfg := obs.ToolFlags(flag.CommandLine, "stemd", obs.ToolFlagSet{
-		Pprof: true, Trace: "trace", TraceHelp: `write mechanism events as JSONL to this file ("-" for stdout)`,
+		Pprof: true, Trace: true, TraceHelp: `write mechanism events as JSONL to this file ("-" for stdout)`,
 	})
 	flag.Parse()
 
@@ -137,52 +137,30 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 	if cfg.nodeID >= 0 {
 		ccfg.Seed = cluster.NodeSeed(cfg.clusterSeed, cfg.nodeID)
 	}
-	var reg *obs.Registry
-	var events obs.Observer
-	if opts := tool.Options(); opts != nil {
-		reg = opts.Registry
-		ccfg.Metrics = opts.Registry
-		ccfg.Observer = opts.Tracer
-		// Slow-request events go to the same JSONL stream as the mechanism
-		// events, so stemtrace can window one against the other.
-		if opts.Tracer != nil {
-			events = opts.Tracer
-		}
-	}
-	var cache *stemcache.Cache[string, []byte]
-	if cfg.lru {
-		cache, err = stemcache.NewShardedLRU[string, []byte](ccfg)
-	} else {
-		cache, err = stemcache.New[string, []byte](ccfg)
-	}
-	if err != nil {
-		return err
-	}
-	defer cache.Close()
-
-	srv, err := server.New(cache, server.Config{
-		NodeID:       max(cfg.nodeID, 0),
+	scfg := server.Config{
 		MaxConns:     cfg.maxConns,
 		ReadTimeout:  cfg.readTimeout,
 		WriteTimeout: cfg.writeTimeout,
 		IdleTimeout:  cfg.idleTimeout,
 		DrainTimeout: cfg.drainTimeout,
 		LeaseWait:    cfg.leaseWait,
-		Metrics:      reg,
 		SlowRequest:  cfg.slowRequest,
-		Events:       events,
-	})
+	}
+	if opts := tool.Options(); opts != nil {
+		ccfg.Metrics, scfg.Metrics = opts.Registry, opts.Registry
+		// Slow-request events go to the same JSONL stream as the mechanism
+		// events, so stemtrace can window one against the other.
+		ccfg.Observer, scfg.Events = opts.Tracer, opts.Tracer
+	}
+	node, err := cluster.StartNode(max(cfg.nodeID, 0), cluster.NodeConfig{Cache: ccfg, Server: scfg, Addr: cfg.addr, LRU: cfg.lru})
 	if err != nil {
 		return err
 	}
-	if err := srv.Start(cfg.addr); err != nil {
-		return err
-	}
+	defer node.Close() // idempotent: the drain below is the close that reports
 	if cfg.addrFile != "" {
 		// Written after the bind, so a script that waits for the file to
 		// appear can connect immediately.
-		if err := os.WriteFile(cfg.addrFile, []byte(srv.Addr()+"\n"), 0o644); err != nil {
-			srv.Close()
+		if err := os.WriteFile(cfg.addrFile, []byte(node.Addr()+"\n"), 0o644); err != nil {
 			return err
 		}
 	}
@@ -192,7 +170,7 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 		engine = "sharded-LRU baseline"
 	}
 	fmt.Fprintf(os.Stderr, "stemd: serving %s cache (%d entries) on %s\n",
-		engine, cache.Capacity(), srv.Addr())
+		engine, node.Cache().Capacity(), node.Addr())
 
 	sigC := make(chan os.Signal, 1)
 	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)
@@ -202,5 +180,5 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 		fmt.Fprintf(os.Stderr, "stemd: %v; draining\n", sig)
 	case <-stop:
 	}
-	return srv.Close()
+	return node.Close()
 }

@@ -35,40 +35,33 @@ func ComponentVariants() []AblationVariant {
 	}
 }
 
+// parameterSweeps lists, per Table 3 hardware parameter, the values swept
+// and the Config field each value sets.
+var parameterSweeps = []struct {
+	name   string
+	values []int
+	set    func(*core.Config, int)
+}{
+	{"k", []int{2, 3, 4, 5, 6}, func(c *core.Config, v int) { c.CounterBits = v }},        // counter bits
+	{"n", []int{1, 2, 3, 4, 5}, func(c *core.Config, v int) { c.SpatialShift = v }},       // spatial decrement shift
+	{"m", []int{4, 6, 8, 10, 14}, func(c *core.Config, v int) { c.SignatureBits = v }},    // shadow signature bits
+	{"heap", []int{4, 8, 16, 32, 64}, func(c *core.Config, v int) { c.SelectorSize = v }}, // selector capacity
+}
+
 // ParameterVariants sweeps one Table 3 hardware parameter.
 func ParameterVariants(param string) ([]AblationVariant, error) {
-	switch param {
-	case "k": // counter bits
-		var vs []AblationVariant
-		for _, k := range []int{2, 3, 4, 5, 6} {
-			vs = append(vs, AblationVariant{
-				Name: fmt.Sprintf("k=%d", k), Cfg: core.Config{CounterBits: k}})
+	for _, p := range parameterSweeps {
+		if p.name != param {
+			continue
+		}
+		vs := make([]AblationVariant, len(p.values))
+		for i, v := range p.values {
+			vs[i].Name = fmt.Sprintf("%s=%d", p.name, v)
+			p.set(&vs[i].Cfg, v)
 		}
 		return vs, nil
-	case "n": // spatial decrement shift
-		var vs []AblationVariant
-		for _, n := range []int{1, 2, 3, 4, 5} {
-			vs = append(vs, AblationVariant{
-				Name: fmt.Sprintf("n=%d", n), Cfg: core.Config{SpatialShift: n}})
-		}
-		return vs, nil
-	case "m": // shadow signature bits
-		var vs []AblationVariant
-		for _, m := range []int{4, 6, 8, 10, 14} {
-			vs = append(vs, AblationVariant{
-				Name: fmt.Sprintf("m=%d", m), Cfg: core.Config{SignatureBits: m}})
-		}
-		return vs, nil
-	case "heap": // selector capacity
-		var vs []AblationVariant
-		for _, h := range []int{4, 8, 16, 32, 64} {
-			vs = append(vs, AblationVariant{
-				Name: fmt.Sprintf("heap=%d", h), Cfg: core.Config{SelectorSize: h}})
-		}
-		return vs, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown ablation parameter %q (have k, n, m, heap)", param)
 	}
+	return nil, fmt.Errorf("experiments: unknown ablation parameter %q (have k, n, m, heap)", param)
 }
 
 // Ablate runs the given STEM variants over the named analogs and returns a
@@ -88,44 +81,21 @@ func Ablate(variants []AblationVariant, benchNames []string, run RunConfig) (*st
 		benches = append(benches, b)
 	}
 
-	var jobs []job
-	for _, b := range benches {
-		b := b
-		jobs = append(jobs, job{
-			key: b.Name + "/LRU",
-			run: func() (RunResult, error) { return RunWorkload(b.Workload, "LRU", run) },
-		})
-		for _, v := range variants {
-			b, v := b, v
-			jobs = append(jobs, job{
-				key: b.Name + "/" + v.Name,
-				run: func() (RunResult, error) {
-					cfg := v.Cfg
-					cfg.Seed = run.Seed ^ 0xC0FFEE
-					c := core.New(run.Geom, cfg)
-					gen := trace.NewGen(b.Workload, run.Geom, run.Seed)
-					return Run(c, gen, run), nil
-				},
-			})
-		}
+	cols := make([]string, len(variants))
+	for i, v := range variants {
+		cols[i] = v.Name
 	}
-	results, err := runAll(jobs)
+	// Column 0 is the LRU baseline; column j ≥ 1 is variants[j-1].
+	raw, err := runMatrix(namesOf(benches), append([]string{"LRU"}, cols...), func(i, j int) (RunResult, error) {
+		if j == 0 {
+			return RunWorkload(benches[i].Workload, "LRU", run)
+		}
+		cfg := variants[j-1].Cfg
+		cfg.Seed = run.Seed ^ 0xC0FFEE
+		return Run(core.New(run.Geom, cfg), trace.NewGen(benches[i].Workload, run.Geom, run.Seed), run), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	cols := make([]string, 0, len(variants))
-	for _, v := range variants {
-		cols = append(cols, v.Name)
-	}
-	t := stats.NewTable("STEM ablation: MPKI normalized to LRU", "bench", cols...)
-	for _, b := range benches {
-		base := results[b.Name+"/LRU"]
-		for _, v := range variants {
-			r := results[b.Name+"/"+v.Name]
-			t.Set(b.Name, v.Name, stats.Normalize(r.MPKI, base.MPKI))
-		}
-	}
-	t.AddGeomeanRow()
-	return t, nil
+	return normalizedTable("STEM ablation: MPKI normalized to LRU", raw, namesOf(benches), cols, mpkiOf), nil
 }

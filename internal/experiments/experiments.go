@@ -1,8 +1,8 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (§3 and §5). Each runner builds the workload, drives
 // the schemes under test, and returns the same rows/series the paper
-// reports. The cmd/paperrepro binary and the repository's benchmark suite
-// are thin wrappers around this package.
+// reports. cmd/stemsim's experiment table and the repository's benchmark
+// suite are thin wrappers around this package.
 package experiments
 
 import (
@@ -21,8 +21,10 @@ import (
 	"repro/internal/sbc"
 	"repro/internal/sim"
 	"repro/internal/skew"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vway"
+	"repro/internal/workloads"
 )
 
 // SchemeNames lists the six schemes of the evaluation in presentation
@@ -83,9 +85,9 @@ type RunConfig struct {
 	Seed uint64
 	// Obs enables run observability: live metrics, mechanism-event tracing
 	// and periodic snapshots. Nil (the default) keeps the measured loop on
-	// the uninstrumented hot path. Runs sharing one Options (paperrepro's
-	// parallel matrix) share its registry; counters aggregate across runs
-	// while snapshot gauges reflect whichever run published last.
+	// the uninstrumented hot path. Runs sharing one Options (`stemsim
+	// paper`'s parallel matrices) share its registry; counters aggregate
+	// across runs while snapshot gauges reflect whichever run published last.
 	Obs *obs.Options
 }
 
@@ -215,50 +217,86 @@ type job struct {
 	run func() (RunResult, error)
 }
 
-// runAll executes jobs on up to GOMAXPROCS workers and collects results by
-// key; the first error aborts the collection.
+// runAll executes jobs on up to GOMAXPROCS goroutines at a time and
+// collects results by key; it reports the first error in job order.
 func runAll(jobs []job) (map[string]RunResult, error) {
-	type reply struct {
-		key string
-		res RunResult
-		err error
-	}
-	in := make(chan job)
-	out := make(chan reply, len(jobs))
+	results := make([]RunResult, len(jobs))
+	errs := make([]error, len(jobs))
+	slots := make(chan struct{}, max(1, runtime.GOMAXPROCS(0))) // counting semaphore
 	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
+	for i, j := range jobs {
+		slots <- struct{}{}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range in {
-				res, err := j.run()
-				out <- reply{key: j.key, res: res, err: err}
-			}
+			results[i], errs[i] = j.run()
+			<-slots
 		}()
 	}
-	//lint:allow(goleak) feeder exits once every job is enqueued: the waited-on workers drain `in` to close(in)
-	go func() {
-		for _, j := range jobs {
-			in <- j
+	wg.Wait()
+	byKey := make(map[string]RunResult, len(jobs))
+	var first error
+	for i, j := range jobs {
+		byKey[j.key] = results[i]
+		if first == nil {
+			first = errs[i]
 		}
-		close(in)
-		wg.Wait()
-		close(out)
-	}()
-	results := make(map[string]RunResult, len(jobs))
-	var firstErr error
-	for r := range out {
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-		results[r.key] = r.res
 	}
-	return results, firstErr
+	return byKey, first
 }
+
+// runMatrix runs cell(i, j) for every row i and column j in parallel and
+// returns the results as [rows[i]][cols[j]]. Every comparison in this
+// package is such a matrix: benchmarks (or associativities) down, schemes
+// (or STEM variants) across.
+func runMatrix(rows, cols []string, cell func(i, j int) (RunResult, error)) (map[string]map[string]RunResult, error) {
+	jobs := make([]job, 0, len(rows)*len(cols))
+	for i, r := range rows {
+		for j, c := range cols {
+			jobs = append(jobs, job{key: r + "/" + c, run: func() (RunResult, error) { return cell(i, j) }})
+		}
+	}
+	flat, err := runAll(jobs)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]map[string]RunResult, len(rows))
+	for _, r := range rows {
+		out[r] = make(map[string]RunResult, len(cols))
+		for _, c := range cols {
+			out[r][c] = flat[r+"/"+c]
+		}
+	}
+	return out, nil
+}
+
+// schemeMatrix runs every benchmark through every named scheme under run.
+func schemeMatrix(benches []workloads.Benchmark, schemes []string, run RunConfig) (map[string]map[string]RunResult, error) {
+	return runMatrix(namesOf(benches), schemes, func(i, j int) (RunResult, error) {
+		return RunWorkload(benches[i].Workload, schemes[j], run)
+	})
+}
+
+func namesOf(benches []workloads.Benchmark) []string {
+	names := make([]string, len(benches))
+	for i, b := range benches {
+		names[i] = b.Name
+	}
+	return names
+}
+
+// normalizedTable renders one metric of a matrix the way Figures 7-9 do:
+// each of cols divided by the row's LRU cell, plus a geomean row.
+func normalizedTable(title string, raw map[string]map[string]RunResult, rows, cols []string, metric func(RunResult) float64) *stats.Table {
+	t := stats.NewTable(title, "bench", cols...)
+	for _, r := range rows {
+		base := metric(raw[r]["LRU"])
+		for _, c := range cols {
+			t.Set(r, c, stats.Normalize(metric(raw[r][c]), base))
+		}
+	}
+	t.AddGeomeanRow()
+	return t
+}
+
+func mpkiOf(r RunResult) float64 { return r.MPKI }

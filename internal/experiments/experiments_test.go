@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -285,14 +284,6 @@ type testError struct{}
 
 func (*testError) Error() string { return "test error" }
 
-func TestSimAccessConversion(t *testing.T) {
-	r := trace.Ref{Block: 42, Write: true, Instrs: 7}
-	a := simAccess(r)
-	if a.Block != 42 || !a.Write {
-		t.Fatalf("simAccess(%+v) = %+v", r, a)
-	}
-}
-
 func TestExtensionSchemesConstructible(t *testing.T) {
 	geom := sim.Geometry{Sets: 16, Ways: 4, LineSize: 64}
 	for _, name := range ExtensionSchemeNames {
@@ -328,6 +319,29 @@ func TestExtensionComparisonSmallScale(t *testing.T) {
 	// worst matches) the stronger cache-level temporal family overall.
 	if stem > drrip*1.05 {
 		t.Fatalf("STEM (%v) clearly worse than DRRIP (%v) overall", stem, drrip)
+	}
+}
+
+// TestExtensionSharesMainComparisonCells: both comparisons are the same
+// benchmark x scheme matrix normalized to LRU, so the schemes they share
+// must agree cell for cell, geomean included, at one RunConfig.
+func TestExtensionSharesMainComparisonCells(t *testing.T) {
+	cfg := RunConfig{Geom: sim.Geometry{Sets: 64, Ways: 8, LineSize: 64}, Warmup: 5_000, Measure: 20_000}
+	c, err := MainComparison(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := ExtensionComparison(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range c.MPKI.Rows() {
+		for _, sc := range []string{"DIP", "STEM"} {
+			want, _ := c.MPKI.Get(row, sc)
+			if got, ok := ext.Get(row, sc); !ok || got != want {
+				t.Errorf("%s/%s: extension %v, main comparison %v", row, sc, got, want)
+			}
+		}
 	}
 }
 

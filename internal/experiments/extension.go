@@ -17,29 +17,10 @@ func ExtensionComparison(run RunConfig) (*stats.Table, error) {
 	run = run.withDefaults()
 	schemes := []string{"LRU", "DIP", "SRRIP", "DRRIP", "STEM"}
 	suite := workloads.Suite()
-
-	var jobs []job
-	for _, b := range suite {
-		for _, sc := range schemes {
-			b, sc := b, sc
-			jobs = append(jobs, job{
-				key: b.Name + "/" + sc,
-				run: func() (RunResult, error) { return RunWorkload(b.Workload, sc, run) },
-			})
-		}
-	}
-	results, err := runAll(jobs)
+	raw, err := schemeMatrix(suite, schemes, run)
 	if err != nil {
 		return nil, err
 	}
-	t := stats.NewTable("Extension: MPKI normalized to LRU (RRIP family vs STEM)",
-		"bench", schemes[1:]...)
-	for _, b := range suite {
-		base := results[b.Name+"/LRU"]
-		for _, sc := range schemes[1:] {
-			t.Set(b.Name, sc, stats.Normalize(results[b.Name+"/"+sc].MPKI, base.MPKI))
-		}
-	}
-	t.AddGeomeanRow()
-	return t, nil
+	return normalizedTable("Extension: MPKI normalized to LRU (RRIP family vs STEM)",
+		raw, namesOf(suite), schemes[1:], mpkiOf), nil
 }

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -22,6 +24,10 @@ type Fig1Config struct {
 	PerPeriod int    // accesses per period; paper: 50 000
 	MaxWays   int    // associativity horizon; paper: 32
 	Seed      uint64
+	// Obs, when it carries a Registry, publishes feed progress
+	// (feed.accesses, feed.periods_done, feed.periods_total) so a long
+	// characterization can be watched live. Nil publishes nothing.
+	Obs *obs.Options
 }
 
 func (c Fig1Config) withDefaults() Fig1Config {
@@ -68,9 +74,18 @@ func Figure1(cfg Fig1Config) (Fig1Result, error) {
 	}
 	gen := trace.NewGen(b.Workload, PaperGeometry, cfg.Seed)
 	d := profile.NewDemand(PaperGeometry, cfg.PerPeriod, cfg.MaxWays)
-	total := cfg.Periods * cfg.PerPeriod
-	for i := 0; i < total; i++ {
-		d.Feed(gen.Next().Block)
+	var reg *obs.Registry // nil-safe: a nil registry hands out no-op metrics
+	if cfg.Obs != nil {
+		reg = cfg.Obs.Registry
+	}
+	fed, done := reg.Counter("feed.accesses"), reg.Gauge("feed.periods_done")
+	reg.Gauge("feed.periods_total").Set(float64(cfg.Periods))
+	for p := 0; p < cfg.Periods; p++ {
+		for i := 0; i < cfg.PerPeriod; i++ {
+			d.Feed(gen.Next().Block)
+		}
+		fed.Add(uint64(cfg.PerPeriod))
+		done.Set(float64(p + 1))
 	}
 	return Fig1Result{Benchmark: cfg.Benchmark, MaxWays: cfg.MaxWays, Periods: d.Periods()}, nil
 }
@@ -118,36 +133,19 @@ func Figure2(seed uint64) []Fig2Row {
 	for ex := 1; ex <= 3; ex++ {
 		row := Fig2Row{Example: ex}
 		row.ExpLRU, row.ExpDIP, row.ExpSBC = trace.Figure2Expected(ex)
-		for _, scheme := range []string{"LRU", "DIP", "SBC", "STEM"} {
-			s, err := NewScheme(scheme, trace.Figure2Geometry, seed)
+		for _, cell := range []struct {
+			scheme string
+			rate   *float64
+		}{{"LRU", &row.LRU}, {"DIP", &row.DIP}, {"SBC", &row.SBC}, {"STEM", &row.STEM}} {
+			s, err := NewScheme(cell.scheme, trace.Figure2Geometry, seed)
 			if err != nil {
 				panic(err) // invariant: static scheme list; unreachable
 			}
 			gen := trace.Figure2(ex)
 			// Long warmup lets the adaptive schemes converge, then measure
 			// whole periods so the steady-state rate is exact.
-			warm := 400 * gen.Len()
-			meas := 400 * gen.Len()
-			for i := 0; i < warm; i++ {
-				r := gen.Next()
-				s.Access(simAccess(r))
-			}
-			s.ResetStats()
-			for i := 0; i < meas; i++ {
-				r := gen.Next()
-				s.Access(simAccess(r))
-			}
-			mr := s.Stats().MissRate()
-			switch scheme {
-			case "LRU":
-				row.LRU = mr
-			case "DIP":
-				row.DIP = mr
-			case "SBC":
-				row.SBC = mr
-			case "STEM":
-				row.STEM = mr
-			}
+			n := 400 * gen.Len()
+			*cell.rate = Run(s, gen, RunConfig{Geom: trace.Figure2Geometry, Warmup: n, Measure: n}).MissRate
 		}
 		rows = append(rows, row)
 	}
@@ -187,28 +185,24 @@ func Sweep(cfg SweepConfig) (*stats.Table, error) {
 	}
 	run := cfg.Run.withDefaults()
 
-	var jobs []job
-	for _, a := range assocs {
-		for _, sc := range schemes {
-			a, sc := a, sc
-			rc := run
-			rc.Geom.Ways = a
-			jobs = append(jobs, job{
-				key: fmt.Sprintf("%d/%s", a, sc),
-				run: func() (RunResult, error) { return RunWorkload(b.Workload, sc, rc) },
-			})
-		}
+	rows := make([]string, len(assocs))
+	for i, a := range assocs {
+		rows[i] = strconv.Itoa(a)
 	}
-	results, err := runAll(jobs)
+	results, err := runMatrix(rows, schemes, func(i, j int) (RunResult, error) {
+		rc := run
+		rc.Geom.Ways = assocs[i]
+		return RunWorkload(b.Workload, schemes[j], rc)
+	})
 	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable(
 		fmt.Sprintf("MPKI vs associativity — %s", cfg.Benchmark),
 		"assoc", schemes...)
-	for _, a := range assocs {
+	for _, r := range rows {
 		for _, sc := range schemes {
-			t.Set(fmt.Sprintf("%d", a), sc, results[fmt.Sprintf("%d/%s", a, sc)].MPKI)
+			t.Set(r, sc, results[r][sc].MPKI)
 		}
 	}
 	return t, nil
@@ -234,47 +228,22 @@ type Comparison struct {
 func MainComparison(run RunConfig) (*Comparison, error) {
 	run = run.withDefaults()
 	suite := workloads.Suite()
-
-	var jobs []job
-	for _, b := range suite {
-		for _, sc := range SchemeNames {
-			b, sc := b, sc
-			jobs = append(jobs, job{
-				key: b.Name + "/" + sc,
-				run: func() (RunResult, error) { return RunWorkload(b.Workload, sc, run) },
-			})
-		}
-	}
-	results, err := runAll(jobs)
+	raw, err := schemeMatrix(suite, SchemeNames, run)
 	if err != nil {
 		return nil, err
 	}
-
+	rows, cols := namesOf(suite), SchemeNames[1:]
 	c := &Comparison{
-		Raw:    map[string]map[string]RunResult{},
-		MPKI:   stats.NewTable("Figure 7: MPKI normalized to LRU", "bench", SchemeNames[1:]...),
-		AMAT:   stats.NewTable("Figure 8: AMAT normalized to LRU", "bench", SchemeNames[1:]...),
-		CPI:    stats.NewTable("Figure 9: CPI normalized to LRU", "bench", SchemeNames[1:]...),
+		Raw:    raw,
+		MPKI:   normalizedTable("Figure 7: MPKI normalized to LRU", raw, rows, cols, mpkiOf),
+		AMAT:   normalizedTable("Figure 8: AMAT normalized to LRU", raw, rows, cols, func(r RunResult) float64 { return r.AMAT }),
+		CPI:    normalizedTable("Figure 9: CPI normalized to LRU", raw, rows, cols, func(r RunResult) float64 { return r.CPI }),
 		Table2: stats.NewTable("Table 2: LRU MPKI, paper vs measured", "bench", "paper", "measured"),
 	}
 	for _, b := range suite {
-		c.Raw[b.Name] = map[string]RunResult{}
-		for _, sc := range SchemeNames {
-			c.Raw[b.Name][sc] = results[b.Name+"/"+sc]
-		}
-		base := c.Raw[b.Name]["LRU"]
-		for _, sc := range SchemeNames[1:] {
-			r := c.Raw[b.Name][sc]
-			c.MPKI.Set(b.Name, sc, stats.Normalize(r.MPKI, base.MPKI))
-			c.AMAT.Set(b.Name, sc, stats.Normalize(r.AMAT, base.AMAT))
-			c.CPI.Set(b.Name, sc, stats.Normalize(r.CPI, base.CPI))
-		}
 		c.Table2.Set(b.Name, "paper", b.PaperMPKI)
-		c.Table2.Set(b.Name, "measured", base.MPKI)
+		c.Table2.Set(b.Name, "measured", raw[b.Name]["LRU"].MPKI)
 	}
-	c.MPKI.AddGeomeanRow()
-	c.AMAT.AddGeomeanRow()
-	c.CPI.AddGeomeanRow()
 	return c, nil
 }
 

@@ -403,20 +403,20 @@ func TestStartTool(t *testing.T) {
 }
 
 // TestToolFlags: the shared block registers -metrics always and the other
-// three only where the tool has them, under the tool's own event-log flag
-// name; a tool without -snapshot-every takes no periodic snapshots.
+// three only where the tool has them, -trace under the tool's own help
+// line; a tool without -snapshot-every takes no periodic snapshots.
 func TestToolFlags(t *testing.T) {
 	fs := flag.NewFlagSet("full", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	cfg := ToolFlags(fs, "full", ToolFlagSet{Pprof: true, Trace: "events", TraceHelp: "event log", Snapshots: true})
-	if err := fs.Parse([]string{"-metrics", ":1", "-pprof", "-events", "e.jsonl", "-snapshot-every", "7"}); err != nil {
+	cfg := ToolFlags(fs, "full", ToolFlagSet{Pprof: true, Trace: true, TraceHelp: "event log", Snapshots: true})
+	if err := fs.Parse([]string{"-metrics", ":1", "-pprof", "-trace", "e.jsonl", "-snapshot-every", "7"}); err != nil {
 		t.Fatal(err)
 	}
 	if want := (ToolConfig{MetricsAddr: ":1", Pprof: true, TracePath: "e.jsonl", SnapshotEvery: 7, announce: "full"}); *cfg != want {
 		t.Fatalf("parsed %+v, want %+v", *cfg, want)
 	}
-	if fs.Lookup("events").Usage != "event log" || fs.Lookup("trace") != nil {
-		t.Fatal("event-log flag not registered under the tool's name and help")
+	if fs.Lookup("trace").Usage != "event log" {
+		t.Fatal("-trace not registered under the tool's help line")
 	}
 
 	fs = flag.NewFlagSet("bare", flag.ContinueOnError)

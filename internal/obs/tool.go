@@ -32,10 +32,10 @@ type ToolConfig struct {
 type ToolFlagSet struct {
 	// Pprof registers -pprof.
 	Pprof bool
-	// Trace names the event-log flag ("trace"; tracerun, whose -trace is
-	// its input, says "events") with TraceHelp as its usage line. Empty
-	// registers none.
-	Trace, TraceHelp string
+	// Trace registers -trace, the event-log path, with TraceHelp as its
+	// usage line (what the events are differs by tool).
+	Trace     bool
+	TraceHelp string
 	// Snapshots registers -snapshot-every. A tool without it takes no
 	// periodic run snapshots (servers expose /metrics instead).
 	Snapshots bool
@@ -51,8 +51,8 @@ func ToolFlags(fs *flag.FlagSet, tool string, has ToolFlagSet) *ToolConfig {
 	if has.Pprof {
 		fs.BoolVar(&cfg.Pprof, "pprof", false, "with -metrics, also serve /debug/pprof")
 	}
-	if has.Trace != "" {
-		fs.StringVar(&cfg.TracePath, has.Trace, "", has.TraceHelp)
+	if has.Trace {
+		fs.StringVar(&cfg.TracePath, "trace", "", has.TraceHelp)
 	}
 	if has.Snapshots {
 		fs.IntVar(&cfg.SnapshotEvery, "snapshot-every", 0, "accesses between run snapshots (0 = default, negative = off)")

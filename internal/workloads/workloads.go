@@ -58,6 +58,14 @@ const (
 	ClassIII Class = 3
 )
 
+// String renders the class as the paper writes it: I, II or III.
+func (c Class) String() string {
+	if c < ClassI || c > ClassIII {
+		return fmt.Sprintf("Class(%d)", int(c))
+	}
+	return "III"[:c]
+}
+
 // Benchmark is one entry of the suite.
 type Benchmark struct {
 	// Name is the SPEC benchmark this analog stands in for.

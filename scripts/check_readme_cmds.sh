@@ -2,8 +2,9 @@
 # check_readme_cmds.sh — README/cmd cross-check, run by CI.
 #
 # Two directions:
-#   1. every binary under cmd/ is mentioned in README.md (no undocumented
-#      tools);
+#   1. every binary under cmd/ is mentioned in README.md as cmd/<name> (no
+#      undocumented tools; the bare word does not count — "sweep" and
+#      "stemd" occur in prose);
 #   2. every "cmd/<name>" or "go run ./cmd/<name>" reference in README.md
 #      names a directory that actually exists (no docs pointing at removed
 #      tools).
@@ -17,7 +18,7 @@ status=0
 # Direction 1: cmd/* -> README.
 for dir in cmd/*/; do
     name=$(basename "$dir")
-    if ! grep -q "$name" README.md; then
+    if ! grep -qE "cmd/$name([^a-z0-9_-]|\$)" README.md; then
         echo "cmd/$name exists but README.md never mentions it" >&2
         status=1
     fi
