@@ -27,7 +27,8 @@ func TestRunServesCluster(t *testing.T) {
 	var addrs []string
 	deadline := time.Now().Add(5 * time.Second) //lint:allow(determinism) test-only startup timeout
 	for {
-		if b, err := os.ReadFile(addrFile); err == nil {
+		// The supervisor's WriteFile creates, then writes: empty is "not yet".
+		if b, err := os.ReadFile(addrFile); err == nil && len(b) > 0 {
 			addrs = strings.Split(strings.TrimSpace(string(b)), ",")
 			break
 		}

@@ -29,25 +29,24 @@ type Hooks struct {
 	OnWriteback func(set int, block uint64)
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-}
-
-type cacheSet struct {
-	lines []line
-	pol   policy.Policy
-}
+// Per-line flag bits, kept beside the block addresses in a parallel array.
+const (
+	lineValid uint8 = 1 << iota
+	lineDirty
+)
 
 // Cache is a conventional set-associative cache with pluggable per-set
 // replacement policies.
 type Cache struct {
-	name  string
-	geom  sim.Geometry
-	sets  []cacheSet
-	stats sim.Stats
-	hooks Hooks
+	name string
+	geom sim.Geometry
+	// blocks and flags are Sets × Ways, set-major: each line's full block
+	// address and its line* bits.
+	blocks []uint64
+	flags  []uint8
+	pols   []policy.Policy // one per set
+	stats  sim.Stats
+	hooks  Hooks
 }
 
 // PolicyFactory builds the replacement policy for one set. The RNG passed in
@@ -66,13 +65,17 @@ func New(name string, geom sim.Geometry, seed uint64, factory PolicyFactory) *Ca
 		// invariant: every caller supplies a policy factory; nil is a harness bug.
 		panic("basecache: nil policy factory")
 	}
-	c := &Cache{name: name, geom: geom, sets: make([]cacheSet, geom.Sets)}
-	for i := range c.sets {
-		rng := sim.NewRNG(seed ^ uint64(i)*0x9e3779b97f4a7c15)
-		c.sets[i] = cacheSet{
-			lines: make([]line, geom.Ways),
-			pol:   factory(i, geom.Ways, rng),
-		}
+	c := &Cache{
+		name:   name,
+		geom:   geom,
+		blocks: make([]uint64, geom.Sets*geom.Ways),
+		flags:  make([]uint8, geom.Sets*geom.Ways),
+		pols:   make([]policy.Policy, geom.Sets),
+	}
+	rngs := make([]sim.RNG, geom.Sets)
+	for i := range c.pols {
+		rngs[i].Seed(seed ^ uint64(i)*0x9e3779b97f4a7c15)
+		c.pols[i] = factory(i, geom.Ways, &rngs[i])
 	}
 	return c
 }
@@ -104,18 +107,24 @@ func (c *Cache) Stats() sim.Stats { return c.stats }
 // ResetStats implements sim.Simulator.
 func (c *Cache) ResetStats() { c.stats = sim.Stats{} }
 
+// set returns set idx's ways: block addresses and flags.
+func (c *Cache) set(idx int) ([]uint64, []uint8) {
+	lo, hi := idx*c.geom.Ways, (idx+1)*c.geom.Ways
+	return c.blocks[lo:hi:hi], c.flags[lo:hi:hi]
+}
+
 // Access implements sim.Simulator.
 func (c *Cache) Access(a sim.Access) sim.Outcome {
 	idx := c.geom.Index(a.Block)
-	tag := c.geom.Tag(a.Block)
-	s := &c.sets[idx]
+	blocks, flags := c.set(idx)
+	pol := c.pols[idx]
 
 	var out sim.Outcome
-	if way := s.find(tag); way >= 0 {
+	if way := find(blocks, flags, a.Block); way >= 0 {
 		out.Hit = true
-		s.pol.OnHit(way)
+		pol.OnHit(way)
 		if a.Write {
-			s.lines[way].dirty = true
+			flags[way] |= lineDirty
 		}
 		c.stats.Record(out)
 		return out
@@ -124,21 +133,24 @@ func (c *Cache) Access(a sim.Access) sim.Outcome {
 	if c.hooks.OnMiss != nil {
 		c.hooks.OnMiss(idx, a.Block)
 	}
-	way := s.victimWay()
-	if s.lines[way].valid {
-		evicted := c.geom.BlockFor(s.lines[way].tag, idx)
-		if s.lines[way].dirty {
+	way := victimWay(flags, pol)
+	if f := flags[way]; f&lineValid != 0 {
+		evicted := blocks[way]
+		if f&lineDirty != 0 {
 			out.Writeback = true
 		}
 		if c.hooks.OnEvict != nil {
 			c.hooks.OnEvict(idx, evicted)
 		}
-		if s.lines[way].dirty && c.hooks.OnWriteback != nil {
+		if f&lineDirty != 0 && c.hooks.OnWriteback != nil {
 			c.hooks.OnWriteback(idx, evicted)
 		}
 	}
-	s.lines[way] = line{tag: tag, valid: true, dirty: a.Write}
-	s.pol.OnInsert(way)
+	blocks[way], flags[way] = a.Block, lineValid
+	if a.Write {
+		flags[way] |= lineDirty
+	}
+	pol.OnInsert(way)
 	c.stats.Record(out)
 	return out
 }
@@ -146,15 +158,16 @@ func (c *Cache) Access(a sim.Access) sim.Outcome {
 // Contains reports whether block is currently cached (used by tests and the
 // inclusive-hierarchy checks in examples).
 func (c *Cache) Contains(block uint64) bool {
-	idx := c.geom.Index(block)
-	return c.sets[idx].find(c.geom.Tag(block)) >= 0
+	blocks, flags := c.set(c.geom.Index(block))
+	return find(blocks, flags, block) >= 0
 }
 
 // Occupancy returns the number of valid lines in set idx.
 func (c *Cache) Occupancy(idx int) int {
 	n := 0
-	for _, l := range c.sets[idx].lines {
-		if l.valid {
+	_, flags := c.set(idx)
+	for _, f := range flags {
+		if f&lineValid != 0 {
 			n++
 		}
 	}
@@ -162,12 +175,13 @@ func (c *Cache) Occupancy(idx int) int {
 }
 
 // PolicyKind returns the replacement-policy kind of set idx.
-func (c *Cache) PolicyKind(idx int) policy.Kind { return c.sets[idx].pol.Kind() }
+func (c *Cache) PolicyKind(idx int) policy.Kind { return c.pols[idx].Kind() }
 
-// find returns the way holding tag, or -1.
-func (s *cacheSet) find(tag uint64) int {
-	for w := range s.lines {
-		if s.lines[w].valid && s.lines[w].tag == tag {
+// find returns the valid way holding block, or -1. An invalid way keeps a
+// stale address, so the flag decides on a match.
+func find(blocks []uint64, flags []uint8, block uint64) int {
+	for w, b := range blocks {
+		if b == block && flags[w]&lineValid != 0 {
 			return w
 		}
 	}
@@ -175,13 +189,13 @@ func (s *cacheSet) find(tag uint64) int {
 }
 
 // victimWay returns an invalid way if one exists, else the policy's victim.
-func (s *cacheSet) victimWay() int {
-	for w := range s.lines {
-		if !s.lines[w].valid {
+func victimWay(flags []uint8, pol policy.Policy) int {
+	for w, f := range flags {
+		if f&lineValid == 0 {
 			return w
 		}
 	}
-	v := s.pol.Victim()
+	v := pol.Victim()
 	if v < 0 {
 		// invariant: a full set always has a victim; a policy that lost
 		// track of its ways is a scheme bug — fail loudly rather than

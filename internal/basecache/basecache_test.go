@@ -265,3 +265,41 @@ func TestQuickDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A block address keeps all 64 of its bits in the tag array: blocks that
+// differ only in bits 61–63 are different lines.
+func TestHighBlockBitsDistinguishLines(t *testing.T) {
+	g := sim.Geometry{Sets: 4, Ways: 8, LineSize: 64}
+	c := NewLRU(g, 1)
+	for hi := uint64(0); hi < 8; hi++ {
+		if b := blockIn(g, 1, 7) | hi<<61; c.Access(sim.Access{Block: b}).Hit {
+			t.Fatalf("block %#x hit on first touch: aliased with an earlier one", b)
+		}
+	}
+	for hi := uint64(0); hi < 8; hi++ {
+		if b := blockIn(g, 1, 7) | hi<<61; !c.Contains(b) {
+			t.Fatalf("block %#x not resident in a set that holds exactly the 8 blocks touched", b)
+		}
+	}
+}
+
+// TestAccessZeroAllocs is the baseline cache's allocation gate: hits, misses
+// and dirty evictions on a warm LRU cache do not allocate.
+func TestAccessZeroAllocs(t *testing.T) {
+	g := sim.Geometry{Sets: 64, Ways: 16, LineSize: 64}
+	c := NewLRU(g, 1)
+	rng := sim.NewRNG(2)
+	access := func() {
+		c.Access(sim.Access{Block: uint64(rng.Intn(2 * g.Sets * g.Ways)), Write: rng.OneIn(4)})
+	}
+	for i := 0; i < 10_000; i++ {
+		access()
+	}
+	c.ResetStats()
+	if allocs := testing.AllocsPerRun(10_000, access); allocs != 0 {
+		t.Errorf("basecache.Cache.Access: %v allocs/op, want 0", allocs)
+	}
+	if st := c.Stats(); st.Hits == 0 || st.Misses == 0 || st.Writebacks == 0 {
+		t.Errorf("measured stream missed a path: %+v", st)
+	}
+}

@@ -92,21 +92,24 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-type line struct {
-	block uint64 // full block address (giver sets hold foreign blocks)
-	valid bool
-	dirty bool
-	cc    bool // the CC bit: cooperatively cached (foreign) block
-}
+// Per-line flag bits, kept beside the block addresses in a parallel array.
+const (
+	lineValid uint8 = 1 << iota
+	lineCC          // the CC bit: cooperatively cached (foreign) block
+	lineDirty
+)
 
 // Cache is a STEM-managed LLC implementing sim.Simulator: a tag array and
 // the outcome counters around one Engine, which makes every decision.
 type Cache struct {
-	geom  sim.Geometry
-	eng   Engine
-	lines []line // Sets × Ways, set-major
-	hash  *hashfn.Hash
-	stats sim.Stats
+	geom sim.Geometry
+	eng  Engine
+	// blocks and flags are Sets × Ways, set-major: the full block address of
+	// each line (giver sets hold foreign blocks) and its line* bits.
+	blocks []uint64
+	flags  []uint8
+	hash   *hashfn.Hash
+	stats  sim.Stats
 }
 
 // New constructs a STEM cache. It panics on invalid geometry.
@@ -116,10 +119,11 @@ func New(geom sim.Geometry, cfg Config) *Cache {
 		panic(fmt.Sprintf("core: %v", err))
 	}
 	return &Cache{
-		geom:  geom,
-		eng:   NewEngine(cfg, geom.Sets, geom.Ways, 0),
-		lines: make([]line, geom.Sets*geom.Ways),
-		hash:  NewSigHash(cfg),
+		geom:   geom,
+		eng:    NewEngine(cfg, geom.Sets, geom.Ways, 0),
+		blocks: make([]uint64, geom.Sets*geom.Ways),
+		flags:  make([]uint8, geom.Sets*geom.Ways),
+		hash:   NewSigHash(cfg),
 	}
 }
 
@@ -182,9 +186,10 @@ func (c *Cache) Introspect() obs.SchemeState {
 	return st
 }
 
-// set returns set idx's ways.
-func (c *Cache) set(idx int) []line {
-	return c.lines[idx*c.geom.Ways:][:c.geom.Ways]
+// set returns set idx's ways: block addresses and flags.
+func (c *Cache) set(idx int) ([]uint64, []uint8) {
+	lo, hi := idx*c.geom.Ways, (idx+1)*c.geom.Ways
+	return c.blocks[lo:hi:hi], c.flags[lo:hi:hi]
 }
 
 // sigOf computes the m-bit shadow signature of a block's tag.
@@ -194,14 +199,14 @@ func (c *Cache) sigOf(block uint64) uint32 { return c.hash.Sum(c.geom.Tag(block)
 func (c *Cache) Access(a sim.Access) sim.Outcome {
 	c.eng.Tick()
 	idx := c.geom.Index(a.Block)
-	s := c.set(idx)
+	blocks, flags := c.set(idx)
 
 	var out sim.Outcome
 	// 1. Local lookup.
-	if w := find(s, a.Block, false); w >= 0 {
+	if w := find(blocks, flags, a.Block, lineValid); w >= 0 {
 		out.Hit = true
 		if a.Write {
-			s[w].dirty = true
+			flags[w] |= lineDirty
 		}
 		c.eng.Hit(idx, w)
 		c.stats.Record(out)
@@ -211,12 +216,12 @@ func (c *Cache) Access(a sim.Access) sim.Outcome {
 	// 2. A coupled taker's blocks may be cooperatively cached in its giver.
 	if g := c.eng.GiverOf(idx); g >= 0 {
 		out.Secondary = true
-		p := c.set(g)
-		if w := find(p, a.Block, true); w >= 0 {
+		gb, gf := c.set(g)
+		if w := find(gb, gf, a.Block, lineValid|lineCC); w >= 0 {
 			out.Hit = true
 			out.SecondaryHit = true
 			if a.Write {
-				p[w].dirty = true
+				gf[w] |= lineDirty
 			}
 			c.eng.Touch(g, w)
 			c.stats.Record(out)
@@ -226,12 +231,15 @@ func (c *Cache) Access(a sim.Access) sim.Outcome {
 
 	// 3. True miss: consult the shadow set, then fill locally.
 	c.eng.Miss(idx, c.sigOf(a.Block))
-	way := freeWay(s)
+	way := freeWay(flags)
 	if way < 0 {
 		way = c.eng.Victim(idx)
 		c.vacate(idx, way, &out)
 	}
-	s[way] = line{block: a.Block, valid: true, dirty: a.Write}
+	blocks[way], flags[way] = a.Block, lineValid
+	if a.Write {
+		flags[way] |= lineDirty
+	}
 	c.eng.Fill(idx, way)
 	c.stats.Record(out)
 	return out
@@ -241,39 +249,41 @@ func (c *Cache) Access(a sim.Access) sim.Outcome {
 // coupled giver as a cooperatively cached block, or off chip with writeback
 // accounting.
 func (c *Cache) vacate(idx, way int, out *sim.Outcome) {
-	v := c.set(idx)[way]
-	g := c.eng.Evict(idx, c.sigOf(v.block), v.cc, false)
+	blocks, flags := c.set(idx)
+	block, f := blocks[way], flags[way]
+	g := c.eng.Evict(idx, c.sigOf(block), f&lineCC != 0, false)
 	if g < 0 {
-		if v.dirty {
+		if f&lineDirty != 0 {
 			out.Writeback = true
 		}
 		return
 	}
-	gs := c.set(g)
-	gw := freeWay(gs)
+	gb, gf := c.set(g)
+	gw := freeWay(gf)
 	if gw < 0 {
 		gw = c.eng.Victim(g)
 		c.vacate(g, gw, out)
 	}
-	v.cc = true
-	gs[gw] = v
+	gb[gw], gf[gw] = block, f|lineCC
 	c.eng.Fill(g, gw)
 }
 
-// find returns the way of s holding block with the given CC bit, or -1.
-func find(s []line, block uint64, cc bool) int {
-	for w := range s {
-		if s[w].valid && s[w].cc == cc && s[w].block == block {
+// find returns the way holding block as a valid line whose valid and CC bits
+// are exactly want, or -1. An invalid way keeps a stale address, so the flags
+// decide on a match.
+func find(blocks []uint64, flags []uint8, block uint64, want uint8) int {
+	for w, b := range blocks {
+		if b == block && flags[w]&(lineValid|lineCC) == want {
 			return w
 		}
 	}
 	return -1
 }
 
-// freeWay returns the first invalid way of s, or -1 when the set is full.
-func freeWay(s []line) int {
-	for w := range s {
-		if !s[w].valid {
+// freeWay returns the first invalid way, or -1 when the set is full.
+func freeWay(flags []uint8) int {
+	for w, f := range flags {
+		if f&lineValid == 0 {
 			return w
 		}
 	}

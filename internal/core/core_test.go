@@ -224,8 +224,9 @@ func TestForeignCountConsistency(t *testing.T) {
 		for si := range c.eng.sets {
 			s := &c.eng.sets[si]
 			n := 0
-			for _, l := range c.set(si) {
-				if l.valid && l.cc {
+			_, flags := c.set(si)
+			for _, f := range flags {
+				if f&lineValid != 0 && f&lineCC != 0 {
 					n++
 				}
 			}
@@ -265,14 +266,15 @@ func TestShadowExclusivity(t *testing.T) {
 		}
 		for si := range c.eng.sets {
 			s := &c.eng.sets[si]
-			for _, l := range c.set(si) {
-				if !l.valid || l.cc {
+			blocks, flags := c.set(si)
+			for w, b := range blocks {
+				if flags[w]&(lineValid|lineCC) != lineValid {
 					continue
 				}
-				sg := c.sigOf(l.block)
-				for w := range s.mon.Shadow.sigs {
-					if s.mon.Shadow.valid[w] && s.mon.Shadow.sigs[w] == sg {
-						t.Fatalf("set %d: resident block %#x has live shadow entry", si, l.block)
+				sg := c.sigOf(b)
+				for _, cell := range s.mon.Shadow.cells {
+					if cell == shadowValid|uint64(sg) {
+						t.Fatalf("set %d: resident block %#x has live shadow entry", si, b)
 					}
 				}
 			}
@@ -321,11 +323,12 @@ func TestNoDuplicateResidency(t *testing.T) {
 		}
 		seen := map[uint64]int{}
 		for si := range c.eng.sets {
-			for _, l := range c.set(si) {
-				if l.valid {
-					seen[l.block]++
-					if seen[l.block] > 1 {
-						t.Fatalf("block %#x resident %d times", l.block, seen[l.block])
+			blocks, flags := c.set(si)
+			for w, b := range blocks {
+				if flags[w]&lineValid != 0 {
+					seen[b]++
+					if seen[b] > 1 {
+						t.Fatalf("block %#x resident %d times", b, seen[b])
 					}
 				}
 			}

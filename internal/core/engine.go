@@ -38,15 +38,18 @@ func className(k int8) string {
 // ctlSet is one set's control state: everything STEM keeps per set that is
 // not the payload.
 type ctlSet struct {
-	pol policy.Policy
+	pol policy.Recency
 	mon Monitor
+	// rng drives the BIP insertions of pol and of the shadow's policy; both
+	// hold its address, so Engine.sets is never resized.
+	rng sim.RNG
 	// partner is the coupled set's index, or the set's own index when
 	// uncoupled (the paper's association-table convention).
 	partner   int
-	role      role
 	foreign   int    // cooperatively cached entries resident here (givers only)
-	klass     int8   // last reported spatial classification
 	coupledAt uint64 // tick at which the current association formed
+	role      role
+	klass     int8 // last reported spatial classification
 }
 
 // Counts are the mechanism counters an Engine accumulates.
@@ -94,8 +97,11 @@ type Engine struct {
 	cgeom CounterGeom
 	sets  []ctlSet
 	heap  *selector.Heap
-	rng   *sim.RNG // drives the 1/2^n spatial decrement
-	n     Counts
+	rng   sim.RNG // drives the 1/2^n spatial decrement
+	// decMask is 2^n − 1: SC_S decrements on a hit whose draw has those bits
+	// clear.
+	decMask uint64
+	n       Counts
 	// tick counts host operations over the engine's lifetime (never reset);
 	// it timestamps mechanism events.
 	tick uint64
@@ -113,20 +119,25 @@ type Engine struct {
 func NewEngine(cfg Config, sets, ways, shard int) Engine {
 	cfg.applyDefaults()
 	e := Engine{
-		cfg:   cfg,
-		cgeom: NewCounterGeom(cfg.CounterBits),
-		sets:  make([]ctlSet, sets),
-		heap:  selector.New(cfg.SelectorSize),
-		rng:   sim.NewRNG(cfg.Seed ^ 0xdecaf ^ uint64(shard)*0x9e3779b97f4a7c15),
-		base:  shard * sets,
+		cfg:     cfg,
+		cgeom:   NewCounterGeom(cfg.CounterBits),
+		sets:    make([]ctlSet, sets),
+		heap:    selector.New(cfg.SelectorSize),
+		decMask: 1<<uint(cfg.SpatialShift) - 1,
+		base:    shard * sets,
 	}
+	e.rng.Seed(cfg.Seed ^ 0xdecaf ^ uint64(shard)*0x9e3779b97f4a7c15)
+	// One slab per kind of cell, carved per set: a set's recency links and
+	// its shadow's sit side by side.
+	links := make([]policy.Link, 2*sets*ways)
+	cells := make([]uint64, sets*ways)
 	for i := range e.sets {
-		rng := sim.NewRNG(cfg.Seed ^ uint64(e.base+i)*0x9e3779b97f4a7c15)
-		e.sets[i] = ctlSet{
-			pol:     policy.New(cfg.InitialPolicy, ways, rng),
-			mon:     Monitor{Shadow: NewShadowSet(ways, cfg.InitialPolicy, rng)},
-			partner: i,
-		}
+		s := &e.sets[i]
+		s.rng.Seed(cfg.Seed ^ uint64(e.base+i)*0x9e3779b97f4a7c15)
+		s.pol = policy.MakeRecency(cfg.InitialPolicy, links[:ways:ways], &s.rng)
+		s.mon.Shadow = shadowOver(cells[:ways:ways], links[ways:2*ways:2*ways], cfg.InitialPolicy, &s.rng)
+		s.partner = i
+		links, cells = links[2*ways:], cells[ways:]
 	}
 	return e
 }
@@ -226,7 +237,7 @@ func (e *Engine) Census() Census {
 func (e *Engine) Hit(idx, way int) {
 	s := &e.sets[idx]
 	s.pol.OnHit(way)
-	decS := e.rng.OneIn(1 << uint(e.cfg.SpatialShift))
+	decS := e.rng.Uint64()&e.decMask == 0
 	s.mon.OnLLCHit(decS)
 	if decS {
 		if e.observer != nil {
@@ -398,7 +409,7 @@ func (e *Engine) reconsiderGiver(idx int) {
 func (e *Engine) swapPolicies(idx int) {
 	s := &e.sets[idx]
 	next := policy.Opposite(s.pol.Kind())
-	policy.SwapKind(s.pol, next)
+	policy.SwapKind(&s.pol, next)
 	s.mon.Shadow.SwapPolicy(policy.Opposite(next))
 	s.mon.ScT = 0
 	e.n.PolicySwaps++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/hashfn"
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
@@ -17,27 +18,35 @@ import (
 // capacity managers — notably the stemcache KV library — can reuse the
 // paper's demand monitor verbatim instead of re-implementing it.
 type ShadowSet struct {
-	sigs  []uint32
-	valid []bool
-	pol   policy.Policy
+	// cells holds one entry per way: shadowValid | signature, or 0 when the
+	// way is empty — a lookup is one compare per way, and a 32-bit signature
+	// of 0 or 0xFFFFFFFF is an entry like any other. The policy ranks
+	// exactly the valid ways.
+	cells []uint64
+	pol   policy.Recency
 }
+
+// shadowValid marks an occupied cell, one bit above the widest signature.
+const shadowValid = 1 << hashfn.MaxBits
 
 // NewShadowSet builds a shadow directory of the given associativity whose
 // policy is the opposite of the owning LLC set's (paper §4.3).
 func NewShadowSet(ways int, llcKind policy.Kind, rng *sim.RNG) ShadowSet {
-	return ShadowSet{
-		sigs:  make([]uint32, ways),
-		valid: make([]bool, ways),
-		pol:   policy.New(policy.Opposite(llcKind), ways, rng),
-	}
+	return shadowOver(make([]uint64, ways), make([]policy.Link, ways), llcKind, rng)
+}
+
+// shadowOver is NewShadowSet over the caller's (zeroed) storage.
+func shadowOver(cells []uint64, links []policy.Link, llcKind policy.Kind, rng *sim.RNG) ShadowSet {
+	return ShadowSet{cells: cells, pol: policy.MakeRecency(policy.Opposite(llcKind), links, rng)}
 }
 
 // LookupInvalidate checks for sig and, on a match, invalidates the entry
 // (the block is about to re-enter the LLC set) and reports the hit.
 func (s *ShadowSet) LookupInvalidate(sig uint32) bool {
-	for w := range s.sigs {
-		if s.valid[w] && s.sigs[w] == sig {
-			s.valid[w] = false
+	want := shadowValid | uint64(sig)
+	for w, c := range s.cells {
+		if c == want {
+			s.cells[w] = 0
 			s.pol.OnInvalidate(w)
 			return true
 		}
@@ -49,44 +58,33 @@ func (s *ShadowSet) LookupInvalidate(sig uint32) bool {
 // set, replacing per the shadow's own (opposite) policy if full. Duplicate
 // signatures are refreshed in place to preserve entry uniqueness.
 func (s *ShadowSet) Insert(sig uint32) {
-	for w := range s.sigs {
-		if s.valid[w] && s.sigs[w] == sig {
-			s.pol.OnInsert(w) // refresh ranking; entry already present
-			return
-		}
-	}
+	want := shadowValid | uint64(sig)
 	way := -1
-	for w := range s.sigs {
-		if !s.valid[w] {
-			way = w
+	for w, c := range s.cells {
+		if c == want {
+			way = w // refresh ranking; entry already present
 			break
+		}
+		if c == 0 && way < 0 {
+			way = w
 		}
 	}
 	if way < 0 {
 		way = s.pol.Victim()
 	}
-	s.sigs[way] = sig
-	s.valid[way] = true
+	s.cells[way] = want
 	s.pol.OnInsert(way)
 }
 
 // Occupancy returns the number of valid shadow entries.
-func (s *ShadowSet) Occupancy() int {
-	n := 0
-	for _, v := range s.valid {
-		if v {
-			n++
-		}
-	}
-	return n
-}
+func (s *ShadowSet) Occupancy() int { return s.pol.Len() }
 
 // PolicyKind returns the shadow's current replacement-policy kind.
 func (s *ShadowSet) PolicyKind() policy.Kind { return s.pol.Kind() }
 
 // SwapPolicy switches the shadow's policy kind in place, preserving its
 // ranking (the shadow-side half of the paper's §4.4 policy swap).
-func (s *ShadowSet) SwapPolicy(k policy.Kind) bool { return policy.SwapKind(s.pol, k) }
+func (s *ShadowSet) SwapPolicy(k policy.Kind) bool { return policy.SwapKind(&s.pol, k) }
 
 // Monitor is one set's slice of the Set-level Capacity Demand Monitor
 // (SCDM, paper §4.2-4.4): the shadow set plus the two k-bit saturating

@@ -3,6 +3,8 @@ package hashfn
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sim"
 )
 
 func TestNewPanicsOutOfRange(t *testing.T) {
@@ -129,4 +131,33 @@ func BenchmarkSum(b *testing.B) {
 		sink ^= h.Sum(uint64(i) * 0x9e3779b97f4a7c15)
 	}
 	_ = sink
+}
+
+// The byte tables are the 64 rows folded: for every width, Sum equals the
+// row-by-row XOR over the rows New draws.
+func TestSumMatchesRowXOR(t *testing.T) {
+	tags := sim.NewRNG(99)
+	for width := 1; width <= MaxBits; width++ {
+		seed := uint64(width) * 0x9e3779b97f4a7c15
+		h := New(width, seed)
+		var rows [64]uint32
+		rng := sim.NewRNG(seed)
+		for i := range rows {
+			for rows[i] == 0 {
+				rows[i] = uint32(rng.Uint64()) & uint32(1<<uint(width)-1)
+			}
+		}
+		for n := 0; n < 10_000; n++ {
+			tag := tags.Uint64() >> uint(tags.Intn(64)) // every length of tag
+			var want uint32
+			for i := range rows {
+				if tag>>uint(i)&1 == 1 {
+					want ^= rows[i]
+				}
+			}
+			if got := h.Sum(tag); got != want {
+				t.Fatalf("width %d: Sum(%#x) = %#x, row XOR %#x", width, tag, got, want)
+			}
+		}
+	}
 }

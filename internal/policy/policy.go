@@ -134,7 +134,7 @@ func New(k Kind, ways int, rng *sim.RNG) Policy {
 // STEM's temporal counter does on saturation (paper §4.4). It reports false
 // if p is not a swappable recency policy or k is not LRU/BIP.
 func SwapKind(p Policy, k Kind) bool {
-	r, ok := p.(*recency)
+	r, ok := p.(*Recency)
 	if !ok || r.chooser != nil {
 		return false
 	}
@@ -153,10 +153,6 @@ func NewDual(ways int, rng *sim.RNG, choose func() Kind) Policy {
 	if ways <= 0 {
 		// invariant: documented precondition of this internal constructor; the experiment harness and tests always satisfy it.
 		panic("policy: ways must be positive")
-	}
-	if rng == nil {
-		// invariant: documented precondition of this internal constructor; the experiment harness and tests always satisfy it.
-		panic("policy: nil RNG")
 	}
 	if choose == nil {
 		// invariant: documented precondition of this internal constructor; the experiment harness and tests always satisfy it.

@@ -298,7 +298,7 @@ func TestQuickInvariantsNRU(t *testing.T)    { quickOps(t, NRU) }
 func TestQuickInvariantsRandom(t *testing.T) { quickOps(t, Random) }
 
 func TestRecencyOrder(t *testing.T) {
-	p := newLRU(4).(*recency)
+	p := newLRU(4).(*Recency)
 	fill(p, 4)
 	got := p.RecencyOrder()
 	want := []int{3, 2, 1, 0}

@@ -11,14 +11,14 @@
 // stops being a giver.
 package selector
 
-// Heap is a fixed-capacity min-heap of (set, saturation) entries with an
-// index for O(1) membership tests. Not safe for concurrent use. Construct
-// with New.
+// Heap is a fixed-capacity min-heap of (set, saturation) entries. A set is
+// found by scanning the resident entries: the heap is a handful of words (16
+// in the paper's configuration), cheaper to scan than to index. Not safe for
+// concurrent use. Construct with New.
 type Heap struct {
-	cap   int
-	sets  []int // heap order: sets[0] is least saturated
-	sat   []int // sat[i] is the saturation of sets[i]
-	where map[int]int
+	cap  int
+	sets []int // heap order: sets[0] is least saturated
+	sat  []int // sat[i] is the saturation of sets[i]
 }
 
 // New returns a heap holding at most capacity entries. It panics if
@@ -28,7 +28,7 @@ func New(capacity int) *Heap {
 		// invariant: SelectorSize is normalized to a positive default before any heap is built.
 		panic("selector: capacity must be positive")
 	}
-	return &Heap{cap: capacity, where: make(map[int]int, capacity)}
+	return &Heap{cap: capacity, sets: make([]int, 0, capacity), sat: make([]int, 0, capacity)}
 }
 
 // Len returns the number of resident entries.
@@ -38,9 +38,16 @@ func (h *Heap) Len() int { return len(h.sets) }
 func (h *Heap) Capacity() int { return h.cap }
 
 // Contains reports whether set is resident.
-func (h *Heap) Contains(set int) bool {
-	_, ok := h.where[set]
-	return ok
+func (h *Heap) Contains(set int) bool { return h.index(set) >= 0 }
+
+// index returns set's position in heap order, or -1 when it is not resident.
+func (h *Heap) index(set int) int {
+	for i, s := range h.sets {
+		if s == set {
+			return i
+		}
+	}
+	return -1
 }
 
 // Post offers (set, saturation) to the heap. accepted reports whether the
@@ -49,7 +56,7 @@ func (h *Heap) Contains(set int) bool {
 // most-saturated resident only when strictly less saturated than it;
 // displaced is that evicted set's index, or -1 when nothing was displaced.
 func (h *Heap) Post(set, saturation int) (accepted bool, displaced int) {
-	if i, ok := h.where[set]; ok {
+	if i := h.index(set); i >= 0 {
 		h.sat[i] = saturation
 		h.fix(i)
 		return true, -1
@@ -57,7 +64,6 @@ func (h *Heap) Post(set, saturation int) (accepted bool, displaced int) {
 	if len(h.sets) < h.cap {
 		h.sets = append(h.sets, set)
 		h.sat = append(h.sat, saturation)
-		h.where[set] = len(h.sets) - 1
 		h.up(len(h.sets) - 1)
 		return true, -1
 	}
@@ -67,10 +73,8 @@ func (h *Heap) Post(set, saturation int) (accepted bool, displaced int) {
 		return false, -1
 	}
 	displaced = h.sets[worst]
-	delete(h.where, displaced)
 	h.sets[worst] = set
 	h.sat[worst] = saturation
-	h.where[set] = worst
 	h.fix(worst)
 	return true, displaced
 }
@@ -96,8 +100,8 @@ func (h *Heap) PeekMin() (set, saturation int, ok bool) {
 
 // Remove deletes set if resident and reports whether it was.
 func (h *Heap) Remove(set int) bool {
-	i, ok := h.where[set]
-	if !ok {
+	i := h.index(set)
+	if i < 0 {
 		return false
 	}
 	h.removeAt(i)
@@ -105,12 +109,10 @@ func (h *Heap) Remove(set int) bool {
 }
 
 func (h *Heap) removeAt(i int) {
-	delete(h.where, h.sets[i])
 	last := len(h.sets) - 1
 	if i != last {
 		h.sets[i] = h.sets[last]
 		h.sat[i] = h.sat[last]
-		h.where[h.sets[i]] = i
 	}
 	h.sets = h.sets[:last]
 	h.sat = h.sat[:last]
@@ -169,6 +171,4 @@ func (h *Heap) down(i int) {
 func (h *Heap) swap(i, j int) {
 	h.sets[i], h.sets[j] = h.sets[j], h.sets[i]
 	h.sat[i], h.sat[j] = h.sat[j], h.sat[i]
-	h.where[h.sets[i]] = i
-	h.where[h.sets[j]] = j
 }

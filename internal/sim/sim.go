@@ -9,7 +9,14 @@
 // on block addresses; Geometry performs the index/tag split.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
+
+// MaxWays is the widest associativity any scheme models: per-set recency
+// lists (internal/policy) link ways through 16-bit cells.
+const MaxWays = 1<<15 - 1
 
 // Geometry describes the physical organization of a set-associative cache.
 type Geometry struct {
@@ -26,8 +33,8 @@ func (g Geometry) Validate() error {
 	switch {
 	case g.Sets <= 0 || g.Sets&(g.Sets-1) != 0:
 		return fmt.Errorf("sim: Sets must be a positive power of two, got %d", g.Sets)
-	case g.Ways <= 0:
-		return fmt.Errorf("sim: Ways must be positive, got %d", g.Ways)
+	case g.Ways <= 0 || g.Ways > MaxWays:
+		return fmt.Errorf("sim: Ways must be in [1, %d], got %d", MaxWays, g.Ways)
 	case g.LineSize <= 0 || g.LineSize&(g.LineSize-1) != 0:
 		return fmt.Errorf("sim: LineSize must be a positive power of two, got %d", g.LineSize)
 	}
@@ -60,13 +67,12 @@ func (g Geometry) BlockFor(tag uint64, set int) uint64 {
 	return tag<<g.IndexBits() | uint64(set)
 }
 
+// log2 returns floor(log2(v)), and 0 for v < 1.
 func log2(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
+	if v < 1 {
+		return 0
 	}
-	return n
+	return bits.Len(uint(v)) - 1
 }
 
 // Access is a single reference presented to a cache.

@@ -18,6 +18,8 @@ func TestGeometryValidate(t *testing.T) {
 		{"zero sets", Geometry{Sets: 0, Ways: 4, LineSize: 64}, false},
 		{"zero ways", Geometry{Sets: 4, Ways: 0, LineSize: 64}, false},
 		{"negative ways", Geometry{Sets: 4, Ways: -1, LineSize: 64}, false},
+		{"widest set", Geometry{Sets: 4, Ways: MaxWays, LineSize: 64}, true},
+		{"too many ways", Geometry{Sets: 4, Ways: MaxWays + 1, LineSize: 64}, false},
 		{"non-pow2 line", Geometry{Sets: 4, Ways: 4, LineSize: 48}, false},
 		{"zero line", Geometry{Sets: 4, Ways: 4, LineSize: 0}, false},
 	}
@@ -220,6 +222,18 @@ func TestRNGUniformity(t *testing.T) {
 	for b, n := range buckets {
 		if n < want*9/10 || n > want*11/10 {
 			t.Fatalf("bucket %d count %d deviates >10%% from %d", b, n, want)
+		}
+	}
+}
+
+func TestLog2(t *testing.T) {
+	// floor(log2 v), and 0 below 1: what the shift loop it replaces returned.
+	for v, want := range map[int]int{
+		-8: 0, -1: 0, 0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 7: 2, 8: 3, 63: 5, 64: 6, 65: 6,
+		2048: 11, 2049: 11, 1<<20 - 1: 19, 1 << 20: 20, 1<<62 + 1: 62,
+	} {
+		if got := log2(v); got != want {
+			t.Errorf("log2(%d) = %d, want %d", v, got, want)
 		}
 	}
 }

@@ -183,8 +183,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("stemcache: Capacity must be >= 0, got %d", c.Capacity)
 	case c.Shards < 0:
 		return fmt.Errorf("stemcache: Shards must be >= 0, got %d", c.Shards)
-	case c.Ways < 0:
-		return fmt.Errorf("stemcache: Ways must be >= 0, got %d", c.Ways)
+	case c.Ways < 0 || c.Ways > sim.MaxWays:
+		return fmt.Errorf("stemcache: Ways must be in [0, %d], got %d", sim.MaxWays, c.Ways)
 	case c.DefaultTTL < 0:
 		return fmt.Errorf("stemcache: DefaultTTL must be >= 0, got %v", c.DefaultTTL)
 	case c.CounterBits < 0 || c.CounterBits > 32:

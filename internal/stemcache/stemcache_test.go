@@ -429,6 +429,7 @@ func TestConfigValidate(t *testing.T) {
 		{Capacity: -1},
 		{Shards: -2},
 		{Ways: -1},
+		{Ways: 1 << 15}, // one more than a recency link can index
 		{DefaultTTL: -time.Second},
 		{CounterBits: 33},
 		{SpatialShift: 63},
