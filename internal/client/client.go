@@ -335,15 +335,14 @@ func (c *Client) roundTrip(cc *cconn, reqs []*wire.Request) ([]*wire.Response, e
 			return nil, err
 		}
 	}
-	deadline := wallClock().Add(c.cfg.OpTimeout)
-	cc.nc.SetWriteDeadline(deadline)
+	// One arm bounds the whole round trip, the flush and every response read.
+	cc.nc.SetDeadline(wallClock().Add(c.cfg.OpTimeout))
 	if _, err := cc.bw.Write(cc.wbuf); err != nil {
 		return nil, err
 	}
 	if err := cc.bw.Flush(); err != nil {
 		return nil, err
 	}
-	cc.nc.SetReadDeadline(deadline)
 	//lint:allow(hotpath) the response slice escapes to the caller; the copying decode is the client's API contract
 	resps := make([]*wire.Response, len(reqs))
 	for i, req := range reqs {

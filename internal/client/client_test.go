@@ -382,3 +382,88 @@ func TestClientDemand(t *testing.T) {
 		t.Fatalf("Heartbeat without a snapshot = %v, want a frame error", err)
 	}
 }
+
+// armConn counts the deadline arms a round trip costs.
+type armConn struct {
+	net.Conn
+	both, read, write int
+}
+
+func (a *armConn) SetDeadline(t time.Time) error      { a.both++; return a.Conn.SetDeadline(t) }
+func (a *armConn) SetReadDeadline(t time.Time) error  { a.read++; return a.Conn.SetReadDeadline(t) }
+func (a *armConn) SetWriteDeadline(t time.Time) error { a.write++; return a.Conn.SetWriteDeadline(t) }
+
+// TestRoundTripArmsOneDeadline: a round trip — one request or sixteen
+// pipelined — arms the connection once, with one SetDeadline covering the
+// flush and every response read.
+func TestRoundTripArmsOneDeadline(t *testing.T) {
+	fs := newFakeServer(t, okHandler)
+	cl, err := New(Config{Addr: fs.ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cc, err := cl.get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.nc.Close()
+	ac := &armConn{Conn: cc.nc}
+	cc.nc = ac
+
+	for trip, n := range []int{1, 16} {
+		reqs := make([]*wire.Request, n)
+		for i := range reqs {
+			reqs[i] = &wire.Request{Op: wire.OpGet, Key: fmt.Sprintf("k%d", i)}
+		}
+		if _, err := cl.roundTrip(cc, reqs); err != nil {
+			t.Fatal(err)
+		}
+		if ac.both != trip+1 || ac.read != 0 || ac.write != 0 {
+			t.Fatalf("after %d round trips (last: %d requests): %d SetDeadline, %d SetReadDeadline, %d SetWriteDeadline; want %d, 0, 0",
+				trip+1, n, ac.both, ac.read, ac.write, trip+1)
+		}
+	}
+}
+
+// TestOpTimeoutOnStalledServer: a server that accepts and never answers costs
+// one OpTimeout per attempt, reports a timeout, and its connection is closed,
+// not pooled.
+func TestOpTimeoutOnStalledServer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		nc, _ := ln.Accept()
+		accepted <- nc // held open, never read or answered
+	}()
+
+	const opTimeout = 60 * time.Millisecond
+	cl, err := New(Config{Addr: ln.Addr().String(), OpTimeout: opTimeout, Retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	start := time.Now() //lint:allow(determinism) test measures the timeout
+	err = cl.Ping()
+	took := time.Since(start) //lint:allow(determinism) test measures the timeout
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("Ping on a stalled server = %v, want a timeout", err)
+	}
+	if took < opTimeout*9/10 || took > opTimeout+500*time.Millisecond {
+		t.Fatalf("Ping failed after %v, want about OpTimeout (%v)", took, opTimeout)
+	}
+	cl.mu.Lock()
+	idle := len(cl.idle)
+	cl.mu.Unlock()
+	if idle != 0 {
+		t.Fatalf("%d connections pooled after a timed-out round trip, want 0", idle)
+	}
+	if nc := <-accepted; nc != nil {
+		nc.Close()
+	}
+}

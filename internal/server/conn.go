@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,9 +21,14 @@ type conn struct {
 	br  *bufio.Reader
 	bw  *bufio.Writer
 
-	// draining is set by startDrain and read by the handler at every frame
-	// boundary (see awaitFrame for the ordering that makes one load enough).
+	// draining is set by startDrain and read by the handler whenever it arms
+	// a read deadline (see Read for the ordering that makes one load enough).
 	draining atomic.Bool
+
+	// inFrame says which wait the next socket read is — the idle wait for a
+	// frame's first byte, or the wait for the rest of a frame — and armed
+	// that the frame's ReadTimeout is already on the socket. Handler-owned.
+	inFrame, armed bool
 
 	// mu guards closed. Rank: below Server.mu (the server locks conn.mu
 	// while holding nothing, or after releasing its own mu).
@@ -36,17 +42,47 @@ type conn struct {
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
-	return &conn{
-		srv: s,
-		nc:  nc,
-		br:  bufio.NewReaderSize(nc, 32<<10),
-		bw:  bufio.NewWriterSize(nc, 32<<10),
+	c := &conn{srv: s, nc: nc, bw: bufio.NewWriterSize(nc, 32<<10)}
+	c.br = bufio.NewReaderSize(c, 32<<10)
+	return c
+}
+
+// Read is the socket under c.br and the only place a read deadline is armed:
+// a frame served from the buffer reaches neither the clock nor the timer
+// heap. At a frame boundary a read is the idle wait and gets IdleTimeout;
+// inside a frame the first read arms ReadTimeout and later reads of the same
+// frame reuse it, so the bound stays on the whole frame — a sender trickling
+// bytes is cut at ReadTimeout, not extended per byte.
+//
+// The deadline is armed before the drain flag is read, and startDrain sets
+// the flag before it arms its own past deadline: either this load sees the
+// flag, or startDrain's deadline lands after the one armed here and wakes
+// the read. A drain can therefore never be overwritten and slept through —
+// at a frame boundary or waiting for the rest of a frame.
+func (c *conn) Read(p []byte) (int, error) {
+	if !c.armed {
+		limit := c.srv.cfg.IdleTimeout
+		if c.inFrame {
+			limit = c.srv.cfg.ReadTimeout
+		}
+		var deadline time.Time // zero: no idle limit
+		if limit > 0 {
+			deadline = wallClock().Add(limit)
+		}
+		c.nc.SetReadDeadline(deadline)
+		c.armed = c.inFrame
+		if c.draining.Load() {
+			// What the socket would say had startDrain's deadline landed last.
+			return 0, os.ErrDeadlineExceeded
+		}
 	}
+	return c.nc.Read(p)
 }
 
 // startDrain asks the handler to stop after the requests it has already
-// read: the flag makes the read loop exit at the next frame boundary, and
-// the past read deadline wakes a read that is already blocked.
+// read: the flag fails its next socket read — frames already buffered are
+// still served — and the past read deadline wakes a read that is already
+// blocked.
 func (c *conn) startDrain() {
 	c.draining.Store(true)
 	c.nc.SetReadDeadline(aLongTimeAgo)
@@ -75,23 +111,24 @@ func (c *conn) serve() {
 		resp wire.Response
 	)
 	for c.awaitFrame() {
-		// First byte present: the whole frame must land within ReadTimeout.
-		// t0 doubles as the decode stage's start — the clock read feeding
-		// the deadline is the one every request pays anyway.
-		t0 := wallClock()
-		c.nc.SetReadDeadline(t0.Add(c.srv.cfg.ReadTimeout))
+		// First byte present: the rest of the frame is bounded by ReadTimeout.
+		c.inFrame = true
+		// Stage clocks tick when the server is instrumented or the frame
+		// itself asks for timing, which its header says before it is decoded;
+		// any other frame is served without a clock read. t0 starts the
+		// decode stage, and a traced request's QueueMicros counts from it.
+		timed := c.srv.timed || c.traced()
+		var t0, t1, t2 time.Time
+		if timed {
+			t0 = wallClock()
+		}
 		var err error
 		rbuf, err = wire.ReadRequestInto(&req, c.br, rbuf, c.srv.lim)
+		c.inFrame, c.armed = false, false
 		if err != nil {
 			c.readFailed(err)
 			return
 		}
-
-		// Stage clocks tick when the server is instrumented or the request
-		// itself asks for timing; otherwise the loop stays at one read per
-		// request.
-		timed := c.srv.timed || req.Trace != nil
-		var t1, t2 time.Time
 		if timed {
 			t1 = wallClock()
 		}
@@ -143,22 +180,10 @@ func (c *conn) serve() {
 
 // awaitFrame blocks until a frame's first byte is buffered and reports
 // true, or reports false when the connection is done: drained, idle for
-// IdleTimeout, closed by the peer, or failed. An idle connection sits in the
-// one Peek — nothing wakes it but a byte, its idle deadline or a drain.
-//
-// The deadline is armed before the drain flag is read, and startDrain sets
-// the flag before it arms its own past deadline: either this load sees the
-// flag, or startDrain's deadline lands after the one armed here and wakes
-// the Peek. A drain can therefore never be overwritten and slept through.
+// IdleTimeout, closed by the peer, or failed. A pipelined frame is already
+// buffered and costs nothing; an idle connection sits in the one Peek —
+// nothing wakes it but a byte, its idle deadline or a drain (see Read).
 func (c *conn) awaitFrame() bool {
-	var deadline time.Time // zero: no idle limit
-	if it := c.srv.cfg.IdleTimeout; it > 0 {
-		deadline = wallClock().Add(it)
-	}
-	c.nc.SetReadDeadline(deadline)
-	if c.draining.Load() {
-		return false
-	}
 	if _, err := c.br.Peek(1); err != nil {
 		// A timeout is the idle deadline or the drain wake-up, EOF a clean
 		// hangup; anything else is an I/O failure.
@@ -169,6 +194,15 @@ func (c *conn) awaitFrame() bool {
 		return false
 	}
 	return true
+}
+
+// traced reports whether the frame at the head of the buffer carries
+// wire.FlagTrace (header byte 3, the flags). A header that cannot be read
+// reports true: the clock read is harmless and ReadRequestInto meets the
+// same error next.
+func (c *conn) traced() bool {
+	h, err := c.br.Peek(4)
+	return err != nil || h[3]&wire.FlagTrace != 0
 }
 
 // readFailed classifies a mid-frame read error: a malformed frame earns a

@@ -19,8 +19,10 @@
 //     queues or rejects newcomers) instead of accepting and degrading.
 //   - Connection deadlines bound reads and writes; an idle connection
 //     blocks in one read until its first byte, IdleTimeout or a drain, and
-//     is closed at IdleTimeout. Once a frame's first byte arrived its body
-//     gets ReadTimeout.
+//     is closed at IdleTimeout. Once a frame's first byte arrived the rest
+//     of it gets ReadTimeout, counted from the first wait inside the frame.
+//     A deadline is armed only where a read reaches the socket (conn.Read):
+//     frames served from the read buffer arm nothing and read no clock.
 //   - Close drains gracefully: the listener closes, blocked reads are woken,
 //     requests already received finish and their responses are flushed, and
 //     only then do connections close. Close is idempotent and safe to call
@@ -72,8 +74,9 @@ type Config struct {
 	// MaxConns caps concurrently served connections; the accept loop blocks
 	// at the cap (backpressure via the listen backlog). Default 1024.
 	MaxConns int
-	// ReadTimeout bounds reading one full frame once its first byte
-	// arrived. Default 10s.
+	// ReadTimeout bounds reading the rest of a frame once its first byte
+	// arrived: it runs from the first wait inside the frame and covers the
+	// whole frame, not each read. Default 10s.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds writing one flush of responses. Default 10s.
 	WriteTimeout time.Duration
@@ -194,7 +197,7 @@ type Server struct {
 	lat [256]stageLat
 	// timed makes every request pay its stage clock reads (metrics or
 	// slow-request tracing configured); untraced requests on an untimed
-	// server read the clock once, for the read deadline they need anyway.
+	// server read no clock at all.
 	timed bool
 }
 

@@ -585,3 +585,104 @@ func TestNewRejectsNilCache(t *testing.T) {
 		t.Fatal("nil cache accepted")
 	}
 }
+
+// halfSet encodes one SET frame with a 4 KiB value and splits it in the
+// middle of the payload.
+func halfSet(t *testing.T) (head, tail []byte) {
+	t.Helper()
+	frame, err := wire.AppendRequest(nil, &wire.Request{Op: wire.OpSet, ID: 1, Key: "k", Value: make([]byte, 4096)}, wire.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame[:len(frame)/2], frame[len(frame)/2:]
+}
+
+// TestReadTimeoutBoundsWholeFrame: ReadTimeout runs from the first wait
+// inside a frame and covers the whole frame — a sender that stalls mid-frame
+// and then trickles a byte every ReadTimeout/4 is cut at ReadTimeout, not
+// kept alive by each byte.
+func TestReadTimeoutBoundsWholeFrame(t *testing.T) {
+	const readTimeout = 200 * time.Millisecond
+	srv, _ := startServer(t, stemcache.Config{Capacity: 1 << 10, Seed: 1},
+		server.Config{ReadTimeout: readTimeout})
+
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	head, tail := halfSet(t)
+	if _, err := nc.Write(head); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now() //lint:allow(determinism) test measures the frame cut
+
+	one := make([]byte, 1)
+	for i := 0; ; i++ {
+		// Each round waits ReadTimeout/4 for the close, then trickles a byte.
+		nc.SetReadDeadline(time.Now().Add(readTimeout / 4)) //lint:allow(determinism) test trickle pace
+		_, err := nc.Read(one)
+		if err == nil {
+			t.Fatal("server answered half a frame")
+		}
+		if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
+			break // closed by the server
+		}
+		if i >= len(tail)-1 || time.Since(start) > 10*readTimeout { //lint:allow(determinism) test measures the frame cut
+			t.Fatalf("connection still open %v after the stall; ReadTimeout is %v", time.Since(start), readTimeout) //lint:allow(determinism) test measures the frame cut
+		}
+		nc.Write(tail[i : i+1])
+	}
+	if took := time.Since(start); took < readTimeout*9/10 || took > readTimeout+150*time.Millisecond { //lint:allow(determinism) test measures the frame cut
+		t.Fatalf("stalled frame cut after %v, want about ReadTimeout (%v)", took, readTimeout)
+	}
+}
+
+// TestDrainMidFrame lands Close while the handler waits for the rest of a
+// frame — parked in the socket read, on its way into it, or with the rest of
+// the frame arriving at the same moment. The frame is either finished and
+// answered or the connection closes; Close never waits out DrainTimeout for
+// a sender that may never finish.
+func TestDrainMidFrame(t *testing.T) {
+	head, tail := halfSet(t)
+	cache := newCache(t, stemcache.Config{Capacity: 1 << 8, Seed: 1})
+	defer cache.Close()
+	for i := 0; i < 60; i++ {
+		srv, err := server.New(cache, server.Config{DrainTimeout: 2 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write(head); err != nil {
+			t.Fatal(err)
+		}
+		switch i % 3 {
+		case 0: // let the handler park in the mid-frame read
+			time.Sleep(5 * time.Millisecond)
+		case 1: // race the handler into the frame
+		case 2: // the rest of the frame races the drain
+			if _, err := nc.Write(tail); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		// Answered, or closed: nothing else may come back.
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second)) //lint:allow(determinism) test read deadline
+		resp, _, err := wire.ReadResponse(nc, nil, wire.Limits{})
+		if err == nil && (resp.ID != 1 || resp.Status != wire.StatusOK) {
+			t.Fatalf("round %d: response id=%d status=%v", i, resp.ID, resp.Status)
+		}
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("round %d: connection neither answered nor closed after the drain", i)
+		}
+		nc.Close()
+	}
+}

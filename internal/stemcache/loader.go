@@ -185,7 +185,8 @@ func (c *Cache[K, V]) lookupLoadT(tid int, key K) (V, LoadState) {
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, st := c.read(sh, tid, key, h, c.now(), true)
+	var clk opClock
+	e, st := c.read(sh, tid, key, h, &clk, true)
 	if st == LoadHit || st == LoadStale {
 		return e.val, st
 	}
@@ -262,18 +263,14 @@ func (c *Cache[K, V]) setLoadedT(tid int, key K, value V) {
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	nowN := c.now()
-	var fresh, exp int64
-	if ttl > 0 {
-		if c.cfg.StaleTTL > 0 {
-			fresh = nowN + int64(ttl)
-			exp = fresh + int64(c.cfg.StaleTTL)
-		} else {
-			exp = nowN + int64(ttl)
-		}
+	var clk opClock
+	var fresh int64
+	exp := c.after(&clk, ttl)
+	if ttl > 0 && c.cfg.StaleTTL > 0 {
+		fresh, exp = exp, exp+int64(c.cfg.StaleTTL)
 	}
 	sh.eng.Tick()
-	c.store(sh, tid, key, value, h, nowN, fresh, exp, false)
+	c.store(sh, tid, key, value, h, &clk, fresh, exp, false)
 }
 
 // SetNegative installs a negative marker under key for NegativeTTL: until
@@ -295,9 +292,9 @@ func (c *Cache[K, V]) setNegativeT(tid int, key K) {
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	nowN := c.now()
+	var clk opClock
 	sh.eng.Tick()
-	c.store(sh, tid, key, zero, h, nowN, 0, nowN+int64(c.cfg.NegativeTTL), true)
+	c.store(sh, tid, key, zero, h, &clk, 0, c.after(&clk, c.cfg.NegativeTTL), true)
 }
 
 // jitterTTL shortens ttl by a uniform fraction in [0, TTLJitter), the

@@ -2,6 +2,7 @@ package stemcache
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/core"
 )
@@ -69,23 +70,52 @@ func freeWay[K comparable, V any](s []entry[K, V]) int {
 	return -1
 }
 
+// opClock is one operation's TTL clock: c.now is read at most once, under the
+// shard lock, the first time the operation meets a deadline — a matching
+// entry's exp or fresh, or a ttl to add to now. An operation that meets none
+// reads no clock; one that does classifies live, stale and dead against that
+// single instant. The zero value is ready; read is a flag, not a zero
+// sentinel, because a fake clock may well say 0.
+type opClock struct {
+	t    int64
+	read bool
+}
+
+// at returns the operation's instant, reading the clock on first need.
+func (c *Cache[K, V]) at(k *opClock) int64 {
+	if !k.read {
+		k.t, k.read = c.now(), true
+	}
+	return k.t
+}
+
+// after returns the deadline ttl past the operation's instant; ttl <= 0 means
+// never (0) and reads no clock.
+func (c *Cache[K, V]) after(k *opClock, ttl time.Duration) int64 {
+	if ttl <= 0 {
+		return 0
+	}
+	return c.at(k) + int64(ttl)
+}
+
 // find returns the way of set idx holding key — as a local entry, or with cc
 // as a cooperatively cached one — or -1, plus whether the entry is stale
 // (past its freshness deadline but not yet expired). A matching entry that
 // has expired is collected on the spot and reported as absent (lazy expiry).
-// Residency, staleness and death are all decided by the single nowN the
-// caller read under the shard lock, so a key read exactly at a deadline
-// classifies the same way for every operation serialized at that instant.
-func (c *Cache[K, V]) find(sh *shard[K, V], idx int, cc bool, key K, h uint64, nowN int64) (way int, stale bool) {
+// Residency, staleness and death are all decided by the operation's one
+// instant (clk), so a key read exactly at a deadline classifies the same way
+// for every operation serialized at that instant; an entry without deadlines
+// reads no clock.
+func (c *Cache[K, V]) find(sh *shard[K, V], idx int, cc bool, key K, h uint64, clk *opClock) (way int, stale bool) {
 	s := c.set(sh, idx)
 	for w := range s {
 		e := &s[w]
 		if e.valid && e.cc == cc && e.hash == h && e.key == key {
-			if e.exp != 0 && nowN > e.exp {
+			if e.exp != 0 && c.at(clk) > e.exp {
 				c.expire(sh, idx, w)
 				return -1, false
 			}
-			return w, e.fresh != 0 && nowN > e.fresh
+			return w, e.fresh != 0 && c.at(clk) > e.fresh
 		}
 	}
 	return -1, false
@@ -94,12 +124,12 @@ func (c *Cache[K, V]) find(sh *shard[K, V], idx int, cc bool, key K, h uint64, n
 // lookup finds key's resident entry: in its home set idx, or — when idx is a
 // coupled taker — cooperatively cached in the giver (the secondary probe).
 // set is where the entry sits; way is -1 when the key is absent.
-func (c *Cache[K, V]) lookup(sh *shard[K, V], idx int, key K, h uint64, nowN int64) (set, way int, stale bool) {
-	if way, stale = c.find(sh, idx, false, key, h, nowN); way >= 0 {
+func (c *Cache[K, V]) lookup(sh *shard[K, V], idx int, key K, h uint64, clk *opClock) (set, way int, stale bool) {
+	if way, stale = c.find(sh, idx, false, key, h, clk); way >= 0 {
 		return idx, way, stale
 	}
 	if g := sh.eng.GiverOf(idx); g >= 0 {
-		if way, stale = c.find(sh, g, true, key, h, nowN); way >= 0 {
+		if way, stale = c.find(sh, g, true, key, h, clk); way >= 0 {
 			return g, way, stale
 		}
 	}
@@ -124,13 +154,13 @@ func (c *Cache[K, V]) touch(sh *shard[K, V], idx, set, way int) {
 // misses and leaves the entry resident for the load path. Only LoadMiss, no
 // entry at all, is shadow-directory demand evidence. The entry is nil on
 // LoadMiss.
-func (c *Cache[K, V]) read(sh *shard[K, V], tid int, key K, h uint64, nowN int64, load bool) (*entry[K, V], LoadState) {
+func (c *Cache[K, V]) read(sh *shard[K, V], tid int, key K, h uint64, clk *opClock, load bool) (*entry[K, V], LoadState) {
 	sh.eng.Tick()
 	t := &sh.tally[tid]
 	t.gets++
 
 	idx := c.setOf(h)
-	set, w, stale := c.lookup(sh, idx, key, h, nowN)
+	set, w, stale := c.lookup(sh, idx, key, h, clk)
 	if w < 0 {
 		t.misses++
 		c.consultShadow(sh, idx, h, tid)
@@ -175,10 +205,10 @@ func (c *Cache[K, V]) consultShadow(sh *shard[K, V], idx int, h uint64, tid int)
 // — or run the miss path and insert. fresh/neg carry the read-through
 // semantics; a plain Set passes fresh 0 and neg false, resetting any loader
 // state the key had.
-func (c *Cache[K, V]) store(sh *shard[K, V], tid int, key K, value V, h uint64, nowN, fresh, exp int64, neg bool) {
+func (c *Cache[K, V]) store(sh *shard[K, V], tid int, key K, value V, h uint64, clk *opClock, fresh, exp int64, neg bool) {
 	sh.stats.Puts++
 	idx := c.setOf(h)
-	if set, w, _ := c.lookup(sh, idx, key, h, nowN); w >= 0 {
+	if set, w, _ := c.lookup(sh, idx, key, h, clk); w >= 0 {
 		e := &c.set(sh, set)[w]
 		e.val, e.exp, e.fresh, e.neg = value, exp, fresh, neg
 		// An overwrite touches a resident entry, though it is not a Get hit

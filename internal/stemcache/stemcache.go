@@ -34,9 +34,11 @@
 // Entries may carry a TTL. Expiry is lazy: an expired entry is collected by
 // whichever operation next touches it (and counts as a miss), never by a
 // background sweeper. Every operation classifies an entry as live, stale or
-// dead against a single clock read taken under the shard lock, so a key
-// read exactly at its deadline is deterministically one or the other —
-// never double-counted in the hit/miss statistics.
+// dead against at most one clock read, taken under the shard lock on first
+// need — when the operation meets an entry that carries a deadline, or has a
+// TTL to turn into one — so a key read exactly at its deadline is
+// deterministically one or the other, never double-counted in the hit/miss
+// statistics, and an operation that meets no deadline reads no clock.
 //
 // Beyond the passive Get/Set surface the cache can load through to an
 // origin: GetOrLoad runs a Loader on a miss with singleflight deduplication
@@ -406,10 +408,12 @@ func (c *Cache[K, V]) getT(tid int, key K) (V, bool) {
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	// The clock is read under the lock: the one nowN decides residency,
-	// staleness and expiry together, so operations serialized by the shard
-	// lock agree on an entry's state at its exact deadline.
-	if e, st := c.read(sh, tid, key, h, c.now(), false); st == LoadHit {
+	// The clock is read under the lock, at most once and on first need: the
+	// one instant decides residency, staleness and expiry together, so
+	// operations serialized by the shard lock agree on an entry's state at its
+	// exact deadline.
+	var clk opClock
+	if e, st := c.read(sh, tid, key, h, &clk, false); st == LoadHit {
 		return e.val, true
 	}
 	var zero V
@@ -438,13 +442,9 @@ func (c *Cache[K, V]) setWithTTLT(tid int, key K, value V, ttl time.Duration) {
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	nowN := c.now()
-	var exp int64
-	if ttl > 0 {
-		exp = nowN + int64(ttl)
-	}
+	var clk opClock
 	sh.eng.Tick()
-	c.store(sh, tid, key, value, h, nowN, 0, exp, false)
+	c.store(sh, tid, key, value, h, &clk, 0, c.after(&clk, ttl), false)
 }
 
 // GetOrSet returns the value resident under key, or stores value (with the
@@ -473,17 +473,13 @@ func (c *Cache[K, V]) getOrSetWithTTLT(tid int, key K, value V, ttl time.Duratio
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	nowN := c.now()
-	if e, st := c.read(sh, tid, key, h, nowN, false); st == LoadHit {
+	var clk opClock
+	if e, st := c.read(sh, tid, key, h, &clk, false); st == LoadHit {
 		return e.val, true
 	}
 	// Absent, stale or a negative marker: the offered value wins, through
 	// the same write path a Set after the missed Get would take.
-	var exp int64
-	if ttl > 0 {
-		exp = nowN + int64(ttl)
-	}
-	c.store(sh, tid, key, value, h, nowN, 0, exp, false)
+	c.store(sh, tid, key, value, h, &clk, 0, c.after(&clk, ttl), false)
 	return value, false
 }
 
@@ -504,7 +500,8 @@ func (c *Cache[K, V]) deleteT(tid int, key K) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.eng.Tick()
-	set, w, _ := c.lookup(sh, c.setOf(h), key, h, c.now())
+	var clk opClock
+	set, w, _ := c.lookup(sh, c.setOf(h), key, h, &clk)
 	if w < 0 {
 		return false
 	}
