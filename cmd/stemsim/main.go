@@ -10,7 +10,7 @@
 //	stemsim run -replay app.trc.gz -schemes LRU,STEM    # a recorded stream
 //	stemsim run -din app.din -line 64                   # Dinero text input, all six schemes
 //	stemsim record -bench omnetpp -n 5000000 -o omnetpp.trc.gz
-//	stemsim paper -quick                                # every experiment, scaled down (~2 min)
+//	stemsim paper -quick                                # every experiment, scaled down (27 s on 2 cores; full: 70 s)
 //	stemsim paper -only fig7,table2 -csvdir csv         # named rows of the experiment table
 //	stemsim paper -only fig10 -bench ammp -schemes LRU,STEM -assocs 4,8,16 -csv -o ammp.csv
 //	stemsim list                                        # analogs, schemes, experiments
@@ -206,11 +206,12 @@ func (p *params) schemeList(def []string) []string {
 }
 
 // runVerb drives one reference stream — generated by an analog or read from
-// a file — through each scheme in turn. Every scheme sees the identical
-// stream; the event log and the registry cover the measured portion of each
-// scheme in sequence.
+// a file — through every scheme. Every scheme sees the identical stream,
+// drawn once per core in use; with -trace or -metrics the schemes run one
+// after another, so the event log and the registry cover the measured
+// portion of each scheme in sequence.
 func runVerb(p *params) error {
-	cfg := stem.RunConfig{Geom: p.geom, Obs: p.obs}
+	cfg := stem.RunConfig{Geom: p.geom, Seed: p.seed, Obs: p.obs}
 	file := cmp.Or(p.replay, p.din)
 	var open func() stem.Generator // a fresh pass over the stream
 	switch {
@@ -227,7 +228,7 @@ func runVerb(p *params) error {
 			return fmt.Errorf("run: %d warm-up + %d measured references do not fit the trace's %d; need at least one of each",
 				cfg.Warmup, cfg.Measure, len(refs))
 		}
-		open = func() stem.Generator { return trace.NewFixed(refs) }
+		open = func() stem.Generator { return trace.NewFixed(refs) } // every pass reads the one loaded slice
 		p.note("trace       %s (%d references)", file, len(refs))
 	case p.bench != "":
 		b, err := stem.BenchmarkByName(p.bench)
@@ -243,18 +244,17 @@ func runVerb(p *params) error {
 
 	p.note("geometry    %d sets x %d ways x %dB = %d KB\naccesses    %d measured (after %d warm-up)\n",
 		p.geom.Sets, p.geom.Ways, p.geom.LineSize, p.geom.CapacityBytes()/1024, cfg.Measure, cfg.Warmup)
+	// stem.RunStream seeds each scheme as stem.RunWorkload does: a cell here
+	// is that cell of any matrix. Observed, it is stem.Run's, log and stats.
+	names := p.schemeList(stem.Schemes())
+	results, err := stem.RunStream(open, names, cfg)
+	if err != nil {
+		return err
+	}
 	tbl := stats.NewTable("", "scheme", "miss-rate", "MPKI", "AMAT", "CPI")
 	var counts []string
-	for _, name := range p.schemeList(stem.Schemes()) {
-		// The scheme's RNG is seeded apart from the stream's, exactly as
-		// stem.RunWorkload does, so a cell here equals the same cell of
-		// any experiment matrix. stem.Run is the harness every experiment
-		// uses: the event log and the registry reconcile with its stats.
-		c, err := stem.NewScheme(name, p.geom, p.seed^0xC0FFEE)
-		if err != nil {
-			return err
-		}
-		res := stem.Run(c, open(), cfg)
+	for i, name := range names {
+		res := results[i]
 		tbl.Set(name, "miss-rate", res.MissRate)
 		tbl.Set(name, "MPKI", res.MPKI)
 		tbl.Set(name, "AMAT", res.AMAT)

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -86,14 +86,14 @@ func Ablate(variants []AblationVariant, benchNames []string, run RunConfig) (*st
 		cols[i] = v.Name
 	}
 	// Column 0 is the LRU baseline; column j ≥ 1 is variants[j-1].
-	raw, err := runMatrix(namesOf(benches), append([]string{"LRU"}, cols...), func(i, j int) (RunResult, error) {
+	raw, err := benchMatrix(benches, append([]string{"LRU"}, cols...), func(_, j int) (sim.Simulator, error) {
 		if j == 0 {
-			return RunWorkload(benches[i].Workload, "LRU", run)
+			return NewScheme("LRU", run.Geom, run.Seed^0xC0FFEE)
 		}
 		cfg := variants[j-1].Cfg
 		cfg.Seed = run.Seed ^ 0xC0FFEE
-		return Run(core.New(run.Geom, cfg), trace.NewGen(benches[i].Workload, run.Geom, run.Seed), run), nil
-	})
+		return core.New(run.Geom, cfg), nil
+	}, run)
 	if err != nil {
 		return nil, err
 	}

@@ -85,9 +85,13 @@ type RunConfig struct {
 	Seed uint64
 	// Obs enables run observability: live metrics, mechanism-event tracing
 	// and periodic snapshots. Nil (the default) keeps the measured loop on
-	// the uninstrumented hot path. Runs sharing one Options (`stemsim
-	// paper`'s parallel matrices) share its registry; counters aggregate
-	// across runs while snapshot gauges reflect whichever run published last.
+	// the uninstrumented hot path. In a matrix an observed cell walks its
+	// own pass over the stream through Run, which carries the
+	// instrumentation, and the columns of a row run one after another: the
+	// event log and the registry cover the measured portion of each scheme
+	// in sequence. Rows still run in parallel on the one Options (`stemsim
+	// paper`): counters aggregate across them, their events interleave, and
+	// snapshot gauges reflect whichever cell published last.
 	Obs *obs.Options
 }
 
@@ -154,6 +158,19 @@ func Run(s sim.Simulator, gen trace.Generator, cfg RunConfig) RunResult {
 	}
 }
 
+// summarize is Run's result for a row-driven simulator (Run keeps its text).
+func summarize(s sim.Simulator, acct *mem.Account) RunResult {
+	st := s.Stats()
+	return RunResult{
+		Scheme:   s.Name(),
+		Stats:    st,
+		MissRate: st.MissRate(),
+		MPKI:     acct.MPKI(),
+		AMAT:     acct.AMAT(),
+		CPI:      acct.CPI(),
+	}
+}
+
 // runObserved is the instrumented measured loop: identical simulation
 // behaviour to the plain loop, plus registry counters per access and
 // snapshot publication. It is kept out of Run so the disabled path stays a
@@ -197,74 +214,152 @@ func runObserved(s sim.Simulator, gen trace.Generator, cfg RunConfig, acct *mem.
 }
 
 // RunWorkload builds the named scheme and the workload generator, then
-// runs them. Scheme and generator seeds are decoupled so schemes see
-// identical reference streams.
+// runs them: the 1 × 1 matrix. Scheme and generator seeds are decoupled so
+// schemes see identical reference streams.
 func RunWorkload(w trace.Workload, scheme string, cfg RunConfig) (RunResult, error) {
 	cfg = cfg.withDefaults()
-	s, err := NewScheme(scheme, cfg.Geom, cfg.Seed^0xC0FFEE)
-	if err != nil {
-		return RunResult{}, err
+	res, err := RunStream(analog(w, cfg), []string{scheme}, cfg)
+	return res[0], err
+}
+
+// RunStream runs one reference stream — open starts a fresh pass over it —
+// through each named scheme, built as RunWorkload builds it, and returns the
+// results in the schemes' order: a one-row matrix.
+func RunStream(open func() trace.Generator, schemes []string, cfg RunConfig) ([]RunResult, error) {
+	cfg = cfg.withDefaults()
+	res, err := runMatrix([]func() trace.Generator{open}, len(schemes), schemeColumns(schemes, cfg), cfg)
+	return res[0], err
+}
+
+// newGen builds an analog's generator; the draw-count test swaps it.
+var newGen = func(w trace.Workload, geom sim.Geometry, seed uint64) trace.Generator {
+	return trace.NewGen(w, geom, seed)
+}
+
+// analog is a workload's matrix row: a pass over its stream at run's sets and seed.
+func analog(w trace.Workload, run RunConfig) func() trace.Generator {
+	return func() trace.Generator { return newGen(w, run.Geom, run.Seed) }
+}
+
+// schemeColumns builds column j as schemes[j], seeded apart from the stream.
+func schemeColumns(schemes []string, run RunConfig) func(i, j int) (sim.Simulator, error) {
+	return func(_, j int) (sim.Simulator, error) { return NewScheme(schemes[j], run.Geom, run.Seed^0xC0FFEE) }
+}
+
+// chunkRefs is how many references a row draws before its columns consume
+// them in turn. Six paper-sized simulators (≈ 1.2 MB each) evict one another
+// from L2 and a chunk has to pay for each one's reload: `paper -only fig7`
+// takes 31.7 s at 512, 21.4 s at 4096, 16.8 s at 65 536, 15.1 s at 262 144.
+const chunkRefs = 1 << 16
+
+// runMatrix is the one runner behind every comparison in this package:
+// streams (benchmarks, or one benchmark per associativity) down, simulators
+// (schemes, or STEM variants) across. Row i's references are drawn once and
+// fed, a chunk at a time, to each simulator build(i, j) gives, so every
+// column sees the identical stream and result [i][j] equals Run over a pass
+// of its own. Rows run in parallel; with fewer rows than cores a row's
+// columns split into groups that each draw the stream again, so a short
+// matrix still uses every core. An observed row is one group whose cells go
+// through Run in column order (see RunConfig.Obs).
+func runMatrix(rows []func() trace.Generator, cols int, build func(i, j int) (sim.Simulator, error), cfg RunConfig) ([][]RunResult, error) {
+	cfg = cfg.withDefaults()
+	procs := max(1, runtime.GOMAXPROCS(0))
+	per := max(1, cols) // columns per group
+	if !cfg.Obs.Enabled() {
+		split := (procs + len(rows) - 1) / max(1, len(rows))
+		per = max(1, (cols+split-1)/split)
 	}
-	gen := trace.NewGen(w, cfg.Geom, cfg.Seed)
-	return Run(s, gen, cfg), nil
-}
-
-// job/parallel helpers: the comparison matrices are embarrassingly
-// parallel, one simulator instance per goroutine.
-
-type job struct {
-	key string
-	run func() (RunResult, error)
-}
-
-// runAll executes jobs on up to GOMAXPROCS goroutines at a time and
-// collects results by key; it reports the first error in job order.
-func runAll(jobs []job) (map[string]RunResult, error) {
-	results := make([]RunResult, len(jobs))
-	errs := make([]error, len(jobs))
-	slots := make(chan struct{}, max(1, runtime.GOMAXPROCS(0))) // counting semaphore
+	results := make([][]RunResult, len(rows))
+	errs := make([]error, len(rows)*cols) // a group's, at its first cell
 	var wg sync.WaitGroup
-	for i, j := range jobs {
-		slots <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = j.run()
-			<-slots
-		}()
+	slots := make(chan struct{}, procs) // counting semaphore
+	for i, open := range rows {
+		results[i] = make([]RunResult, cols)
+		for lo := 0; lo < cols; lo += per {
+			out, err := results[i][lo:min(lo+per, cols)], &errs[i*cols+lo]
+			slots <- struct{}{}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { <-slots }()
+				// Built here: only the running groups' simulators are alive.
+				sims := make([]sim.Simulator, len(out))
+				for j := range sims {
+					if sims[j], *err = build(i, lo+j); *err != nil {
+						return
+					}
+				}
+				runGroup(open, sims, cfg, out)
+			}()
+		}
 	}
 	wg.Wait()
-	byKey := make(map[string]RunResult, len(jobs))
-	var first error
-	for i, j := range jobs {
-		byKey[j.key] = results[i]
-		if first == nil {
-			first = errs[i]
+	for _, err := range errs {
+		if err != nil {
+			return results, err // the failed group's cells are zero
 		}
 	}
-	return byKey, first
+	return results, nil
 }
 
-// runMatrix runs cell(i, j) for every row i and column j in parallel and
-// returns the results as [rows[i]][cols[j]]. Every comparison in this
-// package is such a matrix: benchmarks (or associativities) down, schemes
-// (or STEM variants) across.
-func runMatrix(rows, cols []string, cell func(i, j int) (RunResult, error)) (map[string]map[string]RunResult, error) {
-	jobs := make([]job, 0, len(rows)*len(cols))
-	for i, r := range rows {
-		for j, c := range cols {
-			jobs = append(jobs, job{key: r + "/" + c, run: func() (RunResult, error) { return cell(i, j) }})
+// runGroup runs sims over one pass of the stream — or, a lone or observed
+// simulator, over a pass each through Run.
+func runGroup(open func() trace.Generator, sims []sim.Simulator, cfg RunConfig, out []RunResult) {
+	if len(sims) == 1 || cfg.Obs.Enabled() {
+		for j, s := range sims {
+			out[j] = Run(s, open(), cfg)
+		}
+		return
+	}
+	gen, end := open(), cfg.Warmup+cfg.Measure
+	buf := make([]trace.Ref, min(chunkRefs, end))
+	accts := make([]*mem.Account, len(sims))
+	for pos := 0; pos < end; {
+		stop := end // a chunk never straddles the end of warm-up
+		if pos < cfg.Warmup {
+			stop = cfg.Warmup
+		}
+		refs := buf[:min(len(buf), stop-pos)]
+		for k := range refs {
+			refs[k] = gen.Next()
+		}
+		for j, s := range sims {
+			acct := accts[j] // nil during warm-up
+			for _, r := range refs {
+				out := s.Access(sim.Access{Block: r.Block, Write: r.Write})
+				if acct != nil {
+					acct.Record(r.Instrs, out)
+				}
+			}
+		}
+		if pos += len(refs); pos == cfg.Warmup {
+			for j, s := range sims {
+				s.ResetStats()
+				accts[j] = mem.NewAccount(cfg.Timing)
+			}
 		}
 	}
-	flat, err := runAll(jobs)
+	for j, s := range sims {
+		out[j] = summarize(s, accts[j])
+	}
+}
+
+// benchMatrix runs every benchmark's stream through the named columns and
+// keys the results [benchmark][column].
+func benchMatrix(benches []workloads.Benchmark, cols []string, build func(i, j int) (sim.Simulator, error), run RunConfig) (map[string]map[string]RunResult, error) {
+	rows := make([]func() trace.Generator, len(benches))
+	for i, b := range benches {
+		rows[i] = analog(b.Workload, run)
+	}
+	res, err := runMatrix(rows, len(cols), build, run)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]map[string]RunResult, len(rows))
-	for _, r := range rows {
-		out[r] = make(map[string]RunResult, len(cols))
-		for _, c := range cols {
-			out[r][c] = flat[r+"/"+c]
+	out := make(map[string]map[string]RunResult, len(benches))
+	for i, b := range benches {
+		out[b.Name] = make(map[string]RunResult, len(cols))
+		for j, c := range cols {
+			out[b.Name][c] = res[i][j]
 		}
 	}
 	return out, nil
@@ -272,9 +367,8 @@ func runMatrix(rows, cols []string, cell func(i, j int) (RunResult, error)) (map
 
 // schemeMatrix runs every benchmark through every named scheme under run.
 func schemeMatrix(benches []workloads.Benchmark, schemes []string, run RunConfig) (map[string]map[string]RunResult, error) {
-	return runMatrix(namesOf(benches), schemes, func(i, j int) (RunResult, error) {
-		return RunWorkload(benches[i].Workload, schemes[j], run)
-	})
+	run = run.withDefaults()
+	return benchMatrix(benches, schemes, schemeColumns(schemes, run), run)
 }
 
 func namesOf(benches []workloads.Benchmark) []string {

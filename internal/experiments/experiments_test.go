@@ -266,15 +266,17 @@ func TestMainComparisonSmallScale(t *testing.T) {
 	}
 }
 
-func TestRunAllPropagatesErrors(t *testing.T) {
-	_, err := runAll([]job{
-		{key: "ok", run: func() (RunResult, error) { return RunResult{}, nil }},
-		{key: "bad", run: func() (RunResult, error) {
-			return RunResult{}, errTest
-		}},
-	})
-	if err == nil {
-		t.Fatal("error not propagated")
+func TestRunMatrixPropagatesErrors(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Warmup, cfg.Measure = 100, 100
+	_, err := benchMatrix(workloads.Suite()[:3], []string{"a", "b"}, func(i, j int) (sim.Simulator, error) {
+		if i == 1 && j == 1 {
+			return nil, errTest
+		}
+		return NewScheme("LRU", cfg.Geom, 1)
+	}, cfg)
+	if err != errTest {
+		t.Fatalf("error not propagated: %v", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/profile"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -185,24 +186,23 @@ func Sweep(cfg SweepConfig) (*stats.Table, error) {
 	}
 	run := cfg.Run.withDefaults()
 
-	rows := make([]string, len(assocs))
-	for i, a := range assocs {
-		rows[i] = strconv.Itoa(a)
+	// One row per associativity; the stream does not depend on the ways.
+	rows := make([]func() trace.Generator, len(assocs))
+	for i := range rows {
+		rows[i] = analog(b.Workload, run)
 	}
-	results, err := runMatrix(rows, schemes, func(i, j int) (RunResult, error) {
-		rc := run
-		rc.Geom.Ways = assocs[i]
-		return RunWorkload(b.Workload, schemes[j], rc)
-	})
+	results, err := runMatrix(rows, len(schemes), func(i, j int) (sim.Simulator, error) {
+		geom := run.Geom
+		geom.Ways = assocs[i]
+		return NewScheme(schemes[j], geom, run.Seed^0xC0FFEE)
+	}, run)
 	if err != nil {
 		return nil, err
 	}
-	t := stats.NewTable(
-		fmt.Sprintf("MPKI vs associativity — %s", cfg.Benchmark),
-		"assoc", schemes...)
-	for _, r := range rows {
-		for _, sc := range schemes {
-			t.Set(r, sc, results[r][sc].MPKI)
+	t := stats.NewTable(fmt.Sprintf("MPKI vs associativity — %s", cfg.Benchmark), "assoc", schemes...)
+	for i, a := range assocs {
+		for j, sc := range schemes {
+			t.Set(strconv.Itoa(a), sc, results[i][j].MPKI)
 		}
 	}
 	return t, nil

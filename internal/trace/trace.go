@@ -139,11 +139,12 @@ func (p Pattern) validate() error {
 
 // setState is the per-set instantiation of a pattern: a deterministic tag
 // sequence local to one cache set. Tags start at 1 (tag 0 is avoided so
-// hashed signatures of real tags are never the all-zero H3 input).
+// hashed signatures of real tags are never the all-zero H3 input). Pattern
+// and Zipf table are the group's, shared: a set's own state is 56 bytes.
 type setState struct {
-	pat Pattern
+	pat *Pattern
+	cdf *table // shared Zipf CDF (nil otherwise)
 	rng sim.RNG
-	cdf []float64 // shared Zipf CDF (nil otherwise)
 
 	pos    uint64 // cyclic position / pairs step
 	next   uint64 // stream high-water mark
@@ -151,7 +152,7 @@ type setState struct {
 	sinceD int    // accesses since last drift step
 }
 
-func newSetState(pat Pattern, cdf []float64, seed uint64) setState {
+func newSetState(pat *Pattern, cdf *table, seed uint64) setState {
 	s := setState{pat: pat, cdf: cdf, n: pat.N}
 	s.rng.Seed(seed)
 	if pat.Kind == Cyclic && pat.DriftPeriod > 0 {
@@ -182,17 +183,7 @@ func (s *setState) nextTag() uint64 {
 		s.pos++
 		return t
 	case Zipf:
-		u := s.rng.Float64()
-		lo, hi := 0, len(s.cdf)-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if s.cdf[mid] < u {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return uint64(lo) + 1
+		return uint64(s.cdf.locate(s.rng.Float64())) + 1
 	case Stream:
 		s.next++
 		return s.next
@@ -237,4 +228,41 @@ func zipfCDF(n int, theta float64) []float64 {
 		cdf[i] /= sum
 	}
 	return cdf
+}
+
+// table is a cumulative distribution sampled in O(1): cum is non-decreasing
+// and ends at the total; guide cuts [0, total) into 4·len(cum) buckets and
+// holds, for each, the first index whose cum reaches the bucket's lower edge.
+type table struct {
+	cum   []float64
+	guide []int32
+	scale float64 // buckets per unit of u
+}
+
+func newTable(cum []float64) *table {
+	t := &table{cum: cum, guide: make([]int32, 4*len(cum))}
+	t.scale = float64(len(t.guide)) / cum[len(cum)-1]
+	i := 0
+	for b := range t.guide {
+		for edge := float64(b) / t.scale; i < len(cum)-1 && cum[i] < edge; {
+			i++
+		}
+		t.guide[b] = int32(i)
+	}
+	return t
+}
+
+// locate returns the first index whose cum reaches u ≥ 0, the last index if
+// none does: sort.SearchFloat64s(t.cum, u), clamped. The guide is a hint,
+// never the answer — the walk, a step or two, settles by comparing u with cum
+// alone, in both directions, so rounding in the bucket cannot change a draw.
+func (t *table) locate(u float64) int {
+	i := int(t.guide[min(int(u*t.scale), len(t.guide)-1)])
+	for i < len(t.cum)-1 && t.cum[i] < u {
+		i++
+	}
+	for i > 0 && t.cum[i-1] >= u {
+		i--
+	}
+	return i
 }

@@ -37,7 +37,7 @@ func TestPatternValidate(t *testing.T) {
 }
 
 func TestCyclicTagSequence(t *testing.T) {
-	s := newSetState(Pattern{Kind: Cyclic, N: 3}, nil, 1)
+	s := newSetState(&Pattern{Kind: Cyclic, N: 3}, nil, 1)
 	want := []uint64{1, 2, 3, 1, 2, 3, 1}
 	for i, w := range want {
 		if got := s.nextTag(); got != w {
@@ -47,7 +47,7 @@ func TestCyclicTagSequence(t *testing.T) {
 }
 
 func TestStreamNeverRepeats(t *testing.T) {
-	s := newSetState(Pattern{Kind: Stream}, nil, 1)
+	s := newSetState(&Pattern{Kind: Stream}, nil, 1)
 	seen := map[uint64]bool{}
 	for i := 0; i < 10000; i++ {
 		tag := s.nextTag()
@@ -60,7 +60,7 @@ func TestStreamNeverRepeats(t *testing.T) {
 
 func TestPairsReuseDistance(t *testing.T) {
 	// Every tag must appear exactly twice, separated by one other tag.
-	s := newSetState(Pattern{Kind: Pairs}, nil, 1)
+	s := newSetState(&Pattern{Kind: Pairs}, nil, 1)
 	var last4 []uint64
 	for i := 0; i < 400; i++ {
 		last4 = append(last4, s.nextTag())
@@ -74,8 +74,8 @@ func TestPairsReuseDistance(t *testing.T) {
 }
 
 func TestZipfSkew(t *testing.T) {
-	cdf := zipfCDF(64, 1.0)
-	s := newSetState(Pattern{Kind: Zipf, N: 64, Theta: 1.0}, cdf, 7)
+	cdf := newTable(zipfCDF(64, 1.0))
+	s := newSetState(&Pattern{Kind: Zipf, N: 64, Theta: 1.0}, cdf, 7)
 	counts := map[uint64]int{}
 	const n = 50000
 	for i := 0; i < n; i++ {
@@ -110,7 +110,7 @@ func TestZipfCDFMonotone(t *testing.T) {
 }
 
 func TestHotColdMix(t *testing.T) {
-	s := newSetState(Pattern{Kind: HotCold, N: 4, HotFrac: 0.8}, nil, 3)
+	s := newSetState(&Pattern{Kind: HotCold, N: 4, HotFrac: 0.8}, nil, 3)
 	hot := 0
 	const n = 20000
 	for i := 0; i < n; i++ {
@@ -125,7 +125,7 @@ func TestHotColdMix(t *testing.T) {
 }
 
 func TestCyclicDriftStaysInRange(t *testing.T) {
-	s := newSetState(Pattern{Kind: Cyclic, N: 4, DriftMin: 2, DriftMax: 6, DriftPeriod: 10}, nil, 9)
+	s := newSetState(&Pattern{Kind: Cyclic, N: 4, DriftMin: 2, DriftMax: 6, DriftPeriod: 10}, nil, 9)
 	for i := 0; i < 10000; i++ {
 		s.nextTag()
 		if s.n < 2 || s.n > 6 {
@@ -280,6 +280,15 @@ func TestFixedCycles(t *testing.T) {
 	}
 }
 
+// TestFixedSharesTheSequence: several passes over one loaded trace (`stemsim
+// run -replay`, one per column group) must not each hold a copy of it.
+func TestFixedSharesTheSequence(t *testing.T) {
+	refs := make([]Ref, 1000)
+	if f := NewFixed(refs); &f.refs[0] != &refs[0] {
+		t.Fatal("NewFixed copied the sequence")
+	}
+}
+
 func TestFixedPanicsEmpty(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -345,14 +354,14 @@ func TestFigure2Expected(t *testing.T) {
 }
 
 func TestScanTouchesTwiceThenDies(t *testing.T) {
-	s := newSetState(Pattern{Kind: Scan}, nil, 1)
+	s := newSetState(&Pattern{Kind: Scan}, nil, 1)
 	want := []uint64{1, 1, 2, 2, 3, 3}
 	for i, w := range want {
 		if got := s.nextTag(); got != w {
 			t.Fatalf("tag %d = %d, want %d", i, got, w)
 		}
 	}
-	s3 := newSetState(Pattern{Kind: Scan, ScanReuse: 3}, nil, 1)
+	s3 := newSetState(&Pattern{Kind: Scan, ScanReuse: 3}, nil, 1)
 	want3 := []uint64{1, 1, 1, 2, 2, 2}
 	for i, w := range want3 {
 		if got := s3.nextTag(); got != w {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -67,7 +68,7 @@ type Gen struct {
 	rng   *sim.RNG
 	state []setState // one per set
 	group []int      // set -> group index
-	cum   []float64  // cumulative per-set weights for sampling
+	sets  *table     // cumulative per-set weights for sampling
 	total float64
 
 	ipa      float64 // instructions per access
@@ -87,29 +88,27 @@ func NewGen(w Workload, geom sim.Geometry, seed uint64) *Gen {
 		// invariant: geometry comes from the experiment harness, which validates it before constructing schemes.
 		panic(fmt.Sprintf("trace: %v", err))
 	}
+	w.Groups = slices.Clone(w.Groups) // the sets point into it; the caller keeps its own
 	g := &Gen{
 		w:     w,
 		geom:  geom,
 		rng:   sim.NewRNG(seed),
 		state: make([]setState, geom.Sets),
 		group: make([]int, geom.Sets),
-		cum:   make([]float64, geom.Sets),
 		ipa:   1000 / w.APKI,
 	}
 
-	// Shared Zipf CDFs, one per distinct (N, Theta).
-	cdfs := map[[2]float64][]float64{}
-	cdfFor := func(p Pattern) []float64 {
+	// Shared Zipf tables, one per distinct (N, Theta).
+	cdfs := map[[2]float64]*table{}
+	cdfFor := func(p Pattern) *table {
 		if p.Kind != Zipf {
 			return nil
 		}
 		key := [2]float64{float64(p.N), p.Theta}
-		if c, ok := cdfs[key]; ok {
-			return c
+		if cdfs[key] == nil {
+			cdfs[key] = newTable(zipfCDF(p.N, p.Theta))
 		}
-		c := zipfCDF(p.N, p.Theta)
-		cdfs[key] = c
-		return c
+		return cdfs[key]
 	}
 
 	// Group boundaries over a permuted index space. Multiplying by a fixed
@@ -120,6 +119,7 @@ func NewGen(w Workload, geom sim.Geometry, seed uint64) *Gen {
 		acc += grp.Frac
 		bounds[i] = acc
 	}
+	cum := make([]float64, geom.Sets)
 	for s := 0; s < geom.Sets; s++ {
 		p := (s * 0x9E3779B1) & (geom.Sets - 1)
 		f := (float64(p) + 0.5) / float64(geom.Sets)
@@ -128,11 +128,12 @@ func NewGen(w Workload, geom sim.Geometry, seed uint64) *Gen {
 			gi = len(w.Groups) - 1
 		}
 		g.group[s] = gi
-		grp := w.Groups[gi]
-		g.state[s] = newSetState(grp.Pat, cdfFor(grp.Pat), seed^uint64(s)*0x9e3779b97f4a7c15)
+		grp := &w.Groups[gi]
+		g.state[s] = newSetState(&grp.Pat, cdfFor(grp.Pat), seed^uint64(s)*0x9e3779b97f4a7c15)
 		g.total += grp.Weight
-		g.cum[s] = g.total
+		cum[s] = g.total
 	}
+	g.sets = newTable(cum)
 	return g
 }
 
@@ -144,11 +145,7 @@ func (g *Gen) Workload() Workload { return g.w }
 
 // Next implements Generator.
 func (g *Gen) Next() Ref {
-	u := g.rng.Float64() * g.total
-	set := sort.SearchFloat64s(g.cum, u)
-	if set >= len(g.state) {
-		set = len(g.state) - 1
-	}
+	set := g.sets.locate(g.rng.Float64() * g.total)
 	tag := g.state[set].nextTag()
 
 	g.instrAcc += g.ipa
@@ -172,13 +169,14 @@ type Fixed struct {
 	pos  int
 }
 
-// NewFixed wraps a sequence. It panics on an empty sequence.
+// NewFixed wraps a sequence without copying it (passes over one loaded trace
+// share it): the caller must not modify refs. It panics on an empty sequence.
 func NewFixed(refs []Ref) *Fixed {
 	if len(refs) == 0 {
 		// invariant: documented precondition of this internal constructor; the experiment harness and tests always satisfy it.
 		panic("trace: empty fixed sequence")
 	}
-	return &Fixed{refs: append([]Ref(nil), refs...)}
+	return &Fixed{refs: refs}
 }
 
 // Len returns the period of the sequence.

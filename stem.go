@@ -255,6 +255,13 @@ func RunWorkload(w Workload, scheme string, cfg RunConfig) (RunResult, error) {
 	return experiments.RunWorkload(w, scheme, cfg)
 }
 
+// RunStream runs one reference stream — open starts a fresh pass over it —
+// through each named scheme and returns the results in the schemes' order.
+// The stream is drawn once per core in use, not once per scheme.
+func RunStream(open func() Generator, schemes []string, cfg RunConfig) ([]RunResult, error) {
+	return experiments.RunStream(open, schemes, cfg)
+}
+
 // Figure1 reproduces the paper's Figure 1 characterization for one analog.
 func Figure1(cfg Fig1Config) (Fig1Result, error) { return experiments.Figure1(cfg) }
 
