@@ -68,28 +68,9 @@ func NewWorkerKeyStream(dist string, capacity int, seed uint64, w, workers int) 
 	if workers <= 0 || w < 0 || w >= workers {
 		return nil, fmt.Errorf("workloads: worker %d of %d out of range", w, workers)
 	}
-	r := sim.NewRNG(seed)
-	span := capacity * 2
-	sweep := newSweep(span, seed, w, workers)
 	switch dist {
-	case "zipf":
-		n := capacity * 8
-		return func() string { return "z" + strconv.Itoa(zipfKeyRank(r, n)) }, nil
-	case "scan":
-		return sweep, nil
-	case "mixed":
-		hot := capacity / 4
-		if hot < 1 {
-			hot = 1
-		}
-		return func() string {
-			if r.OneIn(2) {
-				// The "h" prefix keeps the hot set disjoint from the scan
-				// range, as the benchmark stream's 1<<30 offset does.
-				return "h" + strconv.Itoa(zipfKeyRank(r, hot))
-			}
-			return sweep()
-		}, nil
+	case "zipf", "scan", "mixed":
+		return keyStream(dist, capacity, 1, seed, w, workers), nil
 	case "hotspot-shift":
 		// The hot set is deliberately close to (3/4 of) the stated capacity:
 		// a single cache holding it entirely hits well, but the node of a
@@ -97,20 +78,51 @@ func NewWorkerKeyStream(dist string, capacity int, seed uint64, w, workers int) 
 		// share — the demand signal the node rebalancer feeds on. Partitions
 		// are keyed by prefix ("hs<p>:<rank>") so successive hot sets are
 		// disjoint and hash to fresh, uncorrelated ring positions.
-		hot := (capacity * 3) / 4
-		if hot < 1 {
-			hot = 1
-		}
+		r := sim.NewRNG(seed)
+		hot := max((capacity*3)/4, 1)
+		z, memo := newZipf(hot, 1), newKeyMemo("hs0:", 0, hot)
 		every := HotspotShiftEvery(capacity)
-		draws := 0
+		p, left := 0, every
 		return func() string {
-			p := draws / every
-			draws++
-			return "hs" + strconv.Itoa(p) + ":" + strconv.Itoa(zipfKeyRank(r, hot))
+			if left == 0 {
+				// The old partition is never drawn again: drop its keys.
+				p, left = p+1, every
+				memo.prefix = "hs" + strconv.Itoa(p) + ":"
+				clear(memo.pages)
+			}
+			left--
+			return memo.key(z.rank(r))
 		}, nil
 	default:
 		return nil, fmt.Errorf("workloads: unknown key distribution %q (have %v)", dist, KeyDists())
 	}
+}
+
+// keyStream builds worker w's "zipf", "scan" or "mixed" generator, its
+// Zipfian draws at exponent s.
+func keyStream(dist string, capacity int, s float64, seed uint64, w, workers int) func() string {
+	r := sim.NewRNG(seed)
+	switch dist {
+	case "zipf":
+		return zipfKeys(r, "z", capacity*8, s)
+	case "scan":
+		return newSweep(capacity*2, seed, w, workers)
+	}
+	// "mixed". The "h" prefix keeps the hot set disjoint from the scan range,
+	// as the benchmark stream's 1<<30 offset does.
+	hot, sweep := zipfKeys(r, "h", max(capacity/4, 1), s), newSweep(capacity*2, seed, w, workers)
+	return func() string {
+		if r.OneIn(2) {
+			return hot()
+		}
+		return sweep()
+	}
+}
+
+// zipfKeys draws prefix+rank keys with Zipf(s)-distributed ranks in [0, n).
+func zipfKeys(r *sim.RNG, prefix string, n int, s float64) func() string {
+	z, memo := newZipf(n, s), newKeyMemo(prefix, 0, n)
+	return func() string { return memo.key(z.rank(r)) }
 }
 
 // newSweep builds worker w's sequential scan over its slice of the span,
@@ -118,14 +130,14 @@ func NewWorkerKeyStream(dist string, capacity int, seed uint64, w, workers int) 
 func newSweep(span int, seed uint64, w, workers int) func() string {
 	lo := w * span / workers
 	hi := (w + 1) * span / workers
-	width := hi - lo
-	if width < 1 {
-		width = 1
-	}
+	width := max(hi-lo, 1)
+	memo := newKeyMemo("s", lo, width)
 	i := scanPhase(seed, width) - 1
 	return func() string {
-		i++
-		return "s" + strconv.Itoa(lo+i%width)
+		if i++; i == width {
+			i = 0
+		}
+		return memo.key(i)
 	}
 }
 
@@ -138,14 +150,66 @@ func scanPhase(seed uint64, width int) int {
 	return int(z % uint64(width))
 }
 
-// zipfKeyRank draws an approximately Zipf(s≈1)-distributed rank in [0, n):
-// inverse-CDF sampling of 1/x via a log-uniform draw (the same shape the
-// stemcache benchmarks use).
-func zipfKeyRank(r *sim.RNG, n int) int {
-	u := r.Float64()
-	rank := int(math.Exp(u*math.Log(float64(n)))) - 1
-	if rank >= n {
-		rank = n - 1
+// zipf draws approximately Zipf(s)-distributed ranks in [0, n) by inverse-CDF
+// sampling of the continuous power law x^-s on [1, n+1). s = 1 is the
+// log-uniform draw exp(u·ln n) the stemcache benchmarks use. The constants
+// are computed once; a draw does the same floating-point operations in the
+// same order as computing them inline would, so every rank is bit-identical.
+// math.Exp stays per draw: a threshold table over u would be exact only if
+// Exp were monotone to the last bit, which nothing guarantees.
+type zipf struct {
+	n     int
+	log   bool    // s = 1
+	logN  float64 // ln n
+	scale float64 // (n+1)^(1-s) - 1
+	inv   float64 // 1/(1-s)
+}
+
+func newZipf(n int, s float64) zipf {
+	if s == 1 {
+		return zipf{n: n, log: true, logN: math.Log(float64(n))}
 	}
-	return rank
+	e := 1 - s
+	return zipf{n: n, scale: math.Pow(float64(n+1), e) - 1, inv: 1 / e}
+}
+
+func (z *zipf) rank(r *sim.RNG) int {
+	u := r.Float64()
+	var x float64
+	if z.log {
+		x = math.Exp(u * z.logN)
+	} else {
+		x = math.Pow(u*z.scale+1, z.inv)
+	}
+	return min(max(int(x)-1, 0), z.n-1)
+}
+
+// keyMemo renders a keyspace slot's key, prefix+Itoa(base+slot), on the
+// slot's first draw and returns that same string on every later one. Pages
+// of slots are allocated on first touch, so memory grows with the distinct
+// keys drawn, not with the keyspace (an 8M-slot keyspace starts as a 256 KB
+// page table).
+type keyMemo struct {
+	prefix string
+	base   int
+	pages  []*[memoPage]string
+}
+
+const memoPage = 256
+
+func newKeyMemo(prefix string, base, n int) *keyMemo {
+	return &keyMemo{prefix: prefix, base: base, pages: make([]*[memoPage]string, (n+memoPage-1)/memoPage)}
+}
+
+func (m *keyMemo) key(slot int) string {
+	p := m.pages[slot/memoPage]
+	if p == nil {
+		p = new([memoPage]string)
+		m.pages[slot/memoPage] = p
+	}
+	k := &p[slot%memoPage]
+	if *k == "" {
+		*k = m.prefix + strconv.Itoa(m.base+slot)
+	}
+	return *k
 }

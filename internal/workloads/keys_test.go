@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -223,5 +224,65 @@ func TestNewKeyStreamRejects(t *testing.T) {
 	}
 	if _, err := NewWorkerKeyStream("zipf", 1024, 1, 0, 0); err == nil {
 		t.Fatal("zero workers accepted")
+	}
+}
+
+// TestKeyMemoBounded: a stream's key memo grows with the distinct keys drawn,
+// not with the keyspace, and a hotspot-shift stream drops each partition's
+// keys at the shift.
+func TestKeyMemoBounded(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	next, err := NewWorkerKeyStream("zipf", 1<<20, 1, 0, 1) // an 8M-key keyspace
+	if err != nil {
+		t.Fatal(err)
+	}
+	next()
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("building a 1<<20-capacity zipf stream and drawing once allocated %d bytes, want < 1 MB", d)
+	}
+
+	const capacity = 1 << 14
+	hot := capacity * 3 / 4
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	base := heap()
+	shift, err := NewKeyStream("hotspot-shift", capacity, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 11*HotspotShiftEvery(capacity); i++ { // ten shifts
+		shift()
+	}
+	retained := heap() - base
+	runtime.KeepAlive(shift)
+	// One partition with every key drawn holds its page table, its pages and
+	// a 16-byte allocation per "hs<p>:<rank>" string. The bound is one and a
+	// half of that, so a single old partition left behind exceeds it.
+	pages := (hot + memoPage - 1) / memoPage
+	partition := pages*(8+memoPage*16) + hot*16
+	if bound := int64(partition * 3 / 2); retained > bound {
+		t.Errorf("after ten shifts the stream retains %d bytes; one partition's memo is at most %d", retained, partition)
+	}
+}
+
+func BenchmarkKeyStream(b *testing.B) {
+	for _, dist := range KeyDists() {
+		b.Run(dist, func(b *testing.B) {
+			next, err := NewWorkerKeyStream(dist, 8192, 0x57E4, 0, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				next()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/key")
+		})
 	}
 }

@@ -20,7 +20,6 @@ package workloads
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"repro/internal/sim"
 )
@@ -75,30 +74,11 @@ func (ts TenantStream) validate(i int) error {
 
 // gen builds the stream's solo key generator (not safe for concurrent use).
 func (ts TenantStream) gen() func() string {
-	r := sim.NewRNG(ts.Seed)
 	skew := ts.Skew
 	if skew == 0 {
 		skew = 1
 	}
-	sweep := newSweep(ts.Capacity*2, ts.Seed, 0, 1)
-	switch ts.Dist {
-	case "zipf":
-		n := ts.Capacity * 8
-		return func() string { return "z" + strconv.Itoa(zipfSkewRank(r, n, skew)) }
-	case "scan":
-		return sweep
-	default: // "mixed"; validate restricted the set
-		hot := ts.Capacity / 4
-		if hot < 1 {
-			hot = 1
-		}
-		return func() string {
-			if r.OneIn(2) {
-				return "h" + strconv.Itoa(zipfSkewRank(r, hot, skew))
-			}
-			return sweep()
-		}
-	}
+	return keyStream(ts.Dist, ts.Capacity, skew, ts.Seed, 0, 1)
 }
 
 // NewTenantKeyStream interleaves the tenants' streams into one deterministic
@@ -143,33 +123,4 @@ func NewTenantKeyStream(streams []TenantStream, seed uint64) (func() (namespace,
 		}
 		return streams[i].Name, gens[i]()
 	}, nil
-}
-
-// zipfSkewRank draws an approximately Zipf(s)-distributed rank in [0, n) by
-// inverse-CDF sampling of the continuous power law x^-s on [1, n+1). s = 1
-// reduces to the log-uniform draw the fixed-skew streams use.
-func zipfSkewRank(r *sim.RNG, n int, s float64) int {
-	if n <= 1 {
-		return 0
-	}
-	if s == 1 {
-		return zipfKeyRank(r, n)
-	}
-	u := r.Float64()
-	span := float64(n + 1)
-	var x float64
-	if s == 0 {
-		x = 1 + u*(span-1) // uniform
-	} else {
-		e := 1 - s
-		x = math.Pow(u*(math.Pow(span, e)-1)+1, 1/e)
-	}
-	rank := int(x) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= n {
-		rank = n - 1
-	}
-	return rank
 }

@@ -115,8 +115,8 @@ func TestTenantKeyStreamValidation(t *testing.T) {
 }
 
 // TestZipfSkewShapesDistribution: a hotter skew concentrates mass on the top
-// rank; skew 0 is uniform; the default (Skew zero-value → exponent 1)
-// matches the fixed-skew stream exactly.
+// rank; the default (Skew zero-value → exponent 1) matches the fixed-skew
+// stream exactly, for every tenant distribution at every capacity.
 func TestZipfSkewShapesDistribution(t *testing.T) {
 	top := func(skew float64) int {
 		ts := TenantStream{Name: "t", Dist: "zipf", Capacity: 128, Skew: skew, Seed: 9}
@@ -134,14 +134,32 @@ func TestZipfSkewShapesDistribution(t *testing.T) {
 		t.Fatalf("skew 2.0 hit rank 0 %d times, skew 0.5 %d — hotter skew should concentrate", hot, flat)
 	}
 
-	def := TenantStream{Name: "t", Dist: "zipf", Capacity: 64, Seed: 5}.gen()
-	fixed, err := NewKeyStream("zipf", 64, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5_000; i++ {
-		if got, want := def(), fixed(); got != want {
-			t.Fatalf("draw %d: default-skew tenant stream %q != fixed stream %q", i, got, want)
+	// At every capacity, including the ones whose "mixed" hot set is a
+	// single key, and at 64.
+	for _, dist := range TenantDists() {
+		for _, c := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 64} {
+			def := TenantStream{Name: "t", Dist: dist, Capacity: c, Seed: 5}.gen()
+			fixed, err := NewKeyStream(dist, c, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5_000; i++ {
+				if got, want := def(), fixed(); got != want {
+					t.Fatalf("%s capacity %d draw %d: default-skew tenant stream %q != fixed stream %q", dist, c, i, got, want)
+				}
+			}
 		}
 	}
+}
+
+func BenchmarkTenantKeyStream(b *testing.B) {
+	next, err := NewTenantKeyStream(threeTenants(), 0x57E4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		next()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/key")
 }
