@@ -31,18 +31,20 @@ import (
 	"slices"
 	"strings"
 
-	stem "repro"
+	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/tracefile"
+	"repro/internal/workloads"
 )
 
 // params holds every flag's value; each verb registers the subset it takes.
 type params struct {
 	bench, schemes, replay, din, only, assocs, csvDir, out string
 	warmup, measure, n, periods                            int
-	geom                                                   stem.Geometry
+	geom                                                   sim.Geometry
 	seed                                                   uint64
 	quick, csv                                             bool
 
@@ -57,9 +59,9 @@ func (p *params) define(fs *flag.FlagSet) {
 	fs.StringVar(&p.schemes, "schemes", "", "comma-separated schemes (default: the paper's six; fig3 drops STEM)")
 	fs.StringVar(&p.replay, "replay", "", "replay this native trace file (.trc or .trc.gz) instead of an analog")
 	fs.StringVar(&p.din, "din", "", "replay this Dinero-style text trace (addresses converted at -line)")
-	fs.IntVar(&p.geom.Sets, "sets", stem.PaperGeometry.Sets, "number of cache sets (power of two)")
-	fs.IntVar(&p.geom.Ways, "ways", stem.PaperGeometry.Ways, "associativity")
-	fs.IntVar(&p.geom.LineSize, "line", stem.PaperGeometry.LineSize, "line size in bytes")
+	fs.IntVar(&p.geom.Sets, "sets", experiments.PaperGeometry.Sets, "number of cache sets (power of two)")
+	fs.IntVar(&p.geom.Ways, "ways", experiments.PaperGeometry.Ways, "associativity")
+	fs.IntVar(&p.geom.LineSize, "line", experiments.PaperGeometry.LineSize, "line size in bytes")
 	fs.IntVar(&p.warmup, "warmup", 0, "warm-up accesses, unmeasured (0 = default: 1000000 for an analog, a quarter of a replayed trace, the experiment's own size)")
 	fs.IntVar(&p.measure, "measure", 0, "measured accesses (0 = default: 3000000 for an analog, the rest of a replayed trace, the experiment's own size)")
 	fs.Uint64Var(&p.seed, "seed", 0x57E4, "run seed")
@@ -169,7 +171,7 @@ func stemsim(args []string, stdout io.Writer) error {
 // table sends one table to the reader: aligned text on the report — or CSV
 // under -csv, tables separated by the blank lines CSV readers skip — and
 // NAME.csv under -csvdir. The first file error sticks in p.err.
-func (p *params) table(name string, t *stem.Table) {
+func (p *params) table(name string, t *stats.Table) {
 	if p.csv {
 		fmt.Fprintln(p.w, t.CSV())
 	} else {
@@ -196,8 +198,8 @@ func list(s string) []string {
 	return strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' })
 }
 
-// schemeList parses -schemes; an empty flag yields def. stem.NewScheme is the
-// one judge of the names, so a bad one fails where it is first built.
+// schemeList parses -schemes; an empty flag yields def. experiments.NewScheme
+// is the one judge of the names, so a bad one fails where it is first built.
 func (p *params) schemeList(def []string) []string {
 	if p.schemes == "" {
 		return def
@@ -211,9 +213,9 @@ func (p *params) schemeList(def []string) []string {
 // after another, so the event log and the registry cover the measured
 // portion of each scheme in sequence.
 func runVerb(p *params) error {
-	cfg := stem.RunConfig{Geom: p.geom, Seed: p.seed, Obs: p.obs}
+	cfg := experiments.RunConfig{Geom: p.geom, Seed: p.seed, Obs: p.obs}
 	file := cmp.Or(p.replay, p.din)
-	var open func() stem.Generator // a fresh pass over the stream
+	var open func() trace.Generator // a fresh pass over the stream
 	switch {
 	case p.bench != "" && file != "":
 		return errors.New("run: -bench and -replay/-din are alternatives")
@@ -228,15 +230,15 @@ func runVerb(p *params) error {
 			return fmt.Errorf("run: %d warm-up + %d measured references do not fit the trace's %d; need at least one of each",
 				cfg.Warmup, cfg.Measure, len(refs))
 		}
-		open = func() stem.Generator { return trace.NewFixed(refs) } // every pass reads the one loaded slice
+		open = func() trace.Generator { return trace.NewFixed(refs) } // every pass reads the one loaded slice
 		p.note("trace       %s (%d references)", file, len(refs))
 	case p.bench != "":
-		b, err := stem.BenchmarkByName(p.bench)
+		b, err := workloads.ByName(p.bench)
 		if err != nil {
 			return err
 		}
 		cfg.Warmup, cfg.Measure = cmp.Or(p.warmup, 1_000_000), cmp.Or(p.measure, 3_000_000)
-		open = func() stem.Generator { return stem.NewGenerator(b.Workload, p.geom, p.seed) }
+		open = func() trace.Generator { return trace.NewGen(b.Workload, p.geom, p.seed) }
 		p.note("benchmark   %s (class %v, paper LRU MPKI %.3f)", b.Name, b.Class, b.PaperMPKI)
 	default:
 		return errors.New("run: need a stream: -bench NAME, -replay FILE or -din FILE")
@@ -244,10 +246,10 @@ func runVerb(p *params) error {
 
 	p.note("geometry    %d sets x %d ways x %dB = %d KB\naccesses    %d measured (after %d warm-up)\n",
 		p.geom.Sets, p.geom.Ways, p.geom.LineSize, p.geom.CapacityBytes()/1024, cfg.Measure, cfg.Warmup)
-	// stem.RunStream seeds each scheme as stem.RunWorkload does: a cell here
-	// is that cell of any matrix. Observed, it is stem.Run's, log and stats.
-	names := p.schemeList(stem.Schemes())
-	results, err := stem.RunStream(open, names, cfg)
+	// RunStream seeds each scheme as RunWorkload does: a cell here is that
+	// cell of any matrix. Observed, it is Run's, log and stats.
+	names := p.schemeList(experiments.SchemeNames)
+	results, err := experiments.RunStream(open, names, cfg)
 	if err != nil {
 		return err
 	}
@@ -282,8 +284,8 @@ func recordVerb(p *params) error {
 }
 
 // recordTrace captures n references of the named benchmark analog to path.
-func recordTrace(path, bench string, n int, geom stem.Geometry, seed uint64) error {
-	b, err := stem.BenchmarkByName(bench)
+func recordTrace(path, bench string, n int, geom sim.Geometry, seed uint64) error {
+	b, err := workloads.ByName(bench)
 	if err != nil {
 		return err
 	}
@@ -291,7 +293,7 @@ func recordTrace(path, bench string, n int, geom stem.Geometry, seed uint64) err
 	if err != nil {
 		return err
 	}
-	if err := tracefile.Record(w, stem.NewGenerator(b.Workload, geom, seed), n); err != nil {
+	if err := tracefile.Record(w, trace.NewGen(b.Workload, geom, seed), n); err != nil {
 		return err
 	}
 	return w.Close()
@@ -299,7 +301,7 @@ func recordTrace(path, bench string, n int, geom stem.Geometry, seed uint64) err
 
 // loadRefs reads the whole input trace: the native format from tracePath,
 // else Dinero text from dinPath (addresses converted at lineSize).
-func loadRefs(tracePath, dinPath string, lineSize int) ([]stem.Ref, error) {
+func loadRefs(tracePath, dinPath string, lineSize int) ([]trace.Ref, error) {
 	f, err := os.Open(cmp.Or(tracePath, dinPath))
 	if err != nil {
 		return nil, err
@@ -314,12 +316,12 @@ func loadRefs(tracePath, dinPath string, lineSize int) ([]stem.Ref, error) {
 
 func listVerb(p *params) error {
 	fmt.Fprintln(p.w, "benchmark  class  paper-LRU-MPKI")
-	for _, b := range stem.Benchmarks() {
+	for _, b := range workloads.Suite() {
 		fmt.Fprintf(p.w, "%-10s %-5v %8.3f\n", b.Name, b.Class, b.PaperMPKI)
 	}
 	fmt.Fprintf(p.w, "\nschemes     %s\nextensions  %s\n\nexperiment  (stemsim paper -only NAME[,NAME...])\n",
-		strings.Join(stem.Schemes(), ", "), strings.Join(stem.ExtensionSchemes(), ", "))
-	for _, e := range experiments {
+		strings.Join(experiments.SchemeNames, ", "), strings.Join(experiments.ExtensionSchemeNames, ", "))
+	for _, e := range rows {
 		fmt.Fprintf(p.w, "%-10s  %s\n", e.name, e.title)
 	}
 	return nil

@@ -11,8 +11,10 @@ import (
 	"strings"
 	"testing"
 
-	stem "repro"
+	"repro/internal/experiments"
+	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 func TestSectionTimerUsesInjectedClock(t *testing.T) {
@@ -43,7 +45,7 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 		warm = n / 4
 		seed = 0x57E4
 	)
-	geom := stem.Geometry{Sets: 256, Ways: 8, LineSize: 64}
+	geom := sim.Geometry{Sets: 256, Ways: 8, LineSize: 64}
 	path := filepath.Join(t.TempDir(), "omnetpp.trc.gz")
 	if err := recordTrace(path, "omnetpp", n, geom, seed); err != nil {
 		t.Fatal(err)
@@ -55,22 +57,22 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 	if len(refs) != n {
 		t.Fatalf("loaded %d references, recorded %d", len(refs), n)
 	}
-	b, err := stem.BenchmarkByName("omnetpp")
+	b, err := workloads.ByName("omnetpp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, scheme := range []string{"LRU", "STEM"} {
-		replayed, err := stem.NewScheme(scheme, geom, seed)
+		replayed, err := experiments.NewScheme(scheme, geom, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := stem.Run(replayed, trace.NewFixed(refs), stem.RunConfig{Geom: geom, Warmup: warm, Measure: n - warm})
-		live, err := stem.NewScheme(scheme, geom, seed)
+		got := experiments.Run(replayed, trace.NewFixed(refs), experiments.RunConfig{Geom: geom, Warmup: warm, Measure: n - warm})
+		live, err := experiments.NewScheme(scheme, geom, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := stem.Run(live, stem.NewGenerator(b.Workload, geom, seed),
-			stem.RunConfig{Geom: geom, Warmup: warm, Measure: n - warm})
+		want := experiments.Run(live, trace.NewGen(b.Workload, geom, seed),
+			experiments.RunConfig{Geom: geom, Warmup: warm, Measure: n - warm})
 		if got != want {
 			t.Errorf("%s: replay diverged from the live run:\n got %+v\nwant %+v", scheme, got, want)
 		}
@@ -111,7 +113,7 @@ func TestPaperRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment of the paper, a few hundred tiny simulations")
 	}
-	for _, e := range experiments {
+	for _, e := range rows {
 		t.Run(e.name, func(t *testing.T) {
 			dir := t.TempDir()
 			out, err := invoke(t, "paper", "-only", e.name, "-csv", "-csvdir", dir,
@@ -182,10 +184,14 @@ func TestVerbs(t *testing.T) {
 		t.Errorf("run -replay differs from the live run:\nlive:\n%s\nreplayed:\n%s", live, replayed)
 	}
 
-	// ... and a run cell is the cell stem.RunWorkload computes for every
-	// experiment matrix: same stream seed, same scheme seed.
-	want, err := stem.RunWorkload(stem.MustBenchmark("omnetpp").Workload, "STEM", stem.RunConfig{
-		Geom: stem.Geometry{Sets: 256, Ways: 8, LineSize: 64}, Warmup: 10_000, Measure: 30_000, Seed: 0x57E4})
+	// ... and a run cell is the cell experiments.RunWorkload computes for
+	// every experiment matrix: same stream seed, same scheme seed.
+	omnetpp, err := workloads.ByName("omnetpp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiments.RunWorkload(omnetpp.Workload, "STEM", experiments.RunConfig{
+		Geom: sim.Geometry{Sets: 256, Ways: 8, LineSize: 64}, Warmup: 10_000, Measure: 30_000, Seed: 0x57E4})
 	if err != nil {
 		t.Fatal(err)
 	}

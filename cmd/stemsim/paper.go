@@ -16,7 +16,7 @@ import (
 	"strings"
 	"time"
 
-	stem "repro"
+	"repro/internal/experiments"
 	"repro/internal/stats"
 )
 
@@ -27,14 +27,14 @@ type experiment struct {
 }
 
 // Rows are in the paper's order; a full run prints them top to bottom.
-var experiments = []experiment{
+var rows = []experiment{
 	{"fig1", "Figure 1: set-level capacity demand distributions", fig1},
 	{"fig2", "Figure 2: synthetic two-set examples", fig2},
 	{"fig3", "Figure 3: MPKI vs associativity, baseline schemes", sweeps("fig3", []string{"LRU", "DIP", "PELIFO", "VWAY", "SBC"})},
-	{"table2", "Table 2: LRU MPKI of the 15 analogs", comparison("table2", "", "", func(c *stem.Comparison) *stem.Table { return c.Table2 })},
-	{"fig7", "Figure 7: MPKI, 15 analogs x 5 schemes", comparison("fig7", "MPKI", "21.4", func(c *stem.Comparison) *stem.Table { return c.MPKI })},
-	{"fig8", "Figure 8: AMAT, same matrix", comparison("fig8", "AMAT", "13.5", func(c *stem.Comparison) *stem.Table { return c.AMAT })},
-	{"fig9", "Figure 9: CPI, same matrix", comparison("fig9", "CPI", "6.3", func(c *stem.Comparison) *stem.Table { return c.CPI })},
+	{"table2", "Table 2: LRU MPKI of the 15 analogs", comparison("table2", "", "", func(c *experiments.Comparison) *stats.Table { return c.Table2 })},
+	{"fig7", "Figure 7: MPKI, 15 analogs x 5 schemes", comparison("fig7", "MPKI", "21.4", func(c *experiments.Comparison) *stats.Table { return c.MPKI })},
+	{"fig8", "Figure 8: AMAT, same matrix", comparison("fig8", "AMAT", "13.5", func(c *experiments.Comparison) *stats.Table { return c.AMAT })},
+	{"fig9", "Figure 9: CPI, same matrix", comparison("fig9", "CPI", "6.3", func(c *experiments.Comparison) *stats.Table { return c.CPI })},
 	{"fig10", "Figure 10: sensitivity sweeps with STEM", sweeps("fig10", nil)},
 	{"ablation", "Ablations (beyond the paper): STEM mechanisms and parameters", ablation},
 	{"extension", "Extension (beyond the paper): STEM vs the RRIP family", extension},
@@ -43,8 +43,8 @@ var experiments = []experiment{
 }
 
 func experimentNames() []string {
-	names := make([]string, len(experiments))
-	for i, e := range experiments {
+	names := make([]string, len(rows))
+	for i, e := range rows {
 		names[i] = e.name
 	}
 	return names
@@ -56,28 +56,28 @@ type paperRun struct {
 	// suite sizes the 15-analog comparison (one run per cell); points
 	// sizes everything that runs many cells per analog (the sweeps, the
 	// ablations, the extension and the five-seed replication).
-	suite, points stem.RunConfig
+	suite, points experiments.RunConfig
 	fig1Periods   int
 	benches       []string // the analogs of fig1/fig3/fig10
 	sweepAssocs   []int
 
-	cmp *stem.Comparison // computed once for table2 and fig7-9
+	cmp *experiments.Comparison // computed once for table2 and fig7-9
 }
 
 func newPaperRun(p *params) (*paperRun, error) {
 	x := &paperRun{
 		params:      p,
-		suite:       stem.RunConfig{Warmup: 1_000_000, Measure: 3_000_000},
-		points:      stem.RunConfig{Warmup: 300_000, Measure: 900_000},
+		suite:       experiments.RunConfig{Warmup: 1_000_000, Measure: 3_000_000},
+		points:      experiments.RunConfig{Warmup: 300_000, Measure: 900_000},
 		fig1Periods: 1000,
 		benches:     []string{"omnetpp", "ammp"},
 	}
 	if p.quick {
 		x.suite = x.points
-		x.points = stem.RunConfig{Warmup: 150_000, Measure: 450_000}
+		x.points = experiments.RunConfig{Warmup: 150_000, Measure: 450_000}
 		x.fig1Periods = 100
 	}
-	for _, rc := range []*stem.RunConfig{&x.suite, &x.points} {
+	for _, rc := range []*experiments.RunConfig{&x.suite, &x.points} {
 		rc.Warmup, rc.Measure = cmp.Or(p.warmup, rc.Warmup), cmp.Or(p.measure, rc.Measure)
 		rc.Seed, rc.Obs = p.seed, p.obs
 	}
@@ -112,15 +112,15 @@ func sectionTimer(out io.Writer, clock func() int64) func(title string) func() {
 }
 
 func paperVerb(p *params) error {
-	rows := experiments
+	selected := rows
 	if p.only != "" {
-		rows = nil
+		selected = nil
 		for _, name := range list(p.only) {
-			i := slices.IndexFunc(experiments, func(e experiment) bool { return strings.EqualFold(e.name, name) })
+			i := slices.IndexFunc(rows, func(e experiment) bool { return strings.EqualFold(e.name, name) })
 			if i < 0 {
 				return fmt.Errorf("paper: unknown experiment %q in -only (valid: %s)", name, strings.Join(experimentNames(), ", "))
 			}
-			rows = append(rows, experiments[i])
+			selected = append(selected, rows[i])
 		}
 	}
 	x, err := newPaperRun(p)
@@ -132,7 +132,7 @@ func paperVerb(p *params) error {
 		banners = io.Discard // a CSV stream carries tables only
 	}
 	section := sectionTimer(banners, now)
-	for _, e := range rows {
+	for _, e := range selected {
 		done := section(e.title)
 		if err := e.run(x); err != nil {
 			return fmt.Errorf("paper %s: %w", e.name, err)
@@ -146,22 +146,22 @@ func paperVerb(p *params) error {
 }
 
 func fig1(x *paperRun) error {
-	var results []stem.Fig1Result
+	var results []experiments.Fig1Result
 	for _, b := range x.benches {
-		r, err := stem.Figure1(stem.Fig1Config{Benchmark: b, Periods: x.fig1Periods, Seed: x.seed, Obs: x.obs})
+		r, err := experiments.Figure1(experiments.Fig1Config{Benchmark: b, Periods: x.fig1Periods, Seed: x.seed, Obs: x.obs})
 		if err != nil {
 			return err
 		}
 		results = append(results, r)
 	}
-	x.table("fig1", stem.Figure1Table(results...))
+	x.table("fig1", experiments.Fig1Table(results...))
 	return nil
 }
 
 func fig2(x *paperRun) error {
 	t := stats.NewTable("Figure 2: steady-state miss rates, measured vs the paper's analytical values",
 		"example", "LRU", "LRU paper", "DIP", "DIP paper", "SBC", "SBC paper", "STEM")
-	for _, r := range stem.Figure2(x.seed) {
+	for _, r := range experiments.Figure2(x.seed) {
 		for i, v := range []float64{r.LRU, r.ExpLRU, r.DIP, r.ExpDIP, r.SBC, r.ExpSBC, r.STEM} {
 			t.Set(fmt.Sprintf("#%d", r.Example), t.Cols[i], v)
 		}
@@ -177,7 +177,7 @@ func fig2(x *paperRun) error {
 func sweeps(name string, defSchemes []string) func(*paperRun) error {
 	return func(x *paperRun) error {
 		for _, b := range x.benches {
-			t, err := stem.Sweep(stem.SweepConfig{Benchmark: b, Schemes: x.schemeList(defSchemes), Assocs: x.sweepAssocs, Run: x.points})
+			t, err := experiments.Sweep(experiments.SweepConfig{Benchmark: b, Schemes: x.schemeList(defSchemes), Assocs: x.sweepAssocs, Run: x.points})
 			if err != nil {
 				return err
 			}
@@ -190,10 +190,10 @@ func sweeps(name string, defSchemes []string) func(*paperRun) error {
 // comparison builds the row for one view of the 15-analog matrix. For a
 // normalized metric, paperGain is the paper's STEM-over-LRU geomean
 // improvement in percent, printed beside the measured one.
-func comparison(name, metric, paperGain string, view func(*stem.Comparison) *stem.Table) func(*paperRun) error {
+func comparison(name, metric, paperGain string, view func(*experiments.Comparison) *stats.Table) func(*paperRun) error {
 	return func(x *paperRun) (err error) {
 		if x.cmp == nil {
-			if x.cmp, err = stem.MainComparison(x.suite); err != nil {
+			if x.cmp, err = experiments.MainComparison(x.suite); err != nil {
 				return err
 			}
 		}
@@ -207,17 +207,17 @@ func comparison(name, metric, paperGain string, view func(*stem.Comparison) *ste
 }
 
 func ablation(x *paperRun) error {
-	t, err := stem.Ablate(stem.ComponentVariants(), nil, x.points)
+	t, err := experiments.Ablate(experiments.ComponentVariants(), nil, x.points)
 	if err != nil {
 		return err
 	}
 	x.table("ablation_components", t)
 	for _, param := range []string{"k", "n", "m", "heap"} {
-		vs, err := stem.ParameterVariants(param)
+		vs, err := experiments.ParameterVariants(param)
 		if err != nil {
 			return err
 		}
-		t, err := stem.Ablate(vs, []string{"omnetpp", "ammp"}, x.points)
+		t, err := experiments.Ablate(vs, []string{"omnetpp", "ammp"}, x.points)
 		if err != nil {
 			return err
 		}
@@ -227,7 +227,7 @@ func ablation(x *paperRun) error {
 }
 
 func extension(x *paperRun) error {
-	t, err := stem.ExtensionComparison(x.points)
+	t, err := experiments.ExtensionComparison(x.points)
 	if err != nil {
 		return err
 	}
@@ -236,16 +236,16 @@ func extension(x *paperRun) error {
 }
 
 func replicate(x *paperRun) error {
-	res, err := stem.Replicate(x.points, []uint64{0x57E4, 1, 2, 3, 4})
+	res, err := experiments.Replicate(x.points, []uint64{0x57E4, 1, 2, 3, 4})
 	if err != nil {
 		return err
 	}
-	x.table("replicate", stem.ReplicationTable(res))
+	x.table("replicate", experiments.ReplicationTable(res))
 	return nil
 }
 
 func table3(x *paperRun) error {
-	r := stem.Table3()
+	r := experiments.Table3()
 	t := stats.NewTable("Table 3: storage STEM adds to a 2MB / 16-way / 44-bit-address LRU cache", "field", "value")
 	bits := func(field string, n int) { t.Set(field, "value", float64(n)) }
 	bits("tag bits per line", r.TagBits)

@@ -11,22 +11,29 @@ package main
 import (
 	"fmt"
 
-	stem "repro"
+	"repro/internal/experiments"
+	"repro/internal/profile"
+	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 func main() {
-	geom := stem.Geometry{Sets: 512, Ways: 16, LineSize: 64}
-	cfg := stem.RunConfig{Geom: geom, Warmup: 300_000, Measure: 900_000}
+	geom := sim.Geometry{Sets: 512, Ways: 16, LineSize: 64}
+	cfg := experiments.RunConfig{Geom: geom, Warmup: 300_000, Measure: 900_000}
 
 	for _, name := range []string{"ammp", "mcf", "twolf"} {
-		b := stem.MustBenchmark(name)
+		b, err := workloads.ByName(name)
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("== %s (Class %d) ==\n", b.Name, b.Class)
 
 		// First, characterize: what do the sets actually need? The profiler
 		// measures, per set, the minimum lines that would resolve all
 		// conflict misses a 32-way set would resolve.
-		prof := stem.NewDemandProfiler(geom, 50_000, 32)
-		gen := stem.NewGenerator(b.Workload, geom, 1)
+		prof := profile.NewDemand(geom, 50_000, 32)
+		gen := trace.NewGen(b.Workload, geom, 1)
 		for i := 0; i < 250_000; i++ {
 			prof.Feed(gen.Next().Block)
 		}
@@ -47,13 +54,13 @@ func main() {
 			100*low, 100*mid, 100*high)
 
 		// Then run the schemes and normalize to LRU.
-		lru, err := stem.RunWorkload(b.Workload, "LRU", cfg)
+		lru, err := experiments.RunWorkload(b.Workload, "LRU", cfg)
 		if err != nil {
 			panic(err)
 		}
 		fmt.Printf("LRU MPKI %.3f; normalized:", lru.MPKI)
 		for _, scheme := range []string{"DIP", "PELIFO", "VWAY", "SBC", "STEM"} {
-			res, err := stem.RunWorkload(b.Workload, scheme, cfg)
+			res, err := experiments.RunWorkload(b.Workload, scheme, cfg)
 			if err != nil {
 				panic(err)
 			}

@@ -1,7 +1,7 @@
 // Custompolicy: extend the library with a replacement policy of your own
 // and race it against the built-ins on the paper's workloads.
 //
-// The stem.Policy interface is the per-set kernel every scheme in the
+// The policy.Policy interface is the per-set kernel every scheme in the
 // repository is built from: the cache reports hits, inserts and
 // invalidations; the policy answers "which way do I evict". This example
 // implements SFIFO — FIFO with one second-chance bit — from scratch and
@@ -11,7 +11,12 @@ package main
 import (
 	"fmt"
 
-	stem "repro"
+	"repro/internal/basecache"
+	"repro/internal/experiments"
+	"repro/internal/policy"
+	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // sfifo is FIFO with a second-chance (reference) bit: hits set the bit; the
@@ -33,8 +38,8 @@ func newSFIFO(ways int) *sfifo {
 	return p
 }
 
-func (p *sfifo) Kind() stem.PolicyKind { return stem.Random /* closest label; unused */ }
-func (p *sfifo) Len() int              { return len(p.order) }
+func (p *sfifo) Kind() policy.Kind { return policy.Random /* closest label; unused */ }
+func (p *sfifo) Len() int          { return len(p.order) }
 
 func (p *sfifo) Reset() {
 	p.order = p.order[:0]
@@ -97,33 +102,27 @@ func (p *sfifo) Victim() int {
 }
 
 func main() {
-	geom := stem.Geometry{Sets: 512, Ways: 16, LineSize: 64}
-	cfg := stem.RunConfig{Geom: geom, Warmup: 200_000, Measure: 600_000}
+	geom := sim.Geometry{Sets: 512, Ways: 16, LineSize: 64}
+	cfg := experiments.RunConfig{Geom: geom, Warmup: 200_000, Measure: 600_000}
 
-	build := func(name string) func() stem.Simulator {
-		return func() stem.Simulator {
-			switch name {
-			case "SFIFO":
-				return stem.NewCustomCache("SFIFO", geom, 1,
-					func(set, ways int, rng *stem.RNG) stem.Policy { return newSFIFO(ways) })
-			default:
-				kind := stem.LRU
-				if name == "BIP" {
-					kind = stem.BIP
-				}
-				return stem.NewCustomCache(name, geom, 1,
-					func(set, ways int, rng *stem.RNG) stem.Policy { return stem.NewPolicy(kind, ways, rng) })
-			}
-		}
+	// Each contender is a per-set policy factory; basecache.New builds the
+	// same set-associative cache around any of them.
+	policies := map[string]basecache.PolicyFactory{
+		"LRU":   func(set, ways int, rng *sim.RNG) policy.Policy { return policy.New(policy.LRU, ways, rng) },
+		"BIP":   func(set, ways int, rng *sim.RNG) policy.Policy { return policy.New(policy.BIP, ways, rng) },
+		"SFIFO": func(set, ways int, rng *sim.RNG) policy.Policy { return newSFIFO(ways) },
 	}
 
 	for _, bench := range []string{"mcf", "gobmk"} {
-		b := stem.MustBenchmark(bench)
+		b, err := workloads.ByName(bench)
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("== %s (Class %d) ==\n", b.Name, b.Class)
 		for _, name := range []string{"LRU", "BIP", "SFIFO"} {
-			cache := build(name)()
-			gen := stem.NewGenerator(b.Workload, geom, 7)
-			res := stem.Run(cache, gen, cfg)
+			cache := basecache.New(name, geom, 1, policies[name])
+			gen := trace.NewGen(b.Workload, geom, 7)
+			res := experiments.Run(cache, gen, cfg)
 			fmt.Printf("  %-6s miss rate %.4f   MPKI %.3f\n", name, res.MissRate, res.MPKI)
 		}
 		fmt.Println()

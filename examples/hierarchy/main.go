@@ -12,25 +12,31 @@ package main
 import (
 	"fmt"
 
-	stem "repro"
+	"repro/internal/experiments"
+	"repro/internal/mem"
+	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 func main() {
-	geom := stem.PaperGeometry
-	bench := stem.MustBenchmark("omnetpp")
+	geom := experiments.PaperGeometry
+	bench, err := workloads.ByName("omnetpp")
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Println("Table 1 hierarchy: 32KB 2-way L1I/L1D, 16B half-speed bus, 2MB LLC")
 	fmt.Printf("workload: %s, expanded to 4 CPU accesses per cached line\n\n", bench.Name)
 	fmt.Println("L2 scheme    L1D miss%   L2 MPKI    AMAT     CPI   bus-util   L1D->L2 writebacks")
 
 	for _, scheme := range []string{"LRU", "DIP", "STEM"} {
-		l2, err := stem.NewScheme(scheme, geom, 42)
+		l2, err := experiments.NewScheme(scheme, geom, 42)
 		if err != nil {
 			panic(err)
 		}
-		h := stem.NewHierarchy(l2, stem.HierarchyConfig{Seed: 7})
-		cpu := stem.NewCPULevel(
-			stem.NewGenerator(bench.Workload, geom, 1),
+		h := mem.NewHierarchy(l2, mem.HierarchyConfig{Seed: 7})
+		cpu := trace.NewCPULevel(
+			trace.NewGen(bench.Workload, geom, 1),
 			geom.LineSize,
 			4, // each line touched four times at the CPU level
 		)

@@ -15,7 +15,10 @@ package main
 import (
 	"fmt"
 
-	stem "repro"
+	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -23,7 +26,7 @@ func main() {
 	fmt.Println()
 	fmt.Println("ex   ws1   LRU meas (paper)   DIP meas (paper*)   SBC meas (paper)   STEM meas")
 	ws1 := map[int]int{1: 2, 2: 3, 3: 5}
-	for _, r := range stem.Figure2(0) {
+	for _, r := range experiments.Figure2(0) {
 		fmt.Printf("#%d    %d    %.3f (%.3f)       %.3f (%.3f)        %.3f (%.3f)       %.3f\n",
 			r.Example, ws1[r.Example],
 			r.LRU, r.ExpLRU, r.DIP, r.ExpDIP, r.SBC, r.ExpSBC, r.STEM)
@@ -37,11 +40,11 @@ func main() {
 	// Drive example #2 step by step to watch STEM work: the taker (set 0)
 	// couples with the giver (set 1), spills victims into it, and swaps its
 	// own policy when the shadow set shows BIP winning.
-	cache := stem.New(stem.Figure2Geometry, stem.Config{Seed: 7})
-	gen := stem.Figure2Workload(2)
+	cache := core.New(trace.Figure2Geometry, core.Config{Seed: 7})
+	gen := trace.Figure2(2)
 	for i := 0; i < 4000; i++ {
 		r := gen.Next()
-		cache.Access(stem.Access{Block: r.Block, Write: r.Write})
+		cache.Access(sim.Access{Block: r.Block, Write: r.Write})
 	}
 	st := cache.Stats()
 	fmt.Printf("STEM on example #2 after %d accesses:\n", st.Accesses)

@@ -15,8 +15,9 @@
 //     obsMu) must stay acyclic and non-reentrant, defers must not pile
 //     unlocks up inside loops, and every panic must be documented as an
 //     // invariant: violation.
-//   - apidoc: the public stem package is the product surface; every exported
-//     symbol carries a doc comment in godoc form.
+//   - apidoc: the serving-tier libraries (stemcache, wire, server, client,
+//     cluster) are the product surface; every exported symbol carries a doc
+//     comment in godoc form.
 //   - hotpath: the serving path (wire codec, server loop, client transport,
 //     cache read) must not allocate in steady state, so functions
 //     call-reachable from each package's hot-root table are flagged for

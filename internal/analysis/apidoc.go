@@ -5,25 +5,25 @@ import (
 	"strings"
 )
 
-// APIDoc enforces documentation on the public surface: every exported
-// symbol of the module's root package (the `stem` API) and of the serving
-// tier's library packages (stemcache, wire, server, client, cluster — whose
-// exported names the root package and the cmd/ binaries re-surface) carries
-// a godoc comment, and the comment opens with the symbol's name (optionally
-// after "A", "An" or "The"), so rendered godoc reads as reference material.
+// APIDoc enforces documentation on the library surface: every exported
+// symbol of the serving tier's library packages (stemcache, wire, server,
+// client, cluster — whose exported names the cmd/ binaries and bench/ build
+// on) carries a godoc comment, and the comment opens with the symbol's name
+// (optionally after "A", "An" or "The"), so rendered godoc reads as
+// reference material.
 // Grouped declarations — `const (...)` / `type (...)` blocks — may share
 // one block comment; individual specs inside a documented block are exempt
 // from the name rule but must still be covered by some comment.
 var APIDoc = &Analyzer{
 	Name: "apidoc",
-	Doc:  "exported symbols of the public stem package and the serving-tier libraries must carry godoc comments opening with the symbol name",
+	Doc:  "exported symbols of the serving-tier libraries must carry godoc comments opening with the symbol name",
 	Run:  runAPIDoc,
 }
 
 // apidocLibraries are the internal packages whose exported surface is held
-// to the public-API documentation standard: the serving tier that README.md
-// and the re-exporting root package present as product. Matched by suffix so
-// the analyzer fixtures bind into scope the same way lockorder's do.
+// to the library documentation standard: the serving tier that README.md
+// presents as product. Matched by suffix so the analyzer fixtures bind into
+// scope the same way lockorder's do.
 var apidocLibraries = []string{
 	"/internal/stemcache",
 	"/internal/wire",
@@ -35,11 +35,6 @@ var apidocLibraries = []string{
 // inAPIDocScope reports whether a package's exported names are part of the
 // documented product surface.
 func inAPIDocScope(path string) bool {
-	if !strings.Contains(path, "/") {
-		// The module root package (import path without a slash) is the
-		// public API itself.
-		return true
-	}
 	for _, lib := range apidocLibraries {
 		if path == lib[1:] || strings.HasSuffix(path, lib) {
 			return true

@@ -180,6 +180,82 @@ func TestWriteOutputs(t *testing.T) {
 	}
 }
 
+// apidocSrc breaks each apidoc rule once — an undocumented function, type,
+// method, grouped const and var, and a doc comment that does not open with
+// its name — beside every sanctioned form.
+const apidocSrc = `package p
+
+// Documented is the sanctioned form: a doc comment opening with the name.
+func Documented() {}
+
+func Undocumented() {}
+
+// This comment does not open with the symbol name.
+func Misnamed() {}
+
+// A Wrapper may start with an article.
+type Wrapper struct{}
+
+type Bare struct{}
+
+// String is documented, and methods on unexported receivers are exempt.
+func (w *Wrapper) String() string { return "" }
+
+func (w *Wrapper) Undoc() {}
+
+type hidden struct{}
+
+func (h hidden) Exported() {} // exempt: unexported receiver
+
+// Grouped constants may share one block comment.
+const (
+	GroupedA = iota
+	GroupedB
+)
+
+const (
+	LooseA = iota
+	// LooseB is individually documented.
+	LooseB
+)
+
+var Loose int
+
+// Deprecated: OldName has been replaced by Documented.
+func OldName() {}
+`
+
+// TestAPIDocScope pins apidoc's rules and its scope: a serving-tier library
+// gets all six findings; another internal package and the module root get
+// none.
+func TestAPIDocScope(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"p.go":                 apidocSrc,
+		"internal/client/p.go": apidocSrc,
+		"internal/core/p.go":   apidocSrc,
+	})
+	loader, err := analysis.NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load("m", "m/internal/client", "m/internal/core")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	analysis.WriteText(&got, analysis.Run(loader.Fset, pkgs, []*analysis.Analyzer{analysis.APIDoc}), root)
+	const want = `internal/client/p.go:6:6: [apidoc] exported function Undocumented is undocumented; this package is part of the documented product surface
+internal/client/p.go:9:6: [apidoc] doc comment for Misnamed should open with the symbol name (godoc convention), e.g. "Misnamed ..."
+internal/client/p.go:14:6: [apidoc] exported type Bare is undocumented; this package is part of the documented product surface
+internal/client/p.go:19:19: [apidoc] exported method Undoc is undocumented; this package is part of the documented product surface
+internal/client/p.go:32:2: [apidoc] exported const LooseA is undocumented: give it a doc comment or document its declaration group
+internal/client/p.go:37:5: [apidoc] exported var Loose is undocumented; this package is part of the documented product surface
+`
+	if got.String() != want {
+		t.Errorf("apidoc findings:\n%swant:\n%s", got.String(), want)
+	}
+}
+
 func TestByName(t *testing.T) {
 	for _, name := range []string{"determinism", "atomics", "lockorder", "apidoc", "hotpath", "goleak"} {
 		if a := analysis.ByName(name); a == nil || a.Name != name {

@@ -27,7 +27,6 @@ var fixtureCases = []struct {
 	{name: "serverfix", path: "fixture/internal/server"},
 	{name: "clusterfix", path: "fixture/internal/cluster"},
 	{name: "memberfix", path: "fixture/internal/membership"},
-	{name: "rootfix", path: "rootfix"},
 	{name: "hotfix", path: "fixture/internal/hotfix"},
 	{name: "leakfix", path: "leakfix"},
 }
@@ -96,7 +95,6 @@ func TestFixturesAreDirty(t *testing.T) {
 		"serverfix":  "lockorder",
 		"clusterfix": "lockorder",
 		"memberfix":  "lockorder",
-		"rootfix":    "apidoc",
 		"hotfix":     "hotpath",
 		"leakfix":    "goleak",
 	}

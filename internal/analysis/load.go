@@ -15,7 +15,7 @@ import (
 
 // Package is one loaded, parsed and typechecked package.
 type Package struct {
-	// Path is the import path ("repro", "repro/internal/core", ...).
+	// Path is the import path ("repro/internal/core", ...).
 	Path string
 	// Name is the package name from the source ("stem", "core", "main").
 	Name string

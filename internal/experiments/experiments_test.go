@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -203,6 +205,21 @@ func TestTable3MatchesPaperOverhead(t *testing.T) {
 	}
 	if r.TagBits != 27 {
 		t.Fatalf("tag bits %d, want 27", r.TagBits)
+	}
+}
+
+func TestTable3PublicAPI(t *testing.T) {
+	r := Table3()
+	if math.Abs(r.OverheadFraction-0.031) > 0.002 {
+		t.Fatalf("overhead %.4f, want ~0.031", r.OverheadFraction)
+	}
+	if r.ExtraBits() <= 0 {
+		t.Fatal("no extra bits reported")
+	}
+	// A wider signature must cost more.
+	wide := core.Overhead(PaperGeometry, core.Config{SignatureBits: 16}, 44)
+	if wide.OverheadFraction <= r.OverheadFraction {
+		t.Fatal("wider signatures did not increase overhead")
 	}
 }
 

@@ -194,6 +194,23 @@ func (c *Cache[K, V]) lookupLoadT(tid int, key K) (V, LoadState) {
 	return zero, st
 }
 
+// resident returns key's live entry — fresh, or a cached absence — without
+// a Get's side effects: no Get counted, no demand-monitor feed, no policy
+// touch. A stale or absent key reports false. load calls it under loadMu
+// (rank loadMu → shard.mu) after its caller's counted lookup has missed.
+func (c *Cache[K, V]) resident(tid int, key K) (e entry[K, V], ok bool) {
+	h := c.thash(tid, key)
+	sh := c.shardOf(h)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	var clk opClock
+	set, w, stale := c.lookup(sh, c.setOf(h), key, h, &clk)
+	if w < 0 || stale {
+		return e, false
+	}
+	return c.set(sh, set)[w], true
+}
+
 // load runs the singleflight miss path: one goroutine per key becomes the
 // leader and calls the loader; the rest wait on its flight and share the
 // outcome. No lock is held while the loader runs.
@@ -210,6 +227,16 @@ func (c *Cache[K, V]) load(ctx context.Context, tid int, key K, loader Loader[K,
 		case <-ctx.Done():
 			return zero, ctx.Err()
 		}
+	}
+	// No flight: a leader may have stored key and removed its flight since
+	// this caller's lookup missed. Serve what it stored; a stale entry still
+	// loads, so revalidation reaches the origin.
+	if e, ok := c.resident(tid, key); ok {
+		c.loadMu.Unlock()
+		if e.neg {
+			return zero, ErrNotFound
+		}
+		return e.val, nil
 	}
 	f := &flight[V]{done: make(chan struct{})}
 	c.flights[fk] = f

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/tenant"
 )
 
 // loaderCfg is a small geometry with the load knobs the test wants.
@@ -86,6 +88,46 @@ func TestGetOrLoadSingleflight(t *testing.T) {
 	st := c.Stats()
 	if st.Loads != 1 || st.LoadDedup != waiters {
 		t.Fatalf("Loads = %d, LoadDedup = %d; want 1, %d", st.Loads, st.LoadDedup, waiters)
+	}
+}
+
+// TestLoadAfterCompletedFlight replays, deterministically, the interleaving
+// that once made a second leader: a caller whose lookup missed reaches load
+// only after the leader has stored the value and removed its flight. It must
+// be served what the leader stored — a value or a cached absence — without a
+// loader call and without counting another Get; only a stale entry loads.
+func TestLoadAfterCompletedFlight(t *testing.T) {
+	var clock int64
+	cfg := loaderCfg()
+	cfg.LoadTTL, cfg.StaleTTL, cfg.NegativeTTL = time.Second, time.Minute, time.Minute
+	c := mustNew[string, string](cfg)
+	defer c.Close()
+	c.now = func() int64 { return clock }
+	calls := map[string]int{}
+	ld := func(ctx context.Context, key string) (string, error) {
+		calls[key]++
+		if key == "absent" {
+			return "", ErrNotFound
+		}
+		return fmt.Sprintf("v%d:%s", calls[key], key), nil
+	}
+	ctx := context.Background()
+	for _, key := range []string{"a", "absent"} {
+		want, wantErr := c.GetOrLoad(ctx, key, ld)
+		if v, err := c.load(ctx, tenant.DefaultID, key, ld); v != want || err != wantErr {
+			t.Errorf("load(%q) after a completed flight = %q, %v; want %q, %v", key, v, err, want, wantErr)
+		}
+	}
+	if calls["a"] != 1 || calls["absent"] != 1 {
+		t.Errorf("loader calls = %v; want 1 per key", calls)
+	}
+	if st := c.Stats(); st.Gets != 2 || st.Loads != 2 || st.LoadDedup != 0 {
+		t.Errorf("Gets = %d, Loads = %d, LoadDedup = %d; want 2, 2, 0", st.Gets, st.Loads, st.LoadDedup)
+	}
+
+	clock += int64(2 * time.Second) // past "a"'s freshness, inside its stale window
+	if v, err := c.load(ctx, tenant.DefaultID, "a", ld); err != nil || v != "v2:a" {
+		t.Errorf("load of a stale entry = %q, %v; want v2:a, nil (a stale entry still loads)", v, err)
 	}
 }
 

@@ -1,13 +1,16 @@
 #!/bin/sh
-# check_readme_cmds.sh — README/cmd cross-check, run by CI.
+# check_readme_cmds.sh — README/cmd/package cross-check, run by CI.
 #
-# Two directions:
+# Three directions:
 #   1. every binary under cmd/ is mentioned in README.md as cmd/<name> (no
 #      undocumented tools; the bare word does not count — "sweep" and
 #      "stemd" occur in prose);
 #   2. every "cmd/<name>" or "go run ./cmd/<name>" reference in README.md
 #      names a directory that actually exists (no docs pointing at removed
-#      tools).
+#      tools);
+#   3. every import path of this module quoted in README.md ("repro" or
+#      "repro/...") names a directory holding Go files (no snippets
+#      importing a removed package — the module root holds none).
 #
 # Exits nonzero with a per-name report on any mismatch.
 set -eu
@@ -34,7 +37,15 @@ for name in $(grep -o 'cmd/[a-z0-9_-]*' README.md | sed 's|cmd/||' | sort -u); d
     fi
 done
 
+# Direction 3: README -> packages.
+for path in $(grep -oE '"repro(/[A-Za-z0-9_./-]*)?"' README.md | tr -d '"' | sort -u); do
+    if ! ls ".${path#repro}"/*.go >/dev/null 2>&1; then
+        echo "README.md quotes the import path \"$path\", which names no package" >&2
+        status=1
+    fi
+done
+
 if [ "$status" -eq 0 ]; then
-    echo "README.md and cmd/ agree ($(ls -d cmd/*/ | wc -l | tr -d ' ') binaries)"
+    echo "README.md, cmd/ and the quoted import paths agree ($(ls -d cmd/*/ | wc -l | tr -d ' ') binaries)"
 fi
 exit $status
