@@ -25,14 +25,14 @@ func TestRunServesCluster(t *testing.T) {
 	}()
 
 	var addrs []string
-	deadline := time.Now().Add(5 * time.Second) //lint:allow(determinism) test-only startup timeout
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		// The supervisor's WriteFile creates, then writes: empty is "not yet".
 		if b, err := os.ReadFile(addrFile); err == nil && len(b) > 0 {
 			addrs = strings.Split(strings.TrimSpace(string(b)), ",")
 			break
 		}
-		if time.Now().After(deadline) { //lint:allow(determinism) test-only startup timeout
+		if time.Now().After(deadline) {
 			t.Fatal("addr file never appeared")
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -91,12 +91,12 @@ func TestRunMembershipOrchestration(t *testing.T) {
 		}, stop)
 	}()
 
-	deadline := time.Now().Add(5 * time.Second) //lint:allow(determinism) test-only startup timeout
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if b, err := os.ReadFile(addrFile); err == nil && len(b) > 0 {
 			break
 		}
-		if time.Now().After(deadline) { //lint:allow(determinism) test-only startup timeout
+		if time.Now().After(deadline) {
 			t.Fatal("addr file never appeared")
 		}
 		time.Sleep(5 * time.Millisecond)

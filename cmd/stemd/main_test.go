@@ -36,13 +36,13 @@ func TestRunAddrFileAndSlowRequestTrace(t *testing.T) {
 
 	// The address file appears only after the listener is bound.
 	var addr string
-	deadline := time.Now().Add(5 * time.Second) //lint:allow(determinism) test timeout
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if b, err := os.ReadFile(addrFile); err == nil {
 			addr = strings.TrimSpace(string(b))
 			break
 		}
-		if time.Now().After(deadline) { //lint:allow(determinism) test timeout
+		if time.Now().After(deadline) {
 			close(stop)
 			t.Fatalf("addr file never appeared: %v", <-done)
 		}

@@ -92,8 +92,8 @@ func startMemberRig(cfg loadConfig) (*membership.Rig, error) {
 	rig, err := membership.StartRig(memberNodes,
 		cluster.NodeConfig{Cache: stemcache.Config{Capacity: cfg.Capacity, Shards: 2, Ways: 8}},
 		cluster.Config{
-			VNodes: vnodes, Seed: cfg.Seed, DemandEvery: 16,
-			Client: client.Config{Retries: -1, DialTimeout: 500 * time.Millisecond, OpTimeout: 2 * time.Second},
+			VNodes: vnodes, Seed: cfg.Seed,
+			Client: client.Config{Retries: -1, DialTimeout: 500 * time.Millisecond, OpTimeout: 2 * time.Second, DemandEvery: 16},
 		})
 	if err != nil {
 		return nil, err

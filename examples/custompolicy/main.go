@@ -38,7 +38,10 @@ func newSFIFO(ways int) *sfifo {
 	return p
 }
 
-func (p *sfifo) Kind() policy.Kind { return policy.Random /* closest label; unused */ }
+// sfifoKind labels SFIFO outside the built-in kinds; nothing here reads it.
+const sfifoKind policy.Kind = 64
+
+func (p *sfifo) Kind() policy.Kind { return sfifoKind }
 func (p *sfifo) Len() int          { return len(p.order) }
 
 func (p *sfifo) Reset() {

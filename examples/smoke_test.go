@@ -13,14 +13,32 @@ import (
 	"time"
 )
 
-var programs = []string{"classify", "custompolicy", "hierarchy", "quickstart", "synthetic"}
+// programs lists every subdirectory of examples/ that holds a main.go, so a
+// new example is smoke-tested without being registered here.
+func programs(t *testing.T) []string {
+	t.Helper()
+	ents, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range ents {
+		if _, err := os.Stat(filepath.Join(e.Name(), "main.go")); e.IsDir() && err == nil {
+			out = append(out, e.Name())
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("no example programs found")
+	}
+	return out
+}
 
 func TestExamplesBuildAndRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("examples take ~10s combined; skipped in -short mode")
 	}
 	bindir := t.TempDir()
-	for _, name := range programs {
+	for _, name := range programs(t) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

@@ -1,6 +1,9 @@
 package analysis_test
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -295,5 +298,43 @@ func TestRepoIsClean(t *testing.T) {
 		var sb strings.Builder
 		analysis.WriteText(&sb, res.UnusedAllows, loader.Root())
 		t.Errorf("the repository has %d stale //lint:allow comments:\n%s", len(res.UnusedAllows), sb.String())
+	}
+}
+
+// TestNoAllowsInTestFiles: the loader reads no _test.go file, so a
+// //lint:allow comment in one never matches a finding and -unused-allows
+// cannot see it either. Fixture strings that spell the syntax are literals,
+// not comments, and pass.
+func TestNoAllowsInTestFiles(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, group := range f.Comments {
+			for _, c := range group.List {
+				if strings.HasPrefix(c.Text, "//lint:allow(") {
+					t.Errorf("%s: %s is never read: stemlint does not load test files", fset.Position(c.Pos()), c.Text)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

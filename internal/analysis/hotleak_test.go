@@ -22,6 +22,19 @@ func loadModule(t *testing.T, files map[string]string, paths ...string) (*analys
 	return loader, pkgs
 }
 
+// allocFindings drops the hot-table entries a throwaway hotfix module
+// does not declare (the fixture table's Cache.Get, Cache.Put and oldStats),
+// leaving the allocation findings under test.
+func allocFindings(diags []analysis.Diagnostic) []analysis.Diagnostic {
+	var out []analysis.Diagnostic
+	for _, d := range diags {
+		if !strings.HasPrefix(d.Message, "hot-table ") {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // TestHotpathPropagation pins the call-transitive half of the analyzer:
 // hotness flows from a root through same-package calls, stops at cold-listed
 // functions, and never reaches the unreachable.
@@ -48,7 +61,7 @@ func TestHotpathPropagation(t *testing.T) {
 		}, "\n"),
 	}, "m/internal/hotfix")
 
-	diags := analysis.Run(loader.Fset, pkgs, []*analysis.Analyzer{analysis.Hotpath})
+	diags := allocFindings(analysis.Run(loader.Fset, pkgs, []*analysis.Analyzer{analysis.Hotpath}))
 	if len(diags) != 1 {
 		var sb strings.Builder
 		analysis.WriteText(&sb, diags, loader.Root())
@@ -91,7 +104,7 @@ func TestHotpathColdBranches(t *testing.T) {
 		}, "\n"),
 	}, "m/internal/hotfix")
 
-	diags := analysis.Run(loader.Fset, pkgs, []*analysis.Analyzer{analysis.Hotpath})
+	diags := allocFindings(analysis.Run(loader.Fset, pkgs, []*analysis.Analyzer{analysis.Hotpath}))
 	if len(diags) != 1 {
 		var sb strings.Builder
 		analysis.WriteText(&sb, diags, loader.Root())

@@ -2,7 +2,9 @@
 // fixture/internal/hotfix, so the hotfix hot-root table applies: Serve and
 // Cache.Get are roots, slowStats is cold. Functions reachable from the
 // roots are flagged for allocation-causing constructs; error branches,
-// cold-listed functions, and unreachable functions stay silent.
+// cold-listed functions, and unreachable functions stay silent. The table
+// also lists a root (Cache.Put) and a cold name (oldStats) that match no
+// function here; each is reported once, on the package clause.
 package hotfix
 
 import (

@@ -155,8 +155,8 @@ func (c *Cache) Access(a sim.Access) sim.Outcome {
 	return out
 }
 
-// Contains reports whether block is currently cached (used by tests and the
-// inclusive-hierarchy checks in examples).
+// Contains reports whether block is currently cached (a test-inspection
+// method).
 func (c *Cache) Contains(block uint64) bool {
 	blocks, flags := c.set(c.geom.Index(block))
 	return find(blocks, flags, block) >= 0

@@ -62,8 +62,6 @@ type Config struct {
 	// Backoff is the first retry's delay; it doubles per retry. Default
 	// 10ms.
 	Backoff time.Duration
-	// Limits bounds frames; must agree with the server's. Zero: defaults.
-	Limits wire.Limits
 	// TraceEvery enables end-to-end tracing: every TraceEvery-th request
 	// carries a wire trace extension, and the echoed server timings are
 	// split into total / server / network latency per sample. 1 traces
@@ -329,7 +327,7 @@ func (c *Client) roundTrip(cc *cconn, reqs []*wire.Request) ([]*wire.Response, e
 		}
 		c.attachTrace(req)
 		var err error
-		if cc.wbuf, err = wire.AppendRequest(cc.wbuf, req, c.cfg.Limits); err != nil {
+		if cc.wbuf, err = wire.AppendRequest(cc.wbuf, req, wire.Limits{}); err != nil {
 			// Encoding failures are caller bugs (oversized operands), not
 			// connection state: fail without poisoning the connection.
 			return nil, err
@@ -346,7 +344,7 @@ func (c *Client) roundTrip(cc *cconn, reqs []*wire.Request) ([]*wire.Response, e
 	//lint:allow(hotpath) the response slice escapes to the caller; the copying decode is the client's API contract
 	resps := make([]*wire.Response, len(reqs))
 	for i, req := range reqs {
-		resp, rbuf, err := wire.ReadResponse(cc.br, cc.rbuf, c.cfg.Limits)
+		resp, rbuf, err := wire.ReadResponse(cc.br, cc.rbuf, wire.Limits{})
 		cc.rbuf = rbuf
 		if err != nil {
 			return nil, err

@@ -30,13 +30,13 @@ type Config struct {
 	// tenant namespace: keys route by the ring exactly as before (the
 	// namespace does not shift ownership), and every node applies its own
 	// tenant accounting and capacity arbitration to the requests it serves.
+	// Its DemandEvery, when > 0, asks every DemandEvery-th request per node
+	// to piggyback the node's demand snapshot on its response
+	// (wire.FlagDemand), and the client caches each snapshot in place of
+	// the template's OnDemand — the push-based demand dissemination the
+	// rebalancer and membership manager consume (CachedDemand), with the
+	// heartbeat as the explicit pull.
 	Client client.Config
-	// DemandEvery, when > 0, asks every DemandEvery-th request per node to
-	// piggyback the node's demand snapshot on its response (wire.FlagDemand)
-	// and caches it — the push-based demand dissemination the rebalancer
-	// and membership manager consume, with the heartbeat as the explicit
-	// pull.
-	DemandEvery int
 	// Metrics, when non-nil, receives ring and routing gauges under
 	// "cluster.*".
 	Metrics *obs.Registry
@@ -81,10 +81,9 @@ type Client struct {
 	mu     sync.Mutex
 	closed bool
 
-	tpl         client.Config
-	demandEvery int
-	reg         *obs.Registry
-	ops         *obs.Counter
+	tpl client.Config
+	reg *obs.Registry
+	ops *obs.Counter
 }
 
 // nodeHandle is everything the client keeps per node: the pooled
@@ -117,11 +116,10 @@ func NewClient(cfg Config) (*Client, error) {
 		return nil, err
 	}
 	cl := &Client{
-		ring:        ring,
-		slotOps:     make([]atomic.Uint64, ring.Slots()),
-		tpl:         cfg.Client,
-		demandEvery: cfg.DemandEvery,
-		reg:         cfg.Metrics,
+		ring:    ring,
+		slotOps: make([]atomic.Uint64, ring.Slots()),
+		tpl:     cfg.Client,
+		reg:     cfg.Metrics,
 	}
 	nodes := make([]*nodeHandle, len(cfg.Addrs))
 	for i, addr := range cfg.Addrs {
@@ -141,14 +139,13 @@ func NewClient(cfg Config) (*Client, error) {
 }
 
 // newHandle builds one node's handle: its connection config is the
-// template with the node's address and, when demand push is on, the
-// piggyback sampling plus the OnDemand sink writing into the handle.
+// template with the node's address and, when the template samples demand,
+// the OnDemand sink writing into the handle.
 func (c *Client) newHandle(addr string) (*nodeHandle, error) {
 	h := &nodeHandle{}
 	nc := c.tpl
 	nc.Addr = addr
-	if c.demandEvery > 0 {
-		nc.DemandEvery = c.demandEvery
+	if nc.DemandEvery > 0 {
 		nc.OnDemand = func(d wire.NodeDemand) { h.demand.Store(&d) }
 	}
 	var err error
@@ -208,8 +205,13 @@ func (c *Client) Ring() *Ring { return c.ring }
 
 // Template returns the per-node connection template the client was built
 // with, so sibling tiers (the membership agents' peer connections) dial
-// with the same timeouts and retry policy.
-func (c *Client) Template() client.Config { return c.tpl }
+// with the same timeouts and retry policy. Demand sampling stays with the
+// routing client: the returned template's DemandEvery is 0.
+func (c *Client) Template() client.Config {
+	tpl := c.tpl
+	tpl.DemandEvery = 0
+	return tpl
+}
 
 // Nodes returns the node count.
 func (c *Client) Nodes() int { return len(*c.nodes.Load()) }

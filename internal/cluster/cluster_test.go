@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/obs"
 	"repro/internal/stemcache"
 	"repro/internal/wire"
@@ -113,6 +114,46 @@ func TestClientRoutesToRingOwner(t *testing.T) {
 	}
 	if raws, err := cl.StatsAll(); err != nil || len(raws) != 3 {
 		t.Fatalf("StatsAll = %d docs, err %v", len(raws), err)
+	}
+}
+
+// TestTemplateDemandEveryCachesPiggyback: the node template's DemandEvery
+// is the cluster client's one demand setting. With it at 4, the fourth
+// operation routed to a node piggybacks that node's snapshot, and the
+// client caches it without any Heartbeat.
+func TestTemplateDemandEveryCachesPiggyback(t *testing.T) {
+	addrs := make([]string, 2)
+	for i := range addrs {
+		node, err := StartNode(i, NodeConfig{
+			Cache: stemcache.Config{Capacity: 1024, Shards: 2, Ways: 4, Seed: NodeSeed(7, i)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
+		addrs[i] = node.Addr()
+	}
+	cl, err := NewClient(Config{Addrs: addrs, VNodes: 4, Seed: 7, Client: client.Config{DemandEvery: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	owner, _ := cl.Ring().Lookup("demand-key")
+	for i := 0; i < 4; i++ {
+		if err := cl.Set("demand-key", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, ok := cl.CachedDemand(owner)
+	if !ok {
+		t.Fatalf("node %d: no cached demand after 4 operations at DemandEvery 4", owner)
+	}
+	if int(d.NodeID) != owner {
+		t.Fatalf("cached demand echoes node %d, want %d", d.NodeID, owner)
+	}
+	if cl.Template().DemandEvery != 0 {
+		t.Fatal("Template hands demand sampling to sibling tiers")
 	}
 }
 

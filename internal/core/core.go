@@ -50,9 +50,6 @@ type Config struct {
 	SignatureBits int
 	// SelectorSize is the giver-heap capacity. Default: 16.
 	SelectorSize int
-	// InitialPolicy is the replacement policy every set starts with.
-	// Default: LRU.
-	InitialPolicy policy.Kind
 	// Seed drives every probabilistic device in the cache.
 	Seed uint64
 
@@ -86,9 +83,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.SelectorSize <= 0 {
 		c.SelectorSize = 16
-	}
-	if c.InitialPolicy != policy.LRU && c.InitialPolicy != policy.BIP {
-		c.InitialPolicy = policy.LRU
 	}
 }
 

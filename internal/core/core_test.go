@@ -483,33 +483,3 @@ func TestAblationFlagsPreserveCorrectness(t *testing.T) {
 		}
 	}
 }
-
-func TestInitialPolicyBIP(t *testing.T) {
-	// Starting every set at BIP must not break anything: recency-friendly
-	// sets swap themselves back to LRU via the (LRU-managed) shadow.
-	c := New(geom, Config{Seed: 1, InitialPolicy: policy.BIP})
-	if c.PolicyKind(0) != policy.BIP {
-		t.Fatal("initial policy ignored")
-	}
-	// Interleaved pairs: reuse at stack distance 2 — BIP loses blocks before
-	// their reuse, so their signatures hit the LRU shadow and force a swap.
-	next := uint64(1)
-	for i := 0; i < 4000; i++ {
-		x, y := next, next+1
-		next += 2
-		for _, tag := range []uint64{x, y, x, y} {
-			c.Access(sim.Access{Block: geom.BlockFor(tag, 3)})
-		}
-	}
-	if c.PolicyKind(3) != policy.LRU {
-		t.Fatalf("recency-friendly set stuck at %v under BIP start (swaps=%d)",
-			c.PolicyKind(3), c.Stats().PolicySwaps)
-	}
-}
-
-func TestInvalidInitialPolicyDefaultsToLRU(t *testing.T) {
-	c := New(geom, Config{Seed: 1, InitialPolicy: policy.NRU})
-	if c.PolicyKind(0) != policy.LRU {
-		t.Fatalf("non-dueling initial policy not defaulted: %v", c.PolicyKind(0))
-	}
-}

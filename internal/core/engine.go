@@ -134,8 +134,8 @@ func NewEngine(cfg Config, sets, ways, shard int) Engine {
 	for i := range e.sets {
 		s := &e.sets[i]
 		s.rng.Seed(cfg.Seed ^ uint64(e.base+i)*0x9e3779b97f4a7c15)
-		s.pol = policy.MakeRecency(cfg.InitialPolicy, links[:ways:ways], &s.rng)
-		s.mon.Shadow = shadowOver(cells[:ways:ways], links[ways:2*ways:2*ways], cfg.InitialPolicy, &s.rng)
+		s.pol = policy.MakeRecency(policy.LRU, links[:ways:ways], &s.rng)
+		s.mon.Shadow = shadowOver(cells[:ways:ways], links[ways:2*ways:2*ways], policy.LRU, &s.rng)
 		s.partner = i
 		links, cells = links[2*ways:], cells[ways:]
 	}

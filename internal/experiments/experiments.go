@@ -79,8 +79,6 @@ type RunConfig struct {
 	Warmup int
 	// Measure is the number of measured accesses.
 	Measure int
-	// Timing parameterizes AMAT/CPI. Zero value → mem.DefaultTiming().
-	Timing mem.Timing
 	// Seed drives the scheme and the workload generator.
 	Seed uint64
 	// Obs enables run observability: live metrics, mechanism-event tracing
@@ -104,9 +102,6 @@ func (c RunConfig) withDefaults() RunConfig {
 	}
 	if c.Measure <= 0 {
 		c.Measure = 3_000_000
-	}
-	if c.Timing == (mem.Timing{}) {
-		c.Timing = mem.DefaultTiming()
 	}
 	if c.Seed == 0 {
 		c.Seed = 0x57E4 // fixed default so every report is reproducible
@@ -137,7 +132,7 @@ func Run(s sim.Simulator, gen trace.Generator, cfg RunConfig) RunResult {
 		s.Access(sim.Access{Block: r.Block, Write: r.Write})
 	}
 	s.ResetStats()
-	acct := mem.NewAccount(cfg.Timing)
+	acct := mem.NewAccount()
 	if cfg.Obs.Enabled() {
 		runObserved(s, gen, cfg, acct)
 	} else {
@@ -335,7 +330,7 @@ func runGroup(open func() trace.Generator, sims []sim.Simulator, cfg RunConfig, 
 		if pos += len(refs); pos == cfg.Warmup {
 			for j, s := range sims {
 				s.ResetStats()
-				accts[j] = mem.NewAccount(cfg.Timing)
+				accts[j] = mem.NewAccount()
 			}
 		}
 	}

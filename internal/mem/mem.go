@@ -19,13 +19,9 @@
 // table; CPI ordering between schemes is driven by the same miss counts.
 package mem
 
-import (
-	"fmt"
+import "repro/internal/sim"
 
-	"repro/internal/sim"
-)
-
-// Timing holds the latency parameters (defaults per paper Table 1 / §5.1).
+// Timing holds the latency parameters (paper Table 1 / §5.1).
 type Timing struct {
 	L1HitCycles int     // L1 data-cache hit latency
 	TagCycles   int     // one L2 tag-store access
@@ -47,17 +43,6 @@ func DefaultTiming() Timing {
 		StallFactor: 0.2,
 		L1APKI:      350, // ~0.35 memory references per instruction
 	}
-}
-
-// Validate reports configuration errors.
-func (t Timing) Validate() error {
-	if t.L1HitCycles <= 0 || t.TagCycles <= 0 || t.DataCycles <= 0 || t.DRAMCycles <= 0 {
-		return fmt.Errorf("mem: latencies must be positive: %+v", t)
-	}
-	if t.CPIBase <= 0 || t.StallFactor < 0 || t.StallFactor > 1 || t.L1APKI <= 0 {
-		return fmt.Errorf("mem: bad CPU-side parameters: %+v", t)
-	}
-	return nil
 }
 
 // L2Latency returns the cycles one L2 access costs under §5.1's table.
@@ -84,17 +69,9 @@ type Account struct {
 	L2Cycles uint64 // Σ per-access L2 latency
 }
 
-// NewAccount builds an accounting sink. It panics on invalid timing.
-func NewAccount(t Timing) *Account {
-	if err := t.Validate(); err != nil {
-		// invariant: timing tables are static (paper Table 1) and validated here once.
-		panic(err)
-	}
-	return &Account{t: t}
-}
-
-// Timing returns the parameters in use.
-func (a *Account) Timing() Timing { return a.t }
+// NewAccount builds an accounting sink over the paper's latency table
+// (DefaultTiming).
+func NewAccount() *Account { return &Account{t: DefaultTiming()} }
 
 // Record folds one LLC access and its preceding instruction gap.
 func (a *Account) Record(instrs uint32, o sim.Outcome) {

@@ -181,7 +181,7 @@ func (m *Manager) utilization(n int) []float64 {
 // place computes the replica table for the current ring and member state.
 // Caller holds m.mu.
 func (m *Manager) place() [][]int {
-	return placeReplicas(m.cl.Ring().Owners(), m.aliveLocked(), m.cfg.ReplicationFactor, m.utilization(len(m.members)), m.cfg.ReceiveCap)
+	return placeReplicas(m.cl.Ring().Owners(), m.aliveLocked(), m.cfg.ReplicationFactor, m.utilization(len(m.members)))
 }
 
 // Join adds the node at addr to the cluster: grow the client and ring,

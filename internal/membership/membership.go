@@ -25,11 +25,11 @@
 //
 // Replica placement applies STEM's giver preference one level up: follower
 // copies land on the nodes with the most capacity slack (givers first), but
-// never so many that a giver's projected utilization crosses ReceiveCap —
-// the node-level analog of "a giver's SC_S MSB must be clear to accept
-// spills". Demand reaches the manager push-based: piggybacked on ordinary
-// responses (wire.FlagDemand sampling) with the heartbeat doubling as
-// gossip for idle nodes.
+// never so many that a giver's projected utilization crosses a fixed 0.9
+// receive cap — the node-level analog of "a giver's SC_S MSB must be clear
+// to accept spills". Demand reaches the manager push-based: piggybacked on
+// ordinary responses (wire.FlagDemand sampling) with the heartbeat doubling
+// as gossip for idle nodes.
 //
 // Lock hierarchy (enforced by the stemlint lockorder analyzer):
 // Detector.mu before Manager.mu before Agent.mu. None is held across a
@@ -51,13 +51,6 @@ type Config struct {
 	SuspectAfter int
 	// ChunkSize bounds one replica-copy MGET/MSET frame. Default 256.
 	ChunkSize int
-	// ReceiveCap bounds a node's projected utilization (its own live
-	// fraction plus the replica copies placed on it): placement never
-	// pushes a node past it, so a giver keeps the slack its own demand
-	// needs — a slot runs below the replication factor when no node has
-	// slack, the node-level analog of a spill leaving the chip when no
-	// partner set's MSB is clear. Default 0.9.
-	ReceiveCap float64
 	// Metrics, when non-nil, receives membership counters under
 	// "membership.*".
 	Metrics *obs.Registry
@@ -74,9 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ChunkSize <= 0 {
 		c.ChunkSize = 256
-	}
-	if c.ReceiveCap <= 0 {
-		c.ReceiveCap = 0.9
 	}
 	return c
 }

@@ -29,12 +29,14 @@ const (
 
 // memTpl is the connection template for every tier: fail fast (no retries,
 // short dial timeout) so a dead node surfaces as a transient error within
-// one probe, not a retry storm.
+// one probe, not a retry storm. The routing client also has every 16th
+// request per node piggyback the node's demand snapshot.
 func memTpl() client.Config {
 	return client.Config{
 		Retries:     -1,
 		DialTimeout: 500 * time.Millisecond,
 		OpTimeout:   2 * time.Second,
+		DemandEvery: 16,
 	}
 }
 
@@ -44,7 +46,7 @@ func startMemCluster(t *testing.T, n int, cfg membership.Config) *membership.Rig
 	t.Helper()
 	rig, err := membership.StartRig(n,
 		cluster.NodeConfig{Cache: stemcache.Config{Capacity: memCapacity, Shards: 2, Ways: memWays}},
-		cluster.Config{VNodes: memVNodes, Seed: memSeed, Client: memTpl(), DemandEvery: 16})
+		cluster.Config{VNodes: memVNodes, Seed: memSeed, Client: memTpl()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,12 @@
 package membership
 
+// receiveCap bounds a node's projected utilization (its own live fraction
+// plus the replica copies placed on it): placement never pushes a node past
+// it, so a giver keeps the slack its own demand needs — a slot runs below
+// the replication factor when no node has slack, the node-level analog of a
+// spill leaving the chip when no partner set's MSB is clear.
+const receiveCap = 0.9
+
 // placeReplicas computes every slot's replica list — the owner first, then
 // rf-1 followers — as a pure, deterministic function of its inputs, so two
 // managers with the same view plan the same placement.
@@ -18,7 +25,7 @@ package membership
 // copies; util[n] node n's live-capacity fraction in [0, 1] (0 when
 // unknown). Dead or left nodes appear only as owners the caller is about
 // to strip — they never receive followers.
-func placeReplicas(owners []int, alive []bool, rf int, util []float64, receiveCap float64) [][]int {
+func placeReplicas(owners []int, alive []bool, rf int, util []float64) [][]int {
 	n := len(alive)
 	owned := make([]int, n)
 	for _, o := range owners {

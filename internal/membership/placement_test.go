@@ -12,7 +12,7 @@ func TestPlacementShape(t *testing.T) {
 	owners := []int{0, 1, 2, 0, 1, 2}
 	alive := []bool{true, true, true}
 	util := []float64{0.2, 0.1, 0.3}
-	got := placeReplicas(owners, alive, 2, util, 0.9)
+	got := placeReplicas(owners, alive, 2, util)
 	if len(got) != len(owners) {
 		t.Fatalf("placement covers %d slots, want %d", len(got), len(owners))
 	}
@@ -34,7 +34,7 @@ func TestPlacementShape(t *testing.T) {
 			}
 		}
 	}
-	again := placeReplicas(owners, alive, 2, util, 0.9)
+	again := placeReplicas(owners, alive, 2, util)
 	if fmt.Sprint(again) != fmt.Sprint(got) {
 		t.Fatalf("placement is not deterministic:\n%v\n%v", got, again)
 	}
@@ -46,7 +46,7 @@ func TestPlacementPrefersGivers(t *testing.T) {
 	owners := []int{0, 0, 0, 0}
 	alive := []bool{true, true, true}
 	util := []float64{0.4, 0.6, 0.05} // node 2 is the giver
-	got := placeReplicas(owners, alive, 2, util, 0.9)
+	got := placeReplicas(owners, alive, 2, util)
 	for s, set := range got {
 		if len(set) != 2 || set[1] != 2 {
 			t.Fatalf("slot %d placed on %v; the giver (node 2) should host the copy", s, set)
@@ -61,7 +61,7 @@ func TestPlacementSpreadsAcrossGivers(t *testing.T) {
 	owners := make([]int, 8)
 	alive := []bool{true, true, true}
 	util := []float64{0.8, 0.1, 0.1}
-	got := placeReplicas(owners, alive, 2, util, 0.9)
+	got := placeReplicas(owners, alive, 2, util)
 	hosts := map[int]int{}
 	for _, set := range got {
 		hosts[set[1]]++
@@ -78,7 +78,7 @@ func TestPlacementRespectsReceiveCap(t *testing.T) {
 	owners := []int{0, 1, 2}
 	alive := []bool{true, true, true}
 	util := []float64{0.95, 0.95, 0.95}
-	got := placeReplicas(owners, alive, 2, util, 0.9)
+	got := placeReplicas(owners, alive, 2, util)
 	for s, set := range got {
 		if len(set) != 1 {
 			t.Fatalf("slot %d placed %v despite every node being over cap", s, set)
@@ -94,7 +94,7 @@ func TestPlacementRespectsReceiveCap(t *testing.T) {
 func TestPlacementSkipsDeadNodes(t *testing.T) {
 	owners := []int{0, 0}
 	alive := []bool{true, false, false}
-	got := placeReplicas(owners, alive, 3, []float64{0, 0, 0}, 0.9)
+	got := placeReplicas(owners, alive, 3, []float64{0, 0, 0})
 	for s, set := range got {
 		if len(set) != 1 || set[0] != 0 {
 			t.Fatalf("slot %d placed %v with only node 0 alive", s, set)

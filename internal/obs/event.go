@@ -177,33 +177,6 @@ type Instrumented interface {
 	SetObserver(Observer)
 }
 
-// Multi fans one event stream out to several observers, skipping nils. It
-// returns nil when no non-nil observer remains, so callers can test the
-// result against nil to decide whether to attach at all.
-func Multi(obs ...Observer) Observer {
-	live := make([]Observer, 0, len(obs))
-	for _, o := range obs {
-		if o != nil {
-			live = append(live, o)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return multiObserver(live)
-}
-
-type multiObserver []Observer
-
-func (m multiObserver) Event(e Event) {
-	for _, o := range m {
-		o.Event(e)
-	}
-}
-
 // NewRegistryObserver returns an Observer that folds the event stream into
 // reg — one "events.<type>" counter per event type plus an
 // "events.couple_lifetime" histogram of association lifetimes in ticks — and

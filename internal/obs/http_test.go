@@ -135,8 +135,8 @@ func TestServeSlowlorisTimeout(t *testing.T) {
 	// ReadHeaderTimeout must terminate the connection promptly: the server
 	// either sends "408 Request Timeout" and closes, or just closes. Either
 	// way the read drains to EOF long before our 5 s deadline.
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //lint:allow(determinism) test read deadline
-	start := time.Now()                                       //lint:allow(determinism) test timing
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
 	got, err := io.ReadAll(conn)
 	if err != nil {
 		t.Fatalf("connection not closed by server (read err %v); ReadHeaderTimeout not applied", err)

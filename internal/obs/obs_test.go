@@ -253,17 +253,7 @@ type captureObs struct{ events []Event }
 
 func (c *captureObs) Event(e Event) { c.events = append(c.events, e) }
 
-func TestMultiAndRegistryObserver(t *testing.T) {
-	if Multi(nil, nil) != nil {
-		t.Fatal("Multi of nils must be nil")
-	}
-	cap1, cap2 := &captureObs{}, &captureObs{}
-	m := Multi(cap1, nil, cap2)
-	m.Event(Event{Type: EvSpill})
-	if len(cap1.events) != 1 || len(cap2.events) != 1 {
-		t.Fatal("Multi did not fan out")
-	}
-
+func TestRegistryObserver(t *testing.T) {
 	r := NewRegistry()
 	next := &captureObs{}
 	ro := NewRegistryObserver(r, next)
@@ -361,7 +351,7 @@ func TestStartTool(t *testing.T) {
 	if tool, err := StartTool(ToolConfig{}); err != nil || tool != nil {
 		t.Fatalf("empty config: tool=%v err=%v", tool, err)
 	}
-	if tool := (*Tool)(nil); tool.Options() != nil || tool.MetricsAddr() != "" || tool.Close() != nil {
+	if tool := (*Tool)(nil); tool.Options() != nil || tool.Close() != nil {
 		t.Fatal("nil tool must be inert")
 	}
 	if _, err := StartTool(ToolConfig{Pprof: true}); err == nil {
@@ -373,7 +363,7 @@ func TestStartTool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tool.MetricsAddr() == "" {
+	if tool.server == nil || tool.server.Addr() == "" {
 		t.Fatal("no metrics addr")
 	}
 	opts := tool.Options()

@@ -141,15 +141,6 @@ func (t *Tool) Options() *Options {
 	return t.opts
 }
 
-// MetricsAddr returns the bound metrics address, or "" when metrics are
-// off.
-func (t *Tool) MetricsAddr() string {
-	if t == nil || t.server == nil {
-		return ""
-	}
-	return t.server.Addr()
-}
-
 // Close flushes the trace file and stops the metrics server.
 func (t *Tool) Close() error {
 	if t == nil {

@@ -70,11 +70,6 @@ func Simulate(geom sim.Geometry, blocks []uint64) sim.Stats {
 	return stats
 }
 
-// MissRatio is a convenience wrapper returning OPT's miss rate.
-func MissRatio(geom sim.Geometry, blocks []uint64) float64 {
-	return Simulate(geom, blocks).MissRate()
-}
-
 type entry struct {
 	block uint64
 	next  int

@@ -125,8 +125,8 @@ func TestOPTBeatsLRUOnThrash(t *testing.T) {
 
 func TestMissRatio(t *testing.T) {
 	blocks := []uint64{1, 1, 1, 1}
-	if mr := MissRatio(geom, blocks); mr != 0.25 {
-		t.Fatalf("MissRatio = %v, want 0.25", mr)
+	if mr := Simulate(geom, blocks).MissRate(); mr != 0.25 {
+		t.Fatalf("OPT miss ratio = %v, want 0.25", mr)
 	}
 }
 

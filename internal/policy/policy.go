@@ -30,11 +30,6 @@ const (
 	// BIP is the bimodal insertion policy: LRU insertion except with
 	// probability epsilon (MRU), MRU promotion on hit.
 	BIP
-	// NRU is not-recently-used (one reference bit per way); a cheap LRU
-	// approximation kept for the extension examples and tests.
-	NRU
-	// Random picks a uniformly random victim; a stress baseline for tests.
-	Random
 	// Dual is a recency policy whose insertion position is chosen per insert
 	// by an external chooser; DIP's follower sets use it to track the PSEL
 	// winner without reconstructing per-set state (see NewDual).
@@ -48,10 +43,6 @@ func (k Kind) String() string {
 		return "LRU"
 	case BIP:
 		return "BIP"
-	case NRU:
-		return "NRU"
-	case Random:
-		return "Random"
 	case Dual:
 		return "Dual"
 	default:
@@ -100,10 +91,10 @@ type Policy interface {
 	Reset()
 }
 
-// New constructs a policy of the given kind over ways ways. The RNG is used
-// by probabilistic policies (BIP, Random); deterministic policies ignore it
-// but callers must still pass a non-nil RNG so swapping kinds in place never
-// needs new state. It panics if ways <= 0 or rng is nil.
+// New constructs an LRU or BIP policy over ways ways. The RNG drives BIP's
+// insertion draw; LRU ignores it, but callers must still pass a non-nil RNG
+// so swapping kinds in place never needs new state. It panics if ways <= 0,
+// rng is nil or k is neither LRU nor BIP.
 func New(k Kind, ways int, rng *sim.RNG) Policy {
 	if ways <= 0 {
 		// invariant: documented precondition of this internal constructor; the experiment harness and tests always satisfy it.
@@ -118,10 +109,6 @@ func New(k Kind, ways int, rng *sim.RNG) Policy {
 		return newRecency(LRU, ways, rng)
 	case BIP:
 		return newRecency(BIP, ways, rng)
-	case NRU:
-		return newNRU(ways, rng)
-	case Random:
-		return newRandom(ways, rng)
 	default:
 		// invariant: Kind is a closed enum; an unknown value is memory corruption or a missed switch arm.
 		panic(fmt.Sprintf("policy: unknown kind %v", k))

@@ -16,7 +16,7 @@ func fill(p Policy, ways int) {
 }
 
 func TestKindString(t *testing.T) {
-	cases := map[Kind]string{LRU: "LRU", BIP: "BIP", NRU: "NRU", Random: "Random", Kind(9): "Kind(9)"}
+	cases := map[Kind]string{LRU: "LRU", BIP: "BIP", Dual: "Dual", Kind(9): "Kind(9)"}
 	for k, want := range cases {
 		if got := k.String(); got != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, got, want)
@@ -28,7 +28,7 @@ func TestOpposite(t *testing.T) {
 	if Opposite(LRU) != BIP || Opposite(BIP) != LRU {
 		t.Fatal("LRU and BIP must be mutual opposites")
 	}
-	if Opposite(NRU) != LRU || Opposite(Random) != LRU {
+	if Opposite(Dual) != LRU || Opposite(SRRIP) != LRU {
 		t.Fatal("non-dueling kinds must map to LRU")
 	}
 }
@@ -180,78 +180,6 @@ func TestBIPHitsPromote(t *testing.T) {
 	}
 }
 
-func TestNRUVictimPrefersUnreferenced(t *testing.T) {
-	p := New(NRU, 4, sim.NewRNG(1))
-	fill(p, 4)
-	// All referenced: Victim clears bits and returns something present.
-	v1 := p.Victim()
-	if v1 < 0 || v1 > 3 {
-		t.Fatalf("victim out of range: %d", v1)
-	}
-	p.OnHit(v1)
-	v2 := p.Victim()
-	if v2 == v1 {
-		t.Fatalf("NRU evicted the just-referenced way %d", v1)
-	}
-}
-
-func TestNRUEmpty(t *testing.T) {
-	p := New(NRU, 4, sim.NewRNG(1))
-	if p.Victim() != -1 || p.Len() != 0 {
-		t.Fatal("empty NRU must report -1 victim")
-	}
-	p.OnInvalidate(2) // no-op on absent way
-	if p.Len() != 0 {
-		t.Fatal("invalidate on empty changed Len")
-	}
-}
-
-func TestRandomVictimAlwaysPresent(t *testing.T) {
-	p := New(Random, 8, sim.NewRNG(1))
-	present := map[int]bool{}
-	rng := sim.NewRNG(4)
-	for i := 0; i < 5000; i++ {
-		w := rng.Intn(8)
-		switch rng.Intn(3) {
-		case 0:
-			p.OnInsert(w)
-			present[w] = true
-		case 1:
-			p.OnInvalidate(w)
-			delete(present, w)
-		case 2:
-			if present[w] {
-				p.OnHit(w)
-			}
-		}
-		if len(present) != p.Len() {
-			t.Fatalf("step %d: Len=%d, want %d", i, p.Len(), len(present))
-		}
-		v := p.Victim()
-		if len(present) == 0 {
-			if v != -1 {
-				t.Fatalf("step %d: victim %d from empty set", i, v)
-			}
-		} else if !present[v] {
-			t.Fatalf("step %d: victim %d not present", i, v)
-		}
-	}
-}
-
-func TestRandomSpreads(t *testing.T) {
-	p := New(Random, 4, sim.NewRNG(8))
-	fill(p, 4)
-	counts := map[int]int{}
-	for i := 0; i < 4000; i++ {
-		counts[p.Victim()]++
-	}
-	for w := 0; w < 4; w++ {
-		if counts[w] < 700 {
-			t.Fatalf("way %d chosen only %d/4000 times", w, counts[w])
-		}
-	}
-}
-
 // quickOps drives a policy with a random op sequence and checks the shared
 // invariants: Len matches a reference set, victims are always present.
 func quickOps(t *testing.T, kind Kind) {
@@ -292,10 +220,8 @@ func quickOps(t *testing.T, kind Kind) {
 	}
 }
 
-func TestQuickInvariantsLRU(t *testing.T)    { quickOps(t, LRU) }
-func TestQuickInvariantsBIP(t *testing.T)    { quickOps(t, BIP) }
-func TestQuickInvariantsNRU(t *testing.T)    { quickOps(t, NRU) }
-func TestQuickInvariantsRandom(t *testing.T) { quickOps(t, Random) }
+func TestQuickInvariantsLRU(t *testing.T) { quickOps(t, LRU) }
+func TestQuickInvariantsBIP(t *testing.T) { quickOps(t, BIP) }
 
 func TestRecencyOrder(t *testing.T) {
 	p := newLRU(4).(*Recency)
@@ -326,11 +252,11 @@ func TestSwapKind(t *testing.T) {
 	if !SwapKind(p, LRU) {
 		t.Fatal("swap back refused")
 	}
-	if SwapKind(p, NRU) {
+	if SwapKind(p, SRRIP) {
 		t.Fatal("SwapKind accepted a non-dueling kind")
 	}
-	if SwapKind(New(NRU, 4, sim.NewRNG(1)), BIP) {
-		t.Fatal("SwapKind accepted an NRU policy")
+	if SwapKind(NewRRIP(SRRIP, 4, sim.NewRNG(1)), BIP) {
+		t.Fatal("SwapKind accepted an RRIP policy")
 	}
 	if SwapKind(NewDual(4, sim.NewRNG(1), func() Kind { return LRU }), BIP) {
 		t.Fatal("SwapKind accepted a Dual policy")

@@ -123,7 +123,7 @@ func (c *conn) serve() {
 			t0 = wallClock()
 		}
 		var err error
-		rbuf, err = wire.ReadRequestInto(&req, c.br, rbuf, c.srv.lim)
+		rbuf, err = wire.ReadRequestInto(&req, c.br, rbuf, wire.Limits{})
 		c.inFrame, c.armed = false, false
 		if err != nil {
 			c.readFailed(err)
@@ -149,13 +149,13 @@ func (c *conn) serve() {
 			resp.Trace = &c.trace
 		}
 		wbuf = wbuf[:0]
-		wbuf, err = wire.AppendResponse(wbuf, &resp, c.srv.lim)
+		wbuf, err = wire.AppendResponse(wbuf, &resp, wire.Limits{})
 		if err != nil {
 			// Response exceeds wire limits (e.g. a cached value larger than
 			// the reply cap): degrade to an in-protocol error, keeping the
 			// trace echo so a failing traced request still yields a sample.
 			resp = wire.Response{Op: resp.Op, ID: resp.ID, Status: wire.StatusErr, Value: []byte(err.Error()), Trace: resp.Trace}
-			if wbuf, err = wire.AppendResponse(wbuf[:0], &resp, c.srv.lim); err != nil {
+			if wbuf, err = wire.AppendResponse(wbuf[:0], &resp, wire.Limits{}); err != nil {
 				return
 			}
 		}
@@ -212,7 +212,7 @@ func (c *conn) readFailed(err error) {
 	if errors.Is(err, wire.ErrFrame) {
 		c.srv.protoErrors.Add(1)
 		resp := wire.Response{Op: wire.OpPing, Status: wire.StatusErr, Value: []byte(err.Error())}
-		if b, aerr := wire.AppendResponse(nil, &resp, c.srv.lim); aerr == nil {
+		if b, aerr := wire.AppendResponse(nil, &resp, wire.Limits{}); aerr == nil {
 			c.nc.SetWriteDeadline(wallClock().Add(c.srv.cfg.WriteTimeout))
 			c.bw.Write(b)
 		}

@@ -102,15 +102,16 @@ func getBurst(tb testing.TB, n int) []byte {
 }
 
 // roundTrip writes burst and reads n found-GET responses.
-func roundTrip(tb testing.TB, nc net.Conn, br *bufio.Reader, burst []byte, n int, resp *wire.Response, rbuf []byte) []byte {
+func roundTrip(tb testing.TB, nc net.Conn, br *bufio.Reader, burst []byte, n int, rbuf []byte) []byte {
 	if _, err := nc.Write(burst); err != nil {
 		tb.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		var err error
-		if rbuf, err = wire.ReadResponseInto(resp, br, rbuf, wire.Limits{}); err != nil {
+		resp, b, err := wire.ReadResponse(br, rbuf, wire.Limits{})
+		if err != nil {
 			tb.Fatal(err)
 		}
+		rbuf = b
 		if resp.Status != wire.StatusOK {
 			tb.Fatalf("response %d: status %v, want a hit", i, resp.Status)
 		}
@@ -128,14 +129,13 @@ func roundTrip(tb testing.TB, nc net.Conn, br *bufio.Reader, burst []byte, n int
 func TestPipelinedBurstArmsAndClockReads(t *testing.T) {
 	const frames = 32
 	n, nc := countedServer(t, frames)
-	var resp wire.Response
-	roundTrip(t, nc, bufio.NewReader(nc), getBurst(t, frames), frames, &resp, nil)
+	roundTrip(t, nc, bufio.NewReader(nc), getBurst(t, frames), frames, nil)
 
 	// The handler goes back to its idle wait after the flush; once that arm
 	// is counted it is parked in the socket read and counts nothing more.
-	deadline := time.Now().Add(5 * time.Second) //lint:allow(determinism) test poll deadline
+	deadline := time.Now().Add(5 * time.Second)
 	for n.read.Load() < 2 {
-		if time.Now().After(deadline) { //lint:allow(determinism) test poll deadline
+		if time.Now().After(deadline) {
 			t.Fatalf("handler never re-armed its idle wait: %d read arms", n.read.Load())
 		}
 		time.Sleep(time.Millisecond)
@@ -154,12 +154,11 @@ func benchGets(b *testing.B, perTrip int) {
 	n, nc := countedServer(b, perTrip)
 	burst := getBurst(b, perTrip)
 	br := bufio.NewReader(nc)
-	var resp wire.Response
-	rbuf := roundTrip(b, nc, br, burst, perTrip, &resp, nil) // warm buffers
+	rbuf := roundTrip(b, nc, br, burst, perTrip, nil) // warm buffers
 	arms0, clock0 := n.read.Load(), n.clock.Load()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rbuf = roundTrip(b, nc, br, burst, perTrip, &resp, rbuf)
+		rbuf = roundTrip(b, nc, br, burst, perTrip, rbuf)
 	}
 	b.StopTimer()
 	keys := float64(b.N * perTrip)

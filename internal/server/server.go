@@ -86,8 +86,6 @@ type Config struct {
 	// DrainTimeout bounds Close's wait for in-flight requests; connections
 	// still alive afterwards are closed forcibly. Default 5s.
 	DrainTimeout time.Duration
-	// Limits bounds accepted frames (see wire.Limits). Zero value: defaults.
-	Limits wire.Limits
 	// Metrics, when non-nil, exports the server's counters under "server.*"
 	// — derived: read from the server's own atomics when the registry is
 	// read — and receives per-opcode stage latency histograms under
@@ -112,11 +110,6 @@ type Config struct {
 	// the same timeline as demand and migration). Ignored unless
 	// SlowRequest is set.
 	Events obs.Observer
-	// TenantEpoch, when positive on a cache configured with a tenant
-	// registry, makes the server drive cache.ArbitrateTenants on that
-	// cadence — the serving-side epoch clock for cross-tenant capacity
-	// arbitration. 0 leaves epochs to the embedding program.
-	TenantEpoch time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -146,7 +139,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cache *stemcache.Cache[string, []byte]
 	cfg   Config
-	lim   wire.Limits
 	// reg is the cache's tenant registry (nil on an untenanted cache),
 	// cached so the per-request namespace resolution is one field read.
 	reg *tenant.Registry
@@ -218,7 +210,6 @@ func New(cache *stemcache.Cache[string, []byte], cfg Config) (*Server, error) {
 	s := &Server{
 		cache:  cache,
 		cfg:    cfg,
-		lim:    cfg.Limits,
 		reg:    cache.TenantRegistry(),
 		conns:  map[*conn]struct{}{},
 		sem:    make(chan struct{}, cfg.MaxConns),
@@ -289,28 +280,7 @@ func (s *Server) Serve(ln net.Listener) error {
 
 	s.wg.Add(1)
 	go s.acceptLoop(ln)
-	if s.cfg.TenantEpoch > 0 && s.reg != nil {
-		s.wg.Add(1)
-		go s.arbitrateLoop()
-	}
 	return nil
-}
-
-// arbitrateLoop drives tenant capacity arbitration epochs until Close. It
-// runs only when the server was configured with a TenantEpoch and the cache
-// carries a registry; joined by Close through the server WaitGroup.
-func (s *Server) arbitrateLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.TenantEpoch)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-t.C:
-			s.cache.ArbitrateTenants()
-		}
-	}
 }
 
 // Addr returns the bound listen address, or "" before Serve.

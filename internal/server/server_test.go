@@ -118,7 +118,7 @@ func TestServeTTL(t *testing.T) {
 	if _, found, err := cl.Get("ephemeral"); err != nil || !found {
 		t.Fatalf("entry not resident immediately: found=%v err=%v", found, err)
 	}
-	deadline := time.Now().Add(5 * time.Second) //lint:allow(determinism) test poll deadline
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		_, found, err := cl.Get("ephemeral")
 		if err != nil {
@@ -127,7 +127,7 @@ func TestServeTTL(t *testing.T) {
 		if !found {
 			break
 		}
-		if time.Now().After(deadline) { //lint:allow(determinism) test poll deadline
+		if time.Now().After(deadline) {
 			t.Fatal("entry never expired")
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -349,9 +349,9 @@ func TestGracefulDrain(t *testing.T) {
 	// Wait until every request has been read and executed (requests still in
 	// the socket when a drain begins are dropped by design — the client
 	// retries those; responses to *read* requests must not be lost).
-	deadline := time.Now().Add(5 * time.Second) //lint:allow(determinism) test poll deadline
+	deadline := time.Now().Add(5 * time.Second)
 	for cache.Stats().Puts < n {
-		if time.Now().After(deadline) { //lint:allow(determinism) test poll deadline
+		if time.Now().After(deadline) {
 			t.Fatalf("server processed %d of %d requests", cache.Stats().Puts, n)
 		}
 		time.Sleep(time.Millisecond)
@@ -366,7 +366,7 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatalf("second close not idempotent: %v", err)
 	}
 
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second)) //lint:allow(determinism) test read deadline
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var rbuf []byte
 	for i := 0; i < n; i++ {
 		var resp *wire.Response
@@ -410,7 +410,7 @@ func TestMaxConnsBackpressure(t *testing.T) {
 	if _, err := nc1.Write(ping(1)); err != nil {
 		t.Fatal(err)
 	}
-	nc1.SetReadDeadline(time.Now().Add(5 * time.Second)) //lint:allow(determinism) test read deadline
+	nc1.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, _, err := wire.ReadResponse(nc1, nil, wire.Limits{}); err != nil {
 		t.Fatalf("first conn not served: %v", err)
 	}
@@ -425,7 +425,7 @@ func TestMaxConnsBackpressure(t *testing.T) {
 	if _, err := nc2.Write(ping(2)); err != nil {
 		t.Fatal(err)
 	}
-	nc2.SetReadDeadline(time.Now().Add(400 * time.Millisecond)) //lint:allow(determinism) test read deadline
+	nc2.SetReadDeadline(time.Now().Add(400 * time.Millisecond))
 	if _, _, err := wire.ReadResponse(nc2, nil, wire.Limits{}); err == nil {
 		t.Fatal("second conn served beyond MaxConns")
 	} else if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
@@ -434,7 +434,7 @@ func TestMaxConnsBackpressure(t *testing.T) {
 
 	// Freeing the first slot admits the second connection.
 	nc1.Close()
-	nc2.SetReadDeadline(time.Now().Add(5 * time.Second)) //lint:allow(determinism) test read deadline
+	nc2.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, _, err := wire.ReadResponse(nc2, nil, wire.Limits{}); err != nil {
 		t.Fatalf("second conn not served after slot freed: %v", err)
 	}
@@ -453,7 +453,7 @@ func TestMalformedFrameAnswersThenCloses(t *testing.T) {
 	if _, err := nc.Write([]byte("GET / HTTP/1.1\r\n\r\n")); err != nil {
 		t.Fatal(err)
 	}
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second)) //lint:allow(determinism) test read deadline
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	resp, _, err := wire.ReadResponse(nc, nil, wire.Limits{})
 	if err != nil {
 		t.Fatalf("no error response for malformed frame: %v", err)
@@ -510,7 +510,7 @@ func TestIdleTimeout(t *testing.T) {
 	if _, _, err := wire.ReadResponse(nc, nil, wire.Limits{}); err != nil {
 		t.Fatalf("ping on a connection inside its idle budget: %v", err)
 	}
-	start := time.Now() //lint:allow(determinism) test measures the idle close
+	start := time.Now()
 
 	nc.SetReadDeadline(start.Add(5 * time.Second))
 	one := make([]byte, 1)
@@ -521,7 +521,7 @@ func TestIdleTimeout(t *testing.T) {
 	}
 	// The upper bound leaves the scheduler ~100 ms of slack and still sits
 	// well under the 250 ms a polling loop would round up to.
-	if took := time.Since(start); took < idle*9/10 || took > idle+100*time.Millisecond { //lint:allow(determinism) test measures the idle close
+	if took := time.Since(start); took < idle*9/10 || took > idle+100*time.Millisecond {
 		t.Fatalf("idle connection closed after %v, want about %v", took, idle)
 	}
 }
@@ -615,12 +615,12 @@ func TestReadTimeoutBoundsWholeFrame(t *testing.T) {
 	if _, err := nc.Write(head); err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now() //lint:allow(determinism) test measures the frame cut
+	start := time.Now()
 
 	one := make([]byte, 1)
 	for i := 0; ; i++ {
 		// Each round waits ReadTimeout/4 for the close, then trickles a byte.
-		nc.SetReadDeadline(time.Now().Add(readTimeout / 4)) //lint:allow(determinism) test trickle pace
+		nc.SetReadDeadline(time.Now().Add(readTimeout / 4))
 		_, err := nc.Read(one)
 		if err == nil {
 			t.Fatal("server answered half a frame")
@@ -628,12 +628,12 @@ func TestReadTimeoutBoundsWholeFrame(t *testing.T) {
 		if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
 			break // closed by the server
 		}
-		if i >= len(tail)-1 || time.Since(start) > 10*readTimeout { //lint:allow(determinism) test measures the frame cut
-			t.Fatalf("connection still open %v after the stall; ReadTimeout is %v", time.Since(start), readTimeout) //lint:allow(determinism) test measures the frame cut
+		if i >= len(tail)-1 || time.Since(start) > 10*readTimeout {
+			t.Fatalf("connection still open %v after the stall; ReadTimeout is %v", time.Since(start), readTimeout)
 		}
 		nc.Write(tail[i : i+1])
 	}
-	if took := time.Since(start); took < readTimeout*9/10 || took > readTimeout+150*time.Millisecond { //lint:allow(determinism) test measures the frame cut
+	if took := time.Since(start); took < readTimeout*9/10 || took > readTimeout+150*time.Millisecond {
 		t.Fatalf("stalled frame cut after %v, want about ReadTimeout (%v)", took, readTimeout)
 	}
 }
@@ -675,7 +675,7 @@ func TestDrainMidFrame(t *testing.T) {
 			t.Fatalf("round %d: %v", i, err)
 		}
 		// Answered, or closed: nothing else may come back.
-		nc.SetReadDeadline(time.Now().Add(5 * time.Second)) //lint:allow(determinism) test read deadline
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 		resp, _, err := wire.ReadResponse(nc, nil, wire.Limits{})
 		if err == nil && (resp.ID != 1 || resp.Status != wire.StatusOK) {
 			t.Fatalf("round %d: response id=%d status=%v", i, resp.ID, resp.Status)

@@ -195,14 +195,14 @@ func TestTenantSlowRequestCarriesNamespace(t *testing.T) {
 	}
 	// The event is emitted after the response is written, so the client can
 	// be back before it lands.
-	deadline := time.Now().Add(5 * time.Second) //lint:allow(determinism) test poll deadline
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		mu.Lock()
 		if len(events) > 0 {
 			break // mu stays held for the checks below
 		}
 		mu.Unlock()
-		if time.Now().After(deadline) { //lint:allow(determinism) test poll deadline
+		if time.Now().After(deadline) {
 			t.Fatal("no slow-request events")
 		}
 		time.Sleep(time.Millisecond)
@@ -212,37 +212,6 @@ func TestTenantSlowRequestCarriesNamespace(t *testing.T) {
 		if e.Type != obs.EvSlowRequest || e.Tenant != "web" {
 			t.Fatalf("event = %+v, want EvSlowRequest with tenant web", e)
 		}
-	}
-}
-
-// TestTenantEpochTicker: a server configured with a TenantEpoch drives
-// arbitration on its own — targets appear without the embedding program
-// ever calling ArbitrateTenants — and Close joins the ticker goroutine.
-func TestTenantEpochTicker(t *testing.T) {
-	srv, cache := tenantServer(t, stemcache.TenantArbitrated,
-		server.Config{TenantEpoch: time.Millisecond},
-		tenant.Config{Name: "web"})
-	cl := nsClient(t, srv.Addr(), "web")
-	if err := cl.Set("seed", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		st := cache.TenantStats()
-		sum := 0
-		for _, ts := range st {
-			sum += ts.Target
-		}
-		if sum == cache.Capacity() {
-			break // an epoch ran: targets were rebased to the static split
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no arbitration epoch ran; targets = %+v", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -93,37 +93,6 @@ func ExampleCache_GetOrLoad() {
 	// value-for-user:42 after 1 origin call(s)
 }
 
-// Loader chains: try the fast tier first, fall back to the authoritative
-// origin, and let GetOrLoad cache whatever tier answered. A loader
-// returning stemcache.ErrNotFound caches the absence (negative caching).
-func ExampleChain() {
-	c, _ := stemcache.New[string, string](stemcache.Config{
-		Capacity:    1024,
-		Seed:        1,
-		NegativeTTL: time.Minute,
-	})
-	defer c.Close()
-
-	fastTier := func(ctx context.Context, key string) (string, error) {
-		return "", stemcache.ErrNotFound // e.g. a memcached tier that missed
-	}
-	database := func(ctx context.Context, key string) (string, error) {
-		if key == "user:42" {
-			return "Ada Lovelace", nil
-		}
-		return "", stemcache.ErrNotFound
-	}
-	loader := stemcache.Chain(fastTier, database)
-
-	v, err := c.GetOrLoad(context.Background(), "user:42", loader)
-	fmt.Println(v, err)
-	_, err = c.GetOrLoad(context.Background(), "user:404", loader)
-	fmt.Println(err)
-	// Output:
-	// Ada Lovelace <nil>
-	// stemcache: key not found
-}
-
 // Stale-while-revalidate: past its freshness TTL a key is served from the
 // stale value immediately — the origin's latency leaves the read path —
 // while one background worker revalidates.

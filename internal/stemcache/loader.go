@@ -41,33 +41,6 @@ var ErrNotFound = errors.New("stemcache: key not found")
 // distinct keys. Return ErrNotFound for a key the origin does not have.
 type Loader[K comparable, V any] func(ctx context.Context, key K) (V, error)
 
-// Chain composes loaders into one fallback sequence: each loader is tried
-// in order, and any failure — ErrNotFound or otherwise — falls through to
-// the next (the idiom: try the fast tier, fall back to the authoritative
-// one). When every loader fails, the last error is returned (ErrNotFound
-// only if the final tier reported it); an empty or all-nil chain reports
-// ErrNotFound. A cancelled context stops the fallback walk.
-func Chain[K comparable, V any](loaders ...Loader[K, V]) Loader[K, V] {
-	return func(ctx context.Context, key K) (V, error) {
-		var zero V
-		err := error(ErrNotFound)
-		for _, ld := range loaders {
-			if ld == nil {
-				continue
-			}
-			v, lerr := ld(ctx, key)
-			if lerr == nil {
-				return v, nil
-			}
-			err = lerr
-			if ctx.Err() != nil {
-				break
-			}
-		}
-		return zero, err
-	}
-}
-
 // LoadState classifies what LookupLoad found under a key.
 type LoadState uint8
 

@@ -237,37 +237,6 @@ func TestNegativeTTLZeroDisablesCaching(t *testing.T) {
 	}
 }
 
-func TestChainFallsThrough(t *testing.T) {
-	miss := func(ctx context.Context, key string) (string, error) { return "", ErrNotFound }
-	fail := func(ctx context.Context, key string) (string, error) { return "", errors.New("tier down") }
-	hit := func(ctx context.Context, key string) (string, error) { return "from-l2", nil }
-
-	if v, err := Chain(miss, hit)(context.Background(), "k"); err != nil || v != "from-l2" {
-		t.Fatalf("Chain(miss, hit) = %q, %v; want from-l2, nil", v, err)
-	}
-	if v, err := Chain(fail, hit)(context.Background(), "k"); err != nil || v != "from-l2" {
-		t.Fatalf("Chain(fail, hit) = %q, %v; want from-l2, nil (errors fall through)", v, err)
-	}
-	if _, err := Chain(fail, miss)(context.Background(), "k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Chain(fail, miss) err = %v; want the last tier's ErrNotFound", err)
-	}
-	if _, err := Chain(miss, fail)(context.Background(), "k"); errors.Is(err, ErrNotFound) || err == nil {
-		t.Fatalf("Chain(miss, fail) err = %v; want the last tier's failure", err)
-	}
-	if _, err := Chain[string, string]()(context.Background(), "k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("empty Chain err = %v; want ErrNotFound", err)
-	}
-	// A cancelled context stops the walk instead of hammering lower tiers.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	calls := 0
-	counting := func(ctx context.Context, key string) (string, error) { calls++; return "", ErrNotFound }
-	Chain(counting, counting, counting)(ctx, "k")
-	if calls != 1 {
-		t.Fatalf("loaders called after cancel = %d; want 1", calls)
-	}
-}
-
 func TestTTLJitterDecorrelatesExpiry(t *testing.T) {
 	cfg := loaderCfg()
 	cfg.LoadTTL = 1000

@@ -134,10 +134,6 @@ type Config struct {
 	// entries that all expire at the same instant. Must be in [0, 1);
 	// zero disables jitter.
 	TTLJitter float64
-	// RevalidateWorkers bounds the background refresh pool that
-	// stale-while-revalidate uses; ignored unless StaleTTL > 0.
-	// Default 4.
-	RevalidateWorkers int
 
 	// Tenants, when non-nil, enables multi-tenant namespacing: operations
 	// through Cache.Tenant views are salted per tenant (disjoint key spaces)
@@ -151,15 +147,6 @@ type Config struct {
 	// giver/taker transfers). Requires Tenants for the enforcing modes.
 	TenantPolicy TenantPolicy
 
-	// DisableCoupling turns off spatial management (no spilling); what
-	// remains is per-set LRU/BIP dueling.
-	DisableCoupling bool
-	// DisableSwap turns off temporal management (sets keep their initial
-	// LRU policy). With DisableCoupling also set, the cache degenerates to
-	// a plain sharded set-associative LRU — the baseline NewShardedLRU
-	// builds.
-	DisableSwap bool
-
 	// Metrics, when non-nil, exports every monotonic Stats field as a derived
 	// counter under "stemcache.*" (hits, misses, evictions, spills, ...):
 	// reading the registry calls Stats once, no operation writes to it. Only
@@ -172,6 +159,10 @@ type Config struct {
 	// (shard × setsPerShard + set) and the emitting shard's op tick; calls
 	// are serialized across shards by an internal mutex.
 	Observer obs.Observer
+
+	// plainLRU switches both STEM mechanisms off (no spilling, no policy
+	// swaps): the plain sharded set-associative LRU NewShardedLRU builds.
+	plainLRU bool
 }
 
 // Validate reports the first problem that normalization cannot repair. A
@@ -205,8 +196,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("stemcache: NegativeTTL must be >= 0, got %v", c.NegativeTTL)
 	case c.TTLJitter < 0 || c.TTLJitter >= 1:
 		return fmt.Errorf("stemcache: TTLJitter must be in [0, 1), got %v", c.TTLJitter)
-	case c.RevalidateWorkers < 0:
-		return fmt.Errorf("stemcache: RevalidateWorkers must be >= 0, got %d", c.RevalidateWorkers)
 	case c.TenantPolicy > TenantArbitrated:
 		return fmt.Errorf("stemcache: unknown TenantPolicy %d", c.TenantPolicy)
 	case c.TenantPolicy != TenantObserve && c.Tenants == nil:
@@ -226,10 +215,11 @@ func (c *Config) normalize() {
 	if c.Ways <= 0 {
 		c.Ways = 8
 	}
-	if c.RevalidateWorkers <= 0 {
-		c.RevalidateWorkers = 4
-	}
 }
+
+// revalidateWorkers bounds the background refresh pool that
+// stale-while-revalidate runs when StaleTTL > 0.
+const revalidateWorkers = 4
 
 // engine maps the cache's STEM parameters onto the engine's Config, which
 // owns their defaults.
@@ -237,7 +227,7 @@ func (c Config) engine() core.Config {
 	return core.Config{
 		CounterBits: c.CounterBits, SpatialShift: c.SpatialShift,
 		SignatureBits: c.SignatureBits, SelectorSize: c.SelectorSize,
-		Seed: c.Seed, DisableCoupling: c.DisableCoupling, DisableSwap: c.DisableSwap,
+		Seed: c.Seed, DisableCoupling: c.plainLRU, DisableSwap: c.plainLRU,
 	}
 }
 
@@ -330,10 +320,9 @@ func NewWithHasher[K comparable, V any](cfg Config, hasher func(K) uint64) (*Cac
 // NewShardedLRU builds the baseline the benchmarks compare against: the
 // same sharded set-associative structure with both STEM mechanisms disabled,
 // i.e. a plain lock-striped LRU cache. Geometry fields of cfg are honored;
-// the STEM switches are forced off.
+// the STEM mechanisms are forced off.
 func NewShardedLRU[K comparable, V any](cfg Config) (*Cache[K, V], error) {
-	cfg.DisableCoupling = true
-	cfg.DisableSwap = true
+	cfg.plainLRU = true
 	return New[K, V](cfg)
 }
 
@@ -362,8 +351,8 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 	if cfg.StaleTTL > 0 {
 		ctx, cancel := context.WithCancel(context.Background())
 		c.refreshCancel = cancel
-		c.refreshC = make(chan refreshJob[K, V], 4*cfg.RevalidateWorkers)
-		for i := 0; i < cfg.RevalidateWorkers; i++ {
+		c.refreshC = make(chan refreshJob[K, V], 4*revalidateWorkers)
+		for i := 0; i < revalidateWorkers; i++ {
 			c.refreshWG.Add(1)
 			go c.revalidateWorker(ctx)
 		}

@@ -370,60 +370,6 @@ func TestScanTouchesTwiceThenDies(t *testing.T) {
 	}
 }
 
-func TestCPULevelExpansion(t *testing.T) {
-	inner := NewFixed([]Ref{{Block: 5, Write: true, Instrs: 10}, {Block: 9, Instrs: 7}})
-	c := NewCPULevel(inner, 64, 4)
-	var instrs uint32
-	blocks := map[uint64]int{}
-	writes := 0
-	for i := 0; i < 8; i++ {
-		addr, w, n := c.NextByte()
-		blocks[addr/64]++
-		instrs += n
-		if w {
-			writes++
-		}
-	}
-	if blocks[5] != 4 || blocks[9] != 4 {
-		t.Fatalf("expansion counts %v, want 4 each", blocks)
-	}
-	if instrs != 17 {
-		t.Fatalf("instruction total %d, want 17 (10+7)", instrs)
-	}
-	if writes != 1 {
-		t.Fatalf("writes %d, want 1 (only the first touch carries the store)", writes)
-	}
-}
-
-func TestCPULevelPanics(t *testing.T) {
-	inner := NewFixed([]Ref{{Block: 1, Instrs: 1}})
-	for name, f := range map[string]func(){
-		"nil gen":      func() { NewCPULevel(nil, 64, 2) },
-		"bad line":     func() { NewCPULevel(inner, 48, 2) },
-		"zero repeats": func() { NewCPULevel(inner, 64, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestCPULevelAddressesStayInLine(t *testing.T) {
-	inner := NewFixed([]Ref{{Block: 3, Instrs: 1}})
-	c := NewCPULevel(inner, 64, 8)
-	for i := 0; i < 64; i++ {
-		addr, _, _ := c.NextByte()
-		if addr/64 != 3 {
-			t.Fatalf("access %d escaped the line: %#x", i, addr)
-		}
-	}
-}
-
 func TestPatternKindStrings(t *testing.T) {
 	want := map[PatternKind]string{
 		Cyclic: "cyclic", Zipf: "zipf", Stream: "stream",

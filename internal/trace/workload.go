@@ -191,62 +191,3 @@ func (f *Fixed) Next() Ref {
 	}
 	return r
 }
-
-// CPULevel adapts an LLC-level generator into a CPU-level byte-address
-// stream for the full L1+L2 hierarchy (internal/mem.Hierarchy): every
-// underlying block reference is expanded into Repeats consecutive word
-// accesses within the line, so the L1 absorbs the repeats and forwards one
-// miss per underlying reference (modulo L1 capacity effects). The adapter
-// keeps the underlying instruction accounting by spreading each ref's
-// Instrs over its repeats.
-type CPULevel struct {
-	gen      Generator
-	lineSize int
-	repeats  int
-
-	cur    Ref
-	instrs uint32
-	step   int
-}
-
-// NewCPULevel wraps gen. lineSize must match the cache hierarchy; repeats
-// is the number of CPU accesses per block (>= 1). It panics on bad input.
-func NewCPULevel(gen Generator, lineSize, repeats int) *CPULevel {
-	if gen == nil {
-		// invariant: documented precondition of this internal constructor; the experiment harness and tests always satisfy it.
-		panic("trace: nil generator")
-	}
-	if lineSize <= 0 || lineSize&(lineSize-1) != 0 {
-		// invariant: documented precondition of this internal constructor; the experiment harness and tests always satisfy it.
-		panic("trace: lineSize must be a positive power of two")
-	}
-	if repeats < 1 {
-		// invariant: documented precondition of this internal constructor; the experiment harness and tests always satisfy it.
-		panic("trace: repeats must be >= 1")
-	}
-	return &CPULevel{gen: gen, lineSize: lineSize, repeats: repeats}
-}
-
-// NextByte returns the next CPU-level access: a byte address, the write
-// flag, and the instructions retired since the previous access.
-func (c *CPULevel) NextByte() (addr uint64, write bool, instrs uint32) {
-	if c.step == 0 {
-		c.cur = c.gen.Next()
-		c.instrs = c.cur.Instrs
-	}
-	// A word-granular offset inside the line, walking forward.
-	off := uint64(c.step*8) % uint64(c.lineSize)
-	addr = c.cur.Block*uint64(c.lineSize) + off
-	write = c.cur.Write && c.step == 0
-	// Spread the instruction gap over the repeats, front-loaded.
-	per := c.instrs / uint32(c.repeats)
-	if c.step == 0 {
-		per = c.instrs - per*uint32(c.repeats-1)
-	}
-	instrs = per
-	c.step++
-	if c.step >= c.repeats {
-		c.step = 0
-	}
-	return addr, write, instrs
-}

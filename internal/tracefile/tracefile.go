@@ -55,7 +55,6 @@ type Writer struct {
 	gz    *gzip.Writer
 	under io.Closer
 	buf   [recordSize]byte
-	n     uint64
 }
 
 // NewWriter writes a native trace with the given header to w. If w is also
@@ -112,12 +111,8 @@ func (w *Writer) Append(r trace.Ref) error {
 	if _, err := w.w.Write(w.buf[:]); err != nil {
 		return fmt.Errorf("tracefile: appending record: %w", err)
 	}
-	w.n++
 	return nil
 }
-
-// Count returns the number of records appended so far.
-func (w *Writer) Count() uint64 { return w.n }
 
 // Close flushes and closes every layer.
 func (w *Writer) Close() error {
@@ -172,23 +167,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	tr.hdr.LineSize = binary.LittleEndian.Uint32(hdr[8:12])
 	return tr, nil
 }
-
-// Open opens a native trace file.
-func Open(path string) (*Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("tracefile: %w", err)
-	}
-	r, err := NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return r, nil
-}
-
-// Header returns the trace metadata.
-func (r *Reader) Header() Header { return r.hdr }
 
 // Next returns the next reference, or io.EOF at the end of the trace.
 func (r *Reader) Next() (trace.Ref, error) {

@@ -3,6 +3,7 @@ package tracefile
 import (
 	"bytes"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -37,9 +38,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err := w.Append(r); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if w.Count() != 1000 {
-		t.Fatalf("Count = %d", w.Count())
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -119,7 +117,11 @@ func TestGzipFileRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		r, err := Open(path)
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,12 +157,6 @@ func TestBadMagic(t *testing.T) {
 func TestTruncatedHeader(t *testing.T) {
 	if _, err := NewReader(strings.NewReader("STEM")); err == nil {
 		t.Fatal("truncated header accepted")
-	}
-}
-
-func TestOpenMissingFile(t *testing.T) {
-	if _, err := Open("/nonexistent/trace.trc"); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 

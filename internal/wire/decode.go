@@ -473,26 +473,15 @@ func (c *cursor) kv(lim Limits) (string, []byte, error) {
 	return k, v, nil
 }
 
-// ReadRequest reads exactly one request frame from r. Header and payload are
-// buffered through buf (grown as needed, never beyond the limits) and the
-// possibly reallocated buffer is returned for reuse. An io.EOF before the
-// first header byte is returned as io.EOF so servers can distinguish a clean
-// connection close from a truncated frame (io.ErrUnexpectedEOF).
-func ReadRequest(r io.Reader, buf []byte, lim Limits) (*Request, []byte, error) {
-	lim = lim.withDefaults()
-	buf, err := readFrame(r, buf, lim)
-	if err != nil {
-		return nil, buf, err
-	}
-	req, _, err := DecodeRequest(buf, lim)
-	return req, buf, err
-}
-
 // ReadRequestInto reads exactly one request frame from r into a
 // caller-owned Request (see DecodeRequestInto for the aliasing contract:
-// lookup-only operands alias buf until the next read reuses it). With a
-// warm buffer and Request this path performs zero allocations per frame,
-// which is why the server's serve loop uses it.
+// lookup-only operands alias buf until the next read reuses it). Header and
+// payload are buffered through buf (grown as needed, never beyond the
+// limits) and the possibly reallocated buffer is returned for reuse. An
+// io.EOF before the first header byte is returned as io.EOF so servers can
+// distinguish a clean connection close from a truncated frame
+// (io.ErrUnexpectedEOF). With a warm buffer and Request this path performs
+// zero allocations per frame, which is why the server's serve loop uses it.
 func ReadRequestInto(req *Request, r io.Reader, buf []byte, lim Limits) ([]byte, error) {
 	lim = lim.withDefaults()
 	buf, err := readFrame(r, buf, lim)
@@ -503,7 +492,9 @@ func ReadRequestInto(req *Request, r io.Reader, buf []byte, lim Limits) ([]byte,
 	return buf, err
 }
 
-// ReadResponse reads exactly one response frame from r (see ReadRequest).
+// ReadResponse reads exactly one response frame from r, buffering it
+// through buf as ReadRequestInto does, and decodes it into a fresh Response
+// whose values are copies: nothing aliases buf once it returns.
 func ReadResponse(r io.Reader, buf []byte, lim Limits) (*Response, []byte, error) {
 	lim = lim.withDefaults()
 	buf, err := readFrame(r, buf, lim)
@@ -512,21 +503,6 @@ func ReadResponse(r io.Reader, buf []byte, lim Limits) (*Response, []byte, error
 	}
 	resp, _, err := DecodeResponse(buf, lim)
 	return resp, buf, err
-}
-
-// ReadResponseInto reads exactly one response frame from r into a
-// caller-owned Response (see DecodeResponseInto for the aliasing contract:
-// values alias buf until the next read reuses it). The client's round-trip
-// path copies values out before releasing the connection, so the frame
-// buffer stays private to one read.
-func ReadResponseInto(resp *Response, r io.Reader, buf []byte, lim Limits) ([]byte, error) {
-	lim = lim.withDefaults()
-	buf, err := readFrame(r, buf, lim)
-	if err != nil {
-		return buf, err
-	}
-	_, err = decodeResponse(resp, buf, lim, true)
-	return buf, err
 }
 
 // readFrame reads one whole frame (header + payload) into buf. The payload

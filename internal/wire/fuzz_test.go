@@ -201,12 +201,12 @@ func FuzzWireDecode(f *testing.F) {
 
 		// The stream reader must agree with the bytes decoder and must map a
 		// mid-frame end of input onto a frame error, not a panic or io.EOF.
-		if _, _, err := ReadRequest(bytes.NewReader(data), nil, lim); err == nil {
+		if _, err := ReadRequestInto(&Request{}, bytes.NewReader(data), nil, lim); err == nil {
 			if len(data) < HeaderLen {
-				t.Fatal("ReadRequest accepted a short frame")
+				t.Fatal("ReadRequestInto accepted a short frame")
 			}
 		} else if err != io.EOF && !errors.Is(err, ErrFrame) {
-			t.Fatalf("ReadRequest error %v is neither EOF nor ErrFrame", err)
+			t.Fatalf("ReadRequestInto error %v is neither EOF nor ErrFrame", err)
 		}
 	})
 }

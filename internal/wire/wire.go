@@ -345,9 +345,6 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-// DefaultLimits returns the fully populated default Limits.
-func DefaultLimits() Limits { return Limits{}.withDefaults() }
-
 // KV is one key/value pair of an MSET batch.
 type KV struct {
 	Key   string

@@ -164,7 +164,7 @@ func normResp(r *Response) {
 }
 
 func TestRequestRoundTrip(t *testing.T) {
-	lim := DefaultLimits()
+	lim := Limits{}.withDefaults()
 	for _, req := range requestFixtures() {
 		buf, err := AppendRequest(nil, req, lim)
 		if err != nil {
@@ -186,7 +186,7 @@ func TestRequestRoundTrip(t *testing.T) {
 }
 
 func TestResponseRoundTrip(t *testing.T) {
-	lim := DefaultLimits()
+	lim := Limits{}.withDefaults()
 	for _, resp := range responseFixtures() {
 		buf, err := AppendResponse(nil, resp, lim)
 		if err != nil {
@@ -210,7 +210,7 @@ func TestResponseRoundTrip(t *testing.T) {
 // TestStreamRoundTrip pushes every fixture through one buffered stream, the
 // way a pipelined connection does, and reads them back in order.
 func TestStreamRoundTrip(t *testing.T) {
-	lim := DefaultLimits()
+	lim := Limits{}.withDefaults()
 	var stream bytes.Buffer
 	reqs := requestFixtures()
 	var buf []byte
@@ -223,8 +223,8 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 	var rbuf []byte
 	for i, want := range reqs {
-		var got *Request
-		got, rbuf, err = ReadRequest(&stream, rbuf, lim)
+		got := &Request{}
+		rbuf, err = ReadRequestInto(got, &stream, rbuf, lim)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -234,13 +234,13 @@ func TestStreamRoundTrip(t *testing.T) {
 			t.Errorf("frame %d mismatch: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, _, err := ReadRequest(&stream, rbuf, lim); err != io.EOF {
+	if _, err := ReadRequestInto(&Request{}, &stream, rbuf, lim); err != io.EOF {
 		t.Fatalf("want io.EOF at stream end, got %v", err)
 	}
 }
 
 func TestDecodeRejects(t *testing.T) {
-	lim := DefaultLimits()
+	lim := Limits{}.withDefaults()
 	ok, err := AppendRequest(nil, &Request{Op: OpSet, ID: 9, Key: "kk", Value: []byte("vvvv")}, lim)
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +319,7 @@ func TestEncodeRejectsOversize(t *testing.T) {
 }
 
 func TestSetTTLRoundTripsNanoseconds(t *testing.T) {
-	lim := DefaultLimits()
+	lim := Limits{}.withDefaults()
 	req := &Request{Op: OpSetTTL, Key: "k", Value: []byte("v"), TTL: 1234567891011}
 	buf, err := AppendRequest(nil, req, lim)
 	if err != nil {
@@ -339,7 +339,7 @@ func TestSetTTLRoundTripsNanoseconds(t *testing.T) {
 // response, it rides a StatusErr response ahead of the message, a truncated
 // prefix is rejected, and a response without the status bit decodes none.
 func TestDemandPayload(t *testing.T) {
-	lim := DefaultLimits()
+	lim := Limits{}.withDefaults()
 	d := &NodeDemand{NodeID: 1, Sets: 128, TakerSets: 128, ScSSum: 127 * 128, ScSMax: 127 * 128}
 	buf, err := AppendResponse(nil, &Response{Op: OpPing, ID: 5, Status: StatusOK, Piggyback: d}, lim)
 	if err != nil {
@@ -408,7 +408,7 @@ func TestDemandPayload(t *testing.T) {
 // round-trip fixtures: prefix sizes, sender-side rejection of a flag/field
 // mismatch, truncation errors, and the saturating micros conversion.
 func TestTraceExtension(t *testing.T) {
-	lim := DefaultLimits()
+	lim := Limits{}.withDefaults()
 
 	// The prefix adds exactly traceReqLen / traceRespLen bytes.
 	plain, err := AppendRequest(nil, &Request{Op: OpPing, ID: 1}, lim)
@@ -482,7 +482,7 @@ func TestTraceExtension(t *testing.T) {
 // fixtures: exact prefix size, ordering after the trace extension, and the
 // sender/receiver rejections that keep a flag and its field in sync.
 func TestNamespaceField(t *testing.T) {
-	lim := DefaultLimits()
+	lim := Limits{}.withDefaults()
 
 	// The prefix adds exactly 1+len(name) bytes.
 	plain, err := AppendRequest(nil, &Request{Op: OpGet, ID: 1, Key: "k"}, lim)

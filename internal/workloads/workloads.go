@@ -41,7 +41,6 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/trace"
 )
@@ -344,22 +343,4 @@ func Names() []string {
 		names[i] = b.Name
 	}
 	return names
-}
-
-// OfClass returns the analogs of one class, preserving suite order.
-func OfClass(c Class) []Benchmark {
-	var out []Benchmark
-	for _, b := range Suite() {
-		if b.Class == c {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// SortedNames returns the names sorted alphabetically (for lookups/UI).
-func SortedNames() []string {
-	n := Names()
-	sort.Strings(n)
-	return n
 }

@@ -55,8 +55,19 @@ func TestByNameUnknown(t *testing.T) {
 	}
 }
 
+// ofClass returns the analogs of one class, preserving suite order.
+func ofClass(c Class) []Benchmark {
+	var out []Benchmark
+	for _, b := range Suite() {
+		if b.Class == c {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
 func TestOfClassOrdering(t *testing.T) {
-	c1 := OfClass(ClassI)
+	c1 := ofClass(ClassI)
 	want := []string{"ammp", "apsi", "astar", "omnetpp", "xalancbmk"}
 	for i, b := range c1 {
 		if b.Name != want[i] {
@@ -85,7 +96,7 @@ func TestClassIHasNonUniformDemand(t *testing.T) {
 	// Class I analogs must contain both a low-demand group (≤ half the
 	// paper's 16 ways) and a high-demand group (> 16 ways worth of blocks or
 	// a stream), or the spatial dimension would have nothing to do.
-	for _, b := range OfClass(ClassI) {
+	for _, b := range ofClass(ClassI) {
 		low, high := false, false
 		for _, g := range b.Workload.Groups {
 			switch g.Pat.Kind {
@@ -112,7 +123,7 @@ func TestClassIIIsUniformlyDemanding(t *testing.T) {
 	// Class II analogs must not contain small LRU-friendly groups big enough
 	// to act as giver populations... except small-weight auxiliaries. We
 	// assert the dominant group (largest Frac) is a thrasher beyond 16 ways.
-	for _, b := range OfClass(ClassII) {
+	for _, b := range ofClass(ClassII) {
 		var dom trace.Group
 		for _, g := range b.Workload.Groups {
 			if g.Frac > dom.Frac {
@@ -121,18 +132,6 @@ func TestClassIIIsUniformlyDemanding(t *testing.T) {
 		}
 		if dom.Pat.Kind != trace.Cyclic || dom.Pat.N <= 16 {
 			t.Errorf("%s: dominant group %q is not a >16-way cyclic thrasher", b.Name, dom.Name)
-		}
-	}
-}
-
-func TestSortedNames(t *testing.T) {
-	n := SortedNames()
-	if len(n) != 15 {
-		t.Fatalf("%d names", len(n))
-	}
-	for i := 1; i < len(n); i++ {
-		if n[i-1] >= n[i] {
-			t.Fatalf("names not sorted at %d: %v", i, n)
 		}
 	}
 }

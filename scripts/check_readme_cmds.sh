@@ -1,7 +1,7 @@
 #!/bin/sh
 # check_readme_cmds.sh — README/cmd/package cross-check, run by CI.
 #
-# Three directions:
+# Four directions:
 #   1. every binary under cmd/ is mentioned in README.md as cmd/<name> (no
 #      undocumented tools; the bare word does not count — "sweep" and
 #      "stemd" occur in prose);
@@ -10,7 +10,10 @@
 #      tools);
 #   3. every import path of this module quoted in README.md ("repro" or
 #      "repro/...") names a directory holding Go files (no snippets
-#      importing a removed package — the module root holds none).
+#      importing a removed package — the module root holds none);
+#   4. the examples/ entries of README.md's layout tree and the
+#      subdirectories of examples/ are the same set (no example missing
+#      from the tree, no tree entry naming a removed example).
 #
 # Exits nonzero with a per-name report on any mismatch.
 set -eu
@@ -45,7 +48,24 @@ for path in $(grep -oE '"repro(/[A-Za-z0-9_./-]*)?"' README.md | tr -d '"' | sor
     fi
 done
 
+# Direction 4: README layout tree <-> examples/*. The tree lists each
+# example as an indented "<name>/" line under a bare "examples/" line.
+listed=$(awk '/^```/ { tree = 0 } tree && /^  [a-z0-9_-]+\// { sub(/^  /, ""); sub(/\/.*/, ""); print } /^examples\/$/ { tree = 1 }' README.md | sort -u)
+for name in $listed; do
+    if [ ! -d "examples/$name" ]; then
+        echo "README.md's layout lists examples/$name/, which does not exist" >&2
+        status=1
+    fi
+done
+for dir in examples/*/; do
+    name=$(basename "$dir")
+    if ! printf '%s\n' "$listed" | grep -qx "$name"; then
+        echo "examples/$name exists but README.md's layout never lists it" >&2
+        status=1
+    fi
+done
+
 if [ "$status" -eq 0 ]; then
-    echo "README.md, cmd/ and the quoted import paths agree ($(ls -d cmd/*/ | wc -l | tr -d ' ') binaries)"
+    echo "README.md, cmd/, examples/ and the quoted import paths agree ($(ls -d cmd/*/ | wc -l | tr -d ' ') binaries, $(ls -d examples/*/ | wc -l | tr -d ' ') examples)"
 fi
 exit $status
