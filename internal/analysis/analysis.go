@@ -11,9 +11,10 @@
 //     the simulation, so cell fields must only be touched through sync/atomic
 //     and every exported metric method must keep the package's documented
 //     nil-receiver guarantee.
-//   - lockorder: internal/stemcache's lock hierarchy (closeMu → shard.mu →
-//     obsMu) must stay acyclic and non-reentrant, defers must not pile
-//     unlocks up inside loops, and every panic must be documented as an
+//   - lockorder: each serving package's lock hierarchy (the ranks
+//     lockRankFor selects: stemcache, server, cluster, membership) must
+//     stay acyclic and non-reentrant, defers must not pile unlocks up
+//     inside loops, and every panic must be documented as an
 //     // invariant: violation.
 //   - apidoc: the serving-tier libraries (stemcache, wire, server, client,
 //     cluster) are the product surface; every exported symbol carries a doc

@@ -8,9 +8,8 @@ import (
 // Goleak enforces the repository's goroutine-lifecycle convention: every
 // `go` statement in a library package must be tied to a tracked waiter, so
 // no goroutine can outlive the component that launched it. The pattern the
-// repo standardized on (server handlers, client stale-refresh, stemcache's
-// revalidation pool, the cluster client's batch fan-out) is a sync.WaitGroup
-// bracket:
+// repo standardized on (server handlers, client stale-refresh, the cluster
+// client's batch fan-out) is a sync.WaitGroup bracket:
 //
 //	wg.Add(1)
 //	go func() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -38,14 +39,9 @@ type TraceSample struct {
 	Net time.Duration
 }
 
-// mix64 is the splitmix64 finalizer: a cheap bijective scrambler that turns
+// mix64 is one splitmix64 step: a cheap bijective scrambler that turns
 // sequential values into well-distributed ids.
-func mix64(v uint64) uint64 {
-	v += 0x9e3779b97f4a7c15
-	v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9
-	v = (v ^ (v >> 27)) * 0x94d049bb133111eb
-	return v ^ (v >> 31)
-}
+func mix64(v uint64) uint64 { return sim.Mix64(v + 0x9e3779b97f4a7c15) }
 
 // nowMicros reads the client's monotonic clock as microseconds since the
 // client's epoch. Monotonic (time.Since uses the monotonic reading), so a

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/server"
+	"repro/internal/sim"
 	"repro/internal/stemcache"
 )
 
@@ -43,7 +44,7 @@ type Node struct {
 // N-node cluster is reproducible from one number while its nodes' RNG
 // streams stay independent.
 func NodeSeed(clusterSeed uint64, nodeID int) uint64 {
-	return mix64(clusterSeed + 0x9e3779b97f4a7c15*uint64(nodeID+1))
+	return sim.Mix64(clusterSeed + 0x9e3779b97f4a7c15*uint64(nodeID+1))
 }
 
 // StartNode builds node id's cache and serves it. On success the node is

@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"repro/internal/hashfn"
+	"repro/internal/sim"
 )
 
 // Ring is a consistent-hash ring with a fixed slot set and movable
@@ -78,14 +79,14 @@ func NewRing(nodes, vnodes int, seed uint64) (*Ring, error) {
 		nodes: nodes,
 		slots: nodes * vnodes,
 		seed:  seed,
-		hi:    hashfn.New(32, mix64(seed^0x736c6f74686967)), // "slothig"
-		lo:    hashfn.New(32, mix64(seed^0x736c6f746c6f77)), // "slotlow"
+		hi:    hashfn.New(32, sim.Mix64(seed^0x736c6f74686967)), // "slothig"
+		lo:    hashfn.New(32, sim.Mix64(seed^0x736c6f746c6f77)), // "slotlow"
 	}
 	r.points = make([]ringPoint, r.slots)
 	r.owner = make([]int, r.slots)
 	r.epochs = make([]uint64, r.slots)
 	for s := 0; s < r.slots; s++ {
-		r.points[s] = ringPoint{point: r.pointOf(mix64(seed + uint64(s) + 1)), slot: s}
+		r.points[s] = ringPoint{point: r.pointOf(sim.Mix64(seed + uint64(s) + 1)), slot: s}
 		r.owner[s] = s % nodes
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -113,18 +114,11 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-// mix64 is splitmix64's finalizer (full-avalanche 64→64 mixing).
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // SlotOfKey returns the slot owning key: the first slot point clockwise
 // from the key's ring position. The mapping is a pure function of (seed,
 // key) — it never changes as ownership moves.
 func (r *Ring) SlotOfKey(key string) int {
-	p := r.pointOf(mix64(fnv64(key) ^ r.seed))
+	p := r.pointOf(sim.Mix64(fnv64(key) ^ r.seed))
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].point >= p })
 	if i == len(r.points) {
 		i = 0 // wrap past the highest point to the ring's start

@@ -2,15 +2,16 @@ package server
 
 // Read-through leases: the server side of the OpLoad exchange.
 //
-// The cache's GetOrLoad deduplicates origin fetches within one process; the
-// lease table extends that to the fleet. On a miss the server elects the
-// first asking connection as the key's leaseholder (StatusLease + token);
-// that client fetches the origin and sends OpLoad|FlagFill with the token.
-// Every other connection asking for the key meanwhile parks on the lease's
-// done channel and re-classifies once the fill lands — so N client
-// processes stampeding one cold key cost one origin fetch, the networked
-// analogue of the paper's receiving constraint (a taker may borrow
-// capacity, but never amplify pressure on the giver).
+// The lease table is the repository's one origin deduplicator: the cache
+// only classifies and stores (stemcache's LookupLoad, SetLoaded and
+// SetNegative), and the lease decides who fetches. On a miss the server
+// elects the first asking connection as the key's leaseholder (StatusLease
+// + token); that client fetches the origin and sends OpLoad|FlagFill with
+// the token. Every other connection asking for the key meanwhile parks on
+// the lease's done channel and re-classifies once the fill lands — so N
+// client processes stampeding one cold key cost one origin fetch, the
+// networked analogue of the paper's receiving constraint (a taker may
+// borrow capacity, but never amplify pressure on the giver).
 //
 // Leases are leases, not locks: a waiter that has parked for LeaseWait
 // breaks the incumbent (crashed or slow) and takes over, so a dead
@@ -40,13 +41,14 @@ type lease struct {
 }
 
 // leaseKey qualifies a lease table key with the request's namespace, so the
-// same key loading in two tenants holds two independent leases — the wire
-// analogue of the cache's per-(tenant, key) singleflight. The default
-// namespace uses the bare key (no allocation). A NUL-bearing key could
-// collide with another tenant's join, which degrades to two requests
-// sharing one lease — the loser re-classifies and takes over when the fill
-// lands in the other namespace; cached data never crosses namespaces
-// because fills store through the filler's own tenant view.
+// same key loading in two tenants holds two independent leases. Every
+// lease-table access for a request — acquire, refresh, break, fill — goes
+// through this key. The default namespace uses the bare key (no
+// allocation). A NUL-bearing key could collide with another tenant's
+// join, which degrades to two requests sharing one lease — the loser
+// re-classifies and takes over when the fill lands in the other namespace;
+// cached data never crosses namespaces because fills store through the
+// filler's own tenant view.
 func leaseKey(req *wire.Request) string {
 	if req.Namespace == "" {
 		return req.Key
@@ -164,7 +166,7 @@ func (s *Server) handleLoad(cache stemcache.TenantView[string, []byte], req *wir
 		case <-l.done:
 			// Fill landed (or the lease was broken); re-classify.
 		case <-time.After(s.cfg.LeaseWait):
-			if tok, ok := s.breakLease(req.Key, l); ok {
+			if tok, ok := s.breakLease(lk, l); ok {
 				resp.Status = wire.StatusLease
 				resp.Token = tok
 				return

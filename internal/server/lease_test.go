@@ -143,50 +143,60 @@ func TestLoadStaleWhileRevalidateOverTheWire(t *testing.T) {
 	}
 }
 
+// TestLoadLeaseBreakOnDeadLeader: a follower parked behind a wedged
+// leaseholder breaks the lease after LeaseWait and fills the key itself, in
+// the default namespace and in a named one (whose lease-table key is
+// namespace-qualified).
 func TestLoadLeaseBreakOnDeadLeader(t *testing.T) {
-	srv, _ := startServer(t,
-		stemcache.Config{Capacity: 1 << 12, Seed: 1},
-		server.Config{LeaseWait: 80 * time.Millisecond})
+	for _, ns := range []string{"", "t"} {
+		t.Run(fmt.Sprintf("ns=%q", ns), func(t *testing.T) {
+			srv, _ := startServer(t,
+				stemcache.Config{Capacity: 1 << 12, Seed: 1},
+				server.Config{LeaseWait: 80 * time.Millisecond})
 
-	stuck := make(chan struct{})
-	stuckOrigin := func(ctx context.Context, key string) ([]byte, error) {
-		<-stuck
-		return []byte("late"), nil
-	}
-	clA := newClient(t, srv.Addr())
-	aDone := make(chan struct{})
-	go func() {
-		defer close(aDone)
-		// A wins the lease, then wedges inside its origin: the leaseholder
-		// is effectively dead.
-		if v, err := clA.GetOrLoad(context.Background(), "k", stuckOrigin); err != nil || string(v) != "late" {
-			t.Errorf("stuck leader GetOrLoad = %q, %v; want late, nil", v, err)
-		}
-	}()
-	time.Sleep(20 * time.Millisecond) // let A take the lease
+			stuck := make(chan struct{})
+			release := sync.OnceFunc(func() { close(stuck) })
+			stuckOrigin := func(ctx context.Context, key string) ([]byte, error) {
+				<-stuck
+				return []byte("late"), nil
+			}
+			clA := nsClient(t, srv.Addr(), ns)
+			aDone := make(chan struct{})
+			go func() {
+				defer close(aDone)
+				// A wins the lease, then wedges inside its origin: the
+				// leaseholder is effectively dead.
+				if v, err := clA.GetOrLoad(context.Background(), "k", stuckOrigin); err != nil || string(v) != "late" {
+					t.Errorf("stuck leader GetOrLoad = %q, %v; want late, nil", v, err)
+				}
+			}()
+			t.Cleanup(func() { release(); <-aDone }) // before clA closes, on any exit
+			time.Sleep(20 * time.Millisecond)        // let A take the lease
 
-	var bCalls atomic.Int64
-	goodOrigin := func(ctx context.Context, key string) ([]byte, error) {
-		bCalls.Add(1)
-		return []byte("fresh"), nil
-	}
-	clB := newClient(t, srv.Addr())
-	t0 := time.Now()
-	v, err := clB.GetOrLoad(context.Background(), "k", goodOrigin)
-	if err != nil || string(v) != "fresh" {
-		t.Fatalf("follower GetOrLoad = %q, %v; want fresh, nil", v, err)
-	}
-	if waited := time.Since(t0); waited < 60*time.Millisecond {
-		t.Fatalf("follower answered after %v; it should have parked ~LeaseWait before breaking the lease", waited)
-	}
-	if n := bCalls.Load(); n != 1 {
-		t.Fatalf("follower origin calls = %d; want 1", n)
-	}
-	// The broken leader eventually finishes; its fill is refused (token
-	// mismatch) and must not clobber the successor's value.
-	close(stuck)
-	<-aDone
-	if v, err := clB.GetOrLoad(context.Background(), "k", goodOrigin); err != nil || string(v) != "fresh" {
-		t.Fatalf("after late fill: GetOrLoad = %q, %v; want fresh, nil (stale leader must not clobber)", v, err)
+			var bCalls atomic.Int64
+			goodOrigin := func(ctx context.Context, key string) ([]byte, error) {
+				bCalls.Add(1)
+				return []byte("fresh"), nil
+			}
+			clB := nsClient(t, srv.Addr(), ns)
+			t0 := time.Now()
+			v, err := clB.GetOrLoad(context.Background(), "k", goodOrigin)
+			if err != nil || string(v) != "fresh" {
+				t.Fatalf("follower GetOrLoad = %q, %v; want fresh, nil", v, err)
+			}
+			if waited := time.Since(t0); waited < 60*time.Millisecond {
+				t.Fatalf("follower answered after %v; it should have parked ~LeaseWait before breaking the lease", waited)
+			}
+			if n := bCalls.Load(); n != 1 {
+				t.Fatalf("follower origin calls = %d; want 1", n)
+			}
+			// The broken leader eventually finishes; its fill is refused
+			// (token mismatch) and must not clobber the successor's value.
+			release()
+			<-aDone
+			if v, err := clB.GetOrLoad(context.Background(), "k", goodOrigin); err != nil || string(v) != "fresh" {
+				t.Fatalf("after late fill: GetOrLoad = %q, %v; want fresh, nil (stale leader must not clobber)", v, err)
+			}
+		})
 	}
 }

@@ -223,8 +223,7 @@ func New(cache *stemcache.Cache[string, []byte], cfg Config) (*Server, error) {
 
 // registerMetrics exports the server through reg: the traffic counters,
 // loaded from the server's own atomics when the registry is read (the
-// "server.loads"/"server.load_dedup" pair is the served-traffic view of the
-// load path; the cache's "stemcache.*" names see in-process traffic too), the
+// "server.loads"/"server.load_dedup" pair counts the lease protocol), the
 // live-connection gauge, and the per-opcode stage histograms, which are real
 // cells. A nil reg registers nothing and leaves the histograms no-op sinks.
 func (s *Server) registerMetrics(reg *obs.Registry) {
@@ -435,9 +434,7 @@ type StatsSnapshot struct {
 	ProtoErrors uint64 `json:"proto_errors"`
 	// Loads counts OpLoad lookups served (fill frames excluded); LoadDedup
 	// counts the subset answered by parking on another client's fetch lease
-	// instead of consulting the origin — the server-side stampede-protection
-	// view (the cache's own Loads/LoadDedup count in-process GetOrLoad
-	// singleflight, which wire traffic does not use).
+	// instead of consulting the origin — the stampede-protection view.
 	Loads     uint64 `json:"loads"`
 	LoadDedup uint64 `json:"load_dedup"`
 	// Tenants is the per-tenant accounting block (hit rates, residency,

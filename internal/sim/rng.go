@@ -22,14 +22,21 @@ func NewRNG(seed uint64) *RNG {
 // Seed re-initializes the stream. The seed is diffused through splitmix64 so
 // that consecutive small seeds give uncorrelated streams.
 func (r *RNG) Seed(seed uint64) {
-	z := seed + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	z := Mix64(seed + 0x9e3779b97f4a7c15)
 	if z == 0 {
 		z = 0x2545f4914f6cdd1d
 	}
 	r.state = z
+}
+
+// Mix64 is the splitmix64 finalizer: a bijective full-avalanche 64→64 mix,
+// so that dense inputs (sequential ints, small seeds) come out spread
+// uniformly over every bit. The cache hashers, ring placement, trace ids and
+// RNG seeding all share this one copy.
+func Mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // Uint64 returns the next 64 pseudo-random bits.

@@ -154,21 +154,22 @@ func TestPinnedStats(t *testing.T) {
 	got := fmt.Sprintf("%+v len=%d", c.Stats(), c.Len())
 	const want = "{Gets:45000 Hits:14664 Misses:30336 Puts:36980 Deletes:2727 Evictions:30365 Expirations:2891 " +
 		"SecondaryHits:122 ShadowHits:12111 PolicySwaps:438 Couplings:194 Decouplings:178 Spills:1115 Receives:1115 " +
-		"Loads:0 LoadDedup:0 StaleServed:3460 NegativeHits:856 TakerSets:120 GiverSets:7 CoupledSets:32} len=762"
+		"StaleServed:3460 NegativeHits:856 TakerSets:120 GiverSets:7 CoupledSets:32} len=762"
 	if got != want {
 		t.Fatalf("Stats moved:\n got %s\nwant %s", got, want)
 	}
 }
 
-// TestNoGoroutinesWithoutStaleTTL pins the package comment's promise: a
-// cache with StaleTTL zero starts no goroutines — not in New, not in any
-// operation, not in Close.
-func TestNoGoroutinesWithoutStaleTTL(t *testing.T) {
+// TestNoGoroutines pins the package comment's promise: a cache starts no
+// goroutines — not in New, not in any operation, not in Close — with every
+// read-through knob on.
+func TestNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var clock int64
 	c := mustNew[int, int](Config{
 		Capacity: 1024, Shards: 4, Ways: 4, Seed: 42,
-		LoadTTL: 300 * time.Millisecond, NegativeTTL: 200 * time.Millisecond,
+		LoadTTL: 300 * time.Millisecond, StaleTTL: 400 * time.Millisecond,
+		NegativeTTL: 200 * time.Millisecond, TTLJitter: 0.2,
 	})
 	c.now = func() int64 { return clock }
 	mixedOps(c, &clock, 10_000)

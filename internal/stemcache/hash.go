@@ -1,6 +1,10 @@
 package stemcache
 
-import "hash/maphash"
+import (
+	"hash/maphash"
+
+	"repro/internal/sim"
+)
 
 // fallbackSeed feeds the maphash fallback for key types without a built-in
 // deterministic hash. It is drawn once per process, so two caches in the
@@ -17,29 +21,29 @@ func defaultHasher[K comparable](seed uint64) func(K) uint64 {
 	case string:
 		return func(k K) uint64 { return hashString(any(k).(string), seed) }
 	case int:
-		return func(k K) uint64 { return mix64(uint64(any(k).(int)) ^ seed) }
+		return func(k K) uint64 { return sim.Mix64(uint64(any(k).(int)) ^ seed) }
 	case int8:
-		return func(k K) uint64 { return mix64(uint64(any(k).(int8)) ^ seed) }
+		return func(k K) uint64 { return sim.Mix64(uint64(any(k).(int8)) ^ seed) }
 	case int16:
-		return func(k K) uint64 { return mix64(uint64(any(k).(int16)) ^ seed) }
+		return func(k K) uint64 { return sim.Mix64(uint64(any(k).(int16)) ^ seed) }
 	case int32:
-		return func(k K) uint64 { return mix64(uint64(any(k).(int32)) ^ seed) }
+		return func(k K) uint64 { return sim.Mix64(uint64(any(k).(int32)) ^ seed) }
 	case int64:
-		return func(k K) uint64 { return mix64(uint64(any(k).(int64)) ^ seed) }
+		return func(k K) uint64 { return sim.Mix64(uint64(any(k).(int64)) ^ seed) }
 	case uint:
-		return func(k K) uint64 { return mix64(uint64(any(k).(uint)) ^ seed) }
+		return func(k K) uint64 { return sim.Mix64(uint64(any(k).(uint)) ^ seed) }
 	case uint8:
-		return func(k K) uint64 { return mix64(uint64(any(k).(uint8)) ^ seed) }
+		return func(k K) uint64 { return sim.Mix64(uint64(any(k).(uint8)) ^ seed) }
 	case uint16:
-		return func(k K) uint64 { return mix64(uint64(any(k).(uint16)) ^ seed) }
+		return func(k K) uint64 { return sim.Mix64(uint64(any(k).(uint16)) ^ seed) }
 	case uint32:
-		return func(k K) uint64 { return mix64(uint64(any(k).(uint32)) ^ seed) }
+		return func(k K) uint64 { return sim.Mix64(uint64(any(k).(uint32)) ^ seed) }
 	case uint64:
-		return func(k K) uint64 { return mix64(any(k).(uint64) ^ seed) }
+		return func(k K) uint64 { return sim.Mix64(any(k).(uint64) ^ seed) }
 	case uintptr:
-		return func(k K) uint64 { return mix64(uint64(any(k).(uintptr)) ^ seed) }
+		return func(k K) uint64 { return sim.Mix64(uint64(any(k).(uintptr)) ^ seed) }
 	default:
-		return func(k K) uint64 { return mix64(maphash.Comparable(fallbackSeed, k) ^ seed) }
+		return func(k K) uint64 { return sim.Mix64(maphash.Comparable(fallbackSeed, k) ^ seed) }
 	}
 }
 
@@ -51,14 +55,5 @@ func hashString(s string, seed uint64) uint64 {
 		h ^= uint64(s[i])
 		h *= 0x100000001b3
 	}
-	return mix64(h)
-}
-
-// mix64 is the splitmix64 finalizer: a bijective avalanche so that dense
-// key spaces (sequential ints) still spread uniformly over shards, sets and
-// signatures.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return sim.Mix64(h)
 }

@@ -1,184 +1,21 @@
 package stemcache
 
-// Read-through loading tests: singleflight deduplication, loader chains,
-// negative caching, TTL jitter, stale-while-revalidate, and the
-// expiry-boundary determinism the load path depends on. Wall time never
-// decides an assertion — every TTL test injects c.now.
+// Read-through storage tests: negative caching, TTL jitter, the stale
+// window, and the expiry-boundary determinism LookupLoad depends on. Who
+// fetches the origin is the server's lease protocol, tested in
+// internal/server. Wall time never decides an assertion — every TTL test
+// injects c.now.
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"repro/internal/tenant"
 )
 
 // loaderCfg is a small geometry with the load knobs the test wants.
 func loaderCfg() Config {
 	return Config{Capacity: 1 << 10, Shards: 4, Ways: 4, Seed: 7}
-}
-
-func TestGetOrLoadMissLoadsAndCaches(t *testing.T) {
-	c := mustNew[string, string](loaderCfg())
-	defer c.Close()
-	calls := 0
-	ld := func(ctx context.Context, key string) (string, error) {
-		calls++
-		return "v:" + key, nil
-	}
-	v, err := c.GetOrLoad(context.Background(), "a", ld)
-	if err != nil || v != "v:a" {
-		t.Fatalf("GetOrLoad = %q, %v; want v:a, nil", v, err)
-	}
-	v, err = c.GetOrLoad(context.Background(), "a", ld)
-	if err != nil || v != "v:a" {
-		t.Fatalf("second GetOrLoad = %q, %v; want v:a, nil", v, err)
-	}
-	if calls != 1 {
-		t.Fatalf("loader calls = %d; want 1 (second call must be a cache hit)", calls)
-	}
-	st := c.Stats()
-	if st.Loads != 1 || st.Gets != 2 || st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v; want Loads 1, Gets 2, Hits 1, Misses 1", st)
-	}
-}
-
-func TestGetOrLoadSingleflight(t *testing.T) {
-	c := mustNew[string, int](loaderCfg())
-	defer c.Close()
-	const waiters = 63
-	var calls atomic.Int64
-	ld := func(ctx context.Context, key string) (int, error) {
-		calls.Add(1)
-		// Hold the flight open until every other goroutine is provably
-		// waiting on it (LoadDedup counts them as they arrive), so the
-		// dedup count is exact, not scheduling-dependent.
-		for c.Stats().LoadDedup < waiters {
-			time.Sleep(100 * time.Microsecond)
-		}
-		return 42, nil
-	}
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	errs := make(chan error, waiters+1)
-	for i := 0; i < waiters+1; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			v, err := c.GetOrLoad(context.Background(), "hot", ld)
-			if err != nil || v != 42 {
-				errs <- fmt.Errorf("GetOrLoad = %d, %v; want 42, nil", v, err)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("loader calls = %d; want 1 (singleflight)", n)
-	}
-	st := c.Stats()
-	if st.Loads != 1 || st.LoadDedup != waiters {
-		t.Fatalf("Loads = %d, LoadDedup = %d; want 1, %d", st.Loads, st.LoadDedup, waiters)
-	}
-}
-
-// TestLoadAfterCompletedFlight replays, deterministically, the interleaving
-// that once made a second leader: a caller whose lookup missed reaches load
-// only after the leader has stored the value and removed its flight. It must
-// be served what the leader stored — a value or a cached absence — without a
-// loader call and without counting another Get; only a stale entry loads.
-func TestLoadAfterCompletedFlight(t *testing.T) {
-	var clock int64
-	cfg := loaderCfg()
-	cfg.LoadTTL, cfg.StaleTTL, cfg.NegativeTTL = time.Second, time.Minute, time.Minute
-	c := mustNew[string, string](cfg)
-	defer c.Close()
-	c.now = func() int64 { return clock }
-	calls := map[string]int{}
-	ld := func(ctx context.Context, key string) (string, error) {
-		calls[key]++
-		if key == "absent" {
-			return "", ErrNotFound
-		}
-		return fmt.Sprintf("v%d:%s", calls[key], key), nil
-	}
-	ctx := context.Background()
-	for _, key := range []string{"a", "absent"} {
-		want, wantErr := c.GetOrLoad(ctx, key, ld)
-		if v, err := c.load(ctx, tenant.DefaultID, key, ld); v != want || err != wantErr {
-			t.Errorf("load(%q) after a completed flight = %q, %v; want %q, %v", key, v, err, want, wantErr)
-		}
-	}
-	if calls["a"] != 1 || calls["absent"] != 1 {
-		t.Errorf("loader calls = %v; want 1 per key", calls)
-	}
-	if st := c.Stats(); st.Gets != 2 || st.Loads != 2 || st.LoadDedup != 0 {
-		t.Errorf("Gets = %d, Loads = %d, LoadDedup = %d; want 2, 2, 0", st.Gets, st.Loads, st.LoadDedup)
-	}
-
-	clock += int64(2 * time.Second) // past "a"'s freshness, inside its stale window
-	if v, err := c.load(ctx, tenant.DefaultID, "a", ld); err != nil || v != "v2:a" {
-		t.Errorf("load of a stale entry = %q, %v; want v2:a, nil (a stale entry still loads)", v, err)
-	}
-}
-
-func TestGetOrLoadErrorNotCached(t *testing.T) {
-	c := mustNew[string, string](loaderCfg())
-	defer c.Close()
-	boom := errors.New("origin down")
-	calls := 0
-	ld := func(ctx context.Context, key string) (string, error) {
-		calls++
-		return "", boom
-	}
-	if _, err := c.GetOrLoad(context.Background(), "a", ld); !errors.Is(err, boom) {
-		t.Fatalf("err = %v; want %v", err, boom)
-	}
-	if _, err := c.GetOrLoad(context.Background(), "a", ld); !errors.Is(err, boom) {
-		t.Fatalf("second err = %v; want %v", err, boom)
-	}
-	if calls != 2 {
-		t.Fatalf("loader calls = %d; want 2 (errors other than ErrNotFound are not cached)", calls)
-	}
-}
-
-func TestGetOrLoadWaiterCancel(t *testing.T) {
-	c := mustNew[string, int](loaderCfg())
-	defer c.Close()
-	release := make(chan struct{})
-	ld := func(ctx context.Context, key string) (int, error) {
-		<-release
-		return 7, nil
-	}
-	leaderDone := make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		if v, err := c.GetOrLoad(context.Background(), "k", ld); err != nil || v != 7 {
-			t.Errorf("leader GetOrLoad = %d, %v; want 7, nil", v, err)
-		}
-	}()
-	// Wait until the leader's flight is registered, then join it with an
-	// already-cancelled context: the waiter must give up immediately while
-	// the leader's load continues.
-	for c.Stats().Loads == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := c.GetOrLoad(ctx, "k", ld); !errors.Is(err, context.Canceled) {
-		t.Fatalf("waiter err = %v; want context.Canceled", err)
-	}
-	close(release)
-	<-leaderDone
 }
 
 func TestNegativeCaching(t *testing.T) {
@@ -189,21 +26,11 @@ func TestNegativeCaching(t *testing.T) {
 	clock := int64(1000)
 	c.now = func() int64 { return clock }
 
-	calls := 0
-	ld := func(ctx context.Context, key string) (string, error) {
-		calls++
-		return "", fmt.Errorf("wrapped: %w", ErrNotFound)
-	}
-	if _, err := c.GetOrLoad(context.Background(), "ghost", ld); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v; want ErrNotFound", err)
-	}
-	// Within NegativeTTL: answered by the marker, no loader call.
+	c.SetNegative("ghost")
+	// Within NegativeTTL the marker answers.
 	clock = 1100 // marker exp is 1000+100; live exactly at its deadline
-	if _, err := c.GetOrLoad(context.Background(), "ghost", ld); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v; want ErrNotFound", err)
-	}
-	if calls != 1 {
-		t.Fatalf("loader calls = %d; want 1 (absence cached)", calls)
+	if _, state := c.LookupLoad("ghost"); state != LoadNegative {
+		t.Fatalf("state = %v; want negative (absence cached)", state)
 	}
 	if st := c.Stats(); st.NegativeHits != 1 {
 		t.Fatalf("NegativeHits = %d; want 1", st.NegativeHits)
@@ -212,28 +39,25 @@ func TestNegativeCaching(t *testing.T) {
 	if v, ok := c.Get("ghost"); ok {
 		t.Fatalf("Get on negative marker = %q, true; want miss", v)
 	}
-	// Past NegativeTTL the marker expires and the loader runs again.
+	// Past NegativeTTL the marker expires and the key is a plain miss again.
 	clock = 1101
-	if _, err := c.GetOrLoad(context.Background(), "ghost", ld); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v; want ErrNotFound", err)
+	if _, state := c.LookupLoad("ghost"); state != LoadMiss {
+		t.Fatalf("state = %v; want miss (marker expired)", state)
 	}
-	if calls != 2 {
-		t.Fatalf("loader calls = %d; want 2 (marker expired)", calls)
+	if st := c.Stats(); st.NegativeHits != 1 || st.Expirations != 1 {
+		t.Fatalf("NegativeHits = %d, Expirations = %d; want 1, 1", st.NegativeHits, st.Expirations)
 	}
 }
 
 func TestNegativeTTLZeroDisablesCaching(t *testing.T) {
 	c := mustNew[string, string](loaderCfg())
 	defer c.Close()
-	calls := 0
-	ld := func(ctx context.Context, key string) (string, error) {
-		calls++
-		return "", ErrNotFound
+	c.SetNegative("ghost")
+	if _, state := c.LookupLoad("ghost"); state != LoadMiss {
+		t.Fatalf("state = %v; want miss (no negative caching configured)", state)
 	}
-	c.GetOrLoad(context.Background(), "ghost", ld)
-	c.GetOrLoad(context.Background(), "ghost", ld)
-	if calls != 2 {
-		t.Fatalf("loader calls = %d; want 2 (no negative caching configured)", calls)
+	if st := c.Stats(); st.Puts != 0 {
+		t.Fatalf("Puts = %d; want 0 (SetNegative is a no-op)", st.Puts)
 	}
 }
 
@@ -246,10 +70,9 @@ func TestTTLJitterDecorrelatesExpiry(t *testing.T) {
 	clock := int64(0)
 	c.now = func() int64 { return clock }
 
-	ld := func(ctx context.Context, key string) (string, error) { return "v", nil }
 	const n = 16
 	for i := 0; i < n; i++ {
-		c.GetOrLoad(context.Background(), fmt.Sprintf("k%02d", i), ld)
+		c.SetLoaded(fmt.Sprintf("k%02d", i), "v")
 	}
 	// At the full (unjittered) deadline every entry must already be gone…
 	clock = cfg.LoadTTL.Nanoseconds() + 1
@@ -258,12 +81,12 @@ func TestTTLJitterDecorrelatesExpiry(t *testing.T) {
 			t.Fatalf("k%02d still live past the full TTL; jitter must only shorten", i)
 		}
 	}
-	// …and the deadlines must not coincide: reload and probe at half TTL,
+	// …and the deadlines must not coincide: reload and probe at 3/4 TTL,
 	// where a 0.5 jitter leaves some entries live and kills others.
 	clock = 0
 	for i := 0; i < n; i++ {
 		c.Delete(fmt.Sprintf("k%02d", i))
-		c.GetOrLoad(context.Background(), fmt.Sprintf("k%02d", i), ld)
+		c.SetLoaded(fmt.Sprintf("k%02d", i), "v")
 	}
 	clock = cfg.LoadTTL.Nanoseconds()*3/4 + 1
 	live := 0
@@ -277,6 +100,9 @@ func TestTTLJitterDecorrelatesExpiry(t *testing.T) {
 	}
 }
 
+// TestStaleWhileRevalidate pins the stale window: past its freshness
+// deadline a loaded value keeps answering LoadStale — a hit, counted in
+// StaleServed — until the refresher's SetLoaded makes it fresh again.
 func TestStaleWhileRevalidate(t *testing.T) {
 	cfg := loaderCfg()
 	cfg.LoadTTL = 1000
@@ -286,82 +112,25 @@ func TestStaleWhileRevalidate(t *testing.T) {
 	clock := int64(0)
 	c.now = func() int64 { return clock }
 
-	gate := make(chan struct{})
-	var phase atomic.Int32 // 1 = first load, 2 = refresh
-	ld := func(ctx context.Context, key string) (string, error) {
-		switch phase.Add(1) {
-		case 1:
-			return "v1", nil
-		default:
-			<-gate // prove the foreground path never waits here
-			return "v2", nil
-		}
-	}
-	if v, _ := c.GetOrLoad(context.Background(), "k", ld); v != "v1" {
-		t.Fatalf("initial load = %q; want v1", v)
+	c.SetLoaded("k", "v1")
+	if v, state := c.LookupLoad("k"); state != LoadHit || v != "v1" {
+		t.Fatalf("fresh lookup = %q, %v; want v1, hit", v, state)
 	}
 	// Enter the stale window: fresh deadline passed, expiry far away.
 	clock = cfg.LoadTTL.Nanoseconds() + 1
-	// With the refresh loader blocked on gate, a stale serve returning at
-	// all proves zero loader calls on the foreground path.
 	for i := 0; i < 4; i++ {
-		if v, err := c.GetOrLoad(context.Background(), "k", ld); err != nil || v != "v1" {
-			t.Fatalf("stale GetOrLoad = %q, %v; want v1, nil", v, err)
+		if v, state := c.LookupLoad("k"); state != LoadStale || v != "v1" {
+			t.Fatalf("stale lookup = %q, %v; want v1, stale", v, state)
 		}
 	}
 	st := c.Stats()
-	if st.StaleServed != 4 {
-		t.Fatalf("StaleServed = %d; want 4", st.StaleServed)
+	if st.StaleServed != 4 || st.Hits != 5 || st.Misses != 0 {
+		t.Fatalf("StaleServed = %d, Hits = %d, Misses = %d; want 4, 5, 0", st.StaleServed, st.Hits, st.Misses)
 	}
-	// Exactly one background refresh runs no matter how many stale serves
-	// scheduled it.
-	close(gate)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if v, state := c.LookupLoad("k"); state == LoadHit && v == "v2" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background refresh never installed v2")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	if st := c.Stats(); st.Loads != 2 {
-		t.Fatalf("Loads = %d; want 2 (initial + one refresh)", st.Loads)
-	}
-}
-
-func TestSWRCloseDrainsWorkers(t *testing.T) {
-	cfg := loaderCfg()
-	cfg.LoadTTL = 1000
-	cfg.StaleTTL = 10000
-	c := mustNew[string, string](cfg)
-	clock := int64(0)
-	c.now = func() int64 { return clock }
-
-	entered := make(chan struct{}, 1)
-	ld := func(ctx context.Context, key string) (string, error) {
-		if ctx.Err() == nil {
-			select {
-			case entered <- struct{}{}:
-			default:
-			}
-		}
-		<-ctx.Done() // refresh blocks until Close cancels it
-		return "", ctx.Err()
-	}
-	c.SetLoaded("k", "v1")
-	clock = cfg.LoadTTL.Nanoseconds() + 1
-	if v, err := c.GetOrLoad(context.Background(), "k", ld); err != nil || v != "v1" {
-		t.Fatalf("stale GetOrLoad = %q, %v; want v1, nil", v, err)
-	}
-	<-entered // the background refresh is now inside the loader
-	done := make(chan struct{})
-	go func() { c.Close(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not cancel and drain the revalidation pool")
+	// The refresher's fill makes the key fresh again.
+	c.SetLoaded("k", "v2")
+	if v, state := c.LookupLoad("k"); state != LoadHit || v != "v2" {
+		t.Fatalf("after refresh = %q, %v; want v2, hit", v, state)
 	}
 }
 

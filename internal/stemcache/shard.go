@@ -16,15 +16,15 @@ type entry[K comparable, V any] struct {
 	hash uint64
 	exp  int64 // expiry in unix nanoseconds; 0 = never
 	// fresh is the read-through freshness deadline in unix nanoseconds:
-	// past fresh but not past exp the entry is stale — served by the load
-	// path (GetOrLoad/LookupLoad) while a background refresh runs, a miss
-	// for plain Get. 0 means fresh until exp (every plain Set).
+	// past fresh but not past exp the entry is stale — served by LookupLoad
+	// while one caller refreshes it, a miss for plain Get. 0 means fresh
+	// until exp (every plain Set).
 	fresh int64
 	valid bool
 	cc    bool
-	// neg marks a cached absence: the loader answered ErrNotFound and the
-	// miss itself is cached until exp (negative caching). The value is the
-	// zero V; plain Get reports a miss, the load path reports ErrNotFound.
+	// neg marks a cached absence (SetNegative): the origin said the key
+	// does not exist, and that answer is cached until exp. The value is the
+	// zero V; plain Get reports a miss, LookupLoad reports LoadNegative.
 	neg bool
 	// ten is the owning tenant's registry id (0 = default namespace). It
 	// travels with the entry through spills so that eviction anywhere —

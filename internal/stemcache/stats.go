@@ -45,17 +45,10 @@ type Stats struct {
 	// misses are included in Hits and Misses respectively, so
 	// Gets == Hits + Misses still holds with loading in play.
 
-	// Loads counts loader invocations started by the load path (foreground
-	// singleflight leaders plus background revalidations).
-	Loads uint64
-	// LoadDedup counts GetOrLoad calls that shared another goroutine's
-	// in-flight load instead of starting their own — origin fetches the
-	// singleflight table saved.
-	LoadDedup uint64
-	// StaleServed counts load-path hits answered with a stale value inside
+	// StaleServed counts LookupLoad hits answered with a stale value inside
 	// the StaleTTL window (a subset of Hits).
 	StaleServed uint64
-	// NegativeHits counts load-path reads answered by a cached negative
+	// NegativeHits counts LookupLoad reads answered by a cached negative
 	// marker (a subset of Misses): origin fetches negative caching saved.
 	NegativeHits uint64
 
@@ -101,8 +94,6 @@ func (s *Stats) add(o Stats) {
 	s.Decouplings += o.Decouplings
 	s.Spills += o.Spills
 	s.Receives += o.Receives
-	s.Loads += o.Loads
-	s.LoadDedup += o.LoadDedup
 	s.StaleServed += o.StaleServed
 	s.NegativeHits += o.NegativeHits
 	s.TakerSets += o.TakerSets
@@ -112,10 +103,8 @@ func (s *Stats) add(o Stats) {
 
 // registerMetrics exports c through reg: every monotonic Stats field as a
 // counter — the one place a "stemcache.*" name is defined — read off one Stats
-// call per scrape, and the one real cell, the loader latency histogram (a
-// no-op sink when reg is nil).
+// call per scrape. A nil reg registers nothing.
 func (c *Cache[K, V]) registerMetrics(reg *obs.Registry) {
-	c.loaderLat = reg.Latency("stemcache.lat.loader_us")
 	reg.CounterFuncs(func(emit func(name string, v uint64)) {
 		st := c.Stats()
 		emit("stemcache.gets", st.Gets)
@@ -132,8 +121,6 @@ func (c *Cache[K, V]) registerMetrics(reg *obs.Registry) {
 		emit("stemcache.decouplings", st.Decouplings)
 		emit("stemcache.spills", st.Spills)
 		emit("stemcache.receives", st.Receives)
-		emit("stemcache.loads", st.Loads)
-		emit("stemcache.load_dedup", st.LoadDedup)
 		emit("stemcache.stale_served", st.StaleServed)
 		emit("stemcache.negative_hits", st.NegativeHits)
 	})

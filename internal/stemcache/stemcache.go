@@ -28,7 +28,7 @@
 // single-writer state machine guarded by its mutex, and its counters are the
 // only ones a request writes: Stats, TenantStats and the metrics registry are
 // sums over the shards taken when somebody reads. What crosses shards is the
-// tenants' residency and targets (atomics), the singleflight table and the
+// tenants' residency and targets (atomics), the TTL-jitter RNG and the
 // optional Observer (serialized).
 //
 // Entries may carry a TTL. Expiry is lazy: an expired entry is collected by
@@ -40,16 +40,13 @@
 // deterministically one or the other, never double-counted in the hit/miss
 // statistics, and an operation that meets no deadline reads no clock.
 //
-// Beyond the passive Get/Set surface the cache can load through to an
-// origin: GetOrLoad runs a Loader on a miss with singleflight deduplication
-// (one loader call per key no matter how many goroutines miss
-// concurrently), caches loader misses as negative entries (NegativeTTL),
-// decorrelates mass expiry with TTL jitter, and — with StaleTTL configured
-// — serves stale values immediately while one bounded background worker
-// pool revalidates them (stale-while-revalidate). See loader.go. The
-// revalidation pool is the only goroutine source in the package: a cache
-// with StaleTTL zero starts no goroutines at all, and Close drains the
-// pool when it exists.
+// Beyond the passive Get/Set surface the cache keeps the storage states a
+// read-through tier needs: LookupLoad classifies a key as fresh, stale
+// (StaleTTL window), negative (a cached absence, NegativeTTL) or missing,
+// and SetLoaded/SetNegative store an origin's answer with jittered TTLs. The
+// cache never calls an origin; the server's lease protocol decides who does,
+// one caller per key across the fleet. See loader.go. The cache starts no
+// goroutines, ever.
 //
 // With default hashing, caches keyed by strings or integers are fully
 // deterministic for a fixed Config.Seed: a single-goroutine run produces
@@ -58,10 +55,8 @@
 package stemcache
 
 import (
-	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -110,23 +105,23 @@ type Config struct {
 	// SelectorSize is the per-shard giver-heap capacity. Default: 16.
 	SelectorSize int
 
-	// Read-through loading (GetOrLoad; see loader.go). All four knobs
-	// default to off, leaving the passive Get/Set cache unchanged.
+	// Read-through storage (LookupLoad, SetLoaded, SetNegative; see
+	// loader.go). All four knobs default to off, leaving the passive
+	// Get/Set cache unchanged.
 
-	// LoadTTL is the freshness TTL applied to values stored by the load
-	// path (GetOrLoad, SetLoaded). Zero falls back to DefaultTTL; if that
-	// is also zero, loaded values never expire and stale-while-revalidate
-	// never engages.
+	// LoadTTL is the freshness TTL applied to values stored by SetLoaded.
+	// Zero falls back to DefaultTTL; if that is also zero, loaded values
+	// never expire and stale-while-revalidate never engages.
 	LoadTTL time.Duration
 	// StaleTTL is the stale-while-revalidate window: after a loaded
-	// value's freshness TTL passes, GetOrLoad keeps serving the stale
-	// value for up to StaleTTL longer while a background worker refreshes
-	// it. Zero disables SWR (loaded values simply expire) and keeps the
-	// cache goroutine-free.
+	// value's freshness TTL passes, LookupLoad keeps answering LoadStale
+	// with the old value for up to StaleTTL longer, so the caller can
+	// serve it while one refresher reloads it. Zero disables SWR (loaded
+	// values simply expire).
 	StaleTTL time.Duration
-	// NegativeTTL caches loader misses: for NegativeTTL after a loader
-	// reported ErrNotFound, GetOrLoad answers ErrNotFound again without
-	// calling the loader. Zero disables negative caching.
+	// NegativeTTL caches origin misses: for NegativeTTL after SetNegative,
+	// LookupLoad answers LoadNegative without anyone asking the origin.
+	// Zero disables negative caching.
 	NegativeTTL time.Duration
 	// TTLJitter decorrelates mass expiry: each loaded value's freshness
 	// TTL is shortened by a uniform random fraction drawn from
@@ -149,8 +144,8 @@ type Config struct {
 
 	// Metrics, when non-nil, exports every monotonic Stats field as a derived
 	// counter under "stemcache.*" (hits, misses, evictions, spills, ...):
-	// reading the registry calls Stats once, no operation writes to it. Only
-	// the loader latency histogram is a live cell. Safe to share with a live
+	// reading the registry calls Stats once, no operation writes to it, and
+	// the cache registers no live cell. Safe to share with a live
 	// obs.Server.
 	Metrics *obs.Registry
 	// Observer, when non-nil, receives one obs.Event per mechanism action
@@ -217,10 +212,6 @@ func (c *Config) normalize() {
 	}
 }
 
-// revalidateWorkers bounds the background refresh pool that
-// stale-while-revalidate runs when StaleTTL > 0.
-const revalidateWorkers = 4
-
 // engine maps the cache's STEM parameters onto the engine's Config, which
 // owns their defaults.
 func (c Config) engine() core.Config {
@@ -252,32 +243,16 @@ type Cache[K comparable, V any] struct {
 
 	sig *hashfn.Hash // read-only after construction; safe concurrently
 
-	loaderLat *obs.LatencyHistogram // nil without Config.Metrics
-
 	obsMu    sync.Mutex // serializes Observer calls across shards
 	observer obs.Observer
 
 	now func() int64 // nanoseconds; swapped out by TTL tests
 
-	// Read-through state (loader.go). loadMu guards the singleflight
-	// table, the pending-refresh set, the jitter RNG and loadClosed; its
-	// rank sits between closeMu and shard.mu, though it is never actually
-	// held across a shard-lock acquisition.
-	loadMu     sync.Mutex
-	flights    map[tkey[K]]*flight[V]
-	pending    map[tkey[K]]struct{}
-	loadRNG    *sim.RNG
-	loadClosed bool
-	// The stale-while-revalidate worker pool: nil channel when StaleTTL
-	// is zero (no goroutines). Close drains it via refreshWG.
-	refreshC      chan refreshJob[K, V]
-	refreshWG     sync.WaitGroup
-	refreshCancel func()
-
-	// Singleflight outcome counters. They are cross-shard (a load is not
-	// owned by any shard lock), hence atomic rather than sh.stats fields.
-	loads     atomic.Uint64
-	loadDedup atomic.Uint64
+	// loadMu guards loadRNG, the TTL-jitter draw SetLoaded takes (loader.go);
+	// its rank sits between closeMu and shard.mu, though it is never held
+	// across a shard-lock acquisition.
+	loadMu  sync.Mutex
+	loadRNG *sim.RNG
 
 	// Multi-tenant state (tenant.go): nil when no registry is configured.
 	// tenantMu guards the arbitration epoch baselines inside ten; its rank
@@ -341,21 +316,10 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 		// The wall clock only decides TTL expiry, never eviction order, so
 		// Stats stay seed-deterministic; tests swap c.now for a fake clock.
 		now:     func() int64 { return time.Now().UnixNano() }, //lint:allow(determinism) TTL expiry boundary; eviction decisions never read this clock
-		flights: map[tkey[K]]*flight[V]{},
-		pending: map[tkey[K]]struct{}{},
 		loadRNG: sim.NewRNG(cfg.Seed ^ 0x10ad),
 	}
 	if cfg.Tenants != nil {
 		c.ten = newTenantState(cfg.Tenants, cfg.TenantPolicy, cfg.Seed)
-	}
-	if cfg.StaleTTL > 0 {
-		ctx, cancel := context.WithCancel(context.Background())
-		c.refreshCancel = cancel
-		c.refreshC = make(chan refreshJob[K, V], 4*revalidateWorkers)
-		for i := 0; i < revalidateWorkers; i++ {
-			c.refreshWG.Add(1)
-			go c.revalidateWorker(ctx)
-		}
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -550,23 +514,14 @@ func (c *Cache[K, V]) Stats() Stats {
 		sh.mu.Unlock()
 		out.add(st)
 	}
-	// Singleflight counters live outside the shards (a load belongs to the
-	// whole cache, not one shard's lock domain).
-	out.Loads = c.loads.Load()
-	out.LoadDedup = c.loadDedup.Load()
 	return out
 }
 
 // Close empties the cache — every entry is released and every set
 // association dissolved — so large cached values become collectable
-// immediately. With stale-while-revalidate configured, Close first shuts
-// the revalidation pool down: queued refreshes are abandoned, in-flight
-// loaders see their context cancelled, and Close blocks until every worker
-// has exited (a cache without StaleTTL runs no goroutines and Close never
-// blocks). Close is idempotent, and the Cache remains structurally usable
-// afterwards (a subsequent Set simply starts refilling it), though
-// GetOrLoad no longer schedules background refreshes. Demand state
-// (saturating counters, shadow signatures) and statistics persist.
+// immediately. Close is idempotent, and the Cache remains structurally
+// usable afterwards (a subsequent Set simply starts refilling it). Demand
+// state (saturating counters, shadow signatures) and statistics persist.
 func (c *Cache[K, V]) Close() {
 	c.closeMu.Lock()
 	defer c.closeMu.Unlock()
@@ -574,17 +529,6 @@ func (c *Cache[K, V]) Close() {
 		return
 	}
 	c.closed = true
-	// Stop the revalidation pool before touching entries: loadClosed (set
-	// under loadMu) fences new enqueues, so closing refreshC afterwards
-	// cannot race a send; the cancel unblocks loaders already running.
-	c.loadMu.Lock()
-	c.loadClosed = true
-	c.loadMu.Unlock()
-	if c.refreshC != nil {
-		c.refreshCancel()
-		close(c.refreshC)
-		c.refreshWG.Wait()
-	}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()

@@ -2,7 +2,6 @@ package stemcache
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -264,8 +263,6 @@ func registryMatchesStats[K comparable, V any](t *testing.T, reg *obs.Registry, 
 		"stemcache.decouplings":    st.Decouplings,
 		"stemcache.spills":         st.Spills,
 		"stemcache.receives":       st.Receives,
-		"stemcache.loads":          st.Loads,
-		"stemcache.load_dedup":     st.LoadDedup,
 		"stemcache.stale_served":   st.StaleServed,
 		"stemcache.negative_hits":  st.NegativeHits,
 	}
@@ -283,7 +280,7 @@ func registryMatchesStats[K comparable, V any](t *testing.T, reg *obs.Registry, 
 			t.Errorf("exposition lacks %q", line)
 		}
 	}
-	if n := len(snap) - 1; n != len(want) { // the loader histogram is the one other name
+	if n := len(snap); n != len(want) {
 		t.Errorf("registry holds %d counters, want %d: %v", n, len(want), reg.Names())
 	}
 	return st
@@ -300,15 +297,13 @@ func TestMetricsRegistryWiring(t *testing.T) {
 		}
 	}
 	c.Delete(999)
-	absent := func(context.Context, int) (int, error) { return 0, ErrNotFound }
-	for i := 0; i < 2; i++ { // a load, then a hit on the cached absence
-		if _, err := c.GetOrLoad(context.Background(), -1, absent); err != ErrNotFound {
-			t.Fatal(err)
-		}
+	c.SetNegative(-1) // a cached absence, then a read that hits it
+	if _, state := c.LookupLoad(-1); state != LoadNegative {
+		t.Fatalf("state = %v; want negative", state)
 	}
 	st := registryMatchesStats(t, reg, c)
 	if st.Hits == 0 || st.Evictions == 0 || st.ShadowHits == 0 || st.Spills == 0 || st.PolicySwaps == 0 ||
-		st.Deletes != 1 || st.Loads != 1 || st.NegativeHits != 1 {
+		st.Deletes != 1 || st.NegativeHits != 1 {
 		t.Fatalf("workload left counters idle: %+v", st)
 	}
 }

@@ -26,10 +26,10 @@ package stemcache
 // than fixed partitions.
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/tenant"
 )
 
@@ -91,7 +91,7 @@ type tenantState struct {
 func newTenantState(reg *tenant.Registry, policy TenantPolicy, seed uint64) *tenantState {
 	ts := &tenantState{reg: reg, policy: policy}
 	for i := 1; i < tenant.MaxTenants; i++ {
-		ts.salt[i] = mix64(seed ^ 0x7e4a_97e5 ^ uint64(i)*0x9e3779b97f4a7c15)
+		ts.salt[i] = sim.Mix64(seed ^ 0x7e4a_97e5 ^ uint64(i)*0x9e3779b97f4a7c15)
 	}
 	return ts
 }
@@ -161,13 +161,6 @@ func (t TenantView[K, V]) SetLoaded(key K, value V) { t.c.setLoadedT(t.id, key, 
 
 // SetNegative is Cache.SetNegative in the view's namespace.
 func (t TenantView[K, V]) SetNegative(key K) { t.c.setNegativeT(t.id, key) }
-
-// GetOrLoad is Cache.GetOrLoad in the view's namespace; singleflight
-// deduplication is per (tenant, key), so equal keys in different namespaces
-// load independently.
-func (t TenantView[K, V]) GetOrLoad(ctx context.Context, key K, loader Loader[K, V]) (V, error) {
-	return t.c.getOrLoadT(ctx, t.id, key, loader)
-}
 
 // thash maps (tenant, key) to the cache's 64-bit hash space. The per-tenant
 // salt keeps namespaces disjoint end to end: shard, set, tag and shadow

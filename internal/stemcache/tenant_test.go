@@ -1,10 +1,8 @@
 package stemcache
 
 import (
-	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/tenant"
@@ -270,39 +268,6 @@ func TestTenantStaticEnforcement(t *testing.T) {
 	// only where its sets hold no recyclable entry of its own.
 	if st[2].Live > st[2].Target*3/2 {
 		t.Fatalf("flood tenant live %d far exceeds its target %d", st[2].Live, st[2].Target)
-	}
-}
-
-// TestTenantGetOrLoadIsolation: singleflight is per (tenant, key) — the same
-// key loading in two namespaces runs two loaders and caches two values.
-func TestTenantGetOrLoadIsolation(t *testing.T) {
-	c, reg := tenantCache(t, Config{Capacity: 1 << 10, LoadTTL: 0}, TenantObserve,
-		tenant.Config{Name: "a"}, tenant.Config{Name: "b"})
-	var calls atomic.Int64
-	mk := func(v int) Loader[string, int] {
-		return func(ctx context.Context, key string) (int, error) {
-			calls.Add(1)
-			return v, nil
-		}
-	}
-	ctx := context.Background()
-	va, err := c.Tenant(reg.Resolve("a")).GetOrLoad(ctx, "k", mk(1))
-	if err != nil || va != 1 {
-		t.Fatalf("tenant a load = (%d, %v)", va, err)
-	}
-	vb, err := c.Tenant(reg.Resolve("b")).GetOrLoad(ctx, "k", mk(2))
-	if err != nil || vb != 2 {
-		t.Fatalf("tenant b load = (%d, %v)", vb, err)
-	}
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("loader ran %d times, want 2 (one per namespace)", n)
-	}
-	// Both values resident independently.
-	if v, _ := c.Tenant(reg.Resolve("a")).Get("k"); v != 1 {
-		t.Fatalf("tenant a cached %d, want 1", v)
-	}
-	if v, _ := c.Tenant(reg.Resolve("b")).Get("k"); v != 2 {
-		t.Fatalf("tenant b cached %d, want 2", v)
 	}
 }
 
