@@ -285,6 +285,9 @@ func recordVerb(p *params) error {
 
 // recordTrace captures n references of the named benchmark analog to path.
 func recordTrace(path, bench string, n int, geom sim.Geometry, seed uint64) error {
+	if err := geom.Validate(); err != nil {
+		return err
+	}
 	b, err := workloads.ByName(bench)
 	if err != nil {
 		return err

@@ -261,6 +261,13 @@ func TestBadInvocations(t *testing.T) {
 		{"run", "-bench", "omnetpp", "-replay", "x.trc"},
 		{"run", "-replay", filepath.Join(t.TempDir(), "missing.trc")},
 		{"run", "-bench", "omnetpp", "-quick"},
+		// Geometry from the flags: an error, not a panic in a scheme.
+		{"run", "-bench", "omnetpp", "-sets", "1"},
+		{"run", "-bench", "omnetpp", "-sets", "3"},
+		{"run", "-bench", "omnetpp", "-ways", "40000"},
+		{"run", "-bench", "omnetpp", "-line", "48"},
+		{"run", "-bench", "omnetpp", "-sets", "2", "-ways", "20000", "-schemes", "VWAY"},
+		{"record", "-bench", "omnetpp", "-sets", "3", "-o", filepath.Join(t.TempDir(), "x.trc")},
 		{"record", "-bench", "omnetpp"},
 		{"record", "-bench", "nope", "-o", filepath.Join(t.TempDir(), "x.trc")},
 	} {

@@ -39,7 +39,6 @@ var determinismMapRangePkgs = map[string]bool{
 	"internal/policy":    true,
 	"internal/selector":  true,
 	"internal/dip":       true,
-	"internal/drrip":     true,
 	"internal/vway":      true,
 	"internal/stemcache": true,
 	"internal/cluster":   true,

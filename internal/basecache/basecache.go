@@ -1,12 +1,7 @@
 // Package basecache implements the conventional set-associative cache of
 // paper §2.1: a fixed number of sets, each with a static associativity and
 // its own replacement policy. It is both the LRU baseline of the evaluation
-// and the building block the DIP scheme and the L1 models are assembled
-// from.
-//
-// The cache exposes observer hooks (miss, eviction) so higher-level schemes
-// and profilers can watch the reference and eviction streams without the
-// cache knowing about them.
+// and the building block DIP, DRRIP and SRRIP are assembled from.
 package basecache
 
 import (
@@ -15,19 +10,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
-
-// Hooks are optional observer callbacks. Nil members are skipped.
-type Hooks struct {
-	// OnMiss fires on every miss, before the fill, with the set index and
-	// the missing block address.
-	OnMiss func(set int, block uint64)
-	// OnEvict fires whenever a valid block is replaced, with the set index
-	// and the evicted block address.
-	OnEvict func(set int, block uint64)
-	// OnWriteback fires when the replaced block was dirty (after OnEvict);
-	// the next cache level uses it to absorb the write.
-	OnWriteback func(set int, block uint64)
-}
 
 // Per-line flag bits, kept beside the block addresses in a parallel array.
 const (
@@ -46,7 +28,6 @@ type Cache struct {
 	flags  []uint8
 	pols   []policy.Policy // one per set
 	stats  sim.Stats
-	hooks  Hooks
 }
 
 // PolicyFactory builds the replacement policy for one set. The RNG passed in
@@ -92,9 +73,6 @@ func NewLRU(geom sim.Geometry, seed uint64) *Cache {
 	return NewStatic("LRU", geom, seed, policy.LRU)
 }
 
-// SetHooks installs observer callbacks; pass the zero Hooks to clear.
-func (c *Cache) SetHooks(h Hooks) { c.hooks = h }
-
 // Name implements sim.Simulator.
 func (c *Cache) Name() string { return c.name }
 
@@ -130,21 +108,9 @@ func (c *Cache) Access(a sim.Access) sim.Outcome {
 		return out
 	}
 
-	if c.hooks.OnMiss != nil {
-		c.hooks.OnMiss(idx, a.Block)
-	}
 	way := victimWay(flags, pol)
-	if f := flags[way]; f&lineValid != 0 {
-		evicted := blocks[way]
-		if f&lineDirty != 0 {
-			out.Writeback = true
-		}
-		if c.hooks.OnEvict != nil {
-			c.hooks.OnEvict(idx, evicted)
-		}
-		if f&lineDirty != 0 && c.hooks.OnWriteback != nil {
-			c.hooks.OnWriteback(idx, evicted)
-		}
+	if flags[way]&lineDirty != 0 { // lines are never invalidated, so a dirty one is valid
+		out.Writeback = true
 	}
 	blocks[way], flags[way] = a.Block, lineValid
 	if a.Write {

@@ -106,29 +106,6 @@ func TestDirtyBitSetOnWriteHit(t *testing.T) {
 	}
 }
 
-func TestHooksFire(t *testing.T) {
-	c := NewLRU(toyGeom, 1)
-	var misses, evicts int
-	var lastEvicted uint64
-	c.SetHooks(Hooks{
-		OnMiss:  func(set int, block uint64) { misses++ },
-		OnEvict: func(set int, block uint64) { evicts++; lastEvicted = block },
-	})
-	a := blockIn(toyGeom, 0, 1)
-	b := blockIn(toyGeom, 0, 2)
-	d := blockIn(toyGeom, 0, 3)
-	c.Access(sim.Access{Block: a})
-	c.Access(sim.Access{Block: b})
-	c.Access(sim.Access{Block: a})
-	c.Access(sim.Access{Block: d}) // evicts b
-	if misses != 3 {
-		t.Fatalf("miss hook fired %d times, want 3", misses)
-	}
-	if evicts != 1 || lastEvicted != b {
-		t.Fatalf("evict hook: n=%d block=%#x, want 1, %#x", evicts, lastEvicted, b)
-	}
-}
-
 func TestOccupancyAndPolicyKind(t *testing.T) {
 	c := NewStatic("bip", toyGeom, 1, policy.BIP)
 	if c.PolicyKind(0) != policy.BIP {

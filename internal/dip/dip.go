@@ -1,148 +1,77 @@
 // Package dip implements the Dynamic Insertion Policy of Qureshi, Jaleel,
 // Patt, Steely and Emer (ISCA 2007), the temporal-management baseline of the
-// STEM evaluation.
+// STEM evaluation, and Dynamic RRIP (Jaleel et al., ISCA 2010), the same
+// cache over the SRRIP/BRRIP pair.
 //
-// DIP duels LRU against BIP cache-wide via set dueling: a few dedicated
-// leader sets always run LRU, an equal number always run BIP, and a single
-// saturating policy-selector counter (PSEL) counts their misses against each
-// other — an LRU-leader miss increments PSEL, a BIP-leader miss decrements
-// it. All remaining sets are followers that insert with whichever policy the
-// MSB of PSEL currently favors. The paper's astar pathology (§5.2) comes
-// precisely from this application-level decision being imposed on every
-// non-sample set, which this implementation reproduces.
+// DIP duels LRU against BIP cache-wide through one policy.Duel: Sets/64
+// leader sets always run LRU, as many always run BIP, and the PSEL counter
+// their misses move decides what every other set inserts with. The paper's
+// astar pathology (§5.2) comes precisely from this application-level
+// decision being imposed on every non-sample set, which this implementation
+// reproduces.
 //
-// Leader sets are chosen by the "complement-select" style static mapping of
-// the original proposal: sets are split into constituencies and one leader
-// of each flavor is placed per constituency, so leaders are spread across
-// the index space.
+// DRRIP postdates the STEM paper and is not part of its evaluation; the
+// repository includes it as the extension baseline for the question the
+// paper leaves open: does set-level spatiotemporal management still pay
+// against the next generation of cache-level temporal policies? (See the
+// extension row and EXPERIMENTS.md.)
 package dip
 
 import (
-	"fmt"
-
 	"repro/internal/basecache"
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
 
-// Config parameterizes a DIP cache. The zero value is completed by
-// applyDefaults inside New.
-type Config struct {
-	// LeadersPerPolicy is the number of dedicated leader sets for each of
-	// LRU and BIP. Default: Sets/64 clamped to [1, Sets/2] (32 per policy at
-	// the paper's 2048 sets).
-	LeadersPerPolicy int
-	// PSELBits is the width of the policy selector counter. Default: 10.
-	PSELBits int
-	// Seed drives BIP's insertion randomness.
-	Seed uint64
-}
-
-// role of a set in the dueling mechanism.
-type role uint8
-
-const (
-	follower role = iota
-	leaderLRU
-	leaderBIP
-)
-
-// Cache is a DIP-managed set-associative cache. It implements
-// sim.Simulator.
+// Cache is a set-dueling cache implementing sim.Simulator: a basecache whose
+// leader sets run a fixed kind and whose followers insert with the duel's
+// winner.
 type Cache struct {
-	base    *basecache.Cache
-	roles   []role
-	psel    int
-	pselMax int
+	*basecache.Cache
+	duel *policy.Duel
+	a, b policy.Kind // the duel's flavours
 }
 
-// New constructs a DIP cache. It panics on invalid geometry.
-func New(geom sim.Geometry, cfg Config) *Cache {
-	if err := geom.Validate(); err != nil {
-		// invariant: geometry comes from the experiment harness, which validates it before constructing schemes.
-		panic(fmt.Sprintf("dip: %v", err))
-	}
-	if cfg.LeadersPerPolicy <= 0 {
-		cfg.LeadersPerPolicy = geom.Sets / 64
-		if cfg.LeadersPerPolicy < 1 {
-			cfg.LeadersPerPolicy = 1
+// New constructs a DIP cache, LRU against BIP. It panics on invalid geometry
+// or fewer than two sets.
+func New(geom sim.Geometry, seed uint64) *Cache {
+	return newDueling("DIP", policy.LRU, policy.BIP, geom, seed)
+}
+
+// NewDRRIP constructs a DRRIP cache, SRRIP against BRRIP. It panics on
+// invalid geometry or fewer than two sets.
+func NewDRRIP(geom sim.Geometry, seed uint64) *Cache {
+	return newDueling("DRRIP", policy.SRRIP, policy.BRRIP, geom, seed)
+}
+
+func newDueling(name string, a, b policy.Kind, geom sim.Geometry, seed uint64) *Cache {
+	c := &Cache{duel: policy.NewDuel(geom.Sets), a: a, b: b}
+	winner := c.winner
+	c.Cache = basecache.New(name, geom, seed, func(set, ways int, rng *sim.RNG) policy.Policy {
+		if c.duel.Leader(set) {
+			return policy.New(c.kind(c.duel.B(set)), ways, rng)
 		}
-	}
-	if 2*cfg.LeadersPerPolicy > geom.Sets {
-		// invariant: applyDefaults caps leader sets at Sets/64, so only an explicit bad config reaches here.
-		panic("dip: more leader sets than cache sets")
-	}
-	if cfg.PSELBits <= 0 {
-		cfg.PSELBits = 10
-	}
-
-	c := &Cache{
-		roles:   make([]role, geom.Sets),
-		pselMax: 1<<uint(cfg.PSELBits) - 1,
-	}
-	c.psel = (c.pselMax + 1) / 2 // start undecided
-
-	// Spread one LRU leader and one BIP leader per constituency.
-	stride := geom.Sets / cfg.LeadersPerPolicy
-	for i := 0; i < cfg.LeadersPerPolicy; i++ {
-		base := i * stride
-		c.roles[base] = leaderLRU
-		c.roles[base+stride/2] = leaderBIP
-	}
-
-	c.base = basecache.New("DIP", geom, cfg.Seed, func(set int, ways int, rng *sim.RNG) policy.Policy {
-		switch c.roles[set] {
-		case leaderLRU:
-			return policy.New(policy.LRU, ways, rng)
-		case leaderBIP:
-			return policy.New(policy.BIP, ways, rng)
-		default:
-			return policy.NewDual(ways, rng, c.winner)
-		}
+		return policy.NewDual(ways, rng, winner)
 	})
-	c.base.SetHooks(basecache.Hooks{OnMiss: c.onMiss})
 	return c
 }
 
-// winner returns the policy followers should currently insert with: BIP when
-// the MSB of PSEL is set (LRU leaders are missing more), LRU otherwise.
-func (c *Cache) winner() policy.Kind {
-	if c.psel > c.pselMax/2 {
-		return policy.BIP
+// Access implements sim.Simulator. The duel counts a miss after the fill:
+// only a follower's insert reads PSEL, and a follower's miss never moves it.
+func (c *Cache) Access(a sim.Access) sim.Outcome {
+	out := c.Cache.Access(a)
+	if !out.Hit {
+		c.duel.Miss(c.Geometry().Index(a.Block))
 	}
-	return policy.LRU
+	return out
 }
 
-// Winner exposes the current dueling decision (for tests and reporting).
-func (c *Cache) Winner() policy.Kind { return c.winner() }
+// winner returns the kind the followers insert with now.
+func (c *Cache) winner() policy.Kind { return c.kind(c.duel.BWins()) }
 
-// PSEL exposes the selector value (for tests).
-func (c *Cache) PSEL() int { return c.psel }
-
-func (c *Cache) onMiss(set int, _ uint64) {
-	switch c.roles[set] {
-	case leaderLRU:
-		if c.psel < c.pselMax {
-			c.psel++
-		}
-	case leaderBIP:
-		if c.psel > 0 {
-			c.psel--
-		}
+func (c *Cache) kind(b bool) policy.Kind {
+	if b {
+		return c.b
 	}
+	return c.a
 }
-
-// Name implements sim.Simulator.
-func (c *Cache) Name() string { return "DIP" }
-
-// Geometry implements sim.Simulator.
-func (c *Cache) Geometry() sim.Geometry { return c.base.Geometry() }
-
-// Access implements sim.Simulator.
-func (c *Cache) Access(a sim.Access) sim.Outcome { return c.base.Access(a) }
-
-// Stats implements sim.Simulator.
-func (c *Cache) Stats() sim.Stats { return c.base.Stats() }
-
-// ResetStats implements sim.Simulator.
-func (c *Cache) ResetStats() { c.base.ResetStats() }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/basecache"
 	"repro/internal/core"
 	"repro/internal/dip"
-	"repro/internal/drrip"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/pelifo"
@@ -38,27 +37,37 @@ var SchemeNames = []string{"LRU", "DIP", "PELIFO", "VWAY", "SBC", "STEM"}
 // earliest spatial approach.
 var ExtensionSchemeNames = []string{"SRRIP", "DRRIP", "SKEW"}
 
-// NewScheme constructs a scheme by name over the given geometry.
+// NewScheme constructs a scheme by name over the given geometry. It refuses
+// a geometry that fails Validate, fewer than two sets for the schemes that
+// duel leader sets (DIP, PELIFO, DRRIP), and a V-Way cache wider than
+// vway.MaxWays.
 func NewScheme(name string, geom sim.Geometry, seed uint64) (sim.Simulator, error) {
+	if err := geom.Validate(); err != nil {
+		return nil, err
+	}
+	switch {
+	case (name == "DIP" || name == "PELIFO" || name == "DRRIP") && geom.Sets < 2:
+		return nil, fmt.Errorf("experiments: %s needs at least 2 sets, one leader set per dueling flavour; got %d", name, geom.Sets)
+	case name == "VWAY" && geom.Ways > vway.MaxWays:
+		return nil, fmt.Errorf("experiments: VWAY needs at most %d ways, its tag store being twice as wide; got %d", vway.MaxWays, geom.Ways)
+	}
 	switch name {
 	case "LRU":
 		return basecache.NewLRU(geom, seed), nil
 	case "DIP":
-		return dip.New(geom, dip.Config{Seed: seed}), nil
+		return dip.New(geom, seed), nil
 	case "PELIFO":
-		return pelifo.New(geom, pelifo.Config{Seed: seed}), nil
+		return pelifo.New(geom, seed), nil
 	case "VWAY":
-		return vway.New(geom, vway.Config{Seed: seed}), nil
+		return vway.New(geom, seed), nil
 	case "SBC":
-		return sbc.New(geom, sbc.Config{Seed: seed}), nil
+		return sbc.New(geom, seed), nil
 	case "STEM":
 		return core.New(geom, core.Config{Seed: seed}), nil
 	case "SRRIP":
-		return basecache.New("SRRIP", geom, seed, func(_ int, ways int, rng *sim.RNG) policy.Policy {
-			return policy.NewRRIP(policy.SRRIP, ways, rng)
-		}), nil
+		return basecache.NewStatic("SRRIP", geom, seed, policy.SRRIP), nil
 	case "DRRIP":
-		return drrip.New(geom, drrip.Config{Seed: seed}), nil
+		return dip.NewDRRIP(geom, seed), nil
 	case "SKEW":
 		return skew.New(geom, seed), nil
 	default:

@@ -40,6 +40,30 @@ func TestNewSchemeAllNames(t *testing.T) {
 	}
 }
 
+// TestNewSchemeRefusesGeometry: a geometry no scheme can be built over is an
+// error from NewScheme, never a panic inside a constructor.
+func TestNewSchemeRefusesGeometry(t *testing.T) {
+	all := append(append([]string(nil), SchemeNames...), ExtensionSchemeNames...)
+	for _, g := range []sim.Geometry{{Sets: 3, Ways: 4, LineSize: 64}, {Sets: 16, Ways: sim.MaxWays + 1, LineSize: 64}, {Sets: 16, Ways: 4, LineSize: 48}} {
+		for _, name := range all {
+			if _, err := NewScheme(name, g, 1); err == nil {
+				t.Errorf("%s over %+v: no error", name, g)
+			}
+		}
+	}
+	oneSet := sim.Geometry{Sets: 1, Ways: 4, LineSize: 64}
+	wide := sim.Geometry{Sets: 2, Ways: sim.MaxWays/2 + 1, LineSize: 64}
+	for _, name := range all {
+		_, err := NewScheme(name, oneSet, 1)
+		if dueling := name == "DIP" || name == "PELIFO" || name == "DRRIP"; dueling != (err != nil) {
+			t.Errorf("%s over one set: err %v", name, err)
+		}
+		if _, err := NewScheme(name, wide, 1); (name == "VWAY") != (err != nil) {
+			t.Errorf("%s over %d ways: err %v", name, wide.Ways, err)
+		}
+	}
+}
+
 func TestRunProducesConsistentMetrics(t *testing.T) {
 	cfg := quickCfg()
 	res, err := RunWorkload(workloads.Suite()[0].Workload, "LRU", cfg)

@@ -90,10 +90,10 @@ func TestQuickOPTLowerBoundsSetConstrainedSchemes(t *testing.T) {
 		if replay(basecache.NewLRU(geom, seed), blocks) < optMisses {
 			return false
 		}
-		if replay(dip.New(geom, dip.Config{Seed: seed}), blocks) < optMisses {
+		if replay(dip.New(geom, seed), blocks) < optMisses {
 			return false
 		}
-		if replay(pelifo.New(geom, pelifo.Config{Seed: seed}), blocks) < optMisses {
+		if replay(pelifo.New(geom, seed), blocks) < optMisses {
 			return false
 		}
 		return true

@@ -29,30 +29,15 @@ import (
 	"repro/internal/sim"
 )
 
-// Config parameterizes a PeLIFO cache.
-type Config struct {
-	// EpochFills is how many fills elapse between re-learning the preferred
-	// eviction position. Default: 4096.
-	EpochFills int
-	// HitFraction is the per-position escape-mass threshold (relative to the
-	// epoch's evicted-block count) below which a fill-stack depth is
-	// considered useless. Default: 1/64.
-	HitFraction float64
-	// LeadersPerPolicy is the number of dueling leader sets per policy
-	// (PeLIFO vs LRU). Default: Sets/64, at least 1.
-	LeadersPerPolicy int
-	// PSELBits is the width of the dueling counter. Default: 10.
-	PSELBits int
-	// Seed drives any probabilistic choices.
-	Seed uint64
-}
-
-type role uint8
-
+// The simplified learner's constants (DESIGN.md §5 lists each baseline's).
 const (
-	follower role = iota
-	leaderLRU
-	leaderPeLIFO
+	// epochFills is how many fills pass between re-learning the preferred
+	// eviction position.
+	epochFills = 4096
+	// escapeShare sets the escape-mass threshold: a fill-stack depth is
+	// useless once fewer than 1/escapeShare of the epoch's evicted blocks
+	// still escaped to it.
+	escapeShare = 64
 )
 
 type line struct {
@@ -78,9 +63,8 @@ type pelifoSet struct {
 // sim.Simulator.
 type Cache struct {
 	geom  sim.Geometry
-	cfg   Config
 	sets  []pelifoSet
-	roles []role
+	duel  *policy.Duel // flavour A is LRU, B the learned fill-stack position
 	stats sim.Stats
 
 	// Learning state. escAt[p] counts evicted blocks whose deepest hit was
@@ -93,51 +77,24 @@ type Cache struct {
 	escSamples uint64
 	fills      uint64 // fills since epoch start
 	evictPos   int    // learned preferred eviction position
-	psel, max  int    // dueling counter and its ceiling
 }
 
-// New constructs a PeLIFO cache. It panics on invalid geometry.
-func New(geom sim.Geometry, cfg Config) *Cache {
+// New constructs a PeLIFO cache. It panics on invalid geometry or fewer than
+// two sets.
+func New(geom sim.Geometry, seed uint64) *Cache {
 	if err := geom.Validate(); err != nil {
-		// invariant: geometry comes from the experiment harness, which validates it before constructing schemes.
+		// invariant: experiments.NewScheme validates the geometry before constructing schemes.
 		panic(fmt.Sprintf("pelifo: %v", err))
-	}
-	if cfg.EpochFills <= 0 {
-		cfg.EpochFills = 4096
-	}
-	if cfg.HitFraction <= 0 {
-		cfg.HitFraction = 1.0 / 64
-	}
-	if cfg.LeadersPerPolicy <= 0 {
-		cfg.LeadersPerPolicy = geom.Sets / 64
-		if cfg.LeadersPerPolicy < 1 {
-			cfg.LeadersPerPolicy = 1
-		}
-	}
-	if 2*cfg.LeadersPerPolicy > geom.Sets {
-		// invariant: applyDefaults caps leader sets at Sets/64, so only an explicit bad config reaches here.
-		panic("pelifo: more leader sets than cache sets")
-	}
-	if cfg.PSELBits <= 0 {
-		cfg.PSELBits = 10
 	}
 	c := &Cache{
 		geom:     geom,
-		cfg:      cfg,
 		sets:     make([]pelifoSet, geom.Sets),
-		roles:    make([]role, geom.Sets),
+		duel:     policy.NewDuel(geom.Sets),
 		escAt:    make([]uint64, geom.Ways),
 		evictPos: geom.Ways - 1, // start FIFO-like (closest to LRU)
-		max:      1<<uint(cfg.PSELBits) - 1,
-	}
-	c.psel = (c.max + 1) / 2
-	stride := geom.Sets / cfg.LeadersPerPolicy
-	for i := 0; i < cfg.LeadersPerPolicy; i++ {
-		c.roles[i*stride] = leaderLRU
-		c.roles[i*stride+stride/2] = leaderPeLIFO
 	}
 	for i := range c.sets {
-		rng := sim.NewRNG(cfg.Seed ^ uint64(i)*0x9e3779b97f4a7c15)
+		rng := sim.NewRNG(seed ^ uint64(i)*0x9e3779b97f4a7c15)
 		c.sets[i] = pelifoSet{
 			lines: make([]line, geom.Ways),
 			lru:   policy.New(policy.LRU, geom.Ways, rng),
@@ -185,17 +142,7 @@ func (c *Cache) Access(a sim.Access) sim.Outcome {
 	}
 
 	// Miss: duel bookkeeping, then fill.
-	switch c.roles[idx] {
-	case leaderLRU:
-		if c.psel < c.max {
-			c.psel++
-		}
-	case leaderPeLIFO:
-		if c.psel > 0 {
-			c.psel--
-		}
-	}
-
+	c.duel.Miss(idx)
 	way := c.victimWay(idx)
 	v := &s.lines[way]
 	oldPos := s.occ // cold fill: new block conceptually pushes whole stack
@@ -223,7 +170,7 @@ func (c *Cache) Access(a sim.Access) sim.Outcome {
 	s.lru.OnInsert(way)
 
 	c.fills++
-	if c.fills >= uint64(c.cfg.EpochFills) {
+	if c.fills >= epochFills {
 		c.relearn()
 	}
 	c.stats.Record(out)
@@ -238,9 +185,7 @@ func (c *Cache) victimWay(idx int) int {
 			return w
 		}
 	}
-	useLRU := c.roles[idx] == leaderLRU ||
-		(c.roles[idx] == follower && c.psel <= c.max/2)
-	if useLRU {
+	if !c.duel.B(idx) {
 		return s.lru.Victim()
 	}
 	// PeLIFO: evict the block at the learned fill-stack position.
@@ -267,7 +212,7 @@ func (c *Cache) relearn() {
 	if c.escSamples < 64 {
 		return // not enough evidence to move
 	}
-	thresh := uint64(float64(c.escSamples) * c.cfg.HitFraction)
+	thresh := c.escSamples / escapeShare
 	deepest := -1
 	for p := len(c.escAt) - 1; p >= 0; p-- {
 		if c.escAt[p] > thresh {

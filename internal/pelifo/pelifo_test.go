@@ -11,8 +11,8 @@ var geom = sim.Geometry{Sets: 64, Ways: 4, LineSize: 64}
 
 func TestNewPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"bad geometry":     func() { New(sim.Geometry{Sets: 6, Ways: 2, LineSize: 64}, Config{}) },
-		"too many leaders": func() { New(geom, Config{LeadersPerPolicy: 40}) },
+		"bad geometry":     func() { New(sim.Geometry{Sets: 6, Ways: 2, LineSize: 64}, 0) },
+		"too many leaders": func() { New(sim.Geometry{Sets: 1, Ways: 4, LineSize: 64}, 0) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -26,7 +26,7 @@ func TestNewPanics(t *testing.T) {
 }
 
 func TestColdMissThenHit(t *testing.T) {
-	c := New(geom, Config{Seed: 1})
+	c := New(geom, 1)
 	b := geom.BlockFor(7, 3)
 	if c.Access(sim.Access{Block: b}).Hit {
 		t.Fatal("cold hit")
@@ -38,11 +38,19 @@ func TestColdMissThenHit(t *testing.T) {
 
 func TestFillStackInvariant(t *testing.T) {
 	// Fill positions within a set must always be a permutation of
-	// 0..occupancy-1.
-	c := New(geom, Config{Seed: 1, EpochFills: 256})
+	// 0..occupancy-1, also once the learner has moved the eviction position:
+	// the stream alternates random phases with thrashing ones, about three
+	// epochs of fills each.
+	c := New(geom, 1)
 	rng := sim.NewRNG(2)
-	for i := 0; i < 50000; i++ {
-		c.Access(sim.Access{Block: uint64(rng.Intn(2048)), Write: rng.OneIn(4)})
+	moved := false
+	for i := 0; i < 100000; i++ {
+		b := uint64(rng.Intn(2048))
+		if i/12000%2 == 1 {
+			b = geom.BlockFor(uint64(i/geom.Sets%(geom.Ways+2)), i%geom.Sets)
+		}
+		c.Access(sim.Access{Block: b, Write: rng.OneIn(4)})
+		moved = moved || c.EvictPos() != geom.Ways-1
 		if i%997 != 0 {
 			continue
 		}
@@ -70,6 +78,9 @@ func TestFillStackInvariant(t *testing.T) {
 			}
 		}
 	}
+	if !moved {
+		t.Fatal("the learner never moved the eviction position")
+	}
 }
 
 func thrashRounds(c sim.Simulator, rounds, wsSize int, reset int) {
@@ -87,15 +98,15 @@ func thrashRounds(c sim.Simulator, rounds, wsSize int, reset int) {
 }
 
 func TestLearnsTopEvictionUnderThrash(t *testing.T) {
-	c := New(geom, Config{Seed: 1, EpochFills: 1024})
-	thrashRounds(c, 60, geom.Ways+2, -1)
+	c := New(geom, 1)
+	thrashRounds(c, 60, geom.Ways+2, -1) // 23 040 accesses, most of them fills: about five epochs
 	if c.EvictPos() > 1 {
 		t.Fatalf("evictPos = %d after thrash, want near top (<=1)", c.EvictPos())
 	}
 }
 
 func TestBeatsLRUOnThrash(t *testing.T) {
-	p := New(geom, Config{Seed: 1, EpochFills: 1024})
+	p := New(geom, 1)
 	l := basecache.NewLRU(geom, 1)
 	thrashRounds(p, 100, geom.Ways+1, 40)
 	thrashRounds(l, 100, geom.Ways+1, 40)
@@ -105,7 +116,7 @@ func TestBeatsLRUOnThrash(t *testing.T) {
 }
 
 func TestNoMissesOnFittingWorkingSet(t *testing.T) {
-	c := New(geom, Config{Seed: 1})
+	c := New(geom, 1)
 	thrashRounds(c, 50, geom.Ways, 10)
 	if mr := c.Stats().MissRate(); mr != 0 {
 		t.Fatalf("missed on fitting working set: %v", mr)
@@ -134,7 +145,7 @@ func TestDuelRescuesRecencyStream(t *testing.T) {
 		}
 		return c.Stats().MissRate()
 	}
-	pr := run(func() sim.Simulator { return New(geom, Config{Seed: 1}) })
+	pr := run(func() sim.Simulator { return New(geom, 1) })
 	lr := run(func() sim.Simulator { return basecache.NewLRU(geom, 1) })
 	if pr > lr*1.35 {
 		t.Fatalf("PeLIFO miss rate %v far above LRU %v despite duel", pr, lr)
@@ -142,7 +153,7 @@ func TestDuelRescuesRecencyStream(t *testing.T) {
 }
 
 func TestWritebackReported(t *testing.T) {
-	c := New(geom, Config{Seed: 1})
+	c := New(geom, 1)
 	set := 5
 	c.Access(sim.Access{Block: geom.BlockFor(1, set), Write: true})
 	for tag := uint64(2); tag <= uint64(geom.Ways)+1; tag++ {
@@ -155,7 +166,7 @@ func TestWritebackReported(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() sim.Stats {
-		c := New(geom, Config{Seed: 42})
+		c := New(geom, 42)
 		rng := sim.NewRNG(5)
 		for i := 0; i < 30000; i++ {
 			c.Access(sim.Access{Block: uint64(rng.Intn(4096))})

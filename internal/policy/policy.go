@@ -12,7 +12,8 @@
 // misses, while BIP inserts at the LRU position except with a small
 // probability epsilon (1/32), which protects a working set larger than the
 // associativity from thrashing. STEM swaps an individual set between the two
-// (paper §4.4); DIP duels them cache-wide.
+// (paper §4.4); DIP duels them cache-wide through a Duel, the one set-dueling
+// selector (DRRIP and PeLIFO duel on it too).
 package policy
 
 import (
@@ -30,9 +31,9 @@ const (
 	// BIP is the bimodal insertion policy: LRU insertion except with
 	// probability epsilon (MRU), MRU promotion on hit.
 	BIP
-	// Dual is a recency policy whose insertion position is chosen per insert
-	// by an external chooser; DIP's follower sets use it to track the PSEL
-	// winner without reconstructing per-set state (see NewDual).
+	// Dual is a follower: a policy whose insertion flavour an external
+	// chooser picks on every insert, so a dueling cache's follower sets track
+	// the PSEL winner without reconstructing per-set state (see NewDual).
 	Dual
 )
 
@@ -91,10 +92,11 @@ type Policy interface {
 	Reset()
 }
 
-// New constructs an LRU or BIP policy over ways ways. The RNG drives BIP's
-// insertion draw; LRU ignores it, but callers must still pass a non-nil RNG
-// so swapping kinds in place never needs new state. It panics if ways <= 0,
-// rng is nil or k is neither LRU nor BIP.
+// New constructs a fixed-kind policy — LRU, BIP, SRRIP or BRRIP — over ways
+// ways. The RNG drives BIP's and BRRIP's insertion draw; the others ignore
+// it, but callers must still pass a non-nil RNG so swapping kinds in place
+// never needs new state. It panics if ways <= 0, rng is nil or k is none of
+// the four.
 func New(k Kind, ways int, rng *sim.RNG) Policy {
 	if ways <= 0 {
 		// invariant: documented precondition of this internal constructor; the experiment harness and tests always satisfy it.
@@ -105,10 +107,10 @@ func New(k Kind, ways int, rng *sim.RNG) Policy {
 		panic("policy: nil RNG")
 	}
 	switch k {
-	case LRU:
-		return newRecency(LRU, ways, rng)
-	case BIP:
-		return newRecency(BIP, ways, rng)
+	case LRU, BIP:
+		return newRecency(k, ways, rng)
+	case SRRIP, BRRIP:
+		return &rrip{kind: k, rng: rng, rrpv: make([]int, ways), present: make([]bool, ways)}
 	default:
 		// invariant: Kind is a closed enum; an unknown value is memory corruption or a missed switch arm.
 		panic(fmt.Sprintf("policy: unknown kind %v", k))
@@ -132,20 +134,27 @@ func SwapKind(p Policy, k Kind) bool {
 	return true
 }
 
-// NewDual constructs a recency policy whose insertion rule is re-evaluated
-// on every insert by calling choose, which must return LRU or BIP. Hits
-// always promote to MRU. DIP's follower sets are Dual policies whose chooser
-// reads the cache-wide PSEL counter. It panics on invalid arguments.
+// NewDual constructs a follower whose insertion flavour is re-chosen on every
+// insert by calling choose. Hits promote as the family does. choose's answer
+// here picks the family — RRIP if it is SRRIP or BRRIP, else a recency list
+// — and its later answers must stay in it (LRU or BIP for a recency list). A
+// Duel's follower sets are Dual policies whose chooser reads its PSEL. It
+// panics on invalid arguments.
 func NewDual(ways int, rng *sim.RNG, choose func() Kind) Policy {
-	if ways <= 0 {
-		// invariant: documented precondition of this internal constructor; the experiment harness and tests always satisfy it.
-		panic("policy: ways must be positive")
-	}
 	if choose == nil {
 		// invariant: documented precondition of this internal constructor; the experiment harness and tests always satisfy it.
 		panic("policy: nil chooser")
 	}
-	r := newRecency(Dual, ways, rng)
-	r.chooser = choose
-	return r
+	family := LRU
+	if k := choose(); k == SRRIP || k == BRRIP {
+		family = SRRIP
+	}
+	p := New(family, ways, rng)
+	switch p := p.(type) {
+	case *Recency:
+		p.kind, p.chooser = Dual, choose
+	case *rrip:
+		p.kind, p.chooser = Dual, choose
+	}
+	return p
 }

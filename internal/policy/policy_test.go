@@ -255,7 +255,7 @@ func TestSwapKind(t *testing.T) {
 	if SwapKind(p, SRRIP) {
 		t.Fatal("SwapKind accepted a non-dueling kind")
 	}
-	if SwapKind(NewRRIP(SRRIP, 4, sim.NewRNG(1)), BIP) {
+	if SwapKind(New(SRRIP, 4, sim.NewRNG(1)), BIP) {
 		t.Fatal("SwapKind accepted an RRIP policy")
 	}
 	if SwapKind(NewDual(4, sim.NewRNG(1), func() Kind { return LRU }), BIP) {
@@ -264,7 +264,7 @@ func TestSwapKind(t *testing.T) {
 }
 
 func TestRRIPBasics(t *testing.T) {
-	p := NewRRIP(SRRIP, 4, sim.NewRNG(1))
+	p := New(SRRIP, 4, sim.NewRNG(1))
 	if p.Kind() != SRRIP {
 		t.Fatalf("kind %v", p.Kind())
 	}
@@ -283,7 +283,7 @@ func TestRRIPBasics(t *testing.T) {
 }
 
 func TestRRIPHitProtects(t *testing.T) {
-	p := NewRRIP(SRRIP, 4, sim.NewRNG(1))
+	p := New(SRRIP, 4, sim.NewRNG(1))
 	fill(p, 4)
 	p.OnHit(0) // RRPV 0: survives the next few evictions
 	v1 := p.Victim()
@@ -298,7 +298,7 @@ func TestRRIPHitProtects(t *testing.T) {
 }
 
 func TestBRRIPInsertsMostlyDistant(t *testing.T) {
-	p := NewRRIP(BRRIP, 4, sim.NewRNG(5))
+	p := New(BRRIP, 4, sim.NewRNG(5))
 	fill(p, 4)
 	distant := 0
 	const trials = 3200
@@ -317,7 +317,7 @@ func TestBRRIPInsertsMostlyDistant(t *testing.T) {
 func TestRRIPQuickInvariants(t *testing.T) {
 	f := func(ops []uint8, seed uint64) bool {
 		const ways = 6
-		p := NewRRIP(SRRIP, ways, sim.NewRNG(seed))
+		p := New(SRRIP, ways, sim.NewRNG(seed))
 		present := map[int]bool{}
 		for _, op := range ops {
 			w := int(op) % ways
@@ -353,10 +353,9 @@ func TestRRIPQuickInvariants(t *testing.T) {
 
 func TestNewRRIPPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewRRIP(LRU, 4, sim.NewRNG(1)) },
-		func() { NewRRIP(SRRIP, 0, sim.NewRNG(1)) },
-		func() { NewRRIP(SRRIP, 4, nil) },
-		func() { NewDualRRIP(4, sim.NewRNG(1), nil) },
+		func() { New(SRRIP, 0, sim.NewRNG(1)) },
+		func() { New(BRRIP, 4, nil) },
+		func() { NewDual(4, sim.NewRNG(1), nil) },
 	} {
 		func() {
 			defer func() {
@@ -371,7 +370,7 @@ func TestNewRRIPPanics(t *testing.T) {
 
 func TestDualRRIPFollowsChooser(t *testing.T) {
 	mode := SRRIP
-	p := NewDualRRIP(4, sim.NewRNG(1), func() Kind { return mode })
+	p := NewDual(4, sim.NewRNG(1), func() Kind { return mode })
 	if p.Kind() != Dual {
 		t.Fatalf("kind %v", p.Kind())
 	}
@@ -395,7 +394,7 @@ func TestDualRRIPFollowsChooser(t *testing.T) {
 }
 
 func TestRRIPReset(t *testing.T) {
-	p := NewRRIP(SRRIP, 4, sim.NewRNG(1))
+	p := New(SRRIP, 4, sim.NewRNG(1))
 	fill(p, 4)
 	p.Reset()
 	if p.Len() != 0 || p.Victim() != -1 {

@@ -7,8 +7,8 @@ import "repro/internal/sim"
 // temporal policies that immediately followed the STEM paper. They are not
 // part of the paper's evaluation; the repository includes them as the
 // natural extension experiment ("would STEM's set-level adaptation still
-// pay against stronger temporal baselines?"). See internal/drrip for the
-// dueling cache built on them.
+// pay against stronger temporal baselines?"). New builds them, and
+// dip.NewDRRIP duels them.
 const (
 	// SRRIP is static RRIP: 2-bit re-reference prediction values (RRPV),
 	// inserts at "long" (RRPV max-1), promotes to "near-immediate" (0) on
@@ -25,7 +25,7 @@ const (
 const rripMax = 3
 
 // rrip implements SRRIP/BRRIP; chooser, when non-nil, picks the insertion
-// flavour per insert (the DRRIP follower mode).
+// flavour per insert (a DRRIP follower, see NewDual).
 type rrip struct {
 	kind    Kind
 	chooser func() Kind
@@ -34,37 +34,6 @@ type rrip struct {
 	present []bool
 	n       int
 	hand    int // rotating scan start, breaks ties like hardware would
-}
-
-// NewRRIP constructs an SRRIP or BRRIP policy over ways ways. It panics on
-// invalid arguments.
-func NewRRIP(kind Kind, ways int, rng *sim.RNG) Policy {
-	if kind != SRRIP && kind != BRRIP {
-		// invariant: documented precondition of this internal constructor; the experiment harness and tests always satisfy it.
-		panic("policy: NewRRIP needs SRRIP or BRRIP")
-	}
-	if ways <= 0 {
-		// invariant: documented precondition of this internal constructor; the experiment harness and tests always satisfy it.
-		panic("policy: ways must be positive")
-	}
-	if rng == nil {
-		// invariant: documented precondition of this internal constructor; the experiment harness and tests always satisfy it.
-		panic("policy: nil RNG")
-	}
-	return &rrip{kind: kind, rng: rng, rrpv: make([]int, ways), present: make([]bool, ways)}
-}
-
-// NewDualRRIP constructs an RRIP policy whose insertion flavour is chosen
-// per insert (DRRIP followers). choose must return SRRIP or BRRIP.
-func NewDualRRIP(ways int, rng *sim.RNG, choose func() Kind) Policy {
-	p := NewRRIP(SRRIP, ways, rng).(*rrip)
-	if choose == nil {
-		// invariant: documented precondition of this internal constructor; the experiment harness and tests always satisfy it.
-		panic("policy: nil chooser")
-	}
-	p.kind = Dual
-	p.chooser = choose
-	return p
 }
 
 func (p *rrip) Kind() Kind { return p.kind }

@@ -32,7 +32,7 @@ func driveAssociation(c *Cache, geom sim.Geometry, n int) {
 
 func TestObserverEventsReconcileWithStats(t *testing.T) {
 	geom := sim.Geometry{Sets: 8, Ways: 4, LineSize: 64}
-	c := New(geom, Config{Seed: 3})
+	c := New(geom, 3)
 	cap := &capture{}
 	c.SetObserver(cap)
 	driveAssociation(c, geom, 20000)
@@ -56,7 +56,7 @@ func TestObserverEventsReconcileWithStats(t *testing.T) {
 		}
 	}
 	for _, e := range cap.events {
-		if e.ScS < 0 || e.ScS > c.cfg.SatMax {
+		if e.ScS < 0 || e.ScS > c.satMax {
 			t.Fatalf("saturation out of range: %+v", e)
 		}
 		if e.Partner < 0 || e.Partner >= geom.Sets || e.Partner == e.Set {
@@ -67,7 +67,7 @@ func TestObserverEventsReconcileWithStats(t *testing.T) {
 
 func TestIntrospectCountsAssociations(t *testing.T) {
 	geom := sim.Geometry{Sets: 8, Ways: 4, LineSize: 64}
-	c := New(geom, Config{Seed: 3})
+	c := New(geom, 3)
 	driveAssociation(c, geom, 20000)
 
 	st := c.Introspect()
@@ -93,7 +93,7 @@ func TestIntrospectCountsAssociations(t *testing.T) {
 func TestObserverDoesNotPerturbSimulation(t *testing.T) {
 	geom := sim.Geometry{Sets: 16, Ways: 4, LineSize: 64}
 	run := func(observe bool) sim.Stats {
-		c := New(geom, Config{Seed: 11})
+		c := New(geom, 11)
 		if observe {
 			c.SetObserver(obs.ObserverFunc(func(obs.Event) {}))
 		}

@@ -30,37 +30,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Config parameterizes an SBC cache.
-type Config struct {
-	// SatMax is the saturation-counter ceiling. A set is a source candidate
-	// when its counter reaches SatMax. Default: 2×Ways.
-	SatMax int
-	// DestPostMax is the highest saturation at which an unassociated set
-	// posts itself to the Destination Set Selector. Default: SatMax/4.
-	DestPostMax int
-	// DestAcceptMax is the highest live saturation at which a popped
-	// candidate may actually become a destination. Default: SatMax/2.
-	DestAcceptMax int
-	// SelectorSize is the Destination Set Selector capacity. Default: 16.
-	SelectorSize int
-	// Seed drives per-set policy construction.
-	Seed uint64
-}
-
-func (c *Config) applyDefaults(ways int) {
-	if c.SatMax <= 0 {
-		c.SatMax = 2 * ways
-	}
-	if c.DestPostMax <= 0 {
-		c.DestPostMax = c.SatMax / 4
-	}
-	if c.DestAcceptMax <= 0 {
-		c.DestAcceptMax = c.SatMax / 2
-	}
-	if c.SelectorSize <= 0 {
-		c.SelectorSize = 16
-	}
-}
+// selectorSize is the Destination Set Selector's capacity. A set saturates
+// at 2×Ways; it posts itself to the selector while its saturation is at most
+// a quarter of that, and a popped candidate becomes a destination only at
+// half or less (DESIGN.md §5 lists each baseline's constants).
+const selectorSize = 16
 
 type line struct {
 	block   uint64 // full block address (lines may hold foreign blocks)
@@ -85,11 +59,11 @@ type sbcSet struct {
 
 // Cache is an SBC-managed cache implementing sim.Simulator.
 type Cache struct {
-	geom  sim.Geometry
-	cfg   Config
-	sets  []sbcSet
-	dss   *selector.Heap
-	stats sim.Stats
+	geom   sim.Geometry
+	satMax int // the saturation counter's ceiling, 2×Ways
+	sets   []sbcSet
+	dss    *selector.Heap
+	stats  sim.Stats
 	// tick counts every access over the cache's lifetime (never reset); it
 	// timestamps mechanism events.
 	tick uint64
@@ -99,22 +73,21 @@ type Cache struct {
 }
 
 // New constructs an SBC cache. It panics on invalid geometry.
-func New(geom sim.Geometry, cfg Config) *Cache {
+func New(geom sim.Geometry, seed uint64) *Cache {
 	if err := geom.Validate(); err != nil {
-		// invariant: geometry comes from the experiment harness, which validates it before constructing schemes.
+		// invariant: experiments.NewScheme validates the geometry before constructing schemes.
 		panic(fmt.Sprintf("sbc: %v", err))
 	}
-	cfg.applyDefaults(geom.Ways)
 	c := &Cache{
-		geom: geom,
-		cfg:  cfg,
-		sets: make([]sbcSet, geom.Sets),
-		dss:  selector.New(cfg.SelectorSize),
+		geom:   geom,
+		satMax: 2 * geom.Ways,
+		sets:   make([]sbcSet, geom.Sets),
+		dss:    selector.New(selectorSize),
 	}
 	for i := range c.sets {
 		c.sets[i] = sbcSet{
 			lines:   make([]line, geom.Ways),
-			pol:     policy.New(policy.LRU, geom.Ways, sim.NewRNG(cfg.Seed^uint64(i)*0x9e3779b97f4a7c15)),
+			pol:     policy.New(policy.LRU, geom.Ways, sim.NewRNG(seed^uint64(i)*0x9e3779b97f4a7c15)),
 			partner: -1,
 		}
 	}
@@ -222,10 +195,10 @@ func (c *Cache) onHit(idx int) {
 // onMiss updates saturation and triggers association when the set saturates.
 func (c *Cache) onMiss(idx int) {
 	s := &c.sets[idx]
-	if s.sat < c.cfg.SatMax {
+	if s.sat < c.satMax {
 		s.sat++
 	}
-	if s.sat >= c.cfg.SatMax && s.partner < 0 {
+	if s.sat >= c.satMax && s.partner < 0 {
 		c.tryAssociate(idx)
 	}
 	if s.partner < 0 {
@@ -241,7 +214,7 @@ func (c *Cache) maybePost(idx int) {
 		c.dss.Remove(idx)
 		return
 	}
-	if s.sat <= c.cfg.DestPostMax {
+	if s.sat <= c.satMax/4 {
 		c.dss.Post(idx, s.sat)
 	} else {
 		c.dss.Remove(idx)
@@ -250,7 +223,7 @@ func (c *Cache) maybePost(idx int) {
 
 // tryAssociate pairs saturated set idx with the least-saturated candidate.
 func (c *Cache) tryAssociate(idx int) {
-	for tries := 0; tries < c.cfg.SelectorSize; tries++ {
+	for tries := 0; tries < selectorSize; tries++ {
 		cand, _, ok := c.dss.PopMin()
 		if !ok {
 			return
@@ -260,7 +233,7 @@ func (c *Cache) tryAssociate(idx int) {
 		}
 		d := &c.sets[cand]
 		// Entries can be stale; re-check the live counter and availability.
-		if d.partner >= 0 || d.sat > c.cfg.DestAcceptMax {
+		if d.partner >= 0 || d.sat > c.satMax/2 {
 			continue
 		}
 		s := &c.sets[idx]

@@ -15,11 +15,11 @@ func TestNewPanics(t *testing.T) {
 			t.Fatal("expected panic on bad geometry")
 		}
 	}()
-	New(sim.Geometry{Sets: 7, Ways: 2, LineSize: 64}, Config{})
+	New(sim.Geometry{Sets: 7, Ways: 2, LineSize: 64}, 0)
 }
 
 func TestColdMissThenHit(t *testing.T) {
-	c := New(geom, Config{})
+	c := New(geom, 0)
 	b := geom.BlockFor(3, 2)
 	if c.Access(sim.Access{Block: b}).Hit {
 		t.Fatal("cold hit")
@@ -30,7 +30,7 @@ func TestColdMissThenHit(t *testing.T) {
 }
 
 func TestSaturationTracksMissesMinusHits(t *testing.T) {
-	c := New(geom, Config{})
+	c := New(geom, 0)
 	set := 1
 	for tag := uint64(1); tag <= 3; tag++ {
 		c.Access(sim.Access{Block: geom.BlockFor(tag, set)}) // 3 misses
@@ -47,7 +47,7 @@ func TestSaturationTracksMissesMinusHits(t *testing.T) {
 }
 
 func TestSaturationClamps(t *testing.T) {
-	c := New(geom, Config{SatMax: 8})
+	c := New(geom, 0)
 	set := 0
 	for tag := uint64(1); tag < 100; tag++ {
 		c.Access(sim.Access{Block: geom.BlockFor(tag, set)})
@@ -75,7 +75,7 @@ func driveComplementary(c *Cache, rounds int) {
 }
 
 func TestAssociationForms(t *testing.T) {
-	c := New(geom, Config{})
+	c := New(geom, 0)
 	driveComplementary(c, 30)
 	if c.Partner(0) < 0 {
 		t.Fatalf("saturated set 0 never associated (sat=%d)", c.Saturation(0))
@@ -93,7 +93,7 @@ func TestDisplacementResolvesMisses(t *testing.T) {
 	// Working set of Ways+2 in set 0 with an idle low-sat partner: after
 	// association the whole working set fits in 2×Ways lines, so the miss
 	// rate must collapse compared to plain LRU.
-	c := New(geom, Config{})
+	c := New(geom, 0)
 	l := basecache.NewLRU(geom, 1)
 	run := func(s sim.Simulator) float64 {
 		for r := 0; r < 200; r++ {
@@ -117,7 +117,7 @@ func TestDisplacementResolvesMisses(t *testing.T) {
 	}
 	// Spills happen during the transient before the working set settles, so
 	// measure them on a fresh cache without the stats reset.
-	fresh := New(geom, Config{})
+	fresh := New(geom, 0)
 	driveComplementary(fresh, 30)
 	if fresh.Stats().Spills == 0 {
 		t.Fatal("no spills recorded during association transient")
@@ -125,7 +125,7 @@ func TestDisplacementResolvesMisses(t *testing.T) {
 }
 
 func TestSecondaryProbeCosts(t *testing.T) {
-	c := New(geom, Config{})
+	c := New(geom, 0)
 	driveComplementary(c, 50)
 	st := c.Stats()
 	if st.SecondaryRefs == 0 {
@@ -140,7 +140,7 @@ func TestNoAssociationWhenAllSaturated(t *testing.T) {
 	// Paper Figure 2 Example #3 / Figure 3a low-associativity range: with
 	// every set saturated there are no destinations, so SBC must behave like
 	// LRU and form no pairs.
-	c := New(geom, Config{})
+	c := New(geom, 0)
 	l := basecache.NewLRU(geom, 1)
 	run := func(s sim.Simulator) float64 {
 		for r := 0; r < 100; r++ {
@@ -168,7 +168,7 @@ func TestNoAssociationWhenAllSaturated(t *testing.T) {
 }
 
 func TestForeignCountsStayConsistent(t *testing.T) {
-	c := New(geom, Config{})
+	c := New(geom, 0)
 	rng := sim.NewRNG(3)
 	for i := 0; i < 60000; i++ {
 		// Skewed stream: sets 0-1 hot and large, others sparse.
@@ -200,7 +200,7 @@ func TestForeignCountsStayConsistent(t *testing.T) {
 }
 
 func TestDissolutionOnDrain(t *testing.T) {
-	c := New(geom, Config{})
+	c := New(geom, 0)
 	driveComplementary(c, 30)
 	if c.Partner(0) < 0 {
 		t.Skip("association did not form under this seed")
@@ -223,7 +223,7 @@ func TestDissolutionOnDrain(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() sim.Stats {
-		c := New(geom, Config{Seed: 9})
+		c := New(geom, 9)
 		rng := sim.NewRNG(5)
 		for i := 0; i < 30000; i++ {
 			c.Access(sim.Access{Block: uint64(rng.Intn(2048))})

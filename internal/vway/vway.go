@@ -22,18 +22,17 @@ import (
 	"repro/internal/sim"
 )
 
-// Config parameterizes a V-Way cache.
-type Config struct {
-	// TagToDataRatio is how many tag entries exist per data line (the
-	// paper's TDR). Default: 2.
-	TagToDataRatio int
-	// ReuseMax is the saturation value of the per-line reuse counter
-	// (2 bits → 3). Default: 3.
-	ReuseMax int
-	// Seed drives the per-set tag-LRU construction (LRU itself is
-	// deterministic; the seed exists for uniformity with other schemes).
-	Seed uint64
-}
+// The paper's constants.
+const (
+	// tagToData is the TDR: tag entries per data line.
+	tagToData = 2
+	// reuseMax saturates the per-line 2-bit reuse counter.
+	reuseMax = 3
+)
+
+// MaxWays is the widest data store New accepts: its tag store, tagToData
+// times as wide, must fit a recency list.
+const MaxWays = sim.MaxWays / tagToData
 
 type tagEntry struct {
 	tag   uint64
@@ -49,10 +48,9 @@ type dataLine struct {
 
 // Cache is a V-Way cache implementing sim.Simulator. The nominal geometry's
 // Ways field is the *data-store* associativity; the tag store has
-// Ways*TagToDataRatio entries per set.
+// Ways*tagToData entries per set.
 type Cache struct {
 	geom    sim.Geometry
-	cfg     Config
 	tagWays int
 	tags    []tagEntry // Sets * tagWays, set-major
 	tagLRU  []policy.Policy
@@ -61,23 +59,21 @@ type Cache struct {
 	stats   sim.Stats
 }
 
-// New constructs a V-Way cache. It panics on invalid geometry or config.
-func New(geom sim.Geometry, cfg Config) *Cache {
+// New constructs a V-Way cache. It panics on invalid geometry or more than
+// MaxWays ways.
+func New(geom sim.Geometry, seed uint64) *Cache {
 	if err := geom.Validate(); err != nil {
-		// invariant: geometry comes from the experiment harness, which validates it before constructing schemes.
+		// invariant: experiments.NewScheme validates the geometry before constructing schemes.
 		panic(fmt.Sprintf("vway: %v", err))
 	}
-	if cfg.TagToDataRatio <= 0 {
-		cfg.TagToDataRatio = 2
-	}
-	if cfg.ReuseMax <= 0 {
-		cfg.ReuseMax = 3
+	if geom.Ways > MaxWays {
+		// invariant: experiments.NewScheme refuses VWAY above MaxWays ways.
+		panic(fmt.Sprintf("vway: %d ways exceed MaxWays %d", geom.Ways, MaxWays))
 	}
 	c := &Cache{
 		geom:    geom,
-		cfg:     cfg,
-		tagWays: geom.Ways * cfg.TagToDataRatio,
-		tags:    make([]tagEntry, geom.Sets*geom.Ways*cfg.TagToDataRatio),
+		tagWays: geom.Ways * tagToData,
+		tags:    make([]tagEntry, geom.Sets*geom.Ways*tagToData),
 		tagLRU:  make([]policy.Policy, geom.Sets),
 		data:    make([]dataLine, geom.Sets*geom.Ways),
 	}
@@ -88,7 +84,7 @@ func New(geom sim.Geometry, cfg Config) *Cache {
 		c.data[i].rptr = -1
 	}
 	for s := range c.tagLRU {
-		c.tagLRU[s] = policy.New(policy.LRU, c.tagWays, sim.NewRNG(cfg.Seed^uint64(s)))
+		c.tagLRU[s] = policy.New(policy.LRU, c.tagWays, sim.NewRNG(seed^uint64(s)))
 	}
 	return c
 }
@@ -134,7 +130,7 @@ func (c *Cache) Access(a sim.Access) sim.Outcome {
 		if e.valid && e.tag == tag && e.fptr >= 0 {
 			out.Hit = true
 			d := &c.data[e.fptr]
-			if d.reuse < c.cfg.ReuseMax {
+			if d.reuse < reuseMax {
 				d.reuse++
 			}
 			if a.Write {

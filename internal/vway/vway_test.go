@@ -16,18 +16,18 @@ func TestNewPanics(t *testing.T) {
 			t.Fatal("expected panic on bad geometry")
 		}
 	}()
-	New(sim.Geometry{Sets: 3, Ways: 2, LineSize: 64}, Config{})
+	New(sim.Geometry{Sets: 3, Ways: 2, LineSize: 64}, 0)
 }
 
 func TestDefaults(t *testing.T) {
-	c := New(geom, Config{})
+	c := New(geom, 0)
 	if c.TagWays() != 4 {
 		t.Fatalf("TagWays = %d, want 4 (TDR 2)", c.TagWays())
 	}
 }
 
 func TestColdMissThenHit(t *testing.T) {
-	c := New(geom, Config{})
+	c := New(geom, 0)
 	b := geom.BlockFor(9, 1)
 	if c.Access(sim.Access{Block: b}).Hit {
 		t.Fatal("cold hit")
@@ -41,7 +41,7 @@ func TestVariableAssociativity(t *testing.T) {
 	// The headline property: a hot set can hold more blocks than the nominal
 	// associativity by borrowing data lines from idle sets. Working set of 4
 	// in a nominally 2-way set must fully fit (tag store has 4 entries/set).
-	c := New(geom, Config{})
+	c := New(geom, 0)
 	for round := 0; round < 10; round++ {
 		for tag := uint64(1); tag <= 4; tag++ {
 			c.Access(sim.Access{Block: geom.BlockFor(tag, 0)})
@@ -76,7 +76,7 @@ func TestBeatsLRUOnSkewedDemand(t *testing.T) {
 		}
 		return c.Stats().MissRate()
 	}
-	v := run(New(geom, Config{}))
+	v := run(New(geom, 0))
 	l := run(basecache.NewLRU(geom, 1))
 	if v >= l {
 		t.Fatalf("V-Way miss rate %v not better than LRU %v under skewed demand", v, l)
@@ -87,7 +87,7 @@ func TestBeatsLRUOnSkewedDemand(t *testing.T) {
 }
 
 func TestDataStoreNeverOverflows(t *testing.T) {
-	c := New(geom, Config{})
+	c := New(geom, 0)
 	rng := sim.NewRNG(7)
 	for i := 0; i < 20000; i++ {
 		c.Access(sim.Access{Block: uint64(rng.Intn(512)), Write: rng.OneIn(3)})
@@ -105,7 +105,7 @@ func TestDataStoreNeverOverflows(t *testing.T) {
 }
 
 func TestPointerIntegrity(t *testing.T) {
-	c := New(geom, Config{})
+	c := New(geom, 0)
 	rng := sim.NewRNG(11)
 	for i := 0; i < 30000; i++ {
 		c.Access(sim.Access{Block: uint64(rng.Intn(1024)), Write: rng.OneIn(5)})
@@ -122,7 +122,7 @@ func TestPointerIntegrity(t *testing.T) {
 
 func TestQuickIntegrityAndHitSoundness(t *testing.T) {
 	f := func(blocks []uint16, seed uint64) bool {
-		c := New(geom, Config{Seed: seed})
+		c := New(geom, seed)
 		seen := map[uint64]bool{}
 		for _, raw := range blocks {
 			b := uint64(raw) % 2048
@@ -140,7 +140,7 @@ func TestQuickIntegrityAndHitSoundness(t *testing.T) {
 }
 
 func TestWritebackOnReplacement(t *testing.T) {
-	c := New(geom, Config{})
+	c := New(geom, 0)
 	// Dirty a block, then force enough pressure to replace it.
 	c.Access(sim.Access{Block: geom.BlockFor(1, 0), Write: true})
 	wb := uint64(0)
@@ -159,7 +159,7 @@ func TestReuseProtectsHotLines(t *testing.T) {
 	// A block with a saturated reuse counter must survive the sweep longer
 	// than never-reused lines: drive one hot block and a stream of cold
 	// blocks through other sets; the hot block should stay resident.
-	c := New(geom, Config{})
+	c := New(geom, 0)
 	hot := geom.BlockFor(1, 0)
 	c.Access(sim.Access{Block: hot})
 	for i := 0; i < 4000; i++ {
@@ -176,7 +176,7 @@ func TestReuseProtectsHotLines(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() sim.Stats {
-		c := New(geom, Config{Seed: 3})
+		c := New(geom, 3)
 		rng := sim.NewRNG(5)
 		for i := 0; i < 20000; i++ {
 			c.Access(sim.Access{Block: uint64(rng.Intn(4096))})
