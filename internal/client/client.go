@@ -350,6 +350,12 @@ func (c *Client) roundTrip(cc *cconn, reqs []*wire.Request) ([]*wire.Response, e
 			return nil, err
 		}
 		if resp.ID != req.ID || resp.Op != req.Op {
+			if resp.Status == wire.StatusErr {
+				// The server refused a frame of ours: it answers out of turn
+				// with its decoder's error, then closes the connection.
+				msg := strings.TrimPrefix(string(resp.Value), wire.ErrFrame.Error()+": ")
+				return nil, fmt.Errorf("server rejected %v id %d: %w: %s", req.Op, req.ID, wire.ErrFrame, msg)
+			}
 			return nil, fmt.Errorf("%w: response (%v, id %d) does not match request (%v, id %d)",
 				wire.ErrFrame, resp.Op, resp.ID, req.Op, req.ID)
 		}

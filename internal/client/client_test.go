@@ -262,6 +262,29 @@ func TestClientRejectsMismatchedResponse(t *testing.T) {
 	}
 }
 
+// TestClientReportsServerFrameRejection: a server that refuses a frame
+// answers out of turn with a PING StatusErr carrying its decoder's error.
+// The client must report that text, still as a frame error, and not retry.
+func TestClientReportsServerFrameRejection(t *testing.T) {
+	fs := newFakeServer(t, func(*wire.Request) *wire.Response {
+		return &wire.Response{Op: wire.OpPing, Status: wire.StatusErr,
+			Value: []byte("wire: malformed frame: TTL 4611686018427387905 overflows a duration")}
+	})
+	cl, err := New(Config{Addr: fs.ln.Addr().String(), Retries: 2, Backoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	err = cl.SetTTL("k", []byte("v"), time.Second)
+	want := "server rejected SETTTL id 1: wire: malformed frame: TTL 4611686018427387905 overflows a duration"
+	if !errors.Is(err, wire.ErrFrame) || err.Error() != want {
+		t.Fatalf("SetTTL error %v, want %q wrapping wire.ErrFrame", err, want)
+	}
+	if got := fs.connCount(); got != 1 {
+		t.Fatalf("saw %d connections, want 1: a frame rejection is not retried", got)
+	}
+}
+
 func TestTransientClassification(t *testing.T) {
 	cases := []struct {
 		err  error

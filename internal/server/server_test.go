@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -481,6 +482,36 @@ func TestMalformedFrameAnswersThenCloses(t *testing.T) {
 	}
 	if snap.ProtoErrors != 1 {
 		t.Fatalf("ProtoErrors = %d, want 1", snap.ProtoErrors)
+	}
+}
+
+// TestTTLPastWireRangeFailsAtSender: a TTL beyond the wire's 2^62 ns is
+// refused by the client's encoder, so the frame never reaches the server,
+// the connection stays usable and no protocol error is counted.
+func TestTTLPastWireRangeFailsAtSender(t *testing.T) {
+	srv, _ := startServer(t, stemcache.Config{Capacity: 1 << 10, Seed: 1}, server.Config{})
+	cl := newClient(t, srv.Addr())
+
+	err := cl.SetTTL("k", []byte("v"), 200*365*24*time.Hour)
+	if err == nil || errors.Is(err, wire.ErrFrame) || !strings.Contains(err.Error(), "TTL") {
+		t.Fatalf("SetTTL(200 years) = %v, want the encoder's TTL error", err)
+	}
+	if err := cl.Set("k", []byte("v")); err != nil {
+		t.Fatalf("Set after the refused SetTTL: %v", err)
+	}
+	if v, found, err := cl.Get("k"); err != nil || !found || string(v) != "v" {
+		t.Fatalf("Get(k) = (%q, %v, %v), want (v, true, nil)", v, found, err)
+	}
+	raw, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap server.StatsSnapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.ProtoErrors != 0 {
+		t.Fatalf("ProtoErrors = %d, want 0", snap.ProtoErrors)
 	}
 }
 

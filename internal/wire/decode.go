@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"io"
-	"time"
 )
 
 // DecodeRequest parses one request frame from data, returning the request
@@ -21,169 +20,74 @@ func DecodeRequest(data []byte, lim Limits) (*Request, int, error) {
 }
 
 // DecodeRequestInto is the zero-allocation form of DecodeRequest: it
-// decodes into a caller-owned Request (reusing its Keys/Pairs capacity) and
-// lookup-only operands — GET/DEL/MGET keys — alias data instead of being
-// copied, so they are valid only until the frame buffer is reused. Operands
-// the receiver retains past the frame (every store: SET, SETTTL, MSET, and
-// LOAD, whose key enters the server's lease table) are still copied, so a
-// handler may pass them straight into a cache. This is the server's per-op
-// read path; with a reused Request and buffer, GET and MGET decode with
-// zero allocations.
+// decodes into a caller-owned Request, reusing its Keys/Pairs capacity. The
+// operands of GET, DEL and MGET (keys and namespace) alias data, valid only
+// until the buffer is reused; every other op's operands are copied, because
+// its receiver keeps them (see opDesc.alias), so a handler may pass them
+// straight on. This is the server's per-op read path: with a reused Request
+// and buffer, GET and MGET decode with zero allocations.
 func DecodeRequestInto(req *Request, data []byte, lim Limits) (int, error) {
 	return decodeRequest(req, data, lim, true)
 }
 
-func decodeRequest(req *Request, data []byte, lim Limits, zeroCopy bool) (int, error) {
-	lim = lim.withDefaults()
+// openFrame validates data's header, length and opcode and points c at
+// exactly the frame's payload. The cursor aliases data only when into is set
+// and the op's row allows it: the one copy-or-alias decision.
+func openFrame(c *cursor, data []byte, lim Limits, into bool) (Op, uint8, error) {
 	opB, fl, n, err := parseHeader(data, lim.MaxPayload)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if len(data)-HeaderLen < n {
-		return 0, frameErrf("truncated frame: payload wants %d bytes, have %d", n, len(data)-HeaderLen)
+		return 0, 0, frameErrf("truncated frame: payload wants %d bytes, have %d", n, len(data)-HeaderLen)
 	}
 	op := Op(opB)
 	if !op.Valid() {
-		return 0, frameErrf("unknown opcode %d", opB)
+		return 0, 0, frameErrf("unknown opcode %d", opB)
+	}
+	*c = cursor{b: data[HeaderLen : HeaderLen+n], alias: into && ops[op].alias}
+	return op, fl, nil
+}
+
+func decodeRequest(req *Request, data []byte, lim Limits, into bool) (int, error) {
+	lim = lim.withDefaults()
+	var c cursor
+	op, fl, err := openFrame(&c, data, lim, into)
+	if err != nil {
+		return 0, err
 	}
 	req.Reset()
 	req.Op = op
 	req.ID = binary.BigEndian.Uint32(data[4:8])
 	req.Flags = fl
-	c := cursor{b: data[HeaderLen : HeaderLen+n], zeroCopy: zeroCopy}
 	if fl&FlagTrace != 0 {
-		var err error
 		if req.Trace, err = c.traceReq(); err != nil {
 			return 0, err
 		}
 	}
 	if fl&FlagTenant != 0 {
-		var err error
 		if req.Namespace, err = c.namespace(); err != nil {
 			return 0, err
 		}
 	}
-	if err := parseRequestPayload(req, &c, lim); err != nil {
+	b, ok := reqBody(op, fl)
+	if !ok {
+		return 0, frameErrf("FlagNegative without FlagFill")
+	}
+	if err := c.reqBody(b, req, lim); err != nil {
 		return 0, err
 	}
 	if err := c.done(); err != nil {
 		return 0, err
 	}
-	return HeaderLen + n, nil
-}
-
-func parseRequestPayload(req *Request, c *cursor, lim Limits) error {
-	var err error
-	switch req.Op {
-	case OpPing, OpStats:
-		// Empty payload; done() rejects any extra bytes.
-	case OpGet, OpDel:
-		req.Key, err = c.key()
-	case OpLoad:
-		// The server's lease table retains a LOAD key past the frame
-		// (lease election on a miss), so every LOAD operand is copied even
-		// in zero-copy mode.
-		c.zeroCopy = false
-		switch {
-		case req.Flags&FlagFill == 0:
-			if req.Flags&FlagNegative != 0 {
-				return frameErrf("FlagNegative without FlagFill")
-			}
-			req.Key, err = c.key()
-		case req.Flags&FlagNegative != 0:
-			if req.Token, err = c.u64(); err != nil {
-				return err
-			}
-			req.Key, err = c.key()
-		default:
-			if req.Token, err = c.u64(); err != nil {
-				return err
-			}
-			req.Key, req.Value, err = c.kv(lim)
-		}
-	case OpSet:
-		// Stores hand their operands to a cache that retains them beyond
-		// the frame buffer's lifetime; always copy.
-		c.zeroCopy = false
-		req.Key, req.Value, err = c.kv(lim)
-	case OpSetTTL:
-		c.zeroCopy = false
-		var ttl uint64
-		if ttl, err = c.u64(); err != nil {
-			return err
-		}
-		if ttl > 1<<62 {
-			return frameErrf("TTL %d overflows a duration", ttl)
-		}
-		req.TTL = time.Duration(ttl)
-		req.Key, req.Value, err = c.kv(lim)
-	case OpMGet:
-		// Each key costs at least its 2-byte length prefix.
-		var n int
-		if n, err = c.batchCount(lim.MaxBatch, 2); err != nil {
-			return err
-		}
-		keys := req.Keys[:0]
-		for i := 0; i < n; i++ {
-			k, err := c.key()
-			if err != nil {
-				return err
-			}
-			keys = append(keys, k)
-		}
-		req.Keys = keys
-	case OpMSet:
-		// Stored pairs are retained by the cache; always copy.
-		c.zeroCopy = false
-		// Each pair costs at least its 2+4 bytes of length prefixes.
-		var n int
-		if n, err = c.batchCount(lim.MaxBatch, 6); err != nil {
-			return err
-		}
-		pairs := req.Pairs[:0]
-		for i := 0; i < n; i++ {
-			k, v, err := c.kv(lim)
-			if err != nil {
-				return err
-			}
-			pairs = append(pairs, KV{Key: k, Value: v})
-		}
-		req.Pairs = pairs
-	case OpView:
-		// Membership views are retained by the node's agent; always copy.
-		c.zeroCopy = false
-		if req.Epoch, err = c.u64(); err != nil {
-			return err
-		}
-		if req.Members, err = c.members(lim); err != nil {
-			return err
-		}
-		req.Replicas, err = c.replicaSets(lim)
-	case OpReplicate:
-		// Replicated writes go straight into the cache; always copy.
-		c.zeroCopy = false
-		if req.Flags&FlagNegative != 0 {
-			req.Key, err = c.key()
-			break
-		}
-		var ttl uint64
-		if ttl, err = c.u64(); err != nil {
-			return err
-		}
-		if ttl > 1<<62 {
-			return frameErrf("TTL %d overflows a duration", ttl)
-		}
-		req.TTL = time.Duration(ttl)
-		req.Key, req.Value, err = c.kv(lim)
-	}
-	return err
+	return HeaderLen + len(c.b), nil
 }
 
 // members reads the OpView member table. Each member costs at least
 // id + state + addr-length bytes, so the count is capacity-checked before
 // any allocation.
 func (c *cursor) members(lim Limits) ([]Member, error) {
-	n, err := c.batchCount(lim.MaxBatch, 4+1+2)
+	n, err := c.count(lim, 4+1+2)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +120,7 @@ func (c *cursor) members(lim Limits) ([]Member, error) {
 // count and each slot's uint8 replica count are capacity-checked against
 // the bytes present before their allocations.
 func (c *cursor) replicaSets(lim Limits) ([]ReplicaSet, error) {
-	n, err := c.batchCount(lim.MaxBatch, 4+1)
+	n, err := c.count(lim, 4+1)
 	if err != nil {
 		return nil, err
 	}
@@ -265,114 +169,49 @@ func DecodeResponse(data []byte, lim Limits) (*Response, int, error) {
 }
 
 // DecodeResponseInto is the zero-allocation form of DecodeResponse: it
-// decodes into a caller-owned Response (reusing its Found/Values capacity)
-// and decoded values alias data instead of being copied — valid only until
-// the frame buffer is reused, so a caller that hands values onward must
-// copy them itself. With a reused Response and buffer, GET and MGET
-// responses decode with zero allocations.
+// decodes into a caller-owned Response, reusing its Found/Values capacity.
+// As in DecodeRequestInto, the values of GET, DEL and MGET responses alias
+// data, so a caller that keeps one must copy it; other values are copied.
+// With a reused Response and buffer, GET and MGET decode with zero
+// allocations.
 func DecodeResponseInto(resp *Response, data []byte, lim Limits) (int, error) {
 	return decodeResponse(resp, data, lim, true)
 }
 
-func decodeResponse(resp *Response, data []byte, lim Limits, zeroCopy bool) (int, error) {
+func decodeResponse(resp *Response, data []byte, lim Limits, into bool) (int, error) {
 	lim = lim.withDefaults()
-	opB, st, n, err := parseHeader(data, lim.MaxPayload)
+	var c cursor
+	op, st, err := openFrame(&c, data, lim, into)
 	if err != nil {
 		return 0, err
 	}
-	if len(data)-HeaderLen < n {
-		return 0, frameErrf("truncated frame: payload wants %d bytes, have %d", n, len(data)-HeaderLen)
-	}
 	// The status byte's high bits flag the trace and demand prefixes; mask
 	// them off before validating the status proper.
-	traced := st&respFlagTrace != 0
-	piggybacked := st&respFlagDemand != 0
-	op, status := Op(opB), Status(st&^(respFlagTrace|respFlagDemand))
-	if !op.Valid() {
-		return 0, frameErrf("unknown opcode %d", opB)
-	}
+	status := Status(st &^ (respFlagTrace | respFlagDemand))
 	if !status.Valid() {
-		return 0, frameErrf("unknown status %d", st&^(respFlagTrace|respFlagDemand))
+		return 0, frameErrf("unknown status %d", uint8(status))
 	}
 	resp.Reset()
 	resp.Op = op
 	resp.ID = binary.BigEndian.Uint32(data[4:8])
 	resp.Status = status
-	c := cursor{b: data[HeaderLen : HeaderLen+n], zeroCopy: zeroCopy}
-	if traced {
-		var err error
+	if st&respFlagTrace != 0 {
 		if resp.Trace, err = c.traceResp(); err != nil {
 			return 0, err
 		}
 	}
-	if piggybacked {
-		var err error
+	if st&respFlagDemand != 0 {
 		if resp.Piggyback, err = c.demand(); err != nil {
 			return 0, err
 		}
 	}
-	if err := parseResponsePayload(resp, &c, lim); err != nil {
+	if err := c.respBody(respBody(op, status), resp, lim); err != nil {
 		return 0, err
 	}
 	if err := c.done(); err != nil {
 		return 0, err
 	}
-	return HeaderLen + n, nil
-}
-
-func parseResponsePayload(resp *Response, c *cursor, lim Limits) error {
-	var err error
-	switch {
-	case resp.Status == StatusErr:
-		resp.Value, err = c.value(lim.MaxValueLen)
-	case resp.Op == OpPing || resp.Op == OpDel || resp.Op == OpMSet:
-		// Empty payload.
-	case resp.Op == OpGet || resp.Op == OpSet || resp.Op == OpSetTTL || resp.Op == OpStats:
-		if resp.Status == StatusOK || resp.Status == StatusNotStored {
-			resp.Value, err = c.value(lim.MaxValueLen)
-		}
-	case resp.Op == OpLoad:
-		switch resp.Status {
-		case StatusOK, StatusStale:
-			if resp.Status == StatusStale {
-				if resp.Token, err = c.u64(); err != nil {
-					return err
-				}
-			}
-			resp.Value, err = c.value(lim.MaxValueLen)
-		case StatusLease:
-			resp.Token, err = c.u64()
-		}
-	case resp.Op == OpMGet:
-		// Each entry costs at least its 1-byte presence flag.
-		var n int
-		if n, err = c.batchCount(lim.MaxBatch, 1); err != nil {
-			return err
-		}
-		found, values := resp.Found[:0], resp.Values[:0]
-		for i := 0; i < n; i++ {
-			p, err := c.take(1)
-			if err != nil {
-				return err
-			}
-			switch p[0] {
-			case 0:
-				found = append(found, false)
-				values = append(values, nil)
-			case 1:
-				v, err := c.value(lim.MaxValueLen)
-				if err != nil {
-					return err
-				}
-				found = append(found, true)
-				values = append(values, v)
-			default:
-				return frameErrf("bad presence byte %d", p[0])
-			}
-		}
-		resp.Found, resp.Values = found, values
-	}
-	return err
+	return HeaderLen + len(c.b), nil
 }
 
 // demand reads the fixed 52-byte demand prefix of a respFlagDemand response
@@ -401,8 +240,7 @@ func (c *cursor) demand() (*NodeDemand, error) {
 // namespace reads the uint8-length-prefixed namespace prefix of a FlagTenant
 // request. A flagged frame must carry a non-empty name of at most
 // MaxNamespaceLen bytes — an empty or oversized prefix is a protocol error,
-// so "default tenant" has exactly one encoding (no flag, no prefix). In
-// zero-copy mode the returned string aliases the frame buffer.
+// so "default tenant" has exactly one encoding (no flag, no prefix).
 func (c *cursor) namespace() (string, error) {
 	p, err := c.take(1)
 	if err != nil {
@@ -415,14 +253,8 @@ func (c *cursor) namespace() (string, error) {
 	if n > MaxNamespaceLen {
 		return "", frameErrf("namespace of %d bytes exceeds %d", n, MaxNamespaceLen)
 	}
-	s, err := c.take(n)
-	if err != nil {
-		return "", err
-	}
-	if !c.zeroCopy {
-		return string(s), nil //lint:allow(hotpath) copying mode is the retaining decode API; the hot Into path takes the zero-copy branch
-	}
-	return unsafeString(s), nil
+	s, err := c.bytes(n)
+	return unsafeString(s), err
 }
 
 // traceReq reads the 16-byte request trace prefix. The size check up front
@@ -458,19 +290,6 @@ func (c *cursor) traceResp() (*TraceExt, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// kv reads a key then a value.
-func (c *cursor) kv(lim Limits) (string, []byte, error) {
-	k, err := c.key()
-	if err != nil {
-		return "", nil, err
-	}
-	v, err := c.value(lim.MaxValueLen)
-	if err != nil {
-		return "", nil, err
-	}
-	return k, v, nil
 }
 
 // ReadRequestInto reads exactly one request frame from r into a

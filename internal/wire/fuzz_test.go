@@ -6,8 +6,123 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
+
+// fuzzLimits are the limits FuzzWireDecode and the malformed-frame table
+// decode under: small enough that the batch limit is reachable.
+var fuzzLimits = Limits{MaxValueLen: 1 << 16, MaxBatch: 64}.withDefaults()
+
+// decoders names the frame decoders that must refuse a malformed frame.
+type decoders uint8
+
+const (
+	reqDecoder decoders = 1 << iota
+	respDecoder
+	bothDecoders = reqDecoder | respDecoder
+)
+
+// frame assembles a header and a payload whose length the header states.
+func frame(op Op, fl uint8, payload ...byte) []byte {
+	h := header(op, fl, 7, len(payload))
+	return append(h[:], payload...)
+}
+
+// zeros returns n zero bytes.
+func zeros(n int) []byte { return make([]byte, n) }
+
+// cat joins byte slices.
+func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+// malformedFrames are hand-built frames that the named decoders must refuse
+// under fuzzLimits, each for the reason given (a substring of the error).
+// The other decoder's verdict on a row is not part of the row.
+func malformedFrames() []struct {
+	name   string
+	frame  []byte
+	by     decoders
+	reason string
+} {
+	big := header(OpPing, 0, 7, 1<<30)
+	return []struct {
+		name   string
+		frame  []byte
+		by     decoders
+		reason string
+	}{
+		{"empty", []byte{}, bothDecoders, "short header"},
+		{"lone magic", []byte{Magic}, bothDecoders, "short header"},
+		{"all-zero header", zeros(HeaderLen), bothDecoders, "bad magic 0x00"},
+		{"saturated header and junk", bytes.Repeat([]byte{0xFF}, 64), bothDecoders, "bad magic 0xff"},
+		{"payload length beyond every limit", big[:], bothDecoders, "payload length 1073741824 exceeds limit"},
+		{"MGET count past the batch limit", frame(OpMGet, 0, 0xFF, 0xFF), reqDecoder, "batch of 65535 entries exceeds limit 64"},
+		{"key length past the end", frame(OpGet, 0, 0xFF, 0xFF), reqDecoder, "need 65535 bytes, have 0"},
+		{"value length 4 GiB", frame(OpSet, 0, 0, 1, 'k', 0xFF, 0xFF, 0xFF, 0xFF, 0, 0), reqDecoder, "value length 4294967295 exceeds limit 65536"},
+
+		// LOAD: a truncated fill token, FlagNegative without FlagFill, a
+		// truncated lease token on the response, and a STALE response whose
+		// token arrives but whose value does not.
+		{"LOAD fill, token cut short", frame(OpLoad, FlagFill, 1, 2, 3, 4), reqDecoder, "need 8 bytes, have 4"},
+		{"LOAD FlagNegative without FlagFill", frame(OpLoad, FlagNegative, 0, 1, 'k'), reqDecoder, "FlagNegative without FlagFill"},
+		{"LOAD LEASE, token cut short", frame(OpLoad, uint8(StatusLease), 1, 2, 3, 4), respDecoder, "need 8 bytes, have 4"},
+		{"LOAD STALE, token without value", frame(OpLoad, uint8(StatusStale), zeros(8)...), respDecoder, "need 4 bytes, have 0"},
+
+		// Trace extension: the flag promising a prefix the payload cannot
+		// hold, the flag clear with prefix-sized bytes, and the response
+		// trace bit over a short or misread extension.
+		{"FlagTrace, half an extension", frame(OpPing, FlagTrace, 1, 2, 3, 4, 5, 6, 7, 8), reqDecoder, "truncated trace extension: want 16 bytes, have 8"},
+		{"FlagTrace, no extension", frame(OpPing, FlagTrace), reqDecoder, "truncated trace extension: want 16 bytes, have 0"},
+		{"flag clear, trace-sized junk", frame(OpPing, 0, zeros(traceReqLen)...), reqDecoder, "16 trailing payload bytes"},
+		{"traced response, one byte short", frame(OpPing, uint8(StatusOK)|respFlagTrace, zeros(traceRespLen-1)...), respDecoder, "truncated trace extension: want 24 bytes, have 23"},
+		{"traced GET response, a byte after its empty value", frame(OpGet, uint8(StatusOK)|respFlagTrace, zeros(traceRespLen+5)...), respDecoder, "1 trailing payload bytes"},
+
+		// VIEW: a member count the bytes cannot hold, an unknown member
+		// state, a replica count with no bytes behind it, and a member count
+		// past the batch limit.
+		{"VIEW member count past the bytes", frame(OpView, 0, cat(zeros(8), []byte{0, 1, 0, 0})...), reqDecoder, "batch count 1 exceeds payload capacity"},
+		{"VIEW member state 9", frame(OpView, 0, cat(zeros(8), []byte{0, 1, 0, 0, 0, 5, 9, 0, 0})...), reqDecoder, "unknown member state 9"},
+		{"VIEW 255 replicas, no bytes", frame(OpView, 0, cat(zeros(8), []byte{0, 0, 0, 1, 0, 0, 0, 3, 0xFF})...), reqDecoder, "replica count 255 exceeds payload capacity"},
+		{"VIEW member count 65535", frame(OpView, 0, cat(zeros(8), []byte{0xFF, 0xFF})...), reqDecoder, "batch of 65535 entries exceeds limit 64"},
+
+		// REPLICATE: a replicated delete with value bytes, and a TTL past 2^62.
+		{"negative REPLICATE with a value", frame(OpReplicate, FlagNegative, 0, 1, 'k', 0, 0, 0, 0), reqDecoder, "4 trailing payload bytes"},
+		{"REPLICATE TTL past 2^62", frame(OpReplicate, 0, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'k', 0, 0, 0, 0), reqDecoder, "TTL 18374686479671623680 overflows a duration"},
+
+		// Piggybacked demand: the bit over a short prefix, and stacked trace
+		// and demand prefixes cut inside the demand.
+		{"demand prefix one byte short", frame(OpGet, uint8(StatusOK)|respFlagDemand, zeros(nodeDemandLen-1)...), respDecoder, "truncated demand prefix: want 52 bytes, have 51"},
+		{"trace, then demand cut short", frame(OpPing, uint8(StatusOK)|respFlagTrace|respFlagDemand, zeros(traceRespLen+8)...), respDecoder, "truncated demand prefix: want 52 bytes, have 8"},
+
+		// Namespace prefix: a name the payload cannot deliver, a zero-length
+		// name, a length past MaxNamespaceLen, a name cut after a trace
+		// prefix, and junk after a namespaced batch.
+		{"namespace cut short", frame(OpGet, FlagTenant, 5, 'w'), reqDecoder, "need 5 bytes, have 1"},
+		{"zero-length namespace", frame(OpGet, FlagTenant, 0, 0, 1, 'k'), reqDecoder, "empty namespace with FlagTenant set"},
+		{"namespace past MaxNamespaceLen", frame(OpGet, FlagTenant, MaxNamespaceLen+1, 'x'), reqDecoder, "namespace of 65 bytes exceeds 64"},
+		{"trace, then namespace cut short", frame(OpGet, FlagTrace|FlagTenant, cat(zeros(traceReqLen), []byte{3, 'a'})...), reqDecoder, "need 3 bytes, have 1"},
+		{"namespaced MGET, count 0 then junk", frame(OpMGet, FlagTenant, 2, 'n', 's', 0, 0, 1), reqDecoder, "1 trailing payload bytes"},
+	}
+}
+
+// TestDecodeRejectsMalformed checks every malformed frame is refused by the
+// decoders its row names, with ErrFrame and the row's reason.
+func TestDecodeRejectsMalformed(t *testing.T) {
+	for _, m := range malformedFrames() {
+		t.Run(m.name, func(t *testing.T) {
+			check := func(d decoders, kind string, decode func() error) {
+				if m.by&d == 0 {
+					return
+				}
+				if err := decode(); !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), m.reason) {
+					t.Errorf("%s decoder: %v, want ErrFrame naming %q", kind, err, m.reason)
+				}
+			}
+			check(reqDecoder, "request", func() error { _, _, err := DecodeRequest(m.frame, fuzzLimits); return err })
+			check(respDecoder, "response", func() error { _, _, err := DecodeResponse(m.frame, fuzzLimits); return err })
+		})
+	}
+}
 
 // FuzzWireDecode feeds arbitrary bytes to both frame decoders. The contract
 // under test: decoding never panics, never over-allocates (enforced
@@ -15,98 +130,19 @@ import (
 // bytes backing it were validated present), and anything that decodes
 // re-encodes to a frame that decodes to the same thing.
 func FuzzWireDecode(f *testing.F) {
-	lim := Limits{MaxValueLen: 1 << 16, MaxBatch: 64}.withDefaults()
+	lim := fuzzLimits
 
-	// Seed corpus: every fixture frame, then targeted malformations.
-	for _, req := range requestFixtures() {
-		if b, err := AppendRequest(nil, req, lim); err == nil {
-			f.Add(b)
-		}
+	// Seed corpus: every fixture frame, every boundary frame, then the
+	// malformed frames.
+	for _, b := range fixtureFrames(f, lim) {
+		f.Add(b)
 	}
-	for _, resp := range responseFixtures() {
-		if b, err := AppendResponse(nil, resp, lim); err == nil {
-			f.Add(b)
-		}
+	for _, bf := range boundaryFrames(f) {
+		f.Add(bf.data)
 	}
-	f.Add([]byte{})                       // empty
-	f.Add([]byte{Magic})                  // lone magic
-	f.Add(bytes.Repeat([]byte{0}, 12))    // all-zero header
-	f.Add(bytes.Repeat([]byte{0xFF}, 64)) // saturated header + junk
-	h := header(OpMGet, 0, 7, 2)
-	f.Add(append(h[:], 0xFF, 0xFF)) // huge batch count, no entry bytes
-	h = header(OpGet, 0, 7, 2)
-	f.Add(append(h[:], 0xFF, 0xFF)) // key length pointing past the end
-	h = header(OpSet, 0, 7, 9)
-	f.Add(append(h[:], 0, 1, 'k', 0xFF, 0xFF, 0xFF, 0xFF, 0, 0)) // value length 4 GiB
-	big := header(OpPing, 0, 7, 1<<30)
-	f.Add(big[:]) // payload length beyond every limit
-
-	// LOAD malformations: truncated fill token, FlagNegative without
-	// FlagFill, truncated lease token on the response, and a STALE response
-	// whose token arrives but whose value does not.
-	h = header(OpLoad, FlagFill, 7, 4)
-	f.Add(append(h[:], 1, 2, 3, 4))
-	h = header(OpLoad, FlagNegative, 7, 3)
-	f.Add(append(h[:], 0, 1, 'k'))
-	h = header(OpLoad, uint8(StatusLease), 7, 4)
-	f.Add(append(h[:], 1, 2, 3, 4))
-	h = header(OpLoad, uint8(StatusStale), 7, 8)
-	f.Add(append(h[:], make([]byte, 8)...))
-
-	// Trace-extension malformations: the flag promising a prefix the
-	// payload cannot satisfy, the flag clear with prefix-sized trailing
-	// bytes, and the response trace bit over a truncated extension.
-	h = header(OpPing, FlagTrace, 7, 8)
-	f.Add(append(h[:], 1, 2, 3, 4, 5, 6, 7, 8)) // FlagTrace, half an extension
-	h = header(OpPing, FlagTrace, 7, 0)
-	f.Add(h[:]) // FlagTrace, no extension bytes at all
-	h = header(OpPing, 0, 7, traceReqLen)
-	f.Add(append(h[:], make([]byte, traceReqLen)...)) // flag clear, trace-sized junk
-	h = header(OpPing, uint8(StatusOK)|respFlagTrace, 7, traceRespLen-1)
-	f.Add(append(h[:], make([]byte, traceRespLen-1)...)) // traced response, one byte short
-	h = header(OpGet, uint8(StatusOK)|respFlagTrace, 7, traceRespLen+5)
-	f.Add(append(h[:], make([]byte, traceRespLen+5)...)) // traced response + value
-
-	// Membership malformations: a truncated member table, an unknown member
-	// state, a replica count with no bytes behind it, and a member count
-	// past the batch limit.
-	h = header(OpView, 0, 7, 12)
-	f.Add(append(h[:], 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0)) // count 1, member cut mid-id
-	h = header(OpView, 0, 7, 17)
-	f.Add(append(h[:], 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 5, 9, 0, 0)) // state byte 9
-	h = header(OpView, 0, 7, 17)
-	f.Add(append(h[:], 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 3, 0xFF)) // 255 replicas, no bytes
-	h = header(OpView, 0, 7, 10)
-	f.Add(append(h[:], 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF)) // member count 65535
-
-	// REPLICATE malformations: a negative replicate with trailing value
-	// bytes, and a TTL past the duration range.
-	h = header(OpReplicate, FlagNegative, 7, 7)
-	f.Add(append(h[:], 0, 1, 'k', 0, 0, 0, 0))
-	h = header(OpReplicate, 0, 7, 15)
-	f.Add(append(h[:], 0xFF, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'k', 0, 0, 0, 0)) // TTL 2^63+
-
-	// Piggybacked-demand malformations: the demand bit over a truncated
-	// prefix, and stacked trace + demand prefixes cut mid-demand.
-	h = header(OpGet, uint8(StatusOK)|respFlagDemand, 7, nodeDemandLen-1)
-	f.Add(append(h[:], make([]byte, nodeDemandLen-1)...))
-	h = header(OpPing, uint8(StatusOK)|respFlagTrace|respFlagDemand, 7, traceRespLen+8)
-	f.Add(append(h[:], make([]byte, traceRespLen+8)...))
-
-	// Namespace-prefix malformations: the flag promising a name the payload
-	// cannot deliver, a zero-length name, a length byte past MaxNamespaceLen,
-	// both extensions stacked but truncated mid-name, and the prefix on a
-	// batch opcode.
-	h = header(OpGet, FlagTenant, 7, 2)
-	f.Add(append(h[:], 5, 'w')) // length 5, one name byte
-	h = header(OpGet, FlagTenant, 7, 4)
-	f.Add(append(h[:], 0, 0, 1, 'k')) // zero-length namespace
-	h = header(OpGet, FlagTenant, 7, 2)
-	f.Add(append(h[:], MaxNamespaceLen+1, 'x')) // oversized length byte
-	h = header(OpGet, FlagTrace|FlagTenant, 7, traceReqLen+2)
-	f.Add(append(append(h[:], make([]byte, traceReqLen)...), 3, 'a')) // trace then cut name
-	h = header(OpMGet, FlagTenant, 7, 6)
-	f.Add(append(h[:], 2, 'n', 's', 0, 0, 1)) // namespaced MGET, count 0 + junk
+	for _, m := range malformedFrames() {
+		f.Add(m.frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, n, err := DecodeRequest(data, lim)

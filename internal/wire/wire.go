@@ -21,7 +21,17 @@
 // Inside payloads, keys are uint16-length-prefixed byte strings and values
 // are uint32-length-prefixed byte strings; batch payloads carry a uint16
 // count first. All integers are big endian. TTLs travel as uint64
-// nanoseconds.
+// nanoseconds in [0, 2^62], about 146 years: a TTL <= 0 (never expires)
+// travels as 0, and a longer one is refused at the sender.
+//
+// Each opcode is described once, by a row of one table: its name, the
+// fields its request and response payloads carry (always in the order
+// token, TTL, key, value, keys, pairs, view, found-list), and whether a
+// zero-copy decode may alias the read buffer. Only lookups (GET, DEL, MGET)
+// alias; every other op, and any op added later, copies unless its row says
+// otherwise. One encoder and one decoder per direction walk the rows, so
+// each field's wire form and bound are written once and enforced on both
+// ends: the encoder refuses every operand the decoder would refuse.
 //
 // A request with FlagTrace set carries a 16-byte trace extension (trace id,
 // client send-timestamp micros) as a payload prefix ahead of the
@@ -122,32 +132,10 @@ const (
 
 // String names the opcode for logs and errors.
 func (o Op) String() string {
-	switch o {
-	case OpPing:
-		return "PING"
-	case OpGet:
-		return "GET"
-	case OpSet:
-		return "SET"
-	case OpSetTTL:
-		return "SETTTL"
-	case OpDel:
-		return "DEL"
-	case OpMGet:
-		return "MGET"
-	case OpMSet:
-		return "MSET"
-	case OpStats:
-		return "STATS"
-	case OpLoad:
-		return "LOAD"
-	case OpView:
-		return "VIEW"
-	case OpReplicate:
-		return "REPLICATE"
-	default:
-		return fmt.Sprintf("Op(%d)", uint8(o))
+	if o.Valid() {
+		return ops[o].name
 	}
+	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
 // Valid reports whether o is a known request opcode.
@@ -478,9 +466,10 @@ type Request struct {
 	// Namespace scopes the request's keys to one tenant. A non-empty
 	// Namespace is encoded with FlagTenant set and the namespace prefix on
 	// the wire; empty means the default tenant (no flag, no prefix). In
-	// zero-copy decodes the string aliases the frame buffer — valid only
-	// until the buffer is reused — so a receiver that retains it must copy
-	// (the server's tenant registry clones on registration).
+	// zero-copy decodes of GET, DEL and MGET the string aliases the frame
+	// buffer — valid only until the buffer is reused — so a receiver that
+	// retains it must copy (the server's tenant registry clones on
+	// registration).
 	Namespace string
 	// Epoch is the membership epoch of an OpView push. Epochs are
 	// monotone per cluster, so an agent discards a view older than the one
@@ -584,24 +573,45 @@ func parseHeader(h []byte, maxPayload int) (op, fl uint8, n int, err error) {
 }
 
 // cursor is a bounds-checked reader over one frame's payload bytes. With
-// zeroCopy set, decoded keys and values alias the frame buffer instead of
-// being copied — the caller owns the buffer's lifetime (see
-// DecodeRequestInto); operands of retaining opcodes are copied regardless.
+// alias set (a zero-copy decode of an op whose row allows it, see
+// openFrame), bytes hands out views of the frame buffer instead of copies.
 type cursor struct {
-	b        []byte
-	off      int
-	zeroCopy bool
+	b     []byte
+	off   int
+	alias bool
 }
 
 func (c *cursor) remaining() int { return len(c.b) - c.off }
 
 func (c *cursor) take(n int) ([]byte, error) {
 	if n < 0 || n > c.remaining() {
-		return nil, frameErrf("truncated payload: need %d bytes, have %d", n, c.remaining())
+		return nil, c.truncated(n)
 	}
 	s := c.b[c.off : c.off+n]
 	c.off += n
 	return s, nil
+}
+
+// truncated is the error of take and bytes when fewer than n bytes remain.
+func (c *cursor) truncated(n int) error {
+	return frameErrf("truncated payload: need %d bytes, have %d", n, c.remaining())
+}
+
+// bytes takes n bytes for a decoded operand: a view of the frame buffer
+// under alias, otherwise a copy the caller may retain. It repeats take's
+// bounds check rather than calling it, which keeps one call per operand.
+func (c *cursor) bytes(n int) ([]byte, error) {
+	if n > c.remaining() {
+		return nil, c.truncated(n)
+	}
+	s := c.b[c.off : c.off+n]
+	c.off += n
+	if c.alias {
+		return s, nil
+	}
+	out := make([]byte, len(s)) //lint:allow(hotpath) copying is the contract of the retaining decodes and of every op without alias; GET, DEL and MGET on the Into path alias instead
+	copy(out, s)
+	return out, nil
 }
 
 func (c *cursor) u16() (uint16, error) {
@@ -628,53 +638,10 @@ func (c *cursor) u64() (uint64, error) {
 	return binary.BigEndian.Uint64(s), nil
 }
 
-// key reads one uint16-length-prefixed key. The length is validated against
-// the bytes present before anything is materialized. In copying mode the
-// returned string owns its bytes; in zero-copy mode it aliases the frame
-// buffer via unsafeString and is valid only as long as the buffer is.
-func (c *cursor) key() (string, error) {
-	n, err := c.u16()
-	if err != nil {
-		return "", err
-	}
-	s, err := c.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	if !c.zeroCopy {
-		return string(s), nil //lint:allow(hotpath) copying mode is the retaining decode API; the hot Into path takes the zero-copy branch
-	}
-	return unsafeString(s), nil
-}
-
-// value reads one uint32-length-prefixed value, capped by max. In copying
-// mode the returned slice is a copy, safe to retain after the frame buffer
-// is reused; in zero-copy mode it is a subslice of the frame buffer.
-func (c *cursor) value(max int) ([]byte, error) {
-	n, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(n) > uint64(max) {
-		return nil, frameErrf("value length %d exceeds limit %d", n, max)
-	}
-	s, err := c.take(int(n))
-	if err != nil {
-		return nil, err
-	}
-	if !c.zeroCopy {
-		out := make([]byte, len(s)) //lint:allow(hotpath) copying mode is the retaining decode API; the hot Into path takes the zero-copy branch
-		copy(out, s)
-		return out, nil
-	}
-	return s, nil
-}
-
-// unsafeString views b as a string without copying. Safe because the
-// decoder never mutates payload bytes after handing them out; the caller
-// contract (the string lives no longer than the frame buffer, and only for
-// non-retaining operands) is enforced by parseRequestPayload, which forces
-// copying mode for every opcode whose operands outlive the frame.
+// unsafeString views b as a string without copying. Safe because b is
+// either a private copy or, under alias, a frame buffer the decoder never
+// mutates and the caller keeps alive for as long as it uses the decoded
+// operands (see DecodeRequestInto); cursor.bytes makes that choice.
 func unsafeString(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -686,44 +653,6 @@ func unsafeString(b []byte) string {
 func (c *cursor) done() error {
 	if c.remaining() != 0 {
 		return frameErrf("%d trailing payload bytes", c.remaining())
-	}
-	return nil
-}
-
-// batchCount reads and validates a uint16 batch count. Each entry needs at
-// least min bytes, so the count is cross-checked against the bytes present —
-// a tiny frame cannot demand a huge allocation.
-func (c *cursor) batchCount(limit, min int) (int, error) {
-	n16, err := c.u16()
-	if err != nil {
-		return 0, err
-	}
-	n := int(n16)
-	if n > limit {
-		return 0, frameErrf("batch of %d entries exceeds limit %d", n, limit)
-	}
-	if min > 0 && n > c.remaining()/min {
-		return 0, frameErrf("batch count %d exceeds payload capacity", n)
-	}
-	return n, nil
-}
-
-// appendKey appends a uint16-length-prefixed key.
-func appendKey(buf []byte, k string) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(k)))
-	return append(buf, k...)
-}
-
-// appendValue appends a uint32-length-prefixed value.
-func appendValue(buf []byte, v []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(v)))
-	return append(buf, v...)
-}
-
-// checkKey validates a key against the uint16 prefix.
-func checkKey(k string) error {
-	if len(k) > MaxKeyLen {
-		return fmt.Errorf("wire: key of %d bytes exceeds %d", len(k), MaxKeyLen)
 	}
 	return nil
 }

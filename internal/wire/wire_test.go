@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -331,6 +333,127 @@ func TestSetTTLRoundTripsNanoseconds(t *testing.T) {
 	}
 	if got.TTL != req.TTL {
 		t.Fatalf("TTL %v != %v", got.TTL, req.TTL)
+	}
+}
+
+// boundaryLimits make the value bound reachable: 8 bytes fit, 9 do not.
+var boundaryLimits = Limits{MaxValueLen: 8}
+
+// boundaryFrame is one frame at a boundary operand: the bytes it travels
+// as, and what the encoder makes of the operands that produce them.
+type boundaryFrame struct {
+	name   string
+	resp   bool
+	data   []byte
+	enc    []byte // the encoder's frame under boundaryLimits, when encErr is nil
+	encErr error
+}
+
+// boundaryFrames builds one frame for every request body (each op under
+// each FlagFill/FlagNegative combination) and every (op, status) response,
+// at the boundary operands: TTLs of 0, 2^62, 2^62+1 and MaxInt64 ns, values
+// and error messages of MaxValueLen and MaxValueLen+1 bytes, and StatusErr
+// under the invalid opcodes 0 and opMax. A frame's bytes exist whether or
+// not the encoder accepts its operands: each is encoded with tame operands
+// under the default limits and then patched to the boundary operand.
+func boundaryFrames(tb testing.TB) []boundaryFrame {
+	tb.Helper()
+	var out []boundaryFrame
+	for op := OpPing; op < opMax; op++ {
+		for _, fl := range []uint8{0, FlagFill, FlagNegative, FlagFill | FlagNegative} {
+			for _, ttl := range []time.Duration{0, 1 << 62, 1<<62 + 1, math.MaxInt64} {
+				for _, n := range []int{8, 9} {
+					req := &Request{Op: op, ID: 1, Flags: fl, Token: 7, TTL: ttl, Key: "k", Value: make([]byte, n),
+						Keys: []string{"a", ""}, Pairs: []KV{{Key: "p", Value: make([]byte, n)}},
+						Epoch: 3, Members: []Member{{ID: 1, Addr: "h:1"}},
+						Replicas: []ReplicaSet{{Slot: 2, Replicas: []uint32{1}}}}
+					enc, err := AppendRequest(nil, req, boundaryLimits)
+					out = append(out, boundaryFrame{name: fmt.Sprintf("%v flags %#x TTL %d value %d", op, fl, ttl, n),
+						data: patchedRequest(tb, req), enc: enc, encErr: err})
+				}
+			}
+		}
+	}
+	for op := OpInvalid; op <= opMax; op++ {
+		for st := StatusOK; st < statusMax; st++ {
+			if !op.Valid() && st != StatusErr {
+				continue
+			}
+			for _, n := range []int{8, 9} {
+				resp := &Response{Op: op, ID: 1, Status: st, Token: 5, Value: make([]byte, n),
+					Found: []bool{true, false}, Values: [][]byte{make([]byte, n), nil}}
+				enc, err := AppendResponse(nil, resp, boundaryLimits)
+				tame := *resp
+				if !op.Valid() {
+					tame.Op = OpPing
+				}
+				data, terr := AppendResponse(nil, &tame, Limits{})
+				if terr != nil {
+					tb.Fatalf("%v/%v: tame encoding: %v", op, st, terr)
+				}
+				data[2] = byte(op)
+				out = append(out, boundaryFrame{name: fmt.Sprintf("%v/%v value %d", op, st, n), resp: true,
+					data: data, enc: enc, encErr: err})
+			}
+		}
+	}
+	return out
+}
+
+// patchedRequest encodes req under the default limits with its TTL zeroed
+// and FlagFill added wherever FlagNegative is set, then patches the flags
+// byte and the TTL field back to req's own.
+func patchedRequest(tb testing.TB, req *Request) []byte {
+	tb.Helper()
+	tame := *req
+	tame.TTL = 0
+	if tame.Flags&FlagNegative != 0 {
+		tame.Flags |= FlagFill
+	}
+	data, err := AppendRequest(nil, &tame, Limits{})
+	if err != nil {
+		tb.Fatalf("%v flags %#x: tame encoding: %v", req.Op, req.Flags, err)
+	}
+	// The TTL field's last byte is the first one that differs between the
+	// encodings of TTL 0 and TTL 1; an op without a TTL encodes both alike.
+	tame.TTL = 1
+	one, _ := AppendRequest(nil, &tame, Limits{})
+	for i := range data {
+		if data[i] != one[i] {
+			binary.BigEndian.PutUint64(data[i-7:], uint64(req.TTL))
+			break
+		}
+	}
+	data[3] = req.Flags
+	return data
+}
+
+// TestEncodedFramesDecode holds the encoder to the decoder at every boundary
+// operand: AppendX accepts the operands iff DecodeX accepts their frame, the
+// encoder's frame is that frame, and an accepted frame re-encodes to itself.
+func TestEncodedFramesDecode(t *testing.T) {
+	for _, bf := range boundaryFrames(t) {
+		var decErr, reErr error
+		var re []byte
+		if bf.resp {
+			var resp *Response
+			if resp, _, decErr = DecodeResponse(bf.data, boundaryLimits); decErr == nil {
+				re, reErr = AppendResponse(nil, resp, boundaryLimits)
+			}
+		} else {
+			var req *Request
+			if req, _, decErr = DecodeRequest(bf.data, boundaryLimits); decErr == nil {
+				re, reErr = AppendRequest(nil, req, boundaryLimits)
+			}
+		}
+		switch {
+		case (bf.encErr == nil) != (decErr == nil):
+			t.Errorf("%s: encoder says %v, decoder says %v", bf.name, bf.encErr, decErr)
+		case bf.encErr == nil && !bytes.Equal(bf.enc, bf.data):
+			t.Errorf("%s: encoder wrote %x, want %x", bf.name, bf.enc, bf.data)
+		case decErr == nil && (reErr != nil || !bytes.Equal(re, bf.data)):
+			t.Errorf("%s: decoded frame re-encodes to %x (%v), want %x", bf.name, re, reErr, bf.data)
+		}
 	}
 }
 
