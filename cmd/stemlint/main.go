@@ -30,7 +30,7 @@ func main() {
 		unused  = flag.Bool("unused-allows", false, "also report //lint:allow comments that suppressed nothing")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: stemlint [-json] [-unused-allows] [packages]\n\nRuns the project analyzers (default pattern ./...).\n\n")
+		fmt.Fprintf(os.Stderr, "usage: stemlint [-json] [-unused-allows] [packages]\n       stemlint -list\n\nRuns the project analyzers (default pattern ./...).\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

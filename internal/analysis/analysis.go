@@ -3,14 +3,10 @@
 // the project-specific analyzers that keep this repository's load-bearing
 // conventions machine-checked:
 //
-//   - determinism: fixed-seed simulator runs must stay bit-reproducible, so
-//     the mechanism packages must not read wall clocks, the global math/rand
-//     source, or mutate state while ranging over a map (Go randomizes map
-//     iteration order per run).
-//   - atomics: every metric cell in internal/obs is read concurrently with
-//     the simulation, so cell fields must only be touched through sync/atomic
-//     and every exported metric method must keep the package's documented
-//     nil-receiver guarantee.
+//   - determinism: fixed-seed runs must stay bit-reproducible, so no
+//     package may read the wall clock or the global math/rand source, and no
+//     non-main package but obs, server and analysis may mutate state while
+//     ranging over a map (Go randomizes map iteration order per run).
 //   - lockorder: each serving package's lock hierarchy (the ranks
 //     lockRankFor selects: stemcache, server, cluster, membership) must
 //     stay acyclic and non-reentrant, defers must not pile unlocks up
@@ -19,14 +15,11 @@
 //   - apidoc: the serving-tier libraries (stemcache, wire, server, client,
 //     cluster) are the product surface; every exported symbol carries a doc
 //     comment in godoc form.
-//   - hotpath: the serving path (wire codec, server loop, client transport,
-//     cache read) must not allocate in steady state, so functions
-//     call-reachable from each package's hot-root table are flagged for
-//     allocation-causing constructs; error branches are auto-exempt and the
-//     static claim is cross-checked by the AllocsPerRun benchmark gates.
-//   - goleak: every go statement in a library package must be bracketed by
-//     a tracked waiter (wg.Add before launch, defer wg.Done inside), so no
-//     goroutine outlives its component's Close.
+//
+// Each of the three catches a mutation no test does. Properties a test can
+// measure are left to tests: allocations per operation to the AllocsPerRun
+// count gates, goroutine joins to the Close tests, and metric cells to
+// go vet's copylocks check, -race and obs's nil-receiver test.
 //
 // The cmd/stemlint driver loads, typechecks and runs the suite over ./...;
 // see DESIGN.md §9 for the invariant each analyzer encodes and why -race or
@@ -54,9 +47,7 @@ type Diagnostic struct {
 	Message  string
 }
 
-// Analyzer is one named check. Exactly one of Run (invoked once per
-// package) or RunModule (invoked once with every loaded package, for
-// cross-package checks) must be set.
+// Analyzer is one named check, run once per package.
 type Analyzer struct {
 	// Name is the identifier used in output and in //lint:allow comments.
 	Name string
@@ -64,8 +55,6 @@ type Analyzer struct {
 	Doc string
 	// Run analyzes a single package.
 	Run func(*Pass)
-	// RunModule analyzes the whole loaded module at once.
-	RunModule func(*ModulePass)
 }
 
 // Pass carries one package through one analyzer and collects its findings.
@@ -85,26 +74,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ModulePass carries every loaded package through one module-level analyzer.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Packages []*Package
-	diags    *[]Diagnostic
-}
-
-// Reportf records a finding at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
 // All returns the full analyzer suite in presentation order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Atomics, LockOrder, APIDoc, Hotpath, Goleak}
+	return []*Analyzer{Determinism, LockOrder, APIDoc}
 }
 
 // ByName returns the analyzer with the given name, or nil.

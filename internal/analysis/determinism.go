@@ -20,45 +20,42 @@ import (
 //     ...) remains legal.
 //   - ranging over a map while mutating outside state: Go randomizes map
 //     iteration order per run, so any order-sensitive fold (including
-//     floating-point accumulation) diverges. This check is scoped to the
-//     mechanism packages, where every iteration feeds simulator state.
+//     floating-point accumulation) diverges. This check covers every
+//     non-main package but the few listed in mapRangeExempt.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall clocks, the global math/rand source, and order-sensitive map iteration in the mechanism packages",
+	Doc:  "forbid wall clocks, the global math/rand source, and order-sensitive map iteration (in every non-main package but obs, server and analysis)",
 	Run:  runDeterminism,
 }
 
-// determinismMapRangePkgs are the packages whose state must evolve
-// identically across runs: the simulator mechanism packages and the
-// stemcache eviction path. The time.Now / global-rand checks apply to every
-// package; the map-range check only to these.
-var determinismMapRangePkgs = map[string]bool{
-	"internal/core":      true,
-	"internal/sim":       true,
-	"internal/sbc":       true,
-	"internal/policy":    true,
-	"internal/selector":  true,
-	"internal/dip":       true,
-	"internal/vway":      true,
-	"internal/stemcache": true,
-	"internal/cluster":   true,
+// mapRangeExempt are the non-main packages the map-range check skips, each
+// for the reason beside it. Main packages are skipped too: a tool's own
+// bookkeeping is not seeded output. Every other package is in scope, so a
+// new package is checked without editing this list.
+var mapRangeExempt = []string{
+	"internal/obs",      // registry reads fold derived counters; exporters sort or JSON-encode the result
+	"internal/server",   // the connection registry and lease table are live serving state, never seeded output
+	"internal/analysis", // the analyzers' bookkeeping; findings are sorted by position before output
 }
 
-// inMapRangeScope reports whether the package's import path ends in one of
-// the scoped suffixes (matching both real paths and test fixtures bound to
-// them).
-func inMapRangeScope(path string) bool {
-	for suffix := range determinismMapRangePkgs {
-		if path == suffix || strings.HasSuffix(path, "/"+suffix) {
-			return true
+// inMapRangeScope reports whether pkg is held to order-insensitive map
+// iteration. Exemptions match by suffix, so fixtures bound to an exempt
+// path are exempt too.
+func inMapRangeScope(pkg *Package) bool {
+	if pkg.Name == "main" {
+		return false
+	}
+	for _, suffix := range mapRangeExempt {
+		if pkg.Path == suffix || strings.HasSuffix(pkg.Path, "/"+suffix) {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 func runDeterminism(pass *Pass) {
 	info := pass.Pkg.Info
-	mapScope := inMapRangeScope(pass.Pkg.Path)
+	mapScope := inMapRangeScope(pass.Pkg)
 
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -31,6 +31,21 @@ func writeModule(t *testing.T, files map[string]string) string {
 	return root
 }
 
+// loadModule writes a throwaway module and loads the given import paths.
+func loadModule(t *testing.T, files map[string]string, paths ...string) (*analysis.Loader, []*analysis.Package) {
+	t.Helper()
+	root := writeModule(t, files)
+	loader, err := analysis.NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load(paths...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loader, pkgs
+}
+
 func TestLoaderExpand(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"a/a.go":             "package a\n",
@@ -259,8 +274,80 @@ internal/client/p.go:37:5: [apidoc] exported var Loose is undocumented; this pac
 	}
 }
 
+// mapRangeSrc folds a map into state that outlives the loop: the
+// order-sensitive iteration determinism's map-range check exists for.
+const mapRangeSrc = `package p
+
+// Sum folds m in iteration order.
+func Sum(m map[string]float64) float64 {
+	var s float64
+	for _, v := range m {
+		s += v
+	}
+	return s
+}
+`
+
+// TestDeterminismMapRangeScope pins the map-range check's scope: every
+// non-main package except the serving boundary (obs, server) and the
+// analyzers themselves.
+func TestDeterminismMapRangeScope(t *testing.T) {
+	files := map[string]string{"cmd/tool/main.go": strings.Replace(mapRangeSrc, "package p", "package main", 1)}
+	paths := []string{"m/cmd/tool"}
+	for _, dir := range []string{"internal/membership", "internal/trace", "internal/obs", "internal/server", "internal/analysis"} {
+		files[dir+"/p.go"] = mapRangeSrc
+		paths = append(paths, "m/"+dir)
+	}
+	loader, pkgs := loadModule(t, files, paths...)
+	var got strings.Builder
+	analysis.WriteText(&got, analysis.Run(loader.Fset, pkgs, []*analysis.Analyzer{analysis.Determinism}), loader.Root())
+	const msg = "map iteration feeds state mutation; Go randomizes map order per run, breaking fixed-seed reproducibility — iterate a sorted or indexed form instead\n"
+	want := "internal/membership/p.go:6:2: [determinism] " + msg +
+		"internal/trace/p.go:6:2: [determinism] " + msg
+	if got.String() != want {
+		t.Errorf("determinism findings:\n%swant:\n%s", got.String(), want)
+	}
+}
+
+// TestUnusedAllowAudit pins the stale-suppression report: an allow that
+// suppressed a finding is used; one that matched nothing is reported under
+// UnusedAllows without polluting Diagnostics.
+func TestUnusedAllowAudit(t *testing.T) {
+	loader, pkgs := loadModule(t, map[string]string{
+		"a/a.go": strings.Join([]string{
+			"package a",
+			"",
+			"import \"time\"",
+			"",
+			"// T reads the clock.",
+			"//lint:allow(determinism) fixture: the clock read is the point",
+			"var T = time.Now",
+			"",
+			"//lint:allow(determinism) stale: nothing on this line triggers",
+			"var N = 1", // line 10
+			"",
+		}, "\n"),
+	}, "m/a")
+
+	res := analysis.RunAll(loader.Fset, pkgs, analysis.All())
+	if len(res.Diagnostics) != 0 {
+		var sb strings.Builder
+		analysis.WriteText(&sb, res.Diagnostics, loader.Root())
+		t.Errorf("unexpected findings:\n%s", sb.String())
+	}
+	if len(res.UnusedAllows) != 1 {
+		var sb strings.Builder
+		analysis.WriteText(&sb, res.UnusedAllows, loader.Root())
+		t.Fatalf("got %d unused allows, want 1:\n%s", len(res.UnusedAllows), sb.String())
+	}
+	d := res.UnusedAllows[0]
+	if d.Pos.Line != 9 || d.Analyzer != "lint" || !strings.Contains(d.Message, "unused suppression") {
+		t.Errorf("unused allow = line %d [%s] %q, want the line-9 stale comment", d.Pos.Line, d.Analyzer, d.Message)
+	}
+}
+
 func TestByName(t *testing.T) {
-	for _, name := range []string{"determinism", "atomics", "lockorder", "apidoc", "hotpath", "goleak"} {
+	for _, name := range []string{"determinism", "lockorder", "apidoc"} {
 		if a := analysis.ByName(name); a == nil || a.Name != name {
 			t.Errorf("ByName(%q) = %v", name, a)
 		}

@@ -16,19 +16,16 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // in the matching analyzer's scope. Each fixture runs under the FULL suite:
 // the golden files therefore also pin which analyzers stay silent.
 var fixtureCases = []struct {
-	name string // fixture dir under testdata/src and golden file stem
-	path string // import path the fixture is bound to
+	name   string // fixture dir under testdata/src and golden file stem
+	path   string // import path the fixture is bound to
+	target string // analyzer the fixture must trip at least once
 }{
-	{name: "det", path: "fixture/internal/sim"},
-	{name: "obsfix", path: "fixture/internal/obs"},
-	{name: "latfix", path: "fixture2/internal/obs"},
-	{name: "cachefix", path: "fixture/internal/stemcache"},
-	{name: "tenantfix", path: "fixture2/internal/stemcache"},
-	{name: "serverfix", path: "fixture/internal/server"},
-	{name: "clusterfix", path: "fixture/internal/cluster"},
-	{name: "memberfix", path: "fixture/internal/membership"},
-	{name: "hotfix", path: "fixture/internal/hotfix"},
-	{name: "leakfix", path: "leakfix"},
+	{name: "det", path: "fixture/internal/sim", target: "determinism"},
+	{name: "cachefix", path: "fixture/internal/stemcache", target: "lockorder"},
+	{name: "tenantfix", path: "fixture2/internal/stemcache", target: "lockorder"},
+	{name: "serverfix", path: "fixture/internal/server", target: "lockorder"},
+	{name: "clusterfix", path: "fixture/internal/cluster", target: "lockorder"},
+	{name: "memberfix", path: "fixture/internal/membership", target: "lockorder"},
 }
 
 // newFixtureLoader returns a loader rooted at the module with every fixture
@@ -86,18 +83,6 @@ func TestAnalyzersGolden(t *testing.T) {
 // broken analyzer would shrink the goldens to nothing and still "pass" after
 // -update.
 func TestFixturesAreDirty(t *testing.T) {
-	targets := map[string]string{
-		"det":        "determinism",
-		"obsfix":     "atomics",
-		"latfix":     "atomics",
-		"cachefix":   "lockorder",
-		"tenantfix":  "lockorder",
-		"serverfix":  "lockorder",
-		"clusterfix": "lockorder",
-		"memberfix":  "lockorder",
-		"hotfix":     "hotpath",
-		"leakfix":    "goleak",
-	}
 	loader := newFixtureLoader(t)
 	for _, c := range fixtureCases {
 		pkgs, err := loader.Load(c.path)
@@ -107,13 +92,13 @@ func TestFixturesAreDirty(t *testing.T) {
 		diags := analysis.Run(loader.Fset, pkgs, analysis.All())
 		found := false
 		for _, d := range diags {
-			if d.Analyzer == targets[c.name] {
+			if d.Analyzer == c.target {
 				found = true
 				break
 			}
 		}
 		if !found {
-			t.Errorf("fixture %s produced no %s findings", c.name, targets[c.name])
+			t.Errorf("fixture %s produced no %s findings", c.name, c.target)
 		}
 	}
 }

@@ -34,13 +34,8 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnost
 func RunAll(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) Result {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		switch {
-		case a.RunModule != nil:
-			a.RunModule(&ModulePass{Analyzer: a, Fset: fset, Packages: pkgs, diags: &diags})
-		case a.Run != nil:
-			for _, pkg := range pkgs {
-				a.Run(&Pass{Analyzer: a, Fset: fset, Pkg: pkg, diags: &diags})
-			}
+		for _, pkg := range pkgs {
+			a.Run(&Pass{Analyzer: a, Fset: fset, Pkg: pkg, diags: &diags})
 		}
 	}
 
@@ -64,8 +59,7 @@ func RunAll(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) Result 
 	}
 }
 
-// sortDiags orders diagnostics by position and drops exact duplicates
-// (module passes can visit one file from several angles).
+// sortDiags orders diagnostics by position.
 func sortDiags(kept []Diagnostic) []Diagnostic {
 	sort.Slice(kept, func(i, j int) bool {
 		a, b := kept[i], kept[j]
@@ -83,14 +77,7 @@ func sortDiags(kept []Diagnostic) []Diagnostic {
 		}
 		return a.Message < b.Message
 	})
-	out := kept[:0]
-	for i, d := range kept {
-		if i > 0 && d == kept[i-1] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
+	return kept
 }
 
 // relFile renders a diagnostic's filename relative to base when possible.

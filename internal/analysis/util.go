@@ -92,17 +92,6 @@ func pkgPathOf(obj types.Object) string {
 	return obj.Pkg().Path()
 }
 
-// isAtomicType reports whether t (after unaliasing) is one of sync/atomic's
-// cell types (atomic.Uint64, atomic.Int64, atomic.Bool, ...).
-func isAtomicType(t types.Type) bool {
-	named, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
-}
-
 // mutexKind classifies t as a sync mutex: "" if it is not one, otherwise
 // "Mutex" or "RWMutex".
 func mutexKind(t types.Type) string {

@@ -265,7 +265,7 @@ func (c *Client) get() (*cconn, error) {
 	if err != nil {
 		return nil, err
 	}
-	//lint:allow(hotpath) dial path: one cconn per new connection, amortized over its pooled lifetime
+	// One cconn per dial, amortized over its pooled lifetime.
 	return &cconn{
 		nc: nc,
 		br: bufio.NewReaderSize(nc, 32<<10),
@@ -341,7 +341,8 @@ func (c *Client) roundTrip(cc *cconn, reqs []*wire.Request) ([]*wire.Response, e
 	if err := cc.bw.Flush(); err != nil {
 		return nil, err
 	}
-	//lint:allow(hotpath) the response slice escapes to the caller; the copying decode is the client's API contract
+	// The response slice escapes to the caller; the copying decode is the
+	// client's API contract.
 	resps := make([]*wire.Response, len(reqs))
 	for i, req := range reqs {
 		resp, rbuf, err := wire.ReadResponse(cc.br, cc.rbuf, wire.Limits{})

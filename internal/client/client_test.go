@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -489,5 +490,48 @@ func TestOpTimeoutOnStalledServer(t *testing.T) {
 	}
 	if nc := <-accepted; nc != nil {
 		nc.Close()
+	}
+}
+
+// TestCloseWaitsForStaleRefresh: a stale hit returns at once and hands the
+// refresh lease to a background goroutine; Close must not return while that
+// goroutine's origin call is still running.
+func TestCloseWaitsForStaleRefresh(t *testing.T) {
+	fs := newFakeServer(t, func(req *wire.Request) *wire.Response {
+		if req.Flags&wire.FlagFill != 0 {
+			return okHandler(req)
+		}
+		return &wire.Response{Op: req.Op, Status: wire.StatusStale, Token: 7, Value: []byte("old")}
+	})
+	cl, err := New(Config{Addr: fs.ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	origin := func(context.Context, string) ([]byte, error) {
+		close(entered)
+		<-release
+		return []byte("new"), nil
+	}
+	if v, err := cl.GetOrLoad(context.Background(), "k", origin); err != nil || string(v) != "old" {
+		t.Fatalf("GetOrLoad = (%q, %v), want the stale value at once", v, err)
+	}
+	<-entered
+
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		cl.Close()
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a stale refresh was still fetching")
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the refresh finished")
 	}
 }

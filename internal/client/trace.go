@@ -67,7 +67,6 @@ func (c *Client) attachTrace(req *wire.Request) {
 	if (seq-1)%uint64(n) != 0 {
 		return
 	}
-	//lint:allow(hotpath) sampled: one extension per TraceEvery-th request, not per operation
 	req.Trace = &wire.TraceExt{
 		ID:         c.traceSalt ^ mix64(seq),
 		SendMicros: c.nowMicros(),

@@ -59,7 +59,7 @@ func Serve(addr string, reg *Registry, withPprof bool) (*Server, error) {
 		},
 		addr: ln.Addr().String(),
 	}
-	//lint:allow(goleak) Serve returns when Close shuts the http.Server down; Close is the join
+	// Serve returns when Close shuts the http.Server down; Close is the join.
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -37,6 +39,46 @@ func TestNilMetricSinksAreNoOps(t *testing.T) {
 	r.Reset()
 	if r.Snapshot() != nil || r.Names() != nil {
 		t.Fatal("nil registry snapshot")
+	}
+}
+
+// TestNilReceiverMethods holds the nil-receiver guarantee (package doc, rule
+// 1) on every exported method of the metric cells and the registry,
+// including methods added later: called on nil, none may panic. Arguments
+// are zero values, except that a writer gets io.Discard and a response
+// writer a recorder, so a panic is the method's and not its argument's. A
+// returned http.Handler is served too.
+func TestNilReceiverMethods(t *testing.T) {
+	arg := func(typ reflect.Type) reflect.Value {
+		switch typ {
+		case reflect.TypeFor[io.Writer]():
+			return reflect.ValueOf(io.Discard)
+		case reflect.TypeFor[http.ResponseWriter]():
+			return reflect.ValueOf(httptest.NewRecorder())
+		}
+		return reflect.Zero(typ)
+	}
+	for _, recv := range []any{(*Counter)(nil), (*Gauge)(nil), (*LatencyHistogram)(nil), (*Registry)(nil)} {
+		v := reflect.ValueOf(recv)
+		for i := 0; i < v.NumMethod(); i++ {
+			m := v.Type().Method(i)
+			t.Run(v.Type().Elem().Name()+"."+m.Name, func(t *testing.T) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("panics on a nil receiver: %v", p)
+					}
+				}()
+				args := make([]reflect.Value, m.Type.NumIn()-1) // In(0) is the receiver
+				for j := range args {
+					args[j] = arg(m.Type.In(j + 1))
+				}
+				for _, out := range v.Method(i).Call(args) {
+					if h, ok := out.Interface().(http.Handler); ok {
+						h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil))
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -192,6 +234,33 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	if got := r.Counter("n").Value(); got != 8000 {
 		t.Fatalf("concurrent counter = %d, want 8000", got)
 	}
+}
+
+// TestResetConcurrentWithUse: Reset runs while instrumented code writes the
+// cells it zeroes (a warm-up reset under a live scrape). Under -race this
+// holds every cell write, Reset's included, to sync/atomic (package doc,
+// rule 2): a plain store into a cell is a data race here.
+func TestResetConcurrentWithUse(t *testing.T) {
+	r := NewRegistry()
+	c, g, h := r.Counter("c"), r.Gauge("g"), r.Latency("h")
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 1000; i++ {
+			c.Inc()
+			g.Set(float64(i))
+			h.Observe(uint64(i))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			r.Reset()
+			_ = r.Snapshot()
+		}
+	}()
+	wg.Wait()
 }
 
 func TestEventJSONRoundTrip(t *testing.T) {

@@ -389,7 +389,8 @@ func (s *Server) Close() error {
 	}
 
 	done := make(chan struct{})
-	//lint:allow(goleak) drain watcher: joined via <-done on both select arms once wg.Wait returns
+	// The watcher exits once wg.Wait returns; both select arms below wait
+	// for it on done.
 	go func() {
 		s.wg.Wait()
 		close(done)
@@ -586,7 +587,6 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 		// Unreachable: the decoder rejects unknown opcodes. Answer rather
 		// than crash if a new opcode outruns this switch.
 		resp.Status = wire.StatusErr
-		//lint:allow(hotpath) unreachable guard: the decoder rejects unknown opcodes before dispatch
 		resp.Value = []byte(fmt.Sprintf("unhandled opcode %v", req.Op))
 	}
 	// A FlagDemand request gets the node's demand snapshot piggybacked on

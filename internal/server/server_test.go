@@ -597,6 +597,59 @@ func TestDrainBetweenFrames(t *testing.T) {
 	}
 }
 
+// parkingReplicator holds the first replicated SET inside Server.handle
+// until release is closed.
+type parkingReplicator struct {
+	parked, release chan struct{}
+	once            sync.Once
+}
+
+func (p *parkingReplicator) ReplicateSet(string, string, []byte, time.Duration) {
+	p.once.Do(func() {
+		close(p.parked)
+		<-p.release
+	})
+}
+
+func (p *parkingReplicator) ReplicateDelete(string, string) {}
+
+// TestCloseWaitsForParkedHandler: Close joins every connection handler, even
+// one that outlives DrainTimeout. Force-closing the socket cannot unblock a
+// handler parked inside a hook, so Close must keep waiting until the hook
+// returns — a handler the WaitGroup does not track would outlive Close.
+func TestCloseWaitsForParkedHandler(t *testing.T) {
+	const drain = 20 * time.Millisecond
+	srv, _ := startServer(t, stemcache.Config{Capacity: 1 << 10, Seed: 1}, server.Config{DrainTimeout: drain})
+	rep := &parkingReplicator{parked: make(chan struct{}), release: make(chan struct{})}
+	srv.SetHooks(&server.Hooks{Replicator: rep})
+	cl := newClient(t, srv.Addr())
+
+	setDone := make(chan struct{})
+	go func() {
+		defer close(setDone)
+		cl.Set("k", []byte("v")) // fails once the server cuts the conn; only the parking matters
+	}()
+	<-rep.parked
+
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		srv.Close()
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a handler was parked inside a hook")
+	case <-time.After(10 * drain):
+	}
+	close(rep.release)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the parked handler was released")
+	}
+	<-setDone
+}
+
 func TestCloseBeforeServe(t *testing.T) {
 	cache := newCache(t, stemcache.Config{Capacity: 1 << 8, Seed: 1})
 	srv, err := server.New(cache, server.Config{})

@@ -30,10 +30,8 @@ func benchReadCache(tb testing.TB) (*Cache[string, []byte], []string) {
 	return c, keys
 }
 
-// TestHotPathZeroAllocs is the allocation gate for the shard-read path, the
-// dynamic half of the claim the hotpath analyzer's Cache.Get root
-// (internal/analysis) makes statically: Get on a warm string-keyed cache must
-// not allocate.
+// TestHotPathZeroAllocs is the allocation gate for the shard-read path: Get
+// on a warm string-keyed cache must not allocate.
 // Hits and shadow-registering misses are both measured — the miss path
 // feeds the demand counters and must stay allocation-free too.
 func TestHotPathZeroAllocs(t *testing.T) {

@@ -72,14 +72,13 @@ func mustAppendResponse(tb testing.TB, buf []byte, resp *Response) []byte {
 	return out
 }
 
-// TestHotPathZeroAllocs is the allocation gate, the dynamic half of the
-// zero-allocation contract whose static half is the hotpath analyzer
-// (internal/analysis): with a reused buffer and a reused Request/Response,
-// the encode/decode paths for GET and MGET must not allocate in steady state.
-// The copying DecodeRequest/DecodeResponse forms are deliberately not gated —
-// owning the bytes is their contract. Each case runs once first so one-time slice growth to steady-state
-// capacity is excluded — that is the contract the hotpath analyzer's
-// buffer-growth allows describe.
+// TestHotPathZeroAllocs is the codec's allocation gate: with a reused buffer
+// and a reused Request/Response, the encode/decode paths for GET and MGET
+// must not allocate in steady state. The copying DecodeRequest/DecodeResponse
+// forms are deliberately not gated — owning the bytes is their contract.
+// Each case runs once first so one-time slice growth to steady-state
+// capacity is excluded — readFrame grows its buffer to the largest frame
+// seen, then reuses it.
 func TestHotPathZeroAllocs(t *testing.T) {
 	lim := Limits{}
 

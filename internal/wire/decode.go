@@ -329,7 +329,8 @@ func ReadResponse(r io.Reader, buf []byte, lim Limits) (*Response, []byte, error
 // force an over-allocation.
 func readFrame(r io.Reader, buf []byte, lim Limits) ([]byte, error) {
 	if cap(buf) < HeaderLen {
-		//lint:allow(hotpath) first call only: the returned buffer is reused for every later frame
+		// First call only: the caller reuses the returned buffer for every
+		// later frame.
 		buf = make([]byte, HeaderLen, 4096)
 	}
 	buf = buf[:HeaderLen]
@@ -345,7 +346,8 @@ func readFrame(r io.Reader, buf []byte, lim Limits) ([]byte, error) {
 	}
 	total := HeaderLen + n
 	if cap(buf) < total {
-		//lint:allow(hotpath) growth to the largest frame seen, then amortized zero in steady state
+		// Grows to the largest frame seen, then allocates nothing in steady
+		// state.
 		nb := make([]byte, total)
 		copy(nb, buf[:HeaderLen])
 		buf = nb

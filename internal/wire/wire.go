@@ -609,7 +609,9 @@ func (c *cursor) bytes(n int) ([]byte, error) {
 	if c.alias {
 		return s, nil
 	}
-	out := make([]byte, len(s)) //lint:allow(hotpath) copying is the contract of the retaining decodes and of every op without alias; GET, DEL and MGET on the Into path alias instead
+	// Copying is the contract of the retaining decodes and of every op
+	// without alias; GET, DEL and MGET on the Into path alias instead.
+	out := make([]byte, len(s))
 	copy(out, s)
 	return out, nil
 }
