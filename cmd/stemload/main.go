@@ -1,7 +1,8 @@
 // Command stemload is a load generator for stemd: N workers run a
-// cache-aside loop (GET, on miss SET) against a server, drawing keys from
-// one of the deterministic serving distributions in internal/workloads, and
-// report throughput, client latency percentiles, and hit rates.
+// cache-aside loop (GET, on miss SET) against a running server or ring of
+// servers, drawing keys from one of the deterministic serving distributions
+// in internal/workloads, and report throughput, client latency percentiles,
+// and hit rates.
 //
 // Loop disciplines:
 //
@@ -20,43 +21,34 @@
 // Latencies are recorded in mergeable log-linear histograms (~3% relative
 // error), not sample arrays, so -ops can grow without memory growing.
 //
-// Target modes:
+// Target modes (exactly one):
 //
-//   - With -addr, stemload drives an existing server and reports its
-//     numbers.
+//   - With -addr, stemload drives one server and reports its numbers plus
+//     the server's STATS document.
 //   - With -cluster, stemload drives a whole ring of servers (comma-separated
 //     addresses, e.g. the set stemcluster prints) through the consistent-hash
 //     routing client and reports aggregate plus per-node numbers. -seed and
 //     -vnodes must match the cluster's.
-//   - With -scenario NAME, stemload hosts its own servers and runs one of
-//     the experiments in the scenario table (scenario.go): compare, latency,
-//     herd, tenants, failover, scaleout. Each measures the numbers behind one
-//     of the serving tiers' claims and states the claims themselves — name,
-//     measured value, bound, holds — so the exit status of a scenario run is
-//     "every claim holds".
-//
-// Every mode writes the same report envelope (-json): bench, scenario,
-// config, result, claims.
 //
 // With -trace-every N, every N-th request carries a wire trace extension
 // and the report includes the server/network latency split measured from
-// the echoed server timings.
+// the echoed server timings. -json writes the report envelope: bench,
+// target, config, result.
 //
 // Usage:
 //
-//	stemload -scenario compare            # self-hosted STEM vs LRU, mixed keys
-//	stemload -scenario compare -dist scan -ops 500000
-//	stemload -scenario latency -rate 200000   # closed vs open loop, one server
-//	stemload -scenario herd -json -       # report on stdout
 //	stemload -addr :7070 -conns 16
 //	stemload -addr :7070 -rate 50000      # open loop at 50k ops/s
+//	stemload -addr :7070 -json -          # report on stdout
 //	stemload -cluster 127.0.0.1:7070,127.0.0.1:7071,127.0.0.1:7072 -seed 21
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -76,39 +68,78 @@ import (
 var wallClock = time.Now //lint:allow(determinism) a load generator measures wall time by definition; nothing seed-deterministic reads this
 
 func main() {
-	var (
-		addr      = flag.String("addr", "", "server to drive")
-		clusterEP = flag.String("cluster", "", "comma-separated node addresses; drives the ring through the cluster routing client")
-		scenario  = flag.String("scenario", "", "self-hosted experiment to run: "+strings.Join(scenarioNames(), ", "))
-		vnodes    = flag.Int("vnodes", 0, "ring slots per node: with -cluster 0 = the cluster default; failover/scaleout default to 4")
-		dist      = flag.String("dist", "mixed", "key distribution: zipf, scan, mixed, or hotspot-shift")
-		ops       = flag.Int("ops", 400_000, "total operations per engine")
-		conns     = flag.Int("conns", 4, "concurrent workers (one connection each)")
-		capacity  = flag.Int("capacity", 1<<13, "cache capacity in entries (self-hosted servers; also scales the keyspace)")
-		valueSize = flag.Int("value-size", 128, "value payload bytes")
-		seed      = flag.Uint64("seed", 0x57E4, "key stream seed (worker w draws from seed+w)")
-		rate      = flag.Float64("rate", 0, "open-loop Poisson arrival rate, total ops/s (0 = closed loop; the latency scenario then saturates)")
-		traceEach = flag.Int("trace-every", 0, "trace every Nth request end to end (0 = off)")
-		jsonPath  = flag.String("json", "", `write the report as JSON to this file ("-" for stdout)`)
-	)
-	flag.Parse()
-
-	sc, err := selectScenario(*addr, *clusterEP, *scenario)
-	if err == nil {
-		err = run(sc, loadConfig{
-			Dist: *dist, Ops: *ops, Conns: *conns, Capacity: *capacity,
-			ValueSize: *valueSize, Seed: *seed, VNodes: *vnodes,
-			Rate: *rate, TraceEvery: *traceEach,
-		}, *jsonPath)
-	}
-	if err != nil {
+	if err := stemload(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "stemload:", err)
 		os.Exit(1)
 	}
 }
 
-// loadConfig is the flag set as a value: it shapes the cache-aside load and
-// sizes every scenario.
+// stemload runs one invocation: it checks every flag before dialling
+// anything, drives the one target, prints the result to stdout and writes
+// the -json report.
+func stemload(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("stemload", flag.ContinueOnError)
+	var (
+		addr      = fs.String("addr", "", "server to drive")
+		clusterEP = fs.String("cluster", "", "comma-separated node addresses; drives the ring through the cluster routing client")
+		vnodes    = fs.Int("vnodes", 0, "ring slots per node with -cluster (0 = the cluster default)")
+		dist      = fs.String("dist", "mixed", "key distribution: zipf, scan, mixed, or hotspot-shift")
+		ops       = fs.Int("ops", 400_000, "total GETs")
+		conns     = fs.Int("conns", 4, "concurrent workers (one connection each)")
+		capacity  = fs.Int("capacity", 1<<13, "the target's cache capacity in entries (scales the keyspace)")
+		valueSize = fs.Int("value-size", 128, "value payload bytes")
+		seed      = fs.Uint64("seed", 0x57E4, "key stream seed (worker w draws from seed+w)")
+		rate      = fs.Float64("rate", 0, "open-loop Poisson arrival rate, total ops/s (0 = closed loop)")
+		traceEach = fs.Int("trace-every", 0, "trace every Nth request end to end (0 = off)")
+		jsonPath  = fs.String("json", "", `write the report as JSON to this file ("-" for stdout)`)
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
+	cfg := loadConfig{
+		Dist: *dist, Ops: *ops, Conns: *conns, Capacity: *capacity,
+		ValueSize: *valueSize, Seed: *seed, VNodes: *vnodes,
+		Rate: *rate, TraceEvery: *traceEach,
+	}
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	if (*addr == "") == (*clusterEP == "") {
+		return errors.New("need exactly one of -addr and -cluster")
+	}
+
+	rep := report{Bench: "stemload", Config: cfg}
+	var err error
+	if *addr != "" {
+		rep.Target = "addr"
+		rep.Result, err = drive(*addr, cfg)
+	} else {
+		rep.Target = "cluster"
+		rep.Result, err = driveCluster(strings.Split(*clusterEP, ","), cfg)
+	}
+	if err != nil {
+		return err
+	}
+	printResult(stdout, rep.Target, rep.Result, cfg)
+	if *jsonPath == "" {
+		return nil
+	}
+	b, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	b = append(b, '\n')
+	if *jsonPath == "-" {
+		_, err = stdout.Write(b)
+		return err
+	}
+	return os.WriteFile(*jsonPath, b, 0o644)
+}
+
+// loadConfig is the flag set as a value: it shapes the cache-aside load.
 type loadConfig struct {
 	Dist      string `json:"dist"`
 	Ops       int    `json:"ops"`
@@ -116,8 +147,7 @@ type loadConfig struct {
 	Capacity  int    `json:"capacity"`
 	ValueSize int    `json:"value_size"`
 	Seed      uint64 `json:"seed"`
-	// VNodes is ring slots per node (0 = the cluster default with -cluster,
-	// memberVNodes in the failover and scaleout scenarios).
+	// VNodes is ring slots per node with -cluster (0 = the cluster default).
 	VNodes int `json:"vnodes,omitempty"`
 	// Rate > 0 selects the open loop: Poisson arrivals at Rate ops/s in
 	// aggregate, latency measured from the scheduled send time.
@@ -126,9 +156,29 @@ type loadConfig struct {
 	TraceEvery int `json:"trace_every,omitempty"`
 }
 
+// validate rejects a configuration the load loop cannot honour, so a bad
+// flag is an error before any dial rather than a panic or a silently
+// different run.
+func (c loadConfig) validate() error {
+	switch {
+	case c.Ops <= 0 || c.Conns <= 0:
+		return fmt.Errorf("need positive -ops and -conns, got %d and %d", c.Ops, c.Conns)
+	case c.ValueSize < 0:
+		return fmt.Errorf("-value-size %d is negative", c.ValueSize)
+	case !(c.Rate >= 0) || math.IsInf(c.Rate, 1):
+		return fmt.Errorf("-rate %v is not a finite rate >= 0", c.Rate)
+	case c.TraceEvery < 0:
+		return fmt.Errorf("-trace-every %d is negative", c.TraceEvery)
+	case c.VNodes < 0:
+		return fmt.Errorf("-vnodes %d is negative", c.VNodes)
+	}
+	// The key stream checks -dist and -capacity.
+	_, err := workloads.NewKeyStream(c.Dist, c.Capacity, c.Seed)
+	return err
+}
+
 // result is one cache-aside load pass's measured outcome.
 type result struct {
-	Engine string `json:"engine"`
 	// Mode is the loop discipline that produced the numbers: "closed" or
 	// "open" (see the package comment for why their tails differ).
 	Mode string `json:"mode"`
@@ -149,103 +199,52 @@ type result struct {
 	ServerP99Micros float64 `json:"server_p99_us,omitempty"`
 	NetP99Micros    float64 `json:"net_p99_us,omitempty"`
 	ClientHitRate   float64 `json:"client_hit_rate"`
-	// ServerHitRate is the cache's own Gets-hit fraction from STATS — the
-	// number the STEM-vs-LRU comparison is about.
+	// ServerHitRate is the cache's own Gets-hit fraction from STATS
+	// (aggregated across nodes on -cluster runs).
 	ServerHitRate float64 `json:"server_hit_rate"`
 	// Server is the full server-side STATS document (cache mechanism
 	// counters included), for trajectory archaeology.
 	Server server.StatsSnapshot `json:"server,omitzero"`
 	// Nodes holds every node's STATS document on -cluster runs (Server is
-	// then the zero value; ServerHitRate aggregates across nodes).
+	// then the zero value).
 	Nodes []server.StatsSnapshot `json:"nodes,omitempty"`
 }
 
-// report is the one JSON envelope every mode writes.
+// report is the JSON envelope -json writes.
 type report struct {
 	Bench string `json:"bench"`
-	// Scenario is the scenario table row that ran, or "addr" / "cluster" for
-	// an external target.
-	Scenario string     `json:"scenario"`
-	Config   loadConfig `json:"config"`
-	// Result is the scenario's own document (see each scenario's result
-	// type); Claims are the inequalities it pins, evaluated on this run.
-	Result any     `json:"result"`
-	Claims []claim `json:"claims"`
+	// Target is the mode that ran: "addr" or "cluster".
+	Target string     `json:"target"`
+	Config loadConfig `json:"config"`
+	Result result     `json:"result"`
 }
 
-// run executes one scenario, writes the report, and fails when a claim does
-// not hold — which is what makes `stemload -scenario X` a check and not just
-// a measurement.
-func run(sc scenario, cfg loadConfig, jsonPath string) error {
-	if cfg.Ops <= 0 || cfg.Conns <= 0 {
-		return fmt.Errorf("need positive -ops and -conns")
-	}
-	res, claims, err := sc.run(cfg)
-	if err != nil {
-		return fmt.Errorf("%s: %w", sc.name, err)
-	}
-	var broken []string
-	for _, c := range claims {
-		verdict := "holds"
-		if !c.Holds {
-			verdict = "FAILS"
-			broken = append(broken, c.Name)
-		}
-		fmt.Printf("claim         %-40s %12.4f %s %-8g %s\n", c.Name, c.Measured, c.Op, c.Bound, verdict)
-	}
-	if jsonPath != "" {
-		b, err := json.MarshalIndent(report{
-			Bench: "stemload", Scenario: sc.name, Config: cfg, Result: res, Claims: claims,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		b = append(b, '\n')
-		if jsonPath == "-" {
-			_, err = os.Stdout.Write(b)
-		} else {
-			err = os.WriteFile(jsonPath, b, 0o644)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if len(broken) > 0 {
-		return fmt.Errorf("%s: %d of %d claims do not hold: %s",
-			sc.name, len(broken), len(claims), strings.Join(broken, ", "))
-	}
-	return nil
-}
-
-// printResult renders one engine's numbers, including the instantaneous
+// printResult renders one pass's numbers, including the instantaneous
 // set-role gauges (taker/giver/coupled) the STATS extension exports.
-func printResult(r result, cfg loadConfig) {
-	fmt.Printf("engine        %s  (%s loop)\n", r.Engine, r.Mode)
-	fmt.Printf("ops           %d in %.2fs  (%.0f ops/s, %d workers, %s keys)\n",
+func printResult(w io.Writer, target string, r result, cfg loadConfig) {
+	fmt.Fprintf(w, "target        %s  (%s loop)\n", target, r.Mode)
+	fmt.Fprintf(w, "ops           %d in %.2fs  (%.0f ops/s, %d workers, %s keys)\n",
 		r.Ops, r.Seconds, r.OpsPerSec, cfg.Conns, cfg.Dist)
-	fmt.Printf("latency       p50 %.1fus  p90 %.1fus  p99 %.1fus  p99.9 %.1fus  mean %.1fus  max %.1fus\n",
+	fmt.Fprintf(w, "latency       p50 %.1fus  p90 %.1fus  p99 %.1fus  p99.9 %.1fus  mean %.1fus  max %.1fus\n",
 		r.LatP50Micros, r.LatP90Micros, r.LatP99Micros, r.LatP999Micros, r.LatMeanMicros, r.LatMaxMicros)
 	if r.TraceSamples > 0 {
-		fmt.Printf("trace split   %d samples  server p99 %.1fus  net p99 %.1fus\n",
+		fmt.Fprintf(w, "trace split   %d samples  server p99 %.1fus  net p99 %.1fus\n",
 			r.TraceSamples, r.ServerP99Micros, r.NetP99Micros)
 	}
-	fmt.Printf("hit rate      %.4f client  %.4f server\n", r.ClientHitRate, r.ServerHitRate)
+	fmt.Fprintf(w, "hit rate      %.4f client  %.4f server\n", r.ClientHitRate, r.ServerHitRate)
 	if c := r.Server.Cache; c.Spills > 0 || c.PolicySwaps > 0 {
-		fmt.Printf("mechanisms    %d spills  %d policy swaps  %d shadow hits\n",
+		fmt.Fprintf(w, "mechanisms    %d spills  %d policy swaps  %d shadow hits\n",
 			c.Spills, c.PolicySwaps, c.ShadowHits)
 	}
-	if len(r.Nodes) == 0 {
-		if c := r.Server.Cache; c.Gets > 0 {
-			fmt.Printf("set roles     %d taker  %d giver  %d coupled\n",
-				c.TakerSets, c.GiverSets, c.CoupledSets)
-		}
+	if c := r.Server.Cache; c.Gets > 0 {
+		fmt.Fprintf(w, "set roles     %d taker  %d giver  %d coupled\n",
+			c.TakerSets, c.GiverSets, c.CoupledSets)
 	}
 	for _, n := range r.Nodes {
-		fmt.Printf("node %-3d      %.4f hit  %d/%d entries  %d taker  %d giver  %d coupled sets\n",
+		fmt.Fprintf(w, "node %-3d      %.4f hit  %d/%d entries  %d taker  %d giver  %d coupled sets\n",
 			n.NodeID, n.HitRate, n.Len, n.Capacity,
 			n.Cache.TakerSets, n.Cache.GiverSets, n.Cache.CoupledSets)
 	}
-	fmt.Println()
 }
 
 // kvStore is the client surface the worker loop needs — satisfied by both
@@ -269,7 +268,10 @@ type passOutcome struct {
 // issue time (closed) or completion minus *scheduled* arrival time (open),
 // which is what makes the open loop coordinated-omission-safe.
 func runWorkers(cl kvStore, cfg loadConfig) (passOutcome, error) {
-	value := missValue(cfg.ValueSize)
+	value := make([]byte, cfg.ValueSize) // what a cache-aside miss writes
+	for i := range value {
+		value[i] = byte('a' + i%26)
+	}
 	// Exactly cfg.Ops GETs run: the first Ops%Conns workers take one extra.
 	perWorker, extra := cfg.Ops/cfg.Conns, cfg.Ops%cfg.Conns
 	// Per-worker Poisson thinning: the aggregate rate splits evenly, and
@@ -356,14 +358,13 @@ func runWorkers(cl kvStore, cfg loadConfig) (passOutcome, error) {
 }
 
 // buildResult folds one pass's outcome into the common result fields.
-func buildResult(engine string, pass passOutcome, cfg loadConfig) result {
+func buildResult(pass passOutcome, cfg loadConfig) result {
 	mode := "closed"
 	if cfg.Rate > 0 {
 		mode = "open"
 	}
 	h := pass.hist
 	return result{
-		Engine:        engine,
 		Mode:          mode,
 		Ops:           pass.gets,
 		Seconds:       pass.seconds,
@@ -378,15 +379,25 @@ func buildResult(engine string, pass passOutcome, cfg loadConfig) result {
 	}
 }
 
-// drive runs the workers against addr and gathers the result.
-func drive(engine, addr string, cfg loadConfig) (result, error) {
-	ccfg := client.Config{Addr: addr, PoolSize: cfg.Conns}
-	var treg *obs.Registry
-	if cfg.TraceEvery > 0 {
-		treg = obs.NewRegistry()
-		ccfg.TraceEvery = cfg.TraceEvery
-		ccfg.Metrics = treg
+// clientConfig is the per-node connection template: one pooled connection
+// per worker and, with -trace-every, the registry the client.lat.* split
+// histograms land in. A ring's node clients share that registry; the
+// histograms are atomic and mergeable, so per-node samples aggregate into
+// the cluster-wide split.
+func clientConfig(cfg loadConfig) (client.Config, *obs.Registry) {
+	ccfg := client.Config{PoolSize: cfg.Conns}
+	if cfg.TraceEvery == 0 {
+		return ccfg, nil
 	}
+	treg := obs.NewRegistry()
+	ccfg.TraceEvery, ccfg.Metrics = cfg.TraceEvery, treg
+	return ccfg, treg
+}
+
+// drive runs the workers against addr and gathers the result.
+func drive(addr string, cfg loadConfig) (result, error) {
+	ccfg, treg := clientConfig(cfg)
+	ccfg.Addr = addr
 	cl, err := client.New(ccfg)
 	if err != nil {
 		return result{}, err
@@ -400,38 +411,17 @@ func drive(engine, addr string, cfg loadConfig) (result, error) {
 	if err != nil {
 		return result{}, err
 	}
-
-	snap, err := serverStats(cl)
+	raw, err := cl.Stats()
 	if err != nil {
 		return result{}, err
 	}
-	res := buildResult(engine, pass, cfg)
-	res.ServerHitRate = snap.HitRate
-	res.Server = snap
+	res := buildResult(pass, cfg)
+	if err := json.Unmarshal(raw, &res.Server); err != nil {
+		return result{}, fmt.Errorf("STATS payload: %w", err)
+	}
+	res.ServerHitRate = res.Server.HitRate
 	attachTraceSplit(&res, treg)
 	return res, nil
-}
-
-// serverStats fetches and decodes a server's STATS document.
-func serverStats(cl *client.Client) (server.StatsSnapshot, error) {
-	var snap server.StatsSnapshot
-	raw, err := cl.Stats()
-	if err != nil {
-		return snap, err
-	}
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return snap, fmt.Errorf("STATS payload: %w", err)
-	}
-	return snap, nil
-}
-
-// missValue is the n-byte value a cache-aside miss writes.
-func missValue(n int) []byte {
-	value := make([]byte, n)
-	for i := range value {
-		value[i] = byte('a' + i%26)
-	}
-	return value
 }
 
 // attachTraceSplit copies the traced server/network p99 split out of the
@@ -450,24 +440,15 @@ func attachTraceSplit(res *result, treg *obs.Registry) {
 	res.NetP99Micros = float64(treg.Latency("client.lat.net_us").Quantile(0.99))
 }
 
-// driveCluster runs the closed-loop workers through the consistent-hash
-// routing client and aggregates every node's STATS.
+// driveCluster runs the workers through the consistent-hash routing client
+// and aggregates every node's STATS.
 func driveCluster(addrs []string, cfg loadConfig) (result, error) {
-	nodeCfg := client.Config{PoolSize: cfg.Conns}
-	var treg *obs.Registry
-	if cfg.TraceEvery > 0 {
-		// One registry shared by every node's client: the client.lat.*
-		// histograms are atomic and mergeable, so per-node samples simply
-		// aggregate into the cluster-wide split.
-		treg = obs.NewRegistry()
-		nodeCfg.TraceEvery = cfg.TraceEvery
-		nodeCfg.Metrics = treg
-	}
+	ccfg, treg := clientConfig(cfg)
 	cl, err := cluster.NewClient(cluster.Config{
 		Addrs:  addrs,
 		VNodes: cfg.VNodes,
 		Seed:   cfg.Seed,
-		Client: nodeCfg,
+		Client: ccfg,
 	})
 	if err != nil {
 		return result{}, err
@@ -486,7 +467,7 @@ func driveCluster(addrs []string, cfg loadConfig) (result, error) {
 	if err != nil {
 		return result{}, err
 	}
-	res := buildResult("cluster", pass, cfg)
+	res := buildResult(pass, cfg)
 	var srvHits, srvGets uint64
 	res.Nodes = make([]server.StatsSnapshot, len(raws))
 	for i, raw := range raws {

@@ -116,8 +116,8 @@ func TestFailoverKeepsAckedWrites(t *testing.T) {
 	for i := 0; i < 4 && len(failovers) == 0; i++ {
 		failovers = append(failovers, mc.Manager().Tick()...)
 	}
-	if len(failovers) != 1 || failovers[0].Node != kill {
-		t.Fatalf("expected one failover of node %d, got %+v", kill, failovers)
+	if len(failovers) != 1 || failovers[0].Node != kill || len(failovers[0].Moves) == 0 {
+		t.Fatalf("expected one failover of node %d promoting its slots, got %+v", kill, failovers)
 	}
 	for _, mv := range failovers[0].Moves {
 		if mv.From != kill {
@@ -134,7 +134,9 @@ func TestFailoverKeepsAckedWrites(t *testing.T) {
 		}
 	}
 
-	if got := readKeys(t, mc.Client(), 0, memKeys+100); got != memKeys+100 {
+	got := readKeys(t, mc.Client(), 0, memKeys+100)
+	t.Logf("%d slots promoted; %d of %d acked writes read back", len(failovers[0].Moves), got, memKeys+100)
+	if got != memKeys+100 {
 		t.Fatalf("lost %d of %d acked writes across failover", memKeys+100-got, memKeys+100)
 	}
 }
@@ -191,6 +193,7 @@ func TestJoinBoundedMovementAndDeterminism(t *testing.T) {
 
 		ring := mc.Client().Ring()
 		bound := ceilDiv(ring.Slots(), memNodes+1)
+		t.Logf("join moved %d slots (bound %d)", len(rep.Moves), bound)
 		if len(rep.Moves) == 0 || len(rep.Moves) > bound {
 			t.Fatalf("join moved %d slots, want 1..%d", len(rep.Moves), bound)
 		}

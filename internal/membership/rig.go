@@ -11,8 +11,7 @@ import (
 // them and, once Bootstrap has run, one Agent per node plus a bootstrapped
 // Manager. It is the one place the nodes → client → agents → manager
 // assembly (and its join half) is written; cmd/stemcluster serves from it,
-// cmd/stemload's failover and scaleout scenarios and this package's tests
-// measure on it.
+// and this package's failover and scale-out tests measure on it.
 //
 // Like the Manager's transitions, a Rig's methods are driven by one
 // goroutine at a time (the owner's control loop); the rig adds no lock of

@@ -22,6 +22,12 @@ import (
 	"repro/internal/stemcache"
 )
 
+// TestLoadLeaseDedupAcrossClients is the thundering herd: every round, 64
+// callers spread over four clients (four processes' worth of connection
+// pools) slam one cold key behind a slow origin. A distinct key per round
+// makes every round a guaranteed miss, so the lease must cost exactly one
+// origin fetch per round, and the server must count the parked callers as
+// deduplicated.
 func TestLoadLeaseDedupAcrossClients(t *testing.T) {
 	srv, _ := startServer(t,
 		stemcache.Config{Capacity: 1 << 12, Seed: 1},
@@ -34,35 +40,44 @@ func TestLoadLeaseDedupAcrossClients(t *testing.T) {
 		return []byte("value:" + key), nil
 	}
 
-	// Four client processes' worth of connections, sixteen goroutines each,
-	// all slamming one cold key.
-	const clients, perClient = 4, 16
-	var wg sync.WaitGroup
-	errs := make(chan error, clients*perClient)
-	for ci := 0; ci < clients; ci++ {
-		cl := newClient(t, srv.Addr())
-		for g := 0; g < perClient; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				v, err := cl.GetOrLoad(context.Background(), "hot", origin)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if string(v) != "value:hot" {
-					errs <- fmt.Errorf("GetOrLoad = %q; want value:hot", v)
-				}
-			}()
+	const clients, perClient, rounds = 4, 16, 5
+	cls := make([]*client.Client, clients)
+	for ci := range cls {
+		cls[ci] = newClient(t, srv.Addr())
+	}
+	for r := 0; r < rounds; r++ {
+		key := fmt.Sprintf("hot:%d", r)
+		var wg sync.WaitGroup
+		errs := make(chan error, clients*perClient)
+		for _, cl := range cls {
+			for g := 0; g < perClient; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					v, err := cl.GetOrLoad(context.Background(), key, origin)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if string(v) != "value:"+key {
+						errs <- fmt.Errorf("GetOrLoad(%s) = %q; want value:%s", key, v, key)
+					}
+				}()
+			}
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if n := originCalls.Load(); n != int64(r+1) {
+			t.Fatalf("after round %d: origin calls = %d; want %d (the lease must deduplicate each herd to one fetch)", r, n, r+1)
 		}
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if n := originCalls.Load(); n != 1 {
-		t.Fatalf("origin calls = %d; want 1 (the lease must deduplicate the herd)", n)
+	snap := wireStats(t, cls[0])
+	t.Logf("%d origin calls over %d herds of %d; STATS: %d loads, %d deduplicated", originCalls.Load(), rounds, clients*perClient, snap.Loads, snap.LoadDedup)
+	if snap.LoadDedup == 0 {
+		t.Fatalf("STATS LoadDedup = 0 after %d herds (%d loads); want the parked callers counted", rounds, snap.Loads)
 	}
 }
 
@@ -87,37 +102,69 @@ func TestLoadNegativeCachingOverTheWire(t *testing.T) {
 	}
 }
 
+// TestLoadStaleWhileRevalidateOverTheWire: once a key is past its
+// freshness deadline, W concurrent readers on W separate clients are all
+// answered from the stale value while the origin is gated shut. At most one
+// origin call, the elected background refresh, may be parked on the gate;
+// any other would be a foreground fetch, which would also leave its reader
+// blocked. Opening the gate lets the refresh install the new value.
 func TestLoadStaleWhileRevalidateOverTheWire(t *testing.T) {
 	srv, _ := startServer(t,
 		stemcache.Config{Capacity: 1 << 12, Seed: 1, LoadTTL: 40 * time.Millisecond, StaleTTL: time.Minute},
 		server.Config{})
-	cl := newClient(t, srv.Addr())
+	const readers = 64
+	cls := make([]*client.Client, readers)
+	for i := range cls {
+		cls[i] = newClient(t, srv.Addr())
+	}
 
 	gate := make(chan struct{})
-	var phase atomic.Int32
+	openGate := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(openGate) // registered after the clients: runs before their Close waits on the refresh
+	var phase, gated atomic.Int32
 	origin := func(ctx context.Context, key string) ([]byte, error) {
 		if phase.Add(1) == 1 {
 			return []byte("v1"), nil
 		}
+		gated.Add(1)
 		<-gate
 		return []byte("v2"), nil
 	}
-	if v, err := cl.GetOrLoad(context.Background(), "k", origin); err != nil || string(v) != "v1" {
+	if v, err := cls[0].GetOrLoad(context.Background(), "k", origin); err != nil || string(v) != "v1" {
 		t.Fatalf("initial load = %q, %v; want v1, nil", v, err)
 	}
 	time.Sleep(60 * time.Millisecond) // cross the freshness deadline
 
-	// With the refresh origin blocked on gate, every stale serve returning
-	// v1 promptly proves the foreground path never touched the origin.
-	for i := 0; i < 4; i++ {
-		if v, err := cl.GetOrLoad(context.Background(), "k", origin); err != nil || string(v) != "v1" {
-			t.Fatalf("stale call %d = %q, %v; want v1, nil", i, v, err)
-		}
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for _, cl := range cls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if v, err := cl.GetOrLoad(context.Background(), "k", origin); err != nil || string(v) != "v1" {
+				errs <- fmt.Errorf("stale read = %q, %v; want v1, nil", v, err)
+			}
+		}()
 	}
-	close(gate)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		openGate()
+		t.Fatalf("stale readers still blocked after 10s with %d origin calls parked on the gate: a foreground path fetched", gated.Load())
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if n := gated.Load(); n > 1 {
+		t.Fatalf("%d origin calls while %d readers were served stale; want at most the one background refresh", n, readers)
+	}
+	openGate()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		v, err := cl.GetOrLoad(context.Background(), "k", origin)
+		v, err := cls[0].GetOrLoad(context.Background(), "k", origin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,6 +177,16 @@ func TestLoadStaleWhileRevalidateOverTheWire(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
+	snap := wireStats(t, cls[0])
+	t.Logf("%d readers served stale with the origin gated; StaleServed %d", readers, snap.Cache.StaleServed)
+	if snap.Cache.StaleServed < readers {
+		t.Fatalf("StaleServed = %d; want >= %d after serving every reader a stale value", snap.Cache.StaleServed, readers)
+	}
+}
+
+// wireStats fetches and decodes the server's STATS document.
+func wireStats(t *testing.T, cl *client.Client) server.StatsSnapshot {
+	t.Helper()
 	var snap server.StatsSnapshot
 	raw, err := cl.Stats()
 	if err != nil {
@@ -138,9 +195,7 @@ func TestLoadStaleWhileRevalidateOverTheWire(t *testing.T) {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Cache.StaleServed == 0 {
-		t.Fatalf("StaleServed = 0; want > 0 after serving stale values")
-	}
+	return snap
 }
 
 // TestLoadLeaseBreakOnDeadLeader: a follower parked behind a wedged

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/tenant"
+	"repro/internal/workloads"
 )
 
 func tenantCache(t *testing.T, cfg Config, policy TenantPolicy, names ...tenant.Config) (*Cache[string, int], *tenant.Registry) {
@@ -238,6 +239,145 @@ func TestTenantArbitrationMovesCapacity(t *testing.T) {
 	if last <= first {
 		t.Fatalf("hot tenant target did not grow under shadow demand: %d -> %d (%v)", first, last, hotTargets)
 	}
+}
+
+// TestTenantArbitrationAB is the three-policy A/B of tenant capacity
+// arbitration (DESIGN.md §15.3). Three namespaces with mismatched demand
+// share one cache: hot (zipf over a working set larger than its fair share,
+// the taker), scan (a sweep over twice the capacity, the giver) and quiet (a
+// tiny working set behind a cap/16 reserve). One interleaved cache-aside
+// stream, identical for every policy, replays against a fresh cache per
+// policy with an arbitration epoch every 4096 operations, so every count is
+// deterministic. Arbitration must beat the static partition on aggregate hit
+// rate without giving up the fairness the free-for-all (observe) loses,
+// while conserving capacity and honouring quiet's reserve. The row at the
+// default size also pins the digits of EXPERIMENTS.md's tenant table, which
+// `go test -run TestTenantArbitrationAB -v ./internal/stemcache` regenerates.
+func TestTenantArbitrationAB(t *testing.T) {
+	const seed, epochOps = 0x57E4, 4096
+	policies := []TenantPolicy{TenantArbitrated, TenantStatic, TenantObserve}
+	for _, size := range []struct {
+		ops, capacity, valueSize int
+		// table is EXPERIMENTS.md's row per policy: aggregate, Jain, then
+		// the hot, scan and quiet hit rates, each printed with %.3f.
+		table [3]string
+	}{
+		{ops: 60_000, capacity: 2048, valueSize: 32},
+		{ops: 400_000, capacity: 8192, valueSize: 128, table: [3]string{
+			"0.565 0.680 0.829 0.018 0.894",
+			"0.509 0.686 0.735 0.033 0.909",
+			"0.525 0.671 0.779 0.006 0.726",
+		}},
+	} {
+		t.Run(fmt.Sprintf("ops=%d,capacity=%d", size.ops, size.capacity), func(t *testing.T) {
+			if testing.Short() && size.table[0] != "" {
+				t.Skip("1.2M operations")
+			}
+			var aggregate, jain [3]float64
+			var rows [3][]TenantStats
+			for p, policy := range policies {
+				aggregate[p], rows[p] = replayTenantMix(t, policy, size.ops, size.capacity, size.valueSize, seed, epochOps)
+				var rates []float64
+				for _, ts := range rows[p] {
+					if ts.Gets > 0 {
+						rates = append(rates, ts.HitRate())
+						t.Logf("%-10s %-5s %.4f hit  %d gets  %d shadow hits  %d live / %d target",
+							policy, ts.Name, ts.HitRate(), ts.Gets, ts.ShadowHits, ts.Live, ts.Target)
+					}
+				}
+				jain[p] = tenant.Jain(rates)
+				t.Logf("%-10s aggregate %.4f  jain %.4f", policy, aggregate[p], jain[p])
+				if size.table[0] == "" {
+					continue
+				}
+				got := fmt.Sprintf("%.3f %.3f", aggregate[p], jain[p])
+				for _, ts := range rows[p][1:] {
+					got += fmt.Sprintf(" %.3f", ts.HitRate())
+				}
+				if got != size.table[p] {
+					t.Errorf("%s: table row %q, EXPERIMENTS.md prints %q", policy, got, size.table[p])
+				}
+			}
+			arb, static, observe := rows[0], rows[1], rows[2]
+			if d := aggregate[0] - aggregate[1]; d < 0.02 {
+				t.Errorf("arbitrated aggregate hit rate %.4f is %.4f above static's %.4f, want >= 0.02", aggregate[0], d, aggregate[1])
+			}
+			if d := jain[0] - jain[2]; d < 0.005 {
+				t.Errorf("arbitrated Jain %.4f is %.4f above observe's %.4f, want >= 0.005", jain[0], d, jain[2])
+			}
+			sum, moved := 0, 0
+			for i, ts := range arb {
+				sum += ts.Target
+				if ts.Target != static[i].Target {
+					moved++
+				}
+				if ts.Gets != static[i].Gets || ts.Gets != observe[i].Gets {
+					t.Errorf("tenant %q saw %d/%d/%d gets under the three policies; the stream must be identical",
+						ts.Name, ts.Gets, static[i].Gets, observe[i].Gets)
+				}
+			}
+			if sum != size.capacity {
+				t.Errorf("arbitrated targets sum to %d, want the capacity %d", sum, size.capacity)
+			}
+			if moved == 0 {
+				t.Error("arbitration left every target on the static split")
+			}
+			if q := arb[3]; q.Name != "quiet" || q.Target < size.capacity/16 {
+				t.Errorf("tenant %q ended with target %d, below its reserve %d", q.Name, q.Target, size.capacity/16)
+			}
+		})
+	}
+}
+
+// replayTenantMix runs the A/B's interleaved stream through one fresh cache
+// under policy and returns the aggregate hit rate and the per-tenant rows
+// (id order; row 0 is the idle default namespace).
+func replayTenantMix(t *testing.T, policy TenantPolicy, ops, capacity, valueSize int, seed uint64, epochOps int) (float64, []TenantStats) {
+	t.Helper()
+	// The default tenant's token weight rounds its share toward nothing:
+	// every operation here is namespaced.
+	reg := tenant.NewRegistry(tenant.Config{Weight: 0.1})
+	for _, tc := range []tenant.Config{
+		{Name: "hot", Weight: 1},
+		{Name: "scan", Weight: 1},
+		{Name: "quiet", Weight: 1, MinReserve: capacity / 16},
+	} {
+		if _, err := reg.Register(tc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := New[string, []byte](Config{Capacity: capacity, Seed: seed, Tenants: reg, TenantPolicy: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	next, err := workloads.NewTenantKeyStream([]workloads.TenantStream{
+		{Name: "hot", Dist: "zipf", Capacity: capacity / 2, Skew: 1.1, Weight: 8, Seed: seed + 1},
+		{Name: "scan", Dist: "scan", Capacity: capacity * 2, Weight: 4, Seed: seed + 2},
+		{Name: "quiet", Dist: "zipf", Capacity: capacity / 64, Skew: 1.2, Weight: 0.25, Seed: seed + 3},
+	}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := map[string]TenantView[string, []byte]{}
+	for _, name := range []string{"hot", "scan", "quiet"} {
+		views[name] = c.Tenant(reg.Resolve(name))
+	}
+	value := make([]byte, valueSize)
+	// Epoch 0 before any traffic rebases every target to the static
+	// weight-proportional split, so the static partition binds from the
+	// first insert and arbitration starts from the split it then moves.
+	c.ArbitrateTenants()
+	for i := 1; i <= ops; i++ {
+		ns, key := next()
+		if _, ok := views[ns].Get(key); !ok {
+			views[ns].Set(key, value)
+		}
+		if i%epochOps == 0 {
+			c.ArbitrateTenants()
+		}
+	}
+	return c.Stats().HitRate(), c.TenantStats()
 }
 
 // TestTenantStaticEnforcement pins the insert-time quota: under TenantStatic

@@ -3,9 +3,10 @@ package workloads
 // Multi-tenant serving load: N independent seeded key streams — one per
 // namespace, each with its own distribution, working-set size and Zipf skew
 // — interleaved into one (namespace, key) stream by weighted draw. Built
-// for cmd/stemload's tenants scenario: one driver goroutine replays an
-// identical multi-tenant mix against several servers, so per-tenant hit
-// rates are exactly comparable across capacity-management policies.
+// for the tenant-arbitration A/B (stemcache's TestTenantArbitrationAB): one
+// driver goroutine replays an identical multi-tenant mix against several
+// caches, so per-tenant hit rates are exactly comparable across
+// capacity-management policies.
 //
 // Two properties the tests pin:
 //
@@ -85,8 +86,7 @@ func (ts TenantStream) gen() func() string {
 // (namespace, key) generator: each call schedules a tenant by weighted draw
 // from an interleave RNG seeded only by seed, then draws that tenant's next
 // key from its own stream. The generator is not safe for concurrent use.
-// Invalid parameters are reported as errors, never panics — the stream specs
-// reach this point straight from cmd/stemload flags.
+// Invalid parameters are reported as errors, never panics.
 func NewTenantKeyStream(streams []TenantStream, seed uint64) (func() (namespace, key string), error) {
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("workloads: tenant key stream needs at least one stream")

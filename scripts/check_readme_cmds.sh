@@ -1,7 +1,7 @@
 #!/bin/sh
 # check_readme_cmds.sh — README/cmd/package cross-check, run by CI.
 #
-# Four directions:
+# Five directions:
 #   1. every binary under cmd/ is mentioned in README.md as cmd/<name> (no
 #      undocumented tools; the bare word does not count — "sweep" and
 #      "stemd" occur in prose);
@@ -13,7 +13,12 @@
 #      importing a removed package — the module root holds none);
 #   4. the examples/ entries of README.md's layout tree and the
 #      subdirectories of examples/ are the same set (no example missing
-#      from the tree, no tree entry naming a removed example).
+#      from the tree, no tree entry naming a removed example);
+#   5. every Test…/Benchmark…/Fuzz… token inside a `-run` pattern in the
+#      docs, the verify skill and CI is a prefix of at least one test
+#      function in the repository (no documented command selecting a
+#      removed test, which `go test -run` would report as "no tests to
+#      run" and pass).
 #
 # Exits nonzero with a per-name report on any mismatch.
 set -eu
@@ -65,7 +70,18 @@ for dir in examples/*/; do
     fi
 done
 
+# Direction 5: -run patterns -> test functions.
+runDocs="README.md EXPERIMENTS.md DESIGN.md bench/README.md .claude/skills/verify/SKILL.md .github/workflows/ci.yml"
+funcs=$(grep -rhoE '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*' --include='*_test.go' . | sed 's/^func //' | sort -u)
+for tok in $(grep -hoE -- "-run[ =]+('[^']*'|\"[^\"]*\"|[^ ]+)" $runDocs |
+    grep -oE '(Test|Benchmark|Fuzz)[A-Za-z0-9_]*' | sort -u); do
+    if ! printf '%s\n' "$funcs" | grep -q "^$tok"; then
+        echo "a -run pattern in the docs or CI names $tok, which prefixes no test function" >&2
+        status=1
+    fi
+done
+
 if [ "$status" -eq 0 ]; then
-    echo "README.md, cmd/, examples/ and the quoted import paths agree ($(ls -d cmd/*/ | wc -l | tr -d ' ') binaries, $(ls -d examples/*/ | wc -l | tr -d ' ') examples)"
+    echo "README.md, cmd/, examples/, the quoted import paths and the documented -run patterns agree ($(ls -d cmd/*/ | wc -l | tr -d ' ') binaries, $(ls -d examples/*/ | wc -l | tr -d ' ') examples)"
 fi
 exit $status
