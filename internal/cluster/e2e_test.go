@@ -28,6 +28,18 @@ const (
 	e2eMaxMoves   = 2   // migration bound per epoch
 )
 
+// The pinned outcome of both runs: the client-side hit counts over the
+// whole stream, and the rebalanced run's round and move counts. Every input
+// is seeded, so any change to routing, the planner or the nodes' caches that
+// moves one of these numbers is a behaviour change, not noise.
+const (
+	e2eGets       = 17280
+	e2eStaticHits = 14634
+	e2eRebalHits  = 14726
+	e2eEpochs     = 33
+	e2eMoves      = 2
+)
+
 // runHotspotShift drives one full cluster run and returns the client-side
 // hit tally plus every epoch report (empty for the static configuration).
 func runHotspotShift(t *testing.T, rebalance bool) (gets, hits int, reports []cluster.EpochReport) {
@@ -108,6 +120,8 @@ func runHotspotShift(t *testing.T, rebalance bool) (gets, hits int, reports []cl
 // hotspot-shift workload, the STEM-rebalanced ring's aggregate client hit
 // rate strictly beats the static ring's, with every epoch's migrations
 // inside the configured bound — and the rebalanced run is deterministic.
+// Both runs' counts are pinned exactly (e2eStaticHits, e2eRebalHits,
+// e2eEpochs, e2eMoves).
 func TestRebalancedRingBeatsStatic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster e2e drives ~41k loopback round trips")
@@ -129,6 +143,10 @@ func TestRebalancedRingBeatsStatic(t *testing.T) {
 	if rHits <= sHits {
 		t.Fatalf("rebalanced ring (%.4f) does not beat static (%.4f)", rRate, sRate)
 	}
+	if sGets != e2eGets || sHits != e2eStaticHits || rHits != e2eRebalHits {
+		t.Fatalf("hits static %d/%d, rebalanced %d/%d; pinned %d and %d of %d",
+			sHits, sGets, rHits, rGets, e2eStaticHits, e2eRebalHits, e2eGets)
+	}
 
 	moves := 0
 	for _, rep := range rReports {
@@ -141,6 +159,10 @@ func TestRebalancedRingBeatsStatic(t *testing.T) {
 		t.Fatal("the rebalanced run never migrated a slot; the A/B is vacuous")
 	}
 	t.Logf("rebalanced run: %d epochs, %d migrations", len(rReports), moves)
+	if len(rReports) != e2eEpochs || moves != e2eMoves {
+		t.Fatalf("rebalanced run: %d epochs, %d migrations; pinned %d and %d",
+			len(rReports), moves, e2eEpochs, e2eMoves)
+	}
 
 	// Determinism: an identical rebalanced run reproduces hits and moves.
 	rGets2, rHits2, rReports2 := runHotspotShift(t, true)
