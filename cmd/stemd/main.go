@@ -15,7 +15,7 @@
 // As a cluster member (-node-id ≥ 0), stemd derives its cache seed from the
 // shared -cluster-seed (so every node's probabilistic devices differ but the
 // whole cluster is reproducible from one number) and stamps its node id into
-// STATS and DEMAND responses for the rebalancer.
+// STATS and demand snapshots for the cluster's demand rounds.
 //
 // stemd runs until SIGINT/SIGTERM, then drains gracefully: in-flight
 // requests finish and their responses are flushed before connections close.

@@ -1,7 +1,7 @@
 // Command stemtrace is the offline analyzer for `-trace` JSONL event
 // streams: it joins the server's slow-request events against the cluster
-// rebalancer's demand and migration events on one timeline, windowed by
-// rebalancing epoch, so a latency spike can be read against what the
+// manager's demand and migration events on one timeline, windowed by
+// rebalancing epoch (the manager's demand round), so a latency spike can be read against what the
 // capacity mechanisms were doing when it happened.
 //
 // The join works because one tracer serializes all events: file order is

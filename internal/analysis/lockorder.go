@@ -12,16 +12,13 @@ import (
 //
 //   - Lock hierarchy: each concurrent package's mutexes form a strict order —
 //     stemcache's Cache.closeMu before Cache.loadMu before Cache.tenantMu
-//     before shard.mu before
-//     Cache.obsMu, the network server's Server.mu before conn.mu before
-//     Server.leaseMu, the cluster tier's
-//     Ring.mu before Node.mu before Rebalancer.obsMu, and the membership
-//     tier's Detector.mu before Manager.mu before Agent.mu (see
-//     lockRankFor).
-//     Acquiring
-//     against that order (or acquiring the same lock twice) deadlocks, but
-//     only under a schedule the race detector may never see; the analyzer
-//     rejects it structurally.
+//     before shard.mu before Cache.obsMu, the network server's Server.mu
+//     before conn.mu before Server.leaseMu, the cluster tier's Ring.mu
+//     before Node.mu, and the membership tier's Detector.mu before
+//     Manager.mu before Agent.mu (see lockRankFor). Acquiring against that
+//     order (or acquiring the same lock twice) deadlocks, but only under a
+//     schedule the race detector may never see; the analyzer rejects it
+//     structurally.
 //   - No re-entrant acquisition through calls: a function holding a mutex
 //     must not call (transitively) into a function that acquires the same
 //     mutex. sync.Mutex is not re-entrant, so this self-deadlocks at runtime.
@@ -34,7 +31,7 @@ import (
 //     preceding line. Misuse of public APIs must return errors instead.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "enforce the per-package lock hierarchies (stemcache's closeMu→loadMu→tenantMu→shard.mu→obsMu, server's Server.mu→conn.mu→leaseMu, cluster's Ring.mu→Node.mu→Rebalancer.obsMu, membership's Detector.mu→Manager.mu→Agent.mu), no re-entrant or loop-deferred locking, and `// invariant:` documentation on every panic",
+	Doc:  "enforce the per-package lock hierarchies (stemcache's closeMu→loadMu→tenantMu→shard.mu→obsMu, server's Server.mu→conn.mu→leaseMu, cluster's Ring.mu→Node.mu, membership's Detector.mu→Manager.mu→Agent.mu), no re-entrant or loop-deferred locking, and `// invariant:` documentation on every panic",
 	Run:  runLockOrder,
 }
 
@@ -91,12 +88,12 @@ func isServerPackage(path string) bool {
 
 // clusterLockRank is the sanctioned acquisition order inside
 // internal/cluster: Ring.mu (ownership table) before Node.mu (a node's
-// lifecycle state) before Rebalancer.obsMu (observer serialization, the
-// innermost lock — held only around the Event callback).
+// lifecycle state, the innermost lock). The package observes nothing: the
+// events of an ownership change belong to the membership manager that
+// made it.
 var clusterLockRank = map[lockKey]int{
-	{typ: "Ring", field: "mu"}:          0,
-	{typ: "Node", field: "mu"}:          1,
-	{typ: "Rebalancer", field: "obsMu"}: 2,
+	{typ: "Ring", field: "mu"}: 0,
+	{typ: "Node", field: "mu"}: 1,
 }
 
 // isClusterPackage matches the real package and bound fixtures.
@@ -132,7 +129,7 @@ func lockRankFor(path string) (map[lockKey]int, string) {
 	case isServerPackage(path):
 		return serverLockRank, "Server.mu → conn.mu → leaseMu"
 	case isClusterPackage(path):
-		return clusterLockRank, "Ring.mu → Node.mu → Rebalancer.obsMu"
+		return clusterLockRank, "Ring.mu → Node.mu"
 	case isMembershipPackage(path):
 		return membershipLockRank, "Detector.mu → Manager.mu → Agent.mu"
 	}

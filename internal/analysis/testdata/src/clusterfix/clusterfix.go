@@ -1,6 +1,6 @@
 // Package cluster is the lockorder-analyzer fixture for the cluster tier's
 // hierarchy. The tests bind it to fixture/internal/cluster, so the cluster
-// lock ranks apply: Ring.mu before Node.mu before Rebalancer.obsMu.
+// lock ranks apply: Ring.mu before Node.mu.
 package cluster
 
 import "sync"
@@ -12,52 +12,50 @@ type Ring struct {
 	owner []int
 }
 
-// Node mirrors a node's lifecycle lock (middle rank).
+// Node mirrors a node's lifecycle lock (the innermost rank).
 type Node struct {
 	mu     sync.Mutex
 	closed bool
 }
 
-// Rebalancer mirrors the observer-serialization lock (innermost rank).
-type Rebalancer struct {
-	obsMu sync.Mutex
-	ring  *Ring
-	node  *Node
+// Client mirrors the routing client, which holds both.
+type Client struct {
+	ring *Ring
+	node *Node
 }
 
 // goodOrder acquires down the hierarchy — no findings.
-func (rb *Rebalancer) goodOrder() {
-	rb.ring.mu.Lock()
-	rb.node.mu.Lock()
-	rb.obsMu.Lock()
-	rb.obsMu.Unlock()
-	rb.node.mu.Unlock()
-	rb.ring.mu.Unlock()
+func (c *Client) goodOrder() {
+	c.ring.mu.Lock()
+	c.node.mu.Lock()
+	c.node.mu.Unlock()
+	c.ring.mu.Unlock()
 }
 
 // goodHandoff releases the ring lock before taking a node's, like the real
 // migration path — no findings.
-func (rb *Rebalancer) goodHandoff() {
-	rb.ring.mu.RLock()
-	rb.ring.mu.RUnlock()
-	rb.node.mu.Lock()
-	rb.node.mu.Unlock()
+func (c *Client) goodHandoff() {
+	c.ring.mu.RLock()
+	c.ring.mu.RUnlock()
+	c.node.mu.Lock()
+	c.node.mu.Unlock()
 }
 
 // badOrder flips ring ownership while holding a node's lifecycle lock.
-func (rb *Rebalancer) badOrder() {
-	rb.node.mu.Lock()
-	rb.ring.mu.Lock()
-	rb.ring.mu.Unlock()
-	rb.node.mu.Unlock()
+func (c *Client) badOrder() {
+	c.node.mu.Lock()
+	c.ring.mu.Lock()
+	c.ring.mu.Unlock()
+	c.node.mu.Unlock()
 }
 
-// badObserveOrder takes a node's lock inside the observer critical section.
-func (rb *Rebalancer) badObserveOrder() {
-	rb.obsMu.Lock()
-	rb.node.mu.Lock()
-	rb.node.mu.Unlock()
-	rb.obsMu.Unlock()
+// badReadOrder reads the ownership table inside a node's critical section:
+// a read lock inverts the order just as a write lock does.
+func (c *Client) badReadOrder() {
+	c.node.mu.Lock()
+	c.ring.mu.RLock()
+	c.ring.mu.RUnlock()
+	c.node.mu.Unlock()
 }
 
 // move is a leaf that takes Ring.mu, like the real Ring.Move.
@@ -75,10 +73,10 @@ func (n *Node) close() {
 }
 
 // badCallOrder calls into a ring acquisition while a node's lock is held.
-func (rb *Rebalancer) badCallOrder() {
-	rb.node.mu.Lock()
-	defer rb.node.mu.Unlock()
-	rb.ring.move(0, 1)
+func (c *Client) badCallOrder() {
+	c.node.mu.Lock()
+	defer c.node.mu.Unlock()
+	c.ring.move(0, 1)
 }
 
 // reentrantThroughCall calls close while already holding that node's lock.
@@ -88,12 +86,12 @@ func (n *Node) reentrantThroughCall() {
 	n.close()
 }
 
-// observeAll holds the ring lock across per-node acquisitions — in-order
+// closeAll holds the ring lock across per-node acquisitions — in-order
 // and legal.
-func (rb *Rebalancer) observeAll(nodes []*Node) {
-	rb.ring.mu.RLock()
+func (c *Client) closeAll(nodes []*Node) {
+	c.ring.mu.RLock()
 	for _, n := range nodes {
 		n.close()
 	}
-	rb.ring.mu.RUnlock()
+	c.ring.mu.RUnlock()
 }

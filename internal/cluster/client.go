@@ -16,8 +16,8 @@ import (
 // Config parameterizes a cluster Client.
 type Config struct {
 	// Addrs are the nodes' "host:port" addresses; node i is Addrs[i]. The
-	// order must agree across every client and the rebalancer (it defines
-	// node ids).
+	// order must agree across every client and the membership manager (it
+	// defines node ids).
 	Addrs []string
 	// VNodes is the number of ring slots per node. More slots spread load
 	// more evenly but make migrations finer-grained. Default 16.
@@ -34,8 +34,8 @@ type Config struct {
 	// to piggyback the node's demand snapshot on its response
 	// (wire.FlagDemand), and the client caches each snapshot in place of
 	// the template's OnDemand — the push-based demand dissemination the
-	// rebalancer and membership manager consume (CachedDemand), with the
-	// heartbeat as the explicit pull.
+	// membership manager's demand rounds and replica placement consume
+	// (CachedDemand), with the heartbeat as the explicit pull.
 	Client client.Config
 	// Metrics, when non-nil, receives ring and routing gauges under
 	// "cluster.*".
@@ -45,9 +45,9 @@ type Config struct {
 // Client routes cache operations across a cluster through a consistent-hash
 // Ring: single operations go to the key's owner, MGET/MSET batches are
 // split per owner, sent concurrently, and merged back into request order.
-// It also keeps the two signals the rebalancer feeds on: per-slot operation
-// counts (the load signal) and per-node in-flight gates (so a migration can
-// drain a node before copying keys).
+// It also keeps the two signals demand rebalancing feeds on: per-slot
+// operation counts (the load signal) and per-node in-flight gates (so a
+// migration can drain a node before copying keys).
 //
 // Batch failure semantics are partial by design: when some nodes answer and
 // others fail, the answered positions are returned (found=false / stored
@@ -65,7 +65,7 @@ type Client struct {
 	ring *Ring
 
 	// slotOps[s] counts operations routed to slot s since the last
-	// TakeSlotLoads — the rebalancer's per-epoch load signal. The slot set
+	// TakeSlotLoads — a demand round's load signal. The slot set
 	// is fixed, so this never grows.
 	slotOps []atomic.Uint64
 	// nodes is the node table, indexed by node id: an immutable snapshot
@@ -162,7 +162,7 @@ func (c *Client) registerNodeGauge(n int) {
 
 // AddNode appends a node to the table and the ring's node count
 // (scale-out) and returns its id. The new node owns no slots until the
-// membership manager or rebalancer moves some to it. Operations already in
+// membership manager moves some to it. Operations already in
 // flight keep their pre-AddNode table; new operations see the grown one.
 func (c *Client) AddNode(addr string) (int, error) {
 	h, err := c.newHandle(addr)
@@ -200,7 +200,7 @@ func (c *Client) SetReplicaSource(src func(slot int) []int) {
 	c.replicaSource.Store(&src)
 }
 
-// Ring exposes the client's ring (shared with the rebalancer).
+// Ring exposes the client's ring (shared with the membership tier).
 func (c *Client) Ring() *Ring { return c.ring }
 
 // Template returns the per-node connection template the client was built
@@ -221,7 +221,7 @@ func (c *Client) handle(n int) *nodeHandle { return (*c.nodes.Load())[n] }
 
 // NodeClient returns node n's pooled connection, for callers that address
 // nodes directly, bypassing the ring: slot migration, the membership
-// manager's view pushes, the rebalancer's demand pull.
+// manager's view pushes and demand pulls.
 func (c *Client) NodeClient(n int) *client.Client { return c.handle(n).cl }
 
 // Close releases every node's pooled connections. The first error wins.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/obs"
 	"repro/internal/stemcache"
 	"repro/internal/wire"
 )
@@ -179,79 +178,11 @@ func TestClientMSetSplits(t *testing.T) {
 	}
 }
 
-func TestClassifyOrdersAndObserves(t *testing.T) {
-	var mu sync.Mutex
-	var events []obs.Event
-	rb := &Rebalancer{cfg: RebalancerConfig{
-		Observer: obs.ObserverFunc(func(e obs.Event) {
-			mu.Lock()
-			events = append(events, e)
-			mu.Unlock()
-		}),
-	}.withDefaults()}
-	rb.epoch = 3
-
-	demand := func(takers, sets uint32) wire.NodeDemand {
-		return wire.NodeDemand{Sets: sets, TakerSets: takers, GiverSets: sets - takers}
-	}
-	states := []nodeState{
-		{id: 0, demand: demand(50, 100), load: 10}, // taker (frac 0.5)
-		{id: 1, demand: demand(10, 100), load: 2},  // giver (frac 0.1)
-		{id: 2, demand: demand(30, 100), load: 5},  // neutral
-		{id: 3, demand: demand(90, 100), load: 40}, // taker, more loaded
-		{id: 4, demand: demand(0, 100), load: 1},   // giver, least loaded
-	}
-	takers, givers := rb.classify(states)
-	if len(takers) != 2 || takers[0].id != 3 || takers[1].id != 0 {
-		t.Fatalf("takers = %+v, want ids [3 0] by load desc", takers)
-	}
-	if len(givers) != 2 || givers[0].id != 4 || givers[1].id != 1 {
-		t.Fatalf("givers = %+v, want ids [4 1] by load asc", givers)
-	}
-	if len(events) != len(states) {
-		t.Fatalf("observed %d events, want %d", len(events), len(states))
-	}
-	wantClass := map[int]string{0: "taker", 1: "giver", 2: "neutral", 3: "taker", 4: "giver"}
-	for _, e := range events {
-		if e.Type != obs.EvNodeDemand || e.Tick != 3 {
-			t.Fatalf("event %+v: want EvNodeDemand at epoch 3", e)
-		}
-		if e.Class != wantClass[e.Set] {
-			t.Fatalf("node %d classified %q, want %q", e.Set, e.Class, wantClass[e.Set])
-		}
-	}
-}
-
-func TestPickGiverRespectsBalance(t *testing.T) {
-	rb := &Rebalancer{cfg: RebalancerConfig{}.withDefaults()}
-	states := []nodeState{{id: 0, load: 100}, {id: 1, load: 30}, {id: 2, load: 10}}
-	givers := []nodeState{states[2], states[1]} // load-ascending
-
-	// Moving a 20-load slot off the 100-load taker: node 2 (10+20 < 100).
-	if g := rb.pickGiver(givers, states, 20, 100); g != 2 {
-		t.Fatalf("pickGiver = %d, want 2", g)
-	}
-	// A slot so hot the move cannot improve balance: no giver qualifies.
-	if g := rb.pickGiver(givers, states, 95, 100); g != -1 {
-		t.Fatalf("pickGiver = %d, want -1 (no improving move)", g)
-	}
-}
-
 // TestMigrateHandsOffSlot exercises the full migration path against real
-// nodes: copy, ring flip, source cleanup, event emission.
+// nodes: copy, ring flip, source cleanup. (The membership manager's
+// TestRebalanceMoveKeepsAckedWrites checks the move's event.)
 func TestMigrateHandsOffSlot(t *testing.T) {
 	nodes, cl := startCluster(t, 2, 4, 1024)
-
-	var events []obs.Event
-	rb, err := NewRebalancer(cl,
-		func(n int) ([]string, error) { return nodes[n].Keys(), nil },
-		RebalancerConfig{
-			ChunkSize: 8, // several chunks on purpose
-			Observer:  obs.ObserverFunc(func(e obs.Event) { events = append(events, e) }),
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Populate; then pick the slot with the most keys on node 0.
 	for i := 0; i < 400; i++ {
@@ -273,7 +204,8 @@ func TestMigrateHandsOffSlot(t *testing.T) {
 		t.Fatalf("no populated slot on node 0 (best %d keys)", best)
 	}
 
-	mv, err := rb.migrate(slot, 0, 1)
+	lister := func(n int) ([]string, error) { return nodes[n].Keys(), nil }
+	mv, err := cl.MoveSlot(lister, slot, 0, 1, 8) // several chunks on purpose
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,38 +245,6 @@ func TestMigrateHandsOffSlot(t *testing.T) {
 	}
 	if hits != best {
 		t.Fatalf("post-migration reads hit %d of %d", hits, best)
-	}
-	if len(events) != 1 || events[0].Type != obs.EvSlotMigrate ||
-		events[0].Set != slot || events[0].ScS != 0 || events[0].Partner != 1 ||
-		events[0].Life != uint64(best) {
-		t.Fatalf("migration event %+v, want slot %d 0→1 with %d keys", events, slot, best)
-	}
-}
-
-// TestEpochQuietCluster: fresh caches are all givers (no taker nodes), so
-// an epoch polls demands and plans nothing.
-func TestEpochQuietCluster(t *testing.T) {
-	nodes, cl := startCluster(t, 3, 4, 1024)
-	rb, err := NewRebalancer(cl,
-		func(n int) ([]string, error) { return nodes[n].Keys(), nil },
-		RebalancerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := rb.Epoch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Epoch != 1 || len(report.Demands) != 3 {
-		t.Fatalf("report = %+v, want epoch 1 with 3 demands", report)
-	}
-	if len(report.Moves) != 0 {
-		t.Fatalf("quiet cluster migrated: %+v", report.Moves)
-	}
-	for i, d := range report.Demands {
-		if int(d.NodeID) != i || d.TakerSets != 0 {
-			t.Fatalf("demand %d = %+v, want fresh giver node", i, d)
-		}
 	}
 }
 

@@ -7,6 +7,13 @@ import (
 	"repro/internal/wire"
 )
 
+// Move records one slot handoff: Slot's owner changed From → To, and Keys
+// resident keys came along (0 for a failover promotion, a pure flip).
+type Move struct {
+	Slot, From, To int
+	Keys           int
+}
+
 // KeyLister enumerates a node's resident keys for a migration. In-process
 // clusters use Node.Keys; an external deployment would plug in a SCAN-like
 // listing. The listing may be racy with respect to concurrent writers —
@@ -16,9 +23,9 @@ type KeyLister func(node int) ([]string, error)
 // CopySlot copies slot's resident keys from node `from` to node `to`
 // (MGET old → MSET new, chunked) without touching ring ownership. It
 // returns the slot's key list (sorted, as seen by lister) and how many of
-// them were actually copied. Both the rebalancer's migrations and the
-// membership manager's replica placement and scale-out handoffs are built
-// on it.
+// them were actually copied. Every handoff of the membership manager
+// (join, leave, demand rebalancing) and its replica backfill are built on
+// it.
 func (c *Client) CopySlot(lister KeyLister, slot, from, to, chunkSize int) (keys []string, copied int, err error) {
 	if chunkSize <= 0 {
 		chunkSize = 256

@@ -35,7 +35,7 @@ type Node struct {
 	cache *stemcache.Cache[string, []byte]
 	srv   *server.Server
 
-	// mu guards closed (rank 1: below Ring.mu, above Rebalancer.obsMu).
+	// mu guards closed (rank 1: below Ring.mu, the innermost lock).
 	mu     sync.Mutex
 	closed bool
 }
@@ -90,8 +90,8 @@ func (n *Node) Cache() *stemcache.Cache[string, []byte] { return n.cache }
 // hooks (replica fan-out, view pushes, read repair) through it.
 func (n *Node) Server() *server.Server { return n.srv }
 
-// Keys enumerates the node's resident keys — the rebalancer's KeyLister
-// for in-process clusters. See stemcache.AppendKeys for the consistency
+// Keys enumerates the node's resident keys — the membership manager's
+// KeyLister for in-process clusters. See stemcache.AppendKeys for the consistency
 // contract.
 func (n *Node) Keys() []string { return n.cache.AppendKeys(nil) }
 

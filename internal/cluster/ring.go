@@ -1,9 +1,13 @@
 // Package cluster scales the STEM capacity story from sets to nodes: N
 // stemd servers sit behind a consistent-hash ring, a cluster-aware client
-// routes operations and splits batches per owner, and a rebalancer applies
-// the paper's taker/giver reasoning one level up — nodes whose caches
-// report mostly-saturated SC_S counters (takers) shed virtual-node slots to
-// nodes with slack (givers), dragging the resident keys along.
+// routes operations and splits batches per owner, and MoveSlot hands a
+// virtual-node slot and its resident keys from one node to another. The
+// policy that decides moves lives one package up: membership.Manager is
+// the only writer of ring ownership. Its demand rounds apply the paper's
+// taker/giver reasoning one level up (nodes whose caches report
+// mostly-saturated SC_S counters shed slots to nodes with slack), and its
+// joins, leaves and failovers move slots too; each move re-places replicas
+// and pushes a new view.
 //
 // The analogy is deliberate but not exact. Inside a cache, a taker set
 // couples with a giver set and both remain owners of their blocks
@@ -13,9 +17,8 @@
 // network hop per miss to probe a partner node, the way a second set probe
 // within an LLC can).
 //
-// The package has three lock classes, ranked Ring.mu → Node.mu →
-// Rebalancer.obsMu (enforced by the stemlint lockorder analyzer). None of
-// them is held across a network call.
+// The package has two lock classes, ranked Ring.mu → Node.mu (enforced by
+// the stemlint lockorder analyzer). Neither is held across a network call.
 package cluster
 
 import (
@@ -45,8 +48,7 @@ type Ring struct {
 	// halves — the same hardware-hash family the shadow directory uses).
 	hi, lo *hashfn.Hash
 
-	// mu guards nodes, owner, epochs, and version (rank 0: above Node.mu
-	// and obsMu).
+	// mu guards nodes, owner, epochs, and version (rank 0: above Node.mu).
 	mu    sync.RWMutex
 	nodes int
 	owner []int
@@ -144,9 +146,9 @@ func (r *Ring) Lookup(key string) (node, slot int) {
 }
 
 // Move transfers slot's ownership to node, bumps the slot's epoch and the
-// ring version. The caller (the rebalancer or the membership manager) is
-// responsible for having copied the slot's keys first — except on failover,
-// where the old owner is dead and the keys come from the promoted replica.
+// ring version. It has two callers: MoveSlot, which copies the slot's keys
+// first, and the membership manager's failover, where the old owner is dead
+// and the keys come from the promoted replica.
 func (r *Ring) Move(slot, node int) error {
 	if slot < 0 || slot >= r.slots {
 		return fmt.Errorf("cluster: slot %d out of range [0, %d)", slot, r.slots)

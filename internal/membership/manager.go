@@ -3,6 +3,7 @@ package membership
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/cluster"
@@ -10,18 +11,18 @@ import (
 	"repro/internal/wire"
 )
 
-// Manager is the cluster's membership control plane: it owns the
-// authoritative member table, the replica placement, and the view epoch,
-// and it is the only writer of ring ownership during lifecycle transitions.
-// Joins and leaves move slots through the rebalancer's machinery
-// (cluster.Client.MoveSlot: drain → copy → flip → delete); failover
-// promotes a replica with a pure ownership flip — the data is already on
-// the replica, put there by the agents' synchronous write fan-out — and
-// then restores the replication factor by backfilling new followers.
+// Manager is the cluster's control plane: it owns the authoritative member
+// table, the replica placement, and the view epoch, and it is the only
+// writer of ring ownership. Joins, leaves and demand rounds (Rebalance)
+// move slots through cluster.Client.MoveSlot (drain → copy → flip →
+// delete); failover promotes a replica with a pure ownership flip — the
+// data is already on the replica, put there by the agents' synchronous
+// write fan-out. Every transition that moved a slot ends in one commit:
+// re-place replicas, push the view, backfill new followers.
 //
-// Transitions (Join/Leave/Tick) are driven by one goroutine — the cluster
-// owner's control loop — and are not safe to run concurrently with each
-// other. ReplicasOf and the other read accessors are safe from any
+// Transitions (Join/Leave/Tick/Rebalance) are driven by one goroutine —
+// the cluster owner's control loop — and are not safe to run concurrently
+// with each other. ReplicasOf and the other read accessors are safe from any
 // goroutine (the client's replica-retry path calls ReplicasOf per failed
 // operation).
 type Manager struct {
@@ -37,14 +38,20 @@ type Manager struct {
 	replicas [][]int
 	epoch    uint64
 
+	// round numbers the demand rounds (Rebalance); control loop only.
+	round uint64
+
 	joins, leaves, deaths, promotions, replicaKeys *obs.Counter
+	rounds, migrations, keysMoved                  *obs.Counter
 }
 
 // Report summarizes one membership transition.
 type Report struct {
-	// Epoch is the view epoch the transition produced.
+	// Epoch is the view epoch the transition produced (0 for a demand
+	// round that moved nothing, which commits no view).
 	Epoch uint64
-	// Node is the joining, leaving, or dead node.
+	// Node is the joining, leaving, or dead node; -1 for Bootstrap and
+	// demand rounds.
 	Node int
 	// Moves are the ownership changes, in execution order. Keys is 0 for
 	// failover promotions: those are pure flips, the data was already on
@@ -52,6 +59,9 @@ type Report struct {
 	Moves []cluster.Move
 	// ReplicaKeys counts the keys copied restoring the replication factor.
 	ReplicaKeys int
+	// Round numbers the demand round that produced the report (1-based);
+	// 0 for the other transitions.
+	Round uint64
 }
 
 // New builds a manager over cl's current node set. addrs[i] is node i's
@@ -88,13 +98,12 @@ func New(cl *cluster.Client, lister cluster.KeyLister, addrs []string, cfg Confi
 		m.deaths = reg.Counter("membership.deaths")
 		m.promotions = reg.Counter("membership.promotions")
 		m.replicaKeys = reg.Counter("membership.replica_keys")
+		m.rounds = reg.Counter("cluster.epochs")
+		m.migrations = reg.Counter("cluster.migrations")
+		m.keysMoved = reg.Counter("cluster.keys_moved")
 	}
 	return m, nil
 }
-
-// Detector exposes the manager's failure detector (tests and CLIs read
-// suspicion state through it).
-func (m *Manager) Detector() *Detector { return m.det }
 
 // Epoch returns the current view epoch (0 until Bootstrap).
 func (m *Manager) Epoch() uint64 {
@@ -129,7 +138,7 @@ func (m *Manager) ReplicasOf(slot int) []int {
 // Call once, after the nodes and their agents are up and before traffic:
 // writes before the agents hold a view are not fanned out.
 func (m *Manager) Bootstrap() (Report, error) {
-	return m.commit(-1)
+	return m.commit(-1, nil)
 }
 
 // aliveLocked returns the serving-member mask, indexed by node id. Caller
@@ -225,7 +234,7 @@ func (m *Manager) Join(addr string) (Report, error) {
 		}
 		owners[slot] = id
 		counts[donor]--
-		mv, err := m.cl.MoveSlot(m.lister, slot, donor, id, m.cfg.ChunkSize)
+		mv, err := m.cl.MoveSlot(m.lister, slot, donor, id, chunkSize)
 		if err != nil {
 			return report, fmt.Errorf("membership: join handoff of slot %d: %w", slot, err)
 		}
@@ -233,7 +242,7 @@ func (m *Manager) Join(addr string) (Report, error) {
 	}
 
 	m.joins.Inc()
-	cr, err := m.commit(-1)
+	cr, err := m.commit(-1, report.Moves)
 	report.Epoch, report.ReplicaKeys = cr.Epoch, cr.ReplicaKeys
 	m.observe(obs.Event{Type: obs.EvNodeJoin, Tick: report.Epoch, Set: id, Life: uint64(len(report.Moves))})
 	return report, err
@@ -264,7 +273,7 @@ func (m *Manager) Leave(node int) (Report, error) {
 			continue
 		}
 		to := pickLoaded(counts, recipients, false)
-		mv, err := m.cl.MoveSlot(m.lister, s, node, to, m.cfg.ChunkSize)
+		mv, err := m.cl.MoveSlot(m.lister, s, node, to, chunkSize)
 		if err != nil {
 			return report, fmt.Errorf("membership: leave handoff of slot %d: %w", s, err)
 		}
@@ -273,7 +282,7 @@ func (m *Manager) Leave(node int) (Report, error) {
 	}
 
 	m.leaves.Inc()
-	cr, err := m.commit(-1)
+	cr, err := m.commit(-1, report.Moves)
 	report.Epoch, report.ReplicaKeys = cr.Epoch, cr.ReplicaKeys
 	m.observe(obs.Event{Type: obs.EvNodeLeave, Tick: report.Epoch, Set: node, Life: uint64(len(report.Moves))})
 	return report, err
@@ -347,7 +356,7 @@ func (m *Manager) failover(node int) Report {
 		m.promotions.Inc()
 	}
 
-	cr, _ := m.commit(node)
+	cr, _ := m.commit(node, report.Moves)
 	report.Epoch, report.ReplicaKeys = cr.Epoch, cr.ReplicaKeys
 	m.observe(obs.Event{Type: obs.EvNodeDead, Tick: report.Epoch, Set: node, Life: uint64(len(report.Moves))})
 	for _, p := range report.Moves {
@@ -359,10 +368,16 @@ func (m *Manager) failover(node int) Report {
 // commit recomputes replica placement for the current ring and members,
 // bumps the view epoch, pushes the view to every serving agent, and
 // backfills slot data onto newly placed followers. deadNode (-1 when none)
-// lets failover's backfill skip copies whose source is gone.
-func (m *Manager) commit(deadNode int) (Report, error) {
+// lets failover's backfill skip copies whose source is gone. moves are the
+// transition's ownership changes: a move's old owner no longer holds the
+// slot (MoveSlot deleted its copy, or it is dead), so it counts as a new
+// follower if placement picks it again.
+func (m *Manager) commit(deadNode int, moves []cluster.Move) (Report, error) {
 	m.mu.Lock()
-	old := m.replicas
+	old := slices.Clone(m.replicas)
+	for _, mv := range moves {
+		old[mv.Slot] = slices.DeleteFunc(slices.Clone(old[mv.Slot]), func(n int) bool { return n == mv.From })
+	}
 	m.replicas = m.place()
 	m.epoch++
 	epoch := m.epoch
@@ -390,7 +405,7 @@ func (m *Manager) commit(deadNode int) (Report, error) {
 			if owner == deadNode || owner == f {
 				continue
 			}
-			_, copied, err := m.cl.CopySlot(m.lister, s, owner, f, m.cfg.ChunkSize)
+			_, copied, err := m.cl.CopySlot(m.lister, s, owner, f, chunkSize)
 			if err != nil {
 				if pushErr == nil {
 					pushErr = err

@@ -1,35 +1,31 @@
-// Package membership manages the cluster's node lifecycle underneath the
-// ring: joins and leaves with bounded slot movement, replica placement that
-// reuses the paper's taker/giver reasoning, and heartbeat-driven failover.
+// Package membership is the cluster's one control plane: every change of
+// ring ownership — joins and leaves with bounded slot movement, demand
+// rebalancing, heartbeat-driven failover — goes through its Manager, and
+// each one ends by re-placing replicas and pushing the new view.
 //
-// The split of responsibilities mirrors the rest of the repository's
-// "mechanism vs. policy" layering:
-//
-//   - Manager is the control plane, driven by whoever owns the cluster (one
-//     per cluster): it keeps the authoritative member table and replica
-//     placement, executes join/leave migrations through the rebalancer's
-//     move machinery (cluster.Client.MoveSlot/CopySlot), runs the failure
-//     detector off its heartbeats, and pushes every new view to the data
-//     plane over the wire (OpView).
+//   - Manager is the control plane, one per cluster, driven by the owner's
+//     control loop: it keeps the authoritative member table and replica
+//     placement, moves slots through cluster.Client.MoveSlot, runs the
+//     failure detector off its heartbeats, and pushes every new view to the
+//     data plane over the wire (OpView).
 //   - Agent is the data plane, one per node: it receives pushed views,
 //     fans every applied write out to the slot's replicas (the
 //     server.Replicator hook, synchronous before the ack — which is what
 //     makes failover lossless for acked writes up to RF-1 failures), and
 //     read-repairs misses on slots the node acquired through promotion or
 //     migration by consulting the surviving replicas.
-//   - Detector is the failure detector: consecutive missed heartbeats
-//     accumulate suspicion; crossing SuspectAfter declares the node dead
-//     exactly once, which triggers the Manager's failover (replica
-//     promotion — a pure ownership flip, the data is already there — plus
-//     re-replication to restore the factor).
+//   - Detector counts consecutive missed heartbeats; crossing SuspectAfter
+//     declares a node dead exactly once, which triggers the Manager's
+//     failover (replica promotion, then re-replication).
 //
-// Replica placement applies STEM's giver preference one level up: follower
-// copies land on the nodes with the most capacity slack (givers first), but
-// never so many that a giver's projected utilization crosses a fixed 0.9
-// receive cap — the node-level analog of "a giver's SC_S MSB must be clear
-// to accept spills". Demand reaches the manager push-based: piggybacked on
-// ordinary responses (wire.FlagDemand sampling) with the heartbeat doubling
-// as gossip for idle nodes.
+// The paper's taker/giver reasoning appears twice one level up. A demand
+// round (Manager.Rebalance) moves a saturated member's coldest slots to a
+// member with slack. Replica placement sends follower copies to the nodes
+// with the most slack, never pushing one past a 0.9 receive cap — the
+// node-level analog of "a giver's SC_S MSB must be clear to accept
+// spills". Demand reaches the manager push-based: piggybacked on ordinary
+// responses (wire.FlagDemand sampling), with the heartbeat as gossip for
+// idle nodes.
 //
 // Lock hierarchy (enforced by the stemlint lockorder analyzer):
 // Detector.mu before Manager.mu before Agent.mu. None is held across a
@@ -40,6 +36,9 @@ import (
 	"repro/internal/obs"
 )
 
+// chunkSize bounds one migration or replica-copy MGET/MSET frame.
+const chunkSize = 256
+
 // Config parameterizes a Manager.
 type Config struct {
 	// ReplicationFactor is the number of copies per slot including the
@@ -49,12 +48,23 @@ type Config struct {
 	// SuspectAfter is how many consecutive missed heartbeats declare a
 	// node dead. Default 3.
 	SuspectAfter int
-	// ChunkSize bounds one replica-copy MGET/MSET frame. Default 256.
-	ChunkSize int
-	// Metrics, when non-nil, receives membership counters under
-	// "membership.*".
+	// MaxMovesPerEpoch bounds slot moves per Rebalance round — the
+	// node-level analog of the paper's one-association-per-refresh pacing:
+	// capacity shifts gradually so a transient skew cannot thrash
+	// ownership. Default 2.
+	MaxMovesPerEpoch int
+	// TakerFrac classifies a member as a taker when its demand score — the
+	// larger of its taker-set fraction and its mean SC_S saturation — is
+	// at least this. Default 0.5.
+	TakerFrac float64
+	// GiverFrac classifies a member as a giver when its demand score is at
+	// most this. Default 0.25.
+	GiverFrac float64
+	// Metrics, when non-nil, receives counters under "membership.*" and
+	// the demand rounds' under "cluster.*".
 	Metrics *obs.Registry
-	// Observer, when non-nil, receives node lifecycle and replica events.
+	// Observer, when non-nil, receives node lifecycle, replica, demand and
+	// migration events.
 	Observer obs.Observer
 }
 
@@ -65,8 +75,14 @@ func (c Config) withDefaults() Config {
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 3
 	}
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = 256
+	if c.MaxMovesPerEpoch <= 0 {
+		c.MaxMovesPerEpoch = 2
+	}
+	if c.TakerFrac <= 0 {
+		c.TakerFrac = 0.5
+	}
+	if c.GiverFrac <= 0 {
+		c.GiverFrac = 0.25
 	}
 	return c
 }

@@ -106,7 +106,7 @@ func (r *Rig) Addrs() []string {
 func (r *Rig) Node(i int) *cluster.Node { return r.nodes[i] }
 
 // Keys lists node n's resident keys — the cluster.KeyLister the manager
-// and a rebalancer over this rig migrate with.
+// migrates with.
 func (r *Rig) Keys(n int) ([]string, error) {
 	if n < 0 || n >= len(r.nodes) {
 		return nil, fmt.Errorf("membership: rig has no node %d", n)

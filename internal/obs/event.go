@@ -34,13 +34,13 @@ const (
 	// EvSnapshot: a periodic run snapshot (emitted by the run harness, not
 	// the schemes); Event.Snap carries the payload.
 	EvSnapshot
-	// EvNodeDemand: the cluster rebalancer polled a node's demand snapshot.
-	// Field reuse at the node level: Tick is the rebalancing epoch, Set the
-	// node id, ScS/ScT the node's taker/giver set counts, Life its coupled
-	// set count, Class its resulting classification ("taker", "giver" or
-	// "neutral").
+	// EvNodeDemand: a demand round (membership.Manager.Rebalance) classified
+	// a node's demand snapshot. Field reuse at the node level: Tick is the
+	// rebalancing epoch (the round number), Set the node id, ScS/ScT the
+	// node's taker/giver set counts, Life its coupled set count, Class its
+	// resulting classification ("taker", "giver" or "neutral").
 	EvNodeDemand
-	// EvSlotMigrate: the rebalancer moved a virtual-node slot between nodes
+	// EvSlotMigrate: a demand round moved a virtual-node slot between nodes
 	// — the node-level analog of EvSpill's set-to-set capacity transfer.
 	// Field reuse: Tick is the epoch, Set the slot id, ScS the source node,
 	// Partner the destination node, Life the number of keys handed off.

@@ -465,7 +465,7 @@ func (s *Server) statsJSON() ([]byte, error) {
 }
 
 // demand rolls the cache's per-set SCDM state up into the wire snapshot a
-// FlagDemand response carries — what the cluster rebalancer classifies
+// FlagDemand response carries — what the cluster's demand rounds classify
 // nodes by. Reading demand never sweeps or otherwise perturbs the cache
 // (stemcache.Demand's contract), so a heartbeat every epoch observes, it
 // does not steer.

@@ -2,8 +2,8 @@ package stemcache
 
 // Demand is the node-level aggregate of the cache's per-set SCDM state: the
 // same evidence the spatial mechanism uses to couple taker sets with giver
-// sets inside a shard, rolled up so that a tier above the cache (the cluster
-// rebalancer in internal/cluster) can apply the paper's giver/taker
+// sets inside a shard, rolled up so that a tier above the cache (the demand
+// rounds of membership.Manager) can apply the paper's giver/taker
 // reasoning across whole nodes. A node whose sets are mostly takers is
 // starved for capacity; a node whose sets are mostly givers has slack.
 //

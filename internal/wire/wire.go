@@ -390,7 +390,7 @@ type ReplicaSet struct {
 
 // NodeDemand is the snapshot a FlagDemand response piggybacks: one node's
 // aggregate capacity-demand signal, derived from its cache's per-set SCDM
-// monitors (stemcache.Demand). The cluster rebalancer reads these to
+// monitors (stemcache.Demand). The cluster's demand rounds read these to
 // classify whole nodes as takers (starved: most sets' SC_S saturated) or
 // givers (slack: most sets' SC_S MSB clear), mirroring the paper's set-level
 // roles one level up. It travels as a fixed 52-byte big-endian prefix so

@@ -31,7 +31,7 @@ import (
 //     partition every HotspotShiftEvery(capacity) draws. Against a cluster,
 //     each partition hashes to a different node mix, so the load (and the
 //     capacity demand it induces) migrates between nodes mid-run — the
-//     workload the STEM-style node rebalancer exists for.
+//     workload the STEM-style node-level demand rounds exist for.
 
 // KeyDists lists the serving key distributions NewKeyStream accepts.
 func KeyDists() []string { return []string{"zipf", "scan", "mixed", "hotspot-shift"} }
@@ -75,9 +75,9 @@ func NewWorkerKeyStream(dist string, capacity int, seed uint64, w, workers int) 
 		// The hot set is deliberately close to (3/4 of) the stated capacity:
 		// a single cache holding it entirely hits well, but the node of a
 		// cluster that owns most of the current partition is pushed past its
-		// share — the demand signal the node rebalancer feeds on. Partitions
-		// are keyed by prefix ("hs<p>:<rank>") so successive hot sets are
-		// disjoint and hash to fresh, uncorrelated ring positions.
+		// share — the demand signal the node-level demand rounds feed on.
+		// Partitions are keyed by prefix ("hs<p>:<rank>") so successive hot
+		// sets are disjoint and hash to fresh, uncorrelated ring positions.
 		r := sim.NewRNG(seed)
 		hot := max((capacity*3)/4, 1)
 		z, memo := newZipf(hot, 1), newKeyMemo("hs0:", 0, hot)

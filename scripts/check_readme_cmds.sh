@@ -18,7 +18,10 @@
 #      docs, the verify skill and CI is a prefix of at least one test
 #      function in the repository (no documented command selecting a
 #      removed test, which `go test -run` would report as "no tests to
-#      run" and pass).
+#      run" and pass); and when a one-line `go test … -run P … ./pkg`
+#      command names packages, each token of P prefixes a test function in
+#      one of those packages (no command selecting a test that moved to
+#      another package).
 #
 # Exits nonzero with a per-name report on any mismatch.
 set -eu
@@ -80,6 +83,30 @@ for tok in $(grep -hoE -- "-run[ =]+('[^']*'|\"[^\"]*\"|[^ ]+)" $runDocs |
         status=1
     fi
 done
+
+# Direction 5, per package: the command runs from "go test" to the end of
+# its line or its closing backtick; its packages are the ./ words (./...
+# spans the repository and is checked above; pkg/... spans pkg).
+misplaced=$(grep -hoE 'go test [^`]*-run[^`]*' $runDocs | while IFS= read -r cmd; do
+    pkgs=$(printf '%s\n' "$cmd" | tr ' ' '\n' | sed 's/[),.;]*$//' | grep -E '^\./.' | grep -vx '\./\.\.\.' || true)
+    [ -n "$pkgs" ] || continue
+    pkgfuncs=$(for pkg in $pkgs; do
+        case $pkg in
+        */...) find "${pkg%/...}" -name '*_test.go' ;;
+        *) ls "$pkg"/*_test.go 2>/dev/null || true ;;
+        esac
+    done | xargs -r grep -hoE '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*' | sed 's/^func //' | sort -u)
+    for tok in $(printf '%s\n' "$cmd" | grep -oE -- "-run[ =]+('[^']*'|\"[^\"]*\"|[^ ]+)" |
+        grep -oE '(Test|Benchmark|Fuzz)[A-Za-z0-9_]*' | sort -u); do
+        if ! printf '%s\n' "$pkgfuncs" | grep -q "^$tok"; then
+            echo "\`$cmd\` selects $tok, which prefixes no test function in" $pkgs
+        fi
+    done
+done)
+if [ -n "$misplaced" ]; then
+    printf '%s\n' "$misplaced" >&2
+    status=1
+fi
 
 if [ "$status" -eq 0 ]; then
     echo "README.md, cmd/, examples/, the quoted import paths and the documented -run patterns agree ($(ls -d cmd/*/ | wc -l | tr -d ' ') binaries, $(ls -d examples/*/ | wc -l | tr -d ' ') examples)"
