@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/workloads"
 )
 
 // small returns a deliberately tiny cache so tests exercise eviction.
@@ -166,6 +167,50 @@ func TestDeterministicStats(t *testing.T) {
 	}
 	if s1.ShadowHits == 0 {
 		t.Fatal("workload produced no shadow hits; determinism test is vacuous")
+	}
+}
+
+// TestMixedStatsGolden pins, as constants, every Stats field (and Len) of one
+// goroutine's cache-aside run over the seeded "mixed" key stream (a Zipfian
+// hot set interleaved with a sweep over twice the capacity) at lib-mixed's
+// geometry, with a share of TTL'd writes and deletes under a fake clock that
+// advances one microsecond per operation. TestDeterministicStats compares two
+// runs in one process; this one holds any change to the host's data layout
+// to the exact behaviour it had before.
+func TestMixedStatsGolden(t *testing.T) {
+	const capacity = 8192
+	var clock int64
+	c := mustNew[string, int](Config{Capacity: capacity, Seed: 11})
+	c.now = func() int64 { return clock }
+	next, err := workloads.NewKeyStream("mixed", capacity, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 400_000; i++ {
+		clock = int64(i) * int64(time.Microsecond)
+		k := next()
+		switch i % 16 {
+		case 0, 1:
+			c.SetWithTTL(k, i, 30*time.Millisecond)
+		case 2:
+			c.Delete(k)
+		default:
+			if _, ok := c.Get(k); !ok {
+				c.Set(k, i)
+			}
+		}
+	}
+	want := Stats{
+		Gets: 325000, Hits: 168701, Misses: 156299, Puts: 206299, Deletes: 13069, Evictions: 151172, Expirations: 7868,
+		SecondaryHits: 450, ShadowHits: 77909, PolicySwaps: 1057, Couplings: 399, Decouplings: 352,
+		Spills: 5014, Receives: 5014, StaleServed: 0, NegativeHits: 0,
+		TakerSets: 658, GiverSets: 36, CoupledSets: 94,
+	}
+	if got := c.Stats(); got != want {
+		t.Fatalf("Stats moved:\n got %+v\nwant %+v", got, want)
+	}
+	if got := c.Len(); got != 8017 {
+		t.Fatalf("Len = %d, want 8017", got)
 	}
 }
 
