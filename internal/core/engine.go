@@ -36,20 +36,24 @@ func className(k int8) string {
 }
 
 // ctlSet is one set's control state: everything STEM keeps per set that is
-// not the payload.
+// not the payload. Fields are in the order a lookup meets them — role and
+// partner (is there a giver to probe?), the policy's list ends, then the
+// monitor's counters — so a hit's control reads and writes fall in the
+// set's first 80 bytes; the shadow, the BIP RNG and the association's
+// bookkeeping, which only misses and couplings touch, come last.
 type ctlSet struct {
-	pol policy.Recency
-	mon Monitor
-	// rng drives the BIP insertions of pol and of the shadow's policy; both
-	// hold its address, so Engine.sets is never resized.
-	rng sim.RNG
+	role  role
+	klass int8 // last reported spatial classification
 	// partner is the coupled set's index, or the set's own index when
 	// uncoupled (the paper's association-table convention).
-	partner   int
+	partner int
+	pol     policy.Recency
+	mon     Monitor
+	// rng drives the BIP insertions of pol and of the shadow's policy; both
+	// hold its address, so Engine.sets is never resized.
+	rng       sim.RNG
 	foreign   int    // cooperatively cached entries resident here (givers only)
 	coupledAt uint64 // tick at which the current association formed
-	role      role
-	klass     int8 // last reported spatial classification
 }
 
 // Counts are the mechanism counters an Engine accumulates.
@@ -92,23 +96,28 @@ type Census struct {
 //
 // An Engine is a single-goroutine state machine; hosts that share one across
 // goroutines guard it with their own lock.
+//
+// Field order is cache-line order: rng (every hit draws from it) and tick
+// (every host operation advances it) come first, so a host can put them on
+// the line that holds its lock; the fields a lookup only reads follow; the
+// counters, which only the miss, spill and swap paths write, come last.
 type Engine struct {
-	cfg   Config
-	cgeom CounterGeom
-	sets  []ctlSet
-	heap  *selector.Heap
-	rng   sim.RNG // drives the 1/2^n spatial decrement
-	// decMask is 2^n − 1: SC_S decrements on a hit whose draw has those bits
-	// clear.
-	decMask uint64
-	n       Counts
+	rng sim.RNG // drives the 1/2^n spatial decrement
 	// tick counts host operations over the engine's lifetime (never reset);
 	// it timestamps mechanism events.
 	tick uint64
+	sets []ctlSet
+	heap *selector.Heap
+	// decMask is 2^n − 1: SC_S decrements on a hit whose draw has those bits
+	// clear.
+	decMask uint64
+	cgeom   CounterGeom
 	// observer receives mechanism events; nil (the default) restores the
 	// uninstrumented path.
 	observer obs.Observer
 	base     int // global id of set 0, added to every set index in an event
+	cfg      Config
+	n        Counts
 }
 
 // NewEngine builds the control state for sets × ways with cfg's defaults

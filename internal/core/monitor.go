@@ -97,10 +97,13 @@ func (s *ShadowSet) SwapPolicy(k policy.Kind) bool { return policy.SwapKind(&s.p
 //   - ScT (temporal): incremented on every shadow hit, decremented on every
 //     LLC-set hit. Saturated ⇒ the shadow's (opposite) policy is measurably
 //     beating the set's current policy, so the two swap and ScT resets.
+//
+// The counters come first: every hit updates them, while only the miss and
+// eviction paths touch the shadow.
 type Monitor struct {
-	Shadow ShadowSet
 	ScS    int
 	ScT    int
+	Shadow ShadowSet
 }
 
 // CounterGeom carries the ceiling and MSB mask derived from the configured

@@ -18,13 +18,16 @@ const (
 // position: LRU always inserts MRU, BIP inserts LRU except one insertion in
 // BIPEpsilon, which lands MRU. It is the one list behind New, NewDual and
 // the by-value policies core.Engine keeps per set.
+//
+// The list ends and the kind come first: with the slice header after them
+// they are the 32 bytes a hit reads, ahead of the insertion-only fields.
 type Recency struct {
-	links []Link // one cell per way
-	rng   *sim.RNG
-	// chooser, when non-nil, picks the insertion rule per insert (Dual).
-	chooser       func() Kind
 	head, tail, n int16 // MRU way, LRU way (none if empty), ranked ways
 	kind          Kind
+	links         []Link // one cell per way
+	rng           *sim.RNG
+	// chooser, when non-nil, picks the insertion rule per insert (Dual).
+	chooser func() Kind
 }
 
 // MakeRecency builds an empty LRU or BIP list ranking len(links) ways in the

@@ -52,13 +52,17 @@ func (h *Heap) index(set int) int {
 
 // Post offers (set, saturation) to the heap. accepted reports whether the
 // set is resident afterwards. If the set is already resident its key is
-// updated in place. If the heap is full, the set displaces the
+// updated in place; re-posting the saturation it already has returns (true,
+// -1) without writing anything, since the heap is ordered and fixing an
+// unmoved key would move nothing. If the heap is full, the set displaces the
 // most-saturated resident only when strictly less saturated than it;
 // displaced is that evicted set's index, or -1 when nothing was displaced.
 func (h *Heap) Post(set, saturation int) (accepted bool, displaced int) {
 	if i := h.index(set); i >= 0 {
-		h.sat[i] = saturation
-		h.fix(i)
+		if h.sat[i] != saturation {
+			h.sat[i] = saturation
+			h.fix(i)
+		}
 		return true, -1
 	}
 	if len(h.sets) < h.cap {

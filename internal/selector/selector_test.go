@@ -1,6 +1,7 @@
 package selector
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -75,6 +76,25 @@ func TestPostUpdatesInPlace(t *testing.T) {
 	set, sat, _ := h.PeekMin()
 	if set != 1 || sat != 1 {
 		t.Fatalf("PeekMin = (%d,%d), want (1,1)", set, sat)
+	}
+}
+
+// TestPostUnchangedIsNoOp pins Post's short cut: re-posting a resident set
+// at the saturation it already has is accepted, displaces nothing and
+// leaves the heap's order exactly as it was — ties included, on a full heap.
+func TestPostUnchangedIsNoOp(t *testing.T) {
+	h := New(6)
+	for set, sat := range []int{4, 2, 2, 7, 2, 5} {
+		h.Post(set, sat)
+	}
+	sets, sat := slices.Clone(h.sets), slices.Clone(h.sat)
+	for i := range sets {
+		if ok, displaced := h.Post(sets[i], sat[i]); !ok || displaced != -1 {
+			t.Fatalf("re-post of set %d at %d = (%v, %d), want (true, -1)", sets[i], sat[i], ok, displaced)
+		}
+		if !slices.Equal(h.sets, sets) || !slices.Equal(h.sat, sat) {
+			t.Fatalf("re-post of set %d at %d moved the heap:\n sets %v sat %v\n want %v %v", sets[i], sat[i], h.sets, h.sat, sets, sat)
+		}
 	}
 }
 

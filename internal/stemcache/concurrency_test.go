@@ -1,12 +1,15 @@
 package stemcache
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/workloads"
 )
 
 // TestConcurrentMixedOps hammers one cache from many goroutines with
@@ -230,4 +233,65 @@ func TestConcurrentStatsAndLen(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// BenchmarkParallelMixed is lib-mixed's scaling number from go test: every
+// worker runs its own seeded "mixed" key stream cache-aside (Get, Set on a
+// miss) at lib-mixed's geometry, the hot Zipfian keys shared by all workers
+// and the sweep split between them. One iteration times worker 0's stream
+// alone on a fresh cache, then every worker's at once on one shared cache,
+// then every worker's at once on a cache of its own. par_speedup is
+// workers × alone / shared, the figure bench reports as
+// stemcache.par_speedup; par_speedup_disjoint is the same against the
+// private caches, which share no line, so the gap between the two is what
+// the workers pay for sharing one cache's shards.
+func BenchmarkParallelMixed(b *testing.B) {
+	const capacity, perWorker = 8192, 1 << 17
+	workers := runtime.GOMAXPROCS(0)
+	if workers < 2 {
+		b.Skip("a speedup needs GOMAXPROCS >= 2")
+	}
+	seqs := make([][]string, workers)
+	for w := range seqs {
+		next, err := workloads.NewWorkerKeyStream("mixed", capacity, uint64(w)+1, w, workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		seqs[w] = make([]string, perWorker)
+		for i := range seqs[w] {
+			seqs[w][i] = next()
+		}
+	}
+	fresh := func() *Cache[string, int] { return mustNew[string, int](Config{Capacity: capacity, Seed: 1}) }
+	// run drives worker w's stream through caches[w] for every w at once and
+	// returns the wall time until the last one finishes.
+	run := func(caches []*Cache[string, int]) time.Duration {
+		var wg sync.WaitGroup
+		start := time.Now()
+		for w, c := range caches {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, k := range seqs[w] {
+					if _, ok := c.Get(k); !ok {
+						c.Set(k, i)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		return time.Since(start)
+	}
+	var alone, shared, disjoint time.Duration
+	for range b.N {
+		alone += run([]*Cache[string, int]{fresh()})
+		one, own := fresh(), make([]*Cache[string, int], workers)
+		for w := range own {
+			own[w] = fresh()
+		}
+		shared += run(slices.Repeat([]*Cache[string, int]{one}, workers))
+		disjoint += run(own)
+	}
+	b.ReportMetric(float64(workers)*alone.Seconds()/shared.Seconds(), "par_speedup")
+	b.ReportMetric(float64(workers)*alone.Seconds()/disjoint.Seconds(), "par_speedup_disjoint")
 }

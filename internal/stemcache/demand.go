@@ -85,8 +85,8 @@ func (c *Cache[K, V]) AppendKeys(dst []K) []K {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		for w := range sh.entries {
-			if e := &sh.entries[w]; e.valid && (e.exp == 0 || nowN <= e.exp) {
+		for w, tag := range sh.tags {
+			if e := &sh.entries[w]; tag != 0 && (e.exp == 0 || nowN <= e.exp) {
 				dst = append(dst, e.key)
 			}
 		}

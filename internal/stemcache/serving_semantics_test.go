@@ -45,9 +45,9 @@ func spillOne(t *testing.T, c *Cache[int, int], ttl time.Duration) int {
 	if got := c.Stats().Spills; got != 1 {
 		t.Fatalf("setup: Spills = %d, want 1", got)
 	}
-	for _, e := range c.set(sh, 2) {
-		if e.valid && e.cc {
-			return e.key
+	for w, tag := range c.tags(sh, 2) {
+		if tag&tagCC != 0 {
+			return c.set(sh, 2)[w].key
 		}
 	}
 	t.Fatal("setup: no cc entry found in giver set")

@@ -3,13 +3,14 @@ package stemcache
 import (
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 )
 
-// entry is one resident key-value pair. A giver set may hold entries whose
-// hash maps to its coupled taker; those carry the cc ("cooperatively
-// cached") bit, the software form of the paper's CC bit.
+// entry is one resident key-value pair. Whether a way holds one, and whether
+// it is cooperatively cached, is its tag's business (see tagOf): an entry
+// is read only after its tag matched.
 type entry[K comparable, V any] struct {
 	key  K
 	val  V
@@ -20,8 +21,6 @@ type entry[K comparable, V any] struct {
 	// while one caller refreshes it, a miss for plain Get. 0 means fresh
 	// until exp (every plain Set).
 	fresh int64
-	valid bool
-	cc    bool
 	// neg marks a cached absence (SetNegative): the origin said the key
 	// does not exist, and that answer is cached until exp. The value is the
 	// zero V; plain Get reports a miss, LookupLoad reports LoadNegative.
@@ -30,6 +29,26 @@ type entry[K comparable, V any] struct {
 	// travels with the entry through spills so that eviction anywhere —
 	// local, cooperative, expiry — debits the right tenant's residency.
 	ten uint16
+}
+
+// A tag is one way's probe word: the entry's key hash with its low two bits
+// replaced by tagValid and tagCC, or 0 for an empty way. The cc
+// ("cooperatively cached") bit, the software form of the paper's CC bit,
+// marks an entry a giver set holds for its coupled taker. A shard's tags are
+// set-major, so an 8-way set's are one 64-byte line: a probe compares tags
+// and reads an entry only where one matched.
+const (
+	tagValid = 1
+	tagCC    = 2
+)
+
+// tagOf is the tag of an entry whose key hashed to h.
+func tagOf(h uint64, cc bool) uint64 {
+	t := h&^(tagValid|tagCC) | tagValid
+	if cc {
+		t |= tagCC
+	}
+	return t
 }
 
 // tally is one tenant's Get accounting inside one shard.
@@ -43,16 +62,38 @@ type tally struct {
 // by mu, and the counters among them are the only ones a request writes:
 // every other view (Stats, TenantStats, the metrics registry) is summed from
 // them when somebody reads.
+//
+// The layout is by cache line (TestShardLayout holds it). The first 64 bytes
+// hold what a Get hit writes outside its set — mu, the inline tally row and
+// the engine's rng and tick — and live, which inserts and evictions move.
+// The engine's read-only fields and its counters follow, then stats, then
+// the slice headers; the padding makes a shard a whole number of lines, so
+// no two shards share one.
 type shard[K comparable, V any] struct {
-	mu      sync.Mutex
-	eng     core.Engine
-	entries []entry[K, V] // sets × Ways, set-major
-	live    int
-	// tally is the Get accounting, one row per tenant id; an untenanted cache
-	// has the single row one, inline so that shards do not share its line.
-	tally []tally
+	mu   sync.Mutex
+	live int
+	// one is the Get accounting of an untenanted cache, which has a single
+	// tally row; a tenanted cache keeps one row per tenant id elsewhere.
 	one   [1]tally
+	eng   core.Engine
 	stats Stats // every other counter; snapshot completes it from tally and the engine
+	// tally is the Get accounting, one row per tenant id: one[:] or, with a
+	// tenant registry, tenant.MaxTenants rows.
+	tally   []tally
+	entries []entry[K, V] // sets × Ways, set-major
+	tags    []uint64      // one per entry, in the same order; see tagOf
+	_       [48]byte
+}
+
+// newShards allocates n shards with shard 0 on a 64-byte line. Go's
+// allocator puts an 8-byte header in front of an object of 512 B to 32 KiB
+// that holds pointers, which would shift every shard off its lines; an
+// object larger than 32 KiB starts its own pages, header-free, so the array
+// is allocated at least that large.
+func newShards[K comparable, V any](n int) []shard[K, V] {
+	const large = 32<<10 + 1
+	size := int(unsafe.Sizeof(shard[K, V]{}))
+	return make([]shard[K, V], max(n, (large+size-1)/size))[:n:n]
 }
 
 // set returns the ways of sh's set idx.
@@ -60,10 +101,16 @@ func (c *Cache[K, V]) set(sh *shard[K, V], idx int) []entry[K, V] {
 	return sh.entries[idx*c.cfg.Ways:][:c.cfg.Ways]
 }
 
-// freeWay returns the first invalid way of s, or -1 when the set is full.
-func freeWay[K comparable, V any](s []entry[K, V]) int {
-	for w := range s {
-		if !s[w].valid {
+// tags returns the tags of sh's set idx.
+func (c *Cache[K, V]) tags(sh *shard[K, V], idx int) []uint64 {
+	return sh.tags[idx*c.cfg.Ways:][:c.cfg.Ways]
+}
+
+// freeWay returns the first empty way of a set with tags t, or -1 when the
+// set is full.
+func freeWay(t []uint64) int {
+	for w, tag := range t {
+		if tag == 0 {
 			return w
 		}
 	}
@@ -107,10 +154,12 @@ func (c *Cache[K, V]) after(k *opClock, ttl time.Duration) int64 {
 // for every operation serialized at that instant; an entry without deadlines
 // reads no clock.
 func (c *Cache[K, V]) find(sh *shard[K, V], idx int, cc bool, key K, h uint64, clk *opClock) (way int, stale bool) {
-	s := c.set(sh, idx)
-	for w := range s {
-		e := &s[w]
-		if e.valid && e.cc == cc && e.hash == h && e.key == key {
+	want := tagOf(h, cc)
+	for w, tag := range c.tags(sh, idx) {
+		if tag != want {
+			continue
+		}
+		if e := &sh.entries[idx*c.cfg.Ways+w]; e.hash == h && e.key == key {
 			if e.exp != 0 && c.at(clk) > e.exp {
 				c.expire(sh, idx, w)
 				return -1, false
@@ -219,7 +268,7 @@ func (c *Cache[K, V]) store(sh *shard[K, V], tid int, key K, value V, h uint64, 
 	// Miss: consult the shadow directory, then fill locally (the library
 	// analogue of the simulator's miss path).
 	c.consultShadow(sh, idx, h, tid)
-	c.insert(sh, idx, tid, entry[K, V]{key: key, val: value, hash: h, exp: exp, fresh: fresh, neg: neg, valid: true, ten: uint16(tid)})
+	c.insert(sh, idx, tid, entry[K, V]{key: key, val: value, hash: h, exp: exp, fresh: fresh, neg: neg, ten: uint16(tid)})
 }
 
 // insert puts ent into set idx — the one place an entry enters the cache. An
@@ -227,18 +276,18 @@ func (c *Cache[K, V]) store(sh *shard[K, V], tid int, key K, value V, h uint64, 
 // ways (quotaVictim); otherwise a free way is used, and only a full set asks
 // the engine for a victim, which the tenant rules may override (victimFor).
 func (c *Cache[K, V]) insert(sh *shard[K, V], idx, tid int, ent entry[K, V]) {
-	s := c.set(sh, idx)
-	way := c.quotaVictim(s, tid)
+	s, t := c.set(sh, idx), c.tags(sh, idx)
+	way := c.quotaVictim(s, t, tid)
 	if way < 0 {
-		way = freeWay(s)
+		way = freeWay(t)
 	}
 	if way < 0 {
 		way = c.victimFor(s, sh.eng.Victim(idx), tid)
 	}
-	if s[way].valid {
+	if t[way] != 0 {
 		c.vacate(sh, idx, way)
 	}
-	s[way] = ent
+	s[way], t[way] = ent, tagOf(ent.hash, false)
 	sh.eng.Fill(idx, way)
 	sh.live++
 	c.tLiveInc(tid)
@@ -246,24 +295,25 @@ func (c *Cache[K, V]) insert(sh *shard[K, V], idx, tid int, ent entry[K, V]) {
 
 // vacate moves the entry in (idx, w) where the engine sends it: into the
 // coupled giver as a cooperatively cached entry — unless its tenant has no
-// capacity grant left to spend (spillAllowed) — or out of the cache.
+// capacity grant left to spend (spillAllowed) — or out of the cache. Either
+// way the caller refills (idx, w) at once, so its tag is left for the caller
+// to overwrite.
 func (c *Cache[K, V]) vacate(sh *shard[K, V], idx, w int) {
-	v := c.set(sh, idx)[w]
-	g := sh.eng.Evict(idx, c.sigOf(v.hash), v.cc, !c.spillAllowed(&v))
+	v := &c.set(sh, idx)[w]
+	g := sh.eng.Evict(idx, c.sigOf(v.hash), c.tags(sh, idx)[w]&tagCC != 0, !c.spillAllowed(v))
 	if g < 0 {
 		sh.live--
 		c.tLiveDec(v.ten)
 		sh.stats.Evictions++
 		return
 	}
-	gs := c.set(sh, g)
-	gw := freeWay(gs)
+	gs, gt := c.set(sh, g), c.tags(sh, g)
+	gw := freeWay(gt)
 	if gw < 0 {
 		gw = sh.eng.Victim(g)
 		c.vacate(sh, g, gw)
 	}
-	v.cc = true
-	gs[gw] = v
+	gs[gw], gt[gw] = *v, tagOf(v.hash, true)
 	sh.eng.Fill(g, gw)
 }
 
@@ -271,9 +321,9 @@ func (c *Cache[K, V]) vacate(sh *shard[K, V], idx, w int) {
 // an expiry; dropping a giver's last cooperatively cached entry dissolves
 // the association.
 func (c *Cache[K, V]) drop(sh *shard[K, V], idx, w int) {
-	e := &c.set(sh, idx)[w]
-	owner, cc := e.ten, e.cc
-	*e = entry[K, V]{}
+	e, t := &c.set(sh, idx)[w], &c.tags(sh, idx)[w]
+	owner, cc := e.ten, *t&tagCC != 0
+	*e, *t = entry[K, V]{}, 0
 	sh.eng.Remove(idx, w, cc)
 	sh.live--
 	c.tLiveDec(owner)

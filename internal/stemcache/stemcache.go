@@ -307,7 +307,7 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 	c := &Cache[K, V]{
 		cfg:       cfg,
 		hasher:    hasher,
-		shards:    make([]shard[K, V], cfg.Shards),
+		shards:    newShards[K, V](cfg.Shards),
 		shardBits: uint(log2(cfg.Shards)),
 		setBits:   uint(log2(sets)),
 		sets:      sets,
@@ -328,6 +328,7 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 			sh.eng.SetObserver(obs.ObserverFunc(c.emit))
 		}
 		sh.entries = make([]entry[K, V], sets*cfg.Ways)
+		sh.tags = make([]uint64, sets*cfg.Ways)
 		sh.tally = sh.one[:]
 		if c.ten != nil {
 			sh.tally = make([]tally, tenant.MaxTenants)
@@ -486,8 +487,8 @@ func (c *Cache[K, V]) Len() int {
 // Cooperatively cached entries go through the cc path, which dissolves the
 // association when the giver drains.
 func (c *Cache[K, V]) sweepExpired(sh *shard[K, V], nowN int64) {
-	for i := range sh.entries {
-		if e := &sh.entries[i]; e.valid && e.exp != 0 && nowN > e.exp {
+	for i, tag := range sh.tags {
+		if e := &sh.entries[i]; tag != 0 && e.exp != 0 && nowN > e.exp {
 			c.expire(sh, i/c.cfg.Ways, i%c.cfg.Ways)
 		}
 	}
@@ -532,9 +533,8 @@ func (c *Cache[K, V]) Close() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		for w := range sh.entries {
-			sh.entries[w] = entry[K, V]{}
-		}
+		clear(sh.entries)
+		clear(sh.tags)
 		sh.eng.Clear()
 		sh.live = 0
 		sh.mu.Unlock()

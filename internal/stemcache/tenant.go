@@ -202,18 +202,18 @@ func (c *Cache[K, V]) tReserveProtected(vid int) bool {
 	return r > 0 && c.ten.live[vid].Load() <= int64(r)
 }
 
-// quotaVictim returns the way of one of tid's own local entries in s to
-// recycle, when tid's residency has reached its enforced target — or -1,
-// letting the normal free-way / policy-victim path run. A target is a bound
-// on residency, not on churn: an at-target tenant keeps inserting, but each
-// insert into a set already holding one of its entries replaces that entry
-// instead of growing the footprint.
-func (c *Cache[K, V]) quotaVictim(s []entry[K, V], tid int) int {
+// quotaVictim returns the way of one of tid's own local entries in set s
+// (tags t) to recycle, when tid's residency has reached its enforced target
+// — or -1, letting the normal free-way / policy-victim path run. A target is
+// a bound on residency, not on churn: an at-target tenant keeps inserting,
+// but each insert into a set already holding one of its entries replaces
+// that entry instead of growing the footprint.
+func (c *Cache[K, V]) quotaVictim(s []entry[K, V], t []uint64, tid int) int {
 	if c.ten == nil || c.ten.policy == TenantObserve || !c.tOverTarget(tid) {
 		return -1
 	}
-	for w := range s {
-		if e := &s[w]; e.valid && !e.cc && int(e.ten) == tid {
+	for w, tag := range t {
+		if tag&(tagValid|tagCC) == tagValid && int(s[w].ten) == tid {
 			return w
 		}
 	}
@@ -243,15 +243,14 @@ func (c *Cache[K, V]) victimFor(s []entry[K, V], way, tid int) int {
 	}
 	if int(s[way].ten) != tid && c.tOverTarget(tid) {
 		for w := range s {
-			if e := &s[w]; e.valid && int(e.ten) == tid {
+			if int(s[w].ten) == tid {
 				return w
 			}
 		}
 	}
 	if v := &s[way]; int(v.ten) != tid && c.tReserveProtected(int(v.ten)) {
 		for w := range s {
-			e := &s[w]
-			if e.valid && (int(e.ten) == tid || !c.tReserveProtected(int(e.ten))) {
+			if e := &s[w]; int(e.ten) == tid || !c.tReserveProtected(int(e.ten)) {
 				return w
 			}
 		}
