@@ -81,15 +81,6 @@ type Config struct {
 	// default namespace — frames carry no tenant field and behave exactly as
 	// a pre-tenant client. At most wire.MaxNamespaceLen bytes.
 	Namespace string
-	// DemandEvery makes every DemandEvery-th request carry wire.FlagDemand,
-	// asking the server to piggyback its NodeDemand snapshot on the
-	// response — push-based demand dissemination riding existing traffic
-	// instead of a polling loop. 0 (default) disables.
-	DemandEvery int
-	// OnDemand, when non-nil, receives every piggybacked demand snapshot
-	// (from DemandEvery sampling or an explicit Heartbeat) synchronously on
-	// the operation's goroutine. Keep it cheap.
-	OnDemand func(wire.NodeDemand)
 }
 
 func (c Config) withDefaults() Config {
@@ -112,9 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TraceEvery < 0 {
 		c.TraceEvery = 0
-	}
-	if c.DemandEvery < 0 {
-		c.DemandEvery = 0
 	}
 	return c
 }
@@ -189,10 +177,6 @@ type Client struct {
 	latTotal  *obs.LatencyHistogram
 	latServer *obs.LatencyHistogram
 	latNet    *obs.LatencyHistogram
-
-	// demandSeq picks every DemandEvery-th request for a piggybacked
-	// demand snapshot.
-	demandSeq atomic.Uint64
 
 	// refreshWG tracks background stale-refresh goroutines (load.go);
 	// Close waits for them so a refresh never outlives its client.
@@ -320,11 +304,6 @@ func (c *Client) roundTrip(cc *cconn, reqs []*wire.Request) ([]*wire.Response, e
 		if req.Namespace == "" {
 			req.Namespace = c.cfg.Namespace
 		}
-		// Every DemandEvery-th request asks for a piggybacked demand
-		// snapshot (sticky across retries, like the namespace).
-		if c.cfg.DemandEvery > 0 && c.demandSeq.Add(1)%uint64(c.cfg.DemandEvery) == 0 {
-			req.Flags |= wire.FlagDemand
-		}
 		c.attachTrace(req)
 		var err error
 		if cc.wbuf, err = wire.AppendRequest(cc.wbuf, req, wire.Limits{}); err != nil {
@@ -362,9 +341,6 @@ func (c *Client) roundTrip(cc *cconn, reqs []*wire.Request) ([]*wire.Response, e
 		}
 		if err := c.finishTrace(req, resp); err != nil {
 			return nil, err
-		}
-		if resp.Piggyback != nil && c.cfg.OnDemand != nil {
-			c.cfg.OnDemand(*resp.Piggyback)
 		}
 		resps[i] = resp
 	}
@@ -529,10 +505,9 @@ func (c *Client) PushMembership(epoch uint64, members []wire.Member, replicas []
 }
 
 // Heartbeat pings the server with wire.FlagDemand set, returning the
-// piggybacked demand snapshot — one frame for liveness and demand gossip
-// both, which is how the failure detector keeps the demand cache warm on
-// otherwise idle nodes, and the only explicit pull of a node's demand. The
-// OnDemand callback (if any) also fires.
+// demand snapshot the server attaches — one frame for liveness and demand
+// both. Only this PING sends the flag (the server answers it on any
+// opcode), and the membership manager's heartbeat is its one caller.
 func (c *Client) Heartbeat() (wire.NodeDemand, error) {
 	resp, err := c.one(&wire.Request{Op: wire.OpPing, Flags: wire.FlagDemand})
 	if err != nil {

@@ -345,11 +345,10 @@ func TestBatchQueueAndReset(t *testing.T) {
 	}
 }
 
-// TestClientDemand pins the client's two demand paths, both riding
-// wire.FlagDemand: Heartbeat is a PING that must come back with the
-// piggybacked snapshot (a response without one is a protocol error), and
-// DemandEvery flags every n-th ordinary request; OnDemand sees every
-// snapshot either path brings back.
+// TestClientDemand pins the client's one demand path: Heartbeat is a PING
+// carrying wire.FlagDemand that must come back with the server's snapshot
+// (a response without one is a protocol error), and no other request asks
+// for one.
 func TestClientDemand(t *testing.T) {
 	want := wire.NodeDemand{NodeID: 3, Sets: 64, TakerSets: 8, GiverSets: 40,
 		CoupledSets: 6, ScSSum: 100, ScSMax: 64 * 127, Live: 50, Capacity: 256}
@@ -372,9 +371,7 @@ func TestClientDemand(t *testing.T) {
 		defer mu.Unlock()
 		return flagged[op]
 	}
-	var pushed []wire.NodeDemand
-	cl, err := New(Config{Addr: fs.ln.Addr().String(), DemandEvery: 4,
-		OnDemand: func(d wire.NodeDemand) { pushed = append(pushed, d) }})
+	cl, err := New(Config{Addr: fs.ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,8 +382,8 @@ func TestClientDemand(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if count(wire.OpSet) != 2 || len(pushed) != 2 {
-		t.Fatalf("8 SETs at DemandEvery 4: %d flagged, %d pushed; want 2 and 2", count(wire.OpSet), len(pushed))
+	if n := count(wire.OpSet); n != 0 {
+		t.Fatalf("8 plain SETs: %d carried FlagDemand, want 0", n)
 	}
 
 	got, err := cl.Heartbeat()
@@ -396,8 +393,8 @@ func TestClientDemand(t *testing.T) {
 	if got != want {
 		t.Fatalf("Heartbeat = %+v, want %+v", got, want)
 	}
-	if count(wire.OpPing) != 1 || len(pushed) != 3 || pushed[2] != want {
-		t.Fatalf("heartbeat: %d flagged PINGs, pushed %+v", count(wire.OpPing), pushed)
+	if n := count(wire.OpPing); n != 1 {
+		t.Fatalf("heartbeat: %d flagged PINGs, want 1", n)
 	}
 
 	mu.Lock()

@@ -30,12 +30,6 @@ type Config struct {
 	// tenant namespace: keys route by the ring exactly as before (the
 	// namespace does not shift ownership), and every node applies its own
 	// tenant accounting and capacity arbitration to the requests it serves.
-	// Its DemandEvery, when > 0, asks every DemandEvery-th request per node
-	// to piggyback the node's demand snapshot on its response
-	// (wire.FlagDemand), and the client caches each snapshot in place of
-	// the template's OnDemand — the push-based demand dissemination the
-	// membership manager's demand rounds and replica placement consume
-	// (CachedDemand), with the heartbeat as the explicit pull.
 	Client client.Config
 	// Metrics, when non-nil, receives ring and routing gauges under
 	// "cluster.*".
@@ -87,12 +81,10 @@ type Client struct {
 }
 
 // nodeHandle is everything the client keeps per node: the pooled
-// connection, the drain gate, and the last demand snapshot its responses
-// piggybacked.
+// connection and the drain gate.
 type nodeHandle struct {
-	cl     *client.Client
-	gate   gate
-	demand atomic.Pointer[wire.NodeDemand]
+	cl   *client.Client
+	gate gate
 }
 
 // gate is one node's in-flight accounting: an operation bumps started
@@ -139,18 +131,12 @@ func NewClient(cfg Config) (*Client, error) {
 }
 
 // newHandle builds one node's handle: its connection config is the
-// template with the node's address and, when the template samples demand,
-// the OnDemand sink writing into the handle.
+// template with the node's address.
 func (c *Client) newHandle(addr string) (*nodeHandle, error) {
-	h := &nodeHandle{}
 	nc := c.tpl
 	nc.Addr = addr
-	if nc.DemandEvery > 0 {
-		nc.OnDemand = func(d wire.NodeDemand) { h.demand.Store(&d) }
-	}
-	var err error
-	h.cl, err = client.New(nc)
-	return h, err
+	cl, err := client.New(nc)
+	return &nodeHandle{cl: cl}, err
 }
 
 // registerNodeGauge publishes node n's owned-slot count.
@@ -203,16 +189,6 @@ func (c *Client) SetReplicaSource(src func(slot int) []int) {
 // Ring exposes the client's ring (shared with the membership tier).
 func (c *Client) Ring() *Ring { return c.ring }
 
-// Template returns the per-node connection template the client was built
-// with, so sibling tiers (the membership agents' peer connections) dial
-// with the same timeouts and retry policy. Demand sampling stays with the
-// routing client: the returned template's DemandEvery is 0.
-func (c *Client) Template() client.Config {
-	tpl := c.tpl
-	tpl.DemandEvery = 0
-	return tpl
-}
-
 // Nodes returns the node count.
 func (c *Client) Nodes() int { return len(*c.nodes.Load()) }
 
@@ -221,7 +197,7 @@ func (c *Client) handle(n int) *nodeHandle { return (*c.nodes.Load())[n] }
 
 // NodeClient returns node n's pooled connection, for callers that address
 // nodes directly, bypassing the ring: slot migration, the membership
-// manager's view pushes and demand pulls.
+// manager's view pushes and heartbeats.
 func (c *Client) NodeClient(n int) *client.Client { return c.handle(n).cl }
 
 // Close releases every node's pooled connections. The first error wins.
@@ -453,32 +429,6 @@ func (c *Client) Ping() error {
 		}
 	}
 	return nil
-}
-
-// CachedDemand returns node's last pushed demand snapshot (piggybacked on
-// a response or brought back by Heartbeat), or ok=false when none has
-// arrived yet.
-func (c *Client) CachedDemand(node int) (wire.NodeDemand, bool) {
-	d := c.handle(node).demand.Load()
-	if d == nil {
-		return wire.NodeDemand{}, false
-	}
-	return *d, true
-}
-
-// Heartbeat pings node and caches the demand snapshot the response carries
-// — the membership detector's probe, doubling as the demand-gossip
-// fallback for idle nodes that no request traffic reaches.
-func (c *Client) Heartbeat(node int) (wire.NodeDemand, error) {
-	h := c.handle(node)
-	h.gate.started.Add(1)
-	d, err := h.cl.Heartbeat()
-	h.gate.done.Add(1)
-	if err != nil {
-		return wire.NodeDemand{}, err
-	}
-	h.demand.Store(&d)
-	return d, nil
 }
 
 // StatsAll fetches every node's STATS document (raw JSON, see

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/client"
 	"repro/internal/stemcache"
 	"repro/internal/wire"
 )
@@ -94,65 +93,19 @@ func TestClientRoutesToRingOwner(t *testing.T) {
 		}
 	}
 
-	// Heartbeat and stats reach each node; the demand snapshot echoes the
-	// node's id and lands in the demand cache.
+	// A heartbeat and stats reach each node; the demand snapshot echoes the
+	// node's id.
 	for i := range nodes {
-		if _, ok := cl.CachedDemand(i); ok {
-			t.Fatalf("node %d has a cached demand before any push", i)
-		}
-		d, err := cl.Heartbeat(i)
+		d, err := cl.NodeClient(i).Heartbeat()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if int(d.NodeID) != i {
 			t.Fatalf("node %d demand echoes id %d", i, d.NodeID)
 		}
-		if cached, ok := cl.CachedDemand(i); !ok || cached != d {
-			t.Fatalf("node %d cached demand = (%+v, %v), want the heartbeat's %+v", i, cached, ok, d)
-		}
 	}
 	if raws, err := cl.StatsAll(); err != nil || len(raws) != 3 {
 		t.Fatalf("StatsAll = %d docs, err %v", len(raws), err)
-	}
-}
-
-// TestTemplateDemandEveryCachesPiggyback: the node template's DemandEvery
-// is the cluster client's one demand setting. With it at 4, the fourth
-// operation routed to a node piggybacks that node's snapshot, and the
-// client caches it without any Heartbeat.
-func TestTemplateDemandEveryCachesPiggyback(t *testing.T) {
-	addrs := make([]string, 2)
-	for i := range addrs {
-		node, err := StartNode(i, NodeConfig{
-			Cache: stemcache.Config{Capacity: 1024, Shards: 2, Ways: 4, Seed: NodeSeed(7, i)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { node.Close() })
-		addrs[i] = node.Addr()
-	}
-	cl, err := NewClient(Config{Addrs: addrs, VNodes: 4, Seed: 7, Client: client.Config{DemandEvery: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	owner, _ := cl.Ring().Lookup("demand-key")
-	for i := 0; i < 4; i++ {
-		if err := cl.Set("demand-key", []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d, ok := cl.CachedDemand(owner)
-	if !ok {
-		t.Fatalf("node %d: no cached demand after 4 operations at DemandEvery 4", owner)
-	}
-	if int(d.NodeID) != owner {
-		t.Fatalf("cached demand echoes node %d, want %d", d.NodeID, owner)
-	}
-	if cl.Template().DemandEvery != 0 {
-		t.Fatal("Template hands demand sampling to sibling tiers")
 	}
 }
 

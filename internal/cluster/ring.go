@@ -7,7 +7,9 @@
 // taker/giver reasoning one level up (nodes whose caches report
 // mostly-saturated SC_S counters shed slots to nodes with slack), and its
 // joins, leaves and failovers move slots too; each move re-places replicas
-// and pushes a new view.
+// and pushes a new view. The manager also holds the node demand its rounds
+// decide on, pulled by its own heartbeat over NodeClient; this package
+// keeps none.
 //
 // The analogy is deliberate but not exact. Inside a cache, a taker set
 // couples with a giver set and both remain owners of their blocks

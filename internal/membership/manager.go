@@ -40,6 +40,9 @@ type Manager struct {
 
 	// round numbers the demand rounds (Rebalance); control loop only.
 	round uint64
+	// demand[n] is node n's snapshot from its last heartbeat (zero before
+	// the first); written only by heartbeat, on the control loop.
+	demand []wire.NodeDemand
 
 	joins, leaves, deaths, promotions, replicaKeys *obs.Counter
 	rounds, migrations, keysMoved                  *obs.Counter
@@ -85,6 +88,7 @@ func New(cl *cluster.Client, lister cluster.KeyLister, addrs []string, cfg Confi
 		lister: lister,
 		cfg:    cfg,
 		det:    NewDetector(len(addrs), cfg.SuspectAfter),
+		demand: make([]wire.NodeDemand, len(addrs)),
 	}
 	m.members = make([]wire.Member, len(addrs))
 	for i, addr := range addrs {
@@ -175,12 +179,12 @@ func pickLoaded(counts []int, eligible []bool, most bool) int {
 	return best
 }
 
-// utilization estimates each node's live-capacity fraction from the demand
-// cache (push-based; zero for nodes nothing has been pushed from yet).
-func (m *Manager) utilization(n int) []float64 {
-	util := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if d, ok := m.cl.CachedDemand(i); ok && d.Capacity > 0 {
+// utilization estimates each node's live-capacity fraction from its last
+// heartbeat's demand snapshot (zero for nodes not heard from yet).
+func (m *Manager) utilization() []float64 {
+	util := make([]float64, len(m.demand))
+	for i, d := range m.demand {
+		if d.Capacity > 0 {
 			util[i] = float64(d.Live) / float64(d.Capacity)
 		}
 	}
@@ -190,7 +194,18 @@ func (m *Manager) utilization(n int) []float64 {
 // place computes the replica table for the current ring and member state.
 // Caller holds m.mu.
 func (m *Manager) place() [][]int {
-	return placeReplicas(m.cl.Ring().Owners(), m.aliveLocked(), m.cfg.ReplicationFactor, m.utilization(len(m.members)))
+	return placeReplicas(m.cl.Ring().Owners(), m.aliveLocked(), m.cfg.ReplicationFactor, m.utilization())
+}
+
+// heartbeat pings node n with wire.FlagDemand and records the snapshot it
+// brings back: the one path node demand reaches the manager by, taken by
+// Tick and by every demand round, so a round decides on demand as it stands.
+func (m *Manager) heartbeat(n int) error {
+	d, err := m.cl.NodeClient(n).Heartbeat()
+	if err == nil {
+		m.demand[n] = d
+	}
+	return err
 }
 
 // Join adds the node at addr to the cluster: grow the client and ring,
@@ -203,6 +218,7 @@ func (m *Manager) Join(addr string) (Report, error) {
 		return Report{}, err
 	}
 	m.det.Grow(id + 1)
+	m.demand = append(m.demand, wire.NodeDemand{})
 	m.mu.Lock()
 	m.members = append(m.members, wire.Member{ID: uint32(id), State: wire.MemberAlive, Addr: addr})
 	donors := m.aliveLocked()
@@ -289,9 +305,9 @@ func (m *Manager) Leave(node int) (Report, error) {
 }
 
 // Tick runs one heartbeat round: probe every serving member (the probe
-// doubles as demand gossip), feed the detector, and fail over any node
-// that just crossed the suspicion threshold. It returns one Report per
-// failover (usually none).
+// also records its demand), feed the detector, and fail over any node that
+// just crossed the suspicion threshold. It returns one Report per failover
+// (usually none).
 func (m *Manager) Tick() []Report {
 	m.mu.Lock()
 	alive := m.aliveLocked()
@@ -302,8 +318,7 @@ func (m *Manager) Tick() []Report {
 		if !ok {
 			continue
 		}
-		_, err := m.cl.Heartbeat(id)
-		if m.det.Report(id, err == nil) {
+		if m.det.Report(id, m.heartbeat(id) == nil) {
 			reports = append(reports, m.failover(id))
 		}
 	}

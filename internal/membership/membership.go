@@ -23,9 +23,11 @@
 // member with slack. Replica placement sends follower copies to the nodes
 // with the most slack, never pushing one past a 0.9 receive cap — the
 // node-level analog of "a giver's SC_S MSB must be clear to accept
-// spills". Demand reaches the manager push-based: piggybacked on ordinary
-// responses (wire.FlagDemand sampling), with the heartbeat as gossip for
-// idle nodes.
+// spills". Demand reaches the manager one way, its heartbeat: a PING with
+// wire.FlagDemand brings the node's snapshot back, and every demand round
+// heartbeats every serving member before it classifies any, so the round
+// decides on demand as it stands. The server answers FlagDemand on any
+// opcode, but only that PING sends it.
 //
 // Lock hierarchy (enforced by the stemlint lockorder analyzer):
 // Detector.mu before Manager.mu before Agent.mu. None is held across a

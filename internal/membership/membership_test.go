@@ -29,14 +29,12 @@ const (
 
 // memTpl is the connection template for every tier: fail fast (no retries,
 // short dial timeout) so a dead node surfaces as a transient error within
-// one probe, not a retry storm. The routing client also has every 16th
-// request per node piggyback the node's demand snapshot.
+// one probe, not a retry storm.
 func memTpl() client.Config {
 	return client.Config{
 		Retries:     -1,
 		DialTimeout: 500 * time.Millisecond,
 		OpTimeout:   2 * time.Second,
-		DemandEvery: 16,
 	}
 }
 

@@ -19,8 +19,9 @@ type nodeState struct {
 }
 
 // Rebalance runs one demand round — STEM's taker/giver coupling at node
-// granularity: read every serving member's demand snapshot (the aggregate
-// of its per-set SCDM monitors), classify takers and givers, and move up to
+// granularity: pull every serving member's demand snapshot (the aggregate
+// of its per-set SCDM monitors) through a heartbeat, so the round decides on
+// demand as it stands, classify takers and givers, and move up to
 // MaxMovesPerEpoch of the takers' coldest loaded slots to givers. A round
 // that moved anything ends in the same commit as a join, leave or
 // failover; one that moves nothing commits nothing. The report reflects
@@ -38,17 +39,10 @@ func (m *Manager) Rebalance() (Report, error) {
 		if !ok {
 			continue
 		}
-		// Prefer the pushed snapshot; pull from members nothing has been
-		// pushed from yet. The pull bypasses the cache, so a cluster
-		// without push pulls a fresh snapshot every round.
-		d, ok := m.cl.CachedDemand(i)
-		if !ok {
-			var err error
-			if d, err = m.cl.NodeClient(i).Heartbeat(); err != nil {
-				return Report{Node: -1, Round: m.round}, fmt.Errorf("membership: demand pull from node %d: %w", i, err)
-			}
+		if err := m.heartbeat(i); err != nil {
+			return Report{Node: -1, Round: m.round}, fmt.Errorf("membership: demand pull from node %d: %w", i, err)
 		}
-		states[i].demand = d
+		states[i].demand = m.demand[i]
 	}
 	loads := m.cl.TakeSlotLoads()
 	owners := m.cl.Ring().Owners()

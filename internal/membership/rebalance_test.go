@@ -44,9 +44,10 @@ const (
 	e2eMoves      = 2
 )
 
-// runHotspotShift drives one full cluster run and returns the client-side
-// hit tally plus every round's report (empty for the static configuration).
-func runHotspotShift(t *testing.T, rebalance bool) (gets, hits int, reports []membership.Report) {
+// startHotspotRig starts the hotspot-shift A/B's rig: e2eNodes nodes with
+// narrow, slowly decaying counters, bootstrapped at replication factor 1
+// with the thresholds matched to the workload. observer may be nil.
+func startHotspotRig(t *testing.T, observer obs.Observer) *membership.Rig {
 	t.Helper()
 	rig, err := membership.StartRig(e2eNodes,
 		cluster.NodeConfig{Cache: stemcache.Config{
@@ -59,7 +60,7 @@ func runHotspotShift(t *testing.T, rebalance bool) (gets, hits int, reports []me
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rig.Close()
+	t.Cleanup(rig.Close)
 	if err := rig.Bootstrap(membership.Config{
 		ReplicationFactor: 1,
 		MaxMovesPerEpoch:  e2eMaxMoves,
@@ -67,9 +68,18 @@ func runHotspotShift(t *testing.T, rebalance bool) (gets, hits int, reports []me
 		// overloaded nodes' demand scores ride ~0.15-0.27, the idle node's
 		// stays ~0.
 		TakerFrac: 0.12, GiverFrac: 0.05,
+		Observer: observer,
 	}); err != nil {
 		t.Fatal(err)
 	}
+	return rig
+}
+
+// runHotspotShift drives one full cluster run and returns the client-side
+// hit tally plus every round's report (empty for the static configuration).
+func runHotspotShift(t *testing.T, rebalance bool) (gets, hits int, reports []membership.Report) {
+	t.Helper()
+	rig := startHotspotRig(t, nil)
 	cl := rig.Client()
 
 	next, err := workloads.NewKeyStream("hotspot-shift", e2eStreamCap, e2eWorkSeed)
@@ -77,7 +87,6 @@ func runHotspotShift(t *testing.T, rebalance bool) (gets, hits int, reports []me
 		t.Fatal(err)
 	}
 	ops := e2ePartitions * workloads.HotspotShiftEvery(e2eStreamCap)
-	val := []byte("x")
 	for i := 0; i < ops; i++ {
 		if rebalance && i > 0 && i%e2eEpochOps == 0 {
 			report, err := rig.Manager().Rebalance()
@@ -86,21 +95,28 @@ func runHotspotShift(t *testing.T, rebalance bool) (gets, hits int, reports []me
 			}
 			reports = append(reports, report)
 		}
-		k := next()
-		_, found, err := cl.Get(k)
-		if err != nil {
-			t.Fatalf("get %q at op %d: %v", k, i, err)
-		}
 		gets++
-		if found {
+		if getSetOnMiss(t, cl, next()) {
 			hits++
-			continue
-		}
-		if err := cl.Set(k, val); err != nil {
-			t.Fatalf("set %q at op %d: %v", k, i, err)
 		}
 	}
 	return gets, hits, reports
+}
+
+// getSetOnMiss reads k through the routing client and stores it on a
+// miss, reporting whether the read hit.
+func getSetOnMiss(t *testing.T, cl *cluster.Client, k string) bool {
+	t.Helper()
+	_, found, err := cl.Get(k)
+	if err != nil {
+		t.Fatalf("get %q: %v", k, err)
+	}
+	if !found {
+		if err := cl.Set(k, []byte("x")); err != nil {
+			t.Fatalf("set %q: %v", k, err)
+		}
+	}
+	return found
 }
 
 // TestRebalancedRingBeatsStatic pins the tentpole claim: under the
@@ -155,6 +171,53 @@ func TestRebalancedRingBeatsStatic(t *testing.T) {
 	}
 	if fmt.Sprint(rReports2) != fmt.Sprint(rReports) {
 		t.Fatal("rebalanced rerun planned different moves")
+	}
+}
+
+// TestRoundPullsFreshDemand: a demand round decides on each member's
+// demand as it stands when the round runs, not on what an earlier
+// heartbeat brought back. One Tick, then enough hotspot traffic to move
+// the nodes' SC_S counters, then one round: every member's EvNodeDemand
+// must carry the taker and giver counts its cache reports right before the
+// round.
+func TestRoundPullsFreshDemand(t *testing.T) {
+	var events []obs.Event
+	rig := startHotspotRig(t, obs.ObserverFunc(func(e obs.Event) {
+		if e.Type == obs.EvNodeDemand {
+			events = append(events, e)
+		}
+	}))
+	if reps := rig.Manager().Tick(); len(reps) != 0 {
+		t.Fatalf("Tick on a healthy rig failed over: %+v", reps)
+	}
+	next, err := workloads.NewKeyStream("hotspot-shift", e2eStreamCap, e2eWorkSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4000; i++ {
+		getSetOnMiss(t, rig.Client(), next())
+	}
+
+	want := make([]stemcache.Demand, e2eNodes)
+	moved := false
+	for i := range want {
+		want[i] = rig.Node(i).Cache().Demand()
+		moved = moved || want[i].GiverSets != want[i].Sets
+	}
+	if !moved {
+		t.Fatal("precondition: every node still reports all sets as givers; the traffic moved no counter")
+	}
+	if _, err := rig.Manager().Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != e2eNodes {
+		t.Fatalf("observed %d demand events, want %d", len(events), e2eNodes)
+	}
+	for _, e := range events {
+		if w := want[e.Set]; e.ScS != w.TakerSets || e.ScT != w.GiverSets {
+			t.Errorf("node %d classified on %d takers / %d givers; its cache reads %d / %d",
+				e.Set, e.ScS, e.ScT, w.TakerSets, w.GiverSets)
+		}
 	}
 }
 

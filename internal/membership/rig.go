@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/client"
 	"repro/internal/cluster"
 )
 
@@ -18,6 +19,7 @@ import (
 // its own. The client it hands out is safe for concurrent use.
 type Rig struct {
 	node   cluster.NodeConfig
+	tpl    client.Config
 	seed   uint64
 	nodes  []*cluster.Node
 	cl     *cluster.Client
@@ -34,7 +36,7 @@ func StartRig(n int, node cluster.NodeConfig, ring cluster.Config) (*Rig, error)
 	if n <= 0 {
 		return nil, errors.New("membership: rig needs at least one node")
 	}
-	r := &Rig{node: node, seed: ring.Seed}
+	r := &Rig{node: node, tpl: ring.Client, seed: ring.Seed}
 	for i := 0; i < n; i++ {
 		if _, err := r.startNode(); err != nil {
 			r.Close()
@@ -73,7 +75,7 @@ func (r *Rig) Bootstrap(cfg Config) error {
 		return errors.New("membership: rig already bootstrapped")
 	}
 	for i, node := range r.nodes {
-		r.agents = append(r.agents, NewAgent(i, r.cl.Ring(), node.Server(), r.cl.Template()))
+		r.agents = append(r.agents, NewAgent(i, r.cl.Ring(), node.Server(), r.tpl))
 	}
 	mgr, err := New(r.cl, r.Keys, r.Addrs(), cfg)
 	if err != nil {
@@ -124,7 +126,7 @@ func (r *Rig) Join() (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	r.agents = append(r.agents, NewAgent(node.ID(), r.cl.Ring(), node.Server(), r.cl.Template()))
+	r.agents = append(r.agents, NewAgent(node.ID(), r.cl.Ring(), node.Server(), r.tpl))
 	return r.mgr.Join(node.Addr())
 }
 

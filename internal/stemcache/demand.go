@@ -34,25 +34,6 @@ type Demand struct {
 	Capacity int
 }
 
-// TakerFrac returns the fraction of sets currently classified as takers,
-// in [0, 1].
-func (d Demand) TakerFrac() float64 {
-	if d.Sets == 0 {
-		return 0
-	}
-	return float64(d.TakerSets) / float64(d.Sets)
-}
-
-// Saturation returns the mean SC_S saturation across sets, in [0, 1]: 0
-// means every spatial counter is at rest, 1 means every set's counter is
-// pinned at its maximum.
-func (d Demand) Saturation() float64 {
-	if d.ScSMax == 0 {
-		return 0
-	}
-	return float64(d.ScSSum) / float64(d.ScSMax)
-}
-
 // Demand aggregates the per-set capacity-demand monitors into one node-level
 // signal. Unlike Len it does not sweep expired entries: polling demand must
 // not change what the mechanisms will do next.

@@ -25,8 +25,8 @@ func TestDemandFreshCache(t *testing.T) {
 	if d.CoupledSets != 0 {
 		t.Errorf("CoupledSets = %d, want 0", d.CoupledSets)
 	}
-	if d.Saturation() != 0 || d.TakerFrac() != 0 {
-		t.Errorf("Saturation = %v, TakerFrac = %v, want 0, 0", d.Saturation(), d.TakerFrac())
+	if d.ScSSum != 0 {
+		t.Errorf("ScSSum = %d, want 0 (every counter at rest)", d.ScSSum)
 	}
 	if d.Live != 0 || d.Capacity != c.Capacity() {
 		t.Errorf("Live = %d, Capacity = %d, want 0, %d", d.Live, d.Capacity, c.Capacity())
@@ -60,8 +60,8 @@ func TestDemandCountsRoles(t *testing.T) {
 	if want := uint64(c.shards[0].eng.Geom().Max) + uint64(c.shards[0].eng.Geom().MSB); d.ScSSum != want {
 		t.Errorf("ScSSum = %d, want %d", d.ScSSum, want)
 	}
-	if d.Saturation() <= 0 || d.Saturation() >= 1 {
-		t.Errorf("Saturation = %v, want in (0, 1)", d.Saturation())
+	if d.ScSSum >= d.ScSMax {
+		t.Errorf("ScSSum = %d, want below ScSMax = %d (most sets at rest)", d.ScSSum, d.ScSMax)
 	}
 
 	// Stats must expose the same gauges (the wire STATS path reads them).
