@@ -1,6 +1,7 @@
 package membership_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/membership"
 	"repro/internal/stemcache"
+	"repro/internal/wire"
 )
 
 // The membership e2e rig: a loopback cluster with one agent per node and a
@@ -264,33 +266,159 @@ func TestLeaveBoundedMovement(t *testing.T) {
 	}
 }
 
-// TestDetectorEdges pins the suspicion counter: death fires exactly once,
-// a success resets the streak, and Grow extends coverage.
-func TestDetectorEdges(t *testing.T) {
-	d := membership.NewDetector(2, 3)
-	if d.Report(0, false) || d.Report(0, true) {
-		t.Fatal("death before the threshold")
+// TestTickSuspicionEdges pins the suspicion count Tick keeps per node: a
+// node fails over only after SuspectAfter unanswered probes in a row, an
+// answered probe resets the count, and a node fails over exactly once.
+func TestTickSuspicionEdges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("membership e2e drives loopback round trips")
 	}
-	if d.Missed(0) != 0 {
-		t.Fatalf("success did not reset the streak: %d", d.Missed(0))
+	mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 3})
+	mgr := mc.Manager()
+	ticks := func(n int) (reports []membership.Report) {
+		for i := 0; i < n; i++ {
+			reports = append(reports, mgr.Tick()...)
+		}
+		return reports
 	}
-	d.Report(0, false)
-	d.Report(0, false)
-	if !d.Report(0, false) {
-		t.Fatal("third consecutive miss did not declare death")
+
+	const kill = 1
+	addr := mc.Addrs()[kill]
+	if err := mc.Kill(kill); err != nil {
+		t.Fatal(err)
 	}
-	if d.Report(0, false) {
-		t.Fatal("death declared twice")
+	if reps := ticks(2); len(reps) != 0 {
+		t.Fatalf("failover after 2 of 3 misses: %+v", reps)
 	}
-	if !d.Dead(0) {
-		t.Fatal("Dead(0) false after death")
+	// A node answering on the same address resets the count.
+	back, err := cluster.StartNode(kill, cluster.NodeConfig{
+		Addr:  addr,
+		Cache: stemcache.Config{Capacity: memCapacity, Shards: 2, Ways: memWays},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	d.Grow(3)
-	if d.Dead(2) || d.Missed(2) != 0 {
-		t.Fatal("grown node not fresh")
+	t.Cleanup(func() { back.Close() })
+	if reps := ticks(1); len(reps) != 0 {
+		t.Fatalf("failover on an answered probe: %+v", reps)
 	}
-	if errs := d.Missed(1); errs != 0 {
-		t.Fatalf("untouched node has %d misses", errs)
+	back.Close()
+	if reps := ticks(2); len(reps) != 0 {
+		t.Fatalf("failover after 2 misses following an answered probe: %+v", reps)
+	}
+	if reps := ticks(1); len(reps) != 1 || reps[0].Node != kill {
+		t.Fatalf("third consecutive miss: reports %+v, want one failover of node %d", reps, kill)
+	}
+	if reps := ticks(3); len(reps) != 0 {
+		t.Fatalf("node failed over twice: %+v", reps)
+	}
+	if st := mgr.Members()[kill].State; st != wire.MemberDead {
+		t.Fatalf("node %d state %v after failover, want dead", kill, st)
+	}
+}
+
+// TestPartialJoinCommitsWhatMoved: a join whose handoff fails partway must
+// still commit the slots that did move — re-place their replicas and push
+// the view to every member, the newcomer included — or the newcomer serves
+// those slots with no follower and its death loses every write acked there.
+func TestPartialJoinCommitsWhatMoved(t *testing.T) {
+	if testing.Short() {
+		t.Skip("membership e2e drives loopback round trips")
+	}
+	nodeCfg := cluster.NodeConfig{Cache: stemcache.Config{Capacity: memCapacity, Shards: 2, Ways: memWays}}
+	rig, err := membership.StartRig(memNodes, nodeCfg,
+		cluster.Config{VNodes: memVNodes, Seed: memSeed, Client: memTpl()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rig.Close)
+	cl := rig.Client()
+	for i := 0; i < memNodes; i++ {
+		a := membership.NewAgent(i, cl.Ring(), rig.Node(i).Server(), memTpl())
+		t.Cleanup(func() { a.Close() })
+	}
+	// The lister covers the rig's nodes and the newcomer, and fails once:
+	// on the second listing after it is armed, the join's second handoff.
+	var joined *cluster.Node
+	armed, listings := false, 0
+	lister := func(n int) ([]string, error) {
+		if armed {
+			if listings++; listings == 2 {
+				return nil, errors.New("injected listing failure")
+			}
+		}
+		if n == memNodes {
+			return joined.Keys(), nil
+		}
+		return rig.Keys(n)
+	}
+	mgr, err := membership.New(cl, lister, rig.Addrs(),
+		membership.Config{ReplicationFactor: 2, SuspectAfter: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	writeKeys(t, cl, 0, memKeys)
+
+	const joiner = memNodes
+	node, err := cluster.StartNode(joiner, nodeCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	joined = node
+	agent := membership.NewAgent(joiner, cl.Ring(), node.Server(), memTpl())
+	t.Cleanup(func() { agent.Close() })
+
+	armed = true
+	rep, err := mgr.Join(node.Addr())
+	if err == nil || len(rep.Moves) != 1 {
+		t.Fatalf("join: %d moves, err %v; want 1 move and the injected failure", len(rep.Moves), err)
+	}
+	moved := rep.Moves[0].Slot
+	if reps := mgr.ReplicasOf(moved); len(reps) == 0 || reps[0] != joiner {
+		t.Errorf("replicas of moved slot %d = %v, want node %d first", moved, reps, joiner)
+	}
+	if got, want := agent.Epoch(), mgr.Epoch(); got != want {
+		t.Errorf("newcomer's agent holds view %d, manager %d", got, want)
+	}
+
+	// 20 acked writes on the moved slot, then the newcomer dies.
+	const extra = 20
+	var keys []string
+	for i := memKeys; len(keys) < extra; i++ {
+		if k := memKey(i); cl.Ring().SlotOfKey(k) == moved {
+			keys = append(keys, k)
+		}
+	}
+	for _, k := range keys {
+		if err := cl.Set(k, []byte(k)); err != nil {
+			t.Fatalf("set %q: %v", k, err)
+		}
+	}
+	if err := node.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		mgr.Tick()
+	}
+	lost := 0
+	for _, k := range keys {
+		v, ok, err := cl.Get(k)
+		if err != nil {
+			t.Fatalf("get %q: %v", k, err)
+		}
+		if !ok || string(v) != k {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d acked writes on moved slot %d lost with the newcomer", lost, extra, moved)
+	}
+	if got := readKeys(t, cl, 0, memKeys); got != memKeys {
+		t.Fatalf("lost %d of %d earlier keys", memKeys-got, memKeys)
 	}
 }
 
