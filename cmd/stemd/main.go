@@ -10,12 +10,6 @@
 //	stemd -addr :7070 -lru                # sharded-LRU baseline, same geometry
 //	stemd -addr :7070 -metrics :6060 -pprof -trace events.jsonl
 //	stemd -addr :0 -addr-file addr.txt -trace ev.jsonl -slow-request 2ms
-//	stemd -addr :7071 -node-id 1 -cluster-seed 21   # one node of a cluster
-//
-// As a cluster member (-node-id ≥ 0), stemd derives its cache seed from the
-// shared -cluster-seed (so every node's probabilistic devices differ but the
-// whole cluster is reproducible from one number) and stamps its node id into
-// STATS and demand snapshots for the cluster's demand rounds.
 //
 // stemd runs until SIGINT/SIGTERM, then drains gracefully: in-flight
 // requests finish and their responses are flushed before connections close.
@@ -51,9 +45,6 @@ func main() {
 		ttlJitter   = flag.Float64("ttl-jitter", 0, "fraction in [0,1) subtracted randomly from loaded TTLs to decorrelate expiry (0 = off)")
 		leaseWait   = flag.Duration("lease-wait", 0, "how long a LOAD waits on another client's fetch lease before taking it over (0 = default 1s)")
 
-		nodeID      = flag.Int("node-id", -1, "cluster node id (-1 = standalone; ≥ 0 joins a cluster)")
-		clusterSeed = flag.Uint64("cluster-seed", 0, "shared cluster seed; with -node-id it derives the cache seed (overriding -seed)")
-
 		maxConns     = flag.Int("max-conns", 0, "max concurrently served connections (0 = default 1024)")
 		readTimeout  = flag.Duration("read-timeout", 0, "per-frame read deadline (0 = default 10s)")
 		writeTimeout = flag.Duration("write-timeout", 0, "per-flush write deadline (0 = default 10s)")
@@ -73,7 +64,6 @@ func main() {
 		seed: *seed, defaultTTL: *defaultTTL, lru: *lru,
 		loadTTL: *loadTTL, staleTTL: *staleTTL, negativeTTL: *negativeTTL,
 		ttlJitter: *ttlJitter, leaseWait: *leaseWait,
-		nodeID: *nodeID, clusterSeed: *clusterSeed,
 		maxConns: *maxConns, readTimeout: *readTimeout, writeTimeout: *writeTimeout,
 		idleTimeout: *idleTimeout, drainTimeout: *drainTimeout,
 		tool: *toolCfg, slowRequest: *slowReq, addrFile: *addrFile,
@@ -98,9 +88,6 @@ type runConfig struct {
 	negativeTTL time.Duration
 	ttlJitter   float64
 	leaseWait   time.Duration
-
-	nodeID      int
-	clusterSeed uint64
 
 	maxConns     int
 	readTimeout  time.Duration
@@ -134,9 +121,6 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 		NegativeTTL: cfg.negativeTTL,
 		TTLJitter:   cfg.ttlJitter,
 	}
-	if cfg.nodeID >= 0 {
-		ccfg.Seed = cluster.NodeSeed(cfg.clusterSeed, cfg.nodeID)
-	}
 	scfg := server.Config{
 		MaxConns:     cfg.maxConns,
 		ReadTimeout:  cfg.readTimeout,
@@ -152,7 +136,7 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 		// events, so stemtrace can window one against the other.
 		ccfg.Observer, scfg.Events = opts.Tracer, opts.Tracer
 	}
-	node, err := cluster.StartNode(max(cfg.nodeID, 0), cluster.NodeConfig{Cache: ccfg, Server: scfg, Addr: cfg.addr, LRU: cfg.lru})
+	node, err := cluster.StartNode(0, cluster.NodeConfig{Cache: ccfg, Server: scfg, Addr: cfg.addr, LRU: cfg.lru})
 	if err != nil {
 		return err
 	}

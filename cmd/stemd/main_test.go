@@ -27,7 +27,6 @@ func TestRunAddrFileAndSlowRequestTrace(t *testing.T) {
 			addr:        "127.0.0.1:0",
 			capacity:    1 << 10,
 			seed:        1,
-			nodeID:      -1,
 			tool:        obs.ToolConfig{TracePath: traceFile},
 			slowRequest: time.Nanosecond,
 			addrFile:    addrFile,

@@ -14,8 +14,8 @@ import (
 //     stemcache's Cache.closeMu before Cache.loadMu before Cache.tenantMu
 //     before shard.mu before Cache.obsMu, the network server's Server.mu
 //     before conn.mu before Server.leaseMu, the cluster tier's Ring.mu
-//     before Node.mu, and the membership tier's Detector.mu before
-//     Manager.mu before Agent.mu (see lockRankFor). Acquiring against that
+//     before Node.mu, and the membership tier's Manager.mu before Agent.mu
+//     (see lockRankFor). Acquiring against that
 //     order (or acquiring the same lock twice) deadlocks, but only under a
 //     schedule the race detector may never see; the analyzer rejects it
 //     structurally.
@@ -31,7 +31,7 @@ import (
 //     preceding line. Misuse of public APIs must return errors instead.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "enforce the per-package lock hierarchies (stemcache's closeMu→loadMu→tenantMu→shard.mu→obsMu, server's Server.mu→conn.mu→leaseMu, cluster's Ring.mu→Node.mu, membership's Detector.mu→Manager.mu→Agent.mu), no re-entrant or loop-deferred locking, and `// invariant:` documentation on every panic",
+	Doc:  "enforce the per-package lock hierarchies (stemcache's closeMu→loadMu→tenantMu→shard.mu→obsMu, server's Server.mu→conn.mu→leaseMu, cluster's Ring.mu→Node.mu, membership's Manager.mu→Agent.mu), no re-entrant or loop-deferred locking, and `// invariant:` documentation on every panic",
 	Run:  runLockOrder,
 }
 
@@ -102,15 +102,12 @@ func isClusterPackage(path string) bool {
 }
 
 // membershipLockRank is the sanctioned acquisition order inside
-// internal/membership: Detector.mu (suspicion counters, held only around
-// counter arithmetic) before Manager.mu (the authoritative view) before
-// Agent.mu (a node's pushed view and peer table, the innermost class).
-// None may be held across a network call; the cluster tier's own hierarchy
-// sits below all three.
+// internal/membership: Manager.mu (the authoritative view) before Agent.mu
+// (a node's pushed view and peer table). Neither may be held across a
+// network call; the cluster tier's own hierarchy sits below both.
 var membershipLockRank = map[lockKey]int{
-	{typ: "Detector", field: "mu"}: 0,
-	{typ: "Manager", field: "mu"}:  1,
-	{typ: "Agent", field: "mu"}:    2,
+	{typ: "Manager", field: "mu"}: 0,
+	{typ: "Agent", field: "mu"}:   1,
 }
 
 // isMembershipPackage matches the real package and bound fixtures.
@@ -131,7 +128,7 @@ func lockRankFor(path string) (map[lockKey]int, string) {
 	case isClusterPackage(path):
 		return clusterLockRank, "Ring.mu → Node.mu"
 	case isMembershipPackage(path):
-		return membershipLockRank, "Detector.mu → Manager.mu → Agent.mu"
+		return membershipLockRank, "Manager.mu → Agent.mu"
 	}
 	return nil, ""
 }

@@ -1,22 +1,14 @@
 // Package membership is the lockorder-analyzer fixture for the membership
 // tier's hierarchy. The tests bind it to fixture/internal/membership, so
-// the membership lock ranks apply: Detector.mu before Manager.mu before
-// Agent.mu.
+// the membership lock ranks apply: Manager.mu before Agent.mu.
 package membership
 
 import "sync"
 
-// Detector mirrors the suspicion counters: the top-ranked lock.
-type Detector struct {
-	mu     sync.Mutex
-	missed []int
-}
-
-// Manager mirrors the authoritative view (middle rank).
+// Manager mirrors the authoritative view (the outer rank).
 type Manager struct {
 	mu    sync.Mutex
 	epoch uint64
-	det   *Detector
 	agent *Agent
 }
 
@@ -28,29 +20,18 @@ type Agent struct {
 
 // goodOrder acquires down the hierarchy — no findings.
 func (m *Manager) goodOrder() {
-	m.det.mu.Lock()
 	m.mu.Lock()
 	m.agent.mu.Lock()
 	m.agent.mu.Unlock()
 	m.mu.Unlock()
-	m.det.mu.Unlock()
 }
 
-// goodHandoff releases the detector's lock before taking the manager's,
-// like the real Tick path — no findings.
+// goodHandoff releases the agent's lock before taking the manager's — no
+// findings.
 func (m *Manager) goodHandoff() {
-	m.det.mu.Lock()
-	m.det.mu.Unlock()
+	m.agent.mu.Lock()
+	m.agent.mu.Unlock()
 	m.mu.Lock()
-	m.mu.Unlock()
-}
-
-// badOrder feeds the detector while holding the view lock: a Tick running
-// the other direction deadlocks.
-func (m *Manager) badOrder() {
-	m.mu.Lock()
-	m.det.mu.Lock()
-	m.det.mu.Unlock()
 	m.mu.Unlock()
 }
 

@@ -1,11 +1,14 @@
 package basecache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 var toyGeom = sim.Geometry{Sets: 4, Ways: 2, LineSize: 64}
@@ -278,5 +281,93 @@ func TestAccessZeroAllocs(t *testing.T) {
 	}
 	if st := c.Stats(); st.Hits == 0 || st.Misses == 0 || st.Writebacks == 0 {
 		t.Errorf("measured stream missed a path: %+v", st)
+	}
+}
+
+// stackDepth bounds the LRU oracle's per-set Mattson stack: the widest
+// associativity TestLRUMatchesStackDistance checks.
+const stackDepth = 32
+
+// stackDistances is an LRU oracle built without a cache: one Mattson stack
+// per set (MRU first, at most stackDepth deep) and a histogram of reuse
+// distances. hist[d] for d in 1..stackDepth counts references found at
+// depth d; hist[0] counts cold references and those beyond the stack. A
+// k-way LRU misses exactly hist[0] + hist[k+1] + … + hist[stackDepth].
+func stackDistances(refs []uint64, sets int) [stackDepth + 1]uint64 {
+	var hist [stackDepth + 1]uint64
+	stacks := make([][]uint64, sets)
+	for _, b := range refs {
+		st := stacks[b&uint64(sets-1)]
+		d := slices.Index(st, b)
+		if d < 0 {
+			hist[0]++
+			if len(st) < stackDepth {
+				st = append(st, 0)
+			}
+			d = len(st) - 1
+		} else {
+			hist[d+1]++
+		}
+		copy(st[1:d+1], st[:d])
+		st[0] = b
+		stacks[b&uint64(sets-1)] = st
+	}
+	return hist
+}
+
+// lruMisses runs refs through a k-way NewLRU and returns its misses.
+func lruMisses(refs []uint64, geom sim.Geometry) uint64 {
+	c := NewLRU(geom, 7)
+	for _, b := range refs {
+		c.Access(sim.Access{Block: b})
+	}
+	return c.Stats().Misses
+}
+
+// oracleMisses is what the histogram predicts for a k-way LRU.
+func oracleMisses(hist [stackDepth + 1]uint64, k int) uint64 {
+	m := hist[0]
+	for _, n := range hist[k+1:] {
+		m += n
+	}
+	return m
+}
+
+// genBlocks draws n block addresses of workload w over geom.
+func genBlocks(w trace.Workload, geom sim.Geometry, seed uint64, n int) []uint64 {
+	g := trace.NewGen(w, geom, seed)
+	refs := make([]uint64, n)
+	for i := range refs {
+		refs[i] = g.Next().Block
+	}
+	return refs
+}
+
+// TestLRUMatchesStackDistance checks NewLRU against an oracle that knows
+// nothing of its recency lists: on every analog of the suite, at several
+// associativities, its miss count must equal the stack-distance
+// histogram's prediction exactly; then the same on seeded random small
+// geometries of one analog.
+func TestLRUMatchesStackDistance(t *testing.T) {
+	const sets, n = 64, 200_000
+	for _, b := range workloads.Suite() {
+		refs := genBlocks(b.Workload, sim.Geometry{Sets: sets, Ways: stackDepth, LineSize: 64}, 7, n)
+		hist := stackDistances(refs, sets)
+		for _, k := range []int{1, 2, 4, 6, 8, 16, 32} {
+			geom := sim.Geometry{Sets: sets, Ways: k, LineSize: 64}
+			if got, want := lruMisses(refs, geom), oracleMisses(hist, k); got != want {
+				t.Errorf("%s at %d ways: LRU misses %d, stack distances predict %d", b.Name, k, got, want)
+			}
+		}
+	}
+
+	rng := sim.NewRNG(11)
+	w := workloads.Suite()[0].Workload
+	for i := 0; i < 20; i++ {
+		geom := sim.Geometry{Sets: 1 << rng.Intn(5), Ways: 1 + rng.Intn(stackDepth), LineSize: 64}
+		refs := genBlocks(w, geom, rng.Uint64(), 20_000)
+		if got, want := lruMisses(refs, geom), oracleMisses(stackDistances(refs, geom.Sets), geom.Ways); got != want {
+			t.Errorf("%s on %+v: LRU misses %d, stack distances predict %d", w.Name, geom, got, want)
+		}
 	}
 }

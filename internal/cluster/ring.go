@@ -148,9 +148,9 @@ func (r *Ring) Lookup(key string) (node, slot int) {
 }
 
 // Move transfers slot's ownership to node, bumps the slot's epoch and the
-// ring version. It has two callers: MoveSlot, which copies the slot's keys
-// first, and the membership manager's failover, where the old owner is dead
-// and the keys come from the promoted replica.
+// ring version. MoveSlot calls it after copying the slot's keys; the
+// membership manager's move executor calls it directly only when the old
+// owner is dead and the keys are already on the promoted replica.
 func (r *Ring) Move(slot, node int) error {
 	if slot < 0 || slot >= r.slots {
 		return fmt.Errorf("cluster: slot %d out of range [0, %d)", slot, r.slots)

@@ -35,8 +35,7 @@ type Agent struct {
 	srv  *server.Server
 	tpl  client.Config
 
-	// mu guards the view state below (rank 2: below Detector.mu and
-	// Manager.mu).
+	// mu guards the view state below (rank 1: below Manager.mu).
 	mu       sync.Mutex
 	epoch    uint64
 	members  []wire.Member

@@ -13,12 +13,15 @@ import (
 
 // Manager is the cluster's control plane: it owns the authoritative member
 // table, the replica placement, and the view epoch, and it is the only
-// writer of ring ownership. Joins, leaves and demand rounds (Rebalance)
-// move slots through cluster.Client.MoveSlot (drain → copy → flip →
-// delete); failover promotes a replica with a pure ownership flip — the
-// data is already on the replica, put there by the agents' synchronous
-// write fan-out. Every transition that moved a slot ends in one commit:
-// re-place replicas, push the view, backfill new followers.
+// writer of ring ownership. Every transition — Join, Leave, failover from
+// Tick, a demand round from Rebalance — plans its moves as a pure function
+// of the view, then hands the plan to one executor, apply: a move off a
+// live node goes through cluster.Client.MoveSlot (drain → copy → flip →
+// delete); a move off the node being failed over is a pure ownership flip,
+// the data already on the promoted replica, put there by the agents'
+// synchronous write fan-out. apply stops at the first failed move and
+// commits what moved: re-place replicas, push the view, backfill new
+// followers.
 //
 // Transitions (Join/Leave/Tick/Rebalance) are driven by one goroutine —
 // the cluster owner's control loop — and are not safe to run concurrently
@@ -29,10 +32,9 @@ type Manager struct {
 	cl     *cluster.Client
 	lister cluster.KeyLister
 	cfg    Config
-	det    *Detector
 
-	// mu guards members, replicas, and epoch (rank 1: below Detector.mu,
-	// above Agent.mu). Never held across a network call.
+	// mu guards members, replicas, and epoch (rank 0: above Agent.mu).
+	// Never held across a network call.
 	mu       sync.Mutex
 	members  []wire.Member
 	replicas [][]int
@@ -43,6 +45,9 @@ type Manager struct {
 	// demand[n] is node n's snapshot from its last heartbeat (zero before
 	// the first); written only by heartbeat, on the control loop.
 	demand []wire.NodeDemand
+	// missed[n] counts node n's consecutive unanswered Tick probes;
+	// control loop only.
+	missed []int
 
 	joins, leaves, deaths, promotions, replicaKeys *obs.Counter
 	rounds, migrations, keysMoved                  *obs.Counter
@@ -51,7 +56,7 @@ type Manager struct {
 // Report summarizes one membership transition.
 type Report struct {
 	// Epoch is the view epoch the transition produced (0 for a demand
-	// round that moved nothing, which commits no view).
+	// round that planned nothing, which commits no view).
 	Epoch uint64
 	// Node is the joining, leaving, or dead node; -1 for Bootstrap and
 	// demand rounds.
@@ -87,8 +92,8 @@ func New(cl *cluster.Client, lister cluster.KeyLister, addrs []string, cfg Confi
 		cl:     cl,
 		lister: lister,
 		cfg:    cfg,
-		det:    NewDetector(len(addrs), cfg.SuspectAfter),
 		demand: make([]wire.NodeDemand, len(addrs)),
+		missed: make([]int, len(addrs)),
 	}
 	m.members = make([]wire.Member, len(addrs))
 	for i, addr := range addrs {
@@ -142,7 +147,7 @@ func (m *Manager) ReplicasOf(slot int) []int {
 // Call once, after the nodes and their agents are up and before traffic:
 // writes before the agents hold a view are not fanned out.
 func (m *Manager) Bootstrap() (Report, error) {
-	return m.commit(-1, nil)
+	return m.apply(Report{Node: -1}, nil, -1, nil)
 }
 
 // aliveLocked returns the serving-member mask, indexed by node id. Caller
@@ -211,14 +216,15 @@ func (m *Manager) heartbeat(n int) error {
 // Join adds the node at addr to the cluster: grow the client and ring,
 // hand the newcomer its fair share of slots (bounded movement: at most
 // ⌈slots/nodes⌉ migrations, each through drain → copy → flip), re-place
-// replicas, and push the new view.
+// replicas, and push the new view. A handoff that fails partway still
+// commits the slots that moved.
 func (m *Manager) Join(addr string) (Report, error) {
 	id, err := m.cl.AddNode(addr)
 	if err != nil {
 		return Report{}, err
 	}
-	m.det.Grow(id + 1)
 	m.demand = append(m.demand, wire.NodeDemand{})
+	m.missed = append(m.missed, 0)
 	m.mu.Lock()
 	m.members = append(m.members, wire.Member{ID: uint32(id), State: wire.MemberAlive, Addr: addr})
 	donors := m.aliveLocked()
@@ -238,28 +244,20 @@ func (m *Manager) Join(addr string) (Report, error) {
 	// movement bound.
 	owners := m.cl.Ring().Owners()
 	counts := slotCounts(owners, len(donors))
-	report := Report{Node: id}
+	var plan []cluster.Move
 	for k := len(owners) / aliveCount; k > 0; k-- {
 		donor := pickLoaded(counts, donors, true)
 		if donor < 0 || counts[donor] <= 1 {
 			break // never strip a node of its last slot
 		}
-		slot := 0
-		for owners[slot] != donor {
-			slot++
-		}
+		slot := slices.Index(owners, donor)
 		owners[slot] = id
 		counts[donor]--
-		mv, err := m.cl.MoveSlot(m.lister, slot, donor, id, chunkSize)
-		if err != nil {
-			return report, fmt.Errorf("membership: join handoff of slot %d: %w", slot, err)
-		}
-		report.Moves = append(report.Moves, mv)
+		plan = append(plan, cluster.Move{Slot: slot, From: donor, To: id})
 	}
 
+	report, err := m.apply(Report{Node: id}, plan, -1, nil)
 	m.joins.Inc()
-	cr, err := m.commit(-1, report.Moves)
-	report.Epoch, report.ReplicaKeys = cr.Epoch, cr.ReplicaKeys
 	m.observe(obs.Event{Type: obs.EvNodeJoin, Tick: report.Epoch, Set: id, Life: uint64(len(report.Moves))})
 	return report, err
 }
@@ -267,7 +265,8 @@ func (m *Manager) Join(addr string) (Report, error) {
 // Leave removes node gracefully: migrate every slot it owns to the
 // remaining members (fewest-loaded first — bounded by the ⌈slots/nodes⌉
 // slots a balanced node owns), mark it left, re-place replicas, and push
-// the view.
+// the view. A handoff that fails partway commits the slots that moved;
+// the node stays marked left, owning the rest.
 func (m *Manager) Leave(node int) (Report, error) {
 	m.mu.Lock()
 	if node < 0 || node >= len(m.members) || m.members[node].State != wire.MemberAlive {
@@ -283,30 +282,26 @@ func (m *Manager) Leave(node int) (Report, error) {
 	if pickLoaded(counts, recipients, false) < 0 {
 		return Report{}, fmt.Errorf("membership: node %d is the last member", node)
 	}
-	report := Report{Node: node}
+	var plan []cluster.Move
 	for s, o := range owners {
-		if o != node {
-			continue
+		if o == node {
+			to := pickLoaded(counts, recipients, false)
+			counts[to]++
+			plan = append(plan, cluster.Move{Slot: s, From: node, To: to})
 		}
-		to := pickLoaded(counts, recipients, false)
-		mv, err := m.cl.MoveSlot(m.lister, s, node, to, chunkSize)
-		if err != nil {
-			return report, fmt.Errorf("membership: leave handoff of slot %d: %w", s, err)
-		}
-		counts[to]++
-		report.Moves = append(report.Moves, mv)
 	}
 
+	report, err := m.apply(Report{Node: node}, plan, -1, nil)
 	m.leaves.Inc()
-	cr, err := m.commit(-1, report.Moves)
-	report.Epoch, report.ReplicaKeys = cr.Epoch, cr.ReplicaKeys
 	m.observe(obs.Event{Type: obs.EvNodeLeave, Tick: report.Epoch, Set: node, Life: uint64(len(report.Moves))})
 	return report, err
 }
 
 // Tick runs one heartbeat round: probe every serving member (the probe
-// also records its demand), feed the detector, and fail over any node that
-// just crossed the suspicion threshold. It returns one Report per failover
+// also records its demand) and count its consecutive misses. An answered
+// probe resets the count; a node whose count reaches SuspectAfter fails
+// over, and a failed-over node is no longer serving, so Tick never probes
+// it again — it fails over once. It returns one Report per failover
 // (usually none).
 func (m *Manager) Tick() []Report {
 	m.mu.Lock()
@@ -318,7 +313,11 @@ func (m *Manager) Tick() []Report {
 		if !ok {
 			continue
 		}
-		if m.det.Report(id, m.heartbeat(id) == nil) {
+		if m.heartbeat(id) == nil {
+			m.missed[id] = 0
+			continue
+		}
+		if m.missed[id]++; m.missed[id] >= m.cfg.SuspectAfter {
 			reports = append(reports, m.failover(id))
 		}
 	}
@@ -339,10 +338,9 @@ func (m *Manager) failover(node int) Report {
 	m.mu.Unlock()
 	m.deaths.Inc()
 
-	ring := m.cl.Ring()
-	owners := ring.Owners()
+	owners := m.cl.Ring().Owners()
 	counts := slotCounts(owners, len(alive))
-	report := Report{Node: node}
+	var plan []cluster.Move
 	for s, o := range owners {
 		if o != node {
 			continue
@@ -362,17 +360,11 @@ func (m *Manager) failover(node int) Report {
 		if to < 0 {
 			continue // no members left; nothing to promote to
 		}
-		// The old owner is dead: flip ownership directly, no drain or copy.
-		if err := ring.Move(s, to); err != nil {
-			continue
-		}
 		counts[to]++
-		report.Moves = append(report.Moves, cluster.Move{Slot: s, From: node, To: to})
-		m.promotions.Inc()
+		plan = append(plan, cluster.Move{Slot: s, From: node, To: to})
 	}
 
-	cr, _ := m.commit(node, report.Moves)
-	report.Epoch, report.ReplicaKeys = cr.Epoch, cr.ReplicaKeys
+	report, _ := m.apply(Report{Node: node}, plan, node, func(cluster.Move) { m.promotions.Inc() })
 	m.observe(obs.Event{Type: obs.EvNodeDead, Tick: report.Epoch, Set: node, Life: uint64(len(report.Moves))})
 	for _, p := range report.Moves {
 		m.observe(obs.Event{Type: obs.EvReplicaPromote, Tick: report.Epoch, Set: p.Slot, ScS: p.From, Partner: p.To})
@@ -380,17 +372,45 @@ func (m *Manager) failover(node int) Report {
 	return report
 }
 
-// commit recomputes replica placement for the current ring and members,
-// bumps the view epoch, pushes the view to every serving agent, and
-// backfills slot data onto newly placed followers. deadNode (-1 when none)
-// lets failover's backfill skip copies whose source is gone. moves are the
+// apply is the one writer of ring ownership. It runs a planned handoff in
+// order — a pure ownership flip when the old owner is dead (the node being
+// failed over; -1 when none), a MoveSlot otherwise — stops at the first
+// failure, and commits whatever moved. onMove, when non-nil, sees each
+// completed move. report carries the transition's Node and Round; apply
+// fills in Moves, Epoch and ReplicaKeys.
+func (m *Manager) apply(report Report, plan []cluster.Move, dead int, onMove func(cluster.Move)) (Report, error) {
+	var moveErr error
+	for _, mv := range plan {
+		var err error
+		if mv.From == dead {
+			err = m.cl.Ring().Move(mv.Slot, mv.To)
+		} else {
+			mv, err = m.cl.MoveSlot(m.lister, mv.Slot, mv.From, mv.To, chunkSize)
+		}
+		if err != nil {
+			moveErr = fmt.Errorf("membership: handoff of slot %d from node %d to %d: %w", mv.Slot, mv.From, mv.To, err)
+			break
+		}
+		report.Moves = append(report.Moves, mv)
+		if onMove != nil {
+			onMove(mv)
+		}
+	}
+	return report, errors.Join(moveErr, m.commit(&report, dead))
+}
+
+// commit recomputes replica placement for the current ring and member
+// state, bumps the view epoch, pushes the view to every serving agent, and
+// backfills slot data onto newly placed followers, recording the epoch and
+// the copied key count in report. dead (-1 when none) lets failover's
+// backfill skip copies whose source is gone. report.Moves are the
 // transition's ownership changes: a move's old owner no longer holds the
 // slot (MoveSlot deleted its copy, or it is dead), so it counts as a new
 // follower if placement picks it again.
-func (m *Manager) commit(deadNode int, moves []cluster.Move) (Report, error) {
+func (m *Manager) commit(report *Report, dead int) error {
 	m.mu.Lock()
 	old := slices.Clone(m.replicas)
-	for _, mv := range moves {
+	for _, mv := range report.Moves {
 		old[mv.Slot] = slices.DeleteFunc(slices.Clone(old[mv.Slot]), func(n int) bool { return n == mv.From })
 	}
 	m.replicas = m.place()
@@ -405,7 +425,7 @@ func (m *Manager) commit(deadNode int, moves []cluster.Move) (Report, error) {
 
 	// Backfill: copy slot data onto followers that are new in this view.
 	// The source is the slot's current owner.
-	report := Report{Epoch: epoch, Node: deadNode}
+	report.Epoch = epoch
 	owners := m.cl.Ring().Owners()
 	for s, set := range newRep {
 		var oldSet []int
@@ -417,7 +437,7 @@ func (m *Manager) commit(deadNode int, moves []cluster.Move) (Report, error) {
 				continue // already held a copy in the old view
 			}
 			owner := owners[s]
-			if owner == deadNode || owner == f {
+			if owner == dead || owner == f {
 				continue
 			}
 			_, copied, err := m.cl.CopySlot(m.lister, s, owner, f, chunkSize)
@@ -432,7 +452,7 @@ func (m *Manager) commit(deadNode int, moves []cluster.Move) (Report, error) {
 			m.observe(obs.Event{Type: obs.EvReplicaPlace, Tick: epoch, Set: s, ScS: owner, Partner: f, Life: uint64(copied)})
 		}
 	}
-	return report, pushErr
+	return pushErr
 }
 
 // pushAll sends the view to every serving member's agent. Best effort: all

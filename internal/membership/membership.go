@@ -5,18 +5,16 @@
 //
 //   - Manager is the control plane, one per cluster, driven by the owner's
 //     control loop: it keeps the authoritative member table and replica
-//     placement, moves slots through cluster.Client.MoveSlot, runs the
-//     failure detector off its heartbeats, and pushes every new view to the
-//     data plane over the wire (OpView).
+//     placement, plans every transition's slot moves and runs them through
+//     one executor, counts each member's consecutive missed heartbeats
+//     (SuspectAfter of them fail it over, once), and pushes every new view
+//     to the data plane over the wire (OpView).
 //   - Agent is the data plane, one per node: it receives pushed views,
 //     fans every applied write out to the slot's replicas (the
 //     server.Replicator hook, synchronous before the ack — which is what
 //     makes failover lossless for acked writes up to RF-1 failures), and
 //     read-repairs misses on slots the node acquired through promotion or
 //     migration by consulting the surviving replicas.
-//   - Detector counts consecutive missed heartbeats; crossing SuspectAfter
-//     declares a node dead exactly once, which triggers the Manager's
-//     failover (replica promotion, then re-replication).
 //
 // The paper's taker/giver reasoning appears twice one level up. A demand
 // round (Manager.Rebalance) moves a saturated member's coldest slots to a
@@ -29,9 +27,8 @@
 // decides on demand as it stands. The server answers FlagDemand on any
 // opcode, but only that PING sends it.
 //
-// Lock hierarchy (enforced by the stemlint lockorder analyzer):
-// Detector.mu before Manager.mu before Agent.mu. None is held across a
-// network call.
+// Lock hierarchy (enforced by the stemlint lockorder analyzer): Manager.mu
+// before Agent.mu. Neither is held across a network call.
 package membership
 
 import (

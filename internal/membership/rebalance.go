@@ -2,7 +2,6 @@ package membership
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -23,9 +22,10 @@ type nodeState struct {
 // of its per-set SCDM monitors) through a heartbeat, so the round decides on
 // demand as it stands, classify takers and givers, and move up to
 // MaxMovesPerEpoch of the takers' coldest loaded slots to givers. A round
-// that moved anything ends in the same commit as a join, leave or
-// failover; one that moves nothing commits nothing. The report reflects
-// what completed, even alongside an error.
+// that plans a move runs it through apply, like a join, leave or failover,
+// and commits even when the first move fails; one that plans nothing
+// commits nothing. The report reflects what completed, even alongside an
+// error.
 func (m *Manager) Rebalance() (Report, error) {
 	m.round++
 	m.rounds.Inc()
@@ -52,31 +52,21 @@ func (m *Manager) Rebalance() (Report, error) {
 	return m.migrate(m.plan(states, alive, owners, loads))
 }
 
-// migrate executes the current round's planned moves in order, stopping at
-// the first failure, and commits whatever moved.
+// migrate runs the current round's plan through apply. An empty plan
+// commits nothing.
 func (m *Manager) migrate(plan []cluster.Move) (Report, error) {
 	report := Report{Node: -1, Round: m.round}
-	var err error
-	for _, p := range plan {
-		mv, moveErr := m.cl.MoveSlot(m.lister, p.Slot, p.From, p.To, chunkSize)
-		if moveErr != nil {
-			err = moveErr
-			break
-		}
-		report.Moves = append(report.Moves, mv)
+	if len(plan) == 0 {
+		return report, nil
+	}
+	return m.apply(report, plan, -1, func(mv cluster.Move) {
 		m.migrations.Inc()
 		m.keysMoved.Add(uint64(mv.Keys))
 		m.observe(obs.Event{
 			Type: obs.EvSlotMigrate, Tick: m.round, Set: mv.Slot,
 			ScS: mv.From, Partner: mv.To, Life: uint64(mv.Keys),
 		})
-	}
-	if len(report.Moves) == 0 {
-		return report, err
-	}
-	cr, commitErr := m.commit(-1, report.Moves)
-	report.Epoch, report.ReplicaKeys = cr.Epoch, cr.ReplicaKeys
-	return report, errors.Join(err, commitErr)
+	})
 }
 
 // plan lists a round's moves: each taker sheds its COLDEST loaded slots to

@@ -131,7 +131,7 @@ func (r *Rig) Join() (Report, error) {
 }
 
 // Kill closes node n abruptly, as a crash would: nothing tells the manager,
-// so failover is left to its detector (Manager.Tick).
+// so failover is left to its heartbeats (Manager.Tick).
 func (r *Rig) Kill(n int) error {
 	if n < 0 || n >= len(r.nodes) {
 		return fmt.Errorf("membership: rig has no node %d", n)

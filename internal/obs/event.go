@@ -60,9 +60,9 @@ const (
 	// before the view changed. Tick is the view epoch, Set the departed
 	// node's id, Life the number of slots moved off it.
 	EvNodeLeave
-	// EvNodeDead: the failure detector declared a node dead. Tick is the
-	// view epoch, Set the dead node's id, Life the number of slots it
-	// owned at death (all promoted or reassigned).
+	// EvNodeDead: the membership manager failed a node over after
+	// SuspectAfter consecutive missed heartbeats. Tick is the view epoch,
+	// Set the dead node's id, Life the number of its slots promoted.
 	EvNodeDead
 	// EvReplicaPromote: failover flipped a slot's ownership to one of its
 	// replicas — a pure flip, the data was already there. Tick is the view
