@@ -15,7 +15,8 @@ import (
 
 // fakeServer is a minimal in-test wire server: it answers every request
 // with a scripted handler, on plain net primitives (no dependency on
-// internal/server, so this package's tests stay a pure client exercise).
+// internal/server, so these tests stay a pure client exercise; live_test.go
+// holds the ones that run against the real server).
 type fakeServer struct {
 	t  *testing.T
 	ln net.Listener
