@@ -1,6 +1,7 @@
 package client
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/wire"
@@ -15,9 +16,16 @@ import (
 //	b.Get("a")
 //	res, err := b.Do()       // one write, one flush, responses in order
 //	val, found := res[1].Get()
+//
+// A batch owns the storage its answers are decoded into, requests,
+// responses, values and results alike, and reuses it on every Do, so a warm
+// batch allocates nothing.
 type Batch struct {
-	c    *Client
-	reqs []*wire.Request
+	c     *Client
+	reqs  []wire.Request
+	resps []wire.Response
+	arena []byte // every response value, copied out of the read buffer
+	res   []Result
 }
 
 // NewBatch starts an empty batch.
@@ -32,38 +40,40 @@ func (b *Batch) Len() int { return len(b.reqs) }
 func (b *Batch) Reset() { b.reqs = b.reqs[:0] }
 
 // Ping queues a liveness check.
-func (b *Batch) Ping() { b.add(&wire.Request{Op: wire.OpPing}) }
+func (b *Batch) Ping() { b.add(wire.Request{Op: wire.OpPing}) }
 
 // Get queues a lookup.
-func (b *Batch) Get(key string) { b.add(&wire.Request{Op: wire.OpGet, Key: key}) }
+func (b *Batch) Get(key string) { b.add(wire.Request{Op: wire.OpGet, Key: key}) }
 
 // Set queues a store with the server's default TTL.
 func (b *Batch) Set(key string, value []byte) {
-	b.add(&wire.Request{Op: wire.OpSet, Key: key, Value: value})
+	b.add(wire.Request{Op: wire.OpSet, Key: key, Value: value})
 }
 
 // SetTTL queues a store with an explicit TTL.
 func (b *Batch) SetTTL(key string, value []byte, ttl time.Duration) {
-	b.add(&wire.Request{Op: wire.OpSetTTL, Key: key, Value: value, TTL: ttl})
+	b.add(wire.Request{Op: wire.OpSetTTL, Key: key, Value: value, TTL: ttl})
 }
 
 // SetNX queues a store-if-absent.
 func (b *Batch) SetNX(key string, value []byte) {
-	b.add(&wire.Request{Op: wire.OpSet, Flags: wire.FlagNX, Key: key, Value: value})
+	b.add(wire.Request{Op: wire.OpSet, Flags: wire.FlagNX, Key: key, Value: value})
 }
 
 // Del queues a removal.
-func (b *Batch) Del(key string) { b.add(&wire.Request{Op: wire.OpDel, Key: key}) }
+func (b *Batch) Del(key string) { b.add(wire.Request{Op: wire.OpDel, Key: key}) }
 
 // MGet queues a multi-key lookup (one frame inside the batch).
-func (b *Batch) MGet(keys ...string) { b.add(&wire.Request{Op: wire.OpMGet, Keys: keys}) }
+func (b *Batch) MGet(keys ...string) { b.add(wire.Request{Op: wire.OpMGet, Keys: keys}) }
 
 // MSet queues a multi-pair store (one frame inside the batch).
-func (b *Batch) MSet(pairs ...wire.KV) { b.add(&wire.Request{Op: wire.OpMSet, Pairs: pairs}) }
+func (b *Batch) MSet(pairs ...wire.KV) { b.add(wire.Request{Op: wire.OpMSet, Pairs: pairs}) }
 
-func (b *Batch) add(req *wire.Request) { b.reqs = append(b.reqs, req) }
+func (b *Batch) add(req wire.Request) { b.reqs = append(b.reqs, req) }
 
-// Result is one operation's outcome within a batch.
+// Result is one operation's outcome within a batch. It, and every slice its
+// methods return, is valid until its batch's next Do; Reset does not
+// invalidate it. Copy what must outlive that.
 type Result struct {
 	resp *wire.Response
 }
@@ -96,17 +106,26 @@ func (r Result) Values() (values [][]byte, found []bool) {
 // results in queue order. The whole batch retries together on transient
 // errors (same at-least-once caveat as single operations). The batch is
 // left populated; Reset clears it for reuse.
+//
+// The results, and the slices Result.Get and Values return, live in storage
+// the batch owns: they are valid until the batch's next Do, which reuses it.
+// Reset does not invalidate them.
 func (b *Batch) Do() ([]Result, error) {
-	if len(b.reqs) == 0 {
+	n := len(b.reqs)
+	if n == 0 {
 		return nil, nil
 	}
-	resps, err := b.c.do(b.reqs)
+	// Within capacity the earlier responses stay, and with them their warm
+	// MGET capacity.
+	b.resps = slices.Grow(b.resps[:0], n)[:n]
+	arena, err := b.c.do(b.reqs, b.resps, b.arena)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, len(resps))
-	for i, resp := range resps {
-		out[i] = Result{resp: resp}
+	b.arena = arena
+	b.res = b.res[:0]
+	for i := range b.resps {
+		b.res = append(b.res, Result{resp: &b.resps[i]})
 	}
-	return out, nil
+	return b.res, nil
 }

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -290,11 +291,16 @@ func transient(err error) bool {
 		errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed)
 }
 
-// roundTrip performs one attempt: encode reqs, flush, read len(reqs)
-// responses in order. The connection is healthy on nil error.
-func (c *Client) roundTrip(cc *cconn, reqs []*wire.Request) ([]*wire.Response, error) {
+// roundTrip performs one attempt: encode reqs, flush, and read len(reqs)
+// responses in order into resps, decoded in place. Every value is copied out
+// of the connection's read buffer into arena (reused from its start) before
+// the next frame overwrites it, and re-pointed into the returned arena once
+// the last frame is read, so nothing in resps aliases the connection after
+// it returns. The connection is healthy on nil error.
+func (c *Client) roundTrip(cc *cconn, reqs []wire.Request, resps []wire.Response, arena []byte) ([]byte, error) {
 	cc.wbuf = cc.wbuf[:0]
-	for _, req := range reqs {
+	for i := range reqs {
+		req := &reqs[i]
 		cc.nextID++
 		req.ID = cc.nextID
 		// Stamp the client's namespace on outgoing requests that carry none
@@ -320,13 +326,11 @@ func (c *Client) roundTrip(cc *cconn, reqs []*wire.Request) ([]*wire.Response, e
 	if err := cc.bw.Flush(); err != nil {
 		return nil, err
 	}
-	// The response slice escapes to the caller; the copying decode is the
-	// client's API contract.
-	resps := make([]*wire.Response, len(reqs))
-	for i, req := range reqs {
-		resp, rbuf, err := wire.ReadResponse(cc.br, cc.rbuf, wire.Limits{})
-		cc.rbuf = rbuf
-		if err != nil {
+	arena = arena[:0]
+	for i := range reqs {
+		req, resp := &reqs[i], &resps[i]
+		var err error
+		if cc.rbuf, err = wire.ReadResponseInto(resp, cc.br, cc.rbuf, wire.Limits{}); err != nil {
 			return nil, err
 		}
 		if resp.ID != req.ID || resp.Op != req.Op {
@@ -342,15 +346,55 @@ func (c *Client) roundTrip(cc *cconn, reqs []*wire.Request) ([]*wire.Response, e
 		if err := c.finishTrace(req, resp); err != nil {
 			return nil, err
 		}
-		resps[i] = resp
+		arena = appendValues(arena, resp)
 	}
-	return resps, nil
+	// The arena may have moved as it grew; the stale slices still carry
+	// each value's length and nil-ness, and the values sit in it in order.
+	off := 0
+	for i := range resps {
+		resp := &resps[i]
+		resp.Value, off = carve(arena, off, resp.Value)
+		for j, v := range resp.Values {
+			resp.Values[j], off = carve(arena, off, v)
+		}
+	}
+	return arena, nil
+}
+
+// appendValues copies resp's values, which alias the read buffer, onto
+// arena, growing it at most once per frame.
+func appendValues(arena []byte, resp *wire.Response) []byte {
+	n := len(resp.Value)
+	for _, v := range resp.Values {
+		n += len(v)
+	}
+	arena = append(slices.Grow(arena, n), resp.Value...)
+	for _, v := range resp.Values {
+		arena = append(arena, v...)
+	}
+	return arena
+}
+
+// carve returns the arena slice at off that stands for v, a value
+// appendValues copied there, and the offset past it. A nil v (absent) stays
+// nil and an empty one stays empty.
+func carve(arena []byte, off int, v []byte) ([]byte, int) {
+	switch {
+	case v == nil:
+		return nil, off
+	case len(v) == 0:
+		return []byte{}, off
+	}
+	end := off + len(v)
+	return arena[off:end:end], end
 }
 
 // do runs reqs as one pipelined round trip with retry-with-backoff on
-// transient errors. Each attempt uses a different connection; failed
-// connections are closed, never pooled.
-func (c *Client) do(reqs []*wire.Request) ([]*wire.Response, error) {
+// transient errors, decoding into resps (one per request) and copying their
+// values into arena, which it returns grown as needed (see roundTrip). Each
+// attempt uses a different connection; failed connections are closed, never
+// pooled.
+func (c *Client) do(reqs []wire.Request, resps []wire.Response, arena []byte) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		if attempt > 0 {
@@ -364,10 +408,10 @@ func (c *Client) do(reqs []*wire.Request) ([]*wire.Response, error) {
 			}
 			return nil, err
 		}
-		resps, err := c.roundTrip(cc, reqs)
+		out, err := c.roundTrip(cc, reqs, resps, arena)
 		if err == nil {
 			c.put(cc)
-			return resps, nil
+			return out, nil
 		}
 		cc.nc.Close()
 		lastErr = err
@@ -378,28 +422,29 @@ func (c *Client) do(reqs []*wire.Request) ([]*wire.Response, error) {
 	return nil, fmt.Errorf("client: %d attempts failed, last: %w", c.cfg.Retries+1, lastErr)
 }
 
-// one runs a single request and unwraps StatusErr into a ServerError.
-func (c *Client) one(req *wire.Request) (*wire.Response, error) {
-	resps, err := c.do([]*wire.Request{req})
-	if err != nil {
-		return nil, err
+// one runs a single request and unwraps StatusErr into a ServerError. The
+// response's values sit in an arena of their own, so they are the caller's.
+func (c *Client) one(req wire.Request) (wire.Response, error) {
+	resps := []wire.Response{{}}
+	if _, err := c.do([]wire.Request{req}, resps, nil); err != nil {
+		return wire.Response{}, err
 	}
 	resp := resps[0]
 	if resp.Status == wire.StatusErr {
-		return nil, &ServerError{Op: resp.Op, Msg: string(resp.Value)}
+		return wire.Response{}, &ServerError{Op: resp.Op, Msg: string(resp.Value)}
 	}
 	return resp, nil
 }
 
 // Ping checks liveness.
 func (c *Client) Ping() error {
-	_, err := c.one(&wire.Request{Op: wire.OpPing})
+	_, err := c.one(wire.Request{Op: wire.OpPing})
 	return err
 }
 
 // Get fetches key; found reports residency.
 func (c *Client) Get(key string) (value []byte, found bool, err error) {
-	resp, err := c.one(&wire.Request{Op: wire.OpGet, Key: key})
+	resp, err := c.one(wire.Request{Op: wire.OpGet, Key: key})
 	if err != nil {
 		return nil, false, err
 	}
@@ -408,21 +453,21 @@ func (c *Client) Get(key string) (value []byte, found bool, err error) {
 
 // Set stores value under key with the server's default TTL.
 func (c *Client) Set(key string, value []byte) error {
-	_, err := c.one(&wire.Request{Op: wire.OpSet, Key: key, Value: value})
+	_, err := c.one(wire.Request{Op: wire.OpSet, Key: key, Value: value})
 	return err
 }
 
 // SetTTL stores value under key with an explicit TTL; ttl <= 0 never
 // expires.
 func (c *Client) SetTTL(key string, value []byte, ttl time.Duration) error {
-	_, err := c.one(&wire.Request{Op: wire.OpSetTTL, Key: key, Value: value, TTL: ttl})
+	_, err := c.one(wire.Request{Op: wire.OpSetTTL, Key: key, Value: value, TTL: ttl})
 	return err
 }
 
 // SetNX stores value only when key is absent. stored reports whether the
 // store happened; when false, actual is the resident value that won.
 func (c *Client) SetNX(key string, value []byte) (actual []byte, stored bool, err error) {
-	resp, err := c.one(&wire.Request{Op: wire.OpSet, Flags: wire.FlagNX, Key: key, Value: value})
+	resp, err := c.one(wire.Request{Op: wire.OpSet, Flags: wire.FlagNX, Key: key, Value: value})
 	if err != nil {
 		return nil, false, err
 	}
@@ -434,7 +479,7 @@ func (c *Client) SetNX(key string, value []byte) (actual []byte, stored bool, er
 
 // Del removes key; found reports whether it was resident.
 func (c *Client) Del(key string) (found bool, err error) {
-	resp, err := c.one(&wire.Request{Op: wire.OpDel, Key: key})
+	resp, err := c.one(wire.Request{Op: wire.OpDel, Key: key})
 	if err != nil {
 		return false, err
 	}
@@ -444,7 +489,7 @@ func (c *Client) Del(key string) (found bool, err error) {
 // MGet fetches keys in one frame. values and found are parallel to keys;
 // values[i] is nil where found[i] is false.
 func (c *Client) MGet(keys []string) (values [][]byte, found []bool, err error) {
-	resp, err := c.one(&wire.Request{Op: wire.OpMGet, Keys: keys})
+	resp, err := c.one(wire.Request{Op: wire.OpMGet, Keys: keys})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -456,14 +501,14 @@ func (c *Client) MGet(keys []string) (values [][]byte, found []bool, err error) 
 
 // MSet stores pairs in one frame.
 func (c *Client) MSet(pairs []wire.KV) error {
-	_, err := c.one(&wire.Request{Op: wire.OpMSet, Pairs: pairs})
+	_, err := c.one(wire.Request{Op: wire.OpMSet, Pairs: pairs})
 	return err
 }
 
 // Stats fetches the server's statistics snapshot as raw JSON (the document
 // is described by server.StatsSnapshot).
 func (c *Client) Stats() ([]byte, error) {
-	resp, err := c.one(&wire.Request{Op: wire.OpStats})
+	resp, err := c.one(wire.Request{Op: wire.OpStats})
 	if err != nil {
 		return nil, err
 	}
@@ -475,7 +520,7 @@ func (c *Client) Stats() ([]byte, error) {
 // agent's read repair uses this to query a slot's replicas in the
 // originating tenant's scope.
 func (c *Client) GetNS(namespace, key string) (value []byte, found bool, err error) {
-	resp, err := c.one(&wire.Request{Op: wire.OpGet, Key: key, Namespace: namespace})
+	resp, err := c.one(wire.Request{Op: wire.OpGet, Key: key, Namespace: namespace})
 	if err != nil {
 		return nil, false, err
 	}
@@ -487,20 +532,20 @@ func (c *Client) GetNS(namespace, key string) (value []byte, found bool, err err
 // ttl <= 0 uses the server's default TTL; namespace "" is the default
 // tenant (the client's configured Namespace applies if set).
 func (c *Client) Replicate(namespace, key string, value []byte, ttl time.Duration) error {
-	_, err := c.one(&wire.Request{Op: wire.OpReplicate, Key: key, Value: value, TTL: ttl, Namespace: namespace})
+	_, err := c.one(wire.Request{Op: wire.OpReplicate, Key: key, Value: value, TTL: ttl, Namespace: namespace})
 	return err
 }
 
 // ReplicateDelete applies one replicated delete on the server (OpReplicate
 // with wire.FlagNegative; see Replicate).
 func (c *Client) ReplicateDelete(namespace, key string) error {
-	_, err := c.one(&wire.Request{Op: wire.OpReplicate, Flags: wire.FlagNegative, Key: key, Namespace: namespace})
+	_, err := c.one(wire.Request{Op: wire.OpReplicate, Flags: wire.FlagNegative, Key: key, Namespace: namespace})
 	return err
 }
 
 // PushMembership pushes a membership view to the server's agent (OpView).
 func (c *Client) PushMembership(epoch uint64, members []wire.Member, replicas []wire.ReplicaSet) error {
-	_, err := c.one(&wire.Request{Op: wire.OpView, Epoch: epoch, Members: members, Replicas: replicas})
+	_, err := c.one(wire.Request{Op: wire.OpView, Epoch: epoch, Members: members, Replicas: replicas})
 	return err
 }
 
@@ -509,7 +554,7 @@ func (c *Client) PushMembership(epoch uint64, members []wire.Member, replicas []
 // both. Only this PING sends the flag (the server answers it on any
 // opcode), and the membership manager's heartbeat is its one caller.
 func (c *Client) Heartbeat() (wire.NodeDemand, error) {
-	resp, err := c.one(&wire.Request{Op: wire.OpPing, Flags: wire.FlagDemand})
+	resp, err := c.one(wire.Request{Op: wire.OpPing, Flags: wire.FlagDemand})
 	if err != nil {
 		return wire.NodeDemand{}, err
 	}

@@ -435,11 +435,11 @@ func TestRoundTripArmsOneDeadline(t *testing.T) {
 	cc.nc = ac
 
 	for trip, n := range []int{1, 16} {
-		reqs := make([]*wire.Request, n)
+		reqs := make([]wire.Request, n)
 		for i := range reqs {
-			reqs[i] = &wire.Request{Op: wire.OpGet, Key: fmt.Sprintf("k%d", i)}
+			reqs[i] = wire.Request{Op: wire.OpGet, Key: fmt.Sprintf("k%d", i)}
 		}
-		if _, err := cl.roundTrip(cc, reqs); err != nil {
+		if _, err := cl.roundTrip(cc, reqs, make([]wire.Response, n), nil); err != nil {
 			t.Fatal(err)
 		}
 		if ac.both != trip+1 || ac.read != 0 || ac.write != 0 {

@@ -48,7 +48,7 @@ func (c *Client) GetOrLoad(ctx context.Context, key string, origin Origin) ([]by
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	resp, err := c.one(&wire.Request{Op: wire.OpLoad, Key: key})
+	resp, err := c.one(wire.Request{Op: wire.OpLoad, Key: key})
 	if err != nil {
 		return nil, err
 	}
@@ -85,10 +85,10 @@ func (c *Client) fetchAndFill(ctx context.Context, key string, token uint64, ori
 	v, err := origin(ctx, key)
 	switch {
 	case err == nil:
-		c.one(&wire.Request{Op: wire.OpLoad, Flags: wire.FlagFill, Token: token, Key: key, Value: v})
+		c.one(wire.Request{Op: wire.OpLoad, Flags: wire.FlagFill, Token: token, Key: key, Value: v})
 		return v, nil
 	case errors.Is(err, ErrNotFound):
-		c.one(&wire.Request{Op: wire.OpLoad, Flags: wire.FlagFill | wire.FlagNegative, Token: token, Key: key})
+		c.one(wire.Request{Op: wire.OpLoad, Flags: wire.FlagFill | wire.FlagNegative, Token: token, Key: key})
 		return nil, ErrNotFound
 	default:
 		return nil, err

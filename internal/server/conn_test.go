@@ -106,12 +106,12 @@ func roundTrip(tb testing.TB, nc net.Conn, br *bufio.Reader, burst []byte, n int
 	if _, err := nc.Write(burst); err != nil {
 		tb.Fatal(err)
 	}
+	var resp wire.Response
 	for i := 0; i < n; i++ {
-		resp, b, err := wire.ReadResponse(br, rbuf, wire.Limits{})
-		if err != nil {
+		var err error
+		if rbuf, err = wire.ReadResponseInto(&resp, br, rbuf, wire.Limits{}); err != nil {
 			tb.Fatal(err)
 		}
-		rbuf = b
 		if resp.Status != wire.StatusOK {
 			tb.Fatalf("response %d: status %v, want a hit", i, resp.Status)
 		}

@@ -369,9 +369,9 @@ func TestGracefulDrain(t *testing.T) {
 
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var rbuf []byte
+	var resp wire.Response
 	for i := 0; i < n; i++ {
-		var resp *wire.Response
-		resp, rbuf, err = wire.ReadResponse(nc, rbuf, wire.Limits{})
+		rbuf, err = wire.ReadResponseInto(&resp, nc, rbuf, wire.Limits{})
 		if err != nil {
 			t.Fatalf("response %d lost in drain: %v", i, err)
 		}
@@ -412,7 +412,7 @@ func TestMaxConnsBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc1.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := wire.ReadResponse(nc1, nil, wire.Limits{}); err != nil {
+	if _, err := wire.ReadResponseInto(&wire.Response{}, nc1, nil, wire.Limits{}); err != nil {
 		t.Fatalf("first conn not served: %v", err)
 	}
 
@@ -427,7 +427,7 @@ func TestMaxConnsBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc2.SetReadDeadline(time.Now().Add(400 * time.Millisecond))
-	if _, _, err := wire.ReadResponse(nc2, nil, wire.Limits{}); err == nil {
+	if _, err := wire.ReadResponseInto(&wire.Response{}, nc2, nil, wire.Limits{}); err == nil {
 		t.Fatal("second conn served beyond MaxConns")
 	} else if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
 		t.Fatalf("want timeout while gated, got %v", err)
@@ -436,7 +436,7 @@ func TestMaxConnsBackpressure(t *testing.T) {
 	// Freeing the first slot admits the second connection.
 	nc1.Close()
 	nc2.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := wire.ReadResponse(nc2, nil, wire.Limits{}); err != nil {
+	if _, err := wire.ReadResponseInto(&wire.Response{}, nc2, nil, wire.Limits{}); err != nil {
 		t.Fatalf("second conn not served after slot freed: %v", err)
 	}
 }
@@ -455,8 +455,8 @@ func TestMalformedFrameAnswersThenCloses(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	resp, _, err := wire.ReadResponse(nc, nil, wire.Limits{})
-	if err != nil {
+	var resp wire.Response
+	if _, err := wire.ReadResponseInto(&resp, nc, nil, wire.Limits{}); err != nil {
 		t.Fatalf("no error response for malformed frame: %v", err)
 	}
 	if resp.Status != wire.StatusErr {
@@ -466,7 +466,7 @@ func TestMalformedFrameAnswersThenCloses(t *testing.T) {
 		t.Fatalf("error %q does not name the problem", resp.Value)
 	}
 	// The connection is closed afterwards.
-	if _, _, err := wire.ReadResponse(nc, nil, wire.Limits{}); err == nil {
+	if _, err := wire.ReadResponseInto(&wire.Response{}, nc, nil, wire.Limits{}); err == nil {
 		t.Fatal("connection stayed open after protocol error")
 	}
 
@@ -538,7 +538,7 @@ func TestIdleTimeout(t *testing.T) {
 	if _, err := nc.Write(ping); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := wire.ReadResponse(nc, nil, wire.Limits{}); err != nil {
+	if _, err := wire.ReadResponseInto(&wire.Response{}, nc, nil, wire.Limits{}); err != nil {
 		t.Fatalf("ping on a connection inside its idle budget: %v", err)
 	}
 	start := time.Now()
@@ -586,7 +586,7 @@ func TestDrainBetweenFrames(t *testing.T) {
 		// Odd rounds close while the request may still be in flight, even
 		// rounds right after its response: both sides of the frame boundary.
 		if i%2 == 0 {
-			if _, _, err := wire.ReadResponse(nc, nil, wire.Limits{}); err != nil {
+			if _, err := wire.ReadResponseInto(&wire.Response{}, nc, nil, wire.Limits{}); err != nil {
 				t.Fatalf("round %d: %v", i, err)
 			}
 		}
@@ -760,7 +760,8 @@ func TestDrainMidFrame(t *testing.T) {
 		}
 		// Answered, or closed: nothing else may come back.
 		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-		resp, _, err := wire.ReadResponse(nc, nil, wire.Limits{})
+		var resp wire.Response
+		_, err = wire.ReadResponseInto(&resp, nc, nil, wire.Limits{})
 		if err == nil && (resp.ID != 1 || resp.Status != wire.StatusOK) {
 			t.Fatalf("round %d: response id=%d status=%v", i, resp.ID, resp.Status)
 		}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/tenant"
 	"repro/internal/workloads"
 )
 
@@ -244,7 +245,10 @@ func TestConcurrentStatsAndLen(t *testing.T) {
 // workers × alone / shared, the figure bench reports as
 // stemcache.par_speedup; par_speedup_disjoint is the same against the
 // private caches, which share no line, so the gap between the two is what
-// the workers pay for sharing one cache's shards.
+// the workers pay for sharing one cache's shards. par_speedup_shared_shards
+// splits that gap: on one shared cache, worker w issues only the keys of its
+// stream whose set index is w modulo workers, so the workers still share
+// every shard (its mutex, engine counters and heap) but no set.
 func BenchmarkParallelMixed(b *testing.B) {
 	const capacity, perWorker = 8192, 1 << 17
 	workers := runtime.GOMAXPROCS(0)
@@ -263,9 +267,22 @@ func BenchmarkParallelMixed(b *testing.B) {
 		}
 	}
 	fresh := func() *Cache[string, int] { return mustNew[string, int](Config{Capacity: capacity, Seed: 1}) }
-	// run drives worker w's stream through caches[w] for every w at once and
-	// returns the wall time until the last one finishes.
-	run := func(caches []*Cache[string, int]) time.Duration {
+	probe := fresh()
+	bySet := make([][]string, workers)
+	for w := range bySet {
+		next, err := workloads.NewWorkerKeyStream("mixed", capacity, uint64(w)+1, w, workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for len(bySet[w]) < perWorker {
+			if k := next(); probe.setOf(probe.thash(tenant.DefaultID, k))%workers == w {
+				bySet[w] = append(bySet[w], k)
+			}
+		}
+	}
+	// run drives seqs[w] through caches[w] for every w at once and returns
+	// the wall time until the last one finishes.
+	run := func(seqs [][]string, caches []*Cache[string, int]) time.Duration {
 		var wg sync.WaitGroup
 		start := time.Now()
 		for w, c := range caches {
@@ -282,16 +299,18 @@ func BenchmarkParallelMixed(b *testing.B) {
 		wg.Wait()
 		return time.Since(start)
 	}
-	var alone, shared, disjoint time.Duration
+	var alone, shared, sharedShards, disjoint time.Duration
 	for range b.N {
-		alone += run([]*Cache[string, int]{fresh()})
-		one, own := fresh(), make([]*Cache[string, int], workers)
+		alone += run(seqs, []*Cache[string, int]{fresh()})
+		own := make([]*Cache[string, int], workers)
 		for w := range own {
 			own[w] = fresh()
 		}
-		shared += run(slices.Repeat([]*Cache[string, int]{one}, workers))
-		disjoint += run(own)
+		shared += run(seqs, slices.Repeat([]*Cache[string, int]{fresh()}, workers))
+		sharedShards += run(bySet, slices.Repeat([]*Cache[string, int]{fresh()}, workers))
+		disjoint += run(seqs, own)
 	}
 	b.ReportMetric(float64(workers)*alone.Seconds()/shared.Seconds(), "par_speedup")
+	b.ReportMetric(float64(workers)*alone.Seconds()/sharedShards.Seconds(), "par_speedup_shared_shards")
 	b.ReportMetric(float64(workers)*alone.Seconds()/disjoint.Seconds(), "par_speedup_disjoint")
 }

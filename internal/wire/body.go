@@ -32,11 +32,11 @@ type opDesc struct {
 	req body
 	// resp is the response body; respBody varies it by status.
 	resp body
-	// alias lets the zero-copy decoders hand out keys, values and the
-	// namespace as views of the frame buffer. Only lookups set it, since
+	// alias lets the zero-copy request decoder hand out keys, values and
+	// the namespace as views of the frame buffer. Only lookups set it, since
 	// their operands die with the frame; every other op's receiver keeps its
 	// operands (a cache, the lease table, the membership agent), so a row
-	// without the bit copies.
+	// without the bit copies. Responses alias on every row (decodeResponse).
 	alias bool
 }
 

@@ -32,7 +32,8 @@ func DecodeRequestInto(req *Request, data []byte, lim Limits) (int, error) {
 
 // openFrame validates data's header, length and opcode and points c at
 // exactly the frame's payload. The cursor aliases data only when into is set
-// and the op's row allows it: the one copy-or-alias decision.
+// and the op's row allows it: the one copy-or-alias decision for requests
+// (decodeResponse widens it to every op).
 func openFrame(c *cursor, data []byte, lim Limits, into bool) (Op, uint8, error) {
 	opB, fl, n, err := parseHeader(data, lim.MaxPayload)
 	if err != nil {
@@ -170,9 +171,8 @@ func DecodeResponse(data []byte, lim Limits) (*Response, int, error) {
 
 // DecodeResponseInto is the zero-allocation form of DecodeResponse: it
 // decodes into a caller-owned Response, reusing its Found/Values capacity.
-// As in DecodeRequestInto, the values of GET, DEL and MGET responses alias
-// data, so a caller that keeps one must copy it; other values are copied.
-// With a reused Response and buffer, GET and MGET decode with zero
+// Every value aliases data, whatever the op, so a caller that keeps one must
+// copy it. With a reused Response and buffer, GET and MGET decode with zero
 // allocations.
 func DecodeResponseInto(resp *Response, data []byte, lim Limits) (int, error) {
 	return decodeResponse(resp, data, lim, true)
@@ -191,6 +191,10 @@ func decodeResponse(resp *Response, data []byte, lim Limits, into bool) (int, er
 	if !status.Valid() {
 		return 0, frameErrf("unknown status %d", uint8(status))
 	}
+	// Unlike a request's operands, no response value is kept by the layer
+	// that decodes it: the client copies what it keeps into its own arena,
+	// so every op aliases here, not only the lookups.
+	c.alias = into
 	resp.Reset()
 	resp.Op = op
 	resp.ID = binary.BigEndian.Uint32(data[4:8])
@@ -311,17 +315,19 @@ func ReadRequestInto(req *Request, r io.Reader, buf []byte, lim Limits) ([]byte,
 	return buf, err
 }
 
-// ReadResponse reads exactly one response frame from r, buffering it
-// through buf as ReadRequestInto does, and decodes it into a fresh Response
-// whose values are copies: nothing aliases buf once it returns.
-func ReadResponse(r io.Reader, buf []byte, lim Limits) (*Response, []byte, error) {
+// ReadResponseInto is ReadRequestInto's twin for responses: it reads
+// exactly one response frame from r into a caller-owned Response, buffering
+// it through buf. Every value aliases buf (see DecodeResponseInto) until the
+// next read reuses it. With a warm buffer and Response it performs zero
+// allocations per frame, which is why the client's round trip uses it.
+func ReadResponseInto(resp *Response, r io.Reader, buf []byte, lim Limits) ([]byte, error) {
 	lim = lim.withDefaults()
 	buf, err := readFrame(r, buf, lim)
 	if err != nil {
-		return nil, buf, err
+		return buf, err
 	}
-	resp, _, err := DecodeResponse(buf, lim)
-	return resp, buf, err
+	_, err = decodeResponse(resp, buf, lim, true)
+	return buf, err
 }
 
 // readFrame reads one whole frame (header + payload) into buf. The payload

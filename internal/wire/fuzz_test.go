@@ -244,6 +244,13 @@ func FuzzWireDecode(f *testing.F) {
 		} else if err != io.EOF && !errors.Is(err, ErrFrame) {
 			t.Fatalf("ReadRequestInto error %v is neither EOF nor ErrFrame", err)
 		}
+		if _, err := ReadResponseInto(&Response{}, bytes.NewReader(data), nil, lim); err == nil {
+			if len(data) < HeaderLen {
+				t.Fatal("ReadResponseInto accepted a short frame")
+			}
+		} else if err != io.EOF && !errors.Is(err, ErrFrame) {
+			t.Fatalf("ReadResponseInto error %v is neither EOF nor ErrFrame", err)
+		}
 	})
 }
 

@@ -27,9 +27,9 @@
 // Each opcode is described once, by a row of one table: its name, the
 // fields its request and response payloads carry (always in the order
 // token, TTL, key, value, keys, pairs, view, found-list), and whether a
-// zero-copy decode may alias the read buffer. Only lookups (GET, DEL, MGET)
-// alias; every other op, and any op added later, copies unless its row says
-// otherwise. One encoder and one decoder per direction walk the rows, so
+// zero-copy request decode may alias the read buffer. Only lookups (GET,
+// DEL, MGET) alias; every other op, and any op added later, copies unless
+// its row says otherwise. A zero-copy response decode aliases every op. One encoder and one decoder per direction walk the rows, so
 // each field's wire form and bound are written once and enforced on both
 // ends: the encoder refuses every operand the decoder would refuse.
 //
@@ -609,8 +609,8 @@ func (c *cursor) bytes(n int) ([]byte, error) {
 	if c.alias {
 		return s, nil
 	}
-	// Copying is the contract of the retaining decodes and of every op
-	// without alias; GET, DEL and MGET on the Into path alias instead.
+	// Copying is the contract of the retaining decodes and of every request
+	// op without alias; lookups and every response on the Into path alias.
 	out := make([]byte, len(s))
 	copy(out, s)
 	return out, nil

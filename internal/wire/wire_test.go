@@ -209,8 +209,9 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamRoundTrip pushes every fixture through one buffered stream, the
-// way a pipelined connection does, and reads them back in order.
+// TestStreamRoundTrip pushes every request fixture through one buffered
+// stream, the way a pipelined connection does, and reads them back in order;
+// TestResponseStreamRoundTrip does the same for responses.
 func TestStreamRoundTrip(t *testing.T) {
 	lim := Limits{}.withDefaults()
 	var stream bytes.Buffer
@@ -237,6 +238,39 @@ func TestStreamRoundTrip(t *testing.T) {
 		}
 	}
 	if _, err := ReadRequestInto(&Request{}, &stream, rbuf, lim); err != io.EOF {
+		t.Fatalf("want io.EOF at stream end, got %v", err)
+	}
+}
+
+// TestResponseStreamRoundTrip reads every response fixture back from one
+// stream into one reused Response, as the client's round trip does. Values
+// alias the read buffer, so each frame is compared before the next read.
+func TestResponseStreamRoundTrip(t *testing.T) {
+	lim := Limits{}.withDefaults()
+	var stream bytes.Buffer
+	resps := responseFixtures()
+	var buf []byte
+	var err error
+	for _, resp := range resps {
+		if buf, err = AppendResponse(buf[:0], resp, lim); err != nil {
+			t.Fatal(err)
+		}
+		stream.Write(buf)
+	}
+	var rbuf []byte
+	var got Response
+	for i, want := range resps {
+		rbuf, err = ReadResponseInto(&got, &stream, rbuf, lim)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		normResp(want)
+		normResp(&got)
+		if !reflect.DeepEqual(&got, want) {
+			t.Errorf("frame %d mismatch: got %+v want %+v", i, got, want)
+		}
+	}
+	if _, err := ReadResponseInto(&got, &stream, rbuf, lim); err != io.EOF {
 		t.Fatalf("want io.EOF at stream end, got %v", err)
 	}
 }
