@@ -1,0 +1,93 @@
+package server_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand/v2"
+	"testing"
+	"time"
+
+	"repro/internal/client"
+	"repro/internal/server"
+	"repro/internal/stemcache"
+	"repro/internal/wire"
+)
+
+// statsGolden is the whole STATS document after statsMix: every field is a
+// count of something the seeded op sequence did, none is a timing, so the
+// document repeats byte for byte. It also pins the document's shape: a key
+// added to or dropped from StatsSnapshot (a "tenants" block, say) changes
+// the string.
+const statsGolden = `{"node_id":0,"cache":{"Gets":6130,"Hits":2639,"Misses":3491,"Puts":3143,"Deletes":330,"Evictions":1240,"Expirations":0,"SecondaryHits":79,"ShadowHits":1097,"PolicySwaps":3,"Couplings":26,"Decouplings":2,"Spills":153,"Receives":153,"StaleServed":0,"NegativeHits":5,"TakerSets":20,"GiverSets":16,"CoupledSets":48},"hit_rate":0.43050570962479606,"len":496,"capacity":512,"conns":1,"conns_accepted":1,"requests":6408,"proto_errors":0,"loads":685,"load_dedup":0}`
+
+// statsMix drives cl through a seeded mix of every cache-touching opcode —
+// GET, SET, SETNX, DEL, MGET, MSET and LOAD (with origin hits and origin
+// misses, which the server caches as negatives) — one request at a time.
+// Half the keys come from a hot set a quarter of the cache's capacity, half
+// from a sweep over twice it, so evictions, shadow hits, policy swaps and
+// spills all fire.
+func statsMix(t *testing.T, cl *client.Client, capacity, ops int) {
+	t.Helper()
+	r := rand.New(rand.NewPCG(0x57E4, 46))
+	sweep := 0
+	key := func() string {
+		if r.IntN(2) == 0 {
+			return fmt.Sprintf("h%d", r.IntN(capacity/4))
+		}
+		sweep = (sweep + 1) % (2 * capacity)
+		return fmt.Sprintf("s%d", sweep)
+	}
+	origin := func(_ context.Context, k string) ([]byte, error) {
+		if len(k)%2 == 0 {
+			return nil, client.ErrNotFound
+		}
+		return []byte("origin:" + k), nil
+	}
+	for i := 0; i < ops; i++ {
+		var err error
+		switch op := r.IntN(8); op {
+		case 0, 1:
+			_, _, err = cl.Get(key())
+		case 2:
+			err = cl.Set(key(), []byte("v"))
+		case 3:
+			_, _, err = cl.SetNX(key(), []byte("nx"))
+		case 4:
+			_, err = cl.Del(key())
+		case 5:
+			_, _, err = cl.MGet([]string{key(), key(), key(), key()})
+		case 6:
+			err = cl.MSet([]wire.KV{{Key: key(), Value: []byte("m")}, {Key: key(), Value: []byte("m")}})
+		case 7:
+			if _, err = cl.GetOrLoad(context.Background(), key(), origin); errors.Is(err, client.ErrNotFound) {
+				err = nil
+			}
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+}
+
+// TestStatsDocumentGolden pins the STATS document of a live server after a
+// seeded mixed workload on one connection, as one constant string.
+func TestStatsDocumentGolden(t *testing.T) {
+	srv, _ := startServer(t,
+		stemcache.Config{Capacity: 512, Shards: 2, Seed: 0x57E4, NegativeTTL: time.Hour},
+		server.Config{})
+	cl, err := client.New(client.Config{Addr: srv.Addr(), PoolSize: 1, OpTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+
+	statsMix(t, cl, 512, 6000)
+	raw, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != statsGolden {
+		t.Fatalf("STATS document\n got %s\nwant %s", raw, statsGolden)
+	}
+}
