@@ -73,10 +73,6 @@ type window struct {
 	MaxMicros  uint64  `json:"max_us,omitempty"`
 	// SlowOps tallies slow requests by opcode name.
 	SlowOps map[string]int `json:"slow_ops,omitempty"`
-	// SlowTenants tallies slow requests by tenant namespace ("default" for
-	// requests in the default namespace), so a latency regression can be
-	// attributed to the tenant paying it.
-	SlowTenants map[string]int `json:"slow_tenants,omitempty"`
 	// Worst lists the slowest traced requests, worst first, for joining
 	// against client-side trace samples.
 	Worst []slowTrace `json:"worst,omitempty"`
@@ -89,16 +85,6 @@ type slowTrace struct {
 	Trace  uint64 `json:"trace"`
 	Op     string `json:"op"`
 	Micros uint64 `json:"us"`
-	// Tenant is the request's namespace ("" = default tenant).
-	Tenant string `json:"tenant,omitempty"`
-}
-
-// tenantLabel names a slow request's namespace for tallies and display.
-func tenantLabel(ns string) string {
-	if ns == "" {
-		return "default"
-	}
-	return ns
 }
 
 func run(paths []string, top int, jsonPath string) error {
@@ -186,13 +172,9 @@ func buildTimeline(events []obs.Event, top int) []window {
 				w.SlowOps = map[string]int{}
 			}
 			w.SlowOps[e.Op]++
-			if w.SlowTenants == nil {
-				w.SlowTenants = map[string]int{}
-			}
-			w.SlowTenants[tenantLabel(e.Tenant)]++
 			if e.Trace != 0 {
 				w.Traced++
-				w.Worst = append(w.Worst, slowTrace{Trace: e.Trace, Op: e.Op, Micros: e.Micros, Tenant: e.Tenant})
+				w.Worst = append(w.Worst, slowTrace{Trace: e.Trace, Op: e.Op, Micros: e.Micros})
 			}
 		}
 	}
@@ -237,22 +219,15 @@ func printTimeline(tl fileTimeline) {
 	fmt.Println()
 }
 
-// windowDetail renders the classification tally, the per-tenant slow tally
-// and the worst traces compactly, in deterministic order.
+// windowDetail renders the classification tally and the worst traces
+// compactly, in deterministic order.
 func windowDetail(w window) string {
 	var out string
 	for _, cls := range sortedKeys(w.NodeClasses) {
 		out += fmt.Sprintf("%s:%d ", cls, w.NodeClasses[cls])
 	}
-	for _, ns := range sortedKeys(w.SlowTenants) {
-		out += fmt.Sprintf("ns/%s:%d ", ns, w.SlowTenants[ns])
-	}
 	for _, st := range w.Worst {
-		if st.Tenant != "" {
-			out += fmt.Sprintf("%#x(%s@%s %dus) ", st.Trace, st.Op, st.Tenant, st.Micros)
-		} else {
-			out += fmt.Sprintf("%#x(%s %dus) ", st.Trace, st.Op, st.Micros)
-		}
+		out += fmt.Sprintf("%#x(%s %dus) ", st.Trace, st.Op, st.Micros)
 	}
 	if out == "" {
 		return "-"

@@ -24,9 +24,9 @@ var stream = []obs.Event{
 	{Type: obs.EvSpill, Tick: 131, Set: 3, Partner: 9}, // unrelated mechanism event: ignored
 	{Type: obs.EvNodeDemand, Tick: 2, Set: 0, Class: "neutral"},
 	{Type: obs.EvNodeDemand, Tick: 2, Set: 1, Class: "neutral"},
-	{Type: obs.EvSlowRequest, Tick: 250, Set: -1, Op: "get", Micros: 3000, Trace: 0xcc, Tenant: "web"},
-	{Type: obs.EvSlowRequest, Tick: 251, Set: -1, Op: "get", Micros: 3000, Trace: 0xdd, Tenant: "web"},
-	{Type: obs.EvSlowRequest, Tick: 252, Set: -1, Op: "mget", Micros: 7000, Trace: 0xee, Tenant: "batch"},
+	{Type: obs.EvSlowRequest, Tick: 250, Set: -1, Op: "get", Micros: 3000, Trace: 0xcc},
+	{Type: obs.EvSlowRequest, Tick: 251, Set: -1, Op: "get", Micros: 3000, Trace: 0xdd},
+	{Type: obs.EvSlowRequest, Tick: 252, Set: -1, Op: "mget", Micros: 7000, Trace: 0xee},
 }
 
 func TestBuildTimelineWindows(t *testing.T) {
@@ -62,17 +62,8 @@ func TestBuildTimelineWindows(t *testing.T) {
 	if len(e2.Worst) != 2 || e2.Worst[0].Trace != 0xee || e2.Worst[1].Trace != 0xcc {
 		t.Errorf("epoch 2 worst traces wrong: %+v", e2.Worst)
 	}
-	// Tenant attribution: epoch 2's slow requests came from two namespaces,
-	// epoch 1's carried none (tallied as "default"); worst traces name their
-	// tenant for the client-side join.
-	if e2.SlowTenants["web"] != 2 || e2.SlowTenants["batch"] != 1 {
-		t.Errorf("epoch 2 slow tenants wrong: %v", e2.SlowTenants)
-	}
-	if e1.SlowTenants["default"] != 2 {
-		t.Errorf("epoch 1 slow tenants wrong: %v", e1.SlowTenants)
-	}
-	if e2.Worst[0].Tenant != "batch" || e2.Worst[1].Tenant != "web" {
-		t.Errorf("worst traces lost tenant attribution: %+v", e2.Worst)
+	if e2.SlowOps["get"] != 2 || e2.SlowOps["mget"] != 1 {
+		t.Errorf("epoch 2 slow ops wrong: %v", e2.SlowOps)
 	}
 }
 
@@ -88,8 +79,8 @@ func TestBuildTimelineQuietStream(t *testing.T) {
 	if len(ws) != 1 || ws[0].Slow != 0 || ws[0].MeanMicros != 0 || len(ws[0].Worst) != 0 {
 		t.Errorf("quiet stream: %+v", ws)
 	}
-	if ws[0].SlowTenants != nil {
-		t.Errorf("quiet stream grew a tenant tally: %v", ws[0].SlowTenants)
+	if ws[0].SlowOps != nil {
+		t.Errorf("quiet stream grew a slow-op tally: %v", ws[0].SlowOps)
 	}
 	if ws := buildTimeline(nil, 3); len(ws) != 0 {
 		t.Errorf("empty stream produced windows: %+v", ws)

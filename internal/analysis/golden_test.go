@@ -22,7 +22,6 @@ var fixtureCases = []struct {
 }{
 	{name: "det", path: "fixture/internal/sim", target: "determinism"},
 	{name: "cachefix", path: "fixture/internal/stemcache", target: "lockorder"},
-	{name: "tenantfix", path: "fixture2/internal/stemcache", target: "lockorder"},
 	{name: "serverfix", path: "fixture/internal/server", target: "lockorder"},
 	{name: "clusterfix", path: "fixture/internal/cluster", target: "lockorder"},
 	{name: "memberfix", path: "fixture/internal/membership", target: "lockorder"},

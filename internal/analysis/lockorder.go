@@ -11,8 +11,8 @@ import (
 // the repository-wide panic convention:
 //
 //   - Lock hierarchy: each concurrent package's mutexes form a strict order —
-//     stemcache's Cache.closeMu before Cache.loadMu before Cache.tenantMu
-//     before shard.mu before Cache.obsMu, the network server's Server.mu
+//     stemcache's Cache.closeMu before Cache.loadMu before shard.mu before
+//     Cache.obsMu, the network server's Server.mu
 //     before conn.mu before Server.leaseMu, the cluster tier's Ring.mu
 //     before Node.mu, and the membership tier's Manager.mu before Agent.mu
 //     (see lockRankFor). Acquiring against that
@@ -31,7 +31,7 @@ import (
 //     preceding line. Misuse of public APIs must return errors instead.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "enforce the per-package lock hierarchies (stemcache's closeMu→loadMu→tenantMu→shard.mu→obsMu, server's Server.mu→conn.mu→leaseMu, cluster's Ring.mu→Node.mu, membership's Manager.mu→Agent.mu), no re-entrant or loop-deferred locking, and `// invariant:` documentation on every panic",
+	Doc:  "enforce the per-package lock hierarchies (stemcache's closeMu→loadMu→shard.mu→obsMu, server's Server.mu→conn.mu→leaseMu, cluster's Ring.mu→Node.mu, membership's Manager.mu→Agent.mu), no re-entrant or loop-deferred locking, and `// invariant:` documentation on every panic",
 	Run:  runLockOrder,
 }
 
@@ -55,13 +55,8 @@ func (k lockKey) String() string {
 var stemcacheLockRank = map[lockKey]int{
 	{typ: "Cache", field: "closeMu"}: 0,
 	{typ: "Cache", field: "loadMu"}:  1,
-	// tenantMu guards the arbitration epoch baselines. It ranks above the
-	// shard locks so an arbitration epoch *may* inspect shards while holding
-	// it, and below nothing a shard path ever needs — a shard operation must
-	// never wait on an epoch.
-	{typ: "Cache", field: "tenantMu"}: 2,
-	{typ: "shard", field: "mu"}:       3,
-	{typ: "Cache", field: "obsMu"}:    4,
+	{typ: "shard", field: "mu"}:      2,
+	{typ: "Cache", field: "obsMu"}:   3,
 }
 
 // isStemcachePackage matches the real package and bound fixtures.
@@ -122,7 +117,7 @@ func isMembershipPackage(path string) bool {
 func lockRankFor(path string) (map[lockKey]int, string) {
 	switch {
 	case isStemcachePackage(path):
-		return stemcacheLockRank, "closeMu → loadMu → tenantMu → shard.mu → obsMu"
+		return stemcacheLockRank, "closeMu → loadMu → shard.mu → obsMu"
 	case isServerPackage(path):
 		return serverLockRank, "Server.mu → conn.mu → leaseMu"
 	case isClusterPackage(path):

@@ -75,13 +75,6 @@ type Config struct {
 	// OnTrace, when non-nil, receives every completed trace sample
 	// synchronously on the operation's goroutine. Keep it cheap.
 	OnTrace func(TraceSample)
-	// Namespace scopes every operation to one tenant namespace on a
-	// multi-tenant server: the name rides each request's wire tenant field,
-	// and the server resolves it to a tenant id (auto-registering unknown
-	// names under the server's default tenant policy). "" (default) is the
-	// default namespace — frames carry no tenant field and behave exactly as
-	// a pre-tenant client. At most wire.MaxNamespaceLen bytes.
-	Namespace string
 }
 
 func (c Config) withDefaults() Config {
@@ -201,9 +194,6 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Addr == "" {
 		return nil, errors.New("client: empty Addr")
 	}
-	if len(cfg.Namespace) > wire.MaxNamespaceLen {
-		return nil, fmt.Errorf("client: namespace %q exceeds %d bytes", cfg.Namespace, wire.MaxNamespaceLen)
-	}
 	c := &Client{cfg: cfg.withDefaults()}
 	if c.cfg.TraceEvery > 0 {
 		c.epoch = wallClock()
@@ -303,13 +293,6 @@ func (c *Client) roundTrip(cc *cconn, reqs []wire.Request, resps []wire.Response
 		req := &reqs[i]
 		cc.nextID++
 		req.ID = cc.nextID
-		// Stamp the client's namespace on outgoing requests that carry none
-		// (idempotent across retry attempts, which reuse the request
-		// structs). A caller-set namespace — a replication fan-out
-		// preserving the originating tenant — wins over the config.
-		if req.Namespace == "" {
-			req.Namespace = c.cfg.Namespace
-		}
 		c.attachTrace(req)
 		var err error
 		if cc.wbuf, err = wire.AppendRequest(cc.wbuf, req, wire.Limits{}); err != nil {
@@ -515,31 +498,18 @@ func (c *Client) Stats() ([]byte, error) {
 	return resp.Value, nil
 }
 
-// GetNS fetches key scoped to an explicit tenant namespace, overriding the
-// client's configured Namespace ("" falls back to it). The membership
-// agent's read repair uses this to query a slot's replicas in the
-// originating tenant's scope.
-func (c *Client) GetNS(namespace, key string) (value []byte, found bool, err error) {
-	resp, err := c.one(wire.Request{Op: wire.OpGet, Key: key, Namespace: namespace})
-	if err != nil {
-		return nil, false, err
-	}
-	return resp.Value, resp.Status == wire.StatusOK, nil
-}
-
 // Replicate applies one replicated store on the server without triggering
 // its replica fan-out (OpReplicate is terminal — replication cannot cycle).
-// ttl <= 0 uses the server's default TTL; namespace "" is the default
-// tenant (the client's configured Namespace applies if set).
-func (c *Client) Replicate(namespace, key string, value []byte, ttl time.Duration) error {
-	_, err := c.one(wire.Request{Op: wire.OpReplicate, Key: key, Value: value, TTL: ttl, Namespace: namespace})
+// ttl <= 0 uses the server's default TTL.
+func (c *Client) Replicate(key string, value []byte, ttl time.Duration) error {
+	_, err := c.one(wire.Request{Op: wire.OpReplicate, Key: key, Value: value, TTL: ttl})
 	return err
 }
 
 // ReplicateDelete applies one replicated delete on the server (OpReplicate
 // with wire.FlagNegative; see Replicate).
-func (c *Client) ReplicateDelete(namespace, key string) error {
-	_, err := c.one(wire.Request{Op: wire.OpReplicate, Flags: wire.FlagNegative, Key: key, Namespace: namespace})
+func (c *Client) ReplicateDelete(key string) error {
+	_, err := c.one(wire.Request{Op: wire.OpReplicate, Flags: wire.FlagNegative, Key: key})
 	return err
 }
 

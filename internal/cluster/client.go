@@ -26,10 +26,7 @@ type Config struct {
 	// client of one cluster must share it.
 	Seed uint64
 	// Client is the per-node connection template; Addr is overwritten per
-	// node. Its Namespace field scopes the whole cluster client to one
-	// tenant namespace: keys route by the ring exactly as before (the
-	// namespace does not shift ownership), and every node applies its own
-	// tenant accounting and capacity arbitration to the requests it serves.
+	// node.
 	Client client.Config
 	// Metrics, when non-nil, receives ring and routing gauges under
 	// "cluster.*".

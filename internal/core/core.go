@@ -245,7 +245,7 @@ func (c *Cache) Access(a sim.Access) sim.Outcome {
 func (c *Cache) vacate(idx, way int, out *sim.Outcome) {
 	blocks, flags := c.set(idx)
 	block, f := blocks[way], flags[way]
-	g := c.eng.Evict(idx, c.sigOf(block), f&lineCC != 0, false)
+	g := c.eng.Evict(idx, c.sigOf(block), f&lineCC != 0)
 	if g < 0 {
 		if f&lineDirty != 0 {
 			out.Writeback = true

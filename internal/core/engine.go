@@ -296,9 +296,9 @@ func (e *Engine) Victim(idx int) int {
 }
 
 // Evict decides what happens to the entry the host is displacing from set
-// idx. sig is its tag's shadow signature and cc its CC bit; noSpill lets the
-// host veto cooperative caching of this one victim. The owner set needs no
-// argument: a cc entry belongs to the giver's partner, anything else to idx.
+// idx. sig is its tag's shadow signature and cc its CC bit. The owner set
+// needs no argument: a cc entry belongs to the giver's partner, anything else
+// to idx.
 //
 // A result of -1 means the entry leaves the cache, its signature recorded in
 // the owner's shadow directory. Otherwise the entry is now accounted as
@@ -306,7 +306,7 @@ func (e *Engine) Victim(idx int) int {
 // there with its CC bit set — into a free way, else into the way Victim
 // names for the giver after passing that way's entry to Evict in turn (a
 // giver's own victims always leave the cache) — and then call Fill.
-func (e *Engine) Evict(idx int, sig uint32, cc, noSpill bool) int {
+func (e *Engine) Evict(idx int, sig uint32, cc bool) int {
 	s := &e.sets[idx]
 	if cc {
 		// A giver evicted a cooperatively cached entry: out of the cache,
@@ -319,7 +319,7 @@ func (e *Engine) Evict(idx int, sig uint32, cc, noSpill bool) int {
 		}
 		return -1
 	}
-	if s.role == taker && !noSpill && (e.cfg.UnconstrainedReceive || s.mon.ScS >= e.cgeom.MSB) {
+	if s.role == taker && (e.cfg.UnconstrainedReceive || s.mon.ScS >= e.cgeom.MSB) {
 		// Spilling allowed only while the taker still demands capacity
 		// (§4.6/4.7: a role change stops spilling) ...
 		if e.cfg.UnconstrainedReceive || e.sets[s.partner].mon.IsGiver(e.cgeom) {

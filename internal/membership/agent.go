@@ -195,24 +195,24 @@ func (a *Agent) followersOf(slot int) []*client.Client {
 // ReplicateSet fans one applied store out to the slot's replicas
 // (server.Replicator). Best effort: a dead replica's copy is restored by
 // the manager's backfill at the next view change.
-func (a *Agent) ReplicateSet(namespace, key string, value []byte, ttl time.Duration) {
+func (a *Agent) ReplicateSet(key string, value []byte, ttl time.Duration) {
 	for _, p := range a.followersOf(a.ring.SlotOfKey(key)) {
-		_ = p.Replicate(namespace, key, value, ttl)
+		_ = p.Replicate(key, value, ttl)
 	}
 }
 
 // ReplicateDelete fans one applied delete out to the slot's replicas
 // (server.Replicator).
-func (a *Agent) ReplicateDelete(namespace, key string) {
+func (a *Agent) ReplicateDelete(key string) {
 	for _, p := range a.followersOf(a.ring.SlotOfKey(key)) {
-		_ = p.ReplicateDelete(namespace, key)
+		_ = p.ReplicateDelete(key)
 	}
 }
 
 // readRepair serves a GET miss on a repair-marked slot by asking the
 // slot's other replicas (server.Hooks.ReadRepair). Misses on unmarked
 // slots — the overwhelming majority — pay one mutex acquisition and leave.
-func (a *Agent) readRepair(namespace, key string) ([]byte, bool) {
+func (a *Agent) readRepair(key string) ([]byte, bool) {
 	slot := a.ring.SlotOfKey(key)
 	a.mu.Lock()
 	if a.repair == nil || slot >= len(a.repair) || !a.repair[slot] {
@@ -228,7 +228,7 @@ func (a *Agent) readRepair(namespace, key string) ([]byte, bool) {
 	a.mu.Unlock()
 
 	for _, p := range peers {
-		if v, found, err := p.GetNS(namespace, key); err == nil && found {
+		if v, found, err := p.Get(key); err == nil && found {
 			return v, true
 		}
 	}

@@ -150,10 +150,6 @@ type Event struct {
 	Micros uint64 `json:"us,omitempty"`
 	// Trace is the request's trace ID on EvSlowRequest (0 = untraced).
 	Trace uint64 `json:"trace,omitempty"`
-	// Tenant is the request's namespace on EvSlowRequest ("" = the default
-	// tenant), so a latency spike can be attributed to the tenant that paid
-	// it.
-	Tenant string `json:"tenant,omitempty"`
 	// Snap is the payload of EvSnapshot events.
 	Snap *Snapshot `json:"snap,omitempty"`
 }

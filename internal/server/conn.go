@@ -173,7 +173,7 @@ func (c *conn) serve() {
 			}
 		}
 		if timed {
-			c.srv.observeRequest(req.Op, req.Namespace, t1.Sub(t0), t2.Sub(t1), wallClock().Sub(t2), req.Trace)
+			c.srv.observeRequest(req.Op, t1.Sub(t0), t2.Sub(t1), wallClock().Sub(t2), req.Trace)
 		}
 	}
 }

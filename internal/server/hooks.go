@@ -4,7 +4,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/stemcache"
 	"repro/internal/wire"
 )
 
@@ -14,18 +13,15 @@ import (
 // is what lets failover promote a replica without losing acked writes (one
 // node failure with replication factor 2; RF-1 failures in general).
 // Implementations must not call back into this server.
-//
-// The namespace argument may alias the connection's read buffer: use it
-// during the call, clone it to retain it.
 type Replicator interface {
 	// ReplicateSet fans out one applied store. ttl <= 0 means the default
 	// TTL. Best effort: a failed fan-out is counted by the implementation
 	// and repaired by the membership manager's re-replication, not by
 	// failing the client's write.
-	ReplicateSet(namespace, key string, value []byte, ttl time.Duration)
+	ReplicateSet(key string, value []byte, ttl time.Duration)
 	// ReplicateDelete fans out one applied delete — also for keys the
 	// cache did not hold, since a replica may hold what the owner lost.
-	ReplicateDelete(namespace, key string)
+	ReplicateDelete(key string)
 }
 
 // MembershipHandler receives OpView pushes.
@@ -49,10 +45,9 @@ type Hooks struct {
 	// ReadRepair, when non-nil, is consulted on a GET miss. If it returns
 	// ok, the value is installed in the cache and served — the membership
 	// agent uses this to pull entries a freshly promoted or migrated-to
-	// owner may be missing from the slot's surviving replicas. Both string
-	// arguments may alias the connection's read buffer: valid during the
-	// call only.
-	ReadRepair func(namespace, key string) ([]byte, bool)
+	// owner may be missing from the slot's surviving replicas. The key may
+	// alias the connection's read buffer: valid during the call only.
+	ReadRepair func(key string) ([]byte, bool)
 }
 
 // SetHooks installs (or, with nil, removes) the cluster hooks. Safe to call
@@ -80,14 +75,14 @@ func (s *Server) handleMembership(h *Hooks, req *wire.Request, resp *wire.Respon
 // it, and install-and-serve whatever it recovers. Runs only on misses of
 // repair-marked slots (the hook itself checks the mark), so the hit path
 // stays allocation-free.
-func (s *Server) repairGet(h *Hooks, cache stemcache.TenantView[string, []byte], req *wire.Request, resp *wire.Response) {
-	v, ok := h.ReadRepair(req.Namespace, req.Key)
+func (s *Server) repairGet(h *Hooks, req *wire.Request, resp *wire.Response) {
+	v, ok := h.ReadRepair(req.Key)
 	if !ok {
 		resp.Status = wire.StatusNotFound
 		return
 	}
 	// The decoded key aliases the connection's read buffer; clone before it
 	// enters the cache. Only repaired misses pay.
-	cache.Set(strings.Clone(req.Key), v)
+	s.cache.Set(strings.Clone(req.Key), v)
 	resp.Value = v
 }

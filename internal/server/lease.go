@@ -40,22 +40,6 @@ type lease struct {
 	filling bool
 }
 
-// leaseKey qualifies a lease table key with the request's namespace, so the
-// same key loading in two tenants holds two independent leases. Every
-// lease-table access for a request — acquire, refresh, break, fill — goes
-// through this key. The default namespace uses the bare key (no
-// allocation). A NUL-bearing key could collide with another tenant's
-// join, which degrades to two requests sharing one lease — the loser
-// re-classifies and takes over when the fill lands in the other namespace;
-// cached data never crosses namespaces because fills store through the
-// filler's own tenant view.
-func leaseKey(req *wire.Request) string {
-	if req.Namespace == "" {
-		return req.Key
-	}
-	return req.Namespace + "\x00" + req.Key
-}
-
 // nextToken draws a fresh nonzero lease token (0 means "no lease held" in
 // StatusStale responses).
 func (s *Server) nextToken() uint64 {
@@ -124,16 +108,15 @@ func (s *Server) breakLease(key string, old *lease) (token uint64, ok bool) {
 // server shuts down. Parking holds this connection's goroutine, so
 // pipelined requests behind an OpLoad on the same connection stall — the
 // client keeps LOAD traffic on pooled connections for that reason.
-func (s *Server) handleLoad(cache stemcache.TenantView[string, []byte], req *wire.Request, resp *wire.Response) {
+func (s *Server) handleLoad(req *wire.Request, resp *wire.Response) {
 	if req.Flags&wire.FlagFill != 0 {
-		s.handleFill(cache, req, resp)
+		s.handleFill(req, resp)
 		return
 	}
 	s.loadReqs.Add(1)
-	lk := leaseKey(req)
 	waited := false
 	for {
-		v, state := cache.LookupLoad(req.Key)
+		v, state := s.cache.LookupLoad(req.Key)
 		switch state {
 		case stemcache.LoadHit:
 			resp.Value = v
@@ -146,11 +129,11 @@ func (s *Server) handleLoad(cache stemcache.TenantView[string, []byte], req *wir
 			s.staleServed.Add(1)
 			resp.Status = wire.StatusStale
 			resp.Value = v
-			resp.Token = s.tryRefreshLease(lk)
+			resp.Token = s.tryRefreshLease(req.Key)
 			return
 		}
 		// Miss. First asker takes the lease; the rest park on it.
-		l, granted := s.acquireLease(lk)
+		l, granted := s.acquireLease(req.Key)
 		if granted {
 			resp.Status = wire.StatusLease
 			resp.Token = l.token
@@ -166,7 +149,7 @@ func (s *Server) handleLoad(cache stemcache.TenantView[string, []byte], req *wir
 		case <-l.done:
 			// Fill landed (or the lease was broken); re-classify.
 		case <-time.After(s.cfg.LeaseWait):
-			if tok, ok := s.breakLease(lk, l); ok {
+			if tok, ok := s.breakLease(req.Key, l); ok {
 				resp.Status = wire.StatusLease
 				resp.Token = tok
 				return
@@ -188,10 +171,9 @@ func (s *Server) handleLoad(cache stemcache.TenantView[string, []byte], req *wir
 // the store keeps takeover out of the validate-store window, and the value
 // is stored before the lease is released so a woken waiter's
 // re-classification finds it resident.
-func (s *Server) handleFill(cache stemcache.TenantView[string, []byte], req *wire.Request, resp *wire.Response) {
-	lk := leaseKey(req)
+func (s *Server) handleFill(req *wire.Request, resp *wire.Response) {
 	s.leaseMu.Lock()
-	cur, held := s.leases[lk]
+	cur, held := s.leases[req.Key]
 	if !held || cur.token != req.Token {
 		s.leaseMu.Unlock()
 		resp.Status = wire.StatusNotStored
@@ -201,13 +183,13 @@ func (s *Server) handleFill(cache stemcache.TenantView[string, []byte], req *wir
 	s.leaseMu.Unlock()
 
 	if req.Flags&wire.FlagNegative != 0 {
-		cache.SetNegative(req.Key)
+		s.cache.SetNegative(req.Key)
 	} else {
-		cache.SetLoaded(req.Key, req.Value)
+		s.cache.SetLoaded(req.Key, req.Value)
 	}
 
 	s.leaseMu.Lock()
-	delete(s.leases, lk)
+	delete(s.leases, req.Key)
 	s.leaseMu.Unlock()
 	close(cur.done)
 }

@@ -56,7 +56,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/stemcache"
-	"repro/internal/tenant"
 	"repro/internal/wire"
 )
 
@@ -139,9 +138,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cache *stemcache.Cache[string, []byte]
 	cfg   Config
-	// reg is the cache's tenant registry (nil on an untenanted cache),
-	// cached so the per-request namespace resolution is one field read.
-	reg *tenant.Registry
 
 	// mu guards the fields below (conn registry + lifecycle). Rank: above
 	// conn.mu, never held while calling into the cache.
@@ -210,7 +206,6 @@ func New(cache *stemcache.Cache[string, []byte], cfg Config) (*Server, error) {
 	s := &Server{
 		cache:  cache,
 		cfg:    cfg,
-		reg:    cache.TenantRegistry(),
 		conns:  map[*conn]struct{}{},
 		sem:    make(chan struct{}, cfg.MaxConns),
 		leases: map[string]*lease{},
@@ -438,10 +433,6 @@ type StatsSnapshot struct {
 	// instead of consulting the origin — the stampede-protection view.
 	Loads     uint64 `json:"loads"`
 	LoadDedup uint64 `json:"load_dedup"`
-	// Tenants is the per-tenant accounting block (hit rates, residency,
-	// capacity targets), present only on a cache configured with a tenant
-	// registry.
-	Tenants []stemcache.TenantStats `json:"tenants,omitempty"`
 }
 
 // statsJSON renders the STATS payload.
@@ -459,7 +450,6 @@ func (s *Server) statsJSON() ([]byte, error) {
 		ProtoErrors:   s.protoErrors.Load(),
 		Loads:         s.loadReqs.Load(),
 		LoadDedup:     s.loadDedups.Load(),
-		Tenants:       s.cache.TenantStats(),
 	}
 	return json.Marshal(snap)
 }
@@ -484,19 +474,10 @@ func (s *Server) demand() *wire.NodeDemand {
 	}
 }
 
-// resolveTenant maps a request's namespace to a tenant-scoped cache view.
-// The empty namespace is the default tenant; an unknown namespace
-// auto-registers (registry policy); a namespace arriving at an untenanted
-// server folds into the default namespace, mirroring the registry's own
-// overflow behavior. The fast path — no namespace, or a registered one — is
-// lock- and allocation-free, so namespaced GETs keep the hot path's zero
-// allocation budget.
-func (s *Server) resolveTenant(req *wire.Request) stemcache.TenantView[string, []byte] {
-	if req.Namespace == "" || s.reg == nil {
-		return s.cache.Tenant(tenant.DefaultID)
-	}
-	return s.cache.Tenant(s.reg.Resolve(req.Namespace))
-}
+// errNamespace answers a request that carries a namespace. The cache has one
+// keyspace, so serving such a request in it would merge the caller's
+// namespace with everyone else's.
+var errNamespace = []byte("server: namespaces are not served; send the request without one")
 
 // handle executes one decoded request against the cache and fills resp.
 // It runs on the connection's goroutine; the cache does its own locking.
@@ -504,49 +485,52 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 	s.requests.Add(1)
 	resp.Reset()
 	resp.Op, resp.ID, resp.Status = req.Op, req.ID, wire.StatusOK
-	cache := s.resolveTenant(req)
+	if req.Namespace != "" {
+		resp.Status, resp.Value = wire.StatusErr, errNamespace
+		return
+	}
 	h := s.hooks.Load() // nil on a standalone server
 
 	switch req.Op {
 	case wire.OpPing:
 		// Status OK is the whole answer.
 	case wire.OpGet:
-		if v, ok := cache.Get(req.Key); ok {
+		if v, ok := s.cache.Get(req.Key); ok {
 			resp.Value = v
 		} else if h != nil && h.ReadRepair != nil {
-			s.repairGet(h, cache, req, resp)
+			s.repairGet(h, req, resp)
 		} else {
 			resp.Status = wire.StatusNotFound
 		}
 	case wire.OpSet, wire.OpSetTTL:
 		ttl := req.TTL // OpSet leaves it 0 → the cache's DefaultTTL path
 		if req.Flags&wire.FlagNX != 0 {
-			s.handleNX(h, cache, req, resp, ttl)
+			s.handleNX(h, req, resp, ttl)
 			break
 		}
 		if req.Op == wire.OpSetTTL {
-			cache.SetWithTTL(req.Key, req.Value, ttl)
+			s.cache.SetWithTTL(req.Key, req.Value, ttl)
 		} else {
-			cache.Set(req.Key, req.Value)
+			s.cache.Set(req.Key, req.Value)
 		}
 		if h != nil && h.Replicator != nil {
-			h.Replicator.ReplicateSet(req.Namespace, req.Key, req.Value, ttl)
+			h.Replicator.ReplicateSet(req.Key, req.Value, ttl)
 		}
 	case wire.OpDel:
-		if !cache.Delete(req.Key) {
+		if !s.cache.Delete(req.Key) {
 			resp.Status = wire.StatusNotFound
 		}
 		// Propagate regardless of the local verdict: a replica may hold
 		// what this owner never saw (a write during a migration window).
 		if h != nil && h.Replicator != nil {
-			h.Replicator.ReplicateDelete(req.Namespace, req.Key)
+			h.Replicator.ReplicateDelete(req.Key)
 		}
 	case wire.OpMGet:
 		// Append into the reset Response's warm capacity (Reset keeps the
 		// backing arrays) so a steady MGET load allocates nothing here.
 		found, values := resp.Found, resp.Values
 		for _, k := range req.Keys {
-			v, ok := cache.Get(k)
+			v, ok := s.cache.Get(k)
 			values = append(values, v)
 			found = append(found, ok)
 		}
@@ -554,9 +538,9 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 		s.batchKeys.Add(uint64(len(req.Keys)))
 	case wire.OpMSet:
 		for _, kv := range req.Pairs {
-			cache.Set(kv.Key, kv.Value)
+			s.cache.Set(kv.Key, kv.Value)
 			if h != nil && h.Replicator != nil {
-				h.Replicator.ReplicateSet(req.Namespace, kv.Key, kv.Value, 0)
+				h.Replicator.ReplicateSet(kv.Key, kv.Value, 0)
 			}
 		}
 		s.batchKeys.Add(uint64(len(req.Pairs)))
@@ -565,16 +549,16 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 		// cycle. The decoder copied the operands (retaining opcode), so
 		// they are safe to hand to the cache.
 		if req.Flags&wire.FlagNegative != 0 {
-			cache.Delete(req.Key)
+			s.cache.Delete(req.Key)
 		} else if req.TTL > 0 {
-			cache.SetWithTTL(req.Key, req.Value, req.TTL)
+			s.cache.SetWithTTL(req.Key, req.Value, req.TTL)
 		} else {
-			cache.Set(req.Key, req.Value)
+			s.cache.Set(req.Key, req.Value)
 		}
 	case wire.OpView:
 		s.handleMembership(h, req, resp)
 	case wire.OpLoad:
-		s.handleLoad(cache, req, resp)
+		s.handleLoad(req, resp)
 	case wire.OpStats:
 		b, err := s.statsJSON()
 		if err != nil {
@@ -601,7 +585,7 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 // handle, the part the server controls; write waits on the client) reaches
 // the configured threshold. Runs on the connection goroutine after the
 // response was written.
-func (s *Server) observeRequest(op wire.Op, namespace string, decode, handle, write time.Duration, tr *wire.TraceExt) {
+func (s *Server) observeRequest(op wire.Op, decode, handle, write time.Duration, tr *wire.TraceExt) {
 	m := s.lat[op]
 	m.decode.Observe(uint64(max(decode.Microseconds(), 0)))
 	m.handle.Observe(uint64(max(handle.Microseconds(), 0)))
@@ -614,13 +598,10 @@ func (s *Server) observeRequest(op wire.Op, namespace string, decode, handle, wr
 		traceID = tr.ID
 	}
 	s.cfg.Events.Event(obs.Event{
-		Type: obs.EvSlowRequest,
-		Tick: s.requests.Load(),
-		Set:  -1,
-		Op:   strings.ToLower(op.String()),
-		// The decoded namespace aliases the connection's read buffer; clone
-		// before it escapes into the event stream. Only slow requests pay.
-		Tenant: strings.Clone(namespace),
+		Type:   obs.EvSlowRequest,
+		Tick:   s.requests.Load(),
+		Set:    -1,
+		Op:     strings.ToLower(op.String()),
 		Micros: uint64(max((decode + handle).Microseconds(), 0)),
 		Trace:  traceID,
 	})
@@ -628,13 +609,13 @@ func (s *Server) observeRequest(op wire.Op, namespace string, decode, handle, wr
 
 // handleNX is the set-if-absent path: stemcache.GetOrSet's loaded report
 // maps exactly onto StatusNotStored-with-resident-value vs StatusOK.
-func (s *Server) handleNX(h *Hooks, cache stemcache.TenantView[string, []byte], req *wire.Request, resp *wire.Response, ttl time.Duration) {
+func (s *Server) handleNX(h *Hooks, req *wire.Request, resp *wire.Response, ttl time.Duration) {
 	var actual []byte
 	var loaded bool
 	if req.Op == wire.OpSetTTL {
-		actual, loaded = cache.GetOrSetWithTTL(req.Key, req.Value, ttl)
+		actual, loaded = s.cache.GetOrSetWithTTL(req.Key, req.Value, ttl)
 	} else {
-		actual, loaded = cache.GetOrSet(req.Key, req.Value)
+		actual, loaded = s.cache.GetOrSet(req.Key, req.Value)
 	}
 	if loaded {
 		resp.Status = wire.StatusNotStored
@@ -643,6 +624,6 @@ func (s *Server) handleNX(h *Hooks, cache stemcache.TenantView[string, []byte], 
 	}
 	// Stored: the write was applied, so it fans out like any other.
 	if h != nil && h.Replicator != nil {
-		h.Replicator.ReplicateSet(req.Namespace, req.Key, req.Value, ttl)
+		h.Replicator.ReplicateSet(req.Key, req.Value, ttl)
 	}
 }

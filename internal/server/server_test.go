@@ -2,10 +2,12 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -485,6 +487,68 @@ func TestMalformedFrameAnswersThenCloses(t *testing.T) {
 	}
 }
 
+// TestNamespacedRequestRefused: the server keeps one keyspace, so a request
+// carrying a namespace (wire.FlagTenant) is answered StatusErr without
+// touching the cache, and the connection stays usable. A namespace longer
+// than the wire carries is a malformed frame: StatusErr, then a close.
+func TestNamespacedRequestRefused(t *testing.T) {
+	srv, cache := startServer(t, stemcache.Config{Capacity: 1 << 10, Seed: 1}, server.Config{})
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(5 * time.Second))
+	encode := func(req wire.Request) []byte {
+		t.Helper()
+		b, err := wire.AppendRequest(nil, &req, wire.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	roundTrip := func(frame []byte) (wire.Response, error) {
+		t.Helper()
+		if _, err := nc.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		var resp wire.Response
+		_, err := wire.ReadResponseInto(&resp, nc, nil, wire.Limits{})
+		return resp, err
+	}
+
+	for _, req := range []wire.Request{
+		{Op: wire.OpSet, ID: 1, Key: "k", Value: []byte("from-a"), Namespace: "a"},
+		{Op: wire.OpGet, ID: 2, Key: "k", Namespace: "b"},
+	} {
+		if resp, err := roundTrip(encode(req)); err != nil || resp.Status != wire.StatusErr {
+			t.Fatalf("%v in namespace %q: status %v, err %v; want StatusErr", req.Op, req.Namespace, resp.Status, err)
+		}
+		if resp, err := roundTrip(encode(wire.Request{Op: wire.OpPing, ID: 3})); err != nil || resp.Status != wire.StatusOK {
+			t.Fatalf("PING after the refused %v: status %v, err %v; want StatusOK", req.Op, resp.Status, err)
+		}
+	}
+	if _, found, err := newClient(t, srv.Addr()).Get("k"); err != nil || found {
+		t.Fatalf("default-namespace Get(k) = (found %v, err %v), want a miss", found, err)
+	}
+	if st := cache.Stats(); st.Puts != 0 || st.Gets != 1 {
+		t.Fatalf("cache saw Puts=%d Gets=%d, want 0 and 1 (the default-namespace Get)", st.Puts, st.Gets)
+	}
+
+	// One byte past wire.MaxNamespaceLen: the encoder refuses it, so the
+	// frame is patched by hand.
+	frame := encode(wire.Request{Op: wire.OpGet, ID: 4, Key: "k", Namespace: strings.Repeat("n", wire.MaxNamespaceLen)})
+	frame = slices.Insert(frame, wire.HeaderLen+1, 'n')
+	frame[wire.HeaderLen]++
+	binary.BigEndian.PutUint32(frame[8:wire.HeaderLen], uint32(len(frame)-wire.HeaderLen))
+	if resp, err := roundTrip(frame); err != nil || resp.Status != wire.StatusErr || !strings.Contains(string(resp.Value), "namespace") {
+		t.Fatalf("oversized namespace: status %v, value %q, err %v; want StatusErr naming the namespace", resp.Status, resp.Value, err)
+	}
+	if _, err := wire.ReadResponseInto(&wire.Response{}, nc, nil, wire.Limits{}); err == nil {
+		t.Fatal("connection stayed open after the oversized namespace")
+	}
+}
+
 // TestTTLPastWireRangeFailsAtSender: a TTL beyond the wire's 2^62 ns is
 // refused by the client's encoder, so the frame never reaches the server,
 // the connection stays usable and no protocol error is counted.
@@ -604,14 +668,14 @@ type parkingReplicator struct {
 	once            sync.Once
 }
 
-func (p *parkingReplicator) ReplicateSet(string, string, []byte, time.Duration) {
+func (p *parkingReplicator) ReplicateSet(string, []byte, time.Duration) {
 	p.once.Do(func() {
 		close(p.parked)
 		<-p.release
 	})
 }
 
-func (p *parkingReplicator) ReplicateDelete(string, string) {}
+func (p *parkingReplicator) ReplicateDelete(string) {}
 
 // TestCloseWaitsForParkedHandler: Close joins every connection handler, even
 // one that outlives DrainTimeout. Force-closing the socket cannot unblock a

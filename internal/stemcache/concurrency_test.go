@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/tenant"
 	"repro/internal/workloads"
 )
 
@@ -275,7 +274,7 @@ func BenchmarkParallelMixed(b *testing.B) {
 			b.Fatal(err)
 		}
 		for len(bySet[w]) < perWorker {
-			if k := next(); probe.setOf(probe.thash(tenant.DefaultID, k))%workers == w {
+			if k := next(); probe.setOf(probe.hasher(k))%workers == w {
 				bySet[w] = append(bySet[w], k)
 			}
 		}

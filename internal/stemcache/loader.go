@@ -17,11 +17,7 @@ package stemcache
 //     refreshes it — the foreground path never waits on the origin for a
 //     key it has any value for.
 
-import (
-	"time"
-
-	"repro/internal/tenant"
-)
+import "time"
 
 // LoadState classifies what LookupLoad found under a key.
 type LoadState uint8
@@ -64,18 +60,13 @@ func (s LoadState) String() string {
 // negative marker counts as a miss (plus NegativeHits). Servers use this to
 // answer LOAD frames.
 func (c *Cache[K, V]) LookupLoad(key K) (V, LoadState) {
-	return c.lookupLoadT(tenant.DefaultID, key)
-}
-
-// lookupLoadT is LookupLoad in tenant tid's namespace.
-func (c *Cache[K, V]) lookupLoadT(tid int, key K) (V, LoadState) {
-	h := c.thash(tid, key)
+	h := c.hasher(key)
 	sh := c.shardOf(h)
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	var clk opClock
-	e, st := c.read(sh, tid, key, h, &clk, true)
+	e, st := c.read(sh, key, h, &clk, true)
 	if st == LoadHit || st == LoadStale {
 		return e.val, st
 	}
@@ -89,17 +80,12 @@ func (c *Cache[K, V]) lookupLoadT(tid int, key K) (V, LoadState) {
 // stale but servable by LookupLoad — for StaleTTL longer before truly
 // expiring. Servers call it when a client fills a lease.
 func (c *Cache[K, V]) SetLoaded(key K, value V) {
-	c.setLoadedT(tenant.DefaultID, key, value)
-}
-
-// setLoadedT is SetLoaded in tenant tid's namespace.
-func (c *Cache[K, V]) setLoadedT(tid int, key K, value V) {
 	ttl := c.cfg.LoadTTL
 	if ttl <= 0 {
 		ttl = c.cfg.DefaultTTL
 	}
 	ttl = c.jitterTTL(ttl)
-	h := c.thash(tid, key)
+	h := c.hasher(key)
 	sh := c.shardOf(h)
 
 	sh.mu.Lock()
@@ -111,7 +97,7 @@ func (c *Cache[K, V]) setLoadedT(tid int, key K, value V) {
 		fresh, exp = exp, exp+int64(c.cfg.StaleTTL)
 	}
 	sh.eng.Tick()
-	c.store(sh, tid, key, value, h, &clk, fresh, exp, false)
+	c.store(sh, key, value, h, &clk, fresh, exp, false)
 }
 
 // SetNegative installs a negative marker under key for NegativeTTL: until
@@ -119,23 +105,18 @@ func (c *Cache[K, V]) setLoadedT(tid int, key K, value V) {
 // a miss. A no-op when NegativeTTL is zero. A later Set or SetLoaded
 // overwrites the marker; Delete removes it.
 func (c *Cache[K, V]) SetNegative(key K) {
-	c.setNegativeT(tenant.DefaultID, key)
-}
-
-// setNegativeT is SetNegative in tenant tid's namespace.
-func (c *Cache[K, V]) setNegativeT(tid int, key K) {
 	if c.cfg.NegativeTTL <= 0 {
 		return
 	}
 	var zero V
-	h := c.thash(tid, key)
+	h := c.hasher(key)
 	sh := c.shardOf(h)
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	var clk opClock
 	sh.eng.Tick()
-	c.store(sh, tid, key, zero, h, &clk, 0, c.after(&clk, c.cfg.NegativeTTL), true)
+	c.store(sh, key, zero, h, &clk, 0, c.after(&clk, c.cfg.NegativeTTL), true)
 }
 
 // jitterTTL shortens ttl by a uniform fraction in [0, TTLJitter), the

@@ -25,10 +25,6 @@ type entry[K comparable, V any] struct {
 	// does not exist, and that answer is cached until exp. The value is the
 	// zero V; plain Get reports a miss, LookupLoad reports LoadNegative.
 	neg bool
-	// ten is the owning tenant's registry id (0 = default namespace). It
-	// travels with the entry through spills so that eviction anywhere —
-	// local, cooperative, expiry — debits the right tenant's residency.
-	ten uint16
 }
 
 // A tag is one way's probe word: the entry's key hash with its low two bits
@@ -51,38 +47,33 @@ func tagOf(h uint64, cc bool) uint64 {
 	return t
 }
 
-// tally is one tenant's Get accounting inside one shard.
+// tally is a shard's Get accounting.
 type tally struct {
-	gets, hits, misses, shadowHits uint64
+	gets, hits, misses uint64
 }
 
 // shard is one lock-striped slice of the cache: its own mutex, STEM engine
 // (per-set policies and demand monitors, giver heap, RNG, mechanism counters)
 // and the entries the engine's decisions move around. All fields are guarded
 // by mu, and the counters among them are the only ones a request writes:
-// every other view (Stats, TenantStats, the metrics registry) is summed from
-// them when somebody reads.
+// every other view (Stats, the metrics registry) is summed from them when
+// somebody reads.
 //
 // The layout is by cache line (TestShardLayout holds it). The first 64 bytes
-// hold what a Get hit writes outside its set — mu, the inline tally row and
-// the engine's rng and tick — and live, which inserts and evictions move.
+// hold what a Get hit writes outside its set — mu, the tally row and the
+// engine's rng and tick — and live, which inserts and evictions move.
 // The engine's read-only fields and its counters follow, then stats, then
 // the slice headers; the padding makes a shard a whole number of lines, so
 // no two shards share one.
 type shard[K comparable, V any] struct {
-	mu   sync.Mutex
-	live int
-	// one is the Get accounting of an untenanted cache, which has a single
-	// tally row; a tenanted cache keeps one row per tenant id elsewhere.
-	one   [1]tally
-	eng   core.Engine
-	stats Stats // every other counter; snapshot completes it from tally and the engine
-	// tally is the Get accounting, one row per tenant id: one[:] or, with a
-	// tenant registry, tenant.MaxTenants rows.
-	tally   []tally
+	mu      sync.Mutex
+	live    int
+	one     tally // the Get accounting
+	eng     core.Engine
+	stats   Stats         // every other counter; snapshot completes it from one and the engine
 	entries []entry[K, V] // sets × Ways, set-major
 	tags    []uint64      // one per entry, in the same order; see tagOf
-	_       [48]byte
+	_       [80]byte
 }
 
 // newShards allocates n shards with shard 0 on a 64-byte line. Go's
@@ -203,16 +194,16 @@ func (c *Cache[K, V]) touch(sh *shard[K, V], idx, set, way int) {
 // misses and leaves the entry resident for the load path. Only LoadMiss, no
 // entry at all, is shadow-directory demand evidence. The entry is nil on
 // LoadMiss.
-func (c *Cache[K, V]) read(sh *shard[K, V], tid int, key K, h uint64, clk *opClock, load bool) (*entry[K, V], LoadState) {
+func (c *Cache[K, V]) read(sh *shard[K, V], key K, h uint64, clk *opClock, load bool) (*entry[K, V], LoadState) {
 	sh.eng.Tick()
-	t := &sh.tally[tid]
+	t := &sh.one
 	t.gets++
 
 	idx := c.setOf(h)
 	set, w, stale := c.lookup(sh, idx, key, h, clk)
 	if w < 0 {
 		t.misses++
-		c.consultShadow(sh, idx, h, tid)
+		sh.eng.Miss(idx, c.sigOf(h))
 		return nil, LoadMiss
 	}
 	e := &c.set(sh, set)[w]
@@ -239,22 +230,12 @@ func (c *Cache[K, V]) read(sh *shard[K, V], tid int, key K, h uint64, clk *opClo
 	return e, LoadHit
 }
 
-// consultShadow runs the miss path's demand update for set idx (see
-// core.Engine.Miss). tid is the tenant whose miss this is: a shadow hit is
-// that tenant's "one more entry would have hit" evidence, the signal the
-// cross-tenant arbiter aggregates.
-func (c *Cache[K, V]) consultShadow(sh *shard[K, V], idx int, h uint64, tid int) {
-	if sh.eng.Miss(idx, c.sigOf(h)) {
-		sh.tally[tid].shadowHits++
-	}
-}
-
 // store is the shared write path (caller holds sh.mu and has ticked the
 // engine): overwrite a resident entry — local or cooperative, live or stale
 // — or run the miss path and insert. fresh/neg carry the read-through
 // semantics; a plain Set passes fresh 0 and neg false, resetting any loader
 // state the key had.
-func (c *Cache[K, V]) store(sh *shard[K, V], tid int, key K, value V, h uint64, clk *opClock, fresh, exp int64, neg bool) {
+func (c *Cache[K, V]) store(sh *shard[K, V], key K, value V, h uint64, clk *opClock, fresh, exp int64, neg bool) {
 	sh.stats.Puts++
 	idx := c.setOf(h)
 	if set, w, _ := c.lookup(sh, idx, key, h, clk); w >= 0 {
@@ -267,43 +248,34 @@ func (c *Cache[K, V]) store(sh *shard[K, V], tid int, key K, value V, h uint64, 
 	}
 	// Miss: consult the shadow directory, then fill locally (the library
 	// analogue of the simulator's miss path).
-	c.consultShadow(sh, idx, h, tid)
-	c.insert(sh, idx, tid, entry[K, V]{key: key, val: value, hash: h, exp: exp, fresh: fresh, neg: neg, ten: uint16(tid)})
+	sh.eng.Miss(idx, c.sigOf(h))
+	c.insert(sh, idx, entry[K, V]{key: key, val: value, hash: h, exp: exp, fresh: fresh, neg: neg})
 }
 
-// insert puts ent into set idx — the one place an entry enters the cache. An
-// at-target tenant recycles its own footprint even while the set has free
-// ways (quotaVictim); otherwise a free way is used, and only a full set asks
-// the engine for a victim, which the tenant rules may override (victimFor).
-func (c *Cache[K, V]) insert(sh *shard[K, V], idx, tid int, ent entry[K, V]) {
-	s, t := c.set(sh, idx), c.tags(sh, idx)
-	way := c.quotaVictim(s, t, tid)
+// insert puts ent into set idx — the one place an entry enters the cache. A
+// free way is used when the set has one; only a full set asks the engine for
+// a victim.
+func (c *Cache[K, V]) insert(sh *shard[K, V], idx int, ent entry[K, V]) {
+	t := c.tags(sh, idx)
+	way := freeWay(t)
 	if way < 0 {
-		way = freeWay(t)
-	}
-	if way < 0 {
-		way = c.victimFor(s, sh.eng.Victim(idx), tid)
-	}
-	if t[way] != 0 {
+		way = sh.eng.Victim(idx)
 		c.vacate(sh, idx, way)
 	}
-	s[way], t[way] = ent, tagOf(ent.hash, false)
+	c.set(sh, idx)[way], t[way] = ent, tagOf(ent.hash, false)
 	sh.eng.Fill(idx, way)
 	sh.live++
-	c.tLiveInc(tid)
 }
 
 // vacate moves the entry in (idx, w) where the engine sends it: into the
-// coupled giver as a cooperatively cached entry — unless its tenant has no
-// capacity grant left to spend (spillAllowed) — or out of the cache. Either
+// coupled giver as a cooperatively cached entry, or out of the cache. Either
 // way the caller refills (idx, w) at once, so its tag is left for the caller
 // to overwrite.
 func (c *Cache[K, V]) vacate(sh *shard[K, V], idx, w int) {
 	v := &c.set(sh, idx)[w]
-	g := sh.eng.Evict(idx, c.sigOf(v.hash), c.tags(sh, idx)[w]&tagCC != 0, !c.spillAllowed(v))
+	g := sh.eng.Evict(idx, c.sigOf(v.hash), c.tags(sh, idx)[w]&tagCC != 0)
 	if g < 0 {
 		sh.live--
-		c.tLiveDec(v.ten)
 		sh.stats.Evictions++
 		return
 	}
@@ -322,11 +294,10 @@ func (c *Cache[K, V]) vacate(sh *shard[K, V], idx, w int) {
 // the association.
 func (c *Cache[K, V]) drop(sh *shard[K, V], idx, w int) {
 	e, t := &c.set(sh, idx)[w], &c.tags(sh, idx)[w]
-	owner, cc := e.ten, *t&tagCC != 0
+	cc := *t&tagCC != 0
 	*e, *t = entry[K, V]{}, 0
 	sh.eng.Remove(idx, w, cc)
 	sh.live--
-	c.tLiveDec(owner)
 }
 
 // expire collects the expired entry at (idx, w).
@@ -335,16 +306,12 @@ func (c *Cache[K, V]) expire(sh *shard[K, V], idx, w int) {
 	sh.stats.Expirations++
 }
 
-// snapshot returns sh's counters completed with the Get accounting summed
-// over the tenant rows and with what the engine keeps: the mechanism counters
-// and the instantaneous set-role gauges (caller holds sh.mu).
+// snapshot returns sh's counters completed with the Get accounting and with
+// what the engine keeps: the mechanism counters and the instantaneous
+// set-role gauges (caller holds sh.mu).
 func (sh *shard[K, V]) snapshot() (Stats, core.Census) {
 	st, n, cen := sh.stats, sh.eng.Counts(), sh.eng.Census()
-	for i := range sh.tally {
-		st.Gets += sh.tally[i].gets
-		st.Hits += sh.tally[i].hits
-		st.Misses += sh.tally[i].misses
-	}
+	st.Gets, st.Hits, st.Misses = sh.one.gets, sh.one.hits, sh.one.misses
 	st.ShadowHits, st.PolicySwaps = n.ShadowHits, n.PolicySwaps
 	st.Couplings, st.Decouplings = n.Couplings, n.Decouplings
 	st.Spills, st.Receives = n.Spills, n.Receives

@@ -26,10 +26,9 @@
 //
 // All operations are safe for concurrent use. A single shard is a
 // single-writer state machine guarded by its mutex, and its counters are the
-// only ones a request writes: Stats, TenantStats and the metrics registry are
-// sums over the shards taken when somebody reads. What crosses shards is the
-// tenants' residency and targets (atomics), the TTL-jitter RNG and the
-// optional Observer (serialized).
+// only ones a request writes: Stats and the metrics registry are sums over
+// the shards taken when somebody reads. What crosses shards is the TTL-jitter
+// RNG and the optional Observer (serialized).
 //
 // Entries may carry a TTL. Expiry is lazy: an expired entry is collected by
 // whichever operation next touches it (and counts as a miss), never by a
@@ -63,7 +62,6 @@ import (
 	"repro/internal/hashfn"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/tenant"
 )
 
 // Config parameterizes a Cache. The zero value is usable: every field has a
@@ -130,18 +128,6 @@ type Config struct {
 	// zero disables jitter.
 	TTLJitter float64
 
-	// Tenants, when non-nil, enables multi-tenant namespacing: operations
-	// through Cache.Tenant views are salted per tenant (disjoint key spaces)
-	// and accounted per tenant, and ArbitrateTenants can move capacity
-	// targets between tenants along the SCDM demand gradient. Nil keeps the
-	// cache single-tenant with zero overhead. See tenant.go.
-	Tenants *tenant.Registry
-	// TenantPolicy selects how tenant capacity targets are enforced:
-	// TenantObserve (default; account only), TenantStatic (fixed
-	// weight-proportional partition) or TenantArbitrated (STEM-driven
-	// giver/taker transfers). Requires Tenants for the enforcing modes.
-	TenantPolicy TenantPolicy
-
 	// Metrics, when non-nil, exports every monotonic Stats field as a derived
 	// counter under "stemcache.*" (hits, misses, evictions, spills, ...):
 	// reading the registry calls Stats once, no operation writes to it, and
@@ -191,10 +177,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("stemcache: NegativeTTL must be >= 0, got %v", c.NegativeTTL)
 	case c.TTLJitter < 0 || c.TTLJitter >= 1:
 		return fmt.Errorf("stemcache: TTLJitter must be in [0, 1), got %v", c.TTLJitter)
-	case c.TenantPolicy > TenantArbitrated:
-		return fmt.Errorf("stemcache: unknown TenantPolicy %d", c.TenantPolicy)
-	case c.TenantPolicy != TenantObserve && c.Tenants == nil:
-		return fmt.Errorf("stemcache: TenantPolicy %v requires a tenant registry", c.TenantPolicy)
 	}
 	return nil
 }
@@ -254,13 +236,6 @@ type Cache[K comparable, V any] struct {
 	loadMu  sync.Mutex
 	loadRNG *sim.RNG
 
-	// Multi-tenant state (tenant.go): nil when no registry is configured.
-	// tenantMu guards the arbitration epoch baselines inside ten; its rank
-	// sits between loadMu and shard.mu, and ArbitrateTenants takes each shard
-	// lock in turn while holding it, to sum the tenants' tally rows.
-	tenantMu sync.Mutex
-	ten      *tenantState
-
 	closeMu sync.Mutex
 	closed  bool
 }
@@ -318,9 +293,6 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 		now:     func() int64 { return time.Now().UnixNano() }, //lint:allow(determinism) TTL expiry boundary; eviction decisions never read this clock
 		loadRNG: sim.NewRNG(cfg.Seed ^ 0x10ad),
 	}
-	if cfg.Tenants != nil {
-		c.ten = newTenantState(cfg.Tenants, cfg.TenantPolicy, cfg.Seed)
-	}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.eng = core.NewEngine(cfg.engine(), sets, cfg.Ways, i)
@@ -329,10 +301,6 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 		}
 		sh.entries = make([]entry[K, V], sets*cfg.Ways)
 		sh.tags = make([]uint64, sets*cfg.Ways)
-		sh.tally = sh.one[:]
-		if c.ten != nil {
-			sh.tally = make([]tally, tenant.MaxTenants)
-		}
 	}
 	c.registerMetrics(cfg.Metrics)
 	return c
@@ -352,12 +320,7 @@ func log2(v int) uint {
 // evicted registers as a shadow hit and feeds the set's demand counters —
 // exactly the evidence stream the simulator derives from its miss path.
 func (c *Cache[K, V]) Get(key K) (V, bool) {
-	return c.getT(tenant.DefaultID, key)
-}
-
-// getT is Get in tenant tid's namespace (Get is getT of the default tenant).
-func (c *Cache[K, V]) getT(tid int, key K) (V, bool) {
-	h := c.thash(tid, key)
+	h := c.hasher(key)
 	sh := c.shardOf(h)
 
 	sh.mu.Lock()
@@ -367,7 +330,7 @@ func (c *Cache[K, V]) getT(tid int, key K) (V, bool) {
 	// operations serialized by the shard lock agree on an entry's state at its
 	// exact deadline.
 	var clk opClock
-	if e, st := c.read(sh, tid, key, h, &clk, false); st == LoadHit {
+	if e, st := c.read(sh, key, h, &clk, false); st == LoadHit {
 		return e.val, true
 	}
 	var zero V
@@ -386,19 +349,14 @@ func (c *Cache[K, V]) Set(key K, value V) {
 // SetWithTTL is Set with an explicit time-to-live for this entry; ttl <= 0
 // means the entry never expires.
 func (c *Cache[K, V]) SetWithTTL(key K, value V, ttl time.Duration) {
-	c.setWithTTLT(tenant.DefaultID, key, value, ttl)
-}
-
-// setWithTTLT is SetWithTTL in tenant tid's namespace.
-func (c *Cache[K, V]) setWithTTLT(tid int, key K, value V, ttl time.Duration) {
-	h := c.thash(tid, key)
+	h := c.hasher(key)
 	sh := c.shardOf(h)
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	var clk opClock
 	sh.eng.Tick()
-	c.store(sh, tid, key, value, h, &clk, 0, c.after(&clk, ttl), false)
+	c.store(sh, key, value, h, &clk, 0, c.after(&clk, ttl), false)
 }
 
 // GetOrSet returns the value resident under key, or stores value (with the
@@ -417,23 +375,18 @@ func (c *Cache[K, V]) GetOrSet(key K, value V) (actual V, loaded bool) {
 // ttl <= 0 means it never expires. The TTL of an already-resident entry is
 // left untouched.
 func (c *Cache[K, V]) GetOrSetWithTTL(key K, value V, ttl time.Duration) (actual V, loaded bool) {
-	return c.getOrSetWithTTLT(tenant.DefaultID, key, value, ttl)
-}
-
-// getOrSetWithTTLT is GetOrSetWithTTL in tenant tid's namespace.
-func (c *Cache[K, V]) getOrSetWithTTLT(tid int, key K, value V, ttl time.Duration) (actual V, loaded bool) {
-	h := c.thash(tid, key)
+	h := c.hasher(key)
 	sh := c.shardOf(h)
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	var clk opClock
-	if e, st := c.read(sh, tid, key, h, &clk, false); st == LoadHit {
+	if e, st := c.read(sh, key, h, &clk, false); st == LoadHit {
 		return e.val, true
 	}
 	// Absent, stale or a negative marker: the offered value wins, through
 	// the same write path a Set after the missed Get would take.
-	c.store(sh, tid, key, value, h, &clk, 0, c.after(&clk, ttl), false)
+	c.store(sh, key, value, h, &clk, 0, c.after(&clk, ttl), false)
 	return value, false
 }
 
@@ -443,12 +396,7 @@ func (c *Cache[K, V]) getOrSetWithTTLT(tid int, key K, value V, ttl time.Duratio
 // cuts short a stale window or a cached absence. Deletion is not demand
 // evidence: the key's signature is not entered into the shadow directory.
 func (c *Cache[K, V]) Delete(key K) bool {
-	return c.deleteT(tenant.DefaultID, key)
-}
-
-// deleteT is Delete in tenant tid's namespace.
-func (c *Cache[K, V]) deleteT(tid int, key K) bool {
-	h := c.thash(tid, key)
+	h := c.hasher(key)
 	sh := c.shardOf(h)
 
 	sh.mu.Lock()
@@ -538,11 +486,6 @@ func (c *Cache[K, V]) Close() {
 		sh.eng.Clear()
 		sh.live = 0
 		sh.mu.Unlock()
-	}
-	if c.ten != nil {
-		for i := range c.ten.live {
-			c.ten.live[i].Store(0)
-		}
 	}
 }
 

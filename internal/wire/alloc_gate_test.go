@@ -16,9 +16,9 @@ func benchGetRequest() *Request {
 	return &Request{Op: OpGet, ID: 7, Key: "bench:key:0123456789"}
 }
 
-// benchNamespacedGetRequest is the single-key lookup frame with a tenant
-// namespace prefix — the multi-tenant hot path the gate must keep at 0
-// allocs/op alongside the plain GET.
+// benchNamespacedGetRequest is the single-key lookup frame with a namespace
+// prefix. A server decodes such a frame before refusing it, so the gate keeps
+// it at 0 allocs/op alongside the plain GET.
 func benchNamespacedGetRequest() *Request {
 	return &Request{Op: OpGet, ID: 7, Key: "bench:key:0123456789", Namespace: "bench-tenant"}
 }

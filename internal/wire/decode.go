@@ -244,7 +244,7 @@ func (c *cursor) demand() (*NodeDemand, error) {
 // namespace reads the uint8-length-prefixed namespace prefix of a FlagTenant
 // request. A flagged frame must carry a non-empty name of at most
 // MaxNamespaceLen bytes — an empty or oversized prefix is a protocol error,
-// so "default tenant" has exactly one encoding (no flag, no prefix).
+// so "no namespace" has exactly one encoding (no flag, no prefix).
 func (c *cursor) namespace() (string, error) {
 	p, err := c.take(1)
 	if err != nil {

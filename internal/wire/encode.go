@@ -31,7 +31,7 @@ func AppendRequest(buf []byte, req *Request, lim Limits) ([]byte, error) {
 		return buf[:start], fmt.Errorf("wire: FlagTrace set without a trace extension")
 	}
 
-	// The Namespace field drives the tenant bit the same way Trace drives
+	// The Namespace field drives FlagTenant the same way Trace drives
 	// FlagTrace: a non-empty namespace sets the flag and emits the prefix; a
 	// bare flag would desynchronize the stream and is rejected at the sender.
 	if req.Namespace != "" {

@@ -41,10 +41,9 @@
 //
 // A request with FlagTenant set carries a namespace prefix — a
 // uint8-length-prefixed name of 1..MaxNamespaceLen bytes — after the trace
-// extension (when present) and ahead of the opcode payload. The namespace
-// scopes the request's keys to one tenant; a request without the flag
-// belongs to the default tenant, so pre-tenant clients interoperate
-// unchanged. Responses carry no namespace: the request's scope answers it.
+// extension (when present) and ahead of the opcode payload. The codec still
+// carries it, but a server keeps one keyspace and answers every namespaced
+// request StatusErr. Responses carry no namespace.
 //
 // The decoder is strict: a frame with a bad magic, unknown version or
 // opcode, a payload length beyond the configured limit, or a payload whose
@@ -163,8 +162,8 @@ const (
 	// the absence (a negative marker) instead of a value.
 	FlagNegative uint8 = 1 << 3
 	// FlagTenant marks a request carrying a namespace prefix: a
-	// uint8-length-prefixed tenant name after the trace extension (when
-	// present), ahead of the opcode payload. Absent flag = default tenant.
+	// uint8-length-prefixed name after the trace extension (when present),
+	// ahead of the opcode payload. Servers refuse such requests.
 	FlagTenant uint8 = 1 << 4
 	// FlagDemand asks the server to piggyback its NodeDemand snapshot on
 	// the response (flagged by the status byte's bit 6, ahead of the opcode
@@ -175,8 +174,7 @@ const (
 	FlagDemand uint8 = 1 << 5
 )
 
-// MaxNamespaceLen caps a namespace name's byte length. It matches
-// tenant.MaxNameLen, so every name the wire accepts is registrable.
+// MaxNamespaceLen caps a namespace name's byte length.
 const MaxNamespaceLen = 64
 
 // respFlagTrace marks a traced response. Responses have no flags byte —
@@ -463,13 +461,12 @@ type Request struct {
 	// with FlagTrace set and the 16-byte trace prefix ahead of the opcode
 	// payload; decoding a FlagTrace frame populates it.
 	Trace *TraceExt
-	// Namespace scopes the request's keys to one tenant. A non-empty
-	// Namespace is encoded with FlagTenant set and the namespace prefix on
-	// the wire; empty means the default tenant (no flag, no prefix). In
-	// zero-copy decodes of GET, DEL and MGET the string aliases the frame
-	// buffer — valid only until the buffer is reused — so a receiver that
-	// retains it must copy (the server's tenant registry clones on
-	// registration).
+	// Namespace is the request's namespace prefix. A non-empty Namespace is
+	// encoded with FlagTenant set and the prefix on the wire; empty means
+	// no flag and no prefix, the only form a server serves. In zero-copy
+	// decodes of GET, DEL and MGET the string aliases the frame buffer —
+	// valid only until the buffer is reused — so a receiver that retains it
+	// must copy.
 	Namespace string
 	// Epoch is the membership epoch of an OpView push. Epochs are
 	// monotone per cluster, so an agent discards a view older than the one

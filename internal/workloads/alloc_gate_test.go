@@ -40,14 +40,4 @@ func TestKeyStreamZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate("hotspot-shift", HotspotShiftEvery(big)-1001-100, func() { shift() })
-
-	tenants, err := NewTenantKeyStream([]TenantStream{
-		{Name: "z", Dist: "zipf", Capacity: capacity, Skew: 1.2, Seed: 1},
-		{Name: "s", Dist: "scan", Capacity: capacity, Seed: 2},
-		{Name: "m", Dist: "mixed", Capacity: capacity, Skew: 0.8, Seed: 3},
-	}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate("tenants", 3*100*8*capacity, func() { tenants() })
 }

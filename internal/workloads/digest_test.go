@@ -35,28 +35,8 @@ var keyStreamDigests = map[string]string{
 	"hotspot-shift/1/0/1":    "254c6e9355dc2c79",
 }
 
-// tenantStreamDigests pins NewTenantKeyStream the same way, hashing each
-// draw's namespace, a 0 byte, its key and a 0 byte, keyed by skew. Every
-// Capacity is at least 8, so every "mixed" hot set holds at least two keys.
-// Skew 0 selects the default exponent 1, so "0" and "1" are one stream.
-var tenantStreamDigests = map[string]string{
-	"0":   "73b144487ff95515",
-	"0.5": "bc0decdbe3cdb374",
-	"1":   "73b144487ff95515",
-	"2":   "eff96f0775164421",
-}
-
 var digestGeometries = []struct{ capacity, w, workers int }{
 	{8192, 0, 2}, {8192, 1, 2}, {1024, 0, 1}, {64, 2, 3}, {1, 0, 1},
-}
-
-func digestTenants(skew float64) []TenantStream {
-	return []TenantStream{
-		{Name: "z", Dist: "zipf", Capacity: 512, Skew: skew, Weight: 3, Seed: 0x57E4},
-		{Name: "s", Dist: "scan", Capacity: 64, Skew: skew, Weight: 1, Seed: 0x57E4 + 1},
-		{Name: "m", Dist: "mixed", Capacity: 8, Skew: skew, Weight: 2, Seed: 0x57E4 + 2},
-		{Name: "", Dist: "mixed", Capacity: 1024, Skew: skew, Weight: 2, Seed: 0x57E4 + 3},
-	}
 }
 
 const digestKeys = 1_000_000
@@ -105,18 +85,4 @@ func TestKeyStreamDigests(t *testing.T) {
 		}
 	}
 	checkDigests(t, keyStreamDigests, got)
-
-	got = map[string]string{}
-	for _, skew := range []float64{0, 0.5, 1, 2} {
-		next, err := NewTenantKeyStream(digestTenants(skew), 0x57E4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pair := make([]string, 2)
-		got[fmt.Sprint(skew)] = digest(func() []string {
-			pair[0], pair[1] = next()
-			return pair
-		})
-	}
-	checkDigests(t, tenantStreamDigests, got)
 }

@@ -70,7 +70,7 @@ func NewWorkerKeyStream(dist string, capacity int, seed uint64, w, workers int) 
 	}
 	switch dist {
 	case "zipf", "scan", "mixed":
-		return keyStream(dist, capacity, 1, seed, w, workers), nil
+		return keyStream(dist, capacity, seed, w, workers), nil
 	case "hotspot-shift":
 		// The hot set is deliberately close to (3/4 of) the stated capacity:
 		// a single cache holding it entirely hits well, but the node of a
@@ -80,7 +80,7 @@ func NewWorkerKeyStream(dist string, capacity int, seed uint64, w, workers int) 
 		// sets are disjoint and hash to fresh, uncorrelated ring positions.
 		r := sim.NewRNG(seed)
 		hot := max((capacity*3)/4, 1)
-		z, memo := newZipf(hot, 1), newKeyMemo("hs0:", 0, hot)
+		z, memo := newZipf(hot), newKeyMemo("hs0:", 0, hot)
 		every := HotspotShiftEvery(capacity)
 		p, left := 0, every
 		return func() string {
@@ -98,19 +98,18 @@ func NewWorkerKeyStream(dist string, capacity int, seed uint64, w, workers int) 
 	}
 }
 
-// keyStream builds worker w's "zipf", "scan" or "mixed" generator, its
-// Zipfian draws at exponent s.
-func keyStream(dist string, capacity int, s float64, seed uint64, w, workers int) func() string {
+// keyStream builds worker w's "zipf", "scan" or "mixed" generator.
+func keyStream(dist string, capacity int, seed uint64, w, workers int) func() string {
 	r := sim.NewRNG(seed)
 	switch dist {
 	case "zipf":
-		return zipfKeys(r, "z", capacity*8, s)
+		return zipfKeys(r, "z", capacity*8)
 	case "scan":
 		return newSweep(capacity*2, seed, w, workers)
 	}
 	// "mixed". The "h" prefix keeps the hot set disjoint from the scan range,
 	// as the benchmark stream's 1<<30 offset does.
-	hot, sweep := zipfKeys(r, "h", max(capacity/4, 1), s), newSweep(capacity*2, seed, w, workers)
+	hot, sweep := zipfKeys(r, "h", max(capacity/4, 1)), newSweep(capacity*2, seed, w, workers)
 	return func() string {
 		if r.OneIn(2) {
 			return hot()
@@ -119,9 +118,9 @@ func keyStream(dist string, capacity int, s float64, seed uint64, w, workers int
 	}
 }
 
-// zipfKeys draws prefix+rank keys with Zipf(s)-distributed ranks in [0, n).
-func zipfKeys(r *sim.RNG, prefix string, n int, s float64) func() string {
-	z, memo := newZipf(n, s), newKeyMemo(prefix, 0, n)
+// zipfKeys draws prefix+rank keys with Zipf-distributed ranks in [0, n).
+func zipfKeys(r *sim.RNG, prefix string, n int) func() string {
+	z, memo := newZipf(n), newKeyMemo(prefix, 0, n)
 	return func() string { return memo.key(z.rank(r)) }
 }
 
@@ -150,37 +149,21 @@ func scanPhase(seed uint64, width int) int {
 	return int(z % uint64(width))
 }
 
-// zipf draws approximately Zipf(s)-distributed ranks in [0, n) by inverse-CDF
-// sampling of the continuous power law x^-s on [1, n+1). s = 1 is the
-// log-uniform draw exp(u·ln n) the stemcache benchmarks use. The constants
-// are computed once; a draw does the same floating-point operations in the
-// same order as computing them inline would, so every rank is bit-identical.
-// math.Exp stays per draw: a threshold table over u would be exact only if
-// Exp were monotone to the last bit, which nothing guarantees.
+// zipf draws approximately Zipf(1)-distributed ranks in [0, n): the
+// log-uniform draw exp(u·ln n) the stemcache benchmarks use. ln n is computed
+// once; a draw does the same floating-point operations in the same order as
+// computing it inline would, so every rank is bit-identical. math.Exp stays
+// per draw: a threshold table over u would be exact only if Exp were
+// monotone to the last bit, which nothing guarantees.
 type zipf struct {
-	n     int
-	log   bool    // s = 1
-	logN  float64 // ln n
-	scale float64 // (n+1)^(1-s) - 1
-	inv   float64 // 1/(1-s)
+	n    int
+	logN float64 // ln n
 }
 
-func newZipf(n int, s float64) zipf {
-	if s == 1 {
-		return zipf{n: n, log: true, logN: math.Log(float64(n))}
-	}
-	e := 1 - s
-	return zipf{n: n, scale: math.Pow(float64(n+1), e) - 1, inv: 1 / e}
-}
+func newZipf(n int) zipf { return zipf{n: n, logN: math.Log(float64(n))} }
 
 func (z *zipf) rank(r *sim.RNG) int {
-	u := r.Float64()
-	var x float64
-	if z.log {
-		x = math.Exp(u * z.logN)
-	} else {
-		x = math.Pow(u*z.scale+1, z.inv)
-	}
+	x := math.Exp(r.Float64() * z.logN)
 	return min(max(int(x)-1, 0), z.n-1)
 }
 
