@@ -7,13 +7,12 @@
 //     package may read the wall clock or the global math/rand source, and no
 //     non-main package but obs, server and analysis may mutate state while
 //     ranging over a map (Go randomizes map iteration order per run).
-//   - lockorder: each serving package's lock hierarchy (the ranks
-//     lockRankFor selects: stemcache, server, cluster, membership) must
-//     stay acyclic and non-reentrant, defers must not pile unlocks up
-//     inside loops, and every panic must be documented as an
-//     // invariant: violation.
-//   - apidoc: the serving-tier libraries (stemcache, wire, server, client,
-//     cluster) are the product surface; every exported symbol carries a doc
+//   - lockorder: a package declares its lock order on its mutex fields
+//     (`//lint:rank N`, outer locks first) and must acquire in that order;
+//     in every package no mutex may be re-acquired, directly or through a
+//     call, defers must not pile unlocks up inside loops, and every panic
+//     must be documented as an // invariant: violation.
+//   - apidoc: every exported symbol of a non-main package carries a doc
 //     comment in godoc form.
 //
 // Each of the three catches a mutation no test does. Properties a test can

@@ -5,46 +5,21 @@ import (
 	"strings"
 )
 
-// APIDoc enforces documentation on the library surface: every exported
-// symbol of the serving tier's library packages (stemcache, wire, server,
-// client, cluster — whose exported names the cmd/ binaries and bench/ build
-// on) carries a godoc comment, and the comment opens with the symbol's name
-// (optionally after "A", "An" or "The"), so rendered godoc reads as
-// reference material.
+// APIDoc enforces documentation on every library surface: each exported
+// symbol of a non-main package carries a godoc comment, and the comment
+// opens with the symbol's name (optionally after "A", "An" or "The"), so
+// rendered godoc reads as reference material.
 // Grouped declarations — `const (...)` / `type (...)` blocks — may share
 // one block comment; individual specs inside a documented block are exempt
 // from the name rule but must still be covered by some comment.
 var APIDoc = &Analyzer{
 	Name: "apidoc",
-	Doc:  "exported symbols of the serving-tier libraries must carry godoc comments opening with the symbol name",
+	Doc:  "exported symbols of every non-main package must carry godoc comments opening with the symbol name",
 	Run:  runAPIDoc,
 }
 
-// apidocLibraries are the internal packages whose exported surface is held
-// to the library documentation standard: the serving tier that README.md
-// presents as product. Matched by suffix so the analyzer fixtures bind into
-// scope the same way lockorder's do.
-var apidocLibraries = []string{
-	"/internal/stemcache",
-	"/internal/wire",
-	"/internal/server",
-	"/internal/client",
-	"/internal/cluster",
-}
-
-// inAPIDocScope reports whether a package's exported names are part of the
-// documented product surface.
-func inAPIDocScope(path string) bool {
-	for _, lib := range apidocLibraries {
-		if path == lib[1:] || strings.HasSuffix(path, lib) {
-			return true
-		}
-	}
-	return false
-}
-
 func runAPIDoc(pass *Pass) {
-	if !inAPIDocScope(pass.Pkg.Path) {
+	if pass.Pkg.Name == "main" {
 		return
 	}
 	for _, f := range pass.Pkg.Files {
@@ -70,7 +45,7 @@ func checkFuncDoc(pass *Pass, d *ast.FuncDecl) {
 		}
 	}
 	if d.Doc == nil {
-		pass.Reportf(d.Name.Pos(), "exported %s %s is undocumented; this package is part of the documented product surface", declKind(d), d.Name.Name)
+		pass.Reportf(d.Name.Pos(), "exported %s %s is undocumented", declKind(d), d.Name.Name)
 		return
 	}
 	checkNameConvention(pass, d.Name, d.Doc)
@@ -122,7 +97,7 @@ func checkSpecDoc(pass *Pass, d *ast.GenDecl, grouped bool, name *ast.Ident, doc
 	if !grouped {
 		// Standalone declaration: the decl doc is the symbol's doc.
 		if d.Doc == nil && doc == nil && line == nil {
-			pass.Reportf(name.Pos(), "exported %s %s is undocumented; this package is part of the documented product surface", genKind(d), name.Name)
+			pass.Reportf(name.Pos(), "exported %s %s is undocumented", genKind(d), name.Name)
 			return
 		}
 		if doc == nil {

@@ -76,9 +76,12 @@ func TestLoaderExpand(t *testing.T) {
 	}
 
 	for pattern, want := range map[string]string{
-		".":       "m",
-		"./a":     "m/a",
-		"m/b/sub": "m/b/sub",
+		".":        "m",
+		"./":       "m",
+		"./a":      "m/a",
+		"./a/":     "m/a",
+		"m/b/sub":  "m/b/sub",
+		"m/b/sub/": "m/b/sub",
 	} {
 		got, err := loader.Expand(pattern)
 		if err != nil {
@@ -243,34 +246,60 @@ var Loose int
 func OldName() {}
 `
 
-// TestAPIDocScope pins apidoc's rules and its scope: a serving-tier library
-// gets all six findings; another internal package and the module root get
-// none.
+// TestAPIDocScope pins apidoc's rules and its scope: every non-main package
+// gets all six findings; a main package gets none.
 func TestAPIDocScope(t *testing.T) {
 	root := writeModule(t, map[string]string{
-		"p.go":                 apidocSrc,
-		"internal/client/p.go": apidocSrc,
-		"internal/core/p.go":   apidocSrc,
+		"internal/core/p.go": apidocSrc,
+		"cmd/tool/main.go":   strings.Replace(apidocSrc, "package p", "package main", 1),
 	})
 	loader, err := analysis.NewLoader(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.Load("m", "m/internal/client", "m/internal/core")
+	pkgs, err := loader.Load("m/internal/core", "m/cmd/tool")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got strings.Builder
 	analysis.WriteText(&got, analysis.Run(loader.Fset, pkgs, []*analysis.Analyzer{analysis.APIDoc}), root)
-	const want = `internal/client/p.go:6:6: [apidoc] exported function Undocumented is undocumented; this package is part of the documented product surface
-internal/client/p.go:9:6: [apidoc] doc comment for Misnamed should open with the symbol name (godoc convention), e.g. "Misnamed ..."
-internal/client/p.go:14:6: [apidoc] exported type Bare is undocumented; this package is part of the documented product surface
-internal/client/p.go:19:19: [apidoc] exported method Undoc is undocumented; this package is part of the documented product surface
-internal/client/p.go:32:2: [apidoc] exported const LooseA is undocumented: give it a doc comment or document its declaration group
-internal/client/p.go:37:5: [apidoc] exported var Loose is undocumented; this package is part of the documented product surface
+	const want = `internal/core/p.go:6:6: [apidoc] exported function Undocumented is undocumented
+internal/core/p.go:9:6: [apidoc] doc comment for Misnamed should open with the symbol name (godoc convention), e.g. "Misnamed ..."
+internal/core/p.go:14:6: [apidoc] exported type Bare is undocumented
+internal/core/p.go:19:19: [apidoc] exported method Undoc is undocumented
+internal/core/p.go:32:2: [apidoc] exported const LooseA is undocumented: give it a doc comment or document its declaration group
+internal/core/p.go:37:5: [apidoc] exported var Loose is undocumented
 `
 	if got.String() != want {
 		t.Errorf("apidoc findings:\n%swant:\n%s", got.String(), want)
+	}
+}
+
+// TestRankDirectiveProblems pins the reports on a rank directive lockorder
+// cannot use: one that carries no rank, and one on a field that is not a
+// sync mutex.
+func TestRankDirectiveProblems(t *testing.T) {
+	loader, pkgs := loadModule(t, map[string]string{
+		"a/a.go": strings.Join([]string{
+			"package a",
+			"",
+			"import \"sync\"",
+			"",
+			"// T holds two misdeclared ranks.",
+			"type T struct {",
+			"\tmu sync.Mutex //lint:rank first",
+			"\tn  int        //lint:rank 1",
+			"}",
+			"",
+		}, "\n"),
+	}, "m/a")
+	var got strings.Builder
+	analysis.WriteText(&got, analysis.Run(loader.Fset, pkgs, []*analysis.Analyzer{analysis.LockOrder}), loader.Root())
+	const want = `a/a.go:7:16: [lockorder] malformed rank directive "//lint:rank first": write //lint:rank N with N >= 0
+a/a.go:8:2: [lockorder] //lint:rank on T.n, which is not a sync.Mutex or sync.RWMutex
+`
+	if got.String() != want {
+		t.Errorf("lockorder findings:\n%swant:\n%s", got.String(), want)
 	}
 }
 
@@ -324,7 +353,7 @@ func TestUnusedAllowAudit(t *testing.T) {
 			"var T = time.Now",
 			"",
 			"//lint:allow(determinism) stale: nothing on this line triggers",
-			"var N = 1", // line 10
+			"var n = 1", // line 10: unexported, so apidoc has nothing to say
 			"",
 		}, "\n"),
 	}, "m/a")

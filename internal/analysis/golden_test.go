@@ -12,9 +12,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
 
-// fixtureCases binds each fixture directory to the import path that puts it
-// in the matching analyzer's scope. Each fixture runs under the FULL suite:
-// the golden files therefore also pin which analyzers stay silent.
+// fixtureCases binds each fixture directory to an import path; only the
+// determinism map-range check reads the path, so det's must sit outside its
+// exemptions. Each fixture runs under the FULL suite: the golden files
+// therefore also pin which analyzers stay silent.
 var fixtureCases = []struct {
 	name   string // fixture dir under testdata/src and golden file stem
 	path   string // import path the fixture is bound to
@@ -25,6 +26,7 @@ var fixtureCases = []struct {
 	{name: "serverfix", path: "fixture/internal/server", target: "lockorder"},
 	{name: "clusterfix", path: "fixture/internal/cluster", target: "lockorder"},
 	{name: "memberfix", path: "fixture/internal/membership", target: "lockorder"},
+	{name: "norank", path: "fixture/norank", target: "lockorder"},
 }
 
 // newFixtureLoader returns a loader rooted at the module with every fixture

@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -104,7 +105,8 @@ func (l *Loader) Bind(importPath, dir string) {
 
 // Expand resolves package patterns to import paths. Supported forms:
 // "./..." (every package under the module root), "./dir" and "./dir/..."
-// (relative to the module root), and plain module import paths.
+// (relative to the module root), and plain module import paths. Paths are
+// cleaned, so "./dir/" and "./dir" name the same package.
 func (l *Loader) Expand(patterns ...string) ([]string, error) {
 	seen := map[string]bool{}
 	var out []string
@@ -136,14 +138,13 @@ func (l *Loader) Expand(patterns ...string) ([]string, error) {
 		case pat == ".":
 			add(l.module)
 		case strings.HasPrefix(pat, "./"):
-			rel := strings.TrimPrefix(pat, "./")
-			if rel == "" {
+			if rel := path.Clean(filepath.ToSlash(pat[2:])); rel == "." {
 				add(l.module)
 			} else {
-				add(l.module + "/" + filepath.ToSlash(rel))
+				add(l.module + "/" + rel)
 			}
 		default:
-			add(pat)
+			add(path.Clean(pat))
 		}
 	}
 	return out, nil

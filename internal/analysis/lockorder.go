@@ -4,24 +4,24 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
+	"strconv"
 	"strings"
 )
 
-// LockOrder enforces the locking discipline of the concurrent packages and
-// the repository-wide panic convention:
+// LockOrder enforces the locking discipline of every package and the
+// repository-wide panic convention:
 //
-//   - Lock hierarchy: each concurrent package's mutexes form a strict order —
-//     stemcache's Cache.closeMu before Cache.loadMu before shard.mu before
-//     Cache.obsMu, the network server's Server.mu
-//     before conn.mu before Server.leaseMu, the cluster tier's Ring.mu
-//     before Node.mu, and the membership tier's Manager.mu before Agent.mu
-//     (see lockRankFor). Acquiring against that
-//     order (or acquiring the same lock twice) deadlocks, but only under a
-//     schedule the race detector may never see; the analyzer rejects it
-//     structurally.
-//   - No re-entrant acquisition through calls: a function holding a mutex
-//     must not call (transitively) into a function that acquires the same
-//     mutex. sync.Mutex is not re-entrant, so this self-deadlocks at runtime.
+//   - Lock hierarchy: a package orders its mutexes by declaring them. A
+//     sync.Mutex or RWMutex struct field whose comment carries
+//     `//lint:rank N` may only be acquired while every held ranked lock of
+//     the package has a strictly smaller N. Acquiring against that order
+//     deadlocks, but only under a schedule the race detector may never see;
+//     the analyzer rejects it structurally.
+//   - No re-entrant acquisition, directly or through calls: a function
+//     holding a mutex, ranked or not, must not lock it again or call
+//     (transitively, within the package) into a function that does.
+//     sync.Mutex is not re-entrant, so this self-deadlocks at runtime.
 //   - No defer-unlock inside a loop: the unlock would not run until function
 //     return, so the second iteration self-deadlocks (or the critical
 //     section silently widens to the whole call).
@@ -31,7 +31,7 @@ import (
 //     preceding line. Misuse of public APIs must return errors instead.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "enforce the per-package lock hierarchies (stemcache's closeMu→loadMu→shard.mu→obsMu, server's Server.mu→conn.mu→leaseMu, cluster's Ring.mu→Node.mu, membership's Manager.mu→Agent.mu), no re-entrant or loop-deferred locking, and `// invariant:` documentation on every panic",
+	Doc:  "enforce each package's lock order (declared by //lint:rank N on its mutex fields), no re-entrant or loop-deferred locking, and `// invariant:` documentation on every panic",
 	Run:  runLockOrder,
 }
 
@@ -49,83 +49,78 @@ func (k lockKey) String() string {
 	return k.typ + "." + k.field
 }
 
-// stemcacheLockRank is the sanctioned acquisition order inside
-// internal/stemcache: a lock may only be acquired while every held lock has
-// a strictly smaller rank.
-var stemcacheLockRank = map[lockKey]int{
-	{typ: "Cache", field: "closeMu"}: 0,
-	{typ: "Cache", field: "loadMu"}:  1,
-	{typ: "shard", field: "mu"}:      2,
-	{typ: "Cache", field: "obsMu"}:   3,
-}
+// rankDirective is the comment prefix that places a mutex field in its
+// package's lock order.
+const rankDirective = "//lint:rank"
 
-// isStemcachePackage matches the real package and bound fixtures.
-func isStemcachePackage(path string) bool {
-	return path == "internal/stemcache" || strings.HasSuffix(path, "/internal/stemcache")
-}
-
-// serverLockRank is the sanctioned acquisition order inside internal/server:
-// Server.mu (the connection registry and lifecycle state) before conn.mu (a
-// single connection's drain/close flags) before Server.leaseMu (the
-// read-through lease table, the innermost class — never held across a cache
-// call or anything blocking). None may be held while calling into the
-// cache, whose own hierarchy sits below all three.
-var serverLockRank = map[lockKey]int{
-	{typ: "Server", field: "mu"}:      0,
-	{typ: "conn", field: "mu"}:        1,
-	{typ: "Server", field: "leaseMu"}: 2,
-}
-
-// isServerPackage matches the real package and bound fixtures.
-func isServerPackage(path string) bool {
-	return path == "internal/server" || strings.HasSuffix(path, "/internal/server")
-}
-
-// clusterLockRank is the sanctioned acquisition order inside
-// internal/cluster: Ring.mu (ownership table) before Node.mu (a node's
-// lifecycle state, the innermost lock). The package observes nothing: the
-// events of an ownership change belong to the membership manager that
-// made it.
-var clusterLockRank = map[lockKey]int{
-	{typ: "Ring", field: "mu"}: 0,
-	{typ: "Node", field: "mu"}: 1,
-}
-
-// isClusterPackage matches the real package and bound fixtures.
-func isClusterPackage(path string) bool {
-	return path == "internal/cluster" || strings.HasSuffix(path, "/internal/cluster")
-}
-
-// membershipLockRank is the sanctioned acquisition order inside
-// internal/membership: Manager.mu (the authoritative view) before Agent.mu
-// (a node's pushed view and peer table). Neither may be held across a
-// network call; the cluster tier's own hierarchy sits below both.
-var membershipLockRank = map[lockKey]int{
-	{typ: "Manager", field: "mu"}: 0,
-	{typ: "Agent", field: "mu"}:   1,
-}
-
-// isMembershipPackage matches the real package and bound fixtures.
-func isMembershipPackage(path string) bool {
-	return path == "internal/membership" || strings.HasSuffix(path, "/internal/membership")
-}
-
-// lockRankFor selects the package's sanctioned lock hierarchy; a nil map
-// means the package has no ranked locks and only the universal checks
-// (re-entrancy, defer-in-loop, panic documentation) apply. The order string
-// names the hierarchy in findings.
-func lockRankFor(path string) (map[lockKey]int, string) {
-	switch {
-	case isStemcachePackage(path):
-		return stemcacheLockRank, "closeMu → loadMu → shard.mu → obsMu"
-	case isServerPackage(path):
-		return serverLockRank, "Server.mu → conn.mu → leaseMu"
-	case isClusterPackage(path):
-		return clusterLockRank, "Ring.mu → Node.mu"
-	case isMembershipPackage(path):
-		return membershipLockRank, "Manager.mu → Agent.mu"
+// lockRanks reads the package's //lint:rank directives into the rank of
+// each declared lock, and renders the resulting order for findings. A
+// malformed directive, or one on a field that is not a sync mutex, is
+// reported.
+func lockRanks(pass *Pass) (map[lockKey]int, string) {
+	rank := map[lockKey]int{}
+	for _, f := range pass.Pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				c := rankComment(field.Doc, field.Comment)
+				if c == nil {
+					continue
+				}
+				r, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(c.Text, rankDirective)))
+				if err != nil || r < 0 {
+					pass.Reportf(c.Pos(), "malformed rank directive %q: write %s N with N >= 0", c.Text, rankDirective)
+					continue
+				}
+				for _, name := range field.Names {
+					if v := pass.Pkg.Info.Defs[name]; v == nil || mutexKind(v.Type()) == "" {
+						pass.Reportf(name.Pos(), "%s on %s.%s, which is not a sync.Mutex or sync.RWMutex", rankDirective, ts.Name.Name, name.Name)
+						continue
+					}
+					rank[lockKey{typ: ts.Name.Name, field: name.Name}] = r
+				}
+			}
+			return true
+		})
 	}
-	return nil, ""
+	keys := make([]lockKey, 0, len(rank))
+	for k := range rank {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if rank[keys[i]] != rank[keys[j]] {
+			return rank[keys[i]] < rank[keys[j]]
+		}
+		return keys[i].String() < keys[j].String()
+	})
+	names := make([]string, len(keys))
+	for i, k := range keys {
+		names[i] = k.String()
+	}
+	return rank, strings.Join(names, " → ")
+}
+
+// rankComment returns the field's rank directive, from its doc or its line
+// comment, or nil.
+func rankComment(groups ...*ast.CommentGroup) *ast.Comment {
+	for _, g := range groups {
+		if g == nil {
+			continue
+		}
+		for _, c := range g.List {
+			if c.Text == rankDirective || strings.HasPrefix(c.Text, rankDirective+" ") {
+				return c
+			}
+		}
+	}
+	return nil
 }
 
 // lockEvent is one entry of a function's linearized lock trace.
@@ -153,8 +148,7 @@ type funcInfo struct {
 
 func runLockOrder(pass *Pass) {
 	pkg := pass.Pkg
-	rank, order := lockRankFor(pkg.Path)
-	checkLocks := rank != nil
+	rank, order := lockRanks(pass)
 
 	var funcs []*funcInfo
 	byObj := map[*types.Func]*funcInfo{}
@@ -169,9 +163,6 @@ func runLockOrder(pass *Pass) {
 			}
 			checkPanics(pass, f, fd, invariantLines)
 			checkDeferInLoop(pass, fd, parents)
-			if !checkLocks {
-				continue
-			}
 			fi := &funcInfo{decl: fd, acquires: map[lockKey]bool{}}
 			if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
 				fi.obj = obj
@@ -180,9 +171,6 @@ func runLockOrder(pass *Pass) {
 			collectLockEvents(pkg, fd.Body, fi)
 			funcs = append(funcs, fi)
 		}
-	}
-	if !checkLocks {
-		return
 	}
 
 	// Direct acquisitions, then transitive closure over same-package calls.

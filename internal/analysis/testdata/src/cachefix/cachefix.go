@@ -1,19 +1,19 @@
-// Package stemcache is the lockorder-analyzer fixture. The tests bind it to
-// fixture/internal/stemcache, so the Cache/shard lock hierarchy applies:
-// Cache.closeMu before Cache.loadMu before shard.mu before Cache.obsMu.
+// Package stemcache is the lockorder-analyzer fixture. Its rank directives
+// mirror the real package's four lock classes: Cache.closeMu before
+// Cache.loadMu before shard.mu before Cache.obsMu.
 package stemcache
 
 import "sync"
 
 type shard struct {
-	mu sync.Mutex
+	mu sync.Mutex //lint:rank 2
 }
 
 // Cache mirrors the real package's four lock classes.
 type Cache struct {
-	closeMu sync.Mutex
-	loadMu  sync.Mutex
-	obsMu   sync.Mutex
+	closeMu sync.Mutex //lint:rank 0
+	loadMu  sync.Mutex //lint:rank 1
+	obsMu   sync.Mutex //lint:rank 3
 	shards  []shard
 }
 

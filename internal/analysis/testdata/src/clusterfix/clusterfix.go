@@ -1,6 +1,6 @@
 // Package cluster is the lockorder-analyzer fixture for the cluster tier's
-// hierarchy. The tests bind it to fixture/internal/cluster, so the cluster
-// lock ranks apply: Ring.mu before Node.mu.
+// hierarchy. Its rank directives mirror the real package's order: Ring.mu
+// before Node.mu.
 package cluster
 
 import "sync"
@@ -8,13 +8,13 @@ import "sync"
 // Ring mirrors the real ownership table: an RWMutex at the top of the
 // hierarchy.
 type Ring struct {
-	mu    sync.RWMutex
+	mu    sync.RWMutex //lint:rank 0
 	owner []int
 }
 
 // Node mirrors a node's lifecycle lock (the innermost rank).
 type Node struct {
-	mu     sync.Mutex
+	mu     sync.Mutex //lint:rank 1
 	closed bool
 }
 

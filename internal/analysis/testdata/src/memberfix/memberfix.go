@@ -1,20 +1,20 @@
 // Package membership is the lockorder-analyzer fixture for the membership
-// tier's hierarchy. The tests bind it to fixture/internal/membership, so
-// the membership lock ranks apply: Manager.mu before Agent.mu.
+// tier's hierarchy. Its rank directives mirror the real package's order:
+// Manager.mu before Agent.mu.
 package membership
 
 import "sync"
 
 // Manager mirrors the authoritative view (the outer rank).
 type Manager struct {
-	mu    sync.Mutex
+	mu    sync.Mutex //lint:rank 0
 	epoch uint64
 	agent *Agent
 }
 
 // Agent mirrors a node's pushed view and peer table (innermost rank).
 type Agent struct {
-	mu    sync.Mutex
+	mu    sync.Mutex //lint:rank 1
 	epoch uint64
 }
 

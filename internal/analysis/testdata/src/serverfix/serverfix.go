@@ -1,19 +1,19 @@
 // Package server is the lockorder-analyzer fixture for the network server's
-// hierarchy. The tests bind it to fixture/internal/server, so the Server/conn
-// lock ranks apply: Server.mu before conn.mu before Server.leaseMu.
+// hierarchy. Its rank directives mirror the real package's order: Server.mu
+// before conn.mu before Server.leaseMu.
 package server
 
 import "sync"
 
 type conn struct {
-	mu       sync.Mutex
+	mu       sync.Mutex //lint:rank 1
 	draining bool
 }
 
 // Server mirrors the real package's three lock classes.
 type Server struct {
-	mu      sync.Mutex
-	leaseMu sync.Mutex
+	mu      sync.Mutex //lint:rank 0
+	leaseMu sync.Mutex //lint:rank 2
 	conns   map[*conn]struct{}
 	leases  map[string]struct{}
 }

@@ -69,6 +69,8 @@ type Client struct {
 	replicaSource atomic.Pointer[func(slot int) []int]
 
 	// mu serializes AddNode and Close (the writers of nodes and closed).
+	// AddNode holds it across Ring.AddNode.
+	//lint:rank 0
 	mu     sync.Mutex
 	closed bool
 

@@ -35,7 +35,8 @@ type Node struct {
 	cache *stemcache.Cache[string, []byte]
 	srv   *server.Server
 
-	// mu guards closed (rank 1: below Ring.mu, the innermost lock).
+	// mu guards closed.
+	//lint:rank 2
 	mu     sync.Mutex
 	closed bool
 }

@@ -50,7 +50,8 @@ type Ring struct {
 	// halves — the same hardware-hash family the shadow directory uses).
 	hi, lo *hashfn.Hash
 
-	// mu guards nodes, owner, epochs, and version (rank 0: above Node.mu).
+	// mu guards nodes, owner, epochs, and version.
+	//lint:rank 1
 	mu    sync.RWMutex
 	nodes int
 	owner []int

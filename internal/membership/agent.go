@@ -35,7 +35,8 @@ type Agent struct {
 	srv  *server.Server
 	tpl  client.Config
 
-	// mu guards the view state below (rank 1: below Manager.mu).
+	// mu guards the view state below.
+	//lint:rank 1
 	mu       sync.Mutex
 	epoch    uint64
 	members  []wire.Member

@@ -33,8 +33,9 @@ type Manager struct {
 	lister cluster.KeyLister
 	cfg    Config
 
-	// mu guards members, replicas, and epoch (rank 0: above Agent.mu).
-	// Never held across a network call.
+	// mu guards members, replicas, and epoch. Never held across a network
+	// call.
+	//lint:rank 0
 	mu       sync.Mutex
 	members  []wire.Member
 	replicas [][]int

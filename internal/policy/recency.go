@@ -51,9 +51,13 @@ func newRecency(kind Kind, ways int, rng *sim.RNG) *Recency {
 	return &r
 }
 
+// Kind returns the list's insertion rule, LRU or BIP.
 func (r *Recency) Kind() Kind { return r.kind }
-func (r *Recency) Len() int   { return int(r.n) }
 
+// Len returns the number of ranked ways.
+func (r *Recency) Len() int { return int(r.n) }
+
+// Reset empties the list: every way becomes unranked.
 func (r *Recency) Reset() {
 	for i := range r.links {
 		r.links[i].prev = absent
@@ -97,6 +101,7 @@ func (r *Recency) linkTail(way int) {
 	r.tail = int16(way)
 }
 
+// OnHit promotes way to MRU, ranking it first if it was unranked.
 func (r *Recency) OnHit(way int) {
 	if int(r.head) == way {
 		return // already MRU
@@ -111,6 +116,8 @@ func (r *Recency) OnHit(way int) {
 	r.linkHead(way)
 }
 
+// OnInsert ranks a filled way: at MRU under LRU, at LRU under BIP except
+// one insertion in BIPEpsilon.
 func (r *Recency) OnInsert(way int) {
 	if r.links[way].prev == absent {
 		r.n++
@@ -128,6 +135,7 @@ func (r *Recency) OnInsert(way int) {
 	r.linkHead(way)
 }
 
+// OnInvalidate unranks way; an unranked way is left alone.
 func (r *Recency) OnInvalidate(way int) {
 	if r.links[way].prev == absent {
 		return
@@ -137,6 +145,7 @@ func (r *Recency) OnInvalidate(way int) {
 	r.n--
 }
 
+// Victim returns the LRU way, or -1 when nothing is ranked.
 func (r *Recency) Victim() int { return int(r.tail) }
 
 // RecencyOrder returns the ways from MRU to LRU; used by tests and by the

@@ -30,8 +30,8 @@ type conn struct {
 	// that the frame's ReadTimeout is already on the socket. Handler-owned.
 	inFrame, armed bool
 
-	// mu guards closed. Rank: below Server.mu (the server locks conn.mu
-	// while holding nothing, or after releasing its own mu).
+	// mu guards closed.
+	//lint:rank 1
 	mu     sync.Mutex
 	closed bool
 

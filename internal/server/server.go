@@ -139,8 +139,9 @@ type Server struct {
 	cache *stemcache.Cache[string, []byte]
 	cfg   Config
 
-	// mu guards the fields below (conn registry + lifecycle). Rank: above
-	// conn.mu, never held while calling into the cache.
+	// mu guards the fields below (conn registry + lifecycle); never held
+	// while calling into the cache.
+	//lint:rank 0
 	mu     sync.Mutex
 	ln     net.Listener
 	conns  map[*conn]struct{}
@@ -157,9 +158,9 @@ type Server struct {
 	hooks atomic.Pointer[Hooks]
 
 	// leaseMu guards leases — the per-key read-through fetch leases that
-	// deduplicate origin fetches across client processes. Rank: below
-	// Server.mu and conn.mu (handle runs with neither held); never held
+	// deduplicate origin fetches across client processes; never held
 	// while calling into the cache or blocking on a channel.
+	//lint:rank 2
 	leaseMu  sync.Mutex
 	leases   map[string]*lease
 	leaseSeq atomic.Uint64 // token source; 0 is reserved for "no lease"

@@ -66,6 +66,7 @@ type tally struct {
 // the slice headers; the padding makes a shard a whole number of lines, so
 // no two shards share one.
 type shard[K comparable, V any] struct {
+	//lint:rank 2
 	mu      sync.Mutex
 	live    int
 	one     tally // the Get accounting

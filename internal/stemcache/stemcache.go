@@ -225,17 +225,20 @@ type Cache[K comparable, V any] struct {
 
 	sig *hashfn.Hash // read-only after construction; safe concurrently
 
-	obsMu    sync.Mutex // serializes Observer calls across shards
+	// obsMu serializes Observer calls across shards.
+	//lint:rank 3
+	obsMu    sync.Mutex
 	observer obs.Observer
 
 	now func() int64 // nanoseconds; swapped out by TTL tests
 
 	// loadMu guards loadRNG, the TTL-jitter draw SetLoaded takes (loader.go);
-	// its rank sits between closeMu and shard.mu, though it is never held
-	// across a shard-lock acquisition.
+	// it is never held across a shard-lock acquisition.
+	//lint:rank 1
 	loadMu  sync.Mutex
 	loadRNG *sim.RNG
 
+	//lint:rank 0
 	closeMu sync.Mutex
 	closed  bool
 }
