@@ -230,7 +230,7 @@ func TestTracedStreamRunsSchemesInSequence(t *testing.T) {
 		}
 	}
 	for i, part := range [][]obs.Event{events[:cut], events[cut:]} {
-		sum, st := obs.Summarize(part), res[i].Stats
+		sum, st := summarizeTrace(part), res[i].Stats
 		if sum.Last == nil || !sum.Last.Final || sum.Last.Stats != st {
 			t.Fatalf("%s: its part of the log does not end in its final snapshot", res[i].Scheme)
 		}

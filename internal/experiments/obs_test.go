@@ -18,6 +18,25 @@ var obsRunConfig = RunConfig{
 	Measure: 150_000,
 }
 
+// traceSummary folds an event stream into per-type counts plus the last
+// snapshot seen, the two halves a trace reconciles against a run's stats.
+type traceSummary struct {
+	Counts map[obs.EventType]uint64
+	Last   *obs.Snapshot // last EvSnapshot payload, nil if none
+}
+
+func summarizeTrace(events []obs.Event) traceSummary {
+	s := traceSummary{Counts: map[obs.EventType]uint64{}}
+	for i := range events {
+		e := &events[i]
+		s.Counts[e.Type]++
+		if e.Type == obs.EvSnapshot && e.Snap != nil {
+			s.Last = e.Snap
+		}
+	}
+	return s
+}
+
 func tracedRun(t *testing.T, scheme string, o *obs.Options) RunResult {
 	t.Helper()
 	cfg := obsRunConfig
@@ -50,7 +69,7 @@ func TestTraceReconcilesWithStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum := obs.Summarize(events)
+			sum := summarizeTrace(events)
 			st := res.Stats
 
 			// Couplings may all fall in the warm-up phase (SBC associations

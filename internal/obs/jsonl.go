@@ -76,23 +76,3 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 	}
 	return events, nil
 }
-
-// TraceSummary aggregates an event stream: per-type counts plus the last
-// snapshot seen. Reconcile compares it against a run's final statistics.
-type TraceSummary struct {
-	Counts map[EventType]uint64
-	Last   *Snapshot // last EvSnapshot payload, nil if none
-}
-
-// Summarize folds events into a TraceSummary.
-func Summarize(events []Event) TraceSummary {
-	s := TraceSummary{Counts: map[EventType]uint64{}}
-	for i := range events {
-		e := &events[i]
-		s.Counts[e.Type]++
-		if e.Type == EvSnapshot && e.Snap != nil {
-			s.Last = e.Snap
-		}
-	}
-	return s
-}

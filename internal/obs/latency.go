@@ -167,14 +167,6 @@ func (h *LatencyHistogram) Merge(o *LatencyHistogram) {
 	}
 }
 
-func (h *LatencyHistogram) reset() {
-	h.count.Store(0)
-	h.sum.Store(0)
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-}
-
 // marshal renders the histogram as a JSON-friendly summary: count, sum and
 // the headline quantiles. The full bucket vector is exposition-only (see
 // WritePrometheus) — 1920 mostly-empty buckets have no place in a JSON dump.

@@ -57,8 +57,6 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-func (c *Counter) reset() { c.v.Store(0) }
-
 // Gauge is a last-write-wins float64 metric. A nil *Gauge is a no-op sink.
 type Gauge struct {
 	bits atomic.Uint64
@@ -78,8 +76,6 @@ func (g *Gauge) Value() float64 {
 	}
 	return math.Float64frombits(g.bits.Load())
 }
-
-func (g *Gauge) reset() { g.bits.Store(0) }
 
 // Registry is a named collection of metrics. Metric constructors are
 // idempotent: asking twice for the same name returns the same cell, so
@@ -202,28 +198,6 @@ func (r *Registry) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Reset zeroes every counter, gauge and histogram cell. Derived gauges and
-// counters are left alone: their values belong to the component that
-// registered them. It pairs with sim.Simulator.ResetStats: discard warm-up,
-// keep the metric cells and their registrations.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, m := range r.metrics {
-		switch m := m.(type) {
-		case *Counter:
-			m.reset()
-		case *Gauge:
-			m.reset()
-		case *LatencyHistogram:
-			m.reset()
-		}
-	}
 }
 
 // read evaluates the registry: a uint64 per counter (derived ones summed
