@@ -1,5 +1,5 @@
 // Command stemlint runs the repository's project-specific static analyzers
-// (see internal/analysis and DESIGN.md §9) over the module:
+// (see internal/analysis and DESIGN.md §8.1) over the module:
 //
 //	go run ./cmd/stemlint ./...                 # the CI gate
 //	go run ./cmd/stemlint -json ./...           # machine-readable findings

@@ -21,7 +21,7 @@
 // go vet's copylocks check, -race and obs's nil-receiver test.
 //
 // The cmd/stemlint driver loads, typechecks and runs the suite over ./...;
-// see DESIGN.md §9 for the invariant each analyzer encodes and why -race or
+// see DESIGN.md §8.1 for the invariant each analyzer encodes and why -race or
 // fixed-seed tests alone cannot enforce it.
 //
 // Findings can be suppressed line by line with

@@ -15,7 +15,7 @@
 // couples with a giver set and both remain owners of their blocks
 // (cooperative dual-residency, paper §4.5). Between nodes, a slot migration
 // *moves ownership*: after the handoff exactly one node serves the slot.
-// DESIGN.md §11 spells out why (a network cache cannot afford a second
+// DESIGN.md §6.1 spells out why (a network cache cannot afford a second
 // network hop per miss to probe a partner node, the way a second set probe
 // within an LLC can).
 //

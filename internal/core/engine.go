@@ -258,7 +258,7 @@ func (e *Engine) Hit(idx, way int) {
 
 // Touch records a hit on a cooperatively cached entry at (idx, way). Only
 // the policy moves: a cooperative hit is not local-capacity evidence for
-// either set of the pair, so neither set's counters change (DESIGN.md §5).
+// either set of the pair, so neither set's counters change (DESIGN.md §3.3).
 func (e *Engine) Touch(idx, way int) { e.sets[idx].pol.OnHit(way) }
 
 // Miss runs the miss path's demand update for set idx: a shadow lookup for

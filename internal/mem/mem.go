@@ -11,7 +11,7 @@
 //	DRAM                                                    300 cycles
 //
 // The CPU side is a first-order analytic model rather than a cycle-accurate
-// out-of-order core (DESIGN.md §3 records the substitution): traces carry
+// out-of-order core (DESIGN.md §3.1 records the substitution): traces carry
 // retired-instruction counts, the L1 is summarized by its access rate, and
 // CPI = CPIBase + StallFactor × (L2-side latency beyond L1) / instructions,
 // where StallFactor is the fraction of memory latency an 8-wide OoO core

@@ -16,7 +16,7 @@
 //
 // This is a faithful-in-spirit simplification of the full proposal (which
 // tracks several candidate escape points and duels among them); the
-// simplification is recorded in DESIGN.md §5. Its aggregate behaviour —
+// simplification is recorded in DESIGN.md §3.3. Its aggregate behaviour —
 // strong on thrashing workloads, weaker than LRU on deep-recency workloads
 // unless the duel rescues it — is what the STEM paper's comparison relies
 // on.
@@ -29,7 +29,7 @@ import (
 	"repro/internal/sim"
 )
 
-// The simplified learner's constants (DESIGN.md §5 lists each baseline's).
+// The simplified learner's constants (DESIGN.md §3.3 lists each baseline's).
 const (
 	// epochFills is how many fills pass between re-learning the preferred
 	// eviction position.

@@ -33,7 +33,7 @@ import (
 // selectorSize is the Destination Set Selector's capacity. A set saturates
 // at 2×Ways; it posts itself to the selector while its saturation is at most
 // a quarter of that, and a popped candidate becomes a destination only at
-// half or less (DESIGN.md §5 lists each baseline's constants).
+// half or less (DESIGN.md §3.3 lists each baseline's constants).
 const selectorSize = 16
 
 type line struct {

@@ -5,7 +5,7 @@
 // A trace is a sequence of Refs — block-level LLC accesses annotated with
 // the number of instructions the core retired up to and including each
 // access. Generators synthesize the *post-L1* (LLC) reference stream
-// directly; this is the substitution recorded in DESIGN.md §3: every scheme
+// directly; this is the substitution recorded in DESIGN.md §3.1: every scheme
 // under study acts only on the LLC stream, and the paper's set-level
 // phenomena (demand non-uniformity, temporal locality) are explicit
 // parameters of the patterns here.
