@@ -1,16 +1,16 @@
 #!/bin/sh
-# check_readme_cmds.sh — README/cmd/package cross-check, run by CI.
+# check_readme_cmds.sh — docs/cmd/package cross-check, run by CI.
 #
-# Five directions:
-#   1. every binary under cmd/ is mentioned in README.md as cmd/<name> (no
-#      undocumented tools; the bare word does not count — "sweep" and
-#      "stemd" occur in prose);
+# Six directions:
+#   1. every binary under cmd/ is mentioned in README.md and in DESIGN.md
+#      as cmd/<name> (no undocumented tools; the bare word does not count —
+#      "sweep" and "stemd" occur in prose);
 #   2. every "cmd/<name>" or "go run ./cmd/<name>" reference in README.md
-#      names a directory that actually exists (no docs pointing at removed
-#      tools);
-#   3. every import path of this module quoted in README.md ("repro" or
-#      "repro/...") names a directory holding Go files (no snippets
-#      importing a removed package — the module root holds none);
+#      or DESIGN.md names a directory that actually exists (no docs
+#      pointing at removed tools);
+#   3. every import path of this module quoted in README.md or DESIGN.md
+#      ("repro" or "repro/...") names a directory holding Go files (no
+#      snippets importing a removed package — the module root holds none);
 #   4. the examples/ entries of README.md's layout tree and the
 #      subdirectories of examples/ are the same set (no example missing
 #      from the tree, no tree entry naming a removed example);
@@ -21,7 +21,11 @@
 #      run" and pass); and when a one-line `go test … -run P … ./pkg`
 #      command names packages, each token of P prefixes a test function in
 #      one of those packages (no command selecting a test that moved to
-#      another package).
+#      another package);
+#   6. every "DESIGN §N" or "DESIGN.md §N.M" in README.md, EXPERIMENTS.md
+#      and the Go files under internal/, cmd/ and examples/ names a heading
+#      of DESIGN.md ("## N." or "### N.M"), also when the reference breaks
+#      across lines (no pointer into a renumbered or deleted section).
 #
 # Exits nonzero with a per-name report on any mismatch.
 set -eu
@@ -29,31 +33,33 @@ cd "$(dirname "$0")/.."
 
 status=0
 
-# Direction 1: cmd/* -> README.
-for dir in cmd/*/; do
-    name=$(basename "$dir")
-    if ! grep -qE "cmd/$name([^a-z0-9_-]|\$)" README.md; then
-        echo "cmd/$name exists but README.md never mentions it" >&2
-        status=1
-    fi
-done
+for doc in README.md DESIGN.md; do
+    # Direction 1: cmd/* -> doc.
+    for dir in cmd/*/; do
+        name=$(basename "$dir")
+        if ! grep -qE "cmd/$name([^a-z0-9_-]|\$)" "$doc"; then
+            echo "cmd/$name exists but $doc never mentions it" >&2
+            status=1
+        fi
+    done
 
-# Direction 2: README -> cmd/*. Pull every cmd/<name> token out of the
-# README (covers `go run ./cmd/x`, layout entries like `cmd/x`, and prose).
-for name in $(grep -o 'cmd/[a-z0-9_-]*' README.md | sed 's|cmd/||' | sort -u); do
-    [ -n "$name" ] || continue
-    if [ ! -d "cmd/$name" ]; then
-        echo "README.md references cmd/$name, which does not exist" >&2
-        status=1
-    fi
-done
+    # Direction 2: doc -> cmd/*. Pull every cmd/<name> token out of the doc
+    # (covers `go run ./cmd/x`, layout entries like `cmd/x`, and prose).
+    for name in $(grep -o 'cmd/[a-z0-9_-]*' "$doc" | sed 's|cmd/||' | sort -u); do
+        [ -n "$name" ] || continue
+        if [ ! -d "cmd/$name" ]; then
+            echo "$doc references cmd/$name, which does not exist" >&2
+            status=1
+        fi
+    done
 
-# Direction 3: README -> packages.
-for path in $(grep -oE '"repro(/[A-Za-z0-9_./-]*)?"' README.md | tr -d '"' | sort -u); do
-    if ! ls ".${path#repro}"/*.go >/dev/null 2>&1; then
-        echo "README.md quotes the import path \"$path\", which names no package" >&2
-        status=1
-    fi
+    # Direction 3: doc -> packages.
+    for path in $(grep -oE '"repro(/[A-Za-z0-9_./-]*)?"' "$doc" | tr -d '"' | sort -u); do
+        if ! ls ".${path#repro}"/*.go >/dev/null 2>&1; then
+            echo "$doc quotes the import path \"$path\", which names no package" >&2
+            status=1
+        fi
+    done
 done
 
 # Direction 4: README layout tree <-> examples/*. The tree lists each
@@ -108,7 +114,20 @@ if [ -n "$misplaced" ]; then
     status=1
 fi
 
+# Direction 6: DESIGN section references -> DESIGN headings. Each file is
+# read as one line, with Go comment markers dropped, so a reference split
+# across lines ("DESIGN.md" / "// §9") is still one match.
+for file in README.md EXPERIMENTS.md $(find internal cmd examples -name '*.go'); do
+    for sec in $(sed 's|^[[:space:]]*//[[:space:]]*||' "$file" | tr '\n' ' ' |
+        grep -oE 'DESIGN(\.md)?[[:space:]]+§[0-9]+(\.[0-9]+)*' | grep -oE '[0-9]+(\.[0-9]+)*$' | sort -u); do
+        if ! grep -qE "^#+ $(printf '%s' "$sec" | sed 's/\./\\./g')\.? " DESIGN.md; then
+            echo "$file cites DESIGN §$sec, which is not a heading of DESIGN.md" >&2
+            status=1
+        fi
+    done
+done
+
 if [ "$status" -eq 0 ]; then
-    echo "README.md, cmd/, examples/, the quoted import paths and the documented -run patterns agree ($(ls -d cmd/*/ | wc -l | tr -d ' ') binaries, $(ls -d examples/*/ | wc -l | tr -d ' ') examples)"
+    echo "README.md, DESIGN.md, cmd/, examples/, the quoted import paths, the documented -run patterns and the DESIGN § references agree ($(ls -d cmd/*/ | wc -l | tr -d ' ') binaries, $(ls -d examples/*/ | wc -l | tr -d ' ') examples)"
 fi
 exit $status
