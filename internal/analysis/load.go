@@ -8,7 +8,6 @@ import (
 	"go/token"
 	"go/types"
 	"os"
-	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -138,13 +137,13 @@ func (l *Loader) Expand(patterns ...string) ([]string, error) {
 		case pat == ".":
 			add(l.module)
 		case strings.HasPrefix(pat, "./"):
-			if rel := path.Clean(filepath.ToSlash(pat[2:])); rel == "." {
+			if rel := filepath.ToSlash(filepath.Clean(pat[2:])); rel == "." {
 				add(l.module)
 			} else {
 				add(l.module + "/" + rel)
 			}
 		default:
-			add(path.Clean(pat))
+			add(filepath.ToSlash(filepath.Clean(pat)))
 		}
 	}
 	return out, nil
