@@ -39,12 +39,6 @@ func main() {
 		defaultTTL = flag.Duration("default-ttl", 0, "TTL applied by SET (0 = never expire; SETTTL overrides per key)")
 		lru        = flag.Bool("lru", false, "serve the sharded-LRU baseline instead of STEM (same geometry)")
 
-		loadTTL     = flag.Duration("load-ttl", 0, "freshness TTL for values installed by LOAD fills (0 = -default-ttl)")
-		staleTTL    = flag.Duration("stale-ttl", 0, "window after -load-ttl in which LOAD serves stale while one client revalidates (0 = off)")
-		negativeTTL = flag.Duration("negative-ttl", time.Second, "how long LOAD caches origin misses (0 = off)")
-		ttlJitter   = flag.Float64("ttl-jitter", 0, "fraction in [0,1) subtracted randomly from loaded TTLs to decorrelate expiry (0 = off)")
-		leaseWait   = flag.Duration("lease-wait", 0, "how long a LOAD waits on another client's fetch lease before taking it over (0 = default 1s)")
-
 		maxConns     = flag.Int("max-conns", 0, "max concurrently served connections (0 = default 1024)")
 		readTimeout  = flag.Duration("read-timeout", 0, "per-frame read deadline (0 = default 10s)")
 		writeTimeout = flag.Duration("write-timeout", 0, "per-flush write deadline (0 = default 10s)")
@@ -62,8 +56,6 @@ func main() {
 	if err := run(runConfig{
 		addr: *addr, capacity: *capacity, shards: *shards, ways: *ways,
 		seed: *seed, defaultTTL: *defaultTTL, lru: *lru,
-		loadTTL: *loadTTL, staleTTL: *staleTTL, negativeTTL: *negativeTTL,
-		ttlJitter: *ttlJitter, leaseWait: *leaseWait,
 		maxConns: *maxConns, readTimeout: *readTimeout, writeTimeout: *writeTimeout,
 		idleTimeout: *idleTimeout, drainTimeout: *drainTimeout,
 		tool: *toolCfg, slowRequest: *slowReq, addrFile: *addrFile,
@@ -82,12 +74,6 @@ type runConfig struct {
 	seed       uint64
 	defaultTTL time.Duration
 	lru        bool
-
-	loadTTL     time.Duration
-	staleTTL    time.Duration
-	negativeTTL time.Duration
-	ttlJitter   float64
-	leaseWait   time.Duration
 
 	maxConns     int
 	readTimeout  time.Duration
@@ -115,11 +101,6 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 		Ways:       cfg.ways,
 		Seed:       cfg.seed,
 		DefaultTTL: cfg.defaultTTL,
-
-		LoadTTL:     cfg.loadTTL,
-		StaleTTL:    cfg.staleTTL,
-		NegativeTTL: cfg.negativeTTL,
-		TTLJitter:   cfg.ttlJitter,
 	}
 	scfg := server.Config{
 		MaxConns:     cfg.maxConns,
@@ -127,7 +108,6 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 		WriteTimeout: cfg.writeTimeout,
 		IdleTimeout:  cfg.idleTimeout,
 		DrainTimeout: cfg.drainTimeout,
-		LeaseWait:    cfg.leaseWait,
 		SlowRequest:  cfg.slowRequest,
 	}
 	if opts := tool.Options(); opts != nil {

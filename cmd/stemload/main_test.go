@@ -206,7 +206,7 @@ func rigGets(rig *membership.Rig, ids ...int) map[int]uint64 {
 // TestScenarios drives stemload against the targets its former self-hosted
 // scenarios stood up: two engines side by side, a herd of connections on a
 // tiny keyspace, a ring that loses a node, and a ring that gains one. The
-// serving tiers' own claims (dedup, promotion, bounded movement) are held
+// serving tiers' own claims (promotion, bounded movement) are held
 // by their packages' tests; these rows check what stemload reports from
 // each target: exactly -ops GETs, all of them served and counted in the
 // servers' STATS, one STATS document per live node, and a dead node as an

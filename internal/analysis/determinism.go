@@ -34,7 +34,7 @@ var Determinism = &Analyzer{
 // new package is checked without editing this list.
 var mapRangeExempt = []string{
 	"internal/obs",      // registry reads fold derived counters; exporters sort or JSON-encode the result
-	"internal/server",   // the connection registry and lease table are live serving state, never seeded output
+	"internal/server",   // the connection registry is live serving state, never seeded output
 	"internal/analysis", // the analyzers' bookkeeping; findings are sorted by position before output
 }
 

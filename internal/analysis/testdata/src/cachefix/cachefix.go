@@ -1,19 +1,18 @@
 // Package stemcache is the lockorder-analyzer fixture. Its rank directives
-// mirror the real package's four lock classes: Cache.closeMu before
-// Cache.loadMu before shard.mu before Cache.obsMu.
+// mirror the real package's three lock classes: Cache.closeMu before
+// shard.mu before Cache.obsMu.
 package stemcache
 
 import "sync"
 
 type shard struct {
-	mu sync.Mutex //lint:rank 2
+	mu sync.Mutex //lint:rank 1
 }
 
-// Cache mirrors the real package's four lock classes.
+// Cache mirrors the real package's three lock classes.
 type Cache struct {
 	closeMu sync.Mutex //lint:rank 0
-	loadMu  sync.Mutex //lint:rank 1
-	obsMu   sync.Mutex //lint:rank 3
+	obsMu   sync.Mutex //lint:rank 2
 	shards  []shard
 }
 
@@ -26,28 +25,6 @@ func (c *Cache) goodOrder() {
 	c.obsMu.Unlock()
 	sh.mu.Unlock()
 	c.closeMu.Unlock()
-}
-
-// goodLoadFence takes loadMu under closeMu and releases it before the
-// shards, like the real Close — no findings.
-func (c *Cache) goodLoadFence() {
-	c.closeMu.Lock()
-	c.loadMu.Lock()
-	c.loadMu.Unlock()
-	sh := &c.shards[0]
-	sh.mu.Lock()
-	sh.mu.Unlock()
-	c.closeMu.Unlock()
-}
-
-// badLoadOrder takes the singleflight lock while holding a shard lock —
-// the load path must settle flights before touching shards, never under
-// them.
-func (c *Cache) badLoadOrder(sh *shard) {
-	sh.mu.Lock()
-	c.loadMu.Lock()
-	c.loadMu.Unlock()
-	sh.mu.Unlock()
 }
 
 // badOrder takes a shard lock while already holding obsMu.

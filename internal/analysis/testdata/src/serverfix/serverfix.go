@@ -1,6 +1,6 @@
 // Package server is the lockorder-analyzer fixture for the network server's
 // hierarchy. Its rank directives mirror the real package's order: Server.mu
-// before conn.mu before Server.leaseMu.
+// before conn.mu.
 package server
 
 import "sync"
@@ -10,12 +10,10 @@ type conn struct {
 	draining bool
 }
 
-// Server mirrors the real package's three lock classes.
+// Server mirrors the real package's two lock classes.
 type Server struct {
-	mu      sync.Mutex //lint:rank 0
-	leaseMu sync.Mutex //lint:rank 2
-	conns   map[*conn]struct{}
-	leases  map[string]struct{}
+	mu    sync.Mutex //lint:rank 0
+	conns map[*conn]struct{}
 }
 
 // goodOrder acquires down the hierarchy — no findings.
@@ -33,24 +31,6 @@ func (s *Server) goodHandoff(c *conn) {
 	s.mu.Unlock()
 	c.mu.Lock()
 	c.mu.Unlock()
-}
-
-// goodLeaseInnermost takes the lease table under a connection's lock —
-// in-order and legal, like handleLoad classifying under a live request.
-func (s *Server) goodLeaseInnermost(c *conn) {
-	c.mu.Lock()
-	s.leaseMu.Lock()
-	s.leaseMu.Unlock()
-	c.mu.Unlock()
-}
-
-// badLeaseOrder touches the connection registry while holding the lease
-// table — the lease table is the innermost class and may wrap nothing.
-func (s *Server) badLeaseOrder(c *conn) {
-	s.leaseMu.Lock()
-	s.mu.Lock()
-	s.mu.Unlock()
-	s.leaseMu.Unlock()
 }
 
 // badOrder takes the registry lock while holding a connection's lock.

@@ -171,10 +171,6 @@ type Client struct {
 	latTotal  *obs.LatencyHistogram
 	latServer *obs.LatencyHistogram
 	latNet    *obs.LatencyHistogram
-
-	// refreshWG tracks background stale-refresh goroutines (load.go);
-	// Close waits for them so a refresh never outlives its client.
-	refreshWG sync.WaitGroup
 }
 
 // cconn is one pooled connection with its buffers.
@@ -206,9 +202,7 @@ func New(cfg Config) (*Client, error) {
 }
 
 // Close releases pooled connections. In-flight operations finish their
-// current attempt; subsequent operations fail with ErrClosed. Close also
-// waits for background stale-refresh goroutines (GetOrLoad), so it blocks
-// while an Origin call of one is still running. Idempotent.
+// current attempt; subsequent operations fail with ErrClosed. Idempotent.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	idle := c.idle
@@ -217,7 +211,6 @@ func (c *Client) Close() error {
 	for _, cc := range idle {
 		cc.nc.Close()
 	}
-	c.refreshWG.Wait()
 	return nil
 }
 
@@ -281,12 +274,18 @@ func transient(err error) bool {
 		errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed)
 }
 
+// unsentError is a request roundTrip refused to encode: nothing reached the
+// connection, so it is still healthy.
+type unsentError struct{ error }
+
+func (e unsentError) Unwrap() error { return e.error }
+
 // roundTrip performs one attempt: encode reqs, flush, and read len(reqs)
 // responses in order into resps, decoded in place. Every value is copied out
 // of the connection's read buffer into arena (reused from its start) before
 // the next frame overwrites it, and re-pointed into the returned arena once
 // the last frame is read, so nothing in resps aliases the connection after
-// it returns. The connection is healthy on nil error.
+// it returns. The connection is healthy on nil error and on an unsentError.
 func (c *Client) roundTrip(cc *cconn, reqs []wire.Request, resps []wire.Response, arena []byte) ([]byte, error) {
 	cc.wbuf = cc.wbuf[:0]
 	for i := range reqs {
@@ -298,7 +297,7 @@ func (c *Client) roundTrip(cc *cconn, reqs []wire.Request, resps []wire.Response
 		if cc.wbuf, err = wire.AppendRequest(cc.wbuf, req, wire.Limits{}); err != nil {
 			// Encoding failures are caller bugs (oversized operands), not
 			// connection state: fail without poisoning the connection.
-			return nil, err
+			return nil, unsentError{err}
 		}
 	}
 	// One arm bounds the whole round trip, the flush and every response read.
@@ -375,8 +374,8 @@ func carve(arena []byte, off int, v []byte) ([]byte, int) {
 // do runs reqs as one pipelined round trip with retry-with-backoff on
 // transient errors, decoding into resps (one per request) and copying their
 // values into arena, which it returns grown as needed (see roundTrip). Each
-// attempt uses a different connection; failed connections are closed, never
-// pooled.
+// attempt uses a different connection; a connection that failed after
+// bytes reached it is closed, never pooled.
 func (c *Client) do(reqs []wire.Request, resps []wire.Response, arena []byte) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
@@ -392,9 +391,9 @@ func (c *Client) do(reqs []wire.Request, resps []wire.Response, arena []byte) ([
 			return nil, err
 		}
 		out, err := c.roundTrip(cc, reqs, resps, arena)
-		if err == nil {
+		if _, unsent := err.(unsentError); err == nil || unsent {
 			c.put(cc)
-			return out, nil
+			return out, err
 		}
 		cc.nc.Close()
 		lastErr = err

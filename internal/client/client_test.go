@@ -1,11 +1,11 @@
 package client
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -491,45 +491,26 @@ func TestOpTimeoutOnStalledServer(t *testing.T) {
 	}
 }
 
-// TestCloseWaitsForStaleRefresh: a stale hit returns at once and hands the
-// refresh lease to a background goroutine; Close must not return while that
-// goroutine's origin call is still running.
-func TestCloseWaitsForStaleRefresh(t *testing.T) {
-	fs := newFakeServer(t, func(req *wire.Request) *wire.Response {
-		if req.Flags&wire.FlagFill != 0 {
-			return okHandler(req)
-		}
-		return &wire.Response{Op: req.Op, Status: wire.StatusStale, Token: 7, Value: []byte("old")}
-	})
-	cl, err := New(Config{Addr: fs.ln.Addr().String()})
+// TestEncodeErrorKeepsConnection: a request the encoder refuses never
+// reaches the socket, so the connection that was borrowed for it goes back
+// to the pool and the next operation reuses it instead of dialing.
+func TestEncodeErrorKeepsConnection(t *testing.T) {
+	fs := newFakeServer(t, okHandler)
+	cl, err := New(Config{Addr: fs.ln.Addr().String(), PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	entered, release := make(chan struct{}), make(chan struct{})
-	origin := func(context.Context, string) ([]byte, error) {
-		close(entered)
-		<-release
-		return []byte("new"), nil
+	defer cl.Close()
+	if err := cl.Ping(); err != nil {
+		t.Fatal(err)
 	}
-	if v, err := cl.GetOrLoad(context.Background(), "k", origin); err != nil || string(v) != "old" {
-		t.Fatalf("GetOrLoad = (%q, %v), want the stale value at once", v, err)
+	if err := cl.Set(strings.Repeat("k", 70_000), []byte("v")); err == nil {
+		t.Fatal("Set with a 70000-byte key succeeded, want an encoding error")
 	}
-	<-entered
-
-	closed := make(chan struct{})
-	go func() {
-		defer close(closed)
-		cl.Close()
-	}()
-	select {
-	case <-closed:
-		t.Fatal("Close returned while a stale refresh was still fetching")
-	case <-time.After(200 * time.Millisecond):
+	if err := cl.Ping(); err != nil {
+		t.Fatal(err)
 	}
-	close(release)
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return after the refresh finished")
+	if got := fs.connCount(); got != 1 {
+		t.Fatalf("Ping, oversized Set, Ping dialed %d connections, want 1 pooled", got)
 	}
 }

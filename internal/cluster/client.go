@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -308,27 +307,6 @@ func (c *Client) Del(key string) (found bool, err error) {
 		return false, err
 	}
 	return found, nil
-}
-
-// GetOrLoad reads key through its owning node's lease protocol
-// (client.Client.GetOrLoad): consistent hashing sends every process asking
-// for a key to the same node, so the node-local lease table deduplicates
-// origin fetches across the whole fleet — one origin fetch per miss,
-// cluster-wide. After a ring migration a key's old owner may hold a now
-// unreachable lease; it simply times out (server LeaseWait) with no effect
-// on the new owner. When the owner is unreachable the load runs through a
-// replica instead — fetch deduplication degrades to per-replica, never
-// breaks.
-func (c *Client) GetOrLoad(ctx context.Context, key string, origin client.Origin) (value []byte, err error) {
-	err = c.single(key, func(cl *client.Client) error {
-		var e error
-		value, e = cl.GetOrLoad(ctx, key, origin)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return value, nil
 }
 
 // fanOut splits a batch of n items per owning node — keyAt(i) is item i's

@@ -1,12 +1,8 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/stemcache"
 	"repro/internal/wire"
@@ -198,56 +194,5 @@ func TestMigrateHandsOffSlot(t *testing.T) {
 	}
 	if hits != best {
 		t.Fatalf("post-migration reads hit %d of %d", hits, best)
-	}
-}
-
-// TestGetOrLoadRoutesAndDeduplicates drives a herd of goroutines through
-// the cluster client's read-through path: every asker for one key lands on
-// the same ring owner, whose node-local lease table collapses the herd to
-// a single origin fetch.
-func TestGetOrLoadRoutesAndDeduplicates(t *testing.T) {
-	_, cl := startCluster(t, 3, 8, 1024)
-
-	var originCalls atomic.Int64
-	origin := func(ctx context.Context, key string) ([]byte, error) {
-		originCalls.Add(1)
-		time.Sleep(20 * time.Millisecond) // slow origin: let the herd pile up
-		return []byte("origin:" + key), nil
-	}
-
-	const keys, herd = 8, 8
-	var wg sync.WaitGroup
-	errs := make(chan error, keys*herd)
-	for k := 0; k < keys; k++ {
-		key := fmt.Sprintf("hot-%d", k)
-		for g := 0; g < herd; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				v, err := cl.GetOrLoad(context.Background(), key, origin)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if string(v) != "origin:"+key {
-					errs <- fmt.Errorf("GetOrLoad(%q) = %q", key, v)
-				}
-			}()
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if n := originCalls.Load(); n != keys {
-		t.Fatalf("origin calls = %d; want %d (one per key, however many askers)", n, keys)
-	}
-	// A reload is a pure cache hit: no origin traffic at all.
-	if _, err := cl.GetOrLoad(context.Background(), "hot-0", origin); err != nil {
-		t.Fatal(err)
-	}
-	if n := originCalls.Load(); n != keys {
-		t.Fatalf("origin calls after reload = %d; want still %d", n, keys)
 	}
 }

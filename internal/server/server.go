@@ -28,20 +28,15 @@
 //     only then do connections close. Close is idempotent and safe to call
 //     concurrently with handlers.
 //
-// The package has three lock classes, ranked Server.mu before conn.mu
-// before Server.leaseMu (the stemlint lockorder analyzer enforces this):
-// Server.mu guards the connection registry and lifecycle state, conn.mu a
-// single connection's drain/close state, and leaseMu the read-through lease
-// table (see handleLoad). None is ever held while calling into the cache,
-// so the cache's internal shard.mu sits below all three.
+// The package has two lock classes, ranked Server.mu before conn.mu (the
+// stemlint lockorder analyzer enforces this): Server.mu guards the
+// connection registry and lifecycle state, conn.mu a single connection's
+// drain/close state. Neither is ever held while calling into the cache, so
+// the cache's internal shard.mu sits below both. No request waits on
+// another connection.
 //
-// Read-through leases: OpLoad extends the cache's in-process singleflight
-// across client processes. The first connection to miss a key is granted a
-// lease (StatusLease + token) and fetches the origin; connections asking
-// for the same key meanwhile block on the lease — bounded by LeaseWait, so
-// a crashed leaseholder stalls followers for at most one wait before one of
-// them takes over — and are answered from the cache once the leader fills.
-// The fleet performs one origin fetch per miss instead of one per client.
+// OpLoad, the read-through opcode, is refused with StatusErr like a
+// namespaced request: the server keeps no lease table.
 package server
 
 import (
@@ -95,11 +90,6 @@ type Config struct {
 	// demand snapshots and the STATS document so a cluster client can tell
 	// which node answered. 0 for a standalone server.
 	NodeID int
-	// LeaseWait bounds how long an OpLoad waits on another client's
-	// outstanding fetch lease before breaking it and taking over. It is the
-	// blast radius of a crashed leaseholder: followers stall at most this
-	// long. Default 1s.
-	LeaseWait time.Duration
 	// SlowRequest, when positive, makes the server emit an EvSlowRequest
 	// event to Events for every request whose server-side time (frame read
 	// + decode + cache op) reaches the threshold. 0 disables.
@@ -126,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
-	}
-	if c.LeaseWait <= 0 {
-		c.LeaseWait = time.Second
 	}
 	return c
 }
@@ -157,28 +144,14 @@ type Server struct {
 	// atomic pointer keeps the set consistent per request.
 	hooks atomic.Pointer[Hooks]
 
-	// leaseMu guards leases — the per-key read-through fetch leases that
-	// deduplicate origin fetches across client processes; never held
-	// while calling into the cache or blocking on a channel.
-	//lint:rank 2
-	leaseMu  sync.Mutex
-	leases   map[string]*lease
-	leaseSeq atomic.Uint64 // token source; 0 is reserved for "no lease"
-	quit     chan struct{} // closed by Close; unblocks lease waiters
-
 	// Served-traffic counters, the one tally of each event: connection
 	// goroutines add, STATS and a metrics scrape load. No lock spans the
 	// connections, hence atomics.
-	accepted     atomic.Uint64
-	requests     atomic.Uint64
-	protoErrors  atomic.Uint64
-	ioErrors     atomic.Uint64
-	batchKeys    atomic.Uint64 // keys carried by MGET/MSET frames
-	loadReqs     atomic.Uint64 // OpLoad lookups (fills excluded)
-	loadDedups   atomic.Uint64 // OpLoad lookups that parked on another's lease
-	staleServed  atomic.Uint64
-	negativeHits atomic.Uint64
-	leaseBreaks  atomic.Uint64
+	accepted    atomic.Uint64
+	requests    atomic.Uint64
+	protoErrors atomic.Uint64
+	ioErrors    atomic.Uint64
+	batchKeys   atomic.Uint64 // keys carried by MGET/MSET frames
 
 	// lat holds the per-opcode stage histograms, indexed by raw opcode byte;
 	// all-nil (no-op sinks) without a registry. Written once in New,
@@ -205,12 +178,10 @@ func New(cache *stemcache.Cache[string, []byte], cfg Config) (*Server, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cache:  cache,
-		cfg:    cfg,
-		conns:  map[*conn]struct{}{},
-		sem:    make(chan struct{}, cfg.MaxConns),
-		leases: map[string]*lease{},
-		quit:   make(chan struct{}),
+		cache: cache,
+		cfg:   cfg,
+		conns: map[*conn]struct{}{},
+		sem:   make(chan struct{}, cfg.MaxConns),
 	}
 	s.registerMetrics(cfg.Metrics)
 	s.timed = cfg.Metrics != nil || (cfg.SlowRequest > 0 && cfg.Events != nil)
@@ -218,8 +189,7 @@ func New(cache *stemcache.Cache[string, []byte], cfg Config) (*Server, error) {
 }
 
 // registerMetrics exports the server through reg: the traffic counters,
-// loaded from the server's own atomics when the registry is read (the
-// "server.loads"/"server.load_dedup" pair counts the lease protocol), the
+// loaded from the server's own atomics when the registry is read, the
 // live-connection gauge, and the per-opcode stage histograms, which are real
 // cells. A nil reg registers nothing and leaves the histograms no-op sinks.
 func (s *Server) registerMetrics(reg *obs.Registry) {
@@ -229,11 +199,6 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		emit("server.proto_errors", s.protoErrors.Load())
 		emit("server.io_errors", s.ioErrors.Load())
 		emit("server.batch_keys", s.batchKeys.Load())
-		emit("server.loads", s.loadReqs.Load())
-		emit("server.load_dedup", s.loadDedups.Load())
-		emit("server.stale_served", s.staleServed.Load())
-		emit("server.negative_hits", s.negativeHits.Load())
-		emit("server.lease_breaks", s.leaseBreaks.Load())
 	})
 	reg.GaugeFunc("server.conns_active", func() float64 { return float64(s.ConnCount()) })
 	for op := wire.OpPing; op.Valid(); op++ {
@@ -365,10 +330,6 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	// Wake every OpLoad blocked on a lease before draining: a waiter
-	// parked in handleLoad holds its connection, and the drain below waits
-	// for exactly those connections.
-	close(s.quit)
 	ln := s.ln
 	drain := make([]*conn, 0, len(s.conns))
 	for c := range s.conns {
@@ -429,11 +390,6 @@ type StatsSnapshot struct {
 	Requests uint64 `json:"requests"`
 	// ProtoErrors counts malformed frames received.
 	ProtoErrors uint64 `json:"proto_errors"`
-	// Loads counts OpLoad lookups served (fill frames excluded); LoadDedup
-	// counts the subset answered by parking on another client's fetch lease
-	// instead of consulting the origin — the stampede-protection view.
-	Loads     uint64 `json:"loads"`
-	LoadDedup uint64 `json:"load_dedup"`
 }
 
 // statsJSON renders the STATS payload.
@@ -449,8 +405,6 @@ func (s *Server) statsJSON() ([]byte, error) {
 		ConnsAccepted: s.accepted.Load(),
 		Requests:      s.requests.Load(),
 		ProtoErrors:   s.protoErrors.Load(),
-		Loads:         s.loadReqs.Load(),
-		LoadDedup:     s.loadDedups.Load(),
 	}
 	return json.Marshal(snap)
 }
@@ -480,6 +434,10 @@ func (s *Server) demand() *wire.NodeDemand {
 // namespace with everyone else's.
 var errNamespace = []byte("server: namespaces are not served; send the request without one")
 
+// errLoad answers every OpLoad, fill or lookup: the server keeps no lease
+// table, so a caller reads with GET and fills with SET.
+var errLoad = []byte("server: LOAD is not served; read with GET and fill with SET")
+
 // handle executes one decoded request against the cache and fills resp.
 // It runs on the connection's goroutine; the cache does its own locking.
 func (s *Server) handle(req *wire.Request, resp *wire.Response) {
@@ -488,6 +446,10 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 	resp.Op, resp.ID, resp.Status = req.Op, req.ID, wire.StatusOK
 	if req.Namespace != "" {
 		resp.Status, resp.Value = wire.StatusErr, errNamespace
+		return
+	}
+	if req.Op == wire.OpLoad {
+		resp.Status, resp.Value = wire.StatusErr, errLoad
 		return
 	}
 	h := s.hooks.Load() // nil on a standalone server
@@ -558,8 +520,6 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 		}
 	case wire.OpView:
 		s.handleMembership(h, req, resp)
-	case wire.OpLoad:
-		s.handleLoad(req, resp)
 	case wire.OpStats:
 		b, err := s.statsJSON()
 		if err != nil {

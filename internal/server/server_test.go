@@ -182,8 +182,7 @@ func TestServeStats(t *testing.T) {
 	if got := metrics["server.conns_accepted"]; got != snap.ConnsAccepted {
 		t.Fatalf("obs server.conns_accepted = %v, STATS says %d", got, snap.ConnsAccepted)
 	}
-	for _, name := range []string{"server.proto_errors", "server.io_errors", "server.batch_keys", "server.loads",
-		"server.load_dedup", "server.stale_served", "server.negative_hits", "server.lease_breaks"} {
+	for _, name := range []string{"server.proto_errors", "server.io_errors", "server.batch_keys"} {
 		if got, ok := metrics[name].(uint64); !ok || got != 0 {
 			t.Errorf("obs %s = %v, want a counter at 0", name, metrics[name])
 		}
@@ -489,8 +488,9 @@ func TestMalformedFrameAnswersThenCloses(t *testing.T) {
 
 // TestNamespacedRequestRefused: the server keeps one keyspace, so a request
 // carrying a namespace (wire.FlagTenant) is answered StatusErr without
-// touching the cache, and the connection stays usable. A namespace longer
-// than the wire carries is a malformed frame: StatusErr, then a close.
+// touching the cache, and the connection stays usable. So is every LOAD,
+// lookup or fill: the server keeps no lease table. A namespace longer than
+// the wire carries is a malformed frame: StatusErr, then a close.
 func TestNamespacedRequestRefused(t *testing.T) {
 	srv, cache := startServer(t, stemcache.Config{Capacity: 1 << 10, Seed: 1}, server.Config{})
 	nc, err := net.Dial("tcp", srv.Addr())
@@ -520,9 +520,13 @@ func TestNamespacedRequestRefused(t *testing.T) {
 	for _, req := range []wire.Request{
 		{Op: wire.OpSet, ID: 1, Key: "k", Value: []byte("from-a"), Namespace: "a"},
 		{Op: wire.OpGet, ID: 2, Key: "k", Namespace: "b"},
+		{Op: wire.OpLoad, ID: 5, Key: "k"},
+		{Op: wire.OpLoad, ID: 6, Key: "k", Flags: wire.FlagFill, Token: 9, Value: []byte("filled")},
+		{Op: wire.OpLoad, ID: 7, Key: "k", Flags: wire.FlagFill | wire.FlagNegative, Token: 9},
 	} {
 		if resp, err := roundTrip(encode(req)); err != nil || resp.Status != wire.StatusErr {
-			t.Fatalf("%v in namespace %q: status %v, err %v; want StatusErr", req.Op, req.Namespace, resp.Status, err)
+			t.Fatalf("%v (flags %v) in namespace %q: status %v, err %v; want StatusErr",
+				req.Op, req.Flags, req.Namespace, resp.Status, err)
 		}
 		if resp, err := roundTrip(encode(wire.Request{Op: wire.OpPing, ID: 3})); err != nil || resp.Status != wire.StatusOK {
 			t.Fatalf("PING after the refused %v: status %v, err %v; want StatusOK", req.Op, resp.Status, err)

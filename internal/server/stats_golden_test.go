@@ -17,7 +17,7 @@ import (
 // document repeats byte for byte. It also pins the document's shape: a key
 // added to or dropped from StatsSnapshot (a "tenants" block, say) changes
 // the string.
-const statsGolden = `{"node_id":0,"cache":{"Gets":6130,"Hits":2693,"Misses":3437,"Puts":3140,"Deletes":336,"Evictions":1242,"Expirations":0,"SecondaryHits":78,"ShadowHits":1107,"PolicySwaps":2,"Couplings":25,"Decouplings":3,"Spills":139,"Receives":139,"StaleServed":0,"NegativeHits":0,"TakerSets":20,"GiverSets":17,"CoupledSets":44},"hit_rate":0.4393148450244698,"len":496,"capacity":512,"conns":1,"conns_accepted":1,"requests":6415,"proto_errors":0,"loads":0,"load_dedup":0}`
+const statsGolden = `{"node_id":0,"cache":{"Gets":6130,"Hits":2693,"Misses":3437,"Puts":3140,"Deletes":336,"Evictions":1242,"Expirations":0,"SecondaryHits":78,"ShadowHits":1107,"PolicySwaps":2,"Couplings":25,"Decouplings":3,"Spills":139,"Receives":139,"TakerSets":20,"GiverSets":17,"CoupledSets":44},"hit_rate":0.4393148450244698,"len":496,"capacity":512,"conns":1,"conns_accepted":1,"requests":6415,"proto_errors":0}`
 
 // statsMix drives cl through a seeded mix of every cache-touching opcode —
 // GET, SET, SETNX, DEL, MGET and MSET, and a cache-aside read that SETs on a
@@ -68,7 +68,7 @@ func statsMix(t *testing.T, cl *client.Client, capacity, ops int) {
 // seeded mixed workload on one connection, as one constant string.
 func TestStatsDocumentGolden(t *testing.T) {
 	srv, _ := startServer(t,
-		stemcache.Config{Capacity: 512, Shards: 2, Seed: 0x57E4, NegativeTTL: time.Hour},
+		stemcache.Config{Capacity: 512, Shards: 2, Seed: 0x57E4},
 		server.Config{})
 	cl, err := client.New(client.Config{Addr: srv.Addr(), PoolSize: 1, OpTimeout: 5 * time.Second})
 	if err != nil {

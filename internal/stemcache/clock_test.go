@@ -7,28 +7,24 @@ import (
 	"time"
 )
 
-// clockCache builds a 1-shard, 4-way, identity-hashed cache with every TTL
-// knob on and a counting fake clock: key k lives in set k % sets, so the
-// cases below place entries exactly. reads counts c.now calls.
+// clockCache builds a 1-shard, 4-way, identity-hashed cache with a counting
+// fake clock: key k lives in set k % sets, so the cases below place entries
+// exactly. reads counts c.now calls.
 func clockCache(clock *int64, reads *int) *Cache[int, int] {
-	c := mustWithHasher[int, int](Config{
-		Capacity: 64, Shards: 1, Ways: 4, Seed: 1,
-		LoadTTL: time.Second, StaleTTL: time.Second, NegativeTTL: time.Second,
-	}, identity)
+	c := mustWithHasher[int, int](Config{Capacity: 64, Shards: 1, Ways: 4, Seed: 1}, identity)
 	c.now = func() int64 { *reads++; return *clock }
 	return c
 }
 
 // TestClockReadsPerOperation is the count gate for the lazy TTL clock: an
 // operation reads c.now only when it meets a deadline — a matching entry's
-// exp or fresh, or a ttl to add to now — and then exactly once, so the read's
+// exp, or a ttl to add to now — and then exactly once, so the read's
 // and the store's classification share one instant. Whole-cache walks (Len,
 // AppendKeys) read once per call; Demand never looks at a deadline.
 func TestClockReadsPerOperation(t *testing.T) {
 	const (
 		plain  = 1 // resident, no deadline
 		ttl    = 2 // resident, exp set
-		loaded = 3 // resident, exp and fresh set
 		absent = 5
 	)
 	cases := []struct {
@@ -44,19 +40,13 @@ func TestClockReadsPerOperation(t *testing.T) {
 		{"Delete miss", func(c *Cache[int, int]) { c.Delete(absent) }, 0},
 		{"GetOrSet hit", func(c *Cache[int, int]) { c.GetOrSet(plain, 2) }, 0},
 		{"GetOrSet miss", func(c *Cache[int, int]) { c.GetOrSet(absent, 2) }, 0},
-		{"LookupLoad of a plain entry", func(c *Cache[int, int]) { c.LookupLoad(plain) }, 0},
 
 		{"SetWithTTL insert", func(c *Cache[int, int]) { c.SetWithTTL(absent, 1, time.Second) }, 1},
 		{"SetWithTTL over a TTL'd entry", func(c *Cache[int, int]) { c.SetWithTTL(ttl, 1, time.Second) }, 1},
 		{"GetOrSetWithTTL miss", func(c *Cache[int, int]) { c.GetOrSetWithTTL(absent, 1, time.Second) }, 1},
 		{"GetOrSetWithTTL hit on a TTL'd entry", func(c *Cache[int, int]) { c.GetOrSetWithTTL(ttl, 1, time.Second) }, 1},
-		{"SetLoaded", func(c *Cache[int, int]) { c.SetLoaded(absent, 1) }, 1},
-		{"SetLoaded over a loaded entry", func(c *Cache[int, int]) { c.SetLoaded(loaded, 1) }, 1},
-		{"SetNegative", func(c *Cache[int, int]) { c.SetNegative(absent) }, 1},
 
 		{"Get of a TTL'd entry", func(c *Cache[int, int]) { c.Get(ttl) }, 1},
-		{"Get of a loaded entry", func(c *Cache[int, int]) { c.Get(loaded) }, 1},
-		{"LookupLoad of a loaded entry", func(c *Cache[int, int]) { c.LookupLoad(loaded) }, 1},
 		{"Delete of a TTL'd entry", func(c *Cache[int, int]) { c.Delete(ttl) }, 1},
 		{"Set over a TTL'd entry", func(c *Cache[int, int]) { c.Set(ttl, 1) }, 1},
 
@@ -72,7 +62,6 @@ func TestClockReadsPerOperation(t *testing.T) {
 			c := clockCache(&clock, &reads)
 			c.Set(plain, 1)
 			c.SetWithTTL(ttl, 1, time.Second)
-			c.SetLoaded(loaded, 1)
 			reads = 0
 			tc.op(c)
 			if reads != tc.want {
@@ -139,33 +128,25 @@ func mixedOps(c *Cache[int, int], clock *int64, n int) {
 // change no classification, hence no counter.
 func TestPinnedStats(t *testing.T) {
 	var clock int64
-	c := mustNew[int, int](Config{
-		Capacity: 1024, Shards: 4, Ways: 4, Seed: 42,
-		LoadTTL: 300 * time.Millisecond, StaleTTL: 400 * time.Millisecond, NegativeTTL: 200 * time.Millisecond,
-	})
+	c := mustNew[int, int](Config{Capacity: 1024, Shards: 4, Ways: 4, Seed: 42})
 	defer c.Close()
 	c.now = func() int64 { return clock }
 	mixedOps(c, &clock, 60_000)
 	got := fmt.Sprintf("%+v len=%d", c.Stats(), c.Len())
 	const want = "{Gets:45000 Hits:14926 Misses:30074 Puts:37574 Deletes:2741 Evictions:30322 Expirations:3511 " +
 		"SecondaryHits:110 ShadowHits:12101 PolicySwaps:438 Couplings:291 Decouplings:273 Spills:1341 Receives:1341 " +
-		"StaleServed:0 NegativeHits:0 TakerSets:121 GiverSets:9 CoupledSets:36} len=772"
+		"TakerSets:121 GiverSets:9 CoupledSets:36} len=772"
 	if got != want {
 		t.Fatalf("Stats moved:\n got %s\nwant %s", got, want)
 	}
 }
 
 // TestNoGoroutines pins the package comment's promise: a cache starts no
-// goroutines — not in New, not in any operation, not in Close — with every
-// read-through knob on.
+// goroutines — not in New, not in any operation, not in Close.
 func TestNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var clock int64
-	c := mustNew[int, int](Config{
-		Capacity: 1024, Shards: 4, Ways: 4, Seed: 42,
-		LoadTTL: 300 * time.Millisecond, StaleTTL: 400 * time.Millisecond,
-		NegativeTTL: 200 * time.Millisecond, TTLJitter: 0.2,
-	})
+	c := mustNew[int, int](Config{Capacity: 1024, Shards: 4, Ways: 4, Seed: 42})
 	c.now = func() int64 { return clock }
 	mixedOps(c, &clock, 10_000)
 	during := runtime.NumGoroutine()

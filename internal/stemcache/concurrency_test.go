@@ -145,6 +145,55 @@ func TestConcurrentTTLExpiry(t *testing.T) {
 	}
 }
 
+// TestExpiryRaceStatsConsistent hammers one expiring key from many
+// goroutines while the injected clock sweeps across its deadline: however
+// the ops interleave, every Get is exactly one hit or one miss and the
+// entry expires at most once per store.
+func TestExpiryRaceStatsConsistent(t *testing.T) {
+	c := mustNew[string, int](Config{Capacity: 1 << 10, Shards: 4, Ways: 4, Seed: 7})
+	defer c.Close()
+	var clock atomic.Int64
+	clock.Store(1)
+	c.now = func() int64 { return clock.Load() }
+
+	const (
+		goroutines = 8
+		rounds     = 200
+	)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					c.Get("hot")
+				}
+			}
+		}()
+	}
+	stores := uint64(0)
+	for r := 0; r < rounds; r++ {
+		now := clock.Load()
+		c.SetWithTTL("hot", r, 10)
+		stores++
+		clock.Store(now + 25) // sweep well past the deadline
+	}
+	close(stop)
+	wg.Wait()
+	st := c.Stats()
+	if st.Gets != st.Hits+st.Misses {
+		t.Fatalf("Gets %d != Hits %d + Misses %d", st.Gets, st.Hits, st.Misses)
+	}
+	if st.Expirations > stores {
+		t.Fatalf("Expirations %d > stores %d: some entry expired twice", st.Expirations, stores)
+	}
+}
+
 // TestConcurrentObserver checks the serialized observer path under parallel
 // load: the callback must never run concurrently with itself.
 func TestConcurrentObserver(t *testing.T) {

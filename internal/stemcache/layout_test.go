@@ -16,7 +16,8 @@ import (
 // number of 64-byte lines and the shard array starts on a line, so no two
 // shards share one; what every Get writes (the lock, the resident count, the
 // inline tally row, the engine's RNG and tick) sits in a shard's first line;
-// and an 8-way set's tags are one line.
+// an 8-way set's tags are one line; and a [string, []byte] entry is its key,
+// value, hash and expiry, 56 bytes.
 func TestShardLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the layout is laid out for 64-bit words")
@@ -30,6 +31,9 @@ func TestShardLayout(t *testing.T) {
 		if off+size > 64 {
 			t.Errorf("shard.%s spans bytes [%d, %d), past the first line", path, off, off+size)
 		}
+	}
+	if size := unsafe.Sizeof(entry[string, []byte]{}); size != 56 {
+		t.Errorf("entry[string, []byte] is %d bytes, want 56", size)
 	}
 	for _, shards := range []int{1, 2, 16, 64} {
 		c := mustNew[string, []byte](Config{Capacity: 8192, Shards: shards, Ways: 8})

@@ -16,15 +16,6 @@ type entry[K comparable, V any] struct {
 	val  V
 	hash uint64
 	exp  int64 // expiry in unix nanoseconds; 0 = never
-	// fresh is the read-through freshness deadline in unix nanoseconds:
-	// past fresh but not past exp the entry is stale — served by LookupLoad
-	// while one caller refreshes it, a miss for plain Get. 0 means fresh
-	// until exp (every plain Set).
-	fresh int64
-	// neg marks a cached absence (SetNegative): the origin said the key
-	// does not exist, and that answer is cached until exp. The value is the
-	// zero V; plain Get reports a miss, LookupLoad reports LoadNegative.
-	neg bool
 }
 
 // A tag is one way's probe word: the entry's key hash with its low two bits
@@ -66,7 +57,7 @@ type tally struct {
 // the slice headers; the padding makes a shard a whole number of lines, so
 // no two shards share one.
 type shard[K comparable, V any] struct {
-	//lint:rank 2
+	//lint:rank 1
 	mu      sync.Mutex
 	live    int
 	one     tally // the Get accounting
@@ -74,7 +65,7 @@ type shard[K comparable, V any] struct {
 	stats   Stats         // every other counter; snapshot completes it from one and the engine
 	entries []entry[K, V] // sets × Ways, set-major
 	tags    []uint64      // one per entry, in the same order; see tagOf
-	_       [80]byte
+	_       [96]byte
 }
 
 // newShards allocates n shards with shard 0 on a 64-byte line. Go's
@@ -111,9 +102,9 @@ func freeWay(t []uint64) int {
 
 // opClock is one operation's TTL clock: c.now is read at most once, under the
 // shard lock, the first time the operation meets a deadline — a matching
-// entry's exp or fresh, or a ttl to add to now. An operation that meets none
-// reads no clock; one that does classifies live, stale and dead against that
-// single instant. The zero value is ready; read is a flag, not a zero
+// entry's exp, or a ttl to add to now. An operation that meets none reads no
+// clock; one that does classifies live and dead against that single
+// instant. The zero value is ready; read is a flag, not a zero
 // sentinel, because a fake clock may well say 0.
 type opClock struct {
 	t    int64
@@ -138,14 +129,12 @@ func (c *Cache[K, V]) after(k *opClock, ttl time.Duration) int64 {
 }
 
 // find returns the way of set idx holding key — as a local entry, or with cc
-// as a cooperatively cached one — or -1, plus whether the entry is stale
-// (past its freshness deadline but not yet expired). A matching entry that
-// has expired is collected on the spot and reported as absent (lazy expiry).
-// Residency, staleness and death are all decided by the operation's one
-// instant (clk), so a key read exactly at a deadline classifies the same way
-// for every operation serialized at that instant; an entry without deadlines
-// reads no clock.
-func (c *Cache[K, V]) find(sh *shard[K, V], idx int, cc bool, key K, h uint64, clk *opClock) (way int, stale bool) {
+// as a cooperatively cached one — or -1. A matching entry that has expired
+// is collected on the spot and reported as absent (lazy expiry). Death is
+// decided by the operation's one instant (clk), so a key read exactly at its
+// deadline classifies the same way for every operation serialized at that
+// instant; an entry without a deadline reads no clock.
+func (c *Cache[K, V]) find(sh *shard[K, V], idx int, cc bool, key K, h uint64, clk *opClock) int {
 	want := tagOf(h, cc)
 	for w, tag := range c.tags(sh, idx) {
 		if tag != want {
@@ -154,27 +143,27 @@ func (c *Cache[K, V]) find(sh *shard[K, V], idx int, cc bool, key K, h uint64, c
 		if e := &sh.entries[idx*c.cfg.Ways+w]; e.hash == h && e.key == key {
 			if e.exp != 0 && c.at(clk) > e.exp {
 				c.expire(sh, idx, w)
-				return -1, false
+				return -1
 			}
-			return w, e.fresh != 0 && c.at(clk) > e.fresh
+			return w
 		}
 	}
-	return -1, false
+	return -1
 }
 
 // lookup finds key's resident entry: in its home set idx, or — when idx is a
 // coupled taker — cooperatively cached in the giver (the secondary probe).
 // set is where the entry sits; way is -1 when the key is absent.
-func (c *Cache[K, V]) lookup(sh *shard[K, V], idx int, key K, h uint64, clk *opClock) (set, way int, stale bool) {
-	if way, stale = c.find(sh, idx, false, key, h, clk); way >= 0 {
-		return idx, way, stale
+func (c *Cache[K, V]) lookup(sh *shard[K, V], idx int, key K, h uint64, clk *opClock) (set, way int) {
+	if way = c.find(sh, idx, false, key, h, clk); way >= 0 {
+		return idx, way
 	}
 	if g := sh.eng.GiverOf(idx); g >= 0 {
-		if way, stale = c.find(sh, g, true, key, h, clk); way >= 0 {
-			return g, way, stale
+		if way = c.find(sh, g, true, key, h, clk); way >= 0 {
+			return g, way
 		}
 	}
-	return idx, -1, false
+	return idx, -1
 }
 
 // touch tells the engine a lookup for home set idx found (set, way). A local
@@ -189,59 +178,37 @@ func (c *Cache[K, V]) touch(sh *shard[K, V], idx, set, way int) {
 }
 
 // read is the lookup every Get-like operation shares (caller holds sh.mu):
-// it counts the Get, finds the entry and classifies it. load selects the
-// load path's accounting — a stale entry is served (a hit, plus StaleServed)
-// and a negative marker is a NegativeHit — where a plain Get reports both as
-// misses and leaves the entry resident for the load path. Only LoadMiss, no
-// entry at all, is shadow-directory demand evidence. The entry is nil on
-// LoadMiss.
-func (c *Cache[K, V]) read(sh *shard[K, V], key K, h uint64, clk *opClock, load bool) (*entry[K, V], LoadState) {
+// it counts the Get and finds the entry, nil on a miss. A miss is
+// shadow-directory demand evidence; a hit touches the entry.
+func (c *Cache[K, V]) read(sh *shard[K, V], key K, h uint64, clk *opClock) *entry[K, V] {
 	sh.eng.Tick()
 	t := &sh.one
 	t.gets++
 
 	idx := c.setOf(h)
-	set, w, stale := c.lookup(sh, idx, key, h, clk)
+	set, w := c.lookup(sh, idx, key, h, clk)
 	if w < 0 {
 		t.misses++
 		sh.eng.Miss(idx, c.sigOf(h))
-		return nil, LoadMiss
-	}
-	e := &c.set(sh, set)[w]
-	switch {
-	case e.neg:
-		t.misses++
-		if load {
-			sh.stats.NegativeHits++
-		}
-		return e, LoadNegative
-	case stale && !load:
-		t.misses++
-		return e, LoadStale
+		return nil
 	}
 	t.hits++
 	if set != idx {
 		sh.stats.SecondaryHits++
 	}
 	c.touch(sh, idx, set, w)
-	if stale {
-		sh.stats.StaleServed++
-		return e, LoadStale
-	}
-	return e, LoadHit
+	return &c.set(sh, set)[w]
 }
 
 // store is the shared write path (caller holds sh.mu and has ticked the
-// engine): overwrite a resident entry — local or cooperative, live or stale
-// — or run the miss path and insert. fresh/neg carry the read-through
-// semantics; a plain Set passes fresh 0 and neg false, resetting any loader
-// state the key had.
-func (c *Cache[K, V]) store(sh *shard[K, V], key K, value V, h uint64, clk *opClock, fresh, exp int64, neg bool) {
+// engine): overwrite a resident entry — local or cooperative — or run the
+// miss path and insert.
+func (c *Cache[K, V]) store(sh *shard[K, V], key K, value V, h uint64, clk *opClock, exp int64) {
 	sh.stats.Puts++
 	idx := c.setOf(h)
-	if set, w, _ := c.lookup(sh, idx, key, h, clk); w >= 0 {
+	if set, w := c.lookup(sh, idx, key, h, clk); w >= 0 {
 		e := &c.set(sh, set)[w]
-		e.val, e.exp, e.fresh, e.neg = value, exp, fresh, neg
+		e.val, e.exp = value, exp
 		// An overwrite touches a resident entry, though it is not a Get hit
 		// for Stats.
 		c.touch(sh, idx, set, w)
@@ -250,7 +217,7 @@ func (c *Cache[K, V]) store(sh *shard[K, V], key K, value V, h uint64, clk *opCl
 	// Miss: consult the shadow directory, then fill locally (the library
 	// analogue of the simulator's miss path).
 	sh.eng.Miss(idx, c.sigOf(h))
-	c.insert(sh, idx, entry[K, V]{key: key, val: value, hash: h, exp: exp, fresh: fresh, neg: neg})
+	c.insert(sh, idx, entry[K, V]{key: key, val: value, hash: h, exp: exp})
 }
 
 // insert puts ent into set idx — the one place an entry enters the cache. A

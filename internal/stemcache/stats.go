@@ -41,17 +41,6 @@ type Stats struct {
 	// Receives counts entries accepted by giver sets; equals Spills.
 	Receives uint64
 
-	// Read-through counters (loader.go). StaleServed hits and NegativeHits
-	// misses are included in Hits and Misses respectively, so
-	// Gets == Hits + Misses still holds with loading in play.
-
-	// StaleServed counts LookupLoad hits answered with a stale value inside
-	// the StaleTTL window (a subset of Hits).
-	StaleServed uint64
-	// NegativeHits counts LookupLoad reads answered by a cached negative
-	// marker (a subset of Misses): origin fetches negative caching saved.
-	NegativeHits uint64
-
 	// The three fields below are instantaneous set-role gauges, not
 	// monotonic counters: each Stats() call recomputes them from the live
 	// SCDM state (deterministically, for a deterministic op history). They
@@ -94,8 +83,6 @@ func (s *Stats) add(o Stats) {
 	s.Decouplings += o.Decouplings
 	s.Spills += o.Spills
 	s.Receives += o.Receives
-	s.StaleServed += o.StaleServed
-	s.NegativeHits += o.NegativeHits
 	s.TakerSets += o.TakerSets
 	s.GiverSets += o.GiverSets
 	s.CoupledSets += o.CoupledSets
@@ -121,7 +108,5 @@ func (c *Cache[K, V]) registerMetrics(reg *obs.Registry) {
 		emit("stemcache.decouplings", st.Decouplings)
 		emit("stemcache.spills", st.Spills)
 		emit("stemcache.receives", st.Receives)
-		emit("stemcache.stale_served", st.StaleServed)
-		emit("stemcache.negative_hits", st.NegativeHits)
 	})
 }

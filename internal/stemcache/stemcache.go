@@ -27,25 +27,18 @@
 // All operations are safe for concurrent use. A single shard is a
 // single-writer state machine guarded by its mutex, and its counters are the
 // only ones a request writes: Stats and the metrics registry are sums over
-// the shards taken when somebody reads. What crosses shards is the TTL-jitter
-// RNG and the optional Observer (serialized).
+// the shards taken when somebody reads. What crosses shards is the optional
+// Observer (serialized).
 //
 // Entries may carry a TTL. Expiry is lazy: an expired entry is collected by
 // whichever operation next touches it (and counts as a miss), never by a
-// background sweeper. Every operation classifies an entry as live, stale or
-// dead against at most one clock read, taken under the shard lock on first
+// background sweeper. Every operation classifies an entry as live or dead
+// against at most one clock read, taken under the shard lock on first
 // need — when the operation meets an entry that carries a deadline, or has a
 // TTL to turn into one — so a key read exactly at its deadline is
 // deterministically one or the other, never double-counted in the hit/miss
-// statistics, and an operation that meets no deadline reads no clock.
-//
-// Beyond the passive Get/Set surface the cache keeps the storage states a
-// read-through tier needs: LookupLoad classifies a key as fresh, stale
-// (StaleTTL window), negative (a cached absence, NegativeTTL) or missing,
-// and SetLoaded/SetNegative store an origin's answer with jittered TTLs. The
-// cache never calls an origin; the server's lease protocol decides who does,
-// one caller per key across the fleet. See loader.go. The cache starts no
-// goroutines, ever.
+// statistics, and an operation that meets no deadline reads no clock. The
+// cache starts no goroutines, ever.
 //
 // With default hashing, caches keyed by strings or integers are fully
 // deterministic for a fixed Config.Seed: a single-goroutine run produces
@@ -103,31 +96,6 @@ type Config struct {
 	// SelectorSize is the per-shard giver-heap capacity. Default: 16.
 	SelectorSize int
 
-	// Read-through storage (LookupLoad, SetLoaded, SetNegative; see
-	// loader.go). All four knobs default to off, leaving the passive
-	// Get/Set cache unchanged.
-
-	// LoadTTL is the freshness TTL applied to values stored by SetLoaded.
-	// Zero falls back to DefaultTTL; if that is also zero, loaded values
-	// never expire and stale-while-revalidate never engages.
-	LoadTTL time.Duration
-	// StaleTTL is the stale-while-revalidate window: after a loaded
-	// value's freshness TTL passes, LookupLoad keeps answering LoadStale
-	// with the old value for up to StaleTTL longer, so the caller can
-	// serve it while one refresher reloads it. Zero disables SWR (loaded
-	// values simply expire).
-	StaleTTL time.Duration
-	// NegativeTTL caches origin misses: for NegativeTTL after SetNegative,
-	// LookupLoad answers LoadNegative without anyone asking the origin.
-	// Zero disables negative caching.
-	NegativeTTL time.Duration
-	// TTLJitter decorrelates mass expiry: each loaded value's freshness
-	// TTL is shortened by a uniform random fraction drawn from
-	// [0, TTLJitter), so a burst of loads does not install a cohort of
-	// entries that all expire at the same instant. Must be in [0, 1);
-	// zero disables jitter.
-	TTLJitter float64
-
 	// Metrics, when non-nil, exports every monotonic Stats field as a derived
 	// counter under "stemcache.*" (hits, misses, evictions, spills, ...):
 	// reading the registry calls Stats once, no operation writes to it, and
@@ -169,14 +137,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("stemcache: SignatureBits must be in [0, %d], got %d", hashfn.MaxBits, c.SignatureBits)
 	case c.SelectorSize < 0:
 		return fmt.Errorf("stemcache: SelectorSize must be >= 0, got %d", c.SelectorSize)
-	case c.LoadTTL < 0:
-		return fmt.Errorf("stemcache: LoadTTL must be >= 0, got %v", c.LoadTTL)
-	case c.StaleTTL < 0:
-		return fmt.Errorf("stemcache: StaleTTL must be >= 0, got %v", c.StaleTTL)
-	case c.NegativeTTL < 0:
-		return fmt.Errorf("stemcache: NegativeTTL must be >= 0, got %v", c.NegativeTTL)
-	case c.TTLJitter < 0 || c.TTLJitter >= 1:
-		return fmt.Errorf("stemcache: TTLJitter must be in [0, 1), got %v", c.TTLJitter)
 	}
 	return nil
 }
@@ -226,17 +186,11 @@ type Cache[K comparable, V any] struct {
 	sig *hashfn.Hash // read-only after construction; safe concurrently
 
 	// obsMu serializes Observer calls across shards.
-	//lint:rank 3
+	//lint:rank 2
 	obsMu    sync.Mutex
 	observer obs.Observer
 
 	now func() int64 // nanoseconds; swapped out by TTL tests
-
-	// loadMu guards loadRNG, the TTL-jitter draw SetLoaded takes (loader.go);
-	// it is never held across a shard-lock acquisition.
-	//lint:rank 1
-	loadMu  sync.Mutex
-	loadRNG *sim.RNG
 
 	//lint:rank 0
 	closeMu sync.Mutex
@@ -293,8 +247,7 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 		observer:  cfg.Observer,
 		// The wall clock only decides TTL expiry, never eviction order, so
 		// Stats stay seed-deterministic; tests swap c.now for a fake clock.
-		now:     func() int64 { return time.Now().UnixNano() }, //lint:allow(determinism) TTL expiry boundary; eviction decisions never read this clock
-		loadRNG: sim.NewRNG(cfg.Seed ^ 0x10ad),
+		now: func() int64 { return time.Now().UnixNano() }, //lint:allow(determinism) TTL expiry boundary; eviction decisions never read this clock
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -329,11 +282,11 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	// The clock is read under the lock, at most once and on first need: the
-	// one instant decides residency, staleness and expiry together, so
-	// operations serialized by the shard lock agree on an entry's state at its
-	// exact deadline.
+	// one instant decides residency and expiry together, so operations
+	// serialized by the shard lock agree on an entry's state at its exact
+	// deadline.
 	var clk opClock
-	if e, st := c.read(sh, key, h, &clk, false); st == LoadHit {
+	if e := c.read(sh, key, h, &clk); e != nil {
 		return e.val, true
 	}
 	var zero V
@@ -359,7 +312,7 @@ func (c *Cache[K, V]) SetWithTTL(key K, value V, ttl time.Duration) {
 	defer sh.mu.Unlock()
 	var clk opClock
 	sh.eng.Tick()
-	c.store(sh, key, value, h, &clk, 0, c.after(&clk, ttl), false)
+	c.store(sh, key, value, h, &clk, c.after(&clk, ttl))
 }
 
 // GetOrSet returns the value resident under key, or stores value (with the
@@ -384,20 +337,18 @@ func (c *Cache[K, V]) GetOrSetWithTTL(key K, value V, ttl time.Duration) (actual
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	var clk opClock
-	if e, st := c.read(sh, key, h, &clk, false); st == LoadHit {
+	if e := c.read(sh, key, h, &clk); e != nil {
 		return e.val, true
 	}
-	// Absent, stale or a negative marker: the offered value wins, through
-	// the same write path a Set after the missed Get would take.
-	c.store(sh, key, value, h, &clk, 0, c.after(&clk, ttl), false)
+	// Absent: the offered value wins, through the same write path a Set
+	// after the missed Get would take.
+	c.store(sh, key, value, h, &clk, c.after(&clk, ttl))
 	return value, false
 }
 
 // Delete removes key and reports whether it was resident (an already-expired
-// entry counts as absent). Stale entries and negative markers are resident
-// state and are removed too, reporting true — Delete is how an invalidation
-// cuts short a stale window or a cached absence. Deletion is not demand
-// evidence: the key's signature is not entered into the shadow directory.
+// entry counts as absent). Deletion is not demand evidence: the key's
+// signature is not entered into the shadow directory.
 func (c *Cache[K, V]) Delete(key K) bool {
 	h := c.hasher(key)
 	sh := c.shardOf(h)
@@ -406,7 +357,7 @@ func (c *Cache[K, V]) Delete(key K) bool {
 	defer sh.mu.Unlock()
 	sh.eng.Tick()
 	var clk opClock
-	set, w, _ := c.lookup(sh, c.setOf(h), key, h, &clk)
+	set, w := c.lookup(sh, c.setOf(h), key, h, &clk)
 	if w < 0 {
 		return false
 	}

@@ -35,7 +35,7 @@ type opDesc struct {
 	// alias lets the zero-copy request decoder hand out keys, values and
 	// the namespace as views of the frame buffer. Only lookups set it, since
 	// their operands die with the frame; every other op's receiver keeps its
-	// operands (a cache, the lease table, the membership agent), so a row
+	// operands (a cache, the membership agent), so a row
 	// without the bit copies. Responses alias on every row (decodeResponse).
 	alias bool
 }

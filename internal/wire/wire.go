@@ -102,16 +102,9 @@ const (
 	OpMSet
 	// OpStats asks for the server's statistics snapshot (JSON payload).
 	OpStats
-	// OpLoad is the read-through lookup. A plain OpLoad carries one key and
-	// the server answers with the cache's load-path classification:
-	// StatusOK + value (fresh hit), StatusNotFound (cached negative),
-	// StatusStale + token + value (stale hit; a nonzero token makes the
-	// caller the refresh-lease holder), or StatusLease + token (miss; the
-	// caller holds the fetch lease and must fill). With FlagFill set the
-	// request is the second half of the exchange — token + key + value
-	// (value omitted under FlagNegative) — installing the origin's answer
-	// and releasing the lease; the server answers StatusOK on success or
-	// StatusNotStored when the token no longer matches the live lease.
+	// OpLoad is the retired read-through lookup: one key, or with FlagFill
+	// a token + key + value (value omitted under FlagNegative). It still
+	// encodes and decodes; servers answer every OpLoad with StatusErr.
 	OpLoad
 	// OpView pushes a membership view to a node after any lifecycle event
 	// (bootstrap, join, leave, failure-detector death): the payload carries
@@ -152,14 +145,11 @@ const (
 	// own queue and handle timings — so the client can split each traced
 	// op's latency into network and server components (see TraceExt).
 	FlagTrace uint8 = 1 << 1
-	// FlagFill marks an OpLoad request as a lease fill: the payload carries
-	// the lease token, the key, and the origin's value, completing the
-	// read-through exchange the earlier StatusLease/StatusStale response
-	// opened.
+	// FlagFill marks an OpLoad request as a fill: the payload carries a
+	// token, the key and a value. Servers refuse it with every OpLoad.
 	FlagFill uint8 = 1 << 2
-	// FlagNegative modifies an OpLoad fill: the origin reported the key
-	// absent, so the payload carries token + key only and the server caches
-	// the absence (a negative marker) instead of a value.
+	// FlagNegative modifies an OpLoad fill, whose payload then carries
+	// token + key only; on OpReplicate it marks a delete.
 	FlagNegative uint8 = 1 << 3
 	// FlagTenant marks a request carrying a namespace prefix: a
 	// uint8-length-prefixed name after the trace extension (when present),
@@ -250,17 +240,11 @@ const (
 	// StatusErr reports a server-side failure; the payload is a
 	// human-readable message.
 	StatusErr
-	// StatusStale answers OpLoad when the key is resident but past its
-	// freshness deadline: the payload carries a uint64 refresh token and
-	// the stale value. A nonzero token means this caller won the refresh
-	// lease and should fetch the origin and fill in the background; zero
-	// means another client already holds it — just use the stale value.
+	// StatusStale is a retired OpLoad answer: the payload carries a uint64
+	// token and a value. No server sends it.
 	StatusStale
-	// StatusLease answers OpLoad on a miss no one is fetching yet: the
-	// payload is the uint64 lease token. The caller must fetch the origin
-	// and send OpLoad|FlagFill with the token (other clients for the same
-	// key block on the lease server-side, so the fleet performs one origin
-	// fetch per miss).
+	// StatusLease is a retired OpLoad answer: the payload is a uint64
+	// token. No server sends it.
 	StatusLease
 
 	statusMax
@@ -453,9 +437,7 @@ type Request struct {
 	Keys []string
 	// Pairs is the MSET operand.
 	Pairs []KV
-	// Token is the lease token of an OpLoad fill (FlagFill set): the uint64
-	// the server issued with StatusLease or StatusStale, proving this
-	// client is the one elected to fetch the origin.
+	// Token is the token of an OpLoad fill (FlagFill set).
 	Token uint64
 	// Trace is the optional trace extension. Non-nil requests are encoded
 	// with FlagTrace set and the 16-byte trace prefix ahead of the opcode
@@ -504,9 +486,8 @@ type Response struct {
 	Found []bool
 	// Values answers MGET (parallel to Found).
 	Values [][]byte
-	// Token carries the OpLoad lease token: the fetch lease on StatusLease,
-	// or the refresh lease on StatusStale (zero when another client holds
-	// it). Zero on every other status.
+	// Token is the token of a StatusLease or StatusStale answer. Zero on
+	// every other status.
 	Token uint64
 	// Trace echoes the request's trace extension with the server timings
 	// filled in. It travels as a 24-byte payload prefix on every traced

@@ -1,7 +1,7 @@
 #!/bin/sh
 # check_readme_cmds.sh — docs/cmd/package cross-check, run by CI.
 #
-# Six directions:
+# Seven directions:
 #   1. every binary under cmd/ is mentioned in README.md and in DESIGN.md
 #      as cmd/<name> (no undocumented tools; the bare word does not count —
 #      "sweep" and "stemd" occur in prose);
@@ -25,7 +25,11 @@
 #   6. every "DESIGN §N" or "DESIGN.md §N.M" in README.md, EXPERIMENTS.md
 #      and the Go files under internal/, cmd/ and examples/ names a heading
 #      of DESIGN.md ("## N." or "### N.M"), also when the reference breaks
-#      across lines (no pointer into a renumbered or deleted section).
+#      across lines (no pointer into a renumbered or deleted section);
+#   7. every `-flag` inside an inline code span of README.md, DESIGN.md or
+#      EXPERIMENTS.md is a flag that some cmd/ binary or stemsim verb lists
+#      under -h, a flag of `go -C bench run .`, or one of the go and grep
+#      flags listed below (no doc naming a removed flag).
 #
 # Exits nonzero with a per-name report on any mismatch.
 set -eu
@@ -127,7 +131,42 @@ for file in README.md EXPERIMENTS.md $(find internal cmd examples -name '*.go');
     done
 done
 
+# Direction 7: backticked flags -> flags the programs accept. The binaries
+# are built into a scratch directory; each prints its flags under -h as
+# "  -name ...", which the flag package writes to stderr before exiting 2.
+bin=$(mktemp -d)
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin/" ./cmd/...
+# Flags of the go and grep commands the docs quote, which no -h here lists.
+toolFlags='
+-C
+-race
+-run
+-v
+-count
+-short
+-benchtime
+-rn
+--include
+-f'
+known=$( {
+    for b in "$bin"/*; do "$b" -h 2>&1 || true; done
+    for verb in $("$bin/stemsim" -h 2>&1 | awk '/^  [a-z]+ / { print $1 }'); do
+        "$bin/stemsim" "$verb" -h 2>&1 || true
+    done
+    go -C bench run . -h 2>&1 || true
+} | grep -oE '^  -[a-zA-Z0-9-]+' | sed 's/^ *//'; printf '%s\n' "$toolFlags")
+for doc in README.md DESIGN.md EXPERIMENTS.md; do
+    for flag in $(grep -v '^```' "$doc" | grep -oE '`[^`]+`' |
+        grep -oE '(^`|[[:space:](=])-{1,2}[a-zA-Z][a-zA-Z0-9-]*' | sed -E 's/^[`[:space:](=]//' | sort -u); do
+        if ! printf '%s\n' "$known" | grep -qx -- "$flag"; then
+            echo "$doc quotes the flag $flag, which no cmd/ binary, stemsim verb, bench harness or listed go/grep command accepts" >&2
+            status=1
+        fi
+    done
+done
+
 if [ "$status" -eq 0 ]; then
-    echo "README.md, DESIGN.md, cmd/, examples/, the quoted import paths, the documented -run patterns and the DESIGN § references agree ($(ls -d cmd/*/ | wc -l | tr -d ' ') binaries, $(ls -d examples/*/ | wc -l | tr -d ' ') examples)"
+    echo "README.md, DESIGN.md, cmd/, examples/, the quoted import paths, the documented -run patterns, the DESIGN § references and the backticked flags agree ($(ls -d cmd/*/ | wc -l | tr -d ' ') binaries, $(ls -d examples/*/ | wc -l | tr -d ' ') examples)"
 fi
 exit $status
