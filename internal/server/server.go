@@ -34,9 +34,6 @@
 // drain/close state. Neither is ever held while calling into the cache, so
 // the cache's internal shard.mu sits below both. No request waits on
 // another connection.
-//
-// OpLoad, the read-through opcode, is refused with StatusErr like a
-// namespaced request: the server keeps no lease table.
 package server
 
 import (
@@ -429,29 +426,12 @@ func (s *Server) demand() *wire.NodeDemand {
 	}
 }
 
-// errNamespace answers a request that carries a namespace. The cache has one
-// keyspace, so serving such a request in it would merge the caller's
-// namespace with everyone else's.
-var errNamespace = []byte("server: namespaces are not served; send the request without one")
-
-// errLoad answers every OpLoad, fill or lookup: the server keeps no lease
-// table, so a caller reads with GET and fills with SET.
-var errLoad = []byte("server: LOAD is not served; read with GET and fill with SET")
-
 // handle executes one decoded request against the cache and fills resp.
 // It runs on the connection's goroutine; the cache does its own locking.
 func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 	s.requests.Add(1)
 	resp.Reset()
 	resp.Op, resp.ID, resp.Status = req.Op, req.ID, wire.StatusOK
-	if req.Namespace != "" {
-		resp.Status, resp.Value = wire.StatusErr, errNamespace
-		return
-	}
-	if req.Op == wire.OpLoad {
-		resp.Status, resp.Value = wire.StatusErr, errLoad
-		return
-	}
 	h := s.hooks.Load() // nil on a standalone server
 
 	switch req.Op {

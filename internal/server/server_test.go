@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -186,6 +185,21 @@ func TestServeStats(t *testing.T) {
 		if got, ok := metrics[name].(uint64); !ok || got != 0 {
 			t.Errorf("obs %s = %v, want a counter at 0", name, metrics[name])
 		}
+	}
+	// Stage histograms exist for the ten served ops and nothing else.
+	var want, got []string
+	for _, op := range []string{"del", "get", "mget", "mset", "ping", "replicate", "set", "setttl", "stats", "view"} {
+		for _, stage := range []string{"decode_us", "handle_us", "write_us"} {
+			want = append(want, "server.lat."+op+"."+stage)
+		}
+	}
+	for _, name := range reg.Names() {
+		if strings.HasPrefix(name, "server.lat.") {
+			got = append(got, name)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("server.lat.* names:\n got  %v\n want %v", got, want)
 	}
 }
 
@@ -442,38 +456,54 @@ func TestMaxConnsBackpressure(t *testing.T) {
 	}
 }
 
-// TestMalformedFrameAnswersThenCloses: garbage on the wire earns one
-// best-effort StatusErr response and a close, and counts as a proto error.
+// TestMalformedFrameAnswersThenCloses: a frame the decoder refuses earns one
+// best-effort StatusErr naming the problem and a close, counts as a proto
+// error, and never reaches the cache. Each row is a raw frame on a
+// connection of its own.
 func TestMalformedFrameAnswersThenCloses(t *testing.T) {
-	srv, _ := startServer(t, stemcache.Config{Capacity: 1 << 10, Seed: 1}, server.Config{})
-
-	nc, err := net.Dial("tcp", srv.Addr())
+	srv, cache := startServer(t, stemcache.Config{Capacity: 1 << 10, Seed: 1}, server.Config{})
+	get, err := wire.AppendRequest(nil, &wire.Request{Op: wire.OpGet, ID: 1, Key: "k"}, wire.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc.Close()
-	if _, err := nc.Write([]byte("GET / HTTP/1.1\r\n\r\n")); err != nil {
-		t.Fatal(err)
+	patched := func(i int, b byte) []byte {
+		f := slices.Clone(get)
+		f[i] = b
+		return f
 	}
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var resp wire.Response
-	if _, err := wire.ReadResponseInto(&resp, nc, nil, wire.Limits{}); err != nil {
-		t.Fatalf("no error response for malformed frame: %v", err)
+	rows := []struct {
+		name, want string
+		frame      []byte
+	}{
+		{"HTTP request", "bad magic", []byte("GET / HTTP/1.1\r\n\r\n")},
+		{"version-2 GET", "unsupported version 2", patched(1, 2)},
+		{"opcode past REPLICATE", "unknown opcode 11", patched(2, byte(wire.OpReplicate)+1)},
+		{"GET with flag bit 4", "flags 0x10 are not defined for GET", patched(3, 1<<4)},
 	}
-	if resp.Status != wire.StatusErr {
-		t.Fatalf("status %v, want StatusErr", resp.Status)
-	}
-	if !strings.Contains(string(resp.Value), "bad magic") {
-		t.Fatalf("error %q does not name the problem", resp.Value)
-	}
-	// The connection is closed afterwards.
-	if _, err := wire.ReadResponseInto(&wire.Response{}, nc, nil, wire.Limits{}); err == nil {
-		t.Fatal("connection stayed open after protocol error")
+	for _, row := range rows {
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		if _, err := nc.Write(row.frame); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var resp wire.Response
+		if _, err := wire.ReadResponseInto(&resp, nc, nil, wire.Limits{}); err != nil {
+			t.Fatalf("%s: no error response: %v", row.name, err)
+		}
+		if resp.Status != wire.StatusErr || !strings.Contains(string(resp.Value), row.want) {
+			t.Fatalf("%s: status %v, value %q; want StatusErr naming %q", row.name, resp.Status, resp.Value, row.want)
+		}
+		if _, err := wire.ReadResponseInto(&wire.Response{}, nc, nil, wire.Limits{}); err == nil {
+			t.Fatalf("%s: connection stayed open after the protocol error", row.name)
+		}
 	}
 
-	// The counter surfaced it.
-	cl := newClient(t, srv.Addr())
-	raw, err := cl.Stats()
+	// The counter surfaced every row, and none reached the cache.
+	raw, err := newClient(t, srv.Addr()).Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,75 +511,11 @@ func TestMalformedFrameAnswersThenCloses(t *testing.T) {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.ProtoErrors != 1 {
-		t.Fatalf("ProtoErrors = %d, want 1", snap.ProtoErrors)
+	if snap.ProtoErrors != uint64(len(rows)) {
+		t.Fatalf("ProtoErrors = %d, want %d", snap.ProtoErrors, len(rows))
 	}
-}
-
-// TestNamespacedRequestRefused: the server keeps one keyspace, so a request
-// carrying a namespace (wire.FlagTenant) is answered StatusErr without
-// touching the cache, and the connection stays usable. So is every LOAD,
-// lookup or fill: the server keeps no lease table. A namespace longer than
-// the wire carries is a malformed frame: StatusErr, then a close.
-func TestNamespacedRequestRefused(t *testing.T) {
-	srv, cache := startServer(t, stemcache.Config{Capacity: 1 << 10, Seed: 1}, server.Config{})
-	nc, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(5 * time.Second))
-	encode := func(req wire.Request) []byte {
-		t.Helper()
-		b, err := wire.AppendRequest(nil, &req, wire.Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	roundTrip := func(frame []byte) (wire.Response, error) {
-		t.Helper()
-		if _, err := nc.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		var resp wire.Response
-		_, err := wire.ReadResponseInto(&resp, nc, nil, wire.Limits{})
-		return resp, err
-	}
-
-	for _, req := range []wire.Request{
-		{Op: wire.OpSet, ID: 1, Key: "k", Value: []byte("from-a"), Namespace: "a"},
-		{Op: wire.OpGet, ID: 2, Key: "k", Namespace: "b"},
-		{Op: wire.OpLoad, ID: 5, Key: "k"},
-		{Op: wire.OpLoad, ID: 6, Key: "k", Flags: wire.FlagFill, Token: 9, Value: []byte("filled")},
-		{Op: wire.OpLoad, ID: 7, Key: "k", Flags: wire.FlagFill | wire.FlagNegative, Token: 9},
-	} {
-		if resp, err := roundTrip(encode(req)); err != nil || resp.Status != wire.StatusErr {
-			t.Fatalf("%v (flags %v) in namespace %q: status %v, err %v; want StatusErr",
-				req.Op, req.Flags, req.Namespace, resp.Status, err)
-		}
-		if resp, err := roundTrip(encode(wire.Request{Op: wire.OpPing, ID: 3})); err != nil || resp.Status != wire.StatusOK {
-			t.Fatalf("PING after the refused %v: status %v, err %v; want StatusOK", req.Op, resp.Status, err)
-		}
-	}
-	if _, found, err := newClient(t, srv.Addr()).Get("k"); err != nil || found {
-		t.Fatalf("default-namespace Get(k) = (found %v, err %v), want a miss", found, err)
-	}
-	if st := cache.Stats(); st.Puts != 0 || st.Gets != 1 {
-		t.Fatalf("cache saw Puts=%d Gets=%d, want 0 and 1 (the default-namespace Get)", st.Puts, st.Gets)
-	}
-
-	// One byte past wire.MaxNamespaceLen: the encoder refuses it, so the
-	// frame is patched by hand.
-	frame := encode(wire.Request{Op: wire.OpGet, ID: 4, Key: "k", Namespace: strings.Repeat("n", wire.MaxNamespaceLen)})
-	frame = slices.Insert(frame, wire.HeaderLen+1, 'n')
-	frame[wire.HeaderLen]++
-	binary.BigEndian.PutUint32(frame[8:wire.HeaderLen], uint32(len(frame)-wire.HeaderLen))
-	if resp, err := roundTrip(frame); err != nil || resp.Status != wire.StatusErr || !strings.Contains(string(resp.Value), "namespace") {
-		t.Fatalf("oversized namespace: status %v, value %q, err %v; want StatusErr naming the namespace", resp.Status, resp.Value, err)
-	}
-	if _, err := wire.ReadResponseInto(&wire.Response{}, nc, nil, wire.Limits{}); err == nil {
-		t.Fatal("connection stayed open after the oversized namespace")
+	if st := cache.Stats(); st.Gets != 0 || st.Puts != 0 {
+		t.Fatalf("cache saw Gets=%d Puts=%d, want 0 and 0", st.Gets, st.Puts)
 	}
 }
 

@@ -16,13 +16,6 @@ func benchGetRequest() *Request {
 	return &Request{Op: OpGet, ID: 7, Key: "bench:key:0123456789"}
 }
 
-// benchNamespacedGetRequest is the single-key lookup frame with a namespace
-// prefix. A server decodes such a frame before refusing it, so the gate keeps
-// it at 0 allocs/op alongside the plain GET.
-func benchNamespacedGetRequest() *Request {
-	return &Request{Op: OpGet, ID: 7, Key: "bench:key:0123456789", Namespace: "bench-tenant"}
-}
-
 // benchGetResponse is a representative hit reply.
 func benchGetResponse() *Response {
 	return &Response{Op: OpGet, ID: 7, Status: StatusOK, Value: make([]byte, 128)}
@@ -117,8 +110,6 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	}{
 		{"get-encode", encodeCase(benchGetRequest())},
 		{"get-decode", decodeReqCase(benchGetRequest())},
-		{"namespaced-get-encode", encodeCase(benchNamespacedGetRequest())},
-		{"namespaced-get-decode", decodeReqCase(benchNamespacedGetRequest())},
 		{"get-resp-encode", encodeRespCase(benchGetResponse())},
 		{"get-resp-decode", decodeRespCase(benchGetResponse())},
 		{"mget-encode", encodeCase(benchMGetRequest())},
@@ -142,7 +133,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 // parses, field for field, for every opcode the gate covers.
 func TestDecodeIntoMatchesCopyingDecode(t *testing.T) {
 	lim := Limits{}
-	reqs := []*Request{benchGetRequest(), benchNamespacedGetRequest(), benchMGetRequest()}
+	reqs := []*Request{benchGetRequest(), benchMGetRequest()}
 	for _, want := range reqs {
 		frame := mustAppendRequest(t, nil, want)
 		copied, n1, err := DecodeRequest(frame, lim)

@@ -15,8 +15,7 @@ type body uint8
 
 // Body fields, in wire order.
 const (
-	fToken body = 1 << iota // uint64 lease token
-	fTTL                    // uint64 nanoseconds in [0, 2^62]
+	fTTL   body = 1 << iota // uint64 nanoseconds in [0, 2^62]
 	fKey                    // uint16-length-prefixed key
 	fValue                  // uint32-length-prefixed value of at most MaxValueLen bytes
 	fKeys                   // uint16 count of at most MaxBatch, then that many keys
@@ -32,77 +31,59 @@ type opDesc struct {
 	req body
 	// resp is the response body; respBody varies it by status.
 	resp body
-	// alias lets the zero-copy request decoder hand out keys, values and
-	// the namespace as views of the frame buffer. Only lookups set it, since
-	// their operands die with the frame; every other op's receiver keeps its
-	// operands (a cache, the membership agent), so a row
-	// without the bit copies. Responses alias on every row (decodeResponse).
+	// flags are the request flag bits the op takes; reqBody refuses others.
+	flags uint8
+	// alias lets the zero-copy request decoder hand out keys and values as
+	// views of the frame buffer. Only lookups set it, since their operands
+	// die with the frame; every other op's receiver keeps its operands (a
+	// cache, the membership agent), so a row without the bit copies.
+	// Responses alias on every row (decodeResponse).
 	alias bool
 }
+
+// anyOp is what every op takes: a trace extension and a demand snapshot.
+const anyOp = FlagTrace | FlagDemand
 
 // ops describes every opcode once. The encoders, the decoders and Op.String
 // all read it.
 var ops = [opMax]opDesc{
-	OpPing:      {name: "PING"},
-	OpGet:       {name: "GET", req: fKey, resp: fValue, alias: true},
-	OpSet:       {name: "SET", req: fKey | fValue, resp: fValue},
-	OpSetTTL:    {name: "SETTTL", req: fTTL | fKey | fValue, resp: fValue},
-	OpDel:       {name: "DEL", req: fKey, alias: true},
-	OpMGet:      {name: "MGET", req: fKeys, resp: fFound, alias: true},
-	OpMSet:      {name: "MSET", req: fPairs},
-	OpStats:     {name: "STATS", resp: fValue},
-	OpLoad:      {name: "LOAD", req: fKey, resp: fValue},
-	OpView:      {name: "VIEW", req: fView},
-	OpReplicate: {name: "REPLICATE", req: fTTL | fKey | fValue},
+	OpPing:      {name: "PING", flags: anyOp},
+	OpGet:       {name: "GET", req: fKey, resp: fValue, flags: anyOp, alias: true},
+	OpSet:       {name: "SET", req: fKey | fValue, resp: fValue, flags: anyOp | FlagNX},
+	OpSetTTL:    {name: "SETTTL", req: fTTL | fKey | fValue, resp: fValue, flags: anyOp | FlagNX},
+	OpDel:       {name: "DEL", req: fKey, flags: anyOp, alias: true},
+	OpMGet:      {name: "MGET", req: fKeys, resp: fFound, flags: anyOp, alias: true},
+	OpMSet:      {name: "MSET", req: fPairs, flags: anyOp},
+	OpStats:     {name: "STATS", resp: fValue, flags: anyOp},
+	OpView:      {name: "VIEW", req: fView, flags: anyOp},
+	OpReplicate: {name: "REPLICATE", req: fTTL | fKey | fValue, flags: anyOp | FlagNegative},
 }
 
-// reqBody is the body of a request for the valid op under flags fl; ok is
-// false for the one refused combination, FlagNegative on a LOAD without
-// FlagFill. Two ops vary their row by flag: a LOAD fill carries the lease
-// token, the key and the origin's value (no value under FlagNegative: the
-// origin reported the key absent), and a negative REPLICATE, a replicated
-// delete, carries the key alone.
-func reqBody(op Op, fl uint8) (b body, ok bool) {
-	b, neg := ops[op].req, fl&FlagNegative != 0
-	switch op {
-	case OpLoad:
-		if fl&FlagFill == 0 {
-			return b, !neg
-		}
-		b |= fToken | fValue
-		if neg {
-			b &^= fValue
-		}
-	case OpReplicate:
-		if neg {
-			b &^= fTTL | fValue
-		}
+// reqBody is the body of a request for the valid op under flags fl, or an
+// error naming the bits of fl the op's row does not take. FlagNegative,
+// which only REPLICATE takes, marks a replicated delete: its body carries
+// the key alone.
+func reqBody(op Op, fl uint8) (body, error) {
+	d := &ops[op]
+	if bad := fl &^ d.flags; bad != 0 {
+		return 0, fmt.Errorf("flags %#02x are not defined for %v", bad, op)
 	}
-	return b, true
+	if fl&FlagNegative != 0 {
+		return d.req &^ (fTTL | fValue), nil
+	}
+	return d.req, nil
 }
 
 // respBody is the body of a response to the valid op under the valid status
 // st. StatusErr carries its message as a value on every op, and an MGET
-// answer carries its found-list on every other status. LOAD's body follows
-// its status: OK carries the value, STALE the refresh token and the stale
-// value, LEASE the fetch token, NOT_FOUND and NOT_STORED nothing. Any other
-// op carries its row's body on OK and NOT_STORED, and nothing otherwise.
+// answer carries its found-list on every other status. Any other op carries
+// its row's body on OK and NOT_STORED, and nothing otherwise.
 func respBody(op Op, st Status) body {
 	b := ops[op].resp
 	switch {
 	case st == StatusErr:
 		return fValue
-	case b == fFound, st == StatusOK:
-		return b
-	case op == OpLoad:
-		switch st {
-		case StatusStale:
-			return fToken | b
-		case StatusLease:
-			return fToken
-		}
-		return 0
-	case st == StatusNotStored:
+	case b == fFound, st == StatusOK, st == StatusNotStored:
 		return b
 	}
 	return 0
@@ -123,9 +104,6 @@ func countFits(n int, lim Limits) bool { return n <= lim.MaxBatch }
 // operand the decoder would refuse.
 func appendReqBody(buf []byte, b body, req *Request, lim Limits) ([]byte, error) {
 	var err error
-	if b&fToken != 0 {
-		buf = binary.BigEndian.AppendUint64(buf, req.Token)
-	}
 	if b&fTTL != 0 {
 		ttl := uint64(max(req.TTL, 0))
 		if !ttlFits(ttl) {
@@ -176,9 +154,6 @@ func appendReqBody(buf []byte, b body, req *Request, lim Limits) ([]byte, error)
 // operand the decoder would refuse.
 func appendRespBody(buf []byte, b body, resp *Response, lim Limits) ([]byte, error) {
 	var err error
-	if b&fToken != 0 {
-		buf = binary.BigEndian.AppendUint64(buf, resp.Token)
-	}
 	if b&fValue != 0 {
 		if buf, err = appendValue(buf, resp.Value, lim); err != nil {
 			return buf, err
@@ -206,11 +181,6 @@ func appendRespBody(buf []byte, b body, resp *Response, lim Limits) ([]byte, err
 
 // reqBody reads the fields of body b into req, in wire order.
 func (c *cursor) reqBody(b body, req *Request, lim Limits) (err error) {
-	if b&fToken != 0 {
-		if req.Token, err = c.u64(); err != nil {
-			return err
-		}
-	}
 	if b&fTTL != 0 {
 		ttl, err := c.u64()
 		if err != nil {
@@ -280,11 +250,6 @@ func (c *cursor) reqBody(b body, req *Request, lim Limits) (err error) {
 
 // respBody reads the fields of body b into resp, in wire order.
 func (c *cursor) respBody(b body, resp *Response, lim Limits) (err error) {
-	if b&fToken != 0 {
-		if resp.Token, err = c.u64(); err != nil {
-			return err
-		}
-	}
 	if b&fValue != 0 {
 		if resp.Value, err = c.value(lim); err != nil {
 			return err

@@ -21,7 +21,7 @@ func DecodeRequest(data []byte, lim Limits) (*Request, int, error) {
 
 // DecodeRequestInto is the zero-allocation form of DecodeRequest: it
 // decodes into a caller-owned Request, reusing its Keys/Pairs capacity. The
-// operands of GET, DEL and MGET (keys and namespace) alias data, valid only
+// operands of GET, DEL and MGET (their keys) alias data, valid only
 // until the buffer is reused; every other op's operands are copied, because
 // its receiver keeps them (see opDesc.alias), so a handler may pass them
 // straight on. This is the server's per-op read path: with a reused Request
@@ -57,6 +57,10 @@ func decodeRequest(req *Request, data []byte, lim Limits, into bool) (int, error
 	if err != nil {
 		return 0, err
 	}
+	b, err := reqBody(op, fl)
+	if err != nil {
+		return 0, frameErrf("%v", err)
+	}
 	req.Reset()
 	req.Op = op
 	req.ID = binary.BigEndian.Uint32(data[4:8])
@@ -65,15 +69,6 @@ func decodeRequest(req *Request, data []byte, lim Limits, into bool) (int, error
 		if req.Trace, err = c.traceReq(); err != nil {
 			return 0, err
 		}
-	}
-	if fl&FlagTenant != 0 {
-		if req.Namespace, err = c.namespace(); err != nil {
-			return 0, err
-		}
-	}
-	b, ok := reqBody(op, fl)
-	if !ok {
-		return 0, frameErrf("FlagNegative without FlagFill")
 	}
 	if err := c.reqBody(b, req, lim); err != nil {
 		return 0, err
@@ -239,26 +234,6 @@ func (c *cursor) demand() (*NodeDemand, error) {
 		}
 	}
 	return &d, nil
-}
-
-// namespace reads the uint8-length-prefixed namespace prefix of a FlagTenant
-// request. A flagged frame must carry a non-empty name of at most
-// MaxNamespaceLen bytes — an empty or oversized prefix is a protocol error,
-// so "no namespace" has exactly one encoding (no flag, no prefix).
-func (c *cursor) namespace() (string, error) {
-	p, err := c.take(1)
-	if err != nil {
-		return "", frameErrf("truncated namespace prefix: no length byte")
-	}
-	n := int(p[0])
-	if n == 0 {
-		return "", frameErrf("empty namespace with FlagTenant set")
-	}
-	if n > MaxNamespaceLen {
-		return "", frameErrf("namespace of %d bytes exceeds %d", n, MaxNamespaceLen)
-	}
-	s, err := c.bytes(n)
-	return unsafeString(s), err
 }
 
 // traceReq reads the 16-byte request trace prefix. The size check up front

@@ -7,8 +7,8 @@ import (
 
 // AppendRequest appends req's frame to buf and returns the extended slice.
 // It refuses every operand the decoder would refuse (sizes against lim, a
-// TTL past 2^62 ns), so a bad request fails at the sender instead of
-// desynchronizing the stream at the receiver.
+// TTL past 2^62 ns, a flag the op does not take), so a bad request fails at
+// the sender instead of desynchronizing the stream at the receiver.
 func AppendRequest(buf []byte, req *Request, lim Limits) ([]byte, error) {
 	if !req.Op.Valid() {
 		return buf, fmt.Errorf("wire: cannot encode opcode %v", req.Op)
@@ -31,25 +31,11 @@ func AppendRequest(buf []byte, req *Request, lim Limits) ([]byte, error) {
 		return buf[:start], fmt.Errorf("wire: FlagTrace set without a trace extension")
 	}
 
-	// The Namespace field drives FlagTenant the same way Trace drives
-	// FlagTrace: a non-empty namespace sets the flag and emits the prefix; a
-	// bare flag would desynchronize the stream and is rejected at the sender.
-	if req.Namespace != "" {
-		if len(req.Namespace) > MaxNamespaceLen {
-			return buf[:start], fmt.Errorf("wire: namespace of %d bytes exceeds %d", len(req.Namespace), MaxNamespaceLen)
-		}
-		flags |= FlagTenant
-		buf = append(buf, byte(len(req.Namespace)))
-		buf = append(buf, req.Namespace...)
-	} else if flags&FlagTenant != 0 {
-		return buf[:start], fmt.Errorf("wire: FlagTenant set without a namespace")
+	b, err := reqBody(req.Op, flags)
+	if err != nil {
+		return buf[:start], fmt.Errorf("wire: %w", err)
 	}
-
-	b, ok := reqBody(req.Op, flags)
-	if !ok {
-		return buf[:start], fmt.Errorf("wire: FlagNegative without FlagFill")
-	}
-	buf, err := appendReqBody(buf, b, req, lim)
+	buf, err = appendReqBody(buf, b, req, lim)
 	if err != nil {
 		return buf[:start], err
 	}

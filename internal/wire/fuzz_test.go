@@ -60,13 +60,11 @@ func malformedFrames() []struct {
 		{"key length past the end", frame(OpGet, 0, 0xFF, 0xFF), reqDecoder, "need 65535 bytes, have 0"},
 		{"value length 4 GiB", frame(OpSet, 0, 0, 1, 'k', 0xFF, 0xFF, 0xFF, 0xFF, 0, 0), reqDecoder, "value length 4294967295 exceeds limit 65536"},
 
-		// LOAD: a truncated fill token, FlagNegative without FlagFill, a
-		// truncated lease token on the response, and a STALE response whose
-		// token arrives but whose value does not.
-		{"LOAD fill, token cut short", frame(OpLoad, FlagFill, 1, 2, 3, 4), reqDecoder, "need 8 bytes, have 4"},
-		{"LOAD FlagNegative without FlagFill", frame(OpLoad, FlagNegative, 0, 1, 'k'), reqDecoder, "FlagNegative without FlagFill"},
-		{"LOAD LEASE, token cut short", frame(OpLoad, uint8(StatusLease), 1, 2, 3, 4), respDecoder, "need 8 bytes, have 4"},
-		{"LOAD STALE, token without value", frame(OpLoad, uint8(StatusStale), zeros(8)...), respDecoder, "need 4 bytes, have 0"},
+		// Flags and statuses: a bit no op takes, bits other ops take, and a
+		// status past StatusErr.
+		{"GET with flag bit 7", frame(OpGet, 1<<7, 0, 1, 'k'), reqDecoder, "flags 0x80 are not defined for GET"},
+		{"GET with FlagNX and FlagNegative", frame(OpGet, FlagNX|FlagNegative, 0, 1, 'k'), reqDecoder, "flags 0x09 are not defined for GET"},
+		{"status 4", frame(OpGet, 4, 0, 0, 0, 0), respDecoder, "unknown status 4"},
 
 		// Trace extension: the flag promising a prefix the payload cannot
 		// hold, the flag clear with prefix-sized bytes, and the response
@@ -93,15 +91,6 @@ func malformedFrames() []struct {
 		// and demand prefixes cut inside the demand.
 		{"demand prefix one byte short", frame(OpGet, uint8(StatusOK)|respFlagDemand, zeros(nodeDemandLen-1)...), respDecoder, "truncated demand prefix: want 52 bytes, have 51"},
 		{"trace, then demand cut short", frame(OpPing, uint8(StatusOK)|respFlagTrace|respFlagDemand, zeros(traceRespLen+8)...), respDecoder, "truncated demand prefix: want 52 bytes, have 8"},
-
-		// Namespace prefix: a name the payload cannot deliver, a zero-length
-		// name, a length past MaxNamespaceLen, a name cut after a trace
-		// prefix, and junk after a namespaced batch.
-		{"namespace cut short", frame(OpGet, FlagTenant, 5, 'w'), reqDecoder, "need 5 bytes, have 1"},
-		{"zero-length namespace", frame(OpGet, FlagTenant, 0, 0, 1, 'k'), reqDecoder, "empty namespace with FlagTenant set"},
-		{"namespace past MaxNamespaceLen", frame(OpGet, FlagTenant, MaxNamespaceLen+1, 'x'), reqDecoder, "namespace of 65 bytes exceeds 64"},
-		{"trace, then namespace cut short", frame(OpGet, FlagTrace|FlagTenant, cat(zeros(traceReqLen), []byte{3, 'a'})...), reqDecoder, "need 3 bytes, have 1"},
-		{"namespaced MGET, count 0 then junk", frame(OpMGet, FlagTenant, 2, 'n', 's', 0, 0, 1), reqDecoder, "1 trailing payload bytes"},
 	}
 }
 
@@ -156,8 +145,8 @@ func FuzzWireDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encoded request does not decode: %v", err)
 			}
-			if req2.Op != req.Op || req2.ID != req.ID || req2.Key != req.Key ||
-				req2.Token != req.Token || req2.Epoch != req.Epoch ||
+			if req2.Op != req.Op || req2.ID != req.ID || req2.Flags != req.Flags ||
+				req2.Key != req.Key || req2.Epoch != req.Epoch ||
 				len(req2.Keys) != len(req.Keys) || len(req2.Pairs) != len(req.Pairs) ||
 				len(req2.Members) != len(req.Members) || len(req2.Replicas) != len(req.Replicas) {
 				t.Fatalf("request round trip drifted: %+v vs %+v", req, req2)
@@ -168,12 +157,6 @@ func FuzzWireDecode(f *testing.F) {
 			}
 			if (req.Trace != nil) != (req.Flags&FlagTrace != 0) {
 				t.Fatalf("trace/flag desync: flags %x trace %+v", req.Flags, req.Trace)
-			}
-			if req2.Namespace != req.Namespace {
-				t.Fatalf("namespace drifted: %q vs %q", req.Namespace, req2.Namespace)
-			}
-			if (req.Namespace != "") != (req.Flags&FlagTenant != 0) {
-				t.Fatalf("tenant/flag desync: flags %x namespace %q", req.Flags, req.Namespace)
 			}
 		} else if !errors.Is(err, ErrFrame) {
 			t.Fatalf("request decode error %v does not wrap ErrFrame", err)
@@ -191,7 +174,6 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("re-encoded response does not decode: %v", err)
 			}
 			if resp2.Op != resp.Op || resp2.ID != resp.ID || resp2.Status != resp.Status ||
-				resp2.Token != resp.Token ||
 				len(resp2.Values) != len(resp.Values) {
 				t.Fatalf("response round trip drifted: %+v vs %+v", resp, resp2)
 			}

@@ -6,7 +6,7 @@
 //
 //	offset size  field
 //	0      1     magic (0x53, 'S')
-//	1      1     version (currently 2)
+//	1      1     version (currently 3)
 //	2      1     opcode (requests) / echoed opcode (responses)
 //	3      1     flags (requests) / status (responses)
 //	4      4     request id, big endian (echoed verbatim in the response)
@@ -25,13 +25,14 @@
 // travels as 0, and a longer one is refused at the sender.
 //
 // Each opcode is described once, by a row of one table: its name, the
-// fields its request and response payloads carry (always in the order
-// token, TTL, key, value, keys, pairs, view, found-list), and whether a
-// zero-copy request decode may alias the read buffer. Only lookups (GET,
-// DEL, MGET) alias; every other op, and any op added later, copies unless
-// its row says otherwise. A zero-copy response decode aliases every op. One encoder and one decoder per direction walk the rows, so
-// each field's wire form and bound are written once and enforced on both
-// ends: the encoder refuses every operand the decoder would refuse.
+// fields its request and response payloads carry (always in the order TTL,
+// key, value, keys, pairs, view, found-list), the request flags it takes,
+// and whether a zero-copy request decode may alias the read buffer. Only
+// lookups (GET, DEL, MGET) alias; every other op copies unless its row says
+// otherwise. A zero-copy response decode aliases every op. One encoder and
+// one decoder per direction walk the rows, so each field's wire form and
+// bound are written once and enforced on both ends: the encoder refuses
+// every operand, and every flag, the decoder would refuse.
 //
 // A request with FlagTrace set carries a 16-byte trace extension (trace id,
 // client send-timestamp micros) as a payload prefix ahead of the
@@ -39,18 +40,11 @@
 // byte's high bit — extended to 24 bytes with the server's queue and handle
 // timings (see TraceExt).
 //
-// A request with FlagTenant set carries a namespace prefix — a
-// uint8-length-prefixed name of 1..MaxNamespaceLen bytes — after the trace
-// extension (when present) and ahead of the opcode payload. The codec still
-// carries it, but a server keeps one keyspace and answers every namespaced
-// request StatusErr. Responses carry no namespace.
-//
 // The decoder is strict: a frame with a bad magic, unknown version or
-// opcode, a payload length beyond the configured limit, or a payload whose
-// inner lengths disagree with the outer length is rejected with an error —
-// never a panic, and never an allocation sized by unvalidated input (every
-// inner length is bounds-checked against the bytes actually present before
-// any allocation).
+// opcode, a flag its op does not take, a payload past the configured limit,
+// or inner lengths that disagree with the outer length is rejected with an
+// error — never a panic, and never an allocation sized by unvalidated input
+// (every inner length is checked against the bytes present before it).
 package wire
 
 import (
@@ -68,10 +62,10 @@ const (
 	Magic = 0x53
 	// Version is the protocol version this package speaks. A frame carrying
 	// any other version is rejected, so incompatible revisions fail fast at
-	// the first frame instead of desynchronizing mid-stream. Version 2
-	// renumbered the opcodes: a version-1 peer's frames would parse and
-	// mis-dispatch, so they must fail here.
-	Version = 2
+	// the first frame instead of desynchronizing mid-stream. Version 3
+	// dropped the LOAD opcode, renumbering VIEW and REPLICATE: a version-2
+	// peer's frames would parse and mis-dispatch, so they must fail here.
+	Version = 3
 	// HeaderLen is the fixed frame-header size in bytes.
 	HeaderLen = 12
 )
@@ -102,10 +96,6 @@ const (
 	OpMSet
 	// OpStats asks for the server's statistics snapshot (JSON payload).
 	OpStats
-	// OpLoad is the retired read-through lookup: one key, or with FlagFill
-	// a token + key + value (value omitted under FlagNegative). It still
-	// encodes and decodes; servers answer every OpLoad with StatusErr.
-	OpLoad
 	// OpView pushes a membership view to a node after any lifecycle event
 	// (bootstrap, join, leave, failure-detector death): the payload carries
 	// the membership epoch, the full member table, and the replica
@@ -145,27 +135,17 @@ const (
 	// own queue and handle timings — so the client can split each traced
 	// op's latency into network and server components (see TraceExt).
 	FlagTrace uint8 = 1 << 1
-	// FlagFill marks an OpLoad request as a fill: the payload carries a
-	// token, the key and a value. Servers refuse it with every OpLoad.
-	FlagFill uint8 = 1 << 2
-	// FlagNegative modifies an OpLoad fill, whose payload then carries
-	// token + key only; on OpReplicate it marks a delete.
+	// FlagNegative marks an OpReplicate as a replicated delete, whose
+	// payload then carries the key alone.
 	FlagNegative uint8 = 1 << 3
-	// FlagTenant marks a request carrying a namespace prefix: a
-	// uint8-length-prefixed name after the trace extension (when present),
-	// ahead of the opcode payload. Servers refuse such requests.
-	FlagTenant uint8 = 1 << 4
 	// FlagDemand asks the server to piggyback its NodeDemand snapshot on
 	// the response (flagged by the status byte's bit 6, ahead of the opcode
-	// payload). It adds no request payload, so any opcode can carry it —
+	// payload). It adds no request payload, so every opcode takes it —
 	// this is how demand dissemination rides existing response traffic
 	// instead of a polling sidecar, and how heartbeats (PING with this flag)
 	// double as gossip. It is the only way a NodeDemand travels.
 	FlagDemand uint8 = 1 << 5
 )
-
-// MaxNamespaceLen caps a namespace name's byte length.
-const MaxNamespaceLen = 64
 
 // respFlagTrace marks a traced response. Responses have no flags byte —
 // byte 3 carries the status — so the trace bit rides the status byte's high
@@ -240,12 +220,6 @@ const (
 	// StatusErr reports a server-side failure; the payload is a
 	// human-readable message.
 	StatusErr
-	// StatusStale is a retired OpLoad answer: the payload carries a uint64
-	// token and a value. No server sends it.
-	StatusStale
-	// StatusLease is a retired OpLoad answer: the payload is a uint64
-	// token. No server sends it.
-	StatusLease
 
 	statusMax
 )
@@ -261,10 +235,6 @@ func (s Status) String() string {
 		return "NOT_STORED"
 	case StatusErr:
 		return "ERR"
-	case StatusStale:
-		return "STALE"
-	case StatusLease:
-		return "LEASE"
 	default:
 		return fmt.Sprintf("Status(%d)", uint8(s))
 	}
@@ -425,7 +395,7 @@ type Request struct {
 	Op Op
 	// ID is the client-chosen request id, echoed in the response.
 	ID uint32
-	// Flags carries the Flag* bits (FlagNX on stores).
+	// Flags carries the Flag* bits, only those the op's row takes.
 	Flags uint8
 	// Key is the single-key operand (GET/SET/SETTTL/DEL).
 	Key string
@@ -437,19 +407,10 @@ type Request struct {
 	Keys []string
 	// Pairs is the MSET operand.
 	Pairs []KV
-	// Token is the token of an OpLoad fill (FlagFill set).
-	Token uint64
 	// Trace is the optional trace extension. Non-nil requests are encoded
 	// with FlagTrace set and the 16-byte trace prefix ahead of the opcode
 	// payload; decoding a FlagTrace frame populates it.
 	Trace *TraceExt
-	// Namespace is the request's namespace prefix. A non-empty Namespace is
-	// encoded with FlagTenant set and the prefix on the wire; empty means
-	// no flag and no prefix, the only form a server serves. In zero-copy
-	// decodes of GET, DEL and MGET the string aliases the frame buffer —
-	// valid only until the buffer is reused — so a receiver that retains it
-	// must copy.
-	Namespace string
 	// Epoch is the membership epoch of an OpView push. Epochs are
 	// monotone per cluster, so an agent discards a view older than the one
 	// it holds (pushes can race).
@@ -486,9 +447,6 @@ type Response struct {
 	Found []bool
 	// Values answers MGET (parallel to Found).
 	Values [][]byte
-	// Token is the token of a StatusLease or StatusStale answer. Zero on
-	// every other status.
-	Token uint64
 	// Trace echoes the request's trace extension with the server timings
 	// filled in. It travels as a 24-byte payload prefix on every traced
 	// response — including StatusErr, so a failing traced request still
@@ -587,8 +545,6 @@ func (c *cursor) bytes(n int) ([]byte, error) {
 	if c.alias {
 		return s, nil
 	}
-	// Copying is the contract of the retaining decodes and of every request
-	// op without alias; lookups and every response on the Into path alias.
 	out := make([]byte, len(s))
 	copy(out, s)
 	return out, nil

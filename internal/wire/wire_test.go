@@ -32,15 +32,6 @@ func requestFixtures() []*Request {
 		{Op: OpSet, ID: 14, Flags: FlagNX, Key: "k", Value: []byte("v"), Trace: &TraceExt{ID: 1, SendMicros: 2}},
 		{Op: OpPing, ID: 15, Trace: &TraceExt{}},
 		{Op: OpMGet, ID: 16, Keys: []string{"a", "b"}, Trace: &TraceExt{ID: 7, SendMicros: 1 << 60}},
-		{Op: OpLoad, ID: 17, Key: "load-key"},
-		{Op: OpLoad, ID: 18, Flags: FlagFill, Token: 0xFEEDFACECAFE, Key: "k", Value: []byte("origin")},
-		{Op: OpLoad, ID: 19, Flags: FlagFill | FlagNegative, Token: 7, Key: "ghost"},
-		{Op: OpLoad, ID: 20, Key: "traced", Trace: &TraceExt{ID: 3, SendMicros: 4}},
-		{Op: OpGet, ID: 21, Key: "alpha", Namespace: "web"},
-		{Op: OpSet, ID: 22, Key: "k", Value: []byte("v"), Namespace: strings.Repeat("n", MaxNamespaceLen)},
-		{Op: OpGet, ID: 23, Key: "both", Namespace: "jobs", Trace: &TraceExt{ID: 5, SendMicros: 6}},
-		{Op: OpMGet, ID: 24, Keys: []string{"a", "b"}, Namespace: "batch"},
-		{Op: OpLoad, ID: 25, Key: "load-key", Namespace: "web"},
 		{Op: OpView, ID: 26, Epoch: 7,
 			Members: []Member{
 				{ID: 0, State: MemberAlive, Addr: "127.0.0.1:4000"},
@@ -58,7 +49,6 @@ func requestFixtures() []*Request {
 		{Op: OpReplicate, ID: 29, Key: "rk", Value: []byte("rv"), TTL: 250 * time.Millisecond},
 		{Op: OpReplicate, ID: 30, Key: "rk2", Value: nil, TTL: 0},
 		{Op: OpReplicate, ID: 31, Flags: FlagNegative, Key: "gone"},
-		{Op: OpReplicate, ID: 32, Key: "nk", Value: []byte("nv"), Namespace: "web"},
 		{Op: OpGet, ID: 33, Key: "alpha", Flags: FlagDemand},
 		{Op: OpPing, ID: 34, Flags: FlagDemand, Trace: &TraceExt{ID: 8, SendMicros: 9}},
 	}
@@ -89,16 +79,6 @@ func responseFixtures() []*Response {
 			Trace: &TraceExt{ID: 9, SendMicros: 8, QueueMicros: 1, HandleMicros: 0}},
 		{Op: OpMGet, ID: 16, Status: StatusOK, Found: []bool{true}, Values: [][]byte{[]byte("x")},
 			Trace: &TraceExt{ID: 1, SendMicros: 1, QueueMicros: 1<<32 - 1, HandleMicros: 1<<32 - 1}},
-		{Op: OpLoad, ID: 17, Status: StatusOK, Value: []byte("fresh")},
-		{Op: OpLoad, ID: 18, Status: StatusOK}, // fill ack: empty value
-		{Op: OpLoad, ID: 19, Status: StatusStale, Token: 0xABCDEF, Value: []byte("old")},
-		{Op: OpLoad, ID: 20, Status: StatusStale, Token: 0, Value: []byte("old")},
-		{Op: OpLoad, ID: 21, Status: StatusLease, Token: 1},
-		{Op: OpLoad, ID: 22, Status: StatusNotFound},
-		{Op: OpLoad, ID: 23, Status: StatusNotStored},
-		{Op: OpLoad, ID: 24, Status: StatusErr, Value: []byte("draining")},
-		{Op: OpLoad, ID: 25, Status: StatusStale, Token: 9, Value: []byte("old"),
-			Trace: &TraceExt{ID: 2, SendMicros: 3, QueueMicros: 4, HandleMicros: 5}},
 		{Op: OpView, ID: 26, Status: StatusOK},
 		{Op: OpView, ID: 27, Status: StatusErr, Value: []byte("no membership agent")},
 		{Op: OpReplicate, ID: 28, Status: StatusOK},
@@ -117,12 +97,9 @@ func responseFixtures() []*Response {
 // indistinguishable on the wire.
 func normReq(r *Request) {
 	// A non-nil Trace encodes with FlagTrace set, so the decoded form
-	// always carries the bit; likewise a non-empty Namespace and FlagTenant.
+	// always carries the bit.
 	if r.Trace != nil {
 		r.Flags |= FlagTrace
-	}
-	if r.Namespace != "" {
-		r.Flags |= FlagTenant
 	}
 	if len(r.Value) == 0 {
 		r.Value = nil
@@ -381,10 +358,28 @@ type boundaryFrame struct {
 	data   []byte
 	enc    []byte // the encoder's frame under boundaryLimits, when encErr is nil
 	encErr error
+	// badFlags marks a request whose flags byte holds a bit its op does not
+	// take, by the protocol as written out in opFlags.
+	badFlags bool
+}
+
+// opFlags is the protocol's flag table, written out apart from the ops
+// rows so that the codec is checked against it: every op takes FlagTrace
+// and FlagDemand, SET and SETTTL also FlagNX, REPLICATE also FlagNegative.
+func opFlags(op Op) uint8 {
+	switch op {
+	case OpSet, OpSetTTL:
+		return FlagTrace | FlagDemand | FlagNX
+	case OpReplicate:
+		return FlagTrace | FlagDemand | FlagNegative
+	}
+	return FlagTrace | FlagDemand
 }
 
 // boundaryFrames builds one frame for every request body (each op under
-// each FlagFill/FlagNegative combination) and every (op, status) response,
+// every flags byte without FlagTrace, whose frames TestTraceExtension
+// covers: a trace bit patched in without its prefix can misparse by
+// accident) and every (op, status) response,
 // at the boundary operands: TTLs of 0, 2^62, 2^62+1 and MaxInt64 ns, values
 // and error messages of MaxValueLen and MaxValueLen+1 bytes, and StatusErr
 // under the invalid opcodes 0 and opMax. A frame's bytes exist whether or
@@ -394,16 +389,20 @@ func boundaryFrames(tb testing.TB) []boundaryFrame {
 	tb.Helper()
 	var out []boundaryFrame
 	for op := OpPing; op < opMax; op++ {
-		for _, fl := range []uint8{0, FlagFill, FlagNegative, FlagFill | FlagNegative} {
+		for f := 0; f < 256; f++ {
+			fl := uint8(f)
+			if fl&FlagTrace != 0 {
+				continue
+			}
 			for _, ttl := range []time.Duration{0, 1 << 62, 1<<62 + 1, math.MaxInt64} {
 				for _, n := range []int{8, 9} {
-					req := &Request{Op: op, ID: 1, Flags: fl, Token: 7, TTL: ttl, Key: "k", Value: make([]byte, n),
+					req := &Request{Op: op, ID: 1, Flags: fl, TTL: ttl, Key: "k", Value: make([]byte, n),
 						Keys: []string{"a", ""}, Pairs: []KV{{Key: "p", Value: make([]byte, n)}},
 						Epoch: 3, Members: []Member{{ID: 1, Addr: "h:1"}},
 						Replicas: []ReplicaSet{{Slot: 2, Replicas: []uint32{1}}}}
 					enc, err := AppendRequest(nil, req, boundaryLimits)
 					out = append(out, boundaryFrame{name: fmt.Sprintf("%v flags %#x TTL %d value %d", op, fl, ttl, n),
-						data: patchedRequest(tb, req), enc: enc, encErr: err})
+						data: patchedRequest(tb, req), enc: enc, encErr: err, badFlags: fl&^opFlags(op) != 0})
 				}
 			}
 		}
@@ -414,7 +413,7 @@ func boundaryFrames(tb testing.TB) []boundaryFrame {
 				continue
 			}
 			for _, n := range []int{8, 9} {
-				resp := &Response{Op: op, ID: 1, Status: st, Token: 5, Value: make([]byte, n),
+				resp := &Response{Op: op, ID: 1, Status: st, Value: make([]byte, n),
 					Found: []bool{true, false}, Values: [][]byte{make([]byte, n), nil}}
 				enc, err := AppendResponse(nil, resp, boundaryLimits)
 				tame := *resp
@@ -435,15 +434,13 @@ func boundaryFrames(tb testing.TB) []boundaryFrame {
 }
 
 // patchedRequest encodes req under the default limits with its TTL zeroed
-// and FlagFill added wherever FlagNegative is set, then patches the flags
-// byte and the TTL field back to req's own.
+// and only the flags its op takes, then patches the flags byte and the TTL
+// field back to req's own.
 func patchedRequest(tb testing.TB, req *Request) []byte {
 	tb.Helper()
 	tame := *req
 	tame.TTL = 0
-	if tame.Flags&FlagNegative != 0 {
-		tame.Flags |= FlagFill
-	}
+	tame.Flags &= opFlags(req.Op)
 	data, err := AppendRequest(nil, &tame, Limits{})
 	if err != nil {
 		tb.Fatalf("%v flags %#x: tame encoding: %v", req.Op, req.Flags, err)
@@ -464,7 +461,8 @@ func patchedRequest(tb testing.TB, req *Request) []byte {
 
 // TestEncodedFramesDecode holds the encoder to the decoder at every boundary
 // operand: AppendX accepts the operands iff DecodeX accepts their frame, the
-// encoder's frame is that frame, and an accepted frame re-encodes to itself.
+// encoder's frame is that frame, an accepted frame re-encodes to itself, and
+// no request whose op does not take one of its flags is accepted.
 func TestEncodedFramesDecode(t *testing.T) {
 	for _, bf := range boundaryFrames(t) {
 		var decErr, reErr error
@@ -481,6 +479,8 @@ func TestEncodedFramesDecode(t *testing.T) {
 			}
 		}
 		switch {
+		case bf.badFlags && decErr == nil:
+			t.Errorf("%s: decoder accepted flags the op does not take", bf.name)
 		case (bf.encErr == nil) != (decErr == nil):
 			t.Errorf("%s: encoder says %v, decoder says %v", bf.name, bf.encErr, decErr)
 		case bf.encErr == nil && !bytes.Equal(bf.enc, bf.data):
@@ -632,80 +632,6 @@ func TestTraceExtension(t *testing.T) {
 	}
 	if got := SaturateMicros(2 * time.Hour); got != 1<<32-1 {
 		t.Errorf("SaturateMicros(2h) = %d, want saturated", got)
-	}
-}
-
-// TestNamespaceField pins the tenant-prefix contract beyond the round-trip
-// fixtures: exact prefix size, ordering after the trace extension, and the
-// sender/receiver rejections that keep a flag and its field in sync.
-func TestNamespaceField(t *testing.T) {
-	lim := Limits{}.withDefaults()
-
-	// The prefix adds exactly 1+len(name) bytes.
-	plain, err := AppendRequest(nil, &Request{Op: OpGet, ID: 1, Key: "k"}, lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spaced, err := AppendRequest(nil, &Request{Op: OpGet, ID: 1, Key: "k", Namespace: "web"}, lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(spaced) - len(plain); got != 1+len("web") {
-		t.Fatalf("namespace prefix is %d bytes, want %d", got, 1+len("web"))
-	}
-
-	// With both extensions present, the trace prefix comes first: the
-	// namespace length byte sits right after it.
-	both, err := AppendRequest(nil, &Request{Op: OpGet, ID: 1, Key: "k",
-		Namespace: "web", Trace: &TraceExt{ID: 1}}, lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := both[HeaderLen+traceReqLen]; got != byte(len("web")) {
-		t.Fatalf("byte after trace prefix is %d, want the namespace length %d", got, len("web"))
-	}
-
-	// A bare FlagTenant or an oversized namespace is refused at the sender.
-	if _, err := AppendRequest(nil, &Request{Op: OpGet, Key: "k", Flags: FlagTenant}, lim); err == nil {
-		t.Fatal("FlagTenant without a namespace encoded")
-	}
-	long := strings.Repeat("n", MaxNamespaceLen+1)
-	if _, err := AppendRequest(nil, &Request{Op: OpGet, Key: "k", Namespace: long}, lim); err == nil {
-		t.Fatal("oversized namespace encoded")
-	}
-
-	mut := func(f func(b []byte)) []byte {
-		b := append([]byte(nil), spaced...)
-		f(b)
-		return b
-	}
-	// A zero-length prefix under FlagTenant is a protocol error: the default
-	// tenant has exactly one encoding (no flag, no prefix).
-	empty := mut(func(b []byte) { b[HeaderLen] = 0 })
-	if _, _, err := DecodeRequest(empty, lim); !errors.Is(err, ErrFrame) {
-		t.Fatalf("empty namespace accepted: %v", err)
-	}
-	// A length byte pointing past MaxNamespaceLen is rejected before any read.
-	over := mut(func(b []byte) { b[HeaderLen] = MaxNamespaceLen + 1 })
-	if _, _, err := DecodeRequest(over, lim); !errors.Is(err, ErrFrame) {
-		t.Fatalf("oversized namespace length accepted: %v", err)
-	}
-	// Truncations: cut inside the name, and cut before the length byte.
-	shortName := append([]byte(nil), spaced[:HeaderLen+2]...)
-	binary.BigEndian.PutUint32(shortName[8:12], 2)
-	if _, _, err := DecodeRequest(shortName, lim); !errors.Is(err, ErrFrame) {
-		t.Fatalf("truncated namespace accepted: %v", err)
-	}
-	noLen := append([]byte(nil), spaced[:HeaderLen]...)
-	binary.BigEndian.PutUint32(noLen[8:12], 0)
-	if _, _, err := DecodeRequest(noLen, lim); !errors.Is(err, ErrFrame) {
-		t.Fatalf("missing length byte accepted: %v", err)
-	}
-	// A flagless frame carrying prefix-shaped bytes fails key decoding or the
-	// exact-consumption check — the prefix is never skipped silently.
-	unflagged := mut(func(b []byte) { b[3] &^= FlagTenant })
-	if _, _, err := DecodeRequest(unflagged, lim); err == nil {
-		t.Fatal("unflagged frame with namespace bytes accepted")
 	}
 }
 
