@@ -22,7 +22,7 @@ const goldenPath = "testdata/frames.golden"
 
 // TestFrameGolden pins the encoder byte for byte: every request and response
 // fixture must encode to the hex checked in under testdata. Regenerate with
-// `go test -run TestFrameGolden -update ./internal/wire` only when a frame
+// `go test ./internal/wire -run TestFrameGolden -update` only when a frame
 // layout changes on purpose (a protocol version bump).
 func TestFrameGolden(t *testing.T) {
 	var got bytes.Buffer
@@ -52,7 +52,7 @@ func TestFrameGolden(t *testing.T) {
 
 // verdictDigest is the SHA-256 TestDecodeVerdictDigest computes; it changes
 // only when some frame decodes differently.
-const verdictDigest = "2f58551c80e40b4ae01a7dee9de073e17dacd0dfa1d10940022ff439693f7419"
+const verdictDigest = "8e6f9c5cd6512706328cadc64c08cb2bc6b46faeb486718310f56cbf6ded92ec"
 
 // TestDecodeVerdictDigest pins what both decoders make of 100k seeded
 // mutations of the fixture frames: for each mutated frame, each decoder's
