@@ -481,25 +481,27 @@ func TestMalformedFrameAnswersThenCloses(t *testing.T) {
 		{"GET with flag bit 4", "flags 0x10 are not defined for GET", patched(3, 1<<4)},
 	}
 	for _, row := range rows {
-		nc, err := net.Dial("tcp", srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nc.Close()
-		if _, err := nc.Write(row.frame); err != nil {
-			t.Fatal(err)
-		}
-		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-		var resp wire.Response
-		if _, err := wire.ReadResponseInto(&resp, nc, nil, wire.Limits{}); err != nil {
-			t.Fatalf("%s: no error response: %v", row.name, err)
-		}
-		if resp.Status != wire.StatusErr || !strings.Contains(string(resp.Value), row.want) {
-			t.Fatalf("%s: status %v, value %q; want StatusErr naming %q", row.name, resp.Status, resp.Value, row.want)
-		}
-		if _, err := wire.ReadResponseInto(&wire.Response{}, nc, nil, wire.Limits{}); err == nil {
-			t.Fatalf("%s: connection stayed open after the protocol error", row.name)
-		}
+		t.Run(row.name, func(t *testing.T) {
+			nc, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			if _, err := nc.Write(row.frame); err != nil {
+				t.Fatal(err)
+			}
+			nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+			var resp wire.Response
+			if _, err := wire.ReadResponseInto(&resp, nc, nil, wire.Limits{}); err != nil {
+				t.Fatalf("no error response: %v", err)
+			}
+			if resp.Status != wire.StatusErr || !strings.Contains(string(resp.Value), row.want) {
+				t.Fatalf("status %v, value %q; want StatusErr naming %q", resp.Status, resp.Value, row.want)
+			}
+			if _, err := wire.ReadResponseInto(&wire.Response{}, nc, nil, wire.Limits{}); err == nil {
+				t.Fatal("connection stayed open after the protocol error")
+			}
+		})
 	}
 
 	// The counter surfaced every row, and none reached the cache.

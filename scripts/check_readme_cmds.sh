@@ -1,7 +1,7 @@
 #!/bin/sh
 # check_readme_cmds.sh — docs/cmd/package cross-check, run by CI.
 #
-# Seven directions:
+# Eight directions:
 #   1. every binary under cmd/ is mentioned in README.md and in DESIGN.md
 #      as cmd/<name> (no undocumented tools; the bare word does not count —
 #      "sweep" and "stemd" occur in prose);
@@ -29,7 +29,11 @@
 #   7. every `-flag` inside an inline code span of README.md, DESIGN.md or
 #      EXPERIMENTS.md is a flag that some cmd/ binary or stemsim verb lists
 #      under -h, a flag of `go -C bench run .`, or one of the go and grep
-#      flags listed below (no doc naming a removed flag).
+#      flags listed below (no doc naming a removed flag);
+#   8. every whole Test…/Benchmark…/Fuzz… identifier that README.md or
+#      DESIGN.md names outside a `-run` pattern is a test function in the
+#      repository (no prose citing a deleted or renamed test; direction 5
+#      covers the patterns, whose tokens may be prefixes).
 #
 # Exits nonzero with a per-name report on any mismatch.
 set -eu
@@ -166,7 +170,19 @@ for doc in README.md DESIGN.md EXPERIMENTS.md; do
     done
 done
 
+# Direction 8: test names cited in prose -> test functions. The -run
+# patterns are cut out first; direction 5 checks them as prefixes.
+for doc in README.md DESIGN.md; do
+    for name in $(sed -E "s/-run[ =]+('[^']*'|\"[^\"]*\"|[^ ]+)//g" "$doc" |
+        grep -oE '\b(Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*' | sort -u); do
+        if ! printf '%s\n' "$funcs" | grep -qx "$name"; then
+            echo "$doc names $name, which is no test function" >&2
+            status=1
+        fi
+    done
+done
+
 if [ "$status" -eq 0 ]; then
-    echo "README.md, DESIGN.md, cmd/, examples/, the quoted import paths, the documented -run patterns, the DESIGN § references and the backticked flags agree ($(ls -d cmd/*/ | wc -l | tr -d ' ') binaries, $(ls -d examples/*/ | wc -l | tr -d ' ') examples)"
+    echo "README.md, DESIGN.md, cmd/, examples/, the quoted import paths, the documented -run patterns, the DESIGN § references, the cited test names and the backticked flags agree ($(ls -d cmd/*/ | wc -l | tr -d ' ') binaries, $(ls -d examples/*/ | wc -l | tr -d ' ') examples)"
 fi
 exit $status
