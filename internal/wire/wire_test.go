@@ -377,14 +377,14 @@ func opFlags(op Op) uint8 {
 }
 
 // boundaryFrames builds one frame for every request body (each op under
-// every flags byte without FlagTrace, whose frames TestTraceExtension
-// covers: a trace bit patched in without its prefix can misparse by
-// accident) and every (op, status) response,
-// at the boundary operands: TTLs of 0, 2^62, 2^62+1 and MaxInt64 ns, values
+// every flags byte without FlagTrace) and every (op, status) response, at
+// the boundary operands: TTLs of 0, 2^62, 2^62+1 and MaxInt64 ns, values
 // and error messages of MaxValueLen and MaxValueLen+1 bytes, and StatusErr
 // under the invalid opcodes 0 and opMax. A frame's bytes exist whether or
 // not the encoder accepts its operands: each is encoded with tame operands
 // under the default limits and then patched to the boundary operand.
+// FlagTrace is left to TestTraceExtension, because a trace bit patched in
+// without its prefix can misparse by accident.
 func boundaryFrames(tb testing.TB) []boundaryFrame {
 	tb.Helper()
 	var out []boundaryFrame
