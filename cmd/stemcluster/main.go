@@ -1,22 +1,19 @@
 // Command stemcluster supervises an in-process STEM cluster: it starts N
 // cache nodes (each a stemd-style server over its own STEM-managed cache),
 // prints their addresses for clients like `stemload -cluster`, and drives
-// the cluster's one control plane, a membership.Manager, from two tickers.
-// Every -heartbeat the manager probes each member (failure detection and
-// failover); every -epoch it runs a demand round: it polls each member's
-// capacity-demand snapshot (the aggregate of its sets' SCDM monitors) and
-// moves a bounded number of ring slots from saturated members to
-// under-utilized ones. The manager is the only writer of ring ownership, so
-// every move — demand round, join, failover — re-places replicas and
-// pushes a new view to the nodes' agents (synchronous replica write
-// fan-out plus read-repair). -join-after and -kill-after/-kill-node script
-// lifecycle events for experiments.
+// the cluster's one control plane, a membership.Manager, from one ticker:
+// every -heartbeat the manager probes each member (failure detection and
+// failover) and records its capacity-demand snapshot, which replica
+// placement reads. The manager is the only writer of ring ownership, so
+// every move — join, leave, failover — re-places replicas and pushes a new
+// view to the nodes' agents (synchronous replica write fan-out plus
+// read-repair). -join-after and -kill-after/-kill-node script lifecycle
+// events for experiments.
 //
 // Usage:
 //
 //	stemcluster -nodes 3 -capacity 8192 -seed 21
-//	stemcluster -nodes 3 -addr-file /tmp/addrs -epoch 500ms -max-moves 2
-//	stemcluster -nodes 3 -static              # consistent hashing only, no demand rounds
+//	stemcluster -nodes 3 -addr-file /tmp/addrs
 //	stemcluster -metrics :6060 -trace events.jsonl
 //	stemcluster -nodes 3 -replication 2 -heartbeat 250ms -suspect 3
 //	stemcluster -nodes 3 -replication 2 -kill-after 10s -kill-node 1
@@ -53,12 +50,6 @@ func main() {
 	flag.IntVar(&cfg.vnodes, "vnodes", 0, "ring slots per node (0 = the cluster default)")
 	flag.Uint64Var(&cfg.seed, "seed", 0x57E4, "cluster seed: ring placement and per-node cache seeds")
 
-	flag.DurationVar(&cfg.epoch, "epoch", time.Second, "demand round (rebalancing) interval")
-	flag.IntVar(&cfg.maxMoves, "max-moves", 0, "slot moves allowed per demand round (0 = default 2)")
-	flag.Float64Var(&cfg.takerFrac, "taker-frac", 0, "demand score at or above which a node is a taker (0 = default)")
-	flag.Float64Var(&cfg.giverFrac, "giver-frac", 0, "demand score at or below which a node is a giver (0 = default)")
-	flag.BoolVar(&cfg.static, "static", false, "serve the static consistent-hash ring: no demand rounds")
-
 	flag.IntVar(&cfg.replication, "replication", 1, "copies per slot including the owner (1 = owner only)")
 	flag.DurationVar(&cfg.heartbeat, "heartbeat", 500*time.Millisecond, "failure-detector heartbeat interval")
 	flag.IntVar(&cfg.suspect, "suspect", 0, "consecutive missed heartbeats before a node is declared dead (0 = default)")
@@ -68,7 +59,7 @@ func main() {
 
 	flag.StringVar(&cfg.addrFile, "addr-file", "", "write the comma-separated node addresses to this file")
 	toolCfg := obs.ToolFlags(flag.CommandLine, "stemcluster", obs.ToolFlagSet{
-		Trace: true, TraceHelp: `write the manager's demand, migration, lifecycle and replica events as JSONL to this file ("-" for stdout)`,
+		Trace: true, TraceHelp: `write the manager's lifecycle and replica events as JSONL to this file ("-" for stdout)`,
 	})
 	flag.Parse()
 	cfg.tool = *toolCfg
@@ -88,12 +79,6 @@ type runConfig struct {
 	vnodes   int
 	seed     uint64
 
-	epoch     time.Duration
-	maxMoves  int
-	takerFrac float64
-	giverFrac float64
-	static    bool
-
 	replication int
 	heartbeat   time.Duration
 	suspect     int
@@ -111,8 +96,6 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 	switch {
 	case cfg.nodes <= 0:
 		return fmt.Errorf("need a positive -nodes")
-	case cfg.epoch <= 0:
-		return fmt.Errorf("need a positive -epoch")
 	case cfg.heartbeat <= 0:
 		return fmt.Errorf("need a positive -heartbeat")
 	case cfg.replication < 1:
@@ -142,9 +125,6 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 	if err := rig.Bootstrap(membership.Config{
 		ReplicationFactor: cfg.replication,
 		SuspectAfter:      cfg.suspect,
-		MaxMovesPerEpoch:  cfg.maxMoves,
-		TakerFrac:         cfg.takerFrac,
-		GiverFrac:         cfg.giverFrac,
 		Metrics:           reg,
 		Observer:          tracer,
 	}); err != nil {
@@ -158,24 +138,15 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 			return err
 		}
 	}
-	mode := "demand rounds every " + cfg.epoch.String()
-	if cfg.static {
-		mode = "static ring"
-	}
-	fmt.Fprintf(os.Stderr, "stemcluster: %d nodes (%s), %d entries each, %s, rf=%d heartbeat=%s\n",
-		cfg.nodes, joined, rig.Node(0).Cache().Capacity(), mode, cfg.replication, cfg.heartbeat)
+	fmt.Fprintf(os.Stderr, "stemcluster: %d nodes (%s), %d entries each, rf=%d heartbeat=%s\n",
+		cfg.nodes, joined, rig.Node(0).Cache().Capacity(), cfg.replication, cfg.heartbeat)
 
 	// The supervisor loop: one goroutine drives the manager — heartbeats
-	// (failover), demand rounds, and the scripted join/kill events — so no
-	// two ownership changes race.
+	// (failover) and the scripted join/kill events — so no two ownership
+	// changes race.
 	beat := time.NewTicker(cfg.heartbeat)
 	defer beat.Stop()
-	var epochC, joinC, killC <-chan time.Time
-	if !cfg.static {
-		ticker := time.NewTicker(cfg.epoch)
-		defer ticker.Stop()
-		epochC = ticker.C
-	}
+	var joinC, killC <-chan time.Time
 	if cfg.joinAfter > 0 {
 		joinC = time.After(cfg.joinAfter)
 	}
@@ -190,15 +161,6 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 			select {
 			case <-done:
 				return
-			case <-epochC:
-				rep, err := mgr.Rebalance()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "stemcluster: epoch %d: %v\n", rep.Round, err)
-				}
-				for _, mv := range rep.Moves {
-					fmt.Fprintf(os.Stderr, "stemcluster: view %d: round %d moved slot %d node %d → %d (%d keys)\n",
-						rep.Epoch, rep.Round, mv.Slot, mv.From, mv.To, mv.Keys)
-				}
 			case <-beat.C:
 				for _, rep := range mgr.Tick() {
 					fmt.Fprintf(os.Stderr, "stemcluster: view %d: node %d failed over, %d slots promoted, %d keys re-replicated\n",

@@ -20,8 +20,8 @@ func TestRunServesCluster(t *testing.T) {
 	go func() {
 		errC <- run(runConfig{
 			nodes: 3, capacity: 512, seed: 21, replication: 1,
-			epoch: 10 * time.Millisecond, heartbeat: 10 * time.Millisecond,
-			addrFile: addrFile,
+			heartbeat: 10 * time.Millisecond,
+			addrFile:  addrFile,
 		}, stop)
 	}()
 
@@ -84,7 +84,6 @@ func TestRunMembershipOrchestration(t *testing.T) {
 	go func() {
 		errC <- run(runConfig{
 			nodes: 3, capacity: 512, seed: 21,
-			epoch:       time.Hour, // park the demand rounds; lifecycle events drive this run
 			addrFile:    addrFile,
 			replication: 2, heartbeat: 10 * time.Millisecond, suspect: 2,
 			killAfter: 100 * time.Millisecond, killNode: 1,
@@ -115,7 +114,7 @@ func TestRunMembershipOrchestration(t *testing.T) {
 // TestRunRejectsReplicationBelowOne: -replication 0 is an error, not a
 // silent default — the manager would otherwise read 0 as its default of 2.
 func TestRunRejectsReplicationBelowOne(t *testing.T) {
-	err := run(runConfig{nodes: 3, epoch: time.Second, heartbeat: time.Second}, nil)
+	err := run(runConfig{nodes: 3, heartbeat: time.Second}, nil)
 	if err == nil || !strings.Contains(err.Error(), "-replication") {
 		t.Fatalf("run with replication 0 = %v, want a -replication error", err)
 	}

@@ -1,16 +1,17 @@
 // Command stemtrace is the offline analyzer for `-trace` JSONL event
 // streams: it joins the server's slow-request events against the cluster
-// manager's demand and migration events on one timeline, windowed by
-// rebalancing epoch (the manager's demand round), so a latency spike can be read against what the
-// capacity mechanisms were doing when it happened.
+// manager's membership events on one timeline, windowed by view epoch, so
+// a latency spike can be read against the join, leave or failover that was
+// under way when it happened.
 //
 // The join works because one tracer serializes all events: file order is
-// emission order. A window opens at the first event of each rebalancing
-// epoch (EvNodeDemand / EvSlotMigrate carry the epoch in Tick) and collects
-// every slow request emitted until the next epoch begins; slow requests
-// before the first epoch marker land in a prologue window. Traced slow
-// requests surface their trace ids, which match the TraceID the client's
-// OnTrace callback reported for the same operation — the end-to-end join.
+// emission order. A window opens at the first membership event of each view
+// epoch (node_join, node_leave, node_dead, replica_promote and
+// replica_place carry the epoch in Tick) and collects every slow request
+// emitted until the next epoch begins; slow requests before the first
+// epoch marker land in a prologue window. Traced slow requests surface
+// their trace ids, which match the TraceID the client's OnTrace callback
+// reported for the same operation — the end-to-end join.
 //
 // Usage:
 //
@@ -52,18 +53,14 @@ type fileTimeline struct {
 	Windows []window `json:"windows"`
 }
 
-// window aggregates one rebalancing epoch's worth of the event stream.
+// window aggregates one view epoch's worth of the event stream.
 type window struct {
-	// Epoch is the rebalancing epoch (EvNodeDemand/EvSlotMigrate Tick);
-	// -1 marks the prologue before the first epoch event.
+	// Epoch is the view epoch (a membership event's Tick); -1 marks the
+	// prologue before the first membership event.
 	Epoch int64 `json:"epoch"`
-	// Demands counts node demand polls; NodeClasses tallies the resulting
-	// classifications ("taker"/"giver"/"neutral" → node count).
-	Demands     int            `json:"demands,omitempty"`
-	NodeClasses map[string]int `json:"node_classes,omitempty"`
-	// Migrations counts slot moves; KeysMoved sums the keys they carried.
-	Migrations int    `json:"migrations,omitempty"`
-	KeysMoved  uint64 `json:"keys_moved,omitempty"`
+	// Membership tallies the epoch's membership events by name
+	// ("node_dead", "replica_promote", ... → count).
+	Membership map[string]int `json:"membership,omitempty"`
 	// Slow counts slow-request events in the window; Traced is how many of
 	// them carried a trace id.
 	Slow   int `json:"slow"`
@@ -125,7 +122,7 @@ func run(paths []string, top int, jsonPath string) error {
 	return nil
 }
 
-// buildTimeline windows an event stream by rebalancing epoch. File order is
+// buildTimeline windows an event stream by view epoch. File order is
 // emission order, so a window is simply "everything between the first event
 // of one epoch and the first event of the next"; slow requests inherit the
 // window that was current when they were emitted.
@@ -143,19 +140,12 @@ func buildTimeline(events []obs.Event, top int) []window {
 	for i := range events {
 		e := &events[i]
 		switch e.Type {
-		case obs.EvNodeDemand:
+		case obs.EvNodeJoin, obs.EvNodeLeave, obs.EvNodeDead, obs.EvReplicaPromote, obs.EvReplicaPlace:
 			w := open(int64(e.Tick))
-			w.Demands++
-			if e.Class != "" {
-				if w.NodeClasses == nil {
-					w.NodeClasses = map[string]int{}
-				}
-				w.NodeClasses[e.Class]++
+			if w.Membership == nil {
+				w.Membership = map[string]int{}
 			}
-		case obs.EvSlotMigrate:
-			w := open(int64(e.Tick))
-			w.Migrations++
-			w.KeysMoved += e.Life
+			w.Membership[e.Type.String()]++
 		case obs.EvSlowRequest:
 			var w *window
 			if cur >= 0 {
@@ -205,26 +195,25 @@ func printTimeline(tl fileTimeline) {
 		fmt.Println()
 		return
 	}
-	fmt.Printf("  %8s %8s %6s %6s %6s %6s %10s %10s  %s\n",
-		"epoch", "demands", "moves", "keys", "slow", "trcd", "mean_us", "max_us", "classes / worst traces")
+	fmt.Printf("  %8s %6s %6s %10s %10s  %s\n",
+		"epoch", "slow", "trcd", "mean_us", "max_us", "membership / worst traces")
 	for _, w := range tl.Windows {
 		epoch := fmt.Sprintf("%d", w.Epoch)
 		if w.Epoch < 0 {
 			epoch = "pre"
 		}
-		fmt.Printf("  %8s %8d %6d %6d %6d %6d %10.1f %10d  %s\n",
-			epoch, w.Demands, w.Migrations, w.KeysMoved, w.Slow, w.Traced,
-			w.MeanMicros, w.MaxMicros, windowDetail(w))
+		fmt.Printf("  %8s %6d %6d %10.1f %10d  %s\n",
+			epoch, w.Slow, w.Traced, w.MeanMicros, w.MaxMicros, windowDetail(w))
 	}
 	fmt.Println()
 }
 
-// windowDetail renders the classification tally and the worst traces
+// windowDetail renders the membership tally and the worst traces
 // compactly, in deterministic order.
 func windowDetail(w window) string {
 	var out string
-	for _, cls := range sortedKeys(w.NodeClasses) {
-		out += fmt.Sprintf("%s:%d ", cls, w.NodeClasses[cls])
+	for _, name := range sortedKeys(w.Membership) {
+		out += fmt.Sprintf("%s:%d ", name, w.Membership[name])
 	}
 	for _, st := range w.Worst {
 		out += fmt.Sprintf("%#x(%s %dus) ", st.Trace, st.Op, st.Micros)

@@ -11,19 +11,20 @@ import (
 )
 
 // stream is the synthetic emission-order event sequence the timeline tests
-// window: a prologue slow request, then two rebalancing epochs with demand
-// polls, migrations and slow requests interleaved the way one serialized
+// window: a prologue slow request, then two view epochs — a failover (its
+// backfill's replica_place events precede node_dead, as the manager emits
+// them) and a join — with slow requests interleaved the way one serialized
 // tracer would emit them.
 var stream = []obs.Event{
 	{Type: obs.EvSlowRequest, Tick: 10, Set: -1, Op: "get", Micros: 900, Trace: 0xaa},
-	{Type: obs.EvNodeDemand, Tick: 1, Set: 0, Class: "giver"},
-	{Type: obs.EvNodeDemand, Tick: 1, Set: 1, Class: "taker"},
-	{Type: obs.EvSlotMigrate, Tick: 1, Set: 7, ScS: 0, Partner: 1, Life: 42},
+	{Type: obs.EvReplicaPlace, Tick: 2, Set: 7, ScS: 0, Partner: 2, Life: 42},
+	{Type: obs.EvNodeDead, Tick: 2, Set: 1, Life: 2},
+	{Type: obs.EvReplicaPromote, Tick: 2, Set: 7, ScS: 1, Partner: 0},
+	{Type: obs.EvReplicaPromote, Tick: 2, Set: 9, ScS: 1, Partner: 2},
 	{Type: obs.EvSlowRequest, Tick: 120, Set: -1, Op: "get", Micros: 1500, Trace: 0xbb},
 	{Type: obs.EvSlowRequest, Tick: 130, Set: -1, Op: "set", Micros: 500, Trace: 0},
 	{Type: obs.EvSpill, Tick: 131, Set: 3, Partner: 9}, // unrelated mechanism event: ignored
-	{Type: obs.EvNodeDemand, Tick: 2, Set: 0, Class: "neutral"},
-	{Type: obs.EvNodeDemand, Tick: 2, Set: 1, Class: "neutral"},
+	{Type: obs.EvNodeJoin, Tick: 3, Set: 3, Life: 3},
 	{Type: obs.EvSlowRequest, Tick: 250, Set: -1, Op: "get", Micros: 3000, Trace: 0xcc},
 	{Type: obs.EvSlowRequest, Tick: 251, Set: -1, Op: "get", Micros: 3000, Trace: 0xdd},
 	{Type: obs.EvSlowRequest, Tick: 252, Set: -1, Op: "mget", Micros: 7000, Trace: 0xee},
@@ -32,7 +33,7 @@ var stream = []obs.Event{
 func TestBuildTimelineWindows(t *testing.T) {
 	ws := buildTimeline(stream, 2)
 	if len(ws) != 3 {
-		t.Fatalf("got %d windows, want 3 (prologue + 2 epochs): %+v", len(ws), ws)
+		t.Fatalf("got %d windows, want 3 (prologue + 2 view epochs): %+v", len(ws), ws)
 	}
 
 	pre := ws[0]
@@ -40,40 +41,38 @@ func TestBuildTimelineWindows(t *testing.T) {
 		t.Errorf("prologue window wrong: %+v", pre)
 	}
 
-	e1 := ws[1]
-	if e1.Epoch != 1 || e1.Demands != 2 || e1.Migrations != 1 || e1.KeysMoved != 42 {
-		t.Errorf("epoch 1 mechanism tallies wrong: %+v", e1)
+	e2 := ws[1]
+	if e2.Epoch != 2 || len(e2.Membership) != 3 || e2.Membership["replica_place"] != 1 ||
+		e2.Membership["node_dead"] != 1 || e2.Membership["replica_promote"] != 2 {
+		t.Errorf("view 2 membership tallies wrong: %+v", e2)
 	}
-	if e1.Slow != 2 || e1.Traced != 1 || e1.MaxMicros != 1500 || e1.MeanMicros != 1000 {
-		t.Errorf("epoch 1 slow tallies wrong: %+v", e1)
+	if e2.Slow != 2 || e2.Traced != 1 || e2.MaxMicros != 1500 || e2.MeanMicros != 1000 {
+		t.Errorf("view 2 slow tallies wrong: %+v", e2)
 	}
-	if e1.NodeClasses["giver"] != 1 || e1.NodeClasses["taker"] != 1 {
-		t.Errorf("epoch 1 classes wrong: %v", e1.NodeClasses)
-	}
-	if e1.SlowOps["get"] != 1 || e1.SlowOps["set"] != 1 {
-		t.Errorf("epoch 1 slow ops wrong: %v", e1.SlowOps)
+	if e2.SlowOps["get"] != 1 || e2.SlowOps["set"] != 1 {
+		t.Errorf("view 2 slow ops wrong: %v", e2.SlowOps)
 	}
 
-	e2 := ws[2]
-	if e2.Epoch != 2 || e2.Demands != 2 || e2.Slow != 3 || e2.Traced != 3 {
-		t.Errorf("epoch 2 tallies wrong: %+v", e2)
+	e3 := ws[2]
+	if e3.Epoch != 3 || len(e3.Membership) != 1 || e3.Membership["node_join"] != 1 || e3.Slow != 3 || e3.Traced != 3 {
+		t.Errorf("view 3 tallies wrong: %+v", e3)
 	}
 	// top=2 keeps the two worst; the 3000us tie broke on trace id.
-	if len(e2.Worst) != 2 || e2.Worst[0].Trace != 0xee || e2.Worst[1].Trace != 0xcc {
-		t.Errorf("epoch 2 worst traces wrong: %+v", e2.Worst)
+	if len(e3.Worst) != 2 || e3.Worst[0].Trace != 0xee || e3.Worst[1].Trace != 0xcc {
+		t.Errorf("view 3 worst traces wrong: %+v", e3.Worst)
 	}
-	if e2.SlowOps["get"] != 2 || e2.SlowOps["mget"] != 1 {
-		t.Errorf("epoch 2 slow ops wrong: %v", e2.SlowOps)
+	if e3.SlowOps["get"] != 2 || e3.SlowOps["mget"] != 1 {
+		t.Errorf("view 3 slow ops wrong: %v", e3.SlowOps)
 	}
 }
 
-// TestBuildTimelineQuietStream: an event stream with mechanisms but zero
-// slow requests must analyze cleanly (the common healthy case), as must an
-// empty stream.
+// TestBuildTimelineQuietStream: an event stream with membership events but
+// zero slow requests must analyze cleanly (the common healthy case), as
+// must an empty stream.
 func TestBuildTimelineQuietStream(t *testing.T) {
 	quiet := []obs.Event{
-		{Type: obs.EvNodeDemand, Tick: 1, Set: 0, Class: "neutral"},
-		{Type: obs.EvSlotMigrate, Tick: 1, Set: 3, Life: 5},
+		{Type: obs.EvNodeLeave, Tick: 1, Set: 2, Life: 4},
+		{Type: obs.EvReplicaPlace, Tick: 1, Set: 3, Life: 5},
 	}
 	ws := buildTimeline(quiet, 3)
 	if len(ws) != 1 || ws[0].Slow != 0 || ws[0].MeanMicros != 0 || len(ws[0].Worst) != 0 {

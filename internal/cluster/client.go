@@ -35,9 +35,8 @@ type Config struct {
 // Client routes cache operations across a cluster through a consistent-hash
 // Ring: single operations go to the key's owner, MGET/MSET batches are
 // split per owner, sent concurrently, and merged back into request order.
-// It also keeps the two signals demand rebalancing feeds on: per-slot
-// operation counts (the load signal) and per-node in-flight gates (so a
-// migration can drain a node before copying keys).
+// It also keeps per-node in-flight gates, so a migration can drain a node
+// before copying keys.
 //
 // Batch failure semantics are partial by design: when some nodes answer and
 // others fail, the answered positions are returned (found=false / stored
@@ -45,19 +44,18 @@ type Config struct {
 // the failed nodes. A cluster cache treats a dead node as a miss, not as a
 // reason to fail the whole batch.
 //
-// With a replica source installed (SetReplicaSource, fed by the membership
-// manager), single-key operations that fail transiently on a slot's owner
-// are retried against the slot's replicas before any error surfaces — the
-// client-side half of failover.
+// Writes go to the owner alone: Set, SetTTL and Del return the owner's
+// error, transient or not, because only the owner fans a write out to the
+// slot's replicas — a write a follower took in would be lost when the owner
+// came back, or undone by its next fan-out. With a replica source installed
+// (SetReplicaSource, fed by the membership manager), a Get that fails
+// transiently on the owner is retried against the slot's replicas before
+// any error surfaces — the client-side half of failover.
 //
 // Safe for concurrent use. The node set can grow (AddNode, for scale-out).
 type Client struct {
 	ring *Ring
 
-	// slotOps[s] counts operations routed to slot s since the last
-	// TakeSlotLoads — a demand round's load signal. The slot set
-	// is fixed, so this never grows.
-	slotOps []atomic.Uint64
 	// nodes is the node table, indexed by node id: an immutable snapshot
 	// behind an atomic pointer, so every operation sees a consistent set
 	// and AddNode never blocks the data path. The handles themselves are
@@ -106,10 +104,9 @@ func NewClient(cfg Config) (*Client, error) {
 		return nil, err
 	}
 	cl := &Client{
-		ring:    ring,
-		slotOps: make([]atomic.Uint64, ring.Slots()),
-		tpl:     cfg.Client,
-		reg:     cfg.Metrics,
+		ring: ring,
+		tpl:  cfg.Client,
+		reg:  cfg.Metrics,
 	}
 	nodes := make([]*nodeHandle, len(cfg.Addrs))
 	for i, addr := range cfg.Addrs {
@@ -174,8 +171,8 @@ func (c *Client) AddNode(addr string) (int, error) {
 }
 
 // SetReplicaSource installs (or with nil removes) the slot→replica mapping
-// single-key operations retry through. The membership manager installs its
-// ReplicasOf here.
+// Get retries through. The membership manager installs its ReplicasOf
+// here.
 func (c *Client) SetReplicaSource(src func(slot int) []int) {
 	if src == nil {
 		c.replicaSource.Store(nil)
@@ -237,14 +234,20 @@ func (c *Client) replicasFor(slot, owner int) []int {
 	return out
 }
 
-// single runs op against key's owner — charging the slot's load counter —
-// and, on a transient failure, retries it against the slot's replicas in
-// placement order. When the owner and every replica fail, the combined
-// failures surface as a *client.PartialError; a non-transient owner error
-// surfaces as itself.
+// owned runs op against key's owner and returns its error: the one path a
+// write takes.
+func (c *Client) owned(key string, op func(cl *client.Client) error) error {
+	node, _ := c.ring.Lookup(key)
+	c.ops.Inc()
+	return c.run(node, op)
+}
+
+// single runs a read against key's owner and, on a transient failure,
+// retries it against the slot's replicas in placement order. When the owner
+// and every replica fail, the combined failures surface as a
+// *client.PartialError; a non-transient owner error surfaces as itself.
 func (c *Client) single(key string, op func(cl *client.Client) error) error {
 	node, slot := c.ring.Lookup(key)
-	c.slotOps[slot].Add(1)
 	c.ops.Inc()
 	err := c.run(node, op)
 	if err == nil || !client.IsTransient(err) {
@@ -279,26 +282,25 @@ func (c *Client) Get(key string) (value []byte, found bool, err error) {
 	return value, found, nil
 }
 
-// Set stores key on its owning node, falling back to the slot's replicas
-// when the owner is unreachable (the write stays inside the slot's replica
-// group, so failover still finds it).
+// Set stores key on its owning node. An unreachable owner fails the write
+// with its transient error until failover promotes a replica.
 func (c *Client) Set(key string, value []byte) error {
-	return c.single(key, func(cl *client.Client) error {
+	return c.owned(key, func(cl *client.Client) error {
 		return cl.Set(key, value)
 	})
 }
 
-// SetTTL stores key with an explicit TTL on its owning node (replica
-// fallback as Set).
+// SetTTL stores key with an explicit TTL on its owning node (owner only,
+// as Set).
 func (c *Client) SetTTL(key string, value []byte, ttl time.Duration) error {
-	return c.single(key, func(cl *client.Client) error {
+	return c.owned(key, func(cl *client.Client) error {
 		return cl.SetTTL(key, value, ttl)
 	})
 }
 
-// Del removes key from its owning node (replica fallback as Set).
+// Del removes key from its owning node (owner only, as Set).
 func (c *Client) Del(key string) (found bool, err error) {
-	err = c.single(key, func(cl *client.Client) error {
+	err = c.owned(key, func(cl *client.Client) error {
 		var e error
 		found, e = cl.Del(key)
 		return e
@@ -317,8 +319,7 @@ func (c *Client) Del(key string) (found bool, err error) {
 func (c *Client) fanOut(n int, keyAt func(i int) string, send func(cl *client.Client, idx []int) error) error {
 	var groups [][]int // node id → item indices
 	for i := 0; i < n; i++ {
-		node, slot := c.ring.Lookup(keyAt(i))
-		c.slotOps[slot].Add(1)
+		node, _ := c.ring.Lookup(keyAt(i))
 		if node >= len(groups) {
 			groups = append(groups, make([][]int, node+1-len(groups))...)
 		}
@@ -421,16 +422,6 @@ func (c *Client) StatsAll() ([][]byte, error) {
 		out[n] = b
 	}
 	return out, nil
-}
-
-// TakeSlotLoads returns each slot's operation count since the previous
-// call, resetting the counters — one rebalancing epoch's load signal.
-func (c *Client) TakeSlotLoads() []uint64 {
-	loads := make([]uint64, len(c.slotOps))
-	for s := range c.slotOps {
-		loads[s] = c.slotOps[s].Swap(0)
-	}
-	return loads
 }
 
 // DrainNode waits until every operation routed to node before the call has

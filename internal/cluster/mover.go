@@ -24,8 +24,7 @@ type KeyLister func(node int) ([]string, error)
 // (MGET old → MSET new, chunked) without touching ring ownership. It
 // returns the slot's key list (sorted, as seen by lister) and how many of
 // them were actually copied. Every handoff of the membership manager
-// (join, leave, demand rebalancing) and its replica backfill are built on
-// it.
+// (join, leave) and its replica backfill are built on it.
 func (c *Client) CopySlot(lister KeyLister, slot, from, to, chunkSize int) (keys []string, copied int, err error) {
 	if chunkSize <= 0 {
 		chunkSize = 256

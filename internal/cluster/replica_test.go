@@ -60,10 +60,12 @@ func keyOwnedBy(t *testing.T, cl *cluster.Client, node int) string {
 	return ""
 }
 
-// TestSingleKeyReplicaRetry: with the owner dead, single-key operations
-// fall back to the slot's replica instead of failing; with every replica
-// dead too, the combined failure surfaces as a *client.PartialError naming
-// each attempted node.
+// TestSingleKeyReplicaRetry: with the owner dead, a Get falls back to the
+// slot's replica instead of failing, while Set and Del fail with the owner's
+// transient error and leave the replica untouched — only the owner fans a
+// write out, so a write a follower took in would be lost when the owner
+// returned. With every replica dead too, a Get's combined failure surfaces
+// as a *client.PartialError naming each attempted node.
 func TestSingleKeyReplicaRetry(t *testing.T) {
 	cl, nodes := startPair(t)
 	key := keyOwnedBy(t, cl, 0)
@@ -83,17 +85,17 @@ func TestSingleKeyReplicaRetry(t *testing.T) {
 		t.Fatalf("Get with dead owner: %q %v %v", got, found, err)
 	}
 
-	// Writes land inside the replica group, still acked.
-	val2 := []byte("rewritten")
-	if err := cl.Set(key, val2); err != nil {
-		t.Fatalf("Set with dead owner: %v", err)
+	// Writes go to the owner alone: both fail transiently, and the
+	// replica's copy is unchanged.
+	if err := cl.Set(key, []byte("rewritten")); err == nil || !client.IsTransient(err) {
+		t.Fatalf("Set with dead owner = %v, want a transient error", err)
+	}
+	if _, err := cl.Del(key); err == nil || !client.IsTransient(err) {
+		t.Fatalf("Del with dead owner = %v, want a transient error", err)
 	}
 	got, found, err = cl.NodeClient(1).Get(key)
-	if err != nil || !found || string(got) != string(val2) {
-		t.Fatalf("replica after fallback Set: %q %v %v", got, found, err)
-	}
-	if found, err := cl.Del(key); err != nil || !found {
-		t.Fatalf("Del with dead owner: %v %v", found, err)
+	if err != nil || !found || string(got) != string(val) {
+		t.Fatalf("replica after refused writes: %q %v %v, want %q", got, found, err, val)
 	}
 
 	// Both nodes down: every attempt is reported.

@@ -3,13 +3,10 @@
 // routes operations and splits batches per owner, and MoveSlot hands a
 // virtual-node slot and its resident keys from one node to another. The
 // policy that decides moves lives one package up: membership.Manager is
-// the only writer of ring ownership. Its demand rounds apply the paper's
-// taker/giver reasoning one level up (nodes whose caches report
-// mostly-saturated SC_S counters shed slots to nodes with slack), and its
-// joins, leaves and failovers move slots too; each move re-places replicas
-// and pushes a new view. The manager also holds the node demand its rounds
-// decide on, pulled by its own heartbeat over NodeClient; this package
-// keeps none.
+// the only writer of ring ownership. Its joins, leaves and failovers move
+// slots; each move re-places replicas and pushes a new view. The manager
+// also holds the node demand its replica placement reads, pulled by its
+// own heartbeat over NodeClient; this package keeps none.
 //
 // The analogy is deliberate but not exact. Inside a cache, a taker set
 // couples with a giver set and both remain owners of their blocks
@@ -34,7 +31,7 @@ import (
 
 // Ring is a consistent-hash ring with a fixed slot set and movable
 // ownership: nodes × vnodes slots are placed on the ring at
-// seed-deterministic points once, and rebalancing changes only which node
+// seed-deterministic points once, and a handoff changes only which node
 // owns a slot — the key→slot mapping never moves, so a migration's blast
 // radius is exactly the keys of the migrated slot.
 //

@@ -172,9 +172,9 @@ func (a *Agent) ownerTableLocked() []int {
 
 // followersOf snapshots the peers to fan a write on slot out to, or nil
 // when this node is not the slot's current owner. Ring ownership (shared,
-// authoritative) gates the fan-out so a write that lands on a replica via
-// the client's owner-down fallback is not re-fanned; the pushed view
-// supplies the follower set.
+// authoritative) gates the fan-out so a write from a client with a stale
+// ring, landing on a non-owner, is not re-fanned; the pushed view supplies
+// the follower set.
 func (a *Agent) followersOf(slot int) []*client.Client {
 	if a.ring.Owner(slot) != a.self {
 		return nil

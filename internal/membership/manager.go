@@ -14,18 +14,17 @@ import (
 // Manager is the cluster's control plane: it owns the authoritative member
 // table, the replica placement, and the view epoch, and it is the only
 // writer of ring ownership. Every transition — Join, Leave, failover from
-// Tick, a demand round from Rebalance — plans its moves as a pure function
-// of the view, then hands the plan to one executor, apply: a move off a
-// live node goes through cluster.Client.MoveSlot (drain → copy → flip →
-// delete); a move off the node being failed over is a pure ownership flip,
-// the data already on the promoted replica, put there by the agents'
-// synchronous write fan-out. apply stops at the first failed move and
-// commits what moved: re-place replicas, push the view, backfill new
-// followers.
+// Tick — plans its moves as a pure function of the view, then hands the
+// plan to one executor, apply: a move off a live node goes through
+// cluster.Client.MoveSlot (drain → copy → flip → delete); a move off the
+// node being failed over is a pure ownership flip, the data already on the
+// promoted replica, put there by the agents' synchronous write fan-out.
+// apply stops at the first failed move and commits what moved: re-place
+// replicas, push the view, backfill new followers.
 //
-// Transitions (Join/Leave/Tick/Rebalance) are driven by one goroutine —
-// the cluster owner's control loop — and are not safe to run concurrently
-// with each other. ReplicasOf and the other read accessors are safe from any
+// Transitions (Join/Leave/Tick) are driven by one goroutine — the cluster
+// owner's control loop — and are not safe to run concurrently with each
+// other. ReplicasOf and the other read accessors are safe from any
 // goroutine (the client's replica-retry path calls ReplicasOf per failed
 // operation).
 type Manager struct {
@@ -41,26 +40,22 @@ type Manager struct {
 	replicas [][]int
 	epoch    uint64
 
-	// round numbers the demand rounds (Rebalance); control loop only.
-	round uint64
 	// demand[n] is node n's snapshot from its last heartbeat (zero before
-	// the first); written only by heartbeat, on the control loop.
+	// the first), which placement reads; written only by heartbeat, on the
+	// control loop.
 	demand []wire.NodeDemand
 	// missed[n] counts node n's consecutive unanswered Tick probes;
 	// control loop only.
 	missed []int
 
 	joins, leaves, deaths, promotions, replicaKeys *obs.Counter
-	rounds, migrations, keysMoved                  *obs.Counter
 }
 
 // Report summarizes one membership transition.
 type Report struct {
-	// Epoch is the view epoch the transition produced (0 for a demand
-	// round that planned nothing, which commits no view).
+	// Epoch is the view epoch the transition produced.
 	Epoch uint64
-	// Node is the joining, leaving, or dead node; -1 for Bootstrap and
-	// demand rounds.
+	// Node is the joining, leaving, or dead node; -1 for Bootstrap.
 	Node int
 	// Moves are the ownership changes, in execution order. Keys is 0 for
 	// failover promotions: those are pure flips, the data was already on
@@ -68,9 +63,6 @@ type Report struct {
 	Moves []cluster.Move
 	// ReplicaKeys counts the keys copied restoring the replication factor.
 	ReplicaKeys int
-	// Round numbers the demand round that produced the report (1-based);
-	// 0 for the other transitions.
-	Round uint64
 }
 
 // New builds a manager over cl's current node set. addrs[i] is node i's
@@ -108,9 +100,6 @@ func New(cl *cluster.Client, lister cluster.KeyLister, addrs []string, cfg Confi
 		m.deaths = reg.Counter("membership.deaths")
 		m.promotions = reg.Counter("membership.promotions")
 		m.replicaKeys = reg.Counter("membership.replica_keys")
-		m.rounds = reg.Counter("cluster.epochs")
-		m.migrations = reg.Counter("cluster.migrations")
-		m.keysMoved = reg.Counter("cluster.keys_moved")
 	}
 	return m, nil
 }
@@ -148,7 +137,7 @@ func (m *Manager) ReplicasOf(slot int) []int {
 // Call once, after the nodes and their agents are up and before traffic:
 // writes before the agents hold a view are not fanned out.
 func (m *Manager) Bootstrap() (Report, error) {
-	return m.apply(Report{Node: -1}, nil, -1, nil)
+	return m.apply(Report{Node: -1}, nil, -1)
 }
 
 // aliveLocked returns the serving-member mask, indexed by node id. Caller
@@ -205,7 +194,7 @@ func (m *Manager) place() [][]int {
 
 // heartbeat pings node n with wire.FlagDemand and records the snapshot it
 // brings back: the one path node demand reaches the manager by, taken by
-// Tick and by every demand round, so a round decides on demand as it stands.
+// Tick.
 func (m *Manager) heartbeat(n int) error {
 	d, err := m.cl.NodeClient(n).Heartbeat()
 	if err == nil {
@@ -257,7 +246,7 @@ func (m *Manager) Join(addr string) (Report, error) {
 		plan = append(plan, cluster.Move{Slot: slot, From: donor, To: id})
 	}
 
-	report, err := m.apply(Report{Node: id}, plan, -1, nil)
+	report, err := m.apply(Report{Node: id}, plan, -1)
 	m.joins.Inc()
 	m.observe(obs.Event{Type: obs.EvNodeJoin, Tick: report.Epoch, Set: id, Life: uint64(len(report.Moves))})
 	return report, err
@@ -292,7 +281,7 @@ func (m *Manager) Leave(node int) (Report, error) {
 		}
 	}
 
-	report, err := m.apply(Report{Node: node}, plan, -1, nil)
+	report, err := m.apply(Report{Node: node}, plan, -1)
 	m.leaves.Inc()
 	m.observe(obs.Event{Type: obs.EvNodeLeave, Tick: report.Epoch, Set: node, Life: uint64(len(report.Moves))})
 	return report, err
@@ -365,7 +354,8 @@ func (m *Manager) failover(node int) Report {
 		plan = append(plan, cluster.Move{Slot: s, From: node, To: to})
 	}
 
-	report, _ := m.apply(Report{Node: node}, plan, node, func(cluster.Move) { m.promotions.Inc() })
+	report, _ := m.apply(Report{Node: node}, plan, node)
+	m.promotions.Add(uint64(len(report.Moves)))
 	m.observe(obs.Event{Type: obs.EvNodeDead, Tick: report.Epoch, Set: node, Life: uint64(len(report.Moves))})
 	for _, p := range report.Moves {
 		m.observe(obs.Event{Type: obs.EvReplicaPromote, Tick: report.Epoch, Set: p.Slot, ScS: p.From, Partner: p.To})
@@ -376,10 +366,9 @@ func (m *Manager) failover(node int) Report {
 // apply is the one writer of ring ownership. It runs a planned handoff in
 // order — a pure ownership flip when the old owner is dead (the node being
 // failed over; -1 when none), a MoveSlot otherwise — stops at the first
-// failure, and commits whatever moved. onMove, when non-nil, sees each
-// completed move. report carries the transition's Node and Round; apply
-// fills in Moves, Epoch and ReplicaKeys.
-func (m *Manager) apply(report Report, plan []cluster.Move, dead int, onMove func(cluster.Move)) (Report, error) {
+// failure, and commits whatever moved. report carries the transition's
+// Node; apply fills in Moves, Epoch and ReplicaKeys.
+func (m *Manager) apply(report Report, plan []cluster.Move, dead int) (Report, error) {
 	var moveErr error
 	for _, mv := range plan {
 		var err error
@@ -393,9 +382,6 @@ func (m *Manager) apply(report Report, plan []cluster.Move, dead int, onMove fun
 			break
 		}
 		report.Moves = append(report.Moves, mv)
-		if onMove != nil {
-			onMove(mv)
-		}
 	}
 	return report, errors.Join(moveErr, m.commit(&report, dead))
 }

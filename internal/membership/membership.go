@@ -1,7 +1,7 @@
 // Package membership is the cluster's one control plane: every change of
-// ring ownership — joins and leaves with bounded slot movement, demand
-// rebalancing, heartbeat-driven failover — goes through its Manager, and
-// each one ends by re-placing replicas and pushing the new view.
+// ring ownership — joins and leaves with bounded slot movement,
+// heartbeat-driven failover — goes through its Manager, and each one ends
+// by re-placing replicas and pushing the new view.
 //
 //   - Manager is the control plane, one per cluster, driven by the owner's
 //     control loop: it keeps the authoritative member table and replica
@@ -16,16 +16,13 @@
 //     read-repairs misses on slots the node acquired through promotion or
 //     migration by consulting the surviving replicas.
 //
-// The paper's taker/giver reasoning appears twice one level up. A demand
-// round (Manager.Rebalance) moves a saturated member's coldest slots to a
-// member with slack. Replica placement sends follower copies to the nodes
-// with the most slack, never pushing one past a 0.9 receive cap — the
-// node-level analog of "a giver's SC_S MSB must be clear to accept
-// spills". Demand reaches the manager one way, its heartbeat: a PING with
-// wire.FlagDemand brings the node's snapshot back, and every demand round
-// heartbeats every serving member before it classifies any, so the round
-// decides on demand as it stands. The server answers FlagDemand on any
-// opcode, but only that PING sends it.
+// The paper's taker/giver reasoning appears once one level up: replica
+// placement sends follower copies to the nodes with the most slack, never
+// pushing one past a 0.9 receive cap — the node-level analog of "a giver's
+// SC_S MSB must be clear to accept spills". Demand reaches the manager one
+// way, its heartbeat: a PING with wire.FlagDemand brings the node's
+// snapshot back, and Tick records it for placement. The server answers
+// FlagDemand on any opcode, but only that PING sends it.
 //
 // Lock hierarchy (enforced by the stemlint lockorder analyzer): Manager.mu
 // before Agent.mu. Neither is held across a network call.
@@ -47,23 +44,9 @@ type Config struct {
 	// SuspectAfter is how many consecutive missed heartbeats declare a
 	// node dead. Default 3.
 	SuspectAfter int
-	// MaxMovesPerEpoch bounds slot moves per Rebalance round — the
-	// node-level analog of the paper's one-association-per-refresh pacing:
-	// capacity shifts gradually so a transient skew cannot thrash
-	// ownership. Default 2.
-	MaxMovesPerEpoch int
-	// TakerFrac classifies a member as a taker when its demand score — the
-	// larger of its taker-set fraction and its mean SC_S saturation — is
-	// at least this. Default 0.5.
-	TakerFrac float64
-	// GiverFrac classifies a member as a giver when its demand score is at
-	// most this. Default 0.25.
-	GiverFrac float64
-	// Metrics, when non-nil, receives counters under "membership.*" and
-	// the demand rounds' under "cluster.*".
+	// Metrics, when non-nil, receives counters under "membership.*".
 	Metrics *obs.Registry
-	// Observer, when non-nil, receives node lifecycle, replica, demand and
-	// migration events.
+	// Observer, when non-nil, receives node lifecycle and replica events.
 	Observer obs.Observer
 }
 
@@ -73,15 +56,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 3
-	}
-	if c.MaxMovesPerEpoch <= 0 {
-		c.MaxMovesPerEpoch = 2
-	}
-	if c.TakerFrac <= 0 {
-		c.TakerFrac = 0.5
-	}
-	if c.GiverFrac <= 0 {
-		c.GiverFrac = 0.25
 	}
 	return c
 }

@@ -93,8 +93,11 @@ func readKeys(t *testing.T, cl *cluster.Client, lo, hi int) (found int) {
 }
 
 // TestFailoverKeepsAckedWrites is the kill-a-node acceptance run: 3 nodes,
-// RF=2, one node dies mid-run. Every write acked before or after the death
-// must survive failover — the synchronous replica fan-out plus replica
+// RF=2, one node dies mid-run. Between the death and the failover a write
+// fails exactly when its key's owner is the dead node: writes go to the
+// owner alone, so the cluster acks nothing it could lose. Every write acked
+// before or after the death — the failed ones written again after the
+// failover — must survive: the synchronous replica fan-out plus replica
 // promotion make the acked set lossless through one node failure.
 func TestFailoverKeepsAckedWrites(t *testing.T) {
 	if testing.Short() {
@@ -108,9 +111,26 @@ func TestFailoverKeepsAckedWrites(t *testing.T) {
 	if err := mc.Kill(kill); err != nil {
 		t.Fatal(err)
 	}
-	// Mid-run writes against a dead owner: the client's replica retry must
-	// land them inside the slot's replica group, still acked.
-	writeKeys(t, mc.Client(), memKeys, memKeys+100)
+	// Mid-run writes before any Tick: those owned by the dead node fail
+	// with its transient error, the rest are acked.
+	ring := mc.Client().Ring()
+	var failed []int
+	for i := memKeys; i < memKeys+100; i++ {
+		owner, _ := ring.Lookup(memKey(i))
+		err := mc.Client().Set(memKey(i), memVal(i))
+		switch {
+		case owner == kill && (err == nil || !client.IsTransient(err)):
+			t.Fatalf("set %q on the dead owner = %v, want a transient error", memKey(i), err)
+		case owner != kill && err != nil:
+			t.Fatalf("set %q on live node %d: %v", memKey(i), owner, err)
+		}
+		if err != nil {
+			failed = append(failed, i)
+		}
+	}
+	if len(failed) == 0 {
+		t.Fatalf("precondition: none of the 100 mid-run keys is owned by node %d", kill)
+	}
 
 	var failovers []membership.Report
 	for i := 0; i < 4 && len(failovers) == 0; i++ {
@@ -127,15 +147,20 @@ func TestFailoverKeepsAckedWrites(t *testing.T) {
 			t.Fatalf("failover promoted slot %d onto the dead node", mv.Slot)
 		}
 	}
-	ring := mc.Client().Ring()
 	for s := 0; s < ring.Slots(); s++ {
 		if ring.Owner(s) == kill {
 			t.Fatalf("slot %d still owned by the dead node after failover", s)
 		}
 	}
+	for _, i := range failed {
+		if err := mc.Client().Set(memKey(i), memVal(i)); err != nil {
+			t.Fatalf("set %q after failover: %v", memKey(i), err)
+		}
+	}
 
 	got := readKeys(t, mc.Client(), 0, memKeys+100)
-	t.Logf("%d slots promoted; %d of %d acked writes read back", len(failovers[0].Moves), got, memKeys+100)
+	t.Logf("%d slots promoted; %d writes refused during the outage and retried; %d of %d acked writes read back",
+		len(failovers[0].Moves), len(failed), got, memKeys+100)
 	if got != memKeys+100 {
 		t.Fatalf("lost %d of %d acked writes across failover", memKeys+100-got, memKeys+100)
 	}
@@ -419,6 +444,72 @@ func TestPartialJoinCommitsWhatMoved(t *testing.T) {
 	}
 	if got := readKeys(t, cl, 0, memKeys); got != memKeys {
 		t.Fatalf("lost %d of %d earlier keys", memKeys-got, memKeys)
+	}
+}
+
+// TestMoveOntoFollowerKeepsAckedWrites: a move of a slot onto its own
+// follower must re-place the slot's replicas, or the old owner — whose copy
+// the move deleted — stays the follower of record and the next failover
+// promotes it with the slot's pre-move keys gone. RF=2: write, move the
+// fullest slot onto its follower through the one executor, write more,
+// kill the new owner, fail over, and read every acked write back. On two
+// nodes placement must pick the old owner again as the follower (on three
+// the seeded run picks it too), and the commit's backfill has to refill it.
+func TestMoveOntoFollowerKeepsAckedWrites(t *testing.T) {
+	if testing.Short() {
+		t.Skip("membership e2e drives loopback round trips")
+	}
+	for _, nodes := range []int{3, 2} {
+		t.Run(fmt.Sprintf("%dnodes", nodes), func(t *testing.T) {
+			mc := startMemCluster(t, nodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 2})
+			writeKeys(t, mc.Client(), 0, memKeys)
+
+			ring := mc.Client().Ring()
+			perSlot := make([]int, ring.Slots())
+			for i := 0; i < memKeys; i++ {
+				perSlot[ring.SlotOfKey(memKey(i))]++
+			}
+			slot := -1
+			for s := range perSlot {
+				if len(mc.Manager().ReplicasOf(s)) == 2 && (slot < 0 || perSlot[s] > perSlot[slot]) {
+					slot = s
+				}
+			}
+			if slot < 0 {
+				t.Fatal("no slot has a follower")
+			}
+			reps := mc.Manager().ReplicasOf(slot)
+			from, to := reps[0], reps[1]
+
+			viewBefore := mc.Manager().Epoch()
+			rep, err := mc.Manager().ApplyMoves(cluster.Move{Slot: slot, From: from, To: to})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Moves) != 1 || rep.Moves[0].Keys != perSlot[slot] || rep.Epoch != viewBefore+1 {
+				t.Fatalf("move report %+v: want one move of %d keys and view %d", rep, perSlot[slot], viewBefore+1)
+			}
+			if got := mc.Manager().ReplicasOf(slot); got[0] != to {
+				t.Fatalf("slot %d replicas %v after the move, want node %d first", slot, got, to)
+			}
+			t.Logf("slot %d (%d keys) moved %d → %d; replicas now %v, %d keys backfilled",
+				slot, perSlot[slot], from, to, mc.Manager().ReplicasOf(slot), rep.ReplicaKeys)
+
+			writeKeys(t, mc.Client(), memKeys, memKeys+100)
+			if err := mc.Kill(to); err != nil {
+				t.Fatal(err)
+			}
+			var failovers []membership.Report
+			for i := 0; i < 4 && len(failovers) == 0; i++ {
+				failovers = append(failovers, mc.Manager().Tick()...)
+			}
+			if len(failovers) != 1 || failovers[0].Node != to {
+				t.Fatalf("expected one failover of node %d, got %+v", to, failovers)
+			}
+			if got := readKeys(t, mc.Client(), 0, memKeys+100); got != memKeys+100 {
+				t.Fatalf("lost %d of %d acked writes across a move and failover", memKeys+100-got, memKeys+100)
+			}
+		})
 	}
 }
 

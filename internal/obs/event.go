@@ -34,23 +34,12 @@ const (
 	// EvSnapshot: a periodic run snapshot (emitted by the run harness, not
 	// the schemes); Event.Snap carries the payload.
 	EvSnapshot
-	// EvNodeDemand: a demand round (membership.Manager.Rebalance) classified
-	// a node's demand snapshot. Field reuse at the node level: Tick is the
-	// rebalancing epoch (the round number), Set the node id, ScS/ScT the
-	// node's taker/giver set counts, Life its coupled set count, Class its
-	// resulting classification ("taker", "giver" or "neutral").
-	EvNodeDemand
-	// EvSlotMigrate: a demand round moved a virtual-node slot between nodes
-	// — the node-level analog of EvSpill's set-to-set capacity transfer.
-	// Field reuse: Tick is the epoch, Set the slot id, ScS the source node,
-	// Partner the destination node, Life the number of keys handed off.
-	EvSlotMigrate
 	// EvSlowRequest: a served request exceeded the server's slow-request
 	// threshold. Tick is the server's request sequence number, Set is -1,
 	// Op names the opcode, Micros is the request's server-side duration
 	// (decode + handle), and Trace carries the request's trace ID when the
 	// client sent one (0 otherwise) — the join key that lets stemtrace read
-	// a latency spike against concurrent demand/migration events.
+	// a latency spike against concurrent membership events.
 	EvSlowRequest
 	// EvNodeJoin: a node joined the cluster and the membership manager
 	// handed it its fair share of slots. Field reuse: Tick is the view
@@ -89,8 +78,6 @@ var eventNames = map[EventType]string{
 	EvSpill:          "spill",
 	EvReceive:        "receive",
 	EvSnapshot:       "snapshot",
-	EvNodeDemand:     "node_demand",
-	EvSlotMigrate:    "slot_migrate",
 	EvSlowRequest:    "slow_request",
 	EvNodeJoin:       "node_join",
 	EvNodeLeave:      "node_leave",

@@ -407,10 +407,10 @@ func (s *Server) statsJSON() ([]byte, error) {
 }
 
 // demand rolls the cache's per-set SCDM state up into the wire snapshot a
-// FlagDemand response carries — what the cluster's demand rounds classify
-// nodes by. Reading demand never sweeps or otherwise perturbs the cache
-// (stemcache.Demand's contract), so a heartbeat every epoch observes, it
-// does not steer.
+// FlagDemand response carries — what the membership manager's heartbeat
+// records for replica placement. Reading demand never sweeps or otherwise
+// perturbs the cache (stemcache.Demand's contract), so a heartbeat
+// observes, it does not steer.
 func (s *Server) demand() *wire.NodeDemand {
 	d := s.cache.Demand()
 	return &wire.NodeDemand{

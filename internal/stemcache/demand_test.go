@@ -8,7 +8,7 @@ import (
 
 // TestDemandFreshCache pins the rest-state signal: every SC_S starts at
 // zero, so a fresh cache is all givers, no takers, saturation 0 — the shape
-// the cluster's demand rounds read as "this node has slack".
+// the cluster's replica placement reads as "this node has slack".
 func TestDemandFreshCache(t *testing.T) {
 	c := mustNew[string, int](Config{Capacity: 256, Shards: 4, Ways: 4, Seed: 7})
 	d := c.Demand()

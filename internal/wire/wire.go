@@ -342,10 +342,9 @@ type ReplicaSet struct {
 
 // NodeDemand is the snapshot a FlagDemand response piggybacks: one node's
 // aggregate capacity-demand signal, derived from its cache's per-set SCDM
-// monitors (stemcache.Demand). The cluster's demand rounds read these to
-// classify whole nodes as takers (starved: most sets' SC_S saturated) or
-// givers (slack: most sets' SC_S MSB clear), mirroring the paper's set-level
-// roles one level up. It travels as a fixed 52-byte big-endian prefix so
+// monitors (stemcache.Demand). The membership manager's heartbeat records
+// these, and its replica placement reads Live/Capacity to send follower
+// copies to nodes with slack. It travels as a fixed 52-byte big-endian prefix so
 // carrying it costs a response 52 bytes, not a JSON parse.
 type NodeDemand struct {
 	// NodeID identifies the answering node within its cluster (the
@@ -372,22 +371,6 @@ type NodeDemand struct {
 // nodeDemandLen is the fixed demand prefix size: five uint32 fields plus
 // four uint64 fields.
 const nodeDemandLen = 5*4 + 4*8
-
-// TakerFrac returns the fraction of sets classified as takers, in [0, 1].
-func (d NodeDemand) TakerFrac() float64 {
-	if d.Sets == 0 {
-		return 0
-	}
-	return float64(d.TakerSets) / float64(d.Sets)
-}
-
-// Saturation returns the mean SC_S saturation across sets, in [0, 1].
-func (d NodeDemand) Saturation() float64 {
-	if d.ScSMax == 0 {
-		return 0
-	}
-	return float64(d.ScSSum) / float64(d.ScSMax)
-}
 
 // Request is the decoded form of one request frame.
 type Request struct {

@@ -515,10 +515,6 @@ func TestDemandPayload(t *testing.T) {
 	if !reflect.DeepEqual(resp.Piggyback, d) {
 		t.Fatalf("demand round trip: got %+v want %+v", resp.Piggyback, d)
 	}
-	if resp.Piggyback.TakerFrac() != 1 || resp.Piggyback.Saturation() != 1 {
-		t.Errorf("TakerFrac = %v, Saturation = %v, want 1, 1",
-			resp.Piggyback.TakerFrac(), resp.Piggyback.Saturation())
-	}
 
 	// Truncated prefix must be rejected as a frame error.
 	short := append([]byte(nil), buf[:len(buf)-1]...)
@@ -552,12 +548,6 @@ func TestDemandPayload(t *testing.T) {
 	}
 	if resp.Piggyback != nil {
 		t.Fatalf("unflagged response decoded a snapshot: %+v", resp.Piggyback)
-	}
-
-	// Zero denominators must not divide by zero.
-	var zero NodeDemand
-	if zero.TakerFrac() != 0 || zero.Saturation() != 0 {
-		t.Errorf("zero demand: TakerFrac = %v, Saturation = %v", zero.TakerFrac(), zero.Saturation())
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 //     partition every HotspotShiftEvery(capacity) draws. Against a cluster,
 //     each partition hashes to a different node mix, so the load (and the
 //     capacity demand it induces) migrates between nodes mid-run — the
-//     workload the STEM-style node-level demand rounds exist for.
+//     skew node-level capacity management would have to follow.
 
 // KeyDists lists the serving key distributions NewKeyStream accepts.
 func KeyDists() []string { return []string{"zipf", "scan", "mixed", "hotspot-shift"} }
@@ -75,7 +75,7 @@ func NewWorkerKeyStream(dist string, capacity int, seed uint64, w, workers int) 
 		// The hot set is deliberately close to (3/4 of) the stated capacity:
 		// a single cache holding it entirely hits well, but the node of a
 		// cluster that owns most of the current partition is pushed past its
-		// share — the demand signal the node-level demand rounds feed on.
+		// share, and its sets' SC_S counters saturate.
 		// Partitions are keyed by prefix ("hs<p>:<rank>") so successive hot
 		// sets are disjoint and hash to fresh, uncorrelated ring positions.
 		r := sim.NewRNG(seed)
