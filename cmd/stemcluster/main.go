@@ -3,12 +3,12 @@
 // prints their addresses for clients like `stemload -cluster`, and drives
 // the cluster's one control plane, a membership.Manager, from one ticker:
 // every -heartbeat the manager probes each member (failure detection and
-// failover) and records its capacity-demand snapshot, which replica
-// placement reads. The manager is the only writer of ring ownership, so
-// every move — join, leave, failover — re-places replicas and pushes a new
-// view to the nodes' agents (synchronous replica write fan-out plus
-// read-repair). -join-after and -kill-after/-kill-node script lifecycle
-// events for experiments.
+// failover) and records its capacity-demand snapshot, whose giver
+// fraction replica placement reads. The manager is the only writer of ring
+// ownership, so every move — join, leave, failover — re-places replicas
+// and pushes a new view to the nodes' agents (synchronous replica write
+// fan-out plus read-repair). -join-after and -kill-after/-kill-node script
+// lifecycle events for experiments.
 //
 // Usage:
 //
@@ -163,8 +163,8 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 				return
 			case <-beat.C:
 				for _, rep := range mgr.Tick() {
-					fmt.Fprintf(os.Stderr, "stemcluster: view %d: node %d failed over, %d slots promoted, %d keys re-replicated\n",
-						rep.Epoch, rep.Node, len(rep.Moves), rep.ReplicaKeys)
+					fmt.Fprintf(os.Stderr, "stemcluster: view %d: node %d failed over, %d slots promoted, %d keys re-replicated, %d slots below rf\n",
+						rep.Epoch, rep.Node, len(rep.Moves), rep.ReplicaKeys, rep.BelowRF)
 				}
 			case <-joinC:
 				joinC = nil
@@ -173,8 +173,8 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 					fmt.Fprintf(os.Stderr, "stemcluster: join: %v\n", err)
 					continue
 				}
-				fmt.Fprintf(os.Stderr, "stemcluster: view %d: node %d joined at %s, %d slots handed off\n",
-					rep.Epoch, rep.Node, rig.Node(rep.Node).Addr(), len(rep.Moves))
+				fmt.Fprintf(os.Stderr, "stemcluster: view %d: node %d joined at %s, %d slots handed off, %d slots below rf\n",
+					rep.Epoch, rep.Node, rig.Node(rep.Node).Addr(), len(rep.Moves), rep.BelowRF)
 			case <-killC:
 				killC = nil
 				if err := rig.Kill(cfg.killNode); err != nil {

@@ -155,10 +155,14 @@ func find(blocks []uint64, flags []uint8, block uint64) int {
 }
 
 // victimWay returns an invalid way if one exists, else the policy's victim.
+// Lines are never invalidated, so the policy ranks exactly the valid ways:
+// once it ranks them all, there is no invalid way to scan for.
 func victimWay(flags []uint8, pol policy.Policy) int {
-	for w, f := range flags {
-		if f&lineValid == 0 {
-			return w
+	if pol.Len() < len(flags) {
+		for w, f := range flags {
+			if f&lineValid == 0 {
+				return w
+			}
 		}
 	}
 	v := pol.Victim()

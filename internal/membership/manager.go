@@ -49,6 +49,7 @@ type Manager struct {
 	missed []int
 
 	joins, leaves, deaths, promotions, replicaKeys *obs.Counter
+	belowRF                                        *obs.Gauge
 }
 
 // Report summarizes one membership transition.
@@ -63,6 +64,10 @@ type Report struct {
 	Moves []cluster.Move
 	// ReplicaKeys counts the keys copied restoring the replication factor.
 	ReplicaKeys int
+	// BelowRF counts the slots the new view gives fewer than
+	// ReplicationFactor copies: nonzero only while fewer nodes than that
+	// are alive.
+	BelowRF int
 }
 
 // New builds a manager over cl's current node set. addrs[i] is node i's
@@ -100,6 +105,7 @@ func New(cl *cluster.Client, lister cluster.KeyLister, addrs []string, cfg Confi
 		m.deaths = reg.Counter("membership.deaths")
 		m.promotions = reg.Counter("membership.promotions")
 		m.replicaKeys = reg.Counter("membership.replica_keys")
+		m.belowRF = reg.Gauge("membership.slots_below_rf")
 	}
 	return m, nil
 }
@@ -174,22 +180,10 @@ func pickLoaded(counts []int, eligible []bool, most bool) int {
 	return best
 }
 
-// utilization estimates each node's live-capacity fraction from its last
-// heartbeat's demand snapshot (zero for nodes not heard from yet).
-func (m *Manager) utilization() []float64 {
-	util := make([]float64, len(m.demand))
-	for i, d := range m.demand {
-		if d.Capacity > 0 {
-			util[i] = float64(d.Live) / float64(d.Capacity)
-		}
-	}
-	return util
-}
-
 // place computes the replica table for the current ring and member state.
 // Caller holds m.mu.
 func (m *Manager) place() [][]int {
-	return placeReplicas(m.cl.Ring().Owners(), m.aliveLocked(), m.cfg.ReplicationFactor, m.utilization())
+	return placeReplicas(m.cl.Ring().Owners(), m.aliveLocked(), m.cfg.ReplicationFactor, m.demand)
 }
 
 // heartbeat pings node n with wire.FlagDemand and records the snapshot it
@@ -388,12 +382,13 @@ func (m *Manager) apply(report Report, plan []cluster.Move, dead int) (Report, e
 
 // commit recomputes replica placement for the current ring and member
 // state, bumps the view epoch, pushes the view to every serving agent, and
-// backfills slot data onto newly placed followers, recording the epoch and
-// the copied key count in report. dead (-1 when none) lets failover's
-// backfill skip copies whose source is gone. report.Moves are the
-// transition's ownership changes: a move's old owner no longer holds the
-// slot (MoveSlot deleted its copy, or it is dead), so it counts as a new
-// follower if placement picks it again.
+// backfills slot data onto newly placed followers, recording the epoch,
+// the copied key count and the slots below the replication factor in
+// report (the last also in the membership.slots_below_rf gauge). dead (-1
+// when none) lets failover's backfill skip copies whose source is gone.
+// report.Moves are the transition's ownership changes: a move's old owner
+// no longer holds the slot (MoveSlot deleted its copy, or it is dead), so
+// it counts as a new follower if placement picks it again.
 func (m *Manager) commit(report *Report, dead int) error {
 	m.mu.Lock()
 	old := slices.Clone(m.replicas)
@@ -415,12 +410,15 @@ func (m *Manager) commit(report *Report, dead int) error {
 	report.Epoch = epoch
 	owners := m.cl.Ring().Owners()
 	for s, set := range newRep {
+		if len(set) < m.cfg.ReplicationFactor {
+			report.BelowRF++
+		}
 		var oldSet []int
 		if s < len(old) {
 			oldSet = old[s]
 		}
 		for _, f := range set[1:] {
-			if contains(oldSet, f) {
+			if slices.Contains(oldSet, f) {
 				continue // already held a copy in the old view
 			}
 			owner := owners[s]
@@ -439,6 +437,7 @@ func (m *Manager) commit(report *Report, dead int) error {
 			m.observe(obs.Event{Type: obs.EvReplicaPlace, Tick: epoch, Set: s, ScS: owner, Partner: f, Life: uint64(copied)})
 		}
 	}
+	m.belowRF.Set(float64(report.BelowRF))
 	return pushErr
 }
 

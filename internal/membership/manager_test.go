@@ -20,8 +20,8 @@ func (m *Manager) ApplyMoves(plan ...cluster.Move) (Report, error) {
 
 // TestTickRecordsDemand: one Tick heartbeats every serving member and
 // records the demand snapshot it answers with in m.demand — the one path
-// node demand reaches the manager by — and replica placement's utilization
-// reads that snapshot.
+// node demand reaches the manager by — and replica placement's giver
+// fraction reads that snapshot.
 func TestTickRecordsDemand(t *testing.T) {
 	const nodes = 3
 	rig, err := StartRig(nodes,
@@ -49,7 +49,6 @@ func TestTickRecordsDemand(t *testing.T) {
 	if reps := m.Tick(); len(reps) != 0 {
 		t.Fatalf("Tick on a healthy rig failed over: %+v", reps)
 	}
-	util := m.utilization()
 	for i := 0; i < nodes; i++ {
 		d := rig.Node(i).Cache().Demand()
 		want := wire.NodeDemand{
@@ -60,8 +59,8 @@ func TestTickRecordsDemand(t *testing.T) {
 		if m.demand[i] != want {
 			t.Errorf("node %d: Tick recorded %+v, its cache reads %+v", i, m.demand[i], want)
 		}
-		if w := float64(d.Live) / float64(d.Capacity); d.Live == 0 || util[i] != w {
-			t.Errorf("node %d: placement reads utilization %v, want %v (%d live)", i, util[i], w, d.Live)
+		if got, w := giverFrac(m.demand[i]), float64(d.GiverSets)/float64(d.Sets); d.Sets == 0 || got != w {
+			t.Errorf("node %d: placement reads giver fraction %v, want %v (%d of %d sets)", i, got, w, d.GiverSets, d.Sets)
 		}
 	}
 }

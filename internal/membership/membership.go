@@ -16,13 +16,13 @@
 //     read-repairs misses on slots the node acquired through promotion or
 //     migration by consulting the surviving replicas.
 //
-// The paper's taker/giver reasoning appears once one level up: replica
-// placement sends follower copies to the nodes with the most slack, never
-// pushing one past a 0.9 receive cap — the node-level analog of "a giver's
-// SC_S MSB must be clear to accept spills". Demand reaches the manager one
-// way, its heartbeat: a PING with wire.FlagDemand brings the node's
-// snapshot back, and Tick records it for placement. The server answers
-// FlagDemand on any opcode, but only that PING sends it.
+// The paper's giver appears once one level up: replica placement gives
+// every slot min(RF, alive) copies, each follower to the node hosting the
+// fewest, ties to the node whose heartbeat reports the larger share of
+// sets with a clear SC_S MSB. Demand reaches the manager one way, its
+// heartbeat: a PING with wire.FlagDemand brings the node's snapshot back,
+// and Tick records it for placement. The server answers FlagDemand on any
+// opcode, but only that PING sends it.
 //
 // Lock hierarchy (enforced by the stemlint lockorder analyzer): Manager.mu
 // before Agent.mu. Neither is held across a network call.

@@ -9,13 +9,16 @@ import (
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/membership"
+	"repro/internal/obs"
 	"repro/internal/stemcache"
 	"repro/internal/wire"
 )
 
 // The membership e2e rig: a loopback cluster with one agent per node and a
 // manager driving lifecycle transitions. Capacities are sized so nothing
-// evicts — any missing key is a replication bug, not cache pressure.
+// evicts at memKeys — any missing key is a replication bug, not cache
+// pressure. Only TestWarmFailoverKeepsReplicationFactor writes enough to
+// fill the caches.
 const (
 	memNodes  = 3
 	memVNodes = 4 // 12 slots
@@ -194,6 +197,65 @@ func TestFailoverHitRateWithinBound(t *testing.T) {
 	t.Logf("no-failure hit rate %.4f, post-failover %.4f", base, failed)
 	if base-failed > 0.05 {
 		t.Fatalf("post-failover hit rate %.4f more than 5pp below the no-failure run's %.4f", failed, base)
+	}
+}
+
+// TestWarmFailoverKeepsReplicationFactor: RF=2 is a promise on a warm
+// cluster too. Each key takes two of the rig's 3 × 4096 entries, so 3,000
+// keys fill half of them and 6,000 nearly all, and set conflicts evict
+// well before that. Write, Tick (the heartbeat records every node's
+// demand), kill node 2 and fail it over: the two survivors must hold every
+// slot between them, and the failover's report and gauge must say no slot
+// is short. Read-back is logged beside it — a replica takes its host's
+// capacity, so keys can go missing, but never more than the nodes evicted.
+func TestWarmFailoverKeepsReplicationFactor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("membership e2e drives loopback round trips")
+	}
+	for _, keys := range []int{3000, 6000} {
+		t.Run(fmt.Sprintf("%dkeys", keys), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, Metrics: reg})
+			writeKeys(t, mc.Client(), 0, keys)
+			mc.Manager().Tick()
+
+			const kill = 2
+			if err := mc.Kill(kill); err != nil {
+				t.Fatal(err)
+			}
+			var failovers []membership.Report
+			for i := 0; i < 4; i++ {
+				failovers = append(failovers, mc.Manager().Tick()...)
+			}
+			if len(failovers) != 1 || failovers[0].Node != kill {
+				t.Fatalf("expected one failover of node %d, got %+v", kill, failovers)
+			}
+			slots, below := mc.Client().Ring().Slots(), 0
+			for s := 0; s < slots; s++ {
+				if len(mc.Manager().ReplicasOf(s)) < 2 {
+					below++
+				}
+			}
+			got := readKeys(t, mc.Client(), 0, keys)
+			var evicted uint64
+			for i := 0; i < memNodes; i++ {
+				evicted += mc.Node(i).Cache().Stats().Evictions
+			}
+			t.Logf("%d of %d slots below rf after failover; %d of %d keys read back, %d evicted",
+				below, slots, got, keys, evicted)
+			if below > 0 {
+				t.Errorf("%d of %d slots have no follower with 2 nodes alive", below, slots)
+			}
+			if rep := failovers[0].BelowRF; rep != below {
+				t.Errorf("failover reports %d slots below rf, the placement has %d", rep, below)
+			}
+			if g := reg.Gauge("membership.slots_below_rf").Value(); g != float64(below) {
+				t.Errorf("membership.slots_below_rf reads %v, the placement has %d", g, below)
+			}
+			if missing := uint64(keys - got); missing > evicted {
+				t.Errorf("%d keys missing but the nodes evicted only %d", missing, evicted)
+			}
+		})
 	}
 }
 

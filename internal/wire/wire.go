@@ -343,9 +343,9 @@ type ReplicaSet struct {
 // NodeDemand is the snapshot a FlagDemand response piggybacks: one node's
 // aggregate capacity-demand signal, derived from its cache's per-set SCDM
 // monitors (stemcache.Demand). The membership manager's heartbeat records
-// these, and its replica placement reads Live/Capacity to send follower
-// copies to nodes with slack. It travels as a fixed 52-byte big-endian prefix so
-// carrying it costs a response 52 bytes, not a JSON parse.
+// these, and its replica placement reads GiverSets/Sets to break ties
+// between follower candidates. It travels as a fixed 52-byte big-endian
+// prefix so carrying it costs a response 52 bytes, not a JSON parse.
 type NodeDemand struct {
 	// NodeID identifies the answering node within its cluster (the
 	// server's configured id; 0 when unconfigured).
