@@ -200,24 +200,37 @@ func TestFailoverHitRateWithinBound(t *testing.T) {
 	}
 }
 
+// warmPlaced is the replica table (owner, then follower, per slot) the
+// warm-failover rig holds before its kill, at every key count: a pure
+// function of memSeed, memVNodes and the placement rule.
+const warmPlaced = "[[0 1] [1 0] [2 0] [0 2] [1 2] [2 1] [0 1] [1 0] [2 0] [0 2] [1 2] [2 1]]"
+
 // TestWarmFailoverKeepsReplicationFactor: RF=2 is a promise on a warm
 // cluster too. Each key takes two of the rig's 3 × 4096 entries, so 3,000
-// keys fill half of them and 6,000 nearly all, and set conflicts evict
-// well before that. Write, Tick (the heartbeat records every node's
-// demand), kill node 2 and fail it over: the two survivors must hold every
-// slot between them, and the failover's report and gauge must say no slot
-// is short. Read-back is logged beside it — a replica takes its host's
-// capacity, so keys can go missing, but never more than the nodes evicted.
+// keys fill half of them, 6,000 nearly all and 24,000 four times over, and
+// set conflicts evict well before that. Write, Tick (the heartbeat records
+// every node's demand), check the replica table against warmPlaced, kill
+// node 2 and fail it over: the two survivors must hold every slot between
+// them, and the failover's report and gauge must say no slot is short.
+// Read-back is logged beside it — a replica takes its host's capacity, so
+// keys can go missing, but never more than the nodes evicted.
 func TestWarmFailoverKeepsReplicationFactor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("membership e2e drives loopback round trips")
 	}
-	for _, keys := range []int{3000, 6000} {
+	for _, keys := range []int{3000, 6000, 24000} {
 		t.Run(fmt.Sprintf("%dkeys", keys), func(t *testing.T) {
 			reg := obs.NewRegistry()
 			mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, Metrics: reg})
 			writeKeys(t, mc.Client(), 0, keys)
 			mc.Manager().Tick()
+			placed := make([][]int, mc.Client().Ring().Slots())
+			for s := range placed {
+				placed[s] = mc.Manager().ReplicasOf(s)
+			}
+			if got := fmt.Sprint(placed); got != warmPlaced {
+				t.Errorf("replica table before the kill %s, want %s", got, warmPlaced)
+			}
 
 			const kill = 2
 			if err := mc.Kill(kill); err != nil {
