@@ -2,13 +2,12 @@
 // cache nodes (each a stemd-style server over its own STEM-managed cache),
 // prints their addresses for clients like `stemload -cluster`, and drives
 // the cluster's one control plane, a membership.Manager, from one ticker:
-// every -heartbeat the manager probes each member (failure detection and
-// failover) and records its capacity-demand snapshot, whose giver
-// fraction replica placement reads. The manager is the only writer of ring
-// ownership, so every move — join, leave, failover — re-places replicas
-// and pushes a new view to the nodes' agents (synchronous replica write
-// fan-out plus read-repair). -join-after and -kill-after/-kill-node script
-// lifecycle events for experiments.
+// every -heartbeat the manager pings each member (failure detection and
+// failover). The manager is the only writer of ring ownership, so every
+// move — join, leave, failover — re-places replicas and pushes a new view
+// to the nodes' agents (synchronous replica write fan-out plus
+// read-repair). -join-after and -kill-after/-kill-node script lifecycle
+// events for experiments.
 //
 // Usage:
 //

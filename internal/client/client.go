@@ -517,18 +517,3 @@ func (c *Client) PushMembership(epoch uint64, members []wire.Member, replicas []
 	_, err := c.one(wire.Request{Op: wire.OpView, Epoch: epoch, Members: members, Replicas: replicas})
 	return err
 }
-
-// Heartbeat pings the server with wire.FlagDemand set, returning the
-// demand snapshot the server attaches — one frame for liveness and demand
-// both. Only this PING sends the flag (the server answers it on any
-// opcode), and the membership manager's heartbeat is its one caller.
-func (c *Client) Heartbeat() (wire.NodeDemand, error) {
-	resp, err := c.one(wire.Request{Op: wire.OpPing, Flags: wire.FlagDemand})
-	if err != nil {
-		return wire.NodeDemand{}, err
-	}
-	if resp.Piggyback == nil {
-		return wire.NodeDemand{}, fmt.Errorf("%w: FlagDemand response without snapshot", wire.ErrFrame)
-	}
-	return *resp.Piggyback, nil
-}

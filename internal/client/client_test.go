@@ -346,66 +346,6 @@ func TestBatchQueueAndReset(t *testing.T) {
 	}
 }
 
-// TestClientDemand pins the client's one demand path: Heartbeat is a PING
-// carrying wire.FlagDemand that must come back with the server's snapshot
-// (a response without one is a protocol error), and no other request asks
-// for one.
-func TestClientDemand(t *testing.T) {
-	want := wire.NodeDemand{NodeID: 3, Sets: 64, TakerSets: 8, GiverSets: 40,
-		CoupledSets: 6, ScSSum: 100, ScSMax: 64 * 127, Live: 50, Capacity: 256}
-	var mu sync.Mutex
-	flagged := map[wire.Op]int{}
-	mute := false
-	fs := newFakeServer(t, func(req *wire.Request) *wire.Response {
-		resp := &wire.Response{Op: req.Op, Status: wire.StatusOK}
-		mu.Lock()
-		defer mu.Unlock()
-		if req.Flags&wire.FlagDemand != 0 && !mute {
-			flagged[req.Op]++
-			d := want
-			resp.Piggyback = &d
-		}
-		return resp
-	})
-	count := func(op wire.Op) int {
-		mu.Lock()
-		defer mu.Unlock()
-		return flagged[op]
-	}
-	cl, err := New(Config{Addr: fs.ln.Addr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	for i := 0; i < 8; i++ {
-		if err := cl.Set("k", []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := count(wire.OpSet); n != 0 {
-		t.Fatalf("8 plain SETs: %d carried FlagDemand, want 0", n)
-	}
-
-	got, err := cl.Heartbeat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("Heartbeat = %+v, want %+v", got, want)
-	}
-	if n := count(wire.OpPing); n != 1 {
-		t.Fatalf("heartbeat: %d flagged PINGs, want 1", n)
-	}
-
-	mu.Lock()
-	mute = true
-	mu.Unlock()
-	if _, err := cl.Heartbeat(); !errors.Is(err, wire.ErrFrame) {
-		t.Fatalf("Heartbeat without a snapshot = %v, want a frame error", err)
-	}
-}
-
 // armConn counts the deadline arms a round trip costs.
 type armConn struct {
 	net.Conn

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 
+	"repro/internal/server"
 	"repro/internal/stemcache"
 	"repro/internal/wire"
 )
@@ -74,19 +76,25 @@ func TestClientRoutesToRingOwner(t *testing.T) {
 		}
 	}
 
-	// A heartbeat and stats reach each node; the demand snapshot echoes the
+	// A ping and stats reach each node; each STATS document echoes its
 	// node's id.
 	for i := range nodes {
-		d, err := cl.NodeClient(i).Heartbeat()
-		if err != nil {
+		if err := cl.NodeClient(i).Ping(); err != nil {
 			t.Fatal(err)
 		}
-		if int(d.NodeID) != i {
-			t.Fatalf("node %d demand echoes id %d", i, d.NodeID)
-		}
 	}
-	if raws, err := cl.StatsAll(); err != nil || len(raws) != 3 {
+	raws, err := cl.StatsAll()
+	if err != nil || len(raws) != 3 {
 		t.Fatalf("StatsAll = %d docs, err %v", len(raws), err)
+	}
+	for i, raw := range raws {
+		var snap server.StatsSnapshot
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			t.Fatal(err)
+		}
+		if snap.NodeID != i {
+			t.Fatalf("node %d STATS echoes id %d", i, snap.NodeID)
+		}
 	}
 }
 

@@ -4,9 +4,7 @@
 // virtual-node slot and its resident keys from one node to another. The
 // policy that decides moves lives one package up: membership.Manager is
 // the only writer of ring ownership. Its joins, leaves and failovers move
-// slots; each move re-places replicas and pushes a new view. The manager
-// also holds the node demand its replica placement reads, pulled by its
-// own heartbeat over NodeClient; this package keeps none.
+// slots; each move re-places replicas and pushes a new view.
 //
 // The analogy is deliberate but not exact. Inside a cache, a taker set
 // couples with a giver set and both remain owners of their blocks

@@ -67,7 +67,7 @@ type Counts struct {
 }
 
 // Census is a walk over every set's control state: the one role count behind
-// the simulator's Introspect and the library's Demand and Stats gauges.
+// the simulator's Introspect and the library's Stats gauges.
 type Census struct {
 	// Takers and Givers count sets by association role (coupled sets only).
 	Takers, Givers int
@@ -76,8 +76,6 @@ type Census struct {
 	TakerClass, GiverClass int
 	// BIPSets counts sets currently running BIP; the rest run LRU.
 	BIPSets int
-	// ScSSum is the sum of every SC_S; ScSMax its ceiling, sets × (2^k − 1).
-	ScSSum, ScSMax uint64
 }
 
 // Engine is the STEM control loop (paper §4.2-4.7) with the storage taken
@@ -217,7 +215,7 @@ func (e *Engine) SetObserver(o obs.Observer) {
 
 // Census counts roles, classifications and policies across all sets.
 func (e *Engine) Census() Census {
-	c := Census{ScSMax: uint64(len(e.sets)) * uint64(e.cgeom.Max)}
+	var c Census
 	for i := range e.sets {
 		s := &e.sets[i]
 		switch s.role {
@@ -235,7 +233,6 @@ func (e *Engine) Census() Census {
 		if s.pol.Kind() == policy.BIP {
 			c.BIPSets++
 		}
-		c.ScSSum += uint64(s.mon.ScS)
 	}
 	return c
 }

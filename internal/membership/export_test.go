@@ -1,0 +1,10 @@
+package membership
+
+import "repro/internal/cluster"
+
+// ApplyMoves runs a fixed plan through apply, the executor every
+// transition uses, and commits it the same way. It lets the package's
+// external tests place a move no join, leave or failover plans on its own.
+func (m *Manager) ApplyMoves(plan ...cluster.Move) (Report, error) {
+	return m.apply(Report{Node: -1}, plan, -1)
+}

@@ -40,10 +40,6 @@ type Manager struct {
 	replicas [][]int
 	epoch    uint64
 
-	// demand[n] is node n's snapshot from its last heartbeat (zero before
-	// the first), which placement reads; written only by heartbeat, on the
-	// control loop.
-	demand []wire.NodeDemand
 	// missed[n] counts node n's consecutive unanswered Tick probes;
 	// control loop only.
 	missed []int
@@ -90,7 +86,6 @@ func New(cl *cluster.Client, lister cluster.KeyLister, addrs []string, cfg Confi
 		cl:     cl,
 		lister: lister,
 		cfg:    cfg,
-		demand: make([]wire.NodeDemand, len(addrs)),
 		missed: make([]int, len(addrs)),
 	}
 	m.members = make([]wire.Member, len(addrs))
@@ -183,18 +178,7 @@ func pickLoaded(counts []int, eligible []bool, most bool) int {
 // place computes the replica table for the current ring and member state.
 // Caller holds m.mu.
 func (m *Manager) place() [][]int {
-	return placeReplicas(m.cl.Ring().Owners(), m.aliveLocked(), m.cfg.ReplicationFactor, m.demand)
-}
-
-// heartbeat pings node n with wire.FlagDemand and records the snapshot it
-// brings back: the one path node demand reaches the manager by, taken by
-// Tick.
-func (m *Manager) heartbeat(n int) error {
-	d, err := m.cl.NodeClient(n).Heartbeat()
-	if err == nil {
-		m.demand[n] = d
-	}
-	return err
+	return placeReplicas(m.cl.Ring().Owners(), m.aliveLocked(), m.cfg.ReplicationFactor)
 }
 
 // Join adds the node at addr to the cluster: grow the client and ring,
@@ -207,7 +191,6 @@ func (m *Manager) Join(addr string) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	m.demand = append(m.demand, wire.NodeDemand{})
 	m.missed = append(m.missed, 0)
 	m.mu.Lock()
 	m.members = append(m.members, wire.Member{ID: uint32(id), State: wire.MemberAlive, Addr: addr})
@@ -281,8 +264,8 @@ func (m *Manager) Leave(node int) (Report, error) {
 	return report, err
 }
 
-// Tick runs one heartbeat round: probe every serving member (the probe
-// also records its demand) and count its consecutive misses. An answered
+// Tick runs one heartbeat round: ping every serving member and count its
+// consecutive misses. An answered
 // probe resets the count; a node whose count reaches SuspectAfter fails
 // over, and a failed-over node is no longer serving, so Tick never probes
 // it again — it fails over once. It returns one Report per failover
@@ -297,7 +280,7 @@ func (m *Manager) Tick() []Report {
 		if !ok {
 			continue
 		}
-		if m.heartbeat(id) == nil {
+		if m.cl.NodeClient(id).Ping() == nil {
 			m.missed[id] = 0
 			continue
 		}

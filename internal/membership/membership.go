@@ -16,13 +16,10 @@
 //     read-repairs misses on slots the node acquired through promotion or
 //     migration by consulting the surviving replicas.
 //
-// The paper's giver appears once one level up: replica placement gives
-// every slot min(RF, alive) copies, each follower to the node hosting the
-// fewest, ties to the node whose heartbeat reports the larger share of
-// sets with a clear SC_S MSB. Demand reaches the manager one way, its
-// heartbeat: a PING with wire.FlagDemand brings the node's snapshot back,
-// and Tick records it for placement. The server answers FlagDemand on any
-// opcode, but only that PING sends it.
+// Replica placement gives every slot min(RF, alive) copies, each follower
+// to the alive node hosting the fewest, ties to the lower id. It reads no
+// cache state: the paper's giver/taker signal steers spills between sets
+// inside each node's cache, and the heartbeat is a plain PING.
 //
 // Lock hierarchy (enforced by the stemlint lockorder analyzer): Manager.mu
 // before Agent.mu. Neither is held across a network call.

@@ -208,11 +208,10 @@ const warmPlaced = "[[0 1] [1 0] [2 0] [0 2] [1 2] [2 1] [0 1] [1 0] [2 0] [0 2]
 // TestWarmFailoverKeepsReplicationFactor: RF=2 is a promise on a warm
 // cluster too. Each key takes two of the rig's 3 × 4096 entries, so 3,000
 // keys fill half of them, 6,000 nearly all and 24,000 four times over, and
-// set conflicts evict well before that. Write, Tick (the heartbeat records
-// every node's demand), check the replica table against warmPlaced, kill
-// node 2 and fail it over: the two survivors must hold every slot between
-// them, and the failover's report and gauge must say no slot is short.
-// Read-back is logged beside it — a replica takes its host's capacity, so
+// set conflicts evict well before that. Write, Tick, check the replica
+// table against warmPlaced, kill node 2 and fail it over: the two
+// survivors must hold every slot between them, and the failover's report
+// and gauge must say no slot is short. Read-back is logged beside it — a replica takes its host's capacity, so
 // keys can go missing, but never more than the nodes evicted.
 func TestWarmFailoverKeepsReplicationFactor(t *testing.T) {
 	if testing.Short() {

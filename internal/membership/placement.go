@@ -1,10 +1,6 @@
 package membership
 
-import (
-	"slices"
-
-	"repro/internal/wire"
-)
+import "slices"
 
 // placeReplicas computes every slot's replica list — the owner first, then
 // followers up to min(rf, alive) copies — as a pure, deterministic function
@@ -14,15 +10,12 @@ import (
 // The replication factor is a promise, not a preference: a slot runs short
 // only when fewer than rf nodes are alive. Which node hosts a follower is
 // the preference: the candidate with the fewest followers planned so far,
-// ties to the higher giver fraction (giverFrac, the node-level form of the
-// paper's "a giver's SC_S MSB is clear": extra capacity would not help
-// it), then the lower id.
+// ties to the lower id.
 //
 // owners[s] is slot s's owning node; alive[n] whether node n accepts
-// copies; demand[n] node n's snapshot from its last heartbeat (zero when
-// unknown). Dead or left nodes appear only as owners the caller is about
-// to strip — they never receive followers.
-func placeReplicas(owners []int, alive []bool, rf int, demand []wire.NodeDemand) [][]int {
+// copies. Dead or left nodes appear only as owners the caller is about to
+// strip — they never receive followers.
+func placeReplicas(owners []int, alive []bool, rf int) [][]int {
 	followers := make([]int, len(alive))
 	out := make([][]int, len(owners))
 	for s, o := range owners {
@@ -34,8 +27,7 @@ func placeReplicas(owners []int, alive []bool, rf int, demand []wire.NodeDemand)
 				if !ok || slices.Contains(set, c) {
 					continue
 				}
-				if best < 0 || followers[c] < followers[best] ||
-					followers[c] == followers[best] && giverFrac(demand[c]) > giverFrac(demand[best]) {
+				if best < 0 || followers[c] < followers[best] {
 					best = c
 				}
 			}
@@ -48,13 +40,4 @@ func placeReplicas(owners []int, alive []bool, rf int, demand []wire.NodeDemand)
 		out[s] = set
 	}
 	return out
-}
-
-// giverFrac is the share of a node's sets whose SC_S MSB was clear at its
-// last heartbeat (0 before the first).
-func giverFrac(d wire.NodeDemand) float64 {
-	if d.Sets == 0 {
-		return 0
-	}
-	return float64(d.GiverSets) / float64(d.Sets)
 }

@@ -5,43 +5,50 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
-
-	"repro/internal/wire"
 )
 
-// giverDemand returns one heartbeat snapshot per node, node n reporting
-// givers[n] of 100 sets with a clear SC_S MSB.
-func giverDemand(givers ...uint32) []wire.NodeDemand {
-	d := make([]wire.NodeDemand, len(givers))
-	for n, g := range givers {
-		d[n] = wire.NodeDemand{Sets: 100, GiverSets: g}
+// checkIDRule fails t unless placed follows placeReplicas' rule slot by
+// slot: each follower is, among the alive nodes not yet in its slot's set,
+// one with the fewest followers placed before it, and the lowest id of
+// those.
+func checkIDRule(t *testing.T, alive []bool, placed [][]int) {
+	t.Helper()
+	followers := make([]int, len(alive))
+	for s, set := range placed {
+		for j, f := range set[1:] {
+			for c, ok := range alive {
+				if !ok || slices.Contains(set[:j+1], c) {
+					continue
+				}
+				if followers[c] < followers[f] || followers[c] == followers[f] && c < f {
+					t.Fatalf("slot %d of %v: follower %d (%d followers) placed over node %d (%d)",
+						s, placed, f, followers[f], c, followers[c])
+				}
+			}
+			followers[f]++
+		}
 	}
-	return d
 }
 
 // TestPlacementShape pins the basics on a fixed view and on seeded random
-// (owners, alive, demand, rf) views: owner first, no duplicates, only alive
-// nodes, exactly min(rf, alive) copies, and determinism (same inputs,
-// byte-identical plan).
+// (owners, alive, rf) views: owner first, no duplicates, only alive nodes,
+// exactly min(rf, alive) copies, followers by the id rule (checkIDRule),
+// and determinism (same inputs, byte-identical plan).
 func TestPlacementShape(t *testing.T) {
 	type view struct {
 		owners []int
 		alive  []bool
-		demand []wire.NodeDemand
 		rf     int
 	}
-	views := []view{{[]int{0, 1, 2, 0, 1, 2}, []bool{true, true, true}, giverDemand(20, 10, 30), 2}}
+	views := []view{{[]int{0, 1, 2, 0, 1, 2}, []bool{true, true, true}, 2}}
 	rng := rand.New(rand.NewPCG(55, 23))
 	for len(views) < 200 {
 		nodes := 1 + rng.IntN(6)
-		v := view{alive: make([]bool, nodes), demand: make([]wire.NodeDemand, nodes), rf: 1 + rng.IntN(5)}
+		v := view{alive: make([]bool, nodes), rf: 1 + rng.IntN(5)}
 		var up []int
 		for n := range v.alive {
 			if v.alive[n] = rng.IntN(4) > 0; v.alive[n] {
 				up = append(up, n)
-			}
-			if sets := uint32(rng.IntN(3)) * 64; sets > 0 { // 0: not heard from yet
-				v.demand[n] = wire.NodeDemand{Sets: sets, GiverSets: uint32(rng.IntN(int(sets) + 1))}
 			}
 		}
 		if len(up) == 0 {
@@ -55,7 +62,7 @@ func TestPlacementShape(t *testing.T) {
 	}
 
 	for i, v := range views {
-		got := placeReplicas(v.owners, v.alive, v.rf, v.demand)
+		got := placeReplicas(v.owners, v.alive, v.rf)
 		if len(got) != len(v.owners) {
 			t.Fatalf("view %d: placement covers %d slots, want %d", i, len(got), len(v.owners))
 		}
@@ -81,55 +88,42 @@ func TestPlacementShape(t *testing.T) {
 				}
 			}
 		}
-		again := placeReplicas(v.owners, v.alive, v.rf, v.demand)
+		checkIDRule(t, v.alive, got)
+		again := placeReplicas(v.owners, v.alive, v.rf)
 		if fmt.Sprint(again) != fmt.Sprint(got) {
 			t.Fatalf("view %d: placement is not deterministic:\n%v\n%v", i, got, again)
 		}
 	}
 }
 
-// TestPlacementPrefersGivers: between candidates with equally many
-// followers, the one with the higher giver fraction hosts the copy, and
-// with equal fractions the lower id does.
-func TestPlacementPrefersGivers(t *testing.T) {
-	owners := []int{0, 0, 0, 0}
-	alive := []bool{true, true, true}
-	for _, tc := range []struct {
-		demand []wire.NodeDemand
-		want   string
-	}{
-		{giverDemand(40, 10, 60), "[[0 2] [0 1] [0 2] [0 1]]"},                             // node 2 is the giver
-		{giverDemand(40, 60, 10), "[[0 1] [0 2] [0 1] [0 2]]"},                             // node 1 is
-		{giverDemand(40, 30, 30), "[[0 1] [0 2] [0 1] [0 2]]"},                             // a tie: lower id
-		{[]wire.NodeDemand{{}, {}, {Sets: 64, GiverSets: 1}}, "[[0 2] [0 1] [0 2] [0 1]]"}, // unheard reads 0
-	} {
-		if got := fmt.Sprint(placeReplicas(owners, alive, 2, tc.demand)); got != tc.want {
-			t.Errorf("demand %+v: placed %s, want %s", tc.demand, got, tc.want)
-		}
-	}
-}
-
-// TestPlacementSpreadsAcrossGivers: followers go to the candidate with the
-// fewest so far, so a strong giver does not collect every copy — follower
-// counts across the eligible nodes differ by at most one.
+// TestPlacementSpreadsAcrossGivers: every alive node gives capacity to
+// followers, and each follower goes to the candidate with the fewest so
+// far, ties to the lower id — so follower counts across the eligible nodes
+// differ by at most one, and the tables below are exact.
 func TestPlacementSpreadsAcrossGivers(t *testing.T) {
 	for _, tc := range []struct {
 		owners   []int
 		nodes    int
 		rf       int
 		eligible []int
+		want     string
 	}{
-		{make([]int, 8), 3, 2, []int{1, 2}},
-		{make([]int, 9), 4, 3, []int{1, 2, 3}},
-		{[]int{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3}, 4, 2, []int{0, 1, 2, 3}},
+		{make([]int, 8), 3, 2, []int{1, 2}, "[[0 1] [0 2] [0 1] [0 2] [0 1] [0 2] [0 1] [0 2]]"},
+		{make([]int, 9), 4, 3, []int{1, 2, 3}, "[[0 1 2] [0 3 1] [0 2 3] [0 1 2] [0 3 1] [0 2 3] [0 1 2] [0 3 1] [0 2 3]]"},
+		{[]int{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3}, 4, 2, []int{0, 1, 2, 3},
+			"[[0 1] [1 0] [2 3] [3 2] [0 1] [1 0] [2 3] [3 2] [0 1] [1 0] [2 3] [3 2]]"},
 	} {
 		alive := make([]bool, tc.nodes)
 		for n := range alive {
 			alive[n] = true
 		}
-		demand := giverDemand(90, 95, 5, 50)[:tc.nodes]
+		placed := placeReplicas(tc.owners, alive, tc.rf)
+		if got := fmt.Sprint(placed); got != tc.want {
+			t.Errorf("owners %v rf %d: placed %s, want %s", tc.owners, tc.rf, got, tc.want)
+		}
+		checkIDRule(t, alive, placed)
 		counts := make([]int, tc.nodes)
-		for _, set := range placeReplicas(tc.owners, alive, tc.rf, demand) {
+		for _, set := range placed {
 			for _, f := range set[1:] {
 				counts[f]++
 			}
@@ -145,13 +139,13 @@ func TestPlacementSpreadsAcrossGivers(t *testing.T) {
 }
 
 // TestPlacementKeepsRFWithoutGivers: the replication factor is a promise —
-// with every node reporting no giver sets (every cache warm and full),
-// every slot still gets min(rf, alive) copies.
+// placement reads nothing of the caches, so however warm and full they
+// are, every slot gets min(rf, alive) copies.
 func TestPlacementKeepsRFWithoutGivers(t *testing.T) {
 	owners := []int{0, 1, 2, 0, 1, 2}
 	alive := []bool{true, true, true}
 	for rf := 1; rf <= 4; rf++ {
-		got := placeReplicas(owners, alive, rf, giverDemand(0, 0, 0))
+		got := placeReplicas(owners, alive, rf)
 		for s, set := range got {
 			if len(set) != min(rf, 3) || set[0] != owners[s] {
 				t.Fatalf("rf %d: slot %d placed %v, want owner %d and %d copies", rf, s, set, owners[s], min(rf, 3))
@@ -165,7 +159,7 @@ func TestPlacementKeepsRFWithoutGivers(t *testing.T) {
 func TestPlacementSkipsDeadNodes(t *testing.T) {
 	owners := []int{0, 0}
 	alive := []bool{true, false, false}
-	got := placeReplicas(owners, alive, 3, make([]wire.NodeDemand, 3))
+	got := placeReplicas(owners, alive, 3)
 	for s, set := range got {
 		if len(set) != 1 || set[0] != 0 {
 			t.Fatalf("slot %d placed %v with only node 0 alive", s, set)

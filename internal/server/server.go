@@ -83,18 +83,17 @@ type Config struct {
 	// "server.lat.<op>.*_us" (decode, handle, write — see conn.serve for the
 	// stage boundaries).
 	Metrics *obs.Registry
-	// NodeID identifies this server within a cluster; it is echoed in
-	// demand snapshots and the STATS document so a cluster client can tell
-	// which node answered. 0 for a standalone server.
+	// NodeID identifies this server within a cluster; it is echoed in the
+	// STATS document so a cluster client can tell which node answered. 0
+	// for a standalone server.
 	NodeID int
 	// SlowRequest, when positive, makes the server emit an EvSlowRequest
 	// event to Events for every request whose server-side time (frame read
 	// + decode + cache op) reaches the threshold. 0 disables.
 	SlowRequest time.Duration
 	// Events receives EvSlowRequest events (typically the same JSONL tracer
-	// that records the cache's mechanism events, so slow requests land on
-	// the same timeline as demand and migration). Ignored unless
-	// SlowRequest is set.
+	// that records the cache's mechanism events, so both share one
+	// timeline). Ignored unless SlowRequest is set.
 	Events obs.Observer
 }
 
@@ -406,26 +405,6 @@ func (s *Server) statsJSON() ([]byte, error) {
 	return json.Marshal(snap)
 }
 
-// demand rolls the cache's per-set SCDM state up into the wire snapshot a
-// FlagDemand response carries — what the membership manager's heartbeat
-// records for replica placement. Reading demand never sweeps or otherwise
-// perturbs the cache (stemcache.Demand's contract), so a heartbeat
-// observes, it does not steer.
-func (s *Server) demand() *wire.NodeDemand {
-	d := s.cache.Demand()
-	return &wire.NodeDemand{
-		NodeID:      uint32(s.cfg.NodeID),
-		Sets:        uint32(d.Sets),
-		TakerSets:   uint32(d.TakerSets),
-		GiverSets:   uint32(d.GiverSets),
-		CoupledSets: uint32(d.CoupledSets),
-		ScSSum:      d.ScSSum,
-		ScSMax:      d.ScSMax,
-		Live:        uint64(d.Live),
-		Capacity:    uint64(d.Capacity),
-	}
-}
-
 // handle executes one decoded request against the cache and fills resp.
 // It runs on the connection's goroutine; the cache does its own locking.
 func (s *Server) handle(req *wire.Request, resp *wire.Response) {
@@ -513,11 +492,6 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 		// than crash if a new opcode outruns this switch.
 		resp.Status = wire.StatusErr
 		resp.Value = []byte(fmt.Sprintf("unhandled opcode %v", req.Op))
-	}
-	// A FlagDemand request gets the node's demand snapshot piggybacked on
-	// whatever response the opcode produced — push-based dissemination.
-	if req.Flags&wire.FlagDemand != 0 {
-		resp.Piggyback = s.demand()
 	}
 }
 

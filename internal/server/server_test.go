@@ -203,17 +203,17 @@ func TestServeStats(t *testing.T) {
 	}
 }
 
-// TestServeDemandAndRoleGauges drives the node-demand export end to end:
-// the heartbeat's piggybacked snapshot and the STATS document must both
-// carry the cache's taker/giver/coupled gauges, agree with each other, and
-// echo the configured node id.
+// TestServeDemandAndRoleGauges drives the demand-role export end to end:
+// the STATS document must carry the cache's taker/giver/coupled gauges as
+// the cache itself reads them, its live count and capacity, and echo the
+// configured node id.
 func TestServeDemandAndRoleGauges(t *testing.T) {
 	srv, cache := startServer(t,
 		stemcache.Config{Capacity: 1 << 10, Seed: 1},
 		server.Config{NodeID: 7})
 	cl := newClient(t, srv.Addr())
 
-	// Some traffic so Live and the SCDM counters are nontrivial.
+	// Some traffic so Len and the SCDM counters are nontrivial.
 	for i := 0; i < 64; i++ {
 		k := fmt.Sprintf("k%d", i)
 		if err := cl.Set(k, []byte("v")); err != nil {
@@ -222,23 +222,6 @@ func TestServeDemandAndRoleGauges(t *testing.T) {
 		if _, _, err := cl.Get(k); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	d, err := cl.Heartbeat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.NodeID != 7 {
-		t.Fatalf("demand NodeID = %d, want 7", d.NodeID)
-	}
-	if d.Sets == 0 || d.ScSMax == 0 {
-		t.Fatalf("demand has empty geometry: %+v", d)
-	}
-	if d.GiverSets > d.Sets || d.TakerSets > d.Sets {
-		t.Fatalf("role counts exceed set count: %+v", d)
-	}
-	if d.Live != 64 || d.Capacity != uint64(cache.Capacity()) {
-		t.Fatalf("Live=%d Capacity=%d, want 64 and %d", d.Live, d.Capacity, cache.Capacity())
 	}
 
 	raw, err := cl.Stats()
@@ -252,14 +235,20 @@ func TestServeDemandAndRoleGauges(t *testing.T) {
 	if snap.NodeID != 7 {
 		t.Fatalf("stats NodeID = %d, want 7", snap.NodeID)
 	}
+	if snap.Len != 64 || snap.Capacity != cache.Capacity() {
+		t.Fatalf("Len=%d Capacity=%d, want 64 and %d", snap.Len, snap.Capacity, cache.Capacity())
+	}
 	// No cache traffic happened between the two reads, so the instantaneous
 	// gauges must agree exactly.
-	if snap.Cache.TakerSets != uint64(d.TakerSets) ||
-		snap.Cache.GiverSets != uint64(d.GiverSets) ||
-		snap.Cache.CoupledSets != uint64(d.CoupledSets) {
-		t.Fatalf("STATS gauges (%d, %d, %d) disagree with the heartbeat's (%d, %d, %d)",
+	st := cache.Stats()
+	if snap.Cache.TakerSets != st.TakerSets || snap.Cache.GiverSets != st.GiverSets ||
+		snap.Cache.CoupledSets != st.CoupledSets {
+		t.Fatalf("STATS gauges (%d, %d, %d) disagree with the cache's (%d, %d, %d)",
 			snap.Cache.TakerSets, snap.Cache.GiverSets, snap.Cache.CoupledSets,
-			d.TakerSets, d.GiverSets, d.CoupledSets)
+			st.TakerSets, st.GiverSets, st.CoupledSets)
+	}
+	if snap.Cache.GiverSets == 0 {
+		t.Fatal("STATS reports no giver sets on a cache far below capacity")
 	}
 }
 
@@ -477,8 +466,10 @@ func TestMalformedFrameAnswersThenCloses(t *testing.T) {
 	}{
 		{"HTTP request", "bad magic", []byte("GET / HTTP/1.1\r\n\r\n")},
 		{"version-2 GET", "unsupported version 2", patched(1, 2)},
+		{"version-3 GET", "unsupported version 3", patched(1, 3)},
 		{"opcode past REPLICATE", "unknown opcode 11", patched(2, byte(wire.OpReplicate)+1)},
 		{"GET with flag bit 4", "flags 0x10 are not defined for GET", patched(3, 1<<4)},
+		{"GET with flag bit 5", "flags 0x20 are not defined for GET", patched(3, 1<<5)},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -20,7 +20,8 @@ func clockCache(clock *int64, reads *int) *Cache[int, int] {
 // operation reads c.now only when it meets a deadline — a matching entry's
 // exp, or a ttl to add to now — and then exactly once, so the read's
 // and the store's classification share one instant. Whole-cache walks (Len,
-// AppendKeys) read once per call; Demand never looks at a deadline.
+// AppendKeys) read once per call; Stats, which STATS and every gauge
+// reader call, never looks at a deadline.
 func TestClockReadsPerOperation(t *testing.T) {
 	const (
 		plain  = 1 // resident, no deadline
@@ -52,7 +53,7 @@ func TestClockReadsPerOperation(t *testing.T) {
 
 		{"Len", func(c *Cache[int, int]) { c.Len() }, 1},
 		{"AppendKeys", func(c *Cache[int, int]) { c.AppendKeys(nil) }, 1},
-		{"Demand", func(c *Cache[int, int]) { c.Demand() }, 0},
+		{"Stats", func(c *Cache[int, int]) { c.Stats() }, 0},
 	}
 	// Both instants matter: at 0 a zero-sentinel "have I read yet?" reads
 	// again for every deadline the operation meets.

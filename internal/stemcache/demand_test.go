@@ -6,38 +6,25 @@ import (
 	"time"
 )
 
-// TestDemandFreshCache pins the rest-state signal: every SC_S starts at
-// zero, so a fresh cache is all givers, no takers, saturation 0 — the shape
-// the cluster's replica placement reads as "this node has slack".
+// TestDemandFreshCache pins the rest-state gauges: every SC_S starts at
+// zero, so a fresh cache is all givers, no takers and no couplings.
 func TestDemandFreshCache(t *testing.T) {
 	c := mustNew[string, int](Config{Capacity: 256, Shards: 4, Ways: 4, Seed: 7})
-	d := c.Demand()
-	wantSets := c.Shards() * c.sets
-	if d.Sets != wantSets {
-		t.Fatalf("Sets = %d, want %d", d.Sets, wantSets)
+	st := c.Stats()
+	wantSets := uint64(c.Shards() * c.sets)
+	if st.TakerSets != 0 {
+		t.Errorf("TakerSets = %d, want 0", st.TakerSets)
 	}
-	if d.TakerSets != 0 {
-		t.Errorf("TakerSets = %d, want 0", d.TakerSets)
+	if st.GiverSets != wantSets {
+		t.Errorf("GiverSets = %d, want %d (every set starts giver)", st.GiverSets, wantSets)
 	}
-	if d.GiverSets != wantSets {
-		t.Errorf("GiverSets = %d, want %d (every set starts giver)", d.GiverSets, wantSets)
-	}
-	if d.CoupledSets != 0 {
-		t.Errorf("CoupledSets = %d, want 0", d.CoupledSets)
-	}
-	if d.ScSSum != 0 {
-		t.Errorf("ScSSum = %d, want 0 (every counter at rest)", d.ScSSum)
-	}
-	if d.Live != 0 || d.Capacity != c.Capacity() {
-		t.Errorf("Live = %d, Capacity = %d, want 0, %d", d.Live, d.Capacity, c.Capacity())
-	}
-	if d.ScSMax != uint64(wantSets)*uint64(c.shards[0].eng.Geom().Max) {
-		t.Errorf("ScSMax = %d, want %d", d.ScSMax, uint64(wantSets)*uint64(c.shards[0].eng.Geom().Max))
+	if st.CoupledSets != 0 {
+		t.Errorf("CoupledSets = %d, want 0", st.CoupledSets)
 	}
 }
 
 // TestDemandCountsRoles forces known SCDM counter states and checks the
-// aggregate's taker/giver/coupled counts and counter sum.
+// taker/giver/coupled gauges Stats reads off them.
 func TestDemandCountsRoles(t *testing.T) {
 	c := coupledCache(t) // 1 shard, set 0 taker coupled to set 2 (giver)
 	eng := &c.shards[0].eng
@@ -45,32 +32,17 @@ func TestDemandCountsRoles(t *testing.T) {
 	// giver: MSB set, not saturated).
 	eng.Monitor(1).ScS = eng.Geom().MSB
 
-	d := c.Demand()
-	if d.TakerSets != 1 {
-		t.Errorf("TakerSets = %d, want 1 (set 0)", d.TakerSets)
+	st := c.Stats()
+	if st.TakerSets != 1 {
+		t.Errorf("TakerSets = %d, want 1 (set 0)", st.TakerSets)
 	}
 	// Every set except the saturated taker (set 0) and the MSB-pinned set 1
 	// still has a clear MSB.
-	if want := d.Sets - 2; d.GiverSets != want {
-		t.Errorf("GiverSets = %d, want %d", d.GiverSets, want)
+	if want := uint64(c.sets - 2); st.GiverSets != want {
+		t.Errorf("GiverSets = %d, want %d", st.GiverSets, want)
 	}
-	if d.CoupledSets != 2 {
-		t.Errorf("CoupledSets = %d, want 2 (both ends of one pair)", d.CoupledSets)
-	}
-	if want := uint64(c.shards[0].eng.Geom().Max) + uint64(c.shards[0].eng.Geom().MSB); d.ScSSum != want {
-		t.Errorf("ScSSum = %d, want %d", d.ScSSum, want)
-	}
-	if d.ScSSum >= d.ScSMax {
-		t.Errorf("ScSSum = %d, want below ScSMax = %d (most sets at rest)", d.ScSSum, d.ScSMax)
-	}
-
-	// Stats must expose the same gauges (the wire STATS path reads them).
-	st := c.Stats()
-	if st.TakerSets != uint64(d.TakerSets) || st.GiverSets != uint64(d.GiverSets) ||
-		st.CoupledSets != uint64(d.CoupledSets) {
-		t.Errorf("Stats gauges (%d, %d, %d) disagree with Demand (%d, %d, %d)",
-			st.TakerSets, st.GiverSets, st.CoupledSets,
-			d.TakerSets, d.GiverSets, d.CoupledSets)
+	if st.CoupledSets != 2 {
+		t.Errorf("CoupledSets = %d, want 2 (both ends of one pair)", st.CoupledSets)
 	}
 }
 

@@ -277,7 +277,7 @@ func (c *Cache[K, V]) expire(sh *shard[K, V], idx, w int) {
 // snapshot returns sh's counters completed with the Get accounting and with
 // what the engine keeps: the mechanism counters and the instantaneous
 // set-role gauges (caller holds sh.mu).
-func (sh *shard[K, V]) snapshot() (Stats, core.Census) {
+func (sh *shard[K, V]) snapshot() Stats {
 	st, n, cen := sh.stats, sh.eng.Counts(), sh.eng.Census()
 	st.Gets, st.Hits, st.Misses = sh.one.gets, sh.one.hits, sh.one.misses
 	st.ShadowHits, st.PolicySwaps = n.ShadowHits, n.PolicySwaps
@@ -285,5 +285,5 @@ func (sh *shard[K, V]) snapshot() (Stats, core.Census) {
 	st.Spills, st.Receives = n.Spills, n.Receives
 	st.TakerSets, st.GiverSets = uint64(cen.TakerClass), uint64(cen.GiverClass)
 	st.CoupledSets = uint64(cen.Takers + cen.Givers)
-	return st, cen
+	return st
 }

@@ -396,6 +396,28 @@ func (c *Cache[K, V]) sweepExpired(sh *shard[K, V], nowN int64) {
 	}
 }
 
+// AppendKeys appends every resident, unexpired key to dst and returns the
+// extended slice — the enumeration the cluster tier's slot handoff uses to
+// find the keys that must migrate with a virtual-node slot. Cooperatively
+// cached entries are included (they are resident keys like any other).
+// Shards are locked one at a time, so under concurrent writers the listing
+// is consistent per shard, not globally; expired entries are skipped but
+// not collected (enumeration must not perturb eviction state).
+func (c *Cache[K, V]) AppendKeys(dst []K) []K {
+	nowN := c.now()
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for w, tag := range sh.tags {
+			if e := &sh.entries[w]; tag != 0 && (e.exp == 0 || nowN <= e.exp) {
+				dst = append(dst, e.key)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return dst
+}
+
 // Capacity returns the actual entry capacity after Config normalization:
 // Shards × sets-per-shard × Ways, which is at least Config.Capacity.
 func (c *Cache[K, V]) Capacity() int { return len(c.shards) * c.sets * c.cfg.Ways }
@@ -413,7 +435,7 @@ func (c *Cache[K, V]) Stats() Stats {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		st, _ := sh.snapshot()
+		st := sh.snapshot()
 		sh.mu.Unlock()
 		out.add(st)
 	}

@@ -41,8 +41,8 @@ type opDesc struct {
 	alias bool
 }
 
-// anyOp is what every op takes: a trace extension and a demand snapshot.
-const anyOp = FlagTrace | FlagDemand
+// anyOp is what every op takes: a trace extension.
+const anyOp = FlagTrace
 
 // ops describes every opcode once. The encoders, the decoders and Op.String
 // all read it.

@@ -180,9 +180,9 @@ func decodeResponse(resp *Response, data []byte, lim Limits, into bool) (int, er
 	if err != nil {
 		return 0, err
 	}
-	// The status byte's high bits flag the trace and demand prefixes; mask
-	// them off before validating the status proper.
-	status := Status(st &^ (respFlagTrace | respFlagDemand))
+	// The status byte's high bit flags the trace prefix; mask it off before
+	// validating the status proper.
+	status := Status(st &^ respFlagTrace)
 	if !status.Valid() {
 		return 0, frameErrf("unknown status %d", uint8(status))
 	}
@@ -199,11 +199,6 @@ func decodeResponse(resp *Response, data []byte, lim Limits, into bool) (int, er
 			return 0, err
 		}
 	}
-	if st&respFlagDemand != 0 {
-		if resp.Piggyback, err = c.demand(); err != nil {
-			return 0, err
-		}
-	}
 	if err := c.respBody(respBody(op, status), resp, lim); err != nil {
 		return 0, err
 	}
@@ -211,29 +206,6 @@ func decodeResponse(resp *Response, data []byte, lim Limits, into bool) (int, er
 		return 0, err
 	}
 	return HeaderLen + len(c.b), nil
-}
-
-// demand reads the fixed 52-byte demand prefix of a respFlagDemand response
-// (a prefix, which is why it checks remaining, not total, bytes). The size
-// check up front turns every truncation into one error instead of nine
-// partial reads.
-func (c *cursor) demand() (*NodeDemand, error) {
-	if c.remaining() < nodeDemandLen {
-		return nil, frameErrf("truncated demand prefix: want %d bytes, have %d", nodeDemandLen, c.remaining())
-	}
-	var d NodeDemand
-	var err error
-	for _, p := range []*uint32{&d.NodeID, &d.Sets, &d.TakerSets, &d.GiverSets, &d.CoupledSets} {
-		if *p, err = c.u32(); err != nil {
-			return nil, err
-		}
-	}
-	for _, p := range []*uint64{&d.ScSSum, &d.ScSMax, &d.Live, &d.Capacity} {
-		if *p, err = c.u64(); err != nil {
-			return nil, err
-		}
-	}
-	return &d, nil
 }
 
 // traceReq reads the 16-byte request trace prefix. The size check up front

@@ -58,8 +58,8 @@ func AppendResponse(buf []byte, resp *Response, lim Limits) ([]byte, error) {
 
 	// A traced response carries the echoed-and-extended trace prefix ahead
 	// of the opcode payload (even for StatusErr: a failing traced request
-	// still yields a latency sample). The flags ride the status byte's high
-	// bits, which no valid status reaches.
+	// still yields a latency sample). The flag rides the status byte's high
+	// bit, which no valid status reaches.
 	st := uint8(resp.Status)
 	if resp.Trace != nil {
 		st |= respFlagTrace
@@ -67,13 +67,6 @@ func AppendResponse(buf []byte, resp *Response, lim Limits) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint64(buf, resp.Trace.SendMicros)
 		buf = binary.BigEndian.AppendUint32(buf, resp.Trace.QueueMicros)
 		buf = binary.BigEndian.AppendUint32(buf, resp.Trace.HandleMicros)
-	}
-	// The piggybacked demand prefix follows the trace extension. It rides
-	// any opcode's response, including StatusErr — a failed op still knows
-	// the node's demand.
-	if resp.Piggyback != nil {
-		st |= respFlagDemand
-		buf = appendDemand(buf, resp.Piggyback)
 	}
 
 	buf, err := appendRespBody(buf, respBody(resp.Op, resp.Status), resp, lim)
@@ -128,18 +121,4 @@ func appendMembership(buf []byte, req *Request, lim Limits) ([]byte, error) {
 		}
 	}
 	return buf, nil
-}
-
-// appendDemand appends the fixed 52-byte demand prefix: the five uint32
-// fields in declaration order, then the four uint64 fields.
-func appendDemand(buf []byte, d *NodeDemand) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, d.NodeID)
-	buf = binary.BigEndian.AppendUint32(buf, d.Sets)
-	buf = binary.BigEndian.AppendUint32(buf, d.TakerSets)
-	buf = binary.BigEndian.AppendUint32(buf, d.GiverSets)
-	buf = binary.BigEndian.AppendUint32(buf, d.CoupledSets)
-	buf = binary.BigEndian.AppendUint64(buf, d.ScSSum)
-	buf = binary.BigEndian.AppendUint64(buf, d.ScSMax)
-	buf = binary.BigEndian.AppendUint64(buf, d.Live)
-	return binary.BigEndian.AppendUint64(buf, d.Capacity)
 }

@@ -87,10 +87,10 @@ func malformedFrames() []struct {
 		{"negative REPLICATE with a value", frame(OpReplicate, FlagNegative, 0, 1, 'k', 0, 0, 0, 0), reqDecoder, "4 trailing payload bytes"},
 		{"REPLICATE TTL past 2^62", frame(OpReplicate, 0, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'k', 0, 0, 0, 0), reqDecoder, "TTL 18374686479671623680 overflows a duration"},
 
-		// Piggybacked demand: the bit over a short prefix, and stacked trace
-		// and demand prefixes cut inside the demand.
-		{"demand prefix one byte short", frame(OpGet, uint8(StatusOK)|respFlagDemand, zeros(nodeDemandLen-1)...), respDecoder, "truncated demand prefix: want 52 bytes, have 51"},
-		{"trace, then demand cut short", frame(OpPing, uint8(StatusOK)|respFlagTrace|respFlagDemand, zeros(traceRespLen+8)...), respDecoder, "truncated demand prefix: want 52 bytes, have 8"},
+		// The retired demand bits: request flag bit 5, and status bit 6 over
+		// the 52-byte prefix a version-3 node sent with it.
+		{"PING with flag bit 5", frame(OpPing, 1<<5), reqDecoder, "flags 0x20 are not defined for PING"},
+		{"status bit 6 over 52 bytes", frame(OpPing, uint8(StatusOK)|1<<6, zeros(52)...), respDecoder, "unknown status 64"},
 	}
 }
 
@@ -176,11 +176,6 @@ func FuzzWireDecode(f *testing.F) {
 			if resp2.Op != resp.Op || resp2.ID != resp.ID || resp2.Status != resp.Status ||
 				len(resp2.Values) != len(resp.Values) {
 				t.Fatalf("response round trip drifted: %+v vs %+v", resp, resp2)
-			}
-			if resp.Piggyback != nil || resp2.Piggyback != nil {
-				if resp.Piggyback == nil || resp2.Piggyback == nil || *resp2.Piggyback != *resp.Piggyback {
-					t.Fatalf("piggyback round trip drifted: %+v vs %+v", resp.Piggyback, resp2.Piggyback)
-				}
 			}
 			if (resp.Trace == nil) != (resp2.Trace == nil) ||
 				(resp.Trace != nil && *resp2.Trace != *resp.Trace) {

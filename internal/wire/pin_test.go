@@ -52,7 +52,7 @@ func TestFrameGolden(t *testing.T) {
 
 // verdictDigest is the SHA-256 TestDecodeVerdictDigest computes; it changes
 // only when some frame decodes differently.
-const verdictDigest = "8e6f9c5cd6512706328cadc64c08cb2bc6b46faeb486718310f56cbf6ded92ec"
+const verdictDigest = "2e25ac70f7f67170bb810ba04396dfc6d42436407dd5bd912db2c376604392fd"
 
 // TestDecodeVerdictDigest pins what both decoders make of 100k seeded
 // mutations of the fixture frames: for each mutated frame, each decoder's

@@ -6,7 +6,7 @@
 //
 //	offset size  field
 //	0      1     magic (0x53, 'S')
-//	1      1     version (currently 3)
+//	1      1     version (currently 4)
 //	2      1     opcode (requests) / echoed opcode (responses)
 //	3      1     flags (requests) / status (responses)
 //	4      4     request id, big endian (echoed verbatim in the response)
@@ -65,7 +65,9 @@ const (
 	// the first frame instead of desynchronizing mid-stream. Version 3
 	// dropped the LOAD opcode, renumbering VIEW and REPLICATE: a version-2
 	// peer's frames would parse and mis-dispatch, so they must fail here.
-	Version = 3
+	// Version 4 dropped the demand flag and its 52-byte response prefix: a
+	// version-3 heartbeat would ask for a snapshot no node sends.
+	Version = 4
 	// HeaderLen is the fixed frame-header size in bytes.
 	HeaderLen = 12
 )
@@ -138,13 +140,6 @@ const (
 	// FlagNegative marks an OpReplicate as a replicated delete, whose
 	// payload then carries the key alone.
 	FlagNegative uint8 = 1 << 3
-	// FlagDemand asks the server to piggyback its NodeDemand snapshot on
-	// the response (flagged by the status byte's bit 6, ahead of the opcode
-	// payload). It adds no request payload, so every opcode takes it —
-	// this is how demand dissemination rides existing response traffic
-	// instead of a polling sidecar, and how heartbeats (PING with this flag)
-	// double as gossip. It is the only way a NodeDemand travels.
-	FlagDemand uint8 = 1 << 5
 )
 
 // respFlagTrace marks a traced response. Responses have no flags byte —
@@ -152,12 +147,6 @@ const (
 // bit, which no Status value can reach (statusMax is tiny and the decoder
 // rejects unknown statuses). The decoder masks it off before validating.
 const respFlagTrace uint8 = 1 << 7
-
-// respFlagDemand marks a response carrying a piggybacked NodeDemand prefix
-// (the answer to a FlagDemand request). Like respFlagTrace it rides an
-// unreachable status-byte bit; the 52-byte demand prefix sits after the
-// trace extension (when present), ahead of the opcode payload.
-const respFlagDemand uint8 = 1 << 6
 
 // TraceExt is the optional per-request trace extension enabled by
 // FlagTrace. On requests only ID and SendMicros travel (16 bytes); on
@@ -340,38 +329,6 @@ type ReplicaSet struct {
 	Replicas []uint32
 }
 
-// NodeDemand is the snapshot a FlagDemand response piggybacks: one node's
-// aggregate capacity-demand signal, derived from its cache's per-set SCDM
-// monitors (stemcache.Demand). The membership manager's heartbeat records
-// these, and its replica placement reads GiverSets/Sets to break ties
-// between follower candidates. It travels as a fixed 52-byte big-endian
-// prefix so carrying it costs a response 52 bytes, not a JSON parse.
-type NodeDemand struct {
-	// NodeID identifies the answering node within its cluster (the
-	// server's configured id; 0 when unconfigured).
-	NodeID uint32
-	// Sets is the cache's total set count.
-	Sets uint32
-	// TakerSets counts sets whose SC_S is saturated.
-	TakerSets uint32
-	// GiverSets counts sets whose SC_S MSB is clear.
-	GiverSets uint32
-	// CoupledSets counts sets currently in a taker-giver association.
-	CoupledSets uint32
-	// ScSSum is the sum of all sets' SC_S counters; ScSMax is the
-	// saturation denominator (Sets × counter max).
-	ScSSum uint64
-	ScSMax uint64
-	// Live and Capacity are the cache's resident entry count and
-	// normalized entry capacity.
-	Live     uint64
-	Capacity uint64
-}
-
-// nodeDemandLen is the fixed demand prefix size: five uint32 fields plus
-// four uint64 fields.
-const nodeDemandLen = 5*4 + 4*8
-
 // Request is the decoded form of one request frame.
 type Request struct {
 	// Op selects the operation.
@@ -435,11 +392,6 @@ type Response struct {
 	// response — including StatusErr, so a failing traced request still
 	// yields a latency sample.
 	Trace *TraceExt
-	// Piggyback is the demand snapshot answering a FlagDemand request. It
-	// travels as a 52-byte payload prefix after the trace extension —
-	// flagged by the status byte's bit 6 — on any opcode's response, which
-	// is what makes demand dissemination ride existing traffic.
-	Piggyback *NodeDemand
 }
 
 // Reset clears resp for reuse while keeping the Found and Values backing

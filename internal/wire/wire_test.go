@@ -27,7 +27,6 @@ func requestFixtures() []*Request {
 		{Op: OpMGet, ID: 9, Keys: []string{"a", "", "long-key"}},
 		{Op: OpMGet, ID: 10, Keys: []string{}},
 		{Op: OpMSet, ID: 11, Pairs: []KV{{Key: "a", Value: []byte("1")}, {Key: "b", Value: nil}}},
-		{Op: OpPing, ID: 12, Flags: FlagDemand},
 		{Op: OpGet, ID: 13, Key: "traced", Trace: &TraceExt{ID: 0xDEADBEEFCAFE, SendMicros: 123456789}},
 		{Op: OpSet, ID: 14, Flags: FlagNX, Key: "k", Value: []byte("v"), Trace: &TraceExt{ID: 1, SendMicros: 2}},
 		{Op: OpPing, ID: 15, Trace: &TraceExt{}},
@@ -49,8 +48,6 @@ func requestFixtures() []*Request {
 		{Op: OpReplicate, ID: 29, Key: "rk", Value: []byte("rv"), TTL: 250 * time.Millisecond},
 		{Op: OpReplicate, ID: 30, Key: "rk2", Value: nil, TTL: 0},
 		{Op: OpReplicate, ID: 31, Flags: FlagNegative, Key: "gone"},
-		{Op: OpGet, ID: 33, Key: "alpha", Flags: FlagDemand},
-		{Op: OpPing, ID: 34, Flags: FlagDemand, Trace: &TraceExt{ID: 8, SendMicros: 9}},
 	}
 }
 
@@ -68,11 +65,6 @@ func responseFixtures() []*Response {
 			Found: []bool{true, false, true}, Values: [][]byte{[]byte("a"), nil, {}}},
 		{Op: OpStats, ID: 10, Status: StatusOK, Value: []byte(`{"gets":1}`)},
 		{Op: OpGet, ID: 11, Status: StatusErr, Value: []byte("boom")},
-		{Op: OpPing, ID: 12, Status: StatusOK, Piggyback: &NodeDemand{
-			NodeID: 2, Sets: 512, TakerSets: 96, GiverSets: 300, CoupledSets: 64,
-			ScSSum: 9000, ScSMax: 512 * 127, Live: 4000, Capacity: 4096,
-		}},
-		{Op: OpPing, ID: 13, Status: StatusErr, Value: []byte("draining"), Piggyback: &NodeDemand{NodeID: 4}},
 		{Op: OpGet, ID: 14, Status: StatusOK, Value: []byte("v"),
 			Trace: &TraceExt{ID: 0xDEADBEEFCAFE, SendMicros: 123456789, QueueMicros: 12, HandleMicros: 345}},
 		{Op: OpGet, ID: 15, Status: StatusErr, Value: []byte("boom"),
@@ -82,13 +74,6 @@ func responseFixtures() []*Response {
 		{Op: OpView, ID: 26, Status: StatusOK},
 		{Op: OpView, ID: 27, Status: StatusErr, Value: []byte("no membership agent")},
 		{Op: OpReplicate, ID: 28, Status: StatusOK},
-		{Op: OpGet, ID: 29, Status: StatusOK, Value: []byte("v"),
-			Piggyback: &NodeDemand{NodeID: 1, Sets: 64, TakerSets: 8, Live: 100, Capacity: 256}},
-		{Op: OpGet, ID: 30, Status: StatusNotFound,
-			Piggyback: &NodeDemand{NodeID: 2}},
-		{Op: OpPing, ID: 31, Status: StatusOK,
-			Piggyback: &NodeDemand{NodeID: 3, ScSSum: 12, ScSMax: 64},
-			Trace:     &TraceExt{ID: 6, SendMicros: 7, QueueMicros: 8, HandleMicros: 9}},
 	}
 }
 
@@ -364,16 +349,16 @@ type boundaryFrame struct {
 }
 
 // opFlags is the protocol's flag table, written out apart from the ops
-// rows so that the codec is checked against it: every op takes FlagTrace
-// and FlagDemand, SET and SETTTL also FlagNX, REPLICATE also FlagNegative.
+// rows so that the codec is checked against it: every op takes FlagTrace,
+// SET and SETTTL also FlagNX, REPLICATE also FlagNegative.
 func opFlags(op Op) uint8 {
 	switch op {
 	case OpSet, OpSetTTL:
-		return FlagTrace | FlagDemand | FlagNX
+		return FlagTrace | FlagNX
 	case OpReplicate:
-		return FlagTrace | FlagDemand | FlagNegative
+		return FlagTrace | FlagNegative
 	}
-	return FlagTrace | FlagDemand
+	return FlagTrace
 }
 
 // boundaryFrames builds one frame for every request body (each op under
@@ -488,66 +473,6 @@ func TestEncodedFramesDecode(t *testing.T) {
 		case decErr == nil && (reErr != nil || !bytes.Equal(re, bf.data)):
 			t.Errorf("%s: decoded frame re-encodes to %x (%v), want %x", bf.name, re, reErr, bf.data)
 		}
-	}
-}
-
-// TestDemandPayload pins the piggybacked-demand contract: the heartbeat's
-// answer (PING + FlagDemand) is a fixed 52-byte prefix on an otherwise empty
-// response, it rides a StatusErr response ahead of the message, a truncated
-// prefix is rejected, and a response without the status bit decodes none.
-func TestDemandPayload(t *testing.T) {
-	lim := Limits{}.withDefaults()
-	d := &NodeDemand{NodeID: 1, Sets: 128, TakerSets: 128, ScSSum: 127 * 128, ScSMax: 127 * 128}
-	buf, err := AppendResponse(nil, &Response{Op: OpPing, ID: 5, Status: StatusOK, Piggyback: d}, lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(buf) - HeaderLen; got != nodeDemandLen {
-		t.Fatalf("heartbeat response payload is %d bytes, want %d", got, nodeDemandLen)
-	}
-	if buf[3] != uint8(StatusOK)|respFlagDemand {
-		t.Fatalf("status byte 0x%02x, want OK with the demand bit", buf[3])
-	}
-	resp, _, err := DecodeResponse(buf, lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resp.Piggyback, d) {
-		t.Fatalf("demand round trip: got %+v want %+v", resp.Piggyback, d)
-	}
-
-	// Truncated prefix must be rejected as a frame error.
-	short := append([]byte(nil), buf[:len(buf)-1]...)
-	binary.BigEndian.PutUint32(short[8:12], uint32(nodeDemandLen-1))
-	if _, _, err := DecodeResponse(short, lim); !errors.Is(err, ErrFrame) {
-		t.Fatalf("truncated demand prefix accepted: %v", err)
-	}
-
-	// A failed op still knows the node's demand: the prefix precedes the
-	// error message.
-	buf, err = AppendResponse(nil, &Response{Op: OpGet, ID: 6, Status: StatusErr, Value: []byte("boom"), Piggyback: d}, lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, _, err = DecodeResponse(buf, lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != StatusErr || string(resp.Value) != "boom" || !reflect.DeepEqual(resp.Piggyback, d) {
-		t.Fatalf("StatusErr + demand decoded as %+v", resp)
-	}
-
-	// Without the status bit no snapshot is decoded.
-	buf, err = AppendResponse(nil, &Response{Op: OpPing, ID: 7, Status: StatusOK}, lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, _, err = DecodeResponse(buf, lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Piggyback != nil {
-		t.Fatalf("unflagged response decoded a snapshot: %+v", resp.Piggyback)
 	}
 }
 
