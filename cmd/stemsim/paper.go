@@ -37,7 +37,7 @@ var rows = []experiment{
 	{"fig9", "Figure 9: CPI, same matrix", comparison("fig9", "CPI", "6.3", func(c *experiments.Comparison) *stats.Table { return c.CPI })},
 	{"fig10", "Figure 10: sensitivity sweeps with STEM", sweeps("fig10", nil)},
 	{"ablation", "Ablations (beyond the paper): STEM mechanisms and parameters", ablation},
-	{"extension", "Extension (beyond the paper): STEM vs the RRIP family", extension},
+	{"extension", "Extension (beyond the paper): STEM vs the RRIP family and SKEW", extension},
 	{"replicate", "Replication (beyond the paper): seed robustness", replicate},
 	{"table3", "Table 3: hardware overhead", table3},
 }

@@ -358,6 +358,9 @@ func TestExtensionComparisonSmallScale(t *testing.T) {
 	if drrip <= 0 {
 		t.Fatalf("DRRIP geomean %v", drrip)
 	}
+	if skew, ok := tbl.Get("Geomean", "SKEW"); !ok || skew <= 0 {
+		t.Fatalf("SKEW geomean %v,%v", skew, ok)
+	}
 	// The extension claim: STEM's set-level adaptation still beats (or at
 	// worst matches) the stronger cache-level temporal family overall.
 	if stem > drrip*1.05 {

@@ -135,7 +135,7 @@ func TestMatrixDrawsEachRowOnce(t *testing.T) {
 	if _, err := ExtensionComparison(cfg); err != nil {
 		t.Fatal(err)
 	}
-	c.expect(t, "ExtensionComparison, 15 analogs x 5 schemes", cfg, 15)
+	c.expect(t, "ExtensionComparison, 15 analogs x 6 schemes", cfg, 15)
 
 	// Fewer rows than cores: the columns split so that every core has work.
 	if _, err := RunWorkload(benches[0].Workload, "STEM", cfg); err != nil {
