@@ -265,11 +265,10 @@ func (m *Manager) Leave(node int) (Report, error) {
 }
 
 // Tick runs one heartbeat round: ping every serving member and count its
-// consecutive misses. An answered
-// probe resets the count; a node whose count reaches SuspectAfter fails
-// over, and a failed-over node is no longer serving, so Tick never probes
-// it again — it fails over once. It returns one Report per failover
-// (usually none).
+// consecutive misses. An answered probe resets the count; a node whose
+// count reaches SuspectAfter fails over, and a failed-over node is no
+// longer serving, so Tick never probes it again — it fails over once. It
+// returns one Report per failover (usually none).
 func (m *Manager) Tick() []Report {
 	m.mu.Lock()
 	alive := m.aliveLocked()

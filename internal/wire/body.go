@@ -41,22 +41,19 @@ type opDesc struct {
 	alias bool
 }
 
-// anyOp is what every op takes: a trace extension.
-const anyOp = FlagTrace
-
 // ops describes every opcode once. The encoders, the decoders and Op.String
 // all read it.
 var ops = [opMax]opDesc{
-	OpPing:      {name: "PING", flags: anyOp},
-	OpGet:       {name: "GET", req: fKey, resp: fValue, flags: anyOp, alias: true},
-	OpSet:       {name: "SET", req: fKey | fValue, resp: fValue, flags: anyOp | FlagNX},
-	OpSetTTL:    {name: "SETTTL", req: fTTL | fKey | fValue, resp: fValue, flags: anyOp | FlagNX},
-	OpDel:       {name: "DEL", req: fKey, flags: anyOp, alias: true},
-	OpMGet:      {name: "MGET", req: fKeys, resp: fFound, flags: anyOp, alias: true},
-	OpMSet:      {name: "MSET", req: fPairs, flags: anyOp},
-	OpStats:     {name: "STATS", resp: fValue, flags: anyOp},
-	OpView:      {name: "VIEW", req: fView, flags: anyOp},
-	OpReplicate: {name: "REPLICATE", req: fTTL | fKey | fValue, flags: anyOp | FlagNegative},
+	OpPing:      {name: "PING", flags: FlagTrace},
+	OpGet:       {name: "GET", req: fKey, resp: fValue, flags: FlagTrace, alias: true},
+	OpSet:       {name: "SET", req: fKey | fValue, resp: fValue, flags: FlagTrace | FlagNX},
+	OpSetTTL:    {name: "SETTTL", req: fTTL | fKey | fValue, resp: fValue, flags: FlagTrace | FlagNX},
+	OpDel:       {name: "DEL", req: fKey, flags: FlagTrace, alias: true},
+	OpMGet:      {name: "MGET", req: fKeys, resp: fFound, flags: FlagTrace, alias: true},
+	OpMSet:      {name: "MSET", req: fPairs, flags: FlagTrace},
+	OpStats:     {name: "STATS", resp: fValue, flags: FlagTrace},
+	OpView:      {name: "VIEW", req: fView, flags: FlagTrace},
+	OpReplicate: {name: "REPLICATE", req: fTTL | fKey | fValue, flags: FlagTrace | FlagNegative},
 }
 
 // reqBody is the body of a request for the valid op under flags fl, or an

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"reflect"
@@ -94,6 +95,21 @@ func malformedFrames() []struct {
 	}
 }
 
+// retiredDemandFrames are the frames version 3 sent for node demand, as
+// its golden file held them: three requests with flag bit 5 (PING, GET,
+// traced PING) and five responses with status bit 6 and the 52-byte
+// demand prefix (OK, ERR, on GET, NOT_FOUND, traced).
+var retiredDemandFrames = []string{
+	"530301200000000c00000000",
+	"5303022000000021000000070005616c706861",
+	"53030122000000220000001000000000000000080000000000000009",
+	"530301400000000c000000340000000200000200000000600000012c000000400000000000002328000000000000fe000000000000000fa00000000000001000",
+	"530301430000000d000000400000000400000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000008647261696e696e67",
+	"530302400000001d00000039000000010000004000000008000000000000000000000000000000000000000000000000000000000000006400000000000001000000000176",
+	"530302410000001e0000003400000002000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+	"530301c00000001f0000004c0000000000000006000000000000000700000008000000090000000300000000000000000000000000000000000000000000000c000000000000004000000000000000000000000000000000",
+}
+
 // TestDecodeRejectsMalformed checks every malformed frame is refused by the
 // decoders its row names, with ErrFrame and the row's reason.
 func TestDecodeRejectsMalformed(t *testing.T) {
@@ -131,6 +147,22 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	for _, m := range malformedFrames() {
 		f.Add(m.frame)
+	}
+	// The retired demand frames at the current version: both decoders
+	// refuse each one, and the fuzzer mutates from there.
+	for _, h := range retiredDemandFrames {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		b[1] = Version
+		if _, _, err := DecodeRequest(b, lim); err == nil {
+			f.Fatalf("request decoder accepted retired frame %s", h)
+		}
+		if _, _, err := DecodeResponse(b, lim); err == nil {
+			f.Fatalf("response decoder accepted retired frame %s", h)
+		}
+		f.Add(b)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
