@@ -2,6 +2,7 @@ package stemcache
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -93,6 +94,32 @@ func TestClockNotReadForOtherKeysDeadlines(t *testing.T) {
 	}
 	if st := c.Stats(); st.Evictions != 1 || st.Expirations != 0 {
 		t.Fatalf("Evictions=%d Expirations=%d, want 1 and 0", st.Evictions, st.Expirations)
+	}
+}
+
+// TestHugeTTLNeverExpires: a TTL so large that instant + ttl overflows int64
+// stores a deadline saturated at math.MaxInt64, not a wrapped one already in
+// the past — through SetWithTTL and through Set under such a DefaultTTL.
+func TestHugeTTLNeverExpires(t *testing.T) {
+	const huge = time.Duration(math.MaxInt64)
+	clock := int64(1_700_000_000_000_000_000)
+	reads := 0
+	c := clockCache(&clock, &reads)
+	c.SetWithTTL(1, 1, huge)
+	d := mustWithHasher[int, int](Config{Capacity: 64, Shards: 1, Ways: 4, Seed: 1, DefaultTTL: huge}, identity)
+	d.now = func() int64 { return clock }
+	d.Set(1, 1)
+	clock += int64(time.Hour)
+	for _, tc := range []struct {
+		name string
+		c    *Cache[int, int]
+	}{{"SetWithTTL", c}, {"Set under DefaultTTL", d}} {
+		if _, ok := tc.c.Get(1); !ok {
+			t.Errorf("%s with ttl MaxInt64: Get missed", tc.name)
+		}
+		if st := tc.c.Stats(); st.Expirations != 0 {
+			t.Errorf("%s with ttl MaxInt64: Expirations=%d, want 0", tc.name, st.Expirations)
+		}
 	}
 }
 

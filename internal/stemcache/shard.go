@@ -1,6 +1,7 @@
 package stemcache
 
 import (
+	"math"
 	"sync"
 	"time"
 	"unsafe"
@@ -119,13 +120,18 @@ func (c *Cache[K, V]) at(k *opClock) int64 {
 	return k.t
 }
 
-// after returns the deadline ttl past the operation's instant; ttl <= 0 means
-// never (0) and reads no clock.
+// after returns the deadline ttl past the operation's instant, saturated at
+// math.MaxInt64 so a huge ttl cannot wrap to a deadline already past; ttl <= 0
+// means never (0) and reads no clock.
 func (c *Cache[K, V]) after(k *opClock, ttl time.Duration) int64 {
 	if ttl <= 0 {
 		return 0
 	}
-	return c.at(k) + int64(ttl)
+	at := c.at(k)
+	if d := at + int64(ttl); d >= at {
+		return d
+	}
+	return math.MaxInt64
 }
 
 // find returns the way of set idx holding key — as a local entry, or with cc
