@@ -90,17 +90,6 @@ func (c *Cache[K, V]) tags(sh *shard[K, V], idx int) []uint64 {
 	return sh.tags[idx*c.cfg.Ways:][:c.cfg.Ways]
 }
 
-// freeWay returns the first empty way of a set with tags t, or -1 when the
-// set is full.
-func freeWay(t []uint64) int {
-	for w, tag := range t {
-		if tag == 0 {
-			return w
-		}
-	}
-	return -1
-}
-
 // opClock is one operation's TTL clock: c.now is read at most once, under the
 // shard lock, the first time the operation meets a deadline — a matching
 // entry's exp, or a ttl to add to now. An operation that meets none reads no
@@ -223,18 +212,43 @@ func (c *Cache[K, V]) store(sh *shard[K, V], key K, value V, h uint64, clk *opCl
 	// Miss: consult the shadow directory, then fill locally (the library
 	// analogue of the simulator's miss path).
 	sh.eng.Miss(idx, c.sigOf(h))
-	c.insert(sh, idx, entry[K, V]{key: key, val: value, hash: h, exp: exp})
+	c.insert(sh, idx, entry[K, V]{key: key, val: value, hash: h, exp: exp}, clk)
 }
 
-// insert puts ent into set idx — the one place an entry enters the cache. A
-// free way is used when the set has one; only a full set asks the engine for
-// a victim.
-func (c *Cache[K, V]) insert(sh *shard[K, V], idx int, ent entry[K, V]) {
+// room returns a way of set idx to fill without evicting anything live: the
+// first empty way, else — only when the operation already holds its instant —
+// the first way whose entry is past it, collected as an expiry (a dead entry
+// is no capacity evidence, so no shadow signature is recorded). -1 means
+// every way holds a live entry, or the operation has no instant and reads no
+// clock to find out.
+func (c *Cache[K, V]) room(sh *shard[K, V], idx int, clk *opClock) int {
+	for w, tag := range c.tags(sh, idx) {
+		if tag == 0 {
+			return w
+		}
+	}
+	if !clk.read {
+		return -1
+	}
+	s := c.set(sh, idx)
+	for w := range s {
+		if e := s[w].exp; e != 0 && clk.t > e {
+			c.expire(sh, idx, w)
+			return w
+		}
+	}
+	return -1
+}
+
+// insert puts ent into set idx — the one place an entry enters the cache. An
+// empty or expired way is used when the set has one (see room); only a set
+// full of live entries asks the engine for a victim.
+func (c *Cache[K, V]) insert(sh *shard[K, V], idx int, ent entry[K, V], clk *opClock) {
 	t := c.tags(sh, idx)
-	way := freeWay(t)
+	way := c.room(sh, idx, clk)
 	if way < 0 {
 		way = sh.eng.Victim(idx)
-		c.vacate(sh, idx, way)
+		c.vacate(sh, idx, way, clk)
 	}
 	c.set(sh, idx)[way], t[way] = ent, tagOf(ent.hash, false)
 	sh.eng.Fill(idx, way)
@@ -244,8 +258,10 @@ func (c *Cache[K, V]) insert(sh *shard[K, V], idx int, ent entry[K, V]) {
 // vacate moves the entry in (idx, w) where the engine sends it: into the
 // coupled giver as a cooperatively cached entry, or out of the cache. Either
 // way the caller refills (idx, w) at once, so its tag is left for the caller
-// to overwrite.
-func (c *Cache[K, V]) vacate(sh *shard[K, V], idx, w int) {
+// to overwrite. A spill lands in the giver's room (an expired way there is
+// reused after Evict has counted the spill in, so the pair cannot dissolve
+// mid-placement), else displaces the giver's victim.
+func (c *Cache[K, V]) vacate(sh *shard[K, V], idx, w int, clk *opClock) {
 	v := &c.set(sh, idx)[w]
 	g := sh.eng.Evict(idx, c.sigOf(v.hash), c.tags(sh, idx)[w]&tagCC != 0)
 	if g < 0 {
@@ -254,10 +270,10 @@ func (c *Cache[K, V]) vacate(sh *shard[K, V], idx, w int) {
 		return
 	}
 	gs, gt := c.set(sh, g), c.tags(sh, g)
-	gw := freeWay(gt)
+	gw := c.room(sh, g, clk)
 	if gw < 0 {
 		gw = sh.eng.Victim(g)
-		c.vacate(sh, g, gw)
+		c.vacate(sh, g, gw, clk)
 	}
 	gs[gw], gt[gw] = *v, tagOf(v.hash, true)
 	sh.eng.Fill(g, gw)
