@@ -161,9 +161,9 @@ func TestPinnedStats(t *testing.T) {
 	c.now = func() int64 { return clock }
 	mixedOps(c, &clock, 60_000)
 	got := fmt.Sprintf("%+v len=%d", c.Stats(), c.Len())
-	const want = "{Gets:45000 Hits:14926 Misses:30074 Puts:37574 Deletes:2741 Evictions:30322 Expirations:3511 " +
-		"SecondaryHits:110 ShadowHits:12101 PolicySwaps:438 Couplings:291 Decouplings:273 Spills:1341 Receives:1341 " +
-		"TakerSets:121 GiverSets:9 CoupledSets:36} len=772"
+	const want = "{Gets:45000 Hits:15889 Misses:29111 Puts:36611 Deletes:3163 Evictions:22056 Expirations:10394 " +
+		"SecondaryHits:380 ShadowHits:11841 PolicySwaps:324 Couplings:283 Decouplings:255 Spills:1604 Receives:1604 " +
+		"TakerSets:143 GiverSets:10 CoupledSets:56} len=844"
 	if got != want {
 		t.Fatalf("Stats moved:\n got %s\nwant %s", got, want)
 	}
