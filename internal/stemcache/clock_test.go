@@ -97,6 +97,109 @@ func TestClockNotReadForOtherKeysDeadlines(t *testing.T) {
 	}
 }
 
+// TestInsertReclaimsDeadWay: an insert that already holds its instant takes
+// a way whose entry is past it before evicting a live entry — collected as an
+// expiry, with no shadow signature — in the home set and in the giver a spill
+// lands in. TestClockNotReadForOtherKeysDeadlines is the other half: without
+// an instant the insert reads no clock for this and evicts.
+func TestInsertReclaimsDeadWay(t *testing.T) {
+	// home fills set 0 with key 16 TTL'd and dead at the insert's instant,
+	// then inserts a new key with a TTL: one clock read, one expiration, no
+	// eviction, the new key in the dead key's way, every live resident kept.
+	home := func(t *testing.T, c *Cache[int, int], clock *int64, reads *int) {
+		s := c.sets
+		c.Set(0, 0)
+		c.SetWithTTL(s, 1, time.Second)
+		c.SetWithTTL(2*s, 2, time.Hour)
+		c.Set(3*s, 3)
+		*clock += int64(2 * time.Second)
+		sh := &c.shards[0]
+		dead := -1
+		for w, e := range c.set(sh, 0) {
+			if e.key == s {
+				dead = w
+			}
+		}
+		before := c.Stats()
+		*reads = 0
+		c.SetWithTTL(4*s, 4, time.Second)
+		if *reads != 1 {
+			t.Errorf("%d clock reads, want 1", *reads)
+		}
+		st := c.Stats()
+		if st.Expirations != before.Expirations+1 || st.Evictions != before.Evictions {
+			t.Errorf("Expirations %d->%d, Evictions %d->%d; want +1 and +0",
+				before.Expirations, st.Expirations, before.Evictions, st.Evictions)
+		}
+		if got := c.set(sh, 0)[dead].key; got != 4*s {
+			t.Errorf("way %d holds key %d, want the new key %d", dead, got, 4*s)
+		}
+		for _, k := range []int{0, 2 * s, 3 * s, 4 * s} {
+			if _, ok := c.Get(k); !ok {
+				t.Errorf("live key %d evicted", k)
+			}
+		}
+	}
+
+	t.Run("home set", func(t *testing.T) {
+		var clock int64
+		reads := 0
+		home(t, clockCache(&clock, &reads), &clock, &reads)
+	})
+
+	t.Run("NewShardedLRU", func(t *testing.T) {
+		var clock int64
+		reads := 0
+		c := mustLRU[int, int](Config{Capacity: 64, Shards: 1, Ways: 4, Seed: 1})
+		c.hasher = identity // still empty: place keys as clockCache does
+		c.now = func() int64 { reads++; return clock }
+		home(t, c, &clock, &reads)
+	})
+
+	t.Run("giver set", func(t *testing.T) {
+		c := coupledCache(t)
+		var clock int64
+		c.now = func() int64 { return clock }
+		sh, s := &c.shards[0], c.sets
+		spilled := spillOne(t, c, 0)
+		c.SetWithTTL(spilled, 0, time.Second) // the cc entry now carries a deadline
+		for _, k := range []int{2, 2 + s, 2 + 2*s} {
+			c.Set(k, k) // giver set 2: full, one dead-to-be cc entry
+		}
+		clock += int64(2 * time.Second)
+		sh.eng.Monitor(0).ScS = sh.eng.Geom().Max
+		before := c.Stats()
+		c.SetWithTTL(5*s, 5, time.Second) // set 0 is full of live entries: a spill
+		st := c.Stats()
+		if st.Spills != before.Spills+1 || st.Expirations != before.Expirations+1 ||
+			st.Evictions != before.Evictions || st.Decouplings != before.Decouplings {
+			t.Errorf("Spills %d->%d, Expirations %d->%d, Evictions %d->%d, Decouplings %d->%d; want +1, +1, +0, +0",
+				before.Spills, st.Spills, before.Expirations, st.Expirations,
+				before.Evictions, st.Evictions, before.Decouplings, st.Decouplings)
+		}
+		if sh.eng.Role(0) != "taker" || sh.eng.Partner(0) != 2 {
+			t.Errorf("set 0 is %s with partner %d, want still coupled to giver 2", sh.eng.Role(0), sh.eng.Partner(0))
+		}
+		cc := 0
+		for w, tag := range c.tags(sh, 2) {
+			if tag&tagCC != 0 {
+				cc++
+				if k := c.set(sh, 2)[w].key; k == spilled {
+					t.Errorf("dead cc key %d still in the giver", k)
+				}
+			}
+		}
+		if cc != 1 {
+			t.Errorf("giver holds %d cc entries, want 1 (the new spill in the dead one's way)", cc)
+		}
+		for _, k := range []int{2, 2 + s, 2 + 2*s} {
+			if _, ok := c.Get(k); !ok {
+				t.Errorf("giver's live key %d evicted", k)
+			}
+		}
+	})
+}
+
 // TestHugeTTLNeverExpires: a TTL so large that instant + ttl overflows int64
 // stores a deadline saturated at math.MaxInt64, not a wrapped one already in
 // the past — through SetWithTTL and through Set under such a DefaultTTL.
