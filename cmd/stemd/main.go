@@ -36,7 +36,7 @@ func main() {
 		shards     = flag.Int("shards", 0, "shard count (0 = default 16; rounded to a power of two)")
 		ways       = flag.Int("ways", 0, "set associativity (0 = default 8)")
 		seed       = flag.Uint64("seed", 0x57E4, "seed for the cache's probabilistic devices")
-		defaultTTL = flag.Duration("default-ttl", 0, "TTL applied by SET (0 = never expire; SETTTL overrides per key)")
+		defaultTTL = flag.Duration("default-ttl", 0, "TTL applied by SET (0 = never expire; SETTTL overrides per key); with a TTL, an insert reuses an expired entry's way before evicting a live one")
 		lru        = flag.Bool("lru", false, "serve the sharded-LRU baseline instead of STEM (same geometry)")
 
 		maxConns     = flag.Int("max-conns", 0, "max concurrently served connections (0 = default 1024)")

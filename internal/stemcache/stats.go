@@ -21,7 +21,9 @@ type Stats struct {
 	// Evictions counts entries dropped from the cache by capacity pressure
 	// (spilled entries are moved, not evicted, and are not counted here).
 	Evictions uint64
-	// Expirations counts entries collected lazily after their TTL passed.
+	// Expirations counts entries collected lazily after their TTL passed:
+	// by an operation that touched the key, by an insert that reused the
+	// dead entry's way instead of evicting a live one, or by Len's sweep.
 	Expirations uint64
 	// SecondaryHits counts Get hits served from a coupled giver set
 	// (a subset of Hits) — capacity the spatial mechanism recovered.

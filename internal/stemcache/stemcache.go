@@ -37,8 +37,11 @@
 // need — when the operation meets an entry that carries a deadline, or has a
 // TTL to turn into one — so a key read exactly at its deadline is
 // deterministically one or the other, never double-counted in the hit/miss
-// statistics, and an operation that meets no deadline reads no clock. The
-// cache starts no goroutines, ever.
+// statistics, and an operation that meets no deadline reads no clock. An
+// insert that already holds its instant also collects a dead entry it finds
+// in the set it fills (the home set, or the giver a spill lands in): the
+// dead way is reused before a live entry is evicted, and leaves no shadow
+// signature. The cache starts no goroutines, ever.
 //
 // With default hashing, caches keyed by strings or integers are fully
 // deterministic for a fixed Config.Seed: a single-goroutine run produces
