@@ -103,7 +103,7 @@ func TestClockNotReadForOtherKeysDeadlines(t *testing.T) {
 // lands in. TestClockNotReadForOtherKeysDeadlines is the other half: without
 // an instant the insert reads no clock for this and evicts.
 func TestInsertReclaimsDeadWay(t *testing.T) {
-	// home fills set 0 with key 16 TTL'd and dead at the insert's instant,
+	// home fills set 0 with one key TTL'd and dead at the insert's instant,
 	// then inserts a new key with a TTL: one clock read, one expiration, no
 	// eviction, the new key in the dead key's way, every live resident kept.
 	home := func(t *testing.T, c *Cache[int, int], clock *int64, reads *int) {
