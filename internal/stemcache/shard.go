@@ -16,7 +16,7 @@ type entry[K comparable, V any] struct {
 	key  K
 	val  V
 	hash uint64
-	exp  int64 // expiry in unix nanoseconds; 0 = never
+	exp  int64 // deadline in monotonic nanoseconds since epoch; 0 = never
 }
 
 // A tag is one way's probe word: the entry's key hash with its low two bits

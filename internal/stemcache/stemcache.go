@@ -248,9 +248,9 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 		sets:      sets,
 		sig:       core.NewSigHash(cfg.engine()),
 		observer:  cfg.Observer,
-		// The wall clock only decides TTL expiry, never eviction order, so
-		// Stats stay seed-deterministic; tests swap c.now for a fake clock.
-		now: func() int64 { return time.Now().UnixNano() }, //lint:allow(determinism) TTL expiry boundary; eviction decisions never read this clock
+		// The clock only decides TTL expiry, never eviction order, so Stats
+		// stay seed-deterministic; tests swap c.now for a fake clock.
+		now: monoNow,
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -264,6 +264,15 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 	c.registerMetrics(cfg.Metrics)
 	return c
 }
+
+// epoch anchors the TTL clock. Deadlines are nanoseconds on the monotonic
+// clock since it, so a step of the wall clock (NTP, date) moves none of
+// them, and one reading costs one clock read, not time.Now's two. They never
+// leave the process: TTLs cross the wire as durations.
+var epoch = time.Now() //lint:allow(determinism) TTL expiry boundary; eviction decisions never read this clock
+
+// monoNow is the TTL clock: monotonic nanoseconds since epoch.
+func monoNow() int64 { return int64(time.Since(epoch)) }
 
 func log2(v int) uint {
 	n := uint(0)
