@@ -34,7 +34,7 @@ func main() {
 		addr       = flag.String("addr", ":7070", `listen address ("host:port"; ":0" picks a free port)`)
 		capacity   = flag.Int("capacity", 1<<16, "cache capacity in entries (rounded to shards x sets x ways)")
 		shards     = flag.Int("shards", 0, "shard count (0 = default 16; rounded to a power of two)")
-		ways       = flag.Int("ways", 0, "set associativity (0 = default 8)")
+		ways       = flag.Int("ways", 0, "set associativity (0 = default 16)")
 		seed       = flag.Uint64("seed", 0x57E4, "seed for the cache's probabilistic devices")
 		defaultTTL = flag.Duration("default-ttl", 0, "TTL applied by SET (0 = never expire; SETTTL overrides per key); with a TTL, an insert reuses an expired entry's way before evicting a live one")
 		lru        = flag.Bool("lru", false, "serve the sharded-LRU baseline instead of STEM (same geometry)")

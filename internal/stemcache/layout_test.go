@@ -16,7 +16,8 @@ import (
 // number of 64-byte lines and the shard array starts on a line, so no two
 // shards share one; what every Get writes (the lock, the resident count, the
 // inline tally row, the engine's RNG and tick) sits in a shard's first line;
-// an 8-way set's tags are one line; and a [string, []byte] entry is its key,
+// a set's tags start on a line, so an 8-way set's are one line and a 16-way
+// set's (the default geometry) two; and a [string, []byte] entry is its key,
 // value, hash and expiry, 56 bytes.
 func TestShardLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
@@ -35,13 +36,19 @@ func TestShardLayout(t *testing.T) {
 	if size := unsafe.Sizeof(entry[string, []byte]{}); size != 56 {
 		t.Errorf("entry[string, []byte] is %d bytes, want 56", size)
 	}
-	for _, shards := range []int{1, 2, 16, 64} {
-		c := mustNew[string, []byte](Config{Capacity: 8192, Shards: shards, Ways: 8})
+	for _, cfg := range []Config{
+		{Capacity: 8192, Shards: 1, Ways: 8},
+		{Capacity: 8192, Shards: 2, Ways: 8},
+		{Capacity: 8192, Shards: 16, Ways: 8},
+		{Capacity: 8192, Shards: 64, Ways: 8},
+		{}, // the default geometry: 16 shards of 16-way sets
+	} {
+		c := mustNew[string, []byte](cfg)
 		if p := uintptr(unsafe.Pointer(&c.shards[0])); p%64 != 0 {
-			t.Errorf("%d shards: shard 0 at %#x, not on a 64-byte line", shards, p)
+			t.Errorf("%+v: shard 0 at %#x, not on a 64-byte line", cfg, p)
 		}
 		if p := uintptr(unsafe.Pointer(&c.shards[0].tags[0])); p%64 != 0 {
-			t.Errorf("%d shards: tags at %#x, not on a 64-byte line", shards, p)
+			t.Errorf("%+v: tags at %#x, not on a 64-byte line", cfg, p)
 		}
 	}
 }

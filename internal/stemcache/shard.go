@@ -23,8 +23,8 @@ type entry[K comparable, V any] struct {
 // replaced by tagValid and tagCC, or 0 for an empty way. The cc
 // ("cooperatively cached") bit, the software form of the paper's CC bit,
 // marks an entry a giver set holds for its coupled taker. A shard's tags are
-// set-major, so an 8-way set's are one 64-byte line: a probe compares tags
-// and reads an entry only where one matched.
+// set-major, so a 16-way set's are two 64-byte lines (an 8-way set's, one):
+// a probe compares tags and reads an entry only where one matched.
 const (
 	tagValid = 1
 	tagCC    = 2

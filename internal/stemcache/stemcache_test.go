@@ -244,6 +244,47 @@ func TestMixedStatsGolden(t *testing.T) {
 	}
 }
 
+// TestDefaultWaysWidenSTEMsLead runs lib-mixed's key stream (a Zipfian hot
+// set interleaved with a sweep over twice the capacity) cache-aside — Get,
+// then Set on a miss — through STEM and the sharded LRU, each at the default
+// geometry and at 8 ways, and pins the four hit counts. The default is the
+// paper's 16 ways, where each set's shadow directory holds twice the victim
+// history it holds at 8, so STEM/LRU misses must read lower at the default
+// than at 8 ways; a default of 8 makes the two geometries one and fails.
+func TestDefaultWaysWidenSTEMsLead(t *testing.T) {
+	const capacity, ops = 8192, 400_000
+	misses := func(name string, build func(Config) *Cache[string, int], ways int, want uint64) float64 {
+		c := build(Config{Capacity: capacity, Ways: ways, Seed: 11})
+		next, err := workloads.NewKeyStream("mixed", capacity, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < ops; i++ {
+			if k := next(); !has(c, k) {
+				c.Set(k, i)
+			}
+		}
+		hits := c.Stats().Hits
+		if hits != want {
+			t.Errorf("%s at %d ways: %d hits, want %d", name, c.cfg.Ways, hits, want)
+		}
+		return float64(ops - hits)
+	}
+	stem, lru := mustNew[string, int], mustLRU[string, int]
+	def := misses("STEM", stem, 0, 232804) / misses("LRU", lru, 0, 181775)
+	eight := misses("STEM", stem, 8, 227597) / misses("LRU", lru, 8, 181717)
+	t.Logf("STEM/LRU misses: %.4f at the default, %.4f at 8 ways", def, eight)
+	if def >= eight {
+		t.Errorf("STEM/LRU misses %.4f at the default, not below %.4f at 8 ways", def, eight)
+	}
+}
+
+// has reports whether a Get of key hits.
+func has(c *Cache[string, int], key string) bool {
+	_, ok := c.Get(key)
+	return ok
+}
+
 // TestStemBeatsShardedLRUOnScanMix is the acceptance check behind the
 // benchmark claim: on a scan-heavy stream that thrashes LRU, the STEM
 // engine's per-set BIP dueling retains part of each set's working set.
@@ -509,7 +550,7 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 	// The zero value and explicit defaults must validate.
-	for i, cfg := range []Config{{}, {Capacity: 1 << 16, Shards: 16, Ways: 8, CounterBits: 4, SpatialShift: 3, SignatureBits: 10, SelectorSize: 16}} {
+	for i, cfg := range []Config{{}, {Capacity: 1 << 16, Shards: 16, Ways: 16, CounterBits: 4, SpatialShift: 3, SignatureBits: 10, SelectorSize: 16}} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("good[%d]: Validate() = %v, want nil", i, err)
 		}
