@@ -17,7 +17,7 @@ import (
 // document repeats byte for byte. It also pins the document's shape: a key
 // added to or dropped from StatsSnapshot (a "tenants" block, say) changes
 // the string.
-const statsGolden = `{"node_id":0,"cache":{"Gets":6130,"Hits":2693,"Misses":3437,"Puts":3140,"Deletes":336,"Evictions":1242,"Expirations":0,"SecondaryHits":78,"ShadowHits":1107,"PolicySwaps":2,"Couplings":25,"Decouplings":3,"Spills":139,"Receives":139,"TakerSets":20,"GiverSets":17,"CoupledSets":44},"hit_rate":0.4393148450244698,"len":496,"capacity":512,"conns":1,"conns_accepted":1,"requests":6415,"proto_errors":0}`
+const statsGolden = `{"node_id":0,"cache":{"Gets":6130,"Hits":2700,"Misses":3430,"Puts":3130,"Deletes":324,"Evictions":1241,"Expirations":0,"SecondaryHits":89,"ShadowHits":1131,"PolicySwaps":2,"Couplings":13,"Decouplings":6,"Spills":95,"Receives":95,"TakerSets":17,"GiverSets":0,"CoupledSets":14},"hit_rate":0.44045676998368677,"len":503,"capacity":512,"conns":1,"conns_accepted":1,"requests":6403,"proto_errors":0}`
 
 // statsMix drives cl through a seeded mix of every cache-touching opcode —
 // GET, SET, SETNX, DEL, MGET and MSET, and a cache-aside read that SETs on a

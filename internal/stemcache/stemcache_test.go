@@ -231,16 +231,16 @@ func TestMixedStatsGolden(t *testing.T) {
 		}
 	}
 	want := Stats{
-		Gets: 325000, Hits: 169270, Misses: 155730, Puts: 205730, Deletes: 13064, Evictions: 150507, Expirations: 7844,
-		SecondaryHits: 503, ShadowHits: 77631, PolicySwaps: 1023, Couplings: 362, Decouplings: 319,
-		Spills: 4928, Receives: 4928,
-		TakerSets: 630, GiverSets: 37, CoupledSets: 86,
+		Gets: 325000, Hits: 172416, Misses: 152584, Puts: 202584, Deletes: 13301, Evictions: 145753, Expirations: 8744,
+		SecondaryHits: 1052, ShadowHits: 76071, PolicySwaps: 840, Couplings: 565, Decouplings: 500,
+		Spills: 7013, Receives: 7013,
+		TakerSets: 286, GiverSets: 34, CoupledSets: 130,
 	}
 	if got := c.Stats(); got != want {
 		t.Fatalf("Stats moved:\n got %+v\nwant %+v", got, want)
 	}
-	if got := c.Len(); got != 8042 {
-		t.Fatalf("Len = %d, want 8042", got)
+	if got := c.Len(); got != 8064 {
+		t.Fatalf("Len = %d, want 8064", got)
 	}
 }
 
