@@ -255,7 +255,7 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 		observer:  cfg.Observer,
 		// The clock only decides TTL expiry, never eviction order, so Stats
 		// stay seed-deterministic; tests swap c.now for a fake clock.
-		now: monoNow,
+		now: func() int64 { return int64(time.Since(epoch)) },
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -270,14 +270,11 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 	return c
 }
 
-// epoch anchors the TTL clock. Deadlines are nanoseconds on the monotonic
-// clock since it, so a step of the wall clock (NTP, date) moves none of
-// them, and one reading costs one clock read, not time.Now's two. They never
-// leave the process: TTLs cross the wire as durations.
+// epoch anchors the TTL clock (Cache.now). Deadlines are nanoseconds on the
+// monotonic clock since it, so a step of the wall clock (NTP, date) moves
+// none of them, and one reading costs one clock read, not time.Now's two.
+// They never leave the process: TTLs cross the wire as durations.
 var epoch = time.Now() //lint:allow(determinism) TTL expiry boundary; eviction decisions never read this clock
-
-// monoNow is the TTL clock: monotonic nanoseconds since epoch.
-func monoNow() int64 { return int64(time.Since(epoch)) }
 
 func log2(v int) uint {
 	n := uint(0)
