@@ -260,7 +260,8 @@ func TestDefaultWaysWidenSTEMsLead(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < ops; i++ {
-			if k := next(); !has(c, k) {
+			k := next()
+			if _, ok := c.Get(k); !ok {
 				c.Set(k, i)
 			}
 		}
@@ -277,12 +278,6 @@ func TestDefaultWaysWidenSTEMsLead(t *testing.T) {
 	if def >= eight {
 		t.Errorf("STEM/LRU misses %.4f at the default, not below %.4f at 8 ways", def, eight)
 	}
-}
-
-// has reports whether a Get of key hits.
-func has(c *Cache[string, int], key string) bool {
-	_, ok := c.Get(key)
-	return ok
 }
 
 // TestStemBeatsShardedLRUOnScanMix is the acceptance check behind the
