@@ -3,11 +3,12 @@
 // prints their addresses for clients like `stemload -cluster`, and drives
 // the cluster's one control plane, a membership.Manager, from one ticker:
 // every -heartbeat the manager pings each member (failure detection and
-// failover). The manager is the only writer of ring ownership, so every
+// failover). The manager is the only writer of slot ownership, so every
 // move — join, leave, failover — re-places replicas and pushes a new view
 // to the nodes' agents (synchronous replica write fan-out plus
-// read-repair). -join-after and -kill-after/-kill-node script lifecycle
-// events for experiments.
+// read-repair); clients learn each view from the nodes' MOVED answers.
+// -join-after and -kill-after/-kill-node script lifecycle events for
+// experiments.
 //
 // Usage:
 //
@@ -18,7 +19,9 @@
 //	stemcluster -nodes 3 -replication 2 -kill-after 10s -kill-node 1
 //	stemcluster -nodes 3 -replication 2 -join-after 10s
 //
-// Drive it with the load generator, matching -seed (and -vnodes if set):
+// Drive it with the load generator, matching -seed (and -vnodes if set) and
+// handing it the addresses the cluster started with; a node that joins
+// later reaches the load generator in a view:
 //
 //	stemload -cluster "$(cat /tmp/addrs)" -seed 21 -dist hotspot-shift
 //

@@ -28,7 +28,10 @@
 //   - With -cluster, stemload drives a whole ring of servers (comma-separated
 //     addresses, e.g. the set stemcluster prints) through the consistent-hash
 //     routing client and reports aggregate plus per-node numbers. -seed and
-//     -vnodes must match the cluster's.
+//     -vnodes must match the cluster's, and the addresses must be the ones
+//     the cluster started with: nodes that join later, and nodes that died,
+//     reach the client in the views the nodes answer with. A node the view
+//     marks dead or left is reported down.
 //
 // With -trace-every N, every N-th request carries a wire trace extension
 // and the report includes the server/network latency split measured from
@@ -206,8 +209,9 @@ type result struct {
 	// counters included), for trajectory archaeology.
 	Server server.StatsSnapshot `json:"server,omitzero"`
 	// Nodes holds every node's STATS document on -cluster runs (Server is
-	// then the zero value).
-	Nodes []server.StatsSnapshot `json:"nodes,omitempty"`
+	// then the zero value); a node the cluster's view marks dead or left
+	// is null.
+	Nodes []*server.StatsSnapshot `json:"nodes,omitempty"`
 }
 
 // report is the JSON envelope -json writes.
@@ -240,7 +244,11 @@ func printResult(w io.Writer, target string, r result, cfg loadConfig) {
 		fmt.Fprintf(w, "set roles     %d taker  %d giver  %d coupled\n",
 			c.TakerSets, c.GiverSets, c.CoupledSets)
 	}
-	for _, n := range r.Nodes {
+	for i, n := range r.Nodes {
+		if n == nil {
+			fmt.Fprintf(w, "node %-3d      down\n", i)
+			continue
+		}
 		fmt.Fprintf(w, "node %-3d      %.4f hit  %d/%d entries  %d taker  %d giver  %d coupled sets\n",
 			n.NodeID, n.HitRate, n.Len, n.Capacity,
 			n.Cache.TakerSets, n.Cache.GiverSets, n.Cache.CoupledSets)
@@ -469,9 +477,13 @@ func driveCluster(addrs []string, cfg loadConfig) (result, error) {
 	}
 	res := buildResult(pass, cfg)
 	var srvHits, srvGets uint64
-	res.Nodes = make([]server.StatsSnapshot, len(raws))
+	res.Nodes = make([]*server.StatsSnapshot, len(raws))
 	for i, raw := range raws {
-		if err := json.Unmarshal(raw, &res.Nodes[i]); err != nil {
+		if raw == nil {
+			continue // down: the view marks it dead or left
+		}
+		res.Nodes[i] = new(server.StatsSnapshot)
+		if err := json.Unmarshal(raw, res.Nodes[i]); err != nil {
 			return result{}, fmt.Errorf("node %d STATS payload: %w", i, err)
 		}
 		srvHits += res.Nodes[i].Cache.Hits

@@ -236,18 +236,21 @@ func TestScenarios(t *testing.T) {
 		}
 	}
 	// checkRing asserts a -cluster pass's accounting: exactly -ops GETs on
-	// the client, one STATS document per node in want, and every one of
-	// those GETs served by those nodes. A node that acquired slots by
-	// promotion or migration read-repairs its misses there with GETs to the
-	// slot's other replicas, so the nodes may count more than -ops.
+	// the client, one STATS document per node in want and none from the
+	// others (which are down), and every one of those GETs served by those
+	// nodes. A node that acquired slots by promotion or migration
+	// read-repairs its misses there with GETs to the slot's other replicas,
+	// so the nodes may count more than -ops.
 	checkRing := func(t *testing.T, r result, before map[int]uint64, want ...int) {
 		t.Helper()
 		after := map[int]uint64{}
 		for _, doc := range r.Nodes {
-			after[doc.NodeID] = doc.Cache.Gets
+			if doc != nil {
+				after[doc.NodeID] = doc.Cache.Gets
+			}
 		}
-		if len(r.Nodes) != len(want) {
-			t.Fatalf("%d STATS documents, want %d (nodes %v)", len(r.Nodes), len(want), want)
+		if len(after) != len(want) {
+			t.Fatalf("%d STATS documents, want %d (nodes %v)", len(after), len(want), want)
 		}
 		var grown uint64
 		for _, id := range want {
@@ -333,15 +336,21 @@ func TestScenarios(t *testing.T) {
 		if len(failovers) != 1 || failovers[0].Node != kill {
 			t.Fatalf("expected one failover of node %d, got %+v", kill, failovers)
 		}
-		// The survivors serve a full pass, and only they report.
+		// The survivors serve a full pass over the same flags, and only
+		// they report: the view marks node 1 dead.
 		before = rigGets(rig, 0, 2)
-		checkRing(t, reportOf(t, flags([]string{all[0], all[2]})...).Result, before, 0, 2)
+		out := reportOf(t, flags(all)...).Result
+		checkRing(t, out, before, 0, 2)
+		if len(out.Nodes) != 3 || out.Nodes[kill] != nil {
+			t.Errorf("STATS documents %v, want node %d's null among three", out.Nodes, kill)
+		}
 	})
 
 	t.Run("scaleout", func(t *testing.T) {
 		rig, flags := memberRig(t)
+		all := rig.Addrs()
 		before := rigGets(rig, 0, 1, 2)
-		checkRing(t, reportOf(t, flags(rig.Addrs())...).Result, before, 0, 1, 2)
+		checkRing(t, reportOf(t, flags(all)...).Result, before, 0, 1, 2)
 
 		rep, err := rig.Join()
 		if err != nil {
@@ -350,8 +359,10 @@ func TestScenarios(t *testing.T) {
 		if len(rep.Moves) == 0 {
 			t.Fatal("the join moved no slots to the new node")
 		}
+		// The same flags reach the joiner: the views the nodes answer with
+		// name it.
 		before = rigGets(rig, 0, 1, 2, 3)
-		after := reportOf(t, flags(rig.Addrs())...).Result
+		after := reportOf(t, flags(all)...).Result
 		checkRing(t, after, before, 0, 1, 2, 3)
 		if joiner := after.Nodes[3]; joiner.Cache.Gets == 0 || joiner.Len == 0 {
 			t.Errorf("the joined node served %d GETs and holds %d entries; want both positive", joiner.Cache.Gets, joiner.Len)

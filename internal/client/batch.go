@@ -69,6 +69,17 @@ func (b *Batch) MGet(keys ...string) { b.add(wire.Request{Op: wire.OpMGet, Keys:
 // MSet queues a multi-pair store (one frame inside the batch).
 func (b *Batch) MSet(pairs ...wire.KV) { b.add(wire.Request{Op: wire.OpMSet, Pairs: pairs}) }
 
+// ReplicateNX queues a replicated store that lands only where key is
+// absent (see Client.Replicate).
+func (b *Batch) ReplicateNX(key string, value []byte, ttl time.Duration) {
+	b.add(wire.Request{Op: wire.OpReplicate, Flags: wire.FlagNX, Key: key, Value: value, TTL: ttl})
+}
+
+// ReplicateDelete queues a replicated delete (see Client.ReplicateDelete).
+func (b *Batch) ReplicateDelete(key string) {
+	b.add(wire.Request{Op: wire.OpReplicate, Flags: wire.FlagNegative, Key: key})
+}
+
 func (b *Batch) add(req wire.Request) { b.reqs = append(b.reqs, req) }
 
 // Result is one operation's outcome within a batch. It, and every slice its
@@ -81,13 +92,8 @@ type Result struct {
 // Status returns the raw wire status.
 func (r Result) Status() wire.Status { return r.resp.Status }
 
-// Err surfaces a StatusErr response; nil otherwise.
-func (r Result) Err() error {
-	if r.resp.Status == wire.StatusErr {
-		return &ServerError{Op: r.resp.Op, Msg: string(r.resp.Value)}
-	}
-	return nil
-}
+// Err surfaces a StatusErr or StatusMoved response; nil otherwise.
+func (r Result) Err() error { return statusError(r.resp) }
 
 // Get unwraps a queued Get's answer.
 func (r Result) Get() (value []byte, found bool) {

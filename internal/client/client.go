@@ -118,6 +118,22 @@ func (e *ServerError) Error() string {
 	return fmt.Sprintf("client: server error on %v: %s", e.Op, e.Msg)
 }
 
+// MovedError is a StatusMoved answer surfaced as a Go error: the node does
+// not serve the operation's key under its membership view, and View is
+// that view. It is not retried; the cluster routing client adopts the view
+// and routes again.
+type MovedError struct {
+	// Op is the refused operation.
+	Op wire.Op
+	// View is the answering node's view.
+	View wire.View
+}
+
+// Error formats the refused op and the view's epoch.
+func (e *MovedError) Error() string {
+	return fmt.Sprintf("client: %v moved (node holds view %d)", e.Op, e.View.Epoch)
+}
+
 // NodeError is one node's failure within an operation that spans several
 // servers (the cluster tier's fanned-out batches and replica retries).
 type NodeError struct {
@@ -266,7 +282,8 @@ func transient(err error) bool {
 		return false
 	}
 	var se *ServerError
-	if errors.As(err, &se) {
+	var me *MovedError
+	if errors.As(err, &se) || errors.As(err, &me) {
 		return false
 	}
 	var ne net.Error
@@ -404,18 +421,30 @@ func (c *Client) do(reqs []wire.Request, resps []wire.Response, arena []byte) ([
 	return nil, fmt.Errorf("client: %d attempts failed, last: %w", c.cfg.Retries+1, lastErr)
 }
 
-// one runs a single request and unwraps StatusErr into a ServerError. The
-// response's values sit in an arena of their own, so they are the caller's.
+// one runs a single request and unwraps StatusErr into a ServerError and
+// StatusMoved into a MovedError. The response's values sit in an arena of
+// their own, so they are the caller's.
 func (c *Client) one(req wire.Request) (wire.Response, error) {
 	resps := []wire.Response{{}}
 	if _, err := c.do([]wire.Request{req}, resps, nil); err != nil {
 		return wire.Response{}, err
 	}
-	resp := resps[0]
-	if resp.Status == wire.StatusErr {
-		return wire.Response{}, &ServerError{Op: resp.Op, Msg: string(resp.Value)}
+	if err := statusError(&resps[0]); err != nil {
+		return wire.Response{}, err
 	}
-	return resp, nil
+	return resps[0], nil
+}
+
+// statusError is the error a StatusErr or StatusMoved answer stands for;
+// nil for every other status.
+func statusError(resp *wire.Response) error {
+	switch resp.Status {
+	case wire.StatusErr:
+		return &ServerError{Op: resp.Op, Msg: string(resp.Value)}
+	case wire.StatusMoved:
+		return &MovedError{Op: resp.Op, View: resp.View}
+	}
+	return nil
 }
 
 // Ping checks liveness.
@@ -512,8 +541,13 @@ func (c *Client) ReplicateDelete(key string) error {
 	return err
 }
 
-// PushMembership pushes a membership view to the server's agent (OpView).
-func (c *Client) PushMembership(epoch uint64, members []wire.Member, replicas []wire.ReplicaSet) error {
-	_, err := c.one(wire.Request{Op: wire.OpView, Epoch: epoch, Members: members, Replicas: replicas})
-	return err
+// View pushes v to the server's membership agent (OpView) and returns the
+// view the agent holds after it. An agent ignores a view no newer than its
+// own, so a View at epoch 0 fetches the agent's view.
+func (c *Client) View(v wire.View) (wire.View, error) {
+	resp, err := c.one(wire.Request{Op: wire.OpView, View: v})
+	return resp.View, err
 }
+
+// Config returns the client's configuration, defaults filled in.
+func (c *Client) Config() Config { return c.cfg }

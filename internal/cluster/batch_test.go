@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/cluster"
+	"repro/internal/membership"
 	"repro/internal/server"
 	"repro/internal/stemcache"
 	"repro/internal/wire"
@@ -235,12 +236,28 @@ func TestBatchNodeDownPartialResults(t *testing.T) {
 	}
 }
 
-// TestAddNodeUnderTraffic grows the cluster while MGET and Set traffic
-// runs: every node id an operation resolves — including the newcomers',
-// once slots move to them — must be one the node table can serve.
+// TestAddNodeUnderTraffic grows a cluster by three joins while MGET and
+// Set traffic runs through a client outside the membership tier: every
+// node id an operation resolves — the newcomers' too, once the views
+// carried by MOVED answers hand them slots — must be one the client's node
+// table can serve, and no operation may fail.
 func TestAddNodeUnderTraffic(t *testing.T) {
-	cl, nodes := startTrio(t)
-	lister := func(n int) ([]string, error) { return nodes[n].Keys(), nil }
+	tpl := client.Config{Retries: -1, DialTimeout: 500 * time.Millisecond, OpTimeout: 2 * time.Second}
+	rig, err := membership.StartRig(3,
+		cluster.NodeConfig{Cache: stemcache.Config{Capacity: 1024, Shards: 2, Ways: 4}},
+		cluster.Config{VNodes: 4, Seed: 7, Client: tpl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rig.Close)
+	if err := rig.Bootstrap(membership.Config{ReplicationFactor: 2}); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := cluster.NewClient(cluster.Config{Addrs: rig.Addrs(), VNodes: 4, Seed: 7, Client: tpl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
 
 	keys := make([]string, 48)
 	for i := range keys {
@@ -273,27 +290,13 @@ func TestAddNodeUnderTraffic(t *testing.T) {
 		}()
 	}
 
-	// Join three nodes one after another, handing each a slot right away so
-	// lookups start naming the new id while the traffic is mid-batch.
 	for j := 0; j < 3; j++ {
-		node, err := cluster.StartNode(len(nodes), cluster.NodeConfig{
-			Cache: stemcache.Config{Capacity: 1024, Shards: 2, Ways: 4, Seed: cluster.NodeSeed(7, len(nodes))},
-		})
+		rep, err := rig.Join()
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { node.Close() })
-		nodes = append(nodes, node)
-		id, err := cl.AddNode(node.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id != len(nodes)-1 || cl.Nodes() != len(nodes) || cl.Ring().Nodes() != len(nodes) {
-			t.Fatalf("AddNode = id %d with %d table / %d ring nodes, want id %d of %d",
-				id, cl.Nodes(), cl.Ring().Nodes(), len(nodes)-1, len(nodes))
-		}
-		if _, err := cl.MoveSlot(lister, j, cl.Ring().Owner(j), id, 0); err != nil {
-			t.Fatal(err)
+		if len(rep.Moves) == 0 {
+			t.Fatalf("join %d moved no slot", j)
 		}
 	}
 	close(stop)
@@ -301,5 +304,8 @@ func TestAddNodeUnderTraffic(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	if cl.View().Epoch <= 1 {
+		t.Fatal("the traffic never met a view past the bootstrap's")
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,9 +15,11 @@ import (
 
 // Config parameterizes a cluster Client.
 type Config struct {
-	// Addrs are the nodes' "host:port" addresses; node i is Addrs[i]. The
-	// order must agree across every client and the membership manager (it
-	// defines node ids).
+	// Addrs are the nodes' "host:port" addresses when the cluster was
+	// bootstrapped; node i is Addrs[i]. The order must agree across every
+	// client and the membership manager (it defines node ids), and the
+	// ring's slot count is len(Addrs) × VNodes, so nodes that joined later
+	// are not listed: the views the nodes answer with name them.
 	Addrs []string
 	// VNodes is the number of ring slots per node. More slots spread load
 	// more evenly but make migrations finer-grained. Default 16.
@@ -27,67 +30,55 @@ type Config struct {
 	// Client is the per-node connection template; Addr is overwritten per
 	// node.
 	Client client.Config
-	// Metrics, when non-nil, receives ring and routing gauges under
+	// Metrics, when non-nil, receives view and routing gauges under
 	// "cluster.*".
 	Metrics *obs.Registry
 }
 
-// Client routes cache operations across a cluster through a consistent-hash
-// Ring: single operations go to the key's owner, MGET/MSET batches are
-// split per owner, sent concurrently, and merged back into request order.
-// It also keeps per-node in-flight gates, so a migration can drain a node
-// before copying keys.
+// maxMoved bounds the MOVED answers one operation follows: a view reaches
+// every node in one push, so one that keeps being moved routes by a ring
+// the nodes do not share (another seed), and fails rather than spin.
+const maxMoved = 8
+
+// Client routes cache operations across a cluster by its own View: single
+// operations go to the key's owner, MGET/MSET batches are split per owner,
+// sent concurrently, and merged back into request order. It starts from the
+// epoch-0 view of Addrs and adopts every newer view a node answers it with
+// — the body of a MOVED answer, or of a VIEW answer (PushView) — dialing
+// the members new in it. In-process and external clients take this one
+// path.
 //
-// Batch failure semantics are partial by design: when some nodes answer and
-// others fail, the answered positions are returned (found=false / stored
-// nothing for the failed ones) together with a *client.PartialError naming
-// the failed nodes. A cluster cache treats a dead node as a miss, not as a
-// reason to fail the whole batch.
+// Batch failures are partial by design: the answered positions are returned
+// (found=false / stored nothing for the failed ones) together with a
+// *client.PartialError naming the failed nodes. A cluster cache treats a
+// dead node as a miss, not as a reason to fail the whole batch.
 //
-// Writes go to the owner alone: Set, SetTTL and Del return the owner's
-// error, transient or not, because only the owner fans a write out to the
-// slot's replicas — a write a follower took in would be lost when the owner
-// came back, or undone by its next fan-out. With a replica source installed
-// (SetReplicaSource, fed by the membership manager), a Get that fails
-// transiently on the owner is retried against the slot's replicas before
-// any error surfaces — the client-side half of failover.
+// Writes go to the owner alone, because only the owner fans a write out to
+// the slot's replicas. When the owner fails transiently, a write waits for
+// a view that names another owner (a failover), fetching the view from the
+// other members at the node client's Backoff, doubling, for at most its
+// OpTimeout; then the owner's error surfaces. A Get that fails transiently
+// on the owner fetches the view the same way and retries the slot's
+// replicas it names.
 //
-// Safe for concurrent use. The node set can grow (AddNode, for scale-out).
+// Safe for concurrent use.
 type Client struct {
 	ring *Ring
+	view atomic.Pointer[View]
+	// nodes is the node table, indexed by node id: an immutable snapshot,
+	// grown (under mu) before any view naming a new id is published.
+	nodes atomic.Pointer[[]*client.Client]
 
-	// nodes is the node table, indexed by node id: an immutable snapshot
-	// behind an atomic pointer, so every operation sees a consistent set
-	// and AddNode never blocks the data path. The handles themselves are
-	// shared across snapshots.
-	nodes atomic.Pointer[[]*nodeHandle]
-	// replicaSource, when set, maps a slot to its replica node ids (owner
-	// first). Installed by the membership manager.
-	replicaSource atomic.Pointer[func(slot int) []int]
-
-	// mu serializes AddNode and Close (the writers of nodes and closed).
-	// AddNode holds it across Ring.AddNode.
-	//lint:rank 0
+	// mu serializes the writers of nodes, view and closed.
 	mu     sync.Mutex
 	closed bool
 
 	tpl client.Config
-	reg *obs.Registry
-	ops *obs.Counter
-}
-
-// nodeHandle is everything the client keeps per node: the pooled
-// connection and the drain gate.
-type nodeHandle struct {
-	cl   *client.Client
-	gate gate
-}
-
-// gate is one node's in-flight accounting: an operation bumps started
-// before the network call and done after it.
-type gate struct {
-	started atomic.Uint64
-	done    atomic.Uint64
+	// backoff and wait pace and bound a write's wait for failover (the node
+	// client's Backoff and OpTimeout).
+	backoff, wait time.Duration
+	reg           *obs.Registry
+	ops           *obs.Counter
 }
 
 // NewClient builds a routing client over cfg.Addrs. No connection is
@@ -103,97 +94,111 @@ func NewClient(cfg Config) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := &Client{
-		ring: ring,
-		tpl:  cfg.Client,
-		reg:  cfg.Metrics,
-	}
-	nodes := make([]*nodeHandle, len(cfg.Addrs))
-	for i, addr := range cfg.Addrs {
-		if nodes[i], err = cl.newHandle(addr); err != nil {
-			return nil, fmt.Errorf("node %d: %w", i, err)
-		}
-	}
-	cl.nodes.Store(&nodes)
+	cl := &Client{ring: ring, tpl: cfg.Client, reg: cfg.Metrics}
+	cl.nodes.Store(&[]*client.Client{})
+	cl.view.Store(ring.InitialView(cfg.Addrs))
 	if reg := cfg.Metrics; reg != nil {
 		cl.ops = reg.Counter("cluster.client_ops")
-		reg.GaugeFunc("cluster.ring_version", func() float64 { return float64(ring.Version()) })
-		for n := range nodes {
-			cl.registerNodeGauge(n)
+		reg.GaugeFunc("cluster.view_epoch", func() float64 { return float64(cl.view.Load().Epoch) })
+	}
+	for _, addr := range cfg.Addrs {
+		if _, err := cl.AddNode(addr); err != nil {
+			return nil, err
 		}
 	}
+	tpl := cl.NodeClient(0).Config()
+	cl.backoff, cl.wait = tpl.Backoff, tpl.OpTimeout
 	return cl, nil
 }
 
-// newHandle builds one node's handle: its connection config is the
-// template with the node's address.
-func (c *Client) newHandle(addr string) (*nodeHandle, error) {
-	nc := c.tpl
-	nc.Addr = addr
-	cl, err := client.New(nc)
-	return &nodeHandle{cl: cl}, err
-}
-
-// registerNodeGauge publishes node n's owned-slot count.
-func (c *Client) registerNodeGauge(n int) {
-	c.reg.GaugeFunc(fmt.Sprintf("cluster.node%d.slots", n), func() float64 {
-		return float64(len(c.ring.OwnedSlots(n)))
-	})
-}
-
-// AddNode appends a node to the table and the ring's node count
-// (scale-out) and returns its id. The new node owns no slots until the
-// membership manager moves some to it. Operations already in
-// flight keep their pre-AddNode table; new operations see the grown one.
+// AddNode appends a node at addr to the table and returns its id. The
+// membership manager dials a joining node this way before any view names
+// it; adopt grows the table the same way for members a view brings.
 func (c *Client) AddNode(addr string) (int, error) {
-	h, err := c.newHandle(addr)
-	if err != nil {
-		return 0, err
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		h.cl.Close()
 		return 0, client.ErrClosed
 	}
+	return c.addNodeLocked(addr)
+}
+
+// addNodeLocked appends node addr and publishes its owned-slot gauge.
+// Caller holds c.mu.
+func (c *Client) addNodeLocked(addr string) (int, error) {
+	nc := c.tpl
+	nc.Addr = addr
+	cl, err := client.New(nc)
+	if err != nil {
+		return 0, err
+	}
 	old := *c.nodes.Load()
-	grown := append(old[:len(old):len(old)], h)
+	grown := append(old[:len(old):len(old)], cl)
 	c.nodes.Store(&grown)
-	// The ring grows after the table, and slots move to the newcomer only
-	// after that: a node id a Lookup returns is always in every table
-	// loaded afterwards. This method is the ring's only grower, so the
-	// ring's id is the table index.
-	id := c.ring.AddNode()
+	n := len(old)
 	if c.reg != nil {
-		c.registerNodeGauge(id)
+		c.reg.GaugeFunc(fmt.Sprintf("cluster.node%d.slots", n), func() float64 {
+			return float64(len(slices.DeleteFunc(c.view.Load().Owners(), func(o int) bool { return o != n })))
+		})
 	}
-	return id, nil
+	return n, nil
 }
 
-// SetReplicaSource installs (or with nil removes) the slot→replica mapping
-// Get retries through. The membership manager installs its ReplicasOf
-// here.
-func (c *Client) SetReplicaSource(src func(slot int) []int) {
-	if src == nil {
-		c.replicaSource.Store(nil)
-		return
+// adopt makes w the held view when it is newer than the held one, after
+// dialing the members the node table lacks, and reports whether it did. A
+// view that does not fit the ring is refused with an error.
+func (c *Client) adopt(w wire.View) (bool, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed || w.Epoch <= c.view.Load().Epoch {
+		return false, nil
 	}
-	c.replicaSource.Store(&src)
+	v, err := c.ring.ParseView(w)
+	if err != nil {
+		return false, err
+	}
+	for n := len(*c.nodes.Load()); n < len(v.Members); n++ {
+		if _, err := c.addNodeLocked(v.Members[n].Addr); err != nil {
+			return false, fmt.Errorf("cluster: member %d: %w", n, err)
+		}
+	}
+	c.view.Store(v)
+	return true, nil
 }
 
-// Ring exposes the client's ring (shared with the membership tier).
+// PushView sends v to node's membership agent and adopts the view the node
+// answers with: the membership manager's pushes keep its own client current
+// this way, and a push at epoch 0 fetches the node's view.
+func (c *Client) PushView(node int, v wire.View) error {
+	held, err := c.NodeClient(node).View(v)
+	if err != nil {
+		return err
+	}
+	_, err = c.adopt(held)
+	return err
+}
+
+// refresh fetches the view from the first serving member other than skip
+// that answers one, and adopts it.
+func (c *Client) refresh(skip int) {
+	v := c.view.Load()
+	for n := range v.Members {
+		if n != skip && v.Alive(n) && c.PushView(n, wire.View{}) == nil {
+			return
+		}
+	}
+}
+
+// Ring exposes the client's ring: the key→slot hash.
 func (c *Client) Ring() *Ring { return c.ring }
 
-// Nodes returns the node count.
-func (c *Client) Nodes() int { return len(*c.nodes.Load()) }
-
-// handle returns node n's entry in the current table.
-func (c *Client) handle(n int) *nodeHandle { return (*c.nodes.Load())[n] }
+// View returns the held view. It is shared: the caller must not change it.
+func (c *Client) View() *View { return c.view.Load() }
 
 // NodeClient returns node n's pooled connection, for callers that address
-// nodes directly, bypassing the ring: slot migration, the membership
+// nodes directly, bypassing the view: slot copies, the membership
 // manager's view pushes and heartbeats.
-func (c *Client) NodeClient(n int) *client.Client { return c.handle(n).cl }
+func (c *Client) NodeClient(n int) *client.Client { return (*c.nodes.Load())[n] }
 
 // Close releases every node's pooled connections. The first error wins.
 func (c *Client) Close() error {
@@ -202,76 +207,98 @@ func (c *Client) Close() error {
 	nodes := *c.nodes.Load()
 	c.mu.Unlock()
 	var first error
-	for _, h := range nodes {
-		if err := h.cl.Close(); err != nil && first == nil {
+	for _, cl := range nodes {
+		if err := cl.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// run executes op against node n inside the node's drain gate.
-func (c *Client) run(n int, op func(cl *client.Client) error) error {
-	h := c.handle(n)
-	h.gate.started.Add(1)
-	defer h.gate.done.Add(1)
-	return op(h.cl)
-}
-
-// replicasFor returns slot's replica nodes excluding owner, or nil when no
-// replica source is installed.
-func (c *Client) replicasFor(slot, owner int) []int {
-	srcp := c.replicaSource.Load()
-	if srcp == nil {
-		return nil
-	}
-	var out []int
-	for _, n := range (*srcp)(slot) {
-		if n != owner && n >= 0 && n < c.Nodes() {
-			out = append(out, n)
+// route runs op against slot's owner in the held view, adopting the view
+// of each MOVED answer and routing again; one that brings no newer view
+// (the push has not reached the node yet) waits a backoff first. It
+// returns the node the last attempt went to.
+func (c *Client) route(slot int, op func(cl *client.Client) error) (int, error) {
+	for moved := 0; ; moved++ {
+		owner := c.view.Load().Owner(slot)
+		err := op(c.NodeClient(owner))
+		var me *client.MovedError
+		if !errors.As(err, &me) {
+			return owner, err
+		}
+		if moved == maxMoved {
+			return owner, fmt.Errorf("cluster: slot %d moved %d times (do the ring seeds agree?): %w", slot, moved+1, err)
+		}
+		newer, aerr := c.adopt(me.View)
+		if aerr != nil {
+			return owner, aerr
+		}
+		if !newer {
+			time.Sleep(c.backoff)
 		}
 	}
-	return out
 }
 
-// owned runs op against key's owner and returns its error: the one path a
-// write takes.
-func (c *Client) owned(key string, op func(cl *client.Client) error) error {
-	node, _ := c.ring.Lookup(key)
+// read runs a lookup against key's owner and, on a transient failure,
+// fetches the view from another member and retries the slot's replicas it
+// names, in placement order. When they all fail too, the combined failures
+// surface as a *client.PartialError; any other error surfaces as itself.
+func (c *Client) read(key string, op func(cl *client.Client) error) error {
+	slot := c.ring.SlotOfKey(key)
 	c.ops.Inc()
-	return c.run(node, op)
-}
-
-// single runs a read against key's owner and, on a transient failure,
-// retries it against the slot's replicas in placement order. When the owner
-// and every replica fail, the combined failures surface as a
-// *client.PartialError; a non-transient owner error surfaces as itself.
-func (c *Client) single(key string, op func(cl *client.Client) error) error {
-	node, slot := c.ring.Lookup(key)
-	c.ops.Inc()
-	err := c.run(node, op)
-	if err == nil || !client.IsTransient(err) {
+	owner, err := c.route(slot, op)
+	if !client.IsTransient(err) {
 		return err
 	}
-	reps := c.replicasFor(slot, node)
-	if len(reps) == 0 {
-		return err
-	}
-	errs := []client.NodeError{{Node: node, Err: err}}
-	for _, rn := range reps {
-		rerr := c.run(rn, op)
+	c.refresh(owner)
+	errs := []client.NodeError{{Node: owner, Err: err}}
+	for _, n := range c.view.Load().Replicas[slot] {
+		if n == owner {
+			continue
+		}
+		rerr := op(c.NodeClient(n))
 		if rerr == nil {
 			return nil
 		}
-		errs = append(errs, client.NodeError{Node: rn, Err: rerr})
+		errs = append(errs, client.NodeError{Node: n, Err: rerr})
+	}
+	if len(errs) == 1 {
+		return err
 	}
 	return &client.PartialError{Errs: errs}
+}
+
+// write runs a store or delete against key's owner: the one path a write
+// takes. A transient owner failure waits for a view naming another owner
+// (see Client), then writes there.
+func (c *Client) write(key string, op func(cl *client.Client) error) error {
+	slot := c.ring.SlotOfKey(key)
+	c.ops.Inc()
+	var waited time.Duration
+	delay := c.backoff
+	for {
+		owner, err := c.route(slot, op)
+		if !client.IsTransient(err) {
+			return err
+		}
+		for c.view.Load().Owner(slot) == owner {
+			if waited >= c.wait {
+				return err
+			}
+			d := min(delay, c.wait-waited)
+			time.Sleep(d)
+			waited += d
+			delay *= 2
+			c.refresh(owner)
+		}
+	}
 }
 
 // Get fetches key from its owning node, falling back to the slot's
 // replicas when the owner is unreachable.
 func (c *Client) Get(key string) (value []byte, found bool, err error) {
-	err = c.single(key, func(cl *client.Client) error {
+	err = c.read(key, func(cl *client.Client) error {
 		var e error
 		value, found, e = cl.Get(key)
 		return e
@@ -282,10 +309,10 @@ func (c *Client) Get(key string) (value []byte, found bool, err error) {
 	return value, found, nil
 }
 
-// Set stores key on its owning node. An unreachable owner fails the write
-// with its transient error until failover promotes a replica.
+// Set stores key on its owning node. An unreachable owner holds the write
+// until failover names another owner, or fails it after OpTimeout.
 func (c *Client) Set(key string, value []byte) error {
-	return c.owned(key, func(cl *client.Client) error {
+	return c.write(key, func(cl *client.Client) error {
 		return cl.Set(key, value)
 	})
 }
@@ -293,14 +320,14 @@ func (c *Client) Set(key string, value []byte) error {
 // SetTTL stores key with an explicit TTL on its owning node (owner only,
 // as Set).
 func (c *Client) SetTTL(key string, value []byte, ttl time.Duration) error {
-	return c.owned(key, func(cl *client.Client) error {
+	return c.write(key, func(cl *client.Client) error {
 		return cl.SetTTL(key, value, ttl)
 	})
 }
 
 // Del removes key from its owning node (owner only, as Set).
 func (c *Client) Del(key string) (found bool, err error) {
-	err = c.owned(key, func(cl *client.Client) error {
+	err = c.write(key, func(cl *client.Client) error {
 		var e error
 		found, e = cl.Del(key)
 		return e
@@ -312,43 +339,56 @@ func (c *Client) Del(key string) (found bool, err error) {
 }
 
 // fanOut splits a batch of n items per owning node — keyAt(i) is item i's
-// key — and runs send once per involved node, concurrently, each inside its
-// node's drain gate, with the node's item indices in input order. Per-node
-// failures come back as a *client.PartialError ordered by node id; the
-// other nodes' sends have still happened.
+// key — and runs send once per involved node, concurrently, with the
+// node's item indices in input order; items a node answers MOVED for are
+// split again by the adopted view. Per-node failures come back as a
+// *client.PartialError, ordered by node id within each round.
 func (c *Client) fanOut(n int, keyAt func(i int) string, send func(cl *client.Client, idx []int) error) error {
-	var groups [][]int // node id → item indices
-	for i := 0; i < n; i++ {
-		node, _ := c.ring.Lookup(keyAt(i))
-		if node >= len(groups) {
-			groups = append(groups, make([][]int, node+1-len(groups))...)
-		}
-		groups[node] = append(groups[node], i)
+	slots := make([]int, n)
+	pending := make([]int, n)
+	for i := range slots {
+		slots[i], pending[i] = c.ring.SlotOfKey(keyAt(i)), i
 	}
 	c.ops.Inc()
-	// Loaded after the lookups, so it covers every id they returned (see
-	// AddNode).
-	nodes := *c.nodes.Load()
-	errs := make([]error, len(groups))
-	var wg sync.WaitGroup
-	for node, idx := range groups {
-		if len(idx) == 0 {
-			continue
-		}
-		h := nodes[node]
-		h.gate.started.Add(1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer h.gate.done.Add(1)
-			errs[node] = send(h.cl, idx)
-		}()
-	}
-	wg.Wait()
 	var failed []client.NodeError
-	for node, err := range errs {
-		if err != nil {
-			failed = append(failed, client.NodeError{Node: node, Err: err})
+	for moved := 0; len(pending) > 0; moved++ {
+		v := c.view.Load()
+		groups := make([][]int, len(v.Members)) // node id → item indices
+		for _, i := range pending {
+			o := v.Owner(slots[i])
+			groups[o] = append(groups[o], i)
+		}
+		errs := make([]error, len(groups))
+		var wg sync.WaitGroup
+		for node, idx := range groups {
+			if len(idx) == 0 {
+				continue
+			}
+			cl := c.NodeClient(node)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[node] = send(cl, idx)
+			}()
+		}
+		wg.Wait()
+		pending = pending[:0]
+		stale := false
+		for node, err := range errs {
+			var me *client.MovedError
+			if errors.As(err, &me) && moved < maxMoved {
+				var newer bool
+				if newer, err = c.adopt(me.View); err == nil {
+					pending, stale = append(pending, groups[node]...), stale || !newer
+					continue
+				}
+			}
+			if err != nil {
+				failed = append(failed, client.NodeError{Node: node, Err: err})
+			}
+		}
+		if stale {
+			time.Sleep(c.backoff)
 		}
 	}
 	if failed != nil {
@@ -399,39 +439,40 @@ func (c *Client) MSet(pairs []wire.KV) error {
 	})
 }
 
-// Ping checks liveness of every node; the first failure wins.
+// Ping checks liveness of every node the held view does not mark dead or
+// left; the first failure wins.
 func (c *Client) Ping() error {
-	for n, h := range *c.nodes.Load() {
-		if err := h.cl.Ping(); err != nil {
-			return fmt.Errorf("node %d: %w", n, err)
-		}
-	}
-	return nil
+	_, err := c.eachMember(func(cl *client.Client) ([]byte, error) { return nil, cl.Ping() })
+	return err
 }
 
 // StatsAll fetches every node's STATS document (raw JSON, see
-// server.StatsSnapshot), indexed by node.
+// server.StatsSnapshot), indexed by node. A node the view marks dead or
+// left has a nil entry.
 func (c *Client) StatsAll() ([][]byte, error) {
+	return c.eachMember((*client.Client).Stats)
+}
+
+// eachMember runs f on every node of the table the held view does not mark
+// dead or left and returns its answers, indexed by node. A node whose f
+// fails is skipped when a view fetched from the other members marks it so;
+// otherwise its error is returned.
+func (c *Client) eachMember(f func(cl *client.Client) ([]byte, error)) ([][]byte, error) {
+	gone := func(n int) bool { v := c.view.Load(); return n < len(v.Members) && !v.Alive(n) }
 	nodes := *c.nodes.Load()
 	out := make([][]byte, len(nodes))
-	for n, h := range nodes {
-		b, err := h.cl.Stats()
+	for n, cl := range nodes {
+		if gone(n) {
+			continue
+		}
+		b, err := f(cl)
 		if err != nil {
+			if c.refresh(n); gone(n) {
+				continue
+			}
 			return nil, fmt.Errorf("node %d: %w", n, err)
 		}
 		out[n] = b
 	}
 	return out, nil
-}
-
-// DrainNode waits until every operation routed to node before the call has
-// finished — the quiesce step before a migration copies a slot's keys.
-// Operations started after the call are not waited for (the lost-write
-// window is documented at Client.MoveSlot).
-func (c *Client) DrainNode(node int) {
-	g := &c.handle(node).gate
-	target := g.started.Load()
-	for g.done.Load() < target {
-		time.Sleep(200 * time.Microsecond)
-	}
 }

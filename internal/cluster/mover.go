@@ -1,10 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
-	"repro/internal/wire"
+	"repro/internal/client"
 )
 
 // Move records one slot handoff: Slot's owner changed From → To, and Keys
@@ -14,82 +15,90 @@ type Move struct {
 	Keys           int
 }
 
-// KeyLister enumerates a node's resident keys for a migration. In-process
-// clusters use Node.Keys; an external deployment would plug in a SCAN-like
-// listing. The listing may be racy with respect to concurrent writers —
-// migration filters it by slot and treats absent keys as already gone.
+// KeyLister enumerates a node's resident keys for a migration, in a slice
+// the caller may keep. In-process clusters use Node.Keys; an external
+// deployment would plug in a SCAN-like listing. The listing may be racy
+// with respect to concurrent writers — migration filters it by slot and
+// treats absent keys as already gone.
 type KeyLister func(node int) ([]string, error)
 
-// CopySlot copies slot's resident keys from node `from` to node `to`
-// (MGET old → MSET new, chunked) without touching ring ownership. It
-// returns the slot's key list (sorted, as seen by lister) and how many of
-// them were actually copied. Every handoff of the membership manager
-// (join, leave) and its replica backfill are built on it.
-func (c *Client) CopySlot(lister KeyLister, slot, from, to, chunkSize int) (keys []string, copied int, err error) {
+// slotChunks lists node's resident keys of slot and runs f on them in
+// sorted chunks of chunkSize (256 when chunkSize <= 0), stopping at the
+// first failure.
+func (c *Client) slotChunks(lister KeyLister, slot, node, chunkSize int, f func(chunk []string) error) error {
+	all, err := lister(node)
+	if err != nil {
+		return fmt.Errorf("cluster: listing node %d for slot %d: %w", node, slot, err)
+	}
+	keys := slices.DeleteFunc(all, func(k string) bool { return c.ring.SlotOfKey(k) != slot })
+	slices.Sort(keys)
 	if chunkSize <= 0 {
 		chunkSize = 256
 	}
-	all, err := lister(from)
-	if err != nil {
-		return nil, 0, fmt.Errorf("cluster: listing node %d for slot %d: %w", from, slot, err)
-	}
-	for _, k := range all {
-		if c.ring.SlotOfKey(k) == slot {
-			keys = append(keys, k)
+	for chunk := range slices.Chunk(keys, chunkSize) {
+		if err := f(chunk); err != nil {
+			return err
 		}
 	}
-	sort.Strings(keys)
-
-	src, dst := c.NodeClient(from), c.NodeClient(to)
-	for off := 0; off < len(keys); off += chunkSize {
-		chunk := keys[off:min(off+chunkSize, len(keys))]
-		values, found, err := src.MGet(chunk)
-		if err != nil {
-			return keys, copied, fmt.Errorf("cluster: copying slot %d off node %d: %w", slot, from, err)
-		}
-		pairs := make([]wire.KV, 0, len(chunk))
-		for i, k := range chunk {
-			if found[i] {
-				pairs = append(pairs, wire.KV{Key: k, Value: values[i]})
-			}
-		}
-		if len(pairs) > 0 {
-			if err := dst.MSet(pairs); err != nil {
-				return keys, copied, fmt.Errorf("cluster: installing slot %d on node %d: %w", slot, to, err)
-			}
-		}
-		copied += len(pairs)
-	}
-	return keys, copied, nil
+	return nil
 }
 
-// MoveSlot hands slot from node `from` to node `to`: drain from's in-flight
-// requests, CopySlot, flip ring ownership, then delete the keys from the
-// old owner.
-//
-// The copy-then-flip-then-delete order means a write that lands on the old
-// owner between the copy and the flip is lost — the same at-least-once
-// cache semantics the client's retry path already has. What the order
-// guarantees is no read-miss storm: at every instant one node can serve
-// the slot's keys.
-func (c *Client) MoveSlot(lister KeyLister, slot, from, to, chunkSize int) (Move, error) {
-	mv := Move{Slot: slot, From: from, To: to}
-	c.DrainNode(from)
-
-	keys, copied, err := c.CopySlot(lister, slot, from, to, chunkSize)
-	if err != nil {
-		return mv, err
-	}
-	mv.Keys = copied
-
-	if err := c.ring.Move(slot, to); err != nil {
-		return mv, err
-	}
-	src := c.NodeClient(from)
-	for _, k := range keys {
-		if _, err := src.Del(k); err != nil {
-			return mv, fmt.Errorf("cluster: clearing slot %d off node %d: %w", slot, from, err)
+// CopySlot copies slot's resident keys from node `from` to node `to`
+// (MGET off from, chunked, each chunk installed on to as pipelined
+// REPLICATE frames) and returns how many it offered. from must serve the
+// slot's reads under its view; REPLICATE is routed by no view, so the copy
+// lands whatever to's view says and fans out no further. Each key lands
+// only where to lacks it (FlagNX): to is cleared of the slot (DropSlot)
+// before a view makes it a replica, and from then on every write reaches
+// it by fan-out, so a key it holds is newer than the copy's. Every handoff
+// of the membership manager (join, leave) and its replica backfill are
+// built on it.
+func (c *Client) CopySlot(lister KeyLister, slot, from, to, chunkSize int) (copied int, err error) {
+	src, b := c.NodeClient(from), c.NodeClient(to).NewBatch()
+	err = c.slotChunks(lister, slot, from, chunkSize, func(chunk []string) error {
+		values, found, err := src.MGet(chunk)
+		if err != nil {
+			return fmt.Errorf("cluster: copying slot %d off node %d: %w", slot, from, err)
 		}
+		b.Reset()
+		for i, k := range chunk {
+			if found[i] {
+				b.ReplicateNX(k, values[i], 0)
+			}
+		}
+		if err := doAll(b); err != nil {
+			return fmt.Errorf("cluster: installing slot %d on node %d: %w", slot, to, err)
+		}
+		copied += b.Len()
+		return nil
+	})
+	return copied, err
+}
+
+// DropSlot deletes slot's resident keys from node as pipelined replicated
+// deletes: the last step of a handoff, once node holds the view that moved
+// the slot away and so acks no write on it, and the first step of making
+// node a replica of the slot, before any view does.
+func (c *Client) DropSlot(lister KeyLister, slot, node, chunkSize int) error {
+	b := c.NodeClient(node).NewBatch()
+	return c.slotChunks(lister, slot, node, chunkSize, func(chunk []string) error {
+		b.Reset()
+		for _, k := range chunk {
+			b.ReplicateDelete(k)
+		}
+		if err := doAll(b); err != nil {
+			return fmt.Errorf("cluster: clearing slot %d off node %d: %w", slot, node, err)
+		}
+		return nil
+	})
+}
+
+// doAll sends b and returns its first failure, of the round trip or of an
+// operation in it.
+func doAll(b *client.Batch) error {
+	res, err := b.Do()
+	for _, r := range res {
+		err = cmp.Or(err, r.Err())
 	}
-	return mv, nil
+	return err
 }

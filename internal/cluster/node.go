@@ -34,11 +34,7 @@ type Node struct {
 	id    int
 	cache *stemcache.Cache[string, []byte]
 	srv   *server.Server
-
-	// mu guards closed.
-	//lint:rank 2
-	mu     sync.Mutex
-	closed bool
+	once  sync.Once // Close's
 }
 
 // NodeSeed derives node nodeID's cache seed from a cluster-wide seed, so an
@@ -98,16 +94,10 @@ func (n *Node) Keys() []string { return n.cache.AppendKeys(nil) }
 
 // Close stops the server (draining in-flight requests) and closes the
 // cache. Idempotent.
-func (n *Node) Close() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil
-	}
-	n.closed = true
-	n.mu.Unlock()
-
-	err := n.srv.Close()
-	n.cache.Close()
+func (n *Node) Close() (err error) {
+	n.once.Do(func() {
+		err = n.srv.Close()
+		n.cache.Close()
+	})
 	return err
 }

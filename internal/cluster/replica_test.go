@@ -8,51 +8,41 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/cluster"
+	"repro/internal/membership"
 	"repro/internal/stemcache"
 )
 
-// startPair boots a 2-node loopback cluster with a replica source mapping
-// every slot to [owner, other node] — the minimal rig for exercising the
-// single-key replica-retry path without the membership tier.
-func startPair(t *testing.T) (*cluster.Client, []*cluster.Node) {
+// pairTpl fails fast: no retries, and a write to a dead owner waits a
+// fifth of a second for a failover before its error surfaces.
+var pairTpl = client.Config{Retries: -1, DialTimeout: 500 * time.Millisecond, OpTimeout: 200 * time.Millisecond}
+
+// startPair boots a 2-node loopback cluster. With rf 2 it brings the
+// membership tier up, so every slot's view is [owner, other node] — the
+// minimal rig for exercising the single-key replica-retry path; with rf 0
+// the nodes hold no view and the client knows no follower.
+func startPair(t *testing.T, rf int) (*cluster.Client, *membership.Rig) {
 	t.Helper()
-	nodes := make([]*cluster.Node, 2)
-	addrs := make([]string, 2)
-	for i := range nodes {
-		node, err := cluster.StartNode(i, cluster.NodeConfig{
-			Cache: stemcache.Config{
-				Capacity: 512, Shards: 2, Ways: 4,
-				Seed: cluster.NodeSeed(7, i),
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-		addrs[i] = node.Addr()
-		t.Cleanup(func() { node.Close() })
-	}
-	cl, err := cluster.NewClient(cluster.Config{
-		Addrs: addrs, VNodes: 2, Seed: 7,
-		Client: client.Config{Retries: -1, DialTimeout: 500 * time.Millisecond},
-	})
+	rig, err := membership.StartRig(2,
+		cluster.NodeConfig{Cache: stemcache.Config{Capacity: 512, Shards: 2, Ways: 4}},
+		cluster.Config{VNodes: 2, Seed: 7, Client: pairTpl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cl.Close() })
-	cl.SetReplicaSource(func(slot int) []int {
-		owner := cl.Ring().Owner(slot)
-		return []int{owner, 1 - owner}
-	})
-	return cl, nodes
+	t.Cleanup(rig.Close)
+	if rf > 0 {
+		if err := rig.Bootstrap(membership.Config{ReplicationFactor: rf}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rig.Client(), rig
 }
 
-// keyOwnedBy finds a key routed to the wanted node.
+// keyOwnedBy finds a key the client's view routes to the wanted node.
 func keyOwnedBy(t *testing.T, cl *cluster.Client, node int) string {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
 		k := fmt.Sprintf("probe-%d", i)
-		if n, _ := cl.Ring().Lookup(k); n == node {
+		if cl.View().Owner(cl.Ring().SlotOfKey(k)) == node {
 			return k
 		}
 	}
@@ -67,15 +57,15 @@ func keyOwnedBy(t *testing.T, cl *cluster.Client, node int) string {
 // returned. With every replica dead too, a Get's combined failure surfaces
 // as a *client.PartialError naming each attempted node.
 func TestSingleKeyReplicaRetry(t *testing.T) {
-	cl, nodes := startPair(t)
+	cl, rig := startPair(t, 2)
 	key := keyOwnedBy(t, cl, 0)
 	val := []byte("survives")
 
-	// Seed the replica by hand (no membership agents in this rig).
-	if err := cl.NodeClient(1).Set(key, val); err != nil {
+	// The owner fans the write out to the follower its view names.
+	if err := cl.Set(key, val); err != nil {
 		t.Fatal(err)
 	}
-	if err := nodes[0].Close(); err != nil {
+	if err := rig.Kill(0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -85,8 +75,8 @@ func TestSingleKeyReplicaRetry(t *testing.T) {
 		t.Fatalf("Get with dead owner: %q %v %v", got, found, err)
 	}
 
-	// Writes go to the owner alone: both fail transiently, and the
-	// replica's copy is unchanged.
+	// Writes go to the owner alone: with no failover to wait for, both
+	// fail transiently, and the replica's copy is unchanged.
 	if err := cl.Set(key, []byte("rewritten")); err == nil || !client.IsTransient(err) {
 		t.Fatalf("Set with dead owner = %v, want a transient error", err)
 	}
@@ -99,7 +89,7 @@ func TestSingleKeyReplicaRetry(t *testing.T) {
 	}
 
 	// Both nodes down: every attempt is reported.
-	if err := nodes[1].Close(); err != nil {
+	if err := rig.Kill(1); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err = cl.Get(key)
@@ -119,22 +109,22 @@ func TestSingleKeyReplicaRetry(t *testing.T) {
 	}
 }
 
-// TestNoReplicaSourceSurfacesOwnerError: without a replica source the
-// owner's transient error surfaces as-is (pre-membership behavior).
-func TestNoReplicaSourceSurfacesOwnerError(t *testing.T) {
-	cl, nodes := startPair(t)
-	cl.SetReplicaSource(nil)
+// TestNoFollowerSurfacesOwnerError: with no follower in the client's view
+// (no membership tier: the nodes hold no view, and the epoch-0 view names
+// owners alone) the owner's transient error surfaces as-is.
+func TestNoFollowerSurfacesOwnerError(t *testing.T) {
+	cl, rig := startPair(t, 0)
 	key := keyOwnedBy(t, cl, 0)
-	if err := nodes[0].Close(); err != nil {
+	if err := rig.Kill(0); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err := cl.Get(key)
 	if err == nil {
-		t.Fatal("Get with dead owner and no replica source succeeded")
+		t.Fatal("Get with dead owner and no follower succeeded")
 	}
 	var pe *client.PartialError
 	if errors.As(err, &pe) {
-		t.Fatalf("error is a PartialError without a replica source: %v", err)
+		t.Fatalf("error is a PartialError without a follower: %v", err)
 	}
 	if !client.IsTransient(err) {
 		t.Fatalf("owner error lost its transience: %v", err)

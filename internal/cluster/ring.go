@@ -1,61 +1,53 @@
 // Package cluster scales the STEM capacity story from sets to nodes: N
 // stemd servers sit behind a consistent-hash ring, a cluster-aware client
-// routes operations and splits batches per owner, and MoveSlot hands a
-// virtual-node slot and its resident keys from one node to another. The
-// policy that decides moves lives one package up: membership.Manager is
-// the only writer of ring ownership. Its joins, leaves and failovers move
+// routes operations by its view and splits batches per owner, and CopySlot
+// and DropSlot copy a virtual-node slot's resident keys between nodes. The
+// policy that decides moves lives one package up: membership.Manager is the
+// only writer of slot ownership. Its joins, leaves and failovers move
 // slots; each move re-places replicas and pushes a new view.
+//
+// Ownership lives in one record, the View (epoch, members, replica table
+// whose first column is the owner). The manager, each node's agent and
+// each Client hold a copy of their own, and copies travel on the wire: a
+// node answers a key it does not serve with StatusMoved and its view, and
+// a Client adopts any newer view it is answered with. The Ring holds no
+// ownership: it is the fixed key→slot hash every holder shares.
 //
 // The analogy is deliberate but not exact. Inside a cache, a taker set
 // couples with a giver set and both remain owners of their blocks
 // (cooperative dual-residency, paper §4.5). Between nodes, a slot migration
-// *moves ownership*: after the handoff exactly one node serves the slot.
-// DESIGN.md §6.1 spells out why (a network cache cannot afford a second
-// network hop per miss to probe a partner node, the way a second set probe
-// within an LLC can).
+// *moves ownership*: after the handoff exactly one node serves the slot's
+// writes. DESIGN.md §6.1 spells out why (a network cache cannot afford a
+// second network hop per miss to probe a partner node, the way a second set
+// probe within an LLC can).
 //
-// The package has two lock classes, ranked Ring.mu → Node.mu (enforced by
-// the stemlint lockorder analyzer). Neither is held across a network call.
+// The package's one lock, Client.mu, is never held across a network call.
 package cluster
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/hashfn"
 	"repro/internal/sim"
 )
 
-// Ring is a consistent-hash ring with a fixed slot set and movable
-// ownership: nodes × vnodes slots are placed on the ring at
-// seed-deterministic points once, and a handoff changes only which node
-// owns a slot — the key→slot mapping never moves, so a migration's blast
-// radius is exactly the keys of the migrated slot.
+// Ring is a consistent-hash ring with a fixed slot set: nodes × vnodes
+// slots are placed on the ring at seed-deterministic points once, so a
+// handoff changes only which node owns a slot — the key→slot mapping never
+// moves, and a migration's blast radius is exactly the keys of the
+// migrated slot. Who owns a slot is a View's business, not the ring's.
 //
-// All methods are safe for concurrent use. Ring.mu is the package's
-// top-ranked lock.
+// A Ring is immutable and safe for concurrent use.
 type Ring struct {
-	slots int
-	seed  uint64
+	nodes, slots int
+	seed         uint64
 	// points is sorted ascending; lookup walks clockwise to the first point
 	// at or after the key's point.
 	points []ringPoint
 	// hi/lo hash a key's 64-bit digest onto the ring (two independent H3
 	// halves — the same hardware-hash family the shadow directory uses).
 	hi, lo *hashfn.Hash
-
-	// mu guards nodes, owner, epochs, and version.
-	//lint:rank 1
-	mu    sync.RWMutex
-	nodes int
-	owner []int
-	// epochs[s] counts slot s's ownership flips — strictly monotone per
-	// slot, so a stale view of "who owns s" is detectable by epoch compare.
-	// Nothing routes by it yet: it is fault-detection state, read through
-	// Epochs.
-	epochs  []uint64
-	version uint64
 }
 
 // ringPoint is one slot's fixed position on the ring. Ties on point are
@@ -66,8 +58,8 @@ type ringPoint struct {
 }
 
 // NewRing builds a ring for nodes servers with vnodes slots each, placed
-// deterministically from seed. Initially slot s belongs to node s mod nodes
-// (every node owns exactly vnodes slots).
+// deterministically from seed. Slot s's home is node s mod nodes: its
+// owner in the epoch-0 view (every node owns exactly vnodes slots).
 func NewRing(nodes, vnodes int, seed uint64) (*Ring, error) {
 	if nodes < 1 {
 		return nil, fmt.Errorf("cluster: ring needs at least one node, got %d", nodes)
@@ -83,11 +75,8 @@ func NewRing(nodes, vnodes int, seed uint64) (*Ring, error) {
 		lo:    hashfn.New(32, sim.Mix64(seed^0x736c6f746c6f77)), // "slotlow"
 	}
 	r.points = make([]ringPoint, r.slots)
-	r.owner = make([]int, r.slots)
-	r.epochs = make([]uint64, r.slots)
 	for s := 0; s < r.slots; s++ {
 		r.points[s] = ringPoint{point: r.pointOf(sim.Mix64(seed + uint64(s) + 1)), slot: s}
-		r.owner[s] = s % nodes
 	}
 	sort.Slice(r.points, func(i, j int) bool {
 		if r.points[i].point != r.points[j].point {
@@ -126,100 +115,13 @@ func (r *Ring) SlotOfKey(key string) int {
 	return r.points[i].slot
 }
 
-// Owner returns the node currently owning slot.
-func (r *Ring) Owner(slot int) int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.owner[slot]
-}
-
-// Lookup routes key to its current owner, returning the node and the slot
-// (the slot is what a router records as the load-accounting bucket).
-func (r *Ring) Lookup(key string) (node, slot int) {
+// Lookup returns key's slot and the slot's home node, its owner in the
+// epoch-0 view. Once a view moves the slot the home is no longer its
+// owner: a router reads the owner from its view (Client.View).
+func (r *Ring) Lookup(key string) (home, slot int) {
 	slot = r.SlotOfKey(key)
-	r.mu.RLock()
-	node = r.owner[slot]
-	r.mu.RUnlock()
-	return node, slot
-}
-
-// Move transfers slot's ownership to node, bumps the slot's epoch and the
-// ring version. MoveSlot calls it after copying the slot's keys; the
-// membership manager's move executor calls it directly only when the old
-// owner is dead and the keys are already on the promoted replica.
-func (r *Ring) Move(slot, node int) error {
-	if slot < 0 || slot >= r.slots {
-		return fmt.Errorf("cluster: slot %d out of range [0, %d)", slot, r.slots)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if node < 0 || node >= r.nodes {
-		return fmt.Errorf("cluster: node %d out of range [0, %d)", node, r.nodes)
-	}
-	if r.owner[slot] != node {
-		r.owner[slot] = node
-		r.epochs[slot]++
-	}
-	r.version++
-	return nil
-}
-
-// AddNode grows the node set by one and returns the new node's id. The slot
-// set is fixed at construction, so the new node owns nothing until Move
-// assigns it slots — which is what keeps a join's movement bounded to the
-// slots explicitly handed over.
-func (r *Ring) AddNode() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.nodes++
-	return r.nodes - 1
-}
-
-// Epochs returns a copy of the per-slot ownership-epoch table: entry s is
-// the number of times slot s's owner has changed.
-func (r *Ring) Epochs() []uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]uint64, len(r.epochs))
-	copy(out, r.epochs)
-	return out
-}
-
-// OwnedSlots returns node's slots in ascending order.
-func (r *Ring) OwnedSlots(node int) []int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var slots []int
-	for s, o := range r.owner {
-		if o == node {
-			slots = append(slots, s)
-		}
-	}
-	return slots
-}
-
-// Owners returns a copy of the slot→node ownership table.
-func (r *Ring) Owners() []int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]int, len(r.owner))
-	copy(out, r.owner)
-	return out
-}
-
-// Nodes returns the node count (it can grow via AddNode).
-func (r *Ring) Nodes() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.nodes
+	return slot % r.nodes, slot
 }
 
 // Slots returns the total slot count (nodes × vnodes).
 func (r *Ring) Slots() int { return r.slots }
-
-// Version counts Move calls — a cheap "did ownership change" check.
-func (r *Ring) Version() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.version
-}

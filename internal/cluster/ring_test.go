@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 func TestRingDeterminism(t *testing.T) {
@@ -39,58 +42,66 @@ func TestRingInitialOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Slots() != nodes*vnodes || r.Nodes() != nodes {
-		t.Fatalf("Slots=%d Nodes=%d, want %d and %d", r.Slots(), r.Nodes(), nodes*vnodes, nodes)
+	if r.Slots() != nodes*vnodes {
+		t.Fatalf("Slots=%d, want %d", r.Slots(), nodes*vnodes)
 	}
-	for n := 0; n < nodes; n++ {
-		owned := r.OwnedSlots(n)
-		if len(owned) != vnodes {
-			t.Fatalf("node %d owns %d slots, want %d", n, len(owned), vnodes)
+	v := r.InitialView(make([]string, nodes))
+	owned := make([]int, nodes)
+	for s, o := range v.Owners() {
+		if o != s%nodes || len(v.Replicas[s]) != 1 {
+			t.Fatalf("slot %d replicas %v in the epoch-0 view, want [%d]", s, v.Replicas[s], s%nodes)
 		}
-		for _, s := range owned {
-			if r.Owner(s) != n || s%nodes != n {
-				t.Fatalf("slot %d owned by %d, want %d", s, r.Owner(s), s%nodes)
-			}
+		owned[o]++
+	}
+	for n, c := range owned {
+		if c != vnodes || !v.Alive(n) {
+			t.Fatalf("node %d owns %d slots (alive %v), want %d", n, c, v.Alive(n), vnodes)
+		}
+	}
+	// Lookup names the key's slot and that slot's owner in the epoch-0 view.
+	for i := 0; i < 100; i++ {
+		k := fmt.Sprintf("key-%d", i)
+		home, slot := r.Lookup(k)
+		if slot != r.SlotOfKey(k) || home != v.Owner(slot) {
+			t.Fatalf("Lookup(%q) = (%d, %d), want (%d, %d)", k, home, slot, v.Owner(slot), r.SlotOfKey(k))
 		}
 	}
 }
 
-func TestRingMoveChangesOwnerNotMapping(t *testing.T) {
-	r, err := NewRing(3, 4, 7)
+// TestParseViewChecksRing: a view is adopted only when it fits the ring —
+// one replica set per slot, in slot order, owner present, members only —
+// and a slot-count mismatch names both counts.
+func TestParseViewChecksRing(t *testing.T) {
+	r, err := NewRing(2, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Find a key and remember its slot.
-	key := "victim"
-	slot := r.SlotOfKey(key)
-	oldNode, gotSlot := r.Lookup(key)
-	if gotSlot != slot {
-		t.Fatalf("Lookup slot %d != SlotOfKey %d", gotSlot, slot)
-	}
-	to := (oldNode + 1) % 3
-	if err := r.Move(slot, to); err != nil {
+	good := r.InitialView([]string{"a:1", "b:2"})
+	good.Epoch = 3
+	v, err := r.ParseView(good.Wire())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if r.SlotOfKey(key) != slot {
-		t.Fatal("Move changed the key→slot mapping")
+	if fmt.Sprint(v) != fmt.Sprint(good) {
+		t.Fatalf("ParseView(Wire()) = %v, want %v", v, good)
 	}
-	if node, _ := r.Lookup(key); node != to {
-		t.Fatalf("after Move, Lookup routes to %d, want %d", node, to)
+	wide, err := NewRing(2, 4, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.Version() != 1 {
-		t.Fatalf("Version = %d, want 1", r.Version())
+	if _, err := wide.ParseView(good.Wire()); err == nil || !strings.Contains(err.Error(), "4 slots, the ring 8") {
+		t.Fatalf("8-slot ring parsed a 4-slot view: %v", err)
 	}
-	if err := r.Move(99, 0); err == nil {
-		t.Fatal("out-of-range slot accepted")
-	}
-	if err := r.Move(0, 9); err == nil {
-		t.Fatal("out-of-range node accepted")
-	}
-
-	// Ownership accounting follows the move.
-	owners := r.Owners()
-	if owners[slot] != to {
-		t.Fatalf("Owners()[%d] = %d, want %d", slot, owners[slot], to)
+	for name, bend := range map[string]func(w *wire.View){
+		"slots out of order":         func(w *wire.View) { w.Replicas[0].Slot, w.Replicas[1].Slot = 1, 0 },
+		"a slot with no owner":       func(w *wire.View) { w.Replicas[2].Replicas = nil },
+		"a replica past the members": func(w *wire.View) { w.Replicas[3].Replicas = []uint32{2} },
+	} {
+		w := good.Wire()
+		bend(&w)
+		if _, err := r.ParseView(w); err == nil {
+			t.Errorf("%s: view accepted", name)
+		}
 	}
 }
 

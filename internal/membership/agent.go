@@ -1,7 +1,9 @@
 package membership
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
@@ -13,11 +15,14 @@ import (
 // Agent is one node's membership data plane. It installs itself as the
 // node server's Hooks and from then on:
 //
+//   - holds the node's view (server.MembershipHandler): it applies pushed
+//     views, dialing peers for new members and dropping the ones that left
+//     or died, and answers which keys the node serves — a write needs the
+//     node to own the key's slot, a read to be one of its replicas — so
+//     that the server answers every other keyed request StatusMoved;
 //   - fans every write the node applies as a slot owner out to the slot's
 //     replicas (server.Replicator), synchronously before the ack — the
 //     invariant failover's losslessness rests on;
-//   - applies pushed membership views (server.MembershipHandler), dialing
-//     peers for new members and dropping the ones that left or died;
 //   - read-repairs GET misses on slots the node acquired through failover
 //     promotion or migration by asking the slot's other replicas
 //     (server.Hooks.ReadRepair).
@@ -26,21 +31,20 @@ import (
 // held epoch is ignored, so redelivery is harmless.
 //
 // Safe for concurrent use (the server calls the hooks from its connection
-// goroutines). Agent.mu is the membership package's innermost lock and is
-// never held across a network call — peer snapshots are taken under it,
-// the wire work happens outside.
+// goroutines). Agent.mu is never held across a network call: peer
+// snapshots are taken under it, the wire work happens outside.
 type Agent struct {
 	self int
 	ring *cluster.Ring
 	srv  *server.Server
 	tpl  client.Config
 
-	// mu guards the view state below.
-	//lint:rank 1
-	mu       sync.Mutex
-	epoch    uint64
-	members  []wire.Member
-	replicas [][]int
+	// view is the held view, nil before the first push; Serves reads it on
+	// every keyed request, and Update replaces it under mu.
+	view atomic.Pointer[cluster.View]
+
+	// mu guards the peer and repair state below and serializes Update.
+	mu sync.Mutex
 	// peers[n] is a lazily dialed client to member n; nil for self and for
 	// members that are gone (or not yet seen).
 	peers []*client.Client
@@ -52,9 +56,8 @@ type Agent struct {
 }
 
 // NewAgent builds node self's agent and installs its hooks on srv. The
-// ring is shared cluster-wide (key→slot hashing and current ownership);
-// tpl is the connection template for dialing peers (Addr overwritten per
-// peer).
+// ring is the cluster's key→slot hash; tpl is the connection template for
+// dialing peers (Addr overwritten per peer).
 func NewAgent(self int, ring *cluster.Ring, srv *server.Server, tpl client.Config) *Agent {
 	a := &Agent{self: self, ring: ring, srv: srv, tpl: tpl}
 	srv.SetHooks(&server.Hooks{Replicator: a, Membership: a, ReadRepair: a.readRepair})
@@ -63,9 +66,10 @@ func NewAgent(self int, ring *cluster.Ring, srv *server.Server, tpl client.Confi
 
 // Epoch returns the view epoch the agent holds (0 before the first push).
 func (a *Agent) Epoch() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.epoch
+	if v := a.view.Load(); v != nil {
+		return v.Epoch
+	}
+	return 0
 }
 
 // Close uninstalls the hooks and releases the peer connections.
@@ -75,63 +79,47 @@ func (a *Agent) Close() error {
 	peers := a.peers
 	a.peers = nil
 	a.mu.Unlock()
-	var first error
 	for _, p := range peers {
-		if p == nil {
-			continue
-		}
-		if err := p.Close(); err != nil && first == nil {
-			first = err
+		if p != nil {
+			p.Close() // a client's Close cannot fail
 		}
 	}
-	return first
+	return nil
 }
 
-// Update applies one pushed membership view (server.MembershipHandler).
-func (a *Agent) Update(epoch uint64, members []wire.Member, replicas []wire.ReplicaSet) error {
+// Update applies one pushed view and returns the view held after it
+// (server.MembershipHandler); a view at or below the held epoch changes
+// nothing.
+func (a *Agent) Update(w wire.View) (wire.View, error) {
 	a.mu.Lock()
-	if epoch <= a.epoch {
+	old := a.view.Load()
+	var v *cluster.View
+	var err error
+	if w.Epoch > a.Epoch() {
+		v, err = a.ring.ParseView(w)
+	}
+	if v == nil { // stale, replayed, a fetch, or refused
 		a.mu.Unlock()
-		return nil // stale or replayed view
+		return old.Wire(), err
 	}
-
-	oldOwners := a.ownerTableLocked()
-	a.epoch = epoch
-	a.members = members
-	table := make([][]int, a.ring.Slots())
-	for _, rs := range replicas {
-		if int(rs.Slot) >= len(table) {
-			continue
-		}
-		set := make([]int, len(rs.Replicas))
-		for i, n := range rs.Replicas {
-			set[i] = int(n)
-		}
-		table[rs.Slot] = set
-	}
-	a.replicas = table
 
 	// Reconcile peers: dial new serving members, drop departed ones. The
 	// constructor does not connect (client.New is lazy), so holding mu here
 	// is lock work only.
 	var closing []*client.Client
-	for len(a.peers) < len(members) {
+	for len(a.peers) < len(v.Members) {
 		a.peers = append(a.peers, nil)
 	}
-	for i := range members {
-		id := int(members[i].ID)
-		if id < 0 || id >= len(a.peers) || id == a.self {
-			continue
-		}
-		if members[i].State == wire.MemberAlive {
-			if a.peers[id] == nil {
-				cfg := a.tpl
-				cfg.Addr = members[i].Addr
-				if p, err := client.New(cfg); err == nil {
-					a.peers[id] = p
-				}
+	for id := range v.Members {
+		switch {
+		case id == a.self:
+		case v.Alive(id) && a.peers[id] == nil:
+			cfg := a.tpl
+			cfg.Addr = v.Members[id].Addr
+			if p, err := client.New(cfg); err == nil {
+				a.peers[id] = p
 			}
-		} else if a.peers[id] != nil {
+		case !v.Alive(id) && a.peers[id] != nil:
 			closing = append(closing, a.peers[id])
 			a.peers[id] = nil
 		}
@@ -139,53 +127,49 @@ func (a *Agent) Update(epoch uint64, members []wire.Member, replicas []wire.Repl
 
 	// Mark newly acquired slots for read repair (see the repair field).
 	if a.repair == nil {
-		a.repair = make([]bool, len(table))
+		a.repair = make([]bool, len(v.Replicas))
 	}
-	for s, set := range table {
-		if len(set) > 0 && set[0] == a.self && oldOwners != nil && s < len(oldOwners) && oldOwners[s] != a.self && oldOwners[s] >= 0 {
+	for s := range v.Replicas {
+		if old != nil && v.Owner(s) == a.self && old.Owner(s) != a.self {
 			a.repair[s] = true
 		}
 	}
+	a.view.Store(v)
 	a.mu.Unlock()
 
 	for _, p := range closing {
 		p.Close()
 	}
-	return nil
+	return w, nil
 }
 
-// ownerTableLocked extracts the held view's slot→owner table (nil before
-// the first view). Caller holds a.mu.
-func (a *Agent) ownerTableLocked() []int {
-	if a.replicas == nil {
-		return nil
+// Serves reports whether the node answers an operation on key under the
+// held view (server.MembershipHandler): a write needs the node to own the
+// key's slot, a read to hold one of its replicas. Before the first view
+// it serves every key.
+func (a *Agent) Serves(key string, write bool) bool {
+	v := a.view.Load()
+	if v == nil {
+		return true
 	}
-	owners := make([]int, len(a.replicas))
-	for s, set := range a.replicas {
-		owners[s] = -1
-		if len(set) > 0 {
-			owners[s] = set[0]
-		}
+	slot := a.ring.SlotOfKey(key)
+	if write {
+		return v.Owner(slot) == a.self
 	}
-	return owners
+	return slices.Contains(v.Replicas[slot], a.self)
 }
 
-// followersOf snapshots the peers to fan a write on slot out to, or nil
-// when this node is not the slot's current owner. Ring ownership (shared,
-// authoritative) gates the fan-out so a write from a client with a stale
-// ring, landing on a non-owner, is not re-fanned; the pushed view supplies
-// the follower set.
-func (a *Agent) followersOf(slot int) []*client.Client {
-	if a.ring.Owner(slot) != a.self {
+// peersOf snapshots the connected peers among slot's replicas other than
+// this node; with owner set, only when this node owns the slot.
+func (a *Agent) peersOf(slot int, owner bool) []*client.Client {
+	v := a.view.Load()
+	if v == nil || owner && v.Owner(slot) != a.self {
 		return nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.replicas == nil || slot >= len(a.replicas) {
-		return nil
-	}
 	var out []*client.Client
-	for _, n := range a.replicas[slot] {
+	for _, n := range v.Replicas[slot] {
 		if n != a.self && n < len(a.peers) && a.peers[n] != nil {
 			out = append(out, a.peers[n])
 		}
@@ -193,19 +177,20 @@ func (a *Agent) followersOf(slot int) []*client.Client {
 	return out
 }
 
-// ReplicateSet fans one applied store out to the slot's replicas
-// (server.Replicator). Best effort: a dead replica's copy is restored by
-// the manager's backfill at the next view change.
+// ReplicateSet fans one applied store out to the slot's followers
+// (server.Replicator); a node that does not own the slot in its view fans
+// nothing out. Best effort: a dead replica's copy is restored by the
+// manager's backfill at the next view change.
 func (a *Agent) ReplicateSet(key string, value []byte, ttl time.Duration) {
-	for _, p := range a.followersOf(a.ring.SlotOfKey(key)) {
+	for _, p := range a.peersOf(a.ring.SlotOfKey(key), true) {
 		_ = p.Replicate(key, value, ttl)
 	}
 }
 
-// ReplicateDelete fans one applied delete out to the slot's replicas
+// ReplicateDelete fans one applied delete out to the slot's followers
 // (server.Replicator).
 func (a *Agent) ReplicateDelete(key string) {
-	for _, p := range a.followersOf(a.ring.SlotOfKey(key)) {
+	for _, p := range a.peersOf(a.ring.SlotOfKey(key), true) {
 		_ = p.ReplicateDelete(key)
 	}
 }
@@ -216,19 +201,12 @@ func (a *Agent) ReplicateDelete(key string) {
 func (a *Agent) readRepair(key string) ([]byte, bool) {
 	slot := a.ring.SlotOfKey(key)
 	a.mu.Lock()
-	if a.repair == nil || slot >= len(a.repair) || !a.repair[slot] {
-		a.mu.Unlock()
+	marked := slot < len(a.repair) && a.repair[slot]
+	a.mu.Unlock()
+	if !marked {
 		return nil, false
 	}
-	var peers []*client.Client
-	for _, n := range a.replicas[slot] {
-		if n != a.self && n < len(a.peers) && a.peers[n] != nil {
-			peers = append(peers, a.peers[n])
-		}
-	}
-	a.mu.Unlock()
-
-	for _, p := range peers {
+	for _, p := range a.peersOf(slot, false) {
 		if v, found, err := p.Get(key); err == nil && found {
 			return v, true
 		}

@@ -6,6 +6,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/cluster"
@@ -124,12 +125,15 @@ func TestCutOwnerLinkLosesNoAckedWrite(t *testing.T) {
 				proxies[i] = startLinkProxy(t, a)
 				addrs[i] = proxies[i].addr()
 			}
-			cl, err := cluster.NewClient(cluster.Config{Addrs: addrs, VNodes: memVNodes, Seed: memSeed, Client: memTpl()})
+			// A write to the cut owner waits OpTimeout for a failover that
+			// does not come: keep that wait short.
+			tpl := memTpl()
+			tpl.OpTimeout = 150 * time.Millisecond
+			cl, err := cluster.NewClient(cluster.Config{Addrs: addrs, VNodes: memVNodes, Seed: memSeed, Client: tpl})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { cl.Close() })
-			cl.SetReplicaSource(mc.Manager().ReplicasOf)
 
 			lost, refused := 0, 0
 			for i := 0; i < keys; i++ {
@@ -137,7 +141,7 @@ func TestCutOwnerLinkLosesNoAckedWrite(t *testing.T) {
 				if err := cl.Set(k, []byte("v1")); err != nil {
 					t.Fatalf("set %q before the cut: %v", k, err)
 				}
-				owner, _ := cl.Ring().Lookup(k)
+				owner := cl.View().Owner(cl.Ring().SlotOfKey(k))
 				proxies[owner].cut()
 				if del {
 					_, err = cl.Del(k)

@@ -6,5 +6,5 @@ import "repro/internal/cluster"
 // transition uses, and commits it the same way. It lets the package's
 // external tests place a move no join, leave or failover plans on its own.
 func (m *Manager) ApplyMoves(plan ...cluster.Move) (Report, error) {
-	return m.apply(Report{Node: -1}, plan, -1)
+	return m.apply(Report{Node: -1}, m.View().Members, plan, -1)
 }

@@ -1,44 +1,38 @@
 package membership
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
-// Manager is the cluster's control plane: it owns the authoritative member
-// table, the replica placement, and the view epoch, and it is the only
-// writer of ring ownership. Every transition — Join, Leave, failover from
-// Tick — plans its moves as a pure function of the view, then hands the
-// plan to one executor, apply: a move off a live node goes through
-// cluster.Client.MoveSlot (drain → copy → flip → delete); a move off the
-// node being failed over is a pure ownership flip, the data already on the
-// promoted replica, put there by the agents' synchronous write fan-out.
-// apply stops at the first failed move and commits what moved: re-place
-// replicas, push the view, backfill new followers.
+// Manager is the cluster's control plane and the only writer of slot
+// ownership: it writes the authoritative view — member table, replica
+// placement (owner first) and epoch. Every transition — Join, Leave,
+// failover from Tick — plans its moves as a pure function of the view and
+// hands the plan to one executor, apply. A move off a live node copies the
+// slot while the old owner serves it, then pushes the view that flips the
+// owner — the old owner answers the slot's writes MOVED from then on — and
+// only then drops the old owner's copy; a move off the node being failed
+// over is a pure flip, the data already on the promoted replica through
+// the agents' synchronous write fan-out.
 //
 // Transitions (Join/Leave/Tick) are driven by one goroutine — the cluster
 // owner's control loop — and are not safe to run concurrently with each
-// other. ReplicasOf and the other read accessors are safe from any
-// goroutine (the client's replica-retry path calls ReplicasOf per failed
-// operation).
+// other. View is safe from any goroutine.
 type Manager struct {
 	cl     *cluster.Client
 	lister cluster.KeyLister
 	cfg    Config
 
-	// mu guards members, replicas, and epoch. Never held across a network
-	// call.
-	//lint:rank 0
-	mu       sync.Mutex
-	members  []wire.Member
-	replicas [][]int
-	epoch    uint64
+	// view is the current view, replaced whole by each push.
+	view atomic.Pointer[cluster.View]
 
 	// missed[n] counts node n's consecutive unanswered Tick probes;
 	// control loop only.
@@ -66,11 +60,9 @@ type Report struct {
 	BelowRF int
 }
 
-// New builds a manager over cl's current node set. addrs[i] is node i's
-// address (the same table cl was built from). The manager installs itself
-// as cl's replica source, so single-key operations start retrying through
-// its placement immediately; call Bootstrap to push the initial view to
-// the nodes' agents.
+// New builds a manager over cl's node set. addrs[i] is node i's address
+// (the same table cl was built from). Its first view places replicas over
+// the ring's home owners; call Bootstrap to push it to the nodes' agents.
 func New(cl *cluster.Client, lister cluster.KeyLister, addrs []string, cfg Config) (*Manager, error) {
 	if cl == nil {
 		return nil, errors.New("membership: manager needs a cluster client")
@@ -78,8 +70,8 @@ func New(cl *cluster.Client, lister cluster.KeyLister, addrs []string, cfg Confi
 	if lister == nil {
 		return nil, errors.New("membership: manager needs a key lister")
 	}
-	if len(addrs) != cl.Nodes() {
-		return nil, fmt.Errorf("membership: %d addrs for %d nodes", len(addrs), cl.Nodes())
+	if n := len(cl.View().Members); len(addrs) != n {
+		return nil, fmt.Errorf("membership: %d addrs for %d nodes", len(addrs), n)
 	}
 	cfg = cfg.withDefaults()
 	m := &Manager{
@@ -88,12 +80,9 @@ func New(cl *cluster.Client, lister cluster.KeyLister, addrs []string, cfg Confi
 		cfg:    cfg,
 		missed: make([]int, len(addrs)),
 	}
-	m.members = make([]wire.Member, len(addrs))
-	for i, addr := range addrs {
-		m.members[i] = wire.Member{ID: uint32(i), State: wire.MemberAlive, Addr: addr}
-	}
-	m.replicas = m.place()
-	cl.SetReplicaSource(m.ReplicasOf)
+	v := cl.Ring().InitialView(addrs)
+	v.Replicas = placeReplicas(v.Owners(), aliveMask(v.Members), cfg.ReplicationFactor)
+	m.view.Store(v)
 	if reg := cfg.Metrics; reg != nil {
 		m.joins = reg.Counter("membership.joins")
 		m.leaves = reg.Counter("membership.leaves")
@@ -105,48 +94,22 @@ func New(cl *cluster.Client, lister cluster.KeyLister, addrs []string, cfg Confi
 	return m, nil
 }
 
-// Epoch returns the current view epoch (0 until Bootstrap).
-func (m *Manager) Epoch() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.epoch
-}
-
-// Members returns a copy of the member table.
-func (m *Manager) Members() []wire.Member {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]wire.Member, len(m.members))
-	copy(out, m.members)
-	return out
-}
-
-// ReplicasOf returns slot's replica nodes, owner first — the client's
-// replica source and the tests' placement oracle.
-func (m *Manager) ReplicasOf(slot int) []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if slot < 0 || slot >= len(m.replicas) {
-		return nil
-	}
-	out := make([]int, len(m.replicas[slot]))
-	copy(out, m.replicas[slot])
-	return out
-}
+// View returns the manager's current view. It is shared: the caller must
+// not change it.
+func (m *Manager) View() *cluster.View { return m.view.Load() }
 
 // Bootstrap publishes the initial view (epoch 1) to every node's agent.
 // Call once, after the nodes and their agents are up and before traffic:
 // writes before the agents hold a view are not fanned out.
 func (m *Manager) Bootstrap() (Report, error) {
-	return m.apply(Report{Node: -1}, nil, -1)
+	return m.apply(Report{Node: -1}, m.View().Members, nil, -1)
 }
 
-// aliveLocked returns the serving-member mask, indexed by node id. Caller
-// holds m.mu.
-func (m *Manager) aliveLocked() []bool {
-	alive := make([]bool, len(m.members))
-	for i := range m.members {
-		alive[i] = m.members[i].State == wire.MemberAlive
+// aliveMask returns the serving-member mask, indexed by node id.
+func aliveMask(members []wire.Member) []bool {
+	alive := make([]bool, len(members))
+	for i := range members {
+		alive[i] = members[i].State == wire.MemberAlive
 	}
 	return alive
 }
@@ -175,27 +138,19 @@ func pickLoaded(counts []int, eligible []bool, most bool) int {
 	return best
 }
 
-// place computes the replica table for the current ring and member state.
-// Caller holds m.mu.
-func (m *Manager) place() [][]int {
-	return placeReplicas(m.cl.Ring().Owners(), m.aliveLocked(), m.cfg.ReplicationFactor)
-}
-
-// Join adds the node at addr to the cluster: grow the client and ring,
-// hand the newcomer its fair share of slots (bounded movement: at most
-// ⌈slots/nodes⌉ migrations, each through drain → copy → flip), re-place
-// replicas, and push the new view. A handoff that fails partway still
-// commits the slots that moved.
+// Join adds the node at addr to the cluster: dial it, hand it its fair
+// share of slots (bounded movement: at most ⌈slots/nodes⌉ migrations),
+// re-place replicas, and push the new view. A handoff that fails partway
+// still commits the slots that moved.
 func (m *Manager) Join(addr string) (Report, error) {
-	id, err := m.cl.AddNode(addr)
+	id, err := m.cl.AddNode(addr) // the view's members and cl's table grow in step
 	if err != nil {
 		return Report{}, err
 	}
+	cur := m.View()
 	m.missed = append(m.missed, 0)
-	m.mu.Lock()
-	m.members = append(m.members, wire.Member{ID: uint32(id), State: wire.MemberAlive, Addr: addr})
-	donors := m.aliveLocked()
-	m.mu.Unlock()
+	members := append(slices.Clone(cur.Members), wire.Member{ID: uint32(id), State: wire.MemberAlive, Addr: addr})
+	donors := aliveMask(members)
 	aliveCount := 0
 	for _, ok := range donors {
 		if ok {
@@ -209,7 +164,7 @@ func (m *Manager) Join(addr string) (Report, error) {
 	// lowest id) gives up its lowest-numbered slot, repeated until the
 	// newcomer holds ⌊slots/alive⌋ — never more than the ⌈slots/nodes⌉
 	// movement bound.
-	owners := m.cl.Ring().Owners()
+	owners := cur.Owners()
 	counts := slotCounts(owners, len(donors))
 	var plan []cluster.Move
 	for k := len(owners) / aliveCount; k > 0; k-- {
@@ -223,7 +178,7 @@ func (m *Manager) Join(addr string) (Report, error) {
 		plan = append(plan, cluster.Move{Slot: slot, From: donor, To: id})
 	}
 
-	report, err := m.apply(Report{Node: id}, plan, -1)
+	report, err := m.apply(Report{Node: id}, members, plan, -1)
 	m.joins.Inc()
 	m.observe(obs.Event{Type: obs.EvNodeJoin, Tick: report.Epoch, Set: id, Life: uint64(len(report.Moves))})
 	return report, err
@@ -232,19 +187,18 @@ func (m *Manager) Join(addr string) (Report, error) {
 // Leave removes node gracefully: migrate every slot it owns to the
 // remaining members (fewest-loaded first — bounded by the ⌈slots/nodes⌉
 // slots a balanced node owns), mark it left, re-place replicas, and push
-// the view. A handoff that fails partway commits the slots that moved;
-// the node stays marked left, owning the rest.
+// the view, to the leaving node too. A handoff that fails partway commits
+// the slots that moved; the node is marked left, owning the rest.
 func (m *Manager) Leave(node int) (Report, error) {
-	m.mu.Lock()
-	if node < 0 || node >= len(m.members) || m.members[node].State != wire.MemberAlive {
-		m.mu.Unlock()
+	cur := m.View()
+	if !cur.Alive(node) {
 		return Report{}, fmt.Errorf("membership: leave of non-member node %d", node)
 	}
-	m.members[node].State = wire.MemberLeft
-	recipients := m.aliveLocked()
-	m.mu.Unlock()
+	members := slices.Clone(cur.Members)
+	members[node].State = wire.MemberLeft
+	recipients := aliveMask(members)
 
-	owners := m.cl.Ring().Owners()
+	owners := cur.Owners()
 	counts := slotCounts(owners, len(recipients))
 	if pickLoaded(counts, recipients, false) < 0 {
 		return Report{}, fmt.Errorf("membership: node %d is the last member", node)
@@ -258,7 +212,7 @@ func (m *Manager) Leave(node int) (Report, error) {
 		}
 	}
 
-	report, err := m.apply(Report{Node: node}, plan, -1)
+	report, err := m.apply(Report{Node: node}, members, plan, -1)
 	m.leaves.Inc()
 	m.observe(obs.Event{Type: obs.EvNodeLeave, Tick: report.Epoch, Set: node, Life: uint64(len(report.Moves))})
 	return report, err
@@ -270,12 +224,8 @@ func (m *Manager) Leave(node int) (Report, error) {
 // longer serving, so Tick never probes it again — it fails over once. It
 // returns one Report per failover (usually none).
 func (m *Manager) Tick() []Report {
-	m.mu.Lock()
-	alive := m.aliveLocked()
-	m.mu.Unlock()
-
 	var reports []Report
-	for id, ok := range alive {
+	for id, ok := range aliveMask(m.View().Members) {
 		if !ok {
 			continue
 		}
@@ -297,14 +247,13 @@ func (m *Manager) Tick() []Report {
 // surviving replica falls back to the least-loaded member with its data
 // lost — the cost of running below the replication factor.
 func (m *Manager) failover(node int) Report {
-	m.mu.Lock()
-	m.members[node].State = wire.MemberDead
-	reps := m.replicas
-	alive := m.aliveLocked()
-	m.mu.Unlock()
+	cur := m.View()
+	members := slices.Clone(cur.Members)
+	members[node].State = wire.MemberDead
+	alive := aliveMask(members)
 	m.deaths.Inc()
 
-	owners := m.cl.Ring().Owners()
+	owners := cur.Owners()
 	counts := slotCounts(owners, len(alive))
 	var plan []cluster.Move
 	for s, o := range owners {
@@ -312,12 +261,10 @@ func (m *Manager) failover(node int) Report {
 			continue
 		}
 		to := -1
-		if s < len(reps) {
-			for _, r := range reps[s][1:] {
-				if r < len(alive) && alive[r] {
-					to = r
-					break
-				}
+		for _, r := range cur.Replicas[s][1:] {
+			if alive[r] {
+				to = r
+				break
 			}
 		}
 		if to < 0 {
@@ -330,7 +277,7 @@ func (m *Manager) failover(node int) Report {
 		plan = append(plan, cluster.Move{Slot: s, From: node, To: to})
 	}
 
-	report, _ := m.apply(Report{Node: node}, plan, node)
+	report, _ := m.apply(Report{Node: node}, members, plan, node)
 	m.promotions.Add(uint64(len(report.Moves)))
 	m.observe(obs.Event{Type: obs.EvNodeDead, Tick: report.Epoch, Set: node, Life: uint64(len(report.Moves))})
 	for _, p := range report.Moves {
@@ -339,110 +286,144 @@ func (m *Manager) failover(node int) Report {
 	return report
 }
 
-// apply is the one writer of ring ownership. It runs a planned handoff in
-// order — a pure ownership flip when the old owner is dead (the node being
-// failed over; -1 when none), a MoveSlot otherwise — stops at the first
-// failure, and commits whatever moved. report carries the transition's
-// Node; apply fills in Moves, Epoch and ReplicaKeys.
-func (m *Manager) apply(report Report, plan []cluster.Move, dead int) (Report, error) {
+// apply is the one writer of slot ownership. It runs a planned handoff in
+// order — a pure flip when the old owner is dead (the node being failed
+// over; -1 when none), a copy otherwise — stops at the first failure, and
+// commits what moved under members, the transition's member table, into
+// report. Every copy's target first joins its slot's replica set in a view
+// pushed before any copy: the old owner, which acks the slot's writes
+// until the commit fences it, fans each one out to the target, so none is
+// acked that the copy misses, and the copy yields to them.
+func (m *Manager) apply(report Report, members []wire.Member, plan []cluster.Move, dead int) (Report, error) {
+	cur := m.View()
+	next := &cluster.View{Epoch: cur.Epoch + 1, Replicas: slices.Clone(cur.Replicas),
+		Members: append(slices.Clone(cur.Members), members[len(cur.Members):]...)}
 	var moveErr error
-	for _, mv := range plan {
-		var err error
+	for i, mv := range plan {
 		if mv.From == dead {
-			err = m.cl.Ring().Move(mv.Slot, mv.To)
-		} else {
-			mv, err = m.cl.MoveSlot(m.lister, mv.Slot, mv.From, mv.To, chunkSize)
+			continue
 		}
-		if err != nil {
-			moveErr = fmt.Errorf("membership: handoff of slot %d from node %d to %d: %w", mv.Slot, mv.From, mv.To, err)
+		if _, err := m.admit(next, mv.Slot, mv.To); err != nil {
+			moveErr, plan = fmt.Errorf("membership: handoff of slot %d from node %d to %d: %w", mv.Slot, mv.From, mv.To, err), plan[:i]
 			break
+		}
+	}
+	var pushErr error
+	if !slices.EqualFunc(next.Replicas, cur.Replicas, slices.Equal) {
+		pushErr = m.publish(next, nil)
+	}
+	for _, mv := range plan {
+		if mv.From != dead {
+			var err error
+			if mv.Keys, err = m.cl.CopySlot(m.lister, mv.Slot, mv.From, mv.To, chunkSize); err != nil {
+				moveErr = fmt.Errorf("membership: handoff of slot %d from node %d to %d: %w", mv.Slot, mv.From, mv.To, err)
+				break
+			}
 		}
 		report.Moves = append(report.Moves, mv)
 	}
-	return report, errors.Join(moveErr, m.commit(&report, dead))
+	return report, errors.Join(pushErr, moveErr, m.commit(&report, members, dead))
 }
 
-// commit recomputes replica placement for the current ring and member
-// state, bumps the view epoch, pushes the view to every serving agent, and
-// backfills slot data onto newly placed followers, recording the epoch,
-// the copied key count and the slots below the replication factor in
-// report (the last also in the membership.slots_below_rf gauge). dead (-1
-// when none) lets failover's backfill skip copies whose source is gone.
-// report.Moves are the transition's ownership changes: a move's old owner
-// no longer holds the slot (MoveSlot deleted its copy, or it is dead), so
-// it counts as a new follower if placement picks it again.
-func (m *Manager) commit(report *Report, dead int) error {
-	m.mu.Lock()
-	old := slices.Clone(m.replicas)
-	for _, mv := range report.Moves {
-		old[mv.Slot] = slices.DeleteFunc(slices.Clone(old[mv.Slot]), func(n int) bool { return n == mv.From })
+// admit adds node to slot's replica set in v, a view not yet pushed, after
+// clearing what node holds of the slot from an earlier stay (CopySlot
+// yields to what it finds there), and reports whether it did: a node
+// already in the set is left be.
+func (m *Manager) admit(v *cluster.View, slot, node int) (bool, error) {
+	if slices.Contains(v.Replicas[slot], node) {
+		return false, nil
 	}
-	m.replicas = m.place()
-	m.epoch++
-	epoch := m.epoch
-	newRep := m.replicas
-	members := make([]wire.Member, len(m.members))
-	copy(members, m.members)
-	m.mu.Unlock()
+	if err := m.cl.DropSlot(m.lister, slot, node, chunkSize); err != nil {
+		return false, err
+	}
+	v.Replicas[slot] = append(slices.Clone(v.Replicas[slot]), node)
+	return true, nil
+}
 
-	pushErr := m.pushAll(epoch, members, newRep)
-
-	// Backfill: copy slot data onto followers that are new in this view.
-	// The source is the slot's current owner.
-	report.Epoch = epoch
-	owners := m.cl.Ring().Owners()
-	for s, set := range newRep {
+// commit recomputes replica placement for the moved owners under members,
+// admits the new followers, bumps the view epoch and pushes the view — to
+// the moves' live old owners too, which fences them — then drops each old
+// owner's copy of its slot unless placement keeps it as a follower, and
+// backfills the new followers. It records the epoch, the copied key count
+// and the slots below the replication factor in report (the last also in
+// the membership.slots_below_rf gauge). dead (-1 when none) is the node
+// being failed over, whose copies are gone.
+func (m *Manager) commit(report *Report, members []wire.Member, dead int) error {
+	cur := m.View()
+	owners := cur.Owners()
+	for _, mv := range report.Moves {
+		owners[mv.Slot] = mv.To
+	}
+	placed := placeReplicas(owners, aliveMask(members), m.cfg.ReplicationFactor)
+	// A move's live old owner is pushed the view, which fences it; it keeps
+	// its copy only as a follower of the new view.
+	next := &cluster.View{Epoch: cur.Epoch + 1, Members: members, Replicas: slices.Clone(cur.Replicas)}
+	var fenced []int
+	var dropped []cluster.Move
+	for _, mv := range report.Moves {
+		if mv.From != dead {
+			fenced = append(fenced, mv.From)
+			if slices.Contains(placed[mv.Slot], mv.From) {
+				continue
+			}
+			dropped = append(dropped, mv)
+		}
+		next.Replicas[mv.Slot] = slices.DeleteFunc(slices.Clone(next.Replicas[mv.Slot]), func(n int) bool { return n == mv.From })
+	}
+	// Every replica new to its slot is admitted before the push, and the
+	// followers among them are backfilled after it.
+	var err error
+	var fresh [][2]int // (slot, follower)
+	for s, set := range placed {
 		if len(set) < m.cfg.ReplicationFactor {
 			report.BelowRF++
 		}
-		var oldSet []int
-		if s < len(old) {
-			oldSet = old[s]
-		}
-		for _, f := range set[1:] {
-			if slices.Contains(oldSet, f) {
-				continue // already held a copy in the old view
-			}
-			owner := owners[s]
-			if owner == dead || owner == f {
-				continue
-			}
-			_, copied, err := m.cl.CopySlot(m.lister, s, owner, f, chunkSize)
-			if err != nil {
-				if pushErr == nil {
-					pushErr = err
-				}
-				continue
-			}
-			report.ReplicaKeys += copied
-			m.replicaKeys.Add(uint64(copied))
-			m.observe(obs.Event{Type: obs.EvReplicaPlace, Tick: epoch, Set: s, ScS: owner, Partner: f, Life: uint64(copied)})
-		}
-	}
-	m.belowRF.Set(float64(report.BelowRF))
-	return pushErr
-}
-
-// pushAll sends the view to every serving member's agent. Best effort: all
-// sends are attempted, the first failure is returned (a node that misses a
-// push catches up at the next transition; epoch ordering makes redelivery
-// harmless).
-func (m *Manager) pushAll(epoch uint64, members []wire.Member, replicas [][]int) error {
-	view := make([]wire.ReplicaSet, len(replicas))
-	for s, set := range replicas {
-		rs := wire.ReplicaSet{Slot: uint32(s), Replicas: make([]uint32, len(set))}
 		for i, n := range set {
-			rs.Replicas[i] = uint32(n)
+			added, aerr := m.admit(next, s, n)
+			err = cmp.Or(err, aerr)
+			if added && i > 0 {
+				fresh = append(fresh, [2]int{s, n})
+			}
 		}
-		view[s] = rs
 	}
-	var first error
-	for i := range members {
-		if members[i].State != wire.MemberAlive {
+	next.Replicas = placed
+	err = cmp.Or(err, m.publish(next, fenced))
+	for _, mv := range dropped {
+		err = cmp.Or(err, m.cl.DropSlot(m.lister, mv.Slot, mv.From, chunkSize))
+	}
+
+	// Backfill: copy slot data onto the followers new in this view. The
+	// source is the slot's owner.
+	report.Epoch = next.Epoch
+	for _, sf := range fresh {
+		s, f, owner := sf[0], sf[1], placed[sf[0]][0]
+		copied, cerr := m.cl.CopySlot(m.lister, s, owner, f, chunkSize)
+		if cerr != nil {
+			err = cmp.Or(err, cerr)
 			continue
 		}
-		if err := m.cl.NodeClient(i).PushMembership(epoch, members, view); err != nil && first == nil {
-			first = fmt.Errorf("membership: pushing view %d to node %d: %w", epoch, i, err)
+		report.ReplicaKeys += copied
+		m.replicaKeys.Add(uint64(copied))
+		m.observe(obs.Event{Type: obs.EvReplicaPlace, Tick: next.Epoch, Set: s, ScS: owner, Partner: f, Life: uint64(copied)})
+	}
+	m.belowRF.Set(float64(report.BelowRF))
+	return err
+}
+
+// publish makes v the manager's view and pushes it to every serving member
+// of v and to the extra nodes. Best effort: all sends are attempted, the
+// first failure is returned (a node that misses a push catches up at the
+// next transition; epoch ordering makes redelivery harmless).
+func (m *Manager) publish(v *cluster.View, extra []int) error {
+	m.view.Store(v)
+	w := v.Wire()
+	var first error
+	for i := range v.Members {
+		if !v.Alive(i) && !slices.Contains(extra, i) {
+			continue
+		}
+		if err := m.cl.PushView(i, w); err != nil && first == nil {
+			first = fmt.Errorf("membership: pushing view %d to node %d: %w", v.Epoch, i, err)
 		}
 	}
 	return first

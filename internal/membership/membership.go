@@ -1,7 +1,10 @@
 // Package membership is the cluster's one control plane: every change of
-// ring ownership — joins and leaves with bounded slot movement,
+// slot ownership — joins and leaves with bounded slot movement,
 // heartbeat-driven failover — goes through its Manager, and each one ends
-// by re-placing replicas and pushing the new view.
+// by re-placing replicas and pushing the new view. The view (a
+// cluster.View) is the only record of ownership: the manager writes it,
+// each node's agent holds the copy pushed to it, and every routing client
+// holds the copy the nodes last answered it with.
 //
 //   - Manager is the control plane, one per cluster, driven by the owner's
 //     control loop: it keeps the authoritative member table and replica
@@ -9,7 +12,9 @@
 //     one executor, counts each member's consecutive missed heartbeats
 //     (SuspectAfter of them fail it over, once), and pushes every new view
 //     to the data plane over the wire (OpView).
-//   - Agent is the data plane, one per node: it receives pushed views,
+//   - Agent is the data plane, one per node: it receives pushed views and
+//     has its server answer MOVED for keys the node does not serve under
+//     them (a write needs the slot's owner, a read one of its replicas),
 //     fans every applied write out to the slot's replicas (the
 //     server.Replicator hook, synchronous before the ack — which is what
 //     makes failover lossless for acked writes up to RF-1 failures), and
@@ -21,8 +26,8 @@
 // cache state: the paper's giver/taker signal steers spills between sets
 // inside each node's cache, and the heartbeat is a plain PING.
 //
-// Lock hierarchy (enforced by the stemlint lockorder analyzer): Manager.mu
-// before Agent.mu. Neither is held across a network call.
+// The package's one lock is Agent.mu, never held across a network call;
+// the Manager's view is an atomic pointer its one control loop replaces.
 package membership
 
 import (

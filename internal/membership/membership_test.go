@@ -3,6 +3,7 @@ package membership_test
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -115,12 +116,24 @@ func TestFailoverKeepsAckedWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mid-run writes before any Tick: those owned by the dead node fail
-	// with its transient error, the rest are acked.
-	ring := mc.Client().Ring()
+	// with its transient error once they have waited OpTimeout for a
+	// failover that does not come, the rest are acked. They run at once, so
+	// the waits overlap.
+	view := mc.Manager().View()
+	errs := make([]error, 100)
+	var wg sync.WaitGroup
+	for j := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[j] = mc.Client().Set(memKey(memKeys+j), memVal(memKeys+j))
+		}()
+	}
+	wg.Wait()
 	var failed []int
-	for i := memKeys; i < memKeys+100; i++ {
-		owner, _ := ring.Lookup(memKey(i))
-		err := mc.Client().Set(memKey(i), memVal(i))
+	for j, err := range errs {
+		i := memKeys + j
+		owner := view.Owner(mc.Client().Ring().SlotOfKey(memKey(i)))
 		switch {
 		case owner == kill && (err == nil || !client.IsTransient(err)):
 			t.Fatalf("set %q on the dead owner = %v, want a transient error", memKey(i), err)
@@ -150,8 +163,8 @@ func TestFailoverKeepsAckedWrites(t *testing.T) {
 			t.Fatalf("failover promoted slot %d onto the dead node", mv.Slot)
 		}
 	}
-	for s := 0; s < ring.Slots(); s++ {
-		if ring.Owner(s) == kill {
+	for s, o := range mc.Manager().View().Owners() {
+		if o == kill {
 			t.Fatalf("slot %d still owned by the dead node after failover", s)
 		}
 	}
@@ -225,7 +238,7 @@ func TestWarmFailoverKeepsReplicationFactor(t *testing.T) {
 			mc.Manager().Tick()
 			placed := make([][]int, mc.Client().Ring().Slots())
 			for s := range placed {
-				placed[s] = mc.Manager().ReplicasOf(s)
+				placed[s] = mc.Manager().View().Replicas[s]
 			}
 			if got := fmt.Sprint(placed); got != warmPlaced {
 				t.Errorf("replica table before the kill %s, want %s", got, warmPlaced)
@@ -244,7 +257,7 @@ func TestWarmFailoverKeepsReplicationFactor(t *testing.T) {
 			}
 			slots, below := mc.Client().Ring().Slots(), 0
 			for s := 0; s < slots; s++ {
-				if len(mc.Manager().ReplicasOf(s)) < 2 {
+				if len(mc.Manager().View().Replicas[s]) < 2 {
 					below++
 				}
 			}
@@ -273,28 +286,31 @@ func TestWarmFailoverKeepsReplicationFactor(t *testing.T) {
 
 // TestJoinBoundedMovementAndDeterminism is the scale-out run: a fourth
 // node joins a loaded 3-node cluster. The handoff must move at most
-// ⌈slots/nodes⌉ slots, bump exactly the moved slots' ownership epochs, and
-// keep every key readable; an identical rerun must plan a byte-identical
-// handoff.
+// ⌈slots/nodes⌉ slots, advance the view epoch, change the owner of
+// exactly the moved slots, and keep every key readable; an identical rerun
+// must plan a byte-identical handoff and view.
 func TestJoinBoundedMovementAndDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("membership e2e drives loopback round trips")
 	}
-	run := func() (membership.Report, []uint64) {
+	run := func() (membership.Report, *cluster.View) {
 		mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
 		writeKeys(t, mc.Client(), 0, memKeys)
 
-		before := mc.Client().Ring().Epochs()
+		before := mc.Manager().View()
 		rep, err := mc.Join()
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		ring := mc.Client().Ring()
-		bound := ceilDiv(ring.Slots(), memNodes+1)
-		t.Logf("join moved %d slots (bound %d)", len(rep.Moves), bound)
+		after := mc.Manager().View()
+		bound := ceilDiv(len(after.Replicas), memNodes+1)
+		t.Logf("join moved %d slots (bound %d), view %d -> %d", len(rep.Moves), bound, before.Epoch, after.Epoch)
 		if len(rep.Moves) == 0 || len(rep.Moves) > bound {
 			t.Fatalf("join moved %d slots, want 1..%d", len(rep.Moves), bound)
+		}
+		if after.Epoch <= before.Epoch || rep.Epoch != after.Epoch {
+			t.Fatalf("join reports view %d; the view epoch went %d -> %d", rep.Epoch, before.Epoch, after.Epoch)
 		}
 		moved := make(map[int]bool)
 		for _, mv := range rep.Moves {
@@ -302,17 +318,13 @@ func TestJoinBoundedMovementAndDeterminism(t *testing.T) {
 			if mv.To != memNodes {
 				t.Fatalf("join moved slot %d to node %d, not the joiner", mv.Slot, mv.To)
 			}
-			if ring.Owner(mv.Slot) != memNodes {
-				t.Fatalf("slot %d not owned by the joiner after the move", mv.Slot)
-			}
 		}
-		after := ring.Epochs()
-		for s := range after {
+		for s := range after.Replicas {
 			switch {
-			case moved[s] && after[s] <= before[s]:
-				t.Fatalf("moved slot %d epoch did not advance: %d -> %d", s, before[s], after[s])
-			case !moved[s] && after[s] != before[s]:
-				t.Fatalf("unmoved slot %d epoch changed: %d -> %d", s, before[s], after[s])
+			case moved[s] && after.Owner(s) != memNodes:
+				t.Fatalf("slot %d not owned by the joiner after the move", s)
+			case !moved[s] && after.Owner(s) != before.Owner(s):
+				t.Fatalf("unmoved slot %d changed owner: %d -> %d", s, before.Owner(s), after.Owner(s))
 			}
 		}
 
@@ -322,13 +334,13 @@ func TestJoinBoundedMovementAndDeterminism(t *testing.T) {
 		return rep, after
 	}
 
-	rep1, epochs1 := run()
-	rep2, epochs2 := run()
+	rep1, view1 := run()
+	rep2, view2 := run()
 	if fmt.Sprint(rep1) != fmt.Sprint(rep2) {
 		t.Fatalf("join rerun planned a different handoff:\n%+v\n%+v", rep1, rep2)
 	}
-	if fmt.Sprint(epochs1) != fmt.Sprint(epochs2) {
-		t.Fatalf("join rerun produced different epoch tables:\n%v\n%v", epochs1, epochs2)
+	if view1.Epoch != view2.Epoch || fmt.Sprint(view1.Replicas) != fmt.Sprint(view2.Replicas) {
+		t.Fatalf("join rerun produced a different view:\n%d %v\n%d %v", view1.Epoch, view1.Replicas, view2.Epoch, view2.Replicas)
 	}
 }
 
@@ -343,17 +355,24 @@ func TestLeaveBoundedMovement(t *testing.T) {
 	writeKeys(t, mc.Client(), 0, memKeys)
 
 	const leaving = 2
-	ring := mc.Client().Ring()
-	owned := len(ring.OwnedSlots(leaving))
+	ownedBy := func(node int) (n int) {
+		for _, o := range mc.Manager().View().Owners() {
+			if o == node {
+				n++
+			}
+		}
+		return n
+	}
+	owned := ownedBy(leaving)
 	rep, err := mc.Manager().Leave(leaving)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := ceilDiv(ring.Slots(), memNodes)
+	bound := ceilDiv(mc.Client().Ring().Slots(), memNodes)
 	if len(rep.Moves) != owned || len(rep.Moves) > bound {
 		t.Fatalf("leave moved %d slots; node owned %d, bound %d", len(rep.Moves), owned, bound)
 	}
-	if n := len(ring.OwnedSlots(leaving)); n != 0 {
+	if n := ownedBy(leaving); n != 0 {
 		t.Fatalf("departed node still owns %d slots", n)
 	}
 	if got := readKeys(t, mc.Client(), 0, memKeys); got != memKeys {
@@ -411,7 +430,7 @@ func TestTickSuspicionEdges(t *testing.T) {
 	if reps := ticks(3); len(reps) != 0 {
 		t.Fatalf("node failed over twice: %+v", reps)
 	}
-	if st := mgr.Members()[kill].State; st != wire.MemberDead {
+	if st := mgr.View().Members[kill].State; st != wire.MemberDead {
 		t.Fatalf("node %d state %v after failover, want dead", kill, st)
 	}
 }
@@ -477,10 +496,10 @@ func TestPartialJoinCommitsWhatMoved(t *testing.T) {
 		t.Fatalf("join: %d moves, err %v; want 1 move and the injected failure", len(rep.Moves), err)
 	}
 	moved := rep.Moves[0].Slot
-	if reps := mgr.ReplicasOf(moved); len(reps) == 0 || reps[0] != joiner {
+	if reps := mgr.View().Replicas[moved]; len(reps) == 0 || reps[0] != joiner {
 		t.Errorf("replicas of moved slot %d = %v, want node %d first", moved, reps, joiner)
 	}
-	if got, want := agent.Epoch(), mgr.Epoch(); got != want {
+	if got, want := agent.Epoch(), mgr.View().Epoch; got != want {
 		t.Errorf("newcomer's agent holds view %d, manager %d", got, want)
 	}
 
@@ -545,17 +564,17 @@ func TestMoveOntoFollowerKeepsAckedWrites(t *testing.T) {
 			}
 			slot := -1
 			for s := range perSlot {
-				if len(mc.Manager().ReplicasOf(s)) == 2 && (slot < 0 || perSlot[s] > perSlot[slot]) {
+				if len(mc.Manager().View().Replicas[s]) == 2 && (slot < 0 || perSlot[s] > perSlot[slot]) {
 					slot = s
 				}
 			}
 			if slot < 0 {
 				t.Fatal("no slot has a follower")
 			}
-			reps := mc.Manager().ReplicasOf(slot)
+			reps := mc.Manager().View().Replicas[slot]
 			from, to := reps[0], reps[1]
 
-			viewBefore := mc.Manager().Epoch()
+			viewBefore := mc.Manager().View().Epoch
 			rep, err := mc.Manager().ApplyMoves(cluster.Move{Slot: slot, From: from, To: to})
 			if err != nil {
 				t.Fatal(err)
@@ -563,11 +582,11 @@ func TestMoveOntoFollowerKeepsAckedWrites(t *testing.T) {
 			if len(rep.Moves) != 1 || rep.Moves[0].Keys != perSlot[slot] || rep.Epoch != viewBefore+1 {
 				t.Fatalf("move report %+v: want one move of %d keys and view %d", rep, perSlot[slot], viewBefore+1)
 			}
-			if got := mc.Manager().ReplicasOf(slot); got[0] != to {
+			if got := mc.Manager().View().Replicas[slot]; got[0] != to {
 				t.Fatalf("slot %d replicas %v after the move, want node %d first", slot, got, to)
 			}
 			t.Logf("slot %d (%d keys) moved %d → %d; replicas now %v, %d keys backfilled",
-				slot, perSlot[slot], from, to, mc.Manager().ReplicasOf(slot), rep.ReplicaKeys)
+				slot, perSlot[slot], from, to, mc.Manager().View().Replicas[slot], rep.ReplicaKeys)
 
 			writeKeys(t, mc.Client(), memKeys, memKeys+100)
 			if err := mc.Kill(to); err != nil {

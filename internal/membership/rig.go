@@ -95,7 +95,8 @@ func (r *Rig) Client() *cluster.Client { return r.cl }
 func (r *Rig) Manager() *Manager { return r.mgr }
 
 // Addrs returns the node address table; Addrs()[i] is node i (killed nodes
-// keep their entry).
+// keep their entry). A routing client is built over the nodes the rig
+// started with: those that join later reach it in views.
 func (r *Rig) Addrs() []string {
 	addrs := make([]string, len(r.nodes))
 	for i, n := range r.nodes {

@@ -24,12 +24,21 @@ type Replicator interface {
 	ReplicateDelete(key string)
 }
 
-// MembershipHandler receives OpView pushes.
+// MembershipHandler holds the node's membership view: it receives OpView
+// pushes, and it says which keys the node serves.
 type MembershipHandler interface {
-	// Update applies one pushed membership view. epoch orders views, and
-	// an implementation must ignore epochs at or below the one it holds.
-	// The slices are owned by the callee.
-	Update(epoch uint64, members []wire.Member, replicas []wire.ReplicaSet) error
+	// Update applies one pushed membership view and returns the view held
+	// after it. Epochs order views, and an implementation must ignore a
+	// view at or below the epoch it holds, so a push at epoch 0 only
+	// fetches. The pushed view is owned by the callee, and the returned
+	// one must not be changed by the caller.
+	Update(v wire.View) (wire.View, error)
+	// Serves reports whether the node answers an operation on key under
+	// its held view: a write needs the node to own key's slot, a read to
+	// be one of the slot's replicas. Holding no view, it serves every key.
+	// The key may alias the connection's read buffer: valid during the
+	// call only.
+	Serves(key string, write bool) bool
 }
 
 // Hooks are the cluster-integration points a membership agent installs on a
@@ -39,8 +48,9 @@ type Hooks struct {
 	// Replicator, when non-nil, receives applied writes for replica
 	// fan-out.
 	Replicator Replicator
-	// Membership, when non-nil, handles OpView pushes; without it they
-	// answer StatusErr.
+	// Membership, when non-nil, handles OpView pushes (without it they
+	// answer StatusErr) and routes keyed operations: one on a key the node
+	// does not serve answers StatusMoved with the held view.
 	Membership MembershipHandler
 	// ReadRepair, when non-nil, is consulted on a GET miss. If it returns
 	// ok, the value is installed in the cache and served — the membership
@@ -58,17 +68,49 @@ func (s *Server) SetHooks(h *Hooks) {
 }
 
 // handleMembership answers OpView by delegating the pushed view to
-// the installed membership handler.
+// the installed membership handler and answering with the view it holds.
 func (s *Server) handleMembership(h *Hooks, req *wire.Request, resp *wire.Response) {
 	if h == nil || h.Membership == nil {
 		resp.Status = wire.StatusErr
 		resp.Value = []byte("no membership agent")
 		return
 	}
-	if err := h.Membership.Update(req.Epoch, req.Members, req.Replicas); err != nil {
+	held, err := h.Membership.Update(req.View)
+	if err != nil {
 		resp.Status = wire.StatusErr
 		resp.Value = []byte(err.Error())
+		return
 	}
+	resp.View = held
+}
+
+// routed reports whether the node serves req's keys under its membership
+// view; when it does not, resp becomes a StatusMoved answer carrying the
+// view. Writes (SET, SETTTL, DEL, MSET) need the keys' owner, reads (GET,
+// MGET) one of their replicas; every other op — REPLICATE and VIEW among
+// them, which is how the manager's slot copies and pushes get through —
+// is not routed.
+func (s *Server) routed(m MembershipHandler, req *wire.Request, resp *wire.Response) bool {
+	ok := true
+	switch req.Op {
+	case wire.OpGet:
+		ok = m.Serves(req.Key, false)
+	case wire.OpSet, wire.OpSetTTL, wire.OpDel:
+		ok = m.Serves(req.Key, true)
+	case wire.OpMGet:
+		for _, k := range req.Keys {
+			ok = ok && m.Serves(k, false)
+		}
+	case wire.OpMSet:
+		for _, kv := range req.Pairs {
+			ok = ok && m.Serves(kv.Key, true)
+		}
+	}
+	if !ok {
+		resp.Status = wire.StatusMoved
+		resp.View, _ = m.Update(wire.View{})
+	}
+	return ok
 }
 
 // repairGet is the GET miss path with a read-repair hook installed: consult

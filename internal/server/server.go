@@ -412,6 +412,9 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 	resp.Reset()
 	resp.Op, resp.ID, resp.Status = req.Op, req.ID, wire.StatusOK
 	h := s.hooks.Load() // nil on a standalone server
+	if h != nil && h.Membership != nil && !s.routed(h.Membership, req, resp) {
+		return
+	}
 
 	switch req.Op {
 	case wire.OpPing:
@@ -472,6 +475,10 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 		// they are safe to hand to the cache.
 		if req.Flags&wire.FlagNegative != 0 {
 			s.cache.Delete(req.Key)
+		} else if req.Flags&wire.FlagNX != 0 && req.TTL > 0 {
+			s.cache.GetOrSetWithTTL(req.Key, req.Value, req.TTL)
+		} else if req.Flags&wire.FlagNX != 0 {
+			s.cache.GetOrSet(req.Key, req.Value)
 		} else if req.TTL > 0 {
 			s.cache.SetWithTTL(req.Key, req.Value, req.TTL)
 		} else {

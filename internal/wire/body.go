@@ -39,21 +39,24 @@ type opDesc struct {
 	// cache, the membership agent), so a row without the bit copies.
 	// Responses alias on every row (decodeResponse).
 	alias bool
+	// moved lets a StatusMoved answer, carrying the node's view, stand for
+	// the op's own body: the keyed data ops, the ones a node's view routes.
+	moved bool
 }
 
 // ops describes every opcode once. The encoders, the decoders and Op.String
 // all read it.
 var ops = [opMax]opDesc{
 	OpPing:      {name: "PING", flags: FlagTrace},
-	OpGet:       {name: "GET", req: fKey, resp: fValue, flags: FlagTrace, alias: true},
-	OpSet:       {name: "SET", req: fKey | fValue, resp: fValue, flags: FlagTrace | FlagNX},
-	OpSetTTL:    {name: "SETTTL", req: fTTL | fKey | fValue, resp: fValue, flags: FlagTrace | FlagNX},
-	OpDel:       {name: "DEL", req: fKey, flags: FlagTrace, alias: true},
-	OpMGet:      {name: "MGET", req: fKeys, resp: fFound, flags: FlagTrace, alias: true},
-	OpMSet:      {name: "MSET", req: fPairs, flags: FlagTrace},
+	OpGet:       {name: "GET", req: fKey, resp: fValue, flags: FlagTrace, alias: true, moved: true},
+	OpSet:       {name: "SET", req: fKey | fValue, resp: fValue, flags: FlagTrace | FlagNX, moved: true},
+	OpSetTTL:    {name: "SETTTL", req: fTTL | fKey | fValue, resp: fValue, flags: FlagTrace | FlagNX, moved: true},
+	OpDel:       {name: "DEL", req: fKey, flags: FlagTrace, alias: true, moved: true},
+	OpMGet:      {name: "MGET", req: fKeys, resp: fFound, flags: FlagTrace, alias: true, moved: true},
+	OpMSet:      {name: "MSET", req: fPairs, flags: FlagTrace, moved: true},
 	OpStats:     {name: "STATS", resp: fValue, flags: FlagTrace},
-	OpView:      {name: "VIEW", req: fView, flags: FlagTrace},
-	OpReplicate: {name: "REPLICATE", req: fTTL | fKey | fValue, flags: FlagTrace | FlagNegative},
+	OpView:      {name: "VIEW", req: fView, resp: fView, flags: FlagTrace},
+	OpReplicate: {name: "REPLICATE", req: fTTL | fKey | fValue, flags: FlagTrace | FlagNegative | FlagNX},
 }
 
 // reqBody is the body of a request for the valid op under flags fl, or an
@@ -72,18 +75,24 @@ func reqBody(op Op, fl uint8) (body, error) {
 }
 
 // respBody is the body of a response to the valid op under the valid status
-// st. StatusErr carries its message as a value on every op, and an MGET
-// answer carries its found-list on every other status. Any other op carries
-// its row's body on OK and NOT_STORED, and nothing otherwise.
-func respBody(op Op, st Status) body {
+// st, or an error when st is MOVED and the op's row does not take it.
+// MOVED carries the node's view, and StatusErr its message as a value, on
+// every op that takes them; an MGET answer carries its found-list on every
+// other status. Any other op carries its row's body on OK and NOT_STORED,
+// and nothing otherwise.
+func respBody(op Op, st Status) (body, error) {
 	b := ops[op].resp
 	switch {
+	case st == StatusMoved && !ops[op].moved:
+		return 0, fmt.Errorf("status %v is not defined for %v", st, op)
+	case st == StatusMoved:
+		return fView, nil
 	case st == StatusErr:
-		return fValue
+		return fValue, nil
 	case b == fFound, st == StatusOK, st == StatusNotStored:
-		return b
+		return b, nil
 	}
-	return 0
+	return 0, nil
 }
 
 // ttlFits reports whether a TTL of ns nanoseconds is in the wire's range,
@@ -142,7 +151,7 @@ func appendReqBody(buf []byte, b body, req *Request, lim Limits) ([]byte, error)
 		}
 	}
 	if b&fView != 0 {
-		return appendMembership(buf, req, lim)
+		return appendView(buf, &req.View, lim)
 	}
 	return buf, nil
 }
@@ -153,6 +162,11 @@ func appendRespBody(buf []byte, b body, resp *Response, lim Limits) ([]byte, err
 	var err error
 	if b&fValue != 0 {
 		if buf, err = appendValue(buf, resp.Value, lim); err != nil {
+			return buf, err
+		}
+	}
+	if b&fView != 0 {
+		if buf, err = appendView(buf, &resp.View, lim); err != nil {
 			return buf, err
 		}
 	}
@@ -234,13 +248,7 @@ func (c *cursor) reqBody(b body, req *Request, lim Limits) (err error) {
 		req.Pairs = pairs
 	}
 	if b&fView != 0 {
-		if req.Epoch, err = c.u64(); err != nil {
-			return err
-		}
-		if req.Members, err = c.members(lim); err != nil {
-			return err
-		}
-		req.Replicas, err = c.replicaSets(lim)
+		err = c.view(&req.View, lim)
 	}
 	return err
 }
@@ -249,6 +257,11 @@ func (c *cursor) reqBody(b body, req *Request, lim Limits) (err error) {
 func (c *cursor) respBody(b body, resp *Response, lim Limits) (err error) {
 	if b&fValue != 0 {
 		if resp.Value, err = c.value(lim); err != nil {
+			return err
+		}
+	}
+	if b&fView != 0 {
+		if err = c.view(&resp.View, lim); err != nil {
 			return err
 		}
 	}

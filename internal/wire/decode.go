@@ -79,7 +79,22 @@ func decodeRequest(req *Request, data []byte, lim Limits, into bool) (int, error
 	return HeaderLen + len(c.b), nil
 }
 
-// members reads the OpView member table. Each member costs at least
+// view reads a view: epoch, member table, replica table. Its tables are
+// allocated whatever the decode, and every holder keeps them, so its
+// addresses are copies even under alias: a view never aliases the frame.
+func (c *cursor) view(v *View, lim Limits) (err error) {
+	c.alias = false
+	if v.Epoch, err = c.u64(); err != nil {
+		return err
+	}
+	if v.Members, err = c.members(lim); err != nil {
+		return err
+	}
+	v.Replicas, err = c.replicaSets(lim)
+	return err
+}
+
+// members reads a view's member table. Each member costs at least
 // id + state + addr-length bytes, so the count is capacity-checked before
 // any allocation.
 func (c *cursor) members(lim Limits) ([]Member, error) {
@@ -112,7 +127,7 @@ func (c *cursor) members(lim Limits) ([]Member, error) {
 	return members, nil
 }
 
-// replicaSets reads the OpView replica-assignment table. The outer
+// replicaSets reads a view's replica-assignment table. The outer
 // count and each slot's uint8 replica count are capacity-checked against
 // the bytes present before their allocations.
 func (c *cursor) replicaSets(lim Limits) ([]ReplicaSet, error) {
@@ -199,7 +214,11 @@ func decodeResponse(resp *Response, data []byte, lim Limits, into bool) (int, er
 			return 0, err
 		}
 	}
-	if err := c.respBody(respBody(op, status), resp, lim); err != nil {
+	b, err := respBody(op, status)
+	if err != nil {
+		return 0, frameErrf("%v", err)
+	}
+	if err := c.respBody(b, resp, lim); err != nil {
 		return 0, err
 	}
 	if err := c.done(); err != nil {

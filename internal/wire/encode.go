@@ -69,8 +69,11 @@ func AppendResponse(buf []byte, resp *Response, lim Limits) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint32(buf, resp.Trace.HandleMicros)
 	}
 
-	buf, err := appendRespBody(buf, respBody(resp.Op, resp.Status), resp, lim)
+	b, err := respBody(resp.Op, resp.Status)
 	if err != nil {
+		return buf[:start], fmt.Errorf("wire: %w", err)
+	}
+	if buf, err = appendRespBody(buf, b, resp, lim); err != nil {
 		return buf[:start], err
 	}
 	return finishFrame(buf, start, resp.Op, st, resp.ID, lim)
@@ -88,16 +91,16 @@ func finishFrame(buf []byte, start int, op Op, fl uint8, id uint32, lim Limits) 
 	return buf, nil
 }
 
-// appendMembership appends the OpView payload: epoch, member
-// table, then per-slot replica assignments. Replica lists use a uint8 count
-// — a replication factor past 256 is not a configuration, it is a typo.
-func appendMembership(buf []byte, req *Request, lim Limits) ([]byte, error) {
-	buf = binary.BigEndian.AppendUint64(buf, req.Epoch)
-	buf, err := appendCount(buf, len(req.Members), lim, "member table")
+// appendView appends a view: epoch, member table, then per-slot replica
+// assignments. Replica lists use a uint8 count — a replication factor past
+// 256 is not a configuration, it is a typo.
+func appendView(buf []byte, v *View, lim Limits) ([]byte, error) {
+	buf = binary.BigEndian.AppendUint64(buf, v.Epoch)
+	buf, err := appendCount(buf, len(v.Members), lim, "member table")
 	if err != nil {
 		return buf, err
 	}
-	for _, m := range req.Members {
+	for _, m := range v.Members {
 		if m.State >= memberStateMax {
 			return buf, fmt.Errorf("wire: unknown member state %d", uint8(m.State))
 		}
@@ -107,10 +110,10 @@ func appendMembership(buf []byte, req *Request, lim Limits) ([]byte, error) {
 			return buf, err
 		}
 	}
-	if buf, err = appendCount(buf, len(req.Replicas), lim, "replica table"); err != nil {
+	if buf, err = appendCount(buf, len(v.Replicas), lim, "replica table"); err != nil {
 		return buf, err
 	}
-	for _, rs := range req.Replicas {
+	for _, rs := range v.Replicas {
 		if len(rs.Replicas) > 255 {
 			return buf, fmt.Errorf("wire: %d replicas for one slot exceed 255", len(rs.Replicas))
 		}

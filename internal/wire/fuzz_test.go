@@ -46,6 +46,10 @@ func malformedFrames() []struct {
 	reason string
 } {
 	big := header(OpPing, 0, 7, 1<<30)
+	// emptyView is epoch 0 and two empty tables.
+	emptyView := zeros(8 + 2 + 2)
+	v4Ping := header(OpPing, 0, 7, 0)
+	v4Ping[1] = 4
 	return []struct {
 		name   string
 		frame  []byte
@@ -65,7 +69,7 @@ func malformedFrames() []struct {
 		// status past StatusErr.
 		{"GET with flag bit 7", frame(OpGet, 1<<7, 0, 1, 'k'), reqDecoder, "flags 0x80 are not defined for GET"},
 		{"GET with FlagNX and FlagNegative", frame(OpGet, FlagNX|FlagNegative, 0, 1, 'k'), reqDecoder, "flags 0x09 are not defined for GET"},
-		{"status 4", frame(OpGet, 4, 0, 0, 0, 0), respDecoder, "unknown status 4"},
+		{"status 5", frame(OpGet, 5, 0, 0, 0, 0), respDecoder, "unknown status 5"},
 
 		// Trace extension: the flag promising a prefix the payload cannot
 		// hold, the flag clear with prefix-sized bytes, and the response
@@ -83,6 +87,16 @@ func malformedFrames() []struct {
 		{"VIEW member state 9", frame(OpView, 0, cat(zeros(8), []byte{0, 1, 0, 0, 0, 5, 9, 0, 0})...), reqDecoder, "unknown member state 9"},
 		{"VIEW 255 replicas, no bytes", frame(OpView, 0, cat(zeros(8), []byte{0, 0, 0, 1, 0, 0, 0, 3, 0xFF})...), reqDecoder, "replica count 255 exceeds payload capacity"},
 		{"VIEW member count 65535", frame(OpView, 0, cat(zeros(8), []byte{0xFF, 0xFF})...), reqDecoder, "batch of 65535 entries exceeds limit 64"},
+
+		// MOVED: an answer to an op no view routes (its bytes a well-formed
+		// view all the same), and a view cut short.
+		{"MOVED answering PING", frame(OpPing, uint8(StatusMoved), emptyView...), respDecoder, "status MOVED is not defined for PING"},
+		{"MOVED answering STATS", frame(OpStats, uint8(StatusMoved), emptyView...), respDecoder, "status MOVED is not defined for STATS"},
+		{"MOVED answering VIEW", frame(OpView, uint8(StatusMoved), emptyView...), respDecoder, "status MOVED is not defined for VIEW"},
+		{"MOVED answering REPLICATE", frame(OpReplicate, uint8(StatusMoved), emptyView...), respDecoder, "status MOVED is not defined for REPLICATE"},
+		{"MOVED view cut inside its epoch", frame(OpGet, uint8(StatusMoved), zeros(4)...), respDecoder, "truncated payload: need 8 bytes, have 4"},
+		{"MOVED view cut inside its replica table", frame(OpMGet, uint8(StatusMoved), cat(zeros(8), []byte{0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0})...), respDecoder, "replica count 1 exceeds payload capacity"},
+		{"a v4 frame", v4Ping[:], bothDecoders, "unsupported version 4"},
 
 		// REPLICATE: a replicated delete with value bytes, and a TTL past 2^62.
 		{"negative REPLICATE with a value", frame(OpReplicate, FlagNegative, 0, 1, 'k', 0, 0, 0, 0), reqDecoder, "4 trailing payload bytes"},

@@ -6,7 +6,7 @@
 //
 //	offset size  field
 //	0      1     magic (0x53, 'S')
-//	1      1     version (currently 4)
+//	1      1     version (currently 5)
 //	2      1     opcode (requests) / echoed opcode (responses)
 //	3      1     flags (requests) / status (responses)
 //	4      4     request id, big endian (echoed verbatim in the response)
@@ -17,6 +17,12 @@
 // one connection strictly in order, the id is not needed for correlation,
 // but it lets a pipelining client assert that responses line up and makes
 // frames self-describing in packet captures.
+//
+// A node that holds a membership view answers a keyed operation (GET, SET,
+// SETTTL, DEL, MGET, MSET) on a slot it does not serve with StatusMoved,
+// whose body is the node's view: the client adopts it and routes again.
+// A VIEW request pushes a view and its answer carries the view the node
+// holds after it, so a VIEW at epoch 0 fetches the node's view.
 //
 // Inside payloads, keys are uint16-length-prefixed byte strings and values
 // are uint32-length-prefixed byte strings; batch payloads carry a uint16
@@ -66,8 +72,11 @@ const (
 	// dropped the LOAD opcode, renumbering VIEW and REPLICATE: a version-2
 	// peer's frames would parse and mis-dispatch, so they must fail here.
 	// Version 4 dropped the demand flag and its 52-byte response prefix: a
-	// version-3 heartbeat would ask for a snapshot no node sends.
-	Version = 4
+	// version-3 heartbeat would ask for a snapshot no node sends. Version 5
+	// added StatusMoved and the VIEW answer's view: a version-4 client
+	// would read a MOVED answer as an unknown status and a VIEW answer as
+	// trailing bytes.
+	Version = 5
 	// HeaderLen is the fixed frame-header size in bytes.
 	HeaderLen = 12
 )
@@ -102,13 +111,16 @@ const (
 	// (bootstrap, join, leave, failure-detector death): the payload carries
 	// the membership epoch, the full member table, and the replica
 	// assignments. The node's membership agent reconciles peers and replica
-	// fan-out targets from it. The response is status-only (StatusErr when
-	// the node has no agent).
+	// fan-out targets from it. The answer carries the view the node holds
+	// after the push (StatusErr when the node has no agent), so a push at
+	// epoch 0, which no agent applies, fetches the node's view.
 	OpView
 	// OpReplicate applies one replicated write on a replica node: the
 	// payload carries TTL + key + value (key only under FlagNegative, which
-	// replicates a delete). The receiver applies it to its cache directly
-	// and never fans it out again, so replication cannot cycle.
+	// replicates a delete; under FlagNX the store lands only where the key
+	// is absent, which is how a slot copy yields to the writes fanned out
+	// beside it). The receiver applies it to its cache directly and never
+	// fans it out again, so replication cannot cycle.
 	OpReplicate
 
 	opMax // one past the last valid opcode
@@ -129,7 +141,9 @@ func (o Op) Valid() bool { return o > OpInvalid && o < opMax }
 const (
 	// FlagNX makes OpSet/OpSetTTL store only when the key is absent
 	// (stemcache.GetOrSet); the response reports StatusNotStored with the
-	// resident value when the key already existed.
+	// resident value when the key already existed. On OpReplicate it makes
+	// the replicated store land only where the key is absent (the answer
+	// is status-only).
 	FlagNX uint8 = 1 << 0
 	// FlagTrace marks a request carrying a trace extension: a 16-byte
 	// prefix (trace id + client send timestamp) ahead of the opcode payload.
@@ -209,6 +223,11 @@ const (
 	// StatusErr reports a server-side failure; the payload is a
 	// human-readable message.
 	StatusErr
+	// StatusMoved answers a keyed operation on a slot the node does not
+	// serve under its membership view (a write needs the slot's owner, a
+	// read one of its replicas); the payload is the node's view. Only GET,
+	// SET, SETTTL, DEL, MGET and MSET take it.
+	StatusMoved
 
 	statusMax
 )
@@ -224,6 +243,8 @@ func (s Status) String() string {
 		return "NOT_STORED"
 	case StatusErr:
 		return "ERR"
+	case StatusMoved:
+		return "MOVED"
 	default:
 		return fmt.Sprintf("Status(%d)", uint8(s))
 	}
@@ -313,20 +334,32 @@ func (s MemberState) String() string {
 	}
 }
 
-// Member is one row of the member table pushed by OpView: a node's
-// cluster id, lifecycle state, and dialable address.
+// Member is one row of a view's member table: a node's cluster id,
+// lifecycle state, and dialable address.
 type Member struct {
 	ID    uint32
 	State MemberState
 	Addr  string
 }
 
-// ReplicaSet assigns a slot's replica nodes, pushed by OpView. The
-// owner is not listed — the ring answers ownership; Replicas are the extra
-// copies the owner fans writes out to.
+// ReplicaSet assigns a slot's replica nodes: the owner first, then the
+// followers it fans writes out to.
 type ReplicaSet struct {
 	Slot     uint32
 	Replicas []uint32
+}
+
+// View is a membership view as it travels: the body of an OpView push, of
+// its answer, and of a StatusMoved answer. Epochs are monotone per
+// cluster, so a holder discards a view older than the one it holds (pushes
+// can race).
+type View struct {
+	// Epoch orders views; 0 is no view.
+	Epoch uint64
+	// Members is the full member table.
+	Members []Member
+	// Replicas is the replica-assignment table, owner first per slot.
+	Replicas []ReplicaSet
 }
 
 // Request is the decoded form of one request frame.
@@ -351,15 +384,8 @@ type Request struct {
 	// with FlagTrace set and the 16-byte trace prefix ahead of the opcode
 	// payload; decoding a FlagTrace frame populates it.
 	Trace *TraceExt
-	// Epoch is the membership epoch of an OpView push. Epochs are
-	// monotone per cluster, so an agent discards a view older than the one
-	// it holds (pushes can race).
-	Epoch uint64
-	// Members is the full member table of an OpView push.
-	Members []Member
-	// Replicas is the replica-assignment table of an OpView push,
-	// scoped to the slots the receiving node owns.
-	Replicas []ReplicaSet
+	// View is the pushed view of an OpView request.
+	View
 }
 
 // Reset clears req for reuse while keeping the Keys and Pairs backing
@@ -392,6 +418,9 @@ type Response struct {
 	// response — including StatusErr, so a failing traced request still
 	// yields a latency sample.
 	Trace *TraceExt
+	// View is the node's view on a StatusMoved answer and on an OpView
+	// answer.
+	View
 }
 
 // Reset clears resp for reuse while keeping the Found and Values backing

@@ -31,24 +31,31 @@ func requestFixtures() []*Request {
 		{Op: OpSet, ID: 14, Flags: FlagNX, Key: "k", Value: []byte("v"), Trace: &TraceExt{ID: 1, SendMicros: 2}},
 		{Op: OpPing, ID: 15, Trace: &TraceExt{}},
 		{Op: OpMGet, ID: 16, Keys: []string{"a", "b"}, Trace: &TraceExt{ID: 7, SendMicros: 1 << 60}},
-		{Op: OpView, ID: 26, Epoch: 7,
-			Members: []Member{
-				{ID: 0, State: MemberAlive, Addr: "127.0.0.1:4000"},
-				{ID: 1, State: MemberLeft, Addr: ""},
-				{ID: 2, State: MemberDead, Addr: "127.0.0.1:4002"},
-			},
-			Replicas: []ReplicaSet{
-				{Slot: 0, Replicas: []uint32{1, 2}},
-				{Slot: 63, Replicas: nil},
-			}},
-		{Op: OpView, ID: 27, Epoch: 1 << 40,
+		{Op: OpView, ID: 26, View: fixtureView()},
+		{Op: OpView, ID: 27, View: View{Epoch: 1 << 40,
 			Members:  []Member{{ID: 9, State: MemberDead, Addr: "h:1"}},
-			Replicas: []ReplicaSet{{Slot: 5, Replicas: []uint32{0}}}},
-		{Op: OpView, ID: 28}, // empty tables, epoch 0
+			Replicas: []ReplicaSet{{Slot: 5, Replicas: []uint32{0}}}}},
+		{Op: OpView, ID: 28}, // empty tables, epoch 0: a fetch
 		{Op: OpReplicate, ID: 29, Key: "rk", Value: []byte("rv"), TTL: 250 * time.Millisecond},
 		{Op: OpReplicate, ID: 30, Key: "rk2", Value: nil, TTL: 0},
 		{Op: OpReplicate, ID: 31, Flags: FlagNegative, Key: "gone"},
+		{Op: OpReplicate, ID: 32, Flags: FlagNX, Key: "rk3", Value: []byte("if absent")},
 	}
+}
+
+// fixtureView is a three-member view: one member per state, a slot with an
+// owner and a follower, and a slot with no replicas.
+func fixtureView() View {
+	return View{Epoch: 7,
+		Members: []Member{
+			{ID: 0, State: MemberAlive, Addr: "127.0.0.1:4000"},
+			{ID: 1, State: MemberLeft, Addr: ""},
+			{ID: 2, State: MemberDead, Addr: "127.0.0.1:4002"},
+		},
+		Replicas: []ReplicaSet{
+			{Slot: 0, Replicas: []uint32{1, 2}},
+			{Slot: 63, Replicas: nil},
+		}}
 }
 
 func responseFixtures() []*Response {
@@ -71,9 +78,15 @@ func responseFixtures() []*Response {
 			Trace: &TraceExt{ID: 9, SendMicros: 8, QueueMicros: 1, HandleMicros: 0}},
 		{Op: OpMGet, ID: 16, Status: StatusOK, Found: []bool{true}, Values: [][]byte{[]byte("x")},
 			Trace: &TraceExt{ID: 1, SendMicros: 1, QueueMicros: 1<<32 - 1, HandleMicros: 1<<32 - 1}},
-		{Op: OpView, ID: 26, Status: StatusOK},
+		{Op: OpView, ID: 26, Status: StatusOK, View: fixtureView()},
 		{Op: OpView, ID: 27, Status: StatusErr, Value: []byte("no membership agent")},
 		{Op: OpReplicate, ID: 28, Status: StatusOK},
+		{Op: OpView, ID: 29, Status: StatusOK}, // a node holding no view
+		{Op: OpGet, ID: 30, Status: StatusMoved, View: fixtureView()},
+		{Op: OpMSet, ID: 31, Status: StatusMoved, View: View{Epoch: 2,
+			Members:  []Member{{ID: 0, Addr: "h:0"}},
+			Replicas: []ReplicaSet{{Slot: 0, Replicas: []uint32{0}}}},
+			Trace: &TraceExt{ID: 3, SendMicros: 4, QueueMicros: 5, HandleMicros: 6}},
 	}
 }
 
@@ -100,20 +113,26 @@ func normReq(r *Request) {
 			r.Pairs[i].Value = nil
 		}
 	}
-	if len(r.Members) == 0 {
-		r.Members = nil
+	normView(&r.View)
+}
+
+// normView maps empty view tables onto nil, as normReq does operands.
+func normView(v *View) {
+	if len(v.Members) == 0 {
+		v.Members = nil
 	}
-	if len(r.Replicas) == 0 {
-		r.Replicas = nil
+	if len(v.Replicas) == 0 {
+		v.Replicas = nil
 	}
-	for i := range r.Replicas {
-		if len(r.Replicas[i].Replicas) == 0 {
-			r.Replicas[i].Replicas = nil
+	for i := range v.Replicas {
+		if len(v.Replicas[i].Replicas) == 0 {
+			v.Replicas[i].Replicas = nil
 		}
 	}
 }
 
 func normResp(r *Response) {
+	normView(&r.View)
 	if len(r.Value) == 0 {
 		r.Value = nil
 	}
@@ -350,13 +369,13 @@ type boundaryFrame struct {
 
 // opFlags is the protocol's flag table, written out apart from the ops
 // rows so that the codec is checked against it: every op takes FlagTrace,
-// SET and SETTTL also FlagNX, REPLICATE also FlagNegative.
+// SET and SETTTL also FlagNX, REPLICATE also FlagNX and FlagNegative.
 func opFlags(op Op) uint8 {
 	switch op {
 	case OpSet, OpSetTTL:
 		return FlagTrace | FlagNX
 	case OpReplicate:
-		return FlagTrace | FlagNegative
+		return FlagTrace | FlagNX | FlagNegative
 	}
 	return FlagTrace
 }
@@ -383,8 +402,7 @@ func boundaryFrames(tb testing.TB) []boundaryFrame {
 				for _, n := range []int{8, 9} {
 					req := &Request{Op: op, ID: 1, Flags: fl, TTL: ttl, Key: "k", Value: make([]byte, n),
 						Keys: []string{"a", ""}, Pairs: []KV{{Key: "p", Value: make([]byte, n)}},
-						Epoch: 3, Members: []Member{{ID: 1, Addr: "h:1"}},
-						Replicas: []ReplicaSet{{Slot: 2, Replicas: []uint32{1}}}}
+						View: boundaryView}
 					enc, err := AppendRequest(nil, req, boundaryLimits)
 					out = append(out, boundaryFrame{name: fmt.Sprintf("%v flags %#x TTL %d value %d", op, fl, ttl, n),
 						data: patchedRequest(tb, req), enc: enc, encErr: err, badFlags: fl&^opFlags(op) != 0})
@@ -399,11 +417,16 @@ func boundaryFrames(tb testing.TB) []boundaryFrame {
 			}
 			for _, n := range []int{8, 9} {
 				resp := &Response{Op: op, ID: 1, Status: st, Value: make([]byte, n),
-					Found: []bool{true, false}, Values: [][]byte{make([]byte, n), nil}}
+					Found: []bool{true, false}, Values: [][]byte{make([]byte, n), nil}, View: boundaryView}
 				enc, err := AppendResponse(nil, resp, boundaryLimits)
 				tame := *resp
-				if !op.Valid() {
+				switch {
+				case !op.Valid():
 					tame.Op = OpPing
+				case st == StatusMoved && !ops[op].moved:
+					// The bytes of a MOVED answer exist for every op; GET's
+					// row takes it.
+					tame.Op = OpGet
 				}
 				data, terr := AppendResponse(nil, &tame, Limits{})
 				if terr != nil {
@@ -417,6 +440,11 @@ func boundaryFrames(tb testing.TB) []boundaryFrame {
 	}
 	return out
 }
+
+// boundaryView is the view every boundary frame carries where its body
+// has one.
+var boundaryView = View{Epoch: 3, Members: []Member{{ID: 1, Addr: "h:1"}},
+	Replicas: []ReplicaSet{{Slot: 2, Replicas: []uint32{1}}}}
 
 // patchedRequest encodes req under the default limits with its TTL zeroed
 // and only the flags its op takes, then patches the flags byte and the TTL
