@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -16,10 +17,9 @@ import (
 // Config parameterizes a cluster Client.
 type Config struct {
 	// Addrs are the nodes' "host:port" addresses when the cluster was
-	// bootstrapped; node i is Addrs[i]. The order must agree across every
-	// client and the membership manager (it defines node ids), and the
-	// ring's slot count is len(Addrs) × VNodes, so nodes that joined later
-	// are not listed: the views the nodes answer with name them.
+	// bootstrapped; node i is Addrs[i]. The ring has len(Addrs) × VNodes
+	// slots, so every client lists the same nodes in the same order, and
+	// nodes that joined later reach it in views.
 	Addrs []string
 	// VNodes is the number of ring slots per node. More slots spread load
 	// more evenly but make migrations finer-grained. Default 16.
@@ -44,9 +44,8 @@ const maxMoved = 8
 // operations go to the key's owner, MGET/MSET batches are split per owner,
 // sent concurrently, and merged back into request order. It starts from the
 // epoch-0 view of Addrs and adopts every newer view a node answers it with
-// — the body of a MOVED answer, or of a VIEW answer (PushView) — dialing
-// the members new in it. In-process and external clients take this one
-// path.
+// (MOVED and VIEW answers), dialing the members new in it: in-process and
+// external clients take this one path.
 //
 // Batch failures are partial by design: the answered positions are returned
 // (found=false / stored nothing for the failed ones) together with a
@@ -215,27 +214,35 @@ func (c *Client) Close() error {
 	return first
 }
 
-// route runs op against slot's owner in the held view, adopting the view
-// of each MOVED answer and routing again; one that brings no newer view
-// (the push has not reached the node yet) waits a backoff first. It
-// returns the node the last attempt went to.
+// errMoved ends an operation that followed maxMoved MOVED answers.
+var errMoved = fmt.Errorf("cluster: still moved after %d MOVED answers (do the ring seeds agree?)", maxMoved)
+
+// moved adopts the view a MOVED answer carries and reports whether the
+// operation should route again: yes, after a backoff when the view is no
+// newer (the push has not reached the node yet). Any other error, or a
+// view the ring refuses, is returned.
+func (c *Client) moved(err error) (bool, error) {
+	var me *client.MovedError
+	if !errors.As(err, &me) {
+		return false, err
+	}
+	newer, err := c.adopt(me.View)
+	if !newer && err == nil {
+		time.Sleep(c.backoff)
+	}
+	return err == nil, err
+}
+
+// route runs op against slot's owner in the held view, following MOVED
+// answers. It returns the node the last attempt went to.
 func (c *Client) route(slot int, op func(cl *client.Client) error) (int, error) {
 	for moved := 0; ; moved++ {
 		owner := c.view.Load().Owner(slot)
-		err := op(c.NodeClient(owner))
-		var me *client.MovedError
-		if !errors.As(err, &me) {
+		if again, err := c.moved(op(c.NodeClient(owner))); !again {
 			return owner, err
 		}
 		if moved == maxMoved {
-			return owner, fmt.Errorf("cluster: slot %d moved %d times (do the ring seeds agree?): %w", slot, moved+1, err)
-		}
-		newer, aerr := c.adopt(me.View)
-		if aerr != nil {
-			return owner, aerr
-		}
-		if !newer {
-			time.Sleep(c.backoff)
+			return owner, errMoved
 		}
 	}
 }
@@ -282,7 +289,7 @@ func (c *Client) write(key string, op func(cl *client.Client) error) error {
 		if !client.IsTransient(err) {
 			return err
 		}
-		for c.view.Load().Owner(slot) == owner {
+		for c.refresh(owner); c.view.Load().Owner(slot) == owner; c.refresh(owner) {
 			if waited >= c.wait {
 				return err
 			}
@@ -290,7 +297,6 @@ func (c *Client) write(key string, op func(cl *client.Client) error) error {
 			time.Sleep(d)
 			waited += d
 			delay *= 2
-			c.refresh(owner)
 		}
 	}
 }
@@ -340,8 +346,8 @@ func (c *Client) Del(key string) (found bool, err error) {
 
 // fanOut splits a batch of n items per owning node — keyAt(i) is item i's
 // key — and runs send once per involved node, concurrently, with the
-// node's item indices in input order; items a node answers MOVED for are
-// split again by the adopted view. Per-node failures come back as a
+// node's item indices in input order, following MOVED answers and
+// failovers as route and read do. Per-node failures come back as a
 // *client.PartialError, ordered by node id within each round.
 func (c *Client) fanOut(n int, keyAt func(i int) string, send func(cl *client.Client, idx []int) error) error {
 	slots := make([]int, n)
@@ -351,7 +357,7 @@ func (c *Client) fanOut(n int, keyAt func(i int) string, send func(cl *client.Cl
 	}
 	c.ops.Inc()
 	var failed []client.NodeError
-	for moved := 0; len(pending) > 0; moved++ {
+	for round := 0; len(pending) > 0; round++ {
 		v := c.view.Load()
 		groups := make([][]int, len(v.Members)) // node id → item indices
 		for _, i := range pending {
@@ -372,23 +378,20 @@ func (c *Client) fanOut(n int, keyAt func(i int) string, send func(cl *client.Cl
 			}()
 		}
 		wg.Wait()
+		// A group answered MOVED, or failed while a fetched view moved
+		// past v, is split again by the held view.
 		pending = pending[:0]
-		stale := false
 		for node, err := range errs {
-			var me *client.MovedError
-			if errors.As(err, &me) && moved < maxMoved {
-				var newer bool
-				if newer, err = c.adopt(me.View); err == nil {
-					pending, stale = append(pending, groups[node]...), stale || !newer
-					continue
-				}
+			again, err := c.moved(err)
+			if client.IsTransient(err) {
+				c.refresh(node)
+				again = c.view.Load().Epoch > v.Epoch
 			}
-			if err != nil {
-				failed = append(failed, client.NodeError{Node: node, Err: err})
+			if again && round < maxMoved {
+				pending = append(pending, groups[node]...)
+			} else if err != nil || again {
+				failed = append(failed, client.NodeError{Node: node, Err: cmp.Or(err, errMoved)})
 			}
-		}
-		if stale {
-			time.Sleep(c.backoff)
 		}
 	}
 	if failed != nil {

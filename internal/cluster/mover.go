@@ -45,14 +45,11 @@ func (c *Client) slotChunks(lister KeyLister, slot, node, chunkSize int, f func(
 
 // CopySlot copies slot's resident keys from node `from` to node `to`
 // (MGET off from, chunked, each chunk installed on to as pipelined
-// REPLICATE frames) and returns how many it offered. from must serve the
-// slot's reads under its view; REPLICATE is routed by no view, so the copy
-// lands whatever to's view says and fans out no further. Each key lands
-// only where to lacks it (FlagNX): to is cleared of the slot (DropSlot)
-// before a view makes it a replica, and from then on every write reaches
-// it by fan-out, so a key it holds is newer than the copy's. Every handoff
-// of the membership manager (join, leave) and its replica backfill are
-// built on it.
+// REPLICATE frames, which no view routes) and returns how many it
+// offered. Each key lands only where to lacks it (FlagNX): to is cleared
+// of the slot (DropSlot) before a view makes it a replica, and from then
+// on every write reaches it by fan-out, so a key it holds is newer than
+// the copy's. The manager's handoffs and backfills are built on it.
 func (c *Client) CopySlot(lister KeyLister, slot, from, to, chunkSize int) (copied int, err error) {
 	src, b := c.NodeClient(from), c.NodeClient(to).NewBatch()
 	err = c.slotChunks(lister, slot, from, chunkSize, func(chunk []string) error {

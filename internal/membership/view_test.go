@@ -260,7 +260,7 @@ func TestClientRefusesMismatchedRing(t *testing.T) {
 	if err := firstErr(externalClient(t, rig, 8, memSeed)); err == nil || !strings.Contains(err.Error(), "has 48 slots, the ring 24") {
 		t.Errorf("a client with 8 vnodes against 16: %v, want the 48 and 24 slot counts named", err)
 	}
-	if err := firstErr(externalClient(t, rig, 16, memSeed+1)); err == nil || !strings.Contains(err.Error(), "moved 9 times") {
+	if err := firstErr(externalClient(t, rig, 16, memSeed+1)); err == nil || !strings.Contains(err.Error(), "still moved after 8 MOVED answers") {
 		t.Errorf("a client with another seed: %v, want a bounded MOVED chase", err)
 	}
 }
