@@ -225,7 +225,7 @@ func (c *Cache) Access(a sim.Access) sim.Outcome {
 
 	// 3. True miss: consult the shadow set, then fill locally.
 	c.eng.Miss(idx, c.sigOf(a.Block))
-	way := freeWay(flags)
+	way := c.freeWay(idx, flags)
 	if way < 0 {
 		way = c.eng.Victim(idx)
 		c.vacate(idx, way, &out)
@@ -253,7 +253,7 @@ func (c *Cache) vacate(idx, way int, out *sim.Outcome) {
 		return
 	}
 	gb, gf := c.set(g)
-	gw := freeWay(gf)
+	gw := c.freeWay(g, gf)
 	if gw < 0 {
 		gw = c.eng.Victim(g)
 		c.vacate(g, gw, out)
@@ -274,8 +274,14 @@ func find(blocks []uint64, flags []uint8, block uint64, want uint8) int {
 	return -1
 }
 
-// freeWay returns the first invalid way, or -1 when the set is full.
-func freeWay(flags []uint8) int {
+// freeWay returns the first invalid way of set idx, whose flags are flags,
+// or -1 when the set is full. Lines are never invalidated, so the engine
+// ranks exactly the valid ways: once it ranks them all, there is no invalid
+// way to scan for.
+func (c *Cache) freeWay(idx int, flags []uint8) int {
+	if c.eng.Full(idx) {
+		return -1
+	}
 	for w, f := range flags {
 		if f&lineValid == 0 {
 			return w

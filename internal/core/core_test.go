@@ -230,15 +230,15 @@ func TestForeignCountConsistency(t *testing.T) {
 					n++
 				}
 			}
-			if n != s.foreign {
+			if n != int(s.foreign) {
 				t.Fatalf("set %d foreign=%d actual=%d", si, s.foreign, n)
 			}
-			if s.role == uncoupled && s.partner != si {
+			if s.role == uncoupled && int(s.partner) != si {
 				t.Fatalf("set %d uncoupled but partner=%d", si, s.partner)
 			}
 			if s.role != uncoupled {
 				p := &c.eng.sets[s.partner]
-				if p.partner != si {
+				if int(p.partner) != si {
 					t.Fatalf("set %d association asymmetric", si)
 				}
 				if (s.role == taker) == (p.role == taker) {
@@ -265,15 +265,15 @@ func TestShadowExclusivity(t *testing.T) {
 			continue
 		}
 		for si := range c.eng.sets {
-			s := &c.eng.sets[si]
+			cells := laneCells(c.eng.shadowCells(si), geom.Ways)
 			blocks, flags := c.set(si)
 			for w, b := range blocks {
 				if flags[w]&(lineValid|lineCC) != lineValid {
 					continue
 				}
 				sg := c.sigOf(b)
-				for _, cell := range s.mon.Shadow.cells {
-					if cell == shadowValid|uint64(sg) {
+				for _, cell := range cells {
+					if uint64(cell) == cellOf(sg) {
 						t.Fatalf("set %d: resident block %#x has live shadow entry", si, b)
 					}
 				}
@@ -285,7 +285,7 @@ func TestShadowExclusivity(t *testing.T) {
 func TestShadowOccupancyBounded(t *testing.T) {
 	c := New(geom, Config{Seed: 1})
 	thrashSet(c, 0, 64, 20)
-	if occ := c.eng.sets[0].mon.Shadow.Occupancy(); occ > geom.Ways {
+	if occ := c.eng.sets[0].shadow.Len(); occ > geom.Ways {
 		t.Fatalf("shadow occupancy %d exceeds associativity", occ)
 	}
 }

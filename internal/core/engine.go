@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/hashfn"
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -36,24 +38,25 @@ func className(k int8) string {
 }
 
 // ctlSet is one set's control state: everything STEM keeps per set that is
-// not the payload. Fields are in the order a lookup meets them — role and
-// partner (is there a giver to probe?), the policy's list ends, then the
-// monitor's counters — so a hit's control reads and writes fall in the
-// set's first 80 bytes; the shadow, the BIP RNG and the association's
-// bookkeeping, which only misses and couplings touch, come last.
+// not the payload, in one 64-byte line (TestEngineLayout holds it). The
+// lists' per-way cells and the shadow's signature cells are not here: they
+// sit in the Engine's slabs, found by set index, so a set holds no slice
+// header and no pointer.
 type ctlSet struct {
 	role  role
-	klass int8 // last reported spatial classification
+	klass int8        // last reported spatial classification
+	pol   policy.List // the set's LLC list
+	// shadow ranks the shadow directory's valid ways under the policy
+	// opposite to pol's (paper §4.3).
+	shadow policy.List
 	// partner is the coupled set's index, or the set's own index when
 	// uncoupled (the paper's association-table convention).
-	partner int
-	pol     policy.Recency
+	partner int32
 	mon     Monitor
-	// rng drives the BIP insertions of pol and of the shadow's policy; both
-	// hold its address, so Engine.sets is never resized.
+	// rng drives the BIP insertions of pol and of shadow.
 	rng       sim.RNG
-	foreign   int    // cooperatively cached entries resident here (givers only)
 	coupledAt uint64 // tick at which the current association formed
+	foreign   int32  // cooperatively cached entries resident here (givers only)
 }
 
 // Counts are the mechanism counters an Engine accumulates.
@@ -105,7 +108,14 @@ type Engine struct {
 	// it timestamps mechanism events.
 	tick uint64
 	sets []ctlSet
-	heap *selector.Heap
+	// links holds 2 × ways list cells per set, set-major: the LLC list's,
+	// then the shadow list's. cells holds cellWords(ways) words of shadow
+	// cells per set (see cellValid).
+	links []policy.Link
+	cells []uint64
+	ways  int
+	words int // cellWords(ways)
+	heap  *selector.Heap
 	// decMask is 2^n − 1: SC_S decrements on a hit whose draw has those bits
 	// clear.
 	decMask uint64
@@ -125,28 +135,59 @@ type Engine struct {
 // set ids.
 func NewEngine(cfg Config, sets, ways, shard int) Engine {
 	cfg.applyDefaults()
+	if cfg.SignatureBits > MaxSignatureBits {
+		// invariant: stemcache's Config.Validate refuses wider signatures and the simulator's configurations are constants within the bound.
+		panic("core: SignatureBits wider than a shadow cell holds")
+	}
+	if sets > math.MaxInt32 {
+		// invariant: no host builds 2^31 sets; their ctlSets alone would take 128 GiB.
+		panic("core: more sets than an association-table entry can index")
+	}
 	e := Engine{
 		cfg:     cfg,
 		cgeom:   NewCounterGeom(cfg.CounterBits),
 		sets:    make([]ctlSet, sets),
+		links:   make([]policy.Link, 2*sets*ways),
+		cells:   makeCells(sets, ways),
+		ways:    ways,
+		words:   cellWords(ways),
 		heap:    selector.New(cfg.SelectorSize),
 		decMask: 1<<uint(cfg.SpatialShift) - 1,
 		base:    shard * sets,
 	}
 	e.rng.Seed(cfg.Seed ^ 0xdecaf ^ uint64(shard)*0x9e3779b97f4a7c15)
-	// One slab per kind of cell, carved per set: a set's recency links and
-	// its shadow's sit side by side.
-	links := make([]policy.Link, 2*sets*ways)
-	cells := make([]uint64, sets*ways)
 	for i := range e.sets {
 		s := &e.sets[i]
 		s.rng.Seed(cfg.Seed ^ uint64(e.base+i)*0x9e3779b97f4a7c15)
-		s.pol = policy.MakeRecency(policy.LRU, links[:ways:ways], &s.rng)
-		s.mon.Shadow = shadowOver(cells[:ways:ways], links[ways:2*ways:2*ways], policy.LRU, &s.rng)
-		s.partner = i
-		links, cells = links[2*ways:], cells[ways:]
+		s.pol = policy.MakeList(policy.LRU, e.llcLinks(i))
+		s.shadow = policy.MakeList(policy.Opposite(policy.LRU), e.shadowLinks(i))
+		s.partner = int32(i)
 	}
 	return e
+}
+
+// llcLinks returns the cells of set idx's LLC list.
+func (e *Engine) llcLinks(idx int) []policy.Link {
+	lo := 2 * idx * e.ways
+	return e.links[lo : lo+e.ways : lo+e.ways]
+}
+
+// shadowLinks returns the cells of set idx's shadow list.
+func (e *Engine) shadowLinks(idx int) []policy.Link {
+	lo := (2*idx + 1) * e.ways
+	return e.links[lo : lo+e.ways : lo+e.ways]
+}
+
+// shadowCells returns the words of set idx's shadow cells.
+func (e *Engine) shadowCells(idx int) []uint64 {
+	lo := idx * e.words
+	return e.cells[lo : lo+e.words : lo+e.words]
+}
+
+// shadowInsert records sig in set idx's shadow directory.
+func (e *Engine) shadowInsert(idx int, sig uint32) {
+	s := &e.sets[idx]
+	shadowInsert(e.shadowCells(idx), e.shadowLinks(idx), &s.shadow, sig, &s.rng)
 }
 
 // NewSigHash builds the shadow-signature hash for cfg (defaults applied): m
@@ -177,7 +218,7 @@ func (e *Engine) Monitor(idx int) *Monitor { return &e.sets[idx].mon }
 func (e *Engine) PolicyKind(idx int) policy.Kind { return e.sets[idx].pol.Kind() }
 
 // Partner exposes set idx's association; it equals idx when uncoupled.
-func (e *Engine) Partner(idx int) int { return e.sets[idx].partner }
+func (e *Engine) Partner(idx int) int { return int(e.sets[idx].partner) }
 
 // Role exposes set idx's association role: "uncoupled", "taker" or "giver".
 func (e *Engine) Role(idx int) string {
@@ -195,7 +236,7 @@ func (e *Engine) Role(idx int) string {
 // missed in idx probes next — or -1 when idx is not a taker.
 func (e *Engine) GiverOf(idx int) int {
 	if s := &e.sets[idx]; s.role == taker {
-		return s.partner
+		return int(s.partner)
 	}
 	return -1
 }
@@ -242,7 +283,7 @@ func (e *Engine) Census() Census {
 // 1/2^n), followed by the role bookkeeping a counter move implies.
 func (e *Engine) Hit(idx, way int) {
 	s := &e.sets[idx]
-	s.pol.OnHit(way)
+	s.pol.Hit(e.llcLinks(idx), way)
 	decS := e.rng.Uint64()&e.decMask == 0
 	s.mon.OnLLCHit(decS)
 	if decS {
@@ -256,7 +297,7 @@ func (e *Engine) Hit(idx, way int) {
 // Touch records a hit on a cooperatively cached entry at (idx, way). Only
 // the policy moves: a cooperative hit is not local-capacity evidence for
 // either set of the pair, so neither set's counters change (DESIGN.md §3.3).
-func (e *Engine) Touch(idx, way int) { e.sets[idx].pol.OnHit(way) }
+func (e *Engine) Touch(idx, way int) { e.sets[idx].pol.Hit(e.llcLinks(idx), way) }
 
 // Miss runs the miss path's demand update for set idx: a shadow lookup for
 // the missing tag's signature, the SC_S/SC_T counter rules, a policy swap
@@ -264,7 +305,7 @@ func (e *Engine) Touch(idx, way int) { e.sets[idx].pol.OnHit(way) }
 // reports whether the shadow directory hit.
 func (e *Engine) Miss(idx int, sig uint32) bool {
 	s := &e.sets[idx]
-	hit := s.mon.Shadow.LookupInvalidate(sig)
+	hit := shadowLookup(e.shadowCells(idx), e.shadowLinks(idx), &s.shadow, sig)
 	if hit {
 		swap := s.mon.OnShadowHit(e.cgeom)
 		e.n.ShadowHits++
@@ -310,7 +351,7 @@ func (e *Engine) Evict(idx int, sig uint32, cc bool) int {
 		// credited to the taker's shadow (it is the taker's working-set
 		// victim).
 		s.foreign--
-		e.sets[s.partner].mon.Shadow.Insert(sig)
+		e.shadowInsert(int(s.partner), sig)
 		if s.foreign == 0 && s.role == giver {
 			e.decouple(idx)
 		}
@@ -321,17 +362,25 @@ func (e *Engine) Evict(idx int, sig uint32, cc bool) int {
 		// (§4.6/4.7: a role change stops spilling) ...
 		if e.cfg.UnconstrainedReceive || e.sets[s.partner].mon.IsGiver(e.cgeom) {
 			// ... and only while the giver can still receive (§4.6).
-			e.receive(idx, s.partner)
-			return s.partner
+			g := int(s.partner)
+			e.receive(idx, g)
+			return g
 		}
 	}
-	s.mon.Shadow.Insert(sig)
+	e.shadowInsert(idx, sig)
 	return -1
 }
 
 // Fill records that the host stored an entry in (idx, way); the set's
 // current policy picks its insertion position.
-func (e *Engine) Fill(idx, way int) { e.sets[idx].pol.OnInsert(way) }
+func (e *Engine) Fill(idx, way int) {
+	s := &e.sets[idx]
+	s.pol.Insert(e.llcLinks(idx), way, &s.rng)
+}
+
+// Full reports whether the engine ranks every way of set idx: a host that
+// reports every fill and every drop has no empty way there to scan for.
+func (e *Engine) Full(idx int) bool { return e.sets[idx].pol.Len() == e.ways }
 
 // Remove records that the host dropped the entry at (idx, way) outside the
 // eviction path — a delete or an expiry. It is not demand evidence, so no
@@ -339,7 +388,7 @@ func (e *Engine) Fill(idx, way int) { e.sets[idx].pol.OnInsert(way) }
 // entry dissolves the pair.
 func (e *Engine) Remove(idx, way int, cc bool) {
 	s := &e.sets[idx]
-	s.pol.OnInvalidate(way)
+	s.pol.Invalidate(e.llcLinks(idx), way)
 	if cc {
 		s.foreign--
 		if s.foreign == 0 && s.role == giver {
@@ -353,8 +402,8 @@ func (e *Engine) Remove(idx, way int, cc bool) {
 func (e *Engine) Clear() {
 	for i := range e.sets {
 		s := &e.sets[i]
-		s.pol.Reset()
-		s.role, s.partner, s.foreign = uncoupled, i, 0
+		s.pol.Reset(e.llcLinks(i))
+		s.role, s.partner, s.foreign = uncoupled, int32(i), 0
 	}
 }
 
@@ -415,8 +464,8 @@ func (e *Engine) reconsiderGiver(idx int) {
 func (e *Engine) swapPolicies(idx int) {
 	s := &e.sets[idx]
 	next := policy.Opposite(s.pol.Kind())
-	policy.SwapKind(&s.pol, next)
-	s.mon.Shadow.SwapPolicy(policy.Opposite(next))
+	s.pol.Swap(next)
+	s.shadow.Swap(policy.Opposite(next))
 	s.mon.ScT = 0
 	e.n.PolicySwaps++
 	if e.observer != nil {
@@ -440,8 +489,8 @@ func (e *Engine) tryCouple(idx int) {
 			continue
 		}
 		s := &e.sets[idx]
-		s.partner, s.role = cand, taker
-		g.partner, g.role = idx, giver
+		s.partner, s.role = int32(cand), taker
+		g.partner, g.role = int32(idx), giver
 		s.coupledAt, g.coupledAt = e.tick, e.tick
 		e.heap.Remove(idx)
 		e.n.Couplings++
@@ -468,10 +517,10 @@ func (e *Engine) receive(tIdx, gIdx int) {
 // (paper §4.7), resetting both association-table entries to self.
 func (e *Engine) decouple(gIdx int) {
 	g := &e.sets[gIdx]
-	tIdx := g.partner
+	tIdx := int(g.partner)
 	t := &e.sets[tIdx]
-	t.partner, t.role = tIdx, uncoupled
-	g.partner, g.role = gIdx, uncoupled
+	t.partner, t.role = int32(tIdx), uncoupled
+	g.partner, g.role = int32(gIdx), uncoupled
 	e.n.Decouplings++
 	if e.observer != nil {
 		e.emit(obs.EvDecouple, gIdx, tIdx, obs.Event{Life: e.tick - g.coupledAt})

@@ -33,22 +33,24 @@ func TestHighBlockBitsDistinguishLines(t *testing.T) {
 	}
 }
 
-// At the widest signature, 0 and 0xFFFFFFFF are entries like any other and
-// an empty way matches neither.
+// At the widest signature, 0 and 0x7FFF (every signature bit set, so the
+// cell's every bit) are entries like any other and an empty way matches
+// neither.
 func TestShadowExtremeSignatures(t *testing.T) {
-	s := NewShadowSet(4, policy.LRU, sim.NewRNG(1))
-	for _, sig := range []uint32{0, 0xFFFFFFFF} {
+	const widest = 1<<MaxSignatureBits - 1
+	s := newShadowSet(4, policy.LRU, sim.NewRNG(1))
+	for _, sig := range []uint32{0, widest} {
 		if s.LookupInvalidate(sig) {
 			t.Fatalf("empty shadow set holds %#x", sig)
 		}
 	}
 	s.Insert(0)
-	s.Insert(0xFFFFFFFF)
+	s.Insert(widest)
 	s.Insert(0) // a duplicate, refreshed in place
 	if s.Occupancy() != 2 {
-		t.Fatalf("occupancy %d after inserting 0 twice and 0xFFFFFFFF, want 2", s.Occupancy())
+		t.Fatalf("occupancy %d after inserting 0 twice and %#x, want 2", s.Occupancy(), widest)
 	}
-	for _, sig := range []uint32{0xFFFFFFFF, 0} {
+	for _, sig := range []uint32{widest, 0} {
 		if !s.LookupInvalidate(sig) {
 			t.Fatalf("signature %#x lost", sig)
 		}

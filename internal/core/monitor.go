@@ -1,94 +1,120 @@
 package core
 
 import (
-	"repro/internal/hashfn"
+	"math/bits"
+
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
 
-// ShadowSet is the m-bit-signature victim directory attached to each LLC set
-// (paper §4.3). It has the same associativity as the LLC set, stores hashed
-// tags of the set's victim blocks, and runs the replacement policy opposite
-// to the LLC set's so that the eviction stream exposes whichever temporal
-// behaviour the LLC set is currently missing. Entries are strictly exclusive
-// with the LLC set's resident blocks: an entry is invalidated the moment a
-// block with a matching signature is re-inserted into the LLC set.
+// MaxSignatureBits is the widest shadow signature m: a shadow cell is 16
+// bits, the signature below its top bit, which marks the cell valid. The
+// paper's Table 3 sizes m at 10.
+const MaxSignatureBits = 15
+
+// Each LLC set has a shadow directory, the m-bit-signature victim
+// directory of paper §4.3. It has the set's associativity, stores hashed
+// tags of the set's victim blocks, and ranks them under the replacement
+// policy opposite to the set's, so that the eviction stream exposes
+// whichever temporal behaviour the set is currently missing. Entries are
+// strictly exclusive with the set's resident blocks: an entry is
+// invalidated the moment a block with a matching signature re-enters the
+// set. Engine keeps one per set as a policy.List in the set's ctlSet over
+// its links and cells in the engine-wide slabs; the list ranks exactly the
+// valid ways.
 //
-// ShadowSet is exported (together with Monitor and CounterGeom) so other
-// capacity managers — notably the stemcache KV library — can reuse the
-// paper's demand monitor verbatim instead of re-implementing it.
-type ShadowSet struct {
-	// cells holds one entry per way: shadowValid | signature, or 0 when the
-	// way is empty — a lookup is one compare per way, and a 32-bit signature
-	// of 0 or 0xFFFFFFFF is an entry like any other. The policy ranks
-	// exactly the valid ways.
-	cells []uint64
-	pol   policy.Recency
+// A shadow cell is cellValid | signature, or 0 when its way is empty. A
+// set's cells are packed four to a 64-bit word, way 4i+k in bits 16k..16k+15
+// of word i, so a lookup compares four ways per word (see zeroLanes). Lanes
+// past the last way of a set whose associativity is not a multiple of four
+// hold cellPad, which is neither empty nor valid: no lookup or insert ever
+// matches or claims one.
+const (
+	cellValid = 1 << MaxSignatureBits
+	cellPad   = cellValid - 1
+	laneOnes  = 0x0001_0001_0001_0001 // a 1 in every lane; c*laneOnes repeats c
+	laneHighs = 0x8000_8000_8000_8000 // every lane's top bit
+)
+
+// cellWords returns the number of words that hold ways cells.
+func cellWords(ways int) int { return (ways + 3) / 4 }
+
+// makeCells returns the empty cells of sets sets of ways ways, each set's
+// words side by side, with every lane past a set's last way padded.
+func makeCells(sets, ways int) []uint64 {
+	n := cellWords(ways)
+	words := make([]uint64, sets*n)
+	if tail := ways % 4; tail != 0 {
+		pad := uint64(0)
+		for k := tail; k < 4; k++ {
+			pad |= cellPad << (16 * k)
+		}
+		for i := n - 1; i < len(words); i += n {
+			words[i] = pad
+		}
+	}
+	return words
 }
 
-// shadowValid marks an occupied cell, one bit above the widest signature.
-const shadowValid = 1 << hashfn.MaxBits
+// cellOf is the cell that records sig: its low MaxSignatureBits bits, valid.
+func cellOf(sig uint32) uint64 { return uint64(sig)&(cellValid-1) | cellValid }
 
-// NewShadowSet builds a shadow directory of the given associativity whose
-// policy is the opposite of the owning LLC set's (paper §4.3).
-func NewShadowSet(ways int, llcKind policy.Kind, rng *sim.RNG) ShadowSet {
-	return shadowOver(make([]uint64, ways), make([]policy.Link, ways), llcKind, rng)
-}
+// zeroLanes flags x's zero lanes: the lowest set bit of the result is the
+// top bit of x's lowest zero lane, and the result is 0 when no lane is zero.
+// (A borrow out of a zero lane can flag lanes above it too, never one below,
+// so only the lowest flag is read.)
+func zeroLanes(x uint64) uint64 { return (x - laneOnes) &^ x & laneHighs }
 
-// shadowOver is NewShadowSet over the caller's (zeroed) storage.
-func shadowOver(cells []uint64, links []policy.Link, llcKind policy.Kind, rng *sim.RNG) ShadowSet {
-	return ShadowSet{cells: cells, pol: policy.MakeRecency(policy.Opposite(llcKind), links, rng)}
-}
+// firstLane returns the way that zeroLanes' nonzero mask m flags first in
+// word i.
+func firstLane(i int, m uint64) int { return 4*i + bits.TrailingZeros64(m)>>4 }
 
-// LookupInvalidate checks for sig and, on a match, invalidates the entry
-// (the block is about to re-enter the LLC set) and reports the hit.
-func (s *ShadowSet) LookupInvalidate(sig uint32) bool {
-	want := shadowValid | uint64(sig)
-	for w, c := range s.cells {
-		if c == want {
-			s.cells[w] = 0
-			s.pol.OnInvalidate(w)
+// shadowLookup checks a shadow set — its cells, its links and its list —
+// for sig and, on a match, invalidates the entry (the block is about to
+// re-enter the LLC set) and reports the hit.
+func shadowLookup(words []uint64, links []policy.Link, l *policy.List, sig uint32) bool {
+	want := cellOf(sig) * laneOnes
+	for i, x := range words {
+		if m := zeroLanes(x ^ want); m != 0 {
+			w := firstLane(i, m)
+			words[i] = x &^ (0xFFFF << (16 * (w & 3)))
+			l.Invalidate(links, w)
 			return true
 		}
 	}
 	return false
 }
 
-// Insert records the signature of a block truly evicted from the owning LLC
-// set, replacing per the shadow's own (opposite) policy if full. Duplicate
-// signatures are refreshed in place to preserve entry uniqueness.
-func (s *ShadowSet) Insert(sig uint32) {
-	want := shadowValid | uint64(sig)
-	way := -1
-	for w, c := range s.cells {
-		if c == want {
-			way = w // refresh ranking; entry already present
+// shadowInsert records sig in a shadow set: a valid cell holding sig is
+// refreshed in place to keep entries unique, else the first empty way takes
+// it, else the list's victim; rng drives a BIP list's insertion.
+func shadowInsert(words []uint64, links []policy.Link, l *policy.List, sig uint32, rng *sim.RNG) {
+	c := cellOf(sig)
+	want, way := c*laneOnes, -1
+	for i, x := range words {
+		if m := zeroLanes(x ^ want); m != 0 {
+			way = firstLane(i, m) // refresh ranking; entry already present
 			break
 		}
-		if c == 0 && way < 0 {
-			way = w
+		if way < 0 {
+			if m := zeroLanes(x); m != 0 {
+				way = firstLane(i, m)
+			}
 		}
 	}
+	// way is the duplicate when the loop broke on one: a duplicate is found
+	// wherever it sits, and an empty way before it is not taken.
 	if way < 0 {
-		way = s.pol.Victim()
+		way = l.Victim()
 	}
-	s.cells[way] = want
-	s.pol.OnInsert(way)
+	i, sh := way>>2, 16*(way&3)
+	words[i] = words[i]&^(0xFFFF<<sh) | c<<sh
+	l.Insert(links, way, rng)
 }
 
-// Occupancy returns the number of valid shadow entries.
-func (s *ShadowSet) Occupancy() int { return s.pol.Len() }
-
-// PolicyKind returns the shadow's current replacement-policy kind.
-func (s *ShadowSet) PolicyKind() policy.Kind { return s.pol.Kind() }
-
-// SwapPolicy switches the shadow's policy kind in place, preserving its
-// ranking (the shadow-side half of the paper's §4.4 policy swap).
-func (s *ShadowSet) SwapPolicy(k policy.Kind) bool { return policy.SwapKind(&s.pol, k) }
-
-// Monitor is one set's slice of the Set-level Capacity Demand Monitor
-// (SCDM, paper §4.2-4.4): the shadow set plus the two k-bit saturating
-// counters.
+// Monitor is the counter half of one set's slice of the Set-level Capacity
+// Demand Monitor (SCDM, paper §4.2-4.4): the two k-bit saturating counters
+// that its shadow set's hits and the LLC set's hits move.
 //
 //   - ScS (spatial): incremented on every shadow hit, decremented with
 //     probability 1/2^n on every LLC-set hit. Saturated ⇒ the set is a
@@ -97,13 +123,9 @@ func (s *ShadowSet) SwapPolicy(k policy.Kind) bool { return policy.SwapKind(&s.p
 //   - ScT (temporal): incremented on every shadow hit, decremented on every
 //     LLC-set hit. Saturated ⇒ the shadow's (opposite) policy is measurably
 //     beating the set's current policy, so the two swap and ScT resets.
-//
-// The counters come first: every hit updates them, while only the miss and
-// eviction paths touch the shadow.
 type Monitor struct {
-	ScS    int
-	ScT    int
-	Shadow ShadowSet
+	ScS int
+	ScT int
 }
 
 // CounterGeom carries the ceiling and MSB mask derived from the configured

@@ -124,14 +124,7 @@ func New(k Kind, ways int, rng *sim.RNG) Policy {
 // if p is not a swappable recency policy or k is not LRU/BIP.
 func SwapKind(p Policy, k Kind) bool {
 	r, ok := p.(*Recency)
-	if !ok || r.chooser != nil {
-		return false
-	}
-	if k != LRU && k != BIP {
-		return false
-	}
-	r.kind = k
-	return true
+	return ok && r.list.Swap(k)
 }
 
 // NewDual constructs a follower whose insertion flavour is re-chosen on every
@@ -152,7 +145,7 @@ func NewDual(ways int, rng *sim.RNG, choose func() Kind) Policy {
 	p := New(family, ways, rng)
 	switch p := p.(type) {
 	case *Recency:
-		p.kind, p.chooser = Dual, choose
+		p.list.kind, p.chooser = Dual, choose
 	case *rrip:
 		p.kind, p.chooser = Dual, choose
 	}

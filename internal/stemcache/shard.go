@@ -66,7 +66,7 @@ type shard[K comparable, V any] struct {
 	stats   Stats         // every other counter; snapshot completes it from one and the engine
 	entries []entry[K, V] // sets × Ways, set-major
 	tags    []uint64      // one per entry, in the same order; see tagOf
-	_       [96]byte
+	_       [32]byte
 }
 
 // newShards allocates n shards with shard 0 on a 64-byte line. Go's

@@ -8,9 +8,9 @@
 // ways: the low bits select a shard (each shard has its own mutex — lock
 // striping), the next bits select a set inside the shard (each set holds
 // Ways entries), and the rest is the tag. Each set carries the paper's
-// Set-level Capacity Demand Monitor (core.Monitor): a shadow directory of
-// m-bit signatures of the set's evicted keys plus two k-bit saturating
-// counters.
+// Set-level Capacity Demand Monitor: a shadow directory of m-bit signatures
+// of the set's evicted keys plus two k-bit saturating counters
+// (core.Monitor).
 //
 //   - Temporal management (§4.3-4.4): every set duels LRU against BIP
 //     individually. When the temporal counter shows the shadow's opposite
@@ -141,8 +141,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("stemcache: CounterBits must be in [0, 32], got %d", c.CounterBits)
 	case c.SpatialShift < 0 || c.SpatialShift > 62:
 		return fmt.Errorf("stemcache: SpatialShift must be in [0, 62], got %d", c.SpatialShift)
-	case c.SignatureBits < 0 || c.SignatureBits > hashfn.MaxBits:
-		return fmt.Errorf("stemcache: SignatureBits must be in [0, %d], got %d", hashfn.MaxBits, c.SignatureBits)
+	case c.SignatureBits < 0 || c.SignatureBits > core.MaxSignatureBits:
+		return fmt.Errorf("stemcache: SignatureBits must be in [0, %d], the widest a shadow cell holds, got %d", core.MaxSignatureBits, c.SignatureBits)
 	case c.SelectorSize < 0:
 		return fmt.Errorf("stemcache: SelectorSize must be >= 0, got %d", c.SelectorSize)
 	}
