@@ -19,11 +19,12 @@
 //	stemcluster -nodes 3 -replication 2 -kill-after 10s -kill-node 1
 //	stemcluster -nodes 3 -replication 2 -join-after 10s
 //
-// Drive it with the load generator, matching -seed (and -vnodes if set) and
-// handing it the addresses the cluster started with; a node that joins
-// later reaches the load generator in a view:
+// Drive it with the load generator, matching -seed and handing it any of
+// the members' addresses: the rest of the cluster, its slot count and a
+// node that joins later reach the load generator in views:
 //
 //	stemload -cluster "$(cat /tmp/addrs)" -seed 21 -dist hotspot-shift
+//	stemload -cluster "$(cut -d, -f2 /tmp/addrs)" -seed 21
 //
 // stemcluster runs until SIGINT/SIGTERM, then closes every node.
 package main
@@ -49,8 +50,8 @@ func main() {
 	flag.IntVar(&cfg.capacity, "capacity", 1<<13, "per-node cache capacity in entries")
 	flag.IntVar(&cfg.shards, "shards", 0, "per-node shard count (0 = default)")
 	flag.IntVar(&cfg.ways, "ways", 0, "per-node set associativity (0 = default)")
-	flag.IntVar(&cfg.vnodes, "vnodes", 0, "ring slots per node (0 = the cluster default)")
-	flag.Uint64Var(&cfg.seed, "seed", 0x57E4, "cluster seed: ring placement and per-node cache seeds")
+	flag.IntVar(&cfg.vnodes, "vnodes", 0, "slots per bootstrap node: the cluster has -nodes × -vnodes slots (0 = the cluster default)")
+	flag.Uint64Var(&cfg.seed, "seed", 0x57E4, "cluster seed: the key→slot hash's salt and per-node cache seeds")
 
 	flag.IntVar(&cfg.replication, "replication", 1, "copies per slot including the owner (1 = owner only)")
 	flag.DurationVar(&cfg.heartbeat, "heartbeat", 500*time.Millisecond, "failure-detector heartbeat interval")

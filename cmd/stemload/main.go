@@ -1,6 +1,6 @@
 // Command stemload is a load generator for stemd: N workers run a
-// cache-aside loop (GET, on miss SET) against a running server or ring of
-// servers, drawing keys from one of the deterministic serving distributions
+// cache-aside loop (GET, on miss SET) against a running server or cluster
+// of servers, drawing keys from one of the deterministic serving distributions
 // in internal/workloads, and report throughput, client latency percentiles,
 // and hit rates.
 //
@@ -25,13 +25,13 @@
 //
 //   - With -addr, stemload drives one server and reports its numbers plus
 //     the server's STATS document.
-//   - With -cluster, stemload drives a whole ring of servers (comma-separated
-//     addresses, e.g. the set stemcluster prints) through the consistent-hash
-//     routing client and reports aggregate plus per-node numbers. -seed and
-//     -vnodes must match the cluster's, and the addresses must be the ones
-//     the cluster started with: nodes that join later, and nodes that died,
-//     reach the client in the views the nodes answer with. A node the view
-//     marks dead or left is reported down.
+//   - With -cluster, stemload drives a whole cluster of servers through the
+//     routing client and reports aggregate plus per-node numbers. The
+//     comma-separated addresses are a seed list (e.g. the set stemcluster
+//     prints, or any one of them): the client fetches the cluster's view
+//     from the first that answers, and every member, the slot count, and
+//     the nodes that join or die later reach it in views. -seed must match
+//     the cluster's. A node the view marks dead or left is reported down.
 //
 // With -trace-every N, every N-th request carries a wire trace extension
 // and the report includes the server/network latency split measured from
@@ -84,8 +84,7 @@ func stemload(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("stemload", flag.ContinueOnError)
 	var (
 		addr      = fs.String("addr", "", "server to drive")
-		clusterEP = fs.String("cluster", "", "comma-separated node addresses; drives the ring through the cluster routing client")
-		vnodes    = fs.Int("vnodes", 0, "ring slots per node with -cluster (0 = the cluster default)")
+		clusterEP = fs.String("cluster", "", "comma-separated addresses of any cluster members; drives the cluster through its routing client")
 		dist      = fs.String("dist", "mixed", "key distribution: zipf, scan, mixed, or hotspot-shift")
 		ops       = fs.Int("ops", 400_000, "total GETs")
 		conns     = fs.Int("conns", 4, "concurrent workers (one connection each)")
@@ -104,7 +103,7 @@ func stemload(args []string, stdout io.Writer) error {
 	}
 	cfg := loadConfig{
 		Dist: *dist, Ops: *ops, Conns: *conns, Capacity: *capacity,
-		ValueSize: *valueSize, Seed: *seed, VNodes: *vnodes,
+		ValueSize: *valueSize, Seed: *seed,
 		Rate: *rate, TraceEvery: *traceEach,
 	}
 	if err := cfg.validate(); err != nil {
@@ -150,8 +149,6 @@ type loadConfig struct {
 	Capacity  int    `json:"capacity"`
 	ValueSize int    `json:"value_size"`
 	Seed      uint64 `json:"seed"`
-	// VNodes is ring slots per node with -cluster (0 = the cluster default).
-	VNodes int `json:"vnodes,omitempty"`
 	// Rate > 0 selects the open loop: Poisson arrivals at Rate ops/s in
 	// aggregate, latency measured from the scheduled send time.
 	Rate float64 `json:"rate,omitempty"`
@@ -172,8 +169,6 @@ func (c loadConfig) validate() error {
 		return fmt.Errorf("-rate %v is not a finite rate >= 0", c.Rate)
 	case c.TraceEvery < 0:
 		return fmt.Errorf("-trace-every %d is negative", c.TraceEvery)
-	case c.VNodes < 0:
-		return fmt.Errorf("-vnodes %d is negative", c.VNodes)
 	}
 	// The key stream checks -dist and -capacity.
 	_, err := workloads.NewKeyStream(c.Dist, c.Capacity, c.Seed)
@@ -448,13 +443,12 @@ func attachTraceSplit(res *result, treg *obs.Registry) {
 	res.NetP99Micros = float64(treg.Latency("client.lat.net_us").Quantile(0.99))
 }
 
-// driveCluster runs the workers through the consistent-hash routing client
-// and aggregates every node's STATS.
+// driveCluster runs the workers through the routing client, seeded with
+// addrs, and aggregates every node's STATS.
 func driveCluster(addrs []string, cfg loadConfig) (result, error) {
 	ccfg, treg := clientConfig(cfg)
 	cl, err := cluster.NewClient(cluster.Config{
 		Addrs:  addrs,
-		VNodes: cfg.VNodes,
 		Seed:   cfg.Seed,
 		Client: ccfg,
 	})

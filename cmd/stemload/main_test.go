@@ -57,12 +57,12 @@ func TestDrive(t *testing.T) {
 		{"cluster", func(t *testing.T) ([]string, int) {
 			rig, err := membership.StartRig(3,
 				cluster.NodeConfig{Cache: stemcache.Config{Capacity: capacity / 3}},
-				cluster.Config{VNodes: 4, Seed: 21})
+				cluster.Config{Seed: 21})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(rig.Close)
-			return []string{"-cluster", strings.Join(rig.Addrs(), ","), "-vnodes", "4", "-seed", "21"}, 3
+			return []string{"-cluster", strings.Join(rig.Addrs(), ","), "-seed", "21"}, 3
 		}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
@@ -157,7 +157,6 @@ func TestBadInvocations(t *testing.T) {
 		{"-addr", addr, "-trace-every", "-3"},
 		{"-addr", addr, "-dist", "nope"},
 		{"-addr", addr, "-capacity", "0"},
-		{"-cluster", addr, "-vnodes", "-2"},
 	} {
 		if out, err := invoke(t, args...); err == nil {
 			t.Errorf("stemload %q: no error; printed %q", args, out)
@@ -221,7 +220,7 @@ func TestScenarios(t *testing.T) {
 	memberRig := func(t *testing.T) (*membership.Rig, func(addrs []string) []string) {
 		rig, err := membership.StartRig(3,
 			cluster.NodeConfig{Cache: stemcache.Config{Capacity: 4096, Shards: 2, Ways: 8}},
-			cluster.Config{VNodes: 4, Seed: 33,
+			cluster.Config{Seed: 33,
 				Client: client.Config{Retries: -1, DialTimeout: 500 * time.Millisecond, OpTimeout: 2 * time.Second}})
 		if err != nil {
 			t.Fatal(err)
@@ -231,7 +230,7 @@ func TestScenarios(t *testing.T) {
 			t.Fatal(err)
 		}
 		return rig, func(addrs []string) []string {
-			return []string{"-cluster", strings.Join(addrs, ","), "-vnodes", "4", "-seed", "33",
+			return []string{"-cluster", strings.Join(addrs, ","), "-seed", "33",
 				"-ops", "4001", "-conns", "2", "-capacity", "4096", "-value-size", "32"}
 		}
 	}
@@ -359,13 +358,18 @@ func TestScenarios(t *testing.T) {
 		if len(rep.Moves) == 0 {
 			t.Fatal("the join moved no slots to the new node")
 		}
-		// The same flags reach the joiner: the views the nodes answer with
-		// name it.
-		before = rigGets(rig, 0, 1, 2, 3)
-		after := reportOf(t, flags(all)...).Result
-		checkRing(t, after, before, 0, 1, 2, 3)
-		if joiner := after.Nodes[3]; joiner.Cache.Gets == 0 || joiner.Len == 0 {
-			t.Errorf("the joined node served %d GETs and holds %d entries; want both positive", joiner.Cache.Gets, joiner.Len)
+		// The addresses are a seed list: the four post-join addresses, and
+		// the joiner's alone, each reach all four nodes through the view
+		// the first answer carries.
+		joined := rig.Addrs()
+		for _, seeds := range [][]string{joined, joined[3:]} {
+			before = rigGets(rig, 0, 1, 2, 3)
+			after := reportOf(t, flags(seeds)...).Result
+			checkRing(t, after, before, 0, 1, 2, 3)
+			if joiner := after.Nodes[3]; joiner.Cache.Gets == 0 || joiner.Len == 0 {
+				t.Errorf("seeded with %v: the joined node served %d GETs and holds %d entries; want both positive",
+					seeds, joiner.Cache.Gets, joiner.Len)
+			}
 		}
 	})
 }

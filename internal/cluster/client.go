@@ -16,16 +16,16 @@ import (
 
 // Config parameterizes a cluster Client.
 type Config struct {
-	// Addrs are the nodes' "host:port" addresses when the cluster was
-	// bootstrapped; node i is Addrs[i]. The ring has len(Addrs) × VNodes
-	// slots, so every client lists the same nodes in the same order, and
-	// nodes that joined later reach it in views.
+	// Addrs is a seed list: any of the cluster's members' "host:port"
+	// addresses. Node i is Addrs[i] until the first MOVED or VIEW answer
+	// brings the cluster's view, whose members and slot count replace them.
 	Addrs []string
-	// VNodes is the number of ring slots per node. More slots spread load
-	// more evenly but make migrations finer-grained. Default 16.
+	// VNodes is the slots per node of the epoch-0 view the client starts
+	// from (len(Addrs) × VNodes slots); a membership manager bootstraps
+	// the cluster's view from its client's. Default 16.
 	VNodes int
-	// Seed places the ring's slot points and hashes keys onto it. Every
-	// client of one cluster must share it.
+	// Seed salts the key→slot hash (Ring.SlotOf). Every client and node of
+	// one cluster must share it.
 	Seed uint64
 	// Client is the per-node connection template; Addr is overwritten per
 	// node.
@@ -36,16 +36,16 @@ type Config struct {
 }
 
 // maxMoved bounds the MOVED answers one operation follows: a view reaches
-// every node in one push, so one that keeps being moved routes by a ring
-// the nodes do not share (another seed), and fails rather than spin.
+// every node in one push, so one that keeps being moved hashes keys with
+// a seed the nodes do not share, and fails rather than spin.
 const maxMoved = 8
 
 // Client routes cache operations across a cluster by its own View: single
 // operations go to the key's owner, MGET/MSET batches are split per owner,
 // sent concurrently, and merged back into request order. It starts from the
-// epoch-0 view of Addrs and adopts every newer view a node answers it with
-// (MOVED and VIEW answers), dialing the members new in it: in-process and
-// external clients take this one path.
+// epoch-0 view of its seed addresses and adopts every newer view a node
+// answers it with (MOVED and VIEW answers), rebuilding its node table from
+// the view's members: in-process and external clients take this one path.
 //
 // Batch failures are partial by design: the answered positions are returned
 // (found=false / stored nothing for the failed ones) together with a
@@ -64,13 +64,20 @@ const maxMoved = 8
 type Client struct {
 	ring *Ring
 	view atomic.Pointer[View]
-	// nodes is the node table, indexed by node id: an immutable snapshot,
-	// grown (under mu) before any view naming a new id is published.
+	// nodes is the node table, indexed by node id: node n is the held
+	// view's member n, and past the view's members come the nodes AddNode
+	// dialed before any view names them. An immutable snapshot, rebuilt
+	// (under mu) before the view it serves is published; it never shrinks,
+	// so an id from any earlier view still indexes it.
 	nodes atomic.Pointer[[]*client.Client]
 
-	// mu serializes the writers of nodes, view and closed.
+	// mu serializes the writers of nodes, view, dialed, gauged and closed.
 	mu     sync.Mutex
 	closed bool
+	// dialed is every node client built, one per address. Only Close
+	// closes them: an operation may still hold one the table dropped.
+	dialed []*client.Client
+	gauged int // node ids with a cluster.node<n>.slots gauge
 
 	tpl client.Config
 	// backoff and wait pace and bound a write's wait for failover (the node
@@ -80,8 +87,8 @@ type Client struct {
 	ops           *obs.Counter
 }
 
-// NewClient builds a routing client over cfg.Addrs. No connection is
-// dialed until first use (client.New's contract).
+// NewClient builds a routing client from the seed list cfg.Addrs. No
+// connection is dialed until first use (client.New's contract).
 func NewClient(cfg Config) (*Client, error) {
 	if len(cfg.Addrs) == 0 {
 		return nil, errors.New("cluster: no node addresses")
@@ -100,10 +107,8 @@ func NewClient(cfg Config) (*Client, error) {
 		cl.ops = reg.Counter("cluster.client_ops")
 		reg.GaugeFunc("cluster.view_epoch", func() float64 { return float64(cl.view.Load().Epoch) })
 	}
-	for _, addr := range cfg.Addrs {
-		if _, err := cl.AddNode(addr); err != nil {
-			return nil, err
-		}
+	if err := cl.placeLocked(0, cfg.Addrs); err != nil { // not yet shared: no lock needed
+		return nil, err
 	}
 	tpl := cl.NodeClient(0).Config()
 	cl.backoff, cl.wait = tpl.Backoff, tpl.OpTimeout
@@ -112,54 +117,67 @@ func NewClient(cfg Config) (*Client, error) {
 
 // AddNode appends a node at addr to the table and returns its id. The
 // membership manager dials a joining node this way before any view names
-// it; adopt grows the table the same way for members a view brings.
+// it.
 func (c *Client) AddNode(addr string) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return 0, client.ErrClosed
 	}
-	return c.addNodeLocked(addr)
+	n := len(*c.nodes.Load())
+	return n, c.placeLocked(n, []string{addr})
 }
 
-// addNodeLocked appends node addr and publishes its owned-slot gauge.
-// Caller holds c.mu.
-func (c *Client) addNodeLocked(addr string) (int, error) {
-	nc := c.tpl
-	nc.Addr = addr
-	cl, err := client.New(nc)
-	if err != nil {
-		return 0, err
-	}
+// placeLocked makes node first+i the node client for addrs[i] and
+// publishes the table with an owned-slot gauge for each id new in it. A
+// node client built for an address before is reused, and ids the table
+// held past addrs keep their node. Caller holds c.mu.
+func (c *Client) placeLocked(first int, addrs []string) error {
 	old := *c.nodes.Load()
-	grown := append(old[:len(old):len(old)], cl)
-	c.nodes.Store(&grown)
-	n := len(old)
-	if c.reg != nil {
+	nodes := make([]*client.Client, max(first+len(addrs), len(old)))
+	copy(nodes, old)
+	for i, addr := range addrs {
+		j := slices.IndexFunc(c.dialed, func(cl *client.Client) bool { return cl.Config().Addr == addr })
+		if j < 0 {
+			nc := c.tpl
+			nc.Addr = addr
+			cl, err := client.New(nc)
+			if err != nil {
+				return fmt.Errorf("cluster: node %d: %w", first+i, err)
+			}
+			j, c.dialed = len(c.dialed), append(c.dialed, cl)
+		}
+		nodes[first+i] = c.dialed[j]
+	}
+	c.nodes.Store(&nodes)
+	for ; c.reg != nil && c.gauged < len(nodes); c.gauged++ {
+		n := c.gauged
 		c.reg.GaugeFunc(fmt.Sprintf("cluster.node%d.slots", n), func() float64 {
 			return float64(len(slices.DeleteFunc(c.view.Load().Owners(), func(o int) bool { return o != n })))
 		})
 	}
-	return n, nil
+	return nil
 }
 
 // adopt makes w the held view when it is newer than the held one, after
-// dialing the members the node table lacks, and reports whether it did. A
-// view that does not fit the ring is refused with an error.
+// placing its members so that node n is member n, and reports whether it
+// did. A malformed view is refused with an error.
 func (c *Client) adopt(w wire.View) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed || w.Epoch <= c.view.Load().Epoch {
 		return false, nil
 	}
-	v, err := c.ring.ParseView(w)
+	v, err := ParseView(w)
 	if err != nil {
 		return false, err
 	}
-	for n := len(*c.nodes.Load()); n < len(v.Members); n++ {
-		if _, err := c.addNodeLocked(v.Members[n].Addr); err != nil {
-			return false, fmt.Errorf("cluster: member %d: %w", n, err)
-		}
+	addrs := make([]string, len(v.Members))
+	for n, m := range v.Members {
+		addrs[n] = m.Addr
+	}
+	if err := c.placeLocked(0, addrs); err != nil {
+		return false, err
 	}
 	c.view.Store(v)
 	return true, nil
@@ -188,7 +206,7 @@ func (c *Client) refresh(skip int) {
 	}
 }
 
-// Ring exposes the client's ring: the key→slot hash.
+// Ring exposes the client's key→slot hash.
 func (c *Client) Ring() *Ring { return c.ring }
 
 // View returns the held view. It is shared: the caller must not change it.
@@ -199,14 +217,15 @@ func (c *Client) View() *View { return c.view.Load() }
 // manager's view pushes and heartbeats.
 func (c *Client) NodeClient(n int) *client.Client { return (*c.nodes.Load())[n] }
 
-// Close releases every node's pooled connections. The first error wins.
+// Close releases the pooled connections of every node the client has
+// named. The first error wins.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
-	nodes := *c.nodes.Load()
+	dialed := c.dialed
 	c.mu.Unlock()
 	var first error
-	for _, cl := range nodes {
+	for _, cl := range dialed {
 		if err := cl.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -215,12 +234,12 @@ func (c *Client) Close() error {
 }
 
 // errMoved ends an operation that followed maxMoved MOVED answers.
-var errMoved = fmt.Errorf("cluster: still moved after %d MOVED answers (do the ring seeds agree?)", maxMoved)
+var errMoved = fmt.Errorf("cluster: still moved after %d MOVED answers (does the client's seed match the cluster's?)", maxMoved)
 
 // moved adopts the view a MOVED answer carries and reports whether the
 // operation should route again: yes, after a backoff when the view is no
 // newer (the push has not reached the node yet). Any other error, or a
-// view the ring refuses, is returned.
+// malformed view, is returned.
 func (c *Client) moved(err error) (bool, error) {
 	var me *client.MovedError
 	if !errors.As(err, &me) {
@@ -233,11 +252,20 @@ func (c *Client) moved(err error) (bool, error) {
 	return err == nil, err
 }
 
-// route runs op against slot's owner in the held view, following MOVED
+// slotOf returns key's slot in v.
+func (c *Client) slotOf(v *View, key string) int { return c.ring.SlotOf(key, len(v.Replicas)) }
+
+// owner returns key's owner in the held view.
+func (c *Client) owner(key string) int {
+	v := c.view.Load()
+	return v.Owner(c.slotOf(v, key))
+}
+
+// route runs op against key's owner in the held view, following MOVED
 // answers. It returns the node the last attempt went to.
-func (c *Client) route(slot int, op func(cl *client.Client) error) (int, error) {
+func (c *Client) route(key string, op func(cl *client.Client) error) (int, error) {
 	for moved := 0; ; moved++ {
-		owner := c.view.Load().Owner(slot)
+		owner := c.owner(key)
 		if again, err := c.moved(op(c.NodeClient(owner))); !again {
 			return owner, err
 		}
@@ -252,15 +280,15 @@ func (c *Client) route(slot int, op func(cl *client.Client) error) (int, error) 
 // names, in placement order. When they all fail too, the combined failures
 // surface as a *client.PartialError; any other error surfaces as itself.
 func (c *Client) read(key string, op func(cl *client.Client) error) error {
-	slot := c.ring.SlotOfKey(key)
 	c.ops.Inc()
-	owner, err := c.route(slot, op)
+	owner, err := c.route(key, op)
 	if !client.IsTransient(err) {
 		return err
 	}
 	c.refresh(owner)
 	errs := []client.NodeError{{Node: owner, Err: err}}
-	for _, n := range c.view.Load().Replicas[slot] {
+	v := c.view.Load()
+	for _, n := range v.Replicas[c.slotOf(v, key)] {
 		if n == owner {
 			continue
 		}
@@ -280,16 +308,15 @@ func (c *Client) read(key string, op func(cl *client.Client) error) error {
 // takes. A transient owner failure waits for a view naming another owner
 // (see Client), then writes there.
 func (c *Client) write(key string, op func(cl *client.Client) error) error {
-	slot := c.ring.SlotOfKey(key)
 	c.ops.Inc()
 	var waited time.Duration
 	delay := c.backoff
 	for {
-		owner, err := c.route(slot, op)
+		owner, err := c.route(key, op)
 		if !client.IsTransient(err) {
 			return err
 		}
-		for c.refresh(owner); c.view.Load().Owner(slot) == owner; c.refresh(owner) {
+		for c.refresh(owner); c.owner(key) == owner; c.refresh(owner) {
 			if waited >= c.wait {
 				return err
 			}
@@ -350,10 +377,9 @@ func (c *Client) Del(key string) (found bool, err error) {
 // failovers as route and read do. Per-node failures come back as a
 // *client.PartialError, ordered by node id within each round.
 func (c *Client) fanOut(n int, keyAt func(i int) string, send func(cl *client.Client, idx []int) error) error {
-	slots := make([]int, n)
 	pending := make([]int, n)
-	for i := range slots {
-		slots[i], pending[i] = c.ring.SlotOfKey(keyAt(i)), i
+	for i := range pending {
+		pending[i] = i
 	}
 	c.ops.Inc()
 	var failed []client.NodeError
@@ -361,7 +387,7 @@ func (c *Client) fanOut(n int, keyAt func(i int) string, send func(cl *client.Cl
 		v := c.view.Load()
 		groups := make([][]int, len(v.Members)) // node id → item indices
 		for _, i := range pending {
-			o := v.Owner(slots[i])
+			o := v.Owner(c.slotOf(v, keyAt(i)))
 			groups[o] = append(groups[o], i)
 		}
 		errs := make([]error, len(groups))
@@ -442,9 +468,11 @@ func (c *Client) MSet(pairs []wire.KV) error {
 	})
 }
 
-// Ping checks liveness of every node the held view does not mark dead or
-// left; the first failure wins.
+// Ping fetches the view (so a client seeded with one address learns every
+// member), then checks liveness of every node the held view does not mark
+// dead or left; the first failure wins.
 func (c *Client) Ping() error {
+	c.refresh(-1)
 	_, err := c.eachMember(func(cl *client.Client) ([]byte, error) { return nil, cl.Ping() })
 	return err
 }

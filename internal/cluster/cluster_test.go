@@ -11,7 +11,7 @@ import (
 )
 
 // startCluster spins up n in-process nodes plus a routing client with few
-// vnodes (lumpy on purpose — tests want observable imbalance).
+// vnodes, so each slot holds many of a test's keys.
 func startCluster(t *testing.T, n, vnodes int, capacity int) ([]*Node, *Client) {
 	t.Helper()
 	nodes := make([]*Node, n)
@@ -136,7 +136,7 @@ func TestMigrateHandsOffSlot(t *testing.T) {
 	}
 	perSlot := map[int]int{}
 	for _, k := range nodes[0].Keys() {
-		perSlot[cl.Ring().SlotOfKey(k)]++
+		perSlot[cl.Ring().SlotOf(k, cl.Ring().Slots())]++
 	}
 	slot, best := -1, 0
 	for s := 0; s < cl.Ring().Slots(); s++ {
@@ -161,14 +161,14 @@ func TestMigrateHandsOffSlot(t *testing.T) {
 	}
 	// The slot's keys now live on node 1 and are gone from node 0.
 	for _, k := range nodes[0].Keys() {
-		if cl.Ring().SlotOfKey(k) == slot {
+		if cl.Ring().SlotOf(k, cl.Ring().Slots()) == slot {
 			t.Fatalf("key %q still resident on the old owner", k)
 		}
 	}
 	moved := 0
 	for i := 0; i < 400; i++ {
 		k := fmt.Sprintf("mig-%d", i)
-		if cl.Ring().SlotOfKey(k) != slot {
+		if cl.Ring().SlotOf(k, cl.Ring().Slots()) != slot {
 			continue
 		}
 		if v, found, err := cl.NodeClient(1).Get(k); err != nil {

@@ -30,7 +30,8 @@ func (c *Client) slotChunks(lister KeyLister, slot, node, chunkSize int, f func(
 	if err != nil {
 		return fmt.Errorf("cluster: listing node %d for slot %d: %w", node, slot, err)
 	}
-	keys := slices.DeleteFunc(all, func(k string) bool { return c.ring.SlotOfKey(k) != slot })
+	v := c.view.Load()
+	keys := slices.DeleteFunc(all, func(k string) bool { return c.slotOf(v, k) != slot })
 	slices.Sort(keys)
 	if chunkSize <= 0 {
 		chunkSize = 256

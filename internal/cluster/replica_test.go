@@ -42,7 +42,7 @@ func keyOwnedBy(t *testing.T, cl *cluster.Client, node int) string {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
 		k := fmt.Sprintf("probe-%d", i)
-		if cl.View().Owner(cl.Ring().SlotOfKey(k)) == node {
+		if cl.View().Owner(cl.Ring().SlotOf(k, cl.Ring().Slots())) == node {
 			return k
 		}
 	}

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/wire"
@@ -24,10 +24,11 @@ func TestRingDeterminism(t *testing.T) {
 	diverged := false
 	for i := 0; i < 4096; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		if a.SlotOfKey(k) != b.SlotOfKey(k) {
-			t.Fatalf("equal seeds map %q to slots %d and %d", k, a.SlotOfKey(k), b.SlotOfKey(k))
+		sa, sb := a.SlotOf(k, a.Slots()), b.SlotOf(k, b.Slots())
+		if sa != sb {
+			t.Fatalf("equal seeds map %q to slots %d and %d", k, sa, sb)
 		}
-		if a.SlotOfKey(k) != other.SlotOfKey(k) {
+		if sa != other.SlotOf(k, other.Slots()) {
 			diverged = true
 		}
 	}
@@ -62,70 +63,71 @@ func TestRingInitialOwnership(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("key-%d", i)
 		home, slot := r.Lookup(k)
-		if slot != r.SlotOfKey(k) || home != v.Owner(slot) {
-			t.Fatalf("Lookup(%q) = (%d, %d), want (%d, %d)", k, home, slot, v.Owner(slot), r.SlotOfKey(k))
+		if want := r.SlotOf(k, len(v.Replicas)); slot != want || home != v.Owner(slot) {
+			t.Fatalf("Lookup(%q) = (%d, %d), want (%d, %d)", k, home, slot, v.Owner(want), want)
 		}
 	}
 }
 
-// TestParseViewChecksRing: a view is adopted only when it fits the ring —
-// one replica set per slot, in slot order, owner present, members only —
-// and a slot-count mismatch names both counts.
-func TestParseViewChecksRing(t *testing.T) {
+// TestParseViewChecksView: a view is adopted only when it is well formed —
+// at least one slot, one replica set per slot, in slot order, owner
+// present, members only. Its slot count is its own: holders hash keys
+// modulo it, so a view with no slots would divide by zero.
+func TestParseViewChecksView(t *testing.T) {
 	r, err := NewRing(2, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := r.InitialView([]string{"a:1", "b:2"})
 	good.Epoch = 3
-	v, err := r.ParseView(good.Wire())
+	v, err := ParseView(good.Wire())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(v) != fmt.Sprint(good) {
 		t.Fatalf("ParseView(Wire()) = %v, want %v", v, good)
 	}
-	wide, err := NewRing(2, 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wide.ParseView(good.Wire()); err == nil || !strings.Contains(err.Error(), "4 slots, the ring 8") {
-		t.Fatalf("8-slot ring parsed a 4-slot view: %v", err)
-	}
 	for name, bend := range map[string]func(w *wire.View){
+		"a view with 0 slots":        func(w *wire.View) { w.Replicas = nil },
 		"slots out of order":         func(w *wire.View) { w.Replicas[0].Slot, w.Replicas[1].Slot = 1, 0 },
 		"a slot with no owner":       func(w *wire.View) { w.Replicas[2].Replicas = nil },
 		"a replica past the members": func(w *wire.View) { w.Replicas[3].Replicas = []uint32{2} },
 	} {
 		w := good.Wire()
 		bend(&w)
-		if _, err := r.ParseView(w); err == nil {
+		if _, err := ParseView(w); err == nil {
 			t.Errorf("%s: view accepted", name)
 		}
 	}
 }
 
-func TestRingSpreadsKeys(t *testing.T) {
-	r, err := NewRing(3, 16, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, r.Slots())
-	const n = 50_000
-	for i := 0; i < n; i++ {
-		counts[r.SlotOfKey(fmt.Sprintf("spread-%d", i))]++
-	}
-	empty := 0
-	for _, c := range counts {
-		if c == 0 {
-			empty++
+// TestSlotBalance: the slot hash spreads keys evenly at every slot count a
+// view may carry. Over 100k keys key-%08d, at 12, 24, 48 and 64 slots and
+// six seeds, every slot's key count is within ±10 % of the mean — so a
+// node's key mass is its slot count's share, which placement balances.
+func TestSlotBalance(t *testing.T) {
+	const keys = 100_000
+	spread := [2]float64{1, 1} // the smallest and largest slot, × the mean
+	for _, slots := range []int{12, 24, 48, 64} {
+		for _, seed := range []uint64{1, 7, 21, 33, 42, 101} {
+			r, err := NewRing(1, slots, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts := make([]int, slots)
+			for i := 0; i < keys; i++ {
+				counts[r.SlotOf(fmt.Sprintf("key-%08d", i), slots)]++
+			}
+			mean := float64(keys) / float64(slots)
+			lo, hi := slices.Min(counts), slices.Max(counts)
+			spread = [2]float64{min(spread[0], float64(lo)/mean), max(spread[1], float64(hi)/mean)}
+			if float64(lo) < 0.9*mean || float64(hi) > 1.1*mean {
+				t.Errorf("%d slots, seed %d: slot key counts %d..%d, %.4f..%.4f × the mean %.0f; want within ±10 %%",
+					slots, seed, lo, hi, float64(lo)/mean, float64(hi)/mean, mean)
+			}
 		}
 	}
-	// 48 slots over 50k keys: every slot should see traffic (an empty slot
-	// means a degenerate arc).
-	if empty > 0 {
-		t.Fatalf("%d of %d slots received no keys", empty, r.Slots())
-	}
+	t.Logf("slot key counts %.3f..%.3f × the mean", spread[0], spread[1])
 }
 
 func TestRingRejectsBadGeometry(t *testing.T) {

@@ -64,15 +64,14 @@ func (v *View) Wire() wire.View {
 	return wire.View{Epoch: v.Epoch, Members: v.Members, Replicas: sets}
 }
 
-// ParseView checks a view that arrived on the wire against the ring — one
-// replica set per ring slot, in slot order, each naming an owner and only
+// ParseView checks a view that arrived on the wire — at least one slot,
+// one replica set per slot in slot order, each naming an owner and only
 // members (member i is node i, whatever its ID field says) — and returns
-// it as a View. A slot count other than the ring's
-// means the sender's ring was built with other vnodes or nodes, and every
-// route the view gives would be wrong.
-func (r *Ring) ParseView(w wire.View) (*View, error) {
-	if len(w.Replicas) != r.slots {
-		return nil, fmt.Errorf("cluster: view %d has %d slots, the ring %d: build the ring from the cluster's first address list and vnodes", w.Epoch, len(w.Replicas), r.slots)
+// it as a View. The slot count is the view's own: a holder hashes keys
+// modulo it (Ring.SlotOf), so a view with no slots is refused.
+func ParseView(w wire.View) (*View, error) {
+	if len(w.Replicas) == 0 {
+		return nil, fmt.Errorf("cluster: view %d has no slots", w.Epoch)
 	}
 	v := &View{Epoch: w.Epoch, Members: w.Members, Replicas: make([][]int, len(w.Replicas))}
 	for s, rs := range w.Replicas {

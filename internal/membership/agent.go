@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -89,14 +90,18 @@ func (a *Agent) Close() error {
 
 // Update applies one pushed view and returns the view held after it
 // (server.MembershipHandler); a view at or below the held epoch changes
-// nothing.
+// nothing, and one with another slot count than the held view's is
+// refused: it would move every key the node holds to another slot.
 func (a *Agent) Update(w wire.View) (wire.View, error) {
 	a.mu.Lock()
 	old := a.view.Load()
 	var v *cluster.View
 	var err error
 	if w.Epoch > a.Epoch() {
-		v, err = a.ring.ParseView(w)
+		v, err = cluster.ParseView(w)
+	}
+	if v != nil && old != nil && len(v.Replicas) != len(old.Replicas) {
+		v, err = nil, fmt.Errorf("membership: view %d has %d slots, the held view %d", w.Epoch, len(v.Replicas), len(old.Replicas))
 	}
 	if v == nil { // stale, replayed, a fetch, or refused
 		a.mu.Unlock()
@@ -148,21 +153,30 @@ func (a *Agent) Update(w wire.View) (wire.View, error) {
 // key's slot, a read to hold one of its replicas. Before the first view
 // it serves every key.
 func (a *Agent) Serves(key string, write bool) bool {
-	v := a.view.Load()
+	v, slot := a.slotOf(key)
 	if v == nil {
 		return true
 	}
-	slot := a.ring.SlotOfKey(key)
 	if write {
 		return v.Owner(slot) == a.self
 	}
 	return slices.Contains(v.Replicas[slot], a.self)
 }
 
-// peersOf snapshots the connected peers among slot's replicas other than
-// this node; with owner set, only when this node owns the slot.
-func (a *Agent) peersOf(slot int, owner bool) []*client.Client {
+// slotOf returns the held view and key's slot in it; a nil view before
+// the first push.
+func (a *Agent) slotOf(key string) (*cluster.View, int) {
 	v := a.view.Load()
+	if v == nil {
+		return nil, 0
+	}
+	return v, a.ring.SlotOf(key, len(v.Replicas))
+}
+
+// peersOf snapshots the connected peers among key's slot's replicas other
+// than this node; with owner set, only when this node owns the slot.
+func (a *Agent) peersOf(key string, owner bool) []*client.Client {
+	v, slot := a.slotOf(key)
 	if v == nil || owner && v.Owner(slot) != a.self {
 		return nil
 	}
@@ -182,7 +196,7 @@ func (a *Agent) peersOf(slot int, owner bool) []*client.Client {
 // nothing out. Best effort: a dead replica's copy is restored by the
 // manager's backfill at the next view change.
 func (a *Agent) ReplicateSet(key string, value []byte, ttl time.Duration) {
-	for _, p := range a.peersOf(a.ring.SlotOfKey(key), true) {
+	for _, p := range a.peersOf(key, true) {
 		_ = p.Replicate(key, value, ttl)
 	}
 }
@@ -190,7 +204,7 @@ func (a *Agent) ReplicateSet(key string, value []byte, ttl time.Duration) {
 // ReplicateDelete fans one applied delete out to the slot's followers
 // (server.Replicator).
 func (a *Agent) ReplicateDelete(key string) {
-	for _, p := range a.peersOf(a.ring.SlotOfKey(key), true) {
+	for _, p := range a.peersOf(key, true) {
 		_ = p.ReplicateDelete(key)
 	}
 }
@@ -199,14 +213,14 @@ func (a *Agent) ReplicateDelete(key string) {
 // slot's other replicas (server.Hooks.ReadRepair). Misses on unmarked
 // slots — the overwhelming majority — pay one mutex acquisition and leave.
 func (a *Agent) readRepair(key string) ([]byte, bool) {
-	slot := a.ring.SlotOfKey(key)
+	v, slot := a.slotOf(key)
 	a.mu.Lock()
-	marked := slot < len(a.repair) && a.repair[slot]
+	marked := v != nil && a.repair[slot] // a view's slot count is the first's
 	a.mu.Unlock()
 	if !marked {
 		return nil, false
 	}
-	for _, p := range a.peersOf(slot, false) {
+	for _, p := range a.peersOf(key, false) {
 		if v, found, err := p.Get(key); err == nil && found {
 			return v, true
 		}

@@ -141,7 +141,7 @@ func TestCutOwnerLinkLosesNoAckedWrite(t *testing.T) {
 				if err := cl.Set(k, []byte("v1")); err != nil {
 					t.Fatalf("set %q before the cut: %v", k, err)
 				}
-				owner := cl.View().Owner(cl.Ring().SlotOfKey(k))
+				owner := cl.View().Owner(cl.Ring().SlotOf(k, cl.Ring().Slots()))
 				proxies[owner].cut()
 				if del {
 					_, err = cl.Del(k)

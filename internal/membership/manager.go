@@ -62,7 +62,8 @@ type Report struct {
 
 // New builds a manager over cl's node set. addrs[i] is node i's address
 // (the same table cl was built from). Its first view places replicas over
-// the ring's home owners; call Bootstrap to push it to the nodes' agents.
+// the epoch-0 view's home owners; call Bootstrap to push it to the nodes'
+// agents.
 func New(cl *cluster.Client, lister cluster.KeyLister, addrs []string, cfg Config) (*Manager, error) {
 	if cl == nil {
 		return nil, errors.New("membership: manager needs a cluster client")

@@ -133,7 +133,7 @@ func TestFailoverKeepsAckedWrites(t *testing.T) {
 	var failed []int
 	for j, err := range errs {
 		i := memKeys + j
-		owner := view.Owner(mc.Client().Ring().SlotOfKey(memKey(i)))
+		owner := view.Owner(mc.Client().Ring().SlotOf(memKey(i), mc.Client().Ring().Slots()))
 		switch {
 		case owner == kill && (err == nil || !client.IsTransient(err)):
 			t.Fatalf("set %q on the dead owner = %v, want a transient error", memKey(i), err)
@@ -507,7 +507,7 @@ func TestPartialJoinCommitsWhatMoved(t *testing.T) {
 	const extra = 20
 	var keys []string
 	for i := memKeys; len(keys) < extra; i++ {
-		if k := memKey(i); cl.Ring().SlotOfKey(k) == moved {
+		if k := memKey(i); cl.Ring().SlotOf(k, cl.Ring().Slots()) == moved {
 			keys = append(keys, k)
 		}
 	}
@@ -560,7 +560,7 @@ func TestMoveOntoFollowerKeepsAckedWrites(t *testing.T) {
 			ring := mc.Client().Ring()
 			perSlot := make([]int, ring.Slots())
 			for i := 0; i < memKeys; i++ {
-				perSlot[ring.SlotOfKey(memKey(i))]++
+				perSlot[ring.SlotOf(memKey(i), ring.Slots())]++
 			}
 			slot := -1
 			for s := range perSlot {

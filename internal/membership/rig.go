@@ -28,23 +28,23 @@ type Rig struct {
 }
 
 // StartRig starts n nodes from the node template and a routing client over
-// them. ring.Seed is the cluster seed: it places the ring and, through
-// cluster.NodeSeed, derives every node's cache seed (node.Cache.Seed is
-// overwritten); ring.Addrs is overwritten with the nodes' bound addresses.
-// The membership tier is not up yet — see Bootstrap.
-func StartRig(n int, node cluster.NodeConfig, ring cluster.Config) (*Rig, error) {
+// them. cfg.Seed salts the key→slot hash and, through cluster.NodeSeed,
+// derives every node's cache seed (node.Cache.Seed is overwritten); the
+// cluster has n × cfg.VNodes slots; cfg.Addrs is overwritten with the
+// nodes' bound addresses. The membership tier is not up yet — see Bootstrap.
+func StartRig(n int, node cluster.NodeConfig, cfg cluster.Config) (*Rig, error) {
 	if n <= 0 {
 		return nil, errors.New("membership: rig needs at least one node")
 	}
-	r := &Rig{node: node, tpl: ring.Client, seed: ring.Seed}
+	r := &Rig{node: node, tpl: cfg.Client, seed: cfg.Seed}
 	for i := 0; i < n; i++ {
 		if _, err := r.startNode(); err != nil {
 			r.Close()
 			return nil, err
 		}
 	}
-	ring.Addrs = r.Addrs()
-	cl, err := cluster.NewClient(ring)
+	cfg.Addrs = r.Addrs()
+	cl, err := cluster.NewClient(cfg)
 	if err != nil {
 		r.Close()
 		return nil, err
@@ -95,8 +95,8 @@ func (r *Rig) Client() *cluster.Client { return r.cl }
 func (r *Rig) Manager() *Manager { return r.mgr }
 
 // Addrs returns the node address table; Addrs()[i] is node i (killed nodes
-// keep their entry). A routing client is built over the nodes the rig
-// started with: those that join later reach it in views.
+// keep their entry). Any live entry seeds a routing client: the rest of
+// the cluster reaches it in views.
 func (r *Rig) Addrs() []string {
 	addrs := make([]string, len(r.nodes))
 	for i, n := range r.nodes {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/membership"
 	"repro/internal/stemcache"
+	"repro/internal/wire"
 )
 
 // externalClient builds a routing client from the rig's first memNodes
@@ -18,12 +19,63 @@ import (
 // that joined — over the wire.
 func externalClient(t *testing.T, mc *membership.Rig, vnodes int, seed uint64) *cluster.Client {
 	t.Helper()
-	cl, err := cluster.NewClient(cluster.Config{Addrs: mc.Addrs()[:memNodes], VNodes: vnodes, Seed: seed, Client: memTpl()})
+	return seededClient(t, mc.Addrs()[:memNodes], vnodes, seed)
+}
+
+// seededClient builds a routing client from the seed list addrs.
+func seededClient(t *testing.T, addrs []string, vnodes int, seed uint64) *cluster.Client {
+	t.Helper()
+	cl, err := cluster.NewClient(cluster.Config{Addrs: addrs, VNodes: vnodes, Seed: seed, Client: memTpl()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
 	return cl
+}
+
+// writeReadAll writes and reads back every key of memKeys through cl and
+// returns the first failure.
+func writeReadAll(cl *cluster.Client) error {
+	for i := 0; i < memKeys; i++ {
+		if err := cl.Set(memKey(i), memVal(i)); err != nil {
+			return fmt.Errorf("set %q: %w", memKey(i), err)
+		}
+	}
+	for i := 0; i < memKeys; i++ {
+		if v, found, err := cl.Get(memKey(i)); err != nil || !found || string(v) != string(memVal(i)) {
+			return fmt.Errorf("get %q: %q (found %v, err %v), want %q", memKey(i), v, found, err, memVal(i))
+		}
+	}
+	return nil
+}
+
+// TestSeedListReachesJoinedCluster: the addresses a client is built from
+// are a seed list. After a join, a client given only the joiner's address,
+// and one given all four addresses with the default 16 vnodes against the
+// rig's 4, each write and read back every key: the first MOVED or VIEW
+// answer brings the cluster's members and slot count.
+func TestSeedListReachesJoinedCluster(t *testing.T) {
+	if testing.Short() {
+		t.Skip("membership e2e drives loopback round trips")
+	}
+	mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
+	if _, err := mc.Join(); err != nil {
+		t.Fatal(err)
+	}
+	addrs := mc.Addrs()
+	for name, cl := range map[string]*cluster.Client{
+		"the joiner's address alone": seededClient(t, addrs[memNodes:], memVNodes, memSeed),
+		"all four, default vnodes":   seededClient(t, addrs, 0, memSeed),
+	} {
+		if err := writeReadAll(cl); err != nil {
+			t.Errorf("a client seeded with %s: %v", name, err)
+			continue
+		}
+		if v, want := cl.View(), mc.Manager().View(); v.Epoch != want.Epoch || len(v.Members) != memNodes+1 || len(v.Replicas) != len(want.Replicas) {
+			t.Errorf("a client seeded with %s holds view %d with %d members and %d slots; want view %d, %d members, %d slots",
+				name, v.Epoch, len(v.Members), len(v.Replicas), want.Epoch, memNodes+1, len(want.Replicas))
+		}
+	}
 }
 
 // failOver ticks the manager until it fails node over.
@@ -175,7 +227,7 @@ func TestStaleViewCannotResurrectOldValue(t *testing.T) {
 	}
 	var keys []string
 	for i := 0; i < memKeys; i++ {
-		if k := memKey(i); moved[stale.Ring().SlotOfKey(k)] {
+		if k := memKey(i); moved[stale.Ring().SlotOf(k, stale.Ring().Slots())] {
 			keys = append(keys, k)
 		}
 	}
@@ -230,12 +282,12 @@ func TestStatsAllSkipsDeadMember(t *testing.T) {
 	}
 }
 
-// TestClientRefusesMismatchedRing: a client whose ring disagrees with the
-// nodes' surfaces an error instead of misrouting or spinning. Other vnodes
-// give the view another slot count, refused with both counts named;
-// another seed routes keys to nodes that keep answering MOVED, which one
-// operation follows only so far.
-func TestClientRefusesMismatchedRing(t *testing.T) {
+// TestClientFollowsSlotCountBoundsWrongSeed: a client's vnodes shape only
+// the epoch-0 view it starts from — one built with 8 against the rig's 16
+// adopts the cluster's slot count from the first MOVED answer and serves
+// every key — while another seed routes keys to nodes that keep answering
+// MOVED, which one operation follows only so far.
+func TestClientFollowsSlotCountBoundsWrongSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("membership e2e drives loopback round trips")
 	}
@@ -249,18 +301,37 @@ func TestClientRefusesMismatchedRing(t *testing.T) {
 	if err := rig.Bootstrap(membership.Config{ReplicationFactor: 2}); err != nil {
 		t.Fatal(err)
 	}
-	firstErr := func(cl *cluster.Client) error {
-		for i := 0; i < memKeys; i++ {
-			if err := cl.Set(memKey(i), memVal(i)); err != nil {
-				return err
-			}
-		}
-		return nil
+	if err := writeReadAll(externalClient(t, rig, 8, memSeed)); err != nil {
+		t.Errorf("a client with 8 vnodes against 16: %v", err)
 	}
-	if err := firstErr(externalClient(t, rig, 8, memSeed)); err == nil || !strings.Contains(err.Error(), "has 48 slots, the ring 24") {
-		t.Errorf("a client with 8 vnodes against 16: %v, want the 48 and 24 slot counts named", err)
-	}
-	if err := firstErr(externalClient(t, rig, 16, memSeed+1)); err == nil || !strings.Contains(err.Error(), "still moved after 8 MOVED answers") {
+	if err := writeReadAll(externalClient(t, rig, 16, memSeed+1)); err == nil || !strings.Contains(err.Error(), "still moved after 8 MOVED answers") {
 		t.Errorf("a client with another seed: %v, want a bounded MOVED chase", err)
+	}
+}
+
+// TestAgentRefusesOtherSlotCount: a cluster's slot count is fixed at
+// bootstrap. A pushed view with another slot count would move every key a
+// node holds to another slot, so the agent refuses it and keeps serving
+// under the view it holds.
+func TestAgentRefusesOtherSlotCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("membership e2e drives loopback round trips")
+	}
+	mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
+	held := mc.Manager().View()
+	wide, err := cluster.NewRing(memNodes, 2*memVNodes, memSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wide.InitialView(mc.Addrs()).Wire()
+	w.Epoch = held.Epoch + 1
+	if _, err := mc.Client().NodeClient(0).View(w); err == nil || !strings.Contains(err.Error(), "24 slots, the held view 12") {
+		t.Fatalf("a 24-slot view pushed over a 12-slot one: %v, want it refused naming both counts", err)
+	}
+	if err := writeReadAll(mc.Client()); err != nil {
+		t.Fatalf("after the refused push: %v", err)
+	}
+	if v, err := mc.Client().NodeClient(0).View(wire.View{}); err != nil || v.Epoch != held.Epoch {
+		t.Fatalf("node 0 holds view %d (err %v), want %d", v.Epoch, err, held.Epoch)
 	}
 }
