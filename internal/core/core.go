@@ -19,7 +19,8 @@
 //
 // Unlike SBC, receiving is *conditional*: a giver accepts a foreign block
 // only while its own SC_S MSB stays clear, and the insertion position of a
-// received block follows the giver's currently winning policy (§4.6). A
+// received block follows the giver's currently winning policy (§4.6; the
+// BIPReceive ablation ranks it as BIP would instead). A
 // taker whose MSB falls clear stops spilling. The pair dissolves once the
 // giver has evicted every cooperatively cached block (§4.7).
 //
@@ -69,6 +70,12 @@ type Config struct {
 	// and a taker spills regardless of its role trend — the SBC behaviour
 	// the paper argues pollutes givers.
 	UnconstrainedReceive bool
+	// BIPReceive ranks a received block as BIP ranks a fill — at the
+	// giver's LRU end, except one insertion in policy.BIPEpsilon — instead
+	// of at the giver's winning-policy rank (§4.6, MRU under LRU). The
+	// library sets it: under a hashed key space a spilled victim shows no
+	// reuse, and at MRU it pushes out the giver's live entries.
+	BIPReceive bool
 }
 
 func (c *Config) applyDefaults() {
@@ -259,7 +266,7 @@ func (c *Cache) vacate(idx, way int, out *sim.Outcome) {
 		c.vacate(g, gw, out)
 	}
 	gb[gw], gf[gw] = block, f|lineCC
-	c.eng.Fill(g, gw)
+	c.eng.FillSpill(g, gw)
 }
 
 // find returns the way holding block as a valid line whose valid and CC bits

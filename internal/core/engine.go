@@ -57,6 +57,9 @@ type ctlSet struct {
 	rng       sim.RNG
 	coupledAt uint64 // tick at which the current association formed
 	foreign   int32  // cooperatively cached entries resident here (givers only)
+	// posted is set while the set is resident in the giver heap, so a set
+	// that is not costs no heap scan to withdraw.
+	posted bool
 }
 
 // Counts are the mechanism counters an Engine accumulates.
@@ -93,6 +96,7 @@ type Census struct {
 //	Victim           the set is full: which way goes
 //	Evict            the entry in that way: spill it (to which set) or drop it
 //	Fill             a new entry now sits in (set, way)
+//	FillSpill        a spilled entry now sits in (giver, way)
 //	Remove           the host dropped an entry itself (delete, expiry)
 //
 // An Engine is a single-goroutine state machine; hosts that share one across
@@ -343,7 +347,7 @@ func (e *Engine) Victim(idx int) int {
 // cooperatively cached in the returned giver set, and the host must move it
 // there with its CC bit set — into a free way, else into the way Victim
 // names for the giver after passing that way's entry to Evict in turn (a
-// giver's own victims always leave the cache) — and then call Fill.
+// giver's own victims always leave the cache) — and then call FillSpill.
 func (e *Engine) Evict(idx int, sig uint32, cc bool) int {
 	s := &e.sets[idx]
 	if cc {
@@ -376,6 +380,20 @@ func (e *Engine) Evict(idx int, sig uint32, cc bool) int {
 func (e *Engine) Fill(idx, way int) {
 	s := &e.sets[idx]
 	s.pol.Insert(e.llcLinks(idx), way, &s.rng)
+}
+
+// FillSpill records that the host stored a spilled entry in (idx, way),
+// where idx is the giver Evict returned. Under the paper's rule (§4.6) the
+// giver's current policy ranks it, as Fill would; with BIPReceive it is
+// ranked as BIP ranks a fill whatever the giver's policy: at the LRU end,
+// except one insertion in policy.BIPEpsilon, drawn from the giver's RNG.
+func (e *Engine) FillSpill(idx, way int) {
+	s := &e.sets[idx]
+	k := s.pol.Kind()
+	if e.cfg.BIPReceive {
+		k = policy.BIP
+	}
+	s.pol.InsertAs(e.llcLinks(idx), way, k, &s.rng)
 }
 
 // Full reports whether the engine ranks every way of set idx: a host that
@@ -453,10 +471,22 @@ func (e *Engine) reconsiderGiver(idx int) {
 	}
 	s := &e.sets[idx]
 	if s.role == uncoupled && s.mon.IsGiver(e.cgeom) {
-		e.heap.Post(idx, s.mon.ScS)
+		var out int
+		s.posted, out = e.heap.Post(idx, s.mon.ScS)
+		if out >= 0 {
+			e.sets[out].posted = false
+		}
 		return
 	}
-	e.heap.Remove(idx)
+	e.unpost(idx)
+}
+
+// unpost withdraws set idx from the giver heap if it is resident there.
+func (e *Engine) unpost(idx int) {
+	if s := &e.sets[idx]; s.posted {
+		e.heap.Remove(idx)
+		s.posted = false
+	}
 }
 
 // swapPolicies exchanges the set's policy with its shadow's opposite (paper
@@ -480,6 +510,7 @@ func (e *Engine) tryCouple(idx int) {
 		if !ok {
 			return
 		}
+		e.sets[cand].posted = false
 		if cand == idx {
 			continue
 		}
@@ -492,7 +523,7 @@ func (e *Engine) tryCouple(idx int) {
 		s.partner, s.role = int32(cand), taker
 		g.partner, g.role = int32(idx), giver
 		s.coupledAt, g.coupledAt = e.tick, e.tick
-		e.heap.Remove(idx)
+		e.unpost(idx)
 		e.n.Couplings++
 		if e.observer != nil {
 			e.emit(obs.EvCouple, idx, cand, obs.Event{})

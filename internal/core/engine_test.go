@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
 
 // TestTryCoupleRevalidatesStaleGivers drives the epoch-flip edge case: every
 // set posted to the giver heap stops being a giver (its SC_S saturates)
@@ -9,9 +13,10 @@ import "testing"
 func TestTryCoupleRevalidatesStaleGivers(t *testing.T) {
 	e := NewEngine(Config{Seed: 1}, 16, 4, 0)
 
-	// Post every set but 0 as an apparently attractive giver.
+	// Post every set but 0 as an apparently attractive giver: a fresh set's
+	// SC_S is 0, MSB clear.
 	for idx := 1; idx < len(e.sets); idx++ {
-		e.heap.Post(idx, 0)
+		e.reconsiderGiver(idx)
 	}
 	if e.heap.Len() == 0 {
 		t.Fatal("no sets posted")
@@ -41,9 +46,10 @@ func TestTryCoupleSkipsSelfAndCouplesLiveGiver(t *testing.T) {
 
 	// Set 0 is the taker but is (stalely) in the heap as the best giver;
 	// set 1 is a stale giver; set 2 is live (ScS below the MSB).
-	e.heap.Post(0, 0)
-	e.heap.Post(1, 1)
-	e.heap.Post(2, 2)
+	for idx := 0; idx < 3; idx++ {
+		e.sets[idx].mon.ScS = idx
+		e.reconsiderGiver(idx)
+	}
 	e.sets[0].mon.ScS = e.cgeom.Max
 	e.sets[1].mon.ScS = e.cgeom.Max
 	e.sets[2].mon.ScS = 0
@@ -61,5 +67,43 @@ func TestTryCoupleSkipsSelfAndCouplesLiveGiver(t *testing.T) {
 	}
 	if got := e.Counts().Couplings; got != 1 {
 		t.Fatalf("Couplings = %d, want 1", got)
+	}
+}
+
+// TestPostedMirrorsHeap: a set's posted bit is set exactly while the set is
+// resident in the giver heap, through posts, re-keys, displacements by a
+// full heap's post, pops by tryCouple and withdrawals, so reconsiderGiver
+// may skip the heap for a set that is not posted. A small heap over a
+// thrashing stream keeps it full and displacing.
+func TestPostedMirrorsHeap(t *testing.T) {
+	geom := sim.Geometry{Sets: 64, Ways: 4, LineSize: 64}
+	c := New(geom, Config{Seed: 3, SelectorSize: 4})
+	rng := sim.NewRNG(5)
+	var full uint64
+	for i := 0; i < 100_000; i++ {
+		var b uint64
+		switch rng.Intn(3) {
+		case 0:
+			b = uint64(rng.Intn(geom.Sets * geom.Ways / 2))
+		case 1:
+			b = uint64(1<<20 + i%(3*geom.Sets*geom.Ways))
+		default:
+			b = geom.BlockFor(uint64(1<<12+rng.Intn(3*geom.Ways)), rng.Intn(8))
+		}
+		c.Access(sim.Access{Block: b})
+		if i%97 != 0 {
+			continue
+		}
+		for idx := range c.eng.sets {
+			if got, want := c.eng.sets[idx].posted, c.eng.heap.Contains(idx); got != want {
+				t.Fatalf("access %d set %d: posted %v, resident in the heap %v", i, idx, got, want)
+			}
+		}
+		if c.eng.heap.Len() == c.eng.heap.Capacity() {
+			full++
+		}
+	}
+	if n := c.Stats(); n.Couplings == 0 || full == 0 {
+		t.Fatalf("stream coupled %d pairs and filled the heap at %d checks; want both above 0", n.Couplings, full)
 	}
 }

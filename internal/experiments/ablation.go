@@ -26,12 +26,14 @@ type AblationVariant struct {
 //	spatial-only    policy swapping disabled (coupling + shadow metric only)
 //	temporal-only   coupling disabled (per-set LRU/BIP dueling only)
 //	sbc-receive     the §4.6 receiving constraint removed (SBC-style spill)
+//	bip-receive     a received block ranked as BIP ranks a fill (the library's rule)
 func ComponentVariants() []AblationVariant {
 	return []AblationVariant{
 		{Name: "STEM", Cfg: core.Config{}},
 		{Name: "spatial-only", Cfg: core.Config{DisableSwap: true}},
 		{Name: "temporal-only", Cfg: core.Config{DisableCoupling: true}},
 		{Name: "sbc-receive", Cfg: core.Config{UnconstrainedReceive: true}},
+		{Name: "bip-receive", Cfg: core.Config{BIPReceive: true}},
 	}
 }
 

@@ -16,7 +16,7 @@ func ablationRun() RunConfig {
 
 func TestComponentVariantsShape(t *testing.T) {
 	vs := ComponentVariants()
-	if len(vs) != 4 || vs[0].Name != "STEM" {
+	if len(vs) != 5 || vs[0].Name != "STEM" {
 		t.Fatalf("variants %v", vs)
 	}
 }

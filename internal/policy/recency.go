@@ -15,7 +15,7 @@ const (
 // List is a storage-free LRU/BIP recency list: its ends, its length and its
 // insertion rule, 8 bytes. The per-way cells live in the caller's []Link,
 // passed to every method that reads or writes them, and the RNG that BIP's
-// insertion draws from is passed to Insert; one list must always be handed
+// insertion draws from is passed to Insert and InsertAs; one list must always be handed
 // the same links. head is the MRU end, tail the LRU end. Both rules promote
 // to MRU on hits; they differ only in the insertion position: LRU always
 // inserts MRU, BIP inserts LRU except one insertion in BIPEpsilon, which
@@ -124,11 +124,12 @@ func (l *List) Hit(links []Link, way int) {
 }
 
 // Insert ranks a filled way under the list's own rule.
-func (l *List) Insert(links []Link, way int, rng *sim.RNG) { l.insert(links, way, l.kind, rng) }
+func (l *List) Insert(links []Link, way int, rng *sim.RNG) { l.InsertAs(links, way, l.kind, rng) }
 
-// insert ranks a filled way under rule k: at MRU under LRU, at LRU under BIP
-// except one insertion in BIPEpsilon, which is the only draw from rng.
-func (l *List) insert(links []Link, way int, k Kind, rng *sim.RNG) {
+// InsertAs ranks a filled way under rule k, LRU or BIP, whatever the list's
+// own rule: at MRU under LRU, at LRU under BIP except one insertion in
+// BIPEpsilon, which is the only draw from rng.
+func (l *List) InsertAs(links []Link, way int, k Kind, rng *sim.RNG) {
 	l.take(links, way)
 	if k == BIP && !rng.OneIn(BIPEpsilon) {
 		l.linkTail(links, way)
@@ -190,7 +191,7 @@ func (r *Recency) OnInsert(way int) {
 	if r.chooser != nil {
 		k = r.chooser()
 	}
-	r.list.insert(r.links, way, k, r.rng)
+	r.list.InsertAs(r.links, way, k, r.rng)
 }
 
 // OnInvalidate unranks way; an unranked way is left alone.

@@ -276,7 +276,7 @@ func (c *Cache[K, V]) vacate(sh *shard[K, V], idx, w int, clk *opClock) {
 		c.vacate(sh, g, gw, clk)
 	}
 	gs[gw], gt[gw] = *v, tagOf(v.hash, true)
-	sh.eng.Fill(g, gw)
+	sh.eng.FillSpill(g, gw)
 }
 
 // drop removes the entry at (idx, w) outside the eviction path — a delete or
