@@ -53,12 +53,14 @@ func diffRef(rng *sim.RNG, geom sim.Geometry, i int) uint64 {
 
 // runDifferential drives n references of the seeded stream through a
 // core.Cache and a one-shard, identity-hashed stemcache of the same
-// geometry, failing at the first access whose outcome differs.
+// geometry, failing at the first access whose outcome differs. The
+// simulator runs the library's receive rule (BIPReceive), which a STEM
+// cache always sets.
 func runDifferential(t *testing.T, seed uint64, n int) diffRun {
 	t.Helper()
 	geom := sim.Geometry{Sets: 64, Ways: 8, LineSize: 64}
 	var r diffRun
-	sc := core.New(geom, core.Config{Seed: seed})
+	sc := core.New(geom, core.Config{Seed: seed, BIPReceive: true})
 	sc.SetObserver(recordInto(&r.simEvent))
 	lc := mustWithHasher[uint64, struct{}](Config{
 		Capacity: geom.Sets * geom.Ways, Shards: 1, Ways: geom.Ways, Seed: seed,

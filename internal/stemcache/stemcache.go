@@ -23,6 +23,11 @@
 //     instead of dropping them; spilled entries are found by a secondary
 //     probe. A giver receives only while its own counter shows slack, and
 //     the pair dissolves once the giver has evicted every spilled entry.
+//     Unlike the paper (§4.6: at the giver's winning-policy rank, MRU under
+//     LRU), a spilled entry enters its giver as BIP inserts: at the LRU end,
+//     except one in 32 at MRU. It has shown no reuse, and at MRU it pushed
+//     the giver's live entries out: on zipf keys that cost 0.6–0.7 points
+//     of hit rate against the sharded LRU. A secondary hit promotes it.
 //
 // All operations are safe for concurrent use. A single shard is a
 // single-writer state machine guarded by its mutex, and its counters are the
@@ -163,12 +168,15 @@ func (c *Config) normalize() {
 }
 
 // engine maps the cache's STEM parameters onto the engine's Config, which
-// owns their defaults.
+// owns their defaults. A STEM cache sets core.Config.BIPReceive: a spilled
+// entry is ranked as BIP ranks a fill, not at the giver's MRU end as the
+// paper's §4.6 does (see the package doc and DESIGN.md §4.3).
 func (c Config) engine() core.Config {
 	return core.Config{
 		CounterBits: c.CounterBits, SpatialShift: c.SpatialShift,
 		SignatureBits: c.SignatureBits, SelectorSize: c.SelectorSize,
 		Seed: c.Seed, DisableCoupling: c.plainLRU, DisableSwap: c.plainLRU,
+		BIPReceive: !c.plainLRU,
 	}
 }
 
@@ -309,9 +317,9 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 
 // Set stores value under key with the cache's DefaultTTL, inserting or
 // overwriting. On insert into a full set the STEM engine picks the victim:
-// it is spilled to the set's coupled giver when the spatial state allows,
-// and otherwise evicted with its signature recorded in the set's shadow
-// directory.
+// it is spilled to the set's coupled giver, at BIP rank, when the spatial
+// state allows, and otherwise evicted with its signature recorded in the
+// set's shadow directory.
 func (c *Cache[K, V]) Set(key K, value V) {
 	c.SetWithTTL(key, value, c.cfg.DefaultTTL)
 }
