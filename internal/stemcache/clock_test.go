@@ -264,9 +264,9 @@ func TestPinnedStats(t *testing.T) {
 	c.now = func() int64 { return clock }
 	mixedOps(c, &clock, 60_000)
 	got := fmt.Sprintf("%+v len=%d", c.Stats(), c.Len())
-	const want = "{Gets:45000 Hits:15889 Misses:29111 Puts:36611 Deletes:3163 Evictions:22056 Expirations:10394 " +
-		"SecondaryHits:380 ShadowHits:11841 PolicySwaps:324 Couplings:283 Decouplings:255 Spills:1604 Receives:1604 " +
-		"TakerSets:143 GiverSets:10 CoupledSets:56} len=844"
+	const want = "{Gets:45000 Hits:15862 Misses:29138 Puts:36638 Deletes:3090 Evictions:21911 Expirations:10638 " +
+		"SecondaryHits:291 ShadowHits:11977 PolicySwaps:345 Couplings:1038 Decouplings:1009 Spills:3547 Receives:3547 " +
+		"TakerSets:135 GiverSets:22 CoupledSets:58} len=842"
 	if got != want {
 		t.Fatalf("Stats moved:\n got %s\nwant %s", got, want)
 	}
