@@ -84,8 +84,8 @@ type Config struct {
 	// associativity: a set's shadow directory holds as many signatures as
 	// the set has ways, so halving the ways halves the victim history SC_S
 	// and SC_T are driven by. On lib-mixed's key stream (one goroutine,
-	// 8192 entries, seed 11) STEM/LRU misses read 0.766 at 16 ways against
-	// 0.790 at 8; 32 ways read 0.780 and cost a fifth of the throughput.
+	// 8192 entries, seed 11) STEM/LRU misses read 0.763 at 16 ways against
+	// 0.789 at 8; 32 ways read 0.778 and cost a fifth of the throughput.
 	Ways int
 	// DefaultTTL is applied by Set; zero means entries never expire.
 	// SetWithTTL overrides it per entry.
