@@ -15,11 +15,12 @@ const (
 // List is a storage-free LRU/BIP recency list: its ends, its length and its
 // insertion rule, 8 bytes. The per-way cells live in the caller's []Link,
 // passed to every method that reads or writes them, and the RNG that BIP's
-// insertion draws from is passed to Insert and InsertAs; one list must always be handed
-// the same links. head is the MRU end, tail the LRU end. Both rules promote
-// to MRU on hits; they differ only in the insertion position: LRU always
-// inserts MRU, BIP inserts LRU except one insertion in BIPEpsilon, which
-// lands MRU. core.Engine keeps one per set and one per shadow set.
+// insertion draws from is passed to Insert and InsertAs; one list must
+// always be handed the same links. head is the MRU end, tail the LRU end.
+// Both rules promote to MRU on hits; they differ only in the insertion
+// position: LRU always inserts MRU, BIP inserts LRU except one insertion in
+// BIPEpsilon, which lands MRU. core.Engine keeps one per set and one per
+// shadow set.
 type List struct {
 	head, tail, n int16 // MRU way, LRU way (none if empty), ranked ways
 	kind          Kind

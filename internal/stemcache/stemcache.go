@@ -25,9 +25,9 @@
 //     the pair dissolves once the giver has evicted every spilled entry.
 //     Unlike the paper (§4.6: at the giver's winning-policy rank, MRU under
 //     LRU), a spilled entry enters its giver as BIP inserts: at the LRU end,
-//     except one in 32 at MRU. It has shown no reuse, and at MRU it pushed
-//     the giver's live entries out: on zipf keys that cost 0.6–0.7 points
-//     of hit rate against the sharded LRU. A secondary hit promotes it.
+//     except one in 32 at MRU. It has shown no reuse, and at MRU it would
+//     push the giver's live entries out: on zipf keys the paper's rank hits
+//     0.6–0.7 points below the sharded LRU. A secondary hit promotes it.
 //
 // All operations are safe for concurrent use. A single shard is a
 // single-writer state machine guarded by its mutex, and its counters are the
