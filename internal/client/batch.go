@@ -55,11 +55,6 @@ func (b *Batch) SetTTL(key string, value []byte, ttl time.Duration) {
 	b.add(wire.Request{Op: wire.OpSetTTL, Key: key, Value: value, TTL: ttl})
 }
 
-// SetNX queues a store-if-absent.
-func (b *Batch) SetNX(key string, value []byte) {
-	b.add(wire.Request{Op: wire.OpSet, Flags: wire.FlagNX, Key: key, Value: value})
-}
-
 // Del queues a removal.
 func (b *Batch) Del(key string) { b.add(wire.Request{Op: wire.OpDel, Key: key}) }
 

@@ -475,19 +475,6 @@ func (c *Client) SetTTL(key string, value []byte, ttl time.Duration) error {
 	return err
 }
 
-// SetNX stores value only when key is absent. stored reports whether the
-// store happened; when false, actual is the resident value that won.
-func (c *Client) SetNX(key string, value []byte) (actual []byte, stored bool, err error) {
-	resp, err := c.one(wire.Request{Op: wire.OpSet, Flags: wire.FlagNX, Key: key, Value: value})
-	if err != nil {
-		return nil, false, err
-	}
-	if resp.Status == wire.StatusNotStored {
-		return resp.Value, false, nil
-	}
-	return nil, true, nil
-}
-
 // Del removes key; found reports whether it was resident.
 func (c *Client) Del(key string) (found bool, err error) {
 	resp, err := c.one(wire.Request{Op: wire.OpDel, Key: key})

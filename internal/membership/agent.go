@@ -14,24 +14,24 @@ import (
 )
 
 // Agent is one node's membership data plane. It installs itself as the
-// node server's Hooks and from then on:
+// node server's server.Membership and from then on:
 //
-//   - holds the node's view (server.MembershipHandler): it applies pushed
-//     views, dialing peers for new members and dropping the ones that left
-//     or died, and answers which keys the node serves — a write needs the
+//   - holds the node's view (Update, Serves): it applies pushed views,
+//     dialing peers for new members and dropping the ones that left or
+//     died, and answers which keys the node serves — a write needs the
 //     node to own the key's slot, a read to be one of its replicas — so
 //     that the server answers every other keyed request StatusMoved;
 //   - fans every write the node applies as a slot owner out to the slot's
-//     replicas (server.Replicator), synchronously before the ack — the
-//     invariant failover's losslessness rests on;
+//     replicas (ReplicateSet, ReplicateDelete), synchronously before the
+//     ack — the invariant failover's losslessness rests on;
 //   - read-repairs GET misses on slots the node acquired through failover
 //     promotion or migration by asking the slot's other replicas
-//     (server.Hooks.ReadRepair).
+//     (ReadRepair).
 //
 // Views are epoch-ordered: a replayed or reordered push at or below the
 // held epoch is ignored, so redelivery is harmless.
 //
-// Safe for concurrent use (the server calls the hooks from its connection
+// Safe for concurrent use (the server calls it from its connection
 // goroutines). Agent.mu is never held across a network call: peer
 // snapshots are taken under it, the wire work happens outside.
 type Agent struct {
@@ -56,12 +56,12 @@ type Agent struct {
 	repair []bool
 }
 
-// NewAgent builds node self's agent and installs its hooks on srv. The
+// NewAgent builds node self's agent and installs it on srv. The
 // ring is the cluster's key→slot hash; tpl is the connection template for
 // dialing peers (Addr overwritten per peer).
 func NewAgent(self int, ring *cluster.Ring, srv *server.Server, tpl client.Config) *Agent {
 	a := &Agent{self: self, ring: ring, srv: srv, tpl: tpl}
-	srv.SetHooks(&server.Hooks{Replicator: a, Membership: a, ReadRepair: a.readRepair})
+	srv.SetMembership(a)
 	return a
 }
 
@@ -73,9 +73,10 @@ func (a *Agent) Epoch() uint64 {
 	return 0
 }
 
-// Close uninstalls the hooks and releases the peer connections.
+// Close uninstalls the agent from its server and releases the peer
+// connections.
 func (a *Agent) Close() error {
-	a.srv.SetHooks(nil)
+	a.srv.SetMembership(nil)
 	a.mu.Lock()
 	peers := a.peers
 	a.peers = nil
@@ -89,7 +90,7 @@ func (a *Agent) Close() error {
 }
 
 // Update applies one pushed view and returns the view held after it
-// (server.MembershipHandler); a view at or below the held epoch changes
+// (server.Membership); a view at or below the held epoch changes
 // nothing, and one with another slot count than the held view's is
 // refused: it would move every key the node holds to another slot.
 func (a *Agent) Update(w wire.View) (wire.View, error) {
@@ -149,7 +150,7 @@ func (a *Agent) Update(w wire.View) (wire.View, error) {
 }
 
 // Serves reports whether the node answers an operation on key under the
-// held view (server.MembershipHandler): a write needs the node to own the
+// held view (server.Membership): a write needs the node to own the
 // key's slot, a read to hold one of its replicas. Before the first view
 // it serves every key.
 func (a *Agent) Serves(key string, write bool) bool {
@@ -192,7 +193,7 @@ func (a *Agent) peersOf(key string, owner bool) []*client.Client {
 }
 
 // ReplicateSet fans one applied store out to the slot's followers
-// (server.Replicator); a node that does not own the slot in its view fans
+// (server.Membership); a node that does not own the slot in its view fans
 // nothing out. Best effort: a dead replica's copy is restored by the
 // manager's backfill at the next view change.
 func (a *Agent) ReplicateSet(key string, value []byte, ttl time.Duration) {
@@ -202,17 +203,17 @@ func (a *Agent) ReplicateSet(key string, value []byte, ttl time.Duration) {
 }
 
 // ReplicateDelete fans one applied delete out to the slot's followers
-// (server.Replicator).
+// (server.Membership).
 func (a *Agent) ReplicateDelete(key string) {
 	for _, p := range a.peersOf(key, true) {
 		_ = p.ReplicateDelete(key)
 	}
 }
 
-// readRepair serves a GET miss on a repair-marked slot by asking the
-// slot's other replicas (server.Hooks.ReadRepair). Misses on unmarked
+// ReadRepair serves a GET miss on a repair-marked slot by asking the
+// slot's other replicas (server.Membership). Misses on unmarked
 // slots — the overwhelming majority — pay one mutex acquisition and leave.
-func (a *Agent) readRepair(key string) ([]byte, bool) {
+func (a *Agent) ReadRepair(key string) ([]byte, bool) {
 	v, slot := a.slotOf(key)
 	a.mu.Lock()
 	marked := v != nil && a.repair[slot] // a view's slot count is the first's

@@ -15,8 +15,8 @@
 //   - Agent is the data plane, one per node: it receives pushed views and
 //     has its server answer MOVED for keys the node does not serve under
 //     them (a write needs the slot's owner, a read one of its replicas),
-//     fans every applied write out to the slot's replicas (the
-//     server.Replicator hook, synchronous before the ack — which is what
+//     fans every applied write out to the slot's replicas (through the
+//     server.Membership hook, synchronous before the ack — which is what
 //     makes failover lossless for acked writes up to RF-1 failures), and
 //     read-repairs misses on slots the node acquired through promotion or
 //     migration by consulting the surviving replicas.

@@ -1,32 +1,21 @@
 package server
 
 import (
+	"errors"
 	"strings"
 	"time"
 
 	"repro/internal/wire"
 )
 
-// Replicator receives every write the server applies, synchronously on the
-// connection goroutine and before the response is written — so an
-// acknowledged write has already been offered to the slot's replicas, which
-// is what lets failover promote a replica without losing acked writes (one
-// node failure with replication factor 2; RF-1 failures in general).
+// Membership is the cluster-integration point a membership agent installs
+// on a running server (SetMembership): it holds the node's view, routes
+// keyed operations by it, fans the node's writes out to their replicas and
+// read-repairs misses. The server calls it synchronously on the connection
+// goroutine, before the response is written; every key it hands a method
+// may alias the connection's read buffer, valid during the call only.
 // Implementations must not call back into this server.
-type Replicator interface {
-	// ReplicateSet fans out one applied store. ttl <= 0 means the default
-	// TTL. Best effort: a failed fan-out is counted by the implementation
-	// and repaired by the membership manager's re-replication, not by
-	// failing the client's write.
-	ReplicateSet(key string, value []byte, ttl time.Duration)
-	// ReplicateDelete fans out one applied delete — also for keys the
-	// cache did not hold, since a replica may hold what the owner lost.
-	ReplicateDelete(key string)
-}
-
-// MembershipHandler holds the node's membership view: it receives OpView
-// pushes, and it says which keys the node serves.
-type MembershipHandler interface {
+type Membership interface {
 	// Update applies one pushed membership view and returns the view held
 	// after it. Epochs order views, and an implementation must ignore a
 	// view at or below the epoch it holds, so a push at epoch 0 only
@@ -36,46 +25,55 @@ type MembershipHandler interface {
 	// Serves reports whether the node answers an operation on key under
 	// its held view: a write needs the node to own key's slot, a read to
 	// be one of the slot's replicas. Holding no view, it serves every key.
-	// The key may alias the connection's read buffer: valid during the
-	// call only.
+	// One it does not serve is answered StatusMoved with the held view.
 	Serves(key string, write bool) bool
+	// ReplicateSet fans out one applied store, before it is acked — so an
+	// acknowledged write has already been offered to the slot's replicas,
+	// which is what lets failover promote a replica without losing acked
+	// writes (one node failure with replication factor 2; RF-1 failures in
+	// general). ttl <= 0 means the default TTL. Best effort: a failed
+	// fan-out is counted by the implementation and repaired by the
+	// membership manager's re-replication, not by failing the client's
+	// write.
+	ReplicateSet(key string, value []byte, ttl time.Duration)
+	// ReplicateDelete fans out one applied delete — also for keys the
+	// cache did not hold, since a replica may hold what the owner lost.
+	ReplicateDelete(key string)
+	// ReadRepair is consulted on a GET miss. If it returns ok, the value is
+	// installed in the cache and served — the membership agent uses this to
+	// pull entries a freshly promoted or migrated-to owner may be missing
+	// from the slot's surviving replicas.
+	ReadRepair(key string) ([]byte, bool)
 }
 
-// Hooks are the cluster-integration points a membership agent installs on a
-// running server. They are bundled in one struct behind one atomic pointer
-// so the hot path pays a single load to see a consistent set.
-type Hooks struct {
-	// Replicator, when non-nil, receives applied writes for replica
-	// fan-out.
-	Replicator Replicator
-	// Membership, when non-nil, handles OpView pushes (without it they
-	// answer StatusErr) and routes keyed operations: one on a key the node
-	// does not serve answers StatusMoved with the held view.
-	Membership MembershipHandler
-	// ReadRepair, when non-nil, is consulted on a GET miss. If it returns
-	// ok, the value is installed in the cache and served — the membership
-	// agent uses this to pull entries a freshly promoted or migrated-to
-	// owner may be missing from the slot's surviving replicas. The key may
-	// alias the connection's read buffer: valid during the call only.
-	ReadRepair func(key string) ([]byte, bool)
-}
+// standalone is the Membership of a server with none installed: it routes
+// nothing (handle does not ask it), refuses view pushes, fans nothing out
+// and repairs nothing.
+type standalone struct{}
 
-// SetHooks installs (or, with nil, removes) the cluster hooks. Safe to call
-// while the server is serving: requests in flight see the old set or the
-// new set, never a mix.
-func (s *Server) SetHooks(h *Hooks) {
-	s.hooks.Store(h)
-}
+var errNoMembership = errors.New("no membership agent")
 
-// handleMembership answers OpView by delegating the pushed view to
-// the installed membership handler and answering with the view it holds.
-func (s *Server) handleMembership(h *Hooks, req *wire.Request, resp *wire.Response) {
-	if h == nil || h.Membership == nil {
-		resp.Status = wire.StatusErr
-		resp.Value = []byte("no membership agent")
+func (standalone) Update(wire.View) (wire.View, error)        { return wire.View{}, errNoMembership }
+func (standalone) Serves(string, bool) bool                   { return true }
+func (standalone) ReplicateSet(string, []byte, time.Duration) {}
+func (standalone) ReplicateDelete(string)                     {}
+func (standalone) ReadRepair(string) ([]byte, bool)           { return nil, false }
+
+// SetMembership installs (or, with nil, removes) the node's membership
+// agent. Safe to call while the server is serving: a request in flight sees
+// the old agent or the new one, never a mix.
+func (s *Server) SetMembership(m Membership) {
+	if m == nil {
+		s.membership.Store(nil)
 		return
 	}
-	held, err := h.Membership.Update(req.View)
+	s.membership.Store(&m)
+}
+
+// handleView answers OpView by delegating the pushed view to the node's
+// membership and answering with the view it holds.
+func (s *Server) handleView(m Membership, req *wire.Request, resp *wire.Response) {
+	held, err := m.Update(req.View)
 	if err != nil {
 		resp.Status = wire.StatusErr
 		resp.Value = []byte(err.Error())
@@ -90,7 +88,7 @@ func (s *Server) handleMembership(h *Hooks, req *wire.Request, resp *wire.Respon
 // MGET) one of their replicas; every other op — REPLICATE and VIEW among
 // them, which is how the manager's slot copies and pushes get through —
 // is not routed.
-func (s *Server) routed(m MembershipHandler, req *wire.Request, resp *wire.Response) bool {
+func (s *Server) routed(m Membership, req *wire.Request, resp *wire.Response) bool {
 	ok := true
 	switch req.Op {
 	case wire.OpGet:
@@ -113,12 +111,11 @@ func (s *Server) routed(m MembershipHandler, req *wire.Request, resp *wire.Respo
 	return ok
 }
 
-// repairGet is the GET miss path with a read-repair hook installed: consult
-// it, and install-and-serve whatever it recovers. Runs only on misses of
-// repair-marked slots (the hook itself checks the mark), so the hit path
-// stays allocation-free.
-func (s *Server) repairGet(h *Hooks, req *wire.Request, resp *wire.Response) {
-	v, ok := h.ReadRepair(req.Key)
+// repairGet is the GET miss path: consult the membership's read repair, and
+// install-and-serve whatever it recovers. Only misses pay the call, so the
+// hit path stays allocation-free.
+func (s *Server) repairGet(m Membership, req *wire.Request, resp *wire.Response) {
+	v, ok := m.ReadRepair(req.Key)
 	if !ok {
 		resp.Status = wire.StatusNotFound
 		return

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/server"
@@ -11,9 +12,23 @@ import (
 	"repro/internal/wire"
 )
 
-// prefixView is a membership handler whose view owns the keys prefixed
-// "own" and holds a replica of those prefixed "rep".
-type prefixView struct{ held wire.View }
+// noView is a server.Membership that holds no view: it serves every key,
+// fans nothing out and repairs nothing. Test memberships embed it and
+// override the methods they exercise.
+type noView struct{}
+
+func (noView) Update(wire.View) (wire.View, error)        { return wire.View{}, nil }
+func (noView) Serves(string, bool) bool                   { return true }
+func (noView) ReplicateSet(string, []byte, time.Duration) {}
+func (noView) ReplicateDelete(string)                     {}
+func (noView) ReadRepair(string) ([]byte, bool)           { return nil, false }
+
+// prefixView is a membership whose view owns the keys prefixed "own" and
+// holds a replica of those prefixed "rep".
+type prefixView struct {
+	noView
+	held wire.View
+}
 
 func (p *prefixView) Update(w wire.View) (wire.View, error) {
 	if w.Epoch > p.held.Epoch {
@@ -26,15 +41,15 @@ func (p *prefixView) Serves(key string, write bool) bool {
 	return strings.HasPrefix(key, "own") || !write && strings.HasPrefix(key, "rep")
 }
 
-// TestKeyedOpsFollowTheView: with a membership handler installed, a write
-// needs the node to own its key and a read to hold a replica; every other
-// keyed request is answered MOVED with the handler's view, and never
-// reaches the cache. REPLICATE, VIEW, PING and STATS are not routed.
+// TestKeyedOpsFollowTheView: with a membership installed, a write needs the
+// node to own its key and a read to hold a replica; every other keyed
+// request is answered MOVED with the membership's view, and never reaches
+// the cache. REPLICATE, VIEW, PING and STATS are not routed.
 func TestKeyedOpsFollowTheView(t *testing.T) {
 	srv, cache := startServer(t, stemcache.Config{Capacity: 256}, server.Config{})
 	view := wire.View{Epoch: 5, Members: []wire.Member{{ID: 0, Addr: "h:0"}},
 		Replicas: []wire.ReplicaSet{{Slot: 0, Replicas: []uint32{0}}}}
-	srv.SetHooks(&server.Hooks{Membership: &prefixView{held: view}})
+	srv.SetMembership(&prefixView{held: view})
 	cl := newClient(t, srv.Addr())
 
 	moved := func(what string, err error) {

@@ -133,12 +133,11 @@ type Server struct {
 	wg  sync.WaitGroup // accept loop + connection handlers
 	sem chan struct{}  // max-conns gate
 
-	// hooks holds the cluster-integration points (replica fan-out,
-	// membership pushes, read repair), installed by SetHooks after the
-	// server starts — the membership agent needs the cluster's ring and
-	// peer addresses, which exist only once every node is listening. One
-	// atomic pointer keeps the set consistent per request.
-	hooks atomic.Pointer[Hooks]
+	// membership is the node's membership agent (view routing, replica
+	// fan-out, read repair), installed by SetMembership after the server
+	// starts — the agent needs the cluster's ring and peer addresses, which
+	// exist only once every node is listening. nil on a standalone server.
+	membership atomic.Pointer[Membership]
 
 	// Served-traffic counters, the one tally of each event: connection
 	// goroutines add, STATS and a metrics scrape load. No lock spans the
@@ -407,13 +406,17 @@ func (s *Server) statsJSON() ([]byte, error) {
 
 // handle executes one decoded request against the cache and fills resp.
 // It runs on the connection's goroutine; the cache does its own locking.
+// The membership is loaded once: a request sees one agent, or none.
 func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 	s.requests.Add(1)
 	resp.Reset()
 	resp.Op, resp.ID, resp.Status = req.Op, req.ID, wire.StatusOK
-	h := s.hooks.Load() // nil on a standalone server
-	if h != nil && h.Membership != nil && !s.routed(h.Membership, req, resp) {
-		return
+	m := Membership(standalone{})
+	if p := s.membership.Load(); p != nil {
+		m = *p
+		if !s.routed(m, req, resp) {
+			return
+		}
 	}
 
 	switch req.Op {
@@ -422,34 +425,22 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 	case wire.OpGet:
 		if v, ok := s.cache.Get(req.Key); ok {
 			resp.Value = v
-		} else if h != nil && h.ReadRepair != nil {
-			s.repairGet(h, req, resp)
 		} else {
-			resp.Status = wire.StatusNotFound
+			s.repairGet(m, req, resp)
 		}
-	case wire.OpSet, wire.OpSetTTL:
-		ttl := req.TTL // OpSet leaves it 0 → the cache's DefaultTTL path
-		if req.Flags&wire.FlagNX != 0 {
-			s.handleNX(h, req, resp, ttl)
-			break
-		}
-		if req.Op == wire.OpSetTTL {
-			s.cache.SetWithTTL(req.Key, req.Value, ttl)
-		} else {
-			s.cache.Set(req.Key, req.Value)
-		}
-		if h != nil && h.Replicator != nil {
-			h.Replicator.ReplicateSet(req.Key, req.Value, ttl)
-		}
+	case wire.OpSet:
+		s.cache.Set(req.Key, req.Value)
+		m.ReplicateSet(req.Key, req.Value, 0)
+	case wire.OpSetTTL:
+		s.cache.SetWithTTL(req.Key, req.Value, req.TTL)
+		m.ReplicateSet(req.Key, req.Value, req.TTL)
 	case wire.OpDel:
 		if !s.cache.Delete(req.Key) {
 			resp.Status = wire.StatusNotFound
 		}
 		// Propagate regardless of the local verdict: a replica may hold
 		// what this owner never saw (a write during a migration window).
-		if h != nil && h.Replicator != nil {
-			h.Replicator.ReplicateDelete(req.Key)
-		}
+		m.ReplicateDelete(req.Key)
 	case wire.OpMGet:
 		// Append into the reset Response's warm capacity (Reset keeps the
 		// backing arrays) so a steady MGET load allocates nothing here.
@@ -464,9 +455,7 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 	case wire.OpMSet:
 		for _, kv := range req.Pairs {
 			s.cache.Set(kv.Key, kv.Value)
-			if h != nil && h.Replicator != nil {
-				h.Replicator.ReplicateSet(kv.Key, kv.Value, 0)
-			}
+			m.ReplicateSet(kv.Key, kv.Value, 0)
 		}
 		s.batchKeys.Add(uint64(len(req.Pairs)))
 	case wire.OpReplicate:
@@ -485,7 +474,7 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 			s.cache.Set(req.Key, req.Value)
 		}
 	case wire.OpView:
-		s.handleMembership(h, req, resp)
+		s.handleView(m, req, resp)
 	case wire.OpStats:
 		b, err := s.statsJSON()
 		if err != nil {
@@ -527,25 +516,4 @@ func (s *Server) observeRequest(op wire.Op, decode, handle, write time.Duration,
 		Micros: uint64(max((decode + handle).Microseconds(), 0)),
 		Trace:  traceID,
 	})
-}
-
-// handleNX is the set-if-absent path: stemcache.GetOrSet's loaded report
-// maps exactly onto StatusNotStored-with-resident-value vs StatusOK.
-func (s *Server) handleNX(h *Hooks, req *wire.Request, resp *wire.Response, ttl time.Duration) {
-	var actual []byte
-	var loaded bool
-	if req.Op == wire.OpSetTTL {
-		actual, loaded = s.cache.GetOrSetWithTTL(req.Key, req.Value, ttl)
-	} else {
-		actual, loaded = s.cache.GetOrSet(req.Key, req.Value)
-	}
-	if loaded {
-		resp.Status = wire.StatusNotStored
-		resp.Value = actual
-		return
-	}
-	// Stored: the write was applied, so it fans out like any other.
-	if h != nil && h.Replicator != nil {
-		h.Replicator.ReplicateSet(req.Key, req.Value, ttl)
-	}
 }

@@ -75,15 +75,6 @@ func TestServeBasicOps(t *testing.T) {
 		t.Fatalf("Get(k) = (%q, %v, %v), want (v1, true, nil)", v, found, err)
 	}
 
-	// SetNX: refused on a resident key, with the resident value.
-	actual, stored, err := cl.SetNX("k", []byte("v2"))
-	if err != nil || stored || string(actual) != "v1" {
-		t.Fatalf("SetNX(resident) = (%q, %v, %v), want (v1, false, nil)", actual, stored, err)
-	}
-	if _, stored, err = cl.SetNX("fresh", []byte("f")); err != nil || !stored {
-		t.Fatalf("SetNX(fresh) = stored=%v err=%v, want stored", stored, err)
-	}
-
 	// Delete reports exact prior presence.
 	if found, err := cl.Del("k"); err != nil || !found {
 		t.Fatalf("Del(k) = (%v, %v), want (true, nil)", found, err)
@@ -455,8 +446,12 @@ func TestMalformedFrameAnswersThenCloses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	patched := func(i int, b byte) []byte {
-		f := slices.Clone(get)
+	set, err := wire.AppendRequest(nil, &wire.Request{Op: wire.OpSet, ID: 2, Key: "k", Value: []byte("v")}, wire.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched := func(frame []byte, i int, b byte) []byte {
+		f := slices.Clone(frame)
 		f[i] = b
 		return f
 	}
@@ -465,11 +460,13 @@ func TestMalformedFrameAnswersThenCloses(t *testing.T) {
 		frame      []byte
 	}{
 		{"HTTP request", "bad magic", []byte("GET / HTTP/1.1\r\n\r\n")},
-		{"version-2 GET", "unsupported version 2", patched(1, 2)},
-		{"version-3 GET", "unsupported version 3", patched(1, 3)},
-		{"opcode past REPLICATE", "unknown opcode 11", patched(2, byte(wire.OpReplicate)+1)},
-		{"GET with flag bit 4", "flags 0x10 are not defined for GET", patched(3, 1<<4)},
-		{"GET with flag bit 5", "flags 0x20 are not defined for GET", patched(3, 1<<5)},
+		{"version-2 GET", "unsupported version 2", patched(get, 1, 2)},
+		{"version-3 GET", "unsupported version 3", patched(get, 1, 3)},
+		{"version-5 GET", "unsupported version 5", patched(get, 1, 5)},
+		{"opcode past REPLICATE", "unknown opcode 11", patched(get, 2, byte(wire.OpReplicate)+1)},
+		{"GET with flag bit 4", "flags 0x10 are not defined for GET", patched(get, 3, 1<<4)},
+		{"GET with flag bit 5", "flags 0x20 are not defined for GET", patched(get, 3, 1<<5)},
+		{"SET with FlagNX", "flags 0x01 are not defined for SET", patched(set, 3, wire.FlagNX)},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -624,21 +621,20 @@ func TestDrainBetweenFrames(t *testing.T) {
 	}
 }
 
-// parkingReplicator holds the first replicated SET inside Server.handle
+// parkingMembership holds the first replicated SET inside Server.handle
 // until release is closed.
-type parkingReplicator struct {
+type parkingMembership struct {
+	noView
 	parked, release chan struct{}
 	once            sync.Once
 }
 
-func (p *parkingReplicator) ReplicateSet(string, []byte, time.Duration) {
+func (p *parkingMembership) ReplicateSet(string, []byte, time.Duration) {
 	p.once.Do(func() {
 		close(p.parked)
 		<-p.release
 	})
 }
-
-func (p *parkingReplicator) ReplicateDelete(string) {}
 
 // TestCloseWaitsForParkedHandler: Close joins every connection handler, even
 // one that outlives DrainTimeout. Force-closing the socket cannot unblock a
@@ -647,8 +643,8 @@ func (p *parkingReplicator) ReplicateDelete(string) {}
 func TestCloseWaitsForParkedHandler(t *testing.T) {
 	const drain = 20 * time.Millisecond
 	srv, _ := startServer(t, stemcache.Config{Capacity: 1 << 10, Seed: 1}, server.Config{DrainTimeout: drain})
-	rep := &parkingReplicator{parked: make(chan struct{}), release: make(chan struct{})}
-	srv.SetHooks(&server.Hooks{Replicator: rep})
+	rep := &parkingMembership{parked: make(chan struct{}), release: make(chan struct{})}
+	srv.SetMembership(rep)
 	cl := newClient(t, srv.Addr())
 
 	setDone := make(chan struct{})

@@ -20,8 +20,8 @@ import (
 const statsGolden = `{"node_id":0,"cache":{"Gets":6130,"Hits":2654,"Misses":3476,"Puts":3145,"Deletes":322,"Evictions":1264,"Expirations":0,"SecondaryHits":13,"ShadowHits":1162,"PolicySwaps":0,"Couplings":53,"Decouplings":51,"Spills":164,"Receives":164,"TakerSets":17,"GiverSets":2,"CoupledSets":4},"hit_rate":0.432952691680261,"len":502,"capacity":512,"conns":1,"conns_accepted":1,"requests":6410,"proto_errors":0}`
 
 // statsMix drives cl through a seeded mix of every cache-touching opcode —
-// GET, SET, SETNX, DEL, MGET and MSET, and a cache-aside read that SETs on a
-// miss — one request at a time.
+// GET, SET, a store-if-absent REPLICATE, DEL, MGET and MSET, and a
+// cache-aside read that SETs on a miss — one request at a time.
 // Half the keys come from a hot set a quarter of the cache's capacity, half
 // from a sweep over twice it, so evictions, shadow hits, policy swaps and
 // spills all fire.
@@ -44,7 +44,9 @@ func statsMix(t *testing.T, cl *client.Client, capacity, ops int) {
 		case 2:
 			err = cl.Set(key(), []byte("v"))
 		case 3:
-			_, _, err = cl.SetNX(key(), []byte("nx"))
+			b := cl.NewBatch()
+			b.ReplicateNX(key(), []byte("nx"), 0)
+			_, err = b.Do()
 		case 4:
 			_, err = cl.Del(key())
 		case 5:

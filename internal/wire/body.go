@@ -49,8 +49,8 @@ type opDesc struct {
 var ops = [opMax]opDesc{
 	OpPing:      {name: "PING", flags: FlagTrace},
 	OpGet:       {name: "GET", req: fKey, resp: fValue, flags: FlagTrace, alias: true, moved: true},
-	OpSet:       {name: "SET", req: fKey | fValue, resp: fValue, flags: FlagTrace | FlagNX, moved: true},
-	OpSetTTL:    {name: "SETTTL", req: fTTL | fKey | fValue, resp: fValue, flags: FlagTrace | FlagNX, moved: true},
+	OpSet:       {name: "SET", req: fKey | fValue, flags: FlagTrace, moved: true},
+	OpSetTTL:    {name: "SETTTL", req: fTTL | fKey | fValue, flags: FlagTrace, moved: true},
 	OpDel:       {name: "DEL", req: fKey, flags: FlagTrace, alias: true, moved: true},
 	OpMGet:      {name: "MGET", req: fKeys, resp: fFound, flags: FlagTrace, alias: true, moved: true},
 	OpMSet:      {name: "MSET", req: fPairs, flags: FlagTrace, moved: true},
@@ -78,8 +78,8 @@ func reqBody(op Op, fl uint8) (body, error) {
 // st, or an error when st is MOVED and the op's row does not take it.
 // MOVED carries the node's view, and StatusErr its message as a value, on
 // every op that takes them; an MGET answer carries its found-list on every
-// other status. Any other op carries its row's body on OK and NOT_STORED,
-// and nothing otherwise.
+// other status. Any other op carries its row's body on OK, and nothing
+// otherwise.
 func respBody(op Op, st Status) (body, error) {
 	b := ops[op].resp
 	switch {
@@ -89,7 +89,7 @@ func respBody(op Op, st Status) (body, error) {
 		return fView, nil
 	case st == StatusErr:
 		return fValue, nil
-	case b == fFound, st == StatusOK, st == StatusNotStored:
+	case b == fFound, st == StatusOK:
 		return b, nil
 	}
 	return 0, nil

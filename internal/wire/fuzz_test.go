@@ -50,6 +50,8 @@ func malformedFrames() []struct {
 	emptyView := zeros(8 + 2 + 2)
 	v4Ping := header(OpPing, 0, 7, 0)
 	v4Ping[1] = 4
+	v5Ping := header(OpPing, 0, 7, 0)
+	v5Ping[1] = 5
 	return []struct {
 		name   string
 		frame  []byte
@@ -65,11 +67,16 @@ func malformedFrames() []struct {
 		{"key length past the end", frame(OpGet, 0, 0xFF, 0xFF), reqDecoder, "need 65535 bytes, have 0"},
 		{"value length 4 GiB", frame(OpSet, 0, 0, 1, 'k', 0xFF, 0xFF, 0xFF, 0xFF, 0, 0), reqDecoder, "value length 4294967295 exceeds limit 65536"},
 
-		// Flags and statuses: a bit no op takes, bits other ops take, and a
-		// status past StatusErr.
+		// Flags and statuses: a bit no op takes, bits other ops take, and
+		// statuses past StatusMoved.
 		{"GET with flag bit 7", frame(OpGet, 1<<7, 0, 1, 'k'), reqDecoder, "flags 0x80 are not defined for GET"},
 		{"GET with FlagNX and FlagNegative", frame(OpGet, FlagNX|FlagNegative, 0, 1, 'k'), reqDecoder, "flags 0x09 are not defined for GET"},
+		{"status 4", frame(OpGet, 4, 0, 0, 0, 0), respDecoder, "unknown status 4"},
 		{"status 5", frame(OpGet, 5, 0, 0, 0, 0), respDecoder, "unknown status 5"},
+
+		// The retired store-if-absent flag: only REPLICATE takes FlagNX.
+		{"SET with FlagNX", frame(OpSet, FlagNX, 0, 1, 'k', 0, 0, 0, 1, 'v'), reqDecoder, "flags 0x01 are not defined for SET"},
+		{"SETTTL with FlagNX", frame(OpSetTTL, FlagNX, cat(zeros(8), []byte{0, 1, 'k', 0, 0, 0, 1, 'v'})...), reqDecoder, "flags 0x01 are not defined for SETTTL"},
 
 		// Trace extension: the flag promising a prefix the payload cannot
 		// hold, the flag clear with prefix-sized bytes, and the response
@@ -97,6 +104,7 @@ func malformedFrames() []struct {
 		{"MOVED view cut inside its epoch", frame(OpGet, uint8(StatusMoved), zeros(4)...), respDecoder, "truncated payload: need 8 bytes, have 4"},
 		{"MOVED view cut inside its replica table", frame(OpMGet, uint8(StatusMoved), cat(zeros(8), []byte{0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0})...), respDecoder, "replica count 1 exceeds payload capacity"},
 		{"a v4 frame", v4Ping[:], bothDecoders, "unsupported version 4"},
+		{"a v5 frame", v5Ping[:], bothDecoders, "unsupported version 5 (want 6)"},
 
 		// REPLICATE: a replicated delete with value bytes, and a TTL past 2^62.
 		{"negative REPLICATE with a value", frame(OpReplicate, FlagNegative, 0, 1, 'k', 0, 0, 0, 0), reqDecoder, "4 trailing payload bytes"},
@@ -122,6 +130,15 @@ var retiredDemandFrames = []string{
 	"530302400000001d00000039000000010000004000000008000000000000000000000000000000000000000000000000000000000000006400000000000001000000000176",
 	"530302410000001e0000003400000002000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
 	"530301c00000001f0000004c0000000000000006000000000000000700000008000000090000000300000000000000000000000000000000000000000000000c000000000000004000000000000000000000000000000000",
+}
+
+// retiredNXFrames are the store-if-absent frames version 5 sent, as its
+// golden file held them: a SET with FlagNX, a traced one, and the answer
+// that refused such a store (status 2, the resident value "old").
+var retiredNXFrames = []string{
+	"53050301000000060000000700016b00000000",
+	"530503030000000e000000180000000000000001000000000000000200016b0000000176",
+	"530503020000000500000007000000036f6c64",
 }
 
 // TestDecodeRejectsMalformed checks every malformed frame is refused by the
@@ -175,6 +192,24 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		if _, _, err := DecodeResponse(b, lim); err == nil {
 			f.Fatalf("response decoder accepted retired frame %s", h)
+		}
+		f.Add(b)
+	}
+	// The retired store-if-absent frames at the current version: both
+	// decoders refuse the requests, and the refusal's status byte now names
+	// ERR, so the response decoder reads that answer as an error, never as
+	// a store that did not happen.
+	for _, h := range retiredNXFrames {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		b[1] = Version
+		if _, _, err := DecodeRequest(b, lim); err == nil {
+			f.Fatalf("request decoder accepted retired frame %s", h)
+		}
+		if resp, _, err := DecodeResponse(b, lim); err == nil && resp.Status != StatusErr {
+			f.Fatalf("response decoder read retired frame %s as %v", h, resp.Status)
 		}
 		f.Add(b)
 	}

@@ -6,7 +6,7 @@
 //
 //	offset size  field
 //	0      1     magic (0x53, 'S')
-//	1      1     version (currently 5)
+//	1      1     version (currently 6)
 //	2      1     opcode (requests) / echoed opcode (responses)
 //	3      1     flags (requests) / status (responses)
 //	4      4     request id, big endian (echoed verbatim in the response)
@@ -18,6 +18,7 @@
 // but it lets a pipelining client assert that responses line up and makes
 // frames self-describing in packet captures.
 //
+// A store (SET, SETTTL, MSET, REPLICATE) is answered by its status alone.
 // A node that holds a membership view answers a keyed operation (GET, SET,
 // SETTTL, DEL, MGET, MSET) on a slot it does not serve with StatusMoved,
 // whose body is the node's view: the client adopts it and routes again.
@@ -75,8 +76,11 @@ const (
 	// version-3 heartbeat would ask for a snapshot no node sends. Version 5
 	// added StatusMoved and the VIEW answer's view: a version-4 client
 	// would read a MOVED answer as an unknown status and a VIEW answer as
-	// trailing bytes.
-	Version = 5
+	// trailing bytes. Version 6 dropped the store-if-absent flag on SET and
+	// SETTTL, their answers' empty value and the status that refused such a
+	// store, renumbering ERR and MOVED: a version-5 peer would read an ERR
+	// answer as that status and a SET answer as truncated.
+	Version = 6
 	// HeaderLen is the fixed frame-header size in bytes.
 	HeaderLen = 12
 )
@@ -92,9 +96,8 @@ const (
 	OpPing
 	// OpGet looks up one key; the response carries the value on StatusOK.
 	OpGet
-	// OpSet stores one key/value with the server's default TTL. With
-	// FlagNX set it stores only if the key is absent and answers
-	// StatusNotStored (plus the resident value) when it already exists.
+	// OpSet stores one key/value with the server's default TTL; the
+	// answer is status-only.
 	OpSet
 	// OpSetTTL is OpSet with an explicit per-entry TTL in the payload.
 	OpSetTTL
@@ -139,11 +142,8 @@ func (o Op) Valid() bool { return o > OpInvalid && o < opMax }
 
 // Request flag bits.
 const (
-	// FlagNX makes OpSet/OpSetTTL store only when the key is absent
-	// (stemcache.GetOrSet); the response reports StatusNotStored with the
-	// resident value when the key already existed. On OpReplicate it makes
-	// the replicated store land only where the key is absent (the answer
-	// is status-only).
+	// FlagNX makes an OpReplicate store land only where the key is absent
+	// (stemcache.GetOrSet); the answer is status-only.
 	FlagNX uint8 = 1 << 0
 	// FlagTrace marks a request carrying a trace extension: a 16-byte
 	// prefix (trace id + client send timestamp) ahead of the opcode payload.
@@ -217,9 +217,6 @@ const (
 	StatusOK Status = iota
 	// StatusNotFound answers OpGet/OpDel for an absent (or expired) key.
 	StatusNotFound
-	// StatusNotStored answers a FlagNX store whose key already existed; the
-	// payload carries the resident value.
-	StatusNotStored
 	// StatusErr reports a server-side failure; the payload is a
 	// human-readable message.
 	StatusErr
@@ -239,8 +236,6 @@ func (s Status) String() string {
 		return "OK"
 	case StatusNotFound:
 		return "NOT_FOUND"
-	case StatusNotStored:
-		return "NOT_STORED"
 	case StatusErr:
 		return "ERR"
 	case StatusMoved:
@@ -404,8 +399,7 @@ type Response struct {
 	ID uint32
 	// Status is the outcome.
 	Status Status
-	// Value carries: the GET value (StatusOK), the resident value of a
-	// refused FlagNX store (StatusNotStored), the STATS JSON document, or
+	// Value carries: the GET value (StatusOK), the STATS JSON document, or
 	// the StatusErr message bytes.
 	Value []byte
 	// Found answers MGET per key: Found[i] reports whether Keys[i] was

@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-// requestFixtures covers every opcode (and the NX flag) once.
+// requestFixtures covers every opcode (and every REPLICATE flag) once.
 func requestFixtures() []*Request {
 	return []*Request{
 		{Op: OpPing, ID: 1},
@@ -21,14 +21,12 @@ func requestFixtures() []*Request {
 		{Op: OpGet, ID: 3, Key: "alpha"},
 		{Op: OpDel, ID: 4, Key: ""},
 		{Op: OpSet, ID: 5, Key: "k", Value: []byte("v")},
-		{Op: OpSet, ID: 6, Flags: FlagNX, Key: "k", Value: nil},
 		{Op: OpSetTTL, ID: 7, Key: "t", Value: []byte{0, 1, 2}, TTL: 250 * time.Millisecond},
 		{Op: OpSetTTL, ID: 8, Key: "t2", Value: []byte("x"), TTL: 0},
 		{Op: OpMGet, ID: 9, Keys: []string{"a", "", "long-key"}},
 		{Op: OpMGet, ID: 10, Keys: []string{}},
 		{Op: OpMSet, ID: 11, Pairs: []KV{{Key: "a", Value: []byte("1")}, {Key: "b", Value: nil}}},
 		{Op: OpGet, ID: 13, Key: "traced", Trace: &TraceExt{ID: 0xDEADBEEFCAFE, SendMicros: 123456789}},
-		{Op: OpSet, ID: 14, Flags: FlagNX, Key: "k", Value: []byte("v"), Trace: &TraceExt{ID: 1, SendMicros: 2}},
 		{Op: OpPing, ID: 15, Trace: &TraceExt{}},
 		{Op: OpMGet, ID: 16, Keys: []string{"a", "b"}, Trace: &TraceExt{ID: 7, SendMicros: 1 << 60}},
 		{Op: OpView, ID: 26, View: fixtureView()},
@@ -64,7 +62,6 @@ func responseFixtures() []*Response {
 		{Op: OpGet, ID: 2, Status: StatusOK, Value: []byte("v")},
 		{Op: OpGet, ID: 3, Status: StatusNotFound},
 		{Op: OpSet, ID: 4, Status: StatusOK},
-		{Op: OpSet, ID: 5, Status: StatusNotStored, Value: []byte("old")},
 		{Op: OpSetTTL, ID: 6, Status: StatusOK},
 		{Op: OpDel, ID: 7, Status: StatusNotFound},
 		{Op: OpMSet, ID: 8, Status: StatusOK},
@@ -369,12 +366,9 @@ type boundaryFrame struct {
 
 // opFlags is the protocol's flag table, written out apart from the ops
 // rows so that the codec is checked against it: every op takes FlagTrace,
-// SET and SETTTL also FlagNX, REPLICATE also FlagNX and FlagNegative.
+// REPLICATE also FlagNX and FlagNegative.
 func opFlags(op Op) uint8 {
-	switch op {
-	case OpSet, OpSetTTL:
-		return FlagTrace | FlagNX
-	case OpReplicate:
+	if op == OpReplicate {
 		return FlagTrace | FlagNX | FlagNegative
 	}
 	return FlagTrace
