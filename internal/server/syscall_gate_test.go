@@ -206,7 +206,7 @@ func TestServeSyscallsPerOp(t *testing.T) {
 		{"PING", &wire.Request{Op: wire.OpPing}, wire.StatusOK, 12, 12},
 		{"GET hit", get, wire.StatusOK, 16, 80},
 		{"GET miss", &wire.Request{Op: wire.OpGet, Key: "absent"}, wire.StatusNotFound, 20, 12},
-		{"SET", &wire.Request{Op: wire.OpSet, Key: "wk0", Value: val}, wire.StatusOK, 29, 16},
+		{"SET", &wire.Request{Op: wire.OpSet, Key: "wk0", Value: val}, wire.StatusOK, 29, 12},
 		{"DEL miss", &wire.Request{Op: wire.OpDel, Key: "absent"}, wire.StatusNotFound, 20, 12},
 		{"MGET×4", &wire.Request{Op: wire.OpMGet, Keys: keys}, wire.StatusOK, 30, 290},
 		{"MSET×4", &wire.Request{Op: wire.OpMSet, Pairs: pairs}, wire.StatusOK, 82, 12},

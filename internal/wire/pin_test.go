@@ -52,7 +52,7 @@ func TestFrameGolden(t *testing.T) {
 
 // verdictDigest is the SHA-256 TestDecodeVerdictDigest computes; it changes
 // only when some frame decodes differently.
-const verdictDigest = "60e44c2b87f5d086ccffb9e01df71ebb95fb1938d3c09062567d879d3de4bafb"
+const verdictDigest = "dfce801fc8378fcdfea3391219a9e1dcc714ccf5c489bf84f76c2a0e3e284aef"
 
 // TestDecodeVerdictDigest pins what both decoders make of 100k seeded
 // mutations of the fixture frames: for each mutated frame, each decoder's
