@@ -73,8 +73,7 @@ func (a *Agent) Epoch() uint64 {
 	return 0
 }
 
-// Close uninstalls the agent from its server and releases the peer
-// connections.
+// Close uninstalls the agent and releases the peer connections.
 func (a *Agent) Close() error {
 	a.srv.SetMembership(nil)
 	a.mu.Lock()

@@ -34,6 +34,11 @@
 // drain/close state. Neither is ever held while calling into the cache, so
 // the cache's internal shard.mu sits below both. No request waits on
 // another connection.
+//
+// In a cluster, a membership agent installs itself as the server's one
+// hook (Membership, see SetMembership): it routes keyed requests by the
+// node's view, fans applied writes out to the slot's replicas before the
+// ack, and read-repairs misses. A standalone server has none.
 package server
 
 import (

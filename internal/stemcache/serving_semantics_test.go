@@ -8,8 +8,9 @@ import (
 // These tests pin the exact return-value and accounting semantics the
 // network server (internal/server) translates into wire responses: Len
 // backs the STATS frame's occupancy, Delete's report becomes the DEL
-// status, and GetOrSet's loaded flag becomes the SETNX status — all of
-// which must stay exact under TTL expiry, coupling and spilling.
+// status, and GetOrSet is what a slot copy's store-if-absent REPLICATE
+// runs — all of which must stay exact under TTL expiry, coupling and
+// spilling.
 
 // identity hashes an int key to itself: with Shards=1 the set index is
 // key % sets and the tag is the high bits, giving tests full control over

@@ -1,7 +1,7 @@
 #!/bin/sh
 # check_readme_cmds.sh — docs/cmd/package cross-check, run by CI.
 #
-# Eight directions:
+# Nine directions:
 #   1. every binary under cmd/ is mentioned in README.md and in DESIGN.md
 #      as cmd/<name> (no undocumented tools; the bare word does not count —
 #      "sweep" and "stemd" occur in prose);
@@ -34,6 +34,13 @@
 #      DESIGN.md names outside a `-run` pattern is a test function in the
 #      repository (no prose citing a deleted or renamed test; direction 5
 #      covers the patterns, whose tokens may be prefixes).
+#   9. every qualified name `pkg.Name` that README.md, DESIGN.md,
+#      EXPERIMENTS.md or the verify skill cites, where pkg is a package
+#      under internal/ and Name is capitalised, occurs in that package's
+#      non-test Go files (no doc citing a deleted type or function; test
+#      names are direction 8's, and a field or method after Name is not
+#      checked, so a retired section may name a deleted method of a type
+#      that remains).
 #
 # Exits nonzero with a per-name report on any mismatch.
 set -eu
@@ -182,7 +189,21 @@ for doc in README.md DESIGN.md; do
     done
 done
 
+# Direction 9: qualified names cited in the docs -> the packages' code.
+# A name is checked as a whole word of the package's non-test files.
+pkgs=$(ls -d internal/*/ | xargs -n1 basename | paste -sd'|' -)
+for doc in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
+    for ref in $(grep -oE "(^|[^A-Za-z0-9_./])($pkgs)\.[A-Z][A-Za-z0-9_]*" "$doc" |
+        sed -E 's/^[^a-z]//' | grep -vE '\.(Test|Benchmark|Fuzz)' | sort -u); do
+        pkg=${ref%%.*}
+        if ! ls "internal/$pkg"/*.go | grep -v '_test\.go$' | xargs grep -qw -- "${ref#*.}"; then
+            echo "$doc cites $ref, which no non-test Go file of internal/$pkg names" >&2
+            status=1
+        fi
+    done
+done
+
 if [ "$status" -eq 0 ]; then
-    echo "README.md, DESIGN.md, cmd/, examples/, the quoted import paths, the documented -run patterns, the DESIGN § references, the cited test names and the backticked flags agree ($(ls -d cmd/*/ | wc -l | tr -d ' ') binaries, $(ls -d examples/*/ | wc -l | tr -d ' ') examples)"
+    echo "README.md, DESIGN.md, cmd/, examples/, the quoted import paths, the documented -run patterns, the DESIGN § references, the cited test names, the backticked flags and the cited package names agree ($(ls -d cmd/*/ | wc -l | tr -d ' ') binaries, $(ls -d examples/*/ | wc -l | tr -d ' ') examples)"
 fi
 exit $status
