@@ -96,8 +96,7 @@ const (
 	OpPing
 	// OpGet looks up one key; the response carries the value on StatusOK.
 	OpGet
-	// OpSet stores one key/value with the server's default TTL; the
-	// answer is status-only.
+	// OpSet stores one key/value with the server's default TTL.
 	OpSet
 	// OpSetTTL is OpSet with an explicit per-entry TTL in the payload.
 	OpSetTTL

@@ -375,8 +375,9 @@ func opFlags(op Op) uint8 {
 }
 
 // boundaryFrames builds one frame for every request body (each op under
-// every flags byte without FlagTrace) and every (op, status) response, at
-// the boundary operands: TTLs of 0, 2^62, 2^62+1 and MaxInt64 ns, values
+// every flags byte without FlagTrace) and every (op, status) response,
+// statusMax (the first status no end takes) among them, at the boundary
+// operands: TTLs of 0, 2^62, 2^62+1 and MaxInt64 ns, values
 // and error messages of MaxValueLen and MaxValueLen+1 bytes, and StatusErr
 // under the invalid opcodes 0 and opMax. A frame's bytes exist whether or
 // not the encoder accepts its operands: each is encoded with tame operands
@@ -405,7 +406,7 @@ func boundaryFrames(tb testing.TB) []boundaryFrame {
 		}
 	}
 	for op := OpInvalid; op <= opMax; op++ {
-		for st := StatusOK; st < statusMax; st++ {
+		for st := StatusOK; st <= statusMax; st++ {
 			if !op.Valid() && st != StatusErr {
 				continue
 			}
@@ -417,6 +418,10 @@ func boundaryFrames(tb testing.TB) []boundaryFrame {
 				switch {
 				case !op.Valid():
 					tame.Op = OpPing
+				case st == statusMax:
+					// No status past the table encodes; its bytes are an
+					// OK answer's under that status byte.
+					tame.Status = StatusOK
 				case st == StatusMoved && !ops[op].moved:
 					// The bytes of a MOVED answer exist for every op; GET's
 					// row takes it.
@@ -426,7 +431,7 @@ func boundaryFrames(tb testing.TB) []boundaryFrame {
 				if terr != nil {
 					tb.Fatalf("%v/%v: tame encoding: %v", op, st, terr)
 				}
-				data[2] = byte(op)
+				data[2], data[3] = byte(op), byte(st)
 				out = append(out, boundaryFrame{name: fmt.Sprintf("%v/%v value %d", op, st, n), resp: true,
 					data: data, enc: enc, encErr: err})
 			}
