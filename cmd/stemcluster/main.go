@@ -5,8 +5,8 @@
 // every -heartbeat the manager pings each member (failure detection and
 // failover). The manager is the only writer of slot ownership, so every
 // move — join, leave, failover — re-places replicas and pushes a new view
-// to the nodes' agents (synchronous replica write fan-out plus
-// read-repair); clients learn each view from the nodes' MOVED answers.
+// to the nodes' agents (synchronous replica write fan-out); clients learn
+// each view from the nodes' MOVED answers.
 // -join-after and -kill-after/-kill-node script lifecycle events for
 // experiments.
 //

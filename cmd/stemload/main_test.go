@@ -237,9 +237,7 @@ func TestScenarios(t *testing.T) {
 	// checkRing asserts a -cluster pass's accounting: exactly -ops GETs on
 	// the client, one STATS document per node in want and none from the
 	// others (which are down), and every one of those GETs served by those
-	// nodes. A node that acquired slots by promotion or migration
-	// read-repairs its misses there with GETs to the slot's other replicas,
-	// so the nodes may count more than -ops.
+	// nodes, once.
 	checkRing := func(t *testing.T, r result, before map[int]uint64, want ...int) {
 		t.Helper()
 		after := map[int]uint64{}
@@ -258,8 +256,8 @@ func TestScenarios(t *testing.T) {
 			}
 			grown += after[id] - before[id]
 		}
-		if r.Ops != 4001 || grown < 4001 {
-			t.Errorf("client counted %d GETs, the nodes %d (%v before, %v after); want exactly 4001 and at least 4001",
+		if r.Ops != 4001 || grown != 4001 {
+			t.Errorf("client counted %d GETs, the nodes %d (%v before, %v after); want exactly 4001 on both",
 				r.Ops, grown, before, after)
 		}
 	}

@@ -84,7 +84,7 @@ func (n *Node) Addr() string { return n.srv.Addr() }
 func (n *Node) Cache() *stemcache.Cache[string, []byte] { return n.cache }
 
 // Server exposes the node's server — the membership agent installs its
-// hooks (replica fan-out, view pushes, read repair) through it.
+// one hook (view pushes, routing, replica fan-out) through it.
 func (n *Node) Server() *server.Server { return n.srv }
 
 // Keys enumerates the node's resident keys — the membership manager's

@@ -23,10 +23,12 @@ import (
 //     that the server answers every other keyed request StatusMoved;
 //   - fans every write the node applies as a slot owner out to the slot's
 //     replicas (ReplicateSet, ReplicateDelete), synchronously before the
-//     ack — the invariant failover's losslessness rests on;
-//   - read-repairs GET misses on slots the node acquired through failover
-//     promotion or migration by asking the slot's other replicas
-//     (ReadRepair).
+//     ack — the invariant failover's losslessness rests on.
+//
+// A miss is answered from the node's own cache alone: no node asks
+// another on a miss. A promoted or migrated-to owner already holds every
+// acked write of its new slot — failover promotes a replica the fan-out
+// kept, and a move copies the slot before it flips the owner.
 //
 // Views are epoch-ordered: a replayed or reordered push at or below the
 // held epoch is ignored, so redelivery is harmless.
@@ -44,16 +46,11 @@ type Agent struct {
 	// every keyed request, and Update replaces it under mu.
 	view atomic.Pointer[cluster.View]
 
-	// mu guards the peer and repair state below and serializes Update.
+	// mu guards peers and serializes Update.
 	mu sync.Mutex
 	// peers[n] is a lazily dialed client to member n; nil for self and for
 	// members that are gone (or not yet seen).
 	peers []*client.Client
-	// repair[s] marks slot s for miss-time read repair: set when a view
-	// makes this node s's owner after some other node held it, because
-	// writes from before this node entered s's replica set live only on
-	// the other replicas.
-	repair []bool
 }
 
 // NewAgent builds node self's agent and installs it on srv. The
@@ -129,16 +126,6 @@ func (a *Agent) Update(w wire.View) (wire.View, error) {
 			a.peers[id] = nil
 		}
 	}
-
-	// Mark newly acquired slots for read repair (see the repair field).
-	if a.repair == nil {
-		a.repair = make([]bool, len(v.Replicas))
-	}
-	for s := range v.Replicas {
-		if old != nil && v.Owner(s) == a.self && old.Owner(s) != a.self {
-			a.repair[s] = true
-		}
-	}
 	a.view.Store(v)
 	a.mu.Unlock()
 
@@ -173,11 +160,11 @@ func (a *Agent) slotOf(key string) (*cluster.View, int) {
 	return v, a.ring.SlotOf(key, len(v.Replicas))
 }
 
-// peersOf snapshots the connected peers among key's slot's replicas other
-// than this node; with owner set, only when this node owns the slot.
-func (a *Agent) peersOf(key string, owner bool) []*client.Client {
+// peersOf snapshots the connected peers among key's slot's followers; none
+// unless this node owns the slot in its view.
+func (a *Agent) peersOf(key string) []*client.Client {
 	v, slot := a.slotOf(key)
-	if v == nil || owner && v.Owner(slot) != a.self {
+	if v == nil || v.Owner(slot) != a.self {
 		return nil
 	}
 	a.mu.Lock()
@@ -196,7 +183,7 @@ func (a *Agent) peersOf(key string, owner bool) []*client.Client {
 // nothing out. Best effort: a dead replica's copy is restored by the
 // manager's backfill at the next view change.
 func (a *Agent) ReplicateSet(key string, value []byte, ttl time.Duration) {
-	for _, p := range a.peersOf(key, true) {
+	for _, p := range a.peersOf(key) {
 		_ = p.Replicate(key, value, ttl)
 	}
 }
@@ -204,26 +191,7 @@ func (a *Agent) ReplicateSet(key string, value []byte, ttl time.Duration) {
 // ReplicateDelete fans one applied delete out to the slot's followers
 // (server.Membership).
 func (a *Agent) ReplicateDelete(key string) {
-	for _, p := range a.peersOf(key, true) {
+	for _, p := range a.peersOf(key) {
 		_ = p.ReplicateDelete(key)
 	}
-}
-
-// ReadRepair serves a GET miss on a repair-marked slot by asking the
-// slot's other replicas (server.Membership). Misses on unmarked
-// slots — the overwhelming majority — pay one mutex acquisition and leave.
-func (a *Agent) ReadRepair(key string) ([]byte, bool) {
-	v, slot := a.slotOf(key)
-	a.mu.Lock()
-	marked := v != nil && a.repair[slot] // a view's slot count is the first's
-	a.mu.Unlock()
-	if !marked {
-		return nil, false
-	}
-	for _, p := range a.peersOf(key, false) {
-		if v, found, err := p.Get(key); err == nil && found {
-			return v, true
-		}
-	}
-	return nil, false
 }

@@ -17,9 +17,8 @@
 //     them (a write needs the slot's owner, a read one of its replicas),
 //     fans every applied write out to the slot's replicas (through the
 //     server.Membership hook, synchronous before the ack — which is what
-//     makes failover lossless for acked writes up to RF-1 failures), and
-//     read-repairs misses on slots the node acquired through promotion or
-//     migration by consulting the surviving replicas.
+//     makes failover lossless for acked writes up to RF-1 failures). It
+//     answers a miss from its own cache: no node probes another.
 //
 // Replica placement gives every slot min(RF, alive) copies, each follower
 // to the alive node hosting the fewest, ties to the lower id. It reads no

@@ -213,6 +213,38 @@ func TestFailoverHitRateWithinBound(t *testing.T) {
 	}
 }
 
+// TestFailoverDoesNotResurrectExpiredKeys: an expired key never hits, a
+// failover included. 300 keys are written with a 1.5 s TTL, node 1 dies
+// and fails over at the first Tick, and past the TTL every key must miss.
+// The promoted owner's copies expire on their own; a follower that was
+// backfilled by the failover holds its copy with no TTL, and no node asks
+// another on a miss, so that copy never comes back through the owner.
+func TestFailoverDoesNotResurrectExpiredKeys(t *testing.T) {
+	if testing.Short() {
+		t.Skip("membership e2e drives loopback round trips")
+	}
+	mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 1})
+	const ttl = 1500 * time.Millisecond
+	for i := 0; i < memKeys; i++ {
+		if err := mc.Client().SetTTL(memKey(i), memVal(i), ttl); err != nil {
+			t.Fatalf("setttl %q: %v", memKey(i), err)
+		}
+	}
+
+	const kill = 1
+	if err := mc.Kill(kill); err != nil {
+		t.Fatal(err)
+	}
+	if reps := mc.Manager().Tick(); len(reps) != 1 || reps[0].Node != kill {
+		t.Fatalf("expected one failover of node %d at the first tick, got %+v", kill, reps)
+	}
+	time.Sleep(ttl + time.Second)
+
+	if got := readKeys(t, mc.Client(), 0, memKeys); got != 0 {
+		t.Fatalf("%d of %d keys hit after their TTL ran out", got, memKeys)
+	}
+}
+
 // warmPlaced is the replica table (owner, then follower, per slot) the
 // warm-failover rig holds before its kill, at every key count: a pure
 // function of memSeed, memVNodes and the placement rule.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"strings"
 	"time"
 
 	"repro/internal/wire"
@@ -10,8 +9,8 @@ import (
 
 // Membership is the cluster-integration point a membership agent installs
 // on a running server (SetMembership): it holds the node's view, routes
-// keyed operations by it, fans the node's writes out to their replicas and
-// read-repairs misses. The server calls it synchronously on the connection
+// keyed operations by it and fans the node's writes out to their
+// replicas. The server calls it synchronously on the connection
 // goroutine, before the response is written; every key it hands a method
 // may alias the connection's read buffer, valid during the call only.
 // Implementations must not call back into this server.
@@ -37,18 +36,14 @@ type Membership interface {
 	// write.
 	ReplicateSet(key string, value []byte, ttl time.Duration)
 	// ReplicateDelete fans out one applied delete — also for keys the
-	// cache did not hold, since a replica may hold what the owner lost.
+	// cache did not hold, since a follower may still hold what the owner
+	// evicted.
 	ReplicateDelete(key string)
-	// ReadRepair is consulted on a GET miss. If it returns ok, the value is
-	// installed in the cache and served — the membership agent uses this to
-	// pull entries a freshly promoted or migrated-to owner may be missing
-	// from the slot's surviving replicas.
-	ReadRepair(key string) ([]byte, bool)
 }
 
 // standalone is the Membership of a server with none installed: it routes
-// nothing (handle does not ask it), refuses view pushes, fans nothing out
-// and repairs nothing.
+// nothing (handle does not ask it), refuses view pushes and fans nothing
+// out.
 type standalone struct{}
 
 var errNoMembership = errors.New("no membership agent")
@@ -57,7 +52,6 @@ func (standalone) Update(wire.View) (wire.View, error)        { return wire.View
 func (standalone) Serves(string, bool) bool                   { return true }
 func (standalone) ReplicateSet(string, []byte, time.Duration) {}
 func (standalone) ReplicateDelete(string)                     {}
-func (standalone) ReadRepair(string) ([]byte, bool)           { return nil, false }
 
 // SetMembership installs (or, with nil, removes) the node's membership
 // agent. Safe to call while the server is serving: a request in flight sees
@@ -109,19 +103,4 @@ func (s *Server) routed(m Membership, req *wire.Request, resp *wire.Response) bo
 		resp.View, _ = m.Update(wire.View{})
 	}
 	return ok
-}
-
-// repairGet is the GET miss path: consult the membership's read repair, and
-// install-and-serve whatever it recovers. Only misses pay the call, so the
-// hit path stays allocation-free.
-func (s *Server) repairGet(m Membership, req *wire.Request, resp *wire.Response) {
-	v, ok := m.ReadRepair(req.Key)
-	if !ok {
-		resp.Status = wire.StatusNotFound
-		return
-	}
-	// The decoded key aliases the connection's read buffer; clone before it
-	// enters the cache. Only repaired misses pay.
-	s.cache.Set(strings.Clone(req.Key), v)
-	resp.Value = v
 }

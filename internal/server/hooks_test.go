@@ -12,16 +12,15 @@ import (
 	"repro/internal/wire"
 )
 
-// noView is a server.Membership that holds no view: it serves every key,
-// fans nothing out and repairs nothing. Test memberships embed it and
-// override the methods they exercise.
+// noView is a server.Membership that holds no view: it serves every key
+// and fans nothing out. Test memberships embed it and override the
+// methods they exercise.
 type noView struct{}
 
 func (noView) Update(wire.View) (wire.View, error)        { return wire.View{}, nil }
 func (noView) Serves(string, bool) bool                   { return true }
 func (noView) ReplicateSet(string, []byte, time.Duration) {}
 func (noView) ReplicateDelete(string)                     {}
-func (noView) ReadRepair(string) ([]byte, bool)           { return nil, false }
 
 // prefixView is a membership whose view owns the keys prefixed "own" and
 // holds a replica of those prefixed "rep".

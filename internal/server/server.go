@@ -37,8 +37,8 @@
 //
 // In a cluster, a membership agent installs itself as the server's one
 // hook (Membership, see SetMembership): it routes keyed requests by the
-// node's view, fans applied writes out to the slot's replicas before the
-// ack, and read-repairs misses. A standalone server has none.
+// node's view and fans applied writes out to the slot's replicas before
+// the ack. A standalone server has none.
 package server
 
 import (
@@ -139,9 +139,9 @@ type Server struct {
 	sem chan struct{}  // max-conns gate
 
 	// membership is the node's membership agent (view routing, replica
-	// fan-out, read repair), installed by SetMembership after the server
-	// starts — the agent needs the cluster's ring and peer addresses, which
-	// exist only once every node is listening. nil on a standalone server.
+	// fan-out), installed by SetMembership after the server starts — the
+	// agent needs the cluster's ring and peer addresses, which exist only
+	// once every node is listening. nil on a standalone server.
 	membership atomic.Pointer[Membership]
 
 	// Served-traffic counters, the one tally of each event: connection
@@ -431,7 +431,7 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 		if v, ok := s.cache.Get(req.Key); ok {
 			resp.Value = v
 		} else {
-			s.repairGet(m, req, resp)
+			resp.Status = wire.StatusNotFound
 		}
 	case wire.OpSet:
 		s.cache.Set(req.Key, req.Value)
@@ -443,8 +443,8 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 		if !s.cache.Delete(req.Key) {
 			resp.Status = wire.StatusNotFound
 		}
-		// Propagate regardless of the local verdict: a replica may hold
-		// what this owner never saw (a write during a migration window).
+		// Propagate regardless of the local verdict: a follower may still
+		// hold what the owner evicted.
 		m.ReplicateDelete(req.Key)
 	case wire.OpMGet:
 		// Append into the reset Response's warm capacity (Reset keeps the

@@ -95,20 +95,6 @@ type Config struct {
 	// seeds and equal single-goroutine op sequences are identical.
 	Seed uint64
 
-	// STEM engine parameters, as in the paper's Table 3; zero selects the
-	// default core.Config documents.
-
-	// CounterBits is k, the width of the SC_S/SC_T saturating counters.
-	// Default: 4.
-	CounterBits int
-	// SpatialShift is n: SC_S is decremented once per 2^n hits in
-	// expectation. Default: 3.
-	SpatialShift int
-	// SignatureBits is m, the shadow-signature width. Default: 10.
-	SignatureBits int
-	// SelectorSize is the per-shard giver-heap capacity. Default: 16.
-	SelectorSize int
-
 	// Metrics, when non-nil, exports every monotonic Stats field as a derived
 	// counter under "stemcache.*" (hits, misses, evictions, spills, ...):
 	// reading the registry calls Stats once, no operation writes to it, and
@@ -129,9 +115,9 @@ type Config struct {
 
 // Validate reports the first problem that normalization cannot repair. A
 // zero field always validates (it selects the documented default); what is
-// rejected are values that would make the bit-slicing scheme or the STEM
-// engine nonsensical: negative sizes, counter or signature widths beyond
-// their hardware-meaningful ranges, or a negative TTL.
+// rejected are values that would make the bit-slicing scheme nonsensical:
+// negative sizes, more ways than a recency link can index, or a negative
+// TTL.
 func (c Config) Validate() error {
 	switch {
 	case c.Capacity < 0:
@@ -142,14 +128,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("stemcache: Ways must be in [0, %d], got %d", sim.MaxWays, c.Ways)
 	case c.DefaultTTL < 0:
 		return fmt.Errorf("stemcache: DefaultTTL must be >= 0, got %v", c.DefaultTTL)
-	case c.CounterBits < 0 || c.CounterBits > 32:
-		return fmt.Errorf("stemcache: CounterBits must be in [0, 32], got %d", c.CounterBits)
-	case c.SpatialShift < 0 || c.SpatialShift > 62:
-		return fmt.Errorf("stemcache: SpatialShift must be in [0, 62], got %d", c.SpatialShift)
-	case c.SignatureBits < 0 || c.SignatureBits > core.MaxSignatureBits:
-		return fmt.Errorf("stemcache: SignatureBits must be in [0, %d], the widest a shadow cell holds, got %d", core.MaxSignatureBits, c.SignatureBits)
-	case c.SelectorSize < 0:
-		return fmt.Errorf("stemcache: SelectorSize must be >= 0, got %d", c.SelectorSize)
 	}
 	return nil
 }
@@ -167,14 +145,13 @@ func (c *Config) normalize() {
 	}
 }
 
-// engine maps the cache's STEM parameters onto the engine's Config, which
-// owns their defaults. A STEM cache sets core.Config.BIPReceive: a spilled
+// engine is the cache's engine Config. Its STEM parameters are zero, which
+// selects the paper's Table 3 values (core.Config documents them). A STEM
+// cache sets core.Config.BIPReceive: a spilled
 // entry is ranked as BIP ranks a fill, not at the giver's MRU end as the
 // paper's §4.6 does (see the package doc and DESIGN.md §4.3).
 func (c Config) engine() core.Config {
 	return core.Config{
-		CounterBits: c.CounterBits, SpatialShift: c.SpatialShift,
-		SignatureBits: c.SignatureBits, SelectorSize: c.SelectorSize,
 		Seed: c.Seed, DisableCoupling: c.plainLRU, DisableSwap: c.plainLRU,
 		BIPReceive: !c.plainLRU,
 	}

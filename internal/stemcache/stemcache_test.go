@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -532,11 +532,6 @@ func TestConfigValidate(t *testing.T) {
 		{Ways: -1},
 		{Ways: 1 << 15}, // one more than a recency link can index
 		{DefaultTTL: -time.Second},
-		{CounterBits: 33},
-		{SpatialShift: 63},
-		{SignatureBits: 16}, // one more than a shadow cell holds
-		{SignatureBits: 40},
-		{SelectorSize: -1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -546,12 +541,8 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("bad[%d]: New = %v, %v; want nil cache and an error", i, c, err)
 		}
 	}
-	if err := (Config{SignatureBits: 16}).Validate(); err == nil || !strings.Contains(err.Error(), fmt.Sprint(core.MaxSignatureBits)) {
-		t.Errorf("SignatureBits 16: Validate() = %v, want an error naming the bound %d", err, core.MaxSignatureBits)
-	}
-	// The zero value, explicit defaults and the widest signature must
-	// validate.
-	for i, cfg := range []Config{{}, {Capacity: 1 << 16, Shards: 16, Ways: 16, CounterBits: 4, SpatialShift: 3, SignatureBits: 10, SelectorSize: 16}, {SignatureBits: core.MaxSignatureBits}} {
+	// The zero value, explicit defaults and the widest sets must validate.
+	for i, cfg := range []Config{{}, {Capacity: 1 << 16, Shards: 16, Ways: 16}, {Ways: sim.MaxWays}} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("good[%d]: Validate() = %v, want nil", i, err)
 		}
