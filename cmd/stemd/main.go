@@ -110,13 +110,16 @@ func run(cfg runConfig, stop <-chan struct{}) error {
 		DrainTimeout: cfg.drainTimeout,
 		SlowRequest:  cfg.slowRequest,
 	}
+	if cfg.lru {
+		ccfg = ccfg.ShardedLRU()
+	}
 	if opts := tool.Options(); opts != nil {
 		ccfg.Metrics, scfg.Metrics = opts.Registry, opts.Registry
 		// Slow-request events go to the same JSONL stream as the mechanism
 		// events, so stemtrace can window one against the other.
 		ccfg.Observer, scfg.Events = opts.Tracer, opts.Tracer
 	}
-	node, err := cluster.StartNode(0, cluster.NodeConfig{Cache: ccfg, Server: scfg, Addr: cfg.addr, LRU: cfg.lru})
+	node, err := cluster.StartNode(0, cluster.NodeConfig{Cache: ccfg, Server: scfg, Addr: cfg.addr})
 	if err != nil {
 		return err
 	}

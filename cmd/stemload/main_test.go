@@ -268,8 +268,11 @@ func TestScenarios(t *testing.T) {
 		// margin; the deterministic STEM >= LRU claim is the server package's.
 		var hit [2]float64
 		for i, lru := range []bool{false, true} {
-			node, err := cluster.StartNode(0, cluster.NodeConfig{
-				Cache: stemcache.Config{Capacity: 1 << 10, Seed: 0x57E4}, LRU: lru})
+			ccfg := stemcache.Config{Capacity: 1 << 10, Seed: 0x57E4}
+			if lru {
+				ccfg = ccfg.ShardedLRU()
+			}
+			node, err := cluster.StartNode(0, cluster.NodeConfig{Cache: ccfg})
 			if err != nil {
 				t.Fatal(err)
 			}

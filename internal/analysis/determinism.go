@@ -83,7 +83,7 @@ func checkNondetFunc(pass *Pass, id *ast.Ident) {
 	case "time":
 		if fn.Name() == "Now" {
 			pass.Reportf(id.Pos(),
-				"time.Now breaks fixed-seed reproducibility; inject a clock, or annotate a tool boundary with //lint:allow(determinism)")
+				"time.Now breaks fixed-seed reproducibility; read logical time from internal/clock, or annotate an I/O or tool boundary with //lint:allow(determinism)")
 		}
 	case "math/rand", "math/rand/v2":
 		// Constructors of private sources are fine; anything else draws from

@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -58,11 +59,11 @@ type Config struct {
 	// (per attempt, not across retries). Default 10s.
 	OpTimeout time.Duration
 	// Retries is how many times a transiently failed operation is retried
-	// on a fresh connection (attempts = Retries + 1). Default 2.
+	// on a fresh connection (attempts = Retries + 1). Default 2; negative
+	// means no retry.
 	Retries int
-	// Backoff is the first retry's delay; it doubles per retry. Default
-	// 10ms.
-	Backoff time.Duration
+	// Clock paces the retry backoff. Default clock.Real.
+	Clock clock.Clock
 	// TraceEvery enables end-to-end tracing: every TraceEvery-th request
 	// carries a wire trace extension, and the echoed server timings are
 	// split into total / server / network latency per sample. 1 traces
@@ -92,14 +93,17 @@ func (c Config) withDefaults() Config {
 	} else if c.Retries == 0 {
 		c.Retries = 2
 	}
-	if c.Backoff <= 0 {
-		c.Backoff = 10 * time.Millisecond
+	if c.Clock == nil {
+		c.Clock = clock.Real
 	}
 	if c.TraceEvery < 0 {
 		c.TraceEvery = 0
 	}
 	return c
 }
+
+// Backoff is the first retry's delay; it doubles per retry.
+const Backoff = 10 * time.Millisecond
 
 // ErrClosed is returned by operations on a closed Client.
 var ErrClosed = errors.New("client: closed")
@@ -397,7 +401,7 @@ func (c *Client) do(reqs []wire.Request, resps []wire.Response, arena []byte) ([
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		if attempt > 0 {
-			time.Sleep(c.cfg.Backoff << (attempt - 1))
+			c.cfg.Clock.Sleep(Backoff << (attempt - 1))
 		}
 		cc, err := c.get()
 		if err != nil {

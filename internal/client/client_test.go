@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/wire"
 )
 
@@ -94,7 +95,8 @@ func TestClientRetriesTransientHangup(t *testing.T) {
 		return okHandler(req)
 	})
 
-	cl, err := New(Config{Addr: fs.ln.Addr().String(), Retries: 2, Backoff: time.Millisecond})
+	var clk clock.Manual
+	cl, err := New(Config{Addr: fs.ln.Addr().String(), Retries: 2, Clock: &clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +108,17 @@ func TestClientRetriesTransientHangup(t *testing.T) {
 	if got := fs.connCount(); got != 3 {
 		t.Fatalf("saw %d connections, want 3 (two dropped + one healthy)", got)
 	}
+	// The two retries waited Backoff, then twice it.
+	if got, want := time.Duration(clk.Now()), Backoff+2*Backoff; got != want {
+		t.Fatalf("retries waited %v, want %v", got, want)
+	}
 }
 
 func TestClientExhaustsRetries(t *testing.T) {
 	fs := newFakeServer(t, func(*wire.Request) *wire.Response { return nil })
 
-	cl, err := New(Config{Addr: fs.ln.Addr().String(), Retries: 1, Backoff: time.Millisecond})
+	var clk clock.Manual
+	cl, err := New(Config{Addr: fs.ln.Addr().String(), Retries: 1, Clock: &clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +129,9 @@ func TestClientExhaustsRetries(t *testing.T) {
 	}
 	if fs.connCount() != 2 {
 		t.Fatalf("saw %d connections, want 2 (Retries=1 → 2 attempts)", fs.connCount())
+	}
+	if got := time.Duration(clk.Now()); got != Backoff {
+		t.Fatalf("one retry waited %v, want %v", got, Backoff)
 	}
 }
 
@@ -134,7 +144,7 @@ func TestClientDialFailureIsRetriedThenReported(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	cl, err := New(Config{Addr: addr, Retries: 1, Backoff: time.Millisecond, DialTimeout: 500 * time.Millisecond})
+	cl, err := New(Config{Addr: addr, Retries: 1, Clock: new(clock.Manual), DialTimeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +164,7 @@ func TestClientDoesNotRetryServerError(t *testing.T) {
 		return &wire.Response{Op: req.Op, Status: wire.StatusErr, Value: []byte("boom")}
 	})
 
-	cl, err := New(Config{Addr: fs.ln.Addr().String(), Backoff: time.Millisecond})
+	cl, err := New(Config{Addr: fs.ln.Addr().String(), Clock: new(clock.Manual)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +264,7 @@ func TestClientRejectsMismatchedResponse(t *testing.T) {
 		// Echo the wrong opcode: the client must refuse to pair it.
 		return &wire.Response{Op: wire.OpStats, Status: wire.StatusOK}
 	})
-	cl, err := New(Config{Addr: fs.ln.Addr().String(), Backoff: time.Millisecond})
+	cl, err := New(Config{Addr: fs.ln.Addr().String(), Clock: new(clock.Manual)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +282,7 @@ func TestClientReportsServerFrameRejection(t *testing.T) {
 		return &wire.Response{Op: wire.OpPing, Status: wire.StatusErr,
 			Value: []byte("wire: malformed frame: TTL 4611686018427387905 overflows a duration")}
 	})
-	cl, err := New(Config{Addr: fs.ln.Addr().String(), Retries: 2, Backoff: time.Millisecond})
+	cl, err := New(Config{Addr: fs.ln.Addr().String(), Retries: 2, Clock: new(clock.Manual)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ type TraceSample struct {
 func mix64(v uint64) uint64 { return sim.Mix64(v + 0x9e3779b97f4a7c15) }
 
 // nowMicros reads the client's monotonic clock as microseconds since the
-// client's epoch. Monotonic (time.Since uses the monotonic reading), so a
+// client's epoch. Monotonic (Sub uses the readings' monotonic clock), so a
 // wall-clock step cannot produce a negative latency.
 func (c *Client) nowMicros() uint64 {
 	return uint64(wallClock().Sub(c.epoch).Microseconds())

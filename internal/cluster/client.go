@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -55,10 +56,10 @@ const maxMoved = 8
 // Writes go to the owner alone, because only the owner fans a write out to
 // the slot's replicas. When the owner fails transiently, a write waits for
 // a view that names another owner (a failover), fetching the view from the
-// other members at the node client's Backoff, doubling, for at most its
-// OpTimeout; then the owner's error surfaces. A Get that fails transiently
-// on the owner fetches the view the same way and retries the slot's
-// replicas it names.
+// other members at client.Backoff, doubling, on the node client's Clock for
+// at most its OpTimeout; then the owner's error surfaces. A Get that fails
+// transiently on the owner fetches the view the same way and retries the
+// slot's replicas it names.
 //
 // Safe for concurrent use.
 type Client struct {
@@ -80,11 +81,12 @@ type Client struct {
 	gauged int // node ids with a cluster.node<n>.slots gauge
 
 	tpl client.Config
-	// backoff and wait pace and bound a write's wait for failover (the node
-	// client's Backoff and OpTimeout).
-	backoff, wait time.Duration
-	reg           *obs.Registry
-	ops           *obs.Counter
+	// clk and wait pace and bound a write's wait for failover (the node
+	// clients' Clock and OpTimeout).
+	clk  clock.Clock
+	wait time.Duration
+	reg  *obs.Registry
+	ops  *obs.Counter
 }
 
 // NewClient builds a routing client from the seed list cfg.Addrs. No
@@ -111,7 +113,7 @@ func NewClient(cfg Config) (*Client, error) {
 		return nil, err
 	}
 	tpl := cl.NodeClient(0).Config()
-	cl.backoff, cl.wait = tpl.Backoff, tpl.OpTimeout
+	cl.clk, cl.wait = tpl.Clock, tpl.OpTimeout
 	return cl, nil
 }
 
@@ -247,7 +249,7 @@ func (c *Client) moved(err error) (bool, error) {
 	}
 	newer, err := c.adopt(me.View)
 	if !newer && err == nil {
-		time.Sleep(c.backoff)
+		c.clk.Sleep(client.Backoff)
 	}
 	return err == nil, err
 }
@@ -310,7 +312,7 @@ func (c *Client) read(key string, op func(cl *client.Client) error) error {
 func (c *Client) write(key string, op func(cl *client.Client) error) error {
 	c.ops.Inc()
 	var waited time.Duration
-	delay := c.backoff
+	delay := client.Backoff
 	for {
 		owner, err := c.route(key, op)
 		if !client.IsTransient(err) {
@@ -321,7 +323,7 @@ func (c *Client) write(key string, op func(cl *client.Client) error) error {
 				return err
 			}
 			d := min(delay, c.wait-waited)
-			time.Sleep(d)
+			c.clk.Sleep(d)
 			waited += d
 			delay *= 2
 		}

@@ -22,10 +22,6 @@ type NodeConfig struct {
 	Server server.Config
 	// Addr is the listen address. Default "127.0.0.1:0".
 	Addr string
-	// LRU, when true, builds the node's cache with STEM's spatial and
-	// temporal mechanisms disabled (a plain sharded LRU) — the baseline
-	// configuration for cluster A/B runs.
-	LRU bool
 }
 
 // Node is one running cluster member. Construct with StartNode; stop with
@@ -52,13 +48,7 @@ func StartNode(id int, cfg NodeConfig) (*Node, error) {
 	}
 	cfg.Server.NodeID = id
 
-	var cache *stemcache.Cache[string, []byte]
-	var err error
-	if cfg.LRU {
-		cache, err = stemcache.NewShardedLRU[string, []byte](cfg.Cache)
-	} else {
-		cache, err = stemcache.New[string, []byte](cfg.Cache)
-	}
+	cache, err := stemcache.New[string, []byte](cfg.Cache)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %d cache: %w", id, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/membership"
 	"repro/internal/stemcache"
@@ -16,15 +17,19 @@ import (
 // fifth of a second for a failover before its error surfaces.
 var pairTpl = client.Config{Retries: -1, DialTimeout: 500 * time.Millisecond, OpTimeout: 200 * time.Millisecond}
 
-// startPair boots a 2-node loopback cluster. With rf 2 it brings the
-// membership tier up, so every slot's view is [owner, other node] — the
-// minimal rig for exercising the single-key replica-retry path; with rf 0
-// the nodes hold no view and the client knows no follower.
-func startPair(t *testing.T, rf int) (*cluster.Client, *membership.Rig) {
+// startPair boots a 2-node loopback cluster on a manual clock, which it
+// returns. With rf 2 it brings the membership tier up, so every slot's view
+// is [owner, other node] — the minimal rig for exercising the single-key
+// replica-retry path; with rf 0 the nodes hold no view and the client knows
+// no follower.
+func startPair(t *testing.T, rf int) (*cluster.Client, *membership.Rig, *clock.Manual) {
 	t.Helper()
+	clk := new(clock.Manual)
+	tpl := pairTpl
+	tpl.Clock = clk
 	rig, err := membership.StartRig(2,
-		cluster.NodeConfig{Cache: stemcache.Config{Capacity: 512, Shards: 2, Ways: 4}},
-		cluster.Config{VNodes: 2, Seed: 7, Client: pairTpl})
+		cluster.NodeConfig{Cache: stemcache.Config{Capacity: 512, Shards: 2, Ways: 4, Clock: clk}},
+		cluster.Config{VNodes: 2, Seed: 7, Client: tpl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +39,7 @@ func startPair(t *testing.T, rf int) (*cluster.Client, *membership.Rig) {
 			t.Fatal(err)
 		}
 	}
-	return rig.Client(), rig
+	return rig.Client(), rig, clk
 }
 
 // keyOwnedBy finds a key the client's view routes to the wanted node.
@@ -57,7 +62,7 @@ func keyOwnedBy(t *testing.T, cl *cluster.Client, node int) string {
 // returned. With every replica dead too, a Get's combined failure surfaces
 // as a *client.PartialError naming each attempted node.
 func TestSingleKeyReplicaRetry(t *testing.T) {
-	cl, rig := startPair(t, 2)
+	cl, rig, clk := startPair(t, 2)
 	key := keyOwnedBy(t, cl, 0)
 	val := []byte("survives")
 
@@ -76,9 +81,14 @@ func TestSingleKeyReplicaRetry(t *testing.T) {
 	}
 
 	// Writes go to the owner alone: with no failover to wait for, both
-	// fail transiently, and the replica's copy is unchanged.
+	// fail transiently after waiting exactly OpTimeout, and the replica's
+	// copy is unchanged.
+	start := clk.Now()
 	if err := cl.Set(key, []byte("rewritten")); err == nil || !client.IsTransient(err) {
 		t.Fatalf("Set with dead owner = %v, want a transient error", err)
+	}
+	if waited := time.Duration(clk.Now() - start); waited != pairTpl.OpTimeout {
+		t.Fatalf("Set with dead owner waited %v, want OpTimeout %v", waited, pairTpl.OpTimeout)
 	}
 	if _, err := cl.Del(key); err == nil || !client.IsTransient(err) {
 		t.Fatalf("Del with dead owner = %v, want a transient error", err)
@@ -113,7 +123,7 @@ func TestSingleKeyReplicaRetry(t *testing.T) {
 // (no membership tier: the nodes hold no view, and the epoch-0 view names
 // owners alone) the owner's transient error surfaces as-is.
 func TestNoFollowerSurfacesOwnerError(t *testing.T) {
-	cl, rig := startPair(t, 0)
+	cl, rig, _ := startPair(t, 0)
 	key := keyOwnedBy(t, cl, 0)
 	if err := rig.Kill(0); err != nil {
 		t.Fatal(err)

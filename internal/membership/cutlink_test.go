@@ -6,9 +6,9 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/client"
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/membership"
 )
@@ -118,7 +118,7 @@ func TestCutOwnerLinkLosesNoAckedWrite(t *testing.T) {
 	for _, del := range []bool{false, true} {
 		name := map[bool]string{false: "set", true: "del"}[del]
 		t.Run(name, func(t *testing.T) {
-			mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
+			mc, _ := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
 			proxies := make([]*linkProxy, memNodes)
 			addrs := make([]string, memNodes)
 			for i, a := range mc.Addrs() {
@@ -126,9 +126,9 @@ func TestCutOwnerLinkLosesNoAckedWrite(t *testing.T) {
 				addrs[i] = proxies[i].addr()
 			}
 			// A write to the cut owner waits OpTimeout for a failover that
-			// does not come: keep that wait short.
+			// does not come: a manual clock passes it in no real time.
 			tpl := memTpl()
-			tpl.OpTimeout = 150 * time.Millisecond
+			tpl.Clock = new(clock.Manual)
 			cl, err := cluster.NewClient(cluster.Config{Addrs: addrs, VNodes: memVNodes, Seed: memSeed, Client: tpl})
 			if err != nil {
 				t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/membership"
 	"repro/internal/obs"
@@ -45,12 +46,17 @@ func memTpl() client.Config {
 }
 
 // startMemCluster boots n nodes, the routing client, their agents, and a
-// bootstrapped manager with the given membership config.
-func startMemCluster(t *testing.T, n int, cfg membership.Config) *membership.Rig {
+// bootstrapped manager with the given membership config, every tier on one
+// manual clock, which it returns: TTLs run out and a write's wait for a
+// failover passes only as the clock moves.
+func startMemCluster(t *testing.T, n int, cfg membership.Config) (*membership.Rig, *clock.Manual) {
 	t.Helper()
+	clk := new(clock.Manual)
+	tpl := memTpl()
+	tpl.Clock = clk
 	rig, err := membership.StartRig(n,
-		cluster.NodeConfig{Cache: stemcache.Config{Capacity: memCapacity, Shards: 2, Ways: memWays}},
-		cluster.Config{VNodes: memVNodes, Seed: memSeed, Client: memTpl()})
+		cluster.NodeConfig{Cache: stemcache.Config{Capacity: memCapacity, Shards: 2, Ways: memWays, Clock: clk}},
+		cluster.Config{VNodes: memVNodes, Seed: memSeed, Client: tpl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +64,7 @@ func startMemCluster(t *testing.T, n int, cfg membership.Config) *membership.Rig
 	if err := rig.Bootstrap(cfg); err != nil {
 		t.Fatal(err)
 	}
-	return rig
+	return rig, clk
 }
 
 func memKey(i int) string  { return fmt.Sprintf("key-%04d", i) }
@@ -107,7 +113,7 @@ func TestFailoverKeepsAckedWrites(t *testing.T) {
 	if testing.Short() {
 		t.Skip("membership e2e drives loopback round trips")
 	}
-	mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 2})
+	mc, _ := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 2})
 
 	writeKeys(t, mc.Client(), 0, memKeys)
 
@@ -191,7 +197,7 @@ func TestFailoverHitRateWithinBound(t *testing.T) {
 		t.Skip("membership e2e drives loopback round trips")
 	}
 	run := func(kill bool) float64 {
-		mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 2})
+		mc, _ := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 2})
 		writeKeys(t, mc.Client(), 0, memKeys)
 		if kill {
 			if err := mc.Kill(1); err != nil {
@@ -215,7 +221,8 @@ func TestFailoverHitRateWithinBound(t *testing.T) {
 
 // TestFailoverDoesNotResurrectExpiredKeys: an expired key never hits, a
 // failover included. 300 keys are written with a 1.5 s TTL, node 1 dies
-// and fails over at the first Tick, and past the TTL every key must miss.
+// and fails over at the first Tick, every key still hits, and once the
+// manual clock is past the TTL every key must miss.
 // The promoted owner's copies expire on their own; a follower that was
 // backfilled by the failover holds its copy with no TTL, and no node asks
 // another on a miss, so that copy never comes back through the owner.
@@ -223,13 +230,8 @@ func TestFailoverDoesNotResurrectExpiredKeys(t *testing.T) {
 	if testing.Short() {
 		t.Skip("membership e2e drives loopback round trips")
 	}
-	mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 1})
-	const ttl = 1500 * time.Millisecond
-	for i := 0; i < memKeys; i++ {
-		if err := mc.Client().SetTTL(memKey(i), memVal(i), ttl); err != nil {
-			t.Fatalf("setttl %q: %v", memKey(i), err)
-		}
-	}
+	mc, clk := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 1})
+	writeTTLKeys(t, mc.Client())
 
 	const kill = 1
 	if err := mc.Kill(kill); err != nil {
@@ -238,10 +240,51 @@ func TestFailoverDoesNotResurrectExpiredKeys(t *testing.T) {
 	if reps := mc.Manager().Tick(); len(reps) != 1 || reps[0].Node != kill {
 		t.Fatalf("expected one failover of node %d at the first tick, got %+v", kill, reps)
 	}
-	time.Sleep(ttl + time.Second)
+	if got := readKeys(t, mc.Client(), 0, memKeys); got != memKeys {
+		t.Fatalf("%d of %d keys hit before their TTL ran out, want all", got, memKeys)
+	}
+	clk.Advance(memTTL + time.Second)
 
 	if got := readKeys(t, mc.Client(), 0, memKeys); got != 0 {
 		t.Fatalf("%d of %d keys hit after their TTL ran out", got, memKeys)
+	}
+}
+
+// TestJoinHandoffDropsTTL pins ROADMAP item 32's known defect: a slot copy
+// installs every key with the target's default TTL, here never, so the
+// keys a Join moves outlive their TTL on the newcomer. Item 32's fix
+// changes the count after the Advance to 0.
+func TestJoinHandoffDropsTTL(t *testing.T) {
+	if testing.Short() {
+		t.Skip("membership e2e drives loopback round trips")
+	}
+	mc, clk := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
+	writeTTLKeys(t, mc.Client())
+	if got := readKeys(t, mc.Client(), 0, memKeys); got != memKeys {
+		t.Fatalf("%d of %d keys hit before their TTL ran out, want all", got, memKeys)
+	}
+	if _, err := mc.Join(); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(memTTL + time.Second)
+
+	const moved = 67 // the keys on the slots the join handed off
+	if got := readKeys(t, mc.Client(), 0, memKeys); got != moved {
+		t.Fatalf("%d of %d keys hit after their TTL ran out, want the %d the join moved", got, memKeys, moved)
+	}
+}
+
+// memTTL is the TTL writeTTLKeys gives every key.
+const memTTL = 1500 * time.Millisecond
+
+// writeTTLKeys stores keys [0, memKeys) with memTTL through the routing
+// client.
+func writeTTLKeys(t *testing.T, cl *cluster.Client) {
+	t.Helper()
+	for i := 0; i < memKeys; i++ {
+		if err := cl.SetTTL(memKey(i), memVal(i), memTTL); err != nil {
+			t.Fatalf("setttl %q: %v", memKey(i), err)
+		}
 	}
 }
 
@@ -265,7 +308,7 @@ func TestWarmFailoverKeepsReplicationFactor(t *testing.T) {
 	for _, keys := range []int{3000, 6000, 24000} {
 		t.Run(fmt.Sprintf("%dkeys", keys), func(t *testing.T) {
 			reg := obs.NewRegistry()
-			mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, Metrics: reg})
+			mc, _ := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, Metrics: reg})
 			writeKeys(t, mc.Client(), 0, keys)
 			mc.Manager().Tick()
 			placed := make([][]int, mc.Client().Ring().Slots())
@@ -326,7 +369,7 @@ func TestJoinBoundedMovementAndDeterminism(t *testing.T) {
 		t.Skip("membership e2e drives loopback round trips")
 	}
 	run := func() (membership.Report, *cluster.View) {
-		mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
+		mc, _ := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
 		writeKeys(t, mc.Client(), 0, memKeys)
 
 		before := mc.Manager().View()
@@ -383,7 +426,7 @@ func TestLeaveBoundedMovement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("membership e2e drives loopback round trips")
 	}
-	mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
+	mc, _ := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
 	writeKeys(t, mc.Client(), 0, memKeys)
 
 	const leaving = 2
@@ -423,7 +466,7 @@ func TestTickSuspicionEdges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("membership e2e drives loopback round trips")
 	}
-	mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 3})
+	mc, _ := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 3})
 	mgr := mc.Manager()
 	ticks := func(n int) (reports []membership.Report) {
 		for i := 0; i < n; i++ {
@@ -586,7 +629,7 @@ func TestMoveOntoFollowerKeepsAckedWrites(t *testing.T) {
 	}
 	for _, nodes := range []int{3, 2} {
 		t.Run(fmt.Sprintf("%dnodes", nodes), func(t *testing.T) {
-			mc := startMemCluster(t, nodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 2})
+			mc, _ := startMemCluster(t, nodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 2})
 			writeKeys(t, mc.Client(), 0, memKeys)
 
 			ring := mc.Client().Ring()

@@ -58,7 +58,7 @@ func TestSeedListReachesJoinedCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("membership e2e drives loopback round trips")
 	}
-	mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
+	mc, _ := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
 	if _, err := mc.Join(); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestExternalClientFollowsFailoverAndJoin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("membership e2e drives loopback round trips")
 	}
-	mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 2})
+	mc, _ := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 2})
 	cl := externalClient(t, mc, memVNodes, memSeed)
 
 	const keys = 200
@@ -204,7 +204,7 @@ func TestStaleViewCannotResurrectOldValue(t *testing.T) {
 	if testing.Short() {
 		t.Skip("membership e2e drives loopback round trips")
 	}
-	mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
+	mc, _ := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
 	stale := externalClient(t, mc, memVNodes, memSeed)
 	reader := externalClient(t, mc, memVNodes, memSeed)
 	for i := 0; i < memKeys; i++ {
@@ -258,7 +258,7 @@ func TestStatsAllSkipsDeadMember(t *testing.T) {
 	if testing.Short() {
 		t.Skip("membership e2e drives loopback round trips")
 	}
-	mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 2})
+	mc, _ := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2, SuspectAfter: 2})
 	cl := externalClient(t, mc, memVNodes, memSeed)
 	const kill = 1
 	if err := mc.Kill(kill); err != nil {
@@ -317,7 +317,7 @@ func TestAgentRefusesOtherSlotCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("membership e2e drives loopback round trips")
 	}
-	mc := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
+	mc, _ := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
 	held := mc.Manager().View()
 	wide, err := cluster.NewRing(memNodes, 2*memVNodes, memSeed)
 	if err != nil {

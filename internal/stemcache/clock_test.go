@@ -6,19 +6,27 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
-// clockCache builds a 1-shard, 4-way, identity-hashed cache with a counting
-// fake clock: key k lives in set k % sets, so the cases below place entries
-// exactly. reads counts c.now calls.
-func clockCache(clock *int64, reads *int) *Cache[int, int] {
-	c := mustWithHasher[int, int](Config{Capacity: 64, Shards: 1, Ways: 4, Seed: 1}, identity)
-	c.now = func() int64 { *reads++; return *clock }
-	return c
+// countClock is a manual clock that counts its reads.
+type countClock struct {
+	clock.Manual
+	reads int
+}
+
+func (k *countClock) Now() int64 { k.reads++; return k.Manual.Now() }
+
+// clockCache builds a 1-shard, 4-way, identity-hashed cache on a counting
+// manual clock: key k lives in set k % sets, so the cases below place
+// entries exactly.
+func clockCache(clk *countClock) *Cache[int, int] {
+	return mustWithHasher[int, int](Config{Capacity: 64, Shards: 1, Ways: 4, Seed: 1, Clock: clk}, identity)
 }
 
 // TestClockReadsPerOperation is the count gate for the lazy TTL clock: an
-// operation reads c.now only when it meets a deadline — a matching entry's
+// operation reads Config.Clock only when it meets a deadline — a matching entry's
 // exp, or a ttl to add to now — and then exactly once, so the read's
 // and the store's classification share one instant. Whole-cache walks (Len,
 // AppendKeys) read once per call; Stats, which STATS and every gauge
@@ -60,14 +68,15 @@ func TestClockReadsPerOperation(t *testing.T) {
 	// again for every deadline the operation meets.
 	for _, now := range []int64{0, 1_700_000_000_000_000_000} {
 		for _, tc := range cases {
-			clock, reads := now, 0
-			c := clockCache(&clock, &reads)
+			clk := &countClock{}
+			clk.Advance(time.Duration(now))
+			c := clockCache(clk)
 			c.Set(plain, 1)
 			c.SetWithTTL(ttl, 1, time.Second)
-			reads = 0
+			clk.reads = 0
 			tc.op(c)
-			if reads != tc.want {
-				t.Errorf("now=%d %s: %d clock reads, want %d", now, tc.name, reads, tc.want)
+			if clk.reads != tc.want {
+				t.Errorf("now=%d %s: %d clock reads, want %d", now, tc.name, clk.reads, tc.want)
 			}
 		}
 	}
@@ -77,20 +86,19 @@ func TestClockReadsPerOperation(t *testing.T) {
 // a reason to read the clock — a miss, an insert and the eviction it forces in
 // a set full of TTL'd entries under other keys read nothing.
 func TestClockNotReadForOtherKeysDeadlines(t *testing.T) {
-	var clock int64
-	reads := 0
-	c := clockCache(&clock, &reads)
+	clk := &countClock{}
+	c := clockCache(clk)
 	for w := 0; w < 4; w++ {
 		c.SetWithTTL(w*c.sets, w, time.Second) // all in set 0
 	}
-	reads = 0
+	clk.reads = 0
 	if _, ok := c.Get(4 * c.sets); ok {
 		t.Fatal("absent key found")
 	}
 	c.Set(5*c.sets, 5) // full set: evicts a TTL'd entry
 	c.Delete(6 * c.sets)
-	if reads != 0 {
-		t.Fatalf("%d clock reads for keys that match no entry, want 0", reads)
+	if clk.reads != 0 {
+		t.Fatalf("%d clock reads for keys that match no entry, want 0", clk.reads)
 	}
 	if st := c.Stats(); st.Evictions != 1 || st.Expirations != 0 {
 		t.Fatalf("Evictions=%d Expirations=%d, want 1 and 0", st.Evictions, st.Expirations)
@@ -106,13 +114,13 @@ func TestInsertReclaimsDeadWay(t *testing.T) {
 	// home fills set 0 with one key TTL'd and dead at the insert's instant,
 	// then inserts a new key with a TTL: one clock read, one expiration, no
 	// eviction, the new key in the dead key's way, every live resident kept.
-	home := func(t *testing.T, c *Cache[int, int], clock *int64, reads *int) {
+	home := func(t *testing.T, c *Cache[int, int], clk *countClock) {
 		s := c.sets
 		c.Set(0, 0)
 		c.SetWithTTL(s, 1, time.Second)
 		c.SetWithTTL(2*s, 2, time.Hour)
 		c.Set(3*s, 3)
-		*clock += int64(2 * time.Second)
+		clk.Advance(2 * time.Second)
 		sh := &c.shards[0]
 		dead := -1
 		for w, e := range c.set(sh, 0) {
@@ -121,10 +129,10 @@ func TestInsertReclaimsDeadWay(t *testing.T) {
 			}
 		}
 		before := c.Stats()
-		*reads = 0
+		clk.reads = 0
 		c.SetWithTTL(4*s, 4, time.Second)
-		if *reads != 1 {
-			t.Errorf("%d clock reads, want 1", *reads)
+		if clk.reads != 1 {
+			t.Errorf("%d clock reads, want 1", clk.reads)
 		}
 		st := c.Stats()
 		if st.Expirations != before.Expirations+1 || st.Evictions != before.Evictions {
@@ -142,31 +150,27 @@ func TestInsertReclaimsDeadWay(t *testing.T) {
 	}
 
 	t.Run("home set", func(t *testing.T) {
-		var clock int64
-		reads := 0
-		home(t, clockCache(&clock, &reads), &clock, &reads)
+		clk := &countClock{}
+		home(t, clockCache(clk), clk)
 	})
 
 	t.Run("NewShardedLRU", func(t *testing.T) {
-		var clock int64
-		reads := 0
-		c := mustLRU[int, int](Config{Capacity: 64, Shards: 1, Ways: 4, Seed: 1})
+		clk := &countClock{}
+		c := mustLRU[int, int](Config{Capacity: 64, Shards: 1, Ways: 4, Seed: 1, Clock: clk})
 		c.hasher = identity // still empty: place keys as clockCache does
-		c.now = func() int64 { reads++; return clock }
-		home(t, c, &clock, &reads)
+		home(t, c, clk)
 	})
 
 	t.Run("giver set", func(t *testing.T) {
-		c := coupledCache(t)
-		var clock int64
-		c.now = func() int64 { return clock }
+		var clk clock.Manual
+		c := coupledCache(t, &clk)
 		sh, s := &c.shards[0], c.sets
 		spilled := spillOne(t, c, 0)
 		c.SetWithTTL(spilled, 0, time.Second) // the cc entry now carries a deadline
 		for _, k := range []int{2, 2 + s, 2 + 2*s} {
 			c.Set(k, k) // giver set 2: full, one dead-to-be cc entry
 		}
-		clock += int64(2 * time.Second)
+		clk.Advance(2 * time.Second)
 		sh.eng.Monitor(0).ScS = sh.eng.Geom().Max
 		before := c.Stats()
 		c.SetWithTTL(5*s, 5, time.Second) // set 0 is full of live entries: a spill
@@ -205,14 +209,13 @@ func TestInsertReclaimsDeadWay(t *testing.T) {
 // the past — through SetWithTTL and through Set under such a DefaultTTL.
 func TestHugeTTLNeverExpires(t *testing.T) {
 	const huge = time.Duration(math.MaxInt64)
-	clock := int64(1_700_000_000_000_000_000)
-	reads := 0
-	c := clockCache(&clock, &reads)
+	clk := &countClock{}
+	clk.Advance(1_700_000_000_000_000_000)
+	c := clockCache(clk)
 	c.SetWithTTL(1, 1, huge)
-	d := mustWithHasher[int, int](Config{Capacity: 64, Shards: 1, Ways: 4, Seed: 1, DefaultTTL: huge}, identity)
-	d.now = func() int64 { return clock }
+	d := mustWithHasher[int, int](Config{Capacity: 64, Shards: 1, Ways: 4, Seed: 1, DefaultTTL: huge, Clock: clk}, identity)
 	d.Set(1, 1)
-	clock += int64(time.Hour)
+	clk.Advance(time.Hour)
 	for _, tc := range []struct {
 		name string
 		c    *Cache[int, int]
@@ -229,9 +232,11 @@ func TestHugeTTLNeverExpires(t *testing.T) {
 // mixedOps drives every operation class — plain, TTL'd, deleted — through c
 // on a clock that advances one millisecond per operation, so entries expire
 // along the way.
-func mixedOps(c *Cache[int, int], clock *int64, n int) {
+func mixedOps(c *Cache[int, int], clk *clock.Manual, n int) {
 	for i := 0; i < n; i++ {
-		*clock = int64(i) * int64(time.Millisecond)
+		if i > 0 {
+			clk.Advance(time.Millisecond)
+		}
 		k := (i * 7) % 3000
 		switch i % 8 {
 		case 0, 1, 2:
@@ -258,11 +263,10 @@ func mixedOps(c *Cache[int, int], clock *int64, n int) {
 // over every operation class: reading the clock later, or not at all, must
 // change no classification, hence no counter.
 func TestPinnedStats(t *testing.T) {
-	var clock int64
-	c := mustNew[int, int](Config{Capacity: 1024, Shards: 4, Ways: 4, Seed: 42})
+	var clk clock.Manual
+	c := mustNew[int, int](Config{Capacity: 1024, Shards: 4, Ways: 4, Seed: 42, Clock: &clk})
 	defer c.Close()
-	c.now = func() int64 { return clock }
-	mixedOps(c, &clock, 60_000)
+	mixedOps(c, &clk, 60_000)
 	got := fmt.Sprintf("%+v len=%d", c.Stats(), c.Len())
 	const want = "{Gets:45000 Hits:15862 Misses:29138 Puts:36638 Deletes:3090 Evictions:21911 Expirations:10638 " +
 		"SecondaryHits:291 ShadowHits:11977 PolicySwaps:345 Couplings:1038 Decouplings:1009 Spills:3547 Receives:3547 " +
@@ -276,10 +280,9 @@ func TestPinnedStats(t *testing.T) {
 // goroutines — not in New, not in any operation, not in Close.
 func TestNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	var clock int64
-	c := mustNew[int, int](Config{Capacity: 1024, Shards: 4, Ways: 4, Seed: 42})
-	c.now = func() int64 { return clock }
-	mixedOps(c, &clock, 10_000)
+	var clk clock.Manual
+	c := mustNew[int, int](Config{Capacity: 1024, Shards: 4, Ways: 4, Seed: 42, Clock: &clk})
+	mixedOps(c, &clk, 10_000)
 	during := runtime.NumGoroutine()
 	c.Close()
 	if after := runtime.NumGoroutine(); during > before || after > before {

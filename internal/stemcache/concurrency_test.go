@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/workloads"
 )
@@ -110,10 +111,9 @@ func TestEvictionUnderContention(t *testing.T) {
 // TestConcurrentTTLExpiry advances a shared fake clock while readers and
 // writers race over expiring entries.
 func TestConcurrentTTLExpiry(t *testing.T) {
-	c := mustNew[int, int](Config{Capacity: 1024, Shards: 4, Ways: 4, Seed: 13})
-	var clock atomic.Int64
-	clock.Store(1)
-	c.now = func() int64 { return clock.Load() }
+	var clk clock.Manual
+	clk.Advance(1)
+	c := mustNew[int, int](Config{Capacity: 1024, Shards: 4, Ways: 4, Seed: 13, Clock: &clk})
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -125,7 +125,7 @@ func TestConcurrentTTLExpiry(t *testing.T) {
 				c.SetWithTTL(k, i, time.Millisecond)
 				c.Get(k)
 				if i%100 == 0 {
-					clock.Add(int64(2 * time.Millisecond))
+					clk.Advance(2 * time.Millisecond)
 				}
 			}
 		}(g)
@@ -134,7 +134,7 @@ func TestConcurrentTTLExpiry(t *testing.T) {
 
 	// Everything set so far is stale after one more bump; touching each key
 	// collects it.
-	clock.Add(int64(time.Hour))
+	clk.Advance(time.Hour)
 	for k := 0; k < 2000; k++ {
 		if _, ok := c.Get(k); ok {
 			t.Fatalf("key %d resident after global expiry", k)
@@ -150,11 +150,10 @@ func TestConcurrentTTLExpiry(t *testing.T) {
 // the ops interleave, every Get is exactly one hit or one miss and the
 // entry expires at most once per store.
 func TestExpiryRaceStatsConsistent(t *testing.T) {
-	c := mustNew[string, int](Config{Capacity: 1 << 10, Shards: 4, Ways: 4, Seed: 7})
+	var clk clock.Manual
+	clk.Advance(1)
+	c := mustNew[string, int](Config{Capacity: 1 << 10, Shards: 4, Ways: 4, Seed: 7, Clock: &clk})
 	defer c.Close()
-	var clock atomic.Int64
-	clock.Store(1)
-	c.now = func() int64 { return clock.Load() }
 
 	const (
 		goroutines = 8
@@ -178,10 +177,9 @@ func TestExpiryRaceStatsConsistent(t *testing.T) {
 	}
 	stores := uint64(0)
 	for r := 0; r < rounds; r++ {
-		now := clock.Load()
 		c.SetWithTTL("hot", r, 10)
 		stores++
-		clock.Store(now + 25) // sweep well past the deadline
+		clk.Advance(25) // sweep well past the deadline
 	}
 	close(stop)
 	wg.Wait()

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // TestDemandFreshCache pins the rest-state gauges: every SC_S starts at
@@ -26,7 +28,7 @@ func TestDemandFreshCache(t *testing.T) {
 // TestDemandCountsRoles forces known SCDM counter states and checks the
 // taker/giver/coupled gauges Stats reads off them.
 func TestDemandCountsRoles(t *testing.T) {
-	c := coupledCache(t) // 1 shard, set 0 taker coupled to set 2 (giver)
+	c := coupledCache(t, nil) // 1 shard, set 0 taker coupled to set 2 (giver)
 	eng := &c.shards[0].eng
 	// Pin one extra uncoupled set just below saturation (neither taker nor
 	// giver: MSB set, not saturated).
@@ -50,13 +52,13 @@ func TestDemandCountsRoles(t *testing.T) {
 // (cooperatively cached ones included) are listed, expired ones are not,
 // and the listing perturbs no eviction or stats state.
 func TestAppendKeysListsResidents(t *testing.T) {
-	c := coupledCache(t)
-	clock := int64(1000)
-	c.now = func() int64 { return clock }
+	var clk clock.Manual
+	clk.Advance(1000)
+	c := coupledCache(t, &clk)
 
 	spilled := spillOne(t, c, 0) // 4 local keys in set 0 + 1 cc entry in set 2
 	c.SetWithTTL(1, 1, time.Nanosecond)
-	clock += 10 // the TTL'd key expires, unswept
+	clk.Advance(10) // the TTL'd key expires, unswept
 
 	before := c.Stats()
 	keys := c.AppendKeys(nil)

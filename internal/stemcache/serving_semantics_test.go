@@ -3,6 +3,8 @@ package stemcache
 import (
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // These tests pin the exact return-value and accounting semantics the
@@ -19,9 +21,9 @@ func identity(k int) uint64 { return uint64(k) }
 
 // coupledCache builds a 1-shard cache with set 0 force-coupled as taker to
 // set 2 (giver), pinned so victims of set 0 spill into set 2.
-func coupledCache(t *testing.T) *Cache[int, int] {
+func coupledCache(t *testing.T, clk clock.Clock) *Cache[int, int] {
 	t.Helper()
-	c := mustWithHasher[int, int](Config{Capacity: 64, Shards: 1, Ways: 4, Seed: 1}, identity)
+	c := mustWithHasher[int, int](Config{Capacity: 64, Shards: 1, Ways: 4, Seed: 1, Clock: clk}, identity)
 	eng := &c.shards[0].eng
 	eng.Miss(2, 0)                      // giver: a miss with a clear MSB posts set 2 to the heap
 	eng.Monitor(0).ScS = eng.Geom().Max // taker: saturated spatial demand
@@ -60,9 +62,9 @@ func spillOne(t *testing.T, c *Cache[int, int], ttl time.Duration) int {
 // not be counted by Len (the server's STATS occupancy), and the Len call
 // itself sweeps them into Expirations.
 func TestLenExcludesExpiredUnswept(t *testing.T) {
-	c := mustNew[string, int](Config{Capacity: 256, Shards: 2, Seed: 1})
-	clock := int64(1)
-	c.now = func() int64 { return clock }
+	var clk clock.Manual
+	clk.Advance(1)
+	c := mustNew[string, int](Config{Capacity: 256, Shards: 2, Seed: 1, Clock: &clk})
 
 	for i := 0; i < 5; i++ {
 		c.SetWithTTL(string(rune('a'+i)), i, time.Second)
@@ -74,7 +76,7 @@ func TestLenExcludesExpiredUnswept(t *testing.T) {
 		t.Fatalf("Len before expiry = %d, want 8", got)
 	}
 
-	clock += int64(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	// No operation has touched the expired keys: the old Len would still
 	// report 8 here.
 	if got := c.Len(); got != 3 {
@@ -96,13 +98,13 @@ func TestLenExcludesExpiredUnswept(t *testing.T) {
 // cached entries through the cc path, draining the giver and dissolving the
 // association.
 func TestLenSweepsExpiredSpilledEntries(t *testing.T) {
-	c := coupledCache(t)
-	clock := int64(1)
-	c.now = func() int64 { return clock }
+	var clk clock.Manual
+	clk.Advance(1)
+	c := coupledCache(t, &clk)
 	spillOne(t, c, time.Second)
 
 	live := c.Len()
-	clock += int64(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	if got := c.Len(); got != live-5 {
 		t.Fatalf("Len after TTL = %d, want %d (all 5 TTL'd entries swept)", got, live-5)
 	}
@@ -118,7 +120,7 @@ func TestLenSweepsExpiredSpilledEntries(t *testing.T) {
 // TestDeleteReportsPresenceOfSpilledEntry: DEL's wire status depends on
 // Delete finding entries that live in the coupled giver set.
 func TestDeleteReportsPresenceOfSpilledEntry(t *testing.T) {
-	c := coupledCache(t)
+	c := coupledCache(t, nil)
 	spilled := spillOne(t, c, 0)
 
 	if v, ok := c.Get(spilled); !ok || v != spilled/c.sets {
@@ -148,12 +150,12 @@ func TestDeleteReportsPresenceOfSpilledEntry(t *testing.T) {
 // TestDeleteOfExpiredSpilledEntryReportsAbsent: an expired cc entry counts
 // as absent and is collected, not deleted.
 func TestDeleteOfExpiredSpilledEntryReportsAbsent(t *testing.T) {
-	c := coupledCache(t)
-	clock := int64(1)
-	c.now = func() int64 { return clock }
+	var clk clock.Manual
+	clk.Advance(1)
+	c := coupledCache(t, &clk)
 	spilled := spillOne(t, c, time.Second)
 
-	clock += int64(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	if c.Delete(spilled) {
 		t.Fatalf("Delete(%d) = true for an expired spilled entry", spilled)
 	}
@@ -189,12 +191,12 @@ func TestGetOrSetBasics(t *testing.T) {
 // TestGetOrSetExpiredReinserts: a resident-but-expired entry loses the race
 // — GetOrSet must treat it as absent and store the new value.
 func TestGetOrSetExpiredReinserts(t *testing.T) {
-	c := mustNew[string, int](Config{Capacity: 64, Shards: 1, Seed: 1})
-	clock := int64(1)
-	c.now = func() int64 { return clock }
+	var clk clock.Manual
+	clk.Advance(1)
+	c := mustNew[string, int](Config{Capacity: 64, Shards: 1, Seed: 1, Clock: &clk})
 
 	c.SetWithTTL("k", 1, time.Second)
-	clock += int64(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	v, loaded := c.GetOrSet("k", 2)
 	if loaded || v != 2 {
 		t.Fatalf("GetOrSet after expiry = (%d, %v), want (2, false)", v, loaded)
@@ -207,19 +209,19 @@ func TestGetOrSetExpiredReinserts(t *testing.T) {
 // TestGetOrSetWithTTLKeepsResidentTTL: loading an existing entry must not
 // rewrite its expiry.
 func TestGetOrSetWithTTLKeepsResidentTTL(t *testing.T) {
-	c := mustNew[string, int](Config{Capacity: 64, Shards: 1, Seed: 1})
-	clock := int64(1)
-	c.now = func() int64 { return clock }
+	var clk clock.Manual
+	clk.Advance(1)
+	c := mustNew[string, int](Config{Capacity: 64, Shards: 1, Seed: 1, Clock: &clk})
 
 	c.SetWithTTL("k", 1, 10*time.Second)
 	if _, loaded := c.GetOrSetWithTTL("k", 2, time.Second); !loaded {
 		t.Fatal("GetOrSetWithTTL missed a resident entry")
 	}
-	clock += int64(2 * time.Second) // past the 1s it must NOT have applied
+	clk.Advance(2 * time.Second) // past the 1s it must NOT have applied
 	if _, ok := c.Get("k"); !ok {
 		t.Fatal("resident entry's TTL was shortened by a losing GetOrSetWithTTL")
 	}
-	clock += int64(10 * time.Second)
+	clk.Advance(10 * time.Second)
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("entry survived its original TTL")
 	}
@@ -228,7 +230,7 @@ func TestGetOrSetWithTTLKeepsResidentTTL(t *testing.T) {
 // TestGetOrSetFindsSpilledEntry: the loaded report must be exact for
 // entries resident in the coupled giver set.
 func TestGetOrSetFindsSpilledEntry(t *testing.T) {
-	c := coupledCache(t)
+	c := coupledCache(t, nil)
 	spilled := spillOne(t, c, 0)
 
 	v, loaded := c.GetOrSet(spilled, -1)

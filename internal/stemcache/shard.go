@@ -16,7 +16,7 @@ type entry[K comparable, V any] struct {
 	key  K
 	val  V
 	hash uint64
-	exp  int64 // deadline in monotonic nanoseconds since epoch; 0 = never
+	exp  int64 // deadline on Config.Clock; 0 = never
 }
 
 // A tag is one way's probe word: the entry's key hash with its low two bits
@@ -90,7 +90,7 @@ func (c *Cache[K, V]) tags(sh *shard[K, V], idx int) []uint64 {
 	return sh.tags[idx*c.cfg.Ways:][:c.cfg.Ways]
 }
 
-// opClock is one operation's TTL clock: c.now is read at most once, under the
+// opClock is one operation's TTL clock: Config.Clock is read at most once, under the
 // shard lock, the first time the operation meets a deadline — a matching
 // entry's exp, or a ttl to add to now. An operation that meets none reads no
 // clock; one that does classifies live and dead against that single
@@ -104,7 +104,7 @@ type opClock struct {
 // at returns the operation's instant, reading the clock on first need.
 func (c *Cache[K, V]) at(k *opClock) int64 {
 	if !k.read {
-		k.t, k.read = c.now(), true
+		k.t, k.read = c.cfg.Clock.Now(), true
 	}
 	return k.t
 }

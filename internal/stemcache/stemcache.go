@@ -59,6 +59,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/hashfn"
 	"repro/internal/obs"
@@ -90,6 +91,9 @@ type Config struct {
 	// DefaultTTL is applied by Set; zero means entries never expire.
 	// SetWithTTL overrides it per entry.
 	DefaultTTL time.Duration
+	// Clock is what TTL deadlines are measured against; it never decides
+	// eviction order, so Stats stay seed-deterministic. Default clock.Real.
+	Clock clock.Clock
 	// Seed drives every probabilistic device (BIP insertion, the 1/2^n
 	// spatial decrement) and the default key hash mixing. Runs with equal
 	// seeds and equal single-goroutine op sequences are identical.
@@ -143,6 +147,9 @@ func (c *Config) normalize() {
 	if c.Ways <= 0 {
 		c.Ways = 16
 	}
+	if c.Clock == nil {
+		c.Clock = clock.Real
+	}
 }
 
 // engine is the cache's engine Config. Its STEM parameters are zero, which
@@ -183,8 +190,6 @@ type Cache[K comparable, V any] struct {
 	obsMu    sync.Mutex
 	observer obs.Observer
 
-	now func() int64 // nanoseconds; swapped out by TTL tests
-
 	//lint:rank 0
 	closeMu sync.Mutex
 	closed  bool
@@ -222,8 +227,14 @@ func NewWithHasher[K comparable, V any](cfg Config, hasher func(K) uint64) (*Cac
 // i.e. a plain lock-striped LRU cache. Geometry fields of cfg are honored;
 // the STEM mechanisms are forced off.
 func NewShardedLRU[K comparable, V any](cfg Config) (*Cache[K, V], error) {
-	cfg.plainLRU = true
-	return New[K, V](cfg)
+	return New[K, V](cfg.ShardedLRU())
+}
+
+// ShardedLRU returns c with both STEM mechanisms forced off: New builds from
+// it the cache NewShardedLRU builds from c.
+func (c Config) ShardedLRU() Config {
+	c.plainLRU = true
+	return c
 }
 
 func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, V] {
@@ -238,9 +249,6 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 		sets:      sets,
 		sig:       core.NewSigHash(cfg.engine()),
 		observer:  cfg.Observer,
-		// The clock only decides TTL expiry, never eviction order, so Stats
-		// stay seed-deterministic; tests swap c.now for a fake clock.
-		now: func() int64 { return int64(time.Since(epoch)) },
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -254,12 +262,6 @@ func newCache[K comparable, V any](cfg Config, hasher func(K) uint64) *Cache[K, 
 	c.registerMetrics(cfg.Metrics)
 	return c
 }
-
-// epoch anchors the TTL clock (Cache.now). Deadlines are nanoseconds on the
-// monotonic clock since it, so a step of the wall clock (NTP, date) moves
-// none of them, and one reading costs one clock read, not time.Now's two.
-// They never leave the process: TTLs cross the wire as durations.
-var epoch = time.Now() //lint:allow(determinism) TTL expiry boundary; eviction decisions never read this clock
 
 func log2(v int) uint {
 	n := uint(0)
@@ -372,7 +374,7 @@ func (c *Cache[K, V]) Delete(key K) bool {
 // a time, so under concurrent writers the total is consistent per shard, not
 // globally.
 func (c *Cache[K, V]) Len() int {
-	nowN := c.now()
+	nowN := c.cfg.Clock.Now()
 	n := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -403,7 +405,7 @@ func (c *Cache[K, V]) sweepExpired(sh *shard[K, V], nowN int64) {
 // is consistent per shard, not globally; expired entries are skipped but
 // not collected (enumeration must not perturb eviction state).
 func (c *Cache[K, V]) AppendKeys(dst []K) []K {
-	nowN := c.now()
+	nowN := c.cfg.Clock.Now()
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -99,16 +100,16 @@ func TestEvictionBoundsResidency(t *testing.T) {
 }
 
 func TestTTLLazyExpiry(t *testing.T) {
-	c := mustNew[string, int](Config{Capacity: 256, Shards: 1, Seed: 1})
-	clock := int64(1)
-	c.now = func() int64 { return clock }
+	var clk clock.Manual
+	clk.Advance(1)
+	c := mustNew[string, int](Config{Capacity: 256, Shards: 1, Seed: 1, Clock: &clk})
 
 	c.SetWithTTL("k", 1, time.Second)
 	c.Set("forever", 2) // no TTL
 	if _, ok := c.Get("k"); !ok {
 		t.Fatal("entry expired before its TTL")
 	}
-	clock += int64(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("entry survived its TTL")
 	}
@@ -124,7 +125,7 @@ func TestTTLLazyExpiry(t *testing.T) {
 	}
 	// Delete of an expired entry reports absent.
 	c.SetWithTTL("k2", 1, time.Second)
-	clock += int64(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	if c.Delete("k2") {
 		t.Fatal("Delete returned true for an expired entry")
 	}
@@ -134,17 +135,17 @@ func TestTTLLazyExpiry(t *testing.T) {
 // a key read exactly at its deadline is deterministically on the live side
 // of it, and crossing the deadline expires it exactly once.
 func TestExpiryBoundaryDeterministic(t *testing.T) {
-	c := mustNew[string, string](Config{Capacity: 1 << 10, Shards: 4, Ways: 4, Seed: 7})
+	var clk clock.Manual
+	clk.Advance(1000)
+	c := mustNew[string, string](Config{Capacity: 1 << 10, Shards: 4, Ways: 4, Seed: 7, Clock: &clk})
 	defer c.Close()
-	clock := int64(1000)
-	c.now = func() int64 { return clock }
 
 	c.SetWithTTL("plain", "v", 100) // exp 1100
-	clock = 1100
+	clk.Advance(100)
 	if _, ok := c.Get("plain"); !ok {
 		t.Fatal("Get exactly at the expiry deadline must still hit")
 	}
-	clock = 1101
+	clk.Advance(1)
 	if _, ok := c.Get("plain"); ok {
 		t.Fatal("Get one past the deadline must miss")
 	}
@@ -161,11 +162,11 @@ func TestExpiryBoundaryDeterministic(t *testing.T) {
 }
 
 func TestDefaultTTLApplied(t *testing.T) {
-	c := mustNew[string, int](Config{Capacity: 64, Shards: 1, DefaultTTL: time.Minute, Seed: 1})
-	clock := int64(1)
-	c.now = func() int64 { return clock }
+	var clk clock.Manual
+	clk.Advance(1)
+	c := mustNew[string, int](Config{Capacity: 64, Shards: 1, DefaultTTL: time.Minute, Seed: 1, Clock: &clk})
 	c.Set("k", 1)
-	clock += int64(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("DefaultTTL not applied by Set")
 	}
@@ -210,15 +211,16 @@ func TestDeterministicStats(t *testing.T) {
 // to the exact behaviour it had before.
 func TestMixedStatsGolden(t *testing.T) {
 	const capacity = 8192
-	var clock int64
-	c := mustNew[string, int](Config{Capacity: capacity, Seed: 11})
-	c.now = func() int64 { return clock }
+	var clk clock.Manual
+	c := mustNew[string, int](Config{Capacity: capacity, Seed: 11, Clock: &clk})
 	next, err := workloads.NewKeyStream("mixed", capacity, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 400_000; i++ {
-		clock = int64(i) * int64(time.Microsecond)
+		if i > 0 {
+			clk.Advance(time.Microsecond)
+		}
 		k := next()
 		switch i % 16 {
 		case 0, 1:
