@@ -273,15 +273,13 @@ func (c *Client) put(cc *cconn) {
 	cc.nc.Close()
 }
 
-// IsTransient reports whether err is a connection-level failure that might
-// heal elsewhere — a dial or I/O error, as opposed to a protocol or server
-// error. The cluster routing client uses it to decide whether a failed
-// single-key operation is worth retrying against the slot's replica.
-func IsTransient(err error) bool { return transient(err) }
-
-// transient reports whether err may heal on a fresh connection: dial and
-// I/O errors yes, protocol and server errors no.
-func transient(err error) bool {
+// IsTransient reports whether err is a connection-level failure that may
+// heal on a fresh connection or elsewhere: dial and I/O errors yes,
+// protocol (ErrFrame, a malformed view among them) and server errors no.
+// The client retries what it reports; the cluster routing client uses it
+// to decide whether a failed operation waits for failover or retries the
+// slot's replicas.
+func IsTransient(err error) bool {
 	if err == nil || errors.Is(err, wire.ErrFrame) || errors.Is(err, ErrClosed) {
 		return false
 	}
@@ -406,7 +404,7 @@ func (c *Client) do(reqs []wire.Request, resps []wire.Response, arena []byte) ([
 		cc, err := c.get()
 		if err != nil {
 			lastErr = err
-			if transient(err) {
+			if IsTransient(err) {
 				continue
 			}
 			return nil, err
@@ -418,7 +416,7 @@ func (c *Client) do(reqs []wire.Request, resps []wire.Response, arena []byte) ([
 		}
 		cc.nc.Close()
 		lastErr = err
-		if !transient(err) {
+		if !IsTransient(err) {
 			return nil, err
 		}
 	}

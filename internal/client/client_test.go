@@ -314,8 +314,8 @@ func TestTransientClassification(t *testing.T) {
 		{errors.New("mystery"), false},
 	}
 	for _, tc := range cases {
-		if got := transient(tc.err); got != tc.want {
-			t.Errorf("transient(%v) = %v, want %v", tc.err, got, tc.want)
+		if got := IsTransient(tc.err); got != tc.want {
+			t.Errorf("IsTransient(%v) = %v, want %v", tc.err, got, tc.want)
 		}
 	}
 }

@@ -41,7 +41,7 @@ type Config struct {
 // a seed the nodes do not share, and fails rather than spin.
 const maxMoved = 8
 
-// Client routes cache operations across a cluster by its own View: single
+// Client routes cache operations across a cluster by its own view: single
 // operations go to the key's owner, MGET/MSET batches are split per owner,
 // sent concurrently, and merged back into request order. It starts from the
 // epoch-0 view of its seed addresses and adopts every newer view a node
@@ -64,7 +64,7 @@ const maxMoved = 8
 // Safe for concurrent use.
 type Client struct {
 	ring *Ring
-	view atomic.Pointer[View]
+	view atomic.Pointer[wire.View]
 	// nodes is the node table, indexed by node id: node n is the held
 	// view's member n, and past the view's members come the nodes AddNode
 	// dialed before any view names them. An immutable snapshot, rebuilt
@@ -161,18 +161,14 @@ func (c *Client) placeLocked(first int, addrs []string) error {
 	return nil
 }
 
-// adopt makes w the held view when it is newer than the held one, after
+// adopt makes v the held view when it is newer than the held one, after
 // placing its members so that node n is member n, and reports whether it
-// did. A malformed view is refused with an error.
-func (c *Client) adopt(w wire.View) (bool, error) {
+// did. The decoder has checked v's shape.
+func (c *Client) adopt(v wire.View) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed || w.Epoch <= c.view.Load().Epoch {
+	if c.closed || v.Epoch <= c.view.Load().Epoch {
 		return false, nil
-	}
-	v, err := ParseView(w)
-	if err != nil {
-		return false, err
 	}
 	addrs := make([]string, len(v.Members))
 	for n, m := range v.Members {
@@ -181,7 +177,7 @@ func (c *Client) adopt(w wire.View) (bool, error) {
 	if err := c.placeLocked(0, addrs); err != nil {
 		return false, err
 	}
-	c.view.Store(v)
+	c.view.Store(&v)
 	return true, nil
 }
 
@@ -212,7 +208,7 @@ func (c *Client) refresh(skip int) {
 func (c *Client) Ring() *Ring { return c.ring }
 
 // View returns the held view. It is shared: the caller must not change it.
-func (c *Client) View() *View { return c.view.Load() }
+func (c *Client) View() *wire.View { return c.view.Load() }
 
 // NodeClient returns node n's pooled connection, for callers that address
 // nodes directly, bypassing the view: slot copies, the membership
@@ -240,8 +236,8 @@ var errMoved = fmt.Errorf("cluster: still moved after %d MOVED answers (does the
 
 // moved adopts the view a MOVED answer carries and reports whether the
 // operation should route again: yes, after a backoff when the view is no
-// newer (the push has not reached the node yet). Any other error, or a
-// malformed view, is returned.
+// newer (the push has not reached the node yet). Any other error is
+// returned.
 func (c *Client) moved(err error) (bool, error) {
 	var me *client.MovedError
 	if !errors.As(err, &me) {
@@ -255,7 +251,7 @@ func (c *Client) moved(err error) (bool, error) {
 }
 
 // slotOf returns key's slot in v.
-func (c *Client) slotOf(v *View, key string) int { return c.ring.SlotOf(key, len(v.Replicas)) }
+func (c *Client) slotOf(v *wire.View, key string) int { return c.ring.SlotOf(key, len(v.Replicas)) }
 
 // owner returns key's owner in the held view.
 func (c *Client) owner(key string) int {

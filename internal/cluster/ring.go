@@ -29,6 +29,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Ring is the cluster's key→slot hash: a seeded digest of the key modulo
@@ -54,6 +55,20 @@ func NewRing(nodes, vnodes int, seed uint64) (*Ring, error) {
 		return nil, fmt.Errorf("cluster: ring needs at least one vnode per node, got %d", vnodes)
 	}
 	return &Ring{nodes: nodes, slots: nodes * vnodes, seed: seed}, nil
+}
+
+// InitialView is the epoch-0 view of a cluster whose node i serves at
+// addrs[i]: every node alive, every slot owned by its home node
+// (Ring.Lookup) and held by it alone.
+func (r *Ring) InitialView(addrs []string) *wire.View {
+	v := &wire.View{Members: make([]wire.Member, len(addrs)), Replicas: make([][]int, r.slots)}
+	for i, addr := range addrs {
+		v.Members[i] = wire.Member{State: wire.MemberAlive, Addr: addr}
+	}
+	for s := range v.Replicas {
+		v.Replicas[s] = []int{s % r.nodes}
+	}
+	return v
 }
 
 // fnv64 is FNV-1a over the key bytes — the key's 64-bit digest.

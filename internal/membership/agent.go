@@ -44,7 +44,7 @@ type Agent struct {
 
 	// view is the held view, nil before the first push; Serves reads it on
 	// every keyed request, and Update replaces it under mu.
-	view atomic.Pointer[cluster.View]
+	view atomic.Pointer[wire.View]
 
 	// mu guards peers and serializes Update.
 	mu sync.Mutex
@@ -85,24 +85,26 @@ func (a *Agent) Close() error {
 	return nil
 }
 
-// Update applies one pushed view and returns the view held after it
-// (server.Membership); a view at or below the held epoch changes
-// nothing, and one with another slot count than the held view's is
-// refused: it would move every key the node holds to another slot.
-func (a *Agent) Update(w wire.View) (wire.View, error) {
+// Update applies one pushed view, whose shape the decoder has checked, and
+// returns the view held after it (server.Membership); a view at or below
+// the held epoch changes nothing, and one with another slot count than the
+// held view's is refused: it would move every key the node holds to
+// another slot. The agent keeps its own copy of the pushed struct, never
+// the server's reused request, and answers a fetch with the held view
+// itself.
+func (a *Agent) Update(v wire.View) (wire.View, error) {
 	a.mu.Lock()
-	old := a.view.Load()
-	var v *cluster.View
+	var held wire.View
+	if old := a.view.Load(); old != nil {
+		held = *old
+	}
 	var err error
-	if w.Epoch > a.Epoch() {
-		v, err = cluster.ParseView(w)
+	if v.Epoch > held.Epoch && held.Replicas != nil && len(v.Replicas) != len(held.Replicas) {
+		err = fmt.Errorf("membership: view %d has %d slots, the held view %d", v.Epoch, len(v.Replicas), len(held.Replicas))
 	}
-	if v != nil && old != nil && len(v.Replicas) != len(old.Replicas) {
-		v, err = nil, fmt.Errorf("membership: view %d has %d slots, the held view %d", w.Epoch, len(v.Replicas), len(old.Replicas))
-	}
-	if v == nil { // stale, replayed, a fetch, or refused
+	if v.Epoch <= held.Epoch || err != nil { // stale, replayed, a fetch, or refused
 		a.mu.Unlock()
-		return old.Wire(), err
+		return held, err
 	}
 
 	// Reconcile peers: dial new serving members, drop departed ones. The
@@ -126,13 +128,14 @@ func (a *Agent) Update(w wire.View) (wire.View, error) {
 			a.peers[id] = nil
 		}
 	}
-	a.view.Store(v)
+	nv := v
+	a.view.Store(&nv)
 	a.mu.Unlock()
 
 	for _, p := range closing {
 		p.Close()
 	}
-	return w, nil
+	return v, nil
 }
 
 // Serves reports whether the node answers an operation on key under the
@@ -152,7 +155,7 @@ func (a *Agent) Serves(key string, write bool) bool {
 
 // slotOf returns the held view and key's slot in it; a nil view before
 // the first push.
-func (a *Agent) slotOf(key string) (*cluster.View, int) {
+func (a *Agent) slotOf(key string) (*wire.View, int) {
 	v := a.view.Load()
 	if v == nil {
 		return nil, 0

@@ -8,3 +8,6 @@ import "repro/internal/cluster"
 func (m *Manager) ApplyMoves(plan ...cluster.Move) (Report, error) {
 	return m.apply(Report{Node: -1}, m.View().Members, plan, -1)
 }
+
+// Agent returns node i's agent, once Bootstrap has run.
+func (r *Rig) Agent(i int) *Agent { return r.agents[i] }

@@ -32,7 +32,7 @@ type Manager struct {
 	cfg    Config
 
 	// view is the current view, replaced whole by each push.
-	view atomic.Pointer[cluster.View]
+	view atomic.Pointer[wire.View]
 
 	// missed[n] counts node n's consecutive unanswered Tick probes;
 	// control loop only.
@@ -97,7 +97,7 @@ func New(cl *cluster.Client, lister cluster.KeyLister, addrs []string, cfg Confi
 
 // View returns the manager's current view. It is shared: the caller must
 // not change it.
-func (m *Manager) View() *cluster.View { return m.view.Load() }
+func (m *Manager) View() *wire.View { return m.view.Load() }
 
 // Bootstrap publishes the initial view (epoch 1) to every node's agent.
 // Call once, after the nodes and their agents are up and before traffic:
@@ -150,7 +150,7 @@ func (m *Manager) Join(addr string) (Report, error) {
 	}
 	cur := m.View()
 	m.missed = append(m.missed, 0)
-	members := append(slices.Clone(cur.Members), wire.Member{ID: uint32(id), State: wire.MemberAlive, Addr: addr})
+	members := append(slices.Clone(cur.Members), wire.Member{State: wire.MemberAlive, Addr: addr})
 	donors := aliveMask(members)
 	aliveCount := 0
 	for _, ok := range donors {
@@ -297,7 +297,7 @@ func (m *Manager) failover(node int) Report {
 // acked that the copy misses, and the copy yields to them.
 func (m *Manager) apply(report Report, members []wire.Member, plan []cluster.Move, dead int) (Report, error) {
 	cur := m.View()
-	next := &cluster.View{Epoch: cur.Epoch + 1, Replicas: slices.Clone(cur.Replicas),
+	next := &wire.View{Epoch: cur.Epoch + 1, Replicas: slices.Clone(cur.Replicas),
 		Members: append(slices.Clone(cur.Members), members[len(cur.Members):]...)}
 	var moveErr error
 	for i, mv := range plan {
@@ -330,7 +330,7 @@ func (m *Manager) apply(report Report, members []wire.Member, plan []cluster.Mov
 // clearing what node holds of the slot from an earlier stay (CopySlot
 // yields to what it finds there), and reports whether it did: a node
 // already in the set is left be.
-func (m *Manager) admit(v *cluster.View, slot, node int) (bool, error) {
+func (m *Manager) admit(v *wire.View, slot, node int) (bool, error) {
 	if slices.Contains(v.Replicas[slot], node) {
 		return false, nil
 	}
@@ -358,7 +358,7 @@ func (m *Manager) commit(report *Report, members []wire.Member, dead int) error 
 	placed := placeReplicas(owners, aliveMask(members), m.cfg.ReplicationFactor)
 	// A move's live old owner is pushed the view, which fences it; it keeps
 	// its copy only as a follower of the new view.
-	next := &cluster.View{Epoch: cur.Epoch + 1, Members: members, Replicas: slices.Clone(cur.Replicas)}
+	next := &wire.View{Epoch: cur.Epoch + 1, Members: members, Replicas: slices.Clone(cur.Replicas)}
 	var fenced []int
 	var dropped []cluster.Move
 	for _, mv := range report.Moves {
@@ -415,15 +415,14 @@ func (m *Manager) commit(report *Report, members []wire.Member, dead int) error 
 // of v and to the extra nodes. Best effort: all sends are attempted, the
 // first failure is returned (a node that misses a push catches up at the
 // next transition; epoch ordering makes redelivery harmless).
-func (m *Manager) publish(v *cluster.View, extra []int) error {
+func (m *Manager) publish(v *wire.View, extra []int) error {
 	m.view.Store(v)
-	w := v.Wire()
 	var first error
 	for i := range v.Members {
 		if !v.Alive(i) && !slices.Contains(extra, i) {
 			continue
 		}
-		if err := m.cl.PushView(i, w); err != nil && first == nil {
+		if err := m.cl.PushView(i, *v); err != nil && first == nil {
 			first = fmt.Errorf("membership: pushing view %d to node %d: %w", v.Epoch, i, err)
 		}
 	}

@@ -2,7 +2,7 @@
 // slot ownership — joins and leaves with bounded slot movement,
 // heartbeat-driven failover — goes through its Manager, and each one ends
 // by re-placing replicas and pushing the new view. The view (a
-// cluster.View) is the only record of ownership: the manager writes it,
+// wire.View) is the only record of ownership: the manager writes it,
 // each node's agent holds the copy pushed to it, and every routing client
 // holds the copy the nodes last answered it with.
 //

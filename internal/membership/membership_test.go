@@ -368,7 +368,7 @@ func TestJoinBoundedMovementAndDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("membership e2e drives loopback round trips")
 	}
-	run := func() (membership.Report, *cluster.View) {
+	run := func() (membership.Report, *wire.View) {
 		mc, _ := startMemCluster(t, memNodes, membership.Config{ReplicationFactor: 2})
 		writeKeys(t, mc.Client(), 0, memKeys)
 

@@ -323,7 +323,7 @@ func TestAgentRefusesOtherSlotCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := wide.InitialView(mc.Addrs()).Wire()
+	w := *wide.InitialView(mc.Addrs())
 	w.Epoch = held.Epoch + 1
 	if _, err := mc.Client().NodeClient(0).View(w); err == nil || !strings.Contains(err.Error(), "24 slots, the held view 12") {
 		t.Fatalf("a 24-slot view pushed over a 12-slot one: %v, want it refused naming both counts", err)
@@ -333,5 +333,56 @@ func TestAgentRefusesOtherSlotCount(t *testing.T) {
 	}
 	if v, err := mc.Client().NodeClient(0).View(wire.View{}); err != nil || v.Epoch != held.Epoch {
 		t.Fatalf("node 0 holds view %d (err %v), want %d", v.Epoch, err, held.Epoch)
+	}
+}
+
+// wideVNodes is the slots per node of the view-size rig: 3 nodes × 16 is
+// 48 slots, each with 2 replicas at RF 2.
+const wideVNodes = 16
+
+// startWideRig boots memNodes nodes at wideVNodes slots per node and
+// bootstraps them at RF 2.
+func startWideRig(t *testing.T) *membership.Rig {
+	t.Helper()
+	rig, err := membership.StartRig(memNodes,
+		cluster.NodeConfig{Cache: stemcache.Config{Capacity: memCapacity, Shards: 2, Ways: memWays}},
+		cluster.Config{VNodes: wideVNodes, Seed: memSeed, Client: memTpl()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rig.Close)
+	if err := rig.Bootstrap(membership.Config{ReplicationFactor: 2}); err != nil {
+		t.Fatal(err)
+	}
+	return rig
+}
+
+// TestViewFrameBytes pins the size of the VIEW answer a node of the wide
+// rig sends, addresses aside: the 12-byte header, the epoch (8), the member
+// count (2), per member its state and address length (3), the slot count
+// (2), and per slot its replica count and two uint32 replicas (9), each
+// index written once. Wire v6 also sent every member's id and every slot's
+// number, 4 bytes each: 669 bytes, 204 more.
+func TestViewFrameBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("membership e2e drives loopback round trips")
+	}
+	rig := startWideRig(t)
+	held, err := rig.Client().NodeClient(0).View(wire.View{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.AppendResponse(nil, &wire.Response{Op: wire.OpView, View: held}, wire.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := 0
+	for _, m := range held.Members {
+		addrs += len(m.Addr)
+	}
+	const want = 12 + 8 + 2 + memNodes*3 + 2 + memNodes*wideVNodes*9 // 465
+	if got := len(frame) - addrs; got != want {
+		t.Fatalf("VIEW answer of %d members and %d slots is %d bytes besides %d of addresses, want %d",
+			len(held.Members), len(held.Replicas), got, addrs, want)
 	}
 }

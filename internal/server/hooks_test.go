@@ -46,8 +46,7 @@ func (p *prefixView) Serves(key string, write bool) bool {
 // the cache. REPLICATE, VIEW, PING and STATS are not routed.
 func TestKeyedOpsFollowTheView(t *testing.T) {
 	srv, cache := startServer(t, stemcache.Config{Capacity: 256}, server.Config{})
-	view := wire.View{Epoch: 5, Members: []wire.Member{{ID: 0, Addr: "h:0"}},
-		Replicas: []wire.ReplicaSet{{Slot: 0, Replicas: []uint32{0}}}}
+	view := wire.View{Epoch: 5, Members: []wire.Member{{Addr: "h:0"}}, Replicas: [][]int{{0}}}
 	srv.SetMembership(&prefixView{held: view})
 	cl := newClient(t, srv.Addr())
 

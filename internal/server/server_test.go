@@ -450,6 +450,12 @@ func TestMalformedFrameAnswersThenCloses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A VIEW push whose one slot names node 1 of a one-member table.
+	view, err := wire.AppendRequest(nil, &wire.Request{Op: wire.OpView, ID: 3,
+		View: wire.View{Epoch: 1, Members: []wire.Member{{Addr: "h:1"}}, Replicas: [][]int{{0}}}}, wire.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	patched := func(frame []byte, i int, b byte) []byte {
 		f := slices.Clone(frame)
 		f[i] = b
@@ -467,6 +473,7 @@ func TestMalformedFrameAnswersThenCloses(t *testing.T) {
 		{"GET with flag bit 4", "flags 0x10 are not defined for GET", patched(get, 3, 1<<4)},
 		{"GET with flag bit 5", "flags 0x20 are not defined for GET", patched(get, 3, 1<<5)},
 		{"SET with FlagNX", "flags 0x01 are not defined for SET", patched(set, 3, wire.FlagNX)},
+		{"VIEW replica past the members", "slot 0 names node 1 of 1 members", patched(view, len(view)-1, 1)},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

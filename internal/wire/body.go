@@ -100,6 +100,18 @@ func respBody(op Op, st Status) (body, error) {
 // time.Duration with room to add it to a clock reading.
 func ttlFits(ns uint64) bool { return ns <= 1<<62 }
 
+// slotsFit reports whether a view of epoch e with m members may carry n
+// slots: a holder hashes keys modulo the slot count, so only the zero view
+// (a fetch, or a node holding none) has none.
+func slotsFit(n int, e uint64, m int) bool { return n > 0 || e == 0 && m == 0 }
+
+// replicasFit reports whether a slot may list n replicas: at least its
+// owner, and no more than the uint8 count holds.
+func replicasFit(n int) bool { return n >= 1 && n <= 255 }
+
+// memberFits reports whether replica r names one of a view's m members.
+func memberFits(r uint64, m int) bool { return r < uint64(m) }
+
 // valueFits reports whether a value of n bytes is within lim.
 func valueFits(n uint64, lim Limits) bool { return n <= uint64(lim.MaxValueLen) }
 

@@ -79,7 +79,9 @@ func decodeRequest(req *Request, data []byte, lim Limits, into bool) (int, error
 	return HeaderLen + len(c.b), nil
 }
 
-// view reads a view: epoch, member table, replica table. Its tables are
+// view reads a view: epoch, member table, replica table, refusing a shape
+// no holder can route by (see slotsFit, replicasFit, memberFits): the
+// decoder is where a view from the network is checked. Its tables are
 // allocated whatever the decode, and every holder keeps them, so its
 // addresses are copies even under alias: a view never aliases the frame.
 func (c *cursor) view(v *View, lim Limits) (err error) {
@@ -90,15 +92,15 @@ func (c *cursor) view(v *View, lim Limits) (err error) {
 	if v.Members, err = c.members(lim); err != nil {
 		return err
 	}
-	v.Replicas, err = c.replicaSets(lim)
+	v.Replicas, err = c.replicas(v.Epoch, len(v.Members), lim)
 	return err
 }
 
 // members reads a view's member table. Each member costs at least
-// id + state + addr-length bytes, so the count is capacity-checked before
-// any allocation.
+// state + addr-length bytes, so the count is capacity-checked before any
+// allocation.
 func (c *cursor) members(lim Limits) ([]Member, error) {
-	n, err := c.count(lim, 4+1+2)
+	n, err := c.count(lim, 1+2)
 	if err != nil {
 		return nil, err
 	}
@@ -107,10 +109,6 @@ func (c *cursor) members(lim Limits) ([]Member, error) {
 	}
 	members := make([]Member, 0, n)
 	for i := 0; i < n; i++ {
-		var m Member
-		if m.ID, err = c.u32(); err != nil {
-			return nil, err
-		}
 		p, err := c.take(1)
 		if err != nil {
 			return nil, err
@@ -118,7 +116,7 @@ func (c *cursor) members(lim Limits) ([]Member, error) {
 		if p[0] >= uint8(memberStateMax) {
 			return nil, frameErrf("unknown member state %d", p[0])
 		}
-		m.State = MemberState(p[0])
+		m := Member{State: MemberState(p[0])}
 		if m.Addr, err = c.key(); err != nil {
 			return nil, err
 		}
@@ -127,42 +125,45 @@ func (c *cursor) members(lim Limits) ([]Member, error) {
 	return members, nil
 }
 
-// replicaSets reads a view's replica-assignment table. The outer
-// count and each slot's uint8 replica count are capacity-checked against
-// the bytes present before their allocations.
-func (c *cursor) replicaSets(lim Limits) ([]ReplicaSet, error) {
-	n, err := c.count(lim, 4+1)
+// replicas reads the replica table of a view of epoch e with m members.
+// The outer count and each slot's uint8 replica count are capacity-checked
+// against the bytes present before their allocations.
+func (c *cursor) replicas(e uint64, m int, lim Limits) ([][]int, error) {
+	n, err := c.count(lim, 1)
 	if err != nil {
 		return nil, err
+	}
+	if !slotsFit(n, e, m) {
+		return nil, frameErrf("view %d has no slots", e)
 	}
 	if n == 0 {
 		return nil, nil
 	}
-	sets := make([]ReplicaSet, 0, n)
-	for i := 0; i < n; i++ {
-		var rs ReplicaSet
-		if rs.Slot, err = c.u32(); err != nil {
-			return nil, err
-		}
+	sets := make([][]int, n)
+	for s := range sets {
 		p, err := c.take(1)
 		if err != nil {
 			return nil, err
 		}
 		nr := int(p[0])
+		if !replicasFit(nr) {
+			return nil, frameErrf("slot %d lists no replicas", s)
+		}
 		if nr > c.remaining()/4 {
 			return nil, frameErrf("replica count %d exceeds payload capacity", nr)
 		}
-		if nr > 0 {
-			rs.Replicas = make([]uint32, 0, nr)
-		}
-		for j := 0; j < nr; j++ {
+		set := make([]int, nr)
+		for i := range set {
 			r, err := c.u32()
 			if err != nil {
 				return nil, err
 			}
-			rs.Replicas = append(rs.Replicas, r)
+			if !memberFits(uint64(r), m) {
+				return nil, frameErrf("slot %d names node %d of %d members", s, r, m)
+			}
+			set[i] = int(r)
 		}
-		sets = append(sets, rs)
+		sets[s] = set
 	}
 	return sets, nil
 }

@@ -92,8 +92,9 @@ func finishFrame(buf []byte, start int, op Op, fl uint8, id uint32, lim Limits) 
 }
 
 // appendView appends a view: epoch, member table, then per-slot replica
-// assignments. Replica lists use a uint8 count — a replication factor past
-// 256 is not a configuration, it is a typo.
+// lists, refusing a shape the decoder refuses (see slotsFit, replicasFit,
+// memberFits). Replica lists use a uint8 count — a replication factor
+// past 255 is not a configuration, it is a typo.
 func appendView(buf []byte, v *View, lim Limits) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint64(buf, v.Epoch)
 	buf, err := appendCount(buf, len(v.Members), lim, "member table")
@@ -104,23 +105,26 @@ func appendView(buf []byte, v *View, lim Limits) ([]byte, error) {
 		if m.State >= memberStateMax {
 			return buf, fmt.Errorf("wire: unknown member state %d", uint8(m.State))
 		}
-		buf = binary.BigEndian.AppendUint32(buf, m.ID)
-		buf = append(buf, byte(m.State))
-		if buf, err = appendKey(buf, m.Addr); err != nil {
+		if buf, err = appendKey(append(buf, byte(m.State)), m.Addr); err != nil {
 			return buf, err
 		}
+	}
+	if !slotsFit(len(v.Replicas), v.Epoch, len(v.Members)) {
+		return buf, fmt.Errorf("wire: view %d has no slots", v.Epoch)
 	}
 	if buf, err = appendCount(buf, len(v.Replicas), lim, "replica table"); err != nil {
 		return buf, err
 	}
-	for _, rs := range v.Replicas {
-		if len(rs.Replicas) > 255 {
-			return buf, fmt.Errorf("wire: %d replicas for one slot exceed 255", len(rs.Replicas))
+	for s, set := range v.Replicas {
+		if !replicasFit(len(set)) {
+			return buf, fmt.Errorf("wire: slot %d lists %d replicas, not 1 to 255", s, len(set))
 		}
-		buf = binary.BigEndian.AppendUint32(buf, rs.Slot)
-		buf = append(buf, byte(len(rs.Replicas)))
-		for _, r := range rs.Replicas {
-			buf = binary.BigEndian.AppendUint32(buf, r)
+		buf = append(buf, byte(len(set)))
+		for _, r := range set {
+			if !memberFits(uint64(r), len(v.Members)) {
+				return buf, fmt.Errorf("wire: slot %d names node %d of %d members", s, r, len(v.Members))
+			}
+			buf = binary.BigEndian.AppendUint32(buf, uint32(r))
 		}
 	}
 	return buf, nil

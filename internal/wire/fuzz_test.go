@@ -52,6 +52,10 @@ func malformedFrames() []struct {
 	v4Ping[1] = 4
 	v5Ping := header(OpPing, 0, 7, 0)
 	v5Ping[1] = 5
+	v6Ping := header(OpPing, 0, 7, 0)
+	v6Ping[1] = 6
+	// oneMember is epoch 1 and a member table of one alive member, "h:1".
+	oneMember := cat(zeros(7), []byte{1, 0, 1, 0, 0, 3, 'h', ':', '1'})
 	return []struct {
 		name   string
 		frame  []byte
@@ -91,9 +95,17 @@ func malformedFrames() []struct {
 		// state, a replica count with no bytes behind it, and a member count
 		// past the batch limit.
 		{"VIEW member count past the bytes", frame(OpView, 0, cat(zeros(8), []byte{0, 1, 0, 0})...), reqDecoder, "batch count 1 exceeds payload capacity"},
-		{"VIEW member state 9", frame(OpView, 0, cat(zeros(8), []byte{0, 1, 0, 0, 0, 5, 9, 0, 0})...), reqDecoder, "unknown member state 9"},
-		{"VIEW 255 replicas, no bytes", frame(OpView, 0, cat(zeros(8), []byte{0, 0, 0, 1, 0, 0, 0, 3, 0xFF})...), reqDecoder, "replica count 255 exceeds payload capacity"},
+		{"VIEW member state 9", frame(OpView, 0, cat(zeros(8), []byte{0, 1, 9, 0, 0})...), reqDecoder, "unknown member state 9"},
+		{"VIEW 255 replicas, no bytes", frame(OpView, 0, cat(zeros(8), []byte{0, 0, 0, 1, 0xFF})...), reqDecoder, "replica count 255 exceeds payload capacity"},
 		{"VIEW member count 65535", frame(OpView, 0, cat(zeros(8), []byte{0xFF, 0xFF})...), reqDecoder, "batch of 65535 entries exceeds limit 64"},
+
+		// VIEW shapes no holder can route by, as a push and as an answer
+		// alike: a replica that is not a member, a slot with no replicas,
+		// and members but no slots (a holder hashes keys modulo the slot
+		// count).
+		{"VIEW replica past the members", frame(OpView, 0, cat(oneMember, []byte{0, 1, 1, 0, 0, 0, 1})...), bothDecoders, "slot 0 names node 1 of 1 members"},
+		{"VIEW slot with no replicas", frame(OpView, 0, cat(oneMember, []byte{0, 2, 1, 0, 0, 0, 0, 0})...), bothDecoders, "slot 1 lists no replicas"},
+		{"VIEW members but no slots", frame(OpView, 0, cat(oneMember, []byte{0, 0})...), bothDecoders, "view 1 has no slots"},
 
 		// MOVED: an answer to an op no view routes (its bytes a well-formed
 		// view all the same), and a view cut short.
@@ -102,9 +114,10 @@ func malformedFrames() []struct {
 		{"MOVED answering VIEW", frame(OpView, uint8(StatusMoved), emptyView...), respDecoder, "status MOVED is not defined for VIEW"},
 		{"MOVED answering REPLICATE", frame(OpReplicate, uint8(StatusMoved), emptyView...), respDecoder, "status MOVED is not defined for REPLICATE"},
 		{"MOVED view cut inside its epoch", frame(OpGet, uint8(StatusMoved), zeros(4)...), respDecoder, "truncated payload: need 8 bytes, have 4"},
-		{"MOVED view cut inside its replica table", frame(OpMGet, uint8(StatusMoved), cat(zeros(8), []byte{0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0})...), respDecoder, "replica count 1 exceeds payload capacity"},
+		{"MOVED view cut inside its replica table", frame(OpMGet, uint8(StatusMoved), cat(zeros(8), []byte{0, 0, 0, 1, 1, 0, 0})...), respDecoder, "replica count 1 exceeds payload capacity"},
 		{"a v4 frame", v4Ping[:], bothDecoders, "unsupported version 4"},
-		{"a v5 frame", v5Ping[:], bothDecoders, "unsupported version 5 (want 6)"},
+		{"a v5 frame", v5Ping[:], bothDecoders, "unsupported version 5"},
+		{"a v6 frame", v6Ping[:], bothDecoders, "unsupported version 6 (want 7)"},
 
 		// REPLICATE: a replicated delete with value bytes, and a TTL past 2^62.
 		{"negative REPLICATE with a value", frame(OpReplicate, FlagNegative, 0, 1, 'k', 0, 0, 0, 0), reqDecoder, "4 trailing payload bytes"},
@@ -139,6 +152,18 @@ var retiredNXFrames = []string{
 	"53050301000000060000000700016b00000000",
 	"530503030000000e000000180000000000000001000000000000000200016b0000000176",
 	"530503020000000500000007000000036f6c64",
+}
+
+// retiredV6ViewFrames are the view-carrying frames version 6 sent, as its
+// golden file held them, where a member row led with its node id and a
+// replica row with its slot, both the row's own index: two VIEW pushes, a
+// VIEW answer, a GET answered MOVED and a traced MSET answered MOVED.
+var retiredV6ViewFrames = []string{
+	"530609000000001a0000004f000000000000000700030000000000000e3132372e302e302e313a34303030000000010100000000000202000e3132372e302e302e313a343030320002000000000200000001000000020000003f00",
+	"530609000000001b0000001f0000010000000000000100000009020003683a310001000000050100000000",
+	"530609000000001a0000004f000000000000000700030000000000000e3132372e302e302e313a34303030000000010100000000000202000e3132372e302e302e313a343030320002000000000200000001000000020000003f00",
+	"530602030000001e0000004f000000000000000700030000000000000e3132372e302e302e313a34303030000000010100000000000202000e3132372e302e302e313a343030320002000000000200000001000000020000003f00",
+	"530607830000001f000000370000000000000003000000000000000400000005000000060000000000000002000100000000000003683a300001000000000100000000",
 }
 
 // TestDecodeRejectsMalformed checks every malformed frame is refused by the
@@ -212,6 +237,26 @@ func FuzzWireDecode(f *testing.F) {
 			f.Fatalf("response decoder read retired frame %s as %v", h, resp.Status)
 		}
 		f.Add(b)
+	}
+
+	// The retired v6 view frames, as sent and at the current version: both
+	// decoders refuse each one, so an old view cannot misparse as a new one.
+	for _, h := range retiredV6ViewFrames {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, v := range []byte{b[1], Version} {
+			b := append([]byte(nil), b...)
+			b[1] = v
+			if _, _, err := DecodeRequest(b, lim); err == nil {
+				f.Fatalf("request decoder accepted retired frame %s at version %d", h, v)
+			}
+			if _, _, err := DecodeResponse(b, lim); err == nil {
+				f.Fatalf("response decoder accepted retired frame %s at version %d", h, v)
+			}
+			f.Add(b)
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

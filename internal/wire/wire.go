@@ -6,7 +6,7 @@
 //
 //	offset size  field
 //	0      1     magic (0x53, 'S')
-//	1      1     version (currently 6)
+//	1      1     version (currently 7)
 //	2      1     opcode (requests) / echoed opcode (responses)
 //	3      1     flags (requests) / status (responses)
 //	4      4     request id, big endian (echoed verbatim in the response)
@@ -24,6 +24,15 @@
 // whose body is the node's view: the client adopts it and routes again.
 // A VIEW request pushes a view and its answer carries the view the node
 // holds after it, so a VIEW at epoch 0 fetches the node's view.
+//
+// A view travels as a uint64 epoch, a uint16 member count and per member a
+// state byte and a uint16-length-prefixed address (member i is node i),
+// then a uint16 slot count and per slot a uint8 replica count and that
+// many uint32 node ids, owner first (row s is slot s). No index travels
+// twice. The decoder is the check on a view's shape, and the encoder
+// refuses the same views: only the zero view (epoch 0, no members, a fetch
+// or a node holding none) has no slots, every slot lists at least its
+// owner, and every replica names a member.
 //
 // Inside payloads, keys are uint16-length-prefixed byte strings and values
 // are uint32-length-prefixed byte strings; batch payloads carry a uint16
@@ -79,8 +88,10 @@ const (
 	// trailing bytes. Version 6 dropped the store-if-absent flag on SET and
 	// SETTTL, their answers' empty value and the status that refused such a
 	// store, renumbering ERR and MOVED: a version-5 peer would read an ERR
-	// answer as that status and a SET answer as truncated.
-	Version = 6
+	// answer as that status and a SET answer as truncated. Version 7
+	// dropped the member row's node id and the replica row's slot number,
+	// both the row's own index: a version-6 view would misparse.
+	Version = 7
 	// HeaderLen is the fixed frame-header size in bytes.
 	HeaderLen = 12
 )
@@ -328,32 +339,50 @@ func (s MemberState) String() string {
 	}
 }
 
-// Member is one row of a view's member table: a node's cluster id,
-// lifecycle state, and dialable address.
+// Member is one row of a view's member table: a node's lifecycle state and
+// dialable address. A member's node id is its row.
 type Member struct {
-	ID    uint32
 	State MemberState
 	Addr  string
 }
 
-// ReplicaSet assigns a slot's replica nodes: the owner first, then the
-// followers it fans writes out to.
-type ReplicaSet struct {
-	Slot     uint32
-	Replicas []uint32
-}
-
-// View is a membership view as it travels: the body of an OpView push, of
-// its answer, and of a StatusMoved answer. Epochs are monotone per
-// cluster, so a holder discards a view older than the one it holds (pushes
-// can race).
+// View is the cluster's ownership record, the one form every holder keeps:
+// the membership manager writes it, each node's agent and each routing
+// client holds the newest one it has been pushed or answered with, and it
+// travels as the body of an OpView push, of its answer, and of a
+// StatusMoved answer. Epochs are monotone per cluster, so a holder
+// discards a view older than the one it holds (pushes can race). A view is
+// immutable once built: a holder replaces it, never changes it, and a
+// decoded view's tables never alias the frame.
+//
+// Both ends check its shape (see the package doc): the zero view, a fetch
+// or a node holding none, is the only one with no slots; every slot names
+// at least its owner, and only members.
 type View struct {
 	// Epoch orders views; 0 is no view.
 	Epoch uint64
-	// Members is the full member table.
+	// Members is the full member table; member i is node i.
 	Members []Member
-	// Replicas is the replica-assignment table, owner first per slot.
-	Replicas []ReplicaSet
+	// Replicas[s] lists slot s's replica nodes, owner first. The slot
+	// count is len(Replicas): a holder hashes keys modulo it.
+	Replicas [][]int
+}
+
+// Owner returns slot's owning node.
+func (v *View) Owner(slot int) int { return v.Replicas[slot][0] }
+
+// Owners returns every slot's owner, indexed by slot.
+func (v *View) Owners() []int {
+	owners := make([]int, len(v.Replicas))
+	for s := range owners {
+		owners[s] = v.Owner(s)
+	}
+	return owners
+}
+
+// Alive reports whether node is a serving member.
+func (v *View) Alive(node int) bool {
+	return node >= 0 && node < len(v.Members) && v.Members[node].State == MemberAlive
 }
 
 // Request is the decoded form of one request frame.

@@ -31,8 +31,8 @@ func requestFixtures() []*Request {
 		{Op: OpMGet, ID: 16, Keys: []string{"a", "b"}, Trace: &TraceExt{ID: 7, SendMicros: 1 << 60}},
 		{Op: OpView, ID: 26, View: fixtureView()},
 		{Op: OpView, ID: 27, View: View{Epoch: 1 << 40,
-			Members:  []Member{{ID: 9, State: MemberDead, Addr: "h:1"}},
-			Replicas: []ReplicaSet{{Slot: 5, Replicas: []uint32{0}}}}},
+			Members:  []Member{{State: MemberDead, Addr: "h:1"}},
+			Replicas: [][]int{{0}}}},
 		{Op: OpView, ID: 28}, // empty tables, epoch 0: a fetch
 		{Op: OpReplicate, ID: 29, Key: "rk", Value: []byte("rv"), TTL: 250 * time.Millisecond},
 		{Op: OpReplicate, ID: 30, Key: "rk2", Value: nil, TTL: 0},
@@ -42,18 +42,15 @@ func requestFixtures() []*Request {
 }
 
 // fixtureView is a three-member view: one member per state, a slot with an
-// owner and a follower, and a slot with no replicas.
+// owner and a follower, and a slot with its owner alone.
 func fixtureView() View {
 	return View{Epoch: 7,
 		Members: []Member{
-			{ID: 0, State: MemberAlive, Addr: "127.0.0.1:4000"},
-			{ID: 1, State: MemberLeft, Addr: ""},
-			{ID: 2, State: MemberDead, Addr: "127.0.0.1:4002"},
+			{State: MemberAlive, Addr: "127.0.0.1:4000"},
+			{State: MemberLeft, Addr: ""},
+			{State: MemberDead, Addr: "127.0.0.1:4002"},
 		},
-		Replicas: []ReplicaSet{
-			{Slot: 0, Replicas: []uint32{1, 2}},
-			{Slot: 63, Replicas: nil},
-		}}
+		Replicas: [][]int{{1, 2}, {0}}}
 }
 
 func responseFixtures() []*Response {
@@ -81,8 +78,8 @@ func responseFixtures() []*Response {
 		{Op: OpView, ID: 29, Status: StatusOK}, // a node holding no view
 		{Op: OpGet, ID: 30, Status: StatusMoved, View: fixtureView()},
 		{Op: OpMSet, ID: 31, Status: StatusMoved, View: View{Epoch: 2,
-			Members:  []Member{{ID: 0, Addr: "h:0"}},
-			Replicas: []ReplicaSet{{Slot: 0, Replicas: []uint32{0}}}},
+			Members:  []Member{{Addr: "h:0"}},
+			Replicas: [][]int{{0}}},
 			Trace: &TraceExt{ID: 3, SendMicros: 4, QueueMicros: 5, HandleMicros: 6}},
 	}
 }
@@ -120,11 +117,6 @@ func normView(v *View) {
 	}
 	if len(v.Replicas) == 0 {
 		v.Replicas = nil
-	}
-	for i := range v.Replicas {
-		if len(v.Replicas[i].Replicas) == 0 {
-			v.Replicas[i].Replicas = nil
-		}
 	}
 }
 
@@ -442,8 +434,7 @@ func boundaryFrames(tb testing.TB) []boundaryFrame {
 
 // boundaryView is the view every boundary frame carries where its body
 // has one.
-var boundaryView = View{Epoch: 3, Members: []Member{{ID: 1, Addr: "h:1"}},
-	Replicas: []ReplicaSet{{Slot: 2, Replicas: []uint32{1}}}}
+var boundaryView = View{Epoch: 3, Members: []Member{{Addr: "h:1"}}, Replicas: [][]int{{0}}}
 
 // patchedRequest encodes req under the default limits with its TTL zeroed
 // and only the flags its op takes, then patches the flags byte and the TTL
