@@ -52,7 +52,7 @@ func TestFrameGolden(t *testing.T) {
 
 // verdictDigest is the SHA-256 TestDecodeVerdictDigest computes; it changes
 // only when some frame decodes differently.
-const verdictDigest = "dfce801fc8378fcdfea3391219a9e1dcc714ccf5c489bf84f76c2a0e3e284aef"
+const verdictDigest = "7a05639a941f78f3d16c5ceb978280cfcfbb70a35767f3ae8a170d3d40ddfb38"
 
 // TestDecodeVerdictDigest pins what both decoders make of 100k seeded
 // mutations of the fixture frames: for each mutated frame, each decoder's
