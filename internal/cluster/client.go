@@ -177,7 +177,8 @@ func (c *Client) adopt(v wire.View) (bool, error) {
 	if err := c.placeLocked(0, addrs); err != nil {
 		return false, err
 	}
-	c.view.Store(&v)
+	held := v // only an adopted view escapes: a stale one allocates nothing
+	c.view.Store(&held)
 	return true, nil
 }
 

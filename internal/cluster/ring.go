@@ -6,11 +6,13 @@
 // writer of slot ownership. Its joins, leaves and failovers move slots;
 // each move re-places replicas and pushes a new view.
 //
-// Ownership lives in one record, the View (epoch, members, replica table
-// whose first column is the owner). The manager, each node's agent and
-// each Client hold a copy of their own, and copies travel on the wire: a
-// node answers a key it does not serve with StatusMoved and its view, and
-// a Client adopts any newer view it is answered with. The Ring holds no
+// Ownership lives in one record, the view (wire.View: epoch, members,
+// replica table whose first column is the owner), one type from the
+// decoder to every holder. The manager, each node's agent and each Client
+// hold a copy of their own, and copies travel on the wire: a node answers
+// a key it does not serve with StatusMoved and its view, and a Client
+// adopts any newer view it is answered with, as decoded. The decoder
+// checks a view's shape; this package converts none. The Ring holds no
 // ownership: it is the fixed key→slot hash every holder shares, as an
 // LLC's set index is a fixed function of the address (paper §1).
 //

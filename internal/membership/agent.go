@@ -128,7 +128,7 @@ func (a *Agent) Update(v wire.View) (wire.View, error) {
 			a.peers[id] = nil
 		}
 	}
-	nv := v
+	nv := v // only a stored view escapes: a fetch allocates nothing
 	a.view.Store(&nv)
 	a.mu.Unlock()
 

@@ -348,16 +348,12 @@ type Member struct {
 
 // View is the cluster's ownership record, the one form every holder keeps:
 // the membership manager writes it, each node's agent and each routing
-// client holds the newest one it has been pushed or answered with, and it
+// client holds the newest one it was pushed or answered with, and it
 // travels as the body of an OpView push, of its answer, and of a
-// StatusMoved answer. Epochs are monotone per cluster, so a holder
-// discards a view older than the one it holds (pushes can race). A view is
-// immutable once built: a holder replaces it, never changes it, and a
-// decoded view's tables never alias the frame.
-//
-// Both ends check its shape (see the package doc): the zero view, a fetch
-// or a node holding none, is the only one with no slots; every slot names
-// at least its owner, and only members.
+// StatusMoved answer, in a shape both ends check (see the package doc).
+// Epochs are monotone per cluster, so a holder discards a view older than
+// the one it holds (pushes can race). A view is immutable once built: a
+// holder replaces it, never changes it.
 type View struct {
 	// Epoch orders views; 0 is no view.
 	Epoch uint64
