@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 func TestRingDeterminism(t *testing.T) {
@@ -63,6 +67,74 @@ func TestRingInitialOwnership(t *testing.T) {
 		home, slot := r.Lookup(k)
 		if want := r.SlotOf(k, len(v.Replicas)); slot != want || home != v.Owner(slot) {
 			t.Fatalf("Lookup(%q) = (%d, %d), want (%d, %d)", k, home, slot, v.Owner(want), want)
+		}
+	}
+}
+
+// TestParseViewChecksView: a view is adopted only when it is well formed —
+// at least one slot, an owner for every slot, members only. A holder
+// adopts the view the wire decoder parsed, so the ring's view must come
+// back whole through a VIEW frame, and a bent one is refused both when it
+// is sent and when it is read. Its slot count is its own: holders hash
+// keys modulo it, so a view with no slots would divide by zero.
+func TestParseViewChecksView(t *testing.T) {
+	r, err := NewRing(2, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := *r.InitialView([]string{"a:1", "b:2"})
+	good.Epoch = 3
+	frame, err := wire.AppendRequest(nil, &wire.Request{Op: wire.OpView, View: good}, wire.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, _, err := wire.DecodeRequest(frame, wire.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(req.View) != fmt.Sprint(good) {
+		t.Fatalf("decoded view %v, want %v", req.View, good)
+	}
+
+	// The frame ends in the replica table: a uint16 slot count, then per
+	// slot a uint8 replica count and a uint32 node per replica. Each
+	// slot of the ring's view has its owner alone, 5 bytes.
+	for _, c := range []struct {
+		name string
+		want string // in the encoder's and the decoder's error
+		bend func(v *wire.View)
+		edit func(f []byte) []byte
+	}{
+		{"a view with 0 slots", "view 3 has no slots", func(v *wire.View) { v.Replicas = nil }, func(f []byte) []byte {
+			f = f[:len(f)-4*5]
+			binary.BigEndian.PutUint16(f[len(f)-2:], 0)
+			binary.BigEndian.PutUint32(f[8:12], uint32(len(f)-wire.HeaderLen))
+			return f
+		}},
+		{"a slot with no owner", "slot 2 lists", func(v *wire.View) { v.Replicas[2] = nil }, func(f []byte) []byte {
+			// Slots 2 and 3, [1 r2][1 r3], become [0][2 r2 r3]: same length.
+			tail := f[len(f)-10:]
+			r2 := append([]byte(nil), tail[1:5]...)
+			tail[0], tail[1] = 0, 2
+			copy(tail[2:6], r2)
+			return f
+		}},
+		{"a replica past the members", "slot 3 names node 2 of 2 members", func(v *wire.View) { v.Replicas[3] = []int{2} }, func(f []byte) []byte {
+			binary.BigEndian.PutUint32(f[len(f)-4:], 2)
+			return f
+		}},
+	} {
+		v := good
+		v.Replicas = make([][]int, len(good.Replicas))
+		for s, set := range good.Replicas {
+			v.Replicas[s] = slices.Clone(set)
+		}
+		c.bend(&v)
+		if _, err := wire.AppendRequest(nil, &wire.Request{Op: wire.OpView, View: v}, wire.Limits{}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: encoding gave %v, want an error naming %q", c.name, err, c.want)
+		}
+		if _, _, err := wire.DecodeRequest(c.edit(slices.Clone(frame)), wire.Limits{}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: decoding gave %v, want an error naming %q", c.name, err, c.want)
 		}
 	}
 }
